@@ -17,8 +17,8 @@ reason, and a queryable ledger: :func:`fallback_events`) but
 gracefully (the compile always succeeds).  The same degradation runs
 when no C compiler is installed.
 
-Both modules here are rooted in the store's codegen fingerprint
-(:data:`repro.store.disk._CODEGEN_ROOTS`), so editing the C emitter or
+Both modules here are rooted in the key's codegen fingerprint
+(:data:`repro.compiler.key._CODEGEN_ROOTS`), so editing the C emitter or
 the toolchain invalidates previously stored kernels automatically.
 """
 
@@ -27,9 +27,6 @@ import logging
 import threading
 
 _log = logging.getLogger("repro.codegen")
-
-#: Backend names ``compile_kernel`` accepts.
-BACKENDS = ("python", "c")
 
 _FALLBACK_CAP = 1024
 #: (kernel name, reason) in occurrence order.  A bounded deque keeps
@@ -102,7 +99,6 @@ from repro.codegen.toolchain import (  # noqa: E402
 )
 
 __all__ = [
-    "BACKENDS",
     "CUnsupportedError",
     "FallbackLog",
     "ToolchainError",

@@ -150,6 +150,32 @@ def compile_shared(c_source, name="kernel"):
     return so_path
 
 
+def adopt_shared(c_source, name, so_bytes):
+    """Park a shared object built elsewhere (the kernel service's
+    ``.so`` sidecar bytes) where :func:`compile_shared` would have put
+    it, and memoize it the same way; returns its path, or None when
+    the bytes do not load here (foreign architecture, truncated body)
+    — the caller then recompiles from ``c_source``."""
+    digest = source_digest(c_source)
+    with _lock:
+        cached = _entries.get(digest)
+        if cached is not None:
+            return cached[0]
+    so_path = os.path.join(_scratch_dir(), "k_%s.so" % digest)
+    tmp = "%s.%d.tmp" % (so_path, threading.get_ident())
+    with open(tmp, "wb") as handle:
+        handle.write(so_bytes)
+    os.replace(tmp, so_path)
+    try:
+        load_symbol(so_path, name)
+    except ToolchainError:
+        os.remove(so_path)
+        return None
+    with _lock:
+        _entries[digest] = (so_path, name)
+    return so_path
+
+
 def load_symbol(so_path, name):
     """The raw ``int64_t (*)(void **)`` entry from one shared object.
 

@@ -23,8 +23,10 @@ The compile-once/run-many lifecycle::
     kernel.run(A=third_A)              # or override for a single call
 
 Artifacts live in a process-wide LRU :class:`KernelCache` keyed by
-``(structural_key, instrument, name, constant_loop_rewrite,
-opt_level)``.  A
+the kernel's one identity, :class:`~repro.compiler.key.KernelKey`
+(structural key, instrument, name, constant_loop_rewrite, opt_level,
+backend); the tiers below it — disk store, fleet service — are
+walked by :func:`repro.compiler.tiers.read_through`.  A
 second ``compile_kernel``/``execute`` of a structurally-identical
 program — same tree, same formats, fresh data — skips lowering,
 emission, and ``exec`` entirely and just rebinds the cached artifact
@@ -47,7 +49,6 @@ update, giving a deterministic work measure used by the benchmark
 harness alongside wall-clock time.
 """
 
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -65,11 +66,15 @@ from repro.cin.analyze import (
     tensor_signature,
 )
 from repro.compiler.context import Context
+from repro.compiler.key import KernelKey
 from repro.compiler.lower import Lowerer
+from repro.compiler.options import CompileOptions
+from repro.compiler.tiers import read_through
 from repro.ir import asm, emit
 from repro.ir.nodes import Literal, Load
 from repro.ir.optimize import DEFAULT_OPT_LEVEL, optimize_kernel
 from repro.ir.runtime import kernel_globals
+from repro.util import config as _config
 from repro.util.errors import BindingError, SpecError
 
 #: Version tag of the serialized-artifact format (see
@@ -87,17 +92,6 @@ from repro.util.errors import BindingError, SpecError
 #: ``.so`` sibling when one is present).
 SPEC_VERSION = 3
 
-# The option vocabulary (BACKENDS / CACHE_MODES / TUNE_MODES) and the
-# frozen CompileOptions bundle live in repro.compiler.options; they are
-# re-exported here because this module historically defined them.
-from repro.compiler.options import (  # noqa: F401  (re-exports)
-    BACKENDS,
-    CACHE_MODES,
-    TUNE_MODES,
-    CompileOptions,
-)
-
-
 def _plain(value):
     """``value`` with nested tuples rewritten as lists (JSON-safe)."""
     if isinstance(value, tuple):
@@ -112,44 +106,6 @@ def _frozen(value):
     if isinstance(value, (list, tuple)):
         return tuple(_frozen(item) for item in value)
     return value
-
-
-def normalize_backend(backend):
-    """Resolve a ``backend`` argument to a validated backend name.
-
-    ``None`` falls through the package precedence rule
-    (``fl.configure(backend=...)``, then ``FL_KERNEL_BACKEND``,
-    default ``"python"`` — see :mod:`repro.util.config`), so a whole
-    process — or a whole CI job — can be flipped to the C backend
-    without touching call sites.
-    """
-    from repro.util import config
-
-    backend = config.resolve("backend", override=backend)
-    if backend not in BACKENDS:
-        raise ValueError(
-            "backend must be one of %s; got %r"
-            % ("/".join(BACKENDS), backend))
-    return backend
-
-
-def normalize_tune(tune):
-    """Resolve a ``tune`` argument to a validated tune mode.
-
-    ``None`` falls through the package precedence rule
-    (``fl.configure(tune=...)``, then ``FL_KERNEL_TUNE``, default
-    ``"off"`` — see :mod:`repro.util.config`), so a whole process —
-    or a whole CI job — can be flipped onto the tuned schedules
-    without touching call sites.
-    """
-    from repro.util import config
-
-    tune = config.resolve("tune", override=tune)
-    if tune not in TUNE_MODES:
-        raise ValueError(
-            "tune must be one of %s; got %r"
-            % ("/".join(TUNE_MODES), tune))
-    return tune
 
 
 class CompiledKernel:
@@ -569,13 +525,13 @@ def resolve_name_overrides(template, mapping):
 
 
 class KernelCache:
-    """A process-wide, thread-safe LRU cache of compiled artifacts.
+    """A thread-safe LRU cache of compiled artifacts.
 
-    Keys are ``(structural_key, instrument, name,
-    constant_loop_rewrite, opt_level)``; values are :class:`CompiledKernel`
-    artifacts.  ``maxsize`` bounds the number of artifacts; the least
-    recently used entry is evicted first.  ``stats()`` reports hits,
-    misses, evictions, and occupancy.
+    Keys are :attr:`KernelKey.memory <repro.compiler.key.KernelKey.
+    memory>` tuples; values are :class:`CompiledKernel` artifacts.
+    ``maxsize`` bounds the number of artifacts; the least recently
+    used entry is evicted first.  ``stats()`` reports hits, misses,
+    evictions, and occupancy.
     """
 
     def __init__(self, maxsize=256):
@@ -646,29 +602,11 @@ class KernelCache:
             return key in self._entries
 
 
-def memory_cache_key(structural_key, instrument, name,
-                     constant_loop_rewrite, opt_level,
-                     backend="python"):
-    """The :data:`KERNEL_CACHE` key for one compile configuration.
-
-    The single definition of the key shape, shared by
-    ``compile_kernel`` and every out-of-band cache warmer
-    (:func:`repro.store.pack.load_pack`) — the two must never drift,
-    or pre-warmed entries silently stop hitting.  ``backend`` is the
-    *requested* backend: a C kernel that fell back to python still
-    occupies the ``"c"`` slot, so flipping the backend can never serve
-    a stale artifact from the other axis.
-    """
-    return (structural_key, bool(instrument), name,
-            bool(constant_loop_rewrite), int(opt_level), str(backend))
-
-
 def artifact_cache_key(artifact):
-    """:func:`memory_cache_key` of a live :class:`CompiledKernel`."""
-    return memory_cache_key(
-        artifact.structural_key, artifact.instrument, artifact.name,
-        artifact.constant_loop_rewrite, artifact.opt_level,
-        artifact.backend)
+    """The :data:`KERNEL_CACHE` key of a live :class:`CompiledKernel`
+    (:attr:`KernelKey.memory <repro.compiler.key.KernelKey.memory>`)
+    — what an out-of-band cache warmer stores it under."""
+    return KernelKey.of(artifact).memory
 
 
 #: The process-wide artifact cache used by ``compile_kernel``.
@@ -808,39 +746,6 @@ def _identity_pinned(tensor, signature):
     return contains(signature)
 
 
-def _artifact_from_remote(spec, so_bytes, store, meta):
-    """Materialize a remote-tier hit: rebuild the fetched spec (with
-    its ``.so`` sidecar bytes, when the service had one) and
-    write-behind into the local disk tier.  Returns None when the
-    fetched spec does not rebuild — the wire equivalent of a
-    quarantined entry, read as a miss."""
-    import tempfile
-
-    tmp = None
-    try:
-        if so_bytes:
-            fd, tmp = tempfile.mkstemp(suffix=".so",
-                                       prefix="fl-remote-")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(so_bytes)
-        try:
-            artifact = CompiledKernel.from_spec(spec, so_path=tmp)
-        except Exception:
-            return None
-        if store is not None:
-            store.save_spec(meta, spec,
-                            so_path=artifact.so_path or tmp)
-        return artifact
-    finally:
-        if tmp is not None:
-            try:
-                # Safe even while the artifact holds the dlopened
-                # handle: the inode outlives the unlink.
-                os.remove(tmp)
-            except OSError:
-                pass
-
-
 def compile_kernel(program, instrument=False, name="kernel",
                    constant_loop_rewrite=True, cache=None,
                    opt_level=None, backend=None, tune=None,
@@ -914,11 +819,10 @@ def compile_kernel(program, instrument=False, name="kernel",
     opts = CompileOptions.build(options, cache=cache,
                                 opt_level=opt_level, backend=backend,
                                 tune=tune, remote=remote, store=store)
-    tune = normalize_tune(opts.tune)
     opt_level = opts.opt_level
     backend = opts.backend
     tuned = False
-    if tune == "apply":
+    if _config.resolve("tune", override=opts.tune) == "apply":
         # Imported lazily: repro.tune compiles candidates through this
         # module, so a top-level import would be circular.
         from repro import tune as _tune
@@ -936,96 +840,31 @@ def compile_kernel(program, instrument=False, name="kernel",
                 backend = tuning.get("backend")
             tuned = True
     tensors = program_tensors(program)
-    from repro.util import config as _config
-
     opt_level = _config.resolve("opt_level", override=opt_level)
     if opt_level is None:
         opt_level = DEFAULT_OPT_LEVEL
     opt_level = int(opt_level)
-    backend = normalize_backend(backend)
+    backend = _config.resolve("backend", override=backend)
     cache = True if opts.cache is None else opts.cache
-    # Identity comparison: `1 in (True, ...)` would pass by equality
-    # and then silently disable every tier below.
-    if not any(cache is mode for mode in CACHE_MODES):
-        raise ValueError(
-            "cache must be True, False, 'memory', or 'disk'; got %r"
-            % (cache,))
-    use_memory = cache is True or cache == "memory"
-    use_disk = cache is True or cache == "disk"
-    # The remote tier participates only in full read-through mode: a
-    # caller narrowing to one local tier is asking for locality.
-    use_remote = cache is True
     skey = structural_key(program)
-    key = None
-    if use_memory:
-        key = memory_cache_key(skey, instrument, name,
-                               constant_loop_rewrite, opt_level,
-                               backend)
-        artifact = KERNEL_CACHE.lookup(key)
-        if artifact is not None:
-            return Kernel(artifact, tensors, program, from_cache=True,
-                          tuned=tuned)
-    store = None
-    meta = None
-    if use_disk:
-        # Imported lazily: repro.store rebuilds artifacts through this
-        # module, so a top-level import would be circular.
-        from repro.store import resolve_store
 
-        store = resolve_store(opts.store)
-        if store is not None:
-            meta = store.key_meta(
-                skey, instrument=bool(instrument), name=name,
-                constant_loop_rewrite=bool(constant_loop_rewrite),
-                opt_level=opt_level, backend=backend)
-            artifact = store.load_artifact(meta)
-            if artifact is not None:
-                if key is not None:
-                    KERNEL_CACHE.store(key, artifact)
-                return Kernel(artifact, tensors, program,
-                              from_cache=True, tuned=tuned)
-    client = None
-    if use_remote:
-        from repro.service.client import active_client
-
-        client = active_client(opts.remote)
-        if client is not None:
-            if meta is None:
-                from repro.store.disk import store_key_meta
-
-                meta = store_key_meta(
-                    skey, instrument=bool(instrument), name=name,
-                    constant_loop_rewrite=bool(constant_loop_rewrite),
-                    opt_level=opt_level, backend=backend)
-            fetched = client.fetch(meta)
-            if fetched is not None:
-                artifact = _artifact_from_remote(
-                    fetched[0], fetched[1], store, meta)
-                if artifact is not None:
-                    if key is not None:
-                        KERNEL_CACHE.store(key, artifact)
-                    return Kernel(artifact, tensors, program,
-                                  from_cache=True, tuned=tuned)
-    artifact = _compile_artifact(program, tensors, instrument, name,
+    def build():
+        return _compile_artifact(program, tensors, instrument, name,
                                  constant_loop_rewrite, opt_level,
                                  structural_key=skey, backend=backend)
-    if key is not None:
-        KERNEL_CACHE.store(key, artifact)
-    if store is not None or client is not None:
-        # Write-behind: persists the spec for future processes (and
-        # pushes it to the fleet service's async compile queue); a
-        # kernel that cannot leave the process (SpecError) is simply
-        # not persisted.
-        try:
-            spec = artifact.to_spec()
-        except SpecError:
-            spec = None
-        if spec is not None:
-            if store is not None:
-                store.save_spec(meta, spec, so_path=artifact.so_path)
-            if client is not None:
-                client.push(meta, spec)
-    return Kernel(artifact, tensors, program, tuned=tuned)
+
+    # The remote tier participates only in full read-through mode: a
+    # caller narrowing to one local tier is asking for locality.
+    artifact, tier = read_through(
+        KernelKey(skey, instrument, name, constant_loop_rewrite,
+                  opt_level, backend),
+        build,
+        memory=KERNEL_CACHE if cache is True or cache == "memory"
+        else None,
+        store=opts.store if cache is True or cache == "disk" else False,
+        remote=opts.remote if cache is True else False)
+    return Kernel(artifact, tensors, program,
+                  from_cache=tier is not None, tuned=tuned)
 
 
 def execute(program, instrument=False, cache=None, opt_level=None,

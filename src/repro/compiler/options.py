@@ -20,26 +20,15 @@ be shared between processes with different configuration.
 
 from dataclasses import dataclass, fields, replace
 
-__all__ = ["BACKENDS", "CACHE_MODES", "TUNE_MODES", "CompileOptions"]
+from repro.util.config import BACKENDS, TUNE_MODES
 
-#: Backend names ``compile_kernel`` accepts: ``"python"`` ``exec``s
-#: emitted Python source, ``"c"`` compiles the same optimized target IR
-#: to a per-kernel shared object (falling back to python per kernel
-#: for constructs the C emitter does not cover, or when no C compiler
-#: is installed — see :mod:`repro.codegen`).
-BACKENDS = ("python", "c")
+__all__ = ["BACKENDS", "CACHE_MODES", "TUNE_MODES", "CompileOptions"]
 
 #: The values the ``cache`` option accepts: ``True`` uses every
 #: configured tier (memory LRU, then the on-disk store, then the
 #: remote kernel service), ``"memory"``/``"disk"`` restrict to one
 #: local tier, ``False`` always compiles fresh and touches no cache.
 CACHE_MODES = (True, False, "memory", "disk")
-
-#: The values the ``tune`` option accepts: ``"off"`` compiles the
-#: program exactly as written, ``"apply"`` consults the persisted
-#: autotuner winners table (:mod:`repro.tune`) and compiles the
-#: winning schedule when one is on record.
-TUNE_MODES = ("off", "apply")
 
 
 @dataclass(frozen=True)

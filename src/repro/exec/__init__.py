@@ -15,11 +15,7 @@ from repro.exec.batch import (
     KernelPool,
     run_batch,
 )
-from repro.exec.pool import (
-    WorkerPool,
-    configure_pool,
-    default_pool,
-)
+from repro.exec.pool import WorkerPool, default_pool
 from repro.exec.shm import ShmArena
 
 __all__ = [
@@ -29,7 +25,6 @@ __all__ = [
     "KernelPool",
     "ShmArena",
     "WorkerPool",
-    "configure_pool",
     "default_pool",
     "run_batch",
 ]

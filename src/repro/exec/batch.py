@@ -56,7 +56,6 @@ results should still read them off the :class:`BatchResult` snapshots,
 which behave identically everywhere.
 """
 
-import hashlib
 import os
 import threading
 import time
@@ -66,6 +65,7 @@ import numpy as np
 
 from repro.cin.analyze import tensor_binding_buffers
 from repro.compiler.kernel import compile_kernel, resolve_name_overrides
+from repro.compiler.key import KernelKey
 from repro.exec import pool as _pool
 from repro.exec import shm as _shm
 from repro.exec import worker as _worker
@@ -220,6 +220,7 @@ class KernelPool:
                 "worker_pool only applies to the processes executor")
         self._kernel = kernel
         self._artifact = kernel.artifact
+        self._key = KernelKey.of(kernel.artifact)
         self._output_slots = tuple(kernel.output_slots)
         self.executor = executor
         self._requested_workers = (int(max_workers)
@@ -243,7 +244,6 @@ class KernelPool:
                            else float(deadline_s))
         self.backoff_s = 0.05 if backoff_s is None else float(backoff_s)
         self._spec = None
-        self._spec_digest = None
         self._closed = False
         self._lock = threading.Lock()
         self._stats_lock = threading.Lock()
@@ -325,15 +325,6 @@ class KernelPool:
             if self._spec is None:
                 self._spec = self._kernel.to_spec()
             return self._spec
-
-    def _ensure_spec_digest(self):
-        """The ship-once identity of this pool's spec."""
-        spec = self._ensure_spec()
-        with self._lock:
-            if self._spec_digest is None:
-                self._spec_digest = hashlib.sha1(
-                    repr(_worker._spec_key(spec)).encode()).hexdigest()
-            return self._spec_digest
 
     # -- statistics ----------------------------------------------------
     def _record(self, worker, ops, seconds, spec_rebuild,
@@ -689,7 +680,8 @@ class KernelPool:
         The staging segment is unlinked on every path.
         """
         spec = self._ensure_spec()
-        digest = self._ensure_spec_digest()
+        # The ship-once id *is* the kernel's store/service digest.
+        digest = self._key.digest
         pool = self._ensure_worker_pool()
         t0 = time.perf_counter()
         staging = _shm.ShmStaging()

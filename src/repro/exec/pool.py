@@ -46,11 +46,12 @@ watchdog deadlines
     call): the dispatcher kills it, attributes the stall to the
     in-flight dataset (:class:`~repro.util.errors.WorkerStallError`),
     and respawns the slot exactly like a crash.  The deadline is
-    explicit (``deadline_s`` on the pool, :func:`configure_pool`, or
-    per ``run`` call) or derived from the chunk-cost EMA
-    (``max(5s, 50x measured per-item seconds)``); before any
-    measurement and with no explicit deadline the watchdog stays off,
-    so a cold first chunk can never be killed by a guess.
+    explicit (``deadline_s`` on the pool,
+    ``fl.configure(pool_deadline_s=...)``, or per ``run`` call) or
+    derived from the chunk-cost EMA (``max(5s, 50x measured per-item
+    seconds)``); before any measurement and with no explicit deadline
+    the watchdog stays off, so a cold first chunk can never be killed
+    by a guess.
 
 retry with backoff
     transient failures — crashes, stalls, and worker-raised
@@ -61,7 +62,7 @@ retry with backoff
     a chunk with the suspect are requeued without penalty.
 
 A module-level default pool (:func:`default_pool`, tuned via
-:func:`configure_pool`) is shared by every ``KernelPool`` that does
+``fl.configure(pool_*=...)``) is shared by every ``KernelPool`` that does
 not bring its own, which is what makes the warm state actually
 accumulate across calls.  The default pool is closed at interpreter
 exit; explicit pools are context managers.
@@ -631,45 +632,6 @@ def rebuild_default_if_open():
         if _default_pool is None or _default_pool.closed:
             return None
         _default_pool.close()
-        _default_pool = WorkerPool(**_config_pool_kwargs())
-        return _default_pool
-
-
-def configure_pool(max_workers=None, start_method=None,
-                   chunk_target_s=None, deadline_s=None,
-                   max_retries=None, backoff_s=None):
-    """Replace the default pool with one of the given shape.
-
-    A thin shim over ``fl.configure(pool_*=...)`` (see
-    :mod:`repro.util.config`), kept for source compatibility — with
-    replace semantics: options not passed here fall back to their
-    environment/default values, the current default pool is closed
-    (its warm state dropped), and the new pool is returned.
-    ``chunk_target_s`` tunes how much measured work one IPC
-    round-trip should carry; ``deadline_s`` pins the watchdog
-    deadline (instead of the EMA-derived default), ``max_retries``
-    and ``backoff_s`` tune the transient-failure retry policy.
-    """
-    from repro.util import config
-
-    provided = {
-        option: value
-        for option, value in zip(
-            POOL_OPTION_ARGS.values(),
-            (max_workers, start_method, chunk_target_s, deadline_s,
-             max_retries, backoff_s))
-        if value is not None
-    }
-    # replace(), not configure(): the shim clears every pool override
-    # first (replace semantics predate the front door) and rebuilds
-    # the pool itself — unconditionally, unlike configure(), because
-    # configure_pool() with no arguments has always meant "give me a
-    # fresh machine-default pool".
-    config.replace(config.POOL_OPTION_NAMES, provided)
-    global _default_pool
-    with _default_lock:
-        if _default_pool is not None and not _default_pool.closed:
-            _default_pool.close()
         _default_pool = WorkerPool(**_config_pool_kwargs())
         return _default_pool
 

@@ -7,18 +7,20 @@ pool ships each kernel's *spec* (see
 :meth:`repro.compiler.kernel.CompiledKernel.to_spec`) **once per
 worker**: the first chunk of a kernel carries the spec, every later
 chunk carries only its digest, and the worker resolves the digest
-against its per-process spec cache.  The worker re-``exec``\\ s the
-source once, memoizes the rebuilt artifact, and rebinds it to each
-incoming dataset's shared-memory views (:mod:`repro.exec.shm` — no
-tensor bytes are unpickled).
+against its per-process spec cache.  The worker resolves the spec's
+:class:`~repro.compiler.key.KernelKey` through the *same*
+:func:`~repro.compiler.tiers.read_through` the driver's
+``compile_kernel`` uses — only ``build`` differs: re-``exec`` the
+shipped spec instead of lowering a program — and rebinds the artifact
+to each incoming dataset's shared-memory views (:mod:`repro.exec.shm`
+— no tensor bytes are unpickled).
 
 When a persistent kernel store is configured (``FL_KERNEL_STORE`` in
-the environment workers inherit, or an explicit
-:func:`repro.store.configure_store` under the fork start method), the
-worker warm-starts from disk before rebuilding from the shipped spec:
-a store hit loads the persisted entry, a miss rebuilds from the spec
-and writes the entry behind — so the *next* fleet of workers, in any
-future process, starts warm.
+the environment workers inherit, or ``fl.configure(store_path=...)``
+under the fork start method), the worker warm-starts from disk before
+rebuilding from the shipped spec: a store hit loads the persisted
+entry, a miss rebuilds from the spec and writes the entry behind — so
+the *next* fleet of workers, in any future process, starts warm.
 
 :func:`worker_main` is the long-lived loop :class:`repro.exec.pool.WorkerPool`
 spawns; :func:`run_chunk` is the per-chunk engine, kept free of
@@ -30,30 +32,27 @@ processes can start under any start method (fork, spawn, forkserver).
 import os
 import pickle
 import time
-from collections import OrderedDict
 
 import numpy as np
 
-#: Per-process memo of rebuilt artifacts, keyed by the spec's identity.
-#: One worker re-``exec``\\ s each distinct kernel at most once, no
-#: matter how many datasets of that kernel it is handed.  Bounded so a
-#: long fuzz campaign against a persistent pool cannot grow a worker
-#: without limit.
-_ARTIFACTS = OrderedDict()
-_ARTIFACT_MEMO_CAP = 256
+from repro.compiler.kernel import KernelCache
+from repro.compiler.key import KernelKey
+from repro.compiler.tiers import read_through, rebuild
+from repro.util.errors import SpecError
+
+#: The worker's memory tier: rebuilt artifacts by kernel key.  One
+#: worker re-``exec``\\ s each distinct kernel at most once, no matter
+#: how many datasets of that kernel it is handed.  Private to the
+#: worker role — not the process-wide ``KERNEL_CACHE`` a forked worker
+#: inherits warm from its parent — so fork and spawn count rebuilds
+#: alike; bounded so a long fuzz campaign against a persistent pool
+#: cannot grow a worker without limit.
+_MEMO = KernelCache(maxsize=256)
 
 #: Per-process spec cache, keyed by the digest the pool ships with
 #: every chunk.  Filled the first time a kernel reaches this worker;
 #: later chunks of the same kernel carry the digest only.
 _SPECS = {}
-
-
-def _spec_key(spec):
-    """A hashable identity for one serialized artifact."""
-    return (spec["name"], spec["source"], repr(spec["plan"]),
-            spec["instrument"], spec["opt_level"],
-            spec["constant_loop_rewrite"],
-            spec.get("backend", "python"))
 
 
 def artifact_from_spec(spec):
@@ -70,47 +69,22 @@ def artifact_from_spec(spec):
     the remote push, so a thousand workers never stampede the service
     with the same entry.
     """
-    from repro.compiler.kernel import CompiledKernel
-    from repro.store import active_store, meta_for_spec
+    def build():
+        artifact = rebuild(spec)
+        if artifact is None:
+            raise SpecError(
+                "kernel %r does not rebuild from its shipped spec"
+                % spec.get("name"))
+        return artifact
 
-    key = _spec_key(spec)
-    artifact = _ARTIFACTS.get(key)
-    if artifact is not None:
-        _ARTIFACTS.move_to_end(key)
-        return artifact, True, False, False
-    store = active_store()
-    meta = meta_for_spec(spec)
-    store_hit = False
-    remote_hit = False
-    if store is not None:
-        artifact = store.load_artifact(meta)
-        store_hit = artifact is not None
-    if artifact is None and spec.get("c_source"):
-        # The worker already holds the spec (it shipped with the
-        # chunk), so the remote tier is only worth a round-trip when
-        # it can deliver what the spec cannot: the prebuilt ``.so``
-        # sidecar, sparing this worker a local C-toolchain compile.
-        from repro.service.client import active_client
-
-        client = active_client()
-        if client is not None:
-            fetched = client.fetch(meta)
-            if fetched is not None:
-                from repro.compiler.kernel import _artifact_from_remote
-
-                artifact = _artifact_from_remote(
-                    fetched[0], fetched[1], store, meta)
-                remote_hit = artifact is not None
-    if artifact is None:
-        artifact = CompiledKernel.from_spec(spec)
-        if store is not None:
-            # Write behind the freshly compiled .so too (if any), so
-            # future worker fleets warm-start without a C compiler.
-            store.save_spec(meta, spec, so_path=artifact.so_path)
-    _ARTIFACTS[key] = artifact
-    while len(_ARTIFACTS) > _ARTIFACT_MEMO_CAP:
-        _ARTIFACTS.popitem(last=False)
-    return artifact, False, store_hit, remote_hit
+    # The worker already holds the spec (it shipped with the chunk),
+    # so the remote tier is only worth a round-trip when it can
+    # deliver what the spec cannot: the prebuilt ``.so`` sidecar,
+    # sparing this worker a local C-toolchain compile.
+    artifact, tier = read_through(
+        KernelKey.of_spec(spec), build, memory=_MEMO,
+        remote=None if spec.get("c_source") else False, push=False)
+    return artifact, tier == "memory", tier == "disk", tier == "remote"
 
 
 def snapshot_tensor(tensor):
@@ -126,33 +100,6 @@ def snapshot_tensor(tensor):
     if to_numpy is not None:
         return np.array(to_numpy(), copy=True)
     return np.asarray(tensor.value)
-
-
-def run_spec_task(spec, tensors, index, output_slots):
-    """Run one dataset against a spec-rebuilt kernel.
-
-    The one-task-at-a-time predecessor of :func:`run_chunk`, kept for
-    direct callers that hold real tensors (no shm transport): returns
-    a plain result dict (index, output snapshots, op count, worker id,
-    seconds, artifact-cache flag).
-    """
-    start = time.perf_counter()
-    artifact, cached, store_hit, remote_hit = artifact_from_spec(spec)
-    args = artifact.bind(tensors)
-    result = artifact.fn(*args)
-    outputs = [snapshot_tensor(tensors[slot]) for slot in output_slots]
-    return {
-        "index": index,
-        "outputs": outputs,
-        # Trip-count-scaled counters can come back as numpy ints;
-        # normalize so op totals stay plain (and JSON-safe) ints.
-        "ops": int(result) if artifact.instrument else None,
-        "worker": "pid-%d" % os.getpid(),
-        "seconds": time.perf_counter() - start,
-        "spec_rebuild": not cached,
-        "store_hit": store_hit,
-        "remote_hit": remote_hit,
-    }
 
 
 def _pickle_exception(exc):
@@ -202,6 +149,7 @@ def run_chunk(chunk, cache, mark=None):
                 "worker %s has no spec for digest %s (pool protocol "
                 "error: specs ship with a kernel's first chunk)"
                 % (worker, digest))
+        resolved = None
         for payload in chunk["datasets"]:
             index = payload["index"]
             if mark is not None:
@@ -212,8 +160,11 @@ def run_chunk(chunk, cache, mark=None):
                     _chaos.inject("worker_stall", index=index)
                     _chaos.inject("slow_chunk", index=index)
                 start = time.perf_counter()
-                artifact, cached, store_hit, remote_hit = \
-                    artifact_from_spec(spec)
+                # One tier walk per chunk: its first dataset pays for
+                # (and reports) the rebuild, the rest reuse it.
+                artifact, cached, store_hit, remote_hit = (
+                    resolved or artifact_from_spec(spec))
+                resolved = (artifact, True, False, False)
                 args = _shm.build_args(payload, chunk.get("staging"),
                                        cache)
                 result = artifact.fn(*args)

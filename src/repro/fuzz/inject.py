@@ -7,15 +7,18 @@ CLI (``python -m repro.fuzz --inject NAME``) can demonstrate the whole
 catch-shrink-persist pipeline end to end against a known defect.
 
 Each injection is a context manager that monkeypatches one function,
-clears the process-wide kernel cache on entry and exit (cached
-artifacts would otherwise leak compiled code across the healthy/buggy
-boundary in both directions), and restores the original on exit even
-if the body raises.
+drops every identity-keyed cache of compiled code on entry and exit —
+the process-wide kernel cache, and the warm default worker pool with
+its ship-once specs and per-worker memos (a kernel's identity cannot
+see a monkeypatched compiler, so cached artifacts would otherwise leak
+across the healthy/buggy boundary in both directions) — and restores
+the original on exit even if the body raises.
 """
 
 import contextlib
 
 from repro.compiler.kernel import KERNEL_CACHE
+from repro.exec.pool import rebuild_default_if_open
 
 #: name -> (human description, patch installer).  Installers return an
 #: undo callable.
@@ -44,12 +47,14 @@ def injected_bug(name):
             "unknown injectable bug %r (have: %s)"
             % (name, ", ".join(sorted(_BUGS)))) from None
     KERNEL_CACHE.clear()
+    rebuild_default_if_open()
     undo = installer()
     try:
         yield
     finally:
         undo()
         KERNEL_CACHE.clear()
+        rebuild_default_if_open()
 
 
 @_register("vector-slice-short",

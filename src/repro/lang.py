@@ -60,17 +60,11 @@ from repro.exec import (
     KernelPool,
     ShmArena,
     WorkerPool,
-    configure_pool,
     default_pool,
     run_batch,
 )
 from repro.ir import MISSING, ops
-from repro.store import (
-    KernelStore,
-    active_store,
-    configure_store,
-    load_pack,
-)
+from repro.store import KernelStore, active_store, load_pack
 from repro.tensors.output import RunOutput, SparseOutput
 from repro.util.config import configure, runtime_config
 from repro.tensors.share import share_dataset, share_tensor
@@ -135,8 +129,8 @@ __all__ = [
     "window", "CompiledKernel", "Kernel", "KernelCache",
     "compile_kernel", "execute", "kernel_cache", "MISSING", "ops",
     "BatchItem", "BatchResult", "EXECUTORS", "KernelPool", "ShmArena",
-    "WorkerPool", "configure_pool", "default_pool", "run_batch",
-    "KernelStore", "active_store", "configure_store", "load_pack",
+    "WorkerPool", "default_pool", "run_batch",
+    "KernelStore", "active_store", "load_pack",
     "CompileOptions", "configure", "runtime_config",
     "KernelService", "ServiceClient", "active_client",
     "reset_service_stats", "service_stats",

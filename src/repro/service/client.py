@@ -36,7 +36,7 @@ import time
 import urllib.error
 import urllib.request
 
-from repro.store.disk import entry_digest
+from repro.compiler.key import entry_digest
 from repro.util.errors import ServiceUnreachableError
 
 _log = logging.getLogger("repro.service")

@@ -34,7 +34,9 @@ import queue
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.store.disk import STORE_VERSION, KernelStore, entry_digest
+from repro.compiler.key import STORE_VERSION, KernelKey, entry_digest
+from repro.compiler.tiers import put, rebuild
+from repro.store.disk import KernelStore
 
 _log = logging.getLogger("repro.service")
 
@@ -47,9 +49,9 @@ class _CompileQueue:
     """The async compile queue behind ``POST /compile``.
 
     One daemon worker drains pushed entries: rebuild the spec
-    (``from_spec`` — which compiles the carried C source into a
-    ``.so`` when the toolchain allows), then write spec + sidecar
-    into the store.  Submissions are deduplicated at digest level —
+    (:func:`~repro.compiler.tiers.rebuild` — which compiles the
+    carried C source into a ``.so`` when the toolchain allows), then
+    write spec + sidecar into the store.  Submissions are deduplicated at digest level —
     against entries already stored, already queued, and currently
     being compiled — so a thousand workers pushing the same kernel
     cost one compile.
@@ -85,17 +87,17 @@ class _CompileQueue:
         return digest, True
 
     def _run(self):
-        from repro.compiler.kernel import CompiledKernel
-
         while True:
             digest, entry = self._queue.get()
             try:
                 # Rebuild before storing: a spec that does not rebuild
                 # must never be served to the fleet, and rebuilding is
                 # also what produces the .so sidecar server-side.
-                artifact = CompiledKernel.from_spec(entry["spec"])
-                self._store.save_spec(entry["key"], entry["spec"],
-                                      so_path=artifact.so_path)
+                artifact = rebuild(entry["spec"])
+                if artifact is None:
+                    raise ValueError("spec does not rebuild")
+                put(KernelKey.of_spec(entry["spec"], meta=entry["key"]),
+                    artifact, spec=entry["spec"], store=self._store)
                 with self._lock:
                     self._counters["compiled"] += 1
             except Exception as exc:

@@ -20,8 +20,7 @@ Two artifacts live here, both built on the serialized kernel spec
 Configuration routes through the package-wide resolver
 (:mod:`repro.util.config`) under the one precedence rule — per-call
 kwarg > ``fl.configure`` > ``FL_*`` env > default: ``fl.configure(
-store_path=..., store_max_bytes=...)`` owns the knobs,
-:func:`configure_store` survives as a thin delegating shim, the
+store_path=..., store_max_bytes=...)`` owns the knobs, the
 ``FL_KERNEL_STORE`` environment variable (plus optional
 ``FL_KERNEL_STORE_MAX_BYTES``) points short-lived processes — batch
 workers, CI jobs, serverless handlers — at a shared directory, and
@@ -40,14 +39,12 @@ The CLI lives in :mod:`repro.store.__main__`::
 import os
 from contextlib import contextmanager
 
-from repro.store.disk import (
-    KernelStore,
+from repro.compiler.key import (
+    KernelKey,
     codegen_fingerprint,
     entry_digest,
-    meta_for_artifact,
-    meta_for_spec,
-    store_key_meta,
 )
+from repro.store.disk import KernelStore
 from repro.store.pack import (
     PACK_VERSION,
     load_pack,
@@ -56,46 +53,17 @@ from repro.store.pack import (
     write_pack,
 )
 
-#: Environment variables configuring the default store (resolved via
-#: :mod:`repro.util.config`; kept as names for callers and tests).
-ENV_STORE = "FL_KERNEL_STORE"
-ENV_MAX_BYTES = "FL_KERNEL_STORE_MAX_BYTES"
-
 #: Per-process memo of the env/config-resolved store instance, keyed
 #: by ``(root, max_bytes)`` so repeated ``active_store()`` calls do
 #: not re-stat the directory.
 _memo = {"key": None, "store": None}
 
 
-def configure_store(path, max_bytes=None):
-    """Install (or disable) the process-wide kernel store.
-
-    A thin shim over ``fl.configure(store_path=..., store_max_bytes=
-    ...)`` (see :mod:`repro.util.config`), kept for source
-    compatibility.  ``path`` may be a directory path, an existing
-    :class:`KernelStore`, or None to disable disk caching for the
-    process regardless of the environment.  Returns the active store
-    (or None).  Overrides the ``FL_KERNEL_STORE`` environment variable
-    until called again; :func:`reset_store_config` restores
-    environment-driven behavior.
-
-    Kernels compiled with ``backend="c"`` store their shared object as
-    a ``.so`` sidecar next to the spec, so warm starts skip the C
-    compiler entirely; missing or stale sidecars are rebuilt from the
-    stored C source.
-    """
-    from repro.util import config
-
-    config.replace(config.STORE_OPTION_NAMES,
-                   {"store_path": path, "store_max_bytes": max_bytes})
-    return active_store()
-
-
-def reset_store_config():
-    """Forget :func:`configure_store`; fall back to the environment."""
-    from repro.util import config
-
-    config.clear(*config.STORE_OPTION_NAMES)
+def meta_for_artifact(artifact):
+    """The store key (:attr:`KernelKey.meta <repro.compiler.key.
+    KernelKey.meta>`) of a live :class:`~repro.compiler.kernel.
+    CompiledKernel`."""
+    return KernelKey.of(artifact).meta
 
 
 def active_store():
@@ -148,17 +116,19 @@ def using_store(store):
     """
     from repro.util import config
 
-    previous = config.snapshot(config.STORE_OPTION_NAMES)
+    names = ("store_path", "store_max_bytes")
+    previous = config.snapshot(names)
     try:
-        yield configure_store(store)
+        config.restore(dict(store_path=store, store_max_bytes=None),
+                       names)
+        yield active_store()
     finally:
-        config.restore(previous, config.STORE_OPTION_NAMES)
+        config.restore(previous, names)
 
 
 __all__ = [
     "KernelStore", "PACK_VERSION", "active_store",
-    "codegen_fingerprint", "configure_store", "entry_digest",
-    "load_pack", "meta_for_artifact", "meta_for_spec", "read_pack",
-    "reset_store_config", "resolve_store", "store_key_meta",
-    "using_store", "verify_pack", "write_pack",
+    "codegen_fingerprint", "entry_digest", "load_pack",
+    "meta_for_artifact", "read_pack", "resolve_store", "using_store",
+    "verify_pack", "write_pack",
 ]

@@ -23,6 +23,8 @@ import json
 import os
 import sys
 
+from repro.compiler.key import KernelKey
+from repro.compiler.tiers import put
 from repro.store import KernelStore
 from repro.store.pack import (
     PackError,
@@ -149,14 +151,12 @@ def _cmd_warm(args, log):
                  summary["errors"], args.pack))
         return 0 if summary["errors"] == 0 else 1
     log("no pack given; compiling the figure+corpus set directly ...")
-    entries = figure_entries(log=log) + corpus_entries(log=log)
-    seen = set()
-    written = 0
-    for entry in entries:
-        path = store.save_spec(entry["key"], entry["spec"])
-        if path not in seen:
-            seen.add(path)
-            written += 1
+    digests = set()
+    for entry in figure_entries(log=log) + corpus_entries(log=log):
+        key = KernelKey.of_spec(entry["spec"], meta=entry["key"])
+        put(key, spec=entry["spec"], store=store)
+        digests.add(key.digest)
+    written = len(digests)
     print("warmed %s: compiled %d entr%s in directly"
           % (store.root, written, "y" if written == 1 else "ies"))
     return 0

@@ -5,22 +5,11 @@ compilation *within* a process and the batch engine's spec shipping
 amortizes it *across workers of one pool*; this module closes the last
 gap — across processes and across time.  A :class:`KernelStore` is a
 directory of content-addressed entries, each holding one serialized
-:meth:`~repro.compiler.kernel.CompiledKernel.to_spec` payload under a
-digest of everything that decides whether a cached kernel is still the
-kernel the current code would compile:
-
-* the program's structural key (tree shape + per-slot format
-  signatures + alias groups, via
-  :func:`repro.cin.analyze.structural_digest`),
-* the compile flags (``instrument``, ``name``,
-  ``constant_loop_rewrite``, ``opt_level``),
-* :func:`repro.ir.ops.registry_version` — late-registered ops change
-  the runtime namespace kernels ``exec`` against,
-* the optimizer-pipeline fingerprint
-  (:func:`repro.ir.optimize.pipeline_fingerprint`) plus a codegen
-  fingerprint over the lowering/emission modules — a compiler change
-  must read as a miss, never as a stale hit, and
-* the spec layout version.
+:meth:`~repro.compiler.kernel.CompiledKernel.to_spec` payload under
+the digest of its :class:`~repro.compiler.key.KernelKey` — the six
+compile axes plus every version axis that decides whether a cached
+kernel is still the kernel the current code would compile.  Identity
+lives in :mod:`repro.compiler.key`; this module is only the directory.
 
 Durability discipline (fleets of short-lived processes race on one
 store directory):
@@ -42,7 +31,6 @@ store directory):
   CI job can assert its warm-start hit rate after the workload exits.
 """
 
-import hashlib
 import json
 import logging
 import os
@@ -50,10 +38,8 @@ import shutil
 import time
 from contextlib import contextmanager
 
-from repro.cin.analyze import structural_digest
-from repro.ir.ops import registry_version
-from repro.ir.optimize import pipeline_fingerprint
-from repro.util.errors import SpecError
+from repro.compiler.key import STORE_VERSION, KernelKey, entry_digest
+from repro.compiler.tiers import portable_spec, rebuild
 
 _log = logging.getLogger("repro.store")
 
@@ -69,9 +55,6 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
-#: Bumped when the on-disk entry layout changes incompatibly.
-STORE_VERSION = 1
-
 #: Filename prefix of one store entry.
 _ENTRY_PREFIX = "k_"
 
@@ -81,210 +64,11 @@ _ENTRY_PREFIX = "k_"
 #: and rename costs grow with entry count on most filesystems, and
 #: the kernel service lists by digest prefix).  Two hex characters can
 #: never collide with the reserved ``quarantine``/``tunings``
-#: directory names.  Stores written by earlier versions used a flat
-#: layout; :meth:`KernelStore.entry_path_for_digest` migrates flat
-#: entries into their shard transparently on first touch.
+#: directory names.
 _SHARD_CHARS = 2
 
 #: Filename prefix of one tuning record (``tunings/``).
 _TUNING_PREFIX = "t_"
-
-#: Root modules of the code generator: the lowering pipeline entry
-#: points, the target IR, and the runtime namespace emitted code
-#: executes against.  The fingerprint walks the *import graph* from
-#: these roots (:func:`_codegen_modules`), so a new helper module
-#: pulled in by the emitter invalidates stored kernels without anyone
-#: remembering to list it here.  The optimizer pipeline hashes itself
-#: (see :func:`repro.ir.optimize.pipeline_fingerprint`).
-_CODEGEN_ROOTS = (
-    "repro.compiler.lower",
-    "repro.compiler.unfurl",
-    "repro.compiler.stmt_simplify",
-    "repro.compiler.context",
-    "repro.ir.asm",
-    "repro.ir.emit",
-    "repro.ir.runtime",
-    "repro.codegen",
-    "repro.codegen.c_emit",
-    "repro.codegen.toolchain",
-)
-
-_FINGERPRINTS = {}  # roots tuple -> memoized digest
-
-
-def _module_source(name):
-    """The on-disk source bytes of ``name``, or None when the module
-    cannot be located or has no file (namespace packages).
-
-    Resolved with ``PathFinder`` directly — unlike
-    ``importlib.util.find_spec`` this imports nothing (not even parent
-    packages), so fingerprinting never executes backend code.
-    """
-    from importlib.machinery import PathFinder
-
-    parts = name.split(".")
-    path = None
-    spec = None
-    for depth in range(len(parts)):
-        spec = PathFinder.find_spec(".".join(parts[:depth + 1]), path)
-        if spec is None:
-            return None
-        path = spec.submodule_search_locations
-    if not spec.origin or not os.path.exists(spec.origin):
-        return None
-    with open(spec.origin, "rb") as handle:
-        return handle.read()
-
-
-def _imported_modules(source, module, package_prefix):
-    """Module names under ``package_prefix`` that ``module`` imports,
-    read from its AST (no code is executed)."""
-    import ast
-
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:  # pragma: no cover - unparsable dependency
-        return set()
-    package = module.rsplit(".", 1)[0] if "." in module else module
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                found.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:  # relative: resolve against this package
-                parts = package.split(".")
-                if node.level > 1:
-                    parts = parts[:-(node.level - 1)]
-                base = ".".join(parts)
-                if node.module:
-                    base = "%s.%s" % (base, node.module)
-            else:
-                base = node.module or ""
-            if base:
-                found.add(base)
-                # ``from pkg import sub`` may name submodules.
-                for alias in node.names:
-                    found.add("%s.%s" % (base, alias.name))
-    return {name for name in found
-            if name == package_prefix
-            or name.startswith(package_prefix + ".")}
-
-
-def _codegen_modules(roots, package_prefix):
-    """The transitive import closure of ``roots`` inside the package,
-    as ``{module name: source bytes}`` — the actual backend module
-    graph, discovered rather than hand-maintained."""
-    sources = {}
-    queue = list(roots)
-    while queue:
-        name = queue.pop()
-        if name in sources:
-            continue
-        source = _module_source(name)
-        if source is None:
-            continue
-        sources[name] = source
-        queue.extend(_imported_modules(source, name, package_prefix)
-                     - sources.keys())
-    return sources
-
-
-def codegen_fingerprint(roots=None, package_prefix=None):
-    """A short digest over the code-generation module graph.
-
-    Walks imports transitively from the backend root modules and
-    hashes every reachable in-package source file, sorted by module
-    name.  Combined with
-    :func:`~repro.ir.optimize.pipeline_fingerprint` in every store
-    key: editing the lowerer, the emitter, *or any module they pull
-    in* must turn all previously stored kernels into misses — and so
-    must adding a new module to the graph.
-
-    ``roots``/``package_prefix`` exist for tests; only the default
-    (production) call is memoized — explicit roots re-scan, so tests
-    can observe a changed module graph.
-    """
-    memoize = roots is None and package_prefix is None
-    if roots is None:
-        roots = _CODEGEN_ROOTS
-    roots = tuple(roots)
-    if package_prefix is None:
-        package_prefix = roots[0].split(".")[0]
-    key = (roots, package_prefix)
-    if memoize:
-        cached = _FINGERPRINTS.get(key)
-        if cached is not None:
-            return cached
-    digest = hashlib.sha256()
-    sources = _codegen_modules(roots, package_prefix)
-    for name in sorted(sources):
-        digest.update(name.encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(sources[name])
-    fingerprint = digest.hexdigest()[:16]
-    if memoize:
-        _FINGERPRINTS[key] = fingerprint
-    return fingerprint
-
-
-def store_key_meta(structural_key, instrument, name,
-                   constant_loop_rewrite, opt_level,
-                   backend="python"):
-    """The plain-dict store key for one compile configuration.
-
-    Carries every version axis the store invalidates on; two metas are
-    the same entry exactly when their canonical-JSON digests match
-    (:func:`entry_digest`).  ``backend`` is the *requested* backend: a
-    C-requested kernel that fell back to python still occupies the
-    ``"c"`` slot, so a later process with a working toolchain or a
-    fixed emitter reads it as the same entry (and the codegen
-    fingerprint, which roots the C emitter, decides staleness).
-    """
-    from repro.compiler.kernel import SPEC_VERSION
-
-    return {
-        "store_version": STORE_VERSION,
-        "spec_version": SPEC_VERSION,
-        "structural_digest": structural_digest(structural_key,
-                                               length=40),
-        "instrument": bool(instrument),
-        "name": str(name),
-        "constant_loop_rewrite": bool(constant_loop_rewrite),
-        "opt_level": int(opt_level),
-        "backend": str(backend),
-        "registry_version": registry_version(),
-        "pipeline_fingerprint": pipeline_fingerprint(),
-        "codegen_fingerprint": codegen_fingerprint(),
-    }
-
-
-def meta_for_artifact(artifact):
-    """The store key of a live :class:`CompiledKernel`."""
-    return store_key_meta(
-        artifact.structural_key, artifact.instrument, artifact.name,
-        artifact.constant_loop_rewrite, artifact.opt_level,
-        artifact.backend)
-
-
-def meta_for_spec(spec):
-    """The store key of a serialized artifact (a ``to_spec`` dict).
-
-    Lets a process-pool worker (which receives only the spec) consult
-    the store before re-``exec``-ing, and write behind afterwards.
-    """
-    from repro.compiler.kernel import _frozen
-
-    return store_key_meta(
-        _frozen(spec["structural_key"]), spec["instrument"],
-        spec["name"], spec["constant_loop_rewrite"],
-        spec["opt_level"], spec.get("backend", "python"))
-
-
-def entry_digest(meta):
-    """The content digest (and filename stem) of one store key."""
-    payload = json.dumps(meta, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:40]
 
 
 class KernelStore:
@@ -405,54 +189,21 @@ class KernelStore:
     # -- keys and paths ------------------------------------------------
     def key_meta(self, structural_key, instrument, name,
                  constant_loop_rewrite, opt_level, backend="python"):
-        """See :func:`store_key_meta` (instance-method convenience)."""
-        return store_key_meta(structural_key, instrument, name,
-                              constant_loop_rewrite, opt_level,
-                              backend)
+        """:attr:`KernelKey.meta <repro.compiler.key.KernelKey.meta>`
+        for one compile configuration (instance-method convenience)."""
+        return KernelKey(structural_key, instrument, name,
+                         constant_loop_rewrite, opt_level,
+                         backend).meta
 
     def _entry_path(self, meta):
         return self.entry_path_for_digest(entry_digest(meta))
 
     def entry_path_for_digest(self, digest):
         """The sharded spec path addressing ``digest`` — whether or
-        not an entry exists there yet.
-
-        The single place the shard-by-digest-prefix layout is decided,
-        and the migration point for stores written under the old flat
-        layout: when the sharded path is empty but a flat
-        ``<root>/k_<digest>.json`` exists, the flat entry (and its
-        ``.so`` sidecar) is moved into its shard before the path is
-        returned, so pre-shard stores keep serving hits with no warm
-        cost beyond one rename per entry.
-        """
-        path = os.path.join(self.root, digest[:_SHARD_CHARS],
+        not an entry exists there yet.  The single place the
+        shard-by-digest-prefix layout is decided."""
+        return os.path.join(self.root, digest[:_SHARD_CHARS],
                             _ENTRY_PREFIX + digest + ".json")
-        if not os.path.exists(path):
-            legacy = os.path.join(self.root,
-                                  _ENTRY_PREFIX + digest + ".json")
-            if os.path.exists(legacy):
-                self._migrate_entry(legacy, path)
-        return path
-
-    def _migrate_entry(self, legacy, path):
-        """Move one flat-layout entry into its shard directory.
-
-        Spec first, sidecar second — both renames are atomic, and a
-        reader racing the window between them merely rebuilds the
-        ``.so`` from the spec's carried C source (a slow hit, never a
-        wrong one).  A racing migrator loses the ``os.replace`` and
-        backs off.
-        """
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            os.replace(legacy, path)
-        except OSError:
-            return  # raced: another process migrated or evicted it
-        try:
-            os.replace(self._so_sibling(legacy),
-                       self._so_sibling(path))
-        except OSError:
-            pass  # python-backend entry: no sidecar
 
     @staticmethod
     def _so_sibling(path):
@@ -460,9 +211,8 @@ class KernelStore:
         return path[:-len(".json")] + ".so"
 
     def _shard_dirs(self):
-        """The shard directories that exist right now, plus the root
-        itself (pre-migration flat entries still live there)."""
-        dirs = [self.root]
+        """The shard directories that exist right now."""
+        dirs = []
         try:
             names = os.listdir(self.root)
         except OSError:
@@ -480,10 +230,8 @@ class KernelStore:
     def _entry_files(self):
         """(path, size, mtime) of every entry, oldest mtime first.
 
-        Walks every shard directory plus the flat root (entries a
-        pre-shard process wrote and nothing migrated yet).  ``path``
-        is always the ``.json`` spec; ``size`` includes the ``.so``
-        sidecar when one exists, so eviction accounts the full
+        ``path`` is always the ``.json`` spec; ``size`` includes the
+        ``.so`` sidecar when one exists, so eviction accounts the full
         footprint of a C-backend entry.
         """
         entries = []
@@ -597,20 +345,17 @@ class KernelStore:
         ``exec``) is quarantined exactly like a corrupt file — and the
         hit already counted for it is taken back.
         """
-        from repro.compiler.kernel import CompiledKernel
-
         spec = self.load_spec(meta)
         if spec is None:
             return None
         so_path = self._so_sibling(self._entry_path(meta))
         if not os.path.exists(so_path):
             so_path = None  # python entry, or sidecar lost: recompile
-        try:
-            return CompiledKernel.from_spec(spec, so_path=so_path)
-        except Exception:
+        artifact = rebuild(spec, so=so_path)
+        if artifact is None:
             self._quarantine(self._entry_path(meta))
             self._bump(hits=-1, misses=1, quarantined=1)
-            return None
+        return artifact
 
     def _quarantine(self, path):
         """Move a defective entry aside (never delete: it is the repro
@@ -641,11 +386,10 @@ class KernelStore:
         identity-pinned signatures, out-of-protocol buffers) are
         silently skipped — the store is a cache, not a registry.
         """
-        try:
-            spec = artifact.to_spec()
-        except SpecError:
+        spec = portable_spec(artifact)
+        if spec is None:
             return None
-        return self.save_spec(meta_for_artifact(artifact), spec,
+        return self.save_spec(KernelKey.of(artifact).meta, spec,
                               so_path=artifact.so_path)
 
     def save_spec(self, meta, spec, so_path=None):

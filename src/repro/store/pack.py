@@ -1,14 +1,13 @@
 """AOT kernel packs: a relocatable ``.flpack`` of compiled specs.
 
 A pack is a zip with one ``manifest.json`` plus one
-``specs/<digest>.json`` per kernel, where ``<digest>`` is the store's
-content digest of the entry's key (:func:`repro.store.disk.
-entry_digest`) — the same addressing a :class:`~repro.store.disk.
+``specs/<digest>.json`` per kernel, where ``<digest>`` is the
+kernel's :attr:`KernelKey.digest <repro.compiler.key.KernelKey.
+digest>` — the same addressing a :class:`~repro.store.disk.
 KernelStore` uses, so importing a pack into a store is a rename-free
 copy.  The manifest records the version axes the pack was built under
-(spec layout, op-registry version, optimizer/codegen fingerprints);
-:func:`load_pack` skips entries whose axes no longer match instead of
-serving stale kernels.
+(:func:`repro.compiler.key.version_axes`); :func:`load_pack` skips
+entries whose axes no longer match instead of serving stale kernels.
 
 Packs are built from the two kernel populations CI exercises on every
 run: the benchmark figure suite (via
@@ -24,11 +23,13 @@ import json
 import os
 import zipfile
 
-from repro.store.disk import (
-    STORE_VERSION,
+from repro.compiler.key import (
+    KernelKey,
     entry_digest,
-    meta_for_artifact,
+    is_current,
+    version_axes,
 )
+from repro.compiler.tiers import portable_spec, put, rebuild
 
 #: Bumped when the pack layout changes incompatibly.
 PACK_VERSION = 1
@@ -36,32 +37,6 @@ PACK_VERSION = 1
 
 class PackError(ValueError):
     """A ``.flpack`` could not be read, verified, or loaded."""
-
-
-def _current_axes():
-    """The version axes of the running code, as manifest fields."""
-    from repro.compiler.kernel import SPEC_VERSION
-    from repro.ir.ops import registry_version
-    from repro.ir.optimize import pipeline_fingerprint
-    from repro.store.disk import codegen_fingerprint
-
-    return {
-        "store_version": STORE_VERSION,
-        "spec_version": SPEC_VERSION,
-        "registry_version": registry_version(),
-        "pipeline_fingerprint": pipeline_fingerprint(),
-        "codegen_fingerprint": codegen_fingerprint(),
-    }
-
-
-def _meta_axes(meta):
-    return {
-        "store_version": meta.get("store_version"),
-        "spec_version": meta.get("spec_version"),
-        "registry_version": meta.get("registry_version"),
-        "pipeline_fingerprint": meta.get("pipeline_fingerprint"),
-        "codegen_fingerprint": meta.get("codegen_fingerprint"),
-    }
 
 
 def write_pack(path, entries, note="", base=None):
@@ -109,7 +84,7 @@ def write_pack(path, entries, note="", base=None):
             "instrument": entry["spec"]["instrument"],
             "structural_digest": entry["key"]["structural_digest"],
         })
-    manifest = dict(_current_axes())
+    manifest = version_axes()
     manifest.update({
         "pack_version": PACK_VERSION,
         "note": note,
@@ -176,9 +151,9 @@ def verify_pack(path, base=None):
     """Deep-verify one pack; returns a report dict.
 
     Beyond :func:`read_pack`'s digest checks, every spec is actually
-    rebuilt (``from_spec`` re-``exec``\\ s the carried source), and
-    entries built under different version axes than the running code
-    are listed as ``stale``.
+    rebuilt (:func:`repro.compiler.tiers.rebuild` re-``exec``\\ s the
+    carried source), and entries built under different version axes
+    than the running code are listed as ``stale``.
 
     Layered packs (built with ``write_pack(..., base=...)``) list the
     digests they expect their base layer to carry.  Passing ``base``
@@ -187,21 +162,15 @@ def verify_pack(path, base=None):
     are reported as ``unresolved`` — informational, not a failure, so
     a diff pack still self-verifies.
     """
-    from repro.compiler.kernel import CompiledKernel
-
     manifest, entries = read_pack(path)
-    axes = _current_axes()
     stale = []
     errors = []
     for entry in entries:
-        if _meta_axes(entry["key"]) != axes:
+        if not is_current(entry["key"]):
             stale.append(entry["digest"])
-            continue
-        try:
-            CompiledKernel.from_spec(entry["spec"])
-        except Exception as exc:
-            errors.append("%s: %s: %s" % (entry["digest"],
-                                          type(exc).__name__, exc))
+        elif rebuild(entry["spec"]) is None:
+            errors.append("%s: spec does not rebuild"
+                          % entry["digest"])
     rebuilt = len(entries) - len(stale) - len(errors)
     deferred = list(manifest.get("base_digests", []))
     unresolved = list(deferred)
@@ -247,11 +216,7 @@ def load_pack(path, store=None, memory=True, base=None):
 
     Returns a summary dict: ``loaded`` / ``stale`` / ``errors``.
     """
-    from repro.compiler.kernel import (
-        KERNEL_CACHE,
-        CompiledKernel,
-        artifact_cache_key,
-    )
+    from repro.compiler.kernel import KERNEL_CACHE
     from repro.store import active_store
 
     if store is None:
@@ -261,21 +226,18 @@ def load_pack(path, store=None, memory=True, base=None):
     else:
         base_summary = {"loaded": 0, "stale": 0, "errors": 0}
     _, entries = read_pack(path)
-    axes = _current_axes()
     loaded = stale = errors = 0
     for entry in entries:
-        if _meta_axes(entry["key"]) != axes:
+        if not is_current(entry["key"]):
             stale += 1
             continue
-        if memory:
-            try:
-                artifact = CompiledKernel.from_spec(entry["spec"])
-            except Exception:
-                errors += 1
-                continue
-            KERNEL_CACHE.store(artifact_cache_key(artifact), artifact)
-        if store is not None:
-            store.save_spec(entry["key"], entry["spec"])
+        artifact = rebuild(entry["spec"]) if memory else None
+        if memory and artifact is None:
+            errors += 1
+            continue
+        put(KernelKey.of_spec(entry["spec"], meta=entry["key"]),
+            artifact, spec=entry["spec"],
+            memory=KERNEL_CACHE if memory else None, store=store)
         loaded += 1
     return {"path": path,
             "loaded": loaded + base_summary["loaded"],
@@ -288,17 +250,14 @@ def load_pack(path, store=None, memory=True, base=None):
 # -------------------------------------------------------------------------
 # Pack building: the kernel populations CI warms ahead of time.
 # -------------------------------------------------------------------------
-def _entry_for_kernel(kernel, figure, label):
-    """One pack entry for a freshly compiled kernel, or None when the
-    kernel cannot be serialized (identity-pinned data)."""
-    from repro.util.errors import SpecError
-
-    try:
-        spec = kernel.artifact.to_spec()
-    except SpecError:
-        return None
-    return {"key": meta_for_artifact(kernel.artifact), "spec": spec,
-            "figure": figure, "label": label}
+def _pack(entries, kernel, figure, label):
+    """Append the pack entry of a freshly compiled kernel — unless it
+    cannot be serialized (identity-pinned data)."""
+    spec = portable_spec(kernel.artifact)
+    if spec is not None:
+        entries.append({"key": KernelKey.of(kernel.artifact).meta,
+                        "spec": spec, "figure": figure,
+                        "label": label})
 
 
 def figure_entries(log=None):
@@ -315,9 +274,7 @@ def figure_entries(log=None):
     entries = []
     for figure, label, make_program, opts in pack_programs():
         kernel = compile_kernel(make_program(), cache="memory", **opts)
-        entry = _entry_for_kernel(kernel, figure, label)
-        if entry is not None:
-            entries.append(entry)
+        _pack(entries, kernel, figure, label)
         if log is not None:
             log("  packed %s / %s" % (figure, label))
     return entries
@@ -340,9 +297,7 @@ def corpus_entries(corpus_dir=None, opt_levels=(0, 1, 2), log=None):
             case = build_case(spec)
             kernel = compile_kernel(case.program, instrument=True,
                                     opt_level=level, cache="memory")
-            entry = _entry_for_kernel(kernel, "fuzz_corpus", path)
-            if entry is not None:
-                entries.append(entry)
+            _pack(entries, kernel, "fuzz_corpus", path)
         if log is not None:
             log("  packed corpus %s" % path)
     return entries
@@ -368,11 +323,8 @@ def campaign_entries(seed, budget, profile="quick",
             case = build_case(spec)
             kernel = compile_kernel(case.program, instrument=True,
                                     opt_level=level, cache="memory")
-            entry = _entry_for_kernel(
-                kernel, "fuzz_campaign",
-                "seed %d step %d" % (seed, step))
-            if entry is not None:
-                entries.append(entry)
+            _pack(entries, kernel, "fuzz_campaign",
+                  "seed %d step %d" % (seed, step))
         if log is not None and (step + 1) % 50 == 0:
             log("  packed campaign %d/%d" % (step + 1, budget))
     return entries

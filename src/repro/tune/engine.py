@@ -52,8 +52,8 @@ def lookup_schedule(program, constant_loop_rewrite=True):
     before it is returned — a record that does not fit reads as a
     miss, never as a crash or a misapplied rewrite.
     """
+    from repro.compiler.key import entry_digest
     from repro.store import active_store
-    from repro.store.disk import entry_digest
 
     meta = _sched.tuning_key_meta(
         program, constant_loop_rewrite=constant_loop_rewrite)
@@ -105,10 +105,10 @@ def tune_program(make_program, label="program", opt_levels=(1, 2),
     """
     from repro.bench.harness import median_time_kernel
     from repro.compiler.kernel import compile_kernel
+    from repro.compiler.key import entry_digest
     from repro.compiler.options import CompileOptions
     from repro.fuzz.conform import reference_outputs, verify_candidate
     from repro.store import active_store, using_store
-    from repro.store.disk import entry_digest
 
     if backends is None:
         from repro import codegen

@@ -154,29 +154,23 @@ def neutral_digest(program, length=40):
 def tuning_key_meta(program, constant_loop_rewrite=True):
     """The winners-table key for one program structure.
 
-    Mirrors :func:`repro.store.disk.store_key_meta`'s invalidation
-    discipline: the same three version axes (op registry, optimizer
-    pipeline, codegen module graph) plus the store/tune layout
-    versions, so a winner can never outlive the compiler that measured
+    Shares the kernel entries' invalidation discipline — the same
+    :func:`repro.compiler.key.version_axes` plus the tune layout
+    version — so a winner can never outlive the compiler that measured
     it.  Unlike entry keys it carries **no** ``opt_level``/``backend``
     (those are the *value* being looked up) and no
     ``instrument``/``name`` (a tuning is a property of the program
     structure, not of one compile's labeling).
     """
-    from repro.ir.ops import registry_version
-    from repro.ir.optimize import pipeline_fingerprint
-    from repro.store.disk import STORE_VERSION, codegen_fingerprint
+    from repro.compiler.key import version_axes
 
-    return {
-        "kind": "tuning",
-        "store_version": STORE_VERSION,
-        "tune_version": TUNE_VERSION,
-        "structural_digest": neutral_digest(program),
-        "constant_loop_rewrite": bool(constant_loop_rewrite),
-        "registry_version": registry_version(),
-        "pipeline_fingerprint": pipeline_fingerprint(),
-        "codegen_fingerprint": codegen_fingerprint(),
-    }
+    return dict(
+        version_axes(),
+        kind="tuning",
+        tune_version=TUNE_VERSION,
+        structural_digest=neutral_digest(program),
+        constant_loop_rewrite=bool(constant_loop_rewrite),
+    )
 
 
 def validate_schedule(program, schedule):
@@ -185,7 +179,7 @@ def validate_schedule(program, schedule):
     (a winner recorded for a different program must never rewrite
     this one)."""
     from repro.cin.nodes import PROTOCOLS
-    from repro.compiler.kernel import BACKENDS
+    from repro.util.config import BACKENDS
 
     if not isinstance(schedule, dict):
         return False

@@ -1,12 +1,10 @@
 """One front door for runtime configuration: resolve every knob once.
 
-Nine PRs of growth left the runtime surface with three kinds of
-configuration — per-call kwargs (``backend=``, ``opt_level=``, ...),
-programmatic entry points (``configure_store``, ``configure_pool``),
-and ``FL_*`` environment variables — whose relative precedence was
-folklore.  This module makes it a single documented rule, applied by
-one resolver that every ``os.environ`` read in the package routes
-through:
+The runtime surface has three kinds of configuration — per-call
+kwargs (``backend=``, ``opt_level=``, ...), the one programmatic
+entry point (``fl.configure``), and ``FL_*`` environment variables —
+under a single documented precedence rule, applied by one resolver
+that every ``os.environ`` read in the package routes through:
 
     per-call kwarg  >  ``fl.configure(...)``  >  ``FL_*`` env  >  default
 
@@ -39,11 +37,10 @@ option                environment variable        owns
 ``pool_backoff_s``    ``FL_POOL_BACKOFF_S``       retry backoff base
 ====================  ==========================  =======================
 
-``configure_store``/``configure_pool`` survive as thin shims that
-delegate here, and the legacy exception applies *within* the rule: the
-autotuner winners table slots between the kwarg and ``configure``
-layers for ``opt_level``/``backend`` (a measured decision outranks a
-static one; see :func:`repro.compiler.kernel.compile_kernel`).
+One exception applies *within* the rule: the autotuner winners table
+slots between the kwarg and ``configure`` layers for
+``opt_level``/``backend`` (a measured decision outranks a static one;
+see :func:`repro.compiler.kernel.compile_kernel`).
 
 Environment values are re-read on every :func:`resolve` call (an
 empty string reads as unset, matching the historical behavior of
@@ -55,10 +52,23 @@ import os
 import threading
 
 __all__ = [
-    "OPTIONS", "POOL_OPTION_NAMES", "STORE_OPTION_NAMES", "UNSET",
-    "clear", "configure", "option_names", "resolve", "restore",
-    "runtime_config", "snapshot", "source",
+    "BACKENDS", "OPTIONS", "TUNE_MODES", "UNSET", "clear", "configure",
+    "option_names", "resolve", "restore", "runtime_config", "snapshot",
+    "source",
 ]
+
+#: Backend names ``compile_kernel`` accepts: ``"python"`` ``exec``s
+#: emitted Python source, ``"c"`` compiles the same optimized target IR
+#: to a per-kernel shared object (falling back to python per kernel
+#: for constructs the C emitter does not cover, or when no C compiler
+#: is installed — see :mod:`repro.codegen`).
+BACKENDS = ("python", "c")
+
+#: The values the ``tune`` option accepts: ``"off"`` compiles the
+#: program exactly as written, ``"apply"`` consults the persisted
+#: autotuner winners table (:mod:`repro.tune`) and compiles the
+#: winning schedule when one is on record.
+TUNE_MODES = ("off", "apply")
 
 
 class _Unset:
@@ -112,12 +122,12 @@ OPTIONS = {
         Option("store_max_bytes", "FL_KERNEL_STORE_MAX_BYTES", int,
                None, doc="store size budget in bytes (LRU eviction)"),
         Option("backend", "FL_KERNEL_BACKEND", str, "python",
-               choices=("python", "c"),
+               choices=BACKENDS,
                doc="kernel execution backend"),
         Option("opt_level", "FL_KERNEL_OPT_LEVEL", int, None,
                doc="optimizer level (None = the compiler default)"),
         Option("tune", "FL_KERNEL_TUNE", str, "off",
-               choices=("off", "apply"),
+               choices=TUNE_MODES,
                doc="autotuner winners-table mode"),
         Option("service_url", "FL_SERVICE_URL", str, None,
                doc="base URL of the remote kernel service "
@@ -141,13 +151,6 @@ OPTIONS = {
                doc="retry backoff base seconds"),
     )
 }
-
-#: The option names :func:`repro.exec.pool.configure_pool` owns.
-POOL_OPTION_NAMES = tuple(name for name in OPTIONS
-                          if name.startswith("pool_"))
-
-#: The option names :func:`repro.store.configure_store` owns.
-STORE_OPTION_NAMES = ("store_path", "store_max_bytes")
 
 _lock = threading.RLock()
 _overrides = {}
@@ -178,8 +181,7 @@ def configure(**kwargs):
 
     Pool-shape options take effect immediately when the process-wide
     default pool is already running (it is closed and respawned with
-    the new shape, exactly like :func:`repro.exec.pool.
-    configure_pool`), and lazily otherwise.
+    the new shape), and lazily otherwise.
     """
     unknown = set(kwargs) - set(OPTIONS)
     if unknown:
@@ -191,7 +193,7 @@ def configure(**kwargs):
                 _overrides.pop(name, None)
             else:
                 _overrides[name] = OPTIONS[name].validate(value)
-            touched_pool = touched_pool or name in POOL_OPTION_NAMES
+            touched_pool = touched_pool or name.startswith("pool_")
     if touched_pool:
         # Imported lazily: the pool reads this module, so a top-level
         # import would be circular.
@@ -199,20 +201,6 @@ def configure(**kwargs):
 
         _pool.rebuild_default_if_open()
     return runtime_config()
-
-
-def replace(names, values):
-    """Clear ``names`` then install ``values`` — the replace-semantics
-    primitive the delegating shims (``configure_store``,
-    ``configure_pool``) build on, with no side effects."""
-    unknown = (set(names) | set(values)) - set(OPTIONS)
-    if unknown:
-        raise _unknown(unknown)
-    with _lock:
-        for name in names:
-            _overrides.pop(name, None)
-        for name, value in values.items():
-            _overrides[name] = OPTIONS[name].validate(value)
 
 
 def clear(*names):

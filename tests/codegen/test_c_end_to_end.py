@@ -200,9 +200,9 @@ class TestBackendPlumbing:
         assert float(C.value) == 16.0
 
     def test_store_keeps_so_sidecar(self, tmp_path):
-        from repro.store import reset_store_config
+        from repro.util import config
 
-        fl.configure_store(str(tmp_path))
+        fl.configure(store_path=str(tmp_path))
         try:
             a = np.zeros(24)
             a[2:12] = 5.0
@@ -221,7 +221,7 @@ class TestBackendPlumbing:
             assert warm.effective_backend == "c"
             assert warm.so_path == str(sidecars[0])
         finally:
-            reset_store_config()
+            config.clear("store_path")
 
 
 class TestNoCompilerFallback:

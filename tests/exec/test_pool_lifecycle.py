@@ -14,9 +14,9 @@ import pytest
 
 import repro.lang as fl
 from repro.cin.analyze import program_tensors
-from repro.exec import (KernelPool, WorkerPool, configure_pool,
-                        default_pool, run_batch)
+from repro.exec import KernelPool, WorkerPool, default_pool, run_batch
 from repro.exec.pool import START_METHODS
+from repro.util import config
 from repro.util.errors import BatchExecutionError, WorkerCrashError
 
 N = 120
@@ -73,11 +73,11 @@ def test_default_pool_is_warm_across_run_batch_calls():
         expected_dots(3, start_seed=4))
 
 
-def test_configure_pool_replaces_and_closes_default():
+def test_configure_pool_options_replace_and_close_default():
     old = default_pool()
     try:
-        new = configure_pool(max_workers=1)
-        assert default_pool() is new
+        fl.configure(pool_max_workers=1)
+        new = default_pool()
         assert new is not old
         assert old.closed
         assert new.max_workers == 1
@@ -86,7 +86,8 @@ def test_configure_pool_replaces_and_closes_default():
                            executor="processes")
         assert outputs_of(result) == pytest.approx(expected_dots(2))
     finally:
-        configure_pool()  # restore a machine-sized default
+        # Restore a machine-sized default.
+        fl.configure(pool_max_workers=config.UNSET)
 
 
 def test_worker_pool_close_is_idempotent():

@@ -6,10 +6,13 @@ queue.  These tests drive real compiles against a real service on an
 ephemeral port and watch both sides' counters.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 import repro.lang as fl
+from repro import codegen
 from repro.compiler.kernel import kernel_cache
 from repro.service import KernelService
 from repro.service.client import (
@@ -17,20 +20,18 @@ from repro.service.client import (
     reset_service_stats,
     service_stats,
 )
-from repro.store import KernelStore, reset_store_config
+from repro.store import KernelStore
 from repro.util import config
 
 
 @pytest.fixture(autouse=True)
 def clean_state():
     kernel_cache().clear()
-    reset_store_config()
     reset_clients()
     reset_service_stats()
     config.clear()
     yield
     kernel_cache().clear()
-    reset_store_config()
     reset_clients()
     reset_service_stats()
     config.clear()
@@ -170,3 +171,33 @@ def test_batch_engine_reports_remote_hits(service):
         stats = pool.stats()
     assert "remote_hits" in stats
     assert stats["remote_hits"] == 0  # serial executor: no workers
+
+
+@pytest.mark.skipif(not codegen.have_toolchain(),
+                    reason="no C compiler on PATH")
+def test_remote_hit_leaves_a_live_so_path(service, tmp_path):
+    """A remote-tier hit parks the fetched ``.so`` in the toolchain's
+    scratch directory, so the artifact's ``so_path`` names a real file
+    for the life of the process — and persisting that artifact later
+    writes its sidecar instead of deleting the one already there."""
+    # opt_level=1: the vectorized dense dot has no C form.
+    opts = dict(backend="c", opt_level=1, remote=service.url,
+                store=False)
+    fl.compile_kernel(dot_program()[0], **opts)
+    service.queue.join()
+    kernel_cache().clear()
+
+    kernel = fl.compile_kernel(dot_program(seed=1)[0], **opts)
+    assert kernel.from_cache and kernel.effective_backend == "c"
+    assert service_stats()["remote_hits"] == 1
+    assert os.path.exists(kernel.so_path)
+
+    local = KernelStore(tmp_path / "local_store")
+    for _ in range(2):  # the second save must not remove the sidecar
+        entry = local.save_artifact(kernel.artifact)
+        assert os.path.exists(entry[:-len(".json")] + ".so")
+
+    # A second fetch of the same kernel reuses the parked object.
+    kernel_cache().clear()
+    again = fl.compile_kernel(dot_program(seed=2)[0], **opts)
+    assert again.from_cache and again.so_path == kernel.so_path

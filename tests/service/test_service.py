@@ -21,18 +21,18 @@ from repro.service import KernelService
 from repro.store import (
     entry_digest,
     meta_for_artifact,
-    reset_store_config,
     write_pack,
 )
+from repro.util import config
 
 
 @pytest.fixture(autouse=True)
 def clean_state():
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
     yield
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ from repro.service.client import (
     reset_service_stats,
     service_stats,
 )
-from repro.store import reset_store_config
 from repro.util import config
 from repro.util.errors import ServiceUnreachableError, TransientError
 
@@ -36,7 +35,6 @@ def clean_state(monkeypatch):
     from repro.service import client as client_mod
 
     kernel_cache().clear()
-    reset_store_config()
     reset_clients()
     reset_service_stats()
     config.clear()
@@ -46,7 +44,6 @@ def clean_state(monkeypatch):
     monkeypatch.setattr(client_mod, "DOWN_COOLDOWN_S", 30.0)
     yield
     kernel_cache().clear()
-    reset_store_config()
     reset_clients()
     reset_service_stats()
     config.clear()

@@ -19,22 +19,20 @@ from repro.ir import ops as ops_mod
 from repro.store import (
     KernelStore,
     active_store,
-    configure_store,
     entry_digest,
     meta_for_artifact,
-    meta_for_spec,
-    reset_store_config,
     using_store,
 )
+from repro.util import config
 
 
 @pytest.fixture(autouse=True)
 def clean_state():
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
     yield
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
 
 
 def dot_program(n=60, seed=0, fmt="sparse"):
@@ -229,13 +227,15 @@ def test_hits_touch_mtime_for_lru(tmp_path):
     assert entries[0][0] == store._entry_path(meta_b)  # b now oldest
 
 
-def test_meta_for_spec_matches_meta_for_artifact():
+def test_key_of_json_roundtripped_spec_matches_key_of_artifact():
+    from repro.compiler.key import KernelKey
+
     kernel = fl.compile_kernel(dot_program()[0], cache=False,
                                instrument=True, opt_level=1)
     artifact = kernel.artifact
     spec = json.loads(json.dumps(artifact.to_spec()))
-    assert meta_for_spec(spec) == meta_for_artifact(artifact)
-    assert entry_digest(meta_for_spec(spec)) == \
+    assert KernelKey.of_spec(spec).meta == meta_for_artifact(artifact)
+    assert KernelKey.of_spec(spec).digest == \
         entry_digest(meta_for_artifact(artifact))
 
 
@@ -256,11 +256,11 @@ def test_env_var_configures_store(tmp_path, monkeypatch):
     assert store is not None
     assert store.root == str(tmp_path)
     assert store.max_bytes == 123456
-    # configure_store(None) beats the environment ...
-    configure_store(None)
+    # fl.configure(store_path=None) beats the environment ...
+    fl.configure(store_path=None)
     assert active_store() is None
-    # ... until the config is reset.
-    reset_store_config()
+    # ... until the override is cleared.
+    config.clear("store_path", "store_max_bytes")
     assert active_store() is not None
 
 
@@ -359,7 +359,7 @@ class TestCodegenFingerprint:
         return pkg
 
     def test_walks_transitive_imports(self, tmp_path, monkeypatch):
-        from repro.store.disk import _codegen_modules
+        from repro.compiler.key import _codegen_modules
 
         self._package(tmp_path)
         monkeypatch.syspath_prepend(str(tmp_path))
@@ -371,7 +371,7 @@ class TestCodegenFingerprint:
             self, tmp_path, monkeypatch):
         """A brand-new module pulled into the graph — the case a
         hand-maintained list silently misses — must invalidate."""
-        from repro.store.disk import codegen_fingerprint
+        from repro.compiler.key import codegen_fingerprint
 
         base = tmp_path / "a"
         base.mkdir()
@@ -390,7 +390,7 @@ class TestCodegenFingerprint:
 
     def test_editing_a_leaf_module_changes_fingerprint(
             self, tmp_path, monkeypatch):
-        from repro.store.disk import codegen_fingerprint
+        from repro.compiler.key import codegen_fingerprint
 
         base = tmp_path / "a"
         base.mkdir()
@@ -414,8 +414,8 @@ class TestCodegenFingerprint:
         assert before != after
 
     def test_production_fingerprint_is_stable_and_covers_backend(self):
-        from repro.store.disk import (_CODEGEN_ROOTS, _codegen_modules,
-                                      codegen_fingerprint)
+        from repro.compiler.key import (_CODEGEN_ROOTS, _codegen_modules,
+                                        codegen_fingerprint)
 
         first = codegen_fingerprint()
         assert first == codegen_fingerprint()

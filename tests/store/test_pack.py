@@ -11,7 +11,6 @@ from repro.compiler.kernel import kernel_cache
 from repro.store import (
     KernelStore,
     meta_for_artifact,
-    reset_store_config,
     using_store,
 )
 from repro.store.pack import (
@@ -21,15 +20,16 @@ from repro.store.pack import (
     verify_pack,
     write_pack,
 )
+from repro.util import config
 
 
 @pytest.fixture(autouse=True)
 def clean_state():
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
     yield
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
 
 
 def dot_program(n=50, seed=0):

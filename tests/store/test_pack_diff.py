@@ -17,19 +17,19 @@ from repro.store import (
     KernelStore,
     meta_for_artifact,
     read_pack,
-    reset_store_config,
     using_store,
 )
 from repro.store.pack import load_pack, verify_pack, write_pack
+from repro.util import config
 
 
 @pytest.fixture(autouse=True)
 def clean_state():
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
     yield
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
 
 
 def dot_program(n=50, seed=0):

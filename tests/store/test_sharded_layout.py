@@ -1,11 +1,11 @@
-"""The shard-by-digest-prefix store layout and flat-store migration.
+"""The shard-by-digest-prefix store layout.
 
 Entries land under ``<root>/<digest[:2]>/k_<digest>.json`` so a
 fleet-scale store never piles tens of thousands of files into one
-directory.  Stores written by pre-shard code (entries flat in the
-root) must keep working: reads see them, and touching one migrates it
-into its shard directory transparently.  ``read_entry`` — the kernel
-service's lookup primitive — is covered here too.
+directory.  A store written by pre-shard code (entries flat in the
+root) reads as cold: a cache miss, never a wrong kernel.
+``read_entry`` — the kernel service's lookup primitive — is covered
+here too.
 """
 
 import json
@@ -51,7 +51,7 @@ def sole_entry_path(store):
 
 
 def flatten(store, path):
-    """Demote one sharded entry to the legacy flat layout."""
+    """Demote one sharded entry to the pre-shard flat layout."""
     flat = os.path.join(store.root, os.path.basename(path))
     os.replace(path, flat)
     so = path[:-len(".json")] + ".so"
@@ -72,48 +72,20 @@ def test_entries_land_in_shard_directories(tmp_path):
     assert digest[:_SHARD_CHARS] == shard
 
 
-def test_flat_entry_read_through_and_migrated(tmp_path):
+def test_flat_pre_shard_entry_reads_as_cold(tmp_path):
     store = KernelStore(tmp_path)
     store_one(store)
     flat = flatten(store, sole_entry_path(store))
-    assert os.path.exists(flat)
 
-    # A fresh process over the demoted store: the lookup still hits
-    # (zero compiles) and migrates the entry into its shard dir.
+    # A fresh process over the pre-shard store: the flat entry is
+    # invisible — one compile, written behind into its shard — and is
+    # neither served nor touched.
     kernel_cache().clear()
     fresh = KernelStore(tmp_path)
     kernel = store_one(fresh, seed=1)
-    assert kernel.from_cache
-    assert not os.path.exists(flat)
-    migrated = sole_entry_path(fresh)
-    assert os.path.dirname(migrated) != str(tmp_path).rstrip(os.sep)
-    assert (os.path.basename(os.path.dirname(migrated))
-            == os.path.basename(flat)[len(_ENTRY_PREFIX):][:_SHARD_CHARS])
-
-
-def test_flat_entries_visible_to_walkers(tmp_path):
-    store = KernelStore(tmp_path)
-    store_one(store, seed=0)
-    store_one(store, seed=0, opt_level=1)
-    # Demote one of the two; both must still be enumerated.
-    paths = [path for path, _, _ in store._entry_files()]
-    assert len(paths) == 2
-    flatten(store, paths[0])
-    assert len(store._entry_files()) == 2
-    assert store.stats()["entries"] == 2
-
-
-def test_eviction_covers_both_layouts(tmp_path):
-    store = KernelStore(tmp_path)
-    store_one(store, seed=0)
-    flat = flatten(store, sole_entry_path(store))
-    # Writing into a tiny-budget store sweeps LRU entries; the flat
-    # legacy entry is fair game even though it never migrated.
-    small = KernelStore(tmp_path, max_bytes=1)
-    kernel_cache().clear()
-    store_one(small, seed=0, opt_level=1)
-    assert not os.path.exists(flat)
-    assert small.stats()["evictions"] >= 1
+    assert not kernel.from_cache
+    assert os.path.exists(flat)
+    assert os.path.dirname(sole_entry_path(fresh)) != fresh.root
 
 
 def test_read_entry_round_trip(tmp_path):
@@ -159,19 +131,3 @@ def test_read_entry_rejects_digest_mismatch(tmp_path):
     with open(path, "w") as handle:
         json.dump(entry, handle)
     assert store.read_entry(digest) == (None, None)
-
-
-def test_concurrent_migration_single_survivor(tmp_path):
-    """Two stores racing the same flat entry: exactly one migrated
-    copy survives and both read it."""
-    store = KernelStore(tmp_path)
-    store_one(store)
-    flatten(store, sole_entry_path(store))
-    left = KernelStore(tmp_path)
-    right = KernelStore(tmp_path)
-    kernel_cache().clear()
-    a = store_one(left, seed=1)
-    kernel_cache().clear()
-    b = store_one(right, seed=2)
-    assert a.from_cache and b.from_cache
-    assert len(left._entry_files()) == 1

@@ -14,17 +14,18 @@ import pytest
 import repro.lang as fl
 from repro.compiler.kernel import kernel_cache
 from repro.fuzz import corpus as corpus_mod
-from repro.store import KernelStore, reset_store_config, using_store
+from repro.store import KernelStore, using_store
 from repro.store.__main__ import main
+from repro.util import config
 
 
 @pytest.fixture(autouse=True)
 def clean_state():
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
     yield
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
 
 
 @pytest.fixture()

@@ -20,16 +20,17 @@ import pytest
 import repro.lang as fl
 from repro import chaos
 from repro.compiler.kernel import kernel_cache
-from repro.store import KernelStore, reset_store_config, using_store
+from repro.store import KernelStore, using_store
+from repro.util import config
 
 
 @pytest.fixture(autouse=True)
 def clean_state():
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
     yield
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
 
 
 def dot_program(n=60, seed=0):

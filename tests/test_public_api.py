@@ -56,7 +56,7 @@ def test_data_plane_surface():
     """The warm-pool data plane is part of the public namespace."""
     import repro.lang as fl
 
-    for name in ("WorkerPool", "configure_pool", "default_pool",
+    for name in ("WorkerPool", "configure", "default_pool",
                  "ShmArena", "share_dataset", "share_tensor"):
         assert name in fl.__all__
         assert getattr(fl, name) is not None

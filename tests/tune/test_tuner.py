@@ -20,8 +20,9 @@ import repro.lang as fl
 from repro.compiler.kernel import kernel_cache
 from repro.fuzz import injected_bug
 from repro.ir import ops as ops_mod
-from repro.store import KernelStore, reset_store_config, using_store
+from repro.store import KernelStore, using_store
 from repro.tune import clear_tuning_memo, lookup_schedule, tune_program
+from repro.util import config
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -31,11 +32,11 @@ def clean_state(monkeypatch):
     monkeypatch.delenv("FL_KERNEL_TUNE", raising=False)
     monkeypatch.delenv("FL_KERNEL_STORE", raising=False)
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
     clear_tuning_memo()
     yield
     kernel_cache().clear()
-    reset_store_config()
+    config.clear("store_path", "store_max_bytes")
     clear_tuning_memo()
 
 

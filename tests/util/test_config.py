@@ -178,13 +178,13 @@ def test_backend_precedence_end_to_end(monkeypatch):
 
 
 def test_tune_precedence_end_to_end(monkeypatch):
-    from repro.compiler.kernel import normalize_tune
-
     monkeypatch.setenv("FL_KERNEL_TUNE", "apply")
-    assert normalize_tune(None) == "apply"
+    assert config.resolve("tune", override=None) == "apply"
     fl.configure(tune="off")
-    assert normalize_tune(None) == "off"
-    assert normalize_tune("apply") == "apply"  # kwarg wins
+    assert config.resolve("tune", override=None) == "off"
+    assert config.resolve("tune", override="apply") == "apply"  # kwarg wins
+    with pytest.raises(ValueError, match="tune must be one of"):
+        config.resolve("tune", override="always")
 
 
 def test_service_url_precedence_end_to_end(monkeypatch):
