@@ -76,6 +76,12 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
+# These two variables are this package's parent-to-child IPC, not
+# configuration: the plan is *written* here (``chaos()``,
+# ``apply_env``) so that fork/spawn/forkserver workers inherit it, and
+# read back raw on every fault point.  That is why they are the one
+# ``os.environ`` use outside :mod:`repro.util.config` (CI's ``lint``
+# job greps for any other).
 #: Environment variable holding the encoded fault plan.
 ENV_PLAN = "FL_CHAOS"
 

@@ -17,9 +17,10 @@ reason, and a queryable ledger: :func:`fallback_events`) but
 gracefully (the compile always succeeds).  The same degradation runs
 when no C compiler is installed.
 
-Both modules here are rooted in the key's codegen fingerprint
-(:data:`repro.compiler.key._CODEGEN_ROOTS`), so editing the C emitter or
-the toolchain invalidates previously stored kernels automatically.
+Like every module of the package, both modules here are covered by
+the key's code fingerprint (:func:`repro.compiler.key.
+code_fingerprint`), so editing the C emitter or the toolchain
+invalidates previously stored kernels automatically.
 """
 
 import collections

@@ -35,6 +35,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.util import config
 from repro.util.errors import ReproError
 
 #: Compiler names probed on PATH, in order, when ``FL_CC`` is unset.
@@ -72,7 +73,7 @@ def compiler_path():
     with _lock:
         if _compiler_probed:
             return _compiler
-        override = os.environ.get("FL_CC")
+        override = config.resolve("cc")
         if override:
             path = shutil.which(override)
             if path is None and os.path.isabs(override) \

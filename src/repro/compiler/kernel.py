@@ -128,17 +128,18 @@ class CompiledKernel:
                  instrument, compile_seconds, structural_key=None,
                  slot_names=None, constant_loop_rewrite=True,
                  backend="python", c_source=None, c_param_dtypes=None,
-                 c_fn=None, so_path=None):
-        # ``fn`` is the *active* entry point: the C wrapper when the C
-        # backend produced one, the exec'd Python function otherwise.
-        # Both take the same positional buffers, so every runner
+                 so_path=None):
+        # ``fn`` is the *active* entry point: the C wrapper (and then
+        # ``so_path`` names its shared object) when the C backend
+        # produced one, the exec'd Python function otherwise.  Both
+        # take the same positional buffers, so every runner
         # (Kernel.run, the batch workers) stays backend-agnostic.
-        self.fn = c_fn if c_fn is not None else fn
+        self.fn = fn
         self.backend = backend
         self.c_source = c_source
         self.c_param_dtypes = (None if c_param_dtypes is None
                                else list(c_param_dtypes))
-        self.so_path = so_path if c_fn is not None else None
+        self.so_path = so_path
         self.name = name
         self.source = source
         self.raw_source = raw_source
@@ -228,11 +229,11 @@ class CompiledKernel:
     def from_spec(cls, spec, so_path=None):
         """Rebuild an artifact from :meth:`to_spec` output.
 
-        Re-``exec``\\ s the serialized source against a fresh kernel
-        namespace (the only non-declarative step), and freezes the
-        plan/signature lists back into the tuple forms ``bind``
-        compares against.  The result is rebindable to any tensors
-        whose signatures match, exactly like the original.
+        Builds the entry point from the serialized source (the only
+        non-declarative step), and freezes the plan/signature lists
+        back into the tuple forms ``bind`` compares against.  The
+        result is rebindable to any tensors whose signatures match,
+        exactly like the original.
 
         A spec carrying C source is recompiled on load (memoized per
         process by source digest); ``so_path`` — the kernel store's
@@ -245,31 +246,21 @@ class CompiledKernel:
             raise SpecError(
                 "kernel spec version %r is not supported (expected %d)"
                 % (version, SPEC_VERSION))
-        namespace = kernel_globals()
-        exec(compile(spec["source"], "<repro-kernel-spec>", "exec"),
-             namespace)
         plan = _frozen(spec["plan"])
         backend = spec.get("backend", "python")
         c_source = spec.get("c_source")
-        c_fn = built_path = None
-        if backend == "c" and c_source:
-            import repro.codegen as codegen
-
-            try:
-                c_fn, built_path = codegen.kernel_entry(
-                    c_source, spec["name"], spec["c_param_dtypes"],
-                    so_path=so_path)
-            except codegen.ToolchainError as exc:
-                codegen.note_fallback(spec["name"], str(exc))
+        fn, built_path = _entry_point(
+            spec["name"], spec["source"],
+            c_source if backend == "c" else None,
+            spec.get("c_param_dtypes"), so_path=so_path)
         return cls(
-            fn=namespace[spec["name"]],
+            fn=fn,
             name=spec["name"],
             source=spec["source"],
             raw_source=spec["raw_source"],
             backend=backend,
             c_source=c_source,
             c_param_dtypes=spec.get("c_param_dtypes"),
-            c_fn=c_fn,
             so_path=built_path,
             opt_level=spec["opt_level"],
             plan=plan,
@@ -618,6 +609,27 @@ def kernel_cache():
     return KERNEL_CACHE
 
 
+def _entry_point(name, source, c_source, c_param_dtypes, so_path=None):
+    """The active entry point of one kernel, as ``(fn, so_path)``: the
+    native entry and its shared object when ``c_source`` loads or
+    compiles (``so_path``, a persisted ``.so``, is tried first); else
+    the python function — ``exec``'d only here, when no C entry is
+    live — and None.  A toolchain failure is a logged fallback, never
+    an error, and the artifact keeps its C source: another process
+    loading its spec may have a working toolchain."""
+    if c_source:
+        from repro import codegen
+
+        try:
+            return codegen.kernel_entry(c_source, name, c_param_dtypes,
+                                        so_path=so_path)
+        except codegen.ToolchainError as exc:
+            codegen.note_fallback(name, str(exc))
+    namespace = kernel_globals()
+    exec(compile(source, "<repro-kernel>", "exec"), namespace)
+    return namespace[name], None
+
+
 def _compile_artifact(program, tensors, instrument, name,
                       constant_loop_rewrite, opt_level,
                       structural_key=None, backend="python"):
@@ -626,9 +638,9 @@ def _compile_artifact(program, tensors, instrument, name,
 
     With ``backend="c"`` the optimized target AST is additionally
     lowered to C99 and compiled into a shared object
-    (:mod:`repro.codegen`); the python function is always built too —
-    it is the fallback entry and the reference the differential tests
-    compare against."""
+    (:mod:`repro.codegen`); the python source is always emitted — it
+    is ``kernel.source`` and the fallback entry — but ``exec``'d only
+    when no C entry came up (:func:`_entry_point`)."""
     start = time.perf_counter()
     ctx = Context(instrument=instrument,
                   constant_loop_rewrite=constant_loop_rewrite)
@@ -663,13 +675,9 @@ def _compile_artifact(program, tensors, instrument, name,
         source = emit(func)
     else:
         source = raw_source
-    namespace = kernel_globals()
-    exec(compile(source, "<repro-kernel>", "exec"), namespace)
 
     c_source = None
     c_param_dtypes = None
-    c_fn = None
-    so_path = None
     if backend == "c":
         from repro import codegen
 
@@ -685,16 +693,7 @@ def _compile_artifact(program, tensors, instrument, name,
             c_param_dtypes = [dtype_map[p] for p in func.params]
         except codegen.CUnsupportedError as exc:
             codegen.note_fallback(name, str(exc))
-            c_source = None
-            c_param_dtypes = None
-        if c_source is not None:
-            try:
-                c_fn, so_path = codegen.kernel_entry(
-                    c_source, name, c_param_dtypes)
-            except codegen.ToolchainError as exc:
-                # Keep the C source in the artifact: another process
-                # loading this spec may have a working toolchain.
-                codegen.note_fallback(name, str(exc))
+    fn, so_path = _entry_point(name, source, c_source, c_param_dtypes)
 
     plan = ctx.binding_plan()
     # Keep first-run buffers only where rebinding can never replace
@@ -705,7 +704,7 @@ def _compile_artifact(program, tensors, instrument, name,
         for entry, (_, array) in zip(plan, ctx.bound_buffers()))
     signatures = tuple(tensor_signature(t) for t in tensors)
     return CompiledKernel(
-        fn=namespace[name],
+        fn=fn,
         name=name,
         source=source,
         raw_source=raw_source,
@@ -728,7 +727,6 @@ def _compile_artifact(program, tensors, instrument, name,
         backend=backend,
         c_source=c_source,
         c_param_dtypes=c_param_dtypes,
-        c_fn=c_fn,
         so_path=so_path,
     )
 

@@ -21,161 +21,55 @@ The version axes:
 
 * :func:`repro.ir.ops.registry_version` — late-registered ops change
   the runtime namespace kernels ``exec`` against,
-* the optimizer-pipeline fingerprint
-  (:func:`repro.ir.optimize.pipeline_fingerprint`) plus
-  :func:`codegen_fingerprint` over the lowering/emission module graph
-  — a compiler change must read as a miss, never as a stale hit, and
+* :func:`code_fingerprint` over the package's source tree — a
+  compiler change must read as a miss, never as a stale hit, and
 * the spec and store layout versions.
 """
 
+import functools
 import hashlib
 import json
 import os
 
+import repro
 from repro.cin.analyze import structural_digest
 from repro.ir.ops import registry_version
-from repro.ir.optimize import pipeline_fingerprint
 
 #: Bumped when the on-disk entry layout changes incompatibly.
 STORE_VERSION = 1
 
-#: Root modules of the code generator: the lowering pipeline entry
-#: points, the target IR, and the runtime namespace emitted code
-#: executes against.  The fingerprint walks the *import graph* from
-#: these roots (:func:`_codegen_modules`), so a new helper module
-#: pulled in by the emitter invalidates stored kernels without anyone
-#: remembering to list it here.  The optimizer pipeline hashes itself
-#: (see :func:`repro.ir.optimize.pipeline_fingerprint`).
-_CODEGEN_ROOTS = (
-    "repro.compiler.lower",
-    "repro.compiler.unfurl",
-    "repro.compiler.stmt_simplify",
-    "repro.compiler.context",
-    "repro.ir.asm",
-    "repro.ir.emit",
-    "repro.ir.runtime",
-    "repro.codegen",
-    "repro.codegen.c_emit",
-    "repro.codegen.toolchain",
-)
 
-_FINGERPRINTS = {}  # roots tuple -> memoized digest
+@functools.lru_cache(maxsize=None)
+def code_fingerprint():
+    """A short digest of the code that compiles kernels: every
+    ``*.py`` under the installed ``repro`` package, as sorted
+    ``(relative path, bytes)``.
 
-
-def _module_source(name):
-    """The on-disk source bytes of ``name``, or None when the module
-    cannot be located or has no file (namespace packages).
-
-    Resolved with ``PathFinder`` directly — unlike
-    ``importlib.util.find_spec`` this imports nothing (not even parent
-    packages), so fingerprinting never executes backend code.
+    The code generator is not one module — each level format's
+    ``unfurl`` and each index modifier emits loops the lowerer only
+    assembles, and the lowerer reaches them through tensors, not
+    imports — so the sound answer to "which code produced this
+    kernel?" is the source tree; living in the package is what puts a
+    module in the key.  Any edit turns every persisted kernel, pack
+    entry and tuning into a miss, never a stale hit: a released
+    install's files never change, and CI rebuilds its pack per run.
+    A source-less install falls back to the package version string.
+    Computed once per process.
     """
-    from importlib.machinery import PathFinder
-
-    parts = name.split(".")
-    path = None
-    spec = None
-    for depth in range(len(parts)):
-        spec = PathFinder.find_spec(".".join(parts[:depth + 1]), path)
-        if spec is None:
-            return None
-        path = spec.submodule_search_locations
-    if not spec.origin or not os.path.exists(spec.origin):
-        return None
-    with open(spec.origin, "rb") as handle:
-        return handle.read()
-
-
-def _imported_modules(source, module, package_prefix):
-    """Module names under ``package_prefix`` that ``module`` imports,
-    read from its AST (no code is executed)."""
-    import ast
-
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:  # pragma: no cover - unparsable dependency
-        return set()
-    package = module.rsplit(".", 1)[0] if "." in module else module
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                found.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:  # relative: resolve against this package
-                parts = package.split(".")
-                if node.level > 1:
-                    parts = parts[:-(node.level - 1)]
-                base = ".".join(parts)
-                if node.module:
-                    base = "%s.%s" % (base, node.module)
-            else:
-                base = node.module or ""
-            if base:
-                found.add(base)
-                # ``from pkg import sub`` may name submodules.
-                for alias in node.names:
-                    found.add("%s.%s" % (base, alias.name))
-    return {name for name in found
-            if name == package_prefix
-            or name.startswith(package_prefix + ".")}
-
-
-def _codegen_modules(roots, package_prefix):
-    """The transitive import closure of ``roots`` inside the package,
-    as ``{module name: source bytes}`` — the actual backend module
-    graph, discovered rather than hand-maintained."""
-    sources = {}
-    queue = list(roots)
-    while queue:
-        name = queue.pop()
-        if name in sources:
-            continue
-        source = _module_source(name)
-        if source is None:
-            continue
-        sources[name] = source
-        queue.extend(_imported_modules(source, name, package_prefix)
-                     - sources.keys())
-    return sources
-
-
-def codegen_fingerprint(roots=None, package_prefix=None):
-    """A short digest over the code-generation module graph.
-
-    Walks imports transitively from the backend root modules and
-    hashes every reachable in-package source file, sorted by module
-    name.  Combined with
-    :func:`~repro.ir.optimize.pipeline_fingerprint` in every key:
-    editing the lowerer, the emitter, *or any module they pull in*
-    must turn all previously stored kernels into misses — and so must
-    adding a new module to the graph.
-
-    ``roots``/``package_prefix`` exist for tests; only the default
-    (production) call is memoized — explicit roots re-scan, so tests
-    can observe a changed module graph.
-    """
-    memoize = roots is None and package_prefix is None
-    if roots is None:
-        roots = _CODEGEN_ROOTS
-    roots = tuple(roots)
-    if package_prefix is None:
-        package_prefix = roots[0].split(".")[0]
-    key = (roots, package_prefix)
-    if memoize:
-        cached = _FINGERPRINTS.get(key)
-        if cached is not None:
-            return cached
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    paths = sorted(
+        os.path.relpath(os.path.join(directory, name), root)
+        for directory, _, names in os.walk(root)
+        for name in names if name.endswith(".py"))
     digest = hashlib.sha256()
-    sources = _codegen_modules(roots, package_prefix)
-    for name in sorted(sources):
-        digest.update(name.encode("utf-8"))
+    for path in paths:
+        digest.update(path.replace(os.sep, "/").encode("utf-8"))
         digest.update(b"\0")
-        digest.update(sources[name])
-    fingerprint = digest.hexdigest()[:16]
-    if memoize:
-        _FINGERPRINTS[key] = fingerprint
-    return fingerprint
+        with open(os.path.join(root, path), "rb") as handle:
+            digest.update(handle.read())
+    if not paths:
+        digest.update(repro.__version__.encode("utf-8"))
+    return digest.hexdigest()[:16]
 
 
 def version_axes():
@@ -188,8 +82,7 @@ def version_axes():
         "store_version": STORE_VERSION,
         "spec_version": SPEC_VERSION,
         "registry_version": registry_version(),
-        "pipeline_fingerprint": pipeline_fingerprint(),
-        "codegen_fingerprint": codegen_fingerprint(),
+        "code_fingerprint": code_fingerprint(),
     }
 
 
@@ -215,8 +108,8 @@ class KernelKey:
     fell back to python still occupies the ``"c"`` slot in every tier,
     so flipping the backend can never serve a stale artifact from the
     other axis, and a later process with a working toolchain or a
-    fixed emitter reads it as the same entry (the codegen fingerprint,
-    which roots the C emitter, decides staleness).
+    fixed emitter reads it as the same entry (the code fingerprint
+    decides staleness).
     """
 
     __slots__ = ("memory", "_meta", "_digest")

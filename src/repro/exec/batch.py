@@ -93,13 +93,12 @@ OVERHEAD_STAGES = ("serialize_s", "transport_s", "execute_s",
 #: lower executor tier by the ``degrade`` policy.
 FAULT_KEYS = _pool.FAULT_KEYS + ("degraded",)
 
+#: The ``degrade`` policy's fallback ladder below each executor.
+_DEGRADE_LADDER = {"processes": ("threads", "serial"),
+                   "threads": ("serial",), "serial": ()}
+
 #: Default transient-failure retry budget per dataset.
 DEFAULT_MAX_RETRIES = 2
-
-
-def _fresh_faults():
-    return {key: (0.0 if key == "backoff_s" else 0)
-            for key in FAULT_KEYS}
 
 
 class BatchItem:
@@ -147,7 +146,7 @@ class BatchResult:
         self.stats = stats or {}
         self.overhead = dict(overhead or {})
         self.faults = dict(faults if faults is not None
-                           else _fresh_faults())
+                           else _pool._fresh_faults(FAULT_KEYS))
         self.failures = dict(failures or {})
 
     @property
@@ -249,7 +248,7 @@ class KernelPool:
         self._stats_lock = threading.Lock()
         self._worker_stats = {}
         self._overhead = dict.fromkeys(OVERHEAD_STAGES, 0.0)
-        self._faults = _fresh_faults()
+        self._faults = _pool._fresh_faults(FAULT_KEYS)
         self._thread_ids = threading.local()
         self._thread_counter = 0
 
@@ -281,7 +280,8 @@ class KernelPool:
         return False
 
     def _ensure_pool(self):
-        """The thread executor (threads mode only), created lazily."""
+        """The thread executor (threads mode, and the ``threads``
+        rung of the degrade ladder), created lazily."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("KernelPool is closed")
@@ -536,9 +536,9 @@ class KernelPool:
                            collect_s=done - ran)
         return BatchItem(index, outputs, ops, worker_id, done - start)
 
-    def _run_threaded(self, index, tensors):
+    def _run_threaded(self, index, tensors, worker_id=None):
         return self._run_local(index, tensors,
-                               self._thread_worker_id())
+                               worker_id or self._thread_worker_id())
 
     def map(self, datasets):
         """Run every dataset; returns a :class:`BatchResult`.
@@ -563,9 +563,11 @@ class KernelPool:
                                overhead=dict.fromkeys(OVERHEAD_STAGES,
                                                       0.0))
         if self.executor == "serial":
-            items, failures = self._map_serial(resolved)
+            items, failures = self._map_serial(resolved,
+                                               range(len(resolved)))
         elif self.executor == "threads":
-            items, failures = self._map_threads(resolved)
+            items, failures = self._map_threads(resolved,
+                                                range(len(resolved)))
         else:
             items, failures = self._map_processes(resolved)
         if failures and self.on_failure == "degrade":
@@ -584,37 +586,34 @@ class KernelPool:
                            wall, stats=self.stats(), overhead=overhead,
                            faults=faults, failures=failures)
 
-    def _map_serial(self, resolved):
+    def _map_serial(self, resolved, indices, worker_id="serial-0"):
+        """Run ``indices`` of ``resolved`` one by one; returns
+        ``(items, {index: failure})``."""
         items, failures = [], {}
-        for index, tensors in enumerate(resolved):
+        for index in indices:
             try:
-                items.append(self._run_local(index, tensors,
-                                             "serial-0"))
+                items.append(self._run_local(index, resolved[index],
+                                             worker_id))
             except BatchExecutionError as exc:
                 failures[index] = exc
                 if self.on_failure == "raise":
                     break
         return items, failures
 
-    def _map_threads(self, resolved):
+    def _map_threads(self, resolved, indices, worker_id=None):
+        """:meth:`_map_serial` over the thread executor (``worker_id``
+        None labels each run by the thread that took it)."""
         pool = self._ensure_pool()
-        futures = [pool.submit(self._run_threaded, index, tensors)
-                   for index, tensors in enumerate(resolved)]
+        futures = [(index, pool.submit(self._run_threaded, index,
+                                       resolved[index], worker_id))
+                   for index in indices]
         items, failures = [], {}
-        for index, future in enumerate(futures):
+        for index, future in futures:
             try:
                 items.append(future.result())
             except BatchExecutionError as exc:
                 failures[index] = exc
         return items, failures
-
-    def _degrade_stages(self):
-        """The fallback ladder below this pool's executor."""
-        if self.executor == "processes":
-            return ("threads", "serial")
-        if self.executor == "threads":
-            return ("serial",)
-        return ()
 
     def _degrade(self, resolved, failures):
         """The ``degrade`` policy: re-run failed datasets on each
@@ -625,33 +624,15 @@ class KernelPool:
         """
         recovered = []
         still = dict(failures)
-        for stage in self._degrade_stages():
+        for stage in _DEGRADE_LADDER[self.executor]:
             if not still:
                 break
-            indices = sorted(still)
-            self._note_fault("degraded", len(indices))
-            if stage == "threads":
-                workers = min(len(indices), self.max_workers)
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        index: pool.submit(self._run_local, index,
-                                           resolved[index],
-                                           "degrade-threads")
-                        for index in indices}
-                    for index, future in futures.items():
-                        try:
-                            recovered.append(future.result())
-                            del still[index]
-                        except BatchExecutionError as exc:
-                            still[index] = exc
-            else:
-                for index in indices:
-                    try:
-                        recovered.append(self._run_local(
-                            index, resolved[index], "degrade-serial"))
-                        del still[index]
-                    except BatchExecutionError as exc:
-                        still[index] = exc
+            self._note_fault("degraded", len(still))
+            run = (self._map_threads if stage == "threads"
+                   else self._map_serial)
+            items, still = run(resolved, sorted(still),
+                               "degrade-" + stage)
+            recovered.extend(items)
         return recovered, still
 
     def _output_buffer_ids(self, tensors):

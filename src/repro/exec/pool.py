@@ -91,9 +91,8 @@ FAULT_KEYS = ("retries", "crashes", "stalls", "transient_errors",
               "backoff_s")
 
 
-def _fresh_faults():
-    return {key: (0.0 if key == "backoff_s" else 0)
-            for key in FAULT_KEYS}
+def _fresh_faults(keys=FAULT_KEYS):
+    return {key: (0.0 if key == "backoff_s" else 0) for key in keys}
 
 #: Start methods accepted by :class:`WorkerPool` (a subset of the
 #: platform's ``multiprocessing.get_all_start_methods()``).

@@ -39,19 +39,13 @@ FORMATS_LEAF_ONLY = ("rle", "packbits")
 #: Formats legal in the innermost mode.
 FORMATS_INNER = FORMATS_ANY + FORMATS_LEAF_ONLY
 
-#: Per-format access protocols beyond the bare default.  ``None``
-#: means "no annotation"; ``follow`` degrades to the passive default
-#: on every format.
+#: Per-format access protocols: ``None`` ("no annotation"), then what
+#: the format's level class declares (its ``PROTOCOLS``), then
+#: ``follow``, which degrades to the passive default on every format.
 PROTOCOLS_BY_FORMAT = {
-    "dense": (None, "walk", "locate", "follow"),
-    "bitmap": (None, "walk", "locate", "follow"),
-    "sparse": (None, "walk", "gallop", "follow"),
-    "vbl": (None, "walk", "gallop", "follow"),
-    "band": (None, "walk", "follow"),
-    "rle": (None, "walk", "follow"),
-    "packbits": (None, "walk", "follow"),
-    "ragged": (None, "walk", "follow"),
-}
+    fmt: (None,) + level.PROTOCOLS + ("follow",)
+    for fmt in FORMATS_INNER
+    for level in fl.from_numpy(np.zeros(1), (fmt,)).levels}
 
 #: Protocols that can lead a coiteration; every loop index needs at
 #: least one operand accessing it with one of these.

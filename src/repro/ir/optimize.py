@@ -83,35 +83,6 @@ from repro.util.namer import Namer
 #: Default optimization level used by the compiler when none is given.
 DEFAULT_OPT_LEVEL = 2
 
-_PIPELINE_FINGERPRINT = None
-
-
-def pipeline_fingerprint():
-    """A short stable digest identifying this optimizer pipeline.
-
-    Hashes the pipeline's own source file, so *any* change to a pass
-    (or to the pass ordering in :func:`optimize_kernel`) yields a new
-    fingerprint.  The persistent kernel store keys entries by it:
-    kernels optimized by an older pipeline must read as misses, never
-    as stale hits, once the pipeline changes.  Falls back to hashing
-    the public pass names when the source file is unavailable (frozen
-    or bytecode-only deployments).
-    """
-    global _PIPELINE_FINGERPRINT
-    if _PIPELINE_FINGERPRINT is None:
-        import hashlib
-
-        try:
-            with open(__file__, "rb") as handle:
-                payload = handle.read()
-        except OSError:
-            payload = repr((
-                "fold_constants", "dead_code", "hoist_invariants",
-                "eliminate_common_subexprs", "vectorize",
-                DEFAULT_OPT_LEVEL)).encode("utf-8")
-        _PIPELINE_FINGERPRINT = hashlib.sha256(payload).hexdigest()[:16]
-    return _PIPELINE_FINGERPRINT
-
 #: Operators whose later arguments are lazily evaluated in emitted
 #: Python (``and``/``or`` short-circuit, ``ifelse`` renders as a
 #: conditional expression).  Only the first argument is *strict*.

@@ -175,9 +175,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": "unknown kernel",
                                   "digest": digest})
             return
-        payload = {"store_version": entry["store_version"],
-                   "key": entry["key"], "spec": entry["spec"],
-                   "so": None}
+        payload = dict(entry, so=None)  # the store-verified record
         if so_path is not None:
             try:
                 with open(so_path, "rb") as handle:

@@ -39,11 +39,7 @@ The CLI lives in :mod:`repro.store.__main__`::
 import os
 from contextlib import contextmanager
 
-from repro.compiler.key import (
-    KernelKey,
-    codegen_fingerprint,
-    entry_digest,
-)
+from repro.compiler.key import KernelKey, entry_digest
 from repro.store.disk import KernelStore
 from repro.store.pack import (
     PACK_VERSION,
@@ -127,8 +123,7 @@ def using_store(store):
 
 
 __all__ = [
-    "KernelStore", "PACK_VERSION", "active_store",
-    "codegen_fingerprint", "entry_digest", "load_pack",
-    "meta_for_artifact", "read_pack", "resolve_store", "using_store",
-    "verify_pack", "write_pack",
+    "KernelStore", "PACK_VERSION", "active_store", "entry_digest",
+    "load_pack", "meta_for_artifact", "read_pack", "resolve_store",
+    "using_store", "verify_pack", "write_pack",
 ]

@@ -190,14 +190,12 @@ def _cmd_verify(args):
 def _cmd_ls(args):
     if args.pack:
         manifest, _ = read_pack(args.pack)
-        print("pack %s: %d entr%s (spec v%s, registry v%s, pipeline "
-              "%s, codegen %s)"
+        print("pack %s: %d entr%s (spec v%s, registry v%s, code %s)"
               % (args.pack, manifest["count"],
                  "y" if manifest["count"] == 1 else "ies",
                  manifest["spec_version"],
                  manifest["registry_version"],
-                 manifest["pipeline_fingerprint"],
-                 manifest["codegen_fingerprint"]))
+                 manifest["code_fingerprint"]))
         for entry in manifest["entries"]:
             print("  %s  opt=%d%s  %-16s %s"
                   % (entry["digest"][:12], entry["opt_level"],

@@ -70,6 +70,42 @@ _SHARD_CHARS = 2
 #: Filename prefix of one tuning record (``tunings/``).
 _TUNING_PREFIX = "t_"
 
+#: The two record kinds that share one read path and one write path,
+#: as ``(payload field, counter prefix)``: every record on disk is
+#: ``{"store_version", "key", <payload field>}`` in a file named by
+#: the digest of its key.
+_ENTRY = ("spec", "")
+_TUNING = ("winner", "tuning_")
+
+
+def _replace_file(path, text):
+    """Write ``text`` to ``path`` atomically (tmp sibling + rename):
+    a reader sees the old file or the new one, never half of either."""
+    tmp = path + ".tmp.%d" % os.getpid()
+    with open(tmp, "w") as handle:
+        handle.write(text)
+    os.replace(tmp, path)
+
+
+def _record_files(directory, prefix):
+    """The ``<prefix>*.json`` record paths in ``directory``, in name
+    order ([] when it cannot be listed: absent, or evicted empty)."""
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError:
+        return []
+    return [os.path.join(directory, name) for name in names
+            if name.startswith(prefix) and name.endswith(".json")]
+
+
+def _discard(path):
+    """Remove ``path`` if it is there; True when it was."""
+    try:
+        os.remove(path)
+        return True
+    except OSError:
+        return False
+
 
 class KernelStore:
     """A concurrency-safe, size-bounded directory of kernel specs.
@@ -179,10 +215,7 @@ class KernelStore:
                 counters = self._read_counters()
                 for name, delta in deltas.items():
                     counters[name] = counters.get(name, 0) + delta
-                tmp = self._stats_path + ".tmp.%d" % os.getpid()
-                with open(tmp, "w") as handle:
-                    json.dump(counters, handle)
-                os.replace(tmp, self._stats_path)
+                _replace_file(self._stats_path, json.dumps(counters))
         except OSError as exc:
             self._note_io_error("stats update", exc)
 
@@ -198,6 +231,12 @@ class KernelStore:
     def _entry_path(self, meta):
         return self.entry_path_for_digest(entry_digest(meta))
 
+    def _record_path(self, kind, digest):
+        if kind is _TUNING:
+            return os.path.join(self.tunings_dir,
+                                _TUNING_PREFIX + digest + ".json")
+        return self.entry_path_for_digest(digest)
+
     def entry_path_for_digest(self, digest):
         """The sharded spec path addressing ``digest`` — whether or
         not an entry exists there yet.  The single place the
@@ -209,6 +248,12 @@ class KernelStore:
     def _so_sibling(path):
         """The shared-object sidecar of one ``.json`` entry path."""
         return path[:-len(".json")] + ".so"
+
+    def _sidecar(self, digest):
+        """The path of ``digest``'s stored sidecar, or None (python
+        entry, or sidecar lost: the C source recompiles)."""
+        so_path = self._so_sibling(self.entry_path_for_digest(digest))
+        return so_path if os.path.exists(so_path) else None
 
     def _shard_dirs(self):
         """The shard directories that exist right now."""
@@ -236,15 +281,7 @@ class KernelStore:
         """
         entries = []
         for directory in self._shard_dirs():
-            try:
-                names = os.listdir(directory)
-            except OSError:
-                continue
-            for name in names:
-                if not (name.startswith(_ENTRY_PREFIX)
-                        and name.endswith(".json")):
-                    continue
-                path = os.path.join(directory, name)
+            for path in _record_files(directory, _ENTRY_PREFIX):
                 try:
                     info = os.stat(path)
                 except OSError:
@@ -258,85 +295,82 @@ class KernelStore:
         entries.sort(key=lambda item: (item[2], item[0]))
         return entries
 
-    def read_entry(self, digest):
-        """The raw stored entry addressed by ``digest``, served as
-        ``(entry, so_path)`` — the kernel service's lookup primitive.
-
-        ``entry`` is the persisted ``{"store_version", "key", "spec"}``
-        payload with the recorded key verified to hash back to
-        ``digest`` (a mismatch reads as a miss — tamper and collision
-        defense, same as :meth:`load_spec`); ``so_path`` is the
-        sidecar's path when one exists, else None.  Returns ``(None,
-        None)`` on a miss or any defect.  Deliberately does *not*
-        touch the persisted hit/miss counters: the service keeps its
-        own, and a remote fleet's traffic must not masquerade as local
-        lookups.
-        """
-        path = self.entry_path_for_digest(digest)
-        try:
-            with open(path) as handle:
-                entry = json.load(handle)
-            if entry.get("store_version") != STORE_VERSION:
-                raise ValueError("store version mismatch")
-            if entry_digest(entry.get("key")) != digest:
-                raise ValueError("entry key does not hash to %s"
-                                 % digest)
-        except OSError:
-            return None, None
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            self._bump(quarantined=1)
-            return None, None
-        try:
-            os.utime(path)  # LRU touch: served entries stay resident
-        except OSError:
-            pass
-        so_path = self._so_sibling(path)
-        if not os.path.exists(so_path):
-            so_path = None
-        return entry, so_path
-
     # -- reads ---------------------------------------------------------
-    def load_spec(self, meta):
-        """The stored spec for ``meta``, or None (counts a miss).
+    def _read_record(self, kind, digest, count=True):
+        """The verified ``kind`` record addressed by ``digest``, or
+        None — the one read path of every persisted record.
 
-        Any defect — unreadable file, malformed JSON, an entry whose
-        recorded key does not match — quarantines the entry and reads
+        A missing file is a miss.  Any defect — unreadable file,
+        malformed JSON, another ``store_version``, a recorded key that
+        does not hash back to ``digest`` (tamper and collision
+        defense), a missing payload — quarantines the record and reads
         as a miss, so one corrupt file can never poison compiles.
+        ``count=False`` leaves the ``kind``'s hit/miss counters alone
+        (a quarantine is always counted).
         """
-        path = self._entry_path(meta)
+        field, prefix = kind
+        path = self._record_path(kind, digest)
+        missed = {prefix + "misses": 1} if count else {}
         if not os.path.exists(path):
-            self._bump(misses=1)
+            if missed:
+                self._bump(**missed)
             return None
         try:
             from repro import chaos as _chaos
 
             if _chaos.active():
-                # Chaos fault points: a flaky read raises OSError (the
-                # degrade-to-miss path below), a corrupt entry garbles
-                # the text so JSON parsing rejects it (the quarantine
-                # path below).
+                # Chaos fault points: a flaky read raises OSError, a
+                # corrupt record garbles the text so JSON parsing
+                # rejects it (both the quarantine path below).
                 _chaos.inject("store_read_error")
             with open(path) as handle:
                 raw = handle.read()
             if _chaos.active():
                 raw = _chaos.mangle("store_corrupt_entry", raw)
-            entry = json.loads(raw)
-            if entry.get("store_version") != STORE_VERSION:
+            record = json.loads(raw)
+            if not isinstance(record, dict) or field not in record:
+                raise ValueError("not a %s record" % field)
+            if record.get("store_version") != STORE_VERSION:
                 raise ValueError("store version mismatch")
-            if entry.get("key") != meta:
-                raise ValueError("entry key does not match its digest")
-            spec = entry["spec"]
-        except (OSError, ValueError, KeyError, TypeError):
+            if entry_digest(record.get("key")) != digest:
+                raise ValueError("record key does not hash to %s"
+                                 % digest)
+        except (OSError, ValueError, TypeError):
             self._quarantine(path)
-            self._bump(misses=1, quarantined=1)
+            self._bump(quarantined=1, **missed)
             return None
         try:
-            os.utime(path)  # LRU touch: recently used entries survive
+            # LRU touch: recently used entries survive eviction
+            # (inert on tunings, which are never evicted).
+            os.utime(path)
         except OSError:
             pass
-        self._bump(hits=1)
-        return spec
+        if count:
+            self._bump(**{prefix + "hits": 1})
+        return record
+
+    def read_entry(self, digest):
+        """The raw stored entry addressed by ``digest``, served as
+        ``(entry, so_path)`` — the kernel service's lookup primitive.
+
+        ``entry`` is the persisted ``{"store_version", "key", "spec"}``
+        payload, verified exactly like :meth:`load_spec` verifies it;
+        ``so_path`` is the sidecar's path when one exists, else None.
+        Returns ``(None, None)`` on a miss or any defect.  Deliberately
+        does *not* touch the persisted hit/miss counters: the service
+        keeps its own, and a remote fleet's traffic must not
+        masquerade as local lookups.
+        """
+        entry = self._read_record(_ENTRY, digest, count=False)
+        if entry is None:
+            return None, None
+        return entry, self._sidecar(digest)
+
+    def load_spec(self, meta):
+        """The stored spec for ``meta``, or None (counts a miss; see
+        :meth:`_read_record` for what reads as one)."""
+        entry = self._read_record(_ENTRY, entry_digest(meta))
+        return None if entry is None else entry["spec"]
 
     def load_artifact(self, meta):
         """The rebuilt :class:`CompiledKernel` for ``meta``, or None.
@@ -345,15 +379,13 @@ class KernelStore:
         ``exec``) is quarantined exactly like a corrupt file — and the
         hit already counted for it is taken back.
         """
-        spec = self.load_spec(meta)
-        if spec is None:
+        digest = entry_digest(meta)
+        entry = self._read_record(_ENTRY, digest)
+        if entry is None:
             return None
-        so_path = self._so_sibling(self._entry_path(meta))
-        if not os.path.exists(so_path):
-            so_path = None  # python entry, or sidecar lost: recompile
-        artifact = rebuild(spec, so=so_path)
+        artifact = rebuild(entry["spec"], so=self._sidecar(digest))
         if artifact is None:
-            self._quarantine(self._entry_path(meta))
+            self._quarantine(self.entry_path_for_digest(digest))
             self._bump(hits=-1, misses=1, quarantined=1)
         return artifact
 
@@ -361,22 +393,16 @@ class KernelStore:
         """Move a defective entry aside (never delete: it is the repro
         for whatever corrupted it)."""
         stamp = "%d.%d" % (os.getpid(), int(time.time() * 1e6))
-        try:
-            os.makedirs(self.quarantine_dir, exist_ok=True)
-            target = os.path.join(
-                self.quarantine_dir,
-                "%s.%s" % (os.path.basename(path), stamp))
-            os.replace(path, target)
-        except OSError:
-            pass  # another process already moved or evicted it
-        if path.endswith(".json"):
-            sidecar = self._so_sibling(path)
+        for victim in (path, self._so_sibling(path)):
             try:
-                os.replace(sidecar, os.path.join(
+                os.makedirs(self.quarantine_dir, exist_ok=True)
+                os.replace(victim, os.path.join(
                     self.quarantine_dir,
-                    "%s.%s" % (os.path.basename(sidecar), stamp)))
+                    "%s.%s" % (os.path.basename(victim), stamp)))
             except OSError:
-                pass  # no sidecar, or already moved
+                # Another process already moved or evicted it — or,
+                # for the sidecar, there never was one.
+                pass
 
     # -- writes --------------------------------------------------------
     def save_artifact(self, artifact):
@@ -403,38 +429,40 @@ class KernelStore:
         source recompiles on load), so a lost or stale sidecar costs
         one compile, never correctness.
         """
-        path = self._entry_path(meta)
+        return self._write_record(_ENTRY, meta, spec, sidecar=so_path)
+
+    def _write_record(self, kind, meta, value, sidecar=None):
+        """Persist one ``kind`` record under the lock — the one write
+        path of every persisted record; returns its path (None when
+        the store is unwritable)."""
+        field, prefix = kind
+        path = self._record_path(kind, entry_digest(meta))
         payload = json.dumps(
-            {"store_version": STORE_VERSION, "key": meta,
-             "spec": spec},
+            {"store_version": STORE_VERSION, "key": meta, field: value},
             sort_keys=True, separators=(",", ":"))
         try:
             with self._lock():
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                tmp = path + ".tmp.%d" % os.getpid()
-                with open(tmp, "w") as handle:
-                    handle.write(payload)
-                so_target = self._so_sibling(path)
-                if so_path is not None and os.path.exists(so_path):
-                    so_tmp = so_target + ".tmp.%d" % os.getpid()
-                    shutil.copyfile(so_path, so_tmp)
-                    os.replace(so_tmp, so_target)
-                else:
-                    # A python-backend rewrite of this slot must not
-                    # leave a stale sidecar behind.
-                    try:
-                        os.remove(so_target)
-                    except OSError:
-                        pass
-                os.replace(tmp, path)
-                evicted = self._evict_locked(keep=path)
+                if kind is _ENTRY:
+                    so_target = self._so_sibling(path)
+                    if sidecar is not None and os.path.exists(sidecar):
+                        so_tmp = so_target + ".tmp.%d" % os.getpid()
+                        shutil.copyfile(sidecar, so_tmp)
+                        os.replace(so_tmp, so_target)
+                    else:
+                        # A python-backend rewrite of this slot must
+                        # not leave a stale sidecar behind.
+                        _discard(so_target)
+                _replace_file(path, payload)
+                evicted = (self._evict_locked(keep=path)
+                           if kind is _ENTRY else 0)
         except OSError as exc:
             # An unwritable store (read-only fleet mount, disk full)
             # degrades to a read-only tier: the compile that wanted to
             # write behind still succeeded.
-            self._note_io_error("entry write", exc)
+            self._note_io_error("%s write" % field, exc)
             return None
-        self._bump(writes=1, evictions=evicted)
+        self._bump(**{prefix + "writes": 1, "evictions": evicted})
         return path
 
     def _evict_locked(self, keep=None):
@@ -451,14 +479,9 @@ class KernelStore:
                 break
             if path == keep:
                 continue
-            try:
-                os.remove(path)
-            except OSError:
+            if not _discard(path):
                 continue
-            try:
-                os.remove(self._so_sibling(path))
-            except OSError:
-                pass  # no sidecar
+            _discard(self._so_sibling(path))  # if it has a sidecar
             total -= size
             evicted += 1
         return evicted
@@ -474,117 +497,61 @@ class KernelStore:
     # *measurement*, and rerunning the search it summarizes costs far
     # more than the bytes ever will.
 
-    def _tuning_path(self, meta):
-        return os.path.join(
-            self.tunings_dir,
-            _TUNING_PREFIX + entry_digest(meta) + ".json")
-
     def save_tuning(self, meta, winner):
         """Persist one tuning winner under ``meta``; returns the
         record path (None when the store is unwritable)."""
-        path = self._tuning_path(meta)
-        payload = json.dumps(
-            {"store_version": STORE_VERSION, "key": meta,
-             "winner": winner},
-            sort_keys=True, separators=(",", ":"))
-        try:
-            with self._lock():
-                os.makedirs(self.tunings_dir, exist_ok=True)
-                tmp = path + ".tmp.%d" % os.getpid()
-                with open(tmp, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp, path)
-        except OSError as exc:
-            self._note_io_error("tuning write", exc)
-            return None
-        self._bump(tuning_writes=1)
-        return path
+        return self._write_record(_TUNING, meta, winner)
 
     def load_tuning(self, meta):
         """The stored winner record for ``meta``, or None.
 
-        Exactly the entry contract: a missing record is a miss, and
-        any defect (unreadable file, bad JSON, a record whose key does
-        not match its digest) is quarantined and reads as a miss.  A
-        version-axis change (op registry, pipeline or codegen
-        fingerprint, tune layout) lands in a *different* digest, so
-        stale winners are simply never found.
+        Exactly the entry contract (:meth:`_read_record`): a missing
+        record is a miss, and any defect is quarantined and reads as a
+        miss.  A version-axis change (op registry, code fingerprint,
+        tune layout) lands in a *different* digest, so stale winners
+        are simply never found.
         """
-        path = self._tuning_path(meta)
-        if not os.path.exists(path):
-            self._bump(tuning_misses=1)
-            return None
-        try:
-            from repro import chaos as _chaos
+        record = self._read_record(_TUNING, entry_digest(meta))
+        return None if record is None else record["winner"]
 
-            if _chaos.active():
-                _chaos.inject("store_read_error")
-            with open(path) as handle:
-                raw = handle.read()
-            if _chaos.active():
-                raw = _chaos.mangle("store_corrupt_entry", raw)
-            record = json.loads(raw)
-            if record.get("store_version") != STORE_VERSION:
-                raise ValueError("store version mismatch")
-            if record.get("key") != meta:
-                raise ValueError("tuning key does not match its digest")
-            winner = record["winner"]
-        except (OSError, ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            self._bump(tuning_misses=1, quarantined=1)
-            return None
-        self._bump(tuning_hits=1)
-        return winner
+    # -- inspection ----------------------------------------------------
+    @staticmethod
+    def _list_records(paths, kind):
+        """``(path, key-meta, payload)`` of every readable record of
+        ``kind`` among ``paths`` (unreadable ones are skipped, not
+        quarantined: listing is inspection, not lookup)."""
+        field, _ = kind
+        listed = []
+        for path in paths:
+            try:
+                with open(path) as handle:
+                    record = json.load(handle)
+                listed.append((path, record["key"], record[field]))
+            except (OSError, ValueError, KeyError, TypeError):
+                continue
+        return listed
 
     def tunings(self):
         """Parsed ``(path, key-meta, winner)`` triples of every
         readable tuning record."""
-        listed = []
-        try:
-            names = sorted(os.listdir(self.tunings_dir))
-        except OSError:
-            return []
-        for name in names:
-            if not (name.startswith(_TUNING_PREFIX)
-                    and name.endswith(".json")):
-                continue
-            path = os.path.join(self.tunings_dir, name)
-            try:
-                with open(path) as handle:
-                    record = json.load(handle)
-                listed.append((path, record["key"], record["winner"]))
-            except (OSError, ValueError, KeyError):
-                continue
-        return listed
+        return self._list_records(
+            _record_files(self.tunings_dir, _TUNING_PREFIX), _TUNING)
 
-    # -- inspection ----------------------------------------------------
     def entries(self):
         """Parsed ``(path, key-meta)`` pairs of every readable entry."""
-        listed = []
-        for path, _, _ in self._entry_files():
-            try:
-                with open(path) as handle:
-                    entry = json.load(handle)
-                listed.append((path, entry["key"]))
-            except (OSError, ValueError, KeyError):
-                continue
-        return listed
+        paths = [path for path, _, _ in self._entry_files()]
+        return [(path, meta) for path, meta, _
+                in self._list_records(paths, _ENTRY)]
 
     def clear(self):
         """Drop every entry, the quarantine, and the counters."""
         with self._lock():
             for path, _, _ in self._entry_files():
-                for victim in (path, self._so_sibling(path)):
-                    try:
-                        os.remove(victim)
-                    except OSError:
-                        pass
+                _discard(path)
+                _discard(self._so_sibling(path))
             shutil.rmtree(self.quarantine_dir, ignore_errors=True)
             shutil.rmtree(self.tunings_dir, ignore_errors=True)
-            try:
-                os.remove(self._stats_path)
-            except OSError:
-                pass
+            _discard(self._stats_path)
 
     def stats(self):
         """Persisted counters plus live occupancy.
@@ -602,16 +569,9 @@ class KernelStore:
             quarantined = len(os.listdir(self.quarantine_dir))
         except OSError:
             pass
-        tunings = 0
-        try:
-            tunings = sum(
-                name.startswith(_TUNING_PREFIX)
-                and name.endswith(".json")
-                for name in os.listdir(self.tunings_dir))
-        except OSError:
-            pass
         counters.update({
-            "tunings": tunings,
+            "tunings": len(_record_files(self.tunings_dir,
+                                         _TUNING_PREFIX)),
             "entries": len(files),
             "bytes": sum(size for _, size, _ in files),
             "max_bytes": self.max_bytes,

@@ -35,6 +35,8 @@ option                environment variable        owns
 ``pool_deadline_s``   ``FL_POOL_DEADLINE_S``      watchdog deadline
 ``pool_max_retries``  ``FL_POOL_MAX_RETRIES``     transient-retry budget
 ``pool_backoff_s``    ``FL_POOL_BACKOFF_S``       retry backoff base
+``cc``                ``FL_CC``                   C compiler (a name on
+                                                  ``PATH`` or a path)
 ====================  ==========================  =======================
 
 One exception applies *within* the rule: the autotuner winners table
@@ -149,6 +151,9 @@ OPTIONS = {
                doc="transient-failure retries per dataset"),
         Option("pool_backoff_s", "FL_POOL_BACKOFF_S", float, None,
                doc="retry backoff base seconds"),
+        Option("cc", "FL_CC", str, None,
+               doc="C compiler of the C backend (None = probe "
+                   "cc/gcc/clang on PATH)"),
     )
 }
 

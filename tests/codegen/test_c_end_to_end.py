@@ -256,6 +256,41 @@ class TestNoCompilerFallback:
         name, reason = events[-1]
         assert "no C compiler" in reason
 
+    @needs_cc
+    def test_toolchain_failure_at_from_spec_yields_python_entry(
+            self, monkeypatch):
+        """The python function is built only when no C entry is live —
+        including the case where C *would* have been live but the
+        receiving process cannot compile or load it."""
+        from repro.cin.analyze import program_tensors
+        from repro.compiler.kernel import CompiledKernel
+
+        a = np.zeros(40)
+        a[7:19] = 2.0
+        A = fl.from_numpy(a, ("sparse",), name="A")
+        C = fl.Scalar(name="C")
+        i = fl.indices("i")
+        program = fl.forall(i, fl.increment(C[()], fl.access(A, i)))
+        kernel = fl.compile_kernel(program, backend="c", cache=False)
+        assert kernel.effective_backend == "c"
+        spec = kernel.to_spec()
+
+        def no_toolchain(c_source, name="kernel"):
+            raise codegen.ToolchainError("no C compiler found")
+
+        monkeypatch.setattr(toolchain, "compile_shared", no_toolchain)
+        codegen.clear_fallback_events()
+        rebuilt = CompiledKernel.from_spec(spec)
+        assert rebuilt.backend == "c"
+        assert rebuilt.effective_backend == "python"
+        assert rebuilt.so_path is None
+        assert rebuilt.source == kernel.source
+        assert rebuilt.c_source == kernel.c_source  # kept for others
+        assert rebuilt.fn.__code__.co_filename == "<repro-kernel>"
+        rebuilt.fn(*rebuilt.bind(program_tensors(program)))
+        assert float(C.value) == 24.0
+        assert "no C compiler" in codegen.fallback_events()[-1][1]
+
     def test_fallback_warns_once_per_reason(self, broken_toolchain, caplog):
         import logging
 

@@ -84,7 +84,7 @@ def test_recorded_meta_pins_the_address_of_a_spec():
     make_program, opts = FIGURES["fig1_dot"]
     kernel = fl.compile_kernel(make_program(), cache=False, **opts)
     recorded = dict(meta_for_artifact(kernel.artifact),
-                    codegen_fingerprint="built-by-other-code")
+                    code_fingerprint="built-by-other-code")
     key = KernelKey.of_spec(kernel.to_spec(), meta=recorded)
     assert key.meta == recorded
     assert key.digest != KernelKey.of(kernel.artifact).digest

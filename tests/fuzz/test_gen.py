@@ -63,6 +63,28 @@ def test_protocols_respect_format_support():
                 assert proto in PROTOCOLS_BY_FORMAT[fmt]
 
 
+def test_seeded_specs_are_byte_identical_to_pr13():
+    """The protocol table is derived from the level classes; every
+    seeded campaign, the corpus and the AOT pack population draw from
+    it, so the stream must not have moved (digests taken at the commit
+    that still spelled the table out)."""
+    import hashlib
+    import json
+
+    expected = {
+        "quick": "d5ac0ad54ca2a6889031146b67df798ad0f2df93c24f6e1c"
+                 "72abbc427d5f8295",
+        "deep": "83dc3f263b710f1d1d30e1878afc9bd972c28ef18c7f151ac"
+                "821d90bd63aecb9",
+    }
+    for profile, digest in expected.items():
+        stream = hashlib.sha256()
+        for seed in range(200):
+            stream.update(json.dumps(generate_spec(seed, profile),
+                                     sort_keys=True).encode())
+        assert stream.hexdigest() == digest, profile
+
+
 def test_every_loop_index_has_a_leader():
     for seed in range(200):
         spec = generate_spec(seed)

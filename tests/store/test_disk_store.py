@@ -170,6 +170,80 @@ def test_key_mismatch_is_corruption(tmp_path):
     assert store.stats()["quarantined"] == 1
 
 
+def _truncate(path, record):
+    with open(path, "w") as handle:
+        handle.write(json.dumps(record)[:20])
+
+
+def _other_store_version(path, record):
+    with open(path, "w") as handle:
+        json.dump(dict(record, store_version=-1), handle)
+
+
+def _foreign_key(path, record):
+    with open(path, "w") as handle:
+        json.dump(dict(record, key=dict(record["key"], name="other")),
+                  handle)
+
+
+def _wrong_shape(path, record):
+    with open(path, "w") as handle:
+        json.dump([record], handle)  # valid JSON, not a record
+
+
+def _unreadable(path, record):
+    os.remove(path)
+    os.mkdir(path)  # open() raises IsADirectoryError (root-proof)
+
+
+COUNTED = ("hits", "misses", "tuning_hits", "tuning_misses")
+
+RECORD_KINDS = {
+    # kind: (save, look up -> payload or None, miss counter, hit counter)
+    "entry": (lambda store, meta: store.save_spec(meta, {"body": 1}),
+              lambda store, meta: store.load_spec(meta),
+              "misses", "hits"),
+    "read_entry": (lambda store, meta: store.save_spec(meta, {"body": 1}),
+                   lambda store, meta:
+                   store.read_entry(entry_digest(meta))[0],
+                   None, None),
+    "tuning": (lambda store, meta: store.save_tuning(meta, {"body": 1}),
+               lambda store, meta: store.load_tuning(meta),
+               "tuning_misses", "tuning_hits"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_KINDS))
+@pytest.mark.parametrize("defect", [_truncate, _other_store_version,
+                                    _foreign_key, _wrong_shape,
+                                    _unreadable])
+def test_every_defect_of_every_record_kind_is_a_quarantined_miss(
+        tmp_path, kind, defect):
+    """Entries, the service's raw entry read and tunings share one
+    reader: whatever is wrong with a record, it is moved aside (never
+    deleted, never served), counted once, and reads as a miss."""
+    save, lookup, misses, hits = RECORD_KINDS[kind]
+    store = KernelStore(tmp_path)
+    meta = {"name": kind, "structural_digest": "0" * 40}
+    path = save(store, meta)
+    assert lookup(store, meta) is not None  # intact: a (counted) hit
+    with open(path) as handle:
+        record = json.load(handle)
+    defect(path, record)
+
+    assert lookup(store, meta) is None
+    assert not os.path.exists(path)
+    assert len(os.listdir(store.quarantine_dir)) == 1
+    assert lookup(store, meta) is None  # now simply absent
+    stats = store.stats()
+    assert stats["quarantined"] == 1
+    counted = {name: stats[name] for name in COUNTED}
+    expected = dict.fromkeys(COUNTED, 0)
+    if misses:
+        expected.update({misses: 2, hits: 1})
+    assert counted == expected
+
+
 def test_unrebuildable_spec_quarantined(tmp_path):
     """A stored spec whose source no longer execs is quarantined by
     load_artifact and the already-counted hit is taken back."""
@@ -339,89 +413,110 @@ def test_uncreatable_store_root_degrades_to_no_tier(tmp_path):
     assert store.stats()["entries"] == 0
 
 
-class TestCodegenFingerprint:
-    """The fingerprint is derived from the backend's actual import
-    graph, not a hand-maintained module list (PR 6 satellite)."""
+class TestCodeFingerprint:
+    """The code version behind every persisted key is the package's
+    source tree, observed the only way that is honest for a
+    per-process memo: fresh interpreters over a copied tree."""
+
+    AXES = ("import json; from repro.compiler.key import version_axes; "
+            "print(json.dumps(version_axes()))")
+
+    #: A ``("vbl",) x ("sparse",)`` dot: the lowerer reaches
+    #: ``SparseVBLLevel.unfurl`` through the tensor, never an import.
+    VBL_DOT = """
+import json
+import numpy as np
+import repro.lang as fl
+a = np.zeros(40)
+a[3:9] = 1.0
+a[20:22] = 2.0
+A = fl.from_numpy(a, ("vbl",), name="A")
+B = fl.from_numpy(np.arange(40.0) % 3, ("sparse",), name="B")
+C = fl.Scalar(name="C")
+i = fl.indices("i")
+kernel = fl.compile_kernel(fl.forall(i, fl.increment(C[()], A[i] * B[i])))
+kernel.run()
+print(json.dumps({"from_cache": kernel.from_cache,
+                  "source": kernel.source, "value": float(C.value)}))
+"""
 
     @staticmethod
-    def _package(root, extra_module=False, body_suffix=""):
-        pkg = root / "fpkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "emitter.py").write_text(
-            "from fpkg import helper\n\n"
-            "def emit():\n    return helper.help()\n" + body_suffix)
-        helper = "def help():\n    return 1\n"
-        if extra_module:
-            helper = "from fpkg import newpass\n" + helper
-            (pkg / "newpass.py").write_text("def run():\n    return 2\n")
-        (pkg / "helper.py").write_text(helper)
-        return pkg
+    def _copy(tmp_path):
+        import shutil
 
-    def test_walks_transitive_imports(self, tmp_path, monkeypatch):
-        from repro.compiler.key import _codegen_modules
+        import repro
 
-        self._package(tmp_path)
-        monkeypatch.syspath_prepend(str(tmp_path))
-        modules = _codegen_modules(("fpkg.emitter",), "fpkg")
-        # The package __init__ rides along (``from fpkg import ...``).
-        assert set(modules) == {"fpkg", "fpkg.emitter", "fpkg.helper"}
+        root = tmp_path / "tree"
+        shutil.copytree(os.path.dirname(repro.__file__), root / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return root
 
-    def test_adding_a_codegen_module_changes_fingerprint(
-            self, tmp_path, monkeypatch):
-        """A brand-new module pulled into the graph — the case a
-        hand-maintained list silently misses — must invalidate."""
-        from repro.compiler.key import codegen_fingerprint
+    @staticmethod
+    def _fresh(root, code, **env):
+        import subprocess
+        import sys
 
-        base = tmp_path / "a"
-        base.mkdir()
-        self._package(base)
-        monkeypatch.syspath_prepend(str(base))
-        before = codegen_fingerprint(("fpkg.emitter",), "fpkg")
+        env = dict(os.environ, PYTHONPATH=str(root),
+                   PYTHONDONTWRITEBYTECODE="1", **env)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
 
-        import importlib
-        grown = tmp_path / "b"
-        grown.mkdir()
-        self._package(grown, extra_module=True)
-        monkeypatch.syspath_prepend(str(grown))
-        importlib.invalidate_caches()
-        after = codegen_fingerprint(("fpkg.emitter",), "fpkg")
-        assert before != after
+    def test_every_layer_is_in_the_key(self, tmp_path):
+        """Formats and modifiers (reached through tensors), the
+        optimizer, the C emitter and the store itself: an edit to any
+        one file moves the version axes, and nothing else does."""
+        root = self._copy(tmp_path)
+        seen = [self._fresh(root, self.AXES)]
+        assert self._fresh(root, self.AXES) == seen[0]
+        assert len(seen[0]["code_fingerprint"]) == 16
+        for relative in ("formats/vbl.py", "modifiers/__init__.py",
+                         "ir/optimize.py", "codegen/c_emit.py",
+                         "store/disk.py"):
+            with open(root / "repro" / relative, "a") as handle:
+                handle.write("# edited\n")
+            axes = self._fresh(root, self.AXES)
+            assert axes not in seen, relative
+            assert axes == self._fresh(root, self.AXES)
+            seen.append(axes)
 
-    def test_editing_a_leaf_module_changes_fingerprint(
-            self, tmp_path, monkeypatch):
-        from repro.compiler.key import codegen_fingerprint
+    def test_a_new_module_is_covered_by_living_in_the_package(
+            self, tmp_path):
+        root = self._copy(tmp_path)
+        before = self._fresh(root, self.AXES)
+        (root / "repro" / "formats" / "brand_new.py").write_text(
+            "LEVELS = ()\n")
+        assert self._fresh(root, self.AXES) != before
 
-        base = tmp_path / "a"
-        base.mkdir()
-        self._package(base)
-        monkeypatch.syspath_prepend(str(base))
-        before = codegen_fingerprint(("fpkg.emitter",), "fpkg")
+    def test_format_edit_is_a_miss_not_a_stale_hit(self, tmp_path):
+        """The regression the import crawl let through: it never saw
+        ``formats/vbl.py``, so a fresh process was served the kernel
+        the *old* unfurl emitted (``from_cache=True``, old source)."""
+        root = self._copy(tmp_path)
+        store = str(tmp_path / "store")
+        cold = self._fresh(root, self.VBL_DOT, FL_KERNEL_STORE=store)
+        warm = self._fresh(root, self.VBL_DOT, FL_KERNEL_STORE=store)
+        assert (cold["from_cache"], warm["from_cache"]) == (False, True)
+        assert "b_limit" not in warm["source"]
 
-        import importlib
-        edited = tmp_path / "b"
-        edited.mkdir()
-        pkg = edited / "fpkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "emitter.py").write_text(
-            "from fpkg import helper\n\n"
-            "def emit():\n    return helper.help()\n")
-        (pkg / "helper.py").write_text("def help():\n    return 99\n")
-        monkeypatch.syspath_prepend(str(edited))
-        importlib.invalidate_caches()
-        after = codegen_fingerprint(("fpkg.emitter",), "fpkg")
-        assert before != after
+        vbl = root / "repro" / "formats" / "vbl.py"
+        text = vbl.read_text()
+        assert 'ctx.freshen("b_stop")' in text
+        vbl.write_text(text.replace('ctx.freshen("b_stop")',
+                                    'ctx.freshen("b_limit")'))
+        edited = self._fresh(root, self.VBL_DOT, FL_KERNEL_STORE=store)
+        assert not edited["from_cache"]
+        assert "b_limit" in edited["source"]
+        assert edited["value"] == cold["value"]
 
-    def test_production_fingerprint_is_stable_and_covers_backend(self):
-        from repro.compiler.key import (_CODEGEN_ROOTS, _codegen_modules,
-                                        codegen_fingerprint)
+    def test_spawned_worker_agrees_with_its_parent(self):
+        """Ship-once ids are digests: a ``spawn``-started worker (a
+        fresh import of the same tree) must derive the parent's."""
+        import multiprocessing
 
-        first = codegen_fingerprint()
-        assert first == codegen_fingerprint()
-        assert len(first) == 16
-        modules = _codegen_modules(_CODEGEN_ROOTS, "repro")
-        # Roots are in their own closure, and the walk found
-        # dependencies no hand-written list mentioned.
-        assert set(_CODEGEN_ROOTS) <= set(modules)
-        assert len(modules) > len(_CODEGEN_ROOTS)
+        from repro.compiler.key import code_fingerprint
+
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            assert pool.apply(code_fingerprint) == code_fingerprint()

@@ -81,3 +81,12 @@ def test_subpackage_imports():
     import repro.workloads
 
     assert repro.__version__
+
+
+def test_store_exports_resolve_and_carry_no_fingerprint_function():
+    import repro.store
+
+    for name in repro.store.__all__:
+        assert getattr(repro.store, name) is not None, name
+    # The code version is one axis of ``version_axes()``, not an API.
+    assert not hasattr(repro.store, "codegen_fingerprint")

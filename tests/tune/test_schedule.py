@@ -81,7 +81,7 @@ def test_tuning_key_carries_version_axes_but_no_compile_options():
     meta = tuning_key_meta(dot_program()[0])
     assert meta["kind"] == "tuning"
     for axis in ("store_version", "tune_version", "registry_version",
-                 "pipeline_fingerprint", "codegen_fingerprint"):
+                 "code_fingerprint"):
         assert meta[axis], axis
     assert "opt_level" not in meta and "backend" not in meta
 

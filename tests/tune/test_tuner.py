@@ -156,7 +156,7 @@ def test_divergent_candidates_are_never_persisted(tmp_path):
 
     # The same search on the healthy tree persists a verified winner.
     # (A fresh store: the buggy run legitimately cached its candidate
-    # *artifacts* — the injection monkeypatches a pass the pipeline
+    # *artifacts* — the injection monkeypatches a pass, which the code
     # fingerprint cannot see — and only the tunings table is gated.)
     healthy = tune_program(make_program, label="healthy dot",
                            opt_levels=(2,), backends=("python",),
