@@ -92,6 +92,20 @@ from repro.util.errors import BindingError, SpecError
 #: ``.so`` sibling when one is present).
 SPEC_VERSION = 3
 
+#: Every key of a spec besides ``spec_version``, in spec order.  Each
+#: is also the :class:`CompiledKernel` attribute and constructor
+#: parameter of that name: ``to_spec`` and ``from_spec`` both walk
+#: this table, so a new field is added here (and to ``__init__``).
+SPEC_FIELDS = ("name", "source", "raw_source", "backend", "c_source",
+               "c_param_dtypes", "opt_level", "plan", "signatures",
+               "alias_groups", "instrument", "constant_loop_rewrite",
+               "compile_seconds", "structural_key", "slot_names")
+#: What ``from_spec`` reads for a field a spec leaves out; the fields
+#: not listed are required.
+_SPEC_DEFAULTS = {"backend": "python", "c_source": None,
+                  "c_param_dtypes": None, "slot_names": None}
+
+
 def _plain(value):
     """``value`` with nested tuples rewritten as lists (JSON-safe)."""
     if isinstance(value, tuple):
@@ -117,11 +131,8 @@ class CompiledKernel:
     structure; itself immutable after construction.
     """
 
-    __slots__ = ("fn", "name", "source", "raw_source", "opt_level",
-                 "plan", "seed_args", "seed_tensors", "signatures",
-                 "alias_groups", "instrument", "compile_seconds",
-                 "structural_key", "slot_names", "constant_loop_rewrite",
-                 "backend", "c_source", "c_param_dtypes", "so_path")
+    __slots__ = ("fn", "seed_args", "seed_tensors",
+                 "so_path") + SPEC_FIELDS
 
     def __init__(self, fn, name, source, raw_source, opt_level, plan,
                  seed_args, seed_tensors, signatures, alias_groups,
@@ -206,24 +217,11 @@ class CompiledKernel:
                 "the artifact cannot be serialized" % self.name,
                 structural_key=self.structural_key,
                 slot_names=slot_names)
-        return {
-            "spec_version": SPEC_VERSION,
-            "name": self.name,
-            "source": self.source,
-            "raw_source": self.raw_source,
-            "backend": self.backend,
-            "c_source": self.c_source,
-            "c_param_dtypes": self.c_param_dtypes,
-            "opt_level": self.opt_level,
-            "plan": _plain(self.plan),
-            "signatures": _plain(self.signatures),
-            "alias_groups": _plain(self.alias_groups),
-            "instrument": self.instrument,
-            "constant_loop_rewrite": self.constant_loop_rewrite,
-            "compile_seconds": self.compile_seconds,
-            "structural_key": _plain(self.structural_key),
-            "slot_names": list(slot_names),
-        }
+        spec = {"spec_version": SPEC_VERSION}
+        for key in SPEC_FIELDS:
+            spec[key] = _plain(getattr(self, key))
+        spec["slot_names"] = list(slot_names)
+        return spec
 
     @classmethod
     def from_spec(cls, spec, so_path=None):
@@ -246,34 +244,15 @@ class CompiledKernel:
             raise SpecError(
                 "kernel spec version %r is not supported (expected %d)"
                 % (version, SPEC_VERSION))
-        plan = _frozen(spec["plan"])
-        backend = spec.get("backend", "python")
-        c_source = spec.get("c_source")
+        spec = {**_SPEC_DEFAULTS, **spec}
+        fields = {key: _frozen(spec[key]) for key in SPEC_FIELDS}
         fn, built_path = _entry_point(
-            spec["name"], spec["source"],
-            c_source if backend == "c" else None,
-            spec.get("c_param_dtypes"), so_path=so_path)
-        return cls(
-            fn=fn,
-            name=spec["name"],
-            source=spec["source"],
-            raw_source=spec["raw_source"],
-            backend=backend,
-            c_source=c_source,
-            c_param_dtypes=spec.get("c_param_dtypes"),
-            so_path=built_path,
-            opt_level=spec["opt_level"],
-            plan=plan,
-            seed_args=(None,) * len(plan),
-            seed_tensors=(),
-            signatures=_frozen(spec["signatures"]),
-            alias_groups=_frozen(spec["alias_groups"]),
-            instrument=spec["instrument"],
-            compile_seconds=spec["compile_seconds"],
-            structural_key=_frozen(spec["structural_key"]),
-            slot_names=spec.get("slot_names"),
-            constant_loop_rewrite=spec["constant_loop_rewrite"],
-        )
+            fields["name"], fields["source"],
+            fields["c_source"] if fields["backend"] == "c" else None,
+            fields["c_param_dtypes"], so_path=so_path)
+        return cls(fn=fn, so_path=built_path,
+                   seed_args=(None,) * len(fields["plan"]),
+                   seed_tensors=(), **fields)
 
     def validate(self, tensors):
         """Check that ``tensors`` fill every slot with matching format

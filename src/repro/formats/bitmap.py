@@ -14,6 +14,7 @@ from repro.formats.level import (
     FiberSlice,
     Level,
     fill_payload,
+    is_fill,
     subtree_dtype,
     subtree_shape,
 )
@@ -26,6 +27,8 @@ from repro.util.errors import FormatError
 class BitmapLevel(Level):
     """Densely stored children guarded by a boolean occupancy table."""
 
+    NAME = "bitmap"
+    ARRAYS = ("tbl",)
     PROTOCOLS = ("walk", "locate")
     DEFAULT_PROTOCOL = "walk"
 
@@ -36,6 +39,16 @@ class BitmapLevel(Level):
             raise FormatError("tbl must be a flat boolean array")
         if self.shape and len(self.tbl) % self.shape != 0:
             raise FormatError("tbl length must be a multiple of the shape")
+
+    @classmethod
+    def build(cls, slices, dim, fill):
+        tbl = []
+        children = []
+        for s in slices:
+            for j in range(dim):
+                tbl.append(not is_fill(s[j], fill))
+                children.append(s[j])
+        return {"tbl": tbl}, children
 
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
@@ -64,9 +77,6 @@ class BitmapLevel(Level):
             if self.tbl[pos * self.shape + j]:
                 out[j] = self.child.fiber_to_numpy(pos * self.shape + j)
         return out
-
-    def buffers(self):
-        return {"tbl": self.tbl}
 
     def __repr__(self):
         return "BitmapLevel(%d)" % self.shape

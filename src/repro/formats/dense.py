@@ -2,7 +2,12 @@
 
 import numpy as np
 
-from repro.formats.level import FiberSlice, Level
+from repro.formats.level import (
+    FiberSlice,
+    Level,
+    subtree_dtype,
+    subtree_shape,
+)
 from repro.ir import build
 from repro.looplets import Lookup
 
@@ -16,8 +21,14 @@ class DenseLevel(Level):
     protocol) — because a dense sequence has no structure to expose.
     """
 
+    NAME = "dense"
     PROTOCOLS = ("walk", "locate")
     DEFAULT_PROTOCOL = "walk"
+
+    @classmethod
+    def build(cls, slices, dim, fill):
+        children = [s[j] for s in slices for j in range(dim)]
+        return {}, children
 
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
@@ -37,10 +48,11 @@ class DenseLevel(Level):
     def fiber_to_numpy(self, pos):
         children = [self.child.fiber_to_numpy(pos * self.shape + j)
                     for j in range(self.shape)]
+        if not children:
+            # np.array([]) would forget the trailing modes.
+            return np.empty((0,) + subtree_shape(self.child),
+                            dtype=subtree_dtype(self.child))
         return np.array(children)
-
-    def buffers(self):
-        return {}
 
     def __repr__(self):
         return "DenseLevel(%d)" % self.shape

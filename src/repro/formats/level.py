@@ -14,6 +14,8 @@ reached — the compiler converts terminal slices via
 :meth:`FiberSlice.scalar`).
 """
 
+import numpy as np
+
 from repro.ir.nodes import Literal, as_expr
 from repro.looplets import Run
 from repro.util.errors import FormatError, ProtocolError
@@ -27,6 +29,16 @@ class Level:
     :class:`~repro.formats.element.ElementLevel` at the bottom.
     """
 
+    #: the name ``from_numpy``/``convert`` know this format by; a
+    #: named class is listed in ``repro.formats.FORMATS``.  ``None``
+    #: for the virtual levels no format name reaches.
+    NAME = None
+    #: the constructor's array parameters after ``(shape, child)``, in
+    #: order — also the attribute names, the :meth:`buffers` hints and
+    #: the keys of :meth:`build`'s result.
+    ARRAYS = ()
+    #: True for value-compressing formats, legal only innermost.
+    LEAF_ONLY = False
     #: protocols this level accepts, in addition to its default.
     PROTOCOLS = ("walk",)
     DEFAULT_PROTOCOL = "walk"
@@ -55,6 +67,13 @@ class Level:
                 % (type(self).__name__, proto, ", ".join(self.PROTOCOLS)))
         return proto
 
+    @classmethod
+    def build(cls, slices, dim, fill):
+        """Scan fiber ``slices`` (numpy views, in position order) of a
+        ``dim``-wide mode: returns this level's ``ARRAYS`` by name, and
+        the slices its stored children correspond to."""
+        raise NotImplementedError
+
     def unfurl(self, ctx, pos, proto=None):
         """The looplet nest describing fiber ``pos`` under ``proto``.
 
@@ -74,7 +93,7 @@ class Level:
 
     def fiber_count(self):
         """How many fibers this level stores."""
-        raise NotImplementedError
+        return len(self.pos) - 1
 
     def fiber_to_numpy(self, pos):
         """Densify the subtree rooted at fiber ``pos`` (tests/oracles)."""
@@ -83,7 +102,12 @@ class Level:
     def buffers(self):
         """Mapping of buffer-name hints to the numpy arrays backing the
         level (used by the compiler to bind kernel arguments)."""
-        raise NotImplementedError
+        # On every kernel bind: a bare loop, because a comprehension
+        # costs a function call per level before Python 3.12.
+        out = {}
+        for name in self.ARRAYS:
+            out[name] = getattr(self, name)
+        return out
 
 
 class FiberSlice:
@@ -147,6 +171,11 @@ class FillFiber:
         return Run(payload)
 
 
+def is_fill(slice_, fill):
+    """Whether a whole fiber slice is background (``build`` scans)."""
+    return bool(np.all(slice_ == fill))
+
+
 def subtree_shape(level):
     """The dense shape of the subtree under (and including) ``level``."""
     shape = []
@@ -166,8 +195,6 @@ def subtree_dtype(level):
 def full_fill(level):
     """A dense numpy array of fill values shaped like one fiber of
     ``level``'s subtree."""
-    import numpy as np
-
     return np.full(subtree_shape(level), level.fill,
                    dtype=subtree_dtype(level))
 

@@ -30,10 +30,38 @@ from repro.ir.nodes import Call, Literal, Load, Var
 from repro.looplets import Case, Lookup, Run, Stepper, Switch
 from repro.util.errors import FormatError
 
+#: minimum run length worth a PackBits run group (as in TIFF encoders).
+_MIN_RUN = 3
+
+
+def _groups(s, dim):
+    """Split one row into (start, stop, is_run) groups."""
+    groups = []
+    j = 0
+    literal_start = None
+    while j < dim:
+        run_end = j
+        while run_end < dim and s[run_end] == s[j]:
+            run_end += 1
+        if run_end - j >= _MIN_RUN:
+            if literal_start is not None:
+                groups.append((literal_start, j, False))
+                literal_start = None
+            groups.append((j, run_end, True))
+        elif literal_start is None:
+            literal_start = j
+        j = run_end
+    if literal_start is not None:
+        groups.append((literal_start, dim, False))
+    return groups
+
 
 class PackBitsLevel(Level):
     """Alternating runs and literal regions, covering the dimension."""
 
+    NAME = "packbits"
+    ARRAYS = ("pos", "idx", "vof")
+    LEAF_ONLY = True
     PROTOCOLS = ("walk",)
     DEFAULT_PROTOCOL = "walk"
 
@@ -53,6 +81,25 @@ class PackBitsLevel(Level):
                 raise FormatError(
                     "fiber %d groups must increase and tile [0, %d)"
                     % (p, self.shape))
+
+    @classmethod
+    def build(cls, slices, dim, fill):
+        pos = [0]
+        idx = []
+        vof = [0]
+        children = []
+        for s in slices:
+            for start, stop, is_run in _groups(s, dim):
+                idx.append(stop if is_run else -stop)
+                if is_run:
+                    children.append(s[start])
+                else:
+                    children.extend(s[j] for j in range(start, stop))
+                vof.append(len(children))
+            pos.append(len(idx))
+        # The running end-of-values is exactly the start of the next group,
+        # so the accumulated list is vof (with its sentinel) already.
+        return {"pos": pos, "idx": idx, "vof": vof}, children
 
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
@@ -98,9 +145,6 @@ class PackBitsLevel(Level):
             next=advance,
         )
 
-    def fiber_count(self):
-        return len(self.pos) - 1
-
     def fiber_to_numpy(self, pos):
         shape = (self.shape,) + subtree_shape(self.child)
         out = np.full(shape, self.fill, dtype=subtree_dtype(self.child))
@@ -115,9 +159,6 @@ class PackBitsLevel(Level):
                         self.vof[g] + (j - left))
             left = end
         return out
-
-    def buffers(self):
-        return {"pos": self.pos, "idx": self.idx, "vof": self.vof}
 
     def __repr__(self):
         return "PackBitsLevel(%d, groups=%d)" % (self.shape, len(self.idx))

@@ -12,6 +12,7 @@ from repro.formats.level import (
     FiberSlice,
     Level,
     fill_payload,
+    is_fill,
     subtree_dtype,
     subtree_shape,
 )
@@ -24,6 +25,8 @@ from repro.util.errors import FormatError
 class RaggedLevel(Level):
     """Per-fiber prefix lengths (dense rows of varying width)."""
 
+    NAME = "ragged"
+    ARRAYS = ("pos",)
     PROTOCOLS = ("walk",)
     DEFAULT_PROTOCOL = "walk"
 
@@ -34,6 +37,18 @@ class RaggedLevel(Level):
             width = self.pos[p + 1] - self.pos[p]
             if width < 0 or width > self.shape:
                 raise FormatError("fiber %d width out of bounds" % p)
+
+    @classmethod
+    def build(cls, slices, dim, fill):
+        pos = [0]
+        children = []
+        for s in slices:
+            width = dim
+            while width > 0 and is_fill(s[width - 1], fill):
+                width -= 1
+            children.extend(s[j] for j in range(width))
+            pos.append(len(children))
+        return {"pos": pos}, children
 
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
@@ -52,18 +67,12 @@ class RaggedLevel(Level):
             Phase(Run(fill_payload(self))),
         ])
 
-    def fiber_count(self):
-        return len(self.pos) - 1
-
     def fiber_to_numpy(self, pos):
         shape = (self.shape,) + subtree_shape(self.child)
         out = np.full(shape, self.fill, dtype=subtree_dtype(self.child))
         for j in range(self.pos[pos + 1] - self.pos[pos]):
             out[j] = self.child.fiber_to_numpy(self.pos[pos] + j)
         return out
-
-    def buffers(self):
-        return {"pos": self.pos}
 
     def __repr__(self):
         return "RaggedLevel(%d)" % self.shape

@@ -26,6 +26,9 @@ from repro.util.errors import FormatError
 class RunLengthLevel(Level):
     """Run-length encoded children; runs cover the full dimension."""
 
+    NAME = "rle"
+    ARRAYS = ("pos", "right")
+    LEAF_ONLY = True
     PROTOCOLS = ("walk",)
     DEFAULT_PROTOCOL = "walk"
 
@@ -42,6 +45,22 @@ class RunLengthLevel(Level):
                 raise FormatError(
                     "fiber %d runs must increase and tile [0, %d)"
                     % (p, self.shape))
+
+    @classmethod
+    def build(cls, slices, dim, fill):
+        pos = [0]
+        right = []
+        children = []
+        for s in slices:
+            j = 0
+            while j < dim:
+                start = j
+                while j < dim and s[j] == s[start]:
+                    j += 1
+                right.append(j)
+                children.append(s[start])
+            pos.append(len(right))
+        return {"pos": pos, "right": right}, children
 
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
@@ -68,9 +87,6 @@ class RunLengthLevel(Level):
             next=advance,
         )
 
-    def fiber_count(self):
-        return len(self.pos) - 1
-
     def fiber_to_numpy(self, pos):
         shape = (self.shape,) + subtree_shape(self.child)
         out = np.full(shape, self.fill, dtype=subtree_dtype(self.child))
@@ -80,9 +96,6 @@ class RunLengthLevel(Level):
             out[left:self.right[q]] = value
             left = self.right[q]
         return out
-
-    def buffers(self):
-        return {"pos": self.pos, "right": self.right}
 
     def __repr__(self):
         return "RunLengthLevel(%d, runs=%d)" % (self.shape, len(self.right))

@@ -13,6 +13,7 @@ from repro.formats.level import (
     FiberSlice,
     Level,
     fill_payload,
+    is_fill,
     subtree_dtype,
     subtree_shape,
 )
@@ -25,6 +26,8 @@ from repro.util.errors import FormatError
 class SparseBandLevel(Level):
     """A single contiguous band of non-fill children per fiber."""
 
+    NAME = "band"
+    ARRAYS = ("pos", "lo")
     PROTOCOLS = ("walk",)
     DEFAULT_PROTOCOL = "walk"
 
@@ -38,6 +41,22 @@ class SparseBandLevel(Level):
             width = self.pos[p + 1] - self.pos[p]
             if width < 0 or self.lo[p] < 0 or self.lo[p] + width > self.shape:
                 raise FormatError("band %d out of bounds" % p)
+
+    @classmethod
+    def build(cls, slices, dim, fill):
+        pos = [0]
+        lo = []
+        children = []
+        for s in slices:
+            stored = [j for j in range(dim) if not is_fill(s[j], fill)]
+            if stored:
+                first, last = stored[0], stored[-1]
+                lo.append(first)
+                children.extend(s[j] for j in range(first, last + 1))
+            else:
+                lo.append(0)
+            pos.append(len(children))
+        return {"pos": pos, "lo": lo}, children
 
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
@@ -60,9 +79,6 @@ class SparseBandLevel(Level):
             Phase(Run(fill_payload(self))),
         ])
 
-    def fiber_count(self):
-        return len(self.pos) - 1
-
     def fiber_to_numpy(self, pos):
         shape = (self.shape,) + subtree_shape(self.child)
         out = np.full(shape, self.fill, dtype=subtree_dtype(self.child))
@@ -70,9 +86,6 @@ class SparseBandLevel(Level):
         for offset, q in enumerate(range(self.pos[pos], self.pos[pos + 1])):
             out[lo + offset] = self.child.fiber_to_numpy(q)
         return out
-
-    def buffers(self):
-        return {"pos": self.pos, "lo": self.lo}
 
     def __repr__(self):
         return "SparseBandLevel(%d)" % self.shape

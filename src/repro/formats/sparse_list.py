@@ -26,6 +26,7 @@ from repro.formats.level import (
     Level,
     child_payload,
     fill_payload,
+    is_fill,
     subtree_dtype,
     subtree_shape,
 )
@@ -38,6 +39,8 @@ from repro.util.errors import FormatError
 class SparseListLevel(Level):
     """Sorted coordinate list of non-fill children."""
 
+    NAME = "sparse"
+    ARRAYS = ("pos", "idx")
     PROTOCOLS = ("walk", "gallop")
     DEFAULT_PROTOCOL = "walk"
 
@@ -57,6 +60,19 @@ class SparseListLevel(Level):
                 raise FormatError(
                     "fiber %d indices must be strictly increasing and "
                     "within [0, %d)" % (p, self.shape))
+
+    @classmethod
+    def build(cls, slices, dim, fill):
+        pos = [0]
+        idx = []
+        children = []
+        for s in slices:
+            for j in range(dim):
+                if not is_fill(s[j], fill):
+                    idx.append(j)
+                    children.append(s[j])
+            pos.append(len(idx))
+        return {"pos": pos, "idx": idx}, children
 
     def unfurl(self, ctx, pos, proto=None):
         proto = self.resolve_protocol(proto)
@@ -137,18 +153,12 @@ class SparseListLevel(Level):
             next=self._next(state),
         )
 
-    def fiber_count(self):
-        return len(self.pos) - 1
-
     def fiber_to_numpy(self, pos):
         shape = (self.shape,) + subtree_shape(self.child)
         out = np.full(shape, self.fill, dtype=subtree_dtype(self.child))
         for q in range(self.pos[pos], self.pos[pos + 1]):
             out[self.idx[q]] = self.child.fiber_to_numpy(q)
         return out
-
-    def buffers(self):
-        return {"pos": self.pos, "idx": self.idx}
 
     def __repr__(self):
         return "SparseListLevel(%d, nnz=%d)" % (self.shape, len(self.idx))

@@ -18,6 +18,7 @@ from repro.formats.level import (
     FiberSlice,
     Level,
     fill_payload,
+    is_fill,
     subtree_dtype,
     subtree_shape,
 )
@@ -31,6 +32,8 @@ from repro.util.errors import FormatError
 class SparseVBLLevel(Level):
     """Multiple variable-width dense blocks per fiber."""
 
+    NAME = "vbl"
+    ARRAYS = ("pos", "end", "ofs")
     PROTOCOLS = ("walk", "gallop")
     DEFAULT_PROTOCOL = "walk"
 
@@ -47,6 +50,27 @@ class SparseVBLLevel(Level):
             width = self.ofs[b + 1] - self.ofs[b]
             if width <= 0 or self.end[b] - width < 0 or self.end[b] > self.shape:
                 raise FormatError("block %d malformed" % b)
+
+    @classmethod
+    def build(cls, slices, dim, fill):
+        pos = [0]
+        end = []
+        ofs = [0]
+        children = []
+        for s in slices:
+            j = 0
+            while j < dim:
+                if is_fill(s[j], fill):
+                    j += 1
+                    continue
+                start = j
+                while j < dim and not is_fill(s[j], fill):
+                    j += 1
+                end.append(j)
+                children.extend(s[k] for k in range(start, j))
+                ofs.append(len(children))
+            pos.append(len(end))
+        return {"pos": pos, "end": end, "ofs": ofs}, children
 
     def unfurl(self, ctx, pos, proto=None):
         proto = self.resolve_protocol(proto)
@@ -114,9 +138,6 @@ class SparseVBLLevel(Level):
             Phase(Run(fill_payload(self))),
         ])
 
-    def fiber_count(self):
-        return len(self.pos) - 1
-
     def fiber_to_numpy(self, pos):
         shape = (self.shape,) + subtree_shape(self.child)
         out = np.full(shape, self.fill, dtype=subtree_dtype(self.child))
@@ -126,9 +147,6 @@ class SparseVBLLevel(Level):
             for step in range(width):
                 out[start + step] = self.child.fiber_to_numpy(self.ofs[b] + step)
         return out
-
-    def buffers(self):
-        return {"pos": self.pos, "end": self.end, "ofs": self.ofs}
 
     def __repr__(self):
         return "SparseVBLLevel(%d, blocks=%d)" % (self.shape, len(self.end))

@@ -63,9 +63,6 @@ class TriangularLevel(Level):
             out[j] = self.child.fiber_to_numpy(offset + j)
         return out
 
-    def buffers(self):
-        return {}
-
     def __repr__(self):
         return "TriangularLevel(%d)" % self.shape
 
@@ -109,9 +106,6 @@ class SymmetricLevel(Level):
             i, jj = (pos, j) if j <= pos else (j, pos)
             out[j] = self.child.fiber_to_numpy(i * (i + 1) // 2 + jj)
         return out
-
-    def buffers(self):
-        return {}
 
     def __repr__(self):
         return "SymmetricLevel(%d)" % self.shape

@@ -31,11 +31,14 @@ import random
 import numpy as np
 
 import repro.lang as fl
+from repro.formats import FORMATS, format_names
 
+# The format lists are the registry's (``repro.formats.FORMATS``), in
+# its order: the seeded draws below index into them.
 #: Formats legal in any mode.
-FORMATS_ANY = ("dense", "sparse", "band", "vbl", "bitmap", "ragged")
+FORMATS_ANY = format_names(leaf_only=False)
 #: Formats legal only in the innermost mode (value-compressing leaves).
-FORMATS_LEAF_ONLY = ("rle", "packbits")
+FORMATS_LEAF_ONLY = format_names(leaf_only=True)
 #: Formats legal in the innermost mode.
 FORMATS_INNER = FORMATS_ANY + FORMATS_LEAF_ONLY
 
@@ -43,9 +46,8 @@ FORMATS_INNER = FORMATS_ANY + FORMATS_LEAF_ONLY
 #: the format's level class declares (its ``PROTOCOLS``), then
 #: ``follow``, which degrades to the passive default on every format.
 PROTOCOLS_BY_FORMAT = {
-    fmt: (None,) + level.PROTOCOLS + ("follow",)
-    for fmt in FORMATS_INNER
-    for level in fl.from_numpy(np.zeros(1), (fmt,)).levels}
+    fmt: (None,) + FORMATS[fmt].PROTOCOLS + ("follow",)
+    for fmt in FORMATS_INNER}
 
 #: Protocols that can lead a coiteration; every loop index needs at
 #: least one operand accessing it with one of these.

@@ -18,14 +18,14 @@ except ImportError as exc:  # pragma: no cover - test envs have it
         "repro.fuzz.strategies needs hypothesis (a test extra): "
         "pip install repro-looplets[test]") from exc
 
+from repro.fuzz.gen import FORMATS_ANY, FORMATS_INNER
+
 #: Every 1-D (innermost-mode) format.
-FORMATS_1D = ["dense", "sparse", "band", "vbl", "rle", "bitmap",
-              "ragged", "packbits"]
+FORMATS_1D = list(FORMATS_INNER)
 #: Formats legal as the outer mode of a matrix.
-FORMATS_OUTER = ["dense", "sparse", "ragged"]
+FORMATS_OUTER = list(FORMATS_ANY)
 #: Formats exercised as the inner mode of a matrix.
-FORMATS_MATRIX_INNER = ["dense", "sparse", "band", "vbl", "rle",
-                        "bitmap", "ragged"]
+FORMATS_MATRIX_INNER = FORMATS_1D
 
 format_1d = st.sampled_from(FORMATS_1D)
 format_outer = st.sampled_from(FORMATS_OUTER)

@@ -1,22 +1,24 @@
 """Tensor format conversion.
 
 ``convert(tensor, formats)`` re-formats a tensor.  When the target's
-innermost mode is dense, sparse, or rle, the conversion runs as a
-*compiled copy kernel* — the source is unfurled through its looplets
-and the result assembled structurally (one append per run/nonzero), so
-converting an RLE image to sparse never densifies it.  Other targets
-(band, vbl, packbits, bitmap, ragged) assemble from the densified
-array on the host, which is exact but O(size).
+innermost mode is dense, or a format with an append-style output
+builder (sparse, rle), the conversion runs as a *compiled copy
+kernel* — the source is unfurled through its looplets and the result
+assembled structurally (one append per run/nonzero), so converting an
+RLE image to sparse never densifies it.  Every other target assembles
+from the densified array on the host, which is exact but O(size).
 """
 
 import repro.cin.builders as fl
+from repro.formats import FORMATS
 from repro.ir.nodes import Var
 from repro.tensors.construct import from_numpy, zeros
 from repro.tensors.output import RunOutput, SparseOutput
 from repro.tensors.tensor import Tensor
 from repro.util.errors import FormatError
 
-_KERNEL_TARGETS = ("dense", "sparse", "sparse_list", "rle")
+#: The append-style output that assembles each level class.
+_APPEND_OUTPUTS = {out.LEVEL: out for out in (RunOutput, SparseOutput)}
 
 
 def convert(tensor, formats, name=None):
@@ -30,29 +32,25 @@ def convert(tensor, formats, name=None):
         raise FormatError("scalars have no formats to convert")
     name = name or getattr(tensor, "name", "T")
 
-    inner = formats[-1]
+    out_cls = _APPEND_OUTPUTS.get(FORMATS.get(formats[-1]))
     outer_dense = all(fmt == "dense" for fmt in formats[:-1])
-    if inner in _KERNEL_TARGETS and outer_dense:
-        return _convert_by_kernel(tensor, formats, name)
+    if (out_cls or formats[-1] == "dense") and outer_dense:
+        return _convert_by_kernel(tensor, out_cls, name)
     return from_numpy(tensor.to_numpy(), formats, fill=tensor.fill,
                       name=name)
 
 
-def _convert_by_kernel(tensor, formats, name):
+def _convert_by_kernel(tensor, out_cls, name):
     # Imported here: the compiler depends on repro.tensors, so a
     # module-level import would be circular.
     from repro.compiler.kernel import compile_kernel
 
     shape = tensor.shape
     fill = tensor.fill
-    inner = formats[-1]
-    if inner == "dense":
+    if out_cls is None:
         out = zeros(shape, fill=fill, dtype=tensor.dtype, name=name)
-    elif inner == "rle":
-        out = RunOutput(shape, fill=fill, dtype=tensor.dtype, name=name)
     else:
-        out = SparseOutput(shape, fill=fill, dtype=tensor.dtype,
-                           name=name)
+        out = out_cls(shape, fill=fill, dtype=tensor.dtype, name=name)
 
     idxs = [Var("i%d" % mode) for mode in range(tensor.ndim)]
     body = fl.store(out[tuple(idxs)], fl.access(tensor, *idxs))

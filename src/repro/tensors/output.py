@@ -22,7 +22,8 @@ import numpy as np
 from repro.formats.dense import DenseLevel
 from repro.formats.element import ElementLevel
 from repro.formats.rle import RunLengthLevel
-from repro.tensors.tensor import Tensor
+from repro.formats.sparse_list import SparseListLevel
+from repro.tensors.tensor import Tensor, _normalize_fill
 from repro.util.errors import FormatError, ReproError
 
 
@@ -70,13 +71,14 @@ class RunBuilder:
             self._push(self.total, self.fill)
 
 
-class RunOutput:
-    """An output tensor assembled as run-length-encoded fibers.
+class _AppendOutput:
+    """What the append-style outputs share: the eDSL surface, the
+    kernel binding, and the dense levels wrapped around the assembled
+    innermost one.
 
-    Behaves enough like a Tensor for the eDSL (``__getitem__``,
-    ``shape``, ``fill``); after the kernel runs, :meth:`to_tensor`
-    yields a real Dense/RunLength tensor and :meth:`to_numpy` a dense
-    array.
+    A subclass names its builder (``BUILDER``), the level class it
+    assembles (``LEVEL``), its signature tag and default name, and
+    implements :meth:`_split`.
     """
 
     def __init__(self, shape, fill=0.0, dtype=np.float64, name=None):
@@ -84,14 +86,15 @@ class RunOutput:
             shape = (shape,)
         self.shape = tuple(int(s) for s in shape)
         if not self.shape:
-            raise FormatError("RunOutput needs at least one mode")
+            raise FormatError("%s needs at least one mode"
+                              % type(self).__name__)
         self.fill = fill
         self.dtype = np.dtype(dtype)
-        self.name = name or "R"
+        self.name = name or self.DEFAULT_NAME
         total = 1
         for dim in self.shape:
             total *= dim
-        self.builder = RunBuilder(total, fill)
+        self.builder = self.BUILDER(total, fill)
 
     @property
     def ndim(self):
@@ -107,20 +110,52 @@ class RunOutput:
         return access(self, *idxs)
 
     def kernel_buffers(self):
-        """The builder is the only object kernels bind for RLE outputs."""
+        """The builder is the only object kernels bind for these outputs."""
         return {"builder": self.builder}
 
     def format_signature(self):
-        from repro.tensors.tensor import _normalize_fill
-
-        return ("run_output", self.shape, str(self.dtype),
+        return (self.TAG, self.shape, str(self.dtype),
                 _normalize_fill(self.fill))
 
     def finalize(self):
-        """Split the flat run stream into per-row RLE arrays."""
-        self.builder.close()
+        """Split the flat stream into per-row arrays of ``LEVEL``."""
         inner = self.shape[-1]
         rows = self.builder.total // max(inner, 1)
+        arrays, values = self._split(inner, rows)
+        element = ElementLevel(np.array(values, dtype=self.dtype)
+                               if values else np.zeros(0, dtype=self.dtype),
+                               fill_value=self.fill)
+        child = self.LEVEL(inner, element, **arrays)
+        levels = [child]
+        for dim in reversed(self.shape[:-1]):
+            child = DenseLevel(dim, child)
+            levels.insert(0, child)
+        return Tensor(levels, element, name=self.name)
+
+    def to_tensor(self):
+        return self.finalize()
+
+    def to_numpy(self):
+        return self.finalize().to_numpy()
+
+
+class RunOutput(_AppendOutput):
+    """An output tensor assembled as run-length-encoded fibers.
+
+    Behaves enough like a Tensor for the eDSL (``__getitem__``,
+    ``shape``, ``fill``); after the kernel runs, :meth:`to_tensor`
+    yields a real Dense/RunLength tensor and :meth:`to_numpy` a dense
+    array.
+    """
+
+    BUILDER = RunBuilder
+    LEVEL = RunLengthLevel
+    TAG = "run_output"
+    DEFAULT_NAME = "R"
+
+    def _split(self, inner, rows):
+        """The flat run stream as per-row RLE arrays."""
+        self.builder.close()
         pos = [0]
         right = []
         values = []
@@ -138,24 +173,7 @@ class RunOutput:
                 right.append(inner)
                 values.append(vals[q] if q < len(ends) else self.fill)
             pos.append(len(right))
-        element = ElementLevel(np.array(values or [self.fill],
-                                        dtype=self.dtype)[:len(values)]
-                               if values else
-                               np.zeros(0, dtype=self.dtype),
-                               fill_value=self.fill)
-        rle = RunLengthLevel(inner, element, pos, right)
-        levels = [rle]
-        child = rle
-        for dim in reversed(self.shape[:-1]):
-            child = DenseLevel(dim, child)
-            levels.insert(0, child)
-        return Tensor(levels, element, name=self.name)
-
-    def to_tensor(self):
-        return self.finalize()
-
-    def to_numpy(self):
-        return self.finalize().to_numpy()
+        return {"pos": pos, "right": right}, values
 
     def run_count(self):
         """Number of stored runs (work measure for RLE outputs)."""
@@ -191,7 +209,7 @@ class SparseBuilder:
         self.values.append(value)
 
 
-class SparseOutput:
+class SparseOutput(_AppendOutput):
     """An output tensor assembled as per-fiber sorted coordinate lists.
 
     The compiler guards every store with a fill check, so only non-fill
@@ -200,49 +218,13 @@ class SparseOutput:
     tensor.
     """
 
-    def __init__(self, shape, fill=0.0, dtype=np.float64, name=None):
-        if isinstance(shape, int):
-            shape = (shape,)
-        self.shape = tuple(int(s) for s in shape)
-        if not self.shape:
-            raise FormatError("SparseOutput needs at least one mode")
-        self.fill = fill
-        self.dtype = np.dtype(dtype)
-        self.name = name or "S"
-        total = 1
-        for dim in self.shape:
-            total *= dim
-        self.builder = SparseBuilder(total, fill)
+    BUILDER = SparseBuilder
+    LEVEL = SparseListLevel
+    TAG = "sparse_output"
+    DEFAULT_NAME = "S"
 
-    @property
-    def ndim(self):
-        return len(self.shape)
-
-    def __getitem__(self, idxs):
-        from repro.cin.builders import access
-
-        if not isinstance(idxs, tuple):
-            idxs = (idxs,)
-        if len(idxs) != self.ndim:
-            raise FormatError("%s has %d modes" % (self.name, self.ndim))
-        return access(self, *idxs)
-
-    def kernel_buffers(self):
-        """The builder is the only object kernels bind for sparse outputs."""
-        return {"builder": self.builder}
-
-    def format_signature(self):
-        from repro.tensors.tensor import _normalize_fill
-
-        return ("sparse_output", self.shape, str(self.dtype),
-                _normalize_fill(self.fill))
-
-    def finalize(self):
-        """Split the flat coordinate stream into per-row lists."""
-        from repro.formats.sparse_list import SparseListLevel
-
-        inner = self.shape[-1]
-        rows = self.builder.total // max(inner, 1)
+    def _split(self, inner, rows):
+        """The flat coordinate stream as per-row lists."""
         pos = [0]
         idx = []
         values = []
@@ -256,22 +238,7 @@ class SparseOutput:
                 values.append(vals[q])
                 q += 1
             pos.append(len(idx))
-        element = ElementLevel(np.array(values, dtype=self.dtype)
-                               if values else np.zeros(0, dtype=self.dtype),
-                               fill_value=self.fill)
-        sparse = SparseListLevel(inner, element, pos, idx)
-        levels = [sparse]
-        child = sparse
-        for dim in reversed(self.shape[:-1]):
-            child = DenseLevel(dim, child)
-            levels.insert(0, child)
-        return Tensor(levels, element, name=self.name)
-
-    def to_tensor(self):
-        return self.finalize()
-
-    def to_numpy(self):
-        return self.finalize().to_numpy()
+        return {"pos": pos, "idx": idx}, values
 
     def nnz(self):
         """Number of stored (non-fill) entries."""

@@ -9,9 +9,9 @@ bytes: workers map the same physical pages and rebind views, and
 writes to *output* tensors land directly in the caller's buffers.
 
 This works generically over every level format because the buffer
-name hints returned by ``Level.buffers()`` are, by convention, the
-level's attribute names (``pos``, ``idx``, ``val``, ...) — the same
-convention the kernel binding plan relies on.
+name hints returned by ``Level.buffers()`` are the level's attribute
+names: both come from the class's one ``ARRAYS`` declaration (``pos``,
+``idx``, ...), which the kernel binding plan relies on too.
 
 The benchmark harness adopts its datasets up front so that repeated
 batches move zero tensor bytes; long-running services can do the same

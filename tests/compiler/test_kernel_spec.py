@@ -14,7 +14,7 @@ import pytest
 
 import repro.lang as fl
 from repro.cin.analyze import program_tensors
-from repro.compiler.kernel import SPEC_VERSION, CompiledKernel
+from repro.compiler.kernel import SPEC_FIELDS, SPEC_VERSION, CompiledKernel
 from repro.util.errors import BindingError, SpecError
 
 
@@ -48,6 +48,36 @@ def test_spec_is_json_serializable_and_complete():
     assert decoded["instrument"] is True
     assert decoded["opt_level"] == kernel.opt_level
     assert decoded["structural_key"] is not None
+
+
+def test_spec_key_set_is_golden():
+    """The spec layout is a persisted contract (stores, packs, the
+    service): a key added or dropped needs a ``SPEC_VERSION`` bump, so
+    the set is pinned here and not only derived from ``SPEC_FIELDS``."""
+    spec = fl.compile_kernel(dot_program(*make_pair())).to_spec()
+    assert SPEC_VERSION == 3
+    assert list(spec) == ["spec_version"] + list(SPEC_FIELDS)
+    assert sorted(spec) == [
+        "alias_groups", "backend", "c_param_dtypes", "c_source",
+        "compile_seconds", "constant_loop_rewrite", "instrument", "name",
+        "opt_level", "plan", "raw_source", "signatures", "slot_names",
+        "source", "spec_version", "structural_key"]
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+@pytest.mark.parametrize("field", SPEC_FIELDS)
+def test_every_spec_field_round_trips(field, backend):
+    """Each field survives JSON and ``from_spec`` as the very value the
+    compiled artifact holds (tuples re-frozen, not left as lists)."""
+    kernel = fl.compile_kernel(dot_program(*make_pair()), instrument=True,
+                               name="dot_fields", backend=backend,
+                               cache=False)
+    artifact = kernel.artifact
+    spec = json.loads(json.dumps(kernel.to_spec()))
+    rebuilt = CompiledKernel.from_spec(spec)
+    assert getattr(rebuilt, field) == getattr(artifact, field)
+    assert type(getattr(rebuilt, field)) is type(getattr(artifact, field))
+    assert rebuilt.to_spec()[field] == spec[field]
 
 
 def test_spec_roundtrip_preserves_behavior():

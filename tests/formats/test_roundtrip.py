@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.formats import format_names
 from repro.tensors import (
     from_numpy,
     symmetric_from_numpy,
@@ -10,9 +11,9 @@ from repro.tensors import (
 )
 from repro.util.errors import FormatError
 
-VECTOR_FORMATS = ["dense", "sparse", "band", "vbl", "rle", "packbits",
-                  "bitmap", "ragged"]
+VECTOR_FORMATS = format_names()
 MATRIX_INNER_FORMATS = VECTOR_FORMATS
+OUTER_FORMATS = format_names(leaf_only=False)
 
 
 def example_vectors():
@@ -52,6 +53,26 @@ def test_matrix_roundtrip_dense_rows(fmt):
     arr[arr < 0.6] = 0.0
     tensor = from_numpy(arr, ("dense", fmt))
     np.testing.assert_array_equal(tensor.to_numpy(), arr)
+
+
+@pytest.mark.parametrize("fmt", VECTOR_FORMATS)
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (2, 0, 3)])
+def test_zero_extent_roundtrip_innermost(fmt, shape):
+    """A zero extent anywhere keeps every mode of the shape (and the
+    dtype): densifying used to drop the modes after an empty dense
+    one."""
+    arr = np.zeros(shape, dtype=np.float32)
+    out = from_numpy(arr, ("dense",) * (arr.ndim - 1) + (fmt,)).to_numpy()
+    assert out.shape == shape
+    assert out.dtype == arr.dtype
+
+
+@pytest.mark.parametrize("fmt", OUTER_FORMATS)
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0, 3)])
+def test_zero_extent_roundtrip_outermost(fmt, shape):
+    arr = np.zeros(shape)
+    out = from_numpy(arr, (fmt,) + ("sparse",) * (arr.ndim - 1)).to_numpy()
+    assert out.shape == shape
 
 
 def test_sparse_outer_mode():

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import repro.lang as fl
+from repro.formats import format_names
 
 RNG = np.random.default_rng(1234)
-ALL_VECTOR_FORMATS = ["dense", "sparse", "band", "vbl", "rle", "packbits",
-                      "bitmap", "ragged"]
+ALL_VECTOR_FORMATS = format_names()
 
 
 def sparse_vector(n, density=0.3, seed=0):

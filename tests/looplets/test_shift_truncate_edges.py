@@ -13,13 +13,13 @@ import pytest
 
 import repro.lang as fl
 from repro.baselines.reference import interpret
+from repro.formats import format_names
 from repro.ir.nodes import Extent, Literal
 from repro.looplets.core import Run, Spike, Switch
 from repro.looplets.shift import shift_extent, shift_looplet
 from repro.looplets.truncate import truncate
 
-FORMATS = ["dense", "sparse", "band", "vbl", "rle", "bitmap", "ragged",
-           "packbits"]
+FORMATS = format_names()
 
 #: Structured data: leading/trailing zeros, runs, and a lone spike.
 DATA = np.array([0.0, 3.0, 3.0, 0.0, 0.0, 2.0, 0.0, 0.0, 5.0])

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import repro.lang as fl
+from repro.formats import format_names
 from repro.tensors.convert import convert, dropfills
 from repro.util.errors import FormatError
 
-SOURCES = ["dense", "sparse", "band", "vbl", "rle", "bitmap", "ragged",
-           "packbits"]
+SOURCES = format_names()
 KERNEL_TARGETS = ["dense", "sparse", "rle"]
-HOST_TARGETS = ["band", "vbl", "bitmap", "ragged", "packbits"]
+HOST_TARGETS = [fmt for fmt in SOURCES if fmt not in KERNEL_TARGETS]
 
 
 def example(seed=0, n=20):
