@@ -74,6 +74,7 @@ from repro.ir import asm, emit
 from repro.ir.nodes import Literal, Load
 from repro.ir.optimize import DEFAULT_OPT_LEVEL, optimize_kernel
 from repro.ir.runtime import kernel_globals
+from repro.tensors import share as _share
 from repro.util import config as _config
 from repro.util.errors import BindingError, SpecError
 
@@ -131,8 +132,8 @@ class CompiledKernel:
     structure; itself immutable after construction.
     """
 
-    __slots__ = ("fn", "seed_args", "seed_tensors",
-                 "so_path") + SPEC_FIELDS
+    __slots__ = ("fn", "seed_args", "seed_tensors", "so_path",
+                 "_slot_params", "_alias_pairs") + SPEC_FIELDS
 
     def __init__(self, fn, name, source, raw_source, opt_level, plan,
                  seed_args, seed_tensors, signatures, alias_groups,
@@ -166,6 +167,14 @@ class CompiledKernel:
         self.slot_names = tuple(slot_names) if slot_names \
             else ("?",) * len(signatures)
         self.constant_loop_rewrite = bool(constant_loop_rewrite)
+        # The flat bind program: the (parameter, role) pairs each
+        # slot feeds, and each alias-group member beside the first.
+        self._slot_params = [[] for _ in signatures]
+        for param, entry in enumerate(plan):
+            if entry is not None:
+                self._slot_params[entry[0]].append((param, entry[1]))
+        self._alias_pairs = [(group, group[0], other)
+                             for group in alias_groups for other in group[1:]]
 
     @property
     def effective_backend(self):
@@ -266,15 +275,20 @@ class CompiledKernel:
             raise BindingError(
                 "kernel has %d tensor slots, got %d tensors"
                 % (len(self.signatures), len(tensors)))
-        for slot, (tensor, expected) in enumerate(
-                zip(tensors, self.signatures)):
-            actual = tensor_signature(tensor)
-            if actual != expected:
-                raise BindingError(
-                    "slot %d (%s): format signature %r does not match "
-                    "the compiled kernel's %r"
-                    % (slot, getattr(tensor, "name", "?"), actual,
-                       expected))
+        for slot, tensor in enumerate(tensors):
+            self._check_signature(slot, tensor)
+
+    def _check_signature(self, slot, tensor):
+        """Raise unless ``tensor`` has ``slot``'s format signature; a
+        tensor's memoized tuple matches itself or its copy with ``is``."""
+        actual = tensor_signature(tensor)
+        expected = self.signatures[slot]
+        if actual is not expected and actual != expected:
+            raise BindingError(
+                "slot %d (%s): format signature %r does not match "
+                "the compiled kernel's %r"
+                % (slot, getattr(tensor, "name", "?"), actual,
+                   expected))
 
     def bind(self, tensors):
         """Positional kernel arguments for ``tensors`` (one per slot).
@@ -284,34 +298,48 @@ class CompiledKernel:
         """
         tensors = list(tensors)
         self.validate(tensors)
-        roles = [tensor_binding_buffers(tensor) for tensor in tensors]
-        for group in self.alias_groups:
-            distinct = {id(roles[slot][role]) for slot, role in group}
-            if len(distinct) != 1:
+        return self._point(tensors, range(len(tensors)),
+                           [None] * len(tensors))
+
+    def _point(self, tensors, slots, roles, args=None):
+        """The one bind pass: ``args`` (default: a fresh list) with the
+        parameters ``slots`` feed re-pointed at ``tensors`` (signatures
+        already checked), then checked whole for the aliasing pattern.
+        ``roles`` holds each slot's ``kernel_buffers()`` walk, None
+        where not taken."""
+        if args is None:
+            args = list(self.seed_args)
+        for slot in slots:
+            if roles[slot] is None:
+                roles[slot] = tensor_binding_buffers(tensors[slot])
+            buffers = roles[slot]
+            for param, role in self._slot_params[slot]:
+                args[param] = buffers[role]
+        for group, (slot_a, role_a), (slot_b, role_b) in self._alias_pairs:
+            for slot in (slot_a, slot_b):
+                if roles[slot] is None:
+                    roles[slot] = tensor_binding_buffers(tensors[slot])
+            if roles[slot_a][role_a] is not roles[slot_b][role_b]:
                 raise BindingError(
                     "buffers %s shared one array at compile time but "
                     "the new tensors bind distinct arrays" % (group,))
-        args = []
-        seen = {}  # id(buffer) -> (slot, role): rejects new aliasing
-        for entry, seed in zip(self.plan, self.seed_args):
-            if entry is None:
-                args.append(seed)
-                continue
-            slot, role = entry
-            buf = roles[slot][role]
-            # Distinct parameters were distinct arrays at compile time
-            # (aliased buffers collapse into one parameter), so any
-            # aliasing between parameters here is new — the emitted
-            # code assumes separate storage (e.g. output resets would
-            # wipe inputs).
-            other = seen.setdefault(id(buf), entry)
-            if other != entry:
-                raise BindingError(
-                    "slots %s and %s bind one array, but the kernel "
-                    "was compiled for distinct buffers; use distinct "
-                    "arrays or recompile with the shared tensors"
-                    % (other, entry))
-            args.append(buf)
+        # Distinct parameters were distinct arrays at compile time
+        # (aliased buffers collapse into one parameter), so any
+        # aliasing here is new — the emitted code assumes separate
+        # storage (e.g. output resets would wipe inputs).  The loop
+        # runs only to name the offending pair.
+        if len(set(map(id, args))) != len(args):
+            seen = {}  # id(buffer) -> (slot, role)
+            for entry, buf in zip(self.plan, args):
+                if entry is None:
+                    continue
+                other = seen.setdefault(id(buf), entry)
+                if other != entry:
+                    raise BindingError(
+                        "slots %s and %s bind one array, but the "
+                        "kernel was compiled for distinct buffers; "
+                        "use distinct arrays or recompile with the "
+                        "shared tensors" % (other, entry))
         return args
 
 
@@ -322,8 +350,7 @@ class Kernel:
     def __init__(self, artifact, tensors, program, from_cache=False,
                  tuned=False):
         self._artifact = artifact
-        self._tensors = list(tensors)
-        self._args = artifact.bind(self._tensors)
+        self.rebind(tensors)
         self.program = program
         self.from_cache = from_cache
         #: True when the autotuner's winners table rewrote the program
@@ -424,12 +451,14 @@ class Kernel:
         call only: ``kernel.run(A=other_A)`` executes against
         ``other_A`` without changing the kernel's stored binding.
         """
-        if overrides:
-            tensors = self._with_overrides(overrides)
-            result = self._artifact.fn(*self._artifact.bind(tensors))
-        else:
-            result = self._artifact.fn(*self._args)
-        return result if self.instrument else None
+        # Only here are bound arrays executed, so only here is an
+        # adoption (share_tensor re-pointing them) caught up with.
+        if self._epoch != _share._adoptions:
+            self.rebind(self._tensors)
+        args = (self._with_overrides(overrides)[1] if overrides
+                else self._args)
+        result = self._artifact.fn(*args)
+        return result if self._artifact.instrument else None
 
     def rebind(self, tensors=None, **named):
         """Persistently re-point binding slots at new tensors.
@@ -439,25 +468,35 @@ class Kernel:
         for the mapping form.  Replacements must have the same format
         signature as the tensors they replace.  Returns ``self``.
         """
-        if tensors is None:
-            replacement = self._with_overrides(dict(named))
-        elif isinstance(tensors, dict):
-            mapping = dict(tensors)
-            mapping.update(named)
-            replacement = self._with_overrides(mapping)
+        if tensors is None or isinstance(tensors, dict):
+            self._tensors, self._args = self._with_overrides(
+                {**(tensors or {}), **named})
         else:
             if named:
                 raise BindingError(
                     "pass either a full tensor sequence or name "
                     "overrides, not both")
             replacement = list(tensors)
-        self._args = self._artifact.bind(replacement)
-        self._tensors = replacement
+            self._args = self._artifact.bind(replacement)
+            self._tensors = replacement
+            self._epoch = _share._adoptions
+        self._by_name = None  # name -> slots, built on first override
         return self
 
     def _with_overrides(self, mapping):
-        """The slot list with named slots replaced."""
-        return resolve_name_overrides(self._tensors, mapping)
+        """``(tensors, args)`` with the named slots replaced: only
+        those are validated and re-resolved, the rest stay as bound."""
+        if self._by_name is None:
+            self._by_name = _slots_by_name(self._tensors)
+        tensors = list(self._tensors)
+        slots = []
+        for name, replacement in mapping.items():
+            slots.append(_named_slot(self._by_name, name))
+            tensors[slots[-1]] = replacement
+        for slot in sorted(slots):
+            self._artifact._check_signature(slot, tensors[slot])
+        return tensors, self._artifact._point(
+            tensors, slots, [None] * len(tensors), list(self._args))
 
     def __call__(self, **overrides):
         return self.run(**overrides)
@@ -473,25 +512,34 @@ def resolve_name_overrides(template, mapping):
     exactly one slot, otherwise a full slot-ordered sequence is
     required.
     """
-    by_name = {}
-    for slot, tensor in enumerate(template):
-        by_name.setdefault(getattr(tensor, "name", None),
-                           []).append(slot)
+    by_name = _slots_by_name(template)
     tensors = list(template)
     for name, replacement in mapping.items():
-        slots = by_name.get(name, [])
-        if not slots:
-            raise BindingError(
-                "no tensor named %r bound by this kernel (have: %s)"
-                % (name, ", ".join(sorted(
-                    str(n) for n in by_name))))
-        if len(slots) > 1:
-            raise BindingError(
-                "tensor name %r is bound to %d slots; rebind with "
-                "a full tensor sequence instead"
-                % (name, len(slots)))
-        tensors[slots[0]] = replacement
+        tensors[_named_slot(by_name, name)] = replacement
     return tensors
+
+
+def _slots_by_name(tensors):
+    """Tensor name -> the slots of ``tensors`` bearing it."""
+    by_name = {}
+    for slot, tensor in enumerate(tensors):
+        by_name.setdefault(getattr(tensor, "name", None),
+                           []).append(slot)
+    return by_name
+
+
+def _named_slot(by_name, name):
+    """The one slot ``name`` resolves to, else a BindingError."""
+    slots = by_name.get(name, ())
+    if len(slots) == 1:
+        return slots[0]
+    if not slots:
+        raise BindingError(
+            "no tensor named %r bound by this kernel (have: %s)"
+            % (name, ", ".join(sorted(str(n) for n in by_name))))
+    raise BindingError(
+        "tensor name %r is bound to %d slots; rebind with a full "
+        "tensor sequence instead" % (name, len(slots)))
 
 
 class KernelCache:

@@ -410,8 +410,10 @@ class KernelPool:
 
     # -- dataset resolution --------------------------------------------
     def _resolve(self, datasets):
-        """Slot-ordered, signature-checked tensor lists, one per
-        dataset; rejects bad datasets before any work is dispatched."""
+        """Per dataset, the slot-ordered, signature-checked tensors,
+        each one's ``kernel_buffers()`` walk (taken once per map) and
+        the identities of its buffers (its own, with none); rejects
+        bad datasets before any work is dispatched."""
         template = self._kernel.tensors
         resolved = []
         for index, dataset in enumerate(datasets):
@@ -423,7 +425,10 @@ class KernelPool:
                 self._artifact.validate(tensors)
             except BindingError as exc:
                 raise BindingError("dataset %d: %s" % (index, exc))
-            resolved.append(tensors)
+            roles = [tensor_binding_buffers(t) for t in tensors]
+            resolved.append((tensors, roles, [
+                [id(buf) for buf in buffers.values()] or [id(tensor)]
+                for tensor, buffers in zip(tensors, roles)]))
         self._check_output_isolation(resolved)
         return resolved
 
@@ -438,16 +443,10 @@ class KernelPool:
         """
         if len(resolved) < 2:
             return
-
-        def buffer_ids(tensor):
-            buffers = tensor_binding_buffers(tensor)
-            return ([id(buf) for buf in buffers.values()]
-                    or [id(tensor)])
-
         writers = {}  # id(buffer) -> dataset index that writes it
-        for index, tensors in enumerate(resolved):
+        for index, (tensors, _, ids) in enumerate(resolved):
             for slot in self._output_slots:
-                for buf_id in buffer_ids(tensors[slot]):
+                for buf_id in ids[slot]:
                     other = writers.setdefault(buf_id, index)
                     if other != index:
                         raise BindingError(
@@ -457,11 +456,11 @@ class KernelPool:
                             % (other, index, slot,
                                getattr(tensors[slot], "name", "?")))
         output_slots = set(self._output_slots)
-        for index, tensors in enumerate(resolved):
+        for index, (tensors, _, ids) in enumerate(resolved):
             for slot, tensor in enumerate(tensors):
                 if slot in output_slots:
                     continue
-                for buf_id in buffer_ids(tensor):
+                for buf_id in ids[slot]:
                     writer = writers.get(buf_id)
                     if writer is not None and writer != index:
                         raise BindingError(
@@ -489,7 +488,7 @@ class KernelPool:
         error.__cause__ = exc
         return error
 
-    def _run_local(self, index, tensors, worker_id):
+    def _run_local(self, index, dataset, worker_id):
         """One dataset, in-process, with the transient retry policy.
 
         An in-process :class:`TransientError` (store IO flake, shm
@@ -500,7 +499,7 @@ class KernelPool:
         attempt = 0
         while True:
             try:
-                return self._run_local_once(index, tensors, worker_id)
+                return self._run_local_once(index, dataset, worker_id)
             except BatchExecutionError as exc:
                 if (not is_transient(exc.cause)
                         or attempt >= self.max_retries):
@@ -516,10 +515,12 @@ class KernelPool:
                 self._note_fault("backoff_s", delay)
                 time.sleep(delay)
 
-    def _run_local_once(self, index, tensors, worker_id):
+    def _run_local_once(self, index, dataset, worker_id):
         start = time.perf_counter()
+        tensors, roles, _ = dataset
         try:
-            args = self._artifact.bind(tensors)
+            args = self._artifact._point(tensors, range(len(roles)),
+                                         roles)
             bound = time.perf_counter()
             result = self._artifact.fn(*args)
             ran = time.perf_counter()
@@ -536,8 +537,8 @@ class KernelPool:
                            collect_s=done - ran)
         return BatchItem(index, outputs, ops, worker_id, done - start)
 
-    def _run_threaded(self, index, tensors, worker_id=None):
-        return self._run_local(index, tensors,
+    def _run_threaded(self, index, dataset, worker_id=None):
+        return self._run_local(index, dataset,
                                worker_id or self._thread_worker_id())
 
     def map(self, datasets):
@@ -635,18 +636,6 @@ class KernelPool:
             recovered.extend(items)
         return recovered, still
 
-    def _output_buffer_ids(self, tensors):
-        """Identity set of this dataset's output buffers (arrays and
-        builders) — what the transport must carry back."""
-        output_ids = set()
-        for slot in self._output_slots:
-            buffers = tensor_binding_buffers(tensors[slot])
-            for buf in buffers.values():
-                output_ids.add(id(buf))
-            if not buffers:
-                output_ids.add(id(tensors[slot]))
-        return output_ids
-
     def _map_processes(self, resolved):
         """Dispatch one batch over the warm worker pool.
 
@@ -670,15 +659,18 @@ class KernelPool:
         resident_seen = set()
         resident_bytes = 0
         try:
-            for index, tensors in enumerate(resolved):
+            for index, (tensors, roles, ids) in enumerate(resolved):
                 try:
-                    args = self._artifact.bind(tensors)
+                    args = self._artifact._point(
+                        tensors, range(len(roles)), roles)
                 except Exception as exc:
                     raise self._wrap_failure(index, exc,
                                              tensors) from exc
+                # The transport carries the output buffers back.
                 payload = _shm.describe_args(
                     args, staging, index,
-                    self._output_buffer_ids(tensors))
+                    {buf_id for slot in self._output_slots
+                     for buf_id in ids[slot]})
                 payload["index"] = index
                 tasks.append(payload)
                 for arg in args:
@@ -703,10 +695,11 @@ class KernelPool:
             t4 = time.perf_counter()
             by_index = {item["index"]: item for item in results}
             failures = {
-                index: self._wrap_failure(index, exc, resolved[index])
+                index: self._wrap_failure(index, exc,
+                                          resolved[index][0])
                 for index, exc in pool_failures}
             items = []
-            for index, tensors in enumerate(resolved):
+            for index, (tensors, _, _) in enumerate(resolved):
                 entry = by_index.get(index)
                 if entry is None:
                     # Failed permanently, or never dispatched because

@@ -102,12 +102,7 @@ class Level:
     def buffers(self):
         """Mapping of buffer-name hints to the numpy arrays backing the
         level (used by the compiler to bind kernel arguments)."""
-        # On every kernel bind: a bare loop, because a comprehension
-        # costs a function call per level before Python 3.12.
-        out = {}
-        for name in self.ARRAYS:
-            out[name] = getattr(self, name)
-        return out
+        return {name: getattr(self, name) for name in self.ARRAYS}
 
 
 class FiberSlice:

@@ -95,6 +95,9 @@ class _AppendOutput:
         for dim in self.shape:
             total *= dim
         self.builder = self.BUILDER(total, fill)
+        # Shape, dtype and fill are fixed here: one tuple for life.
+        self._signature = (self.TAG, self.shape, str(self.dtype),
+                           _normalize_fill(fill))
 
     @property
     def ndim(self):
@@ -114,8 +117,7 @@ class _AppendOutput:
         return {"builder": self.builder}
 
     def format_signature(self):
-        return (self.TAG, self.shape, str(self.dtype),
-                _normalize_fill(self.fill))
+        return self._signature
 
     def finalize(self):
         """Split the flat stream into per-row arrays of ``LEVEL``."""

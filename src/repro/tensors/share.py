@@ -20,13 +20,23 @@ and friends) hold plain-Python result streams, not ndarrays, and pass
 through unchanged.
 """
 
+#: Adoptions made by this process.  A bound ``Kernel`` holds the
+#: arrays its tensors had at bind time: it compares this count on each
+#: ``run`` (one integer) and re-binds its tensors after it moved.
+_adoptions = 0
+
 
 def share_tensor(tensor, arena):
     """Move ``tensor``'s buffers into ``arena``; returns the tensor.
 
     Safe to call on any dataset member: objects without the fiber-tree
     buffer protocol (output builders) are returned untouched.
+
+    Kernels already bound to ``tensor`` follow it on their next
+    ``run``.  A hand-assigned ``element.val`` or level array is not
+    noticed: such a kernel needs an explicit ``kernel.rebind(...)``.
     """
+    global _adoptions
     levels = getattr(tensor, "levels", None)
     element = getattr(tensor, "element", None)
     if levels is None or element is None:
@@ -35,6 +45,7 @@ def share_tensor(tensor, arena):
         for hint, array in level.buffers().items():
             setattr(level, hint, arena.add(array))
     element.val = arena.add(element.val)
+    _adoptions += 1
     return tensor
 
 

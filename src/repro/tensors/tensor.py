@@ -40,6 +40,13 @@ class Tensor:
         self.levels = tuple(levels)
         self.element = element
         self.name = name or "T"
+        # Walked by every kernel bind, so resolved once: the (role,
+        # owner, attribute) of each level array.
+        self._roles = tuple(
+            ("lvl%d_%s" % (depth, hint), level, hint)
+            for depth, level in enumerate(levels)
+            for hint in level.buffers())
+        self._signature = None
 
     @property
     def ndim(self):
@@ -83,30 +90,34 @@ class Tensor:
     def buffers(self):
         """All numpy arrays backing this tensor, with name hints."""
         out = {}
-        for depth, level in enumerate(self.levels):
-            for hint, array in level.buffers().items():
-                out["lvl%d_%s" % (depth, hint)] = array
+        for role, level, hint in self._roles:
+            out[role] = getattr(level, hint)
         out["val"] = self.element.val
         return out
 
-    def kernel_buffers(self):
-        """Canonical role -> buffer mapping used for kernel (re)binding.
-
-        The keys are stable across tensors of the same format, so a
-        compiled kernel's parameters can be re-pointed at another
-        tensor's buffers (see :meth:`repro.compiler.kernel.Kernel.rebind`).
-        """
-        return self.buffers()
+    #: The canonical role -> buffer mapping for kernel (re)binding:
+    #: the keys are stable across tensors of one format, so a kernel's
+    #: parameters can be re-pointed at another tensor's buffers.
+    kernel_buffers = buffers
 
     def format_signature(self):
         """A hashable description of everything the compiler bakes into
         emitted code: level nesting (class per mode), per-mode shapes,
         the fill value, and the element dtype.  Two tensors with equal
         signatures are interchangeable under the same compiled kernel.
+
+        One tuple object per tensor: levels, shapes and fill are fixed
+        at construction, and the memo is guarded on the dtype of
+        ``element.val``, the one array that may be re-pointed.
         """
-        levels = tuple((type(level).__name__, level.shape)
-                       for level in self.levels)
-        return ("tensor", levels, str(self.dtype), _normalize_fill(self.fill))
+        dtype = self.element.val.dtype
+        memo = self._signature
+        if memo is None or memo[0] != dtype:
+            levels = tuple((type(level).__name__, level.shape)
+                           for level in self.levels)
+            memo = self._signature = (dtype, (
+                "tensor", levels, str(dtype), _normalize_fill(self.fill)))
+        return memo[1]
 
     def __repr__(self):
         layout = "/".join(type(level).__name__.replace("Level", "")

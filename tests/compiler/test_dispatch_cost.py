@@ -1,0 +1,161 @@
+"""What a rebind costs, and what it still refuses.
+
+The budget is counted in Python-level calls (``cProfile``'s total,
+builtins included), which no machine's speed moves: one
+``kernel.run(A=x, B=y)`` on operands the kernel has seen was 134 calls
+before signatures were memoized and ``bind`` became one incremental
+pass.  The error cases check that the incremental path — named
+overrides re-resolving only the slots they replace — raises what a
+full-sequence ``rebind([...])`` raises.
+"""
+
+import cProfile
+import copy
+import importlib.util
+import os
+import pstats
+
+import numpy as np
+import pytest
+
+import repro.lang as fl
+from repro import codegen
+from repro.util.errors import BindingError
+
+REPO = os.path.normpath(os.path.join(os.path.dirname(__file__),
+                                     "..", ".."))
+
+#: Calls per ``kernel.run(A=x, B=y)`` on dot64 at the commit before
+#: this budget existed; the budget is a third of it.
+CALLS_BEFORE = 134
+
+
+def perf_programs():
+    """``perf/programs.py``, the benchmark's program builders."""
+    spec = importlib.util.spec_from_file_location(
+        "perf_programs", os.path.join(REPO, "perf", "programs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def dot64():
+    """``(kernel, output, operand sets)``: the sparse x sparse dot of
+    the dispatch workload, on C when a toolchain is present."""
+    programs = perf_programs()
+    base = programs.ingest("dot64", programs.raw_inputs("dot64", 1))
+    operands = [(copy.deepcopy(base["A"]), copy.deepcopy(base["B"]))
+                for _ in range(4)]
+    program, output = programs.build(
+        "dot64", dict(A=operands[0][0], B=operands[0][1]))
+    backend = "c" if codegen.have_toolchain() else "python"
+    kernel = fl.compile_kernel(program, cache=False, backend=backend,
+                               name="dispatch_cost")
+    assert kernel.effective_backend == backend
+    return kernel, output, operands
+
+
+def profile_repeats(kernel, operands, rounds=25):
+    """cProfile statistics of ``rounds`` passes over ``operands``,
+    every set already seen by ``kernel``; and the op count."""
+    for a, b in operands:
+        kernel.run(A=a, B=b)
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(rounds):
+        for a, b in operands:
+            kernel.run(A=a, B=b)
+    profile.disable()
+    return pstats.Stats(profile), rounds * len(operands)
+
+
+def test_override_costs_a_third_of_the_calls_it_did(dot64):
+    kernel, output, operands = dot64
+    stats, ops = profile_repeats(kernel, operands)
+    assert stats.total_calls / ops <= CALLS_BEFORE / 3
+    a, b = operands[-1]
+    assert output.value == pytest.approx(
+        float(a.to_numpy() @ b.to_numpy()))
+
+
+def test_repeat_override_recomputes_no_signature(dot64):
+    kernel, _, operands = dot64
+    stats, _ = profile_repeats(kernel, operands)
+    called = {name for _, _, name in stats.stats}
+    assert "format_signature" in called     # consulted, from the memo
+    assert "_normalize_fill" not in called
+    assert "__str__" not in called          # numpy.dtype.__str__
+    assert "_name_get" not in called
+
+
+# -- every binding error, through the incremental path --------------------
+
+def message(call):
+    with pytest.raises(BindingError) as info:
+        call()
+    return str(info.value)
+
+
+def test_signature_mismatch_on_the_replaced_slot(dot64):
+    kernel, _, operands = dot64
+    C, A, B = kernel.tensors
+    wrong = fl.from_numpy(np.zeros(65), ("sparse",), name="A")
+    full = message(lambda: kernel.rebind([C, wrong, B]))
+    assert full.startswith("slot 1 (A): format signature")
+    assert message(lambda: kernel.run(A=wrong)) == full
+    assert message(lambda: kernel.rebind(A=wrong)) == full
+    assert kernel.tensors == [C, A, B]      # a refused rebind binds nothing
+
+
+def test_new_aliasing_with_an_untouched_slot(dot64):
+    """``run(A=B_tensor)``: the replaced slot alone is fine; the
+    aliasing check has to see the whole argument list."""
+    kernel, _, _ = dot64
+    C, A, B = kernel.tensors
+    full = message(lambda: kernel.rebind([C, B, B]))
+    assert "bind one array" in full
+    assert message(lambda: kernel.run(A=B)) == full
+    assert message(lambda: kernel.rebind(A=B)) == full
+
+
+def test_unknown_and_ambiguous_names(dot64):
+    kernel, _, operands = dot64
+    assert message(lambda: kernel.run(Z=operands[0][0])) == (
+        "no tensor named 'Z' bound by this kernel (have: A, B, C)")
+    # A name map is per binding: give two slots one name and the name
+    # stops resolving, for run and rebind alike.
+    twin = copy.deepcopy(operands[0][1])
+    twin.name = "A"
+    kernel.rebind(B=twin)
+    try:
+        expected = ("tensor name 'A' is bound to 2 slots; rebind with "
+                    "a full tensor sequence instead")
+        assert message(lambda: kernel.run(A=operands[1][0])) == expected
+        assert message(
+            lambda: kernel.rebind(A=operands[1][0])) == expected
+    finally:
+        C, A, _ = kernel.tensors
+        kernel.rebind([C, A, operands[0][1]])
+    kernel.run(B=operands[1][1])            # and resolves again
+
+
+def test_broken_compile_time_alias_group():
+    """A and B were one storage at compile time: replacing B alone by
+    a tensor with its own arrays breaks the group, whichever path."""
+    data = np.zeros((4, 5))
+    data[1, 2] = 2.0
+    A = fl.from_numpy(data, ("dense", "sparse"), name="A")
+    B = fl.Tensor(A.levels, A.element, name="B")
+    C = fl.Scalar(name="C")
+    i, j = fl.indices("i", "j")
+    kernel = fl.compile_kernel(fl.forall(i, fl.forall(
+        j, fl.increment(C[()], A[i, j] * B[i, j]))), cache=False)
+    distinct = fl.from_numpy(data, ("dense", "sparse"), name="B")
+    full = message(lambda: kernel.rebind([C, A, distinct]))
+    assert "shared one array at compile time" in full
+    assert message(lambda: kernel.run(B=distinct)) == full
+    assert message(lambda: kernel.rebind(B=distinct)) == full
+    A2 = fl.from_numpy(data * 3.0, ("dense", "sparse"), name="A")
+    kernel.run(A=A2, B=fl.Tensor(A2.levels, A2.element, name="B"))
+    assert C.value == pytest.approx(36.0)

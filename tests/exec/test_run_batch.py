@@ -213,6 +213,36 @@ def test_signature_mismatch_rejected_up_front():
         assert pool.stats()["runs"] == 0
 
 
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_each_dataset_is_checked_and_walked_once_per_map(
+        executor, monkeypatch):
+    """``map`` consults every dataset tensor's ``format_signature``
+    once and takes its ``kernel_buffers()`` walk once: the up-front
+    check, the isolation check, the bind and the transport share them
+    (two signature reads and up to three walks before)."""
+    from repro.tensors.tensor import Tensor
+
+    reads = {"format_signature": [], "kernel_buffers": []}
+    for method, seen in reads.items():
+        original = getattr(Tensor, method)
+
+        def counting(self, _original=original, _seen=seen):
+            _seen.append(id(self))
+            return _original(self)
+
+        monkeypatch.setattr(Tensor, method, counting)
+    kernel = fl.compile_kernel(dot_program(*make_pair(0)), cache=False)
+    datasets = dot_datasets(4)
+    members = sorted(id(t) for tensors in datasets for t in tensors)
+    with KernelPool(kernel, executor=executor, max_workers=2) as pool:
+        for seen in reads.values():
+            del seen[:]
+        result = pool.map(datasets)
+        assert len(result) == 4
+        for method, seen in reads.items():
+            assert sorted(seen) == members, method
+
+
 def test_wrong_slot_count_rejected():
     template = dot_program(*make_pair(0))
     [dataset] = dot_datasets(1)

@@ -1,10 +1,19 @@
 """Format signatures and kernel-buffer maps: the tensor half of the
 structural-key contract."""
 
+import copy
+import pickle
+
 import numpy as np
+import pytest
 
 import repro.lang as fl
+from repro.formats import format_names
+from repro.formats.custom import LoopletTensor
+from repro.ir.nodes import Literal
+from repro.looplets import Run
 from repro.tensors.output import RunOutput, SparseOutput
+from repro.util.errors import BindingError
 
 
 def vec(fmt, n=10, seed=0):
@@ -55,6 +64,76 @@ class TestTensorSignature:
 
     def test_signature_is_hashable(self):
         hash(vec("vbl").format_signature())
+
+
+def memoized_tensors():
+    """One tensor of every registered format, and every other kind
+    whose signature is computed once."""
+    cases = [pytest.param(lambda fmt=fmt: vec(fmt), id=fmt)
+             for fmt in format_names()]
+    cases += [
+        pytest.param(lambda: fl.Scalar(name="s"), id="Scalar"),
+        pytest.param(lambda: fl.zeros((3, 4), name="z"), id="zeros"),
+        pytest.param(lambda: RunOutput((4, 6), fill=0, dtype=np.uint8),
+                     id="RunOutput"),
+        pytest.param(lambda: SparseOutput((3, 3), fill=0.0),
+                     id="SparseOutput"),
+    ]
+    return cases
+
+
+class TestSignatureComputedOnce:
+    @pytest.mark.parametrize("make", memoized_tensors())
+    def test_same_object_on_every_call(self, make):
+        t = make()
+        assert t.format_signature() is t.format_signature()
+
+    @pytest.mark.parametrize("make", memoized_tensors())
+    def test_copies_keep_an_equal_signature(self, make):
+        """``perf/`` clones operands with ``deepcopy``; the processes
+        executor's fallback transport pickles them."""
+        t = make()
+        clones = [copy.deepcopy(t), pickle.loads(pickle.dumps(t))]
+        signature = t.format_signature()
+        # ... and again, now carrying the memo.
+        clones += [copy.deepcopy(t), pickle.loads(pickle.dumps(t))]
+        for clone in clones:
+            assert clone.format_signature() == signature
+            assert clone.format_signature() is clone.format_signature()
+
+    def test_deepcopy_shares_the_memoized_tuple(self):
+        """What makes a clone match its kernel with one ``is``."""
+        t = vec("sparse")
+        signature = t.format_signature()
+        assert copy.deepcopy(t).format_signature() is signature
+
+    def test_replaced_val_of_another_dtype_changes_the_signature(self):
+        a, b = vec("sparse", seed=1), vec("sparse", seed=2)
+        C = fl.Scalar(name="C")
+        a.name, b.name = "A", "B"
+        i = fl.indices("i")
+        kernel = fl.compile_kernel(
+            fl.forall(i, fl.increment(C[()], a[i] * b[i])), cache=False)
+        that = copy.deepcopy(a)
+        before = that.format_signature()
+        kernel.run(A=that)
+        that.element.val = that.element.val.astype(np.float32)
+        after = that.format_signature()
+        assert after != before and after[2] == "float32"
+        assert after is that.format_signature()
+        with pytest.raises(BindingError, match="format signature"):
+            kernel.run(A=that)
+        # Same dtype, new array: the signature does not move.
+        that.element.val = that.element.val.astype(np.float64)
+        assert that.format_signature() == before
+        kernel.run(A=that)
+
+    def test_looplet_tensor_signature_embeds_its_own_id(self):
+        t = LoopletTensor(5, lambda ctx, pos: Run(Literal(1.0)))
+        clone = copy.deepcopy(t)
+        assert t.format_signature() == ("custom", id(t), (5,))
+        assert clone.format_signature() == ("custom", id(clone), (5,))
+        assert clone.format_signature() != t.format_signature()
 
 
 class TestKernelBuffers:

@@ -1,6 +1,7 @@
 """The public surface: everything README/docs mention must import."""
 
 import numpy as np
+import pytest
 
 
 def test_lang_namespace_is_complete():
@@ -90,3 +91,100 @@ def test_store_exports_resolve_and_carry_no_fingerprint_function():
         assert getattr(repro.store, name) is not None, name
     # The code version is one axis of ``version_axes()``, not an API.
     assert not hasattr(repro.store, "codegen_fingerprint")
+
+
+# -- the surface perf/ measures through ------------------------------------
+# ``perf/workloads.py`` times these names from outside to decompose a
+# compile (``compiler.memory_hit_us.*``, ``store.key_meta_us``) and a
+# dispatch (``compiler.bind_us.*``, ``run.fn_us.*``); a refactor that
+# renames or reshapes one rots the benchmark's decomposition.
+
+def _dot_kernel(values):
+    import repro.lang as fl
+
+    a = np.array([0, 1.5, 0, 2.0, 0, 0, 3.0, 0]) * values
+    b = np.array([1.0, 2.0, 0, 4.0, 0, 0, 5.0, 0])
+    A = fl.from_numpy(a, ("sparse",), name="A")
+    B = fl.from_numpy(b, ("sparse",), name="B")
+    C = fl.Scalar(name="C")
+    i = fl.indices("i")
+    program = fl.forall(i, fl.increment(C[()], A[i] * B[i]))
+    return fl.compile_kernel(program, cache=False), program, float(a @ b)
+
+
+def test_perf_dispatch_decomposition_surface():
+    """used by perf/: ``resolve_name_overrides`` + ``CompiledKernel
+    .bind``/``.fn``/``.validate`` + ``Kernel.artifact``/``.tensors``."""
+    from repro.compiler.kernel import resolve_name_overrides
+    from repro.util.errors import BindingError
+
+    kernel, _, _ = _dot_kernel(1.0)
+    other, _, expected = _dot_kernel(2.0)
+    C, A, B = kernel.tensors
+    assert kernel.tensors is not kernel.tensors     # a fresh list
+    kernel.tensors.clear()
+    assert kernel.tensors == [C, A, B]
+
+    A2, B2 = other.tensors[1:]
+    tensors = resolve_name_overrides(kernel.tensors, {"A": A2, "B": B2})
+    assert tensors == [C, A2, B2] and kernel.tensors == [C, A, B]
+    artifact = kernel.artifact
+    assert artifact.validate(tensors) is None
+    args = artifact.bind(tensors)
+    assert isinstance(args, list)
+    assert any(arg is A2.element.val for arg in args)
+    C.set(0.0)
+    artifact.fn(*args)
+    assert abs(C.value - expected) < 1e-12
+    with pytest.raises(BindingError):
+        artifact.validate(tensors[:-1])
+    with pytest.raises(BindingError):
+        resolve_name_overrides(kernel.tensors, {"nope": A2})
+
+
+def test_perf_compile_decomposition_surface(tmp_path):
+    """used by perf/: ``artifact_cache_key``, ``meta_for_artifact``
+    and ``KernelStore.key_meta`` name one kernel the same way."""
+    import repro.lang as fl
+    from repro.cin.analyze import structural_key
+    from repro.compiler.kernel import artifact_cache_key
+    from repro.store import KernelStore, meta_for_artifact
+
+    kernel, program, _ = _dot_kernel(1.0)
+    artifact = kernel.artifact
+    cache = fl.kernel_cache()
+    cache.clear()
+    try:
+        cache.store(artifact_cache_key(artifact), artifact)
+        again = fl.compile_kernel(program, store=False, remote=False)
+        assert again.from_cache and again.artifact is artifact
+    finally:
+        cache.clear()
+
+    store = KernelStore(str(tmp_path / "store"))
+    meta = meta_for_artifact(artifact)
+    assert store.key_meta(
+        structural_key(program), instrument=False, name=artifact.name,
+        constant_loop_rewrite=True, opt_level=artifact.opt_level,
+        backend=artifact.backend) == meta
+    store.save_spec(meta, artifact.to_spec(), so_path=artifact.so_path)
+    assert store.load_artifact(meta).source == artifact.source
+
+
+def test_perf_share_dataset_surface():
+    """used by perf/: ``share_dataset`` adopts a name -> tensor
+    mapping in place and returns it."""
+    import repro.lang as fl
+    from repro.exec import shm
+    from repro.tensors.share import share_dataset
+
+    kernel, _, _ = _dot_kernel(1.0)
+    dataset = {tensor.name: tensor for tensor in kernel.tensors}
+    arena = fl.ShmArena()
+    try:
+        assert share_dataset(dataset, arena) is dataset
+        assert all(shm.resident_descriptor(array) is not None
+                   for tensor in dataset.values()
+                   for array in tensor.buffers().values())
+    finally:
+        arena.close()
