@@ -9,9 +9,6 @@ from repro.formats.level import (
     Level,
     child_payload,
     fill_payload,
-    full_fill,
-    subtree_dtype,
-    subtree_shape,
 )
 from repro.formats.packbits import PackBitsLevel
 from repro.formats.ragged import RaggedLevel
@@ -52,9 +49,6 @@ __all__ = [
     "Level",
     "child_payload",
     "fill_payload",
-    "full_fill",
-    "subtree_dtype",
-    "subtree_shape",
     "PackBitsLevel",
     "RaggedLevel",
     "RunLengthLevel",

@@ -14,9 +14,9 @@ from repro.formats.level import (
     FiberSlice,
     Level,
     fill_payload,
-    is_fill,
-    subtree_dtype,
-    subtree_shape,
+    fill_slab,
+    flat_children,
+    stored_mask,
 )
 from repro.ir import build
 from repro.ir.nodes import Literal, Load
@@ -34,21 +34,15 @@ class BitmapLevel(Level):
 
     def __init__(self, shape, child, tbl):
         super().__init__(shape, child)
-        self.tbl = np.asarray(tbl, dtype=bool)
+        self.tbl = np.ascontiguousarray(tbl, dtype=bool)
         if self.tbl.ndim != 1:
             raise FormatError("tbl must be a flat boolean array")
         if self.shape and len(self.tbl) % self.shape != 0:
             raise FormatError("tbl length must be a multiple of the shape")
 
     @classmethod
-    def build(cls, slices, dim, fill):
-        tbl = []
-        children = []
-        for s in slices:
-            for j in range(dim):
-                tbl.append(not is_fill(s[j], fill))
-                children.append(s[j])
-        return {"tbl": tbl}, children
+    def build(cls, slab, dim, fill):
+        return {"tbl": stored_mask(slab, fill).ravel()}, flat_children(slab)
 
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
@@ -70,12 +64,13 @@ class BitmapLevel(Level):
     def fiber_count(self):
         return len(self.tbl) // max(self.shape, 1)
 
-    def fiber_to_numpy(self, pos):
-        shape = (self.shape,) + subtree_shape(self.child)
-        out = np.full(shape, self.fill, dtype=subtree_dtype(self.child))
-        for j in range(self.shape):
-            if self.tbl[pos * self.shape + j]:
-                out[j] = self.child.fiber_to_numpy(pos * self.shape + j)
+    def child_count(self, nfibers):
+        return nfibers * self.shape
+
+    def densify(self, nfibers, children):
+        out = fill_slab(self, nfibers, children)
+        slots = out.reshape(children.shape)
+        slots[self.tbl] = children[self.tbl]
         return out
 
     def __repr__(self):

@@ -1,13 +1,6 @@
 """Dense level: every child is stored, addressed by arithmetic."""
 
-import numpy as np
-
-from repro.formats.level import (
-    FiberSlice,
-    Level,
-    subtree_dtype,
-    subtree_shape,
-)
+from repro.formats.level import FiberSlice, Level, flat_children
 from repro.ir import build
 from repro.looplets import Lookup
 
@@ -26,9 +19,8 @@ class DenseLevel(Level):
     DEFAULT_PROTOCOL = "walk"
 
     @classmethod
-    def build(cls, slices, dim, fill):
-        children = [s[j] for s in slices for j in range(dim)]
-        return {}, children
+    def build(cls, slab, dim, fill):
+        return {}, flat_children(slab)
 
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
@@ -45,14 +37,13 @@ class DenseLevel(Level):
     def fiber_count(self):
         return self.child.fiber_count() // max(self.shape, 1)
 
-    def fiber_to_numpy(self, pos):
-        children = [self.child.fiber_to_numpy(pos * self.shape + j)
-                    for j in range(self.shape)]
-        if not children:
-            # np.array([]) would forget the trailing modes.
-            return np.empty((0,) + subtree_shape(self.child),
-                            dtype=subtree_dtype(self.child))
-        return np.array(children)
+    def child_count(self, nfibers):
+        return nfibers * self.shape
+
+    def densify(self, nfibers, children):
+        # The count comes from above: a zero extent leaves no children
+        # to infer it from.
+        return children.reshape((nfibers, self.shape) + children.shape[1:])
 
     def __repr__(self):
         return "DenseLevel(%d)" % self.shape

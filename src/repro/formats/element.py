@@ -18,7 +18,7 @@ class ElementLevel:
     shape = None
 
     def __init__(self, val, fill_value=0.0):
-        self.val = np.asarray(val)
+        self.val = np.ascontiguousarray(val)
         if self.val.ndim != 1:
             raise FormatError("element values must form a flat array")
         self.fill_value = fill_value
@@ -33,9 +33,6 @@ class ElementLevel:
 
     def fiber_count(self):
         return len(self.val)
-
-    def fiber_to_numpy(self, pos):
-        return self.val[pos]
 
     def buffers(self):
         return {"val": self.val}

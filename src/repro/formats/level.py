@@ -68,10 +68,12 @@ class Level:
         return proto
 
     @classmethod
-    def build(cls, slices, dim, fill):
-        """Scan fiber ``slices`` (numpy views, in position order) of a
-        ``dim``-wide mode: returns this level's ``ARRAYS`` by name, and
-        the slices its stored children correspond to."""
+    def build(cls, slab, dim, fill):
+        """Every fiber of a ``dim``-wide mode at once, as the ndarray
+        ``slab`` of shape ``(nfibers, dim, *rest)`` in position order:
+        returns this level's ``ARRAYS`` by name (C-contiguous ``int64``
+        or ``bool``) and the child slab ``(nchildren, *rest)`` — the
+        stored children, in position order."""
         raise NotImplementedError
 
     def unfurl(self, ctx, pos, proto=None):
@@ -95,8 +97,16 @@ class Level:
         """How many fibers this level stores."""
         return len(self.pos) - 1
 
-    def fiber_to_numpy(self, pos):
-        """Densify the subtree rooted at fiber ``pos`` (tests/oracles)."""
+    def child_count(self, nfibers):
+        """How many children this level's ``nfibers`` fibers store (the
+        fiber count of the level below).  Override it where ``pos``
+        segments something other than the children."""
+        return int(self.pos[-1])
+
+    def densify(self, nfibers, children):
+        """The inverse of :meth:`build`: ``children`` is the densified
+        child slab ``(nchildren, *rest)``; returns every fiber of this
+        level as ``(nfibers, shape, *rest)``."""
         raise NotImplementedError
 
     def buffers(self):
@@ -166,32 +176,58 @@ class FillFiber:
         return Run(payload)
 
 
-def is_fill(slice_, fill):
-    """Whether a whole fiber slice is background (``build`` scans)."""
-    return bool(np.all(slice_ == fill))
+def stored_mask(slab, fill):
+    """Which children of a ``build`` slab are stored: ``(nfibers, dim)``
+    booleans, False where the whole child is background.  The test is
+    elementwise ``!=``, so a NaN fill stores everything."""
+    mask = slab != fill
+    return mask.any(axis=tuple(range(2, slab.ndim))) if slab.ndim > 2 else mask
 
 
-def subtree_shape(level):
-    """The dense shape of the subtree under (and including) ``level``."""
-    shape = []
-    while getattr(level, "child", None) is not None:
-        shape.append(level.shape)
-        level = level.child
-    return tuple(shape)
+def stored_span(mask):
+    """The half-open column span ``[first, stop)`` of the stored
+    children of each fiber of a :func:`stored_mask`: ``[dim, 0)`` where
+    the fiber stores none."""
+    dim = mask.shape[1]
+    cols = np.arange(dim)
+    return (np.where(mask, cols, dim).min(axis=1, initial=dim),
+            np.where(mask, cols + 1, 0).max(axis=1, initial=0))
 
 
-def subtree_dtype(level):
-    """The element dtype of the subtree under ``level``."""
-    while getattr(level, "child", None) is not None:
-        level = level.child
-    return level.val.dtype
+def span_mask(dim, first, stop):
+    """The ``(nfibers, dim)`` mask of the columns in each fiber's
+    half-open span ``[first, stop)``."""
+    cols = np.arange(dim)
+    return (cols >= first[:, None]) & (cols < stop[:, None])
 
 
-def full_fill(level):
-    """A dense numpy array of fill values shaped like one fiber of
-    ``level``'s subtree."""
-    return np.full(subtree_shape(level), level.fill,
-                   dtype=subtree_dtype(level))
+def flat_children(slab):
+    """Every child of a ``build`` slab, stored or not, as a child slab
+    ``(nfibers * dim, *rest)``."""
+    return slab.reshape((slab.shape[0] * slab.shape[1],) + slab.shape[2:])
+
+
+def offsets(counts):
+    """The ``pos`` array segmenting per-fiber ``counts``:
+    ``[0, c0, c0 + c1, ...]``."""
+    pos = np.zeros(len(counts) + 1, dtype=np.int64)
+    counts.cumsum(out=pos[1:])
+    return pos
+
+
+def fiber_of(pos):
+    """The fiber each entry of a ``pos``-segmented array belongs to."""
+    width = pos[1:] - pos[:-1]
+    if pos[0] != 0 or (width < 0).any():
+        raise FormatError("pos must start at 0 and never decrease")
+    return np.arange(len(width)).repeat(width)
+
+
+def fill_slab(level, nfibers, children):
+    """``nfibers`` all-fill fibers of ``level`` over ``children``-shaped
+    subfibers: what a sparse ``densify`` scatters into."""
+    return np.full((nfibers, level.shape) + children.shape[1:], level.fill,
+                   dtype=children.dtype)
 
 
 def child_payload(level, pos):

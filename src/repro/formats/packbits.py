@@ -22,9 +22,10 @@ from repro.formats.level import (
     FiberSlice,
     Level,
     child_payload,
-    subtree_dtype,
-    subtree_shape,
+    flat_children,
+    offsets,
 )
+from repro.formats.rle import check_tiling, run_starts, run_stops, run_widths
 from repro.ir import asm, build, ops
 from repro.ir.nodes import Call, Literal, Load, Var
 from repro.looplets import Case, Lookup, Run, Stepper, Switch
@@ -32,28 +33,6 @@ from repro.util.errors import FormatError
 
 #: minimum run length worth a PackBits run group (as in TIFF encoders).
 _MIN_RUN = 3
-
-
-def _groups(s, dim):
-    """Split one row into (start, stop, is_run) groups."""
-    groups = []
-    j = 0
-    literal_start = None
-    while j < dim:
-        run_end = j
-        while run_end < dim and s[run_end] == s[j]:
-            run_end += 1
-        if run_end - j >= _MIN_RUN:
-            if literal_start is not None:
-                groups.append((literal_start, j, False))
-                literal_start = None
-            groups.append((j, run_end, True))
-        elif literal_start is None:
-            literal_start = j
-        j = run_end
-    if literal_start is not None:
-        groups.append((literal_start, dim, False))
-    return groups
 
 
 class PackBitsLevel(Level):
@@ -67,39 +46,39 @@ class PackBitsLevel(Level):
 
     def __init__(self, shape, child, pos, idx, vof):
         super().__init__(shape, child)
-        self.pos = np.asarray(pos, dtype=np.int64)
-        self.idx = np.asarray(idx, dtype=np.int64)
-        self.vof = np.asarray(vof, dtype=np.int64)
+        self.pos = np.ascontiguousarray(pos, dtype=np.int64)
+        self.idx = np.ascontiguousarray(idx, dtype=np.int64)
+        self.vof = np.ascontiguousarray(vof, dtype=np.int64)
         if len(self.pos) == 0 or self.pos[-1] != len(self.idx):
             raise FormatError("pos must end at the group count")
         if len(self.vof) != len(self.idx) + 1:
             raise FormatError("vof needs one sentinel entry")
-        for p in range(len(self.pos) - 1):
-            ends = np.abs(self.idx[self.pos[p]:self.pos[p + 1]])
-            if self.shape and (len(ends) == 0 or ends[-1] != self.shape
-                               or np.any(np.diff(ends) <= 0)):
-                raise FormatError(
-                    "fiber %d groups must increase and tile [0, %d)"
-                    % (p, self.shape))
+        check_tiling(self, np.abs(self.idx), "groups")
 
     @classmethod
-    def build(cls, slices, dim, fill):
-        pos = [0]
-        idx = []
-        vof = [0]
-        children = []
-        for s in slices:
-            for start, stop, is_run in _groups(s, dim):
-                idx.append(stop if is_run else -stop)
-                if is_run:
-                    children.append(s[start])
-                else:
-                    children.extend(s[j] for j in range(start, stop))
-                vof.append(len(children))
-            pos.append(len(idx))
-        # The running end-of-values is exactly the start of the next group,
-        # so the accumulated list is vof (with its sentinel) already.
-        return {"pos": pos, "idx": idx, "vof": vof}, children
+    def build(cls, slab, dim, fill):
+        starts = run_starts(slab)
+        flat = starts.ravel().nonzero()[0]
+        left = flat % dim
+        right = run_stops(starts)
+        width = right - left
+        long = width >= _MIN_RUN
+        # A long run is a group of its own; the shorter runs between
+        # two of them (or a fiber's edge) merge into one literal group.
+        # heads marks the run each group opens with, and the end; a
+        # group stops where the run before the next head does.
+        heads = np.ones(len(flat) + 1, dtype=bool)
+        heads[:-1] = long | (left == 0)
+        heads[1:-1] |= long[:-1]
+        stop = right[heads[1:]]
+        # A run group stores its first value, a literal every one; vof
+        # is the running count at each head, and at the end.
+        stored = offsets(np.where(long, 1, width))
+        groups = np.bincount(flat[heads[:-1]] // dim, minlength=len(slab))
+        return ({"pos": offsets(groups),
+                 "idx": np.where(long[heads[:-1]], stop, -stop),
+                 "vof": stored[heads]},
+                flat_children(slab)[starts.ravel() | ~long.repeat(width)])
 
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
@@ -145,20 +124,17 @@ class PackBitsLevel(Level):
             next=advance,
         )
 
-    def fiber_to_numpy(self, pos):
-        shape = (self.shape,) + subtree_shape(self.child)
-        out = np.full(shape, self.fill, dtype=subtree_dtype(self.child))
-        left = 0
-        for g in range(self.pos[pos], self.pos[pos + 1]):
-            end = abs(self.idx[g])
-            if self.idx[g] > 0:
-                out[left:end] = self.child.fiber_to_numpy(self.vof[g])
-            else:
-                for j in range(left, end):
-                    out[j] = self.child.fiber_to_numpy(
-                        self.vof[g] + (j - left))
-            left = end
-        return out
+    def child_count(self, nfibers):
+        return int(self.vof[-1])
+
+    def densify(self, nfibers, children):
+        # A literal's values appear once each, a run's one value as
+        # many times as the group is wide.
+        times = np.ones(len(children), dtype=np.int64)
+        runs = self.idx > 0
+        times[self.vof[:-1][runs]] = run_widths(np.abs(self.idx))[runs]
+        return children.repeat(times, axis=0).reshape(
+            (nfibers, self.shape) + children.shape[1:])
 
     def __repr__(self):
         return "PackBitsLevel(%d, groups=%d)" % (self.shape, len(self.idx))

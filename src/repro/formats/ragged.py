@@ -12,9 +12,10 @@ from repro.formats.level import (
     FiberSlice,
     Level,
     fill_payload,
-    is_fill,
-    subtree_dtype,
-    subtree_shape,
+    fill_slab,
+    offsets,
+    stored_mask,
+    stored_span,
 )
 from repro.ir import asm, build
 from repro.ir.nodes import Load, Var
@@ -32,23 +33,17 @@ class RaggedLevel(Level):
 
     def __init__(self, shape, child, pos):
         super().__init__(shape, child)
-        self.pos = np.asarray(pos, dtype=np.int64)
-        for p in range(len(self.pos) - 1):
-            width = self.pos[p + 1] - self.pos[p]
-            if width < 0 or width > self.shape:
-                raise FormatError("fiber %d width out of bounds" % p)
+        self.pos = np.ascontiguousarray(pos, dtype=np.int64)
+        width = self.pos[1:] - self.pos[:-1]
+        bad = (width < 0) | (width > self.shape)
+        if bad.any():
+            raise FormatError("fiber %d width out of bounds" % bad.argmax())
 
     @classmethod
-    def build(cls, slices, dim, fill):
-        pos = [0]
-        children = []
-        for s in slices:
-            width = dim
-            while width > 0 and is_fill(s[width - 1], fill):
-                width -= 1
-            children.extend(s[j] for j in range(width))
-            pos.append(len(children))
-        return {"pos": pos}, children
+    def build(cls, slab, dim, fill):
+        width = stored_span(stored_mask(slab, fill))[1]
+        prefix = np.arange(dim) < width[:, None]
+        return {"pos": offsets(width)}, slab[prefix]
 
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
@@ -67,11 +62,10 @@ class RaggedLevel(Level):
             Phase(Run(fill_payload(self))),
         ])
 
-    def fiber_to_numpy(self, pos):
-        shape = (self.shape,) + subtree_shape(self.child)
-        out = np.full(shape, self.fill, dtype=subtree_dtype(self.child))
-        for j in range(self.pos[pos + 1] - self.pos[pos]):
-            out[j] = self.child.fiber_to_numpy(self.pos[pos] + j)
+    def densify(self, nfibers, children):
+        out = fill_slab(self, nfibers, children)
+        width = self.pos[1:] - self.pos[:-1]
+        out[np.arange(self.shape) < width[:, None]] = children
         return out
 
     def __repr__(self):

@@ -14,13 +14,58 @@ import numpy as np
 from repro.formats.level import (
     Level,
     child_payload,
-    subtree_dtype,
-    subtree_shape,
+    fiber_of,
+    offsets,
 )
 from repro.ir import asm, build, ops
 from repro.ir.nodes import Call, Load, Var
 from repro.looplets import Run, Stepper
 from repro.util.errors import FormatError
+
+
+def run_starts(slab):
+    """Where each maximal run of a ``(nfibers, dim)`` slab starts.  The
+    test is elementwise ``!=`` between neighbours: ``-0.0`` joins a run
+    of ``0.0`` (which keeps its first element's bits), NaN never joins
+    one."""
+    starts = np.ones(slab.shape, dtype=bool)
+    np.not_equal(slab[:, 1:], slab[:, :-1], out=starts[:, 1:])
+    return starts
+
+
+def run_stops(starts):
+    """The exclusive end column of every run of :func:`run_starts`, in
+    position order: one past the column before the next start."""
+    stops = np.ones_like(starts)
+    stops[:, :-1] = starts[:, 1:]
+    return stops.ravel().nonzero()[0] % starts.shape[1] + 1
+
+
+def check_tiling(level, ends, noun):
+    """What the run formats validate: within every fiber of ``level``
+    the exclusive ``ends`` increase strictly, up to exactly the
+    dimension.  Raises naming the first fiber where they do not."""
+    if not level.shape:
+        return
+    pos = level.pos
+    fiber = fiber_of(pos)
+    empty = pos[1:] == pos[:-1]
+    bad = empty.copy()
+    bad[~empty] = ends[pos[1:][~empty] - 1] != level.shape
+    bad[fiber[1:][(ends[1:] <= ends[:-1]) & (fiber[1:] == fiber[:-1])]] = True
+    if bad.any():
+        raise FormatError("fiber %d %s must increase and tile [0, %d)"
+                          % (bad.argmax(), noun, level.shape))
+
+
+def run_widths(ends):
+    """The width of each run of a validated tiling, from its exclusive
+    ``ends``: a step that does not advance starts the next fiber, at
+    column 0."""
+    widths = ends.copy()
+    step = ends[1:] - ends[:-1]
+    widths[1:] = np.where(step > 0, step, ends[1:])
+    return widths
 
 
 class RunLengthLevel(Level):
@@ -34,33 +79,17 @@ class RunLengthLevel(Level):
 
     def __init__(self, shape, child, pos, right):
         super().__init__(shape, child)
-        self.pos = np.asarray(pos, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
+        self.pos = np.ascontiguousarray(pos, dtype=np.int64)
+        self.right = np.ascontiguousarray(right, dtype=np.int64)
         if len(self.pos) == 0 or self.pos[-1] != len(self.right):
             raise FormatError("pos must end at the run count")
-        for p in range(len(self.pos) - 1):
-            ends = self.right[self.pos[p]:self.pos[p + 1]]
-            if self.shape and (len(ends) == 0 or ends[-1] != self.shape
-                               or np.any(np.diff(ends) <= 0)):
-                raise FormatError(
-                    "fiber %d runs must increase and tile [0, %d)"
-                    % (p, self.shape))
+        check_tiling(self, self.right, "runs")
 
     @classmethod
-    def build(cls, slices, dim, fill):
-        pos = [0]
-        right = []
-        children = []
-        for s in slices:
-            j = 0
-            while j < dim:
-                start = j
-                while j < dim and s[j] == s[start]:
-                    j += 1
-                right.append(j)
-                children.append(s[start])
-            pos.append(len(right))
-        return {"pos": pos, "right": right}, children
+    def build(cls, slab, dim, fill):
+        starts = run_starts(slab)
+        return ({"pos": offsets(starts.sum(axis=1)),
+                 "right": run_stops(starts)}, slab[starts])
 
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
@@ -87,15 +116,9 @@ class RunLengthLevel(Level):
             next=advance,
         )
 
-    def fiber_to_numpy(self, pos):
-        shape = (self.shape,) + subtree_shape(self.child)
-        out = np.full(shape, self.fill, dtype=subtree_dtype(self.child))
-        left = 0
-        for q in range(self.pos[pos], self.pos[pos + 1]):
-            value = self.child.fiber_to_numpy(q)
-            out[left:self.right[q]] = value
-            left = self.right[q]
-        return out
+    def densify(self, nfibers, children):
+        return children.repeat(run_widths(self.right), axis=0).reshape(
+            (nfibers, self.shape) + children.shape[1:])
 
     def __repr__(self):
         return "RunLengthLevel(%d, runs=%d)" % (self.shape, len(self.right))

@@ -13,9 +13,11 @@ from repro.formats.level import (
     FiberSlice,
     Level,
     fill_payload,
-    is_fill,
-    subtree_dtype,
-    subtree_shape,
+    fill_slab,
+    offsets,
+    span_mask,
+    stored_mask,
+    stored_span,
 )
 from repro.ir import asm, build
 from repro.ir.nodes import Load, Var
@@ -33,30 +35,21 @@ class SparseBandLevel(Level):
 
     def __init__(self, shape, child, pos, lo):
         super().__init__(shape, child)
-        self.pos = np.asarray(pos, dtype=np.int64)
-        self.lo = np.asarray(lo, dtype=np.int64)
+        self.pos = np.ascontiguousarray(pos, dtype=np.int64)
+        self.lo = np.ascontiguousarray(lo, dtype=np.int64)
         if len(self.lo) != len(self.pos) - 1:
             raise FormatError("need one band start per fiber")
-        for p in range(len(self.lo)):
-            width = self.pos[p + 1] - self.pos[p]
-            if width < 0 or self.lo[p] < 0 or self.lo[p] + width > self.shape:
-                raise FormatError("band %d out of bounds" % p)
+        width = self.pos[1:] - self.pos[:-1]
+        bad = (width < 0) | (self.lo < 0) | (self.lo + width > self.shape)
+        if bad.any():
+            raise FormatError("band %d out of bounds" % bad.argmax())
 
     @classmethod
-    def build(cls, slices, dim, fill):
-        pos = [0]
-        lo = []
-        children = []
-        for s in slices:
-            stored = [j for j in range(dim) if not is_fill(s[j], fill)]
-            if stored:
-                first, last = stored[0], stored[-1]
-                lo.append(first)
-                children.extend(s[j] for j in range(first, last + 1))
-            else:
-                lo.append(0)
-            pos.append(len(children))
-        return {"pos": pos, "lo": lo}, children
+    def build(cls, slab, dim, fill):
+        first, stop = stored_span(stored_mask(slab, fill))
+        lo = np.where(stop > 0, first, 0)
+        return ({"pos": offsets(stop - lo), "lo": lo},
+                slab[span_mask(dim, lo, stop)])
 
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
@@ -79,12 +72,10 @@ class SparseBandLevel(Level):
             Phase(Run(fill_payload(self))),
         ])
 
-    def fiber_to_numpy(self, pos):
-        shape = (self.shape,) + subtree_shape(self.child)
-        out = np.full(shape, self.fill, dtype=subtree_dtype(self.child))
-        lo = self.lo[pos]
-        for offset, q in enumerate(range(self.pos[pos], self.pos[pos + 1])):
-            out[lo + offset] = self.child.fiber_to_numpy(q)
+    def densify(self, nfibers, children):
+        out = fill_slab(self, nfibers, children)
+        stop = self.lo + self.pos[1:] - self.pos[:-1]
+        out[span_mask(self.shape, self.lo, stop)] = children
         return out
 
     def __repr__(self):

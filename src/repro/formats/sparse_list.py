@@ -25,10 +25,12 @@ import numpy as np
 from repro.formats.level import (
     Level,
     child_payload,
+    fiber_of,
     fill_payload,
-    is_fill,
-    subtree_dtype,
-    subtree_shape,
+    fill_slab,
+    flat_children,
+    offsets,
+    stored_mask,
 )
 from repro.ir import asm, build, ops
 from repro.ir.nodes import Call, Literal, Load, Var
@@ -46,33 +48,29 @@ class SparseListLevel(Level):
 
     def __init__(self, shape, child, pos, idx):
         super().__init__(shape, child)
-        self.pos = np.asarray(pos, dtype=np.int64)
-        self.idx = np.asarray(idx, dtype=np.int64)
+        self.pos = np.ascontiguousarray(pos, dtype=np.int64)
+        self.idx = np.ascontiguousarray(idx, dtype=np.int64)
         if self.pos.ndim != 1 or self.idx.ndim != 1:
             raise FormatError("pos and idx must be flat arrays")
         if len(self.pos) == 0 or self.pos[-1] != len(self.idx):
             raise FormatError("pos must end at len(idx)")
-        for p in range(len(self.pos) - 1):
-            segment = self.idx[self.pos[p]:self.pos[p + 1]]
-            if len(segment) and (np.any(np.diff(segment) <= 0)
-                                 or segment[0] < 0
-                                 or segment[-1] >= self.shape):
-                raise FormatError(
-                    "fiber %d indices must be strictly increasing and "
-                    "within [0, %d)" % (p, self.shape))
+        # The first entry out of range or out of order names the first
+        # offending fiber: every fiber before it holds neither.
+        fiber = fiber_of(self.pos)
+        bad = (self.idx < 0) | (self.idx >= self.shape)
+        bad[1:] |= ((self.idx[1:] <= self.idx[:-1])
+                    & (fiber[1:] == fiber[:-1]))
+        if bad.any():
+            raise FormatError(
+                "fiber %d indices must be strictly increasing and "
+                "within [0, %d)" % (fiber[bad.argmax()], self.shape))
 
     @classmethod
-    def build(cls, slices, dim, fill):
-        pos = [0]
-        idx = []
-        children = []
-        for s in slices:
-            for j in range(dim):
-                if not is_fill(s[j], fill):
-                    idx.append(j)
-                    children.append(s[j])
-            pos.append(len(idx))
-        return {"pos": pos, "idx": idx}, children
+    def build(cls, slab, dim, fill):
+        mask = stored_mask(slab, fill)
+        flat = mask.ravel().nonzero()[0]
+        return ({"pos": offsets(mask.sum(axis=1)), "idx": flat % dim},
+                flat_children(slab)[flat])
 
     def unfurl(self, ctx, pos, proto=None):
         proto = self.resolve_protocol(proto)
@@ -153,11 +151,9 @@ class SparseListLevel(Level):
             next=self._next(state),
         )
 
-    def fiber_to_numpy(self, pos):
-        shape = (self.shape,) + subtree_shape(self.child)
-        out = np.full(shape, self.fill, dtype=subtree_dtype(self.child))
-        for q in range(self.pos[pos], self.pos[pos + 1]):
-            out[self.idx[q]] = self.child.fiber_to_numpy(q)
+    def densify(self, nfibers, children):
+        out = fill_slab(self, nfibers, children)
+        out[fiber_of(self.pos), self.idx] = children
         return out
 
     def __repr__(self):

@@ -17,10 +17,12 @@ import numpy as np
 from repro.formats.level import (
     FiberSlice,
     Level,
+    fiber_of,
     fill_payload,
-    is_fill,
-    subtree_dtype,
-    subtree_shape,
+    fill_slab,
+    flat_children,
+    offsets,
+    stored_mask,
 )
 from repro.ir import asm, build, ops
 from repro.ir.nodes import Call, Literal, Load, Var
@@ -39,38 +41,30 @@ class SparseVBLLevel(Level):
 
     def __init__(self, shape, child, pos, end, ofs):
         super().__init__(shape, child)
-        self.pos = np.asarray(pos, dtype=np.int64)
-        self.end = np.asarray(end, dtype=np.int64)
-        self.ofs = np.asarray(ofs, dtype=np.int64)
+        self.pos = np.ascontiguousarray(pos, dtype=np.int64)
+        self.end = np.ascontiguousarray(end, dtype=np.int64)
+        self.ofs = np.ascontiguousarray(ofs, dtype=np.int64)
         if len(self.ofs) != len(self.end) + 1:
             raise FormatError("ofs must have one extra sentinel entry")
         if len(self.pos) == 0 or self.pos[-1] != len(self.end):
             raise FormatError("pos must end at the block count")
-        for b in range(len(self.end)):
-            width = self.ofs[b + 1] - self.ofs[b]
-            if width <= 0 or self.end[b] - width < 0 or self.end[b] > self.shape:
-                raise FormatError("block %d malformed" % b)
+        width = self.ofs[1:] - self.ofs[:-1]
+        bad = (width <= 0) | (self.end - width < 0) | (self.end > self.shape)
+        if bad.any():
+            raise FormatError("block %d malformed" % bad.argmax())
 
     @classmethod
-    def build(cls, slices, dim, fill):
-        pos = [0]
-        end = []
-        ofs = [0]
-        children = []
-        for s in slices:
-            j = 0
-            while j < dim:
-                if is_fill(s[j], fill):
-                    j += 1
-                    continue
-                start = j
-                while j < dim and not is_fill(s[j], fill):
-                    j += 1
-                end.append(j)
-                children.extend(s[k] for k in range(start, j))
-                ofs.append(len(children))
-            pos.append(len(end))
-        return {"pos": pos, "end": end, "ofs": ofs}, children
+    def build(cls, slab, dim, fill):
+        flat = stored_mask(slab, fill).ravel().nonzero()[0]
+        col = flat % dim
+        # A stored child opens a block unless its left neighbour in the
+        # same fiber is stored too, and closes one where the next opens;
+        # ofs is the child position at each opening, and at the end.
+        opens = np.ones(len(flat) + 1, dtype=bool)
+        opens[1:-1] = (flat[1:] != flat[:-1] + 1) | (col[1:] == 0)
+        blocks = np.bincount(flat[opens[:-1]] // dim, minlength=len(slab))
+        return ({"pos": offsets(blocks), "end": col[opens[1:]] + 1,
+                 "ofs": opens.nonzero()[0]}, flat_children(slab)[flat])
 
     def unfurl(self, ctx, pos, proto=None):
         proto = self.resolve_protocol(proto)
@@ -138,14 +132,15 @@ class SparseVBLLevel(Level):
             Phase(Run(fill_payload(self))),
         ])
 
-    def fiber_to_numpy(self, pos):
-        shape = (self.shape,) + subtree_shape(self.child)
-        out = np.full(shape, self.fill, dtype=subtree_dtype(self.child))
-        for b in range(self.pos[pos], self.pos[pos + 1]):
-            width = self.ofs[b + 1] - self.ofs[b]
-            start = self.end[b] - width
-            for step in range(width):
-                out[start + step] = self.child.fiber_to_numpy(self.ofs[b] + step)
+    def child_count(self, nfibers):
+        return int(self.ofs[-1])
+
+    def densify(self, nfibers, children):
+        out = fill_slab(self, nfibers, children)
+        block = fiber_of(self.ofs)
+        # Child q of block b sits at column end[b] - (ofs[b + 1] - q).
+        cols = (self.end - self.ofs[1:])[block] + np.arange(len(block))
+        out[fiber_of(self.pos)[block], cols] = children
         return out
 
     def __repr__(self):

@@ -55,12 +55,10 @@ class TriangularLevel(Level):
     def fiber_count(self):
         return self.shape
 
-    def fiber_to_numpy(self, pos):
-        out = np.full(self.shape, self.fill,
-                      dtype=self.child.val.dtype)
-        offset = pos * (pos + 1) // 2
-        for j in range(pos + 1):
-            out[j] = self.child.fiber_to_numpy(offset + j)
+    def densify(self, nfibers, children):
+        out = np.full((self.shape, self.shape), self.fill,
+                      dtype=children.dtype)
+        out[np.tril_indices(self.shape)] = children
         return out
 
     def __repr__(self):
@@ -100,11 +98,10 @@ class SymmetricLevel(Level):
     def fiber_count(self):
         return self.shape
 
-    def fiber_to_numpy(self, pos):
-        out = np.empty(self.shape, dtype=self.child.val.dtype)
-        for j in range(self.shape):
-            i, jj = (pos, j) if j <= pos else (j, pos)
-            out[j] = self.child.fiber_to_numpy(i * (i + 1) // 2 + jj)
+    def densify(self, nfibers, children):
+        out = np.empty((self.shape, self.shape), dtype=children.dtype)
+        rows, cols = np.tril_indices(self.shape)
+        out[rows, cols] = out[cols, rows] = children
         return out
 
     def __repr__(self):

@@ -1,15 +1,16 @@
 """Build tensors from numpy arrays, one level format per mode.
 
-``from_numpy(arr, ("dense", "sparse"))`` scans the array and assembles
-the per-level position/coordinate arrays.  Leaf-only formats (rle,
-packbits) compress scalar values and therefore must be the innermost
-mode.
+``from_numpy(arr, ("dense", "sparse"))`` assembles the per-level
+position/coordinate arrays.  Leaf-only formats (rle, packbits)
+compress scalar values and therefore must be the innermost mode.
 
 Each format's builder is the ``build`` classmethod of its level class,
 found by name in ``repro.formats.FORMATS``.  The builders work
-generically over nesting: each builder consumes the list of fiber
-slices produced by the level above (in position order) and emits the
-slices its own stored children correspond to.
+generically over nesting and an array at a time: each consumes one
+slab holding every fiber the level above stored, ``(nfibers, dim,
+*rest)`` in position order, and emits the slab of its own stored
+children, ``(nchildren, *rest)``.  The last slab is the element
+level's values.
 """
 
 import numpy as np
@@ -39,7 +40,7 @@ def from_numpy(arr, formats=None, fill=0.0, name=None):
     if len(formats) != arr.ndim:
         raise FormatError("need one format per mode")
 
-    slices = [arr]
+    slab = arr[np.newaxis]
     specs = []
     for mode, fmt in enumerate(formats):
         cls = FORMATS.get(fmt)
@@ -47,13 +48,14 @@ def from_numpy(arr, formats=None, fill=0.0, name=None):
             raise FormatError("unknown format %r" % (fmt,))
         if cls.LEAF_ONLY and mode != arr.ndim - 1:
             raise FormatError("%s must be the innermost mode" % fmt)
-        spec, slices = cls.build(slices, arr.shape[mode], fill)
+        spec, slab = cls.build(slab, arr.shape[mode], fill)
         specs.append((cls, arr.shape[mode], spec))
 
-    values = np.array([np.asarray(s)[()] for s in slices], dtype=arr.dtype)
-    if len(values) == 0:
-        values = np.zeros(0, dtype=arr.dtype)
-    element = ElementLevel(values, fill_value=fill)
+    # A dense mode's reshape is a view of the caller's array: the tensor
+    # owns its values, so copy once, here.
+    if np.may_share_memory(slab, arr):
+        slab = slab.copy()
+    element = ElementLevel(slab, fill_value=fill)
 
     child = element
     levels = []
@@ -70,9 +72,7 @@ def triangular_from_numpy(arr, fill=0.0, name=None):
     n = arr.shape[0]
     if arr.shape != (n, n):
         raise FormatError("triangular storage needs a square matrix")
-    packed = np.concatenate([arr[i, :i + 1] for i in range(n)]) if n else (
-        np.zeros(0, dtype=arr.dtype))
-    element = ElementLevel(packed, fill_value=fill)
+    element = ElementLevel(arr[np.tril_indices(n)], fill_value=fill)
     inner = TriangularLevel(n, element)
     outer = FORMATS["dense"](n, inner)
     return Tensor([outer, inner], element, name=name)
@@ -84,9 +84,7 @@ def symmetric_from_numpy(arr, fill=0.0, name=None):
     n = arr.shape[0]
     if arr.shape != (n, n) or not np.allclose(arr, arr.T):
         raise FormatError("symmetric storage needs a symmetric matrix")
-    packed = np.concatenate([arr[i, :i + 1] for i in range(n)]) if n else (
-        np.zeros(0, dtype=arr.dtype))
-    element = ElementLevel(packed, fill_value=fill)
+    element = ElementLevel(arr[np.tril_indices(n)], fill_value=fill)
     inner = SymmetricLevel(n, element)
     outer = FORMATS["dense"](n, inner)
     return Tensor([outer, inner], element, name=name)

@@ -82,10 +82,21 @@ class Tensor:
         return access(self, *idxs)
 
     def to_numpy(self):
-        """Densify (tests and oracles; O(product of dims))."""
+        """Densify (tests and oracles; O(product of dims)): a fresh,
+        writable array."""
         if not self.levels:
             return self.element.val[0]
-        return np.asarray(self.levels[0].fiber_to_numpy(0))
+        # Fiber counts come from the root down (a zero extent leaves no
+        # children to count from), the dense slabs from the leaves up.
+        counts = [1]
+        for level in self.levels[:-1]:
+            counts.append(level.child_count(counts[-1]))
+        slab = self.element.val
+        for level in reversed(self.levels):
+            slab = level.densify(counts.pop(), slab)
+        # An all-dense stack only reshaped the buffer kernels write.
+        return slab[0].copy() if np.may_share_memory(
+            slab, self.element.val) else slab[0]
 
     def buffers(self):
         """All numpy arrays backing this tensor, with name hints."""

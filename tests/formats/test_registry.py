@@ -1,10 +1,10 @@
 """The format registry: one declaration per format.
 
 A level format is its ``Level`` subclass — ``NAME``, ``ARRAYS``,
-``LEAF_ONLY``, ``PROTOCOLS``, ``build`` and ``unfurl`` — plus one line
-in ``repro.formats.FORMATS``.  The first test adds a format that way
-and nothing else; the rest pin the declarations the stack derives
-everything from.
+``LEAF_ONLY``, ``PROTOCOLS``, ``build``/``densify`` and ``unfurl`` —
+plus one line in ``repro.formats.FORMATS``.  The first test adds a
+format that way and nothing else; the rest pin the declarations the
+stack derives everything from.
 """
 
 import inspect
@@ -16,7 +16,14 @@ import repro.lang as fl
 from repro.baselines.reference import interpret
 from repro.exec.shm import ShmArena
 from repro.formats import FORMATS, Level, format_names
-from repro.formats.level import FiberSlice, fill_payload
+from repro.formats.level import (
+    FiberSlice,
+    fill_payload,
+    fill_slab,
+    offsets,
+    stored_mask,
+    stored_span,
+)
 from repro.ir import asm, build
 from repro.ir.nodes import Load, Var
 from repro.looplets import Lookup, Phase, Pipeline, Run
@@ -35,20 +42,14 @@ class SuffixLevel(Level):
 
     def __init__(self, shape, child, pos, lo):
         super().__init__(shape, child)
-        self.pos = np.asarray(pos, dtype=np.int64)
-        self.lo = np.asarray(lo, dtype=np.int64)
+        self.pos = np.ascontiguousarray(pos, dtype=np.int64)
+        self.lo = np.ascontiguousarray(lo, dtype=np.int64)
 
     @classmethod
-    def build(cls, slices, dim, fill):
-        pos, lo, children = [0], [], []
-        for s in slices:
-            start = 0
-            while start < dim and np.all(s[start] == fill):
-                start += 1
-            lo.append(start)
-            children.extend(s[j] for j in range(start, dim))
-            pos.append(len(children))
-        return {"pos": pos, "lo": lo}, children
+    def build(cls, slab, dim, fill):
+        lo = stored_span(stored_mask(slab, fill))[0]
+        suffix = np.arange(dim) >= lo[:, None]
+        return {"pos": offsets(dim - lo), "lo": lo}, slab[suffix]
 
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
@@ -66,11 +67,9 @@ class SuffixLevel(Level):
             Phase(Lookup(stored)),
         ])
 
-    def fiber_to_numpy(self, pos):
-        out = np.full(self.shape, self.fill, dtype=self.child.val.dtype)
-        for j in range(self.lo[pos], self.shape):
-            out[j] = self.child.fiber_to_numpy(
-                self.pos[pos] + j - self.lo[pos])
+    def densify(self, nfibers, children):
+        out = fill_slab(self, nfibers, children)
+        out[np.arange(self.shape) >= self.lo[:, None]] = children
         return out
 
 
@@ -154,8 +153,11 @@ def test_arrays_are_the_constructor_the_buffers_and_the_builder(fmt):
     assert params[3:] == cls.ARRAYS
 
     vec = np.array([0.0, 2.0, 2.0, 2.0, 0.0])
-    arrays, children = cls.build([vec], len(vec), 0.0)
+    arrays, children = cls.build(vec[np.newaxis], len(vec), 0.0)
     assert tuple(arrays) == cls.ARRAYS
+    for array in arrays.values():
+        assert array.flags.c_contiguous and array.dtype in (np.int64, bool)
+    assert children.ndim == 1 and children.dtype == vec.dtype
     level = fl.from_numpy(vec, (fmt,)).levels[0]
     assert tuple(level.buffers()) == cls.ARRAYS
     for name, array in level.buffers().items():

@@ -146,3 +146,14 @@ def test_uint8_dtype_preserved():
     out = tensor.to_numpy()
     assert out.dtype == np.uint8
     np.testing.assert_array_equal(out, arr)
+
+
+@pytest.mark.parametrize("fmt", VECTOR_FORMATS)
+def test_nan_is_stored_and_never_joins_a_run(fmt):
+    """NaN equals nothing, itself included: it is never fill and three
+    in a row are three runs (the element-by-element rle and packbits
+    scans never got past the first)."""
+    vec = np.array([0.0, np.nan, np.nan, np.nan, 2.0, 0.0])
+    tensor = from_numpy(vec, (fmt,))
+    np.testing.assert_array_equal(tensor.to_numpy(), vec)
+    assert np.isnan(tensor.element.val).sum() == 3
