@@ -1,32 +1,27 @@
-"""The canonical benchmark-figure registry: one source of truth for
-every kernel the figure suite compiles.
+"""The canonical figure registry: one source of truth for the inputs
+and programs of the six reproduced figures.
 
 The persistent kernel store addresses kernels by structural key, and
 structural keys embed tensor *shapes* — so ahead-of-time compilation
-only pays off if the pack builder and the benchmark scripts construct
-bit-for-bit the same program structures.  This module is that single
-source: the input sizes, seeds, and program builders live here, the
-``benchmarks/bench_fig*.py`` scripts import them, and
-:func:`pack_programs` enumerates every (program, compile-options)
-combination those scripts compile.  ``python -m repro.store pack``
-compiles this registry into the ``.flpack`` CI ships between jobs, and
-:func:`warm_start_programs` is the six-figure subset the
-``warm_start_table`` benchmark proves compiles zero kernels against a
-warmed store.
+only pays off if the pack builder and everything that later compiles
+a figure construct bit-for-bit the same program structures.  This
+module is that single source: the input sizes, seeds, and program
+builders live here; ``tests/paper/`` and ``perf/`` build their inputs
+from them, and :func:`warm_start_programs` is the headline kernel per
+figure that ``python -m repro.store pack`` compiles into the
+``.flpack`` CI ships between jobs.
 
 Suites (matrices, graphs, images) are memoized at module level: the
-registry is consulted by builders and benchmarks alike, and workload
-construction must not dominate either.
+registry is consulted by the pack builder, tests and ``perf/`` alike,
+and workload construction must not dominate any of them.
 """
 
 import numpy as np
 
 import repro.lang as fl
 from repro.bench.kernels import (
-    SPMSPV_STRATEGIES,
     all_pairs_similarity_program,
     alpha_blend_program,
-    dense_convolution_program,
     masked_convolution_program,
     spmspv_program,
     triangle_count_program,
@@ -41,10 +36,6 @@ FIGURES = ("fig1_dot", "fig7_spmspv", "fig8_triangles",
 FIG1_N = 4000
 FIG1_BAND = (1700, 1780)
 FIG1_LIST_NNZ = 400
-#: Dense-dot size of the optimization gate (CI smoke-perf job).
-FIG1_DENSE_N = 20000
-#: Per-dataset length of the batched-throughput benchmark.
-FIG1_BATCH_N = 400000
 
 # -- Figure 7: SpMSpV ------------------------------------------------------
 FIG7_N = 250
@@ -83,20 +74,6 @@ def fig1_looplet_program(a, b):
     C = fl.Scalar(name="C")
     i = fl.indices("i")
     return fl.forall(i, fl.increment(C[()], A[i] * B[i])), C
-
-
-def fig1_dense_dot_program(a, b):
-    """The dense x dense dot (the vectorization smoke gate)."""
-    A = fl.from_numpy(a, ("dense",), name="A")
-    B = fl.from_numpy(b, ("dense",), name="B")
-    C = fl.Scalar(name="C")
-    i = fl.indices("i")
-    return fl.forall(i, fl.increment(C[()], A[i] * B[i])), C
-
-
-def fig1_dense_inputs(n, seed=11):
-    rng = np.random.default_rng(seed)
-    return rng.random(n), rng.random(n)
 
 
 _SUITES = {}
@@ -145,9 +122,12 @@ def warm_start_programs():
 
     Each item is ``(figure, label, make_program, compile_opts)``;
     ``make_program`` builds a structurally-canonical program over
-    fresh tensors on every call.  ``warm_start_table`` compiles these
-    against a warmed store and must see a 100% disk-hit rate — zero
-    kernels compiled in the warm process.
+    fresh tensors on every call.  The AOT pack carries exactly these
+    figure kernels, and a fresh process compiling them against a
+    warmed store (or a warmed kernel service) must see a 100% hit
+    rate — zero kernels compiled
+    (``tests/store/test_warm_start_figures.py``,
+    ``tests/service/test_remote_warm_start.py``).
     """
     a, b = fig1_inputs()
     mat = fig7_suite()["pores_like_clustered"]
@@ -171,126 +151,3 @@ def warm_start_programs():
         ("fig11_allpairs", "all-pairs (vbl)",
          lambda: all_pairs_similarity_program(batch, "vbl")[0], {}),
     ]
-
-
-def pack_programs():
-    """Every (program, compile-options) the figure scripts compile.
-
-    The superset behind ``python -m repro.store pack``: each item is
-    ``(figure, label, make_program, compile_opts)``, enumerated to
-    mirror what ``benchmarks/bench_fig*.py`` actually compile — plain,
-    instrumented, and ``opt_level=0`` variants included — so a store
-    warmed from the pack serves the whole benchmark run.  Duplicate
-    structural keys are fine; the pack builder deduplicates by
-    content digest.
-    """
-    entries = list(warm_start_programs())
-
-    def add(figure, label, make_program, **opts):
-        entries.append((figure, label, make_program, opts))
-
-    # Figure 1: instrumented + opt_level=0 looplet dots, the dense
-    # optimization pair, and the batched-throughput dense dot.
-    a, b = fig1_inputs()
-    add("fig1_dot", "list x band dot (instrumented)",
-        lambda: fig1_looplet_program(a, b)[0], instrument=True)
-    add("fig1_dot", "list x band dot @0",
-        lambda: fig1_looplet_program(a, b)[0], opt_level=0)
-    da, db = fig1_dense_inputs(FIG1_DENSE_N)
-    add("fig1_dot", "dense dot n=%d" % FIG1_DENSE_N,
-        lambda: fig1_dense_dot_program(da, db)[0])
-    add("fig1_dot", "dense dot n=%d @0" % FIG1_DENSE_N,
-        lambda: fig1_dense_dot_program(da, db)[0], opt_level=0)
-    ta, tb = fig1_dense_inputs(FIG1_BATCH_N, seed=23)
-    add("fig1_dot", "dense dot n=%d (instrumented)" % FIG1_BATCH_N,
-        lambda: fig1_dense_dot_program(ta, tb)[0], instrument=True)
-
-    # Figure 7: every strategy, plain and instrumented, plus the
-    # optimization baseline.  All suite matrices share one shape, so
-    # one matrix stands in for the whole suite.
-    mat = fig7_suite()["pores_like_clustered"]
-    vec = fig7_vector("dense10pct", seed=7)
-    for strategy in SPMSPV_STRATEGIES:
-        add("fig7_spmspv", "spmspv %s" % strategy,
-            lambda s=strategy: spmspv_program(mat, vec, s)[0])
-        add("fig7_spmspv", "spmspv %s (instrumented)" % strategy,
-            lambda s=strategy: spmspv_program(mat, vec, s)[0],
-            instrument=True)
-    add("fig7_spmspv", "spmspv walk_walk @0",
-        lambda: spmspv_program(mat, vec, "walk_walk")[0], opt_level=0)
-
-    # Figure 8: the graphs differ in node count (distinct structural
-    # keys), so every suite graph is packed for both protocols.
-    for name, adj in fig8_suite().items():
-        for protocol in ("walk", "gallop"):
-            add("fig8_triangles",
-                "triangles %s %s (instrumented)" % (name, protocol),
-                lambda g=adj, p=protocol:
-                triangle_count_program(g, p)[0],
-                instrument=True)
-    ca = fig8_suite()["ca_like_powerlaw"]
-    for protocol in ("walk", "gallop"):
-        add("fig8_triangles", "triangles ca_like %s" % protocol,
-            lambda p=protocol: triangle_count_program(ca, p)[0])
-    p2p = fig8_suite()["p2p_like_sparse"]
-    add("fig8_triangles", "triangles p2p_like gallop",
-        lambda: triangle_count_program(p2p, "gallop")[0])
-    add("fig8_triangles", "triangles ca_like gallop @0",
-        lambda: triangle_count_program(ca, "gallop")[0], opt_level=0)
-
-    # Figure 9: every density shares one structure per kernel kind.
-    grid = fig9_grid(0.05, seed=3)
-    add("fig9_convolution", "masked convolution (instrumented)",
-        lambda: masked_convolution_program(grid, FIG9_FILTER)[0],
-        instrument=True)
-    add("fig9_convolution", "masked convolution @0",
-        lambda: masked_convolution_program(grid, FIG9_FILTER)[0],
-        opt_level=0)
-    add("fig9_convolution", "dense convolution",
-        lambda: dense_convolution_program(grid, FIG9_FILTER)[0])
-    add("fig9_convolution", "dense convolution (instrumented)",
-        lambda: dense_convolution_program(grid, FIG9_FILTER)[0],
-        instrument=True)
-
-    # Figure 10: image kinds differ in size (distinct keys); the
-    # report instruments every kind x format, the timing tests run
-    # digit and sketch plain.
-    for kind in FIG10_KINDS:
-        img_b, img_c = fig10_image_pair(kind, seed=10)
-        for fmt in FIG10_FORMATS:
-            add("fig10_alpha", "%s blend %s (instrumented)"
-                % (kind, fmt),
-                lambda b_=img_b, c_=img_c, f=fmt:
-                alpha_blend_program(b_, c_, FIG10_ALPHA, FIG10_BETA,
-                                    f)[0],
-                instrument=True)
-            if kind in ("digit", "sketch"):
-                add("fig10_alpha", "%s blend %s" % (kind, fmt),
-                    lambda b_=img_b, c_=img_c, f=fmt:
-                    alpha_blend_program(b_, c_, FIG10_ALPHA,
-                                        FIG10_BETA, f)[0])
-    dig_b, dig_c = fig10_image_pair("digit", seed=1)
-    add("fig10_alpha", "digit blend rle @0",
-        lambda: alpha_blend_program(dig_b, dig_c, FIG10_ALPHA,
-                                    FIG10_BETA, "rle")[0],
-        opt_level=0)
-
-    # Figure 11: digit (20x20) and character (24x24) batches.
-    digit = fig11_batch("digit", 20)
-    character = fig11_batch("character", 24)
-    for fmt in FIG11_FORMATS:
-        add("fig11_allpairs", "all-pairs digit %s" % fmt,
-            lambda f=fmt: all_pairs_similarity_program(digit, f)[0])
-        add("fig11_allpairs", "all-pairs digit %s (instrumented)" % fmt,
-            lambda f=fmt: all_pairs_similarity_program(digit, f)[0],
-            instrument=True)
-        add("fig11_allpairs",
-            "all-pairs character %s (instrumented)" % fmt,
-            lambda f=fmt:
-            all_pairs_similarity_program(character, f)[0],
-            instrument=True)
-    for fmt in ("vbl", "dense"):
-        add("fig11_allpairs", "all-pairs digit %s @0" % fmt,
-            lambda f=fmt: all_pairs_similarity_program(digit, f)[0],
-            opt_level=0)
-    return entries

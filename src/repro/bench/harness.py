@@ -1,51 +1,15 @@
-"""Benchmark harness: timing, op counting, and paper-style tables.
+"""Paper-style tables and small measurement helpers.
 
-The benchmarks report two measures per configuration:
-
-* wall-clock time of the compiled kernel (pytest-benchmark), and
-* the instrumented *operation count* — deterministic, machine-checkable,
-  and the right lens for the paper's asymptotic claims (galloping,
-  block skipping, run summation).
-
-``Table`` collects rows and renders an aligned text table, so each
-benchmark can print the figure it reproduces (captured in
-EXPERIMENTS.md).
-
-Since compilation was decoupled from data (the kernel cache),
-benchmarks also report *amortization*: :func:`timed_compile` separates
-compile time from run time and reports kernel-cache hits, and
-:func:`amortization_table` builds the standard compile-once/run-many
-table — the first run pays for lowering and emission, every later run
-of the same structure rebinds a cached artifact over fresh data.
-
-Since the target-IR optimizer pipeline landed,
-:func:`optimization_table` compares the same program compiled at
-``opt_level=0`` (lowered code emitted untouched) against the default
-level (folding, LICM, CSE, dense-loop vectorization), over *identical*
-data: it reports per-variant compile and run times, the run-time
-speedup, and the largest output deviation, plus a JSON-ready payload
-dict so the perf trajectory is machine-readable across PRs (see the
-``--bench-json`` flag in ``benchmarks/conftest.py``).
-
-Since the batch execution engine landed, :func:`throughput_table`
-maps one compiled kernel over many datasets under each batch executor
-(serial / threads / processes; see :mod:`repro.exec`) and reports
-items/sec, scaling efficiency vs serial, the per-stage overhead
-breakdown (serialize/transport/execute/collect), and the
-cross-executor determinism check (bit-identical outputs, identical
-aggregate op counts).  The processes run goes through the warm
-worker pool with datasets adopted into a shared-memory arena, so it
-measures the steady state rather than per-batch spawn + pickle cost.
-Its payloads feed the same ``BENCH_*.json`` trajectory, gated per-PR
-by ``benchmarks/check_regression.py``.
+The paper's claims are about *work*: ``tests/paper/`` checks them as
+instrumented operation counts and prints each figure as a
+:class:`Table`.  Wall-clock belongs to ``perf/`` (docs/benchmarks.md);
+the one timer here, :func:`median_time_kernel`, is the autotuner's
+(:mod:`repro.tune`).
 """
 
 import time
 
 import numpy as np
-
-from repro.compiler.kernel import compile_kernel, kernel_cache
-from repro.exec import KernelPool
 
 
 class Table:
@@ -91,16 +55,6 @@ def _fmt(value):
     return str(value)
 
 
-def time_kernel(kernel, repeats=3):
-    """Minimum wall-clock seconds over ``repeats`` runs."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        kernel.run()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def median_time_kernel(kernel, repeats=5, warmup=1):
     """Median wall-clock seconds over ``repeats`` runs, after
     ``warmup`` discarded runs.
@@ -122,47 +76,6 @@ def median_time_kernel(kernel, repeats=5, warmup=1):
     return times[len(times) // 2]
 
 
-def timed_compile(program, **compile_opts):
-    """Compile with wall-clock timing and cache-hit detection.
-
-    Returns ``(kernel, seconds, hit)`` where ``seconds`` covers the
-    whole ``compile_kernel`` call — key computation plus either a full
-    lower/emit/exec (miss) or an artifact rebind (hit).
-    """
-    start = time.perf_counter()
-    kernel = compile_kernel(program, **compile_opts)
-    seconds = time.perf_counter() - start
-    return kernel, seconds, kernel.from_cache
-
-
-def amortization_table(title, make_program, runs=3, repeats=3,
-                       clear_cache=True, **compile_opts):
-    """The compile-once/run-many table for one program structure.
-
-    ``make_program`` must build a structurally-identical CIN program
-    over *fresh* tensors on every call, so later runs demonstrate a
-    cached kernel rebound to new data.  Columns separate compile time
-    from run time; the cache column shows the first run missing and
-    every later run hitting.
-
-    Compiles are pinned to the memory tier (``cache="memory"``): this
-    table demonstrates in-process amortization, and a warmed
-    persistent store would otherwise turn the first row into a disk
-    hit (:func:`warm_start_table` measures that story instead).
-    """
-    if clear_cache:
-        kernel_cache().clear()
-    compile_opts.setdefault("cache", "memory")
-    table = Table(title, ["run", "compile (s)", "run (s)", "cache"])
-    for position in range(runs):
-        kernel, compile_s, hit = timed_compile(make_program(),
-                                               **compile_opts)
-        run_s = time_kernel(kernel, repeats=repeats)
-        table.add("#%d" % (position + 1), compile_s, run_s,
-                  "hit" if hit else "miss")
-    return table
-
-
 def _snapshot_outputs(program):
     """Copies of the program's output tensors as numpy arrays."""
     from repro.cin.analyze import output_tensors
@@ -174,394 +87,6 @@ def _snapshot_outputs(program):
         except AttributeError:
             snaps.append(np.asarray(tensor.value))
     return snaps
-
-
-def optimization_table(title, make_program, repeats=3, backends=(),
-                       tune=None, **compile_opts):
-    """Optimized-vs-unoptimized comparison for one program structure.
-
-    ``make_program`` must build the program over *identical data* on
-    every call (fresh tensors are fine), so the two variants are
-    directly comparable: variant one compiles at ``opt_level=0`` (the
-    lowered code, emitted untouched), variant two at the default level
-    (scalar passes plus vectorization).  Returns ``(table, payload)``
-    where ``payload`` is a JSON-serializable dict with compile/run
-    times, the kernel-cache statistics, the run-time speedup of the
-    optimized variant, and the largest absolute output difference
-    between the two.
-
-    ``backends`` adds one extra optimized variant per named backend
-    (e.g. ``("c",)``); its speedup is measured against the same
-    ``opt_level=0`` interpreter row, and the table's backend column
-    reports the *effective* backend — ``c->python`` marks a fallback,
-    so a benchmark silently measuring the interpreter is visible.
-    Payloads land under ``payload["backends"][name]``.
-
-    ``tune="apply"`` adds one final *tuned* variant compiled through
-    the autotuner winners table (:mod:`repro.tune`); its row is
-    labeled ``tuned (no table)`` when no winner is on record (it then
-    measures the default compile).  Its payload lands under
-    ``payload["tuned"]`` with ``applied`` saying whether a winner was
-    found — existing payload keys are untouched.
-    """
-    compile_opts.pop("opt_level", None)
-    compile_opts.pop("backend", None)
-    variants = [("opt_level=0", 0, None, "off"),
-                ("optimized", None, None, "off")]
-    variants += [("optimized", None, name, "off") for name in backends]
-    if tune == "apply":
-        variants.append(("tuned", None, None, "apply"))
-    table = Table(title, ["variant", "backend", "compile (s)",
-                          "run (s)", "speedup", "cache"])
-    measured = []
-    for label, level, backend, tune_mode in variants:
-        program = make_program()
-        kernel, compile_s, hit = timed_compile(
-            program, opt_level=level, backend=backend, tune=tune_mode,
-            **compile_opts)
-        effective = kernel.effective_backend
-        if backend is not None and effective != backend:
-            effective = "%s->%s" % (backend, effective)
-        if tune_mode == "apply" and not kernel.tuned:
-            label = "tuned (no table)"
-        run_s = time_kernel(kernel, repeats=repeats)
-        measured.append({
-            "label": label, "backend": backend, "effective": effective,
-            "compile_s": compile_s, "run_s": run_s,
-            "cache_hit": bool(hit),
-            "tuned": bool(kernel.tuned),
-            "outputs": _snapshot_outputs(program),
-        })
-    scalar = measured[0]
-
-    def _diff(row):
-        worst = 0.0
-        for left, right in zip(scalar["outputs"], row["outputs"]):
-            if left.size:
-                worst = max(worst, float(np.max(np.abs(
-                    left.astype(float) - right.astype(float)))))
-        return worst
-
-    for row in measured:
-        row["speedup"] = speedup(scalar["run_s"], row["run_s"])
-        table.add(row["label"], row["effective"], row["compile_s"],
-                  row["run_s"], row["speedup"],
-                  "hit" if row["cache_hit"] else "miss")
-    optimized = measured[1]
-    backend_rows = measured[2:2 + len(backends)]
-    tuned_rows = measured[2 + len(backends):]
-    payload = {
-        "title": title,
-        "variants": {
-            row["label"]: {"compile_s": row["compile_s"],
-                           "run_s": row["run_s"],
-                           "cache_hit": row["cache_hit"]}
-            for row in measured[:2]},
-        "speedup": optimized["speedup"],
-        "max_abs_diff": _diff(optimized),
-        "backends": {
-            row["backend"]: {
-                "compile_s": row["compile_s"],
-                "run_s": row["run_s"],
-                "speedup": row["speedup"],
-                "effective": row["effective"],
-                "max_abs_diff": _diff(row),
-                "cache_hit": row["cache_hit"],
-            }
-            for row in backend_rows},
-        "cache": kernel_cache().stats(),
-    }
-    if tuned_rows:
-        row = tuned_rows[0]
-        payload["tuned"] = {
-            "compile_s": row["compile_s"],
-            "run_s": row["run_s"],
-            "speedup": row["speedup"],
-            "applied": row["tuned"],
-            "max_abs_diff": _diff(row),
-            "cache_hit": row["cache_hit"],
-        }
-    return table, payload
-
-
-def throughput_table(title, program, datasets, executors=(
-        "serial", "threads", "processes"), max_workers=None,
-        repeats=3, instrument=True, backend=None, tune=None,
-        **compile_opts):
-    """Batched-throughput comparison across batch executors.
-
-    ``backend`` selects the kernel backend for every executor
-    (``"python"``/``"c"``; see
-    :func:`~repro.compiler.kernel.compile_kernel`); the table's
-    backend column and ``payload["backend"]`` report the *effective*
-    backend, so a C run that silently fell back to the interpreter is
-    visible in the report.  ``tune="apply"`` compiles the kernel
-    through the autotuner winners table; ``payload["tuned"]`` reports
-    whether a persisted winner was actually applied.
-
-    Compiles ``program`` once and maps it over ``datasets`` (see
-    :func:`repro.exec.run_batch` for the dataset forms) under each
-    executor, timing the whole batch.  Columns report items/sec, the
-    speedup over the serial executor, and scaling *efficiency*
-    (speedup divided by worker count); with ``instrument=True`` (the
-    default) the table also shows each executor's aggregate op count,
-    which must not depend on how the batch was sharded.
-
-    When ``processes`` is among the executors, the datasets are first
-    adopted into a :class:`repro.exec.ShmArena` (one copy), so the
-    processes run measures the warm-pool steady state: workers rebind
-    shared segments instead of receiving tensor bytes per batch.  The
-    arena is unlinked before returning.
-
-    Returns ``(table, payload)``.  The JSON-ready ``payload`` carries
-    per-executor wall seconds, items/sec, speedup, efficiency, op
-    totals, and the per-stage ``overhead`` breakdown
-    (serialize/transport/execute/collect seconds for the best batch),
-    plus ``identical`` — True when every executor produced
-    bit-identical output snapshots and the same total op count as the
-    baseline (serial when present, else the first executor).
-    """
-    from repro.exec import ShmArena
-    from repro.tensors.share import share_dataset
-
-    kernel = compile_kernel(program, instrument=instrument,
-                            backend=backend, tune=tune,
-                            **compile_opts)
-    effective = kernel.effective_backend
-    if backend is not None and effective != backend:
-        effective = "%s->%s" % (backend, effective)
-    table = Table(title, ["executor", "backend", "workers", "seconds",
-                          "items/s", "vs serial", "efficiency",
-                          "xport (s)", "exec (s)", "ops", "faults"])
-    payload = {"title": title, "items": len(datasets),
-               "backend": effective, "executors": {},
-               "tuned": bool(kernel.tuned),
-               "identical": True}
-    baseline_name = "serial" if "serial" in executors else executors[0]
-    measured = {}
-    arena = ShmArena() if "processes" in executors else None
-    try:
-        if arena is not None:
-            datasets = [share_dataset(dataset, arena)
-                        for dataset in datasets]
-        for executor in executors:
-            with KernelPool(kernel, executor=executor,
-                            max_workers=max_workers) as pool:
-                best = None
-                for _ in range(repeats):
-                    result = pool.map(datasets)
-                    if (best is None
-                            or result.wall_seconds < best.wall_seconds):
-                        best = result
-            measured[executor] = best
-    finally:
-        if arena is not None:
-            arena.close()
-    baseline = measured[baseline_name]
-    baseline_rate = baseline.items_per_second
-    for executor in executors:
-        result = measured[executor]
-        rate = result.items_per_second
-        boost = rate / baseline_rate if baseline_rate > 0 else float("inf")
-        efficiency = boost / result.max_workers
-        same = _same_outputs(baseline, result)
-        if not same:
-            payload["identical"] = False
-        overhead = dict(result.overhead or {})
-        transport = (overhead.get("serialize_s", 0.0)
-                     + overhead.get("transport_s", 0.0)
-                     + overhead.get("collect_s", 0.0))
-        faults = dict(result.faults)
-        # Recovered-fault events only (backoff_s is wall time, not a
-        # count): a healthy benchmark run shows 0 everywhere, so any
-        # nonzero here flags contaminated timings.
-        fault_events = sum(value for key, value in faults.items()
-                           if key != "backoff_s")
-        table.add(executor, effective, result.max_workers,
-                  result.wall_seconds, rate, boost, efficiency,
-                  transport, overhead.get("execute_s", 0.0),
-                  result.total_ops if instrument else "-",
-                  fault_events)
-        payload["executors"][executor] = {
-            "max_workers": result.max_workers,
-            "wall_seconds": result.wall_seconds,
-            "items_per_s": rate,
-            "speedup_vs_serial": boost,
-            "efficiency": efficiency,
-            "total_ops": result.total_ops,
-            "bit_identical": same,
-            "overhead": overhead,
-            "faults": faults,
-        }
-    return table, payload
-
-
-def warm_start_table(title, programs, store, repeats=1, remote=None):
-    """Cold vs warm-process compile time against a persistent store.
-
-    ``programs`` is a sequence of ``(figure, label, make_program,
-    compile_opts)`` tuples (see
-    :func:`repro.bench.figures.warm_start_programs`); ``store`` is a
-    warmed :class:`~repro.store.KernelStore`.  For every entry the
-    table measures:
-
-    * **cold** — a full compile (``cache=False``), the price every
-      fresh process paid before the store existed, and
-    * **warm** — the same compile in a simulated fresh process: the
-      in-memory kernel cache is cleared and the store is the only
-      tier, so the compile either hits disk or pays full price.
-
-    ``remote`` (a kernel-service URL) adds a third measurement per
-    figure: the same compile with *no* local store at all — the
-    in-memory cache cleared and the active store suppressed — so the
-    service is the only tier left.  The ``remote`` column reports that
-    compile's wall time and whether it was served by the fleet
-    (``service_stats()`` deltas); without a URL the column reads "-".
-
-    Both kernels are run and their outputs compared bit-for-bit (a
-    disk-rebuilt kernel must be indistinguishable from a fresh one).
-    Returns ``(table, payload)``; the payload carries per-figure
-    times, the aggregate ``hit_rate`` over the warm compiles
-    (1.0 = the warm process compiled zero kernels), ``cold_compiles``
-    (store misses seen during the warm pass), the store's cumulative
-    stats, and — when ``remote`` is set — ``remote_hit_rate`` over
-    the remote passes.  CI's ``bench-regression`` gate fails when
-    ``hit_rate`` drops: a silent fall-back to cold compiles is a
-    regression even when every kernel still runs fast.
-    """
-    from repro.store import using_store
-
-    table = Table(title, ["figure", "kernel", "cold (s)", "warm (s)",
-                          "speedup", "disk", "remote", "identical"])
-    payload = {"title": title, "figures": {}, "identical": True,
-               "store_root": store.root}
-    before = store.stats()
-    remote_hits = remote_lookups = 0
-    for figure, label, make_program, compile_opts in programs:
-        program = make_program()
-        best_cold = float("inf")
-        for _ in range(max(1, repeats)):
-            kernel_cache().clear()
-            start = time.perf_counter()
-            kernel = compile_kernel(program, cache=False,
-                                    **compile_opts)
-            best_cold = min(best_cold, time.perf_counter() - start)
-        kernel.run()
-        cold_outputs = _snapshot_outputs(program)
-
-        entry_before = store.stats()
-        warm_program = make_program()
-        kernel_cache().clear()
-        with using_store(store):
-            start = time.perf_counter()
-            warm_kernel = compile_kernel(warm_program, **compile_opts)
-            warm_s = time.perf_counter() - start
-        warm_kernel.run()
-        warm_outputs = _snapshot_outputs(warm_program)
-        entry_after = store.stats()
-        disk_hit = entry_after["hits"] > entry_before["hits"]
-
-        remote_cell = "-"
-        remote_info = None
-        if remote:
-            from repro.service.client import service_stats
-
-            remote_program = make_program()
-            kernel_cache().clear()
-            stats_before = service_stats()
-            # No local store: the service is the only tier left.
-            with using_store(None):
-                start = time.perf_counter()
-                remote_kernel = compile_kernel(
-                    remote_program, remote=remote, **compile_opts)
-                remote_s = time.perf_counter() - start
-            stats_after = service_stats()
-            hit = (stats_after["remote_hits"]
-                   > stats_before["remote_hits"])
-            remote_kernel.run()
-            remote_outputs = _snapshot_outputs(remote_program)
-            remote_same = (
-                len(remote_outputs) == len(cold_outputs)
-                and all(left.dtype == right.dtype
-                        and left.shape == right.shape
-                        and left.tobytes() == right.tobytes()
-                        for left, right in zip(cold_outputs,
-                                               remote_outputs)))
-            if not remote_same:
-                payload["identical"] = False
-            remote_lookups += 1
-            remote_hits += 1 if hit else 0
-            remote_cell = "%s %s" % (_fmt(remote_s),
-                                     "hit" if hit else "MISS")
-            remote_info = {"remote_compile_s": remote_s,
-                           "remote_hit": hit,
-                           "bit_identical": remote_same}
-
-        identical = len(cold_outputs) == len(warm_outputs)
-        for left, right in zip(cold_outputs, warm_outputs):
-            if (left.dtype != right.dtype or left.shape != right.shape
-                    or left.tobytes() != right.tobytes()):
-                identical = False
-        if not identical:
-            payload["identical"] = False
-        table.add(figure, label, best_cold, warm_s,
-                  speedup(best_cold, warm_s),
-                  "hit" if disk_hit else "MISS",
-                  remote_cell,
-                  "yes" if identical else "NO")
-        entry = {
-            "cold_compile_s": best_cold,
-            "warm_compile_s": warm_s,
-            "disk_hit": disk_hit,
-            "bit_identical": identical,
-        }
-        if remote_info is not None:
-            entry["remote"] = remote_info
-        payload["figures"][figure + "/" + label] = entry
-    after = store.stats()
-    lookups = (after["hits"] - before["hits"]) + (after["misses"]
-                                                  - before["misses"])
-    payload["hit_rate"] = ((after["hits"] - before["hits"]) / lookups
-                           if lookups else 0.0)
-    payload["cold_compiles"] = after["misses"] - before["misses"]
-    payload["store"] = after
-    if remote:
-        payload["remote_hit_rate"] = (remote_hits / remote_lookups
-                                      if remote_lookups else 0.0)
-    return table, payload
-
-
-def _same_outputs(baseline, result):
-    """True when two batch results carry bit-identical output
-    snapshots and equal aggregate op counts."""
-    if baseline.total_ops != result.total_ops:
-        return False
-    for left_item, right_item in zip(baseline.items, result.items):
-        if len(left_item.outputs) != len(right_item.outputs):
-            return False
-        for left, right in zip(left_item.outputs, right_item.outputs):
-            if (left.dtype != right.dtype
-                    or left.shape != right.shape
-                    or left.tobytes() != right.tobytes()):
-                return False
-    return True
-
-
-def assert_amortized(table):
-    """Assert an :func:`amortization_table` shows compile-once/run-many:
-    the first run misses the kernel cache, every later run hits."""
-    cache_column = [row[-1] for row in table.rows]
-    assert cache_column, "amortization table has no rows"
-    assert cache_column[0] == "miss", cache_column
-    assert cache_column[1:] == ["hit"] * (len(cache_column) - 1), \
-        cache_column
-
-
-def speedup(baseline, measured):
-    """baseline/measured, guarding zero."""
-    if measured == 0:
-        return float("inf")
-    return baseline / measured
 
 
 def summarize(values):

@@ -1,12 +1,12 @@
-"""Kernel builders shared by the benchmark harness and the examples.
+"""Kernel builders shared by the figure registry, tests and examples.
 
 Each experiment has a *program* builder (``*_program``) constructing
 the paper's CIN program over fresh tensors, plus a compiling wrapper
 that hands callers a :class:`~repro.compiler.kernel.Kernel` and the
-output tensor(s).  The split lets the benchmarks time compilation and
-execution separately (see :func:`repro.bench.harness.amortization_table`):
-calling a program builder twice yields structurally-identical programs
-over distinct tensors, so the second compile is a kernel-cache hit.
+output tensor(s).  The split keeps compilation and execution
+separable: calling a program builder twice yields
+structurally-identical programs over distinct tensors, so the second
+compile is a kernel-cache hit.
 All wrappers accept ``instrument=True`` to compile the op-counting
 variant used for asymptotic comparisons.
 """

@@ -77,6 +77,18 @@ CHAOS_ORACLE = "batch_chaos"
 #: anywhere in the fleet, which the retry machinery must absorb.
 CHAOS_PLAN = {"worker_crash": {"nth": 1}}
 
+#: The compile options of the compiling oracles: ``compiled@0/1/2``
+#: (indexed by opt level; the round-trip oracles reuse ``@2``) and
+#: ``c_backend`` last.  The AOT pack builder (:mod:`repro.store.pack`)
+#: compiles every case under exactly these, which is what lets a store
+#: warmed from a pack serve every compile of a campaign.
+ORACLE_COMPILE_OPTS = (
+    {"instrument": True, "opt_level": 0},
+    {"instrument": True, "opt_level": 1},
+    {"instrument": True, "opt_level": 2},
+    {"instrument": True, "opt_level": 2, "backend": "c"},
+)
+
 #: Per-profile batch shape: (datasets per batch, workers).
 _BATCH_SHAPE = {"quick": (2, 2), "deep": (3, 3)}
 
@@ -211,8 +223,8 @@ def verify_candidate(program, kernel, name="candidate", expected=None):
 def _run_compiled(spec, opt_level):
     """(output array, op count) of a fresh compiled run of ``spec``."""
     case = build_case(spec)
-    kernel = compile_kernel(case.program, instrument=True,
-                            opt_level=opt_level)
+    kernel = compile_kernel(case.program,
+                            **ORACLE_COMPILE_OPTS[opt_level])
     n_ops = kernel.run()
     return case.output_array(), int(n_ops)
 
@@ -225,8 +237,7 @@ def _run_c_backend(spec):
     interpreter, but a campaign summary wants to know its C coverage).
     """
     case = build_case(spec)
-    kernel = compile_kernel(case.program, instrument=True, opt_level=2,
-                            backend="c")
+    kernel = compile_kernel(case.program, **ORACLE_COMPILE_OPTS[-1])
     n_ops = kernel.run()
     return case.output_array(), int(n_ops), kernel.effective_backend
 
@@ -234,7 +245,7 @@ def _run_c_backend(spec):
 def _run_spec_roundtrip(spec):
     """Output of the serialized-then-rebuilt ``compiled@2`` artifact."""
     case = build_case(spec)
-    kernel = compile_kernel(case.program, instrument=True, opt_level=2)
+    kernel = compile_kernel(case.program, **ORACLE_COMPILE_OPTS[2])
     rebuilt = CompiledKernel.from_spec(kernel.to_spec())
     view = Kernel(rebuilt, case.slot_tensors(), case.program)
     n_ops = view.run()
@@ -262,7 +273,7 @@ def _run_store_roundtrip(spec):
     from repro.store import meta_for_artifact
 
     case = build_case(spec)
-    kernel = compile_kernel(case.program, instrument=True, opt_level=2)
+    kernel = compile_kernel(case.program, **ORACLE_COMPILE_OPTS[2])
     store = _oracle_store()
     if store.save_artifact(kernel.artifact) is None:
         raise RuntimeError("artifact refused to serialize for the "

@@ -10,11 +10,11 @@ copy.  The manifest records the version axes the pack was built under
 entries whose axes no longer match instead of serving stale kernels.
 
 Packs are built from the two kernel populations CI exercises on every
-run: the benchmark figure suite (via
-:func:`repro.bench.figures.pack_programs`) and the fuzz corpus plus a
-deterministic fuzz campaign (the same seeds the ``fuzz-smoke`` job
-replays).  A ``warm-kernels`` CI job compiles everything once into a
-pack, uploads it, and every downstream job warms its store from the
+run: the six figure kernels (via
+:func:`repro.bench.figures.warm_start_programs`) and the fuzz corpus
+plus a deterministic fuzz campaign (the same seeds the ``fuzz-smoke``
+job replays).  A ``warm-kernels`` CI job compiles everything once into
+a pack, uploads it, and every downstream job warms its store from the
 artifact — so the expensive specialize-and-optimize work happens in
 exactly one place per pipeline.
 """
@@ -44,9 +44,8 @@ def write_pack(path, entries, note="", base=None):
 
     Each entry is a dict with ``key`` (store key meta), ``spec`` (the
     serialized artifact) and optional ``figure``/``label`` provenance.
-    Entries are deduplicated by content digest — the figure registry
-    legitimately names one kernel twice (e.g. a kernel shared by two
-    benchmark tests).
+    Entries are deduplicated by content digest, so a builder may name
+    one kernel twice.
 
     ``base`` (a ``.flpack`` path) turns the output into a *diff pack*:
     entries whose content digest already lives in the base are not
@@ -261,18 +260,18 @@ def _pack(entries, kernel, figure, label):
 
 
 def figure_entries(log=None):
-    """Compile every benchmark-figure kernel; returns pack entries.
+    """Compile the six figure kernels; returns pack entries.
 
-    The programs come from :func:`repro.bench.figures.pack_programs`,
-    the same canonical registry the benchmark scripts build their
-    inputs from — which is what guarantees a warmed store actually
-    hits when the figures run.
+    The programs come from
+    :func:`repro.bench.figures.warm_start_programs`, the same canonical
+    registry everything that later compiles a figure builds its inputs
+    from — which is what guarantees a warmed store actually hits.
     """
-    from repro.bench.figures import pack_programs
+    from repro.bench.figures import warm_start_programs
     from repro.compiler.kernel import compile_kernel
 
     entries = []
-    for figure, label, make_program, opts in pack_programs():
+    for figure, label, make_program, opts in warm_start_programs():
         kernel = compile_kernel(make_program(), cache="memory", **opts)
         _pack(entries, kernel, figure, label)
         if log is not None:
@@ -280,31 +279,39 @@ def figure_entries(log=None):
     return entries
 
 
-def corpus_entries(corpus_dir=None, opt_levels=(0, 1, 2), log=None):
-    """Compile every fuzz-corpus case at each opt level (the exact
-    kernels the corpus replay recompiles on every CI run)."""
+def _pack_fuzz_case(entries, spec, figure, label):
+    """Pack one fuzz case under every compile the conformance oracles
+    make of it (:data:`repro.fuzz.conform.ORACLE_COMPILE_OPTS`): a
+    compile the pack leaves out is a guaranteed miss per case against
+    the warmed store."""
     from repro.compiler.kernel import compile_kernel
-    from repro.fuzz import corpus as corpus_mod
+    from repro.fuzz.conform import ORACLE_COMPILE_OPTS
     from repro.fuzz.gen import build_case
+
+    program = build_case(spec).program
+    for opts in ORACLE_COMPILE_OPTS:
+        kernel = compile_kernel(program, cache="memory", **opts)
+        _pack(entries, kernel, figure, label)
+
+
+def corpus_entries(corpus_dir=None, log=None):
+    """Compile every fuzz-corpus case (the exact kernels the corpus
+    replay recompiles on every CI run)."""
+    from repro.fuzz import corpus as corpus_mod
 
     entries = []
     paths = corpus_mod.corpus_entries(
         corpus_mod.DEFAULT_CORPUS_DIR if corpus_dir is None
         else corpus_dir)
     for path in paths:
-        spec = corpus_mod.load_entry(path)["spec"]
-        for level in opt_levels:
-            case = build_case(spec)
-            kernel = compile_kernel(case.program, instrument=True,
-                                    opt_level=level, cache="memory")
-            _pack(entries, kernel, "fuzz_corpus", path)
+        _pack_fuzz_case(entries, corpus_mod.load_entry(path)["spec"],
+                        "fuzz_corpus", path)
         if log is not None:
             log("  packed corpus %s" % path)
     return entries
 
 
-def campaign_entries(seed, budget, profile="quick",
-                     opt_levels=(0, 1, 2), log=None):
+def campaign_entries(seed, budget, profile="quick", log=None):
     """Compile the kernels of one deterministic fuzz campaign.
 
     The conformance engine derives its case seeds from ``(seed,
@@ -312,19 +319,15 @@ def campaign_entries(seed, budget, profile="quick",
     ``fuzz-smoke`` job runs means that job's compiles all come off the
     warmed store.
     """
-    from repro.compiler.kernel import compile_kernel
     from repro.fuzz.engine import case_seed
-    from repro.fuzz.gen import build_case, generate_spec
+    from repro.fuzz.gen import generate_spec
 
     entries = []
     for step in range(budget):
-        spec = generate_spec(case_seed(seed, step), profile)
-        for level in opt_levels:
-            case = build_case(spec)
-            kernel = compile_kernel(case.program, instrument=True,
-                                    opt_level=level, cache="memory")
-            _pack(entries, kernel, "fuzz_campaign",
-                  "seed %d step %d" % (seed, step))
+        _pack_fuzz_case(entries,
+                        generate_spec(case_seed(seed, step), profile),
+                        "fuzz_campaign",
+                        "seed %d step %d" % (seed, step))
         if log is not None and (step + 1) % 50 == 0:
             log("  packed campaign %d/%d" % (step + 1, budget))
     return entries

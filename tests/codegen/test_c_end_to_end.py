@@ -112,6 +112,23 @@ class TestDifferentialMatrix:
         assert c_kernel.effective_backend == "c"
         assert c_val == py_val == float(np.sum(m @ v))
 
+    def test_fig1_list_x_band_runs_native(self):
+        # The headline kernel at the default opt level: its scalar
+        # merge loop is nothing the vectorizer can touch, so it must
+        # reach the C emitter whole (no silent fallback) and agree
+        # with the python backend to the last bit.
+        from repro.bench.figures import fig1_inputs, fig1_looplet_program
+
+        values = {}
+        for backend in ("python", "c"):
+            prog, C = fig1_looplet_program(*fig1_inputs())
+            kernel = fl.compile_kernel(prog, backend=backend)
+            kernel.run()
+            assert kernel.effective_backend == backend, \
+                codegen.fallback_events()[-3:]
+            values[backend] = float(C.value)
+        assert values["c"] == values["python"]
+
     def test_spmv_dense_output_falls_back_bit_identical(self):
         # Tensor-output kernels initialize their value buffer with a
         # numpy ``.fill`` Raw statement the C emitter refuses (buffer

@@ -6,6 +6,8 @@ import pytest
 
 import repro.lang as fl
 from repro.bench.kernels import (
+    all_pairs_similarity_program,
+    alpha_blend_program,
     masked_convolution_program,
     spmspv_program,
     triangle_count_program,
@@ -114,6 +116,23 @@ class TestCacheHitOracle:
                 sparse_mat(10, 10, 0.2, seed), filt)
 
         self._check(make, lambda c: c.to_numpy())
+
+    def test_alpha_blend(self):
+        def make(seed):
+            rng = np.random.default_rng(seed)
+            img_b, img_c = (np.repeat(rng.integers(0, 3, (6, 4)), 5,
+                                      axis=1).astype(np.uint8) * 100
+                            for _ in range(2))
+            return alpha_blend_program(img_b, img_c, 0.4, 0.6, "rle")
+
+        self._check(make, lambda a: a.to_numpy())
+
+    def test_all_pairs(self):
+        def make(seed):
+            return all_pairs_similarity_program(
+                sparse_mat(4, 30, 0.3, seed), "vbl")
+
+        self._check(make, lambda o: o.to_numpy())
 
     def test_execute_routes_through_cache(self):
         for seed in (1, 2, 3):

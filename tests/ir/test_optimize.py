@@ -534,6 +534,7 @@ class TestGoldenKernels:
         prog = fl.forall(i, fl.increment(C[()], A[i] * B[i]))
         kernel = fl.compile_kernel(prog, cache=False)
         assert "_np.dot" in kernel.source
+        assert "_np.dot" not in kernel.raw_source
         assert "for" not in kernel.source
         kernel.run()
         assert C.value == pytest.approx(float(a @ a))

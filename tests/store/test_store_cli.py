@@ -14,6 +14,7 @@ import pytest
 import repro.lang as fl
 from repro.compiler.kernel import kernel_cache
 from repro.fuzz import corpus as corpus_mod
+from repro.fuzz.conform import ORACLE_COMPILE_OPTS
 from repro.store import KernelStore, using_store
 from repro.store.__main__ import main
 from repro.util import config
@@ -30,7 +31,8 @@ def clean_state():
 
 @pytest.fixture()
 def mini_corpus(tmp_path):
-    """A one-entry corpus dir (cheap to compile at three levels)."""
+    """A one-entry corpus dir (cheap to compile under every oracle's
+    options)."""
     source = corpus_mod.corpus_entries()[0]
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
@@ -43,22 +45,24 @@ def test_pack_verify_ls_warm_stats(tmp_path, mini_corpus, capsys):
     assert main(["pack", "--out", pack_path, "--no-figures",
                  "--corpus", mini_corpus, "--quiet"]) == 0
     out = capsys.readouterr().out
-    assert "packed 3 kernel(s)" in out  # one case at opt 0/1/2
+    # One case under each of the conformance oracles' compiles.
+    count = len(ORACLE_COMPILE_OPTS)
+    assert "packed %d kernel(s)" % count in out
 
     assert main(["verify", pack_path]) == 0
     assert "PASS" in capsys.readouterr().out
 
     assert main(["ls", "--pack", pack_path]) == 0
     out = capsys.readouterr().out
-    assert "3 entries" in out and "fuzz_corpus" in out
+    assert "%d entries" % count in out and "fuzz_corpus" in out
 
     store_dir = str(tmp_path / "store")
     assert main(["warm", "--store", store_dir, "--pack",
                  pack_path]) == 0
-    assert "3 loaded" in capsys.readouterr().out
+    assert "%d loaded" % count in capsys.readouterr().out
 
     assert main(["ls", "--store", store_dir]) == 0
-    assert "3 entries" in capsys.readouterr().out
+    assert "%d entries" % count in capsys.readouterr().out
 
     # No lookups yet: the gate must fail loudly, not pass vacuously.
     assert main(["stats", "--store", store_dir,
@@ -71,11 +75,10 @@ def test_pack_verify_ls_warm_stats(tmp_path, mini_corpus, capsys):
     from repro.fuzz.gen import build_case
 
     with using_store(KernelStore(store_dir)):
-        for level in (0, 1, 2):
+        for opts in ORACLE_COMPILE_OPTS:
             kernel_cache().clear()
             case = build_case(spec)
-            kernel = fl.compile_kernel(case.program, instrument=True,
-                                       opt_level=level)
+            kernel = fl.compile_kernel(case.program, **opts)
             assert kernel.from_cache
     assert main(["stats", "--store", store_dir,
                  "--min-hit-rate", "1.0"]) == 0
@@ -112,10 +115,11 @@ def test_warm_without_pack_compiles_directly(tmp_path, mini_corpus,
         return fl.forall(i, fl.increment(C[()], A[i]))
 
     monkeypatch.setattr(
-        figures, "pack_programs",
+        figures, "warm_start_programs",
         lambda: [("fig_test", "one", one_program, {})])
     monkeypatch.setattr(corpus_mod, "DEFAULT_CORPUS_DIR", mini_corpus)
     store_dir = str(tmp_path / "store")
     assert main(["warm", "--store", store_dir, "--quiet"]) == 0
-    assert "compiled 4 entries" in capsys.readouterr().out
-    assert KernelStore(store_dir).stats()["entries"] == 4
+    expected = 1 + len(ORACLE_COMPILE_OPTS)
+    assert "compiled %d entries" % expected in capsys.readouterr().out
+    assert KernelStore(store_dir).stats()["entries"] == expected

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import Table, speedup, summarize, time_kernel
+from repro.bench.harness import Table, median_time_kernel, summarize
 
 
 class TestTable:
@@ -37,31 +37,12 @@ class TestTable:
 
 
 class TestHelpers:
-    def test_speedup(self):
-        assert speedup(10.0, 2.0) == 5.0
-        assert speedup(1.0, 0.0) == float("inf")
-
     def test_summarize(self):
         assert summarize([3, 1, 2]) == (1, 2, 3)
         assert summarize([]) == (0.0, 0.0, 0.0)
         assert summarize([7]) == (7, 7, 7)
 
-    def test_time_kernel_returns_minimum(self):
-        class FakeKernel:
-            def __init__(self):
-                self.calls = 0
-
-            def run(self):
-                self.calls += 1
-
-        kernel = FakeKernel()
-        elapsed = time_kernel(kernel, repeats=3)
-        assert kernel.calls == 3
-        assert elapsed >= 0.0
-
     def test_median_time_kernel_discards_warmup(self):
-        from repro.bench.harness import median_time_kernel
-
         class FakeKernel:
             def __init__(self):
                 self.calls = 0
@@ -73,114 +54,3 @@ class TestHelpers:
         elapsed = median_time_kernel(kernel, repeats=5, warmup=2)
         assert kernel.calls == 7  # 2 warmup + 5 timed
         assert elapsed >= 0.0
-
-
-class TestWarmStartTable:
-    def _programs(self):
-        import numpy as np
-
-        import repro.lang as fl
-
-        def make_program():
-            a = np.arange(48, dtype=float)
-            A = fl.from_numpy(a, ("dense",), name="A")
-            C = fl.Scalar(name="C")
-            i = fl.indices("i")
-            return fl.forall(i, fl.increment(C[()], A[i] * A[i]))
-
-        return [("fig_test", "square sum", make_program, {})]
-
-    def test_warm_store_hits_and_matches(self, tmp_path):
-        from repro.bench.harness import warm_start_table
-        from repro.compiler.kernel import compile_kernel, kernel_cache
-        from repro.store import KernelStore
-
-        store = KernelStore(tmp_path)
-        programs = self._programs()
-        for _, _, make_program, opts in programs:
-            kernel_cache().clear()
-            kernel = compile_kernel(make_program(), cache=False, **opts)
-            store.save_artifact(kernel.artifact)
-        table, payload = warm_start_table("warm start", programs, store)
-        assert payload["hit_rate"] == 1.0
-        assert payload["cold_compiles"] == 0
-        assert payload["identical"] is True
-        assert [row[5] for row in table.rows] == ["hit"]
-        entry = payload["figures"]["fig_test/square sum"]
-        assert entry["disk_hit"] and entry["bit_identical"]
-
-    def test_cold_store_reports_misses(self, tmp_path):
-        from repro.bench.harness import warm_start_table
-        from repro.store import KernelStore
-
-        store = KernelStore(tmp_path)
-        table, payload = warm_start_table("cold start",
-                                          self._programs(), store)
-        # An unwarmed store misses (and is warmed behind); outputs
-        # still match because the fallback is a real compile.
-        assert payload["hit_rate"] == 0.0
-        assert payload["cold_compiles"] == 1
-        assert payload["identical"] is True
-        assert store.stats()["entries"] == 1
-
-
-class TestTunedRows:
-    def _make_program(self):
-        import numpy as np
-
-        import repro.lang as fl
-
-        rng = np.random.default_rng(3)
-        a = np.zeros(64)
-        a[rng.choice(64, 7, replace=False)] = rng.random(7) + 0.1
-        b = np.zeros(64)
-        b[8:40] = rng.random(32) + 0.1
-        A = fl.from_numpy(a, ("sparse",), name="A")
-        B = fl.from_numpy(b, ("band",), name="B")
-        C = fl.Scalar(name="C")
-        i = fl.indices("i")
-        return fl.forall(i, fl.increment(C[()], A[i] * B[i]))
-
-    def test_optimization_table_tuned_row(self, tmp_path):
-        from repro.bench.harness import optimization_table
-        from repro.compiler.kernel import kernel_cache
-        from repro.store import KernelStore, using_store
-        from repro.tune import clear_tuning_memo, tune_program
-
-        store = KernelStore(tmp_path)
-        try:
-            with using_store(store):
-                result = tune_program(
-                    self._make_program, opt_levels=(1, 2),
-                    backends=("python",), repeats=1, warmup=0)
-                assert result["persisted"]
-                table, payload = optimization_table(
-                    "tuned vs default", self._make_program,
-                    repeats=1, tune="apply")
-            assert payload["tuned"]["applied"] is True
-            assert payload["tuned"]["max_abs_diff"] == 0.0
-            assert payload["tuned"]["run_s"] >= 0.0
-            assert any(row[0] == "tuned" for row in table.rows)
-        finally:
-            kernel_cache().clear()
-            clear_tuning_memo()
-
-    def test_tuned_row_without_table_is_labeled(self, tmp_path):
-        from repro.bench.harness import optimization_table
-        from repro.compiler.kernel import kernel_cache
-        from repro.store import KernelStore, using_store
-        from repro.tune import clear_tuning_memo
-
-        try:
-            with using_store(KernelStore(tmp_path)):
-                table, payload = optimization_table(
-                    "no table yet", self._make_program,
-                    repeats=1, tune="apply")
-            # No winner on record: the row measures the default
-            # compile and says so instead of faking a tuning.
-            assert payload["tuned"]["applied"] is False
-            assert any(row[0] == "tuned (no table)"
-                       for row in table.rows)
-        finally:
-            kernel_cache().clear()
-            clear_tuning_memo()
