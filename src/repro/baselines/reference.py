@@ -3,8 +3,10 @@
 Executes a CIN program directly — nested Python loops over *densified*
 inputs — with the same semantics the compiler implements: index
 modifiers, ``missing`` propagation, ``coalesce``, sieves, wheres and
-multis.  It is deliberately naive; it exists to be an independently
-simple oracle that every compiled kernel is checked against.
+multis.  Append outputs (``RunOutput`` / ``SparseOutput``) are
+overwrite-only targets with a dense result.  It is deliberately naive;
+it exists to be an independently simple oracle that every compiled
+kernel is checked against.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from repro.cin.nodes import (
 )
 from repro.ir.nodes import Call, Literal, Load, Var
 from repro.ir.ops import MISSING
+from repro.tensors.output import _AppendOutput
 from repro.tensors.tensor import Tensor
 from repro.util.errors import ReproError
 
@@ -39,8 +42,7 @@ class Interpreter:
         self.results = {}
         for tensor in self.outputs:
             self.results[id(tensor)] = np.full(
-                tensor.shape, tensor.fill,
-                dtype=tensor.element.val.dtype)
+                tensor.shape, tensor.fill, dtype=tensor.dtype)
 
     def run(self):
         self._stmt(self.program, {})
@@ -87,6 +89,10 @@ class Interpreter:
 
     def _assign(self, stmt, env):
         value = self._expr(stmt.rhs, env)
+        if stmt.op is not None and isinstance(stmt.lhs.tensor,
+                                              _AppendOutput):
+            raise ReproError(
+                "append outputs support overwrite assignment only")
         target = self.results[id(stmt.lhs.tensor)]
         coords = tuple(self._expr(idx, env) for idx in stmt.lhs.idxs)
         if stmt.op is None:

@@ -124,9 +124,8 @@ def tune_program(make_program, label="program", opt_levels=(1, 2),
     # One interpreter run covers every candidate: they all rewrite
     # *this* program over *these* tensors, so the trusted answer is a
     # constant of the search.  A program the reference interpreter
-    # cannot execute (e.g. output-builder tensors) is unverifiable —
-    # no candidate can ever become eligible, so the search is skipped
-    # honestly rather than crashed.
+    # cannot execute is unverifiable — no candidate can ever become
+    # eligible, so the search is skipped honestly rather than crashed.
     try:
         expected = reference_outputs(program)
     except Exception as exc:

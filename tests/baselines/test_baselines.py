@@ -157,3 +157,37 @@ class TestInterpreter:
         prog = Assign(C[()], _ops.ADD, Var("ghost"))
         with pytest.raises(ReproError):
             interpret(prog)
+
+    def test_fig10_run_output_is_a_dense_result(self):
+        from repro.bench import figures
+        from repro.bench.kernels import alpha_blend_program
+
+        img_b, img_c = figures.fig10_image_pair("digit", seed=1)
+        prog, A = alpha_blend_program(img_b, img_c, figures.FIG10_ALPHA,
+                                      figures.FIG10_BETA, "rle")
+        result = interpret(prog).result_for(A)
+        assert result.dtype == np.uint8
+        np.testing.assert_array_equal(result, dense_ref.alpha_blend_numpy(
+            img_b, img_c, figures.FIG10_ALPHA, figures.FIG10_BETA))
+        fl.compile_kernel(prog).run()
+        np.testing.assert_array_equal(A.to_numpy(), result)
+
+    def test_dropfills_sparse_output_is_a_dense_result(self):
+        # The program ``tensors.convert.dropfills`` compiles.
+        mat = np.zeros((3, 6))
+        mat[0, 2] = 4.0
+        mat[2, 5] = 5.0
+        M = fl.from_numpy(mat, ("dense", "rle"), name="M")
+        out = fl.SparseOutput((3, 6), name="out")
+        i, j = fl.indices("i", "j")
+        prog = fl.forall(i, fl.forall(j, fl.store(out[i, j], M[i, j])))
+        np.testing.assert_array_equal(interpret(prog).result_for(out),
+                                      mat)
+        np.testing.assert_array_equal(fl.dropfills(M).to_numpy(), mat)
+
+    def test_reduction_into_append_output_rejected(self):
+        A = fl.from_numpy(np.ones(4), ("dense",), name="A")
+        out = fl.RunOutput((4,), name="out")
+        i = fl.indices("i")
+        with pytest.raises(ReproError):
+            interpret(fl.forall(i, fl.increment(out[i], A[i])))

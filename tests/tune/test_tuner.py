@@ -168,10 +168,9 @@ def test_divergent_candidates_are_never_persisted(tmp_path):
 
 def test_unverifiable_program_is_skipped_not_persisted(
         tmp_path, monkeypatch):
-    # A program the reference interpreter cannot execute (fig10_alpha's
-    # output-builder tensors are the real case): no candidate can ever
-    # be verified, so the search must skip honestly, not crash and not
-    # persist.
+    # A program the reference interpreter cannot execute: no candidate
+    # can ever be verified, so the search must skip honestly, not crash
+    # and not persist.
     store = KernelStore(tmp_path)
     from repro.fuzz import conform
 
@@ -185,6 +184,23 @@ def test_unverifiable_program_is_skipped_not_persisted(
     assert result["schedule"] is None
     assert result["persisted"] is None
     assert store.stats()["tunings"] == 0
+
+
+def test_fig10_append_output_is_verified(tmp_path):
+    # The interpreter gives an append output a dense result, so the
+    # RLE alpha blend is searched and verified like any other figure.
+    from repro.bench import figures
+    from repro.bench.kernels import alpha_blend_program
+
+    img_b, img_c = figures.fig10_image_pair("digit", seed=1)
+    result = tune_program(
+        lambda: alpha_blend_program(img_b, img_c, figures.FIG10_ALPHA,
+                                    figures.FIG10_BETA, "rle")[0],
+        label="fig10", opt_levels=(2,), backends=("python",), budget=1,
+        repeats=1, warmup=0, store=KernelStore(tmp_path))
+    assert "unverifiable" not in result
+    assert result["verified"] == 1 and result["rejected"] == 0
+    assert result["persisted"]
 
 
 _PROGRAM_SNIPPET = (
