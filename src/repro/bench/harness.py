@@ -9,8 +9,6 @@ the one timer here, :func:`median_time_kernel`, is the autotuner's
 
 import time
 
-import numpy as np
-
 
 class Table:
     """A small aligned-text table builder."""
@@ -79,14 +77,9 @@ def median_time_kernel(kernel, repeats=5, warmup=1):
 def _snapshot_outputs(program):
     """Copies of the program's output tensors as numpy arrays."""
     from repro.cin.analyze import output_tensors
+    from repro.exec.worker import snapshot_tensor
 
-    snaps = []
-    for tensor in output_tensors(program):
-        try:
-            snaps.append(np.array(tensor.to_numpy(), copy=True))
-        except AttributeError:
-            snaps.append(np.asarray(tensor.value))
-    return snaps
+    return [snapshot_tensor(tensor) for tensor in output_tensors(program)]
 
 
 def summarize(values):

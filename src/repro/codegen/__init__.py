@@ -10,7 +10,7 @@ engine's ``threads`` executor scales on C kernels.
 
 The backend is *best effort by design*: constructs the C emitter does
 not cover (vectorized numpy slice operations, ``missing``-valued
-expressions, output builders, buffers outside int64/float64/bool) raise
+expressions, dense output fills, buffers outside int64/float64/bool) raise
 :class:`CUnsupportedError` during compilation and the kernel falls
 back to the python backend — loudly (one log line per distinct
 reason, and a queryable ledger: :func:`fallback_events`) but

@@ -27,7 +27,7 @@ Python arithmetic exactly where C differs:
 
 Anything the emitter cannot translate with that guarantee raises
 :class:`CUnsupportedError` — :class:`Raw` statements (vectorized numpy
-slices, output-builder method calls), ``missing``/``coalesce``,
+slices, the dense output ``.fill``), ``missing``/``coalesce``,
 unregistered ops, buffers outside :data:`SUPPORTED_DTYPES`, and loop
 variables read after their loop (Python leaves ``stop - 1``, C leaves
 ``stop``).  The caller falls back to the python backend.
@@ -194,8 +194,8 @@ class _Emitter:
         for node in asm.walk_statements(self.func):
             if isinstance(node, asm.Raw):
                 raise CUnsupportedError(
-                    "opaque statement %r (vectorized numpy or builder "
-                    "call)" % node.line)
+                    "opaque statement %r (vectorized numpy or buffer "
+                    "fill)" % node.line)
 
     def _infer_types(self):
         for _ in range(8):

@@ -11,7 +11,7 @@ tensor's format signature; see
 arrays.  The artifact records a *binding plan* mapping every kernel
 parameter to a ``(slot, role)`` pair — slot = the tensor's position in
 first-use order, role = which of its buffers (``lvl0_pos``, ``val``,
-``builder``, ...) — so the same artifact can be re-bound to any
+``coords``, ...) — so the same artifact can be re-bound to any
 tensors with matching signatures.
 
 The compile-once/run-many lifecycle::
@@ -52,8 +52,6 @@ harness alongside wall-clock time.
 import threading
 import time
 from collections import OrderedDict
-
-import numpy as np
 
 from repro.cin.analyze import (
     buffer_alias_groups,
@@ -690,6 +688,7 @@ def _compile_artifact(program, tensors, instrument, name,
         preamble.append(asm.AssignStmt(var, Load(buf, Literal(0))))
         if is_output:
             epilogue.append(asm.AssignStmt(Load(buf, Literal(0)), var))
+    epilogue.extend(lowerer.append_epilogue())
 
     params = [name_ for name_, _ in ctx.bound_buffers()]
     returns = (ctx.ops_var.name,) if instrument else ()
@@ -709,13 +708,8 @@ def _compile_artifact(program, tensors, instrument, name,
         from repro import codegen
 
         try:
-            dtype_map = {}
-            for pname, array in ctx.bound_buffers():
-                if not isinstance(array, np.ndarray):
-                    raise codegen.CUnsupportedError(
-                        "parameter %r is %r, not an ndarray"
-                        % (pname, type(array).__name__))
-                dtype_map[pname] = str(array.dtype)
+            dtype_map = {pname: str(array.dtype)
+                         for pname, array in ctx.bound_buffers()}
             c_source = codegen.emit_c(func, dtype_map)
             c_param_dtypes = [dtype_map[p] for p in func.params]
         except codegen.CUnsupportedError as exc:
@@ -818,9 +812,8 @@ def compile_kernel(program, instrument=False, name="kernel",
     :mod:`ctypes` (releasing the GIL during each call).  ``None``
     reads the ``FL_KERNEL_BACKEND`` environment variable, defaulting
     to ``"python"``.  Kernels the C emitter cannot express —
-    vectorized numpy slice ops, output builders, buffers outside
-    int64/float64/bool — and environments with no C compiler fall
-    back to the
+    vectorized numpy slice ops, buffers outside int64/float64/bool —
+    and environments with no C compiler fall back to the
     python backend loudly but gracefully (one warning per distinct
     reason; see :func:`repro.codegen.fallback_events`); the resulting
     :class:`Kernel` reports the request as ``.backend`` and the

@@ -35,7 +35,7 @@ from repro.compiler.unfurl import (
     unfurl_access,
 )
 from repro.ir import asm, build, ops
-from repro.ir.nodes import Extent, Literal, Var
+from repro.ir.nodes import Extent, Literal, Load, Var
 from repro.looplets import (
     Jumper,
     Lookup,
@@ -52,6 +52,7 @@ from repro.looplets import (
     truncate,
 )
 from repro.rewrite import simplify_expr
+from repro.tensors.output import RunOutput, SparseOutput
 from repro.tensors.tensor import Tensor
 from repro.util.errors import LoweringError
 
@@ -164,6 +165,7 @@ class Lowerer:
 
     def __init__(self, ctx):
         self.ctx = ctx
+        self._streams = {}  # id(append output) -> _append_stream()
 
     # -- statements ------------------------------------------------------
     def lower_stmt(self, stmt):
@@ -201,11 +203,12 @@ class Lowerer:
 
     def emit_reset(self, tensor):
         """Initialize a result tensor as it enters scope."""
-        from repro.tensors.output import RunOutput, SparseOutput
-
         if isinstance(tensor, (RunOutput, SparseOutput)):
-            buf = self.ctx.buffer(tensor.builder, tensor.name + "_out")
-            self.ctx.emit(asm.Raw("%s.reset()" % buf.name))
+            _, _, state, count, cursor = self._append_stream(tensor)
+            self.ctx.emit(asm.AssignStmt(count, Literal(0)))
+            self.ctx.emit(asm.AssignStmt(cursor, Literal(0)))
+            self.ctx.emit(asm.AssignStmt(Load(state, Literal(2)),
+                                         Literal(0)))
             return
         if tensor.ndim == 0:
             var = self.ctx.mark_scalar_output(tensor)
@@ -488,13 +491,9 @@ class Lowerer:
     def _emit_constant_loop(self, index, ext, stmt):
         """``@loop i ∈ a:b  C[...] += v`` with v independent of i becomes
         a single update scaled by the trip count (Figure 5, last rule)."""
-        from repro.tensors.output import RunOutput
-
         rhs = simplify_expr(self.resolve_expr(stmt.rhs))
         if isinstance(stmt.lhs.tensor, RunOutput):
             return self._emit_run_append(index, ext, stmt, rhs)
-        from repro.tensors.output import SparseOutput
-
         if isinstance(stmt.lhs.tensor, SparseOutput):
             if isinstance(rhs, Literal) and not callable(rhs.value) \
                     and rhs.value == stmt.lhs.tensor.fill:
@@ -529,7 +528,29 @@ class Lowerer:
             return True
         return False
 
-    # -- run-length output assembly (Figure 10's RLE results) -----------
+    # -- append output assembly (Figure 10's RLE results) ----------------
+    def _append_stream(self, tensor):
+        """The kernel side of an append output: its three buffers, and
+        the scalar Vars carrying its entry count and cursor from the
+        reset to the epilogue's store-back."""
+        key = id(tensor)
+        if key not in self._streams:
+            buffers = tensor.kernel_buffers()
+            self._streams[key] = tuple(
+                [self.ctx.buffer(buffers[role],
+                                 "%s_%s" % (tensor.name, role))
+                 for role in ("coords", "vals", "state")]
+                + [Var(self.ctx.freshen("%s_%s" % (tensor.name, hint)))
+                   for hint in ("n", "cur")])
+        return self._streams[key]
+
+    def append_epilogue(self):
+        """Stores of every append output's count and cursor back into
+        its state vector."""
+        return [asm.AssignStmt(Load(state, Literal(slot)), var)
+                for _, _, state, count, cursor in self._streams.values()
+                for slot, var in enumerate((count, cursor))]
+
     def _flat_position(self, tensor, idxs):
         """Row-major flattened coordinate of an output access."""
         pos = Literal(0)
@@ -537,10 +558,34 @@ class Lowerer:
             pos = build.plus(build.times(pos, dim), idx)
         return simplify_expr(pos)
 
+    def _append(self, tensor, start, stop, value):
+        """The statement storing one entry over flat coordinates
+        ``[start, stop)``.
+
+        In order, it advances the cursor — a run output first fills the
+        gap behind it with a run of fill.  Behind the cursor it only
+        raises the flag: every stored entry moves the cursor forward,
+        which is what keeps the count within the streams' capacity.
+        """
+        coords, vals, state, count, cursor = self._append_stream(tensor)
+        runs = isinstance(tensor, RunOutput)
+
+        def push(coord, val):
+            return [asm.AssignStmt(Load(coords, count), coord),
+                    asm.AssignStmt(Load(vals, count), val),
+                    asm.AccumStmt(count, ops.ADD, Literal(1))]
+
+        entry = push(stop if runs else start, value)
+        if runs:
+            entry.insert(0, asm.If([(build.gt(start, cursor), asm.Block(
+                push(start, fill_literal(tensor))))]))
+        return asm.If([
+            (build.lt(start, cursor),
+             asm.AssignStmt(Load(state, Literal(2)), Literal(1))),
+            (None, asm.Block(entry + [asm.AssignStmt(cursor, stop)]))])
+
     def _emit_run_append(self, index, ext, stmt, rhs):
         """Append one run covering a whole constant region."""
-        from repro.ir.pretty import expr_source
-
         tensor = stmt.lhs.tensor
         if stmt.op is not None:
             raise LoweringError(
@@ -552,36 +597,32 @@ class Lowerer:
                 return False
         if index.name in rhs.free_vars():
             return False
-        buf = self.ctx.buffer(tensor.builder, tensor.name + "_out")
         start = self._flat_position(
             tensor, list(stmt.lhs.idxs[:-1]) + [ext.start])
         stop = self._flat_position(
             tensor, list(stmt.lhs.idxs[:-1]) + [ext.stop])
-        self.ctx.emit(asm.Raw("%s.append_run(%s, %s, %s)" % (
-            buf.name, expr_source(start), expr_source(stop),
-            expr_source(rhs))))
+        append = self._append(tensor, start, stop, rhs)
+        nonempty = ext_nonempty_cond(ext)
+        if nonempty == Literal(True):
+            self.ctx.emit(append)
+        else:
+            self.ctx.emit(asm.If([(nonempty, append)]))
         self.ctx.emit(self.ctx.count_op())
         return True
 
     def _emit_point_append(self, stmt, rhs):
         """Append a single-element run (non-constant positions)."""
-        from repro.ir.pretty import expr_source
-
         tensor = stmt.lhs.tensor
         if stmt.op is not None:
             raise LoweringError(
                 "run-length outputs support overwrite assignment only")
-        buf = self.ctx.buffer(tensor.builder, tensor.name + "_out")
         flat = self._flat_position(tensor, stmt.lhs.idxs)
-        source = expr_source(flat)
-        self.ctx.emit(asm.Raw("%s.append_run(%s, %s + 1, %s)" % (
-            buf.name, source, source, expr_source(rhs))))
+        self.ctx.emit(self._append(
+            tensor, flat, simplify_expr(build.plus(flat, 1)), rhs))
         self.ctx.emit(self.ctx.count_op())
 
     def _emit_sparse_append(self, stmt, rhs):
         """Append one coordinate to a sparse output, guarded on fill."""
-        from repro.ir.pretty import expr_source
-
         tensor = stmt.lhs.tensor
         if stmt.op is not None:
             raise LoweringError(
@@ -591,22 +632,17 @@ class Lowerer:
             # Statically-fill stores are elided entirely: the whole
             # point of sparse assembly.
             return
-        buf = self.ctx.buffer(tensor.builder, tensor.name + "_out")
         flat = self._flat_position(tensor, stmt.lhs.idxs)
         value = Var(self.ctx.freshen(tensor.name + "_v"))
         self.ctx.emit(asm.AssignStmt(value, rhs))
         guard = build.ne(value, Literal(tensor.fill))
-        append = asm.Block([
-            asm.Raw("%s.append(%s, %s)" % (buf.name, expr_source(flat),
-                                           value.name)),
-            self.ctx.count_op(),
-        ])
-        self.ctx.emit(asm.If([(guard, append)]))
+        append = self._append(
+            tensor, flat, simplify_expr(build.plus(flat, 1)), value)
+        self.ctx.emit(asm.If([
+            (guard, asm.Block([append, self.ctx.count_op()]))]))
 
     # -- assignments ---------------------------------------------------
     def emit_assign(self, stmt):
-        from repro.tensors.output import RunOutput, SparseOutput
-
         rhs = simplify_expr(self.resolve_expr(stmt.rhs))
         if is_identity_literal(rhs, stmt.op):
             return

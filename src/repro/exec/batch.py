@@ -61,8 +61,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from repro.cin.analyze import tensor_binding_buffers
 from repro.compiler.kernel import compile_kernel, resolve_name_overrides
 from repro.compiler.key import KernelKey
@@ -644,8 +642,8 @@ class KernelPool:
         arena-resident).  Transport: seal the staging segment (one
         copy in), and after the run copy staged output regions back.
         Execute: the pool's chunked dispatch, under this pool's
-        deadline/retry settings.  Collect: restore builder outputs,
-        snapshot, and assemble items.  Returns ``(items, failures)``
+        deadline/retry settings.  Collect: snapshot and assemble
+        items.  Returns ``(items, failures)``
         — policy handling (raise/degrade/skip) is :meth:`map`'s job.
         The staging segment is unlinked on every path.
         """
@@ -674,8 +672,7 @@ class KernelPool:
                 payload["index"] = index
                 tasks.append(payload)
                 for arg in args:
-                    if (isinstance(arg, np.ndarray)
-                            and id(arg) not in resident_seen
+                    if (id(arg) not in resident_seen
                             and _shm.resident_descriptor(arg)
                             is not None):
                         resident_seen.add(id(arg))
@@ -712,9 +709,6 @@ class KernelPool:
                             RuntimeError("no result for dataset"),
                             tensors)
                     continue
-                for position, state in entry["obj_updates"].items():
-                    tasks[index]["objs"][position].__dict__.update(
-                        state)
                 outputs = [_worker.snapshot_tensor(tensors[slot])
                            for slot in self._output_slots]
                 self._record(entry["worker"], entry["ops"],

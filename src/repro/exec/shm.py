@@ -36,10 +36,6 @@ Descriptors are plain tuples::
                                           segment (named once per
                                           chunk message); detached
                                           after each chunk
-    ("obj", k)                            the k-th pickled object of
-                                          the dataset (output builders
-                                          — plain-Python run/coordinate
-                                          streams, never ndarrays)
 
 Cleanup discipline: segments are created with a recognizable
 ``flshm``-prefixed name, tracked in a module registry
@@ -432,30 +428,18 @@ class ShmStaging:
 def describe_args(args, staging, dataset, output_ids):
     """The transport payload for one dataset's bound argument list.
 
-    ndarray arguments become shm descriptors (resident ones by lookup,
-    the rest via ``staging``); everything else — output builders —
-    rides in the payload's ``objs`` list and is pickled, which is fine
-    because builders hold the *result stream*, not tensor data.
+    Every argument is an ndarray and becomes a shm descriptor
+    (resident ones by lookup, the rest via ``staging``).
     ``output_ids`` is the identity set of this dataset's output
-    buffers; staged members are marked for write-back and builder
-    members have their post-run state returned by the worker
-    (``obj_outputs`` positions).
+    buffers; staged members are marked for write-back.
     """
     descs = []
-    objs = []
-    obj_outputs = []
     for arg in args:
-        if isinstance(arg, np.ndarray):
-            desc = resident_descriptor(arg)
-            if desc is None:
-                desc = staging.stage(arg, dataset, id(arg) in output_ids)
-            descs.append(desc)
-        else:
-            if id(arg) in output_ids:
-                obj_outputs.append(len(objs))
-            descs.append(("obj", len(objs)))
-            objs.append(arg)
-    return {"args": descs, "objs": objs, "obj_outputs": obj_outputs}
+        desc = resident_descriptor(arg)
+        if desc is None:
+            desc = staging.stage(arg, dataset, id(arg) in output_ids)
+        descs.append(desc)
+    return {"args": descs}
 
 
 class SegmentCache:
@@ -503,13 +487,11 @@ class SegmentCache:
 def build_args(payload, staging_name, cache):
     """Rebuild one dataset's argument list from its transport payload
     (worker side): shm descriptors become numpy views over attached
-    segments, ``obj`` descriptors index the payload's pickled objects."""
+    segments."""
     args = []
     for desc in payload["args"]:
         kind = desc[0]
-        if kind == "obj":
-            args.append(payload["objs"][desc[1]])
-        elif kind == "stg":
+        if kind == "stg":
             _, offset, dtype, shape = desc
             seg = cache.attach(staging_name, pinned=False)
             args.append(seg.view(offset, np.dtype(dtype), shape))

@@ -91,7 +91,7 @@ def snapshot_tensor(tensor):
     """A detached numpy copy of one output tensor's current value.
 
     Densifies through ``to_numpy`` when the tensor supports it (real
-    tensors and output builders), falling back to the scalar ``value``
+    tensors and append outputs), falling back to the scalar ``value``
     protocol.  Snapshots — never live buffers — are what
     :class:`repro.exec.batch.BatchResult` hands back, so results
     compare bit-identically across executors.
@@ -123,9 +123,9 @@ def run_chunk(chunk, cache, mark=None):
     attribution); ``cache`` is the worker's
     :class:`repro.exec.shm.SegmentCache`.
 
-    Returns per-dataset results (ops, seconds, rebuild/store flags,
-    post-run builder state for ``obj_outputs``) plus at most one error
-    record; execution stops at the first failing dataset.  Transient
+    Returns per-dataset results (ops, seconds, rebuild/store flags)
+    plus at most one error record; execution stops at the first
+    failing dataset.  Transient
     segment attachments are released on normal completion and caught
     errors — but deliberately NOT while a ``SystemExit``/signal is
     tearing the process down, so the in-flight index stays published
@@ -178,9 +178,6 @@ def run_chunk(chunk, cache, mark=None):
                     "spec_rebuild": not cached,
                     "store_hit": store_hit,
                     "remote_hit": remote_hit,
-                    "obj_updates": {
-                        j: dict(payload["objs"][j].__dict__)
-                        for j in payload["obj_outputs"]},
                 })
             finally:
                 args = None

@@ -63,6 +63,7 @@ import numpy as np
 from repro.baselines.reference import interpret
 from repro.compiler.kernel import CompiledKernel, Kernel, compile_kernel
 from repro.exec.batch import run_batch
+from repro.exec.worker import snapshot_tensor
 from repro.fuzz.gen import build_case, describe_spec, generate_spec
 
 #: Oracle names, in execution order.
@@ -212,11 +213,8 @@ def verify_candidate(program, kernel, name="candidate", expected=None):
             "%s: %s" % (type(exc).__name__, exc)))
         return divergences
     for pos, (out, want) in enumerate(zip(outputs, expected)):
-        to_numpy = getattr(out, "to_numpy", None)
-        got = (np.array(to_numpy(), copy=True) if to_numpy is not None
-               else np.asarray(out.value))
-        _compare(divergences, "interpreter", name, want, got,
-                 what="output[%d]" % pos)
+        _compare(divergences, "interpreter", name, want,
+                 snapshot_tensor(out), what="output[%d]" % pos)
     return divergences
 
 

@@ -55,7 +55,13 @@ LEADER_PROTOCOLS = (None, "walk", "gallop")
 
 #: Program templates.  ``arity`` is the operand rank, ``outputs`` the
 #: kind of result tensor.
-TEMPLATES = ("reduce", "map", "reduce2d", "map2d", "spmv")
+TEMPLATES = ("reduce", "map", "reduce2d", "map2d", "spmv", "copy_out")
+
+#: Templates looping ``i`` then ``j`` over rank-2 operands.
+_MATRIX_TEMPLATES = ("reduce2d", "map2d", "copy_out")
+
+#: The append outputs ``copy_out`` stores into, by their spec name.
+APPEND_OUTPUTS = {"run": fl.RunOutput, "sparse": fl.SparseOutput}
 
 #: Reduction operators drawn for ``increment``/``reduce_into``.
 ACCUM_OPS = ("add", "min", "max")
@@ -213,7 +219,7 @@ def generate_spec(seed, profile="quick"):
         spec["operands"] = [
             _draw_operand(rng, "T%d" % k, (n,), profile)
             for k in range(count)]
-    elif template in ("reduce2d", "map2d"):
+    elif template in _MATRIX_TEMPLATES:
         rows = rng.randint(1, max(2, max_len // 2))
         cols = rng.randint(1, max_len)
         count = rng.randint(1, 2)
@@ -227,7 +233,11 @@ def generate_spec(seed, profile="quick"):
         if rng.random() < 0.8:
             operands.append(_draw_operand(rng, "T1", (cols,), profile))
         spec["operands"] = operands
-    if template in ("map", "map2d"):
+    if template == "copy_out":
+        # Append outputs are overwrite-only.
+        spec["store"] = True
+        spec["output"] = rng.choice(sorted(APPEND_OUTPUTS))
+    elif template in ("map", "map2d"):
         spec["store"] = rng.random() < 0.6
     else:
         spec["accum"] = rng.choice(ACCUM_OPS)
@@ -243,7 +253,7 @@ def _ensure_leader(rng, spec):
     operand per index is demoted to an active protocol.
     """
     template = spec["template"]
-    for index_pos in range(2 if template.endswith("2d") else 1):
+    for index_pos in range(2 if template in _MATRIX_TEMPLATES else 1):
         accesses = []
         for operand in spec["operands"]:
             mode = _index_mode(template, index_pos, operand)
@@ -396,7 +406,7 @@ def _output_dims(spec):
     dims = [_operand_dims(op) for op in spec["operands"]]
     if template == "map":
         return (max(d[0] for d in dims),)
-    if template == "map2d":
+    if template in ("map2d", "copy_out"):
         return (max(d[0] for d in dims), max(d[1] for d in dims))
     return (dims[0][0],)  # spmv: one entry per matrix row
 
@@ -404,7 +414,7 @@ def _output_dims(spec):
 def build_case(spec):
     """Realize ``spec``: fresh tensors, program, explicit extents."""
     template = spec["template"]
-    two_d = template in ("reduce2d", "map2d", "spmv")
+    two_d = template in _MATRIX_TEMPLATES + ("spmv",)
     idx_vars = fl.indices("i", "j") if two_d else (fl.indices("i"),)
     operands = []
     exprs = []
@@ -419,8 +429,9 @@ def build_case(spec):
         output = fl.Scalar(name="OUT")
         lhs = output[()]
     else:
-        output = fl.zeros(out_dims, name="OUT")
-        if template == "map2d":
+        make_output = APPEND_OUTPUTS.get(spec.get("output"), fl.zeros)
+        output = make_output(out_dims, name="OUT")
+        if len(out_dims) == 2:
             lhs = output[idx_vars[0], idx_vars[1]]
         else:
             lhs = output[idx_vars[0]]
@@ -461,5 +472,7 @@ def describe_spec(spec):
             bits.append(bit)
         parts.append("%s[%s]" % (operand["name"], ",".join(bits)))
     verb = "store" if spec.get("store") else spec.get("accum", "add")
+    if spec.get("output"):
+        verb += " into a %s output" % spec["output"]
     return "%s %s(%s) via %s" % (spec["template"], spec["combine"],
                                  " ".join(parts), verb)

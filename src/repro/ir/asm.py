@@ -337,7 +337,7 @@ def stmt_writes(stmt):
 def stmt_stores(stmt):
     """Buffer names possibly stored into by the statement tree
     (``buf[i] = ...`` targets plus every identifier in ``Raw`` lines,
-    which may call mutating methods such as ``.fill`` or ``.append``)."""
+    which may call mutating methods such as ``.fill``)."""
     out = set()
     for node in walk_statements(stmt):
         if isinstance(node, (AssignStmt, AccumStmt)):

@@ -2,7 +2,7 @@
 
 ``convert(tensor, formats)`` re-formats a tensor.  When the target's
 innermost mode is dense, or a format with an append-style output
-builder (sparse, rle), the conversion runs as a *compiled copy
+(sparse, rle), the conversion runs as a *compiled copy
 kernel* — the source is unfurled through its looplets and the result
 assembled structurally (one append per run/nonzero), so converting an
 RLE image to sparse never densifies it.  Every other target assembles

@@ -11,74 +11,38 @@ equal values instead of storing every element:
     scalar), it appends a single run covering the region — O(runs)
     work instead of O(pixels).
 
-The builder is handed to the kernel as a parameter; emitted code calls
-``append_run(flat_start, flat_stop, value)`` with *flattened*
-coordinates (row-major), and :meth:`RunOutput.finalize` splits the run
-stream back into per-fiber RLE arrays (merging adjacent equal runs).
+An append output owns three ndarrays, all ordinary kernel parameters:
+``coords`` (``int64``; run ends or coordinates, *flattened* row-major),
+``vals`` (the output dtype) and ``state`` (``int64``: entry count,
+cursor — one past the last coordinate covered — and a sticky
+out-of-order flag).  The streams are sized by the shape product, which
+no in-order stream exceeds, and allocated untouched.  Emitted code
+stores entries in coordinate order, filling gaps between runs and
+flagging (not storing) an append behind the cursor;
+:meth:`_AppendOutput.finalize` raises on the flag, merges adjacent equal
+runs, and splits the stream back into per-fiber arrays.
 """
+
+import math
 
 import numpy as np
 
 from repro.formats.dense import DenseLevel
 from repro.formats.element import ElementLevel
-from repro.formats.rle import RunLengthLevel
+from repro.formats.rle import RunLengthLevel, run_starts
 from repro.formats.sparse_list import SparseListLevel
 from repro.tensors.tensor import Tensor, _normalize_fill
 from repro.util.errors import FormatError, ReproError
 
 
-class RunBuilder:
-    """Mutable run stream targeted by emitted kernels."""
-
-    def __init__(self, total, fill):
-        self.total = total
-        self.fill = fill
-        self.ends = []
-        self.values = []
-        self._cursor = 0
-
-    def reset(self):
-        self.ends = []
-        self.values = []
-        self._cursor = 0
-
-    def append_run(self, start, stop, value):
-        """Record ``value`` over flat coordinates ``[start, stop)``.
-
-        Appends must arrive in coordinate order; gaps are filled with
-        the fill value; adjacent equal values merge.
-        """
-        if stop <= start:
-            return
-        if start < self._cursor:
-            raise ReproError(
-                "run appended out of order: [%d, %d) after cursor %d"
-                % (start, stop, self._cursor))
-        if start > self._cursor:
-            self._push(start, self.fill)
-        self._push(stop, value)
-
-    def _push(self, end, value):
-        if self.values and self.values[-1] == value:
-            self.ends[-1] = end
-        else:
-            self.ends.append(end)
-            self.values.append(value)
-        self._cursor = end
-
-    def close(self):
-        if self._cursor < self.total:
-            self._push(self.total, self.fill)
-
-
 class _AppendOutput:
     """What the append-style outputs share: the eDSL surface, the
-    kernel binding, and the dense levels wrapped around the assembled
-    innermost one.
+    three kernel arrays, and the dense levels wrapped around the
+    assembled innermost one.
 
-    A subclass names its builder (``BUILDER``), the level class it
-    assembles (``LEVEL``), its signature tag and default name, and
-    implements :meth:`_split`.
+    A subclass names the level class it assembles (``LEVEL``), its
+    signature tag, default name and what one stream entry is
+    (``NOUN``), and implements :meth:`_split`.
     """
 
     def __init__(self, shape, fill=0.0, dtype=np.float64, name=None):
@@ -91,10 +55,10 @@ class _AppendOutput:
         self.fill = fill
         self.dtype = np.dtype(dtype)
         self.name = name or self.DEFAULT_NAME
-        total = 1
-        for dim in self.shape:
-            total *= dim
-        self.builder = self.BUILDER(total, fill)
+        self.total = math.prod(self.shape)
+        self.coords = np.empty(self.total, dtype=np.int64)
+        self.vals = np.empty(self.total, dtype=self.dtype)
+        self.state = np.zeros(3, dtype=np.int64)
         # Shape, dtype and fill are fixed here: one tuple for life.
         self._signature = (self.TAG, self.shape, str(self.dtype),
                            _normalize_fill(fill))
@@ -113,20 +77,27 @@ class _AppendOutput:
         return access(self, *idxs)
 
     def kernel_buffers(self):
-        """The builder is the only object kernels bind for these outputs."""
-        return {"builder": self.builder}
+        """The coordinate stream, the value stream and the state
+        vector (count, cursor, out-of-order flag)."""
+        return {"coords": self.coords, "vals": self.vals,
+                "state": self.state}
 
     def format_signature(self):
         return self._signature
 
+    def _stream(self):
+        """The entries the last run stored, as ``(coords, vals)``."""
+        count, _, flagged = self.state
+        if flagged:
+            raise ReproError("%s appended out of order" % self.NOUN)
+        return self.coords[:count], self.vals[:count]
+
     def finalize(self):
         """Split the flat stream into per-row arrays of ``LEVEL``."""
         inner = self.shape[-1]
-        rows = self.builder.total // max(inner, 1)
-        arrays, values = self._split(inner, rows)
-        element = ElementLevel(np.array(values, dtype=self.dtype)
-                               if values else np.zeros(0, dtype=self.dtype),
-                               fill_value=self.fill)
+        rows = math.prod(self.shape[:-1])
+        arrays, values = self._split(inner, inner * np.arange(rows + 1))
+        element = ElementLevel(values, fill_value=self.fill)
         child = self.LEVEL(inner, element, **arrays)
         levels = [child]
         for dim in reversed(self.shape[:-1]):
@@ -150,98 +121,59 @@ class RunOutput(_AppendOutput):
     array.
     """
 
-    BUILDER = RunBuilder
     LEVEL = RunLengthLevel
     TAG = "run_output"
     DEFAULT_NAME = "R"
+    NOUN = "run"
 
-    def _split(self, inner, rows):
-        """The flat run stream as per-row RLE arrays."""
-        self.builder.close()
-        pos = [0]
-        right = []
-        values = []
-        ends = self.builder.ends
-        vals = self.builder.values
-        q = 0
-        for row in range(rows):
-            row_end = (row + 1) * inner
-            while q < len(ends) and ends[q] <= row_end:
-                right.append(ends[q] - row * inner)
-                values.append(vals[q])
-                q += 1
-            if not right or pos[-1] == len(right) or right[-1] != inner:
-                # A run crosses the row boundary: split it.
-                right.append(inner)
-                values.append(vals[q] if q < len(ends) else self.fill)
-            pos.append(len(right))
-        return {"pos": pos, "right": right}, values
+    def _runs(self):
+        """The stream closed with a trailing fill run and with
+        adjacent equal runs merged, as ``(ends, values)``."""
+        ends, values = self._stream()
+        if self.state[1] < self.total:
+            ends = np.append(ends, self.total)
+            values = np.append(values, self.vals.dtype.type(self.fill))
+        first = run_starts(values[None, :])[0]
+        # A merged run ends where the next one starts; the last ends
+        # the stream (``first[0]`` is True, and rolls round to it).
+        return ends[np.roll(first, -1)], values[first]
+
+    def _split(self, inner, bounds):
+        """The flat run stream as per-row RLE arrays: a run crossing a
+        row boundary is cut there."""
+        ends, values = self._runs()
+        cuts = np.union1d(ends, bounds[1:]) if self.total else ends
+        pos = np.searchsorted(cuts, bounds, side="right")
+        return ({"pos": pos, "right": (cuts - 1) % max(inner, 1) + 1},
+                values[np.searchsorted(ends, cuts)])
 
     def run_count(self):
         """Number of stored runs (work measure for RLE outputs)."""
-        self.builder.close()
-        return len(self.builder.ends)
-
-
-class SparseBuilder:
-    """Mutable coordinate stream for sparse outputs."""
-
-    def __init__(self, total, fill):
-        self.total = total
-        self.fill = fill
-        self.coords = []
-        self.values = []
-
-    def reset(self):
-        self.coords = []
-        self.values = []
-
-    def append(self, flat, value):
-        """Record a non-fill value at flat coordinate ``flat``.
-
-        Appends must arrive in strictly increasing coordinate order
-        (overwrite semantics make repeats ambiguous, so they are
-        rejected rather than silently merged).
-        """
-        if self.coords and flat <= self.coords[-1]:
-            raise ReproError(
-                "sparse output coordinate %d appended out of order"
-                % (flat,))
-        self.coords.append(flat)
-        self.values.append(value)
+        return len(self._runs()[0])
 
 
 class SparseOutput(_AppendOutput):
     """An output tensor assembled as per-fiber sorted coordinate lists.
 
     The compiler guards every store with a fill check, so only non-fill
-    results are appended — the classic sparse-result assembly.  After
-    the kernel runs, :meth:`to_tensor` yields a Dense/.../SparseList
-    tensor.
+    results are appended — the classic sparse-result assembly, in
+    strictly increasing coordinate order (overwrite semantics make
+    repeats ambiguous, so they are flagged rather than silently
+    merged).  After the kernel runs, :meth:`to_tensor` yields a
+    Dense/.../SparseList tensor.
     """
 
-    BUILDER = SparseBuilder
     LEVEL = SparseListLevel
     TAG = "sparse_output"
     DEFAULT_NAME = "S"
+    NOUN = "sparse output coordinate"
 
-    def _split(self, inner, rows):
+    def _split(self, inner, bounds):
         """The flat coordinate stream as per-row lists."""
-        pos = [0]
-        idx = []
-        values = []
-        q = 0
-        coords = self.builder.coords
-        vals = self.builder.values
-        for row in range(rows):
-            row_end = (row + 1) * inner
-            while q < len(coords) and coords[q] < row_end:
-                idx.append(coords[q] - row * inner)
-                values.append(vals[q])
-                q += 1
-            pos.append(len(idx))
-        return {"pos": pos, "idx": idx}, values
+        coords, values = self._stream()
+        return ({"pos": np.searchsorted(coords, bounds),
+                 "idx": coords % max(inner, 1)}, values.copy())
 
     def nnz(self):
         """Number of stored (non-fill) entries."""
-        return len(self.builder.coords)
+        return len(self._stream()[0])

@@ -15,9 +15,10 @@ names: both come from the class's one ``ARRAYS`` declaration (``pos``,
 
 The benchmark harness adopts its datasets up front so that repeated
 batches move zero tensor bytes; long-running services can do the same
-for standing inputs.  Output *builders* (:class:`~repro.tensors.output.RunOutput`
-and friends) hold plain-Python result streams, not ndarrays, and pass
-through unchanged.
+for standing inputs.  Append outputs (:class:`~repro.tensors.output.RunOutput`
+and friends) pass through unchanged: their streams are scratch the
+kernel overwrites, so the ``processes`` executor stages them and
+writes them back like any non-resident tensor.
 """
 
 #: Adoptions made by this process.  A bound ``Kernel`` holds the
@@ -30,7 +31,7 @@ def share_tensor(tensor, arena):
     """Move ``tensor``'s buffers into ``arena``; returns the tensor.
 
     Safe to call on any dataset member: objects without the fiber-tree
-    buffer protocol (output builders) are returned untouched.
+    buffer protocol (append outputs) are returned untouched.
 
     Kernels already bound to ``tensor`` follow it on their next
     ``run``.  A hand-assigned ``element.val`` or level array is not

@@ -159,6 +159,43 @@ class TestDifferentialMatrix:
         np.testing.assert_array_equal(c_out, py_out)
         np.testing.assert_array_equal(py_out, m @ v)
 
+    @pytest.mark.parametrize("cls,fmt", [(fl.RunOutput, "rle"),
+                                         (fl.SparseOutput, "sparse")],
+                             ids=["RunOutput", "SparseOutput"])
+    def test_append_output_copy_is_native(self, cls, fmt):
+        # An append output is three arrays and its appends are plain
+        # stores, so a float64 copy kernel needs nothing from the C
+        # emitter that a scalar kernel does not.
+        mat = np.zeros((4, 9))
+        mat[0, 2:5] = 3.0
+        mat[1, :] = 7.0     # joins the run of 7s opening row 2
+        mat[2, :2] = 7.0
+        mat[3, 8] = 1.5
+        i, j = fl.indices("i", "j")
+
+        def run(backend):
+            M = fl.from_numpy(mat, ("dense", fmt), name="M")
+            out = cls((4, 9), name="out")
+            kernel = fl.compile_kernel(
+                fl.forall(i, fl.forall(j, fl.store(out[i, j], M[i, j]))),
+                backend=backend, instrument=True)
+            ops = kernel.run()
+            tensor = out.to_tensor()
+            streams = [tensor.levels[-1].buffers(), tensor.element.val]
+            return kernel, ops, out.to_numpy(), out.state.tolist(), streams
+
+        py_kernel, py_ops, py_out, py_state, py_streams = run("python")
+        c_kernel, c_ops, c_out, c_state, c_streams = run("c")
+        assert py_kernel.effective_backend == "python"
+        assert c_kernel.effective_backend == "c", \
+            codegen.fallback_events()[-3:]
+        assert c_ops == py_ops
+        assert c_state == py_state
+        assert c_out.tobytes() == py_out.tobytes() == mat.tobytes()
+        for name, array in py_streams[0].items():
+            np.testing.assert_array_equal(c_streams[0][name], array)
+        np.testing.assert_array_equal(c_streams[1], py_streams[1])
+
 
 @needs_cc
 class TestBackendPlumbing:

@@ -163,22 +163,25 @@ def test_describe_and_build_args_roundtrip():
     with ShmArena(min_segment_bytes=1024) as arena:
         resident = arena.add(np.arange(16.0))
         staged = np.arange(5.0)
-        builder = object()
+        stream = fl.RunOutput((3,)).kernel_buffers()["coords"]
         staging = shm_mod.ShmStaging()
         payload = shm_mod.describe_args(
-            [resident, staged, builder], staging, dataset=0,
-            output_ids={id(builder)})
+            [resident, staged, stream], staging, dataset=0,
+            output_ids={id(stream)})
+        assert set(payload) == {"args"}
         kinds = [desc[0] for desc in payload["args"]]
-        assert kinds == ["shm", "stg", "obj"]
-        assert payload["objs"] == [builder]
-        assert payload["obj_outputs"] == [0]
+        assert kinds == ["shm", "stg", "stg"]
         name = staging.seal()
         cache = shm_mod.SegmentCache()
         args = shm_mod.build_args(payload, name, cache)
         assert np.array_equal(args[0], resident)
         assert np.array_equal(args[1], staged)
-        assert args[2] is builder
+        args[2][:] = [3, 2, 1]
         del args
+        staging.writeback({0})
+        assert stream.tolist() == [3, 2, 1]
+        with pytest.raises(ValueError, match="unknown transport"):
+            shm_mod.build_args({"args": [("obj", 0)]}, name, cache)
         cache.release_transient()
         cache.close()
         staging.close()
@@ -259,7 +262,7 @@ def test_transport_does_not_pickle_tensor_data():
                 first = workers.stats()
                 pool.map(datasets)
                 second = workers.stats()
-    # The warmed-up batch ships descriptors and builders only: far
+    # The warmed-up batch ships descriptors only: far
     # less pipe traffic than the tensors it transported via shm.
     warm_pickle = second["pickle_bytes"] - first["pickle_bytes"]
     assert warm_pickle < 32 * 1024

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.fuzz import build_case, describe_spec, generate_spec
 from repro.fuzz.gen import (
+    APPEND_OUTPUTS,
     FORMATS_ANY,
     FORMATS_LEAF_ONLY,
     LEADER_PROTOCOLS,
@@ -31,17 +32,21 @@ def test_specs_are_json_round_trippable():
 
 def test_distinct_seeds_explore_the_grammar():
     templates = set()
+    outputs = set()
     formats = set()
     chain_kinds = set()
     protocols = set()
     for seed in range(200):
         spec = generate_spec(seed)
         templates.add(spec["template"])
+        outputs.add(spec.get("output"))
         for operand in spec["operands"]:
             formats.update(operand["formats"])
             protocols.update(p for p in operand["protocols"] if p)
             chain_kinds.update(c["kind"] for c in operand["chains"])
-    assert templates == {"reduce", "map", "reduce2d", "map2d", "spmv"}
+    assert templates == {"reduce", "map", "reduce2d", "map2d", "spmv",
+                         "copy_out"}
+    assert outputs == {None, "run", "sparse"}
     assert formats == set(FORMATS_ANY) | set(FORMATS_LEAF_ONLY)
     assert {"walk", "gallop", "locate", "follow"} <= protocols
     assert {"plain", "offset", "offset_exact", "offset2", "window",
@@ -63,19 +68,20 @@ def test_protocols_respect_format_support():
                 assert proto in PROTOCOLS_BY_FORMAT[fmt]
 
 
-def test_seeded_specs_are_byte_identical_to_pr13():
+def test_seeded_specs_are_pinned():
     """The protocol table is derived from the level classes; every
     seeded campaign, the corpus and the AOT pack population draw from
-    it, so the stream must not have moved (digests taken at the commit
-    that still spelled the table out)."""
+    it, so the stream must not move unnoticed (digests re-taken when
+    the ``copy_out`` template joined ``TEMPLATES``, which shifts every
+    seed's first draw)."""
     import hashlib
     import json
 
     expected = {
-        "quick": "d5ac0ad54ca2a6889031146b67df798ad0f2df93c24f6e1c"
-                 "72abbc427d5f8295",
-        "deep": "83dc3f263b710f1d1d30e1878afc9bd972c28ef18c7f151ac"
-                "821d90bd63aecb9",
+        "quick": "a4b8e23df1f87ece8e8d666e7d55358c5e2b1efba76acd1c"
+                 "350e8cb8419e543f",
+        "deep": "ca28a3232500506745f712a44b62a1d3d10a3cbae8822c892"
+                "763c041ad0f1767",
     }
     for profile, digest in expected.items():
         stream = hashlib.sha256()
@@ -112,6 +118,21 @@ def test_built_cases_have_valid_extents():
             np.testing.assert_array_equal(
                 tensor.to_numpy(),
                 np.array(operand["data"], dtype=float).reshape(dims))
+
+
+def test_copy_out_cases_store_into_an_append_output():
+    seen = set()
+    for seed in range(200):
+        spec = generate_spec(seed)
+        if spec["template"] != "copy_out":
+            continue
+        case = build_case(spec)
+        assert spec["store"]
+        assert type(case.output) is APPEND_OUTPUTS[spec["output"]]
+        assert case.output.shape == _operand_dims(spec["operands"][0])
+        assert "into a %s output" % spec["output"] in describe_spec(spec)
+        seen.add(spec["output"])
+    assert seen == set(APPEND_OUTPUTS)
 
 
 def test_chain_extent_window_is_its_width():

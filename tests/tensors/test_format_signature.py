@@ -148,7 +148,10 @@ class TestKernelBuffers:
 
     def test_run_output(self):
         out = RunOutput((4, 6), fill=0, dtype=np.uint8)
-        assert out.kernel_buffers() == {"builder": out.builder}
+        assert out.kernel_buffers() == {
+            "coords": out.coords, "vals": out.vals, "state": out.state}
+        assert all(isinstance(buf, np.ndarray)
+                   for buf in out.kernel_buffers().values())
         other = RunOutput((4, 6), fill=0, dtype=np.uint8, name="x")
         assert out.format_signature() == other.format_signature()
         smaller = RunOutput((4, 5), fill=0, dtype=np.uint8)
@@ -156,6 +159,7 @@ class TestKernelBuffers:
 
     def test_sparse_output(self):
         out = SparseOutput((3, 3), fill=0.0)
-        assert out.kernel_buffers() == {"builder": out.builder}
+        assert list(out.kernel_buffers()) == ["coords", "vals", "state"]
+        assert out.kernel_buffers()["vals"].dtype == np.float64
         assert (out.format_signature()
                 != RunOutput((3, 3), fill=0.0).format_signature())

@@ -100,11 +100,13 @@ def test_share_keeps_signature_and_structure(arena):
     np.testing.assert_array_equal(A.to_numpy(), dense)
 
 
-def test_output_builders_pass_through(arena):
+def test_append_outputs_pass_through(arena):
     out = fl.RunOutput((4,), fill=0.0)
-    builder = out.builder
+    buffers = out.kernel_buffers()
     assert fl.share_tensor(out, arena) is out
-    assert out.builder is builder
+    for role, buf in out.kernel_buffers().items():
+        assert buf is buffers[role]
+        assert shm_mod.resident_descriptor(buf) is None
 
 
 def test_hand_assigned_val_needs_explicit_rebind():
