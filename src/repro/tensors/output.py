@@ -142,7 +142,12 @@ class RunOutput(_AppendOutput):
         """The flat run stream as per-row RLE arrays: a run crossing a
         row boundary is cut there."""
         ends, values = self._runs()
-        cuts = np.union1d(ends, bounds[1:]) if self.total else ends
+        cuts = ends
+        if self.total:
+            # The sorted union, by hand: np.union1d imports numpy.ma
+            # (a megabyte) on first use.
+            cuts = np.sort(np.concatenate((ends, bounds[1:])))
+            cuts = cuts[run_starts(cuts[None, :])[0]]
         pos = np.searchsorted(cuts, bounds, side="right")
         return ({"pos": pos, "right": (cuts - 1) % max(inner, 1) + 1},
                 values[np.searchsorted(ends, cuts)])
