@@ -57,17 +57,6 @@ _TOKEN = re.compile(r"""
 _AUG_OPS = {"=": None, "+=": ops.ADD, "*=": ops.MUL, "min=": ops.MIN,
             "max=": ops.MAX, "|=": ops.OR, "&=": ops.AND}
 
-_FUNCTIONS = {
-    "coalesce": ops.COALESCE,
-    "min": ops.MIN,
-    "max": ops.MAX,
-    "abs": ops.ABS,
-    "sqrt": ops.SQRT,
-    "round_u8": ops.ROUND_U8,
-    "ifelse": ops.IFELSE,
-    "mod": ops.MOD,
-}
-
 _MODIFIERS = ("permit", "offset", "window")
 
 
@@ -267,12 +256,10 @@ class Parser:
     def _parse_call(self, name):
         if name in _MODIFIERS:
             self.fail("index modifier %r outside tensor brackets" % name)
-        op = _FUNCTIONS.get(name)
-        if op is None:
-            try:
-                op = ops.get_op(name)
-            except Exception:
-                self.fail("unknown function %r" % name)
+        try:
+            op = ops.get_op(name)
+        except Exception:
+            self.fail("unknown function %r" % name)
         self.expect("(")
         args = []
         if self.peek().text != ")":

@@ -23,12 +23,17 @@ Python arithmetic exactly where C differs:
 * ``round_u8`` rounds half-to-even (``rint`` under the default
   rounding mode, matching Python's ``round``),
 * the ``search_ge``/``search_abs_ge`` protocol helpers are the same
-  binary searches as :mod:`repro.ir.runtime`, over the typed pointer.
+  binary searches as :mod:`repro.ir.ops`, over the typed pointer.
+
+How each operator lowers — an infix symbol, a prelude helper, one of the
+named custom renderers below — and how its result is typed is declared
+on its :class:`repro.ir.ops.Op` (``c`` / ``c_type``); this module
+dispatches on that declaration and never tests an operator by name.
 
 Anything the emitter cannot translate with that guarantee raises
 :class:`CUnsupportedError` — :class:`Raw` statements (vectorized numpy
-slices, the dense output ``.fill``), ``missing``/``coalesce``,
-unregistered ops, buffers outside :data:`SUPPORTED_DTYPES`, and loop
+slices, the dense output ``.fill``), ``missing``, operators that declare
+no C lowering, buffers outside :data:`SUPPORTED_DTYPES`, and loop
 variables read after their loop (Python leaves ``stop - 1``, C leaves
 ``stop``).  The caller falls back to the python backend.
 """
@@ -153,12 +158,27 @@ def _join(a, b):
     return a if _RANK[a] >= _RANK[b] else b
 
 
-def _arith(*types):
-    """Result type of +, -, * over ``types`` (bools promote to int)."""
+def _join_all(*types):
     joined = None
     for t in types:
         joined = _join(joined, t)
+    return joined
+
+
+def _arith(*types):
+    """Result type of +, -, * over ``types`` (bools promote to int)."""
+    joined = _join_all(*types)
     return _join(joined, I64) if joined is not None else None
+
+
+#: The result-type rules an operator's ``c_type`` may name.
+_RESULT_TYPES = {
+    "arith": _arith,
+    "join": _join_all,
+    "f64": lambda *types: F64,
+    "i64": lambda *types: I64,
+    "bool": lambda *types: BOOL,
+}
 
 
 class _Emitter:
@@ -218,14 +238,11 @@ class _Emitter:
             else:
                 self._store_target(stmt.target)
         elif isinstance(stmt, asm.AccumStmt):
-            value = self._expr_type(stmt.value)
             if isinstance(stmt.target, Var):
-                name = stmt.target.name
-                current = self.env.get(name)
-                self._assign(name,
-                             self._call_type(stmt.op,
-                                             (current, value)))
+                self._assign(stmt.target.name, self._call_type(
+                    Call(stmt.op, [stmt.target, stmt.value])))
             else:
+                self._expr_type(stmt.value)
                 self._store_target(stmt.target)
         elif isinstance(stmt, asm.ForLoop):
             for bound in (stmt.start, stmt.stop):
@@ -298,59 +315,49 @@ class _Emitter:
             self._index_type(expr.index)
             return elem
         if isinstance(expr, Call):
-            if expr.op.name in ("search_ge", "search_abs_ge"):
-                # First argument is the index buffer itself, not a
-                # scalar value; type only the bounds and the key.
-                for arg in expr.args[1:]:
-                    self._expr_type(arg)
-                return self._call_type(expr.op, (), expr)
-            return self._call_type(
-                expr.op, tuple(self._expr_type(arg)
-                               for arg in expr.args), expr)
+            return self._call_type(expr)
         raise CUnsupportedError("cannot type %r" % (expr,))
 
-    def _call_type(self, op, arg_types, expr=None):
-        name = op.name
-        if name in ("add", "sub", "mul"):
-            return _arith(*arg_types)
-        if name == "neg":
-            return _arith(arg_types[0])
-        if name == "abs":
-            return _arith(arg_types[0])
-        if name == "div":
-            return F64
-        if name in ("floordiv", "mod"):
-            joined = _arith(*arg_types)
-            return joined
-        if name in ("min", "max"):
-            joined = None
-            for t in arg_types:
-                joined = _join(joined, t)
-            return joined
-        if name in ("eq", "ne", "lt", "le", "gt", "ge", "not"):
-            return BOOL
-        if name in ("and", "or"):
-            for t in arg_types:
-                if t not in (BOOL, None):
-                    raise CUnsupportedError(
-                        "non-boolean operand to %r (Python returns an "
-                        "operand, C returns 0/1)" % name)
-            return BOOL
-        if name == "sqrt":
-            return F64
-        if name == "ifelse":
-            return _join(arg_types[1], arg_types[2])
-        if name == "round_u8":
-            return I64
-        if name in ("search_ge", "search_abs_ge"):
-            if expr is not None:
-                elem = self._param_elem(expr.args[0],
-                                        "%s index buffer" % name)
-                if elem is not I64:
-                    raise CUnsupportedError(
-                        "%s over a non-int64 buffer" % name)
-            return I64
-        raise CUnsupportedError("operator %r has no C lowering" % name)
+    def _c_form(self, op):
+        if op.c is None:
+            raise CUnsupportedError(
+                "operator %r has no C lowering" % op.name)
+        return op.c
+
+    def _call_type(self, expr):
+        """A custom form's own ``_type_<form>`` rule, else the
+        operator's declared ``c_type`` rule over the operand types."""
+        op = expr.op
+        custom = op.c and getattr(self, "_type_" + op.c[0], None)
+        if custom:
+            return custom(expr)
+        types = [self._expr_type(arg) for arg in expr.args]
+        self._c_form(op)    # an untranslatable operand is reported first
+        return _RESULT_TYPES[op.c_type](*types)
+
+    def _type_logical(self, expr):
+        for t in [self._expr_type(arg) for arg in expr.args]:
+            if t not in (BOOL, None):
+                raise CUnsupportedError(
+                    "non-boolean operand to %r (Python returns an "
+                    "operand, C returns 0/1)" % expr.op.name)
+        return BOOL
+
+    def _type_conditional(self, expr):
+        _, then, otherwise = [self._expr_type(arg) for arg in expr.args]
+        return _join(then, otherwise)
+
+    def _type_search(self, expr):
+        # First argument is the index buffer itself, not a scalar
+        # value; type only the bounds and the key.
+        for arg in expr.args[1:]:
+            self._expr_type(arg)
+        elem = self._param_elem(expr.args[0],
+                                "%s index buffer" % expr.op.name)
+        if elem is not I64:
+            raise CUnsupportedError(
+                "%s over a non-int64 buffer" % expr.op.name)
+        return I64
 
     def _check_loop_vars(self):
         """Reject loop variables read outside their loop.
@@ -453,9 +460,15 @@ class _Emitter:
             text += ".0"
         return text
 
-    def _infix(self, symbol, precedence, args):
+    def _render_call(self, expr):
+        """Dispatch on the operator's declared C form: the form's name
+        picks the ``_render_<form>`` method, the rest are its data."""
+        form = self._c_form(expr.op)
+        return getattr(self, "_render_" + form[0])(expr, *form[1:])
+
+    def _render_infix(self, expr, symbol, precedence):
         parts = []
-        for position, arg in enumerate(args):
+        for position, arg in enumerate(expr.args):
             source, prec = self._render(arg)
             if prec < precedence or (prec == precedence
                                      and position > 0):
@@ -463,79 +476,44 @@ class _Emitter:
             parts.append(source)
         return (" %s " % symbol).join(parts), precedence
 
-    def _call_helper(self, helper, args):
-        rendered = ", ".join(self._render(arg)[0] for arg in args)
+    _render_logical = _render_infix
+
+    def _render_prefix(self, expr, symbol, precedence):
+        inner, prec = self._render(expr.args[0])
+        if prec < precedence:
+            inner = "(%s)" % inner
+        return symbol + inner, precedence
+
+    def _render_helper(self, expr, helper):
+        rendered = ", ".join(self._render(arg)[0] for arg in expr.args)
         return "%s(%s)" % (helper, rendered), _ATOM
 
-    def _typed_helper(self, stem, args):
-        joined = None
-        for arg in args:
-            joined = _join(joined, self._expr_type(arg))
+    def _render_typed(self, expr, stem):
+        """A binary prelude helper with an ``_i64`` and an ``_f64``
+        variant; more arguments left-fold into nested calls."""
+        if len(expr.args) > 2:
+            folded = expr.args[0]
+            for arg in expr.args[1:]:
+                folded = Call(expr.op, [folded, arg])
+            return self._render_call(folded)
+        joined = _join_all(*[self._expr_type(arg) for arg in expr.args])
         suffix = "f64" if joined is F64 else "i64"
-        return "fl_%s_%s" % (stem, suffix)
+        return self._render_helper(expr, "%s_%s" % (stem, suffix))
 
-    def _fold_pair(self, expr):
-        """Left-fold an n-ary call into nested binary calls."""
-        folded = expr.args[0]
-        for arg in expr.args[1:]:
-            folded = Call(expr.op, [folded, arg])
-        return folded
+    def _render_magnitude(self, expr):
+        if self._expr_type(expr.args[0]) is F64:
+            return self._render_helper(expr, "fabs")
+        return self._render_helper(expr, "fl_abs_i64")
 
-    def _render_call(self, expr):
-        name = expr.op.name
-        args = expr.args
-        if name == "add":
-            return self._infix("+", 12, args)
-        if name == "sub":
-            return self._infix("-", 12, args)
-        if name == "mul":
-            return self._infix("*", 13, args)
-        if name == "neg":
-            inner, prec = self._render(args[0])
-            if prec < 14:
-                inner = "(%s)" % inner
-            return "-" + inner, 14
-        if name == "div":
-            return self._call_helper("fl_div", args)
-        if name in ("floordiv", "mod"):
-            helper = self._typed_helper(name, args)
-            return self._call_helper(helper, args)
-        if name in ("min", "max"):
-            if len(args) > 2:
-                return self._render_call(self._fold_pair(expr))
-            helper = self._typed_helper(name, args)
-            return self._call_helper(helper, args)
-        if name in ("eq", "ne", "lt", "le", "gt", "ge"):
-            symbol = {"eq": "==", "ne": "!=", "lt": "<",
-                      "le": "<=", "gt": ">", "ge": ">="}[name]
-            precedence = 9 if name in ("eq", "ne") else 10
-            return self._infix(symbol, precedence, args)
-        if name in ("and", "or"):
-            symbol = "&&" if name == "and" else "||"
-            return self._infix(symbol, 5 if name == "and" else 4, args)
-        if name == "not":
-            inner, prec = self._render(args[0])
-            if prec < 14:
-                inner = "(%s)" % inner
-            return "!" + inner, 14
-        if name == "abs":
-            if self._expr_type(args[0]) is F64:
-                return self._call_helper("fabs", args)
-            return self._call_helper("fl_abs_i64", args)
-        if name == "sqrt":
-            return self._call_helper("sqrt", args)
-        if name == "round_u8":
-            return self._call_helper("fl_round_u8", args)
-        if name == "ifelse":
-            cond = self._render(args[0])[0]
-            then = self._render(args[1])[0]
-            otherwise = self._render(args[2])[0]
-            return "(%s ? %s : %s)" % (cond, then, otherwise), _ATOM
-        if name in ("search_ge", "search_abs_ge"):
-            buffer = self._cname(args[0].name)
-            rest = ", ".join(self._render(arg)[0] for arg in args[1:])
-            return "fl_%s(%s, %s)" % (name, buffer, rest), _ATOM
-        raise CUnsupportedError("operator %r has no C lowering" % name)
+    def _render_conditional(self, expr):
+        cond, then, otherwise = (self._render(arg)[0]
+                                 for arg in expr.args)
+        return "(%s ? %s : %s)" % (cond, then, otherwise), _ATOM
+
+    def _render_search(self, expr, helper):
+        buffer = self._cname(expr.args[0].name)
+        rest = ", ".join(self._render(arg)[0] for arg in expr.args[1:])
+        return "%s(%s, %s)" % (helper, buffer, rest), _ATOM
 
     # -- statement rendering -------------------------------------------
     def _emit(self, stmt, depth, lines):
@@ -586,12 +564,11 @@ class _Emitter:
             rendered)
 
     def _accumulation(self, stmt):
-        if isinstance(stmt.target, Var) and stmt.op.name in (
-                "add", "sub", "mul"):
-            symbol = {"add": "+=", "sub": "-=", "mul": "*="}[
-                stmt.op.name]
-            return "%s %s %s;" % (self._cname(stmt.target.name),
-                                  symbol, self._render(stmt.value)[0])
+        form = self._c_form(stmt.op)
+        if isinstance(stmt.target, Var) and stmt.op.accum is not None \
+                and form[0] == "infix":
+            return "%s %s= %s;" % (self._cname(stmt.target.name),
+                                   form[1], self._render(stmt.value)[0])
         combined = Call(stmt.op, [stmt.target, stmt.value])
         return self._assignment(stmt.target, combined)
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.ir import asm
 from repro.ir.nodes import Literal, Load, Var
+from repro.ir.runtime import reserved_names
 from repro.util.errors import LoweringError
 from repro.util.namer import Namer
 
@@ -24,7 +25,7 @@ class Context:
     """Mutable state threaded through one kernel compilation."""
 
     def __init__(self, instrument=False, constant_loop_rewrite=True):
-        self.namer = Namer()
+        self.namer = Namer(reserved=reserved_names())
         self.instrument = instrument
         # Figure 5's last rule (sum a constant region in O(1)); exposed
         # as a toggle so the ablation benchmarks can switch it off.

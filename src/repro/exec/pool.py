@@ -46,8 +46,7 @@ watchdog deadlines
     call): the dispatcher kills it, attributes the stall to the
     in-flight dataset (:class:`~repro.util.errors.WorkerStallError`),
     and respawns the slot exactly like a crash.  The deadline is
-    explicit (``deadline_s`` on the pool,
-    ``fl.configure(pool_deadline_s=...)``, or per ``run`` call) or
+    explicit (``deadline_s`` on the pool, or per ``run`` call) or
     derived from the chunk-cost EMA (``max(5s, 50x measured per-item
     seconds)``); before any measurement and with no explicit deadline
     the watchdog stays off, so a cold first chunk can never be killed
@@ -587,10 +586,6 @@ _default_lock = threading.Lock()
 POOL_OPTION_ARGS = {
     "max_workers": "pool_max_workers",
     "start_method": "pool_start_method",
-    "chunk_target_s": "pool_chunk_target_s",
-    "deadline_s": "pool_deadline_s",
-    "max_retries": "pool_max_retries",
-    "backoff_s": "pool_backoff_s",
 }
 
 

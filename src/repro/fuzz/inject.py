@@ -90,21 +90,22 @@ def _install_vector_slice_short():
            "after the target")
 def _install_seek_overshoot():
     from repro.ir import runtime
+    from repro.ir.ops import SEARCH_GE
 
-    original = runtime.search_ge
+    original = SEARCH_GE.runtime
 
     def buggy(idx, lo, hi, key):
         found = original(idx, lo, hi, key)
         return min(found + 1, hi)
 
-    # Kernels resolve search_ge through the frozen helper snapshot,
-    # not the module global, so patch the snapshot and drop the cached
-    # base namespace on both install and undo.
-    runtime._STATIC_HELPERS["search_ge"] = buggy
+    # Kernels resolve search_ge through the namespace snapshot of the
+    # registry, so patch the op's runtime callable and drop the cached
+    # snapshot on both install and undo.
+    SEARCH_GE.runtime = buggy
     runtime._BASE_CACHE["version"] = None
 
     def undo():
-        runtime._STATIC_HELPERS["search_ge"] = original
+        SEARCH_GE.runtime = original
         runtime._BASE_CACHE["version"] = None
 
     return undo

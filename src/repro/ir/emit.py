@@ -55,19 +55,17 @@ def _emit(stmt, depth, lines):
 def _emit_accum(stmt, pad, lines):
     target = lhs_source(stmt.target)
     value = expr_source(stmt.value)
-    if stmt.op.symbol is not None and stmt.op.name in (
-            "add", "sub", "mul", "div", "and", "or"):
-        symbol = {"add": "+=", "sub": "-=", "mul": "*=", "div": "/=",
-                  "and": "&=", "or": "|="}[stmt.op.name]
-        if stmt.op.name in ("and", "or"):
-            # Python's &=/|= are bitwise; stay with explicit logic.
-            lines.append("%s%s = %s %s (%s)" % (
-                pad, target, target, stmt.op.symbol.strip(), value))
-        else:
-            lines.append("%s%s %s %s" % (pad, target, symbol, value))
+    op = stmt.op
+    if op.accum is not None:
+        lines.append("%s%s %s %s" % (pad, target, op.accum, value))
+    elif op.lazy and op.symbol is not None:
+        # Python's &=/|= are bitwise (and eager); stay with explicit
+        # logic.
+        lines.append("%s%s = %s %s (%s)" % (
+            pad, target, target, op.symbol.strip(), value))
     else:
         lines.append("%s%s = %s(%s, %s)" % (
-            pad, target, stmt.op.runtime_name, target, value))
+            pad, target, op.runtime_name, target, value))
 
 
 def _emit_if(stmt, depth, lines):

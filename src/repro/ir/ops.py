@@ -1,17 +1,20 @@
 """Operator registry for the scalar expression IR.
 
-Each :class:`Op` records how to *render* the operator in emitted Python
-source, how to *fold* it over constants, and the algebraic properties the
-rewriter (Figure 5 of the paper) relies on: identity and annihilator
-elements, commutativity and associativity, and whether the operator
-propagates ``missing`` (rendered as Python ``None``).
+Each :class:`Op` is the one declaration of an operator: how to *fold* it
+over constants, the algebraic properties the rewriter (Figure 5 of the
+paper) relies on — identity and annihilator elements, commutativity and
+associativity, whether it propagates ``missing`` (rendered as Python
+``None``) — and its three target forms: the Python the printer emits,
+the numpy the vectoriser emits, and the C lowering.
 
 The registry is open: callers may register their own operators (e.g. a
-semiring product) and the whole compiler pipeline — rewriting included —
-picks the properties up from here.
+semiring product) and the whole compiler pipeline — rewriting, the
+optimizer and both backends — picks everything up from here; no
+consumer tests an operator by name.
 """
 
 import math
+from bisect import bisect_left
 
 from repro.util.errors import ReproError
 
@@ -50,7 +53,8 @@ class Op:
         Python callable used for constant folding and by the reference
         interpreter.
     symbol:
-        Infix symbol; when given, binary calls render as ``a <sym> b``.
+        Infix symbol; when given, binary calls render as ``a <sym> b``,
+        otherwise as ``runtime_name(args...)``.
     precedence:
         Python operator precedence (higher binds tighter) used by the
         pretty printer to insert minimal parentheses.
@@ -62,11 +66,48 @@ class Op:
     propagates_missing:
         ``op(..., missing, ...) == missing`` (true for arithmetic, false
         for ``coalesce``).
+    unary:
+        A one-argument call renders as the prefix ``<sym>a``.
+    accum:
+        Compound-assignment spelling (``"+="``) of ``x = op(x, v)``,
+        valid on scalars and numpy slices alike; without it an
+        accumulation is spelled out.
+    runtime_name / runtime:
+        For ops that render as calls: the name emitted code calls and
+        the callable the kernel namespace binds to it (default ``fn``;
+        ``min``/``max`` bind the builtins, ``coalesce`` a variant over
+        ``None``, which is how emitted code spells ``missing``).
+    lazy:
+        Emitted Python evaluates only the first argument
+        unconditionally (``and``/``or`` short-circuit, ``ifelse`` is a
+        conditional expression); the optimizer never speculates the rest.
+    total:
+        Cannot raise on well-typed scalars, so a hoist needs no guard.
+        Anything else (division, user ops) is treated as possibly raising.
+    numpy / numpy_reduce:
+        What the vectoriser turns a loop calling the op into —
+        ``("infix", "+")``, ``("pairwise", "_np.minimum")`` (a binary
+        ufunc, folded over more arguments), ``("unary", "_np.abs(%s)")``
+        — and a loop accumulating with it (``"_np.add.reduce"``).
+        ``None``: such loops stay scalar.
+    c / c_type:
+        The C lowering :mod:`repro.codegen.c_emit` dispatches on, and its
+        result-type rule (``"arith"``: operand join with bools promoted
+        to int, ``"join"``, ``"f64"``, ``"i64"``, ``"bool"``):
+        ``("infix", "+", 12)`` / ``("prefix", "-", 14)`` (symbol, C
+        precedence), ``("helper", "fl_div")`` (a prelude or libm
+        function), ``("typed", "fl_min")`` (``fl_min_i64``/``_f64`` by
+        operand type), or a custom renderer named there, which may type
+        itself: ``("logical", "&&", 5)``, ``("conditional",)``,
+        ``("magnitude",)``, ``("search", "fl_search_ge")``.  ``None``:
+        kernels using the op fall back to the python backend.
     """
 
     def __init__(self, name, fn, symbol=None, precedence=0, identity=None,
                  annihilator=None, commutative=False, associative=False,
-                 propagates_missing=True, runtime_name=None):
+                 propagates_missing=True, runtime_name=None, unary=False,
+                 accum=None, runtime=None, lazy=False, total=False,
+                 numpy=None, numpy_reduce=None, c=None, c_type=None):
         self.name = name
         self.fn = fn
         self.symbol = symbol
@@ -79,6 +120,15 @@ class Op:
         # Name the op is reachable under inside emitted-kernel namespaces,
         # for ops that render as function calls rather than infix syntax.
         self.runtime_name = runtime_name or name
+        self.runtime = runtime or fn
+        self.unary = unary
+        self.accum = accum
+        self.lazy = lazy
+        self.total = total
+        self.numpy = numpy
+        self.numpy_reduce = numpy_reduce
+        self.c = c
+        self.c_type = c_type
 
     def __repr__(self):
         return "Op(%s)" % self.name
@@ -130,6 +180,14 @@ def _coalesce(*args):
     return MISSING
 
 
+def _coalesce_runtime(*args):
+    """First non-``None`` argument (``coalesce`` inside emitted code)."""
+    for arg in args:
+        if arg is not None:
+            return arg
+    return None
+
+
 def _ifelse(cond, then, otherwise):
     return then if cond else otherwise
 
@@ -179,45 +237,82 @@ def _max(*args):
     return max(args)
 
 
+def _compare(name, fn, symbol, c_precedence):
+    return register_op(Op(name, fn, symbol=symbol, precedence=6, total=True,
+                          c=("infix", symbol, c_precedence), c_type="bool"))
+
+
 ADD = register_op(Op("add", _add, symbol="+", precedence=10, identity=0,
-                     commutative=True, associative=True))
-SUB = register_op(Op("sub", lambda a, b: a - b, symbol="-", precedence=10))
-NEG = register_op(Op("neg", lambda a: -a, symbol="-", precedence=13))
+                     commutative=True, associative=True, accum="+=",
+                     total=True, numpy=("infix", "+"),
+                     numpy_reduce="_np.add.reduce", c=("infix", "+", 12),
+                     c_type="arith"))
+SUB = register_op(Op("sub", lambda a, b: a - b, symbol="-", precedence=10,
+                     accum="-=", total=True, numpy=("infix", "-"),
+                     c=("infix", "-", 12), c_type="arith"))
+NEG = register_op(Op("neg", lambda a: -a, symbol="-", precedence=13,
+                     unary=True, total=True, numpy=("unary", "(-%s)"),
+                     c=("prefix", "-", 14), c_type="arith"))
 MUL = register_op(Op("mul", _mul, symbol="*", precedence=11, identity=1,
-                     annihilator=0, commutative=True, associative=True))
-DIV = register_op(Op("div", _divide, symbol="/", precedence=11))
+                     annihilator=0, commutative=True, associative=True,
+                     accum="*=", total=True, numpy=("infix", "*"),
+                     numpy_reduce="_np.multiply.reduce",
+                     c=("infix", "*", 13), c_type="arith"))
+DIV = register_op(Op("div", _divide, symbol="/", precedence=11, accum="/=",
+                     numpy=("infix", "/"), c=("helper", "fl_div"),
+                     c_type="f64"))
 FLOORDIV = register_op(Op("floordiv", lambda a, b: a // b, symbol="//",
-                          precedence=11))
-MOD = register_op(Op("mod", lambda a, b: a % b, symbol="%", precedence=11))
+                          precedence=11, c=("typed", "fl_floordiv"),
+                          c_type="arith"))
+MOD = register_op(Op("mod", lambda a, b: a % b, symbol="%", precedence=11,
+                     c=("typed", "fl_mod"), c_type="arith"))
 POW = register_op(Op("pow", lambda a, b: a ** b, symbol="**", precedence=14))
 MIN = register_op(Op("min", _min, identity=None, commutative=True,
-                     associative=True, runtime_name="min"))
+                     associative=True, runtime=min, total=True,
+                     numpy=("pairwise", "_np.minimum"),
+                     numpy_reduce="_np.minimum.reduce",
+                     c=("typed", "fl_min"), c_type="join"))
 MAX = register_op(Op("max", _max, identity=None, commutative=True,
-                     associative=True, runtime_name="max"))
-EQ = register_op(Op("eq", lambda a, b: a == b, symbol="==", precedence=6))
-NE = register_op(Op("ne", lambda a, b: a != b, symbol="!=", precedence=6))
-LT = register_op(Op("lt", lambda a, b: a < b, symbol="<", precedence=6))
-LE = register_op(Op("le", lambda a, b: a <= b, symbol="<=", precedence=6))
-GT = register_op(Op("gt", lambda a, b: a > b, symbol=">", precedence=6))
-GE = register_op(Op("ge", lambda a, b: a >= b, symbol=">=", precedence=6))
+                     associative=True, runtime=max, total=True,
+                     numpy=("pairwise", "_np.maximum"),
+                     numpy_reduce="_np.maximum.reduce",
+                     c=("typed", "fl_max"), c_type="join"))
+EQ = _compare("eq", lambda a, b: a == b, "==", 9)
+NE = _compare("ne", lambda a, b: a != b, "!=", 9)
+LT = _compare("lt", lambda a, b: a < b, "<", 10)
+LE = _compare("le", lambda a, b: a <= b, "<=", 10)
+GT = _compare("gt", lambda a, b: a > b, ">", 10)
+GE = _compare("ge", lambda a, b: a >= b, ">=", 10)
 AND = register_op(Op("and", _and, symbol="and", precedence=4, identity=True,
-                     annihilator=False, commutative=True, associative=True))
+                     annihilator=False, commutative=True, associative=True,
+                     lazy=True, total=True, c=("logical", "&&", 5)))
 OR = register_op(Op("or", _or, symbol="or", precedence=3, identity=False,
-                    annihilator=True, commutative=True, associative=True))
-NOT = register_op(Op("not", lambda a: not a, symbol="not ", precedence=5))
-ABS = register_op(Op("abs", abs, runtime_name="abs"))
-SQRT = register_op(Op("sqrt", math.sqrt, runtime_name="_sqrt"))
+                    annihilator=True, commutative=True, associative=True,
+                    lazy=True, total=True, c=("logical", "||", 4)))
+NOT = register_op(Op("not", lambda a: not a, symbol="not ", precedence=5,
+                     unary=True, total=True, c=("prefix", "!", 14),
+                     c_type="bool"))
+ABS = register_op(Op("abs", abs, total=True, numpy=("unary", "_np.abs(%s)"),
+                     c=("magnitude",), c_type="arith"))
+SQRT = register_op(Op("sqrt", math.sqrt, runtime_name="_sqrt",
+                      numpy=("unary", "_np.sqrt(%s)"), c=("helper", "sqrt"),
+                      c_type="f64"))
 COALESCE = register_op(Op("coalesce", _coalesce, propagates_missing=False,
-                          runtime_name="_coalesce"))
+                          runtime_name="_coalesce",
+                          runtime=_coalesce_runtime))
 IFELSE = register_op(Op("ifelse", _ifelse, propagates_missing=False,
-                        runtime_name="_ifelse"))
-ROUND_U8 = register_op(Op("round_u8", _round_u8, runtime_name="_round_u8"))
+                        runtime_name="_ifelse", lazy=True, total=True,
+                        c=("conditional",)))
+ROUND_U8 = register_op(Op("round_u8", _round_u8, runtime_name="_round_u8",
+                          c=("helper", "fl_round_u8"), c_type="i64"))
 
 
 def _search_ge(idx, lo, hi, key):
-    """First position ``p`` in ``[lo, hi)`` with ``idx[p] >= key``."""
-    from bisect import bisect_left
+    """First position ``p`` in ``[lo, hi)`` with ``idx[p] >= key``.
 
+    This is the ``search`` used by stepper/jumper ``seek`` functions in
+    the paper (a binary search over a sorted coordinate array).
+    """
     return bisect_left(idx, key, lo, hi)
 
 
@@ -233,6 +328,6 @@ def _search_abs_ge(idx, lo, hi, key):
 
 
 SEARCH_GE = register_op(Op("search_ge", _search_ge,
-                           runtime_name="search_ge"))
+                           c=("search", "fl_search_ge")))
 SEARCH_ABS_GE = register_op(Op("search_abs_ge", _search_abs_ge,
-                               runtime_name="search_abs_ge"))
+                               c=("search", "fl_search_abs_ge")))

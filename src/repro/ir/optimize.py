@@ -77,32 +77,22 @@ from repro.ir.asm import (
 from repro.ir.nodes import Call, Extent, Literal, Load, Var, substitute
 from repro.ir.ops import MISSING
 from repro.ir.pretty import expr_source, lhs_source, slice_source
+from repro.ir.runtime import reserved_names
 from repro.rewrite import simplify_expr
 from repro.util.namer import Namer
 
 #: Default optimization level used by the compiler when none is given.
 DEFAULT_OPT_LEVEL = 2
 
-#: Operators whose later arguments are lazily evaluated in emitted
-#: Python (``and``/``or`` short-circuit, ``ifelse`` renders as a
-#: conditional expression).  Only the first argument is *strict*.
-_LAZY_OPS = ("and", "or", "ifelse")
-
-#: Operators that cannot raise on well-typed scalar inputs.  Anything
-#: else (loads, division, user-registered ops) is treated as
-#: potentially raising and is only hoisted behind a loop guard.
-_SAFE_OPS = frozenset([
-    "add", "sub", "mul", "neg", "min", "max", "abs",
-    "eq", "ne", "lt", "le", "gt", "ge", "and", "or", "not", "ifelse",
-])
-
 
 # --------------------------------------------------------------------------
 # Expression helpers
 # --------------------------------------------------------------------------
 def strict_children(expr):
-    """Children evaluated whenever ``expr`` is evaluated."""
-    if isinstance(expr, Call) and expr.op.name in _LAZY_OPS:
+    """Children evaluated whenever ``expr`` is evaluated: only the
+    first argument of a lazy operator (``and``/``or`` short-circuit,
+    ``ifelse`` renders as a conditional expression) is *strict*."""
+    if isinstance(expr, Call) and expr.op.lazy:
         return expr.args[:1]
     return expr.children()
 
@@ -123,10 +113,11 @@ def walk_strict_expr(expr):
 
 def can_raise(expr):
     """Whether evaluating ``expr`` may raise (loads can go out of
-    bounds, division can hit zero, user ops are opaque)."""
+    bounds, division can hit zero, ops not declared ``total`` are
+    opaque); such hoists only happen behind a loop guard."""
     if isinstance(expr, Load):
         return True
-    if isinstance(expr, Call) and expr.op.name not in _SAFE_OPS:
+    if isinstance(expr, Call) and not expr.op.total:
         return True
     return any(can_raise(child) for child in expr.children())
 
@@ -173,10 +164,7 @@ def _namer_for(stmt):
     if isinstance(stmt, FuncDef):
         reserved |= set(stmt.params)
         reserved.add(stmt.name)
-    reserved |= {"min", "max", "abs", "range", "search_ge",
-                 "search_abs_ge", "_np", "_coalesce", "_ifelse",
-                 "_round_u8", "_sqrt"}
-    return Namer(reserved=reserved)
+    return Namer(reserved=reserved | reserved_names())
 
 
 def _literal_truth(expr):
@@ -624,13 +612,6 @@ def _cse_block(block, namer):
 # --------------------------------------------------------------------------
 # Dense-loop vectorization
 # --------------------------------------------------------------------------
-_VEC_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-_VEC_PAIRWISE = {"min": "_np.minimum", "max": "_np.maximum"}
-_VEC_UNARY = {"abs": "_np.abs", "sqrt": "_np.sqrt"}
-_VEC_REDUCE = {"add": "_np.add.reduce", "mul": "_np.multiply.reduce",
-               "min": "_np.minimum.reduce", "max": "_np.maximum.reduce"}
-_ACCUM_SYMBOL = {"add": "+=", "mul": "*="}
-
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+(\.\d+)?")
 
 
@@ -719,24 +700,24 @@ def _vec_source(expr, var, start, stop):
                           start, stop), True
     if not isinstance(expr, Call):
         return None  # the bare loop variable: no arange materialization
-    name = expr.op.name
+    if expr.op.numpy is None:
+        return None
+    kind, form = expr.op.numpy
     parts = []
     for arg in expr.args:
         rendered = _vec_source(arg, var, start, stop)
         if rendered is None:
             return None
         parts.append(rendered[0])
-    if name in _VEC_INFIX and len(parts) >= 2:
-        return "(%s)" % ((" %s " % _VEC_INFIX[name]).join(parts)), True
-    if name == "neg" and len(parts) == 1:
-        return "(-%s)" % parts[0], True
-    if name in _VEC_PAIRWISE and len(parts) >= 2:
+    if kind == "infix" and len(parts) >= 2:
+        return "(%s)" % ((" %s " % form).join(parts)), True
+    if kind == "pairwise" and len(parts) >= 2:
         src = parts[0]
         for nxt in parts[1:]:
-            src = "%s(%s, %s)" % (_VEC_PAIRWISE[name], src, nxt)
+            src = "%s(%s, %s)" % (form, src, nxt)
         return src, True
-    if name in _VEC_UNARY and len(parts) == 1:
-        return "%s(%s)" % (_VEC_UNARY[name], parts[0]), True
+    if kind == "unary" and len(parts) == 1:
+        return form % parts[0], True
     return None
 
 
@@ -793,7 +774,9 @@ def _vectorize_core(core, var, start, stop):
         return _vectorize_elementwise(core, "=", var, start, stop)
     if not isinstance(core, AccumStmt):
         return None
-    op = core.op.name
+    op = core.op
+    if op.numpy_reduce is None:
+        return None  # only a declared numpy reduction accumulates a slice
     target = core.target
     if isinstance(target, Var):
         if target.name in core.value.free_vars():
@@ -809,10 +792,10 @@ def _vectorize_core(core, var, start, stop):
             return None
         return _vectorize_reduction(target, op, core.value, var, start,
                                     stop)
-    symbol = _ACCUM_SYMBOL.get(op)
-    if symbol is None and op not in _VEC_PAIRWISE:
+    if op.accum is None \
+            and (op.numpy is None or op.numpy[0] != "pairwise"):
         return None
-    return _vectorize_elementwise(core, symbol, var, start, stop)
+    return _vectorize_elementwise(core, op.accum, var, start, stop)
 
 
 def _vectorize_elementwise(core, symbol, var, start, stop):
@@ -834,15 +817,13 @@ def _vectorize_elementwise(core, symbol, var, start, stop):
     if symbol is not None:
         return "%s %s %s" % (target_src, symbol, rendered[0])
     # min/max accumulate elementwise via the pairwise ufunc.
-    fn = _VEC_PAIRWISE[core.op.name]
-    return "%s = %s(%s, %s)" % (target_src, fn, target_src, rendered[0])
+    return "%s = %s(%s, %s)" % (target_src, core.op.numpy[1], target_src,
+                                rendered[0])
 
 
 def _vectorize_reduction(target, op, rhs, var, start, stop):
-    if op not in _VEC_REDUCE:
-        return None
     reduced = None
-    if op == "add" and isinstance(rhs, Call) and rhs.op.name == "mul" \
+    if op.name == "add" and isinstance(rhs, Call) and rhs.op.name == "mul" \
             and len(rhs.args) == 2 \
             and all(isinstance(arg, Load) for arg in rhs.args):
         parts = [linear_parts(arg.index, var) for arg in rhs.args]
@@ -855,12 +836,12 @@ def _vectorize_reduction(target, op, rhs, var, start, stop):
         rendered = _vec_source(rhs, var, start, stop)
         if rendered is None or not rendered[1]:
             return None
-        reduced = "%s(%s)" % (_VEC_REDUCE[op], rendered[0])
+        reduced = "%s(%s)" % (op.numpy_reduce, rendered[0])
     target_src = lhs_source(target)
-    symbol = _ACCUM_SYMBOL.get(op)
-    if symbol is not None:
-        return "%s %s %s" % (target_src, symbol, reduced)
-    return "%s = %s(%s, %s)" % (target_src, op, target_src, reduced)
+    if op.accum is not None:
+        return "%s %s %s" % (target_src, op.accum, reduced)
+    return "%s = %s(%s, %s)" % (target_src, op.runtime_name, target_src,
+                                reduced)
 
 
 # --------------------------------------------------------------------------

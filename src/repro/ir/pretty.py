@@ -6,12 +6,11 @@ debugging and for the golden tests that assert the *shape* of the code
 the paper's worked examples should produce.
 """
 
-from repro.ir.nodes import Call, Expr, Literal, Load, Var
+from repro.ir.nodes import Call, Literal, Load, Var
 from repro.ir.ops import MISSING
 from repro.util.errors import ReproError
 
 _ATOM_PRECEDENCE = 100
-_UNARY_OPS = ("neg", "not")
 
 
 def expr_source(expr):
@@ -37,8 +36,6 @@ def _render(expr):
 def _render_literal(value):
     if value is MISSING:
         return "None"
-    if isinstance(value, float):
-        return repr(value)
     return repr(value)
 
 
@@ -49,7 +46,7 @@ def _render_call(expr):
         # would evaluate both branches (unsafe for guarded loads).
         cond, then, otherwise = (_render(arg)[0] for arg in expr.args)
         return "(%s if %s else %s)" % (then, cond, otherwise), _ATOM_PRECEDENCE
-    if op.symbol is not None and op.name in _UNARY_OPS and len(expr.args) == 1:
+    if op.unary and len(expr.args) == 1:
         inner, prec = _render(expr.args[0])
         if prec < op.precedence:
             inner = "(%s)" % inner
@@ -91,9 +88,3 @@ def lhs_source(target):
     if isinstance(target, Load):
         return "%s[%s]" % (target.buffer.name, expr_source(target.index))
     raise ReproError("invalid assignment target: %r" % (target,))
-
-
-def ensure_expr(expr):
-    if not isinstance(expr, Expr):
-        raise ReproError("expected an IR expression, got %r" % (expr,))
-    return expr

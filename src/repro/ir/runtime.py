@@ -1,66 +1,19 @@
-"""Runtime helpers available inside emitted kernels.
+"""The namespace emitted kernels execute in.
 
 Compiled kernels are executed with :func:`kernel_globals` as their
-namespace, so every function here (and every registered op that renders
-as a call) is reachable from emitted source.  Vectorized kernels also
-reach numpy as ``_np`` for their slice operations.
+namespace: the runtime callable of every registered op that renders as
+a call (:mod:`repro.ir.ops` declares them), plus numpy as ``_np`` for
+the slice operations of vectorized kernels.
 
-The namespace is assembled once — a frozen base of static helpers plus
-a snapshot of the op registry — and cheaply copied per ``exec``;
-late-registered ops invalidate the snapshot via the registry's version
-counter instead of forcing a full rebuild on every compile.
+The namespace is assembled once — a snapshot of the op registry — and
+cheaply copied per ``exec``; late-registered ops invalidate the
+snapshot via the registry's version counter instead of forcing a full
+rebuild on every compile.
 """
-
-import math
-from bisect import bisect_left
 
 import numpy as np
 
 from repro.ir.ops import all_ops, registry_version
-
-
-def _coalesce(*args):
-    """First non-``None`` argument (the paper's ``coalesce``)."""
-    for arg in args:
-        if arg is not None:
-            return arg
-    return None
-
-
-def _ifelse(cond, then, otherwise):
-    return then if cond else otherwise
-
-
-def _round_u8(value):
-    """Round and clamp to [0, 255] — the paper's ``round(UInt8, x)``."""
-    return max(0, min(255, int(round(float(value)))))
-
-
-def _sqrt(value):
-    return math.sqrt(value)
-
-
-def search_ge(idx, lo, hi, key):
-    """First position ``p`` in ``[lo, hi)`` with ``idx[p] >= key``.
-
-    This is the ``search`` used by stepper/jumper ``seek`` functions in
-    the paper (a binary search over a sorted coordinate array).
-    """
-    return bisect_left(idx, key, lo, hi)
-
-
-#: Static helpers shared by every kernel, built once at import time.
-_STATIC_HELPERS = {
-    "_coalesce": _coalesce,
-    "_ifelse": _ifelse,
-    "_round_u8": _round_u8,
-    "_sqrt": _sqrt,
-    "search_ge": search_ge,
-    "min": min,
-    "max": max,
-    "abs": abs,
-    "_np": np,
-}
 
 _BASE_CACHE = {"version": None, "env": None}
 
@@ -68,10 +21,9 @@ _BASE_CACHE = {"version": None, "env": None}
 def _base_globals():
     version = registry_version()
     if _BASE_CACHE["version"] != version:
-        env = dict(_STATIC_HELPERS)
-        for op in all_ops().values():
-            if op.symbol is None and op.runtime_name not in env:
-                env[op.runtime_name] = op.fn
+        env = {op.runtime_name: op.runtime for op in all_ops().values()
+               if op.symbol is None}
+        env["_np"] = np
         # env before version: a concurrent reader that sees the new
         # version must also see the matching snapshot.
         _BASE_CACHE["env"] = env
@@ -82,3 +34,10 @@ def _base_globals():
 def kernel_globals():
     """Fresh namespace for ``exec``-ing one emitted kernel."""
     return dict(_base_globals())
+
+
+def reserved_names():
+    """Every name emitted code resolves outside its own locals (the
+    kernel namespace and the ``range`` its loops call); compiler temps
+    must avoid them all."""
+    return set(_base_globals()) | {"range"}

@@ -31,10 +31,6 @@ option                environment variable        owns
 ``service_retries``   ``FL_SERVICE_RETRIES``      request retry budget
 ``pool_max_workers``  ``FL_POOL_MAX_WORKERS``     worker-pool width
 ``pool_start_method``  ``FL_POOL_START_METHOD``   fork/spawn/forkserver
-``pool_chunk_target_s``  ``FL_POOL_CHUNK_TARGET_S``  chunk sizing target
-``pool_deadline_s``   ``FL_POOL_DEADLINE_S``      watchdog deadline
-``pool_max_retries``  ``FL_POOL_MAX_RETRIES``     transient-retry budget
-``pool_backoff_s``    ``FL_POOL_BACKOFF_S``       retry backoff base
 ``cc``                ``FL_CC``                   C compiler (a name on
                                                   ``PATH`` or a path)
 ====================  ==========================  =======================
@@ -142,15 +138,6 @@ OPTIONS = {
                doc="worker-pool width (None = CPU count)"),
         Option("pool_start_method", "FL_POOL_START_METHOD", str,
                None, doc="multiprocessing start method"),
-        Option("pool_chunk_target_s", "FL_POOL_CHUNK_TARGET_S",
-               float, None,
-               doc="measured work one pool chunk should carry"),
-        Option("pool_deadline_s", "FL_POOL_DEADLINE_S", float, None,
-               doc="watchdog deadline (None = EMA-derived)"),
-        Option("pool_max_retries", "FL_POOL_MAX_RETRIES", int, None,
-               doc="transient-failure retries per dataset"),
-        Option("pool_backoff_s", "FL_POOL_BACKOFF_S", float, None,
-               doc="retry backoff base seconds"),
         Option("cc", "FL_CC", str, None,
                doc="C compiler of the C backend (None = probe "
                    "cc/gcc/clang on PATH)"),

@@ -62,8 +62,9 @@ class TestPreludeSemantics:
     @pytest.mark.parametrize(
         "f", [0.5, 1.5, 2.5, -0.5, -1.5, 3.4999, 254.5, 255.0, 999.0])
     def test_round_u8_matches_python_runtime(self, f):
-        from repro.ir.runtime import _round_u8
+        from repro.ir.runtime import kernel_globals
 
+        _round_u8 = kernel_globals()["_round_u8"]
         iout, _ = _run_probe(1, 1, f)
         # Banker's rounding (ties-to-even, like np.rint), clamped to
         # the packbits byte range — same contract as the runtime.

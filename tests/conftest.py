@@ -19,6 +19,7 @@ imported from there by every ``tests/properties/`` module.
 
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -33,3 +34,22 @@ settings.register_profile(
     suppress_health_check=(HealthCheck.too_slow,),
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
+
+
+@pytest.fixture
+def temp_op():
+    """``temp_op(Op(...))`` registers an operator for one test and
+    unregisters it afterwards, refreshing the registry version so the
+    cached kernel namespace drops its name."""
+    from repro.ir import ops
+
+    names = []
+
+    def register(op):
+        names.append(op.name)
+        return ops.register_op(op)
+
+    yield register
+    ops.register_op(ops.Op("_bump", lambda a: a))  # move the version on
+    for name in names + ["_bump"]:
+        ops._REGISTRY.pop(name, None)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ir import ops
 from repro.ir.ops import MISSING, Missing, Op, get_op, register_op
-from repro.ir.runtime import kernel_globals, search_ge
+from repro.ir.runtime import kernel_globals
 from repro.util.errors import ReproError
 from repro.util.namer import Namer, sanitize
 
@@ -87,6 +87,7 @@ class TestKernelGlobals:
         assert kernel_globals()["_sqrt"](9.0) == 3.0
 
     def test_search_ge_bounds(self):
+        search_ge = kernel_globals()["search_ge"]
         assert search_ge([1, 3, 5], 1, 3, 4) == 2
         assert search_ge([1, 3, 5], 0, 0, 4) == 0
 

@@ -572,3 +572,49 @@ class TestGoldenKernels:
                                           Literal(1.0)))
         func = func_of(loop, params=("out",))
         assert optimize_kernel(func, 0) is func
+
+
+class TestTempsAvoidTheKernelNamespace:
+    """Regression: CSE's ``t`` and the hoister's ``inv`` used to shadow a
+    registered operator of the same runtime name (``t = t(...)`` raised
+    ``UnboundLocalError`` at ``opt_level >= 1``); compiler temps now
+    reserve every name of ``kernel_globals()``."""
+
+    @pytest.fixture
+    def doubling_op(self, request, temp_op):
+        return temp_op(ops.Op(request.param, lambda a: a * 2.0)).name
+
+    @pytest.mark.parametrize("doubling_op", ["t", "inv"], indirect=True)
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_operator_named_like_a_temp(self, doubling_op, level):
+        a, b = np.arange(1.0, 5.0), np.arange(2.0, 8.0)
+        A = fl.from_numpy(a, ("dense",), name="A")
+        B = fl.from_numpy(b, ("dense",), name="B")
+        C = fl.zeros((4, 6), name="C")
+        D = fl.zeros((4, 6), name="D")
+        i, j = fl.indices("i", "j")
+        # A repeated call (CSE's ``t``) that is invariant in the inner
+        # loop (the hoister's ``inv``).
+        doubled = fl.call(doubling_op, A[i])
+        prog = fl.forall(i, fl.forall(j, fl.multi(
+            fl.increment(C[i, j], doubled + B[j]),
+            fl.increment(D[i, j], doubled * B[j]))))
+        fl.compile_kernel(prog, cache=False, opt_level=level).run()
+        assert np.array_equal(C.to_numpy(), 2 * a[:, None] + b)
+        assert np.array_equal(D.to_numpy(), np.outer(2 * a, b))
+
+    @pytest.mark.parametrize("doubling_op", ["q"], indirect=True)
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_operator_named_like_a_lowerer_variable(self, doubling_op,
+                                                    level):
+        # The sparse level's position variable is ``q``; the lowerer's
+        # namer reserves the kernel namespace too.
+        a, b = np.array([0.0, 1.0, 0.0, 2.0]), np.arange(2.0, 6.0)
+        A = fl.from_numpy(a, ("sparse",), name="A")
+        B = fl.from_numpy(b, ("dense",), name="B")
+        C = fl.Scalar(name="C")
+        i = fl.indices("i")
+        prog = fl.forall(i, fl.increment(
+            C[()], fl.call(doubling_op, A[i]) * B[i]))
+        fl.compile_kernel(prog, cache=False, opt_level=level).run()
+        assert C.value == 2 * (a * b).sum()

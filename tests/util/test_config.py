@@ -108,6 +108,14 @@ def test_unknown_option_rejected():
         config.resolve("no_such_option")
 
 
+def test_removed_pool_options_are_unknown():
+    # The watchdog deadline, chunk size, retry budget and backoff are
+    # WorkerPool/KernelPool constructor arguments, not config options.
+    with pytest.raises(ValueError, match="unknown configuration"):
+        fl.configure(pool_deadline_s=1)
+    assert len(config.OPTIONS) == 11
+
+
 def test_choices_validated():
     with pytest.raises(ValueError, match="backend must be"):
         fl.configure(backend="rust")
