@@ -31,15 +31,18 @@ on its :class:`repro.ir.ops.Op` (``c`` / ``c_type``); this module
 dispatches on that declaration and never tests an operator by name.
 
 Anything the emitter cannot translate with that guarantee raises
-:class:`CUnsupportedError` — :class:`Raw` statements (vectorized numpy
-slices, the dense output ``.fill``), ``missing``, operators that declare
-no C lowering, buffers outside :data:`SUPPORTED_DTYPES`, and loop
-variables read after their loop (Python leaves ``stop - 1``, C leaves
-``stop``).  The caller falls back to the python backend.
+:class:`CUnsupportedError` — slice operations (the ``Slice``/``Reduce``
+nodes of a dense output's reset and of vectorized loops: no C lowering
+*yet*), ``missing``, operators that declare no C lowering, buffers
+outside :data:`SUPPORTED_DTYPES`, and loop variables read after their
+loop (Python leaves ``stop - 1``, C leaves ``stop``).  The caller falls
+back to the python backend.
 """
 
+from collections import Counter
+
 from repro.ir import asm
-from repro.ir.nodes import Call, Literal, Load, Var
+from repro.ir.nodes import Call, Literal, Load, Reduce, Slice, Var
 from repro.ir.ops import MISSING
 from repro.util.errors import ReproError
 
@@ -150,6 +153,17 @@ static inline int64_t fl_search_abs_ge(const int64_t *idx, int64_t lo,
 """
 
 
+def _mentions(stmt):
+    """How many statements of the tree mention each name, in a header
+    or an assignment (a ``for`` mentions its variable)."""
+    counts = Counter()
+    for node in asm.walk_statements(stmt):
+        names = {node.var.name} if isinstance(node, asm.ForLoop) else set()
+        counts.update(names.union(
+            *(expr.free_vars() for expr in asm.statement_exprs(node))))
+    return counts
+
+
 def _join(a, b):
     if a is None:
         return b
@@ -199,23 +213,15 @@ class _Emitter:
             self.param_types[name] = elem
         self.env = {}           # scalar name -> lattice type
         self.decl_order = []    # scalar names in first-assignment order
-        self.stored = asm.stmt_stores(func)
+        self.stored = asm.effects(func).stores
         self.renames = {}
         self._temp = 0
 
     # -- analysis ------------------------------------------------------
     def analyze(self):
-        self._reject_raw()
         self._infer_types()
         self._check_loop_vars()
         self._build_renames()
-
-    def _reject_raw(self):
-        for node in asm.walk_statements(self.func):
-            if isinstance(node, asm.Raw):
-                raise CUnsupportedError(
-                    "opaque statement %r (vectorized numpy or buffer "
-                    "fill)" % node.line)
 
     def _infer_types(self):
         for _ in range(8):
@@ -272,9 +278,11 @@ class _Emitter:
             self.decl_order.append(name)
         self.env[name] = _join(self.env[name], value_type)
 
-    def _store_target(self, load):
-        self._param_elem(load.buffer, "store target")
-        self._index_type(load.index)
+    def _store_target(self, target):
+        if isinstance(target, Slice):
+            self._expr_type(target)     # refused by kind
+        self._param_elem(target.buffer, "store target")
+        self._index_type(target.index)
 
     def _param_elem(self, buffer, what):
         if not isinstance(buffer, Var) or buffer.name not in self.params:
@@ -316,6 +324,11 @@ class _Emitter:
             return elem
         if isinstance(expr, Call):
             return self._call_type(expr)
+        if isinstance(expr, (Slice, Reduce)):
+            raise CUnsupportedError(
+                "%s node (the slice operation of a dense reset or a "
+                "vectorized loop) has no C lowering yet"
+                % type(expr).__name__)
         raise CUnsupportedError("cannot type %r" % (expr,))
 
     def _c_form(self, op):
@@ -367,48 +380,16 @@ class _Emitter:
         of the variable outside the loop's own subtree could observe
         the difference, so such kernels fall back.
         """
+        total = _mentions(self.func)
         for node in asm.walk_statements(self.func):
             if isinstance(node, asm.ForLoop):
-                if node.var.name in asm.stmt_writes(node.body):
+                name = node.var.name
+                if name in asm.effects(node.body).writes:
                     raise CUnsupportedError(
-                        "loop variable %r reassigned inside its loop"
-                        % node.var.name)
-                if self._mentions(self.func.body, node.var.name, node):
+                        "loop variable %r reassigned inside its loop" % name)
+                if total[name] != _mentions(node)[name]:
                     raise CUnsupportedError(
-                        "loop variable %r used outside its loop"
-                        % node.var.name)
-
-    def _mentions(self, stmt, name, skip):
-        if stmt is skip:
-            return False
-        if isinstance(stmt, asm.Block):
-            return any(self._mentions(s, name, skip)
-                       for s in stmt.stmts)
-        if isinstance(stmt, (asm.ForLoop, asm.WhileLoop, asm.FuncDef)):
-            header = set()
-            if isinstance(stmt, asm.ForLoop):
-                header = (stmt.start.free_vars()
-                          | stmt.stop.free_vars() | {stmt.var.name})
-            elif isinstance(stmt, asm.WhileLoop):
-                header = stmt.cond.free_vars()
-            return (name in header
-                    or self._mentions(stmt.body, name, skip))
-        if isinstance(stmt, asm.If):
-            for cond, body in stmt.branches:
-                if cond is not None and name in cond.free_vars():
-                    return True
-                if self._mentions(body, name, skip):
-                    return True
-            return False
-        if isinstance(stmt, (asm.AssignStmt, asm.AccumStmt)):
-            if name in stmt.value.free_vars():
-                return True
-            target = stmt.target
-            if isinstance(target, Var):
-                return target.name == name
-            return (target.buffer.name == name
-                    or name in target.index.free_vars())
-        return False
+                        "loop variable %r used outside its loop" % name)
 
     def _build_renames(self):
         taken = set()

@@ -811,13 +811,13 @@ def compile_kernel(program, instrument=False, name="kernel",
     compiles it into a per-kernel shared object, and calls it through
     :mod:`ctypes` (releasing the GIL during each call).  ``None``
     reads the ``FL_KERNEL_BACKEND`` environment variable, defaulting
-    to ``"python"``.  Kernels the C emitter cannot express —
-    vectorized numpy slice ops, buffers outside int64/float64/bool —
-    and environments with no C compiler fall back to the
-    python backend loudly but gracefully (one warning per distinct
-    reason; see :func:`repro.codegen.fallback_events`); the resulting
-    :class:`Kernel` reports the request as ``.backend`` and the
-    reality as ``.effective_backend``.  The backend joins
+    to ``"python"``.  Kernels the C emitter cannot express — slice
+    operations (dense resets, vectorized loops), buffers outside
+    int64/float64/bool — and environments with no C compiler fall back
+    to the python backend loudly but gracefully (one warning per
+    distinct reason; see :func:`repro.codegen.fallback_events`); the
+    resulting :class:`Kernel` reports the request as ``.backend`` and
+    the reality as ``.effective_backend``.  The backend joins
     ``opt_level`` in every cache key, so the two backends never share
     an artifact slot.
 

@@ -35,7 +35,7 @@ from repro.compiler.unfurl import (
     unfurl_access,
 )
 from repro.ir import asm, build, ops
-from repro.ir.nodes import Extent, Literal, Load, Var
+from repro.ir.nodes import Extent, Literal, Load, Slice, Var
 from repro.looplets import (
     Jumper,
     Lookup,
@@ -214,8 +214,12 @@ class Lowerer:
             var = self.ctx.mark_scalar_output(tensor)
             self.ctx.emit(asm.AssignStmt(var, fill_literal(tensor)))
             return
-        buf = self.ctx.buffer(tensor.element.val, tensor.name + "_val")
-        self.ctx.emit(asm.Raw("%s.fill(%r)" % (buf.name, tensor.fill)))
+        # One slice assignment over the whole value buffer, whose length
+        # the format signature pins (only fixed-shape levels take stores).
+        val = tensor.element.val
+        buf = self.ctx.buffer(val, tensor.name + "_val")
+        self.ctx.emit(asm.AssignStmt(Slice(buf, 0, len(val)),
+                                     fill_literal(tensor)))
 
     # -- foralls -----------------------------------------------------------
     def lower_forall(self, stmt):

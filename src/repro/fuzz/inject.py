@@ -61,25 +61,19 @@ def injected_bug(name):
            "vectorizer emits slices one element short (opt_level 2 "
            "dense loops drop their last iteration)")
 def _install_vector_slice_short():
-    from repro.ir import optimize
-    from repro.ir.nodes import Literal
-    from repro.ir import build
-    from repro.ir.pretty import slice_source
+    from repro.ir import build, optimize
     from repro.rewrite import simplify_expr
 
-    original = optimize._slice_src
+    original = optimize.slice_bounds
 
-    def buggy(buffer, coeff, base, start, stop):
-        lo = simplify_expr(build.plus(build.times(Literal(coeff), start),
-                                      base))
-        hi = simplify_expr(build.plus(build.times(Literal(coeff), stop),
-                                      base, Literal(-coeff)))
-        return slice_source(buffer, lo, hi, coeff)
+    def buggy(coeff, base, start, stop):
+        lo, hi = original(coeff, base, start, stop)
+        return lo, simplify_expr(build.minus(hi, 1))
 
-    optimize._slice_src = buggy
+    optimize.slice_bounds = buggy
 
     def undo():
-        optimize._slice_src = original
+        optimize.slice_bounds = original
 
     return undo
 

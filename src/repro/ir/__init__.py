@@ -8,6 +8,8 @@ from repro.ir.nodes import (
     Extent,
     Literal,
     Load,
+    Reduce,
+    Slice,
     Var,
     as_expr,
     postorder_map,
@@ -15,12 +17,11 @@ from repro.ir.nodes import (
 )
 from repro.ir.ops import MISSING, Op, all_ops, get_op, register_op
 from repro.ir.optimize import DEFAULT_OPT_LEVEL, optimize_kernel
-from repro.ir.pretty import expr_source, lhs_source, slice_source
+from repro.ir.pretty import expr_source
 
 __all__ = [
     "DEFAULT_OPT_LEVEL",
     "optimize_kernel",
-    "slice_source",
     "asm",
     "build",
     "ops",
@@ -30,6 +31,8 @@ __all__ = [
     "Extent",
     "Literal",
     "Load",
+    "Reduce",
+    "Slice",
     "Var",
     "as_expr",
     "postorder_map",
@@ -40,5 +43,4 @@ __all__ = [
     "get_op",
     "register_op",
     "expr_source",
-    "lhs_source",
 ]

@@ -3,30 +3,31 @@
 Lowering produces these nodes; :mod:`repro.ir.emit` renders them as
 Python source.  The AST is deliberately tiny — blocks, loops, branches,
 assignments and comments — because everything interesting happens before
-we reach it.
+we reach it.  It is closed: every statement is made of these nodes over
+:mod:`repro.ir.nodes` expressions, so every stage can read all of it.
 
 Besides the node classes, this module provides the generic tree
 machinery the optimizer pipeline (:mod:`repro.ir.optimize`) is built
 on: a postorder statement rewriter (:func:`map_statements`), a
-per-statement expression rewriter (:func:`map_statement_exprs`), and a
-conservative effects analysis (:func:`stmt_reads`, :func:`stmt_writes`,
-:func:`stmt_stores`) that treats :class:`Raw` lines as touching every
-identifier they mention.
+per-statement expression rewriter (:func:`map_statement_exprs`), and
+the exact effects of a statement tree (:func:`effects`).
+
+**Statements are immutable after construction.**  Every pass rebuilds
+the nodes it changes and shares the rest; :func:`effects` relies on it
+to compute each node's effects once and keep them on the node.
 """
 
-import re
+from collections import namedtuple
 
-from repro.ir.nodes import Expr, Load, Var, as_expr
+from repro.ir.nodes import Load, Slice, Var, as_expr
 from repro.ir.ops import Op, get_op
 from repro.util.errors import ReproError
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class Stmt:
     """Base class for target statements."""
 
-    __slots__ = ()
+    __slots__ = ("_effects",)
 
     def is_nop(self):
         return False
@@ -73,17 +74,22 @@ class Comment(Stmt):
         self.text = text
 
 
+def _as_target(target):
+    if isinstance(target, str):
+        target = Var(target)
+    if not isinstance(target, (Var, Load, Slice)):
+        raise ReproError("bad assignment target: %r" % (target,))
+    return target
+
+
 class AssignStmt(Stmt):
-    """``target = value`` where target is a Var or a buffer element."""
+    """``target = value`` where target is a Var, a buffer element or a
+    buffer slice (a scalar value is broadcast over a slice)."""
 
     __slots__ = ("target", "value")
 
     def __init__(self, target, value):
-        if isinstance(target, str):
-            target = Var(target)
-        if not isinstance(target, (Var, Load)):
-            raise ReproError("bad assignment target: %r" % (target,))
-        self.target = target
+        self.target = _as_target(target)
         self.value = as_expr(value)
 
 
@@ -93,13 +99,11 @@ class AccumStmt(Stmt):
     __slots__ = ("target", "op", "value")
 
     def __init__(self, target, op, value):
-        if isinstance(target, str):
-            target = Var(target)
         if isinstance(op, str):
             op = get_op(op)
         if not isinstance(op, Op):
             raise ReproError("bad accumulation op: %r" % (op,))
-        self.target = target
+        self.target = _as_target(target)
         self.op = op
         self.value = as_expr(value)
 
@@ -152,15 +156,6 @@ class If(Stmt):
         return all(body.is_nop() for _, body in self.branches)
 
 
-class Raw(Stmt):
-    """An opaque line of Python source (used sparingly, e.g. ``pass``)."""
-
-    __slots__ = ("line",)
-
-    def __init__(self, line):
-        self.line = line
-
-
 class FuncDef(Stmt):
     """Top-level function wrapper for a compiled kernel."""
 
@@ -177,25 +172,27 @@ def block(*stmts):
     return Block(stmts)
 
 
+def child_statements(stmt):
+    """The statements nested directly under ``stmt``."""
+    if isinstance(stmt, Block):
+        return stmt.stmts
+    if isinstance(stmt, (ForLoop, WhileLoop, FuncDef)):
+        return (stmt.body,)
+    if isinstance(stmt, If):
+        return tuple(body for _, body in stmt.branches)
+    return ()
+
+
 def walk_statements(stmt):
     """Yield every statement in the tree, preorder."""
     yield stmt
-    if isinstance(stmt, Block):
-        for child in stmt.stmts:
-            yield from walk_statements(child)
-    elif isinstance(stmt, (ForLoop, WhileLoop, FuncDef)):
-        yield from walk_statements(stmt.body)
-    elif isinstance(stmt, If):
-        for _, body in stmt.branches:
-            yield from walk_statements(body)
+    for child in child_statements(stmt):
+        yield from walk_statements(child)
 
 
 def statement_exprs(stmt):
     """Yield the expressions referenced directly by one statement."""
-    if isinstance(stmt, AssignStmt):
-        yield stmt.target
-        yield stmt.value
-    elif isinstance(stmt, AccumStmt):
+    if isinstance(stmt, (AssignStmt, AccumStmt)):
         yield stmt.target
         yield stmt.value
     elif isinstance(stmt, ForLoop):
@@ -205,8 +202,14 @@ def statement_exprs(stmt):
         yield stmt.cond
     elif isinstance(stmt, If):
         for cond, _ in stmt.branches:
-            if isinstance(cond, Expr):
+            if cond is not None:
                 yield cond
+
+
+def target_address(target):
+    """The expressions a store target evaluates: a ``Load``'s index, a
+    ``Slice``'s bounds, nothing for a ``Var``."""
+    return () if isinstance(target, Var) else target.children()[1:]
 
 
 # --------------------------------------------------------------------------
@@ -249,19 +252,16 @@ def map_statement_exprs(stmt, fn):
 
     Does not recurse into child statements (combine with
     :func:`map_statements` for whole-tree rewrites).  Assignment
-    targets keep their ``Var``/``Load`` shape: a ``Var`` target is left
-    alone (it is a write, not a read), a ``Load`` target has only its
-    index mapped.
+    targets keep their shape: a ``Var`` target is left alone (it is a
+    write, not a read), a store target has only its address mapped.
     """
-    if isinstance(stmt, AssignStmt):
+    if isinstance(stmt, (AssignStmt, AccumStmt)):
         target = stmt.target
-        if isinstance(target, Load):
-            target = Load(target.buffer, fn(target.index))
-        return AssignStmt(target, fn(stmt.value))
-    if isinstance(stmt, AccumStmt):
-        target = stmt.target
-        if isinstance(target, Load):
-            target = Load(target.buffer, fn(target.index))
+        if not isinstance(target, Var):
+            target = target.rebuild(
+                [target.buffer] + [fn(e) for e in target_address(target)])
+        if isinstance(stmt, AssignStmt):
+            return AssignStmt(target, fn(stmt.value))
         return AccumStmt(target, stmt.op, fn(stmt.value))
     if isinstance(stmt, ForLoop):
         return ForLoop(stmt.var, fn(stmt.start), fn(stmt.stop), stmt.body)
@@ -274,75 +274,50 @@ def map_statement_exprs(stmt, fn):
 
 
 # --------------------------------------------------------------------------
-# Conservative effects analysis
+# Effects analysis
 # --------------------------------------------------------------------------
-def raw_identifiers(line):
-    """Every identifier mentioned in an opaque :class:`Raw` line."""
-    return set(_IDENT_RE.findall(line))
+Effects = namedtuple("Effects", "reads writes stores")
 
 
 def load_buffers(expr, out=None):
     """Names of all buffers ``expr`` loads from."""
     if out is None:
         out = set()
-    if isinstance(expr, Load):
+    if isinstance(expr, (Load, Slice)):
         out.add(expr.buffer.name)
     for child in expr.children():
         load_buffers(child, out)
     return out
 
 
-def stmt_reads(stmt):
-    """Variable names (including buffer names) possibly read by the
-    statement tree.  ``Raw`` lines read every identifier they mention."""
-    out = set()
-    for node in walk_statements(stmt):
-        if isinstance(node, AssignStmt):
-            out |= node.value.free_vars()
-            if isinstance(node.target, Load):
-                out.add(node.target.buffer.name)
-                out |= node.target.index.free_vars()
-        elif isinstance(node, AccumStmt):
-            out |= node.value.free_vars()
-            out |= node.target.free_vars()
-        elif isinstance(node, ForLoop):
-            out |= node.start.free_vars() | node.stop.free_vars()
-        elif isinstance(node, WhileLoop):
-            out |= node.cond.free_vars()
-        elif isinstance(node, If):
-            for cond, _ in node.branches:
-                if isinstance(cond, Expr):
-                    out |= cond.free_vars()
-        elif isinstance(node, Raw):
-            out |= raw_identifiers(node.line)
-    return out
+def effects(stmt):
+    """What a statement tree may do, as frozensets: the names (scalars
+    and buffers) it ``reads``, the scalar variables it ``writes`` (loop
+    variables included) and the buffers it ``stores`` into.
 
-
-def stmt_writes(stmt):
-    """Scalar variable names possibly assigned by the statement tree
-    (assignment/accumulation targets, loop variables, and — to stay
-    conservative — every identifier a ``Raw`` line mentions)."""
-    out = set()
-    for node in walk_statements(stmt):
-        if isinstance(node, (AssignStmt, AccumStmt)):
-            if isinstance(node.target, Var):
-                out.add(node.target.name)
-        elif isinstance(node, ForLoop):
-            out.add(node.var.name)
-        elif isinstance(node, Raw):
-            out |= raw_identifiers(node.line)
-    return out
-
-
-def stmt_stores(stmt):
-    """Buffer names possibly stored into by the statement tree
-    (``buf[i] = ...`` targets plus every identifier in ``Raw`` lines,
-    which may call mutating methods such as ``.fill``)."""
-    out = set()
-    for node in walk_statements(stmt):
-        if isinstance(node, (AssignStmt, AccumStmt)):
-            if isinstance(node.target, Load):
-                out.add(node.target.buffer.name)
-        elif isinstance(node, Raw):
-            out |= raw_identifiers(node.line)
-    return out
+    Computed bottom-up from the children's effects and kept on the
+    node, so a pass asking at every nesting level walks the tree once.
+    """
+    known = getattr(stmt, "_effects", None)
+    if known is not None:
+        return known
+    reads, writes, stores = set(), set(), set()
+    exprs = statement_exprs(stmt)
+    if isinstance(stmt, (AssignStmt, AccumStmt)):
+        target = stmt.target
+        if not isinstance(target, Var):
+            stores.add(target.buffer.name)
+        else:
+            writes.add(target.name)
+            if isinstance(stmt, AssignStmt):
+                exprs = (stmt.value,)   # a plain write does not read it
+    elif isinstance(stmt, ForLoop):
+        writes.add(stmt.var.name)
+    for expr in exprs:
+        reads |= expr.free_vars()
+    for child in child_statements(stmt):
+        for mine, theirs in zip((reads, writes, stores), effects(child)):
+            mine |= theirs
+    stmt._effects = Effects(frozenset(reads), frozenset(writes),
+                            frozenset(stores))
+    return stmt._effects

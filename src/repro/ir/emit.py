@@ -1,7 +1,7 @@
 """Emit target AST as Python source text."""
 
 from repro.ir import asm
-from repro.ir.pretty import expr_source, lhs_source
+from repro.ir.pretty import expr_source
 from repro.util.errors import ReproError
 
 _INDENT = "    "
@@ -25,7 +25,7 @@ def _emit(stmt, depth, lines):
         for line in str(stmt.text).splitlines():
             lines.append("%s# %s" % (pad, line))
     elif isinstance(stmt, asm.AssignStmt):
-        lines.append("%s%s = %s" % (pad, lhs_source(stmt.target),
+        lines.append("%s%s = %s" % (pad, expr_source(stmt.target),
                                     expr_source(stmt.value)))
     elif isinstance(stmt, asm.AccumStmt):
         _emit_accum(stmt, pad, lines)
@@ -39,8 +39,6 @@ def _emit(stmt, depth, lines):
         _emit_body(stmt.body, depth + 1, lines)
     elif isinstance(stmt, asm.If):
         _emit_if(stmt, depth, lines)
-    elif isinstance(stmt, asm.Raw):
-        lines.append(pad + stmt.line)
     elif isinstance(stmt, asm.FuncDef):
         lines.append("%sdef %s(%s):" % (pad, stmt.name,
                                         ", ".join(stmt.params)))
@@ -53,7 +51,7 @@ def _emit(stmt, depth, lines):
 
 
 def _emit_accum(stmt, pad, lines):
-    target = lhs_source(stmt.target)
+    target = expr_source(stmt.target)
     value = expr_source(stmt.value)
     op = stmt.op
     if op.accum is not None:

@@ -1,10 +1,15 @@
-"""Scalar expression IR.
+"""Expression IR.
 
 These nodes describe *values* in emitted kernels: literals known at
 compile time, runtime variables, operator applications, and loads from
 flat numpy buffers.  Looplets produce these expressions as their leaves,
 and the rewriter simplifies them (zero annihilation, constant folding)
 before any code is emitted.
+
+A dense reset and a vectorized loop are numpy slice operations:
+:class:`Slice` is the one *vector* leaf (its bounds are scalars), a
+:class:`Call` over a vector is a vector (``vector`` is true on both),
+and :class:`Reduce` folds a vector back to a scalar.
 
 Expressions are immutable and structurally hashable, so they can be used
 as dictionary keys (e.g. by the kernel cache).
@@ -15,9 +20,12 @@ from repro.util.errors import ReproError
 
 
 class Expr:
-    """Base class for scalar IR expressions."""
+    """Base class for IR expressions."""
 
     __slots__ = ()
+
+    #: Whether the value is a numpy vector (a slice, or a call over one).
+    vector = False
 
     def key(self):
         """A hashable structural identity for this expression."""
@@ -98,7 +106,7 @@ class Var(Expr):
 class Call(Expr):
     """Application of a registered operator to argument expressions."""
 
-    __slots__ = ("op", "args")
+    __slots__ = ("op", "args", "vector")
 
     def __init__(self, op, args):
         if isinstance(op, str):
@@ -107,6 +115,7 @@ class Call(Expr):
             raise ReproError("Call op must be an Op, got %r" % (op,))
         self.op = op
         self.args = tuple(as_expr(a) for a in args)
+        self.vector = any(a.vector for a in self.args)
 
     def key(self):
         return ("call", self.op.name) + tuple(a.key() for a in self.args)
@@ -144,6 +153,60 @@ class Load(Expr):
 
     def __repr__(self):
         return "Load(%s, %r)" % (self.buffer.name, self.index)
+
+
+class Slice(Expr):
+    """The vector ``buffer[start:stop:step]``; ``step`` is a positive
+    Python int, the bounds are scalar expressions.  As an assignment
+    target it stores to every element of the range."""
+
+    __slots__ = ("buffer", "start", "stop", "step")
+    vector = True
+
+    def __init__(self, buffer, start, stop, step=1):
+        self.buffer = as_expr(buffer)
+        self.start = as_expr(start)
+        self.stop = as_expr(stop)
+        self.step = step
+
+    def key(self):
+        return ("slice", self.buffer.key(), self.start.key(),
+                self.stop.key(), self.step)
+
+    def children(self):
+        return (self.buffer, self.start, self.stop)
+
+    def rebuild(self, children):
+        return Slice(*children, step=self.step)
+
+    def __repr__(self):
+        return "Slice(%s, %r, %r, %d)" % (self.buffer.name, self.start,
+                                          self.stop, self.step)
+
+
+class Reduce(Expr):
+    """The scalar ``op`` folds the vector ``operand`` to (numpy's
+    ``op.numpy_reduce``; a sum of products prints as ``_np.dot``)."""
+
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op, operand):
+        if op.numpy_reduce is None or not operand.vector:
+            raise ReproError("cannot reduce %r with %r" % (operand, op))
+        self.op = op
+        self.operand = operand
+
+    def key(self):
+        return ("reduce", self.op.name, self.operand.key())
+
+    def children(self):
+        return (self.operand,)
+
+    def rebuild(self, children):
+        return Reduce(self.op, children[0])
+
+    def __repr__(self):
+        return "Reduce(%s, %r)" % (self.op.name, self.operand)
 
 
 def as_expr(value):

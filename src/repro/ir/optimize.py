@@ -38,21 +38,23 @@ with composable passes over :mod:`repro.ir.asm` statements:
     Rewrites innermost dense ``ForLoop``s whose body is a single
     affine-indexed assignment/accumulation (plus optional work
     counters) into numpy slice operations: elementwise maps become
-    ``out[a:b] = x[c:d] * y[e:f]``-style ``Raw`` statements,
-    reductions become ``_np.dot`` / ``_np.<op>.reduce`` calls, and
-    instrumentation counters are scaled by the trip count so measured
-    op counts are identical with and without vectorization.  Loops
-    whose shape does not match are left alone (the scalar fallback).
+    assignments over ``Slice`` nodes (``out[a:b] = x[c:d] * y[e:f]``),
+    reductions accumulate a ``Reduce`` (``_np.dot`` /
+    ``_np.<op>.reduce``), and instrumentation counters are scaled by
+    the trip count so measured op counts are identical with and without
+    vectorization.  Loops whose shape does not match are left alone
+    (the scalar fallback).
 
 The pipeline is exposed as :func:`optimize_kernel`, keyed by an
 ``opt_level``: 0 = untouched, 1 = scalar passes only, 2 (the default
 used by :mod:`repro.compiler.kernel`) = scalar passes plus
-vectorization.  Every pass is conservative around :class:`~
-repro.ir.asm.Raw` statements, which are treated as reading and
-writing every identifier they mention.
+vectorization.  Slice operations are ordinary statements to every
+pass: their *bounds* and scalar operands are folded, hoisted and shared
+like any scalar expression, while a *vector* (a slice, a call over one)
+is never itself rewritten, hoisted or named.  Passes rebuild what they
+change and never mutate a statement (:func:`repro.ir.asm.effects`
+memoises on it).
 """
-
-import re
 
 from repro.ir import build
 from repro.ir.asm import (
@@ -64,19 +66,24 @@ from repro.ir.asm import (
     FuncDef,
     If,
     Nop,
-    Raw,
     WhileLoop,
+    effects,
     load_buffers,
     map_statement_exprs,
     map_statements,
-    raw_identifiers,
-    stmt_reads,
-    stmt_stores,
-    stmt_writes,
+    target_address,
 )
-from repro.ir.nodes import Call, Extent, Literal, Load, Var, substitute
+from repro.ir.nodes import (
+    Call,
+    Extent,
+    Literal,
+    Load,
+    Reduce,
+    Slice,
+    Var,
+    substitute,
+)
 from repro.ir.ops import MISSING
-from repro.ir.pretty import expr_source, lhs_source, slice_source
 from repro.ir.runtime import reserved_names
 from repro.rewrite import simplify_expr
 from repro.util.namer import Namer
@@ -131,8 +138,7 @@ def entry_exprs(stmt):
     """
     if isinstance(stmt, (AssignStmt, AccumStmt)):
         yield stmt.value
-        if isinstance(stmt.target, Load):
-            yield stmt.target.index
+        yield from target_address(stmt.target)
     elif isinstance(stmt, ForLoop):
         yield stmt.start
         yield stmt.stop
@@ -160,7 +166,7 @@ def replace_by_key(expr, mapping):
 
 def _namer_for(stmt):
     """A fresh-name supply that avoids every identifier in the tree."""
-    reserved = stmt_reads(stmt) | stmt_writes(stmt) | stmt_stores(stmt)
+    reserved = set().union(*effects(stmt))
     if isinstance(stmt, FuncDef):
         reserved |= set(stmt.params)
         reserved.add(stmt.name)
@@ -209,9 +215,11 @@ def _fold(stmt, env):
                        returns=stmt.returns)
     if isinstance(stmt, Block):
         return Block([_fold(child, env) for child in stmt.stmts])
-    if isinstance(stmt, AssignStmt):
-        return _fold_assign(stmt, env)
-    if isinstance(stmt, AccumStmt):
+    if isinstance(stmt, (AssignStmt, AccumStmt)):
+        if not isinstance(stmt.target, Var):
+            return map_statement_exprs(stmt, lambda e: _resolve(e, env))
+        if isinstance(stmt, AssignStmt):
+            return _fold_assign(stmt, env)
         return _fold_accum(stmt, env)
     if isinstance(stmt, ForLoop):
         return _fold_for(stmt, env)
@@ -219,18 +227,12 @@ def _fold(stmt, env):
         return _fold_while(stmt, env)
     if isinstance(stmt, If):
         return _fold_if(stmt, env)
-    if isinstance(stmt, Raw):
-        _env_kill(env, raw_identifiers(stmt.line))
-        return stmt
     return stmt
 
 
 def _fold_assign(stmt, env):
     value = _resolve(stmt.value, env)
     target = stmt.target
-    if isinstance(target, Load):
-        return AssignStmt(Load(target.buffer, _resolve(target.index, env)),
-                          value)
     name = target.name
     if isinstance(value, Var) and value.name == name:
         return Nop()
@@ -243,9 +245,6 @@ def _fold_assign(stmt, env):
 def _fold_accum(stmt, env):
     value = _resolve(stmt.value, env)
     target = stmt.target
-    if isinstance(target, Load):
-        return AccumStmt(Load(target.buffer, _resolve(target.index, env)),
-                         stmt.op, value)
     name = target.name
     prior = env.get(name)
     if isinstance(prior, Literal) and isinstance(value, Literal) \
@@ -268,13 +267,13 @@ def _fold_for(stmt, env):
         # Unroll the single iteration; the loop-variable assignment
         # feeds propagation and dead-code cleans it up if unused.
         return _fold(Block([AssignStmt(stmt.var, start), stmt.body]), env)
-    _env_kill(env, stmt_writes(stmt.body) | {stmt.var.name})
+    _env_kill(env, effects(stmt.body).writes | {stmt.var.name})
     body = _fold(stmt.body, dict(env))
     return ForLoop(stmt.var, start, stop, body)
 
 
 def _fold_while(stmt, env):
-    _env_kill(env, stmt_writes(stmt.body))
+    _env_kill(env, effects(stmt.body).writes)
     cond = _resolve(stmt.cond, env)
     if _literal_truth(cond) is False:
         return Nop()
@@ -299,11 +298,11 @@ def _fold_if(stmt, env):
         return Nop()
     if branches[0][0] is None:
         body = branches[0][1]
-        _env_kill(env, stmt_writes(body))
+        _env_kill(env, effects(body).writes)
         return body
     killed = set()
     for _, body in branches:
-        killed |= stmt_writes(body)
+        killed |= effects(body).writes
     _env_kill(env, killed)
     return If(branches)
 
@@ -315,8 +314,8 @@ def dead_code(stmt, live=None):
     """Delete stores to scalar variables that are never read.
 
     ``live`` seeds the live-out set; for a :class:`FuncDef` the
-    function's returns are live.  Buffer stores and ``Raw`` lines are
-    always considered live (their effects escape the kernel).
+    function's returns are live.  Buffer stores are always considered
+    live (their effects escape the kernel).
     """
     if isinstance(stmt, FuncDef):
         live = set(stmt.returns) | (live or set())
@@ -340,33 +339,19 @@ def _dce_block(block, live):
 
 
 def _dce_stmt(stmt, live):
-    if isinstance(stmt, AssignStmt):
+    if isinstance(stmt, (AssignStmt, AccumStmt)):
         target = stmt.target
         if isinstance(target, Var):
             if target.name not in live:
                 return None
             live.discard(target.name)
-            live |= stmt.value.free_vars()
-            return stmt
-        live.add(target.buffer.name)
-        live |= target.index.free_vars() | stmt.value.free_vars()
-        return stmt
-    if isinstance(stmt, AccumStmt):
-        target = stmt.target
-        if isinstance(target, Var):
-            if target.name not in live:
-                return None
-            live.add(target.name)
-            live |= stmt.value.free_vars()
-            return stmt
-        live |= target.free_vars() | stmt.value.free_vars()
+        # Value and store address, and an accumulation's own target.
+        live |= effects(stmt).reads
         return stmt
     if isinstance(stmt, ForLoop):
-        reads = stmt_reads(stmt.body)
-        writes = stmt_writes(stmt.body) | {stmt.var.name}
-        if stmt.body.is_nop() and not (writes & live):
+        if stmt.body.is_nop() and stmt.var.name not in live:
             return None
-        inner = set(live) | reads
+        inner = live | effects(stmt.body).reads
         body = _dce_block(stmt.body, inner)
         live |= inner
         live |= stmt.start.free_vars() | stmt.stop.free_vars()
@@ -374,7 +359,7 @@ def _dce_stmt(stmt, live):
     if isinstance(stmt, WhileLoop):
         # Never dropped: a (mis)compiled infinite loop should stay
         # observable rather than silently vanish.
-        inner = set(live) | stmt_reads(stmt.body) | stmt.cond.free_vars()
+        inner = live | effects(stmt.body).reads | stmt.cond.free_vars()
         body = _dce_block(stmt.body, inner)
         live |= inner
         # The block walk treats the body as straight-line code, so a
@@ -402,9 +387,6 @@ def _dce_stmt(stmt, live):
             if cond is not None:
                 live |= cond.free_vars()
         return If([(cond, body) for cond, body, _ in processed])
-    if isinstance(stmt, Raw):
-        live |= raw_identifiers(stmt.line)
-        return stmt
     if isinstance(stmt, Nop):
         return None
     if isinstance(stmt, Block):
@@ -436,13 +418,18 @@ def _invariant(expr, mutated, stored):
         and not (load_buffers(expr) & stored)
 
 
+def _shareable(expr):
+    """Worth a temporary of its own: a load or a call, and a scalar (a
+    temporary holding a vector would be a value no rule understands)."""
+    return isinstance(expr, (Load, Call)) and not expr.vector
+
+
 def _collect_hoistable(expr, mutated, stored, seen, out):
-    if _invariant(expr, mutated, stored):
-        if isinstance(expr, (Load, Call)):
-            key = expr.key()
-            if key not in seen:
-                seen.add(key)
-                out.append(expr)
+    if _shareable(expr) and _invariant(expr, mutated, stored):
+        key = expr.key()
+        if key not in seen:
+            seen.add(key)
+            out.append(expr)
         return
     for child in strict_children(expr):
         _collect_hoistable(child, mutated, stored, seen, out)
@@ -456,10 +443,8 @@ def _hoist_hint(expr):
 
 def _hoist_loop(loop, namer, loop_var):
     body = loop.body
-    mutated = stmt_writes(body)
-    if loop_var is not None:
-        mutated.add(loop_var)
-    stored = stmt_stores(body)
+    mutated = effects(loop).writes      # the loop variable included
+    stored = effects(loop).stores
     seen, candidates = set(), []
     if loop_var is None:
         _collect_hoistable(loop.cond, mutated, stored, seen, candidates)
@@ -521,23 +506,46 @@ def eliminate_common_subexprs(stmt, namer=None):
 
 
 def _read_subexprs(stmt):
-    """Every Call/Load subexpression in read position of ``stmt``
-    (assignment targets are writes; only their indices count)."""
-    roots = []
-    if isinstance(stmt, (AssignStmt, AccumStmt)):
-        roots.append(stmt.value)
-        if isinstance(stmt.target, Load):
-            roots.append(stmt.target.index)
-    elif isinstance(stmt, ForLoop):
-        roots.extend((stmt.start, stmt.stop))
-    elif isinstance(stmt, WhileLoop):
-        roots.append(stmt.cond)
-    elif isinstance(stmt, If):
-        roots.extend(cond for cond, _ in stmt.branches if cond is not None)
+    """Every shareable subexpression in read position of ``stmt``
+    (assignment targets are writes; only their addresses count)."""
+    roots = entry_exprs(stmt)
+    if isinstance(stmt, If):    # the later conditions are reads too
+        roots = [cond for cond, _ in stmt.branches if cond is not None]
     for root in roots:
         for expr in walk_expr(root):
-            if isinstance(expr, (Call, Load)):
+            if _shareable(expr):
                 yield expr
+
+
+def _first_repeat(stmt):
+    """The first shareable subexpression ``stmt`` evaluates a second
+    time (strict positions only, inputs the statement leaves alone)."""
+    _, writes, stores = effects(stmt)
+    seen = set()
+    for root in entry_exprs(stmt):
+        for expr in walk_strict_expr(root):
+            if _shareable(expr):
+                key = expr.key()
+                if key in seen and not (expr.free_vars() & writes
+                                        or load_buffers(expr) & stores):
+                    return expr
+                seen.add(key)
+    return None
+
+
+def _name_repeats(stmts, namer):
+    """``stmts`` with every subexpression one statement evaluates more
+    than once (a slice's two bounds share their offset) defined just
+    ahead of it, so that sharing it is the ordinary case below."""
+    for stmt in stmts:
+        repeat = _first_repeat(stmt)
+        while repeat is not None:
+            temp = Var(namer.fresh("t"))
+            yield AssignStmt(temp, repeat)
+            stmt = map_statement_exprs(
+                stmt, lambda e: replace_by_key(e, {repeat.key(): temp}))
+            repeat = _first_repeat(stmt)
+        yield stmt
 
 
 def _cse_block(block, namer):
@@ -568,7 +576,7 @@ def _cse_block(block, namer):
                 other.index += 1
         return record.temp
 
-    for stmt in block.stmts:
+    for stmt in _name_repeats(block.stmts, namer):
         if isinstance(stmt, (Comment, Nop)):
             out.append(stmt)
             continue
@@ -580,8 +588,7 @@ def _cse_block(block, namer):
         if mapping:
             stmt = map_statement_exprs(
                 stmt, lambda e: replace_by_key(e, mapping))
-        writes = stmt_writes(stmt)
-        stores = stmt_stores(stmt)
+        _, writes, stores = effects(stmt)
         invalidate(writes, stores)
         # Register only strict-position subexpressions: an expr under
         # a lazy ifelse/and/or arm may never have been evaluated here,
@@ -589,7 +596,7 @@ def _cse_block(block, namer):
         # (e.g. hoist a guarded out-of-bounds load past its guard).
         for root in entry_exprs(stmt):
             for expr in walk_strict_expr(root):
-                if not isinstance(expr, (Call, Load)):
+                if not _shareable(expr):
                     continue
                 key = expr.key()
                 if key in avail:
@@ -599,7 +606,7 @@ def _cse_block(block, namer):
                     continue
                 avail[key] = _Avail(expr, len(out))
         if isinstance(stmt, AssignStmt) and isinstance(stmt.target, Var) \
-                and isinstance(stmt.value, (Call, Load)):
+                and _shareable(stmt.value):
             record = avail.get(stmt.value.key())
             if record is not None and record.temp is None \
                     and record.index == len(out):
@@ -612,9 +619,6 @@ def _cse_block(block, namer):
 # --------------------------------------------------------------------------
 # Dense-loop vectorization
 # --------------------------------------------------------------------------
-_ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+(\.\d+)?")
-
-
 def vectorize(stmt):
     """Rewrite simple dense inner loops into numpy slice operations."""
 
@@ -675,50 +679,34 @@ def linear_parts(expr, var):
     return None
 
 
-def _slice_src(buffer, coeff, base, start, stop):
-    """Source for the slice covering ``coeff*i + base`` over
+def slice_bounds(coeff, base, start, stop):
+    """``(lo, hi)`` of the slice covering ``coeff*i + base`` over
     ``i in [start, stop)``."""
     lo = simplify_expr(build.plus(build.times(Literal(coeff), start), base))
     hi = simplify_expr(build.plus(build.times(Literal(coeff), stop), base,
                                   Literal(1 - coeff)))
-    return slice_source(buffer, lo, hi, coeff)
+    return lo, hi
 
 
-def _vec_source(expr, var, start, stop):
-    """``(source, is_vector)`` rendering of ``expr`` over the loop
-    range as a numpy expression, or None when not vectorizable."""
+def _vector_expr(expr, var, start, stop):
+    """``expr`` over the whole loop range: affine loads become slices,
+    calls over them vectors, ``var``-free operands stay the scalars
+    they are (numpy broadcasts them).  None when not vectorizable."""
     if var not in expr.free_vars():
-        src = expr_source(expr)
-        if not _ATOM_RE.fullmatch(src):
-            src = "(%s)" % src
-        return src, False
+        return expr
     if isinstance(expr, Load):
         part = linear_parts(expr.index, var)
         if part is None or part[0] <= 0:
             return None
-        return _slice_src(expr.buffer.name, part[0], part[1],
-                          start, stop), True
-    if not isinstance(expr, Call):
+        lo, hi = slice_bounds(part[0], part[1], start, stop)
+        return Slice(expr.buffer, lo, hi, part[0])
+    if not isinstance(expr, Call) or expr.op.numpy is None:
         return None  # the bare loop variable: no arange materialization
-    if expr.op.numpy is None:
+    args = [_vector_expr(arg, var, start, stop) for arg in expr.args]
+    if None in args \
+            or (expr.op.numpy[0] == "unary") != (len(args) == 1):
         return None
-    kind, form = expr.op.numpy
-    parts = []
-    for arg in expr.args:
-        rendered = _vec_source(arg, var, start, stop)
-        if rendered is None:
-            return None
-        parts.append(rendered[0])
-    if kind == "infix" and len(parts) >= 2:
-        return "(%s)" % ((" %s " % form).join(parts)), True
-    if kind == "pairwise" and len(parts) >= 2:
-        src = parts[0]
-        for nxt in parts[1:]:
-            src = "%s(%s, %s)" % (form, src, nxt)
-        return src, True
-    if kind == "unary" and len(parts) == 1:
-        return form % parts[0], True
-    return None
+    return Call(expr.op, args)
 
 
 def _vectorize_loop(loop):
@@ -739,21 +727,16 @@ def _vectorize_loop(loop):
         if core is not None:
             return None
         core = child
-    core_names = set()
-    if core is not None:
-        core_names = stmt_reads(core) | stmt_writes(core) | stmt_stores(core)
+    core_names = set().union(*effects(core)) if core is not None else set()
     for counter in counters:
         if counter.target.name == var or counter.target.name in core_names:
             return None
-    line = None
+    out = []
     if core is not None:
-        line = _vectorize_core(core, var, loop.start, loop.stop)
-        if line is None:
+        out.append(_vectorize_core(core, var, loop.start, loop.stop))
+        if out[0] is None:
             return None
-    elif not counters:
-        return None
     trip = build.minus(loop.stop, loop.start)
-    out = [Raw(line)] if line is not None else []
     for counter in counters:
         out.append(AccumStmt(counter.target, counter.op,
                              simplify_expr(build.times(counter.value,
@@ -768,80 +751,40 @@ def _vectorize_loop(loop):
 
 
 def _vectorize_core(core, var, start, stop):
-    if isinstance(core, AssignStmt):
-        if not isinstance(core.target, Load):
-            return None
-        return _vectorize_elementwise(core, "=", var, start, stop)
-    if not isinstance(core, AccumStmt):
+    """The slice statement doing the whole loop's ``core``, or None."""
+    if not isinstance(core, (AssignStmt, AccumStmt)):
         return None
-    op = core.op
-    if op.numpy_reduce is None:
+    op = core.op if isinstance(core, AccumStmt) else None
+    if op is not None and op.numpy_reduce is None:
         return None  # only a declared numpy reduction accumulates a slice
-    target = core.target
-    if isinstance(target, Var):
-        if target.name in core.value.free_vars():
-            return None
-        return _vectorize_reduction(target, op, core.value, var, start,
-                                    stop)
-    part = linear_parts(target.index, var)
-    if part is None:
+    target = _vector_expr(core.target, var, start, stop)
+    value = _vector_expr(core.value, var, start, stop)
+    if target is None or value is None:
         return None
-    if part[0] == 0:
-        # Fixed element: the loop reduces into one buffer cell.
-        if target.buffer.name in load_buffers(core.value):
-            return None
-        return _vectorize_reduction(target, op, core.value, var, start,
-                                    stop)
-    if op.accum is None \
-            and (op.numpy is None or op.numpy[0] != "pairwise"):
-        return None
-    return _vectorize_elementwise(core, op.accum, var, start, stop)
-
-
-def _vectorize_elementwise(core, symbol, var, start, stop):
-    target = core.target
-    part = linear_parts(target.index, var)
-    if part is None or part[0] <= 0:
-        return None
-    # Same-buffer loads must hit exactly the written cell, or the
-    # slice operation would reorder a loop-carried dependence.
-    for expr in walk_expr(core.value):
-        if isinstance(expr, Load) and expr.buffer.name == target.buffer.name:
-            if expr.index != target.index:
+    if isinstance(target, Slice):
+        # Same-buffer loads must hit exactly the written cell, or the
+        # slice operation would reorder a loop-carried dependence.
+        for expr in walk_expr(core.value):
+            if isinstance(expr, Load) and expr.index != core.target.index \
+                    and expr.buffer.name == target.buffer.name:
                 return None
-    rendered = _vec_source(core.value, var, start, stop)
-    if rendered is None:
-        return None
-    target_src = _slice_src(target.buffer.name, part[0], part[1], start,
-                            stop)
-    if symbol is not None:
-        return "%s %s %s" % (target_src, symbol, rendered[0])
-    # min/max accumulate elementwise via the pairwise ufunc.
-    return "%s = %s(%s, %s)" % (target_src, core.op.numpy[1], target_src,
-                                rendered[0])
-
-
-def _vectorize_reduction(target, op, rhs, var, start, stop):
-    reduced = None
-    if op.name == "add" and isinstance(rhs, Call) and rhs.op.name == "mul" \
-            and len(rhs.args) == 2 \
-            and all(isinstance(arg, Load) for arg in rhs.args):
-        parts = [linear_parts(arg.index, var) for arg in rhs.args]
-        if all(part is not None and part[0] > 0 for part in parts):
-            slices = [_slice_src(arg.buffer.name, part[0], part[1],
-                                 start, stop)
-                      for arg, part in zip(rhs.args, parts)]
-            reduced = "_np.dot(%s, %s)" % tuple(slices)
-    if reduced is None:
-        rendered = _vec_source(rhs, var, start, stop)
-        if rendered is None or not rendered[1]:
+        if op is None:
+            return AssignStmt(target, value)
+        if op.accum is not None:
+            return AccumStmt(target, op, value)
+        if op.numpy is None or op.numpy[0] != "pairwise":
             return None
-        reduced = "%s(%s)" % (op.numpy_reduce, rendered[0])
-    target_src = lhs_source(target)
-    if op.accum is not None:
-        return "%s %s %s" % (target_src, op.accum, reduced)
-    return "%s = %s(%s, %s)" % (target_src, op.runtime_name, target_src,
-                                reduced)
+        # min/max accumulate elementwise via the pairwise ufunc.
+        return AssignStmt(target, Call(op, [target, value]))
+    # A scalar, or one fixed buffer cell: the loop reduces into it.
+    if op is None or not value.vector:
+        return None
+    if isinstance(target, Var):
+        if target.name in value.free_vars():
+            return None
+    elif target.buffer.name in load_buffers(value):
+        return None
+    return AccumStmt(target, op, Reduce(op, value))
 
 
 # --------------------------------------------------------------------------

@@ -4,10 +4,16 @@ The printer inserts the minimal parentheses needed given Python operator
 precedence, so emitted kernels stay legible — important both for
 debugging and for the golden tests that assert the *shape* of the code
 the paper's worked examples should produce.
+
+This is the one place a numpy slice operation becomes text: a ``Slice``
+prints as ``buf[a:b]``, a call over a vector operand as its operator's
+``numpy`` form, a ``Reduce`` as its ``numpy_reduce``.
 """
 
-from repro.ir.nodes import Call, Literal, Load, Var
-from repro.ir.ops import MISSING
+import math
+
+from repro.ir.nodes import Call, Literal, Load, Reduce, Slice, Var
+from repro.ir.ops import ADD, MISSING, MUL
 from repro.util.errors import ReproError
 
 _ATOM_PRECEDENCE = 100
@@ -28,6 +34,13 @@ def _render(expr):
     if isinstance(expr, Load):
         index, _ = _render(expr.index)
         return "%s[%s]" % (expr.buffer.name, index), _ATOM_PRECEDENCE
+    if isinstance(expr, Slice):
+        bounds = "%s:%s" % (_render(expr.start)[0], _render(expr.stop)[0])
+        if expr.step != 1:
+            bounds += ":%d" % expr.step
+        return "%s[%s]" % (expr.buffer.name, bounds), _ATOM_PRECEDENCE
+    if isinstance(expr, Reduce):
+        return _render_reduce(expr), _ATOM_PRECEDENCE
     if isinstance(expr, Call):
         return _render_call(expr)
     raise ReproError("cannot render %r" % (expr,))
@@ -36,11 +49,48 @@ def _render(expr):
 def _render_literal(value):
     if value is MISSING:
         return "None"
+    if isinstance(value, float) and not math.isfinite(value):
+        # repr gives the bare names inf/nan; the kernel namespace binds
+        # them as _inf/_nan (repro.ir.runtime).
+        if math.isnan(value):
+            return "_nan"
+        return "_inf" if value > 0 else "(-_inf)"
     return repr(value)
+
+
+def _render_reduce(expr):
+    operand = expr.operand
+    if expr.op is ADD and isinstance(operand, Call) and operand.op is MUL \
+            and len(operand.args) == 2 \
+            and all(isinstance(arg, Slice) for arg in operand.args):
+        # numpy has the sum of products of two slices fused.
+        return "_np.dot(%s, %s)" % tuple(_render(arg)[0]
+                                         for arg in operand.args)
+    return "%s(%s)" % (expr.op.numpy_reduce, _render(operand)[0])
+
+
+def _render_numpy(expr):
+    """A call over a vector operand, in its operator's numpy form;
+    scalar operands broadcast."""
+    kind, form = expr.op.numpy
+    parts = []
+    for arg in expr.args:
+        source, prec = _render(arg)
+        parts.append(source if prec == _ATOM_PRECEDENCE else "(%s)" % source)
+    if kind == "infix":
+        return "(%s)" % (" %s " % form).join(parts)
+    if kind == "unary":
+        return form % parts[0]
+    source = parts[0]
+    for part in parts[1:]:      # a binary ufunc, folded over the rest
+        source = "%s(%s, %s)" % (form, source, part)
+    return source
 
 
 def _render_call(expr):
     op = expr.op
+    if expr.vector:
+        return _render_numpy(expr), _ATOM_PRECEDENCE
     if op.name == "ifelse" and len(expr.args) == 3:
         # Python's conditional expression is lazy; the _ifelse helper
         # would evaluate both branches (unsafe for guarded loads).
@@ -66,25 +116,3 @@ def _render_call(expr):
         return joiner.join(parts), op.precedence
     args = ", ".join(_render(arg)[0] for arg in expr.args)
     return "%s(%s)" % (op.runtime_name, args), _ATOM_PRECEDENCE
-
-
-def slice_source(buffer, start, stop, step=1):
-    """Render ``buffer[start:stop:step]`` (step elided when 1).
-
-    Used by the optimizer's vectorization pass to address the
-    contiguous (or strided) range an affine-indexed loop touches.
-    """
-    lo = expr_source(start)
-    hi = expr_source(stop)
-    if step == 1:
-        return "%s[%s:%s]" % (buffer, lo, hi)
-    return "%s[%s:%s:%d]" % (buffer, lo, hi, step)
-
-
-def lhs_source(target):
-    """Render an assignment target (a Var or a Load)."""
-    if isinstance(target, Var):
-        return target.name
-    if isinstance(target, Load):
-        return "%s[%s]" % (target.buffer.name, expr_source(target.index))
-    raise ReproError("invalid assignment target: %r" % (target,))

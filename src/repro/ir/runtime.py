@@ -2,14 +2,17 @@
 
 Compiled kernels are executed with :func:`kernel_globals` as their
 namespace: the runtime callable of every registered op that renders as
-a call (:mod:`repro.ir.ops` declares them), plus numpy as ``_np`` for
-the slice operations of vectorized kernels.
+a call (:mod:`repro.ir.ops` declares them), numpy as ``_np`` for slice
+operations, and ``_inf``/``_nan``, which is how the printer spells the
+non-finite float literals.
 
 The namespace is assembled once — a snapshot of the op registry — and
 cheaply copied per ``exec``; late-registered ops invalidate the
 snapshot via the registry's version counter instead of forcing a full
 rebuild on every compile.
 """
+
+import math
 
 import numpy as np
 
@@ -23,7 +26,7 @@ def _base_globals():
     if _BASE_CACHE["version"] != version:
         env = {op.runtime_name: op.runtime for op in all_ops().values()
                if op.symbol is None}
-        env["_np"] = np
+        env.update(_np=np, _inf=math.inf, _nan=math.nan)
         # env before version: a concurrent reader that sees the new
         # version must also see the matching snapshot.
         _BASE_CACHE["env"] = env

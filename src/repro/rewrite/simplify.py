@@ -4,6 +4,11 @@ The engine rewrites bottom-up: children first, then the node itself,
 repeating at each node until no rule fires.  A global iteration bound
 guards against non-terminating user rule sets — hitting it raises
 rather than silently returning half-simplified IR.
+
+The rules are scalar algebra, so they stop at vectors: a slice's bounds
+and a vector call's scalar operands are simplified like anything else,
+but no rule is applied to a vector node (``v / v => 1`` would change
+its length, and the sum a reduction returns).
 """
 
 from repro.ir.nodes import Expr
@@ -26,6 +31,8 @@ def _simplify(expr, rules):
         new_children = [_simplify(child, rules) for child in children]
         if any(new is not old for new, old in zip(new_children, children)):
             expr = expr.rebuild(new_children)
+    if expr.vector:
+        return expr
     for _ in range(_MAX_NODE_ITERATIONS):
         replacement = _apply_first(expr, rules)
         if replacement is None:

@@ -18,6 +18,7 @@ import repro.lang as fl
 from repro import codegen
 from repro.codegen import toolchain
 from repro.fuzz.gen import FORMATS_INNER, PROTOCOLS_BY_FORMAT
+from repro.ir import Load, Var, asm, build
 
 needs_cc = pytest.mark.skipif(
     not codegen.have_toolchain(), reason="no C compiler on PATH")
@@ -130,10 +131,11 @@ class TestDifferentialMatrix:
         assert values["c"] == values["python"]
 
     def test_spmv_dense_output_falls_back_bit_identical(self):
-        # Tensor-output kernels initialize their value buffer with a
-        # numpy ``.fill`` Raw statement the C emitter refuses (buffer
-        # lengths never cross the C ABI), so the whole kernel takes
-        # the designed fallback — and must still be bit-identical.
+        # Tensor-output kernels reset their value buffer with a slice
+        # assignment, a node kind the C emitter does not lower yet, so
+        # the whole kernel takes the designed fallback — and must
+        # still be bit-identical.
+        codegen.clear_fallback_events()
         rng = np.random.default_rng(12)
         m = np.zeros((8, 10))
         m[rng.random((8, 10)) < 0.4] = 2.0
@@ -148,7 +150,7 @@ class TestDifferentialMatrix:
                 y[i], fl.access(A, i, fl.gallop(j)) *
                 fl.access(x, fl.locate(j)))))
             kernel = fl.compile_kernel(prog, backend=backend,
-                                       opt_level=1)
+                                       opt_level=1, cache=False)
             kernel.run()
             return y.to_numpy().copy(), kernel
 
@@ -156,6 +158,9 @@ class TestDifferentialMatrix:
         c_out, c_kernel = run("c")
         assert c_kernel.backend == "c"
         assert c_kernel.effective_backend == "python"
+        assert [r for _, r in codegen.fallback_events()] == [
+            "Slice node (the slice operation of a dense reset or a "
+            "vectorized loop) has no C lowering yet"]
         np.testing.assert_array_equal(c_out, py_out)
         np.testing.assert_array_equal(py_out, m @ v)
 
@@ -363,6 +368,99 @@ class TestNoCompilerFallback:
         assert len(warnings) == 1                    # warn-once
 
 
+class TestLoopVariableEscape:
+    """Python's ``for`` leaves ``stop - 1`` in its variable, C's leaves
+    ``stop``: the emitter refuses any kernel that could tell."""
+
+    @staticmethod
+    def emit(*stmts):
+        func = asm.FuncDef("k", ("out",), asm.Block(stmts))
+        return codegen.emit_c(func, {"out": "float64"})
+
+    @staticmethod
+    def loop(var, body):
+        return asm.ForLoop(var, 0, 4, body)
+
+    def test_uses_inside_the_loop_compile(self):
+        store = asm.AssignStmt(Load("out", Var("i")), 1.0)
+        guarded = asm.If([(build.lt(Var("j"), 2),
+                           asm.AssignStmt(Load("out", Var("j")), 2.0))])
+        source = self.emit(self.loop("i", store), self.loop("j", guarded))
+        assert source.count("for (") == 2
+
+    def test_read_after_the_loop_is_refused(self):
+        store = asm.AssignStmt(Load("out", Var("i")), 1.0)
+        after = asm.AssignStmt(Load("out", 0), Var("i"))
+        with pytest.raises(codegen.CUnsupportedError,
+                           match="'i' used outside its loop"):
+            self.emit(self.loop("i", store), after)
+        # A second loop over the same name counts as a use, too.
+        with pytest.raises(codegen.CUnsupportedError,
+                           match="'i' used outside its loop"):
+            self.emit(self.loop("i", store), self.loop("i", store))
+
+    def test_reassignment_inside_the_loop_is_refused(self):
+        with pytest.raises(codegen.CUnsupportedError,
+                           match="'i' reassigned inside its loop"):
+            self.emit(self.loop("i", asm.AssignStmt("i", 0)))
+
+
+_NON_FINITE = {"inf": float("inf"), "-inf": float("-inf"),
+               "nan": float("nan")}
+
+
+def _scalar_accumulator(v):
+    """min-plus style: both the accumulator's start and the operand's
+    fill are the non-finite value."""
+    a = np.full(8, v)
+    a[[1, 4]] = [1.0, 3.0]
+    A = fl.from_numpy(a, ("sparse",), fill=v, name="A")
+    C = fl.Scalar(v, name="C")
+    i = fl.indices("i")
+    return fl.forall(i, fl.reduce_into(C[()], "min", A[i])), C
+
+
+def _dense_output_reset(v):
+    x = fl.from_numpy(np.arange(5.0), ("dense",), name="x")
+    Y = fl.zeros((5,), fill=v, name="Y")
+    i = fl.indices("i")
+    return fl.forall(i, fl.reduce_into(Y[i], "min", x[i])), Y
+
+
+def _vectorised_operand(v):
+    x = fl.from_numpy(np.arange(5.0), ("dense",), name="x")
+    Y = fl.zeros((5,), name="Y")
+    i = fl.indices("i")
+    return fl.forall(i, fl.store(
+        Y[i], fl.minimum(x[i], fl.literal(v)))), Y
+
+
+class TestNonFiniteLiterals:
+    """``inf``/``-inf``/``nan`` literals reach emitted code (a min-plus
+    accumulator, a dense output's fill, a broadcast operand); both
+    backends must spell them as something their namespace defines and
+    agree with the reference interpreter bit for bit."""
+
+    @pytest.mark.parametrize("backend", ["python", pytest.param(
+        "c", marks=needs_cc)])
+    @pytest.mark.parametrize("make", [
+        _scalar_accumulator, _dense_output_reset, _vectorised_operand],
+        ids=["scalar-accumulator", "dense-reset", "vector-operand"])
+    @pytest.mark.parametrize("name", sorted(_NON_FINITE))
+    def test_bit_identical_to_reference(self, name, make, backend):
+        from repro.baselines.reference import interpret
+
+        for opt_level in (0, 1, 2):
+            prog, out = make(_NON_FINITE[name])
+            want = np.asarray(interpret(prog).result_for(out))
+            kernel = fl.compile_kernel(prog, backend=backend,
+                                       opt_level=opt_level, cache=False)
+            kernel.run()
+            got = np.asarray(out.to_numpy() if out.ndim else out.value,
+                             dtype=want.dtype)
+            assert got.tobytes() == want.tobytes(), (opt_level, got, want)
+
+
 @needs_cc
 class TestUnsupportedConstructFallback:
     def test_vectorized_kernel_falls_back(self):
@@ -385,9 +483,12 @@ class TestUnsupportedConstructFallback:
         py_val, _ = compile_dense("python")
         c_val, c_kernel = compile_dense("c")
         assert c_kernel.backend == "c"
-        # The vectorizer emits numpy slice Raw statements the C
-        # emitter refuses; the kernel must degrade, not break.
+        # The vectorizer builds slice operations the C emitter does
+        # not lower yet; the kernel must degrade, not break — and the
+        # ledger names the node kind, once.
         assert c_kernel.effective_backend == "python"
         assert c_val == py_val == float(a @ b)
         reasons = [r for _, r in codegen.fallback_events()]
-        assert any("vectorized" in r or "Raw" in r for r in reasons)
+        assert reasons == ["Reduce node (the slice operation of a dense "
+                           "reset or a vectorized loop) has no C lowering "
+                           "yet"]

@@ -161,6 +161,6 @@ class TestContext:
     def test_scoped_emission(self, ctx):
         from repro.ir import asm
 
-        block = ctx.scoped(lambda: ctx.emit(asm.Raw("x = 1")))
+        block = ctx.scoped(lambda: ctx.emit(asm.AssignStmt("x", 1)))
         assert len(block.stmts) == 1
         assert ctx.current_block().is_nop()

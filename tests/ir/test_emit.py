@@ -1,6 +1,17 @@
 """Unit tests for expression printing and statement emission."""
 
-from repro.ir import Call, Literal, Load, Var, asm, build, emit, ops
+from repro.ir import (
+    Call,
+    Literal,
+    Load,
+    Reduce,
+    Slice,
+    Var,
+    asm,
+    build,
+    emit,
+    ops,
+)
 from repro.ir.pretty import expr_source
 from repro.ir.runtime import kernel_globals
 
@@ -168,6 +179,12 @@ class TestEmit:
         assert emit(asm.Comment("hello")) == "# hello\n"
 
 
+def sink(value):
+    """A structured stand-in for "some effectful statement": a store
+    of ``value`` to the ``sink`` buffer."""
+    return asm.AssignStmt(Load("sink", Literal(0)), Literal(value))
+
+
 class TestOptimizerProducedShapes:
     """Round-trip edge cases the optimizer pipeline newly produces."""
 
@@ -177,22 +194,22 @@ class TestOptimizerProducedShapes:
     def test_leading_else_branch_inlines(self):
         # fold_constants can prove every conditional branch false,
         # leaving only the else: the body emits inline, unguarded.
-        stmt = asm.If([(None, asm.Block([asm.Raw("work()")]))])
-        assert self.emitted(stmt) == "work()\n"
+        stmt = asm.If([(None, asm.Block([sink(1)]))])
+        assert self.emitted(stmt) == "sink[0] = 1\n"
 
     def test_nested_if_with_pruned_branches(self):
-        inner = asm.If([(None, asm.Block([asm.Raw("inner()")]))])
+        inner = asm.If([(None, asm.Block([sink(1)]))])
         outer = asm.If([
             (build.lt(Var("a"), Var("b")), asm.Block([inner])),
         ])
         source = self.emitted(outer)
-        assert source == "if a < b:\n    inner()\n"
+        assert source == "if a < b:\n    sink[0] = 1\n"
         compile(source, "<test>", "exec")
 
     def test_all_empty_if_elided(self):
         stmt = asm.If([(build.lt(Var("a"), Var("b")), asm.Block([]))])
-        block = asm.Block([stmt, asm.Raw("after()")])
-        assert self.emitted(block) == "after()\n"
+        block = asm.Block([stmt, sink(2)])
+        assert self.emitted(block) == "sink[0] = 2\n"
 
     def test_hoisted_assigns_before_loop(self):
         # LICM emits temp assignments directly ahead of the loop,
@@ -209,14 +226,35 @@ class TestOptimizerProducedShapes:
                           "        acc += w_x\n")
         compile(source, "<test>", "exec")
 
-    def test_raw_numpy_slice_statements(self):
+    def test_numpy_slice_statements(self):
+        x, y = Slice("x", 0, 8), Slice("y", 1, 9)
+        strided = Slice("y", Var("a"), Var("b"), 2)
+        product = Call(ops.MUL, [Slice("x", Var("a"), Var("b")), strided])
         block = asm.Block([
-            asm.Raw("out[0:8] += (x[0:8] * y[1:9])"),
-            asm.Raw("acc += _np.dot(x[a:b], y[a:b:2])"),
+            asm.AccumStmt(Slice("out", 0, 8), ops.ADD,
+                          Call(ops.MUL, [x, y])),
+            asm.AccumStmt("acc", ops.ADD, Reduce(ops.ADD, product)),
+            asm.AccumStmt("acc", ops.MAX, Reduce(ops.MAX, strided)),
+            asm.AssignStmt(Slice("out", 0, 8), Literal(0.0)),
         ])
-        source = self.emitted(block)
-        assert "out[0:8] += (x[0:8] * y[1:9])" in source
-        compile(source, "<test>", "exec")
+        assert self.emitted(block) == (
+            "out[0:8] += (x[0:8] * y[1:9])\n"
+            "acc += _np.dot(x[a:b], y[a:b:2])\n"
+            "acc = max(acc, _np.maximum.reduce(y[a:b:2]))\n"
+            "out[0:8] = 0.0\n")
+
+    def test_vector_call_prints_its_numpy_form(self):
+        x = Slice("x", 0, 8)
+        scalar = build.plus(Var("a"), Var("b"))
+        assert expr_source(Call(ops.MIN, [x, Literal(0.0), Var("c")])) \
+            == "_np.minimum(_np.minimum(x[0:8], 0.0), c)"
+        assert expr_source(Call(ops.NEG, [x])) == "(-x[0:8])"
+        assert expr_source(Call(ops.ABS, [x])) == "_np.abs(x[0:8])"
+        # Scalar operands broadcast; only non-atoms need parentheses.
+        assert expr_source(Call(ops.MUL, [scalar, x])) \
+            == "((a + b) * x[0:8])"
+        assert expr_source(Call(ops.MUL, [Load("w", Var("q")), x])) \
+            == "(w[q] * x[0:8])"
 
     def test_vectorized_kernel_namespace_has_numpy(self):
         import numpy as np
@@ -228,9 +266,7 @@ class TestOptimizerProducedShapes:
         result = namespace["kernel"](np.arange(3.0), np.arange(3.0))
         assert result == 5.0
 
-    def test_slice_source_rendering(self):
-        from repro.ir.pretty import slice_source
-
-        assert slice_source("x", Literal(0), Literal(8)) == "x[0:8]"
-        assert slice_source("x", Var("a"), build.plus(Var("a"), 4),
-                            step=2) == "x[a:4 + a:2]"
+    def test_slice_rendering(self):
+        assert expr_source(Slice("x", Literal(0), Literal(8))) == "x[0:8]"
+        assert expr_source(Slice("x", Var("a"), build.plus(Var("a"), 4),
+                                 step=2)) == "x[a:4 + a:2]"

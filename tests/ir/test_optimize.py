@@ -13,7 +13,7 @@ import repro.lang as fl
 from repro.bench.kernels import spmspv_program
 from repro.ir import asm, build, ops
 from repro.ir.emit import emit
-from repro.ir.nodes import Literal, Load, Var
+from repro.ir.nodes import Call, Literal, Load, Reduce, Slice, Var
 from repro.ir.optimize import (
     DEFAULT_OPT_LEVEL,
     PIPELINE,
@@ -34,25 +34,28 @@ def func_of(*stmts, params=("buf",), returns=()):
                        returns=returns)
 
 
+def sink(value):
+    """A structured stand-in for "some effectful statement": a store
+    of ``value`` to the ``sink`` buffer (always live, touches no
+    scalar)."""
+    return asm.AssignStmt(Load("sink", Literal(0)), value)
+
+
 class TestFoldConstants:
     def test_literal_condition_prunes_branches(self):
         stmt = asm.If([
-            (build.lt(Literal(3), Literal(1)), asm.Raw("dead()")),
-            (build.lt(Literal(1), Literal(3)), asm.Raw("live()")),
-            (None, asm.Raw("other()")),
+            (build.lt(Literal(3), Literal(1)), sink(1)),
+            (build.lt(Literal(1), Literal(3)), sink(2)),
+            (None, sink(3)),
         ])
         folded = fold_constants(func_of(stmt))
-        source = emit(folded)
-        assert "dead()" not in source
-        assert "live()" in source
-        assert "other()" not in source
-        assert "if" not in source  # the taken branch inlines
+        # Only the taken branch survives, inlined (no ``if``).
+        assert emit(folded.body) == "sink[0] = 2\n"
 
     def test_statically_empty_loop_vanishes(self):
-        loop = asm.ForLoop("i", Literal(5), Literal(5),
-                           asm.Raw("never()"))
+        loop = asm.ForLoop("i", Literal(5), Literal(5), sink(1))
         source = emit(fold_constants(func_of(loop)))
-        assert "never()" not in source
+        assert "sink" not in source
 
     def test_unit_loop_unrolls(self):
         loop = asm.ForLoop("i", Literal(3), Literal(4),
@@ -93,14 +96,43 @@ class TestFoldConstants:
         # x is mutated by the loop: the final store must read x, not 1.
         assert "buf[1] = x" in source
 
-    def test_raw_kills_propagation(self):
+    def test_accumulation_kills_propagation(self):
         stmts = [
             asm.AssignStmt("x", Literal(1)),
-            asm.Raw("x += buf[0]"),
+            asm.AccumStmt("x", ops.ADD, Load("buf", Literal(0))),
             asm.AssignStmt(Load("buf", Literal(1)), Var("x")),
         ]
         source = emit(fold_constants(func_of(*stmts)))
         assert "buf[1] = x" in source
+
+    def test_propagation_reaches_slice_bounds_and_operands(self):
+        stmts = [
+            asm.AssignStmt("n", Literal(4)),
+            asm.AssignStmt("s", Var("scale")),
+            asm.AssignStmt(
+                Slice("buf", Literal(0), build.plus(Var("n"), Literal(4))),
+                Call(ops.MUL, [Var("s"),
+                               Slice("x", Var("n"),
+                                     build.times(Var("n"), Literal(3)))])),
+        ]
+        source = emit(fold_constants(func_of(
+            *stmts, params=("buf", "x", "scale"))))
+        assert "buf[0:8] = (scale * x[4:12])" in source
+
+    def test_scalar_rules_stop_at_vectors(self):
+        # v / v is 1 on scalars; on a slice it would turn a sum of n
+        # ones into a single 1 (and x[a:b] - x[a:b] is n zeros, not 0).
+        x = Slice("x", Var("a"), Var("b"))
+        ratio = Call(ops.DIV, [x, x])
+        zero = Call(ops.MUL, [Literal(0), x])
+        stmts = [
+            asm.AccumStmt("acc", ops.ADD, Reduce(ops.ADD, ratio)),
+            asm.AssignStmt(Slice("buf", Var("a"), Var("b")), zero),
+        ]
+        source = emit(fold_constants(func_of(
+            *stmts, params=("buf", "x", "a", "b"), returns=("acc",))))
+        assert "acc += _np.add.reduce((x[a:b] / x[a:b]))" in source
+        assert "buf[a:b] = (0 * x[a:b])" in source
 
 
 class TestDeadCode:
@@ -127,23 +159,27 @@ class TestDeadCode:
         source = emit(dead_code(func_of(*stmts, returns=("n",))))
         assert "n = 7" in source
 
-    def test_raw_keeps_its_identifiers_live(self):
+    def test_slice_store_keeps_its_bounds_and_value_live(self):
         stmts = [
             asm.AssignStmt("x", Literal(1)),
-            asm.Raw("buf.fill(x)"),
+            asm.AssignStmt("n", Literal(4)),
+            asm.AssignStmt("unused", Literal(9)),
+            asm.AssignStmt(Slice("buf", Literal(0), Var("n")), Var("x")),
         ]
         source = emit(dead_code(func_of(*stmts)))
-        assert "x = 1" in source
+        assert "x = 1" in source and "n = 4" in source
+        assert "buf[0:n] = x" in source
+        assert "unused" not in source
 
     def test_trailing_empty_branches_pruned(self):
         branches = [
-            (build.lt(Var("a"), Var("b")), asm.Raw("first()")),
+            (build.lt(Var("a"), Var("b")), sink(1)),
             (build.lt(Var("b"), Var("a")), asm.Block([])),
             (None, asm.Block([])),
         ]
         source = emit(dead_code(func_of(asm.If(branches),
                                         params=("a", "b"))))
-        assert "first()" in source
+        assert "sink[0] = 1" in source
         # Both the empty else and the (then-trailing) empty elif go.
         assert "else" not in source
         assert "elif" not in source
@@ -151,7 +187,7 @@ class TestDeadCode:
     def test_empty_middle_branch_survives(self):
         branches = [
             (build.lt(Var("a"), Var("b")), asm.Block([])),
-            (None, asm.Raw("fallback()")),
+            (None, sink(1)),
         ]
         source = emit(dead_code(func_of(asm.If(branches),
                                         params=("a", "b"))))
@@ -159,7 +195,7 @@ class TestDeadCode:
         # the else; it must stay, rendered with a pass body.
         assert "if a < b:" in source
         assert "pass" in source
-        assert "fallback()" in source
+        assert "sink[0] = 1" in source
 
     def test_accumulation_into_dead_var_dropped(self):
         stmts = [
@@ -266,17 +302,40 @@ class TestCommonSubexpressions:
             func_of(*stmts, params=("p", "q", "z", "out"))))
         assert source.count("p == q") == 1
 
-    def test_raw_body_blocks_sharing(self):
+    def test_written_body_blocks_sharing(self):
         cond = build.eq(Var("p"), Var("q"))
         stmts = [
-            asm.If([(cond, asm.Raw("out.append(p)"))]),
-            asm.If([(cond, asm.Raw("out.append(q)"))]),
+            asm.If([(cond, asm.AccumStmt("p", ops.ADD, Literal(1)))]),
+            asm.If([(cond, sink(Var("q")))]),
         ]
         source = emit(eliminate_common_subexprs(
-            func_of(*stmts, params=("p", "q", "out"))))
-        # The Raw line mentions p, which conservatively counts as a
-        # write: the comparison must be recomputed.
+            func_of(*stmts, params=("p", "q", "sink"))))
+        # The first body writes p: the comparison must be recomputed.
         assert source.count("p == q") == 2
+
+    def test_slice_store_body_shares_by_exact_effects(self):
+        cond = build.eq(Var("p"), Var("q"))
+        fill = asm.AssignStmt(Slice("out", Var("p"), Var("q")),
+                              Literal(0.0))
+        stmts = [asm.If([(cond, fill)]), asm.If([(cond, sink(Var("q")))])]
+        source = emit(eliminate_common_subexprs(
+            func_of(*stmts, params=("p", "q", "out", "sink"))))
+        # The slice store reads p and q and stores out; it writes no
+        # scalar, so the comparison is shared.
+        assert source.count("p == q") == 1
+
+    def test_repeat_within_one_statement_is_named_once(self):
+        offset = build.minus(Load("ofs", Var("b")), Load("end", Var("b")))
+        window = Slice("val", build.plus(Var("lo"), offset),
+                       build.plus(Var("hi"), offset))
+        stmt = asm.AccumStmt("acc", ops.ADD, Reduce(
+            ops.ADD, Call(ops.MUL, [window, window])))
+        source = emit(eliminate_common_subexprs(func_of(
+            stmt, params=("val", "ofs", "end", "b", "lo", "hi"),
+            returns=("acc",))))
+        assert "    t = ofs[b] - end[b]\n" in source
+        assert "    t_2 = lo + t\n    t_3 = hi + t\n" in source
+        assert "acc += _np.dot(val[t_2:t_3], val[t_2:t_3])" in source
 
     def test_write_invalidates_availability(self):
         expr = build.plus(Var("p"), Literal(1))
@@ -430,6 +489,59 @@ class TestVectorize:
         assert "for i in range(0, 8):" in source
 
 
+class TestExactEffects:
+    """``asm.effects`` reads the nodes: no name a statement does not
+    touch, and one computation per node."""
+
+    def vectorized(self):
+        loop = asm.ForLoop(
+            "i", Var("a"), Var("b"),
+            asm.AccumStmt(Load("out", Var("i")), ops.ADD, build.times(
+                Load("x", Var("i")),
+                Load("y", build.plus(Var("i"), Var("c"),
+                                     build.negate(Var("d")))))))
+        func = vectorize(func_of(loop, params=(
+            "out", "x", "y", "a", "b", "c", "d")))
+        guard, = func.body.stmts
+        stmt, = guard.branches[0][1].stmts
+        return func, stmt
+
+    def test_slice_accumulation(self):
+        _, stmt = self.vectorized()
+        assert emit(stmt) == \
+            "out[a:b] += (x[a:b] * y[a + c + -d:b + c + -d])\n"
+        reads, writes, stores = asm.effects(stmt)
+        assert stores == {"out"}
+        assert writes == set()
+        assert reads == {"out", "x", "y", "a", "b", "c", "d"}
+
+    def test_reduction_and_reset(self):
+        acc = asm.AccumStmt("acc", ops.ADD, Reduce(ops.ADD, Call(
+            ops.MUL, [Slice("x", Var("a"), Var("b")),
+                      Slice("y", Var("a"), Var("b"))])))
+        assert emit(acc) == "acc += _np.dot(x[a:b], y[a:b])\n"
+        assert asm.effects(acc) == ({"acc", "x", "y", "a", "b"},
+                                    {"acc"}, set())
+        reset = asm.AssignStmt(Slice("out", 0, 8), Literal(0.0))
+        assert asm.effects(reset) == ({"out"}, set(), {"out"})
+
+    def test_effects_are_computed_once_per_node(self):
+        func, stmt = self.vectorized()
+        first = asm.effects(func)
+        assert asm.effects(func) is first
+        assert asm.effects(stmt) is asm.effects(stmt)
+        # A parent's effects are built from its children's.
+        assert first.stores == asm.effects(stmt).stores
+        assert first.reads >= asm.effects(stmt).reads
+
+    def test_loop_variable_is_written_by_the_loop_not_its_body(self):
+        body = asm.AssignStmt(Load("out", Var("i")), Var("v"))
+        loop = asm.ForLoop("i", Literal(0), Var("n"), body)
+        assert asm.effects(body).writes == set()
+        assert asm.effects(loop) == ({"out", "i", "v", "n"}, {"i"},
+                                     {"out"})
+
+
 class TestLinearParts:
     def var_free(self, expr, var="i"):
         return linear_parts(expr, var)
@@ -465,8 +577,7 @@ class TestHelpers:
     def test_entry_exprs_skip_later_elif_conditions(self):
         first = build.lt(Var("a"), Var("b"))
         second = build.lt(Var("b"), Var("c"))
-        stmt = asm.If([(first, asm.Raw("f()")),
-                       (second, asm.Raw("g()"))])
+        stmt = asm.If([(first, sink(1)), (second, sink(2))])
         assert list(entry_exprs(stmt)) == [first]
 
     def test_pipeline_metadata(self):
@@ -538,6 +649,25 @@ class TestGoldenKernels:
         assert "for" not in kernel.source
         kernel.run()
         assert C.value == pytest.approx(float(a @ a))
+
+    def test_fig11_slice_offsets_are_computed_once(self):
+        # The VBL all-pairs kernel reduces windows val[lo + off:hi + off]
+        # with off = ofs[1 + b] - end[b]: lo and hi share the offset,
+        # and the norm loop multiplies one window by itself.  Slice
+        # bounds are scalar expressions like any other, so each
+        # block's offset is computed once per statement.
+        from repro.bench.figures import fig11_batch
+        from repro.bench.kernels import all_pairs_similarity_program
+
+        prog = all_pairs_similarity_program(fig11_batch("digit", 20),
+                                            "vbl")[0]
+        source = fl.compile_kernel(prog, cache=False, opt_level=2).source
+        dots = [line for line in source.splitlines() if "_np.dot" in line]
+        assert len(dots) == 2
+        for block in ("b", "b_2", "b_3"):
+            offset = "ofs[1 + %s] - end[%s]" % (block, block)
+            assert source.count(offset) == 1, offset
+            assert not any(offset in line for line in dots)
 
     def test_level_one_hoists_but_does_not_vectorize(self):
         a = np.arange(1.0, 5.0)
