@@ -153,15 +153,20 @@ static inline int64_t fl_search_abs_ge(const int64_t *idx, int64_t lo,
 """
 
 
-def _mentions(stmt):
-    """How many statements of the tree mention each name, in a header
-    or an assignment (a ``for`` mentions its variable)."""
-    counts = Counter()
-    for node in asm.walk_statements(stmt):
-        names = {node.var.name} if isinstance(node, asm.ForLoop) else set()
-        counts.update(names.union(
-            *(expr.free_vars() for expr in asm.statement_exprs(node))))
-    return counts
+def _mentions(stmt, seen, inside):
+    """One walk: ``seen[name]`` counts the statements mentioning a name
+    in a header or an assignment (a ``for`` mentions its variable), and
+    ``inside[loop]`` those mentioning a ``ForLoop``'s variable within it."""
+    names = set().union(
+        *(expr.free_vars() for expr in asm.statement_exprs(stmt)))
+    if isinstance(stmt, asm.ForLoop):
+        names.add(stmt.var.name)
+        before = seen[stmt.var.name]
+    seen.update(names)
+    for child in asm.child_statements(stmt):
+        _mentions(child, seen, inside)
+    if isinstance(stmt, asm.ForLoop):
+        inside[stmt] = seen[stmt.var.name] - before
 
 
 def _join(a, b):
@@ -380,14 +385,15 @@ class _Emitter:
         of the variable outside the loop's own subtree could observe
         the difference, so such kernels fall back.
         """
-        total = _mentions(self.func)
+        total, inside = Counter(), {}
+        _mentions(self.func, total, inside)
         for node in asm.walk_statements(self.func):
             if isinstance(node, asm.ForLoop):
                 name = node.var.name
                 if name in asm.effects(node.body).writes:
                     raise CUnsupportedError(
                         "loop variable %r reassigned inside its loop" % name)
-                if total[name] != _mentions(node)[name]:
+                if total[name] != inside[node]:
                     raise CUnsupportedError(
                         "loop variable %r used outside its loop" % name)
 

@@ -71,6 +71,7 @@ from repro.ir.asm import (
     load_buffers,
     map_statement_exprs,
     map_statements,
+    statement_exprs,
     target_address,
 )
 from repro.ir.nodes import (
@@ -116,6 +117,12 @@ def walk_strict_expr(expr):
     yield expr
     for child in strict_children(expr):
         yield from walk_strict_expr(child)
+
+
+def _slice_operation(stmt):
+    """Whether ``stmt`` itself works on a numpy vector (holds a slice)."""
+    return any(isinstance(expr, Slice) for root in statement_exprs(stmt)
+               for expr in walk_expr(root))
 
 
 def can_raise(expr):
@@ -517,37 +524,6 @@ def _read_subexprs(stmt):
                 yield expr
 
 
-def _first_repeat(stmt):
-    """The first shareable subexpression ``stmt`` evaluates a second
-    time (strict positions only, inputs the statement leaves alone)."""
-    _, writes, stores = effects(stmt)
-    seen = set()
-    for root in entry_exprs(stmt):
-        for expr in walk_strict_expr(root):
-            if _shareable(expr):
-                key = expr.key()
-                if key in seen and not (expr.free_vars() & writes
-                                        or load_buffers(expr) & stores):
-                    return expr
-                seen.add(key)
-    return None
-
-
-def _name_repeats(stmts, namer):
-    """``stmts`` with every subexpression one statement evaluates more
-    than once (a slice's two bounds share their offset) defined just
-    ahead of it, so that sharing it is the ordinary case below."""
-    for stmt in stmts:
-        repeat = _first_repeat(stmt)
-        while repeat is not None:
-            temp = Var(namer.fresh("t"))
-            yield AssignStmt(temp, repeat)
-            stmt = map_statement_exprs(
-                stmt, lambda e: replace_by_key(e, {repeat.key(): temp}))
-            repeat = _first_repeat(stmt)
-        yield stmt
-
-
 def _cse_block(block, namer):
     avail = {}
     out = []
@@ -576,7 +552,9 @@ def _cse_block(block, namer):
                 other.index += 1
         return record.temp
 
-    for stmt in _name_repeats(block.stmts, namer):
+    pending = list(reversed(block.stmts))
+    while pending:
+        stmt = pending.pop()
         if isinstance(stmt, (Comment, Nop)):
             out.append(stmt)
             continue
@@ -594,6 +572,7 @@ def _cse_block(block, namer):
         # a lazy ifelse/and/or arm may never have been evaluated here,
         # and materializing its temp at this site would speculate it
         # (e.g. hoist a guarded out-of-bounds load past its guard).
+        fresh, repeat, sliced = {}, None, _slice_operation(stmt)
         for root in entry_exprs(stmt):
             for expr in walk_strict_expr(root):
                 if not _shareable(expr):
@@ -604,7 +583,20 @@ def _cse_block(block, namer):
                 if expr.free_vars() & writes \
                         or load_buffers(expr) & stores:
                     continue
-                avail[key] = _Avail(expr, len(out))
+                if key in fresh and sliced and repeat is None:
+                    repeat = expr
+                fresh[key] = expr
+        if repeat is not None:
+            # A slice statement evaluates it twice (a slice's two bounds
+            # share their offset): define it just ahead and start over.
+            temp = Var(namer.fresh("t"))
+            replaced = {repeat.key(): temp}
+            pending += [map_statement_exprs(
+                stmt, lambda e: replace_by_key(e, replaced)),
+                AssignStmt(temp, repeat)]
+            continue
+        for key, expr in fresh.items():
+            avail[key] = _Avail(expr, len(out))
         if isinstance(stmt, AssignStmt) and isinstance(stmt.target, Var) \
                 and _shareable(stmt.value):
             record = avail.get(stmt.value.key())
@@ -757,6 +749,10 @@ def _vectorize_core(core, var, start, stop):
     op = core.op if isinstance(core, AccumStmt) else None
     if op is not None and op.numpy_reduce is None:
         return None  # only a declared numpy reduction accumulates a slice
+    if _slice_operation(core):
+        # An inner loop vectorized under this one: only a scalar
+        # statement is one loop iteration.
+        return None
     target = _vector_expr(core.target, var, start, stop)
     value = _vector_expr(core.value, var, start, stop)
     if target is None or value is None:

@@ -337,6 +337,12 @@ class TestCommonSubexpressions:
         assert "    t_2 = lo + t\n    t_3 = hi + t\n" in source
         assert "acc += _np.dot(val[t_2:t_3], val[t_2:t_3])" in source
 
+    def test_repeat_within_a_scalar_statement_stays_as_written(self):
+        stmt = sink(build.times(Load("val", Var("p")), Load("val", Var("p"))))
+        source = emit(eliminate_common_subexprs(func_of(
+            stmt, params=("val", "p", "sink"))))
+        assert "    sink[0] = val[p] * val[p]\n" in source
+
     def test_write_invalidates_availability(self):
         expr = build.plus(Var("p"), Literal(1))
         stmts = [
@@ -479,6 +485,31 @@ class TestVectorize:
                                        Literal(2.0))))
         source = emit(vectorize(func_of(loop, params=("out",))))
         assert "out[0:8] = (2.0 * out[0:8])" in source
+
+    def nested(self, value):
+        inner = asm.ForLoop("j", Literal(0), Literal(6), asm.AccumStmt(
+            Load("y", Var("j")), ops.ADD, value))
+        return func_of(asm.ForLoop("i", Literal(0), Literal(3), inner),
+                       params=("y", "a", "x"))
+
+    def test_loop_over_a_vectorized_loop_stays_a_loop(self):
+        # The inner loop's guard folds away, so its slice statement is
+        # the outer loop's whole body: it is not one scalar iteration,
+        # and the outer loop must not be vectorized over it.
+        func = vectorize(self.nested(build.times(Load("a", Var("i")),
+                                                 Load("x", Var("j")))))
+        assert emit(func.body) == ("for i in range(0, 3):\n"
+                                   "    y[0:6] += (a[i] * x[0:6])\n")
+
+    def test_outer_free_slice_statement_is_not_collapsed(self):
+        # `y[0:6] += x[0:6]` does not mention i: treating it as a loop
+        # body to vectorize would run it once instead of three times.
+        func = vectorize(self.nested(Load("x", Var("j"))))
+        assert emit(func.body) == ("for i in range(0, 3):\n"
+                                   "    y[0:6] += x[0:6]\n")
+        namespace = {"y": np.zeros(6), "a": None, "x": np.arange(6.0)}
+        exec(emit(func) + "kernel(y, a, x)\n", namespace)
+        assert namespace["y"].tolist() == (3 * np.arange(6.0)).tolist()
 
     def test_bare_loop_variable_bails(self):
         loop = asm.ForLoop(
@@ -649,6 +680,37 @@ class TestGoldenKernels:
         assert "for" not in kernel.source
         kernel.run()
         assert C.value == pytest.approx(float(a @ a))
+
+    @pytest.mark.parametrize("shape", ["y[j] += a[i] * x[j]",
+                                       "C[i,k] += a[j] * B[i,k]"])
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    def test_loop_around_a_dense_inner_loop(self, shape, backend):
+        # The inner loop vectorizes to a slice statement that omits the
+        # enclosing loop's variable (or only broadcasts it): every
+        # level must still run it once per outer iteration.
+        from repro.baselines.reference import interpret
+
+        rng = np.random.default_rng(3)
+        for opt_level in (0, 1, 2):
+            a = fl.from_numpy(rng.random(3), ("dense",), name="a")
+            i, j, k = fl.indices("i", "j", "k")
+            if shape.startswith("y"):
+                x = fl.from_numpy(rng.random(6), ("dense",), name="x")
+                out = fl.zeros((6,), name="y")
+                prog = fl.forall(i, fl.forall(j, fl.increment(
+                    out[j], a[i] * x[j])))
+            else:
+                B = fl.from_numpy(rng.random((4, 5)), ("dense", "dense"),
+                                  name="B")
+                out = fl.zeros((4, 5), name="C")
+                prog = fl.forall(i, fl.forall(j, fl.forall(
+                    k, fl.increment(out[i, k], a[j] * B[i, k]))))
+            want = np.asarray(interpret(prog).result_for(out))
+            kernel = fl.compile_kernel(prog, cache=False, backend=backend,
+                                       opt_level=opt_level)
+            kernel.run()
+            assert "for" in kernel.source
+            assert out.to_numpy().tobytes() == want.tobytes(), opt_level
 
     def test_fig11_slice_offsets_are_computed_once(self):
         # The VBL all-pairs kernel reduces windows val[lo + off:hi + off]
