@@ -69,6 +69,7 @@ from repro.compiler.lower import Lowerer
 from repro.compiler.options import CompileOptions
 from repro.compiler.tiers import read_through
 from repro.ir import asm, emit
+from repro.ir.emit import scalar_views
 from repro.ir.nodes import Literal, Load
 from repro.ir.optimize import DEFAULT_OPT_LEVEL, optimize_kernel
 from repro.ir.runtime import kernel_globals
@@ -698,7 +699,10 @@ def _compile_artifact(program, tensors, instrument, name,
     raw_source = emit(func)
     if opt_level > 0:
         func = optimize_kernel(func, opt_level)
-        source = emit(func)
+        # The python source alone reads through views; the C emitter
+        # below takes ``func`` as the optimizer left it.
+        source = emit(scalar_views(func, ctx.bound_buffers(),
+                                   ctx.binding_plan()))
     else:
         source = raw_source
 

@@ -84,6 +84,14 @@ class Op:
     total:
         Cannot raise on well-typed scalars, so a hoist needs no guard.
         Anything else (division, user ops) is treated as possibly raising.
+    exact:
+        Gives the same value, and the same error, on Python ``float`` /
+        ``int`` operands as on ``np.float64`` / ``np.int64`` ones, so the
+        python backend may run it on Python scalars
+        (:func:`repro.ir.emit.scalar_views`).  Division is not — ``1.0 /
+        0.0`` is ``inf`` and a ``RuntimeWarning`` on numpy scalars, a
+        ``ZeroDivisionError`` on Python ones — and neither is an op that
+        does not say: a kernel using one keeps reading ndarrays.
     numpy / numpy_reduce:
         What the vectoriser turns a loop calling the op into —
         ``("infix", "+")``, ``("pairwise", "_np.minimum")`` (a binary
@@ -107,7 +115,8 @@ class Op:
                  annihilator=None, commutative=False, associative=False,
                  propagates_missing=True, runtime_name=None, unary=False,
                  accum=None, runtime=None, lazy=False, total=False,
-                 numpy=None, numpy_reduce=None, c=None, c_type=None):
+                 exact=False, numpy=None, numpy_reduce=None, c=None,
+                 c_type=None):
         self.name = name
         self.fn = fn
         self.symbol = symbol
@@ -125,6 +134,7 @@ class Op:
         self.accum = accum
         self.lazy = lazy
         self.total = total
+        self.exact = exact
         self.numpy = numpy
         self.numpy_reduce = numpy_reduce
         self.c = c
@@ -239,23 +249,27 @@ def _max(*args):
 
 def _compare(name, fn, symbol, c_precedence):
     return register_op(Op(name, fn, symbol=symbol, precedence=6, total=True,
-                          c=("infix", symbol, c_precedence), c_type="bool"))
+                          exact=True, c=("infix", symbol, c_precedence),
+                          c_type="bool"))
 
 
 ADD = register_op(Op("add", _add, symbol="+", precedence=10, identity=0,
                      commutative=True, associative=True, accum="+=",
-                     total=True, numpy=("infix", "+"),
+                     total=True, exact=True, numpy=("infix", "+"),
                      numpy_reduce="_np.add.reduce", c=("infix", "+", 12),
                      c_type="arith"))
 SUB = register_op(Op("sub", lambda a, b: a - b, symbol="-", precedence=10,
-                     accum="-=", total=True, numpy=("infix", "-"),
-                     c=("infix", "-", 12), c_type="arith"))
+                     accum="-=", total=True, exact=True,
+                     numpy=("infix", "-"), c=("infix", "-", 12),
+                     c_type="arith"))
 NEG = register_op(Op("neg", lambda a: -a, symbol="-", precedence=13,
-                     unary=True, total=True, numpy=("unary", "(-%s)"),
-                     c=("prefix", "-", 14), c_type="arith"))
+                     unary=True, total=True, exact=True,
+                     numpy=("unary", "(-%s)"), c=("prefix", "-", 14),
+                     c_type="arith"))
 MUL = register_op(Op("mul", _mul, symbol="*", precedence=11, identity=1,
                      annihilator=0, commutative=True, associative=True,
-                     accum="*=", total=True, numpy=("infix", "*"),
+                     accum="*=", total=True, exact=True,
+                     numpy=("infix", "*"),
                      numpy_reduce="_np.multiply.reduce",
                      c=("infix", "*", 13), c_type="arith"))
 DIV = register_op(Op("div", _divide, symbol="/", precedence=11, accum="/=",
@@ -268,12 +282,12 @@ MOD = register_op(Op("mod", lambda a, b: a % b, symbol="%", precedence=11,
                      c=("typed", "fl_mod"), c_type="arith"))
 POW = register_op(Op("pow", lambda a, b: a ** b, symbol="**", precedence=14))
 MIN = register_op(Op("min", _min, identity=None, commutative=True,
-                     associative=True, runtime=min, total=True,
+                     associative=True, runtime=min, total=True, exact=True,
                      numpy=("pairwise", "_np.minimum"),
                      numpy_reduce="_np.minimum.reduce",
                      c=("typed", "fl_min"), c_type="join"))
 MAX = register_op(Op("max", _max, identity=None, commutative=True,
-                     associative=True, runtime=max, total=True,
+                     associative=True, runtime=max, total=True, exact=True,
                      numpy=("pairwise", "_np.maximum"),
                      numpy_reduce="_np.maximum.reduce",
                      c=("typed", "fl_max"), c_type="join"))
@@ -285,26 +299,30 @@ GT = _compare("gt", lambda a, b: a > b, ">", 10)
 GE = _compare("ge", lambda a, b: a >= b, ">=", 10)
 AND = register_op(Op("and", _and, symbol="and", precedence=4, identity=True,
                      annihilator=False, commutative=True, associative=True,
-                     lazy=True, total=True, c=("logical", "&&", 5)))
+                     lazy=True, total=True, exact=True,
+                     c=("logical", "&&", 5)))
 OR = register_op(Op("or", _or, symbol="or", precedence=3, identity=False,
                     annihilator=True, commutative=True, associative=True,
-                    lazy=True, total=True, c=("logical", "||", 4)))
+                    lazy=True, total=True, exact=True,
+                    c=("logical", "||", 4)))
 NOT = register_op(Op("not", lambda a: not a, symbol="not ", precedence=5,
-                     unary=True, total=True, c=("prefix", "!", 14),
-                     c_type="bool"))
-ABS = register_op(Op("abs", abs, total=True, numpy=("unary", "_np.abs(%s)"),
-                     c=("magnitude",), c_type="arith"))
-SQRT = register_op(Op("sqrt", math.sqrt, runtime_name="_sqrt",
+                     unary=True, total=True, exact=True,
+                     c=("prefix", "!", 14), c_type="bool"))
+ABS = register_op(Op("abs", abs, total=True, exact=True,
+                     numpy=("unary", "_np.abs(%s)"), c=("magnitude",),
+                     c_type="arith"))
+SQRT = register_op(Op("sqrt", math.sqrt, runtime_name="_sqrt", exact=True,
                       numpy=("unary", "_np.sqrt(%s)"), c=("helper", "sqrt"),
                       c_type="f64"))
 COALESCE = register_op(Op("coalesce", _coalesce, propagates_missing=False,
                           runtime_name="_coalesce",
-                          runtime=_coalesce_runtime))
+                          runtime=_coalesce_runtime, exact=True))
 IFELSE = register_op(Op("ifelse", _ifelse, propagates_missing=False,
                         runtime_name="_ifelse", lazy=True, total=True,
-                        c=("conditional",)))
+                        exact=True, c=("conditional",)))
 ROUND_U8 = register_op(Op("round_u8", _round_u8, runtime_name="_round_u8",
-                          c=("helper", "fl_round_u8"), c_type="i64"))
+                          exact=True, c=("helper", "fl_round_u8"),
+                          c_type="i64"))
 
 
 def _search_ge(idx, lo, hi, key):
@@ -327,7 +345,7 @@ def _search_abs_ge(idx, lo, hi, key):
     return lo
 
 
-SEARCH_GE = register_op(Op("search_ge", _search_ge,
+SEARCH_GE = register_op(Op("search_ge", _search_ge, exact=True,
                            c=("search", "fl_search_ge")))
-SEARCH_ABS_GE = register_op(Op("search_abs_ge", _search_abs_ge,
+SEARCH_ABS_GE = register_op(Op("search_abs_ge", _search_abs_ge, exact=True,
                                c=("search", "fl_search_abs_ge")))

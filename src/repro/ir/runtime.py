@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from repro.ir.emit import BUILTINS
 from repro.ir.ops import all_ops, registry_version
 
 _BASE_CACHE = {"version": None, "env": None}
@@ -41,6 +42,6 @@ def kernel_globals():
 
 def reserved_names():
     """Every name emitted code resolves outside its own locals (the
-    kernel namespace and the ``range`` its loops call); compiler temps
-    must avoid them all."""
-    return set(_base_globals()) | {"range"}
+    kernel namespace and the builtins the printer calls); compiler
+    temps must avoid them all."""
+    return set(_base_globals()).union(BUILTINS)
