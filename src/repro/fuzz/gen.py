@@ -54,8 +54,11 @@ PROTOCOLS_BY_FORMAT = {
 LEADER_PROTOCOLS = (None, "walk", "gallop")
 
 #: Program templates.  ``arity`` is the operand rank, ``outputs`` the
-#: kind of result tensor.
-TEMPLATES = ("reduce", "map", "reduce2d", "map2d", "spmv", "copy_out")
+#: kind of result tensor.  ``outer`` nests ``T1``'s loops under a loop
+#: the output omits: ``OUT[j] += T0[i] * T1[j]`` for a vector ``T1``,
+#: ``OUT[i, k] += T0[j] * T1[i, k]`` for a matrix.
+TEMPLATES = ("reduce", "map", "reduce2d", "map2d", "spmv", "copy_out",
+             "outer")
 
 #: Templates looping ``i`` then ``j`` over rank-2 operands.
 _MATRIX_TEMPLATES = ("reduce2d", "map2d", "copy_out")
@@ -226,6 +229,21 @@ def generate_spec(seed, profile="quick"):
         spec["operands"] = [
             _draw_operand(rng, "T%d" % k, (rows, cols), profile)
             for k in range(count)]
+    elif template == "outer":
+        dims = (rng.randint(1, max(2, max_len // 2)), rng.randint(1, max_len))
+        if rng.random() < 0.5:
+            dims = dims[1:]
+        spec["operands"] = [
+            _draw_operand(rng, "T0", (rng.randint(1, 4),), profile),
+            _draw_operand(rng, "T1", dims, profile)]
+        if rng.random() < 0.5:
+            # The shape the vectoriser takes: a dense innermost loop.
+            spec["operands"][1]["formats"][-1] = "dense"
+            spec["operands"][1]["protocols"][-1] = None
+        # T0's loop sits directly around T1's innermost one.
+        spec["operands"][0]["indices"] = [len(dims) - 1]
+        spec["operands"][1]["indices"] = [
+            pos for pos in range(len(dims) + 1) if pos != len(dims) - 1]
     else:  # spmv: matrix times optional vector, indexed A[i, j] * x[j]
         rows = rng.randint(1, max(2, max_len // 2))
         cols = rng.randint(1, max_len)
@@ -253,7 +271,7 @@ def _ensure_leader(rng, spec):
     operand per index is demoted to an active protocol.
     """
     template = spec["template"]
-    for index_pos in range(2 if template in _MATRIX_TEMPLATES else 1):
+    for index_pos in range(_loop_count(spec)):
         accesses = []
         for operand in spec["operands"]:
             mode = _index_mode(template, index_pos, operand)
@@ -269,31 +287,33 @@ def _ensure_leader(rng, spec):
         leaders = [p for p in PROTOCOLS_BY_FORMAT[fmt]
                    if p in LEADER_PROTOCOLS]
         operand["protocols"][mode] = rng.choice(leaders)
-    # spmv's j index spans the matrix inner mode and the vector.
-    if template == "spmv":
-        pairs = [(spec["operands"][0], 1)]
-        if len(spec["operands"]) > 1:
-            pairs.append((spec["operands"][1], 0))
-        if not any(op["protocols"][mode] in LEADER_PROTOCOLS
-                   for op, mode in pairs):
-            operand, mode = rng.choice(pairs)
-            fmt = operand["formats"][mode]
-            leaders = [p for p in PROTOCOLS_BY_FORMAT[fmt]
-                       if p in LEADER_PROTOCOLS]
-            operand["protocols"][mode] = rng.choice(leaders)
+
+
+def _loop_count(spec):
+    """How many nested loop indices (``i``, ``j``, ``k``) ``spec`` has."""
+    template = spec["template"]
+    if template == "outer":
+        return 1 + len(spec["operands"][1]["formats"])
+    return 2 if template in _MATRIX_TEMPLATES + ("spmv",) else 1
+
+
+def _operand_indices(template, operand):
+    """The loop-index position driving each mode of ``operand``: its
+    ``indices`` when the spec spells them (``outer``), else mode ``m``
+    is index ``m`` — but spmv's vector runs along ``j``."""
+    if "indices" in operand:
+        return operand["indices"]
+    ndim = len(operand["formats"])
+    if template == "spmv" and ndim == 1:
+        return [1]
+    return list(range(ndim))
 
 
 def _index_mode(template, index_pos, operand):
     """Which mode of ``operand`` the loop index ``index_pos`` drives,
     or None when the operand does not use that index."""
-    ndim = len(operand["formats"])
-    if template == "spmv":
-        if ndim == 2:
-            return index_pos
-        return 0 if index_pos == 1 else None
-    if index_pos >= ndim:
-        return None
-    return index_pos
+    indices = _operand_indices(template, operand)
+    return indices.index(index_pos) if index_pos in indices else None
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +364,9 @@ def _operand_tensor(operand):
 
 def _operand_access(operand, template, idx_vars):
     """The (possibly marked, possibly coalesced) access expression."""
-    ndim = len(operand["formats"])
     idx_exprs = []
     needs_coalesce = False
-    for mode in range(ndim):
-        if template == "spmv" and ndim == 1:
-            index_pos = 1
-        else:
-            index_pos = mode
+    for mode, index_pos in enumerate(_operand_indices(template, operand)):
         chain = operand["chains"][mode]
         expr = _chain_expr(chain, idx_vars[index_pos])
         needs_coalesce = needs_coalesce or chain_needs_coalesce(chain)
@@ -408,14 +423,16 @@ def _output_dims(spec):
         return (max(d[0] for d in dims),)
     if template in ("map2d", "copy_out"):
         return (max(d[0] for d in dims), max(d[1] for d in dims))
+    if template == "outer":
+        return dims[1]
     return (dims[0][0],)  # spmv: one entry per matrix row
 
 
 def build_case(spec):
     """Realize ``spec``: fresh tensors, program, explicit extents."""
     template = spec["template"]
-    two_d = template in _MATRIX_TEMPLATES + ("spmv",)
-    idx_vars = fl.indices("i", "j") if two_d else (fl.indices("i"),)
+    loops = _loop_count(spec)
+    idx_vars = [fl.indices(name) for name in "ijk"[:loops]]
     operands = []
     exprs = []
     for operand in spec["operands"]:
@@ -431,10 +448,9 @@ def build_case(spec):
     else:
         make_output = APPEND_OUTPUTS.get(spec.get("output"), fl.zeros)
         output = make_output(out_dims, name="OUT")
-        if len(out_dims) == 2:
-            lhs = output[idx_vars[0], idx_vars[1]]
-        else:
-            lhs = output[idx_vars[0]]
+        out_indices = spec["operands"][1]["indices"] \
+            if template == "outer" else range(len(out_dims))
+        lhs = output[tuple(idx_vars[pos] for pos in out_indices)]
 
     if spec.get("store"):
         body = fl.store(lhs, rhs)
@@ -442,17 +458,11 @@ def build_case(spec):
         accum = spec.get("accum", "add")
         body = fl.reduce_into(lhs, fl.ops.get_op(accum), rhs)
 
-    if two_d:
-        i_ext = _index_extent(spec, 0)
-        j_ext = _index_extent(spec, 1)
-        extents = {"i": i_ext, "j": j_ext}
-        program = fl.forall(idx_vars[0],
-                            fl.forall(idx_vars[1], body, ext=j_ext),
-                            ext=i_ext)
-    else:
-        i_ext = _index_extent(spec, 0)
-        extents = {"i": i_ext}
-        program = fl.forall(idx_vars[0], body, ext=i_ext)
+    extents = {idx.name: _index_extent(spec, pos)
+               for pos, idx in enumerate(idx_vars)}
+    program = body
+    for idx in reversed(idx_vars):
+        program = fl.forall(idx, program, ext=extents[idx.name])
     return BuiltCase(spec, program, operands, output, extents)
 
 

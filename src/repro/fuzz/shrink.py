@@ -56,8 +56,8 @@ def _rows(operand):
 
 def _candidates(spec):
     """Every one-step reduction of ``spec``, most aggressive first."""
-    # Drop whole operands (keep at least one).
-    if len(spec["operands"]) > 1:
+    # Drop whole operands (keep at least one; ``outer`` is its pair).
+    if len(spec["operands"]) > 1 and spec["template"] != "outer":
         for pos in range(len(spec["operands"])):
             if spec["template"] == "spmv" and pos == 0:
                 continue  # the matrix operand anchors the template

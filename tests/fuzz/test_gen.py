@@ -12,6 +12,7 @@ from repro.fuzz.gen import (
     LEADER_PROTOCOLS,
     PROTOCOLS_BY_FORMAT,
     _index_mode,
+    _loop_count,
     _operand_dims,
     chain_extent,
 )
@@ -45,7 +46,7 @@ def test_distinct_seeds_explore_the_grammar():
             protocols.update(p for p in operand["protocols"] if p)
             chain_kinds.update(c["kind"] for c in operand["chains"])
     assert templates == {"reduce", "map", "reduce2d", "map2d", "spmv",
-                         "copy_out"}
+                         "copy_out", "outer"}
     assert outputs == {None, "run", "sparse"}
     assert formats == set(FORMATS_ANY) | set(FORMATS_LEAF_ONLY)
     assert {"walk", "gallop", "locate", "follow"} <= protocols
@@ -72,16 +73,17 @@ def test_seeded_specs_are_pinned():
     """The protocol table is derived from the level classes; every
     seeded campaign, the corpus and the AOT pack population draw from
     it, so the stream must not move unnoticed (digests re-taken when
-    the ``copy_out`` template joined ``TEMPLATES``, which shifts every
-    seed's first draw)."""
+    the ``copy_out`` template joined ``TEMPLATES``, which shifted every
+    seed's first draw, and when ``outer`` did, which re-drew only the
+    eighth of the seeds that now pick it)."""
     import hashlib
     import json
 
     expected = {
-        "quick": "a4b8e23df1f87ece8e8d666e7d55358c5e2b1efba76acd1c"
-                 "350e8cb8419e543f",
-        "deep": "ca28a3232500506745f712a44b62a1d3d10a3cbae8822c892"
-                "763c041ad0f1767",
+        "quick": "116ff6d8431cd5a5980000fd2db6dcf485f0709d1fd53e23"
+                 "e18eb52925c859c7",
+        "deep": "4dbd6f7dd2d203f3f2f2b5dcfd8b86627801d413daa4c6a16"
+                "f445a4fb3d8929e",
     }
     for profile, digest in expected.items():
         stream = hashlib.sha256()
@@ -94,8 +96,7 @@ def test_seeded_specs_are_pinned():
 def test_every_loop_index_has_a_leader():
     for seed in range(200):
         spec = generate_spec(seed)
-        index_count = 1 if spec["template"] in ("reduce", "map") else 2
-        for index_pos in range(index_count):
+        for index_pos in range(_loop_count(spec)):
             leaders = 0
             for operand in spec["operands"]:
                 mode = _index_mode(spec["template"], index_pos, operand)
@@ -149,3 +150,26 @@ def test_describe_spec_is_one_line():
         description = describe_spec(generate_spec(seed))
         assert "\n" not in description
         assert description
+
+
+def test_outer_cases_loop_over_an_index_the_output_omits():
+    """``OUT[j] += T0[i] . T1[j]`` / ``OUT[i, k] += T0[j] . T1[i, k]``:
+    the output is ``T1``-shaped and ``T0``'s loop sits directly around
+    ``T1``'s innermost one (ROADMAP equivalence (e): the nest the
+    vectoriser once re-vectorized)."""
+    ranks = set()
+    for seed in range(400):
+        spec = generate_spec(seed)
+        if spec["template"] != "outer":
+            continue
+        case = build_case(spec)
+        t0, t1 = spec["operands"]
+        rank = len(t1["formats"])
+        ranks.add(rank)
+        assert _loop_count(spec) == rank + 1 == len(case.extents)
+        assert t0["indices"] == [rank - 1]
+        assert sorted(t0["indices"] + t1["indices"]) \
+            == list(range(rank + 1))
+        assert case.output.shape == _operand_dims(t1)
+        assert "accum" in spec and not spec.get("store")
+    assert ranks == {1, 2}
