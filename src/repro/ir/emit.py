@@ -151,7 +151,7 @@ def scalar_views(func, buffers, plan):
             continue
         if dtype == "float64":
             viewed = not narrow
-        else:
+        else:   # ``val`` is the role of a tensor's element values
             viewed = dtype.kind in "iu" and entry[1] != "val" \
                 and name not in stored
         if viewed:

@@ -12,7 +12,10 @@ with composable passes over :mod:`repro.ir.asm` statements:
     Forward constant *and copy* propagation with expression
     simplification: literal conditions prune ``If`` branches, loops
     with statically-empty extents disappear, single-trip loops unroll,
-    and literal accumulations fold into assignments.
+    and literal accumulations fold into assignments.  In the same walk,
+    adjacent ``If``s on one identical condition merge when the first
+    leaves the condition alone, and an ``If`` that opens an ``If`` body
+    and repeats its test is replaced by its own body.
 
 ``dead_code``
     Backward liveness: assignments to scalar variables nobody reads

@@ -4,7 +4,10 @@ Compiled kernels are executed with :func:`kernel_globals` as their
 namespace: the runtime callable of every registered op that renders as
 a call (:mod:`repro.ir.ops` declares them), numpy as ``_np`` for slice
 operations, and ``_inf``/``_nan``, which is how the printer spells the
-non-finite float literals.
+non-finite float literals.  Every helper bound here takes Python and
+numpy scalars alike, and the search helpers an index buffer that is an
+ndarray or the element view a kernel took of one
+(:func:`repro.ir.emit.scalar_views`).
 
 The namespace is assembled once — a snapshot of the op registry — and
 cheaply copied per ``exec``; late-registered ops invalidate the

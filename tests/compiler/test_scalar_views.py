@@ -34,7 +34,7 @@ from repro.bench.kernels import (
 from repro.cin.analyze import output_tensors
 from repro.formats.custom import LoopletTensor
 from repro.ir import ops
-from repro.ir.nodes import Literal, Load
+from repro.ir.nodes import Load
 from repro.looplets import Lookup
 from repro.workloads import graphs
 
