@@ -12,10 +12,7 @@ with composable passes over :mod:`repro.ir.asm` statements:
     Forward constant *and copy* propagation with expression
     simplification: literal conditions prune ``If`` branches, loops
     with statically-empty extents disappear, single-trip loops unroll,
-    and literal accumulations fold into assignments.  In the same walk,
-    adjacent ``If``s on one identical condition merge when the first
-    leaves the condition alone, and an ``If`` that opens an ``If`` body
-    and repeats its test is replaced by its own body.
+    and literal accumulations fold into assignments.
 
 ``dead_code``
     Backward liveness: assignments to scalar variables nobody reads
@@ -224,8 +221,7 @@ def _fold(stmt, env):
         return FuncDef(stmt.name, stmt.params, _fold(stmt.body, {}),
                        returns=stmt.returns)
     if isinstance(stmt, Block):
-        return _merge_guards(Block([_fold(child, env)
-                                    for child in stmt.stmts]))
+        return Block([_fold(child, env) for child in stmt.stmts])
     if isinstance(stmt, (AssignStmt, AccumStmt)):
         if not isinstance(stmt.target, Var):
             return map_statement_exprs(stmt, lambda e: _resolve(e, env))
@@ -302,13 +298,7 @@ def _fold_if(stmt, env):
                 continue
             if truth is True:
                 cond = None
-        body = _fold(body, dict(env))
-        first = body.stmts[0] if body.stmts else None
-        if cond is not None and isinstance(first, If) \
-                and first.branches[0][0] == cond:
-            # Nothing ran since ``cond`` held: the repeated test passes.
-            body = Block((first.branches[0][1],) + body.stmts[1:])
-        branches.append((cond, body))
+        branches.append((cond, _fold(body, dict(env))))
         if cond is None:
             break
     if not branches:
@@ -322,38 +312,6 @@ def _fold_if(stmt, env):
         killed |= effects(body).writes
     _env_kill(env, killed)
     return If(branches)
-
-
-def _merge_guards(block):
-    """``block`` with every adjacent ``if c: A [else: A2]`` / ``if c: B
-    [else: B2]`` pair as one ``If`` — sound when the first leaves ``c``
-    alone: it writes none of ``c``'s variables and stores to no buffer
-    ``c`` loads."""
-    out = []
-    for stmt in block.stmts:
-        merged = _merged_guard(out[-1], stmt) if out else None
-        if merged is None:
-            out.append(stmt)
-        else:
-            out[-1] = merged
-    return block if len(out) == len(block.stmts) else Block(out)
-
-
-def _merged_guard(first, second):
-    if not (isinstance(first, If) and isinstance(second, If)):
-        return None
-    cond = first.branches[0][0]
-    if cond is None or cond != second.branches[0][0] \
-            or any(other is not None for other, _ in
-                   first.branches[1:] + second.branches[1:]):
-        return None
-    _, writes, stores = effects(first)
-    if cond.free_vars() & writes or load_buffers(cond) & stores:
-        return None
-    arms = [[body for _, body in stmt.branches] + [Nop()]
-            for stmt in (first, second)]
-    return If([(cond, Block([arms[0][0], arms[1][0]])),
-               (None, Block([arms[0][1], arms[1][1]]))])
 
 
 # --------------------------------------------------------------------------

@@ -135,101 +135,6 @@ class TestFoldConstants:
         assert "buf[a:b] = (0 * x[a:b])" in source
 
 
-class TestGuardMerge:
-    """Inside ``fold_constants``' walk: adjacent ``If``s on one
-    condition merge when the first cannot change it, and an ``If`` that
-    opens an ``If`` body with the same test is its own body."""
-
-    COND = build.eq(Var("a"), Load("idx", Var("q")))
-
-    def fold(self, *stmts):
-        return emit(fold_constants(func_of(
-            *stmts, params=("buf", "idx", "sink", "a", "q"))).body)
-
-    def test_adjacent_ifs_on_one_condition_merge(self):
-        source = self.fold(
-            asm.If([(self.COND, sink(Var("q")))]),
-            asm.If([(self.COND, asm.AccumStmt("n", ops.ADD, 1))]))
-        assert source == ("if a == idx[q]:\n"
-                          "    sink[0] = q\n"
-                          "    n += 1\n")
-
-    def test_else_arms_merge_too(self):
-        source = self.fold(
-            asm.If([(self.COND, sink(1)), (None, sink(2))]),
-            asm.If([(self.COND, asm.AccumStmt("n", ops.ADD, 1))]),
-            asm.If([(self.COND, sink(3)), (None, sink(4))]))
-        assert source == ("if a == idx[q]:\n"
-                          "    sink[0] = 1\n"
-                          "    n += 1\n"
-                          "    sink[0] = 3\n"
-                          "else:\n"
-                          "    sink[0] = 2\n"
-                          "    sink[0] = 4\n")
-
-    @pytest.mark.parametrize("first", [
-        asm.AccumStmt("q", ops.ADD, 1),                   # a variable of it
-        asm.AssignStmt(Load("idx", Literal(0)), Var("a")),  # a buffer it loads
-    ], ids=["writes-its-variable", "stores-to-its-buffer"])
-    def test_a_first_body_that_may_change_the_condition_blocks_it(
-            self, first):
-        source = self.fold(asm.If([(self.COND, first)]),
-                           asm.If([(self.COND, sink(1))]))
-        assert source.count("if a == idx[q]:") == 2
-
-    def test_other_conditions_and_elif_chains_stay(self):
-        other = build.eq(Load("idx", Var("q")), Var("a"))   # commuted
-        source = self.fold(
-            asm.If([(self.COND, sink(1))]),
-            asm.If([(other, sink(2))]),
-            asm.If([(other, sink(3)), (self.COND, sink(4))]))
-        heads = [line for line in source.splitlines() if line[0] != " "]
-        assert heads == ["if a == idx[q]:", "if idx[q] == a:",
-                         "if idx[q] == a:", "elif a == idx[q]:"]
-
-    def test_statement_between_them_blocks_it(self):
-        source = self.fold(asm.If([(self.COND, sink(1))]),
-                           sink(0),
-                           asm.If([(self.COND, sink(2))]))
-        assert source.count("if a == idx[q]:") == 2
-
-    def test_repeated_guard_opening_a_body_is_its_own_body(self):
-        inner = asm.If([(self.COND, sink(1)), (None, sink(9))])
-        source = self.fold(asm.If([(self.COND, asm.block(inner, sink(2)))]))
-        assert source == ("if a == idx[q]:\n"
-                          "    sink[0] = 1\n"
-                          "    sink[0] = 2\n")
-
-    def test_repeated_guard_after_another_statement_stays(self):
-        bump = asm.AccumStmt("q", ops.ADD, 1)
-        inner = asm.If([(self.COND, sink(1))])
-        source = self.fold(asm.If([(self.COND, asm.block(bump, inner))]))
-        assert source.count("if a == idx[q]:") == 2
-
-    def test_merged_guards_keep_every_count(self):
-        # Instrumentation counters ride inside the merged bodies.
-        a = np.zeros(40)
-        a[[3, 4, 9, 21, 22, 30]] = [1.5, 2.5, 3.5, 4.5, 5.5, 6.5]
-        b = np.zeros(40)
-        b[[4, 9, 10, 22, 35]] = [0.5, 1.5, 2.5, 3.5, 4.5]
-        counts = []
-        for level in (0, 1, 2):
-            A = fl.from_numpy(a, ("sparse",), name="A")
-            B = fl.from_numpy(b, ("sparse",), name="B")
-            C = fl.Scalar(name="C")
-            i = fl.indices("i")
-            kernel = fl.compile_kernel(
-                fl.forall(i, fl.increment(C[()], A[i] * B[i])),
-                cache=False, instrument=True, opt_level=level)
-            counts.append(kernel.run())
-            assert C.value == float(a @ b)
-        assert counts[0] == counts[1] == counts[2]
-        # The walk/walk merge tests each stride once: ``if stride hit:
-        # {body}`` / ``if stride hit: q += 1`` are one ``If``.
-        assert kernel.source.count(" == i_stride:") == 1
-        assert kernel.raw_source.count(" == i_stride:") == 2
-
-
 class TestDeadCode:
     def test_dead_store_before_overwrite(self):
         stmts = [
