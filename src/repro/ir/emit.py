@@ -9,7 +9,7 @@ local of one call.
 """
 
 from repro.ir import asm
-from repro.ir.nodes import Call, Literal, Reduce, Slice
+from repro.ir.nodes import Call, Literal, Reduce, Slice, Var
 from repro.ir.ops import MISSING
 from repro.ir.pretty import expr_source
 from repro.util.errors import ReproError
@@ -120,41 +120,39 @@ def scalar_views(func, buffers, plan):
     itself when there is none.
 
     ``buffers`` are the compile-time ``(name, array)`` pairs in
-    parameter order and ``plan`` their binding-plan entries.  A
-    parameter is viewed when all of this holds:
+    parameter order and ``plan`` their binding-plan entries.  The whole
+    kernel keeps its ndarrays unless
 
-    * it has a plan entry (a buffer pinned by a custom format stays
-      what it is) and no ``Slice`` names it (numpy does those);
-    * its dtype is native ``float64`` — and no other parameter holds
-      narrower floats, next to which a Python ``float`` would compute
-      in *their* precision where an ``np.float64`` computes in double —
-      or it is a native integer *structure* array (``pos``, ``idx``,
-      ``right``...: any role but the element values) the kernel never
-      stores to.  ``float32``, narrow-integer, ``bool`` and ``int64``
-      values and every written integer buffer keep the ndarray: numpy
-      wraps, rounds and truncates there where Python would not;
-    * every operator the kernel uses is ``exact``
-      (:class:`repro.ir.ops.Op`) and it stores no ``missing``, which an
-      ndarray takes as ``nan`` and a view refuses.
+    * every parameter holds ``float64``, ``int64`` or ``bool``: next to
+      a narrower numpy scalar a Python ``float`` or ``int`` computes in
+      *its* width (NEP 50) where an ``np.float64`` or ``np.int64``
+      widens it — a run length times a ``uint8`` value wraps;
+    * every operator it uses is ``exact`` (:class:`repro.ir.ops.Op`), it
+      stores no ``missing`` (an ndarray takes that as ``nan``, a view
+      refuses it) and it does no arithmetic on truth values alone (two
+      ``np.bool_`` add to ``True``, two Python ``bool`` to 2).
+
+    Then a parameter is viewed when it has a plan entry (a buffer pinned
+    by a custom format stays what it is), native byte order, no
+    ``Slice`` naming it (numpy does those), and is ``float64``, or an
+    ``int64`` *structure* array (``pos``, ``idx``, ``right``...: any
+    role but the element values) the kernel never stores to.  ``bool``
+    and ``int64`` values and every written integer buffer keep the
+    ndarray: numpy wraps and truncates there where Python would not.
     """
     sliced = set()
-    if not _exact(func, sliced):
+    if any((array.dtype.kind, array.dtype.itemsize) not in _WIDE
+           for _, array in buffers) or not _exact(func, sliced):
         return func
     stored = asm.effects(func).stores
-    dtypes = [getattr(array, "dtype", None) for _, array in buffers]
-    narrow = any(dtype is None
-                 or (dtype.kind in "fc" and dtype != "float64")
-                 for dtype in dtypes)
     views = []
-    for (name, _), entry, dtype in zip(buffers, plan, dtypes):
+    for (name, array), entry in zip(buffers, plan):
+        dtype = array.dtype
         if entry is None or name in sliced or not dtype.isnative:
             continue
-        if dtype == "float64":
-            viewed = not narrow
-        else:   # ``val`` is the role of a tensor's element values
-            viewed = dtype.kind in "iu" and entry[1] != "val" \
-                and name not in stored
-        if viewed:
+        # ``val`` is the role of a tensor's element values.
+        if dtype.kind == "f" or (dtype.kind == "i" and entry[1] != "val"
+                                 and name not in stored):
             views.append(asm.View(name))
     if not views:
         return func
@@ -162,22 +160,60 @@ def scalar_views(func, buffers, plan):
                        asm.Block(views + [func.body]), returns=func.returns)
 
 
-def _exact(stmt, sliced):
-    """Whether Python scalars may flow through ``stmt``: every operator
-    in it is ``exact`` and no literal is ``missing``.  Adds the buffer
-    of every ``Slice`` on the way to ``sliced``."""
-    if isinstance(stmt, asm.AccumStmt) and not stmt.op.exact:
-        return False
-    pending = list(asm.statement_exprs(stmt))
-    while pending:
-        expr = pending.pop()
-        if isinstance(expr, (Call, Reduce)):
-            if not expr.op.exact:
-                return False
-        elif isinstance(expr, Slice):
-            sliced.add(expr.buffer.name)
-        elif isinstance(expr, Literal) and expr.value is MISSING:
+#: (kind, itemsize) of the dtypes whose scalars compute like Python's.
+_WIDE = (("f", 8), ("i", 8), ("b", 1))
+
+
+def _exact(func, sliced):
+    """Whether Python scalars may flow through ``func``; adds the buffer
+    of every ``Slice`` in it to ``sliced``.  The scalars assigned a
+    truth value are found by walking until no more turn up."""
+    truths = set()
+    while True:
+        known = len(truths)
+        if not _exact_stmt(func.body, sliced, truths):
             return False
-        pending.extend(expr.children())
-    return all(_exact(child, sliced)
+        if len(truths) == known:
+            return True
+
+
+def _exact_stmt(stmt, sliced, truths):
+    exprs = list(asm.statement_exprs(stmt))
+    if isinstance(stmt, asm.AccumStmt):     # ``x op= v`` is ``op(x, v)``
+        exprs = [Call(stmt.op, exprs)]
+    kinds = [_truth(expr, sliced, truths) for expr in exprs]
+    if None in kinds:
+        return False
+    if isinstance(stmt, (asm.AssignStmt, asm.AccumStmt)) and kinds[-1] \
+            and isinstance(stmt.target, Var):
+        truths.add(stmt.target.name)
+    return all(_exact_stmt(child, sliced, truths)
                for child in asm.child_statements(stmt))
+
+
+def _truth(expr, sliced, truths):
+    """``None`` when ``expr`` differs between Python and numpy scalars:
+    an operator that is not ``exact``, a ``missing`` literal, arithmetic
+    over nothing but truth values.  Else whether it may be a truth value
+    itself — a ``bool`` on Python scalars where numpy ones give an
+    ``np.bool_``.  An operator's ``c_type`` is its result-type rule."""
+    if isinstance(expr, Literal):
+        return None if expr.value is MISSING else isinstance(expr.value, bool)
+    if isinstance(expr, Var):
+        return expr.name in truths
+    if isinstance(expr, Slice):
+        sliced.add(expr.buffer.name)
+    kinds = [_truth(child, sliced, truths) for child in expr.children()]
+    if None in kinds:
+        return None
+    if isinstance(expr, (Call, Reduce)) and not expr.op.exact:
+        return None
+    if not isinstance(expr, Call):
+        return False    # a load; a slice or a reduction, numpy's anyway
+    op = expr.op
+    if op.lazy and op.symbol is None:
+        kinds = kinds[1:]   # a conditional expression only tests its first
+    if op.c_type == "arith":
+        return None if all(kinds) else False
+    return op.c_type == "bool" or (op.c_type in (None, "join")
+                                   and any(kinds))

@@ -91,7 +91,12 @@ class Op:
         (:func:`repro.ir.emit.scalar_views`).  Division is not — ``1.0 /
         0.0`` is ``inf`` and a ``RuntimeWarning`` on numpy scalars, a
         ``ZeroDivisionError`` on Python ones — and neither is an op that
-        does not say: a kernel using one keeps reading ndarrays.
+        does not say: a kernel using one keeps reading ndarrays.  Truth
+        values are the one exception, and ``c_type`` names it: a
+        ``"bool"`` result is a ``bool`` on Python scalars and an
+        ``np.bool_`` on numpy ones, and an ``"arith"`` op over nothing
+        but those (``True + True``: 2, or ``True``) opts the kernel out
+        as well.
     numpy / numpy_reduce:
         What the vectoriser turns a loop calling the op into —
         ``("infix", "+")``, ``("pairwise", "_np.minimum")`` (a binary

@@ -17,6 +17,7 @@ here:
 """
 
 import inspect
+import itertools
 import math
 import re
 import struct
@@ -27,15 +28,14 @@ import pytest
 import repro.lang as fl
 from repro.baselines.reference import interpret
 from repro.bench.figures import warm_start_programs
-from repro.bench.kernels import (
-    alpha_blend_program,
-    triangle_count_program,
-)
+from repro.bench.kernels import triangle_count_program
 from repro.cin.analyze import output_tensors
 from repro.formats.custom import LoopletTensor
-from repro.ir import ops
-from repro.ir.nodes import Load
+from repro.ir import asm, ops
+from repro.ir.emit import scalar_views
+from repro.ir.nodes import Call, Literal, Load, Var
 from repro.looplets import Lookup
+from repro.tensors.output import RunOutput
 from repro.workloads import graphs
 
 OPS = sorted(ops.all_ops().items())
@@ -95,10 +95,9 @@ def _figure_programs():
 
 
 class TestValues:
-    @pytest.mark.parametrize(
-        "make", [make for _, make in _figure_programs()],
-        ids=[figure for figure, _ in _figure_programs()])
-    def test_figures_are_bit_identical_at_every_level(self, make):
+    @pytest.mark.parametrize("figure, make", list(_figure_programs()),
+                             ids=[figure for figure, _ in _figure_programs()])
+    def test_figures_are_bit_identical_at_every_level(self, figure, make):
         program = make()
         expected = [bits(interpret(program).result_for(out))
                     for out in output_tensors(program)]
@@ -114,7 +113,9 @@ class TestValues:
         assert not viewed(sources[0])
         assert sources[0].source == sources[0].raw_source
         for level in (1, 2):
-            assert viewed(sources[level]), level
+            # fig10's images are uint8: the whole kernel keeps ndarrays.
+            assert bool(viewed(sources[level])) \
+                == (not figure.startswith("fig10")), level
             assert "memoryview" not in sources[level].raw_source
 
     #: Operand columns: signed zeros, infinities, NaNs, denormals, an
@@ -227,10 +228,10 @@ class TestEligibility:
         assert results[0] == results[1] == results[2] \
             == float(a.astype(np.float64) @ B64)
         kernel, _ = _dot(a, B64, opt_level=1)
-        if dtype is np.float32:
-            # A Python float next to a float32 would compute in
-            # float32; the float64 operand stays a numpy scalar too.
-            assert viewed(kernel) == STRUCTURE
+        if dtype in (np.float32, np.uint8):
+            # A Python float or int next to a narrower numpy scalar
+            # would compute in *its* width: nothing is viewed.
+            assert not viewed(kernel)
         else:
             assert viewed(kernel) == STRUCTURE | {"val_2", "C_val"}
 
@@ -244,18 +245,45 @@ class TestEligibility:
             _, C = _dot(a, b, opt_level=level)
             assert C.value == want, level
 
+    @pytest.mark.parametrize("fmt", ["rle", "vbl"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    def test_a_run_length_meets_a_narrow_value_as_a_numpy_scalar(
+            self, dtype, fmt):
+        # ``S += val[q] * (stop - start)``: were the length a Python
+        # int, 200 * 25 would wrap in uint8, 300 would not fit it at
+        # all, and 0.1 * 10 would round in float32.
+        vec = np.repeat(np.array([200, 0, 7, 0.1]).astype(dtype),
+                        [25, 300, 40, 10])
+        values = []
+        for level in (0, 1, 2):
+            R = fl.from_numpy(vec, (fmt,), name="R")
+            S = fl.Scalar(name="S")
+            i = fl.indices("i")
+            program = fl.forall(i, fl.increment(S[()], R[i]))
+            kernel = fl.compile_kernel(program, cache=False, opt_level=level)
+            kernel.run()
+            assert not viewed(kernel)
+            values.append(S.value)
+        assert values[0] == values[1]
+        if dtype is np.uint8:   # a float32 slice sums pairwise at level 2
+            assert values[2] == values[0] \
+                == float(interpret(program).result_for(S)) == 5280.0
+
     def test_written_integer_buffers_keep_their_ndarray(self):
-        img = np.array([[0, 0, 7, 7, 7, 0], [3, 3, 0, 0, 9, 9]],
-                       dtype=np.uint8)
-        program, A = alpha_blend_program(img, img[::-1].copy(), 0.5, 0.5,
-                                         "rle")
-        kernel = fl.compile_kernel(program, cache=False, opt_level=1)
+        img = np.array([[0, 0, 7, 7, 7, 0], [3, 3, 0, 0, 9, 9]]) / 4
+        B = fl.from_numpy(img, ("dense", "rle"), name="B")
+        C = fl.from_numpy(img[::-1].copy(), ("dense", "rle"), name="C")
+        A = RunOutput((2, 6), fill=0.0, name="A")
+        i, j = fl.indices("i", "j")
+        kernel = fl.compile_kernel(
+            fl.forall(i, fl.forall(j, fl.store(A[i, j], B[i, j] + C[i, j]))),
+            cache=False, opt_level=1)
         kernel.run()
-        # RunOutput's coords/state (int64) and vals (uint8) are stored
-        # to; the uint8 inputs are values.  Only structure is viewed.
-        assert viewed(kernel) == {"pos", "right", "pos_2", "right_2"}
-        assert np.array_equal(
-            A.to_numpy(), np.asarray(interpret(program).result_for(A)))
+        # RunOutput's coords/state (int64) are stored to and stay; its
+        # float64 vals, the inputs and their read structure are viewed.
+        assert viewed(kernel) == {"A_vals", "pos", "right", "pos_2",
+                                  "right_2", "val", "val_2"}
+        assert np.array_equal(A.to_numpy(), img + img[::-1])
 
     def test_a_big_endian_operand_keeps_its_ndarray(self):
         kernel, C = _dot(A64.astype(">f8"), B64, opt_level=1)
@@ -322,6 +350,47 @@ class TestEligibility:
             lambda out, z, x: fl.store(out, fl.call(sure, z) + x), 1)
         assert {"val", "val_2"} <= viewed(kernel)
         assert bits(again) == bits(got)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_arithmetic_on_truth_values_alone_opts_the_kernel_out(
+            self, level):
+        # Two np.bool_ add to True, two Python bools to 2: the kernel
+        # stores what it always did, at every level.
+        kernel, got = self._map(
+            lambda out, z, x: fl.store(out, fl.call(
+                ops.ADD, fl.call(ops.GT, z, 2.0), fl.call(ops.GT, x, -1.0))),
+            level)
+        assert not viewed(kernel)
+        assert bits(got) == bits([1.0, 1.0, 1.0])
+        # Next to a number a truth value is 0 or 1 both ways (fig9's
+        # ``(val[q] != 0.0) * ...`` mask).
+        kernel, got = self._map(
+            lambda out, z, x: fl.store(out, fl.call(
+                ops.ADD, fl.call(ops.GT, z, 2.0) * x, fl.call(ops.GT, x, 0.0))),
+            level)
+        assert bool(viewed(kernel)) == (level > 0)
+        assert bits(got) == bits([1.0, 0.0, -4.0])
+
+    def test_a_truth_value_is_followed_through_scalars(self):
+        def views(*stmts):
+            func = asm.FuncDef("kernel", ("y", "a"), asm.Block(stmts))
+            buffers = [("y", np.zeros(4)), ("a", np.zeros(4))]
+            return scalar_views(func, buffers, [(0, "val"), (1, "val")])
+        i = Literal(0)
+        t = asm.AssignStmt("t", Call(ops.GT, [Load("a", i), 0.0]))
+        u = asm.AssignStmt("u", Var("w"))       # ...assigned further down
+        w = asm.AssignStmt("w", Call(ops.MAX, [Var("t"), False]))
+        loop = lambda *body: asm.WhileLoop(Var("t"), asm.Block(body))
+        store = lambda value: asm.AssignStmt(Load("y", i), value)
+        tested = views(t, loop(u, w, asm.If([(Var("u"), store(Var("t")))])))
+        assert isinstance(tested.body.stmts[0], asm.View)
+        scaled = views(t, loop(u, w, store(Call(ops.MUL, [Var("u"), Load("a", i)]))))
+        assert isinstance(scaled.body.stmts[0], asm.View)
+        func = views(t, loop(u, w, store(Call(ops.ADD, [Var("u"), Var("t")]))))
+        assert not any(isinstance(stmt, asm.View) for stmt in func.body.stmts)
+        counted = views(t, asm.AssignStmt("n", Var("t")),
+                        asm.AccumStmt("n", ops.ADD, Var("t")))
+        assert not isinstance(counted.body.stmts[0], asm.View)
 
     def test_a_stored_missing_keeps_ndarrays(self):
         # numpy stores ``None`` into float64 as nan; a view would
@@ -464,6 +533,24 @@ class TestExactDeclaration:
                     boxed = [buffer] + boxed[1:]
                 assert _same(_outcome(op.runtime, plain),
                              _outcome(op.runtime, boxed)), row
+
+    def test_truth_values_differ_under_the_arithmetic_rule_alone(self):
+        # ``scalar_views`` refuses arithmetic over nothing but truth
+        # values and lets them through every other exact operator: a
+        # ``bool`` and an ``np.bool_`` must then come out alike, as the
+        # same number or as truth values both.
+        differing = set()
+        for _, op in EXACT:
+            if _takes_buffer(op):
+                continue
+            for row in itertools.product((False, True), repeat=_arity(op)):
+                plain = _outcome(op.runtime, list(row))
+                boxed = _outcome(op.runtime, [np.bool_(arg) for arg in row])
+                if not (_same(plain, boxed) and isinstance(plain, bool)
+                        == isinstance(boxed, (bool, np.bool_))):
+                    differing.add(op)
+        assert differing
+        assert {op.c_type for op in differing} == {"arith"}
 
     def test_an_undeclared_op_is_why_the_field_exists(self):
         # 1.0 / 0.0: inf (and a RuntimeWarning) on numpy scalars, an
