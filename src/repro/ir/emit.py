@@ -163,57 +163,73 @@ def scalar_views(func, buffers, plan):
 #: (kind, itemsize) of the dtypes whose scalars compute like Python's.
 _WIDE = (("f", 8), ("i", 8), ("b", 1))
 
+#: The result-type rules (``Op.c_type``) that never give a truth value.
+_NUMERIC = ("arith", "f64", "i64")
+
 
 def _exact(func, sliced):
-    """Whether Python scalars may flow through ``func``; adds the buffer
-    of every ``Slice`` in it to ``sliced``.  The scalars assigned a
-    truth value are found by walking until no more turn up."""
-    truths = set()
-    while True:
-        known = len(truths)
-        if not _exact_stmt(func.body, sliced, truths):
-            return False
-        if len(truths) == known:
-            return True
+    """Whether Python scalars may flow through ``func``: every operator
+    in it is ``exact``, no literal is ``missing``, and no arithmetic is
+    over truth values alone — a comparison is a ``bool`` on Python
+    scalars and an ``np.bool_`` on numpy ones, and two of those add to 2
+    and to ``True``.  Adds the buffer of every ``Slice`` to ``sliced``.
+    """
+    assigns, sums, stmts = [], [], [func]
+    while stmts:
+        stmt = stmts.pop()
+        stmts.extend(asm.child_statements(stmt))
+        pending = list(asm.statement_exprs(stmt))
+        if isinstance(stmt, asm.AccumStmt):     # ``x op= v`` is ``op(x, v)``
+            pending = [Call(stmt.op, pending)]
+        if isinstance(stmt, (asm.AssignStmt, asm.AccumStmt)) \
+                and isinstance(stmt.target, Var) \
+                and not _number(pending[-1]):
+            assigns.append((stmt.target.name, pending[-1]))
+        while pending:
+            expr = pending.pop()
+            if isinstance(expr, (Call, Reduce)):
+                if not expr.op.exact:
+                    return False
+                if expr.op.c_type == "arith" \
+                        and not any(map(_number, expr.children())):
+                    sums.append(expr.children())
+            elif isinstance(expr, Slice):
+                sliced.add(expr.buffer.name)
+            elif isinstance(expr, Literal) and expr.value is MISSING:
+                return False
+            pending.extend(expr.children())
+    truths = set()      # the scalars that may hold a truth value
+    grew = True
+    while grew:
+        grew = False
+        for name, value in assigns:
+            if name not in truths and _truth(value, truths):
+                truths.add(name)
+                grew = True
+    return not any(all(_truth(arg, truths) for arg in args)
+                   for args in sums)
 
 
-def _exact_stmt(stmt, sliced, truths):
-    exprs = list(asm.statement_exprs(stmt))
-    if isinstance(stmt, asm.AccumStmt):     # ``x op= v`` is ``op(x, v)``
-        exprs = [Call(stmt.op, exprs)]
-    kinds = [_truth(expr, sliced, truths) for expr in exprs]
-    if None in kinds:
-        return False
-    if isinstance(stmt, (asm.AssignStmt, asm.AccumStmt)) and kinds[-1] \
-            and isinstance(stmt.target, Var):
-        truths.add(stmt.target.name)
-    return all(_exact_stmt(child, sliced, truths)
-               for child in asm.child_statements(stmt))
-
-
-def _truth(expr, sliced, truths):
-    """``None`` when ``expr`` differs between Python and numpy scalars:
-    an operator that is not ``exact``, a ``missing`` literal, arithmetic
-    over nothing but truth values.  Else whether it may be a truth value
-    itself — a ``bool`` on Python scalars where numpy ones give an
-    ``np.bool_``.  An operator's ``c_type`` is its result-type rule."""
+def _number(expr):
+    """Whether ``expr`` is no truth value whatever the scalars hold."""
     if isinstance(expr, Literal):
-        return None if expr.value is MISSING else isinstance(expr.value, bool)
+        return not isinstance(expr.value, bool)
+    if isinstance(expr, Call):
+        return expr.op.c_type in _NUMERIC
+    return not isinstance(expr, Var)    # a load, a slice, a reduction
+
+
+def _truth(expr, truths):
+    """Whether ``expr`` may be a truth value, given the scalars that
+    may: a ``"bool"`` result, or one passed on by ``min``/``max``,
+    ``and``/``or`` or a conditional expression (which only tests its
+    first argument)."""
     if isinstance(expr, Var):
         return expr.name in truths
-    if isinstance(expr, Slice):
-        sliced.add(expr.buffer.name)
-    kinds = [_truth(child, sliced, truths) for child in expr.children()]
-    if None in kinds:
-        return None
-    if isinstance(expr, (Call, Reduce)) and not expr.op.exact:
-        return None
-    if not isinstance(expr, Call):
-        return False    # a load; a slice or a reduction, numpy's anyway
-    op = expr.op
-    if op.lazy and op.symbol is None:
-        kinds = kinds[1:]   # a conditional expression only tests its first
-    if op.c_type == "arith":
-        return None if all(kinds) else False
-    return op.c_type == "bool" or (op.c_type in (None, "join")
-                                   and any(kinds))
+    if _number(expr):
+        return False
+    if isinstance(expr, Literal) or expr.op.c_type == "bool":
+        return True
+    args = expr.args[1:] if expr.op.lazy and expr.op.symbol is None \
+        else expr.args
+    return any(_truth(arg, truths) for arg in args)
