@@ -99,10 +99,11 @@ class Op:
         as well.
     numpy / numpy_reduce:
         What the vectoriser turns a loop calling the op into —
-        ``("infix", "+")``, ``("pairwise", "_np.minimum")`` (a binary
+        ``("infix", "+")``, ``("pairwise", "_np.copysign")`` (a binary
         ufunc, folded over more arguments), ``("unary", "_np.abs(%s)")``
         — and a loop accumulating with it (``"_np.add.reduce"``).
-        ``None``: such loops stay scalar.
+        The form must compute what the scalar op computes, NaN and
+        signed zero included.  ``None``: such loops stay scalar.
     c / c_type:
         The C lowering :mod:`repro.codegen.c_emit` dispatches on, and its
         result-type rule (``"arith"``: operand join with bools promoted
@@ -286,15 +287,13 @@ FLOORDIV = register_op(Op("floordiv", lambda a, b: a // b, symbol="//",
 MOD = register_op(Op("mod", lambda a, b: a % b, symbol="%", precedence=11,
                      c=("typed", "fl_mod"), c_type="arith"))
 POW = register_op(Op("pow", lambda a, b: a ** b, symbol="**", precedence=14))
+# No numpy form: ``_np.minimum``/``_np.maximum`` propagate a NaN where
+# Python's ``min``/``max`` keep their first argument.
 MIN = register_op(Op("min", _min, identity=None, commutative=True,
                      associative=True, runtime=min, total=True, exact=True,
-                     numpy=("pairwise", "_np.minimum"),
-                     numpy_reduce="_np.minimum.reduce",
                      c=("typed", "fl_min"), c_type="join"))
 MAX = register_op(Op("max", _max, identity=None, commutative=True,
                      associative=True, runtime=max, total=True, exact=True,
-                     numpy=("pairwise", "_np.maximum"),
-                     numpy_reduce="_np.maximum.reduce",
                      c=("typed", "fl_max"), c_type="join"))
 EQ = _compare("eq", lambda a, b: a == b, "==", 9)
 NE = _compare("ne", lambda a, b: a != b, "!=", 9)

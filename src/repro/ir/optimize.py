@@ -770,7 +770,7 @@ def _vectorize_core(core, var, start, stop):
             return AccumStmt(target, op, value)
         if op.numpy is None or op.numpy[0] != "pairwise":
             return None
-        # min/max accumulate elementwise via the pairwise ufunc.
+        # No in-place symbol: accumulate through the pairwise ufunc.
         return AssignStmt(target, Call(op, [target, value]))
     # A scalar, or one fixed buffer cell: the loop reduces into it.
     if op is None or not value.vector:

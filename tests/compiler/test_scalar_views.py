@@ -132,19 +132,12 @@ class TestValues:
     )
 
     def rows_for(self, op):
-        """``COLUMNS`` cut to the rows ``op`` is defined on.  A NaN past
-        the first argument is dropped for pairwise-numpy ops:
-        ``_np.minimum`` propagates it where Python's ``min`` keeps its
-        first argument (ROADMAP, PR 27 note) — older than the views and
-        not theirs to pin."""
+        """``COLUMNS`` cut to the rows ``op`` is defined on."""
         keep = []
         for row in zip(*self.COLUMNS[:_arity(op)]):
             try:
                 op.fn(*row)
             except (ArithmeticError, ValueError):
-                continue
-            if op.numpy is not None and op.numpy[0] == "pairwise" \
-                    and any(math.isnan(arg) for arg in row[1:]):
                 continue
             keep.append(row)
         return [np.array(col) for col in zip(*keep)]

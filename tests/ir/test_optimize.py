@@ -519,6 +519,39 @@ class TestVectorize:
         source = emit(vectorize(func_of(loop, params=())))
         assert "for i in range(0, 8):" in source
 
+    @pytest.mark.parametrize("op", ["min", "max"])
+    @pytest.mark.parametrize("nan_in", ["first", "second"])
+    @pytest.mark.parametrize("shape", ["map", "accumulate", "reduce"])
+    def test_min_max_keep_pythons_nan_semantics(self, op, nan_in, shape):
+        # Python's min/max keep their first argument against a NaN,
+        # numpy's minimum/maximum propagate it: a dense min/max loop is
+        # bit-identical to the interpreter at every level.
+        from repro.baselines.reference import interpret
+
+        plain = np.array([0.5, 2.0, 3.0, 4.0, -0.0])
+        holes = np.array([1.0, np.nan, 2.5, np.nan, 0.0])
+        first, second = (holes, plain) if nan_in == "first" \
+            else (plain, holes)
+        for level in (0, 1, 2):
+            X = fl.from_numpy(first, ("dense",), name="X")
+            Z = fl.from_numpy(second, ("dense",), name="Z")
+            i = fl.indices("i")
+            if shape == "map":
+                out = fl.zeros((5,), name="Y")
+                call = fl.minimum if op == "min" else fl.maximum
+                prog = fl.forall(i, fl.store(out[i], call(X[i], Z[i])))
+            elif shape == "accumulate":
+                out = fl.zeros((5,), fill=first[1], name="Y")
+                prog = fl.forall(i, fl.reduce_into(out[i], op, Z[i]))
+            else:
+                out = fl.Scalar(first[1], name="m")
+                prog = fl.forall(i, fl.reduce_into(out[()], op, Z[i]))
+            want = np.asarray(interpret(prog).result_for(out))
+            kernel = fl.compile_kernel(prog, cache=False, opt_level=level)
+            kernel.run()
+            got = np.asarray(out.to_numpy() if out.ndim else out.value)
+            assert got.tobytes() == want.tobytes(), (level, got, want)
+
 
 class TestExactEffects:
     """``asm.effects`` reads the nodes: no name a statement does not
