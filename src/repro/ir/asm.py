@@ -15,6 +15,14 @@ the exact effects of a statement tree (:func:`effects`).
 **Statements are immutable after construction.**  Every pass rebuilds
 the nodes it changes and shares the rest; :func:`effects` relies on it
 to compute each node's effects once and keep them on the node.
+
+**A pass returns the very node it was given when nothing under it
+changed.**  :func:`map_statements` and :func:`map_statement_exprs`
+rebuild a node only when a child or an expression comes back as a
+different object (:func:`unchanged`), and every pass built otherwise
+follows the same rule.  It keeps the effects memo warm from one pass to
+the next, and it is how the optimizer detects its fixpoint: a round
+that returns its input object changed nothing.
 """
 
 from collections import namedtuple
@@ -229,6 +237,15 @@ def target_address(target):
 # --------------------------------------------------------------------------
 # Generic rewriting
 # --------------------------------------------------------------------------
+def unchanged(new, old):
+    """Whether ``new`` holds the very objects ``old`` does, in order
+    (an ``If``'s ``(cond, body)`` pairs item by item): a pass's test
+    for "nothing under here changed"."""
+    return len(new) == len(old) and all(
+        a is b or (isinstance(a, tuple) and unchanged(a, b))
+        for a, b in zip(new, old))
+
+
 def map_statements(stmt, fn):
     """Postorder statement rewrite.
 
@@ -236,7 +253,8 @@ def map_statements(stmt, fn):
     node; ``fn`` returns a replacement statement (possibly a ``Block``
     or ``Nop``) or ``None`` to keep the node.  Replacements are *not*
     re-visited, so a pass can safely return trees containing nodes of
-    the kind it matches on.
+    the kind it matches on.  A node none of whose children changed is
+    passed to ``fn`` as it is.
     """
     rebuilt = _map_children(stmt, fn)
     result = fn(rebuilt)
@@ -245,24 +263,28 @@ def map_statements(stmt, fn):
 
 def _map_children(stmt, fn):
     if isinstance(stmt, Block):
-        return Block([map_statements(child, fn) for child in stmt.stmts])
-    if isinstance(stmt, ForLoop):
-        return ForLoop(stmt.var, stmt.start, stmt.stop,
-                       map_statements(stmt.body, fn))
-    if isinstance(stmt, WhileLoop):
-        return WhileLoop(stmt.cond, map_statements(stmt.body, fn))
+        stmts = [map_statements(child, fn) for child in stmt.stmts]
+        return stmt if unchanged(stmts, stmt.stmts) else Block(stmts)
     if isinstance(stmt, If):
         branches = [(cond, map_statements(body, fn))
                     for cond, body in stmt.branches]
-        return If(branches)
-    if isinstance(stmt, FuncDef):
-        return FuncDef(stmt.name, stmt.params,
-                       map_statements(stmt.body, fn), returns=stmt.returns)
-    return stmt
+        return stmt if unchanged(branches, stmt.branches) else If(branches)
+    if not isinstance(stmt, (ForLoop, WhileLoop, FuncDef)):
+        return stmt
+    body = map_statements(stmt.body, fn)
+    if body is stmt.body:
+        return stmt
+    if isinstance(stmt, ForLoop):
+        return ForLoop(stmt.var, stmt.start, stmt.stop, body)
+    if isinstance(stmt, WhileLoop):
+        return WhileLoop(stmt.cond, body)
+    return FuncDef(stmt.name, stmt.params, body, returns=stmt.returns)
 
 
 def map_statement_exprs(stmt, fn):
-    """Rebuild one statement with ``fn`` applied to each expression.
+    """Rebuild one statement with ``fn`` applied to each expression,
+    or return it as it is when ``fn`` hands back every expression
+    unchanged.
 
     Does not recurse into child statements (combine with
     :func:`map_statements` for whole-tree rewrites).  Assignment
@@ -272,18 +294,28 @@ def map_statement_exprs(stmt, fn):
     if isinstance(stmt, (AssignStmt, AccumStmt)):
         target = stmt.target
         if not isinstance(target, Var):
-            target = target.rebuild(
-                [target.buffer] + [fn(e) for e in target_address(target)])
+            address = target_address(target)
+            mapped = [fn(e) for e in address]
+            if not unchanged(mapped, address):
+                target = target.rebuild([target.buffer] + mapped)
+        value = fn(stmt.value)
+        if target is stmt.target and value is stmt.value:
+            return stmt
         if isinstance(stmt, AssignStmt):
-            return AssignStmt(target, fn(stmt.value))
-        return AccumStmt(target, stmt.op, fn(stmt.value))
+            return AssignStmt(target, value)
+        return AccumStmt(target, stmt.op, value)
     if isinstance(stmt, ForLoop):
-        return ForLoop(stmt.var, fn(stmt.start), fn(stmt.stop), stmt.body)
+        start, stop = fn(stmt.start), fn(stmt.stop)
+        if start is stmt.start and stop is stmt.stop:
+            return stmt
+        return ForLoop(stmt.var, start, stop, stmt.body)
     if isinstance(stmt, WhileLoop):
-        return WhileLoop(fn(stmt.cond), stmt.body)
+        cond = fn(stmt.cond)
+        return stmt if cond is stmt.cond else WhileLoop(cond, stmt.body)
     if isinstance(stmt, If):
-        return If([(None if cond is None else fn(cond), body)
-                   for cond, body in stmt.branches])
+        branches = [(None if cond is None else fn(cond), body)
+                    for cond, body in stmt.branches]
+        return stmt if unchanged(branches, stmt.branches) else If(branches)
     return stmt
 
 

@@ -22,7 +22,9 @@ from repro.util.errors import ReproError
 class Expr:
     """Base class for IR expressions."""
 
-    __slots__ = ()
+    #: ``_simple``: set by :func:`repro.rewrite.simplify_expr` on a
+    #: normal form of the default rules (a cache, not part of the value).
+    __slots__ = ("_simple",)
 
     #: Whether the value is a numpy vector (a slice, or a call over one).
     vector = False

@@ -53,7 +53,11 @@ pass: their *bounds* and scalar operands are folded, hoisted and shared
 like any scalar expression, while a *vector* (a slice, a call over one)
 is never itself rewritten, hoisted or named.  Passes rebuild what they
 change and never mutate a statement (:func:`repro.ir.asm.effects`
-memoises on it).
+memoises on it), and a pass returns the very node it was given when
+nothing under it changed.  That identity is the fixpoint test:
+``fold_constants`` + ``dead_code`` repeat until a round returns its
+input object (at most four rounds), with no detour through source
+text.
 """
 
 from repro.ir import build
@@ -73,6 +77,7 @@ from repro.ir.asm import (
     map_statements,
     statement_exprs,
     target_address,
+    unchanged,
 )
 from repro.ir.nodes import (
     Call,
@@ -218,10 +223,13 @@ def _env_kill(env, names):
 
 def _fold(stmt, env):
     if isinstance(stmt, FuncDef):
-        return FuncDef(stmt.name, stmt.params, _fold(stmt.body, {}),
-                       returns=stmt.returns)
+        body = _fold(stmt.body, {})
+        if body is stmt.body:
+            return stmt
+        return FuncDef(stmt.name, stmt.params, body, returns=stmt.returns)
     if isinstance(stmt, Block):
-        return Block([_fold(child, env) for child in stmt.stmts])
+        stmts = [_fold(child, env) for child in stmt.stmts]
+        return stmt if unchanged(stmts, stmt.stmts) else Block(stmts)
     if isinstance(stmt, (AssignStmt, AccumStmt)):
         if not isinstance(stmt.target, Var):
             return map_statement_exprs(stmt, lambda e: _resolve(e, env))
@@ -246,7 +254,7 @@ def _fold_assign(stmt, env):
     _env_kill(env, {name})
     if isinstance(value, (Literal, Var)):
         env[name] = value
-    return AssignStmt(target, value)
+    return stmt if value is stmt.value else AssignStmt(target, value)
 
 
 def _fold_accum(stmt, env):
@@ -261,7 +269,7 @@ def _fold_accum(stmt, env):
         env[name] = folded
         return AssignStmt(target, folded)
     _env_kill(env, {name})
-    return AccumStmt(target, stmt.op, value)
+    return stmt if value is stmt.value else AccumStmt(target, stmt.op, value)
 
 
 def _fold_for(stmt, env):
@@ -276,6 +284,8 @@ def _fold_for(stmt, env):
         return _fold(Block([AssignStmt(stmt.var, start), stmt.body]), env)
     _env_kill(env, effects(stmt.body).writes | {stmt.var.name})
     body = _fold(stmt.body, dict(env))
+    if unchanged((start, stop, body), (stmt.start, stmt.stop, stmt.body)):
+        return stmt
     return ForLoop(stmt.var, start, stop, body)
 
 
@@ -285,6 +295,8 @@ def _fold_while(stmt, env):
     if _literal_truth(cond) is False:
         return Nop()
     body = _fold(stmt.body, dict(env))
+    if cond is stmt.cond and body is stmt.body:
+        return stmt
     return WhileLoop(cond, body)
 
 
@@ -311,7 +323,7 @@ def _fold_if(stmt, env):
     for _, body in branches:
         killed |= effects(body).writes
     _env_kill(env, killed)
-    return If(branches)
+    return stmt if unchanged(branches, stmt.branches) else If(branches)
 
 
 # --------------------------------------------------------------------------
@@ -326,8 +338,10 @@ def dead_code(stmt, live=None):
     """
     if isinstance(stmt, FuncDef):
         live = set(stmt.returns) | (live or set())
-        return FuncDef(stmt.name, stmt.params,
-                       _dce_block(stmt.body, live), returns=stmt.returns)
+        body = _dce_block(stmt.body, live)
+        if body is stmt.body:
+            return stmt
+        return FuncDef(stmt.name, stmt.params, body, returns=stmt.returns)
     live = set(live) if live else set()
     if isinstance(stmt, Block):
         return _dce_block(stmt, live)
@@ -342,7 +356,7 @@ def _dce_block(block, live):
         if result is not None:
             kept.append(result)
     kept.reverse()
-    return Block(kept)
+    return block if unchanged(kept, block.stmts) else Block(kept)
 
 
 def _dce_stmt(stmt, live):
@@ -362,6 +376,8 @@ def _dce_stmt(stmt, live):
         body = _dce_block(stmt.body, inner)
         live |= inner
         live |= stmt.start.free_vars() | stmt.stop.free_vars()
+        if body is stmt.body:
+            return stmt
         return ForLoop(stmt.var, stmt.start, stmt.stop, body)
     if isinstance(stmt, WhileLoop):
         # Never dropped: a (mis)compiled infinite loop should stay
@@ -376,7 +392,7 @@ def _dce_stmt(stmt, live):
         # regardless of what the body does (found by the fuzz engine:
         # an initializer feeding only the condition was deleted).
         live |= stmt.cond.free_vars()
-        return WhileLoop(stmt.cond, body)
+        return stmt if body is stmt.body else WhileLoop(stmt.cond, body)
     if isinstance(stmt, If):
         processed = []
         for cond, body in stmt.branches:
@@ -393,7 +409,8 @@ def _dce_stmt(stmt, live):
             live |= branch_live
             if cond is not None:
                 live |= cond.free_vars()
-        return If([(cond, body) for cond, body, _ in processed])
+        branches = [(cond, body) for cond, body, _ in processed]
+        return stmt if unchanged(branches, stmt.branches) else If(branches)
     if isinstance(stmt, Nop):
         return None
     if isinstance(stmt, Block):
@@ -605,7 +622,7 @@ def _cse_block(block, namer):
                 # The assignment itself is the temp for its value.
                 record.temp = Var(stmt.target.name)
         out.append(stmt)
-    return Block(out)
+    return block if unchanged(out, block.stmts) else Block(out)
 
 
 # --------------------------------------------------------------------------
@@ -796,16 +813,13 @@ PIPELINE = {
 
 
 def _scalar_cleanup(stmt, rounds=4):
-    """fold+dce to a (bounded) fixpoint, detected on statement shape."""
-    from repro.ir.emit import emit
-
-    previous = emit(stmt)
+    """fold+dce to a (bounded) fixpoint: the round that hands back the
+    very tree it was given changed nothing."""
     for _ in range(rounds):
-        stmt = dead_code(fold_constants(stmt))
-        rendered = emit(stmt)
-        if rendered == previous:
+        cleaned = dead_code(fold_constants(stmt))
+        if cleaned is stmt:
             break
-        previous = rendered
+        stmt = cleaned
     return stmt
 
 
@@ -814,8 +828,9 @@ def optimize_kernel(func, level=DEFAULT_OPT_LEVEL):
 
     ``level`` 0 returns the tree untouched; 1 runs the scalar passes
     (folding, dead code, LICM, CSE); 2 (default) adds dense-loop
-    vectorization.  The returned tree shares no mutable state with the
-    input and has identical parameters and returns.
+    vectorization.  The returned tree shares every node no pass changed
+    with the input (it *is* the input when none did) and has identical
+    parameters and returns.
     """
     if level is None:
         level = DEFAULT_OPT_LEVEL

@@ -9,6 +9,13 @@ The rules are scalar algebra, so they stop at vectors: a slice's bounds
 and a vector call's scalar operands are simplified like anything else,
 but no rule is applied to a vector node (``v / v => 1`` would change
 its length, and the sum a reduction returns).
+
+Every node a default-rules call returns is marked as a normal form in
+its ``_simple`` slot (a cache, like a statement's ``_effects``): a
+marked node is returned as it is, so an expression that did not change
+since the last optimizer round is not rewritten again.  The mark means
+"no rule of ``DEFAULT_EXPR_RULES`` fires here", so a call with any
+other rule set ignores it.
 """
 
 from repro.ir.nodes import Expr
@@ -26,19 +33,18 @@ def simplify_expr(expr, rules=DEFAULT_EXPR_RULES):
 
 
 def _simplify(expr, rules):
-    children = expr.children()
-    if children:
-        new_children = [_simplify(child, rules) for child in children]
-        if any(new is not old for new, old in zip(new_children, children)):
-            expr = expr.rebuild(new_children)
-    if expr.vector:
-        return expr
+    default = rules is DEFAULT_EXPR_RULES
     for _ in range(_MAX_NODE_ITERATIONS):
-        replacement = _apply_first(expr, rules)
-        if replacement is None:
+        if default and getattr(expr, "_simple", False):
             return expr
         # A rule may build brand-new subtrees; normalize them too.
-        expr = _simplify_children(replacement, rules)
+        expr = _simplify_children(expr, rules)
+        replacement = None if expr.vector else _apply_first(expr, rules)
+        if replacement is None:
+            if default:
+                expr._simple = True
+            return expr
+        expr = replacement
     raise ReproError("rewrite did not reach a fixpoint at %r" % (expr,))
 
 

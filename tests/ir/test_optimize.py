@@ -27,6 +27,7 @@ from repro.ir.optimize import (
     optimize_kernel,
     vectorize,
 )
+from repro.rewrite import DEFAULT_EXPR_RULES, simplify_expr
 
 
 def func_of(*stmts, params=("buf",), returns=()):
@@ -802,6 +803,103 @@ class TestGoldenKernels:
                                           Literal(1.0)))
         func = func_of(loop, params=("out",))
         assert optimize_kernel(func, 0) is func
+
+
+@pytest.fixture(scope="module")
+def optimised_figures():
+    """Each figure's headline kernel as ``optimize_kernel`` leaves it."""
+    import repro.compiler.kernel as compiler
+    from repro.bench.figures import warm_start_programs
+
+    trees, real = {}, compiler.optimize_kernel
+    with pytest.MonkeyPatch.context() as patch:
+        for figure, _, make, opts in warm_start_programs():
+            def keep(func, level, figure=figure):
+                trees[figure] = real(func, level)
+                return trees[figure]
+
+            patch.setattr(compiler, "optimize_kernel", keep)
+            fl.compile_kernel(make(), cache=False, **opts)
+    return trees
+
+
+class TestUnchangedNodesComeBack:
+    """The contract of ``ir/asm.py``: a pass returns the very node it was
+    given when nothing under it changed, and ``simplify_expr`` returns a
+    normal form of the default rules as it is."""
+
+    @pytest.mark.parametrize("run", [fold_constants, dead_code, vectorize],
+                             ids=lambda run: run.__name__)
+    def test_a_pass_at_its_fixpoint_returns_its_input(self, run,
+                                                      optimised_figures):
+        for figure, func in optimised_figures.items():
+            assert run(func) is func, figure
+
+    @pytest.mark.parametrize("run", [hoist_invariants,
+                                     eliminate_common_subexprs],
+                             ids=lambda run: run.__name__)
+    def test_licm_and_cse_return_their_input_unless_they_rewrote(
+            self, run, optimised_figures):
+        # Neither is idempotent (a second LICM hoists a max() the first
+        # left over two hoisted temps), so: same object, or new text.
+        same = [figure for figure, func in optimised_figures.items()
+                if run(func) is func]
+        for figure, func in optimised_figures.items():
+            if figure not in same:
+                assert emit(run(func)) != emit(func), figure
+        assert len(same) >= 4, same
+
+    def test_the_generic_rewriters_keep_what_they_do_not_touch(
+            self, optimised_figures):
+        for figure, func in optimised_figures.items():
+            assert asm.map_statements(func, lambda stmt: None) is func
+            for stmt in asm.walk_statements(func):
+                assert asm.map_statement_exprs(stmt, lambda e: e) is stmt
+
+    def test_a_normal_form_is_not_simplified_again(self, monkeypatch):
+        import repro.rewrite.simplify as simplify
+
+        expr = Call(ops.ADD, [Var("x"), Literal(0), Call(
+            ops.MUL, [Literal(1), Load("buf", Var("i"))])])
+        once = simplify_expr(expr)
+        assert once == build.plus(Var("x"), Load("buf", Var("i")))
+        applied = []
+        monkeypatch.setattr(simplify, "_apply_first",
+                            lambda *args: applied.append(args))
+        assert simplify_expr(once) is once
+        assert applied == []
+
+    def test_the_mark_belongs_to_the_default_rules(self):
+        def square(expr):
+            if isinstance(expr, Call) and expr.op is ops.MUL \
+                    and len(expr.args) == 2 and expr.args[0] == expr.args[1]:
+                return Call(ops.POW, [expr.args[0], Literal(2)])
+            return None
+
+        product = simplify_expr(build.times(Var("x"), Var("x")))
+        assert simplify_expr(product) is product     # marked
+        assert simplify_expr(product, DEFAULT_EXPR_RULES + (square,)) \
+            == Call(ops.POW, [Var("x"), Literal(2)])
+        # And a call with other rules marks nothing it returns.
+        unsimplified = simplify_expr(Call(ops.ADD, [Var("x"), Literal(0)]),
+                                     rules=())
+        assert simplify_expr(unsimplified) == Var("x")
+
+    def test_a_fixpoint_more_than_one_round_away_is_reached(self):
+        # Round 1 cannot forward ``c = p`` into the loop (the body writes
+        # p) and deletes that write as dead; only round 2 forwards p and
+        # round 3 finds nothing left to do.
+        func = func_of(
+            asm.AssignStmt("c", Var("p")),
+            asm.ForLoop("i", Literal(0), Var("n"), asm.Block([
+                asm.AssignStmt("p", Literal(7)),
+                asm.AssignStmt(Load("buf", Var("i")), Var("c"))])),
+            params=("buf", "p", "n"))
+        one_round = dead_code(fold_constants(func))
+        assert "c = p" in emit(one_round)
+        assert emit(optimize_kernel(func, 1).body) == (
+            "for i in range(0, n):\n"
+            "    buf[i] = p\n")
 
 
 class TestTempsAvoidTheKernelNamespace:
