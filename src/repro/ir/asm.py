@@ -269,9 +269,14 @@ def _map_children(stmt, fn):
         branches = [(cond, map_statements(body, fn))
                     for cond, body in stmt.branches]
         return stmt if unchanged(branches, stmt.branches) else If(branches)
-    if not isinstance(stmt, (ForLoop, WhileLoop, FuncDef)):
-        return stmt
-    body = map_statements(stmt.body, fn)
+    if isinstance(stmt, (ForLoop, WhileLoop, FuncDef)):
+        return with_body(stmt, map_statements(stmt.body, fn))
+    return stmt
+
+
+def with_body(stmt, body):
+    """The loop or function ``stmt`` around ``body``: ``stmt`` itself
+    when ``body`` is the one it has."""
     if body is stmt.body:
         return stmt
     if isinstance(stmt, ForLoop):

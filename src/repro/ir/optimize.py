@@ -78,6 +78,7 @@ from repro.ir.asm import (
     statement_exprs,
     target_address,
     unchanged,
+    with_body,
 )
 from repro.ir.nodes import (
     Call,
@@ -223,10 +224,7 @@ def _env_kill(env, names):
 
 def _fold(stmt, env):
     if isinstance(stmt, FuncDef):
-        body = _fold(stmt.body, {})
-        if body is stmt.body:
-            return stmt
-        return FuncDef(stmt.name, stmt.params, body, returns=stmt.returns)
+        return with_body(stmt, _fold(stmt.body, {}))
     if isinstance(stmt, Block):
         stmts = [_fold(child, env) for child in stmt.stmts]
         return stmt if unchanged(stmts, stmt.stmts) else Block(stmts)
@@ -338,10 +336,7 @@ def dead_code(stmt, live=None):
     """
     if isinstance(stmt, FuncDef):
         live = set(stmt.returns) | (live or set())
-        body = _dce_block(stmt.body, live)
-        if body is stmt.body:
-            return stmt
-        return FuncDef(stmt.name, stmt.params, body, returns=stmt.returns)
+        return with_body(stmt, _dce_block(stmt.body, live))
     live = set(live) if live else set()
     if isinstance(stmt, Block):
         return _dce_block(stmt, live)
@@ -376,9 +371,7 @@ def _dce_stmt(stmt, live):
         body = _dce_block(stmt.body, inner)
         live |= inner
         live |= stmt.start.free_vars() | stmt.stop.free_vars()
-        if body is stmt.body:
-            return stmt
-        return ForLoop(stmt.var, stmt.start, stmt.stop, body)
+        return with_body(stmt, body)
     if isinstance(stmt, WhileLoop):
         # Never dropped: a (mis)compiled infinite loop should stay
         # observable rather than silently vanish.
@@ -392,7 +385,7 @@ def _dce_stmt(stmt, live):
         # regardless of what the body does (found by the fuzz engine:
         # an initializer feeding only the condition was deleted).
         live |= stmt.cond.free_vars()
-        return stmt if body is stmt.body else WhileLoop(stmt.cond, body)
+        return with_body(stmt, body)
     if isinstance(stmt, If):
         processed = []
         for cond, body in stmt.branches:
