@@ -11,18 +11,23 @@ from repro.cin.nodes import (
     Access,
     Assign,
     Forall,
+    Multi,
     OffsetExpr,
+    Pass,
     PermitExpr,
     Sieve,
+    Where,
     WindowExpr,
     collect_accesses,
     stmt_exprs,
     walk_stmts,
 )
+import collections
 import hashlib
+import operator
 
 from repro.ir import build
-from repro.ir.nodes import Extent, Literal, Var
+from repro.ir.nodes import Call, Extent, Literal, Var
 from repro.util.errors import DimensionError, ReproError
 
 
@@ -160,19 +165,102 @@ def structural_key(stmt):
     kernel parameter, so the sharing pattern must match for a cached
     kernel to be rebindable.
     """
-    slots = []
-    slot_index = {}
+    return program_walk(stmt).key
 
-    def slot(tensor):
-        key = id(tensor)
-        if key not in slot_index:
-            slot_index[key] = len(slots)
-            slots.append(tensor)
-        return slot_index[key]
 
-    body = _stmt_key(stmt, slot)
-    signatures = tuple(tensor_signature(tensor) for tensor in slots)
-    return ("cin", body, signatures, buffer_alias_groups(slots))
+#: What one walk over a program finds (:func:`program_walk`): the
+#: :func:`structural_key`, the kernel's slots (:func:`program_tensors`),
+#: the slot of each of :func:`output_tensors`, each slot's
+#: ``kernel_buffers()`` and the slots' :func:`buffer_alias_groups`.
+ProgramWalk = collections.namedtuple(
+    "ProgramWalk", "key tensors output_slots buffers alias_groups")
+
+
+def program_walk(stmt):
+    """One pass over ``stmt`` that yields everything a compile reads
+    from the program tree, as a :class:`ProgramWalk`: the structural
+    key, the tensors in slot order, the output slots, and each
+    tensor's ``kernel_buffers()`` — the last called once per tensor,
+    for both the key's alias groups and the kernel's bind.
+
+    The key numbers every tensor it meets; the slots count only the
+    tensors that assignments and sieves access.  The two orders agree
+    unless a ``pass`` or a forall extent names a tensor first.
+    """
+    numbered = {}   # id(tensor) -> key slot
+    keyed = []      # tensors in key-slot order
+    slots = {}      # id(tensor) -> kernel slot
+    tensors = []    # tensors in kernel-slot order
+    outputs = []
+
+    def number(tensor):
+        ident = id(tensor)
+        slot = numbered.get(ident)
+        if slot is None:
+            slot = numbered[ident] = len(keyed)
+            keyed.append(tensor)
+        return slot
+
+    def expr_key(expr, accessed):
+        if isinstance(expr, Access):
+            tensor = expr.tensor
+            if accessed and id(tensor) not in slots:
+                slots[id(tensor)] = len(tensors)
+                tensors.append(tensor)
+            return (("access", number(tensor), expr.protocols)
+                    + tuple([expr_key(idx, accessed)
+                             for idx in expr.idxs]))
+        children = expr.children()
+        if not children:
+            # Leaves (Literal, Var) have data-independent keys already.
+            return expr.key()
+        if isinstance(expr, Call):
+            head = ("call", expr.op.name)
+        else:
+            head = (type(expr).__name__,)
+        return head + tuple([expr_key(child, accessed)
+                             for child in children])
+
+    def stmt_key(stmt):
+        if isinstance(stmt, Assign):
+            lhs = expr_key(stmt.lhs, True)
+            slot = slots[id(stmt.lhs.tensor)]
+            if slot not in outputs:
+                outputs.append(slot)
+            return ("assign", None if stmt.op is None else stmt.op.name,
+                    lhs, expr_key(stmt.rhs, True))
+        if isinstance(stmt, Forall):
+            ext = stmt.ext
+            return ("forall", stmt.index.name,
+                    None if ext is None else
+                    ("extent", expr_key(ext.start, False),
+                     expr_key(ext.stop, False)),
+                    stmt_key(stmt.body))
+        if isinstance(stmt, Sieve):
+            return ("sieve", expr_key(stmt.cond, True),
+                    stmt_key(stmt.body))
+        if isinstance(stmt, Where):
+            return ("where", stmt_key(stmt.consumer),
+                    stmt_key(stmt.producer))
+        if isinstance(stmt, Multi):
+            return ("multi",) + tuple([stmt_key(child)
+                                       for child in stmt.stmts])
+        if isinstance(stmt, Pass):
+            return ("pass",) + tuple([number(tensor)
+                                      for tensor in stmt.tensors])
+        raise ReproError("cannot key statement %r" % (stmt,))
+
+    body = stmt_key(stmt)
+    buffers = [tensor_binding_buffers(tensor) for tensor in keyed]
+    groups = _alias_groups(buffers)
+    key = ("cin", body, tuple([tensor_signature(tensor)
+                               for tensor in keyed]), groups)
+    if len(keyed) != len(tensors) or any(map(operator.is_not, keyed,
+                                             tensors)):
+        by_id = dict(zip(map(id, keyed), buffers))
+        buffers = [by_id[id(tensor)] for tensor in tensors]
+        groups = _alias_groups(buffers)
+    return ProgramWalk(key, tensors, tuple(outputs), buffers, groups)
 
 
 def structural_digest(key, length=12):
@@ -195,59 +283,21 @@ def structural_digest(key, length=12):
 
 def buffer_alias_groups(tensors):
     """Groups of ``(slot, role)`` pairs whose buffers are one object."""
+    return _alias_groups([tensor_binding_buffers(tensor)
+                          for tensor in tensors])
+
+
+def _alias_groups(buffers):
+    """:func:`buffer_alias_groups` over each slot's taken buffers."""
+    ids = [id(buf) for roles in buffers for buf in roles.values()]
+    if len(set(ids)) == len(ids):
+        return ()
     owners = {}
-    for slot, tensor in enumerate(tensors):
-        for role, buf in tensor_binding_buffers(tensor).items():
+    for slot, roles in enumerate(buffers):
+        for role, buf in roles.items():
             owners.setdefault(id(buf), []).append((slot, role))
     return tuple(tuple(group) for group in owners.values()
                  if len(group) > 1)
-
-
-def _stmt_key(stmt, slot):
-    if isinstance(stmt, Assign):
-        op = stmt.op.name if stmt.op is not None else None
-        return ("assign", op, _expr_key(stmt.lhs, slot),
-                _expr_key(stmt.rhs, slot))
-    if isinstance(stmt, Forall):
-        return ("forall", stmt.index.name, _extent_key(stmt.ext, slot),
-                _stmt_key(stmt.body, slot))
-    if isinstance(stmt, Sieve):
-        return ("sieve", _expr_key(stmt.cond, slot),
-                _stmt_key(stmt.body, slot))
-    from repro.cin.nodes import Multi, Pass, Where
-
-    if isinstance(stmt, Where):
-        return ("where", _stmt_key(stmt.consumer, slot),
-                _stmt_key(stmt.producer, slot))
-    if isinstance(stmt, Multi):
-        return ("multi",) + tuple(_stmt_key(child, slot)
-                                  for child in stmt.stmts)
-    if isinstance(stmt, Pass):
-        return ("pass",) + tuple(slot(tensor) for tensor in stmt.tensors)
-    raise ReproError("cannot key statement %r" % (stmt,))
-
-
-def _expr_key(expr, slot):
-    from repro.ir.nodes import Call
-
-    if isinstance(expr, Access):
-        return (("access", slot(expr.tensor), expr.protocols)
-                + tuple(_expr_key(idx, slot) for idx in expr.idxs))
-    children = expr.children()
-    if not children:
-        # Leaves (Literal, Var) have data-independent keys already.
-        return expr.key()
-    if isinstance(expr, Call):
-        head = ("call", expr.op.name)
-    else:
-        head = (type(expr).__name__,)
-    return head + tuple(_expr_key(child, slot) for child in children)
-
-
-def _extent_key(ext, slot):
-    if ext is None:
-        return None
-    return ("extent", _expr_key(ext.start, slot), _expr_key(ext.stop, slot))
 
 
 def check_program(stmt):
@@ -283,12 +333,14 @@ def _check(stmt, names_in_scope):
 
 
 __all__ = [
+    "ProgramWalk",
     "buffer_alias_groups",
     "check_program",
     "forall_indices",
     "infer_extents",
     "output_tensors",
     "program_tensors",
+    "program_walk",
     "structural_key",
     "tensor_binding_buffers",
     "tensor_signature",

@@ -54,12 +54,9 @@ import time
 from collections import OrderedDict
 
 from repro.cin.analyze import (
-    buffer_alias_groups,
     check_program,
     infer_extents,
-    output_tensors,
-    program_tensors,
-    structural_key,
+    program_walk,
     tensor_binding_buffers,
     tensor_signature,
 )
@@ -131,7 +128,7 @@ class CompiledKernel:
     structure; itself immutable after construction.
     """
 
-    __slots__ = ("fn", "seed_args", "seed_tensors", "so_path",
+    __slots__ = ("fn", "seed_args", "seed_tensors", "so_path", "code",
                  "_slot_params", "_alias_pairs") + SPEC_FIELDS
 
     def __init__(self, fn, name, source, raw_source, opt_level, plan,
@@ -139,18 +136,21 @@ class CompiledKernel:
                  instrument, compile_seconds, structural_key=None,
                  slot_names=None, constant_loop_rewrite=True,
                  backend="python", c_source=None, c_param_dtypes=None,
-                 so_path=None):
+                 so_path=None, code=None):
         # ``fn`` is the *active* entry point: the C wrapper (and then
         # ``so_path`` names its shared object) when the C backend
-        # produced one, the exec'd Python function otherwise.  Both
-        # take the same positional buffers, so every runner
-        # (Kernel.run, the batch workers) stays backend-agnostic.
+        # produced one, the exec'd Python function otherwise (and then
+        # ``code`` is the module code object ``source`` compiled to,
+        # which the disk store keeps beside the entry).  Both take the
+        # same positional buffers, so every runner (Kernel.run, the
+        # batch workers) stays backend-agnostic.
         self.fn = fn
         self.backend = backend
         self.c_source = c_source
         self.c_param_dtypes = (None if c_param_dtypes is None
                                else list(c_param_dtypes))
         self.so_path = so_path
+        self.code = code
         self.name = name
         self.source = source
         self.raw_source = raw_source
@@ -232,7 +232,7 @@ class CompiledKernel:
         return spec
 
     @classmethod
-    def from_spec(cls, spec, so_path=None):
+    def from_spec(cls, spec, so_path=None, code=None):
         """Rebuild an artifact from :meth:`to_spec` output.
 
         Builds the entry point from the serialized source (the only
@@ -246,6 +246,8 @@ class CompiledKernel:
         persisted shared object — is tried first, and any failure
         (missing toolchain, foreign or truncated ``.so``) degrades to
         the python backend with a logged fallback, never an error.
+        ``code`` — the store's verified code object of ``source`` — is
+        ``exec``'d instead of compiling the source again.
         """
         version = spec.get("spec_version")
         if version != SPEC_VERSION:
@@ -254,11 +256,11 @@ class CompiledKernel:
                 % (version, SPEC_VERSION))
         spec = {**_SPEC_DEFAULTS, **spec}
         fields = {key: _frozen(spec[key]) for key in SPEC_FIELDS}
-        fn, built_path = _entry_point(
+        fn, built_path, code = _entry_point(
             fields["name"], fields["source"],
             fields["c_source"] if fields["backend"] == "c" else None,
-            fields["c_param_dtypes"], so_path=so_path)
-        return cls(fn=fn, so_path=built_path,
+            fields["c_param_dtypes"], so_path=so_path, code=code)
+        return cls(fn=fn, so_path=built_path, code=code,
                    seed_args=(None,) * len(fields["plan"]),
                    seed_tensors=(), **fields)
 
@@ -289,16 +291,20 @@ class CompiledKernel:
                 % (slot, getattr(tensor, "name", "?"), actual,
                    expected))
 
-    def bind(self, tensors):
+    def bind(self, tensors, buffers=None):
         """Positional kernel arguments for ``tensors`` (one per slot).
 
         Validates format signatures and the buffer-aliasing pattern,
         then resolves every plan entry to the new tensor's buffer.
+        ``buffers`` holds each tensor's ``kernel_buffers()`` when the
+        caller already took them (:func:`~repro.cin.analyze.
+        program_walk`).
         """
         tensors = list(tensors)
         self.validate(tensors)
         return self._point(tensors, range(len(tensors)),
-                           [None] * len(tensors))
+                           [None] * len(tensors) if buffers is None
+                           else buffers)
 
     def _point(self, tensors, slots, roles, args=None):
         """The one bind pass: ``args`` (default: a fresh list) with the
@@ -347,18 +353,24 @@ class Kernel:
     view over a shared :class:`CompiledKernel` artifact."""
 
     def __init__(self, artifact, tensors, program, from_cache=False,
-                 tuned=False):
+                 tuned=False, walk=None):
+        """Bind ``artifact`` to ``tensors``, ``program``'s tensors in
+        slot order.  ``walk`` is the program's :func:`~repro.cin.
+        analyze.program_walk` when the caller already made it (and
+        ``tensors`` then its very list, whose buffers it took)."""
+        if walk is None:
+            walk = program_walk(program)
         self._artifact = artifact
-        self.rebind(tensors)
+        if tensors is walk.tensors:
+            self._bind(tensors, walk.buffers)
+        else:
+            self._bind(list(tensors))
         self.program = program
         self.from_cache = from_cache
         #: True when the autotuner's winners table rewrote the program
         #: (``compile_kernel(..., tune="apply")`` with a hit).
         self.tuned = tuned
-        self._output_slots = tuple(
-            next(slot for slot, t in enumerate(self._tensors)
-                 if t is out)
-            for out in output_tensors(program))
+        self._output_slots = walk.output_slots
 
     @property
     def artifact(self):
@@ -475,12 +487,16 @@ class Kernel:
                 raise BindingError(
                     "pass either a full tensor sequence or name "
                     "overrides, not both")
-            replacement = list(tensors)
-            self._args = self._artifact.bind(replacement)
-            self._tensors = replacement
-            self._epoch = _share._adoptions
+            self._bind(list(tensors))
         self._by_name = None  # name -> slots, built on first override
         return self
+
+    def _bind(self, tensors, buffers=None):
+        """Bind every slot to ``tensors`` (a list this kernel keeps)."""
+        self._args = self._artifact.bind(tensors, buffers)
+        self._tensors = tensors
+        self._epoch = _share._adoptions
+        self._by_name = None
 
     def _with_overrides(self, mapping):
         """``(tensors, args)`` with the named slots replaced: only
@@ -635,32 +651,37 @@ def kernel_cache():
     return KERNEL_CACHE
 
 
-def _entry_point(name, source, c_source, c_param_dtypes, so_path=None):
-    """The active entry point of one kernel, as ``(fn, so_path)``: the
-    native entry and its shared object when ``c_source`` loads or
-    compiles (``so_path``, a persisted ``.so``, is tried first); else
-    the python function — ``exec``'d only here, when no C entry is
-    live — and None.  A toolchain failure is a logged fallback, never
-    an error, and the artifact keeps its C source: another process
-    loading its spec may have a working toolchain."""
+def _entry_point(name, source, c_source, c_param_dtypes, so_path=None,
+                 code=None):
+    """The active entry point of one kernel, as ``(fn, so_path,
+    code)``: the native entry and its shared object when ``c_source``
+    loads or compiles (``so_path``, a persisted ``.so``, is tried
+    first); else the python function — ``exec``'d only here, when no C
+    entry is live — and the module code object it came from (``code``
+    when given, which must be ``source`` compiled: the store hands
+    back the one it kept).  A toolchain failure is a logged fallback,
+    never an error, and the artifact keeps its C source: another
+    process loading its spec may have a working toolchain."""
     if c_source:
         from repro import codegen
 
         try:
             return codegen.kernel_entry(c_source, name, c_param_dtypes,
-                                        so_path=so_path)
+                                        so_path=so_path) + (None,)
         except codegen.ToolchainError as exc:
             codegen.note_fallback(name, str(exc))
+    if code is None:
+        code = compile(source, "<repro-kernel>", "exec")
     namespace = kernel_globals()
-    exec(compile(source, "<repro-kernel>", "exec"), namespace)
-    return namespace[name], None
+    exec(code, namespace)
+    return namespace[name], None, code
 
 
-def _compile_artifact(program, tensors, instrument, name,
-                      constant_loop_rewrite, opt_level,
-                      structural_key=None, backend="python"):
+def _compile_artifact(program, walk, instrument, name,
+                      constant_loop_rewrite, opt_level, backend="python"):
     """Lower, optimize, emit, and exec one program; package the
-    artifact.
+    artifact.  ``walk`` is the program's :func:`~repro.cin.analyze.
+    program_walk`: its slots, outputs, alias groups and key.
 
     With ``backend="c"`` the optimized target AST is additionally
     lowered to C99 and compiled into a shared object
@@ -668,15 +689,15 @@ def _compile_artifact(program, tensors, instrument, name,
     is ``kernel.source`` and the fallback entry — but ``exec``'d only
     when no C entry came up (:func:`_entry_point`)."""
     start = time.perf_counter()
+    tensors = walk.tensors
     ctx = Context(instrument=instrument,
                   constant_loop_rewrite=constant_loop_rewrite)
     ctx.register_tensors(tensors)
     ctx.extents = infer_extents(program)
-    outputs = output_tensors(program)
 
     lowerer = Lowerer(ctx)
-    for tensor in outputs:
-        lowerer.emit_reset(tensor)
+    for slot in walk.output_slots:
+        lowerer.emit_reset(tensors[slot])
     lowerer.lower_stmt(program)
     body = ctx.take_block()
 
@@ -718,7 +739,8 @@ def _compile_artifact(program, tensors, instrument, name,
             c_param_dtypes = [dtype_map[p] for p in func.params]
         except codegen.CUnsupportedError as exc:
             codegen.note_fallback(name, str(exc))
-    fn, so_path = _entry_point(name, source, c_source, c_param_dtypes)
+    fn, so_path, code = _entry_point(name, source, c_source,
+                                     c_param_dtypes)
 
     plan = ctx.binding_plan()
     # Keep first-run buffers only where rebinding can never replace
@@ -743,16 +765,17 @@ def _compile_artifact(program, tensors, instrument, name,
             tensor for tensor, sig in zip(tensors, signatures)
             if _identity_pinned(tensor, sig)),
         signatures=signatures,
-        alias_groups=buffer_alias_groups(tensors),
+        alias_groups=walk.alias_groups,
         instrument=instrument,
         compile_seconds=time.perf_counter() - start,
-        structural_key=structural_key,
+        structural_key=walk.key,
         slot_names=tuple(getattr(t, "name", "?") for t in tensors),
         constant_loop_rewrite=constant_loop_rewrite,
         backend=backend,
         c_source=c_source,
         c_param_dtypes=c_param_dtypes,
         so_path=so_path,
+        code=code,
     )
 
 
@@ -807,7 +830,8 @@ def compile_kernel(program, instrument=False, name="kernel",
     runs the scalar passes (constant folding, dead code, LICM, CSE),
     and 2 — the default — adds dense-loop vectorization to numpy
     slice operations.  The level is part of the cache key, so kernels
-    compiled at different levels never share an artifact.
+    compiled at different levels never share an artifact; any other
+    value (``7``, ``2.7``, ``True``) raises ``ValueError``.
 
     ``backend`` selects how the optimized kernel is executed:
     ``"python"`` (the default) ``exec``s the emitted Python source,
@@ -861,32 +885,30 @@ def compile_kernel(program, instrument=False, name="kernel",
             if backend is None:
                 backend = tuning.get("backend")
             tuned = True
-    tensors = program_tensors(program)
     opt_level = _config.resolve("opt_level", override=opt_level)
     if opt_level is None:
         opt_level = DEFAULT_OPT_LEVEL
-    opt_level = int(opt_level)
     backend = _config.resolve("backend", override=backend)
     cache = True if opts.cache is None else opts.cache
-    skey = structural_key(program)
+    walk = program_walk(program)
 
     def build():
-        return _compile_artifact(program, tensors, instrument, name,
+        return _compile_artifact(program, walk, instrument, name,
                                  constant_loop_rewrite, opt_level,
-                                 structural_key=skey, backend=backend)
+                                 backend=backend)
 
     # The remote tier participates only in full read-through mode: a
     # caller narrowing to one local tier is asking for locality.
     artifact, tier = read_through(
-        KernelKey(skey, instrument, name, constant_loop_rewrite,
+        KernelKey(walk.key, instrument, name, constant_loop_rewrite,
                   opt_level, backend),
         build,
         memory=KERNEL_CACHE if cache is True or cache == "memory"
         else None,
         store=opts.store if cache is True or cache == "disk" else False,
         remote=opts.remote if cache is True else False)
-    return Kernel(artifact, tensors, program,
-                  from_cache=tier is not None, tuned=tuned)
+    return Kernel(artifact, walk.tensors, program,
+                  from_cache=tier is not None, tuned=tuned, walk=walk)
 
 
 def execute(program, instrument=False, cache=None, opt_level=None,

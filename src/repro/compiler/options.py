@@ -20,7 +20,7 @@ be shared between processes with different configuration.
 
 from dataclasses import dataclass, fields, replace
 
-from repro.util.config import BACKENDS, TUNE_MODES
+from repro.util.config import BACKENDS, OPTIONS, TUNE_MODES
 
 __all__ = ["BACKENDS", "CACHE_MODES", "TUNE_MODES", "CompileOptions"]
 
@@ -91,7 +91,8 @@ class CompileOptions:
                 "tune must be one of %s; got %r"
                 % ("/".join(TUNE_MODES), self.tune))
         if self.opt_level is not None:
-            object.__setattr__(self, "opt_level", int(self.opt_level))
+            object.__setattr__(self, "opt_level",
+                               OPTIONS["opt_level"].validate(self.opt_level))
 
     def merged(self, **overrides):
         """A new options value with the non-None ``overrides`` fields
@@ -108,8 +109,8 @@ class CompileOptions:
         """The effective options for one call: ``options=`` (or a
         fresh default) with the sugar kwargs merged over it."""
         if options is None:
-            options = cls()
-        elif not isinstance(options, cls):
+            return cls(**sugar)
+        if not isinstance(options, cls):
             raise TypeError(
                 "options must be a CompileOptions, got %r"
                 % type(options).__name__)

@@ -31,7 +31,7 @@ from repro.util.errors import SpecError
 _log = logging.getLogger("repro.compiler")
 
 
-def rebuild(spec, so=None):
+def rebuild(spec, so=None, code=None):
     """The artifact ``spec`` rebuilds to, or None when it does not
     (malformed, wrong spec version, source that no longer ``exec``\\ s)
     — each tier reads that as a miss.
@@ -40,8 +40,10 @@ def rebuild(spec, so=None):
     ``.so`` sidecar) or the raw bytes a service fetch carried, which
     are parked in the toolchain's per-process scratch directory so the
     artifact's ``so_path`` names a real file for the life of the
-    process.  Either is an optimization — a C spec recompiles from its
-    carried source when it is missing or does not load.
+    process.  ``code`` is the store's verified code object of the
+    spec's python source.  Each is an optimization — a C spec
+    recompiles from its carried source when its ``.so`` is missing or
+    does not load, a python one compiles its source.
     """
     from repro.compiler.kernel import CompiledKernel
 
@@ -52,7 +54,7 @@ def rebuild(spec, so=None):
             so = (toolchain.adopt_shared(spec["c_source"],
                                          spec["name"], so)
                   if spec.get("c_source") else None)
-        return CompiledKernel.from_spec(spec, so_path=so)
+        return CompiledKernel.from_spec(spec, so_path=so, code=code)
     except Exception as exc:
         _log.warning("kernel spec does not rebuild (%s: %s)",
                      type(exc).__name__, exc)
@@ -76,9 +78,10 @@ def put(key, artifact=None, spec=None, memory=None, store=None,
 
     ``artifact`` goes to ``memory``; its spec (``spec`` when the
     caller already holds it, else serialized here, once) goes to
-    ``store`` — with the artifact's shared object as the sidecar — and
-    to ``client`` (the service's async compile queue).  A bulk
-    importer filing specs it never rebuilt passes ``spec`` alone.
+    ``store`` — with the artifact's shared object or code object as
+    the sidecars — and to ``client`` (the service's async compile
+    queue).  A bulk importer filing specs it never rebuilt passes
+    ``spec`` alone.
     """
     if memory is not None:
         memory.store(key.memory, artifact)
@@ -89,9 +92,11 @@ def put(key, artifact=None, spec=None, memory=None, store=None,
         if spec is None:
             return
     if store is not None:
-        store.save_spec(key.meta, spec,
-                        so_path=(None if artifact is None
-                                 else artifact.so_path))
+        if artifact is None:
+            store.save_spec(key.meta, spec)
+        else:
+            store.save_spec(key.meta, spec, so_path=artifact.so_path,
+                            code=artifact.code)
     if client is not None:
         client.push(key.meta, spec)
 

@@ -19,6 +19,13 @@ work, never break a compile:
   the requested meta (version-axes check), a bad ``.so`` encoding —
   counts ``remote_errors`` and reads as a miss, mirroring the disk
   store's quarantine-as-miss discipline.
+* Requests ride a keep-alive connection: one
+  :class:`http.client.HTTPConnection` per client, process and thread,
+  so a warm fetch pays a round trip, not a TCP handshake.  A reused
+  connection the server has closed (idle timeout, restart) is
+  re-opened once, at once — that reconnect is not a retry and sleeps
+  no backoff.  A forked child never writes to its parent's socket: it
+  opens its own.
 
 Counters accumulate module-wide in the ``faults``-style scheme
 (:func:`service_stats`): ``remote_hits`` / ``remote_misses`` /
@@ -29,12 +36,12 @@ real network failure.
 """
 
 import base64
+import http.client
 import json
 import logging
+import os
 import threading
 import time
-import urllib.error
-import urllib.request
 
 from repro.compiler.key import entry_digest
 from repro.util.errors import ServiceUnreachableError
@@ -79,13 +86,19 @@ class ServiceClient:
     ``timeout_s`` and ``retries`` default through the config resolver
     (``FL_SERVICE_TIMEOUT_S`` / ``FL_SERVICE_RETRIES``).  All methods
     are thread-safe; the degrade state (cooldown window, warn-once
-    flag) is per-client.
+    flag) is per-client, the keep-alive connection per thread.
     """
 
     def __init__(self, url, timeout_s=None, retries=None):
         from repro.util import config
 
         self.url = url.rstrip("/")
+        scheme, _, rest = self.url.partition("://")
+        self._connection_class = {
+            "http": http.client.HTTPConnection,
+            "https": http.client.HTTPSConnection}.get(scheme)
+        self._host, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
         self.timeout_s = config.resolve("service_timeout_s",
                                         override=timeout_s)
         self.retries = config.resolve("service_retries",
@@ -93,6 +106,7 @@ class ServiceClient:
         self._lock = threading.Lock()
         self._down_until = 0.0
         self._warned = False
+        self._local = threading.local()
 
     # -- transport -----------------------------------------------------
     def _request(self, path, data=None):
@@ -109,23 +123,55 @@ class ServiceClient:
             try:
                 if _chaos.active():
                     _chaos.inject("service_unreachable")
-                request = urllib.request.Request(
-                    self.url + path, data=data,
-                    headers={"Content-Type": "application/json"}
-                    if data is not None else {})
-                with urllib.request.urlopen(
-                        request, timeout=self.timeout_s) as response:
-                    return response.status, response.read()
-            except urllib.error.HTTPError as exc:
-                # Subclass of URLError — must be caught first.  The
-                # service answered; this is a routed response (miss,
-                # rejection), not an unreachable service.
-                return exc.code, exc.read()
-            except (urllib.error.URLError, OSError) as exc:
+                return self._exchange(path, data)
+            except (http.client.HTTPException, OSError) as exc:
                 last = exc
         raise ServiceUnreachableError(
             "kernel service %s unreachable after %d attempt(s): %s: %s"
             % (self.url, self.retries + 1, type(last).__name__, last))
+
+    def _exchange(self, path, data):
+        """One request over this thread's connection.  When a reused
+        connection turns out closed by the server, the request is sent
+        once more on a new one, immediately."""
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            return self._send(conn, path, data)
+        except ConnectionError:
+            if not reused:
+                raise
+        return self._send(self._connection(), path, data)
+
+    def _send(self, conn, path, data):
+        """``(status, body)`` of one request on ``conn``; on any
+        failure the connection is closed and forgotten."""
+        try:
+            conn.request("GET" if data is None else "POST",
+                         self._prefix + path, body=data,
+                         headers={"Content-Type": "application/json"}
+                         if data is not None else {})
+            response = conn.getresponse()
+            return response.status, response.read()
+        except BaseException:
+            self._local.conn = None
+            conn.close()
+            raise
+
+    def _connection(self):
+        """This process's and thread's connection to the service (a
+        forked child's inherited one is dropped, never used)."""
+        local = self._local
+        conn = getattr(local, "conn", None)
+        if conn is None or local.pid != os.getpid():
+            if self._connection_class is None:
+                # Unreachable, not malformed: the tier degrades.
+                raise OSError("kernel service URL %r is not http(s)"
+                              % self.url)
+            conn = local.conn = self._connection_class(
+                self._host, timeout=self.timeout_s)
+            local.pid = os.getpid()
+        return conn
 
     # -- degrade bookkeeping -------------------------------------------
     def available(self):

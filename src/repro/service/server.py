@@ -1,12 +1,12 @@
 """The kernel service's server half: a store behind four routes.
 
 Deliberately boring infrastructure: stdlib ``ThreadingHTTPServer``
-(one thread per request, fine for a cache whose responses are small
-JSON bodies), one background compile-queue thread, and the existing
-:class:`~repro.store.disk.KernelStore` as the only state.  Everything
-durable — atomicity, locking, quarantine, eviction, the persisted
-counters — is the store's problem, already solved; the service is a
-wire adapter over it.
+(one thread per connection, fine for a cache whose responses are
+small JSON bodies), one background compile-queue thread, and the
+existing :class:`~repro.store.disk.KernelStore` as the only state.
+Everything durable — atomicity, locking, quarantine, eviction, the
+persisted counters — is the store's problem, already solved; the
+service is a wire adapter over it.
 
 Routes::
 
@@ -24,6 +24,13 @@ code, exactly like the disk store does.  The server never trusts a
 pushed entry's digest claim either: ``POST /compile`` re-derives the
 digest from the pushed key and verifies the spec rebuilds before the
 entry reaches the store.
+
+Connections are HTTP/1.1 keep-alive: a client's fetches share one TCP
+connection and one handler thread.  Responses go out with Nagle's
+algorithm off (``TCP_NODELAY``) — otherwise the small body written
+after the headers waits for the client's delayed ACK, about 40 ms per
+request.  A connection idle for :data:`IDLE_TIMEOUT_S` is closed, and
+:meth:`KernelService.close` ends every open one.
 """
 
 import base64
@@ -31,6 +38,7 @@ import json
 import logging
 import os
 import queue
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -43,6 +51,10 @@ _log = logging.getLogger("repro.service")
 #: Largest request body ``POST /compile`` accepts (a spec is tens of
 #: kilobytes; anything near this is garbage or abuse).
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Seconds a kept-alive connection may sit idle before the server
+#: closes it (the client re-opens one on its next request).
+IDLE_TIMEOUT_S = 60.0
 
 
 class _CompileQueue:
@@ -134,6 +146,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "fl-kernel-service/1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
+
+    def setup(self):
+        super().setup()
+        self.server.service.connections.add(self.connection)
+
+    def finish(self):
+        self.server.service.connections.discard(self.connection)
+        super().finish()
 
     def log_message(self, fmt, *args):  # route to logging, not stderr
         _log.debug("%s " + fmt, self.address_string(), *args)
@@ -143,6 +165,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -220,6 +244,9 @@ class _Handler(BaseHTTPRequestHandler):
             if not isinstance(entry["spec"], dict):
                 raise ValueError("spec must be an object")
         except (ValueError, KeyError, TypeError) as exc:
+            # The body may be unread: this connection cannot carry
+            # another request.
+            self.close_connection = True
             self._send_json(400, {"error": "malformed entry: %s" % exc})
             return
         digest, queued = service.queue.submit(
@@ -249,6 +276,8 @@ class KernelService:
         self._counters = {"hits": 0, "misses": 0, "pushes": 0,
                           "pack_downloads": 0}
         self._counters_lock = threading.Lock()
+        #: The sockets of the open client connections.
+        self.connections = set()
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.service = self
@@ -290,8 +319,15 @@ class KernelService:
         self._httpd.serve_forever()
 
     def close(self):
+        """Stop serving: no new connections, and every open keep-alive
+        connection is shut down (its handler thread then ends)."""
         self._httpd.shutdown()
         self._httpd.server_close()
+        for conn in list(self.connections):
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its handler
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

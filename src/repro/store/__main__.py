@@ -8,6 +8,7 @@ Subcommands::
     ls      list a pack's or a store's entries
     stats   print a store's counters; optionally enforce a hit-rate
             floor (the CI gate) and emit a markdown summary table
+    gc      delete a store's stale entries (other code versions')
 
 Examples::
 
@@ -16,6 +17,7 @@ Examples::
     python -m repro.store verify kernels.flpack
     python -m repro.store ls --store .fl_store
     python -m repro.store stats --store .fl_store --min-hit-rate 0.9 --markdown
+    python -m repro.store gc --store .fl_store --stale
 """
 
 import argparse
@@ -23,7 +25,7 @@ import json
 import os
 import sys
 
-from repro.compiler.key import KernelKey
+from repro.compiler.key import KernelKey, is_current
 from repro.compiler.tiers import put
 from repro.store import KernelStore
 from repro.store.pack import (
@@ -103,6 +105,13 @@ def _build_parser():
     stats.add_argument("--markdown", action="store_true",
                        help="emit a GitHub-flavored markdown table "
                             "(for $GITHUB_STEP_SUMMARY)")
+
+    gc = sub.add_parser(
+        "gc", help="delete entries no lookup by this code can reach")
+    gc.add_argument("--store", required=True, help="store directory")
+    gc.add_argument("--stale", action="store_true", required=True,
+                    help="delete the entries (and their sidecars) "
+                         "recorded under other version axes")
     return parser
 
 
@@ -203,14 +212,15 @@ def _cmd_ls(args):
                      entry["figure"], entry["label"]))
         return 0
     store = KernelStore(args.store)
-    listed = store.entries()
-    print("store %s: %d entr%s" % (store.root, len(listed),
-                                   "y" if len(listed) == 1 else "ies"))
-    for path, meta in listed:
-        print("  %s  opt=%d%s  %s"
+    listed = [(meta, is_current(meta)) for _, meta in store.entries()]
+    print("store %s: %d entr%s (%d stale)"
+          % (store.root, len(listed), "y" if len(listed) == 1 else "ies",
+             sum(not current for _, current in listed)))
+    for meta, current in listed:
+        print("  %s  opt=%d%s  %s%s"
               % (meta["structural_digest"][:12], meta["opt_level"],
                  " instr" if meta["instrument"] else "      ",
-                 meta["name"]))
+                 meta["name"], "" if current else "  [stale]"))
     return 0
 
 
@@ -224,8 +234,8 @@ def _cmd_stats(args):
         print("| --- | --- |")
         for name in ("hits", "misses", "hit_rate", "writes",
                      "evictions", "quarantined", "entries", "bytes",
-                     "tunings", "tuning_hits", "tuning_misses",
-                     "tuning_writes"):
+                     "stale_entries", "stale_bytes", "tunings",
+                     "tuning_hits", "tuning_misses", "tuning_writes"):
             value = stats.get(name, 0)
             if name == "hit_rate":
                 value = "%.1f%%" % (100.0 * value)
@@ -251,6 +261,16 @@ def _cmd_stats(args):
     return 0
 
 
+def _cmd_gc(args):
+    store = KernelStore(args.store)
+    removed = store.gc_stale()
+    print("store %s: removed %d stale entr%s (%d bytes)"
+          % (store.root, removed["removed"],
+             "y" if removed["removed"] == 1 else "ies",
+             removed["bytes"]))
+    return 0
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     quiet = getattr(args, "quiet", True)
@@ -264,6 +284,8 @@ def main(argv=None):
             return _cmd_verify(args)
         if args.command == "ls":
             return _cmd_ls(args)
+        if args.command == "gc":
+            return _cmd_gc(args)
         return _cmd_stats(args)
     except PackError as exc:
         print("error: %s" % exc)

@@ -29,16 +29,40 @@ store directory):
 * **persisted stats** — ``hits``/``misses``/``writes``/``evictions``/
   ``quarantined`` accumulate in ``stats.json`` across processes, so a
   CI job can assert its warm-start hit rate after the workload exits.
+
+Beside an entry ``k_<digest>.json`` live its *sidecars*
+(:data:`SIDECARS`): the C kernel's shared object (``.so``) and the
+python kernel's module code object (``.code``).  Both are
+optimizations the spec alone can redo — a sidecar is evicted,
+quarantined, counted and cleared with its entry, and a missing or
+defective one costs a compile, never a miss.  The ``.code`` sidecar
+follows CPython's ``.pyc`` contract: :data:`importlib.util.
+MAGIC_NUMBER`, the sha256 of the spec's ``source``, then the
+``marshal``\\ led code object; a header that does not match the
+running interpreter and the entry's source reads as absent, and the
+load that compiled the source instead rewrites it.  Code objects are
+only ever read from this directory — never from a pack or a service
+response: the store is trusted (it ``dlopen``\\ s its ``.so`` files),
+the wire is not.
 """
 
+import hashlib
+import importlib.util
 import json
 import logging
+import marshal
 import os
 import shutil
 import time
+import types
 from contextlib import contextmanager
 
-from repro.compiler.key import STORE_VERSION, KernelKey, entry_digest
+from repro.compiler.key import (
+    STORE_VERSION,
+    KernelKey,
+    entry_digest,
+    is_current,
+)
 from repro.compiler.tiers import portable_spec, rebuild
 
 _log = logging.getLogger("repro.store")
@@ -77,13 +101,49 @@ _TUNING_PREFIX = "t_"
 _ENTRY = ("spec", "")
 _TUNING = ("winner", "tuning_")
 
+#: The sidecar suffixes an entry may carry (module docstring).
+SIDECARS = (".so", ".code")
 
-def _replace_file(path, text):
-    """Write ``text`` to ``path`` atomically (tmp sibling + rename):
-    a reader sees the old file or the new one, never half of either."""
+
+def _sidecar_path(path, suffix):
+    """The ``suffix`` sidecar of one ``.json`` entry path."""
+    return path[:-len(".json")] + suffix
+
+
+def _code_header(source):
+    """What a ``.code`` sidecar must start with to be read: the
+    interpreter's bytecode magic and the sha256 of ``source``."""
+    return (importlib.util.MAGIC_NUMBER
+            + hashlib.sha256(source.encode("utf-8")).digest())
+
+
+def _dump_code(source, code):
+    """A ``.code`` sidecar's bytes: the header, then ``code``."""
+    return _code_header(source) + marshal.dumps(code)
+
+
+def _load_code(path, source):
+    """The code object ``path`` holds for ``source``, or None — absent,
+    truncated, another interpreter's, another source's, or garbage."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        header = _code_header(source)
+        if not data.startswith(header):
+            return None
+        code = marshal.loads(data[len(header):])
+    except (OSError, ValueError, EOFError, TypeError):
+        return None
+    return code if isinstance(code, types.CodeType) else None
+
+
+def _replace_file(path, data):
+    """Write ``data`` (text or bytes) to ``path`` atomically (tmp
+    sibling + rename): a reader sees the old file or the new one, never
+    half of either."""
     tmp = path + ".tmp.%d" % os.getpid()
-    with open(tmp, "w") as handle:
-        handle.write(text)
+    with open(tmp, "wb" if isinstance(data, bytes) else "w") as handle:
+        handle.write(data)
     os.replace(tmp, path)
 
 
@@ -244,15 +304,10 @@ class KernelStore:
         return os.path.join(self.root, digest[:_SHARD_CHARS],
                             _ENTRY_PREFIX + digest + ".json")
 
-    @staticmethod
-    def _so_sibling(path):
-        """The shared-object sidecar of one ``.json`` entry path."""
-        return path[:-len(".json")] + ".so"
-
-    def _sidecar(self, digest):
-        """The path of ``digest``'s stored sidecar, or None (python
+    def _so_path(self, digest):
+        """The path of ``digest``'s stored ``.so``, or None (python
         entry, or sidecar lost: the C source recompiles)."""
-        so_path = self._so_sibling(self.entry_path_for_digest(digest))
+        so_path = _sidecar_path(self.entry_path_for_digest(digest), ".so")
         return so_path if os.path.exists(so_path) else None
 
     def _shard_dirs(self):
@@ -275,9 +330,8 @@ class KernelStore:
     def _entry_files(self):
         """(path, size, mtime) of every entry, oldest mtime first.
 
-        ``path`` is always the ``.json`` spec; ``size`` includes the
-        ``.so`` sidecar when one exists, so eviction accounts the full
-        footprint of a C-backend entry.
+        ``path`` is always the ``.json`` spec; ``size`` includes its
+        sidecars, so eviction accounts an entry's full footprint.
         """
         entries = []
         for directory in self._shard_dirs():
@@ -287,13 +341,24 @@ class KernelStore:
                 except OSError:
                     continue  # concurrently evicted
                 size = info.st_size
-                try:
-                    size += os.stat(self._so_sibling(path)).st_size
-                except OSError:
-                    pass  # python-backend entry: no sidecar
+                for suffix in SIDECARS:
+                    try:
+                        size += os.stat(_sidecar_path(path, suffix)).st_size
+                    except OSError:
+                        pass  # this entry has no such sidecar
                 entries.append((path, size, info.st_mtime))
         entries.sort(key=lambda item: (item[2], item[0]))
         return entries
+
+    @staticmethod
+    def _discard_entry(path):
+        """Remove one entry and its sidecars; True when the entry was
+        there (another process may have removed it first)."""
+        if not _discard(path):
+            return False
+        for suffix in SIDECARS:
+            _discard(_sidecar_path(path, suffix))
+        return True
 
     # -- reads ---------------------------------------------------------
     def _read_record(self, kind, digest, count=True):
@@ -364,7 +429,7 @@ class KernelStore:
         entry = self._read_record(_ENTRY, digest, count=False)
         if entry is None:
             return None, None
-        return entry, self._sidecar(digest)
+        return entry, self._so_path(digest)
 
     def load_spec(self, meta):
         """The stored spec for ``meta``, or None (counts a miss; see
@@ -377,23 +442,45 @@ class KernelStore:
 
         A spec that no longer rebuilds (its carried source fails to
         ``exec``) is quarantined exactly like a corrupt file — and the
-        hit already counted for it is taken back.
+        hit already counted for it is taken back.  A python kernel
+        ``exec``\\ s its ``.code`` sidecar; when that is absent or
+        defective the source is compiled and the sidecar rewritten.
         """
         digest = entry_digest(meta)
         entry = self._read_record(_ENTRY, digest)
         if entry is None:
             return None
-        artifact = rebuild(entry["spec"], so=self._sidecar(digest))
+        path = self.entry_path_for_digest(digest)
+        spec = entry["spec"]
+        source = spec.get("source") if isinstance(spec, dict) else None
+        code = (_load_code(_sidecar_path(path, ".code"), source)
+                if isinstance(source, str) else None)
+        artifact = rebuild(spec, so=self._so_path(digest), code=code)
         if artifact is None:
-            self._quarantine(self.entry_path_for_digest(digest))
+            self._quarantine(path)
             self._bump(hits=-1, misses=1, quarantined=1)
+        elif artifact.code is not None and artifact.code is not code:
+            self._save_code(path, source, artifact.code)
         return artifact
 
+    def _save_code(self, path, source, code):
+        """Best effort: write ``code``, compiled from ``source``, as
+        the ``.code`` sidecar of the entry at ``path`` — unless the
+        entry is gone (evicted or cleared meanwhile)."""
+        try:
+            with self._lock():
+                if os.path.exists(path):
+                    _replace_file(_sidecar_path(path, ".code"),
+                                  _dump_code(source, code))
+        except OSError as exc:
+            self._note_io_error("code sidecar write", exc)
+
     def _quarantine(self, path):
-        """Move a defective entry aside (never delete: it is the repro
-        for whatever corrupted it)."""
+        """Move a defective entry and its sidecars aside (never
+        delete: they are the repro for whatever corrupted them)."""
         stamp = "%d.%d" % (os.getpid(), int(time.time() * 1e6))
-        for victim in (path, self._so_sibling(path)):
+        for victim in (path,) + tuple(_sidecar_path(path, suffix)
+                                      for suffix in SIDECARS):
             try:
                 os.makedirs(self.quarantine_dir, exist_ok=True)
                 os.replace(victim, os.path.join(
@@ -416,25 +503,38 @@ class KernelStore:
         if spec is None:
             return None
         return self.save_spec(KernelKey.of(artifact).meta, spec,
-                              so_path=artifact.so_path)
+                              so_path=artifact.so_path,
+                              code=artifact.code)
 
-    def save_spec(self, meta, spec, so_path=None):
+    def save_spec(self, meta, spec, so_path=None, code=None):
         """Persist one serialized spec under ``meta``; returns the
         entry path.  Atomic (tmp + rename) and evicts LRU entries past
         ``max_bytes`` before releasing the lock.
 
         ``so_path`` (a compiled shared object) is copied next to the
-        entry as a ``.so`` sidecar — an optimization, not part of the
-        durable contract: the spec alone rebuilds the kernel (the C
-        source recompiles on load), so a lost or stale sidecar costs
-        one compile, never correctness.
+        entry as its ``.so`` sidecar, and ``code`` (the module code
+        object of the spec's python source) is kept as its ``.code``
+        sidecar — optimizations, not part of the durable contract: the
+        spec alone rebuilds the kernel, so a lost or stale sidecar
+        costs one compile, never correctness.
         """
-        return self._write_record(_ENTRY, meta, spec, sidecar=so_path)
+        sidecars = {}
+        if so_path is not None:
+            try:
+                with open(so_path, "rb") as handle:
+                    sidecars[".so"] = handle.read()
+            except OSError:
+                pass  # gone: the C source recompiles on load
+        if code is not None:
+            sidecars[".code"] = _dump_code(spec["source"], code)
+        return self._write_record(_ENTRY, meta, spec, sidecars=sidecars)
 
-    def _write_record(self, kind, meta, value, sidecar=None):
+    def _write_record(self, kind, meta, value, sidecars=None):
         """Persist one ``kind`` record under the lock — the one write
         path of every persisted record; returns its path (None when
-        the store is unwritable)."""
+        the store is unwritable).  An entry's ``sidecars`` (suffix ->
+        bytes) are written beside it, and a sidecar it does not name
+        is removed: a rewrite must not leave a stale one behind."""
         field, prefix = kind
         path = self._record_path(kind, entry_digest(meta))
         payload = json.dumps(
@@ -444,15 +544,12 @@ class KernelStore:
             with self._lock():
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 if kind is _ENTRY:
-                    so_target = self._so_sibling(path)
-                    if sidecar is not None and os.path.exists(sidecar):
-                        so_tmp = so_target + ".tmp.%d" % os.getpid()
-                        shutil.copyfile(sidecar, so_tmp)
-                        os.replace(so_tmp, so_target)
-                    else:
-                        # A python-backend rewrite of this slot must
-                        # not leave a stale sidecar behind.
-                        _discard(so_target)
+                    for suffix in SIDECARS:
+                        target = _sidecar_path(path, suffix)
+                        if suffix in sidecars:
+                            _replace_file(target, sidecars[suffix])
+                        else:
+                            _discard(target)
                 _replace_file(path, payload)
                 evicted = (self._evict_locked(keep=path)
                            if kind is _ENTRY else 0)
@@ -477,11 +574,8 @@ class KernelStore:
         for path, size, _ in entries:
             if total <= self.max_bytes:
                 break
-            if path == keep:
+            if path == keep or not self._discard_entry(path):
                 continue
-            if not _discard(path):
-                continue
-            _discard(self._so_sibling(path))  # if it has a sidecar
             total -= size
             evicted += 1
         return evicted
@@ -539,16 +633,38 @@ class KernelStore:
 
     def entries(self):
         """Parsed ``(path, key-meta)`` pairs of every readable entry."""
-        paths = [path for path, _, _ in self._entry_files()]
-        return [(path, meta) for path, meta, _
-                in self._list_records(paths, _ENTRY)]
+        return self._list_entries(self._entry_files())
+
+    def _list_entries(self, files):
+        """``(path, key-meta)`` of the readable entries among
+        ``files`` (``_entry_files`` rows)."""
+        return [(path, meta) for path, meta, _ in self._list_records(
+            [path for path, _, _ in files], _ENTRY)]
+
+    def _stale_files(self, files):
+        """The rows of ``files`` whose recorded key another code
+        version wrote (:func:`~repro.compiler.key.is_current`): no
+        lookup by this code can ever reach them."""
+        stale = {path for path, meta in self._list_entries(files)
+                 if not (isinstance(meta, dict) and is_current(meta))}
+        return [row for row in files if row[0] in stale]
+
+    def gc_stale(self):
+        """Delete every stale entry with its sidecars (under the store
+        lock); returns ``{"removed", "bytes"}``."""
+        removed = freed = 0
+        with self._lock():
+            for path, size, _ in self._stale_files(self._entry_files()):
+                if self._discard_entry(path):
+                    removed += 1
+                    freed += size
+        return {"removed": removed, "bytes": freed}
 
     def clear(self):
         """Drop every entry, the quarantine, and the counters."""
         with self._lock():
             for path, _, _ in self._entry_files():
-                _discard(path)
-                _discard(self._so_sibling(path))
+                self._discard_entry(path)
             shutil.rmtree(self.quarantine_dir, ignore_errors=True)
             shutil.rmtree(self.tunings_dir, ignore_errors=True)
             _discard(self._stats_path)
@@ -559,10 +675,13 @@ class KernelStore:
         ``hits``/``misses``/... aggregate across every process that
         ever used this store directory; ``hit_rate`` is their ratio
         (0.0 before any lookup).  ``entries``/``bytes`` are measured
-        from the directory right now.
+        from the directory right now, sidecars included;
+        ``stale_entries``/``stale_bytes`` are the part of them that
+        other code versions wrote (:meth:`gc_stale` removes it).
         """
         counters = self._read_counters()
         files = self._entry_files()
+        stale = self._stale_files(files)
         lookups = counters["hits"] + counters["misses"]
         quarantined = 0
         try:
@@ -574,6 +693,8 @@ class KernelStore:
                                          _TUNING_PREFIX)),
             "entries": len(files),
             "bytes": sum(size for _, size, _ in files),
+            "stale_entries": len(stale),
+            "stale_bytes": sum(size for _, size, _ in stale),
             "max_bytes": self.max_bytes,
             "hit_rate": (counters["hits"] / lookups) if lookups else 0.0,
             "quarantine_files": quarantined,

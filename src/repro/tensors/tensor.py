@@ -6,6 +6,8 @@ indices produces CIN :class:`~repro.cin.nodes.Access` nodes, so tensors
 participate directly in the eDSL: ``y[i] += A[i, j] * x[j]``.
 """
 
+import functools
+
 import numpy as np
 
 from repro.cin.builders import access
@@ -20,6 +22,13 @@ def _normalize_fill(fill):
     if isinstance(fill, np.generic):
         fill = fill.item()
     return (type(fill).__name__, repr(fill))
+
+
+@functools.lru_cache(maxsize=None)
+def _dtype_name(dtype):
+    """``str(dtype)``, which numpy computes in Python on every call:
+    a program's fresh output tensor pays for it on each cache hit."""
+    return str(dtype)
 
 
 class Tensor:
@@ -127,7 +136,8 @@ class Tensor:
             levels = tuple((type(level).__name__, level.shape)
                            for level in self.levels)
             memo = self._signature = (dtype, (
-                "tensor", levels, str(dtype), _normalize_fill(self.fill)))
+                "tensor", levels, _dtype_name(dtype),
+                _normalize_fill(self.fill)))
         return memo[1]
 
     def __repr__(self):

@@ -24,7 +24,7 @@ option                environment variable        owns
                                                   or None = disabled)
 ``store_max_bytes``   ``FL_KERNEL_STORE_MAX_BYTES``  store size budget
 ``backend``           ``FL_KERNEL_BACKEND``       ``python`` / ``c``
-``opt_level``         ``FL_KERNEL_OPT_LEVEL``     optimizer level
+``opt_level``         ``FL_KERNEL_OPT_LEVEL``     optimizer level 0/1/2
 ``tune``              ``FL_KERNEL_TUNE``          ``off`` / ``apply``
 ``service_url``       ``FL_SERVICE_URL``          remote kernel service
 ``service_timeout_s``  ``FL_SERVICE_TIMEOUT_S``   per-request timeout
@@ -50,9 +50,9 @@ import os
 import threading
 
 __all__ = [
-    "BACKENDS", "OPTIONS", "TUNE_MODES", "UNSET", "clear", "configure",
-    "option_names", "resolve", "restore", "runtime_config", "snapshot",
-    "source",
+    "BACKENDS", "OPTIONS", "OPT_LEVELS", "TUNE_MODES", "UNSET", "clear",
+    "configure", "option_names", "resolve", "restore", "runtime_config",
+    "snapshot", "source",
 ]
 
 #: Backend names ``compile_kernel`` accepts: ``"python"`` ``exec``s
@@ -67,6 +67,19 @@ BACKENDS = ("python", "c")
 #: autotuner winners table (:mod:`repro.tune`) and compiles the
 #: winning schedule when one is on record.
 TUNE_MODES = ("off", "apply")
+
+#: The optimizer levels (:mod:`repro.ir.optimize`): 0 emits the
+#: lowered code, 1 adds the scalar passes, 2 dense-loop vectorization.
+OPT_LEVELS = (0, 1, 2)
+
+
+def _int_or_text(text):
+    """``text`` as an int when it spells one, else unchanged (so the
+    choices check names the levels instead of ``int()`` failing)."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 class _Unset:
@@ -100,14 +113,19 @@ class Option:
         self.doc = doc
 
     def validate(self, value):
-        """``value`` checked (and string-coerced) for this option."""
+        """``value`` checked (and string-coerced) for this option.
+
+        A value of an option with ``choices`` must equal one of them
+        *and* have their type: ``True`` is not the level 1, nor ``2.0``
+        the level 2."""
         if isinstance(value, str) and self.parse is not str:
             value = self.parse(value)
-        if (self.choices is not None and isinstance(value, str)
-                and value not in self.choices):
+        if (self.choices is not None and value is not None
+                and (value not in self.choices
+                     or type(value) is not type(self.choices[0]))):
             raise ValueError(
                 "%s must be one of %s; got %r"
-                % (self.name, "/".join(self.choices), value))
+                % (self.name, "/".join(map(str, self.choices)), value))
         return value
 
 
@@ -122,7 +140,8 @@ OPTIONS = {
         Option("backend", "FL_KERNEL_BACKEND", str, "python",
                choices=BACKENDS,
                doc="kernel execution backend"),
-        Option("opt_level", "FL_KERNEL_OPT_LEVEL", int, None,
+        Option("opt_level", "FL_KERNEL_OPT_LEVEL", _int_or_text, None,
+               choices=OPT_LEVELS,
                doc="optimizer level (None = the compiler default)"),
         Option("tune", "FL_KERNEL_TUNE", str, "off",
                choices=TUNE_MODES,

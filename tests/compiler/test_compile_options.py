@@ -20,6 +20,7 @@ from repro.compiler.options import (
     TUNE_MODES,
     CompileOptions,
 )
+from repro.util import config
 
 
 @pytest.fixture(autouse=True)
@@ -77,9 +78,59 @@ def test_cache_one_is_not_true():
         CompileOptions(cache=1)
 
 
-def test_opt_level_coerced_to_int():
-    assert CompileOptions(opt_level="2").opt_level == 2
-    assert CompileOptions(opt_level=1.0).opt_level == 1
+#: Each was once compiled and reported as a level of its own (``2.7``
+#: as 2, ``True`` as 1), taking a cache slot, a store entry and a
+#: tuning candidate for a kernel identical to level 0 or 2.
+BAD_LEVELS = [7, -1, 2.7, True, 9]
+LEVELS_ERROR = "opt_level must be one of 0/1/2"
+
+
+def test_opt_level_is_exactly_0_1_or_2():
+    assert CompileOptions(opt_level="2").opt_level == 2  # env spelling
+    for level in (0, 1, 2):
+        assert CompileOptions(opt_level=level).opt_level == level
+    for level in BAD_LEVELS + [1.0, False, "one"]:
+        with pytest.raises(ValueError, match=LEVELS_ERROR):
+            CompileOptions(opt_level=level)
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS)
+def test_bad_opt_level_refused_as_kwarg(level):
+    with pytest.raises(ValueError, match=LEVELS_ERROR):
+        fl.compile_kernel(dot_program(), cache=False, opt_level=level)
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS)
+def test_bad_opt_level_refused_by_configure(level):
+    try:
+        with pytest.raises(ValueError, match=LEVELS_ERROR):
+            fl.configure(opt_level=level)
+        assert config.source("opt_level") == "default"
+    finally:
+        config.clear("opt_level")
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS)
+def test_bad_opt_level_refused_from_env(monkeypatch, level):
+    monkeypatch.setenv("FL_KERNEL_OPT_LEVEL", str(level))
+    with pytest.raises(ValueError, match=LEVELS_ERROR):
+        fl.compile_kernel(dot_program(), cache=False)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_every_level_resolves_through_every_layer(monkeypatch, level):
+    assert fl.compile_kernel(dot_program(), cache=False,
+                             opt_level=level).opt_level == level
+    monkeypatch.setenv("FL_KERNEL_OPT_LEVEL", str(level))
+    assert fl.compile_kernel(dot_program(), cache=False).opt_level \
+        == level
+    try:
+        fl.configure(opt_level=level)
+        monkeypatch.delenv("FL_KERNEL_OPT_LEVEL")
+        assert fl.compile_kernel(dot_program(),
+                                 cache=False).opt_level == level
+    finally:
+        config.clear("opt_level")
 
 
 def test_merged_none_keeps_false_overrides():

@@ -147,8 +147,10 @@ def test_corrupt_entry_quarantined_and_recompiled(tmp_path):
         assert not recompiled.from_cache
     stats = store.stats()
     assert stats["quarantined"] == 1
-    assert stats["quarantine_files"] == 1
-    assert os.listdir(store.quarantine_dir)
+    # The entry moved aside together with its .code sidecar.
+    assert stats["quarantine_files"] == 2
+    assert sorted(name.split(".")[1] for name
+                  in os.listdir(store.quarantine_dir)) == ["code", "json"]
     # The recompile healed the store: the entry is back and loadable.
     assert store.load_spec(meta) is not None
 
@@ -242,6 +244,129 @@ def test_every_defect_of_every_record_kind_is_a_quarantined_miss(
     if misses:
         expected.update({misses: 2, hits: 1})
     assert counted == expected
+
+
+def _code_missing(path):
+    os.remove(path)
+
+
+def _code_truncated(path):
+    with open(path, "rb") as handle:
+        data = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(data[:len(data) // 2])
+
+
+def _code_foreign_magic(path):
+    with open(path, "r+b") as handle:
+        magic = handle.read(4)
+        handle.seek(0)
+        handle.write(bytes([magic[0] ^ 0xFF]) + magic[1:])
+
+
+def _code_other_source(path):
+    with open(path, "r+b") as handle:
+        handle.seek(4)  # the source hash follows the magic
+        byte = handle.read(1)
+        handle.seek(4)
+        handle.write(bytes([byte[0] ^ 0xFF]))
+
+
+def _code_garbage_marshal(path):
+    with open(path, "rb") as handle:
+        header = handle.read(4 + 32)
+    with open(path, "wb") as handle:
+        handle.write(header + b"\xfe garbage, not marshal data")
+
+
+def _code_not_a_code_object(path):
+    import marshal
+
+    with open(path, "rb") as handle:
+        header = handle.read(4 + 32)
+    with open(path, "wb") as handle:
+        handle.write(header + marshal.dumps(("a", "tuple")))
+
+
+@pytest.mark.parametrize("defect", [
+    _code_missing, _code_truncated, _code_foreign_magic,
+    _code_other_source, _code_garbage_marshal, _code_not_a_code_object])
+def test_every_defect_of_a_code_sidecar_compiles_the_source(tmp_path,
+                                                            defect):
+    """The ``.code`` rows of the defect matrix: a python entry whose
+    sidecar is missing or does not verify against this interpreter and
+    the entry's source is served from its source — never quarantined,
+    never a miss — and the sidecar is rewritten valid."""
+    from repro.store.disk import _load_code
+
+    store = KernelStore(tmp_path)
+    program, C, a = dot_program()
+    kernel = fl.compile_kernel(program, cache=False)
+    path = store.save_artifact(kernel.artifact)
+    code_path = path[:-len(".json")] + ".code"
+    assert _load_code(code_path, kernel.source) is not None
+    defect(code_path)
+    assert _load_code(code_path, kernel.source) is None
+
+    with using_store(store):
+        program2, C2, _ = dot_program()
+        served = fl.compile_kernel(program2)
+    assert served.from_cache and served.source == kernel.source
+    served.run()
+    kernel.run()
+    assert C2.value == C.value
+    assert os.path.exists(path)
+    assert _load_code(code_path, kernel.source) is not None
+    stats = store.stats()
+    assert (stats["hits"], stats["misses"], stats["quarantined"]) == \
+        (1, 0, 0)
+    assert not os.path.exists(store.quarantine_dir)
+
+
+def test_code_sidecar_goes_where_its_entry_goes(tmp_path):
+    """Eviction deletes, quarantine moves and ``clear`` deletes an
+    entry's ``.code`` together with the entry; sizes count it."""
+    kernel = fl.compile_kernel(dot_program()[0], cache=False)
+    artifact = kernel.artifact
+    spec = artifact.to_spec()
+    store = KernelStore(tmp_path)
+    paths = []
+    for position in range(2):
+        meta = dict(meta_for_artifact(artifact),
+                    structural_digest="%040d" % position)
+        paths.append(store.save_spec(meta, spec, code=artifact.code))
+        os.utime(paths[-1], (1_000_000 + position,) * 2)
+    codes = [path[:-len(".json")] + ".code" for path in paths]
+    assert all(os.path.exists(code) for code in codes)
+    stats = store.stats()
+    assert stats["bytes"] == sum(os.path.getsize(p) for p in paths + codes)
+
+    store.max_bytes = stats["bytes"] - 1          # room for one entry
+    store._evict_locked(keep=paths[1])
+    assert not os.path.exists(paths[0]) and not os.path.exists(codes[0])
+    assert os.path.exists(codes[1])
+
+    store._quarantine(paths[1])
+    assert not os.path.exists(codes[1])
+    assert len(os.listdir(store.quarantine_dir)) == 2
+
+    path = store.save_spec(meta_for_artifact(artifact), spec,
+                           code=artifact.code)
+    store.clear()
+    assert not os.path.exists(path[:-len(".json")] + ".code")
+
+
+def test_c_entries_keep_no_code_sidecar(tmp_path):
+    from repro import codegen
+
+    if not codegen.have_toolchain():
+        pytest.skip("no C toolchain")
+    kernel = fl.compile_kernel(dot_program()[0], cache=False,
+                               backend="c")
+    assert kernel.effective_backend == "c"
+    path = KernelStore(tmp_path).save_artifact(kernel.artifact)
+    assert os.path.exists(path[:-len(".json")] + ".so")
+    assert not os.path.exists(path[:-len(".json")] + ".code")
 
 
 def test_unrebuildable_spec_quarantined(tmp_path):

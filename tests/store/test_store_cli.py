@@ -1,4 +1,4 @@
-"""``python -m repro.store``: pack / warm / verify / ls / stats.
+"""``python -m repro.store``: pack / warm / verify / ls / stats / gc.
 
 The CLI is what CI's staged pipeline drives, so every subcommand is
 exercised in-process through ``main(argv)`` — including the hit-rate
@@ -6,6 +6,7 @@ gate's exit codes, which is what turns a silent cold-compile fallback
 into a red build.
 """
 
+import os
 import shutil
 
 import numpy as np
@@ -98,6 +99,45 @@ def test_stats_gate_fails_below_floor(tmp_path):
                  "--min-hit-rate", "0.5"]) == 1
     assert main(["stats", "--store", str(tmp_path),
                  "--min-hit-rate", "0.2"]) == 0
+
+
+def test_stale_entries_are_counted_listed_and_collected(tmp_path,
+                                                        capsys):
+    """An entry recorded under another code fingerprint is unreachable
+    by this code: stats and ls report it apart, ``gc --stale`` deletes
+    it with its sidecars and leaves the current entry alone."""
+    from repro.store import meta_for_artifact
+
+    a = np.zeros(30)
+    a[::7] = 1.0
+    A = fl.from_numpy(a, ("sparse",), name="A")
+    C = fl.Scalar(name="C")
+    i = fl.indices("i")
+    artifact = fl.compile_kernel(fl.forall(i, fl.increment(C[()], A[i])),
+                                 cache=False).artifact
+    store = KernelStore(tmp_path)
+    current = meta_for_artifact(artifact)
+    store.save_artifact(artifact)
+    foreign = dict(current, code_fingerprint="0" * 16)
+    stale_path = store.save_spec(foreign, artifact.to_spec(),
+                                 code=artifact.code)
+    stale_code = stale_path[:-len(".json")] + ".code"
+    assert os.path.exists(stale_code)
+
+    stats = store.stats()
+    assert (stats["entries"], stats["stale_entries"]) == (2, 1)
+    assert 0 < stats["stale_bytes"] < stats["bytes"]
+    assert main(["ls", "--store", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "2 entries (1 stale)" in out and out.count("[stale]") == 1
+
+    assert main(["gc", "--store", str(tmp_path), "--stale"]) == 0
+    assert "removed 1 stale entry" in capsys.readouterr().out
+    assert not os.path.exists(stale_path)
+    assert not os.path.exists(stale_code)
+    stats = store.stats()
+    assert (stats["entries"], stats["stale_entries"]) == (1, 0)
+    assert store.load_artifact(current) is not None
 
 
 def test_warm_without_pack_compiles_directly(tmp_path, mini_corpus,
