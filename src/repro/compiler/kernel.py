@@ -827,11 +827,12 @@ def compile_kernel(program, instrument=False, name="kernel",
 
     ``opt_level`` selects the target-IR optimizer pipeline
     (:mod:`repro.ir.optimize`): 0 emits the lowered code untouched, 1
-    runs the scalar passes (constant folding, dead code, LICM, CSE),
-    and 2 — the default — adds dense-loop vectorization to numpy
-    slice operations.  The level is part of the cache key, so kernels
-    compiled at different levels never share an artifact; any other
-    value (``7``, ``2.7``, ``True``) raises ``ValueError``.
+    runs the scalar passes (the constant-folding + dead-code fixpoint,
+    then LICM), and 2 — the default — adds dense-loop vectorization to
+    numpy slice operations as the last step.  The level is part of the
+    cache key, so kernels compiled at different levels never share an
+    artifact; any other value (``7``, ``2.7``, ``True``) raises
+    ``ValueError``.
 
     ``backend`` selects how the optimized kernel is executed:
     ``"python"`` (the default) ``exec``s the emitted Python source,

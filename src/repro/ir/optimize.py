@@ -28,12 +28,6 @@ with composable passes over :mod:`repro.ir.asm` statements:
     transformed kernel never evaluates anything the original would not
     have.
 
-``eliminate_common_subexprs``
-    Block-local CSE: a repeated pure subexpression (an index
-    expression, a comparison, a load) is computed once into a
-    temporary at its first unconditional evaluation and reused, with
-    availability invalidated by writes to its inputs.
-
 ``vectorize``
     Rewrites innermost dense ``ForLoop``s whose body is a single
     affine-indexed assignment/accumulation (plus optional work
@@ -45,19 +39,21 @@ with composable passes over :mod:`repro.ir.asm` statements:
     vectorization.  Loops whose shape does not match are left alone
     (the scalar fallback).
 
-The pipeline is exposed as :func:`optimize_kernel`, keyed by an
-``opt_level``: 0 = untouched, 1 = scalar passes only, 2 (the default
-used by :mod:`repro.compiler.kernel`) = scalar passes plus
-vectorization.  Slice operations are ordinary statements to every
-pass: their *bounds* and scalar operands are folded, hoisted and shared
+:func:`optimize_kernel` runs the steps :data:`PIPELINE` lists for an
+``opt_level``, in order: 0 = untouched, 1 = the fold + dead-code
+fixpoint then LICM, 2 (the default used by
+:mod:`repro.compiler.kernel`) = the same, then vectorization.  Each
+step is there because removing it changes what a paper figure runs
+(docs/compilation.md gives the measurements).  Vectorization runs last,
+so the only slice statement the scalar passes meet is the lowerer's
+dense reset: its *bounds* and scalar operands are folded and hoisted
 like any scalar expression, while a *vector* (a slice, a call over one)
-is never itself rewritten, hoisted or named.  Passes rebuild what they
-change and never mutate a statement (:func:`repro.ir.asm.effects`
-memoises on it), and a pass returns the very node it was given when
-nothing under it changed.  That identity is the fixpoint test:
-``fold_constants`` + ``dead_code`` repeat until a round returns its
-input object (at most four rounds), with no detour through source
-text.
+is never itself rewritten or hoisted.  Passes rebuild what they change
+and never mutate a statement (:func:`repro.ir.asm.effects` memoises on
+it), and a pass returns the very node it was given when nothing under
+it changed.  That identity is the fixpoint test: ``fold_constants`` +
+``dead_code`` repeat until a round returns its input object (at most
+four rounds), with no detour through source text.
 """
 
 from repro.ir import build
@@ -93,6 +89,7 @@ from repro.ir.nodes import (
 from repro.ir.ops import MISSING
 from repro.ir.runtime import reserved_names
 from repro.rewrite import simplify_expr
+from repro.util.config import OPTIONS
 from repro.util.namer import Namer
 
 #: Default optimization level used by the compiler when none is given.
@@ -115,14 +112,6 @@ def walk_expr(expr):
     yield expr
     for child in expr.children():
         yield from walk_expr(child)
-
-
-def walk_strict_expr(expr):
-    """Every node evaluated whenever ``expr`` is evaluated (stops at
-    the lazy arguments of ``and``/``or``/``ifelse``)."""
-    yield expr
-    for child in strict_children(expr):
-        yield from walk_strict_expr(child)
 
 
 def _slice_operation(stmt):
@@ -415,10 +404,9 @@ def _dce_stmt(stmt, live):
 # --------------------------------------------------------------------------
 # Loop-invariant code motion
 # --------------------------------------------------------------------------
-def hoist_invariants(stmt, namer=None):
+def hoist_invariants(stmt):
     """Hoist invariant loads and arithmetic out of loop bodies."""
-    if namer is None:
-        namer = _namer_for(stmt)
+    namer = _namer_for(stmt)
 
     def visit(node):
         if isinstance(node, ForLoop):
@@ -493,129 +481,6 @@ def _hoist_loop(loop, namer, loop_var):
             and _literal_truth(guard) is not True:
         return If([(guard, hoisted)])
     return hoisted
-
-
-# --------------------------------------------------------------------------
-# Common-subexpression elimination
-# --------------------------------------------------------------------------
-class _Avail:
-    """One available expression: where it was defined, and its temp."""
-
-    __slots__ = ("expr", "index", "temp")
-
-    def __init__(self, expr, index, temp=None):
-        self.expr = expr
-        self.index = index
-        self.temp = temp
-
-
-def eliminate_common_subexprs(stmt, namer=None):
-    """Reuse repeated pure subexpressions within each block."""
-    if namer is None:
-        namer = _namer_for(stmt)
-
-    def visit(node):
-        if isinstance(node, Block):
-            return _cse_block(node, namer)
-        return None
-
-    return map_statements(stmt, visit)
-
-
-def _read_subexprs(stmt):
-    """Every shareable subexpression in read position of ``stmt``
-    (assignment targets are writes; only their addresses count)."""
-    roots = entry_exprs(stmt)
-    if isinstance(stmt, If):    # the later conditions are reads too
-        roots = [cond for cond, _ in stmt.branches if cond is not None]
-    for root in roots:
-        for expr in walk_expr(root):
-            if _shareable(expr):
-                yield expr
-
-
-def _cse_block(block, namer):
-    avail = {}
-    out = []
-
-    def invalidate(writes, stores):
-        if not writes and not stores:
-            return
-        for key, record in list(avail.items()):
-            if record.expr.free_vars() & writes \
-                    or load_buffers(record.expr) & stores \
-                    or (record.temp is not None
-                        and record.temp.name in writes):
-                del avail[key]
-
-    def materialize(record):
-        if record.temp is not None:
-            return record.temp
-        record.temp = Var(namer.fresh("t"))
-        definition = AssignStmt(record.temp, record.expr)
-        replaced = {record.expr.key(): record.temp}
-        out[record.index] = map_statement_exprs(
-            out[record.index], lambda e: replace_by_key(e, replaced))
-        out.insert(record.index, definition)
-        for other in avail.values():
-            if other is not record and other.index >= record.index:
-                other.index += 1
-        return record.temp
-
-    pending = list(reversed(block.stmts))
-    while pending:
-        stmt = pending.pop()
-        if isinstance(stmt, (Comment, Nop)):
-            out.append(stmt)
-            continue
-        mapping = {}
-        for expr in _read_subexprs(stmt):
-            record = avail.get(expr.key())
-            if record is not None and expr.key() not in mapping:
-                mapping[expr.key()] = materialize(record)
-        if mapping:
-            stmt = map_statement_exprs(
-                stmt, lambda e: replace_by_key(e, mapping))
-        _, writes, stores = effects(stmt)
-        invalidate(writes, stores)
-        # Register only strict-position subexpressions: an expr under
-        # a lazy ifelse/and/or arm may never have been evaluated here,
-        # and materializing its temp at this site would speculate it
-        # (e.g. hoist a guarded out-of-bounds load past its guard).
-        fresh, repeat, sliced = {}, None, _slice_operation(stmt)
-        for root in entry_exprs(stmt):
-            for expr in walk_strict_expr(root):
-                if not _shareable(expr):
-                    continue
-                key = expr.key()
-                if key in avail:
-                    continue
-                if expr.free_vars() & writes \
-                        or load_buffers(expr) & stores:
-                    continue
-                if key in fresh and sliced and repeat is None:
-                    repeat = expr
-                fresh[key] = expr
-        if repeat is not None:
-            # A slice statement evaluates it twice (a slice's two bounds
-            # share their offset): define it just ahead and start over.
-            temp = Var(namer.fresh("t"))
-            replaced = {repeat.key(): temp}
-            pending += [map_statement_exprs(
-                stmt, lambda e: replace_by_key(e, replaced)),
-                AssignStmt(temp, repeat)]
-            continue
-        for key, expr in fresh.items():
-            avail[key] = _Avail(expr, len(out))
-        if isinstance(stmt, AssignStmt) and isinstance(stmt.target, Var) \
-                and _shareable(stmt.value):
-            record = avail.get(stmt.value.key())
-            if record is not None and record.temp is None \
-                    and record.index == len(out):
-                # The assignment itself is the temp for its value.
-                record.temp = Var(stmt.target.name)
-        out.append(stmt)
-    return block if unchanged(out, block.stmts) else Block(out)
 
 
 # --------------------------------------------------------------------------
@@ -796,15 +661,6 @@ def _vectorize_core(core, var, start, stop):
 # --------------------------------------------------------------------------
 # The pipeline
 # --------------------------------------------------------------------------
-#: Pass names at each level, for documentation and introspection.
-PIPELINE = {
-    1: ("fold_constants", "dead_code", "hoist_invariants",
-        "eliminate_common_subexprs"),
-    2: ("fold_constants", "dead_code", "vectorize", "hoist_invariants",
-        "eliminate_common_subexprs"),
-}
-
-
 def _scalar_cleanup(stmt, rounds=4):
     """fold+dce to a (bounded) fixpoint: the round that hands back the
     very tree it was given changed nothing."""
@@ -816,25 +672,27 @@ def _scalar_cleanup(stmt, rounds=4):
     return stmt
 
 
-def optimize_kernel(func, level=DEFAULT_OPT_LEVEL):
-    """Run the optimizer pipeline over a lowered kernel.
+#: The steps of each ``opt_level``, in the order :func:`optimize_kernel`
+#: runs them.  ``vectorize`` goes last: LICM first moves the invariant
+#: loads out of the loops it turns into slices (run the other way round,
+#: fig11 measured 4-8 % slower).
+PIPELINE = {
+    0: (),
+    1: (_scalar_cleanup, hoist_invariants),
+    2: (_scalar_cleanup, hoist_invariants, vectorize),
+}
 
-    ``level`` 0 returns the tree untouched; 1 runs the scalar passes
-    (folding, dead code, LICM, CSE); 2 (default) adds dense-loop
-    vectorization.  The returned tree shares every node no pass changed
-    with the input (it *is* the input when none did) and has identical
-    parameters and returns.
+
+def optimize_kernel(func, level=DEFAULT_OPT_LEVEL):
+    """Run the steps of ``PIPELINE[level]`` over a lowered kernel.
+
+    ``level`` is an ``opt_level`` as :func:`~repro.compiler.kernel.
+    compile_kernel` accepts it (``None`` = :data:`DEFAULT_OPT_LEVEL`);
+    any other value raises the same ``ValueError``.  The returned tree
+    shares every node no step changed with the input (it *is* the input
+    when none did) and has identical parameters and returns.
     """
-    if level is None:
-        level = DEFAULT_OPT_LEVEL
-    level = int(level)
-    if level <= 0:
-        return func
-    namer = _namer_for(func)
-    func = _scalar_cleanup(func)
-    if level >= 2:
-        func = vectorize(func)
-    func = hoist_invariants(func, namer)
-    func = eliminate_common_subexprs(func, namer)
-    func = _scalar_cleanup(func)
+    level = OPTIONS["opt_level"].validate(level)
+    for step in PIPELINE[DEFAULT_OPT_LEVEL if level is None else level]:
+        func = step(func)
     return func

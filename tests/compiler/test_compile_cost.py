@@ -7,7 +7,7 @@ here in units no machine's speed moves.  When the fixpoint compared
 emitted source, a fig8 compile printed the whole kernel five times
 inside the optimizer; when every round re-simplified every expression,
 it made 1 933 rule applications (``_apply_first`` calls, lowering
-included) where it now makes 467.
+included) where it now makes 455.
 """
 
 import sys

@@ -2,8 +2,9 @@
 
 The unit tests drive each pass over hand-built asm trees; the golden
 tests compile real CIN programs and assert the pass actually fired on
-the emitted source (LICM and CSE on the paper's SpMSpV kernel, numpy
-vectorization on dense loops).
+the emitted source (LICM on the paper's SpMSpV kernel, numpy
+vectorization on dense loops), and that every step of the pipeline
+changes at least one paper figure's kernel.
 """
 
 import numpy as np
@@ -19,7 +20,6 @@ from repro.ir.optimize import (
     PIPELINE,
     can_raise,
     dead_code,
-    eliminate_common_subexprs,
     entry_exprs,
     fold_constants,
     hoist_invariants,
@@ -28,6 +28,7 @@ from repro.ir.optimize import (
     vectorize,
 )
 from repro.rewrite import DEFAULT_EXPR_RULES, simplify_expr
+from repro.util import config
 
 
 def func_of(*stmts, params=("buf",), returns=()):
@@ -278,6 +279,22 @@ class TestHoistInvariants:
         load_line = next(line for line in lines if "w[0]" in line)
         assert "if i < k" in lines[lines.index(load_line) - 1]
 
+    def test_load_in_a_lazy_arm_is_never_evaluated_unguarded(self):
+        # `buf[n - 1] if n > i else 0.0`: the load is invariant, but it
+        # sits in a lazy ifelse arm.  With n == 0 and an empty buffer
+        # the original never evaluates it; a hoist would raise.
+        guarded = build.call(
+            ops.IFELSE, build.gt(Var("n"), Var("i")),
+            Load("buf", build.minus(Var("n"), Literal(1))), Literal(0.0))
+        loop = asm.ForLoop("i", Literal(0), Literal(3),
+                           asm.AssignStmt(Load("out", Var("i")), guarded))
+        func = func_of(loop, params=("buf", "out", "n"))
+        for level in (1, 2):
+            namespace = {"buf": [], "n": 0, "out": [None] * 3}
+            exec(emit(optimize_kernel(func, level))
+                 + "kernel(buf, out, n)\n", namespace)
+            assert namespace["out"] == [0.0] * 3, level
+
     def test_pure_arithmetic_hoists_unguarded(self):
         loop = asm.ForLoop(
             "j", Var("a"), Var("b"),
@@ -289,129 +306,6 @@ class TestHoistInvariants:
         # 8 * i cannot raise: hoisted with no guard.
         assert "if" not in source
         assert "= 8 * i" in source
-
-
-class TestCommonSubexpressions:
-    def test_repeated_condition_shares_a_temp(self):
-        cond = build.eq(Var("p"), Var("q"))
-        stmts = [
-            asm.If([(cond, asm.AssignStmt(Load("out", Literal(0)),
-                                          Var("z")))]),
-            asm.If([(cond, asm.AccumStmt("p", ops.ADD, Literal(1)))]),
-        ]
-        source = emit(eliminate_common_subexprs(
-            func_of(*stmts, params=("p", "q", "z", "out"))))
-        assert source.count("p == q") == 1
-
-    def test_written_body_blocks_sharing(self):
-        cond = build.eq(Var("p"), Var("q"))
-        stmts = [
-            asm.If([(cond, asm.AccumStmt("p", ops.ADD, Literal(1)))]),
-            asm.If([(cond, sink(Var("q")))]),
-        ]
-        source = emit(eliminate_common_subexprs(
-            func_of(*stmts, params=("p", "q", "sink"))))
-        # The first body writes p: the comparison must be recomputed.
-        assert source.count("p == q") == 2
-
-    def test_slice_store_body_shares_by_exact_effects(self):
-        cond = build.eq(Var("p"), Var("q"))
-        fill = asm.AssignStmt(Slice("out", Var("p"), Var("q")),
-                              Literal(0.0))
-        stmts = [asm.If([(cond, fill)]), asm.If([(cond, sink(Var("q")))])]
-        source = emit(eliminate_common_subexprs(
-            func_of(*stmts, params=("p", "q", "out", "sink"))))
-        # The slice store reads p and q and stores out; it writes no
-        # scalar, so the comparison is shared.
-        assert source.count("p == q") == 1
-
-    def test_repeat_within_one_statement_is_named_once(self):
-        offset = build.minus(Load("ofs", Var("b")), Load("end", Var("b")))
-        window = Slice("val", build.plus(Var("lo"), offset),
-                       build.plus(Var("hi"), offset))
-        stmt = asm.AccumStmt("acc", ops.ADD, Reduce(
-            ops.ADD, Call(ops.MUL, [window, window])))
-        source = emit(eliminate_common_subexprs(func_of(
-            stmt, params=("val", "ofs", "end", "b", "lo", "hi"),
-            returns=("acc",))))
-        assert "    t = ofs[b] - end[b]\n" in source
-        assert "    t_2 = lo + t\n    t_3 = hi + t\n" in source
-        assert "acc += _np.dot(val[t_2:t_3], val[t_2:t_3])" in source
-
-    def test_repeat_within_a_scalar_statement_stays_as_written(self):
-        stmt = sink(build.times(Load("val", Var("p")), Load("val", Var("p"))))
-        source = emit(eliminate_common_subexprs(func_of(
-            stmt, params=("val", "p", "sink"))))
-        assert "    sink[0] = val[p] * val[p]\n" in source
-
-    def test_write_invalidates_availability(self):
-        expr = build.plus(Var("p"), Literal(1))
-        stmts = [
-            asm.AssignStmt(Load("buf", Literal(0)), expr),
-            asm.AccumStmt("p", ops.ADD, Literal(1)),
-            asm.AssignStmt(Load("buf", Literal(1)), expr),
-        ]
-        source = emit(eliminate_common_subexprs(
-            func_of(*stmts, params=("p", "buf"))))
-        # p changed between the two uses: both must recompute.
-        assert source.count("1 + p") == 2
-
-    def test_guarded_load_is_never_materialized_unconditionally(self):
-        # `(buf[n - 1] if n > 0 else 0)` twice in a block: the load
-        # lives in a lazy ifelse arm, so CSE must NOT hoist it into an
-        # unconditional temp — with n == 0 and an empty buffer that
-        # would raise where the original returns 0.
-        guarded = build.call(
-            ops.IFELSE, build.gt(Var("n"), Literal(0)),
-            Load("buf", build.minus(Var("n"), Literal(1))),
-            Literal(0.0))
-        stmts = [
-            asm.AssignStmt("x", guarded),
-            asm.AssignStmt("y", guarded),
-            asm.AssignStmt(Load("out", Literal(0)),
-                           build.plus(Var("x"), Var("y"))),
-        ]
-        func = func_of(*stmts, params=("buf", "out", "n"))
-        from repro.ir.optimize import optimize_kernel as run_pipeline
-
-        for optimized in (eliminate_common_subexprs(func),
-                          run_pipeline(func, 1), run_pipeline(func, 2)):
-            source = emit(optimized)
-            for line in source.splitlines():
-                if "buf[" in line:
-                    # The load must stay inside a conditional
-                    # expression (the guard may itself be a CSE temp).
-                    assert " if " in line, source
-        # And the emitted code really tolerates the empty-buffer case.
-        namespace = {"buf": [], "n": 0, "out": [None]}
-        exec(emit(run_pipeline(func, 2)).replace("def kernel", "def k")
-             + "k(buf, out, n)\n", namespace)
-        assert namespace["out"][0] == 0.0
-
-    def test_store_invalidates_loads_of_that_buffer(self):
-        load = Load("buf", Var("p"))
-        stmts = [
-            asm.AssignStmt("x", load),
-            asm.AssignStmt(Load("buf", Var("p")), Literal(0.0)),
-            asm.AssignStmt("y", load),
-            asm.AssignStmt(Load("out", Literal(0)),
-                           build.plus(Var("x"), Var("y"))),
-        ]
-        source = emit(eliminate_common_subexprs(
-            func_of(*stmts, params=("buf", "out", "p"))))
-        assert source.count("buf[p]") >= 3  # the load is NOT reused
-
-    def test_assignment_doubles_as_temp(self):
-        expr = build.plus(Var("p"), Var("q"))
-        stmts = [
-            asm.AssignStmt("x", expr),
-            asm.AssignStmt(Load("buf", Literal(0)),
-                           build.times(expr, Literal(2))),
-        ]
-        source = emit(eliminate_common_subexprs(
-            func_of(*stmts, params=("p", "q", "buf"))))
-        assert "x = p + q" in source
-        assert "buf[0] = 2 * x" in source
 
 
 class TestVectorize:
@@ -651,9 +545,17 @@ class TestHelpers:
         assert list(entry_exprs(stmt)) == [first]
 
     def test_pipeline_metadata(self):
-        assert "vectorize" in PIPELINE[2]
-        assert "vectorize" not in PIPELINE[1]
+        assert tuple(PIPELINE) == config.OPT_LEVELS
+        assert PIPELINE[2] == PIPELINE[1] + (vectorize,)
         assert DEFAULT_OPT_LEVEL == 2
+
+    @pytest.mark.parametrize("level", [7, -1, 2.7, True, 9, 1.0, False,
+                                       "one"])
+    def test_optimize_kernel_takes_only_the_compile_levels(self, level):
+        # `int(level)` once ran True as 1 and 2.7 as 2, and let -1 and
+        # 7 through as levels of their own.
+        with pytest.raises(ValueError, match="opt_level must be one of"):
+            optimize_kernel(func_of(sink(1)), level)
 
 
 class TestGoldenKernels:
@@ -684,15 +586,6 @@ class TestGoldenKernels:
         opt_for = first_index(opt_lines, "for i in range")
         assert first_index(raw_lines, "pos_2[0]") > raw_for
         assert first_index(opt_lines, "pos_2[0]") < opt_for
-
-    def test_cse_fires_on_spmspv(self):
-        kernel = self.spmspv_kernel()
-        # The coiteration advance re-tests `stop == stride`; CSE
-        # shares the comparison through a temp.
-        assert kernel.raw_source.count("== j_stride\n") \
-            + kernel.raw_source.count("== j_stride:") >= 2
-        assert kernel.source.count("== j_stride") \
-            < kernel.raw_source.count("== j_stride")
 
     def test_dead_preamble_load_dropped(self):
         a = np.arange(4.0)
@@ -751,25 +644,6 @@ class TestGoldenKernels:
             assert "for" in kernel.source
             assert out.to_numpy().tobytes() == want.tobytes(), opt_level
 
-    def test_fig11_slice_offsets_are_computed_once(self):
-        # The VBL all-pairs kernel reduces windows val[lo + off:hi + off]
-        # with off = ofs[1 + b] - end[b]: lo and hi share the offset,
-        # and the norm loop multiplies one window by itself.  Slice
-        # bounds are scalar expressions like any other, so each
-        # block's offset is computed once per statement.
-        from repro.bench.figures import fig11_batch
-        from repro.bench.kernels import all_pairs_similarity_program
-
-        prog = all_pairs_similarity_program(fig11_batch("digit", 20),
-                                            "vbl")[0]
-        source = fl.compile_kernel(prog, cache=False, opt_level=2).source
-        dots = [line for line in source.splitlines() if "_np.dot" in line]
-        assert len(dots) == 2
-        for block in ("b", "b_2", "b_3"):
-            offset = "ofs[1 + %s] - end[%s]" % (block, block)
-            assert source.count(offset) == 1, offset
-            assert not any(offset in line for line in dots)
-
     def test_level_one_hoists_but_does_not_vectorize(self):
         a = np.arange(1.0, 5.0)
         b = np.arange(1.0, 4.0)
@@ -806,21 +680,47 @@ class TestGoldenKernels:
 
 
 @pytest.fixture(scope="module")
-def optimised_figures():
-    """Each figure's headline kernel as ``optimize_kernel`` leaves it."""
+def lowered_figures():
+    """Each figure's headline kernel as lowering hands it to
+    ``optimize_kernel`` (every figure compiles at the default level)."""
     import repro.compiler.kernel as compiler
     from repro.bench.figures import warm_start_programs
 
-    trees, real = {}, compiler.optimize_kernel
+    trees = {}
     with pytest.MonkeyPatch.context() as patch:
         for figure, _, make, opts in warm_start_programs():
             def keep(func, level, figure=figure):
-                trees[figure] = real(func, level)
-                return trees[figure]
+                trees[figure] = func
+                return optimize_kernel(func, level)
 
             patch.setattr(compiler, "optimize_kernel", keep)
             fl.compile_kernel(make(), cache=False, **opts)
     return trees
+
+
+@pytest.fixture(scope="module")
+def optimised_figures(lowered_figures):
+    """Each figure's headline kernel as ``optimize_kernel`` leaves it."""
+    return {figure: optimize_kernel(func)
+            for figure, func in lowered_figures.items()}
+
+
+class TestEveryStepPays:
+    """Counted, not timed: dropping any one step of ``PIPELINE[2]``
+    changes the emitted kernel of at least one paper figure.  A step
+    that does nothing on the figures fails here."""
+
+    @pytest.mark.parametrize("step", PIPELINE[2],
+                             ids=lambda step: step.__name__)
+    def test_dropping_a_step_changes_a_figure(self, step, lowered_figures,
+                                              optimised_figures,
+                                              monkeypatch):
+        monkeypatch.setitem(PIPELINE, 2, tuple(
+            other for other in PIPELINE[2] if other is not step))
+        changed = [figure for figure, func in lowered_figures.items()
+                   if emit(optimize_kernel(func))
+                   != emit(optimised_figures[figure])]
+        assert changed, step.__name__
 
 
 class TestUnchangedNodesComeBack:
@@ -831,22 +731,25 @@ class TestUnchangedNodesComeBack:
     @pytest.mark.parametrize("run", [fold_constants, dead_code, vectorize],
                              ids=lambda run: run.__name__)
     def test_a_pass_at_its_fixpoint_returns_its_input(self, run,
-                                                      optimised_figures):
-        for figure, func in optimised_figures.items():
+                                                      lowered_figures):
+        # Folding and dead code reach theirs in the cleanup step (LICM's
+        # temps are copies a later fold would forward); vectorize, the
+        # last step, at the end of the pipeline.
+        steps = PIPELINE[2] if run is vectorize else PIPELINE[2][:1]
+        for figure, func in lowered_figures.items():
+            for step in steps:
+                func = step(func)
             assert run(func) is func, figure
 
-    @pytest.mark.parametrize("run", [hoist_invariants,
-                                     eliminate_common_subexprs],
-                             ids=lambda run: run.__name__)
-    def test_licm_and_cse_return_their_input_unless_they_rewrote(
-            self, run, optimised_figures):
-        # Neither is idempotent (a second LICM hoists a max() the first
+    def test_licm_returns_its_input_unless_it_rewrote(
+            self, optimised_figures):
+        # LICM is not idempotent (a second run hoists a max() the first
         # left over two hoisted temps), so: same object, or new text.
         same = [figure for figure, func in optimised_figures.items()
-                if run(func) is func]
+                if hoist_invariants(func) is func]
         for figure, func in optimised_figures.items():
             if figure not in same:
-                assert emit(run(func)) != emit(func), figure
+                assert emit(hoist_invariants(func)) != emit(func), figure
         assert len(same) >= 4, same
 
     def test_the_generic_rewriters_keep_what_they_do_not_touch(
@@ -903,10 +806,11 @@ class TestUnchangedNodesComeBack:
 
 
 class TestTempsAvoidTheKernelNamespace:
-    """Regression: CSE's ``t`` and the hoister's ``inv`` used to shadow a
-    registered operator of the same runtime name (``t = t(...)`` raised
-    ``UnboundLocalError`` at ``opt_level >= 1``); compiler temps now
-    reserve every name of ``kernel_globals()``."""
+    """Regression: compiler temps (the hoister's ``inv``, and ``t`` of a
+    since-deleted CSE pass) used to shadow a registered operator of the
+    same runtime name (``t = t(...)`` raised ``UnboundLocalError`` at
+    ``opt_level >= 1``); compiler temps now reserve every name of
+    ``kernel_globals()``."""
 
     @pytest.fixture
     def doubling_op(self, request, temp_op):
@@ -921,8 +825,8 @@ class TestTempsAvoidTheKernelNamespace:
         C = fl.zeros((4, 6), name="C")
         D = fl.zeros((4, 6), name="D")
         i, j = fl.indices("i", "j")
-        # A repeated call (CSE's ``t``) that is invariant in the inner
-        # loop (the hoister's ``inv``).
+        # A repeated call that is invariant in the inner loop (the
+        # hoister's ``inv``).
         doubled = fl.call(doubling_op, A[i])
         prog = fl.forall(i, fl.forall(j, fl.multi(
             fl.increment(C[i, j], doubled + B[j]),

@@ -2,7 +2,8 @@
 
 Hypothesis drives randomized CIN programs through the compiler at
 ``opt_level=0`` (lowered code emitted untouched) and at the default
-level (folding, LICM, CSE, vectorization) and cross-checks outputs.
+level (folding and dead code, LICM, vectorization) and cross-checks
+outputs.
 
 Two regimes:
 
