@@ -79,8 +79,8 @@ def _emit_accum(stmt, pad, lines):
         lines.append("%s%s = %s %s (%s)" % (
             pad, target, target, op.symbol.strip(), value))
     else:
-        lines.append("%s%s = %s(%s, %s)" % (
-            pad, target, op.runtime_name, target, value))
+        lines.append("%s%s = %s" % (
+            pad, target, expr_source(Call(op, (stmt.target, stmt.value)))))
 
 
 def _emit_if(stmt, depth, lines):

@@ -14,6 +14,7 @@ consumer tests an operator by name.
 """
 
 import math
+import re
 from bisect import bisect_left
 
 from repro.util.errors import ReproError
@@ -53,8 +54,7 @@ class Op:
         Python callable used for constant folding and by the reference
         interpreter.
     symbol:
-        Infix symbol; when given, binary calls render as ``a <sym> b``,
-        otherwise as ``runtime_name(args...)``.
+        Infix symbol; when given, binary calls render as ``a <sym> b``.
     precedence:
         Python operator precedence (higher binds tighter) used by the
         pretty printer to insert minimal parentheses.
@@ -72,11 +72,22 @@ class Op:
         Compound-assignment spelling (``"+="``) of ``x = op(x, v)``,
         valid on scalars and numpy slices alike; without it an
         accumulation is spelled out.
+    python:
+        The Python form :mod:`repro.ir.pretty` prints instead of a call,
+        a conditional expression: ``("select", "<")`` (``min``: the
+        running value stays unless a later operand compares strictly
+        less, the builtin's own rule), ``("first_not_none",)`` (the
+        first operand that is not ``None``, which is how emitted code
+        spells ``missing``; the ones after it are not evaluated) or
+        ``("conditional",)`` (``then if cond else otherwise``).  Each
+        operand is evaluated once.  ``None``: an op with no ``symbol``
+        prints as ``runtime_name(args...)``.
     runtime_name / runtime:
-        For ops that render as calls: the name emitted code calls and
-        the callable the kernel namespace binds to it (default ``fn``;
-        ``min``/``max`` bind the builtins, ``coalesce`` a variant over
-        ``None``, which is how emitted code spells ``missing``).
+        For ops that print as calls: the name emitted code calls and
+        the callable the kernel namespace binds to it (default ``fn``).
+        No runtime name may have the shape of a printer temp
+        (``_t1``, ``_t2``...): a temp is a local of the whole kernel
+        function and would shadow it.
     lazy:
         Emitted Python evaluates only the first argument
         unconditionally (``and``/``or`` short-circuit, ``ifelse`` is a
@@ -122,7 +133,7 @@ class Op:
                  propagates_missing=True, runtime_name=None, unary=False,
                  accum=None, runtime=None, lazy=False, total=False,
                  exact=False, numpy=None, numpy_reduce=None, c=None,
-                 c_type=None):
+                 c_type=None, python=None):
         self.name = name
         self.fn = fn
         self.symbol = symbol
@@ -145,6 +156,7 @@ class Op:
         self.numpy_reduce = numpy_reduce
         self.c = c
         self.c_type = c_type
+        self.python = python
 
     def __repr__(self):
         return "Op(%s)" % self.name
@@ -160,9 +172,22 @@ _REGISTRY = {}
 _REGISTRY_VERSION = 0
 
 
+#: The names :mod:`repro.ir.pretty` binds its temps to: ``_t`` and a
+#: number.  A temp is a local of the whole kernel function, so no other
+#: name may take that shape: none the lowerer or the optimizer makes
+#: starts with an underscore (:func:`repro.util.namer.sanitize` strips
+#: them), the kernel namespace's fixed names are ``_np``/``_inf``/
+#: ``_nan``, and :func:`register_op` refuses such a runtime name.
+PRINTER_TEMP = "_t%d"
+_PRINTER_TEMP_SHAPE = re.compile(r"_t[0-9]+\Z")
+
+
 def register_op(op):
     """Add ``op`` to the global registry, replacing any previous entry."""
     global _REGISTRY_VERSION
+    if _PRINTER_TEMP_SHAPE.match(op.runtime_name):
+        raise ReproError("operator %r: runtime name %r is reserved for "
+                         "printer temps" % (op.name, op.runtime_name))
     _REGISTRY[op.name] = op
     _REGISTRY_VERSION += 1
     return op
@@ -194,14 +219,6 @@ def _coalesce(*args):
         if arg is not MISSING and arg is not None:
             return arg
     return MISSING
-
-
-def _coalesce_runtime(*args):
-    """First non-``None`` argument (``coalesce`` inside emitted code)."""
-    for arg in args:
-        if arg is not None:
-            return arg
-    return None
 
 
 def _ifelse(cond, then, otherwise):
@@ -290,11 +307,13 @@ POW = register_op(Op("pow", lambda a, b: a ** b, symbol="**", precedence=14))
 # No numpy form: ``_np.minimum``/``_np.maximum`` propagate a NaN where
 # Python's ``min``/``max`` keep their first argument.
 MIN = register_op(Op("min", _min, identity=None, commutative=True,
-                     associative=True, runtime=min, total=True, exact=True,
-                     c=("typed", "fl_min"), c_type="join"))
+                     associative=True, total=True, exact=True,
+                     python=("select", "<"), c=("typed", "fl_min"),
+                     c_type="join"))
 MAX = register_op(Op("max", _max, identity=None, commutative=True,
-                     associative=True, runtime=max, total=True, exact=True,
-                     c=("typed", "fl_max"), c_type="join"))
+                     associative=True, total=True, exact=True,
+                     python=("select", ">"), c=("typed", "fl_max"),
+                     c_type="join"))
 EQ = _compare("eq", lambda a, b: a == b, "==", 9)
 NE = _compare("ne", lambda a, b: a != b, "!=", 9)
 LT = _compare("lt", lambda a, b: a < b, "<", 10)
@@ -319,11 +338,10 @@ SQRT = register_op(Op("sqrt", math.sqrt, runtime_name="_sqrt", exact=True,
                       numpy=("unary", "_np.sqrt(%s)"), c=("helper", "sqrt"),
                       c_type="f64"))
 COALESCE = register_op(Op("coalesce", _coalesce, propagates_missing=False,
-                          runtime_name="_coalesce",
-                          runtime=_coalesce_runtime, exact=True))
+                          exact=True, python=("first_not_none",)))
 IFELSE = register_op(Op("ifelse", _ifelse, propagates_missing=False,
-                        runtime_name="_ifelse", lazy=True, total=True,
-                        exact=True, c=("conditional",)))
+                        lazy=True, total=True, exact=True,
+                        python=("conditional",), c=("conditional",)))
 ROUND_U8 = register_op(Op("round_u8", _round_u8, runtime_name="_round_u8",
                           exact=True, c=("helper", "fl_round_u8"),
                           c_type="i64"))

@@ -1,12 +1,13 @@
 """The namespace emitted kernels execute in.
 
 Compiled kernels are executed with :func:`kernel_globals` as their
-namespace: the runtime callable of every registered op that renders as
-a call (:mod:`repro.ir.ops` declares them), numpy as ``_np`` for slice
-operations, and ``_inf``/``_nan``, which is how the printer spells the
-non-finite float literals.  Every helper bound here takes Python and
-numpy scalars alike, and the search helpers an index buffer that is an
-ndarray or the element view a kernel took of one
+namespace: the runtime callable of every registered op that prints as a
+call (:func:`repro.ir.pretty.prints_as_call`; ``min``, ``max``,
+``coalesce`` and ``ifelse`` print as conditional expressions), numpy
+as ``_np`` for slice operations, and ``_inf``/``_nan``, which is how the
+printer spells the non-finite float literals.  Every helper bound here
+takes Python and numpy scalars alike, and the search helpers an index
+buffer that is an ndarray or the element view a kernel took of one
 (:func:`repro.ir.emit.scalar_views`).
 
 The namespace is assembled once — a snapshot of the op registry — and
@@ -21,6 +22,7 @@ import numpy as np
 
 from repro.ir.emit import BUILTINS
 from repro.ir.ops import all_ops, registry_version
+from repro.ir.pretty import prints_as_call
 
 _BASE_CACHE = {"version": None, "env": None}
 
@@ -29,7 +31,7 @@ def _base_globals():
     version = registry_version()
     if _BASE_CACHE["version"] != version:
         env = {op.runtime_name: op.runtime for op in all_ops().values()
-               if op.symbol is None}
+               if prints_as_call(op)}
         env.update(_np=np, _inf=math.inf, _nan=math.nan)
         # env before version: a concurrent reader that sees the new
         # version must also see the matching snapshot.

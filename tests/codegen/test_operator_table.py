@@ -13,11 +13,15 @@ declares a form (docs/ARCHITECTURE.md, "Adding an operator"):
   vectorises at ``opt_level=2`` and agrees with the scalar loop;
 * an op that declares neither falls back / stays scalar, with its
   reason;
+* an op that declares a python form (``Op.python``) prints as it,
+  computes the very object ``op.fn`` returns, and evaluates each
+  operand at most once;
 * a toy op registered *here* with a full declaration gets python, numpy
   and C with no edit to ``c_emit.py`` or ``optimize.py``.
 """
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +34,8 @@ from repro.ir import asm, ops
 from repro.ir.emit import emit
 from repro.ir.nodes import Call, Literal, Load, Var
 from repro.ir.optimize import vectorize
+from repro.ir.pretty import expr_source
+from repro.ir.runtime import kernel_globals
 
 needs_cc = pytest.mark.skipif(
     not codegen.have_toolchain(), reason="no C compiler on PATH")
@@ -41,12 +47,16 @@ COLUMNS = (np.array([3, -2, 0, 5, -7, 1, 4, -9, 6, 2, -1, 8]),
            np.array([1, 0, 2, -3, 0, 5, -1, 0, 7, -2, 4, 0]))
 
 
+def _variadic(op):
+    params = inspect.signature(op.fn).parameters.values()
+    return any(p.kind is p.VAR_POSITIONAL for p in params)
+
+
 def _arity(op):
     """How many operands to call ``op`` with (variadic ops: two)."""
-    params = inspect.signature(op.fn).parameters.values()
-    if any(p.kind is p.VAR_POSITIONAL for p in params):
+    if _variadic(op):
         return 2
-    return len(params)
+    return len(inspect.signature(op.fn).parameters)
 
 
 def _select(predicate):
@@ -220,6 +230,145 @@ class TestNoNumpyForm:
         loop = asm.ForLoop("i", Literal(0), Literal(8), asm.AccumStmt(
             Var("acc"), op, Load("x", Var("i"))))
         assert "for i in range(0, 8):" in emit(vectorize(loop))
+
+
+# ------------------------------------------------------------- python
+#: Operands a python form must treat exactly as ``op.fn`` does: NaN,
+#: signed zeros, infinities, int/float mixes, Python and numpy scalars,
+#: and ``None`` (``missing``).
+PY_VALUES = (math.nan, 0.0, -0.0, math.inf, -math.inf, 1, -1, 2.5, True,
+             np.float64(math.nan), np.float64(-0.0), np.float64(1.0),
+             np.int64(1), np.int64(-2), np.bool_(False), None)
+
+
+def _trees(op):
+    """Call trees over the leaves 0, 1, 2: a flat call, the call nested
+    in each operand position, and a three-operand call of a variadic
+    op.  A tuple is a call of ``op``, an int a leaf."""
+    n = _arity(op)
+    flat = tuple(range(n))
+    trees = [flat] + [
+        flat[:p] + (tuple((p + k) % 3 for k in range(n)),) + flat[p + 1:]
+        for p in range(n)]
+    if _variadic(op):
+        trees.append((0, 1, 2))
+    return trees
+
+
+def _ir(op, tree, leaf):
+    if isinstance(tree, int):
+        return leaf(tree)
+    return Call(op, [_ir(op, sub, leaf) for sub in tree])
+
+
+def _fold(op, tree, values):
+    if isinstance(tree, int):
+        return values[tree]
+    result = op.fn(*[_fold(op, sub, values) for sub in tree])
+    return None if result is ops.MISSING else result
+
+
+def _compiled(source):
+    """``source`` as the body of a kernel over ``a0 a1 a2 b0 b1 b2``."""
+    namespace = kernel_globals()
+    exec("def f(a0, a1, a2, b0, b1, b2):\n    return %s\n" % source,
+         namespace)
+    return namespace["f"]
+
+
+def _numbered(tree, counter=None):
+    """``tree`` with its leaves renumbered in order of occurrence."""
+    counter = counter if counter is not None else itertools.count()
+    if isinstance(tree, int):
+        return next(counter)
+    return tuple(_numbered(sub, counter) for sub in tree)
+
+
+def _leaves(tree):
+    return 1 if isinstance(tree, int) else sum(map(_leaves, tree))
+
+
+def _counting(op, tree, temp_op):
+    """``(evaluated, fn)``: ``fn()`` computes ``tree`` over operands
+    that are each a call of a counting op.  ``evaluated[0]`` holds the
+    leaf values; every evaluation appends its leaf's index."""
+    evaluated = []
+
+    def operand(index):
+        evaluated.append(index)
+        return evaluated[0][index]
+
+    counted = temp_op(ops.Op("counted_operand", operand))
+
+    def leaf(index):
+        return Call(counted, [Literal(index)])
+
+    return evaluated, _compiled(expr_source(_ir(op, tree, leaf)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as error:  # noqa: BLE001 - the type is compared
+        return type(error)
+
+
+def _var(index):
+    """A leaf that is a variable: printed as itself."""
+    return Var("a%d" % index)
+
+
+def _load(index):
+    """A leaf that is computed: bound to a temp where first used."""
+    return Load("b%d" % index, Literal(0))
+
+
+class TestDeclaredPythonForm:
+    @_select(lambda op: op.python is not None)
+    def test_prints_its_form_and_binds_no_name(self, op):
+        source = expr_source(_ir(op, tuple(range(_arity(op))), _var))
+        assert "%s(" % op.runtime_name not in source
+        assert op.runtime_name not in kernel_globals()
+
+    @_select(lambda op: op.python is not None)
+    def test_computes_the_object_fn_returns(self, op):
+        for tree in _trees(op):
+            for kinds in ((_var,) * 3, (_load,) * 3, (_var, _load, _var),
+                          (_load, _var, _load)):
+                expr = _ir(op, tree, lambda i: kinds[i](i))
+                fn = _compiled(expr_source(expr))
+                for values in itertools.product(PY_VALUES, repeat=3):
+                    want = _outcome(_fold, op, tree, values)
+                    got = _outcome(fn, *values, *[[v] for v in values])
+                    # The very object (the same operand chosen, so the
+                    # same type and bits), or the same error.
+                    assert got is want, (tree, values, got, want)
+
+    @_select(lambda op: op.python is not None)
+    def test_evaluates_each_operand_at_most_once(self, op, temp_op):
+        for tree in _trees(op):
+            tree = _numbered(tree)
+            evaluated, fn = _counting(op, tree, temp_op)
+            for values in itertools.product(
+                    (None, math.nan, -0.0, 1, True), repeat=_leaves(tree)):
+                evaluated[:] = [values]
+                got = _outcome(fn, *[None] * 6)
+                indices = evaluated[1:]
+                assert len(indices) == len(set(indices)), (tree, values)
+                assert got is _outcome(_fold, op, tree, values)
+                if op.python[0] == "select" and not isinstance(got, type):
+                    assert sorted(indices) == list(range(len(values)))
+
+    @_select(lambda op: op.python is not None
+             and op.python[0] == "first_not_none")
+    def test_coalesce_stops_at_the_first_value(self, op, temp_op):
+        evaluated, fn = _counting(op, (0, 1, 2), temp_op)
+        for values in itertools.product((None, 0.0, math.nan), repeat=3):
+            evaluated[:] = [values]
+            assert fn(*[None] * 6) is _fold(op, (0, 1, 2), values)
+            present = [value is not None for value in values]
+            taken = present.index(True) + 1 if any(present) else 3
+            assert evaluated[1:] == list(range(taken))
 
 
 # ---------------------------------------------------------------- toy

@@ -216,3 +216,21 @@ class TestPipelineClipping:
         fl.execute(fl.forall(i, fl.increment(C[()], A[i] * B[i])))
         # [0,3): 1*1, [3,7): 1*10, [7,10): 10*10
         assert C.value == 3 * 1 + 4 * 10 + 3 * 100
+
+
+class TestNegativeLiterals:
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_negative_base_of_a_power(self, level):
+        # ``-2.0 ** x`` parses as ``-(2.0 ** x)``: the literal must print
+        # parenthesized for the kernel to agree with the interpreter.
+        from repro.baselines.reference import interpret
+
+        x = fl.from_numpy(np.array([2.0, 3.0, 4.0]), ("dense",), name="x")
+        y = fl.zeros((3,), name="y")
+        i = fl.indices("i")
+        prog = fl.forall(i, fl.store(y[i], fl.call(fl.ops.POW, -2.0, x[i])))
+        want = np.asarray(interpret(prog).result_for(y))
+        kernel = fl.compile_kernel(prog, cache=False, opt_level=level)
+        kernel.run()
+        assert y.to_numpy().tolist() == want.tolist() == [4.0, -8.0, 16.0]
+        assert "(-2.0) ** " in kernel.source

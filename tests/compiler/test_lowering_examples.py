@@ -194,8 +194,14 @@ class TestPipelineLowering:
         prog, C = scalar_program(A, B)
         source = compile_source(prog)
         # Four phase-combination regions appear as min/max boundary
-        # arithmetic (the paper's 1*3, 1*4, 2*3, 2*4 regions).
-        assert source.count("min(") >= 2
+        # arithmetic (the paper's 1*3, 1*4, 2*3, 2*4 regions), printed
+        # as conditional expressions: each first phase stops at its
+        # stride clamped to the extent, B's inside A's at the nearer
+        # of A's stop and its own stride.
+        assert source.count(" < 10 else 10)") == 2
+        assert "(_t1 if (_t1 := s_A[0]) < 10 else 10)" in source
+        assert "(i_stop if i_stop < (_t1 := s_B[0]) else _t1)" in source
+        assert "min(" not in source and "max(" not in source
         fl.execute(prog)
         # [0,4): 1*3, [4,7): 2*3, [7,10): 2*4.
         assert C.value == 4 * 3.0 + 3 * 6.0 + 3 * 8.0
@@ -242,7 +248,9 @@ class TestStepperLowering:
         prog = fl.forall(i, fl.increment(C[()], A[i]), ext=(0, 11))
         source = compile_source(prog)
         assert "while" in source
-        assert "min(" in source
+        # The step ends at the smaller of the stride and the extent.
+        assert "i_stop = (i_stride if i_stride < 11 else 11)" in source
+        assert "min(" not in source
         fl.execute(prog)
         # Runs: [0,3)=1, [3,6)=2, [6,10)=3, [10,11)=4.
         assert C.value == 3 * 1 + 3 * 2 + 4 * 3 + 1 * 4
@@ -278,7 +286,11 @@ class TestJumperLowering:
         prog = fl.forall(i, fl.increment(
             C[()], fl.access(A, fl.gallop(i)) * fl.access(B, fl.gallop(i))))
         source = compile_source(prog)
-        assert "max(" in source
+        # The merged step takes the larger of the two strides, then
+        # the nearer of that and the region's stop.
+        assert "(i_stride_2 if i_stride_2 > i_stride else i_stride)" \
+            in source
+        assert "max(" not in source and "min(" not in source
         assert "search_ge(" in source
         fl.execute(prog)
         assert C.value == pytest.approx(float(a @ b))

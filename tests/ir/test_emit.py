@@ -35,8 +35,54 @@ class TestExprSource:
         assert expr_source(expr) == "a * b + c"
 
     def test_function_call_rendering(self):
-        expr = Call(ops.MIN, [Var("a"), Var("b")])
-        assert expr_source(expr) == "min(a, b)"
+        # An op with neither a symbol nor a python form is a call.
+        expr = Call(ops.SQRT, [build.plus(Var("a"), Var("b"))])
+        assert expr_source(expr) == "_sqrt(a + b)"
+        search = Call(ops.SEARCH_GE, [Var("idx"), Var("q"), Var("q_stop"),
+                                      Literal(0)])
+        assert expr_source(search) == "search_ge(idx, q, q_stop, 0)"
+
+    def test_min_max_print_as_selects(self):
+        assert expr_source(Call(ops.MIN, [Var("a"), Var("b")])) \
+            == "(b if b < a else a)"
+        assert expr_source(Call(ops.MAX, [Var("a"), Literal(0)])) \
+            == "(0 if 0 > a else a)"
+        # The running value of a longer chain is a temp.
+        assert expr_source(Call(ops.MIN, [Var("a"), Var("b"), Var("c")])) \
+            == "(c if c < (_t1 := (b if b < a else a)) else _t1)"
+
+    def test_select_binds_a_computed_operand_once(self):
+        expr = Call(ops.MIN, [Load("idx", Var("q")), Var("n")])
+        assert expr_source(expr) == "(n if n < (_t1 := idx[q]) else _t1)"
+
+    def test_coalesce_prints_a_lazy_chain(self):
+        expr = Call(ops.COALESCE, [Load("x", Var("q")), Var("y"),
+                                   Literal(0.0)])
+        assert expr_source(expr) == ("(_t1 if (_t1 := x[q]) is not None "
+                                     "else (y if y is not None else 0.0))")
+
+    def test_temps_are_numbered_per_expression(self):
+        expr = Call(ops.MAX, [Literal(0), Call(ops.MIN, [
+            Load("idx", Var("q")), Var("n")])])
+        source = ("(_t2 if (_t2 := (n if n < (_t1 := idx[q]) else _t1)) "
+                  "> 0 else 0)")
+        assert expr_source(expr) == source
+        assert expr_source(expr) == source
+
+    def test_negative_literal_binds_as_unary_minus(self):
+        # ``-2.0 ** x`` is ``-(2.0 ** x)`` in Python.
+        assert expr_source(Call(ops.POW, [Literal(-2.0), Var("x")])) \
+            == "(-2.0) ** x"
+        assert expr_source(Call(ops.POW, [Literal(-0.0), Var("x")])) \
+            == "(-0.0) ** x"
+        assert expr_source(Call(ops.POW, [Var("x"), Literal(-3)])) \
+            == "x ** (-3)"
+        assert expr_source(Call(ops.POW, [Literal(-float("inf")),
+                                          Var("x")])) == "(-_inf) ** x"
+        assert expr_source(Call(ops.SUB, [Var("x"), Literal(-1)])) \
+            == "x - -1"
+        assert expr_source(Call(ops.POW, [Literal(0.0), Var("x")])) \
+            == "0.0 ** x"
 
     def test_load(self):
         expr = Load("A_val", build.plus(Var("p"), 1))
@@ -59,9 +105,9 @@ class TestEmit:
         source = emit(asm.AccumStmt(Var("acc"), ops.ADD, Var("v")))
         assert source == "acc += v\n"
 
-    def test_accum_min_uses_function(self):
+    def test_accum_min_prints_the_select(self):
         source = emit(asm.AccumStmt(Var("acc"), ops.MIN, Var("v")))
-        assert source == "acc = min(acc, v)\n"
+        assert source == "acc = (v if v < acc else acc)\n"
 
     def test_for_loop(self):
         loop = asm.ForLoop("i", 0, Var("n"),
@@ -129,20 +175,20 @@ class TestEmit:
         assert emit(asm.AccumStmt(Var("a"), ops.DIV, Var("v"))) \
             == "a /= v\n"
 
-    def test_accum_max_uses_function(self):
+    def test_accum_max_prints_the_select(self):
         source = emit(asm.AccumStmt(Var("acc"), ops.MAX, Var("v")))
-        assert source == "acc = max(acc, v)\n"
+        assert source == "acc = (v if v > acc else acc)\n"
 
     def test_accum_symboled_op_outside_augmented_set(self):
         # POW has an infix symbol but no augmented-assignment form the
-        # emitter uses; it must fall back to the runtime call.
+        # emitter uses; ``acc = pow(acc, v)`` prints as a call of it.
         source = emit(asm.AccumStmt(Var("acc"), ops.POW, Var("v")))
-        assert source == "acc = pow(acc, v)\n"
+        assert source == "acc = acc ** v\n"
 
     def test_accum_into_load_target(self):
         target = Load("out", Var("p"))
         source = emit(asm.AccumStmt(target, ops.MIN, Var("v")))
-        assert source == "out[p] = min(out[p], v)\n"
+        assert source == "out[p] = (v if v < (_t1 := out[p]) else _t1)\n"
 
     def test_accum_non_symbol_op_executes(self):
         body = asm.Block([

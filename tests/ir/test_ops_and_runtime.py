@@ -73,9 +73,25 @@ class TestFolding:
 class TestKernelGlobals:
     def test_contains_helpers(self):
         env = kernel_globals()
-        for name in ("_coalesce", "_ifelse", "_round_u8", "_sqrt",
-                     "search_ge", "min", "max", "abs"):
+        for name in ("_round_u8", "_sqrt", "search_ge", "abs"):
             assert name in env
+
+    def test_binds_only_ops_printed_as_calls(self):
+        # min/max/coalesce/ifelse print as conditional expressions.
+        env = kernel_globals()
+        for name in ("min", "max", "coalesce", "_coalesce", "ifelse",
+                     "_ifelse"):
+            assert name not in env
+
+    def test_a_runtime_name_shaped_like_a_printer_temp_is_refused(
+            self, temp_op):
+        # A printer temp is a local of the whole kernel function: a
+        # namespace name of its shape would be shadowed.
+        with pytest.raises(ReproError, match="reserved for printer temps"):
+            temp_op(Op("temp_shaped", abs, runtime_name="_t3"))
+        assert "temp_shaped" not in ops.all_ops()
+        temp_op(Op("temp_like", abs, runtime_name="_t3x"))
+        assert kernel_globals()["_t3x"] is abs
 
     def test_fresh_namespace_each_call(self):
         first = kernel_globals()
@@ -138,8 +154,8 @@ class TestLazyIfElse:
 class TestFrozenNamespace:
     def test_kernel_globals_returns_fresh_copies(self):
         first = kernel_globals()
-        first["min"] = None
-        assert kernel_globals()["min"] is min
+        first["abs"] = None
+        assert kernel_globals()["abs"] is abs
 
     def test_numpy_is_reachable_for_vectorized_kernels(self):
         import numpy as np

@@ -420,7 +420,8 @@ class TestVectorize:
     def test_min_max_keep_pythons_nan_semantics(self, op, nan_in, shape):
         # Python's min/max keep their first argument against a NaN,
         # numpy's minimum/maximum propagate it: a dense min/max loop is
-        # bit-identical to the interpreter at every level.
+        # bit-identical to the interpreter at every level, 0 included
+        # (no views: the operands are numpy scalars there).
         from repro.baselines.reference import interpret
 
         plain = np.array([0.5, 2.0, 3.0, 4.0, -0.0])
@@ -446,6 +447,8 @@ class TestVectorize:
             kernel.run()
             got = np.asarray(out.to_numpy() if out.ndim else out.value)
             assert got.tobytes() == want.tobytes(), (level, got, want)
+            # The printer's select, not the builtin, at every level.
+            assert "%s(" % op not in kernel.source
 
 
 class TestExactEffects:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.bench.figures import warm_start_programs
 from repro.compiler.kernel import compile_kernel
+from repro.ir.runtime import kernel_globals
 
 PINNED_OPS = {
     "fig1_dot": 12,
@@ -38,3 +39,18 @@ def test_pinned_op_count(figure, opt_level):
     kernel = compile_kernel(make_program(), instrument=True,
                             opt_level=opt_level, **opts)
     assert kernel.run() == PINNED_OPS[figure]
+
+
+@pytest.mark.parametrize("figure", list(PINNED_OPS))
+def test_the_step_calls_no_builtin(figure):
+    # The coiteration step's min/max and the padding's coalesce print
+    # as conditional expressions: no kernel calls them, and the kernel
+    # namespace binds none of them.
+    assert not {"min", "max", "_coalesce"} & set(kernel_globals())
+    make_program, opts = PROGRAMS[figure]
+    for opt_level in (0, 1, 2):
+        kernel = compile_kernel(make_program(), instrument=True,
+                                opt_level=opt_level, cache=False, **opts)
+        for call in ("min(", "max(", "_coalesce("):
+            assert call not in kernel.source
+        assert kernel.run() == PINNED_OPS[figure]
