@@ -21,7 +21,9 @@ Python arithmetic exactly where C differs:
 * ``min``/``max`` return the *first* minimal/maximal argument like the
   Python builtins (ternary helpers, not ``fmin``/``fmax``),
 * ``round_u8`` rounds half-to-even (``rint`` under the default
-  rounding mode, matching Python's ``round``),
+  rounding mode, matching Python's ``round``); on NaN or an infinity it
+  sets the kernel's ``fl_status``, the kernel returns it, and the entry
+  raises what ``round`` raises (:data:`STATUS_ERRORS`),
 * the ``search_ge``/``search_abs_ge`` protocol helpers are the same
   binary searches as :mod:`repro.ir.ops`, over the typed pointer.
 
@@ -71,6 +73,14 @@ _RESERVED = frozenset("""
 
 _ATOM = 100
 _TERNARY = 3
+
+#: A kernel's negative return value, set by a ``checked`` helper: the
+#: error Python raises at the same point (``round(nan)``,
+#: ``round(inf)``).
+STATUS_ERRORS = {
+    -1: (ValueError, "cannot convert float NaN to integer"),
+    -2: (OverflowError, "cannot convert float infinity to integer"),
+}
 
 
 class CUnsupportedError(ReproError):
@@ -123,7 +133,11 @@ static inline double fl_max_f64(double a, double b) {
 
 static inline int64_t fl_abs_i64(int64_t a) { return a < 0 ? -a : a; }
 
-static inline int64_t fl_round_u8(double v) {
+static inline int64_t fl_round_u8(double v, int64_t *status) {
+    if (isnan(v) || isinf(v)) {
+        if (!*status) *status = isnan(v) ? -1 : -2;
+        return 0;
+    }
     double r = rint(v);
     if (r < 0.0) return 0;
     if (r > 255.0) return 255;
@@ -185,7 +199,11 @@ def _join_all(*types):
 
 
 def _arith(*types):
-    """Result type of +, -, * over ``types`` (bools promote to int)."""
+    """Result type of +, -, * over ``types`` (bools promote to int, but
+    numpy computes over bools alone logically: ``True + True`` is
+    ``True``)."""
+    if types and all(t is BOOL for t in types):
+        raise CUnsupportedError("arithmetic on truth values alone")
     joined = _join_all(*types)
     return _join(joined, I64) if joined is not None else None
 
@@ -221,6 +239,7 @@ class _Emitter:
         self.stored = asm.effects(func).stores
         self.renames = {}
         self._temp = 0
+        self.checked = False    # a helper reports through ``fl_status``
 
     # -- analysis ------------------------------------------------------
     def analyze(self):
@@ -365,6 +384,14 @@ class _Emitter:
         _, then, otherwise = [self._expr_type(arg) for arg in expr.args]
         return _join(then, otherwise)
 
+    def _type_checked(self, expr):
+        types = [self._expr_type(arg) for arg in expr.args]
+        if BOOL in types:
+            raise CUnsupportedError(
+                "%s of a truth value (numpy's bool has no __round__)"
+                % expr.op.name)
+        return _RESULT_TYPES[expr.op.c_type](*types)
+
     def _type_search(self, expr):
         # First argument is the index buffer itself, not a scalar
         # value; type only the bounds and the key.
@@ -474,6 +501,13 @@ class _Emitter:
     def _render_helper(self, expr, helper):
         rendered = ", ".join(self._render(arg)[0] for arg in expr.args)
         return "%s(%s)" % (helper, rendered), _ATOM
+
+    def _render_checked(self, expr, helper):
+        """A helper that reports an error through the kernel's
+        ``fl_status`` (:data:`STATUS_ERRORS`)."""
+        self.checked = True
+        rendered = ", ".join(self._render(arg)[0] for arg in expr.args)
+        return "%s(%s, &fl_status)" % (helper, rendered), _ATOM
 
     def _render_typed(self, expr, stem):
         """A binary prelude helper with an ``_i64`` and an ``_f64``
@@ -607,16 +641,17 @@ class _Emitter:
             elem = self.env[name]
             lines.append("    %s %s = %s;" % (
                 _CTYPE[elem], self._cname(name), _CZERO[elem]))
+        if self.checked:
+            lines.append("    int64_t fl_status = 0;")
         lines.extend(body_lines)
-        if self.func.returns:
-            if len(self.func.returns) != 1:
-                raise CUnsupportedError(
-                    "multi-value kernel return %r"
-                    % (self.func.returns,))
-            lines.append("    return %s;"
-                         % self._cname(self.func.returns[0]))
-        else:
-            lines.append("    return 0;")
+        if len(self.func.returns) > 1:
+            raise CUnsupportedError(
+                "multi-value kernel return %r" % (self.func.returns,))
+        value = (self._cname(self.func.returns[0]) if self.func.returns
+                 else "0")
+        if self.checked:
+            value = "fl_status ? fl_status : %s" % value
+        lines.append("    return %s;" % value)
         lines.append("}")
         return "\n".join(lines) + "\n"
 

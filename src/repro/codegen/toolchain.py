@@ -35,6 +35,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.codegen.c_emit import STATUS_ERRORS
 from repro.util import config
 from repro.util.errors import ReproError
 
@@ -246,7 +247,11 @@ def make_entry(cfn, name, param_dtypes):
                     memo.popitem(last=False)
         # The foreign call releases the GIL (plain ctypes behavior):
         # this is what lets the threads executor scale on C kernels.
-        return int(cfn(cached[0]))
+        result = int(cfn(cached[0]))
+        if result < 0:      # op counts are not negative: an error status
+            error, message = STATUS_ERRORS[result]
+            raise error(message)
+        return result
 
     entry.__name__ = name
     return entry

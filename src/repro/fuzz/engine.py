@@ -15,7 +15,7 @@ from repro.fuzz.gen import describe_spec, generate_spec
 from repro.fuzz.shrink import shrink_spec
 
 #: Recognized campaign profiles (case sizes, batch widths).
-PROFILES = ("quick", "deep")
+PROFILES = ("quick", "deep", "narrow")
 
 
 def case_seed(master_seed, step):

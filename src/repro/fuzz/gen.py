@@ -209,6 +209,41 @@ def _max_len(profile):
     return {"quick": 10, "deep": 24}.get(profile, 10)
 
 
+#: The element dtypes the ``narrow`` profile draws per operand: each
+#: one's range for the drawn values (-3..3), and the factor they are
+#: scaled by in the templates that store each output element once.
+#: There ``uint8`` sums and products wrap and ``float32`` products
+#: round; an accumulation over a loop keeps the small values, whose
+#: results are exact in every width (the vectoriser's ``_np.dot``
+#: accumulates in the operand dtype, the scalar loop in the output's).
+DTYPES = {"float64": (-3, 3, 1), "int64": (-3, 3, 1), "uint8": (0, 3, 85),
+          "float32": (-3, 3, 4099), "bool": (0, 1, 1)}
+
+
+def _draw_dtypes(seed, spec):
+    """Give every operand of ``spec`` a ``dtype``, drawn from a stream of
+    its own so that the rest of the spec is the ``quick`` one, and bring
+    its values into the dtype's range."""
+    rng = random.Random("dtype:%d" % seed)
+    stores_once = spec["template"] in ("map", "map2d", "copy_out")
+    dtype = rng.choice(sorted(DTYPES))
+    for operand in spec["operands"]:
+        # Half the operands keep the previous one's dtype: two
+        # ``uint8`` operands are what wraps.
+        if rng.random() < 0.5:
+            dtype = rng.choice(sorted(DTYPES))
+        operand["dtype"] = dtype
+        lo, hi, scale = DTYPES[dtype]
+        scale = scale if stores_once else 1
+
+        def fit(value):
+            return float(min(max(value, lo), hi) * scale)
+
+        data = operand["data"]
+        operand["data"] = [list(map(fit, row)) for row in data] \
+            if data and isinstance(data[0], list) else list(map(fit, data))
+
+
 def generate_spec(seed, profile="quick"):
     """Draw one case spec from ``seed``; deterministic per seed."""
     rng = random.Random(seed)
@@ -260,6 +295,8 @@ def generate_spec(seed, profile="quick"):
     else:
         spec["accum"] = rng.choice(ACCUM_OPS)
     _ensure_leader(rng, spec)
+    if profile == "narrow":
+        _draw_dtypes(seed, spec)
     return spec
 
 
@@ -357,7 +394,8 @@ def _operand_dims(operand):
 
 def _operand_tensor(operand):
     dims = _operand_dims(operand)
-    arr = np.array(operand["data"], dtype=float).reshape(dims)
+    arr = np.array(operand["data"], dtype=float).reshape(dims).astype(
+        operand.get("dtype", "float64"))
     return fl.from_numpy(arr, tuple(operand["formats"]),
                          name=operand["name"])
 

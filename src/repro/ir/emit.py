@@ -9,8 +9,8 @@ local of one call.
 """
 
 from repro.ir import asm
-from repro.ir.nodes import Call, Literal, Reduce, Slice, Var
-from repro.ir.ops import MISSING
+from repro.ir.dtypes import viewable
+from repro.ir.nodes import Call
 from repro.ir.pretty import expr_source
 from repro.util.errors import ReproError
 
@@ -18,7 +18,7 @@ _INDENT = "    "
 
 #: The builtins emitted statements call; no compiler-made name may
 #: shadow one (:func:`repro.ir.runtime.reserved_names`).
-BUILTINS = ("range", "memoryview")
+BUILTINS = ("range", "memoryview", "round")
 
 
 def emit(stmt, indent=0):
@@ -116,120 +116,12 @@ def _emit_body(body, depth, lines):
 # --------------------------------------------------------------------------
 def scalar_views(func, buffers, plan):
     """``func`` opening with an :class:`~repro.ir.asm.View` of every
-    parameter that may be read and stored as Python scalars; ``func``
-    itself when there is none.
-
-    ``buffers`` are the compile-time ``(name, array)`` pairs in
-    parameter order and ``plan`` their binding-plan entries.  The whole
-    kernel keeps its ndarrays unless
-
-    * every parameter holds ``float64``, ``int64`` or ``bool``: next to
-      a narrower numpy scalar a Python ``float`` or ``int`` computes in
-      *its* width (NEP 50) where an ``np.float64`` or ``np.int64``
-      widens it — a run length times a ``uint8`` value wraps;
-    * every operator it uses is ``exact`` (:class:`repro.ir.ops.Op`), it
-      stores no ``missing`` (an ndarray takes that as ``nan``, a view
-      refuses it) and it does no arithmetic on truth values alone (two
-      ``np.bool_`` add to ``True``, two Python ``bool`` to 2).
-
-    Then a parameter is viewed when it has a plan entry (a buffer pinned
-    by a custom format stays what it is), native byte order, no
-    ``Slice`` naming it (numpy does those), and is ``float64``, or an
-    ``int64`` *structure* array (``pos``, ``idx``, ``right``...: any
-    role but the element values) the kernel never stores to.  ``bool``
-    and ``int64`` values and every written integer buffer keep the
-    ndarray: numpy wraps and truncates there where Python would not.
-    """
-    sliced = set()
-    if any((array.dtype.kind, array.dtype.itemsize) not in _WIDE
-           for _, array in buffers) or not _exact(func, sliced):
-        return func
-    stored = asm.effects(func).stores
-    views = []
-    for (name, array), entry in zip(buffers, plan):
-        dtype = array.dtype
-        if entry is None or name in sliced or not dtype.isnative:
-            continue
-        # ``val`` is the role of a tensor's element values.
-        if dtype.kind == "f" or (dtype.kind == "i" and entry[1] != "val"
-                                 and name not in stored):
-            views.append(asm.View(name))
+    parameter that may be read and stored as Python scalars
+    (:func:`repro.ir.dtypes.viewable`); ``func`` itself when there is
+    none.  ``buffers`` are the compile-time ``(name, array)`` pairs in
+    parameter order and ``plan`` their binding-plan entries."""
+    views = [asm.View(name) for name in viewable(func, buffers, plan)]
     if not views:
         return func
     return asm.FuncDef(func.name, func.params,
                        asm.Block(views + [func.body]), returns=func.returns)
-
-
-#: (kind, itemsize) of the dtypes whose scalars compute like Python's.
-_WIDE = (("f", 8), ("i", 8), ("b", 1))
-
-#: The result-type rules (``Op.c_type``) that never give a truth value.
-_NUMERIC = ("arith", "f64", "i64")
-
-
-def _exact(func, sliced):
-    """Whether Python scalars may flow through ``func``: every operator
-    in it is ``exact``, no literal is ``missing``, and no arithmetic is
-    over truth values alone — a comparison is a ``bool`` on Python
-    scalars and an ``np.bool_`` on numpy ones, and two of those add to 2
-    and to ``True``.  Adds the buffer of every ``Slice`` to ``sliced``.
-    """
-    assigns, sums, stmts = [], [], [func]
-    while stmts:
-        stmt = stmts.pop()
-        stmts.extend(asm.child_statements(stmt))
-        pending = list(asm.statement_exprs(stmt))
-        if isinstance(stmt, asm.AccumStmt):     # ``x op= v`` is ``op(x, v)``
-            pending = [Call(stmt.op, pending)]
-        if isinstance(stmt, (asm.AssignStmt, asm.AccumStmt)) \
-                and isinstance(stmt.target, Var) \
-                and not _number(pending[-1]):
-            assigns.append((stmt.target.name, pending[-1]))
-        while pending:
-            expr = pending.pop()
-            if isinstance(expr, (Call, Reduce)):
-                if not expr.op.exact:
-                    return False
-                if expr.op.c_type == "arith" \
-                        and not any(map(_number, expr.children())):
-                    sums.append(expr.children())
-            elif isinstance(expr, Slice):
-                sliced.add(expr.buffer.name)
-            elif isinstance(expr, Literal) and expr.value is MISSING:
-                return False
-            pending.extend(expr.children())
-    truths = set()      # the scalars that may hold a truth value
-    grew = True
-    while grew:
-        grew = False
-        for name, value in assigns:
-            if name not in truths and _truth(value, truths):
-                truths.add(name)
-                grew = True
-    return not any(all(_truth(arg, truths) for arg in args)
-                   for args in sums)
-
-
-def _number(expr):
-    """Whether ``expr`` is no truth value whatever the scalars hold."""
-    if isinstance(expr, Literal):
-        return not isinstance(expr.value, bool)
-    if isinstance(expr, Call):
-        return expr.op.c_type in _NUMERIC
-    return not isinstance(expr, Var)    # a load, a slice, a reduction
-
-
-def _truth(expr, truths):
-    """Whether ``expr`` may be a truth value, given the scalars that
-    may: a ``"bool"`` result, or one passed on by ``min``/``max``,
-    ``and``/``or`` or a conditional expression (which only tests its
-    first argument)."""
-    if isinstance(expr, Var):
-        return expr.name in truths
-    if _number(expr):
-        return False
-    if isinstance(expr, Literal) or expr.op.c_type == "bool":
-        return True
-    args = expr.args[1:] if expr.op.lazy and expr.op.symbol is None \
-        else expr.args
-    return any(_truth(arg, truths) for arg in args)

@@ -78,10 +78,11 @@ class Op:
         running value stays unless a later operand compares strictly
         less, the builtin's own rule), ``("first_not_none",)`` (the
         first operand that is not ``None``, which is how emitted code
-        spells ``missing``; the ones after it are not evaluated) or
-        ``("conditional",)`` (``then if cond else otherwise``).  Each
-        operand is evaluated once.  ``None``: an op with no ``symbol``
-        prints as ``runtime_name(args...)``.
+        spells ``missing``; the ones after it are not evaluated),
+        ``("conditional",)`` (``then if cond else otherwise``) or
+        ``("rounded", 0, 255)`` (``round``, half to even, clamped into
+        the bounds).  Each operand is evaluated once.  ``None``: an op
+        with no ``symbol`` prints as ``runtime_name(args...)``.
     runtime_name / runtime:
         For ops that print as calls: the name emitted code calls and
         the callable the kernel namespace binds to it (default ``fn``).
@@ -98,16 +99,17 @@ class Op:
     exact:
         Gives the same value, and the same error, on Python ``float`` /
         ``int`` operands as on ``np.float64`` / ``np.int64`` ones, so the
-        python backend may run it on Python scalars
-        (:func:`repro.ir.emit.scalar_views`).  Division is not — ``1.0 /
-        0.0`` is ``inf`` and a ``RuntimeWarning`` on numpy scalars, a
-        ``ZeroDivisionError`` on Python ones — and neither is an op that
-        does not say: a kernel using one keeps reading ndarrays.  Truth
-        values are the one exception, and ``c_type`` names it: a
-        ``"bool"`` result is a ``bool`` on Python scalars and an
-        ``np.bool_`` on numpy ones, and an ``"arith"`` op over nothing
-        but those (``True + True``: 2, or ``True``) opts the kernel out
-        as well.
+        python backend may run it on Python scalars.  Types are not part
+        of the declaration: the dtype pass (:mod:`repro.ir.dtypes`) reads
+        them off the printed form on sample operands, and lets a view's
+        Python scalar reach a call only where numpy computes it in
+        ``float64``, ``int64`` or ``bool`` and gives the same type
+        (``np.uint8 * 0.4`` is ``float64``, ``np.uint8 * 3`` wraps in
+        ``uint8``, ``np.True_ + np.True_`` is ``True`` where ``True +
+        True`` is 2).  Division is not exact — ``1.0 / 0.0`` is ``inf``
+        and a ``RuntimeWarning`` on numpy scalars, a ``ZeroDivisionError``
+        on Python ones — and neither is an op that does not say: the
+        parameters a call of one reaches keep reading ndarrays.
     numpy / numpy_reduce:
         What the vectoriser turns a loop calling the op into —
         ``("infix", "+")``, ``("pairwise", "_np.copysign")`` (a binary
@@ -124,8 +126,10 @@ class Op:
         function), ``("typed", "fl_min")`` (``fl_min_i64``/``_f64`` by
         operand type), or a custom renderer named there, which may type
         itself: ``("logical", "&&", 5)``, ``("conditional",)``,
-        ``("magnitude",)``, ``("search", "fl_search_ge")``.  ``None``:
-        kernels using the op fall back to the python backend.
+        ``("magnitude",)``, ``("search", "fl_search_ge")``,
+        ``("checked", "fl_round_u8")`` (a helper that reports Python's
+        error through the kernel's status).  ``None``: kernels using the
+        op fall back to the python backend.
     """
 
     def __init__(self, name, fn, symbol=None, precedence=0, identity=None,
@@ -226,8 +230,11 @@ def _ifelse(cond, then, otherwise):
 
 
 def _round_u8(value):
-    """Round and clamp to the uint8 range (paper's ``round(UInt8, x)``)."""
-    return max(0, min(255, int(round(float(value)))))
+    """Round half to even and clamp to the uint8 range (paper's
+    ``round(UInt8, x)``): what the printed form computes, ``ValueError``
+    on NaN and ``OverflowError`` on infinities included."""
+    rounded = round(value)
+    return 0 if rounded < 0 else 255 if rounded > 255 else rounded
 
 
 def _divide(a, b):
@@ -249,15 +256,17 @@ def _or(*args):
 
 
 def _add(*args):
-    result = 0
-    for arg in args:
+    """``a + b + ...`` as printed, so two ``np.bool_`` add to ``True``
+    (``0 + a + b`` would be 2); ``0`` for no operand."""
+    result, *rest = args or (0,)
+    for arg in rest:
         result = result + arg
     return result
 
 
 def _mul(*args):
-    result = 1
-    for arg in args:
+    result, *rest = args or (1,)
+    for arg in rest:
         result = result * arg
     return result
 
@@ -343,8 +352,8 @@ IFELSE = register_op(Op("ifelse", _ifelse, propagates_missing=False,
                         lazy=True, total=True, exact=True,
                         python=("conditional",), c=("conditional",)))
 ROUND_U8 = register_op(Op("round_u8", _round_u8, runtime_name="_round_u8",
-                          exact=True, c=("helper", "fl_round_u8"),
-                          c_type="i64"))
+                          exact=True, python=("rounded", 0, 255),
+                          c=("checked", "fl_round_u8"), c_type="i64"))
 
 
 def _search_ge(idx, lo, hi, key):

@@ -13,10 +13,11 @@ A scalar call prints in its operator's ``python`` form when it declares
 one (:class:`repro.ir.ops.Op`), as infix or prefix syntax when it has a
 ``symbol``, and as ``runtime_name(args)`` otherwise.  The ``python``
 forms are conditional expressions, cheaper than a call in the step of
-every merge loop (``min``/``max`` of the children's strides).  They
-evaluate each operand once: an operand that is not a ``Var`` or a
-``Literal`` is bound on first use by an assignment expression to a temp
-(``ops.PRINTER_TEMP``), numbered per printed expression.
+every merge loop (``min``/``max`` of the children's strides) and in
+fig10's ``round_u8``.  They evaluate each operand once: an operand that
+is not a ``Var`` or a ``Literal`` is bound on first use by an
+assignment expression to a temp (``ops.PRINTER_TEMP``), numbered per
+printed expression.
 """
 
 import itertools
@@ -189,6 +190,16 @@ def _render_first_not_none(expr, temps):
     return source, prec
 
 
+def _render_rounded(expr, temps):
+    """``round`` (half to even; ``ValueError`` on NaN, ``OverflowError``
+    on infinities) clamped into ``[lo, hi]``."""
+    lo, hi = expr.op.python[1:]
+    first, again = _bind("round(%s)" % _render(expr.args[0], temps)[0],
+                         False, temps)
+    return "(%r if %s < %r else %r if %s > %r else %s)" % (
+        lo, first, lo, hi, again, hi, again), _ATOM_PRECEDENCE
+
+
 def _render_conditional(expr, temps):
     """Python's conditional expression is lazy: only the branch taken is
     evaluated (a guarded load stays guarded)."""
@@ -203,4 +214,5 @@ _PYTHON_FORMS = {
     "select": _render_select,
     "first_not_none": _render_first_not_none,
     "conditional": _render_conditional,
+    "rounded": _render_rounded,
 }

@@ -3,9 +3,10 @@
 Compiled kernels are executed with :func:`kernel_globals` as their
 namespace: the runtime callable of every registered op that prints as a
 call (:func:`repro.ir.pretty.prints_as_call`; ``min``, ``max``,
-``coalesce`` and ``ifelse`` print as conditional expressions), numpy
-as ``_np`` for slice operations, and ``_inf``/``_nan``, which is how the
-printer spells the non-finite float literals.  Every helper bound here
+``coalesce``, ``ifelse`` and ``round_u8`` print as conditional
+expressions), numpy as ``_np`` for slice operations, and
+``_inf``/``_nan``, which is how the printer spells the non-finite float
+literals.  Every helper bound here
 takes Python and numpy scalars alike, and the search helpers an index
 buffer that is an ndarray or the element view a kernel took of one
 (:func:`repro.ir.emit.scalar_views`).

@@ -462,6 +462,60 @@ class TestNonFiniteLiterals:
 
 
 @needs_cc
+class TestRoundU8Errors:
+    """``C[] += round_u8(x[i])``: Python's ``round`` raises on NaN and
+    the infinities, and the native kernel raises the same error through
+    its status return; finite values agree as numbers."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), 300.0, 2.5])
+    def test_python_and_c_agree(self, value):
+        outcomes = {}
+        for backend in ("python", "c"):
+            x = fl.from_numpy(np.array([1.4, value, 0.0, 3.5]), ("sparse",),
+                              name="x")
+            C = fl.Scalar(name="C")
+            i = fl.indices("i")
+            kernel = fl.compile_kernel(
+                fl.forall(i, fl.increment(C[()], fl.call("round_u8", x[i]))),
+                backend=backend, cache=False)
+            assert kernel.effective_backend == backend
+            try:
+                kernel.run()
+                outcomes[backend] = C.value
+            except (ValueError, OverflowError) as exc:
+                outcomes[backend] = (type(exc), str(exc))
+        assert outcomes["python"] == outcomes["c"]
+
+    def test_truth_value_arithmetic_falls_back(self):
+        # numpy adds two bools to ``True``; C would add them to 2.
+        x = fl.from_numpy(np.array([1.0, -2.0, 3.0]), ("dense",), name="x")
+        y = fl.Scalar(name="y")
+        i = fl.indices("i")
+        kernel = fl.compile_kernel(
+            fl.forall(i, fl.increment(y[()], fl.call(
+                "gt", x[i], 0.0) + fl.call("gt", x[i], 2.0))),
+            backend="c", cache=False)
+        assert kernel.effective_backend == "python"
+        kernel.run()
+        assert y.value == 2.0
+
+    def test_a_truth_value_falls_back(self):
+        # numpy's bool has no ``__round__``: python raises, so C may not
+        # return 0 or 1.
+        x = fl.from_numpy(np.array([1.0, -2.0, 3.0]), ("dense",), name="x")
+        y = fl.Scalar(name="y")
+        i = fl.indices("i")
+        kernel = fl.compile_kernel(
+            fl.forall(i, fl.increment(y[()], fl.call(
+                "round_u8", fl.call("gt", x[i], 0.0)))),
+            backend="c", cache=False)
+        assert kernel.effective_backend == "python"
+        with pytest.raises(TypeError):
+            kernel.run()
+
+
+@needs_cc
 class TestUnsupportedConstructFallback:
     def test_vectorized_kernel_falls_back(self):
         codegen.clear_fallback_events()

@@ -14,7 +14,8 @@ import pytest
 
 from repro import codegen
 from repro.codegen import toolchain
-from repro.codegen.c_emit import _PRELUDE
+from repro.codegen.c_emit import _PRELUDE, STATUS_ERRORS
+from repro.ir import ops
 
 needs_cc = pytest.mark.skipif(
     not codegen.have_toolchain(), reason="no C compiler on PATH")
@@ -29,7 +30,8 @@ FL_EXPORT int64_t probe(void **fl_args) {
     double *fout = (double *) fl_args[3];
     iout[0] = fl_floordiv_i64(iin[0], iin[1]);
     iout[1] = fl_mod_i64(iin[0], iin[1]);
-    iout[2] = fl_round_u8(fin[0]);
+    iout[3] = 0;
+    iout[2] = fl_round_u8(fin[0], &iout[3]);
     fout[0] = fl_div((double) iin[0], (double) iin[1]);
     return 0;
 }
@@ -40,7 +42,7 @@ def _run_probe(a, b, f):
     so_path = toolchain.compile_shared(_PROBE, name="probe")
     fn = toolchain.load_symbol(so_path, "probe")
     iin = np.array([a, b], dtype=np.int64)
-    iout = np.zeros(3, dtype=np.int64)
+    iout = np.zeros(4, dtype=np.int64)
     fin = np.array([f], dtype=np.float64)
     fout = np.zeros(1, dtype=np.float64)
     arrays = (iin, iout, fin, fout)
@@ -60,15 +62,19 @@ class TestPreludeSemantics:
         assert fout[0] == a / b          # true division, always double
 
     @pytest.mark.parametrize(
-        "f", [0.5, 1.5, 2.5, -0.5, -1.5, 3.4999, 254.5, 255.0, 999.0])
+        "f", [0.5, 1.5, 2.5, -0.5, -1.5, 3.4999, 254.5, 255.0, 999.0,
+              float("nan"), float("inf"), float("-inf")])
     def test_round_u8_matches_python_runtime(self, f):
-        from repro.ir.runtime import kernel_globals
-
-        _round_u8 = kernel_globals()["_round_u8"]
         iout, _ = _run_probe(1, 1, f)
         # Banker's rounding (ties-to-even, like np.rint), clamped to
-        # the packbits byte range — same contract as the runtime.
-        assert iout[2] == _round_u8(f)
+        # the packbits byte range — same contract as the runtime; NaN
+        # and the infinities set the status Python's error stands for.
+        try:
+            want = ops.ROUND_U8.fn(f)
+        except (ValueError, OverflowError) as exc:
+            assert STATUS_ERRORS[iout[3]] == (type(exc), str(exc))
+        else:
+            assert (iout[2], iout[3]) == (want, 0)
 
 
 @needs_cc

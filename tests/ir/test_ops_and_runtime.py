@@ -1,5 +1,6 @@
 """Unit tests for the operator registry and kernel runtime helpers."""
 
+import numpy as np
 import pytest
 
 from repro.ir import ops
@@ -56,6 +57,12 @@ class TestFolding:
     def test_missing_is_a_singleton(self):
         assert Missing() is MISSING
 
+    def test_add_and_mul_fold_as_printed(self):
+        # ``a + b``, not ``0 + a + b``: numpy adds two bools logically.
+        assert ops.ADD.fold(np.True_, np.True_) is np.True_
+        assert ops.MUL.fold(np.True_, np.False_) is np.False_
+        assert ops.ADD.fold(True, True) == 2 and ops.ADD.fold() == 0
+
     def test_round_u8_clamps(self):
         assert ops.ROUND_U8.fold(300.0) == 255
         assert ops.ROUND_U8.fold(-5.0) == 0
@@ -73,14 +80,15 @@ class TestFolding:
 class TestKernelGlobals:
     def test_contains_helpers(self):
         env = kernel_globals()
-        for name in ("_round_u8", "_sqrt", "search_ge", "abs"):
+        for name in ("_sqrt", "search_ge", "abs"):
             assert name in env
 
     def test_binds_only_ops_printed_as_calls(self):
-        # min/max/coalesce/ifelse print as conditional expressions.
+        # min/max/coalesce/ifelse/round_u8 print as conditional
+        # expressions.
         env = kernel_globals()
         for name in ("min", "max", "coalesce", "_coalesce", "ifelse",
-                     "_ifelse"):
+                     "_ifelse", "_round_u8"):
             assert name not in env
 
     def test_a_runtime_name_shaped_like_a_printer_temp_is_refused(

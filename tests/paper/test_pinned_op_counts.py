@@ -43,14 +43,14 @@ def test_pinned_op_count(figure, opt_level):
 
 @pytest.mark.parametrize("figure", list(PINNED_OPS))
 def test_the_step_calls_no_builtin(figure):
-    # The coiteration step's min/max and the padding's coalesce print
-    # as conditional expressions: no kernel calls them, and the kernel
-    # namespace binds none of them.
-    assert not {"min", "max", "_coalesce"} & set(kernel_globals())
+    # The coiteration step's min/max, the padding's coalesce and fig10's
+    # round_u8 print as conditional expressions: no kernel calls them,
+    # and the kernel namespace binds none of them.
+    assert not {"min", "max", "_coalesce", "_round_u8"} & set(kernel_globals())
     make_program, opts = PROGRAMS[figure]
     for opt_level in (0, 1, 2):
         kernel = compile_kernel(make_program(), instrument=True,
                                 opt_level=opt_level, cache=False, **opts)
-        for call in ("min(", "max(", "_coalesce("):
+        for call in ("min(", "max(", "_coalesce(", "_round_u8("):
             assert call not in kernel.source
         assert kernel.run() == PINNED_OPS[figure]
