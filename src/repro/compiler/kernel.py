@@ -851,23 +851,24 @@ def compile_kernel(program, instrument=False, name="kernel",
     an artifact slot.
 
     ``tune="apply"`` consults the persisted autotuner winners table
-    (:mod:`repro.tune`) before compiling: a hit rewrites the program's
-    access protocols to the winning schedule and — only where the
-    caller left them ``None`` — adopts the winning ``opt_level`` and
-    ``backend``; a miss compiles the program exactly as written.  The
-    rewritten program has its own structural key, so the winning
-    variant occupies its own cache/store slot (zero extra compiles in
-    a process whose store already holds the winner's artifact).
-    ``None`` reads the ``FL_KERNEL_TUNE`` environment variable,
-    defaulting to ``"off"``.  The returned kernel reports a table hit
-    as ``.tuned``.
+    (:mod:`repro.tune`) before compiling, at the row of the resolved
+    ``opt_level`` and ``backend``: a hit rewrites the program's access
+    protocols to the winning schedule and changes nothing else; a miss
+    compiles the program exactly as written.  The rewritten program
+    has its own structural key, so the winning variant occupies its
+    own cache/store slot (zero extra compiles in a process whose store
+    already holds the winner's artifact).  ``None`` reads the
+    ``FL_KERNEL_TUNE`` environment variable, defaulting to ``"off"``.
+    The returned kernel reports a table hit as ``.tuned``.
     """
     check_program(program)
     opts = CompileOptions.build(options, cache=cache,
                                 opt_level=opt_level, backend=backend,
                                 tune=tune, remote=remote, store=store)
-    opt_level = opts.opt_level
-    backend = opts.backend
+    opt_level = _config.resolve("opt_level", override=opts.opt_level)
+    if opt_level is None:
+        opt_level = DEFAULT_OPT_LEVEL
+    backend = _config.resolve("backend", override=opts.backend)
     tuned = False
     if _config.resolve("tune", override=opts.tune) == "apply":
         # Imported lazily: repro.tune compiles candidates through this
@@ -875,21 +876,11 @@ def compile_kernel(program, instrument=False, name="kernel",
         from repro import tune as _tune
 
         tuning = _tune.lookup_schedule(
-            program, constant_loop_rewrite=constant_loop_rewrite)
+            program, opt_level, backend,
+            constant_loop_rewrite=constant_loop_rewrite)
         if tuning is not None:
             program = _tune.apply_schedule(program, tuning)
-            # Explicit caller arguments always win over the table —
-            # and the table (a measured decision) wins over the
-            # configure/env layers (static ones).
-            if opt_level is None:
-                opt_level = tuning.get("opt_level")
-            if backend is None:
-                backend = tuning.get("backend")
             tuned = True
-    opt_level = _config.resolve("opt_level", override=opt_level)
-    if opt_level is None:
-        opt_level = DEFAULT_OPT_LEVEL
-    backend = _config.resolve("backend", override=backend)
     cache = True if opts.cache is None else opts.cache
     walk = program_walk(program)
 

@@ -5,20 +5,23 @@ protocol each tensor access uses to traverse its levels — changes the
 asymptotics of a kernel, and that the strategy is a compiler choice,
 not a format property.  This package closes the loop: instead of the
 program author hand-picking ``gallop`` vs ``walk`` per access, the
-autotuner enumerates the legal protocol assignments (crossed with
-``opt_level`` and backend), times each on representative data, rejects
-any candidate that is not **bit-identical** to the reference
-interpreter, and persists the fastest survivor into the kernel store's
-``tunings/`` table.  From then on ``compile_kernel(program,
-tune="apply")`` — or ``FL_KERNEL_TUNE=apply`` for a whole process —
-compiles the winning schedule with zero search.
+autotuner enumerates the legal protocol assignments, times each on
+representative data at the ``opt_level`` and backend the ordinary
+precedence rule resolves, rejects any candidate that is not
+**bit-identical** to the reference interpreter, and persists the
+fastest survivor into the kernel store's ``tunings/`` table under a
+row keyed by that configuration.  From then on
+``compile_kernel(program, tune="apply")`` — or ``FL_KERNEL_TUNE=apply``
+for a whole process — reads the row of the configuration it resolved
+and compiles the winning protocols with zero search; a tuning never
+chooses the level or backend.
 
 Layout:
 
 :mod:`repro.tune.schedule`
-    The schedule representation (JSON dicts over the canonical
-    ``collect_accesses`` preorder), the protocol rewriter, the
-    protocol-erased tuning key, and candidate enumeration with the
+    The schedule representation (per-access protocol lists over the
+    canonical ``collect_accesses`` preorder), the protocol rewriter,
+    the protocol-erased tuning key, and candidate enumeration with the
     loop-leader legality filter.
 
 :mod:`repro.tune.engine`

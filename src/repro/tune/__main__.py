@@ -10,6 +10,11 @@ summary)::
     python -m repro.tune --figures fig1_dot,fig8_triangles --budget 8
     python -m repro.tune --spec 1234 --no-persist
     FL_KERNEL_STORE=.fl_store python -m repro.tune --markdown
+    FL_KERNEL_BACKEND=c python -m repro.tune --store .fl_store
+
+The search compiles at the ``opt_level`` and backend the environment
+resolves (``FL_KERNEL_OPT_LEVEL``, ``FL_KERNEL_BACKEND``), and its
+winners answer compiles at that configuration only.
 
 Exit status is 0 when every requested search completed (win or no
 win), 1 on an unknown figure or a search that errored outright.
@@ -40,13 +45,6 @@ def _parse_args(argv):
     parser.add_argument(
         "--warmup", type=int, default=1,
         help="discarded warmup runs per candidate (default 1)")
-    parser.add_argument(
-        "--opt-levels", default="1,2",
-        help="comma-separated opt levels to search (default 1,2)")
-    parser.add_argument(
-        "--backends", default=None,
-        help="comma-separated backends to search (default: python, "
-             "plus c when a toolchain is installed)")
     parser.add_argument(
         "--store", default=None,
         help="kernel store directory (default: the active store / "
@@ -99,13 +97,6 @@ def main(argv=None):
     from repro.store import KernelStore, using_store
     from repro.tune import describe_schedule, tune_program
 
-    opt_levels = tuple(int(level) for level
-                       in args.opt_levels.split(",") if level.strip())
-    backends = None
-    if args.backends is not None:
-        backends = tuple(name.strip()
-                         for name in args.backends.split(",")
-                         if name.strip())
     store = KernelStore(args.store) if args.store else None
 
     results = []
@@ -113,8 +104,7 @@ def main(argv=None):
     with using_store(store) if store is not None else _noop():
         for name, label, make_program in _targets(args):
             result = tune_program(
-                make_program, label=label, opt_levels=opt_levels,
-                backends=backends, budget=args.budget,
+                make_program, label=label, budget=args.budget,
                 repeats=args.repeats, warmup=args.warmup,
                 persist=not args.no_persist)
             result["figure"] = name

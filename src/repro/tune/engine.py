@@ -10,16 +10,16 @@ warmup-discarded median-of-k (:func:`repro.bench.harness.
 median_time_kernel`).  The fastest verified candidate becomes the
 *winner* and is persisted into the active
 :class:`~repro.store.KernelStore`'s tunings table under a
-protocol-erased structural key (:func:`repro.tune.schedule.
-tuning_key_meta`).
+protocol-erased structural key plus the ``opt_level`` and backend the
+search compiled at (:func:`repro.tune.schedule.tuning_key_meta`).
 
 :func:`lookup_schedule` is the read side ``compile_kernel(...,
 tune="apply")`` calls: a table hit (validated against the concrete
-program before use) rewrites the compile; a miss compiles the program
-as written.  Because the search compiles candidates through the
-caching pipeline *under the same store*, the winner's artifact is
-already persisted next to its tuning record — a fresh process applying
-the winner pays zero search and zero compiles, just two disk reads.
+program before use) rewrites the program's protocols; a miss compiles
+the program as written.  Candidates compile uncached; the winner's
+artifact alone is filed into the store next to its tuning record — a
+fresh process applying the winner pays zero search and zero compiles,
+just two disk reads.
 """
 
 import logging
@@ -43,8 +43,10 @@ def clear_tuning_memo():
     _MEMO.clear()
 
 
-def lookup_schedule(program, constant_loop_rewrite=True):
-    """The persisted winning schedule for ``program``, or None.
+def lookup_schedule(program, opt_level, backend,
+                    constant_loop_rewrite=True):
+    """The persisted winning schedule for ``program`` compiled at the
+    resolved ``opt_level`` and ``backend``, or None.
 
     Consults the active store's tunings table under the
     protocol-erased tuning key; any hit is shape-validated against the
@@ -56,7 +58,8 @@ def lookup_schedule(program, constant_loop_rewrite=True):
     from repro.store import active_store
 
     meta = _sched.tuning_key_meta(
-        program, constant_loop_rewrite=constant_loop_rewrite)
+        program, opt_level, backend,
+        constant_loop_rewrite=constant_loop_rewrite)
     digest = entry_digest(meta)
     cached = _MEMO.get(digest)
     if cached is not None:
@@ -73,29 +76,30 @@ def lookup_schedule(program, constant_loop_rewrite=True):
             "tuning record %s does not fit the program it keys; "
             "ignoring it", digest)
         return None
-    _MEMO[digest] = schedule
+    schedule = _MEMO[digest] = {"protocols": schedule["protocols"]}
     return schedule
 
 
-def tune_program(make_program, label="program", opt_levels=(1, 2),
-                 backends=None, budget=None, repeats=5, warmup=1,
-                 constant_loop_rewrite=True, store=None, persist=True):
-    """Search one program's schedule space; returns a result dict.
+def tune_program(make_program, label="program", budget=None, repeats=5,
+                 warmup=1, constant_loop_rewrite=True, store=None,
+                 persist=True):
+    """Search one program's protocol assignments; returns a result
+    dict.
 
     ``make_program`` builds the program over its representative data
     (fresh tensors are fine; every candidate is rewritten from one
     instance, so all candidates bind *identical* data and their
     timings are comparable).  ``budget`` caps the number of candidates
-    measured (the default-configuration baseline always survives the
-    cut; the drop is reported, never silent).  ``backends`` defaults
-    to ``("python",)`` plus ``"c"`` when a toolchain is installed.
+    measured (the program as written always survives the cut; the drop
+    is reported, never silent).
 
-    Candidates compile through the ordinary caching pipeline under
-    ``store`` (default: the active store), so the winner's artifact is
-    write-behind persisted alongside its tuning record.  With
-    ``persist=True`` and a store present the winner lands in the
-    tunings table; divergent or crashing candidates are *never*
-    eligible, no matter how fast.
+    Candidates compile uncached at the ``opt_level`` and backend the
+    ordinary precedence rule resolves (``fl.configure`` / ``FL_*``
+    env / default), and the winner is keyed by them.  With
+    ``persist=True`` and a store (default: the active store) the
+    winner lands in the tunings table and its artifact in the store's
+    entries, so applying it costs no compile; divergent or crashing
+    candidates are *never* eligible, no matter how fast.
 
     The result dict carries the winner (``schedule``), per-candidate
     ``records``, ``baseline_s``/``best_s``/``speedup``, the counts
@@ -104,23 +108,17 @@ def tune_program(make_program, label="program", opt_levels=(1, 2),
     None).
     """
     from repro.bench.harness import median_time_kernel
-    from repro.compiler.kernel import compile_kernel
-    from repro.compiler.key import entry_digest
+    from repro.compiler.kernel import KERNEL_CACHE, compile_kernel
+    from repro.compiler.key import KernelKey, entry_digest
     from repro.compiler.options import CompileOptions
+    from repro.compiler.tiers import put
     from repro.fuzz.conform import reference_outputs, verify_candidate
-    from repro.store import active_store, using_store
+    from repro.store import active_store
 
-    if backends is None:
-        from repro import codegen
-
-        backends = (("python", "c") if codegen.have_toolchain()
-                    else ("python",))
     if store is None:
         store = active_store()
 
     program = make_program()
-    meta = _sched.tuning_key_meta(
-        program, constant_loop_rewrite=constant_loop_rewrite)
     # One interpreter run covers every candidate: they all rewrite
     # *this* program over *these* tensors, so the trusted answer is a
     # constant of the search.  A program the reference interpreter
@@ -134,7 +132,6 @@ def tune_program(make_program, label="program", opt_levels=(1, 2),
                      label, type(exc).__name__, exc)
         return {
             "label": label,
-            "digest": entry_digest(meta),
             "candidates": 0, "dropped": 0, "measured": 0,
             "verified": 0, "rejected": 0, "errors": 1,
             "baseline_s": None, "best_s": None, "schedule": None,
@@ -142,8 +139,7 @@ def tune_program(make_program, label="program", opt_levels=(1, 2),
             "persisted": None, "seconds": 0.0,
             "unverifiable": "%s: %s" % (type(exc).__name__, exc),
         }
-    candidates = _sched.enumerate_candidates(
-        program, opt_levels=opt_levels, backends=backends)
+    candidates = _sched.enumerate_candidates(program)
     dropped = 0
     if budget is not None and len(candidates) > max(1, int(budget)):
         kept = max(1, int(budget))
@@ -152,7 +148,14 @@ def tune_program(make_program, label="program", opt_levels=(1, 2),
                   label, kept, kept, len(candidates))
         candidates = candidates[:kept]
 
+    # tune="off" unconditionally: the search must measure each
+    # candidate as enumerated, never re-apply the very table it is
+    # rebuilding (FL_KERNEL_TUNE=apply in the environment would
+    # otherwise recurse into it).  cache=False: only the winner is
+    # worth a store entry, and it is filed once below.
+    options = CompileOptions(cache=False, tune="off")
     records = []
+    winner = artifact = None
     start = time.perf_counter()
     for position, candidate in enumerate(candidates):
         record = {"schedule": candidate,
@@ -161,19 +164,9 @@ def tune_program(make_program, label="program", opt_levels=(1, 2),
         records.append(record)
         try:
             variant = _sched.apply_schedule(program, candidate)
-            with using_store(store):
-                # One frozen options bundle per candidate.
-                # tune="off" unconditionally: the search must measure
-                # the candidate as enumerated, never re-apply the very
-                # table it is rebuilding (FL_KERNEL_TUNE=apply in the
-                # environment would otherwise recurse into it).
-                kernel = compile_kernel(
-                    variant,
-                    constant_loop_rewrite=constant_loop_rewrite,
-                    options=CompileOptions(
-                        opt_level=candidate["opt_level"],
-                        backend=candidate["backend"],
-                        tune="off"))
+            kernel = compile_kernel(
+                variant, constant_loop_rewrite=constant_loop_rewrite,
+                options=options)
         except Exception as exc:
             record["error"] = "%s: %s" % (type(exc).__name__, exc)
             continue
@@ -188,19 +181,17 @@ def tune_program(make_program, label="program", opt_levels=(1, 2),
         record["effective_backend"] = kernel.effective_backend
         record["median_s"] = median_time_kernel(
             kernel, repeats=repeats, warmup=warmup)
+        if winner is None or record["median_s"] < winner["median_s"]:
+            winner, artifact = record, kernel.artifact
 
-    verified = [r for r in records if r["verified"]]
     baseline = records[0] if records and records[0]["verified"] else None
-    winner = min(verified, key=lambda r: r["median_s"]) \
-        if verified else None
 
     result = {
         "label": label,
-        "digest": entry_digest(meta),
         "candidates": len(candidates),
         "dropped": dropped,
         "measured": len(records),
-        "verified": len(verified),
+        "verified": sum(1 for r in records if r["verified"]),
         "rejected": sum(1 for r in records
                         if r["error"] and r["error"].startswith(
                             "diverged")),
@@ -226,6 +217,11 @@ def tune_program(make_program, label="program", opt_levels=(1, 2),
             "speedup": result["speedup"],
             "candidates": len(candidates),
         }
+        put(KernelKey.of(artifact), artifact, memory=KERNEL_CACHE,
+            store=store)
+        meta = _sched.tuning_key_meta(
+            program, artifact.opt_level, artifact.backend,
+            constant_loop_rewrite=constant_loop_rewrite)
         result["persisted"] = store.save_tuning(meta, payload)
         # The table changed under this process; re-read on next apply.
         _MEMO.pop(entry_digest(meta), None)

@@ -1,18 +1,16 @@
 """Schedule extraction, rewriting, and candidate enumeration.
 
-A *schedule* is everything the autotuner is allowed to vary without
-changing what a program computes:
-
-* the access protocol of every tensor mode (walk / gallop / locate /
-  the format default), which decides the coiteration strategy the
-  compiler lowers — the paper's headline asymptotic knob,
-* ``opt_level`` (1: scalar passes, 2: plus dense-loop vectorization),
-* the ``backend`` (``"python"`` / ``"c"``).
+A *schedule* is what the autotuner is allowed to vary without changing
+what a program computes: the access protocol of every tensor mode
+(walk / gallop / locate / the format default), which decides the
+coiteration strategy the compiler lowers — the paper's headline
+asymptotic knob.  ``opt_level`` and the backend are not part of it:
+they resolve as for any compile (:mod:`repro.util.config`), and a
+search measures at the configuration it runs under.
 
 Schedules are plain JSON dicts::
 
-    {"protocols": [[proto-or-None, ...] per access], "opt_level": 2,
-     "backend": "python"}
+    {"protocols": [[proto-or-None, ...] per access]}
 
 ``protocols`` lists one entry per :class:`~repro.cin.nodes.Access` in
 :func:`~repro.cin.nodes.collect_accesses` preorder — the one canonical
@@ -26,7 +24,9 @@ different kernels), so the winners table is addressed by the structural
 digest of the program with every protocol reset to the format default
 (:func:`neutral_digest`).  Any protocol spelling of a program maps to
 the same table row — which is the point: the tuner, not the program
-author, decides protocols.
+author, decides protocols.  The key also carries the ``opt_level`` and
+backend the row was measured at, so a winner is only ever applied
+under the configuration that measured it.
 """
 
 from itertools import product
@@ -49,7 +49,7 @@ from repro.util.errors import ReproError
 #: Bumped when the schedule layout or the tuning-key derivation changes
 #: incompatibly; part of every tuning key, so old winners read as
 #: misses rather than misapply.
-TUNE_VERSION = 1
+TUNE_VERSION = 2
 
 #: Protocols that may *lead* a coiterated loop (drive its position).
 #: ``None`` (the format default) resolves to ``walk``; ``locate``
@@ -130,9 +130,7 @@ def apply_protocols(program, protocols):
 
 
 def apply_schedule(program, schedule):
-    """``program`` rewritten per ``schedule["protocols"]`` (the
-    ``opt_level``/``backend`` axes are compile options, applied by the
-    caller)."""
+    """``program`` rewritten per ``schedule["protocols"]``."""
     return apply_protocols(program, schedule["protocols"])
 
 
@@ -151,14 +149,16 @@ def neutral_digest(program, length=40):
                              length=length)
 
 
-def tuning_key_meta(program, constant_loop_rewrite=True):
-    """The winners-table key for one program structure.
+def tuning_key_meta(program, opt_level, backend,
+                    constant_loop_rewrite=True):
+    """The winners-table key for one program structure compiled at
+    one resolved ``opt_level`` and ``backend``.
 
     Shares the kernel entries' invalidation discipline — the same
     :func:`repro.compiler.key.version_axes` plus the tune layout
     version — so a winner can never outlive the compiler that measured
-    it.  Unlike entry keys it carries **no** ``opt_level``/``backend``
-    (those are the *value* being looked up) and no
+    it.  It carries the compile configuration the search measured at,
+    so a row only answers a compile at that configuration, and no
     ``instrument``/``name`` (a tuning is a property of the program
     structure, not of one compile's labeling).
     """
@@ -170,16 +170,17 @@ def tuning_key_meta(program, constant_loop_rewrite=True):
         tune_version=TUNE_VERSION,
         structural_digest=neutral_digest(program),
         constant_loop_rewrite=bool(constant_loop_rewrite),
+        opt_level=int(opt_level),
+        backend=str(backend),
     )
 
 
 def validate_schedule(program, schedule):
-    """True when ``schedule`` shape-matches ``program`` and names only
-    known axes — the gate a table hit must pass before it is applied
-    (a winner recorded for a different program must never rewrite
-    this one)."""
+    """True when ``schedule["protocols"]`` shape-matches ``program``
+    and names only known protocols — the gate a table hit must pass
+    before it is applied (a winner recorded for a different program
+    must never rewrite this one).  Any other key is ignored."""
     from repro.cin.nodes import PROTOCOLS
-    from repro.util.config import BACKENDS
 
     if not isinstance(schedule, dict):
         return False
@@ -192,10 +193,7 @@ def validate_schedule(program, schedule):
             return False
         if any(p is not None and p not in PROTOCOLS for p in entry):
             return False
-    if not isinstance(schedule.get("opt_level"), int):
-        return False
-    backend = schedule.get("backend")
-    return backend is None or backend in BACKENDS
+    return True
 
 
 def tunable_sites(program):
@@ -256,23 +254,17 @@ def _legal(program, protocols):
     return True
 
 
-def enumerate_candidates(program, opt_levels=(1, 2),
-                         backends=("python",),
-                         max_cartesian=MAX_CARTESIAN):
-    """Every candidate schedule for ``program``, default first.
+def enumerate_candidates(program, max_cartesian=MAX_CARTESIAN):
+    """Every candidate schedule for ``program``, as written first.
 
     Protocol assignments come from the full cartesian product over the
     :func:`tunable_sites` when it stays within ``max_cartesian``,
     otherwise from the baseline plus every single-site mutation (a
     coordinate-descent neighborhood).  Illegal assignments (a loop
-    left with no leader access) are filtered out; the cross with
-    ``opt_levels`` x ``backends`` gives the final list.  The first
-    candidate is always the program exactly as written at the default
-    compile configuration, so a measured "win" is always a win over
-    what the user would have gotten.
+    left with no leader access) are filtered out.  The first candidate
+    is always the program exactly as written, so a measured "win" is
+    always a win over what the user would have gotten.
     """
-    from repro.ir.optimize import DEFAULT_OPT_LEVEL
-
     baseline = extract_protocols(program)
     sites = tunable_sites(program)
     assignments = [baseline]
@@ -301,17 +293,7 @@ def enumerate_candidates(program, opt_levels=(1, 2),
                 protocols[pos][mode] = choice
                 admit(protocols)
 
-    candidates = [{"protocols": baseline, "opt_level": DEFAULT_OPT_LEVEL,
-                   "backend": "python"}]
-    for protocols in assignments:
-        for opt_level in opt_levels:
-            for backend in backends:
-                candidate = {"protocols": protocols,
-                             "opt_level": int(opt_level),
-                             "backend": backend}
-                if candidate != candidates[0]:
-                    candidates.append(candidate)
-    return candidates
+    return [{"protocols": protocols} for protocols in assignments]
 
 
 def _freeze(protocols):
@@ -320,8 +302,6 @@ def _freeze(protocols):
 
 def describe_schedule(schedule):
     """A compact one-line rendering for tables and logs."""
-    protos = "/".join(
+    return "/".join(
         ",".join("-" if p is None else p for p in entry)
         for entry in schedule["protocols"])
-    return "%s @%d %s" % (protos, schedule["opt_level"],
-                          schedule.get("backend") or "python")

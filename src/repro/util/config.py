@@ -35,11 +35,6 @@ option                environment variable        owns
                                                   ``PATH`` or a path)
 ====================  ==========================  =======================
 
-One exception applies *within* the rule: the autotuner winners table
-slots between the kwarg and ``configure`` layers for
-``opt_level``/``backend`` (a measured decision outranks a static one;
-see :func:`repro.compiler.kernel.compile_kernel`).
-
 Environment values are re-read on every :func:`resolve` call (an
 empty string reads as unset, matching the historical behavior of
 every ``FL_*`` variable), so spawned workers and subprocesses inherit

@@ -13,6 +13,7 @@ import repro.lang as fl
 from repro.cin.analyze import structural_digest, structural_key
 from repro.cin.nodes import collect_accesses
 from repro.tune import (
+    TUNE_VERSION,
     apply_schedule,
     describe_schedule,
     enumerate_candidates,
@@ -71,19 +72,25 @@ def test_neutral_digest_erases_protocol_spelling():
         != structural_digest(structural_key(program))
     # ... but one row in the winners table.
     assert neutral_digest(gallop) == neutral_digest(program)
-    assert tuning_key_meta(gallop) == tuning_key_meta(program)
+    assert tuning_key_meta(gallop, 2, "python") \
+        == tuning_key_meta(program, 2, "python")
     # A genuinely different program keys a different row.
     assert neutral_digest(dot_program(a_fmt="dense")[0]) \
         != neutral_digest(program)
 
 
-def test_tuning_key_carries_version_axes_but_no_compile_options():
-    meta = tuning_key_meta(dot_program()[0])
+def test_tuning_key_carries_version_axes_and_the_configuration():
+    program = dot_program()[0]
+    meta = tuning_key_meta(program, 2, "python")
     assert meta["kind"] == "tuning"
+    assert meta["tune_version"] == TUNE_VERSION == 2
     for axis in ("store_version", "tune_version", "registry_version",
                  "code_fingerprint"):
         assert meta[axis], axis
-    assert "opt_level" not in meta and "backend" not in meta
+    assert (meta["opt_level"], meta["backend"]) == (2, "python")
+    # One row per configuration.
+    assert tuning_key_meta(program, 1, "python") != meta
+    assert tuning_key_meta(program, 2, "c") != meta
 
 
 def test_tunable_sites_skip_writes_and_single_protocol_formats():
@@ -93,25 +100,35 @@ def test_tunable_sites_skip_writes_and_single_protocol_formats():
     assert tunable_sites(program) == [(1, 0, (None, "gallop"))]
 
 
-def test_enumerate_candidates_defaults_first_and_stays_legal():
+def test_candidates_are_exactly_the_legal_protocol_assignments():
     # bitmap and dense both offer locate; locate-everywhere leaves the
     # i loop without a leader and must be filtered out.
     program, _ = dot_program(a_fmt="bitmap", b_fmt="dense")
-    candidates = enumerate_candidates(program, opt_levels=(1, 2),
-                                      backends=("python",))
-    first = candidates[0]
-    assert first["protocols"] == extract_protocols(program)
-    assert first["opt_level"] == 2 and first["backend"] == "python"
-    keys = {(tuple(map(tuple, c["protocols"])), c["opt_level"],
-             c["backend"]) for c in candidates}
-    assert len(keys) == len(candidates)  # no duplicate candidates
+    candidates = enumerate_candidates(program)
+    assert candidates[0] == {"protocols": extract_protocols(program)}
+    assignments = [tuple(map(tuple, c["protocols"])) for c in candidates]
+    assert all(list(c) == ["protocols"] for c in candidates)
+    assert len(set(assignments)) == len(assignments)
+    assert set(assignments) == {((), (None,), (None,)),
+                                ((), ("locate",), (None,)),
+                                ((), (None,), ("locate",))}
     for candidate in candidates:
         assert validate_schedule(program, candidate)
         on_i = [entry[0] for entry in candidate["protocols"] if entry]
         assert any(p in LEADER_PROTOCOLS for p in on_i)
-    # Both single-site locate mutations are present, just never both.
-    assert {tuple(map(tuple, c["protocols"])) for c in candidates} \
-        >= {((), ("locate",), (None,)), ((), (None,), ("locate",))}
+
+
+def test_figure_candidate_counts_need_no_compile(monkeypatch):
+    from repro.bench.figures import warm_start_programs
+    from repro.compiler import kernel as kernel_mod
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("enumeration compiled a kernel")
+
+    monkeypatch.setattr(kernel_mod, "_compile_artifact", no_compile)
+    counts = [len(enumerate_candidates(make_program()))
+              for _, _, make_program, _ in warm_start_programs()]
+    assert counts == [2, 9, 49, 48, 4, 11]
 
 
 def test_validate_schedule_rejects_misfits():
@@ -122,8 +139,6 @@ def test_validate_schedule_rejects_misfits():
     assert not validate_schedule(program, {**good, "protocols": [[]]})
     assert not validate_schedule(
         program, {**good, "protocols": [[], ["sprint"], [None]]})
-    assert not validate_schedule(program, {**good, "opt_level": "2"})
-    assert not validate_schedule(program, {**good, "backend": "rust"})
     # A winner recorded for a structurally different program (here:
     # fewer accesses) must read as a misfit, never be applied.
     A = fl.from_numpy(dot_data()[0], ("sparse",), name="A")
@@ -134,16 +149,14 @@ def test_validate_schedule_rejects_misfits():
 
 
 def test_describe_schedule_is_compact():
-    schedule = {"protocols": [[], ["gallop"], [None]],
-                "opt_level": 2, "backend": None}
-    assert describe_schedule(schedule) == "/gallop/- @2 python"
+    schedule = {"protocols": [[], ["gallop"], [None]]}
+    assert describe_schedule(schedule) == "/gallop/-"
 
 
 def test_applied_schedule_computes_the_same_answer():
     program, C = dot_program()
     a, b = dot_data()
-    candidate = {"protocols": [[], ["gallop"], [None]],
-                 "opt_level": 1, "backend": "python"}
+    candidate = {"protocols": [[], ["gallop"], [None]]}
     variant = apply_schedule(program, candidate)
     assert extract_protocols(variant) == candidate["protocols"]
     kernel = fl.compile_kernel(variant, opt_level=1, cache=False)

@@ -2,12 +2,15 @@
 
 The contract under test: every persisted winner was proven
 bit-identical to the reference interpreter before it could compete; a
-version-axis bump makes old winners read as misses; and a fresh
-process with ``tune="apply"`` compiles the tuned variant with zero
-search and zero extra compiles (two disk reads).
+version-axis bump makes old winners read as misses; a row answers only
+compiles at the ``opt_level``/backend it was measured at, and rewrites
+protocols only; and a fresh process with ``tune="apply"`` compiles the
+tuned variant with zero search and zero extra compiles (two disk
+reads).
 """
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -17,26 +20,35 @@ import numpy as np
 import pytest
 
 import repro.lang as fl
+from repro import codegen
 from repro.compiler.kernel import kernel_cache
 from repro.fuzz import injected_bug
 from repro.ir import ops as ops_mod
 from repro.store import KernelStore, using_store
-from repro.tune import clear_tuning_memo, lookup_schedule, tune_program
+from repro.tune import (
+    clear_tuning_memo,
+    extract_protocols,
+    lookup_schedule,
+    tune_program,
+    tuning_key_meta,
+)
 from repro.util import config
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
+_CONFIG = ("store_path", "store_max_bytes", "opt_level", "backend")
 
 
 @pytest.fixture(autouse=True)
 def clean_state(monkeypatch):
-    monkeypatch.delenv("FL_KERNEL_TUNE", raising=False)
-    monkeypatch.delenv("FL_KERNEL_STORE", raising=False)
+    for name in ("FL_KERNEL_TUNE", "FL_KERNEL_STORE",
+                 "FL_KERNEL_OPT_LEVEL", "FL_KERNEL_BACKEND"):
+        monkeypatch.delenv(name, raising=False)
     kernel_cache().clear()
-    config.clear("store_path", "store_max_bytes")
+    config.clear(*_CONFIG)
     clear_tuning_memo()
     yield
     kernel_cache().clear()
-    config.clear("store_path", "store_max_bytes")
+    config.clear(*_CONFIG)
     clear_tuning_memo()
 
 
@@ -55,8 +67,6 @@ def dot_case(n=80, seed=0):
 
 
 def run_search(store, **kwargs):
-    kwargs.setdefault("opt_levels", (1, 2))
-    kwargs.setdefault("backends", ("python",))
     kwargs.setdefault("repeats", 1)
     kwargs.setdefault("warmup", 0)
     return tune_program(lambda: dot_case()[0], label="dot",
@@ -67,6 +77,7 @@ def test_search_verifies_persists_and_apply_hits(tmp_path):
     store = KernelStore(tmp_path)
     result = run_search(store)
     assert result["schedule"] is not None
+    assert list(result["schedule"]) == ["protocols"]
     assert result["verified"] == result["measured"] - result["errors"]
     assert result["verified"] >= 2
     assert result["rejected"] == 0
@@ -80,17 +91,88 @@ def test_search_verifies_persists_and_apply_hits(tmp_path):
     clear_tuning_memo()
     program, C, expected = dot_case()
     with using_store(store):
-        assert lookup_schedule(program) == result["schedule"]
+        assert lookup_schedule(program, 2, "python") == result["schedule"]
         kernel = fl.compile_kernel(program, tune="apply")
         assert kernel.tuned
-        # The search compiled the winner under this store, so applying
-        # it is a cache hit, not a recompile.
+        # The search filed the winner under this store, so applying it
+        # is a cache hit, not a recompile.
         assert kernel.from_cache
         kernel.run()
         assert C.value == pytest.approx(expected)
         # tune="off" (the default) leaves the program as written.
         assert not fl.compile_kernel(program, tune="off").tuned
     assert store.stats()["tuning_hits"] >= 1
+
+
+def test_search_stores_only_its_winner(tmp_path):
+    # Candidates compile uncached; the winner alone is filed.
+    store = KernelStore(tmp_path)
+    result = run_search(store)
+    assert result["measured"] >= 2
+    stats = store.stats()
+    assert (stats["entries"], stats["tunings"]) == (1, 1)
+    assert stats["writes"] == 1
+
+
+def _write_record(store, program, schedule, opt_level=2,
+                  backend="python"):
+    store.save_tuning(tuning_key_meta(program, opt_level, backend),
+                      {"label": "hand-written", "schedule": schedule})
+
+
+@pytest.mark.parametrize("extra", [{"opt_level": 7}, {"opt_level": True},
+                                   {"backend": "fortran"}],
+                         ids=["level-7", "level-true", "backend-fortran"])
+def test_apply_reads_only_protocols_from_a_record(tmp_path, extra):
+    # A record keyed under the current layout that also names a level
+    # or backend (valid or not) must neither raise nor steer the
+    # compile: its protocols apply, the rest is ignored.
+    store = KernelStore(tmp_path)
+    program, C, expected = dot_case()
+    protocols = extract_protocols(program)
+    protocols[1] = ["gallop"]
+    _write_record(store, program, dict(protocols=protocols, **extra))
+    with using_store(store):
+        kernel = fl.compile_kernel(program, tune="apply")
+    assert kernel.tuned
+    assert extract_protocols(kernel.program) == protocols
+    assert (kernel.opt_level, kernel.backend) == (2, "python")
+    kernel.run()
+    assert C.value == pytest.approx(expected)
+
+
+def test_malformed_protocols_read_as_a_logged_miss(tmp_path, caplog):
+    store = KernelStore(tmp_path)
+    program, _, _ = dot_case()
+    _write_record(store, program, {"protocols": [[], ["sprint"], [None]],
+                                   "opt_level": 7})
+    with using_store(store), caplog.at_level(logging.WARNING,
+                                             logger="repro.tune"):
+        kernel = fl.compile_kernel(program, tune="apply")
+    assert not kernel.tuned
+    assert kernel.program is program
+    assert "does not fit" in caplog.text
+
+
+@pytest.mark.parametrize("axis, searched, other", [
+    ("opt_level", 1, 2),
+    pytest.param("backend", "c", "python", marks=pytest.mark.skipif(
+        not codegen.have_toolchain(), reason="needs a C toolchain")),
+])
+def test_rows_are_per_configuration(tmp_path, axis, searched, other):
+    # A search run under one configuration answers compiles at that
+    # configuration only; any other compile is a miss at the caller's.
+    store = KernelStore(tmp_path)
+    fl.configure(**{axis: searched})
+    assert run_search(store)["persisted"]
+    config.clear(axis)
+    program, _, _ = dot_case()
+    with using_store(store):
+        miss = fl.compile_kernel(program, tune="apply", **{axis: other})
+        assert not miss.tuned and getattr(miss, axis) == other
+        hit = fl.compile_kernel(program, tune="apply",
+                                **{axis: searched})
+        assert hit.tuned and getattr(hit, axis) == searched
 
 
 def test_registry_bump_invalidates_winner(tmp_path):
@@ -101,7 +183,7 @@ def test_registry_bump_invalidates_winner(tmp_path):
     version_before = ops_mod.registry_version()
     try:
         with using_store(store):
-            assert lookup_schedule(program) is not None
+            assert lookup_schedule(program, 2, "python") is not None
             misses_before = store.stats()["tuning_misses"]
             # A late op registration changes the runtime namespace
             # kernels exec against; a winner measured under the old
@@ -111,7 +193,7 @@ def test_registry_bump_invalidates_winner(tmp_path):
                                            lambda x: x))
             kernel_cache().clear()
             clear_tuning_memo()
-            assert lookup_schedule(program) is None
+            assert lookup_schedule(program, 2, "python") is None
             assert store.stats()["tuning_misses"] > misses_before
             kernel = fl.compile_kernel(program, tune="apply")
             assert not kernel.tuned  # the program as written
@@ -127,9 +209,9 @@ def test_registry_bump_invalidates_winner(tmp_path):
 
 def test_divergent_candidates_are_never_persisted(tmp_path):
     # vector-slice-short breaks opt_level-2 dense loops; budget=1
-    # keeps only the baseline candidate (dense/dense at opt 2), so
-    # every measured candidate diverges and nothing may be persisted,
-    # no matter how fast the wrong answer was.
+    # keeps only the baseline candidate (dense/dense at the default
+    # level 2), so every measured candidate diverges and nothing may
+    # be persisted, no matter how fast the wrong answer was.
     store = KernelStore(tmp_path)
 
     def make_program():
@@ -143,7 +225,6 @@ def test_divergent_candidates_are_never_persisted(tmp_path):
 
     with injected_bug("vector-slice-short"):
         result = tune_program(make_program, label="buggy dot",
-                              opt_levels=(2,), backends=("python",),
                               budget=1, repeats=1, warmup=0,
                               store=store)
     assert result["measured"] == 1
@@ -151,17 +232,14 @@ def test_divergent_candidates_are_never_persisted(tmp_path):
     assert result["verified"] == 0
     assert result["schedule"] is None
     assert result["persisted"] is None
-    assert store.stats()["tunings"] == 0
-    assert store.stats()["tuning_writes"] == 0
+    stats = store.stats()
+    assert (stats["tunings"], stats["tuning_writes"]) == (0, 0)
+    # Candidates compile uncached: the wrong kernel left no entry.
+    assert stats["entries"] == 0
 
     # The same search on the healthy tree persists a verified winner.
-    # (A fresh store: the buggy run legitimately cached its candidate
-    # *artifacts* — the injection monkeypatches a pass, which the code
-    # fingerprint cannot see — and only the tunings table is gated.)
     healthy = tune_program(make_program, label="healthy dot",
-                           opt_levels=(2,), backends=("python",),
-                           budget=1, repeats=1, warmup=0,
-                           store=KernelStore(tmp_path / "healthy"))
+                           budget=1, repeats=1, warmup=0, store=store)
     assert healthy["rejected"] == 0
     assert healthy["persisted"]
 
@@ -196,8 +274,8 @@ def test_fig10_append_output_is_verified(tmp_path):
     result = tune_program(
         lambda: alpha_blend_program(img_b, img_c, figures.FIG10_ALPHA,
                                     figures.FIG10_BETA, "rle")[0],
-        label="fig10", opt_levels=(2,), backends=("python",), budget=1,
-        repeats=1, warmup=0, store=KernelStore(tmp_path))
+        label="fig10", budget=1, repeats=1, warmup=0,
+        store=KernelStore(tmp_path))
     assert "unverifiable" not in result
     assert result["verified"] == 1 and result["rejected"] == 0
     assert result["persisted"]
@@ -224,7 +302,6 @@ def _run_probe(script, store_path, tune=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["FL_KERNEL_STORE"] = str(store_path)
-    env.pop("FL_KERNEL_TUNE", None)
     if tune is not None:
         env["FL_KERNEL_TUNE"] = tune
     proc = subprocess.run([sys.executable, "-c", script],
@@ -246,8 +323,6 @@ def test_fresh_process_applies_with_zero_search_and_zero_compiles(
         "import os\n"
         "store = KernelStore(os.environ['FL_KERNEL_STORE'])\n"
         "result = tune_program(lambda: make_program()[0],\n"
-        "                      opt_levels=(1, 2),\n"
-        "                      backends=('python',),\n"
         "                      repeats=1, warmup=0, store=store)\n"
         "print(json.dumps({'persisted': bool(result['persisted']),\n"
         "                  'stats': store.stats()}))\n")
@@ -278,12 +353,10 @@ def test_fresh_process_applies_with_zero_search_and_zero_compiles(
 def test_cli_tunes_a_figure_and_emits_markdown(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("FL_KERNEL_TUNE", None)
     proc = subprocess.run(
         [sys.executable, "-m", "repro.tune",
          "--figures", "fig1_dot", "--budget", "4", "--repeats", "1",
-         "--warmup", "0", "--backends", "python",
-         "--store", str(tmp_path), "--markdown"],
+         "--warmup", "0", "--store", str(tmp_path), "--markdown"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "| fig1_dot |" in proc.stdout
