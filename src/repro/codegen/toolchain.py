@@ -19,12 +19,13 @@ engine's ``threads`` executor scale on C kernels.  The returned entry
 point is a plain Python callable taking the same positional numpy
 buffers as the python backend's function; per-binding pointer arrays
 are validated once and memoized (keyed by argument identity, holding
-references so the identities stay pinned), keeping steady-state call
-overhead to one dict lookup plus the foreign call.
+references so the identities stay pinned), and a bound kernel keeps
+its binding's call prepared: one foreign call and one status check.
 """
 
 import atexit
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -199,12 +200,14 @@ def load_symbol(so_path, name):
 def make_entry(cfn, name, param_dtypes):
     """Wrap a raw C entry as a Python callable over numpy buffers.
 
-    The wrapper validates each distinct argument binding once —
-    ndarray, matching dtype, C-contiguous — then memoizes its pointer
-    array keyed by argument identities.  Entries hold references to
-    their arrays, so a memoized identity can never be recycled while
-    its pointers are still served; the memo is a small LRU so retired
-    bindings release their arrays.
+    ``entry(*args)`` runs the kernel on ``args``; ``entry.prepare(args)``
+    returns the zero-argument call a bound ``Kernel`` keeps per binding.
+    Both marshal through one step: it validates each distinct argument
+    binding once — ndarray, matching dtype, C-contiguous — then memoizes
+    its pointer array keyed by argument identities.  Entries and
+    prepared calls hold references to their arrays, so a memoized
+    identity can never be recycled while its pointers are still served;
+    the memo is a small LRU so retired bindings release their arrays.
     """
     dtypes = [np.dtype(dtype) for dtype in param_dtypes]
     count = len(dtypes)
@@ -212,48 +215,54 @@ def make_entry(cfn, name, param_dtypes):
     memo = OrderedDict()
     memo_lock = threading.Lock()
 
-    def entry(*args):
+    def marshal(args):
+        """``(pointers, args)`` of one binding."""
         key = tuple(map(id, args))
         with memo_lock:
             cached = memo.get(key)
             if cached is not None:
                 memo.move_to_end(key)
-        if cached is None:
-            if len(args) != count:
+                return cached
+        if len(args) != count:
+            raise ToolchainError(
+                "kernel %r takes %d buffers, got %d"
+                % (name, count, len(args)))
+        for position, (array, dtype) in enumerate(zip(args, dtypes)):
+            if not isinstance(array, np.ndarray):
                 raise ToolchainError(
-                    "kernel %r takes %d buffers, got %d"
-                    % (name, count, len(args)))
-            for position, (array, dtype) in enumerate(
-                    zip(args, dtypes)):
-                if not isinstance(array, np.ndarray):
-                    raise ToolchainError(
-                        "kernel %r argument %d is %r, not an ndarray"
-                        % (name, position, type(array).__name__))
-                if array.dtype != dtype:
-                    raise ToolchainError(
-                        "kernel %r argument %d has dtype %s, compiled "
-                        "for %s" % (name, position, array.dtype,
-                                    dtype))
-                if not array.flags["C_CONTIGUOUS"]:
-                    raise ToolchainError(
-                        "kernel %r argument %d is not C-contiguous"
-                        % (name, position))
-            pointers = array_type(
-                *[array.ctypes.data for array in args])
-            cached = (pointers, args)
-            with memo_lock:
-                memo[key] = cached
-                while len(memo) > _BINDING_MEMO_CAP:
-                    memo.popitem(last=False)
+                    "kernel %r argument %d is %r, not an ndarray"
+                    % (name, position, type(array).__name__))
+            if array.dtype != dtype:
+                raise ToolchainError(
+                    "kernel %r argument %d has dtype %s, compiled for %s"
+                    % (name, position, array.dtype, dtype))
+            if not array.flags["C_CONTIGUOUS"]:
+                raise ToolchainError(
+                    "kernel %r argument %d is not C-contiguous"
+                    % (name, position))
+        cached = (array_type(*[array.ctypes.data for array in args]),
+                  tuple(args))
+        with memo_lock:
+            memo[key] = cached
+            while len(memo) > _BINDING_MEMO_CAP:
+                memo.popitem(last=False)
+        return cached
+
+    def invoke(pointers, pinned):
+        # ``pinned`` (the arrays) is what a prepared call holds them by.
         # The foreign call releases the GIL (plain ctypes behavior):
         # this is what lets the threads executor scale on C kernels.
-        result = int(cfn(cached[0]))
+        result = cfn(pointers)
         if result < 0:      # op counts are not negative: an error status
             error, message = STATUS_ERRORS[result]
             raise error(message)
         return result
 
+    def entry(*args):
+        return invoke(*marshal(args))
+
     entry.__name__ = name
+    entry.prepare = lambda args: functools.partial(invoke, *marshal(args))
     return entry
 
 

@@ -49,6 +49,7 @@ update, giving a deterministic work measure used by the benchmark
 harness alongside wall-clock time.
 """
 
+import functools
 import threading
 import time
 from collections import OrderedDict
@@ -466,9 +467,14 @@ class Kernel:
         # adoption (share_tensor re-pointing them) caught up with.
         if self._epoch != _share._adoptions:
             self.rebind(self._tensors)
-        args = (self._with_overrides(overrides)[1] if overrides
-                else self._args)
-        result = self._artifact.fn(*args)
+        if overrides:
+            result = self._artifact.fn(*self._with_overrides(overrides)[1])
+        else:
+            if self._call is None:      # the binding's call, prepared once
+                fn = self._artifact.fn
+                self._call = fn.prepare(self._args) if hasattr(
+                    fn, "prepare") else functools.partial(fn, *self._args)
+            result = self._call()
         return result if self._artifact.instrument else None
 
     def rebind(self, tensors=None, **named):
@@ -480,15 +486,18 @@ class Kernel:
         signature as the tensors they replace.  Returns ``self``.
         """
         if tensors is None or isinstance(tensors, dict):
-            self._tensors, self._args = self._with_overrides(
-                {**(tensors or {}), **named})
+            mapping = {**(tensors or {}), **named}
+            self._tensors, self._args = self._with_overrides(mapping)
+            for name, tensor in mapping.items():
+                if getattr(tensor, "name", None) != name:
+                    self._by_name = None    # a slot's name moved
         else:
             if named:
                 raise BindingError(
                     "pass either a full tensor sequence or name "
                     "overrides, not both")
             self._bind(list(tensors))
-        self._by_name = None  # name -> slots, built on first override
+        self._call = None
         return self
 
     def _bind(self, tensors, buffers=None):
@@ -496,7 +505,8 @@ class Kernel:
         self._args = self._artifact.bind(tensors, buffers)
         self._tensors = tensors
         self._epoch = _share._adoptions
-        self._by_name = None
+        self._by_name = None  # name -> slots, built on first override
+        self._call = None   # prepared by the next run()
 
     def _with_overrides(self, mapping):
         """``(tensors, args)`` with the named slots replaced: only
@@ -719,7 +729,7 @@ def _compile_artifact(program, walk, instrument, name,
                        returns=returns)
     raw_source = emit(func)
     if opt_level > 0:
-        func = optimize_kernel(func, opt_level)
+        func = optimize_kernel(func, opt_level, ctx.bound_buffers())
         # The python source alone reads through views; the C emitter
         # below takes ``func`` as the optimizer left it.
         source = emit(scalar_views(func, ctx.bound_buffers(),

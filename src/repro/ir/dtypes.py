@@ -190,9 +190,10 @@ def _stores_alike(element, mask):
 
 
 def _sites(func, buffers):
-    """``(calls, stores, sliced)``: every call and store some load
-    reaches, with its operands' types and reach, and the bit mask of the
-    parameters a ``Slice`` names."""
+    """``(calls, stores, sliced, kinds)``: every call and store some load
+    reaches, with its operands' types and reach, the bit mask of the
+    parameters a ``Slice`` names, and ``kinds(expr)``, the types an
+    expression of ``func`` may have."""
     bits, elements, loads = {}, {}, {}
     for pos, (name, array) in enumerate(buffers):
         bits[name], elements[name] = 1 << pos, array.dtype.type
@@ -293,7 +294,30 @@ def _sites(func, buffers):
     stores = {(bits[name], elements[name]) + visit(value)
               for name, value in stored}
     calls.update(itertools.chain.from_iterable(found))
-    return calls, stores, sliced[0]
+    return calls, stores, sliced[0], lambda expr: visit(expr)[0]
+
+
+def sums_alike(func, buffers):
+    """``alike(op, target, value)``: whether ``target op= value`` over a
+    loop of ``func`` may run as one numpy reduction — whether, for every
+    type the two may have, ``_np.dot`` or ``op.numpy_reduce`` computes in
+    the type one step of the loop does (``_np.dot`` sums ``uint8`` in
+    ``uint8``, where a ``float64`` accumulator takes each term as it
+    is).  ``func`` is typed on the first call."""
+    typed = []
+
+    def alike(op, target, value):
+        if not typed:
+            typed.append(_sites(func, buffers)[3])
+        kinds = typed[0]
+        targets = kinds(target)
+        return all(
+            issubclass(element, np.generic) and all(
+                _reduced(op, frozenset([element]))
+                == {_apply(op, (kind, element))} for kind in targets)
+            for element in kinds(value))
+
+    return alike
 
 
 def viewable(func, buffers, plan):
@@ -326,7 +350,7 @@ def viewable(func, buffers, plan):
             candidates |= 1 << pos
     if not candidates:
         return ()
-    calls, stores, sliced = _sites(func, buffers)
+    calls, stores, sliced, _ = _sites(func, buffers)
     views = candidates & ~sliced
     while True:     # a refused parameter's calls are checked again
         lost = 0

@@ -34,7 +34,8 @@ with composable passes over :mod:`repro.ir.asm` statements:
     counters) into numpy slice operations: elementwise maps become
     assignments over ``Slice`` nodes (``out[a:b] = x[c:d] * y[e:f]``),
     reductions accumulate a ``Reduce`` (``_np.dot`` /
-    ``_np.<op>.reduce``), and instrumentation counters are scaled by
+    ``_np.<op>.reduce``) where numpy sums in the scalar loop's type,
+    and instrumentation counters are scaled by
     the trip count so measured op counts are identical with and without
     vectorization.  Loops whose shape does not match are left alone
     (the scalar fallback).
@@ -56,7 +57,7 @@ it changed.  That identity is the fixpoint test: ``fold_constants`` +
 four rounds), with no detour through source text.
 """
 
-from repro.ir import build
+from repro.ir import build, dtypes
 from repro.ir.asm import (
     AccumStmt,
     AssignStmt,
@@ -486,12 +487,20 @@ def _hoist_loop(loop, namer, loop_var):
 # --------------------------------------------------------------------------
 # Dense-loop vectorization
 # --------------------------------------------------------------------------
-def vectorize(stmt):
-    """Rewrite simple dense inner loops into numpy slice operations."""
+def vectorize(stmt, buffers=None):
+    """Rewrite simple dense inner loops into numpy slice operations.
+
+    ``buffers``, the kernel's ``(name, array)`` parameters, type its
+    expressions: a loop becomes one numpy reduction only where that
+    computes in the type the scalar loop accumulates in
+    (:func:`repro.ir.dtypes.sums_alike`); a tree built by hand has none,
+    and every reduction is taken."""
+    sums_alike = (lambda *_: True) if buffers is None \
+        else dtypes.sums_alike(stmt, buffers)
 
     def visit(node):
         if isinstance(node, ForLoop):
-            return _vectorize_loop(node)
+            return _vectorize_loop(node, sums_alike)
         return None
 
     return map_statements(stmt, visit)
@@ -576,7 +585,7 @@ def _vector_expr(expr, var, start, stop):
     return Call(expr.op, args)
 
 
-def _vectorize_loop(loop):
+def _vectorize_loop(loop, sums_alike):
     var = loop.var.name
     stmts = [s for s in loop.body.stmts
              if not isinstance(s, (Comment, Nop))]
@@ -600,7 +609,8 @@ def _vectorize_loop(loop):
             return None
     out = []
     if core is not None:
-        out.append(_vectorize_core(core, var, loop.start, loop.stop))
+        out.append(_vectorize_core(core, var, loop.start, loop.stop,
+                                   sums_alike))
         if out[0] is None:
             return None
     trip = build.minus(loop.stop, loop.start)
@@ -617,7 +627,7 @@ def _vectorize_loop(loop):
     return If([(guard, Block(out))])
 
 
-def _vectorize_core(core, var, start, stop):
+def _vectorize_core(core, var, start, stop, sums_alike):
     """The slice statement doing the whole loop's ``core``, or None."""
     if not isinstance(core, (AssignStmt, AccumStmt)):
         return None
@@ -655,6 +665,8 @@ def _vectorize_core(core, var, start, stop):
             return None
     elif target.buffer.name in load_buffers(value):
         return None
+    if not sums_alike(op, core.target, core.value):
+        return None
     return AccumStmt(target, op, Reduce(op, value))
 
 
@@ -683,16 +695,17 @@ PIPELINE = {
 }
 
 
-def optimize_kernel(func, level=DEFAULT_OPT_LEVEL):
+def optimize_kernel(func, level=DEFAULT_OPT_LEVEL, buffers=None):
     """Run the steps of ``PIPELINE[level]`` over a lowered kernel.
 
     ``level`` is an ``opt_level`` as :func:`~repro.compiler.kernel.
     compile_kernel` accepts it (``None`` = :data:`DEFAULT_OPT_LEVEL`);
-    any other value raises the same ``ValueError``.  The returned tree
-    shares every node no step changed with the input (it *is* the input
-    when none did) and has identical parameters and returns.
+    any other value raises the same ``ValueError``; ``buffers`` go to
+    :func:`vectorize`.  The returned tree shares every node no step
+    changed with the input (it *is* the input when none did) and has
+    identical parameters and returns.
     """
     level = OPTIONS["opt_level"].validate(level)
     for step in PIPELINE[DEFAULT_OPT_LEVEL if level is None else level]:
-        func = step(func)
+        func = step(func, buffers) if step is vectorize else step(func)
     return func

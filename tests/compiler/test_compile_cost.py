@@ -34,10 +34,10 @@ def test_fig8_cold_compile_stays_inside_its_work_budget(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    def optimize(func, level, real=compiler.optimize_kernel):
+    def optimize(func, level, buffers=None, real=compiler.optimize_kernel):
         optimizing.append(True)
         try:
-            return real(func, level)
+            return real(func, level, buffers)
         finally:
             optimizing.pop()
 

@@ -266,9 +266,10 @@ class TestEligibility:
                 assert not {"val", "right"} & views
             else:
                 # ``S += val[k]`` from ``S = 0.0``: a weak float takes a
-                # float32's width, and a uint8 value's float64.
-                # (Level 2 sums the dense block as a slice.)
-                assert ("val" in views) == (dtype is np.uint8 and level == 1)
+                # float32's width, and a uint8 value's float64.  (Level 2
+                # sums the float32 block as a slice; ``_np.add.reduce``
+                # would sum uint8 in uint64, so that loop stays scalar.)
+                assert ("val" in views) == (dtype is np.uint8 and level > 0)
             values.append(S.value)
         assert values[0] == values[1]
         if dtype is np.uint8:   # a float32 slice sums pairwise at level 2

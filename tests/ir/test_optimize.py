@@ -329,6 +329,23 @@ class TestVectorize:
         source = emit(vectorize(func_of(loop, params=("x", "y"))))
         assert "acc += _np.dot(x[0:16], y[0:16])" in source
 
+    @pytest.mark.parametrize("dtype, dot", [
+        ("float64", True), ("float32", True), ("int64", False),
+        ("uint8", False), ("bool", False)])
+    def test_typed_reduction_only_in_the_accumulators_type(self, dtype,
+                                                           dot):
+        # ``acc = 0.0``: a weak float, so the loop sums float64 and
+        # float32 terms in their own type and the others in float64.
+        loop = asm.ForLoop(
+            "i", Literal(0), Literal(16),
+            asm.AccumStmt("acc", ops.ADD,
+                          build.times(Load("x", Var("i")),
+                                      Load("y", Var("i")))))
+        func = func_of(asm.AssignStmt(Var("acc"), Literal(0.0)), loop,
+                       params=("x", "y"))
+        buffers = [(name, np.zeros(16, dtype=dtype)) for name in "xy"]
+        assert ("_np.dot" in emit(vectorize(func, buffers))) == dot
+
     def test_dynamic_bounds_get_a_guard(self):
         loop = asm.ForLoop(
             "i", Var("a"), Var("b"),
@@ -449,6 +466,43 @@ class TestVectorize:
             assert got.tobytes() == want.tobytes(), (level, got, want)
             # The printer's select, not the builtin, at every level.
             assert "%s(" % op not in kernel.source
+
+    @pytest.mark.parametrize("dtype", ["uint8", "float32", "int64", "bool"])
+    @pytest.mark.parametrize("shape", ["dot", "matvec"])
+    def test_a_reduction_sums_in_the_type_the_loop_does(self, dtype, shape):
+        # Six products 15 * 15 sum to 1350 in the loop's float64, to 70
+        # in the uint8 ``_np.dot`` computes; six True * True to 6.0, to
+        # True.  A float32 term stays float32 from ``C = 0.0`` (a weak
+        # float) and meets a float64 ``y[i]`` as float64.
+        value = {"uint8": 15, "float32": 0.1, "int64": 15, "bool": True}
+        i, j = fl.indices("i", "j")
+        results = []
+        for level in (0, 1, 2):
+            v = np.full(6, value[dtype], dtype=dtype)
+            if shape == "dot":
+                A = fl.from_numpy(v, ("dense",), name="A")
+                B = fl.from_numpy(v.copy(), ("dense",), name="B")
+                out = fl.Scalar(name="C")
+                prog = fl.forall(i, fl.increment(out[()], A[i] * B[i]))
+            else:
+                M = fl.from_numpy(np.tile(v, (3, 1)), ("dense", "dense"),
+                                  name="M")
+                x = fl.from_numpy(v.copy(), ("dense",), name="x")
+                out = fl.zeros((3,), name="y")
+                prog = fl.forall(i, fl.forall(j, fl.increment(
+                    out[i], M[i, j] * x[j])))
+            fl.compile_kernel(prog, cache=False, opt_level=level).run()
+            results.append(np.asarray(out.to_numpy() if out.ndim
+                                      else out.value))
+        if dtype == "float32" and shape == "dot":
+            # Summed in float32 by both, in another order at level 2.
+            np.testing.assert_allclose(results[2], results[0], rtol=1e-6)
+            results.pop()
+        assert len({result.tobytes() for result in results}) == 1, results
+        if dtype in ("uint8", "int64"):
+            assert results[0].ravel()[0] == 1350.0
+        elif dtype == "bool":
+            assert results[0].ravel()[0] == 6.0
 
 
 class TestExactEffects:
@@ -692,9 +746,9 @@ def lowered_figures():
     trees = {}
     with pytest.MonkeyPatch.context() as patch:
         for figure, _, make, opts in warm_start_programs():
-            def keep(func, level, figure=figure):
+            def keep(func, level, buffers=None, figure=figure):
                 trees[figure] = func
-                return optimize_kernel(func, level)
+                return optimize_kernel(func, level, buffers)
 
             patch.setattr(compiler, "optimize_kernel", keep)
             fl.compile_kernel(make(), cache=False, **opts)
