@@ -98,9 +98,9 @@ class Interpreter:
         if stmt.op is None:
             target[coords] = value
         else:
-            target[coords] = stmt.op.fold(target[coords].item()
-                                          if hasattr(target[coords], "item")
-                                          else target[coords], value)
+            # The element as a numpy scalar, as a kernel reads it: a
+            # ``float32`` term adds to a ``float64`` one in ``float64``.
+            target[coords] = stmt.op.fold(target[coords], value)
 
     # -- expressions -----------------------------------------------------
     def _expr(self, expr, env):

@@ -28,39 +28,43 @@ Python arithmetic exactly where C differs:
   binary searches as :mod:`repro.ir.ops`, over the typed pointer.
 
 How each operator lowers — an infix symbol, a prelude helper, one of the
-named custom renderers below — and how its result is typed is declared
-on its :class:`repro.ir.ops.Op` (``c`` / ``c_type``); this module
-dispatches on that declaration and never tests an operator by name.
+named custom renderers below — is declared on its
+:class:`repro.ir.ops.Op` (``c``); this module dispatches on that
+declaration and never tests an operator by name.  Types come from the
+dtype pass the python backend's views use (:func:`repro.ir.dtypes.sites`):
+an expression's C type is the widest Python counterpart of the numpy
+types it may have, so a local, a typed helper's ``_i64``/``_f64``
+variant and ``abs`` all read the one analysis.
 
 Anything the emitter cannot translate with that guarantee raises
-:class:`CUnsupportedError` — slice operations (the ``Slice``/``Reduce``
-nodes of a dense output's reset and of vectorized loops: no C lowering
-*yet*), ``missing``, operators that declare no C lowering, buffers
-outside :data:`SUPPORTED_DTYPES`, and loop variables read after their
-loop (Python leaves ``stop - 1``, C leaves ``stop``).  The caller falls
-back to the python backend.
+:class:`CUnsupportedError` while it renders — slice operations (the
+``Slice``/``Reduce`` nodes of a dense output's reset and of vectorized
+loops: no C lowering *yet*), ``missing``, operators that declare no C
+lowering, buffers outside :data:`SUPPORTED_DTYPES`, a buffer parameter
+read as a scalar or reassigned, loop variables read after their loop
+(Python leaves ``stop - 1``, C leaves ``stop``), and the types C
+computes differently: a float loop bound or index, ``and``/``or`` over
+a non-bool, ``round_u8`` of a bool, a search over a non-``int64``
+buffer, and arithmetic on truth values alone.  The caller falls back to
+the python backend.
 """
 
 from collections import Counter
 
-from repro.ir import asm
+import numpy as np
+
+from repro.ir import asm, dtypes
 from repro.ir.nodes import Call, Literal, Load, Reduce, Slice, Var
 from repro.ir.ops import MISSING
 from repro.util.errors import ReproError
 
-#: Internal type lattice: BOOL < I64 < F64 (join = promotion).
-BOOL, I64, F64 = "bool", "i64", "f64"
+#: numpy dtype names the C backend accepts as kernel buffers, and their
+#: C element types.  numpy ``bool_`` is one byte, same as C99 ``bool`` on
+#: every mainstream ABI, and C assignment to ``bool`` normalizes nonzero
+#: to ``true`` exactly like numpy boolean-array stores.
+SUPPORTED_DTYPES = {"int64": "int64_t", "float64": "double", "bool": "bool"}
 
-_RANK = {BOOL: 0, I64: 1, F64: 2}
-
-#: numpy dtype names the C backend accepts as kernel buffers.  numpy
-#: ``bool_`` is one byte, same as C99 ``bool`` on every mainstream ABI,
-#: and C assignment to ``bool`` normalizes nonzero to ``true`` exactly
-#: like numpy boolean-array stores.
-SUPPORTED_DTYPES = {"int64": I64, "float64": F64, "bool": BOOL}
-
-_CTYPE = {BOOL: "bool", I64: "int64_t", F64: "double"}
-_CZERO = {BOOL: "false", I64: "INT64_C(0)", F64: "0.0"}
+_CZERO = {"bool": "false", "int64_t": "INT64_C(0)", "double": "0.0"}
 
 #: C keywords plus identifiers the prelude reserves; colliding kernel
 #: names get a ``v_`` prefix (consistently, via the rename map).
@@ -72,7 +76,6 @@ _RESERVED = frozenset("""
 """.split())
 
 _ATOM = 100
-_TERNARY = 3
 
 #: A kernel's negative return value, set by a ``checked`` helper: the
 #: error Python raises at the same point (``round(nan)``,
@@ -167,6 +170,19 @@ static inline int64_t fl_search_abs_ge(const int64_t *idx, int64_t lo,
 """
 
 
+def _locals(func):
+    """The scalar names ``func`` assigns (a ``for`` assigns its
+    variable), in order of first assignment."""
+    names = {}
+    for stmt in asm.walk_statements(func):
+        if isinstance(stmt, asm.ForLoop):
+            names[stmt.var.name] = None
+        elif isinstance(stmt, (asm.AssignStmt, asm.AccumStmt)) \
+                and isinstance(stmt.target, Var):
+            names[stmt.target.name] = None
+    return [name for name in names if name not in func.params]
+
+
 def _mentions(stmt, seen, inside):
     """One walk: ``seen[name]`` counts the statements mentioning a name
     in a header or an assignment (a ``for`` mentions its variable), and
@@ -183,41 +199,6 @@ def _mentions(stmt, seen, inside):
         inside[stmt] = seen[stmt.var.name] - before
 
 
-def _join(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if _RANK[a] >= _RANK[b] else b
-
-
-def _join_all(*types):
-    joined = None
-    for t in types:
-        joined = _join(joined, t)
-    return joined
-
-
-def _arith(*types):
-    """Result type of +, -, * over ``types`` (bools promote to int, but
-    numpy computes over bools alone logically: ``True + True`` is
-    ``True``)."""
-    if types and all(t is BOOL for t in types):
-        raise CUnsupportedError("arithmetic on truth values alone")
-    joined = _join_all(*types)
-    return _join(joined, I64) if joined is not None else None
-
-
-#: The result-type rules an operator's ``c_type`` may name.
-_RESULT_TYPES = {
-    "arith": _arith,
-    "join": _join_all,
-    "f64": lambda *types: F64,
-    "i64": lambda *types: I64,
-    "bool": lambda *types: BOOL,
-}
-
-
 class _Emitter:
     """One emission pass over one kernel function."""
 
@@ -227,182 +208,44 @@ class _Emitter:
         self.param_types = {}
         for name in self.params:
             dtype = str(param_dtypes.get(name))
-            elem = SUPPORTED_DTYPES.get(dtype)
-            if elem is None:
+            ctype = SUPPORTED_DTYPES.get(dtype)
+            if ctype is None:
                 raise CUnsupportedError(
                     "buffer %r has dtype %s (C backend supports %s)"
                     % (name, dtype,
                        "/".join(sorted(SUPPORTED_DTYPES))))
-            self.param_types[name] = elem
-        self.env = {}           # scalar name -> lattice type
-        self.decl_order = []    # scalar names in first-assignment order
+            self.param_types[name] = ctype
+        self.kinds = dtypes.sites(func, {
+            name: param_dtypes[name] for name in self.params})[3]
+        self.locals = _locals(func)
         self.stored = asm.effects(func).stores
         self.renames = {}
+        self._build_renames()
         self._temp = 0
         self.checked = False    # a helper reports through ``fl_status``
 
     # -- analysis ------------------------------------------------------
-    def analyze(self):
-        self._infer_types()
-        self._check_loop_vars()
-        self._build_renames()
+    def _reads(self, expr):
+        """The Python types the values of ``expr`` compute like."""
+        return {dtypes.read_as(kind) for kind in self.kinds(expr)}
 
-    def _infer_types(self):
-        for _ in range(8):
-            before = dict(self.env)
-            self._sweep(self.func.body)
-            if self.env == before:
-                break
-        for name in self.env:
-            if self.env[name] is None:
-                self.env[name] = I64
-
-    def _sweep(self, stmt):
-        if isinstance(stmt, asm.Block):
-            for child in stmt.stmts:
-                self._sweep(child)
-        elif isinstance(stmt, asm.AssignStmt):
-            value = self._expr_type(stmt.value)
-            if isinstance(stmt.target, Var):
-                self._assign(stmt.target.name, value)
-            else:
-                self._store_target(stmt.target)
-        elif isinstance(stmt, asm.AccumStmt):
-            if isinstance(stmt.target, Var):
-                self._assign(stmt.target.name, self._call_type(
-                    Call(stmt.op, [stmt.target, stmt.value])))
-            else:
-                self._expr_type(stmt.value)
-                self._store_target(stmt.target)
-        elif isinstance(stmt, asm.ForLoop):
-            for bound in (stmt.start, stmt.stop):
-                if self._expr_type(bound) is F64:
-                    raise CUnsupportedError(
-                        "float-typed loop bound in for-loop over %r"
-                        % stmt.var.name)
-            self._assign(stmt.var.name, I64)
-            self._sweep(stmt.body)
-        elif isinstance(stmt, asm.WhileLoop):
-            self._expr_type(stmt.cond)
-            self._sweep(stmt.body)
-        elif isinstance(stmt, asm.If):
-            for cond, body in stmt.branches:
-                if cond is not None:
-                    self._expr_type(cond)
-                self._sweep(body)
-        elif isinstance(stmt, asm.FuncDef):
-            self._sweep(stmt.body)
-
-    def _assign(self, name, value_type):
-        if name in self.params:
+    def _ctype(self, expr):
+        """The C type of ``expr``: the widest of the Python types its
+        values compute like (``bool`` < ``int`` < ``float``), and
+        ``int64_t`` for none."""
+        read = self._reads(expr)
+        if type(None) in read:
             raise CUnsupportedError(
-                "kernel reassigns buffer parameter %r" % name)
-        if name not in self.env:
-            self.env[name] = None
-            self.decl_order.append(name)
-        self.env[name] = _join(self.env[name], value_type)
-
-    def _store_target(self, target):
-        if isinstance(target, Slice):
-            self._expr_type(target)     # refused by kind
-        self._param_elem(target.buffer, "store target")
-        self._index_type(target.index)
-
-    def _param_elem(self, buffer, what):
-        if not isinstance(buffer, Var) or buffer.name not in self.params:
+                "missing-valued expression (coalesce/permit)")
+        if np.ndarray in read:
             raise CUnsupportedError(
-                "%s %r is not a kernel buffer parameter"
-                % (what, getattr(buffer, "name", buffer)))
-        return self.param_types[buffer.name]
-
-    def _index_type(self, index):
-        if self._expr_type(index) is F64:
-            raise CUnsupportedError("float-typed buffer index")
-        return I64
-
-    def _expr_type(self, expr):
-        if isinstance(expr, Literal):
-            value = expr.value
-            if value is MISSING:
-                raise CUnsupportedError(
-                    "missing-valued expression (coalesce/permit)")
-            if isinstance(value, bool):
-                return BOOL
-            if isinstance(value, int):
-                return I64
-            if isinstance(value, float):
-                return F64
-            raise CUnsupportedError(
-                "literal %r has no C type" % (value,))
-        if isinstance(expr, Var):
-            name = expr.name
-            if name in self.params:
-                raise CUnsupportedError(
-                    "buffer parameter %r used as a scalar value" % name)
-            # Unknown until its assignment is swept; the fixpoint
-            # converges because types only move up the lattice.
-            return self.env.get(name)
-        if isinstance(expr, Load):
-            elem = self._param_elem(expr.buffer, "load from")
-            self._index_type(expr.index)
-            return elem
-        if isinstance(expr, Call):
-            return self._call_type(expr)
-        if isinstance(expr, (Slice, Reduce)):
-            raise CUnsupportedError(
-                "%s node (the slice operation of a dense reset or a "
-                "vectorized loop) has no C lowering yet"
-                % type(expr).__name__)
-        raise CUnsupportedError("cannot type %r" % (expr,))
-
-    def _c_form(self, op):
-        if op.c is None:
-            raise CUnsupportedError(
-                "operator %r has no C lowering" % op.name)
-        return op.c
-
-    def _call_type(self, expr):
-        """A custom form's own ``_type_<form>`` rule, else the
-        operator's declared ``c_type`` rule over the operand types."""
-        op = expr.op
-        custom = op.c and getattr(self, "_type_" + op.c[0], None)
-        if custom:
-            return custom(expr)
-        types = [self._expr_type(arg) for arg in expr.args]
-        self._c_form(op)    # an untranslatable operand is reported first
-        return _RESULT_TYPES[op.c_type](*types)
-
-    def _type_logical(self, expr):
-        for t in [self._expr_type(arg) for arg in expr.args]:
-            if t not in (BOOL, None):
-                raise CUnsupportedError(
-                    "non-boolean operand to %r (Python returns an "
-                    "operand, C returns 0/1)" % expr.op.name)
-        return BOOL
-
-    def _type_conditional(self, expr):
-        _, then, otherwise = [self._expr_type(arg) for arg in expr.args]
-        return _join(then, otherwise)
-
-    def _type_checked(self, expr):
-        types = [self._expr_type(arg) for arg in expr.args]
-        if BOOL in types:
-            raise CUnsupportedError(
-                "%s of a truth value (numpy's bool has no __round__)"
-                % expr.op.name)
-        return _RESULT_TYPES[expr.op.c_type](*types)
-
-    def _type_search(self, expr):
-        # First argument is the index buffer itself, not a scalar
-        # value; type only the bounds and the key.
-        for arg in expr.args[1:]:
-            self._expr_type(arg)
-        elem = self._param_elem(expr.args[0],
-                                "%s index buffer" % expr.op.name)
-        if elem is not I64:
-            raise CUnsupportedError(
-                "%s over a non-int64 buffer" % expr.op.name)
-        return I64
+                "buffer parameter %r used as a scalar value"
+                % getattr(expr, "name", expr))
+        if not read <= {bool, int, float}:
+            raise CUnsupportedError("cannot type %r" % (expr,))
+        if float in read:
+            return "double"
+        return "bool" if read == {bool} else "int64_t"
 
     def _check_loop_vars(self):
         """Reject loop variables read outside their loop.
@@ -426,7 +269,7 @@ class _Emitter:
 
     def _build_renames(self):
         taken = set()
-        for name in list(self.params) + self.decl_order:
+        for name in list(self.params) + self.locals:
             safe = name
             if (name in _RESERVED or name.startswith("fl_")
                     or name.startswith("v_")):
@@ -439,6 +282,29 @@ class _Emitter:
     def _cname(self, name):
         return self.renames.get(name, name)
 
+    def _local(self, name):
+        """The C name of the scalar an assignment writes."""
+        if name in self.params:
+            raise CUnsupportedError(
+                "kernel reassigns buffer parameter %r" % name)
+        return self._cname(name)
+
+    def _buffer(self, buffer, what):
+        """The C element type of the parameter ``buffer`` names."""
+        if not isinstance(buffer, Var) or buffer.name not in self.params:
+            raise CUnsupportedError(
+                "%s %r is not a kernel buffer parameter"
+                % (what, getattr(buffer, "name", buffer)))
+        return self.param_types[buffer.name]
+
+    def _integer(self, expr, refusal):
+        """``expr`` rendered, refused with ``refusal`` when C would
+        compute it as a ``double``."""
+        rendered = self._render(expr)[0]
+        if self._ctype(expr) == "double":
+            raise CUnsupportedError(refusal)
+        return rendered
+
     def _fresh_temp(self):
         self._temp += 1
         return "fl_stop_%d" % self._temp
@@ -447,16 +313,32 @@ class _Emitter:
     def _render(self, expr):
         """``(source, precedence)`` of one expression, C syntax."""
         if isinstance(expr, Literal):
+            if expr.value is MISSING:
+                raise CUnsupportedError(
+                    "missing-valued expression (coalesce/permit)")
             return self._render_literal(expr.value), _ATOM
         if isinstance(expr, Var):
+            if expr.name in self.params:
+                raise CUnsupportedError(
+                    "buffer parameter %r used as a scalar value"
+                    % expr.name)
             return self._cname(expr.name), _ATOM
         if isinstance(expr, Load):
-            index, _ = self._render(expr.index)
-            return "%s[%s]" % (self._cname(expr.buffer.name),
-                               index), _ATOM
+            return self._element(expr, "load from"), _ATOM
         if isinstance(expr, Call):
             return self._render_call(expr)
+        if isinstance(expr, (Slice, Reduce)):
+            raise CUnsupportedError(
+                "%s node (the slice operation of a dense reset or a "
+                "vectorized loop) has no C lowering yet"
+                % type(expr).__name__)
         raise CUnsupportedError("cannot render %r" % (expr,))
+
+    def _element(self, target, what):
+        """``buffer[index]`` of a load or a store target."""
+        self._buffer(target.buffer, what)
+        return "%s[%s]" % (self._cname(target.buffer.name), self._integer(
+            target.index, "float-typed buffer index"))
 
     def _render_literal(self, value):
         if isinstance(value, bool):
@@ -477,8 +359,24 @@ class _Emitter:
     def _render_call(self, expr):
         """Dispatch on the operator's declared C form: the form's name
         picks the ``_render_<form>`` method, the rest are its data."""
-        form = self._c_form(expr.op)
-        return getattr(self, "_render_" + form[0])(expr, *form[1:])
+        op = expr.op
+        if op.c is None:
+            for arg in expr.args:   # an untranslatable operand first
+                self._render(arg)
+            raise CUnsupportedError(
+                "operator %r has no C lowering" % op.name)
+        rendered = getattr(self, "_render_" + op.c[0])(expr, *op.c[1:])
+        # numpy computes some operators over ``bool`` operands alone
+        # logically (``True + True`` is ``True``); C, like Python,
+        # promotes them to int.  Refused when every operand may be one.
+        on_bools = Call(op, [Literal(True)] * len(expr.args))
+        if expr.args and self.kinds(on_bools) == {int} and all(
+                bool in self._reads(arg) for arg in expr.args):
+            raise CUnsupportedError("arithmetic on truth values alone")
+        return rendered
+
+    def _render_args(self, args):
+        return ", ".join(self._render(arg)[0] for arg in args)
 
     def _render_infix(self, expr, symbol, precedence):
         parts = []
@@ -490,7 +388,13 @@ class _Emitter:
             parts.append(source)
         return (" %s " % symbol).join(parts), precedence
 
-    _render_logical = _render_infix
+    def _render_logical(self, expr, symbol, precedence):
+        rendered = self._render_infix(expr, symbol, precedence)
+        if any(self._reads(arg) != {bool} for arg in expr.args):
+            raise CUnsupportedError(
+                "non-boolean operand to %r (Python returns an "
+                "operand, C returns 0/1)" % expr.op.name)
+        return rendered
 
     def _render_prefix(self, expr, symbol, precedence):
         inner, prec = self._render(expr.args[0])
@@ -499,14 +403,17 @@ class _Emitter:
         return symbol + inner, precedence
 
     def _render_helper(self, expr, helper):
-        rendered = ", ".join(self._render(arg)[0] for arg in expr.args)
-        return "%s(%s)" % (helper, rendered), _ATOM
+        return "%s(%s)" % (helper, self._render_args(expr.args)), _ATOM
 
     def _render_checked(self, expr, helper):
         """A helper that reports an error through the kernel's
         ``fl_status`` (:data:`STATUS_ERRORS`)."""
         self.checked = True
-        rendered = ", ".join(self._render(arg)[0] for arg in expr.args)
+        rendered = self._render_args(expr.args)
+        if any(bool in self._reads(arg) for arg in expr.args):
+            raise CUnsupportedError(
+                "%s of a truth value (numpy's bool has no __round__)"
+                % expr.op.name)
         return "%s(%s, &fl_status)" % (helper, rendered), _ATOM
 
     def _render_typed(self, expr, stem):
@@ -517,14 +424,16 @@ class _Emitter:
             for arg in expr.args[1:]:
                 folded = Call(expr.op, [folded, arg])
             return self._render_call(folded)
-        joined = _join_all(*[self._expr_type(arg) for arg in expr.args])
-        suffix = "f64" if joined is F64 else "i64"
-        return self._render_helper(expr, "%s_%s" % (stem, suffix))
+        rendered = self._render_args(expr.args)
+        suffix = "f64" if "double" in map(self._ctype, expr.args) \
+            else "i64"
+        return "%s_%s(%s)" % (stem, suffix, rendered), _ATOM
 
     def _render_magnitude(self, expr):
-        if self._expr_type(expr.args[0]) is F64:
-            return self._render_helper(expr, "fabs")
-        return self._render_helper(expr, "fl_abs_i64")
+        (arg,) = expr.args
+        rendered = self._render(arg)[0]
+        helper = "fabs" if self._ctype(arg) == "double" else "fl_abs_i64"
+        return "%s(%s)" % (helper, rendered), _ATOM
 
     def _render_conditional(self, expr):
         cond, then, otherwise = (self._render(arg)[0]
@@ -532,8 +441,13 @@ class _Emitter:
         return "(%s ? %s : %s)" % (cond, then, otherwise), _ATOM
 
     def _render_search(self, expr, helper):
+        # The first argument is the index buffer itself, not a value.
+        rest = self._render_args(expr.args[1:])
+        elem = self._buffer(expr.args[0], "%s index buffer" % expr.op.name)
+        if elem != "int64_t":
+            raise CUnsupportedError(
+                "%s over a non-int64 buffer" % expr.op.name)
         buffer = self._cname(expr.args[0].name)
-        rest = ", ".join(self._render(arg)[0] for arg in expr.args[1:])
         return "%s(%s, %s)" % (helper, buffer, rest), _ATOM
 
     # -- statement rendering -------------------------------------------
@@ -553,14 +467,16 @@ class _Emitter:
         elif isinstance(stmt, asm.AccumStmt):
             lines.append(pad + self._accumulation(stmt))
         elif isinstance(stmt, asm.ForLoop):
-            stop = self._fresh_temp()
-            var = self._cname(stmt.var.name)
+            refusal = "float-typed loop bound in for-loop over %r" \
+                % stmt.var.name
+            start, stop = (self._integer(bound, refusal)
+                           for bound in (stmt.start, stmt.stop))
+            var = self._local(stmt.var.name)
+            temp = self._fresh_temp()
             lines.append("%s{" % pad)
-            lines.append("%s    int64_t %s = %s;" % (
-                pad, stop, self._render(stmt.stop)[0]))
+            lines.append("%s    int64_t %s = %s;" % (pad, temp, stop))
             lines.append("%s    for (%s = %s; %s < %s; %s++) {" % (
-                pad, var, self._render(stmt.start)[0], var, stop,
-                var))
+                pad, var, start, var, temp, var))
             self._emit(stmt.body, depth + 2, lines)
             lines.append("%s    }" % pad)
             lines.append("%s}" % pad)
@@ -577,21 +493,23 @@ class _Emitter:
     def _assignment(self, target, value):
         rendered = self._render(value)[0]
         if isinstance(target, Var):
-            return "%s = %s;" % (self._cname(target.name), rendered)
-        elem = self.param_types[target.buffer.name]
-        index = self._render(target.index)[0]
-        return "%s[%s] = (%s)(%s);" % (
-            self._cname(target.buffer.name), index, _CTYPE[elem],
-            rendered)
+            return "%s = %s;" % (self._local(target.name), rendered)
+        if isinstance(target, Slice):
+            self._render(target)    # refused by kind
+        return "%s = (%s)(%s);" % (
+            self._element(target, "store target"),
+            self.param_types[target.buffer.name], rendered)
 
     def _accumulation(self, stmt):
-        form = self._c_form(stmt.op)
-        if isinstance(stmt.target, Var) and stmt.op.accum is not None \
-                and form[0] == "infix":
-            return "%s %s= %s;" % (self._cname(stmt.target.name),
-                                   form[1], self._render(stmt.value)[0])
-        combined = Call(stmt.op, [stmt.target, stmt.value])
-        return self._assignment(stmt.target, combined)
+        target, op = stmt.target, stmt.op
+        combined = Call(op, [target, stmt.value])
+        if not isinstance(target, Var):
+            return self._assignment(target, combined)
+        rendered = self._render_call(combined)[0]
+        if op.accum is not None and op.c[0] == "infix":
+            return "%s %s= %s;" % (self._cname(target.name), op.c[1],
+                                   self._render(stmt.value)[0])
+        return "%s = %s;" % (self._cname(target.name), rendered)
 
     def _emit_if(self, stmt, depth, lines):
         pad = "    " * depth
@@ -618,6 +536,7 @@ class _Emitter:
     def render(self):
         body_lines = []
         self._emit(self.func.body, 1, body_lines)
+        self._check_loop_vars()
         lines = [
             "/* generated by repro.codegen.c_emit; do not edit */",
             _PRELUDE,
@@ -631,16 +550,16 @@ class _Emitter:
             % self.func.name,
         ]
         for position, name in enumerate(self.params):
-            elem = self.param_types[name]
+            ctype = self.param_types[name]
             const = "" if name in self.stored else "const "
             lines.append(
                 "    %s%s *%s = (%s%s *) fl_args[%d];"
-                % (const, _CTYPE[elem], self._cname(name), const,
-                   _CTYPE[elem], position))
-        for name in self.decl_order:
-            elem = self.env[name]
+                % (const, ctype, self._cname(name), const, ctype,
+                   position))
+        for name in self.locals:
+            ctype = self._ctype(Var(name))
             lines.append("    %s %s = %s;" % (
-                _CTYPE[elem], self._cname(name), _CZERO[elem]))
+                ctype, self._cname(name), _CZERO[ctype]))
         if self.checked:
             lines.append("    int64_t fl_status = 0;")
         lines.extend(body_lines)
@@ -660,7 +579,7 @@ def emit_c(func, param_dtypes):
     """Render one :class:`repro.ir.asm.FuncDef` as a C99 source string.
 
     ``param_dtypes`` maps every kernel parameter name to its numpy
-    dtype name (``"int64"`` / ``"float64"``).  Raises
+    dtype name (``"int64"`` / ``"float64"`` / ``"bool"``).  Raises
     :class:`CUnsupportedError` when the kernel cannot be translated
     bit-identically; the caller is expected to fall back to the python
     backend.
@@ -674,6 +593,4 @@ def emit_c(func, param_dtypes):
         raise CUnsupportedError(
             "no dtype recorded for parameter(s) %s"
             % ", ".join(missing))
-    emitter = _Emitter(func, param_dtypes)
-    emitter.analyze()
-    return emitter.render()
+    return _Emitter(func, param_dtypes).render()

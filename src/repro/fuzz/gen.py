@@ -214,10 +214,7 @@ def _max_len(profile):
 #: scaled by in the templates that store each output element once.
 #: There ``uint8`` sums and products wrap and ``float32`` products
 #: round; an accumulation over a loop keeps the small values, whose
-#: results are exact in every width (the reference interpreter adds a
-#: term to an output element read as a Python float, so it sums
-#: ``float32`` terms in ``float32`` where a kernel storing into a
-#: ``float64`` element sums them in ``float64``).
+#: results are exact in every width.
 DTYPES = {"float64": (-3, 3, 1), "int64": (-3, 3, 1), "uint8": (0, 3, 85),
           "float32": (-3, 3, 4099), "bool": (0, 1, 1)}
 

@@ -9,16 +9,17 @@ gives ``bool``.  An element view (:func:`repro.ir.emit.scalar_views`)
 reads a Python ``int``/``float``/``bool``, which is weak everywhere.
 
 One walk over the statements, repeated for the assignments until no
-variable grows (the fixpoint ``c_emit._infer_types`` runs), gives every
-expression the set of types its value may have — a set, since a
-variable may be assigned a load and a literal, and ``min`` returns
-whichever operand it picks — and the parameters whose loads reach it.
-A call's result types are what its printed form returns on one sample
-operand of each type, so an operator is typed by the code the kernel
-runs.  Then a candidate parameter is viewed exactly when every call its
-loads reach computes alike on Python scalars (:func:`_verdict`), and
-every store it reaches converts alike; docs/backends.md has the rule
-and a table of operand pairs.
+variable grows (:func:`sites`), gives every expression the set of types
+its value may have — a set, since a variable may be assigned a load and
+a literal, and ``min`` returns whichever operand it picks — and the
+parameters whose loads reach it.  A call's result types are what its
+printed form returns on one sample operand of each type, so an operator
+is typed by the code the kernel runs.  Then a candidate parameter is
+viewed exactly when every call its loads reach computes alike on Python
+scalars (:func:`_verdict`), and every store it reaches converts alike;
+docs/backends.md has the rule and a table of operand pairs.  The C
+emitter (:mod:`repro.codegen.c_emit`) types its kernels with the same
+walk.
 """
 
 import functools
@@ -46,7 +47,7 @@ _WEAK = {int: 0, float: 0.0, bool: False}
 _LITERAL = {kind: frozenset([kind]) for kind in (bool, int, float, _NONE)}
 
 
-def _read_as(kind):
+def read_as(kind):
     """The type a view reads a value of ``kind`` as."""
     if not issubclass(kind, np.generic):
         return kind
@@ -157,7 +158,7 @@ def _verdict(op, vector, masks, viewed):
         return SAME         # picks an operand by truth or ``is None``
     verdict = SAME
     for kinds in itertools.product(*masks):
-        views = tuple(_read_as(kind) if read else kind
+        views = tuple(read_as(kind) if read else kind
                       for kind, read in zip(kinds, viewed))
         if _NONE in kinds or views == kinds:
             continue
@@ -189,14 +190,16 @@ def _stores_alike(element, mask):
                for kind in mask)
 
 
-def _sites(func, buffers):
-    """``(calls, stores, sliced, kinds)``: every call and store some load
-    reaches, with its operands' types and reach, the bit mask of the
-    parameters a ``Slice`` names, and ``kinds(expr)``, the types an
-    expression of ``func`` may have."""
+def sites(func, dtypes):
+    """``(calls, stores, sliced, kinds)`` of ``func``, whose parameters
+    ``dtypes`` maps, in order, to their numpy dtypes: every call and
+    store some load reaches, with its operands' types and reach, the bit
+    mask of the parameters a ``Slice`` names, and ``kinds(expr)``, the
+    types an expression of ``func`` may have (none for a load from a
+    name that is not a parameter)."""
     bits, elements, loads = {}, {}, {}
-    for pos, (name, array) in enumerate(buffers):
-        bits[name], elements[name] = 1 << pos, array.dtype.type
+    for pos, (name, dtype) in enumerate(dtypes.items()):
+        bits[name], elements[name] = 1 << pos, np.dtype(dtype).type
         loads[name] = frozenset([elements[name]])
     assigns, uses, stored = [], [], []
     stack = [func.body]
@@ -239,7 +242,8 @@ def _sites(func, buffers):
         if cls is Load:
             if type(expr.index) is Call:    # a load is its buffer's type
                 visit(expr.index)
-            return loads[expr.buffer.name], bits[expr.buffer.name]
+            return (loads.get(expr.buffer.name, unknown[0]),
+                    bits.get(expr.buffer.name, 0))
         if cls is Literal:
             return _LITERAL[_NONE if expr.value is MISSING
                             else type(expr.value)], 0
@@ -248,8 +252,8 @@ def _sites(func, buffers):
         if cls is Slice:
             visit(expr.start)
             visit(expr.stop)
-            sliced[0] |= bits[expr.buffer.name]
-            return loads[expr.buffer.name], 0
+            sliced[0] |= bits.get(expr.buffer.name, 0)
+            return loads.get(expr.buffer.name, unknown[0]), 0
         if cls is tuple:        # an accumulation
             op, target, value = expr
             return call(op, target.vector or value.vector, (target, value))
@@ -292,7 +296,7 @@ def _sites(func, buffers):
         if expr is not None:    # an ``else``
             visit(expr)
     stores = {(bits[name], elements[name]) + visit(value)
-              for name, value in stored}
+              for name, value in stored if name in bits}
     calls.update(itertools.chain.from_iterable(found))
     return calls, stores, sliced[0], lambda expr: visit(expr)[0]
 
@@ -308,7 +312,8 @@ def sums_alike(func, buffers):
 
     def alike(op, target, value):
         if not typed:
-            typed.append(_sites(func, buffers)[3])
+            typed.append(sites(func, {
+                name: array.dtype for name, array in buffers})[3])
         kinds = typed[0]
         targets = kinds(target)
         return all(
@@ -350,7 +355,8 @@ def viewable(func, buffers, plan):
             candidates |= 1 << pos
     if not candidates:
         return ()
-    calls, stores, sliced, _ = _sites(func, buffers)
+    calls, stores, sliced, _ = sites(
+        func, {name: array.dtype for name, array in buffers})
     views = candidates & ~sliced
     while True:     # a refused parameter's calls are checked again
         lost = 0

@@ -117,19 +117,18 @@ class Op:
         — and a loop accumulating with it (``"_np.add.reduce"``).
         The form must compute what the scalar op computes, NaN and
         signed zero included.  ``None``: such loops stay scalar.
-    c / c_type:
-        The C lowering :mod:`repro.codegen.c_emit` dispatches on, and its
-        result-type rule (``"arith"``: operand join with bools promoted
-        to int, ``"join"``, ``"f64"``, ``"i64"``, ``"bool"``):
+    c:
+        The C lowering :mod:`repro.codegen.c_emit` dispatches on:
         ``("infix", "+", 12)`` / ``("prefix", "-", 14)`` (symbol, C
         precedence), ``("helper", "fl_div")`` (a prelude or libm
         function), ``("typed", "fl_min")`` (``fl_min_i64``/``_f64`` by
-        operand type), or a custom renderer named there, which may type
-        itself: ``("logical", "&&", 5)``, ``("conditional",)``,
+        operand type), or a custom renderer named there:
+        ``("logical", "&&", 5)``, ``("conditional",)``,
         ``("magnitude",)``, ``("search", "fl_search_ge")``,
         ``("checked", "fl_round_u8")`` (a helper that reports Python's
         error through the kernel's status).  ``None``: kernels using the
-        op fall back to the python backend.
+        op fall back to the python backend.  Like the python backend, C
+        reads its types off the dtype pass, not off the declaration.
     """
 
     def __init__(self, name, fn, symbol=None, precedence=0, identity=None,
@@ -137,7 +136,7 @@ class Op:
                  propagates_missing=True, runtime_name=None, unary=False,
                  accum=None, runtime=None, lazy=False, total=False,
                  exact=False, numpy=None, numpy_reduce=None, c=None,
-                 c_type=None, python=None):
+                 python=None):
         self.name = name
         self.fn = fn
         self.symbol = symbol
@@ -159,7 +158,6 @@ class Op:
         self.numpy = numpy
         self.numpy_reduce = numpy_reduce
         self.c = c
-        self.c_type = c_type
         self.python = python
 
     def __repr__(self):
@@ -281,48 +279,40 @@ def _max(*args):
 
 def _compare(name, fn, symbol, c_precedence):
     return register_op(Op(name, fn, symbol=symbol, precedence=6, total=True,
-                          exact=True, c=("infix", symbol, c_precedence),
-                          c_type="bool"))
+                          exact=True, c=("infix", symbol, c_precedence)))
 
 
 ADD = register_op(Op("add", _add, symbol="+", precedence=10, identity=0,
                      commutative=True, associative=True, accum="+=",
                      total=True, exact=True, numpy=("infix", "+"),
-                     numpy_reduce="_np.add.reduce", c=("infix", "+", 12),
-                     c_type="arith"))
+                     numpy_reduce="_np.add.reduce", c=("infix", "+", 12)))
 SUB = register_op(Op("sub", lambda a, b: a - b, symbol="-", precedence=10,
                      accum="-=", total=True, exact=True,
-                     numpy=("infix", "-"), c=("infix", "-", 12),
-                     c_type="arith"))
+                     numpy=("infix", "-"), c=("infix", "-", 12)))
 NEG = register_op(Op("neg", lambda a: -a, symbol="-", precedence=13,
                      unary=True, total=True, exact=True,
-                     numpy=("unary", "(-%s)"), c=("prefix", "-", 14),
-                     c_type="arith"))
+                     numpy=("unary", "(-%s)"), c=("prefix", "-", 14)))
 MUL = register_op(Op("mul", _mul, symbol="*", precedence=11, identity=1,
                      annihilator=0, commutative=True, associative=True,
                      accum="*=", total=True, exact=True,
                      numpy=("infix", "*"),
                      numpy_reduce="_np.multiply.reduce",
-                     c=("infix", "*", 13), c_type="arith"))
+                     c=("infix", "*", 13)))
 DIV = register_op(Op("div", _divide, symbol="/", precedence=11, accum="/=",
-                     numpy=("infix", "/"), c=("helper", "fl_div"),
-                     c_type="f64"))
+                     numpy=("infix", "/"), c=("helper", "fl_div")))
 FLOORDIV = register_op(Op("floordiv", lambda a, b: a // b, symbol="//",
-                          precedence=11, c=("typed", "fl_floordiv"),
-                          c_type="arith"))
+                          precedence=11, c=("typed", "fl_floordiv")))
 MOD = register_op(Op("mod", lambda a, b: a % b, symbol="%", precedence=11,
-                     c=("typed", "fl_mod"), c_type="arith"))
+                     c=("typed", "fl_mod")))
 POW = register_op(Op("pow", lambda a, b: a ** b, symbol="**", precedence=14))
 # No numpy form: ``_np.minimum``/``_np.maximum`` propagate a NaN where
 # Python's ``min``/``max`` keep their first argument.
 MIN = register_op(Op("min", _min, identity=None, commutative=True,
                      associative=True, total=True, exact=True,
-                     python=("select", "<"), c=("typed", "fl_min"),
-                     c_type="join"))
+                     python=("select", "<"), c=("typed", "fl_min")))
 MAX = register_op(Op("max", _max, identity=None, commutative=True,
                      associative=True, total=True, exact=True,
-                     python=("select", ">"), c=("typed", "fl_max"),
-                     c_type="join"))
+                     python=("select", ">"), c=("typed", "fl_max")))
 EQ = _compare("eq", lambda a, b: a == b, "==", 9)
 NE = _compare("ne", lambda a, b: a != b, "!=", 9)
 LT = _compare("lt", lambda a, b: a < b, "<", 10)
@@ -339,13 +329,11 @@ OR = register_op(Op("or", _or, symbol="or", precedence=3, identity=False,
                     c=("logical", "||", 4)))
 NOT = register_op(Op("not", lambda a: not a, symbol="not ", precedence=5,
                      unary=True, total=True, exact=True,
-                     c=("prefix", "!", 14), c_type="bool"))
+                     c=("prefix", "!", 14)))
 ABS = register_op(Op("abs", abs, total=True, exact=True,
-                     numpy=("unary", "_np.abs(%s)"), c=("magnitude",),
-                     c_type="arith"))
+                     numpy=("unary", "_np.abs(%s)"), c=("magnitude",)))
 SQRT = register_op(Op("sqrt", math.sqrt, runtime_name="_sqrt", exact=True,
-                      numpy=("unary", "_np.sqrt(%s)"), c=("helper", "sqrt"),
-                      c_type="f64"))
+                      numpy=("unary", "_np.sqrt(%s)"), c=("helper", "sqrt")))
 COALESCE = register_op(Op("coalesce", _coalesce, propagates_missing=False,
                           exact=True, python=("first_not_none",)))
 IFELSE = register_op(Op("ifelse", _ifelse, propagates_missing=False,
@@ -353,7 +341,7 @@ IFELSE = register_op(Op("ifelse", _ifelse, propagates_missing=False,
                         python=("conditional",), c=("conditional",)))
 ROUND_U8 = register_op(Op("round_u8", _round_u8, runtime_name="_round_u8",
                           exact=True, python=("rounded", 0, 255),
-                          c=("checked", "fl_round_u8"), c_type="i64"))
+                          c=("checked", "fl_round_u8")))
 
 
 def _search_ge(idx, lo, hi, key):

@@ -149,6 +149,32 @@ class TestInterpreter:
         prog = fl.forall(i, fl.reduce_into(m[()], fl.ops.MAX, A[i]))
         assert interpret(prog).result_for(m) == 7.0
 
+    @pytest.mark.parametrize("fmt", ["dense", "sparse"])
+    def test_accumulates_in_the_output_elements_dtype(self, fmt):
+        # float32 products summed into a float64 output: each step adds
+        # a float32 term to a float64 element, in float64, as every
+        # kernel does.  A Python float plus the term would be float32.
+        def program():
+            A = fl.from_numpy(np.full((2, 6), 0.1, np.float32),
+                              ("dense", fmt), name="A")
+            x = fl.from_numpy(np.full(6, 0.1, np.float32), ("dense",),
+                              name="x")
+            y = fl.zeros(2, name="y")
+            i, j = fl.indices("i", "j")
+            return fl.forall(i, fl.forall(j, fl.increment(
+                y[i], A[i, j] * x[j]))), y
+
+        expected = np.float64(0.0)
+        for _ in range(6):
+            expected = expected + np.float32(0.1) * np.float32(0.1)
+        prog, y = program()
+        np.testing.assert_array_equal(interpret(prog).result_for(y),
+                                      [expected] * 2)
+        for opt_level in (0, 1, 2):
+            prog, y = program()
+            fl.compile_kernel(prog, opt_level=opt_level, cache=False).run()
+            np.testing.assert_array_equal(y.to_numpy(), [expected] * 2)
+
     def test_unbound_variable_error(self):
         C = fl.Scalar(name="C")
         from repro.cin.nodes import Assign

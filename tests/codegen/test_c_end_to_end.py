@@ -405,6 +405,73 @@ class TestLoopVariableEscape:
             self.emit(self.loop("i", asm.AssignStmt("i", 0)))
 
 
+class TestRefusalReasons:
+    """Each kernel C cannot compute as Python does is refused with its
+    reason, built by hand since no lowered kernel has it."""
+
+    @staticmethod
+    def refusal(*stmts, idx="int64"):
+        func = asm.FuncDef("k", ("out", "idx"), asm.Block(stmts))
+        with pytest.raises(codegen.CUnsupportedError) as caught:
+            codegen.emit_c(func, {"out": "float64", "idx": idx})
+        return str(caught.value)
+
+    def test_float_loop_bound(self):
+        loop = asm.ForLoop("i", 0, 2.5, asm.AssignStmt(Load("out", Var("i")),
+                                                       1.0))
+        assert self.refusal(loop) \
+            == "float-typed loop bound in for-loop over 'i'"
+
+    def test_float_buffer_index(self):
+        assert self.refusal(asm.AssignStmt(
+            Load("out", 0), Load("out", 1.5))) == "float-typed buffer index"
+
+    def test_search_over_a_float_buffer(self):
+        search = build.call("search_ge", Var("idx"), 0, 4, 2)
+        assert self.refusal(asm.AssignStmt(Load("out", 0), search),
+                            idx="float64") \
+            == "search_ge over a non-int64 buffer"
+
+    def test_buffer_read_as_a_scalar(self):
+        assert self.refusal(asm.AssignStmt(Load("out", 0), Var("idx"))) \
+            == "buffer parameter 'idx' used as a scalar value"
+
+    def test_reassigned_parameter(self):
+        assert self.refusal(asm.AssignStmt("out", 1.0)) \
+            == "kernel reassigns buffer parameter 'out'"
+
+    def test_load_from_a_name_that_is_no_parameter(self):
+        assert self.refusal(asm.AssignStmt(Load("out", 0), Load("q", 0))) \
+            == "load from 'q' is not a kernel buffer parameter"
+
+
+@needs_cc
+class TestTypesReachTheirFixpoint:
+    """A float travels one local per trip down a chain of copies: every
+    local it reaches is a ``double``, however long the chain."""
+
+    def test_long_copy_chain(self):
+        from repro.ir.emit import emit
+        from repro.ir.runtime import kernel_globals
+
+        names = ["v%d" % k for k in range(11)]
+        copies = [asm.AssignStmt(name, Var(source))
+                  for name, source in zip(names, names[1:])]
+        func = asm.FuncDef("chain", ("out",), asm.Block(
+            [asm.AssignStmt(name, 0) for name in names]
+            + [asm.ForLoop("t", 0, 12, asm.Block(
+                copies + [asm.AssignStmt(names[-1], 1.5)])),
+               asm.AssignStmt(Load("out", 0), Var("v0"))]))
+        namespace = kernel_globals()
+        exec(emit(func), namespace)
+        py_out, c_out = np.zeros(1), np.zeros(1)
+        namespace["chain"](py_out)
+        entry, _ = codegen.kernel_entry(
+            codegen.emit_c(func, {"out": "float64"}), "chain", ["float64"])
+        entry(c_out)
+        assert py_out[0] == c_out[0] == 1.5
+
+
 _NON_FINITE = {"inf": float("inf"), "-inf": float("-inf"),
                "nan": float("nan")}
 

@@ -379,7 +379,7 @@ def toy_op(temp_op):
     return temp_op(ops.Op(
         "toy_copysign", math.copysign, total=True,
         numpy=("pairwise", "_np.copysign"),
-        c=("helper", "copysign"), c_type="f64"))
+        c=("helper", "copysign")))
 
 
 class TestToyOperator:
