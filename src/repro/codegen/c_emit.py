@@ -43,10 +43,10 @@ loops: no C lowering *yet*), ``missing``, operators that declare no C
 lowering, buffers outside :data:`SUPPORTED_DTYPES`, a buffer parameter
 read as a scalar or reassigned, loop variables read after their loop
 (Python leaves ``stop - 1``, C leaves ``stop``), and the types C
-computes differently: a float loop bound or index, ``and``/``or`` over
-a non-bool, ``round_u8`` of a bool, a search over a non-``int64``
-buffer, and arithmetic on truth values alone.  The caller falls back to
-the python backend.
+computes differently: a float loop bound or index, a truth-valued
+index, ``and``/``or`` over a non-bool, ``round_u8`` of a bool, a
+search over a non-``int64`` buffer, and arithmetic on truth values
+alone.  The caller falls back to the python backend.
 """
 
 from collections import Counter
@@ -337,8 +337,11 @@ class _Emitter:
     def _element(self, target, what):
         """``buffer[index]`` of a load or a store target."""
         self._buffer(target.buffer, what)
-        return "%s[%s]" % (self._cname(target.buffer.name), self._integer(
-            target.index, "float-typed buffer index"))
+        index = self._integer(target.index, "float-typed buffer index")
+        # numpy reads ``buf[False]`` as a mask, C as element 0.
+        if bool in self._reads(target.index):
+            raise CUnsupportedError("truth-valued buffer index")
+        return "%s[%s]" % (self._cname(target.buffer.name), index)
 
     def _render_literal(self, value):
         if isinstance(value, bool):

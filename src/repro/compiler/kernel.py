@@ -64,7 +64,6 @@ from repro.cin.analyze import (
 from repro.compiler.context import Context
 from repro.compiler.key import KernelKey
 from repro.compiler.lower import Lowerer
-from repro.compiler.options import CompileOptions
 from repro.compiler.tiers import read_through
 from repro.ir import asm, emit
 from repro.ir.emit import scalar_views
@@ -88,13 +87,15 @@ from repro.util.errors import BindingError, SpecError
 #: stay JSON-safe: the shared object itself never rides in a spec —
 #: receivers recompile from the carried C source (or load the store's
 #: ``.so`` sibling when one is present).
-SPEC_VERSION = 3
+#: Version 4 dropped the source as lowered, which is the ``source`` of
+#: the same program compiled at ``opt_level=0``.
+SPEC_VERSION = 4
 
 #: Every key of a spec besides ``spec_version``, in spec order.  Each
 #: is also the :class:`CompiledKernel` attribute and constructor
 #: parameter of that name: ``to_spec`` and ``from_spec`` both walk
 #: this table, so a new field is added here (and to ``__init__``).
-SPEC_FIELDS = ("name", "source", "raw_source", "backend", "c_source",
+SPEC_FIELDS = ("name", "source", "backend", "c_source",
                "c_param_dtypes", "opt_level", "plan", "signatures",
                "alias_groups", "instrument", "constant_loop_rewrite",
                "compile_seconds", "structural_key", "slot_names")
@@ -132,7 +133,7 @@ class CompiledKernel:
     __slots__ = ("fn", "seed_args", "seed_tensors", "so_path", "code",
                  "_slot_params", "_alias_pairs") + SPEC_FIELDS
 
-    def __init__(self, fn, name, source, raw_source, opt_level, plan,
+    def __init__(self, fn, name, source, opt_level, plan,
                  seed_args, seed_tensors, signatures, alias_groups,
                  instrument, compile_seconds, structural_key=None,
                  slot_names=None, constant_loop_rewrite=True,
@@ -154,7 +155,6 @@ class CompiledKernel:
         self.code = code
         self.name = name
         self.source = source
-        self.raw_source = raw_source
         self.opt_level = opt_level
         self.plan = plan
         self.seed_args = seed_args
@@ -395,15 +395,6 @@ class Kernel:
     def source(self):
         """The emitted source actually executed (post-optimization)."""
         return self._artifact.source
-
-    @property
-    def raw_source(self):
-        """The source as lowered, before the optimizer pipeline ran.
-
-        Equal to :attr:`source` at ``opt_level=0``.  Diffing the two
-        shows exactly what the optimizer did to this kernel.
-        """
-        return self._artifact.raw_source
 
     @property
     def opt_level(self):
@@ -727,7 +718,6 @@ def _compile_artifact(program, walk, instrument, name,
     func = asm.FuncDef(name, params,
                        asm.Block(preamble + [body] + epilogue),
                        returns=returns)
-    raw_source = emit(func)
     if opt_level > 0:
         func = optimize_kernel(func, opt_level, ctx.bound_buffers())
         # The python source alone reads through views; the C emitter
@@ -735,7 +725,7 @@ def _compile_artifact(program, walk, instrument, name,
         source = emit(scalar_views(func, ctx.bound_buffers(),
                                    ctx.binding_plan()))
     else:
-        source = raw_source
+        source = emit(func)
 
     c_source = None
     c_param_dtypes = None
@@ -764,7 +754,6 @@ def _compile_artifact(program, walk, instrument, name,
         fn=fn,
         name=name,
         source=source,
-        raw_source=raw_source,
         opt_level=opt_level,
         plan=plan,
         seed_args=seed_args,
@@ -805,19 +794,16 @@ def _identity_pinned(tensor, signature):
 def compile_kernel(program, instrument=False, name="kernel",
                    constant_loop_rewrite=True, cache=None,
                    opt_level=None, backend=None, tune=None,
-                   remote=None, store=None, options=None):
+                   remote=None, store=None):
     """Compile one CIN program into a :class:`Kernel`.
 
-    The compile configuration is one :class:`CompileOptions` value:
-    pass it as ``options=``, or use the individual keyword arguments
-    (``cache=``, ``opt_level=``, ``backend=``, ``tune=``, ``remote=``,
-    ``store=``) as sugar — a kwarg passed alongside ``options=``
-    overrides that one field.  Fields left unset resolve through the
-    package precedence rule (per-call kwarg > ``fl.configure`` >
-    ``FL_*`` env > default; see :mod:`repro.util.config`).
+    ``opt_level``, ``backend`` and ``tune`` left at None resolve
+    through the package precedence rule (per-call kwarg >
+    ``fl.configure`` > ``FL_*`` env > default; see
+    :mod:`repro.util.config`), as do ``store`` and ``remote``.
 
-    With ``cache=True`` (the resolved default) the compiled artifact
-    is looked up in — and stored into — every configured cache tier:
+    With ``cache=True`` (the default) the compiled artifact is looked
+    up in — and stored into — every configured cache tier:
     the process-wide :class:`KernelCache` first, then the persistent
     on-disk :class:`~repro.store.KernelStore` (``fl.configure(
     store_path=...)`` / ``FL_KERNEL_STORE``; re-point per call with
@@ -829,11 +815,10 @@ def compile_kernel(program, instrument=False, name="kernel",
     behind into every tier (the remote push rides an async
     server-side compile queue).  An unreachable service degrades to
     the local tiers with a warn-once log line — the remote tier can
-    never fail a compile.  ``cache="memory"`` and ``cache="disk"``
-    restrict the lookup to one local tier (the remote tier
-    participates only in full ``cache=True`` operation), and
-    ``cache=False`` always compiles fresh and leaves every cache (and
-    its statistics) untouched.
+    never fail a compile.  ``store=False`` and ``remote=False`` leave
+    out one tier; ``store=False, remote=False`` is served from memory
+    alone.  ``cache=False`` always compiles fresh and leaves every
+    cache (and its statistics) untouched.
 
     ``opt_level`` selects the target-IR optimizer pipeline
     (:mod:`repro.ir.optimize`): 0 emits the lowered code untouched, 1
@@ -848,15 +833,14 @@ def compile_kernel(program, instrument=False, name="kernel",
     ``"python"`` (the default) ``exec``s the emitted Python source,
     ``"c"`` additionally lowers the same optimized target AST to C99,
     compiles it into a per-kernel shared object, and calls it through
-    :mod:`ctypes` (releasing the GIL during each call).  ``None``
-    reads the ``FL_KERNEL_BACKEND`` environment variable, defaulting
-    to ``"python"``.  Kernels the C emitter cannot express — slice
-    operations (dense resets, vectorized loops), buffers outside
-    int64/float64/bool — and environments with no C compiler fall back
-    to the python backend loudly but gracefully (one warning per
-    distinct reason; see :func:`repro.codegen.fallback_events`); the
-    resulting :class:`Kernel` reports the request as ``.backend`` and
-    the reality as ``.effective_backend``.  The backend joins
+    :mod:`ctypes` (releasing the GIL during each call).  Kernels the
+    C emitter cannot express — slice operations (dense resets,
+    vectorized loops), buffers outside int64/float64/bool — and
+    environments with no C compiler fall back to the python backend
+    loudly but gracefully (one warning per distinct reason; see
+    :func:`repro.codegen.fallback_events`); the resulting
+    :class:`Kernel` reports the request as ``.backend`` and the
+    reality as ``.effective_backend``.  The backend joins
     ``opt_level`` in every cache key, so the two backends never share
     an artifact slot.
 
@@ -867,20 +851,23 @@ def compile_kernel(program, instrument=False, name="kernel",
     compiles the program exactly as written.  The rewritten program
     has its own structural key, so the winning variant occupies its
     own cache/store slot (zero extra compiles in a process whose store
-    already holds the winner's artifact).  ``None`` reads the
-    ``FL_KERNEL_TUNE`` environment variable, defaulting to ``"off"``.
-    The returned kernel reports a table hit as ``.tuned``.
+    already holds the winner's artifact).  It resolves to ``"off"``
+    by default.  The returned kernel reports a table hit as ``.tuned``.
     """
     check_program(program)
-    opts = CompileOptions.build(options, cache=cache,
-                                opt_level=opt_level, backend=backend,
-                                tune=tune, remote=remote, store=store)
-    opt_level = _config.resolve("opt_level", override=opts.opt_level)
+    # Identity, not equality: ``1 == True`` would pass.
+    if cache is None:
+        cache = True
+    elif cache is not True and cache is not False:
+        raise ValueError(
+            "cache must be True or False; got %r (store=False or "
+            "remote=False leaves out the disk or remote tier)" % (cache,))
+    opt_level = _config.resolve("opt_level", override=opt_level)
     if opt_level is None:
         opt_level = DEFAULT_OPT_LEVEL
-    backend = _config.resolve("backend", override=opts.backend)
+    backend = _config.resolve("backend", override=backend)
     tuned = False
-    if _config.resolve("tune", override=opts.tune) == "apply":
+    if _config.resolve("tune", override=tune) == "apply":
         # Imported lazily: repro.tune compiles candidates through this
         # module, so a top-level import would be circular.
         from repro import tune as _tune
@@ -891,7 +878,6 @@ def compile_kernel(program, instrument=False, name="kernel",
         if tuning is not None:
             program = _tune.apply_schedule(program, tuning)
             tuned = True
-    cache = True if opts.cache is None else opts.cache
     walk = program_walk(program)
 
     def build():
@@ -899,33 +885,26 @@ def compile_kernel(program, instrument=False, name="kernel",
                                  constant_loop_rewrite, opt_level,
                                  backend=backend)
 
-    # The remote tier participates only in full read-through mode: a
-    # caller narrowing to one local tier is asking for locality.
     artifact, tier = read_through(
         KernelKey(walk.key, instrument, name, constant_loop_rewrite,
                   opt_level, backend),
         build,
-        memory=KERNEL_CACHE if cache is True or cache == "memory"
-        else None,
-        store=opts.store if cache is True or cache == "disk" else False,
-        remote=opts.remote if cache is True else False)
+        memory=KERNEL_CACHE if cache else None,
+        store=store if cache else False,
+        remote=remote if cache else False)
     return Kernel(artifact, walk.tensors, program,
                   from_cache=tier is not None, tuned=tuned, walk=walk)
 
 
 def execute(program, instrument=False, cache=None, opt_level=None,
-            backend=None, options=None):
+            backend=None):
     """Compile and run a program once.
 
     Returns the op count when instrumented, else None.  Results land in
     the program's output tensors.  Routed through the kernel cache, so
     executing the same program structure repeatedly pays for lowering
-    only once.  ``backend`` selects ``"python"`` or ``"c"`` kernel
-    execution (``None`` reads ``fl.configure(backend=...)`` then
-    ``FL_KERNEL_BACKEND``); ``options`` takes a whole
-    :class:`CompileOptions` bundle.  See :func:`compile_kernel` for
-    cache-key and fallback semantics.
+    only once.  See :func:`compile_kernel` for the keyword arguments,
+    the cache key and the backend fallback.
     """
     return compile_kernel(program, instrument=instrument, cache=cache,
-                          opt_level=opt_level, backend=backend,
-                          options=options).run()
+                          opt_level=opt_level, backend=backend).run()

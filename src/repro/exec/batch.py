@@ -732,7 +732,7 @@ class KernelPool:
 def run_batch(program, datasets, executor="serial", max_workers=None,
               instrument=False, opt_level=None, cache=None,
               on_failure="raise", max_retries=None, deadline_s=None,
-              backend=None, options=None):
+              backend=None):
     """Compile ``program`` once and map it over ``datasets``.
 
     ``datasets`` is a sequence where each element is either a name ->
@@ -748,9 +748,7 @@ def run_batch(program, datasets, executor="serial", max_workers=None,
     ``backend`` selects kernel execution: ``"python"`` or ``"c"``
     (``None`` reads ``fl.configure(backend=...)`` then
     ``FL_KERNEL_BACKEND``; see
-    :func:`~repro.compiler.kernel.compile_kernel`), and ``options``
-    takes a whole :class:`~repro.compiler.options.CompileOptions`
-    bundle — the individual kwargs are sugar over it.  C kernels release
+    :func:`~repro.compiler.kernel.compile_kernel`).  C kernels release
     the GIL during each call, so the ``threads`` executor actually
     scales with them; process-pool workers rebuild C kernels from the
     shipped spec (recompiling, or warm-starting the shared object off
@@ -770,7 +768,7 @@ def run_batch(program, datasets, executor="serial", max_workers=None,
     """
     kernel = compile_kernel(program, instrument=instrument,
                             cache=cache, opt_level=opt_level,
-                            backend=backend, options=options)
+                            backend=backend)
     with KernelPool(kernel, executor=executor,
                     max_workers=max_workers, on_failure=on_failure,
                     max_retries=max_retries,

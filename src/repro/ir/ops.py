@@ -68,6 +68,10 @@ class Op:
         for ``coalesce``).
     unary:
         A one-argument call renders as the prefix ``<sym>a``.
+    chains:
+        Python chains the infix ``symbol`` with its precedence peers
+        (``a < b < c`` is ``a < b and b < c``), so an operand of that
+        precedence prints in parentheses on either side.
     accum:
         Compound-assignment spelling (``"+="``) of ``x = op(x, v)``,
         valid on scalars and numpy slices alike; without it an
@@ -136,7 +140,7 @@ class Op:
                  propagates_missing=True, runtime_name=None, unary=False,
                  accum=None, runtime=None, lazy=False, total=False,
                  exact=False, numpy=None, numpy_reduce=None, c=None,
-                 python=None):
+                 python=None, chains=False):
         self.name = name
         self.fn = fn
         self.symbol = symbol
@@ -159,6 +163,7 @@ class Op:
         self.numpy_reduce = numpy_reduce
         self.c = c
         self.python = python
+        self.chains = chains
 
     def __repr__(self):
         return "Op(%s)" % self.name
@@ -279,7 +284,8 @@ def _max(*args):
 
 def _compare(name, fn, symbol, c_precedence):
     return register_op(Op(name, fn, symbol=symbol, precedence=6, total=True,
-                          exact=True, c=("infix", symbol, c_precedence)))
+                          exact=True, c=("infix", symbol, c_precedence),
+                          chains=True))
 
 
 ADD = register_op(Op("add", _add, symbol="+", precedence=10, identity=0,

@@ -128,9 +128,11 @@ def _render_call(expr, temps):
         for position, arg in enumerate(expr.args):
             source, prec = _render(arg, temps)
             # Left-associative chain: the first operand may share the
-            # precedence level, later ones need to bind strictly tighter.
+            # precedence level, later ones need to bind strictly tighter;
+            # an operand of a chaining op may share it on neither side.
             needs_parens = (prec < op.precedence
-                            or (prec == op.precedence and position > 0))
+                            or (prec == op.precedence
+                                and (position > 0 or op.chains)))
             if needs_parens:
                 source = "(%s)" % source
             parts.append(source)

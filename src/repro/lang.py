@@ -52,7 +52,6 @@ from repro.compiler.kernel import (
     execute,
     kernel_cache,
 )
-from repro.compiler.options import CompileOptions
 from repro.exec import (
     EXECUTORS,
     BatchItem,
@@ -131,7 +130,7 @@ __all__ = [
     "BatchItem", "BatchResult", "EXECUTORS", "KernelPool", "ShmArena",
     "WorkerPool", "default_pool", "run_batch",
     "KernelStore", "active_store", "load_pack",
-    "CompileOptions", "configure", "runtime_config",
+    "configure", "runtime_config",
     "KernelService", "ServiceClient", "active_client",
     "reset_service_stats", "service_stats",
     "chaos", "fault_points",

@@ -24,8 +24,8 @@ store_path=..., store_max_bytes=...)`` owns the knobs, the
 ``FL_KERNEL_STORE`` environment variable (plus optional
 ``FL_KERNEL_STORE_MAX_BYTES``) points short-lived processes — batch
 workers, CI jobs, serverless handlers — at a shared directory, and
-``compile_kernel(cache="memory"|"disk"|False, store=...)`` opts out
-(or re-points) per call.
+``compile_kernel(store=False|path|KernelStore)`` opts out (or
+re-points) per call.
 
 The CLI lives in :mod:`repro.store.__main__`::
 

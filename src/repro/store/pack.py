@@ -272,7 +272,8 @@ def figure_entries(log=None):
 
     entries = []
     for figure, label, make_program, opts in warm_start_programs():
-        kernel = compile_kernel(make_program(), cache="memory", **opts)
+        kernel = compile_kernel(make_program(), store=False,
+                                remote=False, **opts)
         _pack(entries, kernel, figure, label)
         if log is not None:
             log("  packed %s / %s" % (figure, label))
@@ -290,7 +291,8 @@ def _pack_fuzz_case(entries, spec, figure, label):
 
     program = build_case(spec).program
     for opts in ORACLE_COMPILE_OPTS:
-        kernel = compile_kernel(program, cache="memory", **opts)
+        kernel = compile_kernel(program, store=False, remote=False,
+                                **opts)
         _pack(entries, kernel, figure, label)
 
 

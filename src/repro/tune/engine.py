@@ -110,7 +110,6 @@ def tune_program(make_program, label="program", budget=None, repeats=5,
     from repro.bench.harness import median_time_kernel
     from repro.compiler.kernel import KERNEL_CACHE, compile_kernel
     from repro.compiler.key import KernelKey, entry_digest
-    from repro.compiler.options import CompileOptions
     from repro.compiler.tiers import put
     from repro.fuzz.conform import reference_outputs, verify_candidate
     from repro.store import active_store
@@ -153,7 +152,6 @@ def tune_program(make_program, label="program", budget=None, repeats=5,
     # rebuilding (FL_KERNEL_TUNE=apply in the environment would
     # otherwise recurse into it).  cache=False: only the winner is
     # worth a store entry, and it is filed once below.
-    options = CompileOptions(cache=False, tune="off")
     records = []
     winner = artifact = None
     start = time.perf_counter()
@@ -166,7 +164,7 @@ def tune_program(make_program, label="program", budget=None, repeats=5,
             variant = _sched.apply_schedule(program, candidate)
             kernel = compile_kernel(
                 variant, constant_loop_rewrite=constant_loop_rewrite,
-                options=options)
+                cache=False, tune="off")
         except Exception as exc:
             record["error"] = "%s: %s" % (type(exc).__name__, exc)
             continue

@@ -269,14 +269,13 @@ class TestBackendPlumbing:
             C = fl.Scalar(name="C")
             i = fl.indices("i")
             prog = fl.forall(i, fl.increment(C[()], fl.access(A, i)))
-            kernel = fl.compile_kernel(prog, backend="c",
-                                       opt_level=1, cache="disk")
+            kernel = fl.compile_kernel(prog, backend="c", opt_level=1)
             assert kernel.effective_backend == "c"
             sidecars = list(tmp_path.rglob("*.so"))
             assert len(sidecars) == 1
             # A warm start loads the sidecar: no recompile, same dir.
-            warm = fl.compile_kernel(prog, backend="c",
-                                     opt_level=1, cache="disk")
+            fl.kernel_cache().clear()
+            warm = fl.compile_kernel(prog, backend="c", opt_level=1)
             assert warm.effective_backend == "c"
             assert warm.so_path == str(sidecars[0])
         finally:
@@ -425,6 +424,13 @@ class TestRefusalReasons:
     def test_float_buffer_index(self):
         assert self.refusal(asm.AssignStmt(
             Load("out", 0), Load("out", 1.5))) == "float-typed buffer index"
+
+    def test_truth_valued_buffer_index(self):
+        # numpy reads ``out[False]`` as a mask, C as element 0.
+        index = build.call("lt", Load("idx", 0), 0)
+        assert self.refusal(asm.AssignStmt(
+            Load("out", 0), Load("out", index))) \
+            == "truth-valued buffer index"
 
     def test_search_over_a_float_buffer(self):
         search = build.call("search_ge", Var("idx"), 0, 4, 2)

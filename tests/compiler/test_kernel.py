@@ -141,19 +141,19 @@ class TestHigherDimensional:
 
 
 class TestOptLevel:
-    def test_default_keeps_both_sources(self):
+    def test_default_optimizes_the_lowered_source(self):
         prog, _, _, _ = simple_sum()
         kernel = fl.compile_kernel(prog, cache=False)
+        lowered = fl.compile_kernel(prog, cache=False, opt_level=0)
         assert kernel.opt_level == 2
-        assert kernel.raw_source != kernel.source
-        compile(kernel.raw_source, "<raw>", "exec")
+        assert lowered.source != kernel.source
         compile(kernel.source, "<opt>", "exec")
 
     def test_level_zero_emits_lowered_code_untouched(self):
         prog, _, _, _ = simple_sum()
         kernel = fl.compile_kernel(prog, cache=False, opt_level=0)
         assert kernel.opt_level == 0
-        assert kernel.raw_source == kernel.source
+        assert "memoryview" not in kernel.source
         assert "for i in range" in kernel.source
 
     def test_levels_agree_on_results(self):

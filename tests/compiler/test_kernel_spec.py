@@ -44,7 +44,6 @@ def test_spec_is_json_serializable_and_complete():
     assert decoded["spec_version"] == SPEC_VERSION
     assert decoded["name"] == "kernel"
     assert decoded["source"] == kernel.source
-    assert decoded["raw_source"] == kernel.raw_source
     assert decoded["instrument"] is True
     assert decoded["opt_level"] == kernel.opt_level
     assert decoded["structural_key"] is not None
@@ -55,12 +54,12 @@ def test_spec_key_set_is_golden():
     service): a key added or dropped needs a ``SPEC_VERSION`` bump, so
     the set is pinned here and not only derived from ``SPEC_FIELDS``."""
     spec = fl.compile_kernel(dot_program(*make_pair())).to_spec()
-    assert SPEC_VERSION == 3
+    assert SPEC_VERSION == 4
     assert list(spec) == ["spec_version"] + list(SPEC_FIELDS)
     assert sorted(spec) == [
         "alias_groups", "backend", "c_param_dtypes", "c_source",
         "compile_seconds", "constant_loop_rewrite", "instrument", "name",
-        "opt_level", "plan", "raw_source", "signatures", "slot_names",
+        "opt_level", "plan", "signatures", "slot_names",
         "source", "spec_version", "structural_key"]
 
 
@@ -144,11 +143,13 @@ def test_identity_pinned_kernels_refuse_to_serialize():
 
 
 def test_opt_level_zero_spec_roundtrip():
-    """Unoptimized artifacts serialize too (source == raw_source)."""
+    """Unoptimized artifacts serialize too: the spec's one source is
+    the lowered source."""
     program = dot_program(*make_pair())
     kernel = fl.compile_kernel(program, opt_level=0)
     spec = kernel.to_spec()
-    assert spec["source"] == spec["raw_source"]
+    assert spec["source"] == kernel.source
+    assert spec["source"] != fl.compile_kernel(program).source
     rebuilt = CompiledKernel.from_spec(spec)
     tensors = program_tensors(program)
     rebuilt.fn(*rebuilt.bind(tensors))

@@ -1,5 +1,7 @@
 """Unit tests for expression printing and statement emission."""
 
+import pytest
+
 from repro.ir import (
     Call,
     Literal,
@@ -94,6 +96,22 @@ class TestExprSource:
     def test_comparison(self):
         expr = Call(ops.LE, [Var("i"), Var("n")])
         assert expr_source(expr) == "i <= n"
+
+    @pytest.mark.parametrize("expr, source, nested", [
+        (Call(ops.LT, [Call(ops.LT, [Var("c"), Var("c")]), Var("x")]),
+         "(c < c) < x", lambda c, x: (c < c) < x),
+        (Call(ops.EQ, [Call(ops.EQ, [Var("c"), Var("x")]), Var("x")]),
+         "(c == x) == x", lambda c, x: (c == x) == x),
+        (Call(ops.LT, [Call(ops.EQ, [Var("c"), Var("x")]), Var("x")]),
+         "(c == x) < x", lambda c, x: (c == x) < x),
+        (Call(ops.LT, [Var("x"), Call(ops.LT, [Var("c"), Var("c")])]),
+         "x < (c < c)", lambda c, x: x < (c < c)),
+    ], ids=["lt-of-lt", "eq-of-eq", "lt-of-eq", "lt-of-lt-right"])
+    def test_nested_comparison_is_no_chain(self, expr, source, nested):
+        # Python reads ``c < c < x`` as ``c < c and c < x``; C, like
+        # the nested call, compares the inner comparison's truth value.
+        assert expr_source(expr) == source
+        assert eval(source, {"c": 0, "x": 1}) == nested(0, 1)
 
 
 class TestEmit:

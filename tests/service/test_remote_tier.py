@@ -122,18 +122,15 @@ def test_remote_hit_writes_behind_into_local_store(service, tmp_path):
     assert service.stats()["hits"] == hits_before
 
 
-def test_narrowed_cache_modes_skip_the_remote_tier(service):
+def test_cache_false_skips_the_remote_tier(service):
     program, _ = dot_program()
     fl.compile_kernel(program, remote=service.url, store=False)
     service.queue.join()
     kernel_cache().clear()
-    # cache="memory" and cache="disk" ask for locality; cache=False
-    # asks for a fresh compile.  None may touch the wire.
-    for mode in ("memory", "disk", False):
-        kernel = fl.compile_kernel(dot_program(seed=1)[0], cache=mode,
-                                   remote=service.url, store=False)
-        assert not kernel.from_cache, mode
-        kernel_cache().clear()
+    # cache=False asks for a fresh compile: it may not touch the wire.
+    kernel = fl.compile_kernel(dot_program(seed=1)[0], cache=False,
+                               remote=service.url, store=False)
+    assert not kernel.from_cache
     assert service.stats()["hits"] == 0
 
 
@@ -163,9 +160,7 @@ def test_batch_engine_reports_remote_hits(service):
     program, _ = dot_program()
     datasets = [program_tensors(dot_program(seed=s)[0])
                 for s in (1, 2)]
-    kernel = fl.compile_kernel(
-        program, options=fl.CompileOptions(store=False,
-                                           remote=service.url))
+    kernel = fl.compile_kernel(program, store=False, remote=service.url)
     with fl.KernelPool(kernel, executor="serial") as pool:
         pool.map(datasets)
         stats = pool.stats()

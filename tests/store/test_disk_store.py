@@ -83,23 +83,18 @@ def test_disk_hit_promotes_into_memory(tmp_path):
     assert kernel_cache().stats()["hits"] == 1
 
 
-def test_cache_memory_mode_skips_disk(tmp_path):
+def test_memory_only_compile_skips_a_configured_store(tmp_path):
     store = KernelStore(tmp_path)
     with using_store(store):
-        fl.compile_kernel(dot_program()[0], cache="memory")
+        first = fl.compile_kernel(dot_program()[0], cache=True,
+                                  store=False, remote=False)
+        again = fl.compile_kernel(dot_program(seed=1)[0], cache=True,
+                                  store=False, remote=False)
+    assert not first.from_cache and again.from_cache
+    assert kernel_cache().stats()["hits"] == 1
     stats = store.stats()
-    assert stats["writes"] == 0
+    assert stats["writes"] == 0 and stats["entries"] == 0
     assert stats["hits"] + stats["misses"] == 0
-
-
-def test_cache_disk_mode_skips_memory(tmp_path):
-    store = KernelStore(tmp_path)
-    with using_store(store):
-        fl.compile_kernel(dot_program()[0], cache="disk")
-        assert len(kernel_cache()) == 0
-        kernel = fl.compile_kernel(dot_program()[0], cache="disk")
-        assert kernel.from_cache
-    assert store.stats()["hits"] == 1
 
 
 def test_cache_false_touches_nothing(tmp_path):
@@ -110,9 +105,14 @@ def test_cache_false_touches_nothing(tmp_path):
     assert len(kernel_cache()) == 0
 
 
-def test_cache_mode_validated():
-    with pytest.raises(ValueError, match="cache must be"):
-        fl.compile_kernel(dot_program()[0], cache="both")
+@pytest.mark.parametrize("cache", ["memory", "disk", 1, "both"])
+def test_cache_is_true_or_false(cache):
+    with pytest.raises(ValueError, match="cache must be True or False") \
+            as caught:
+        fl.compile_kernel(dot_program()[0], cache=cache)
+    assert "store=False" in str(caught.value)
+    assert "remote=False" in str(caught.value)
+    assert len(kernel_cache()) == 0
 
 
 def test_registry_version_bump_invalidates(tmp_path):

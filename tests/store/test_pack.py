@@ -80,7 +80,8 @@ def test_load_pack_into_store_and_memory(tmp_path):
     assert summary["loaded"] == 2 and summary["errors"] == 0
     assert store.stats()["entries"] == 2
     # Memory promotion: the very first compile of this process hits.
-    kernel = fl.compile_kernel(dot_program()[0], cache="memory")
+    kernel = fl.compile_kernel(dot_program()[0], store=False,
+                               remote=False)
     assert kernel.from_cache
     kernel.run()
     # And a fresh "process" (cleared memory) hits the store.
@@ -133,5 +134,5 @@ def test_fl_load_pack_export(tmp_path):
     write_pack(path, [pack_entry()])
     summary = fl.load_pack(path)
     assert summary["loaded"] == 1
-    assert fl.compile_kernel(dot_program()[0],
-                             cache="memory").from_cache
+    assert fl.compile_kernel(dot_program()[0], store=False,
+                             remote=False).from_cache
