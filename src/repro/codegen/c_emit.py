@@ -17,7 +17,8 @@ Python arithmetic exactly where C differs:
 
 * ``/`` always divides in ``double`` (``fl_div``),
 * ``//`` and ``%`` use floor-division / sign-of-divisor semantics
-  (``fl_floordiv_*`` / ``fl_mod_*``),
+  (``fl_floordiv_*`` / ``fl_mod_*``); an integer one by zero sets
+  ``fl_status`` like ``round_u8`` below,
 * ``min``/``max`` return the *first* minimal/maximal argument like the
   Python builtins (ternary helpers, not ``fmin``/``fmax``),
 * ``round_u8`` rounds half-to-even (``rint`` under the default
@@ -49,6 +50,7 @@ search over a non-``int64`` buffer, and arithmetic on truth values
 alone.  The caller falls back to the python backend.
 """
 
+import operator
 from collections import Counter
 
 import numpy as np
@@ -77,12 +79,24 @@ _RESERVED = frozenset("""
 
 _ATOM = 100
 
+
+def _by_zero(fn):
+    """The error ``fn(1, 0)`` raises in the running interpreter."""
+    try:
+        fn(1, 0)
+    except ZeroDivisionError as exc:
+        return ZeroDivisionError, str(exc)
+
+
 #: A kernel's negative return value, set by a ``checked`` helper: the
 #: error Python raises at the same point (``round(nan)``,
-#: ``round(inf)``).
+#: ``round(inf)``, ``1 // 0``, ``1 % 0``).  The division messages are
+#: the running interpreter's: 3.11 words ``%`` apart from ``//``.
 STATUS_ERRORS = {
     -1: (ValueError, "cannot convert float NaN to integer"),
     -2: (OverflowError, "cannot convert float infinity to integer"),
+    -3: _by_zero(operator.floordiv),
+    -4: _by_zero(operator.mod),
 }
 
 
@@ -96,13 +110,21 @@ _PRELUDE = r"""#include <stdint.h>
 
 static inline double fl_div(double a, double b) { return a / b; }
 
-static inline int64_t fl_floordiv_i64(int64_t a, int64_t b) {
+static inline int64_t fl_fail(int64_t *status, int64_t code) {
+    if (!*status) *status = code;
+    return 0;
+}
+
+static inline int64_t fl_floordiv_i64(int64_t a, int64_t b,
+                                      int64_t *status) {
+    if (b == 0) return fl_fail(status, -3);
     int64_t q = a / b;
     if ((a % b != 0) && ((a < 0) != (b < 0))) q -= 1;
     return q;
 }
 
-static inline int64_t fl_mod_i64(int64_t a, int64_t b) {
+static inline int64_t fl_mod_i64(int64_t a, int64_t b, int64_t *status) {
+    if (b == 0) return fl_fail(status, -4);
     int64_t r = a % b;
     if (r != 0 && ((r < 0) != (b < 0))) r += b;
     return r;
@@ -137,10 +159,7 @@ static inline double fl_max_f64(double a, double b) {
 static inline int64_t fl_abs_i64(int64_t a) { return a < 0 ? -a : a; }
 
 static inline int64_t fl_round_u8(double v, int64_t *status) {
-    if (isnan(v) || isinf(v)) {
-        if (!*status) *status = isnan(v) ? -1 : -2;
-        return 0;
-    }
+    if (isnan(v) || isinf(v)) return fl_fail(status, isnan(v) ? -1 : -2);
     double r = rint(v);
     if (r < 0.0) return 0;
     if (r > 255.0) return 255;
@@ -419,18 +438,23 @@ class _Emitter:
                 % expr.op.name)
         return "%s(%s, &fl_status)" % (helper, rendered), _ATOM
 
-    def _render_typed(self, expr, stem):
+    def _render_typed(self, expr, stem, checked=None):
         """A binary prelude helper with an ``_i64`` and an ``_f64``
-        variant; more arguments left-fold into nested calls."""
+        variant; more arguments left-fold into nested calls.  A
+        ``checked`` ``_i64`` variant also reports through
+        ``fl_status``."""
         if len(expr.args) > 2:
             folded = expr.args[0]
             for arg in expr.args[1:]:
                 folded = Call(expr.op, [folded, arg])
             return self._render_call(folded)
         rendered = self._render_args(expr.args)
-        suffix = "f64" if "double" in map(self._ctype, expr.args) \
-            else "i64"
-        return "%s_%s(%s)" % (stem, suffix, rendered), _ATOM
+        if "double" in map(self._ctype, expr.args):
+            return "%s_f64(%s)" % (stem, rendered), _ATOM
+        if checked:
+            self.checked = True
+            rendered += ", &fl_status"
+        return "%s_i64(%s)" % (stem, rendered), _ATOM
 
     def _render_magnitude(self, expr):
         (arg,) = expr.args

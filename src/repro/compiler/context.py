@@ -5,7 +5,8 @@ Formats and lowering passes use it to
 
 * allocate fresh runtime variable names (``freshen``),
 * bind numpy arrays as kernel parameters (``buffer``),
-* emit statements into the current block (``emit`` / ``scope``), and
+* emit statements into the current block (``emit`` / ``scope``),
+  naming a computed value once (``let``), and
 * resolve scalar (0-dimensional) tensors to local accumulator
   variables.
 """
@@ -14,9 +15,10 @@ import contextlib
 
 import numpy as np
 
-from repro.ir import asm
+from repro.ir import asm, ops
 from repro.ir.nodes import Literal, Load, Var
 from repro.ir.runtime import reserved_names
+from repro.rewrite import simplify_expr
 from repro.util.errors import LoweringError
 from repro.util.namer import Namer
 
@@ -39,6 +41,9 @@ class Context:
         self._blocks = [[]]
         self.extents = {}
         self.ops_var = Var(self.namer.fresh("_ops"))
+        # Per open block: the scalars whose value where it ends is a
+        # known literal (the work counter starts at zero).
+        self._known = [{self.ops_var.name: Literal(0)}]
 
     # -- names ---------------------------------------------------------
     def freshen(self, hint):
@@ -105,27 +110,47 @@ class Context:
 
     # -- emission ---------------------------------------------------------
     def emit(self, stmt):
-        if stmt is not None:
-            self._blocks[-1].append(stmt)
+        if stmt is None:
+            return
+        self._blocks[-1].append(stmt)
+        known = self._known[-1]
+        for piece in stmt.stmts if isinstance(stmt, asm.Block) else [stmt]:
+            if isinstance(piece, asm.AssignStmt) \
+                    and isinstance(piece.target, Var) \
+                    and isinstance(piece.value, Literal):
+                known[piece.target.name] = piece.value
+            else:
+                for name in asm.effects(piece).writes & known.keys():
+                    del known[name]
+
+    def let(self, hint, value):
+        """``value`` as an operand: itself if a literal or a variable,
+        else a fresh variable assigned it once."""
+        value = simplify_expr(value)
+        if isinstance(value, (Literal, Var)):
+            return value
+        var = Var(self.freshen(hint))
+        self.emit(asm.AssignStmt(var, value))
+        return var
 
     @contextlib.contextmanager
-    def scope(self):
-        """Collect emitted statements into a separate block."""
+    def scope(self, repeats=False):
+        """Collect emitted statements into the list it yields, to run
+        right after what is emitted here so far; a loop body
+        ``repeats``: no value known here is known at its top."""
         self._blocks.append([])
+        self._known.append({} if repeats else dict(self._known[-1]))
         try:
-            yield
+            yield self._blocks[-1]
         finally:
-            stmts = self._blocks.pop()
-            self._last_scope = asm.Block(stmts)
+            self._known.pop()
+            self._blocks.pop()
 
-    def scoped(self, fn, *args, **kwargs):
+    def scoped(self, fn, *args, repeats=False, **kwargs):
         """Run ``fn`` with emission redirected; return the Block."""
-        with self.scope():
+        with self.scope(repeats) as stmts:
             fn(*args, **kwargs)
-        return self._last_scope
-
-    def current_block(self):
-        return asm.Block(self._blocks[-1])
+        return asm.Block(stmts)
 
     def take_block(self):
         if len(self._blocks) != 1:
@@ -134,14 +159,23 @@ class Context:
         self._blocks = [[]]
         return asm.Block(stmts)
 
+    def accumulate(self, target, op, value):
+        """``target <op>= value``, emitted next; an assignment of the
+        folded literal where both values are known literals."""
+        prior = self._known[-1].get(getattr(target, "name", None))
+        if prior is not None and isinstance(value, Literal) \
+                and prior.value is not ops.MISSING \
+                and value.value is not ops.MISSING:
+            return asm.AssignStmt(target,
+                                  Literal(op.fold(prior.value, value.value)))
+        return asm.AccumStmt(target, op, value)
+
     # -- instrumentation ---------------------------------------------------
     def count_op(self):
         """Statement incrementing the work counter (or None)."""
         if not self.instrument:
             return None
-        from repro.ir import ops
-
-        return asm.AccumStmt(self.ops_var, ops.ADD, Literal(1))
+        return self.accumulate(self.ops_var, ops.ADD, Literal(1))
 
 
 def fill_literal(tensor):

@@ -67,7 +67,6 @@ from repro.compiler.lower import Lowerer
 from repro.compiler.tiers import read_through
 from repro.ir import asm, emit
 from repro.ir.emit import scalar_views
-from repro.ir.nodes import Literal, Load
 from repro.ir.optimize import DEFAULT_OPT_LEVEL, optimize_kernel
 from repro.ir.runtime import kernel_globals
 from repro.tensors import share as _share
@@ -696,28 +695,11 @@ def _compile_artifact(program, walk, instrument, name,
     ctx.register_tensors(tensors)
     ctx.extents = infer_extents(program)
 
-    lowerer = Lowerer(ctx)
-    for slot in walk.output_slots:
-        lowerer.emit_reset(tensors[slot])
-    lowerer.lower_stmt(program)
-    body = ctx.take_block()
-
-    preamble = []
-    epilogue = []
-    if instrument:
-        preamble.append(asm.AssignStmt(ctx.ops_var, Literal(0)))
-    for var, tensor, is_output in ctx.scalar_bindings():
-        buf = ctx.buffer(tensor.element.val, tensor.name + "_val")
-        preamble.append(asm.AssignStmt(var, Load(buf, Literal(0))))
-        if is_output:
-            epilogue.append(asm.AssignStmt(Load(buf, Literal(0)), var))
-    epilogue.extend(lowerer.append_epilogue())
-
+    body = Lowerer(ctx).lower_kernel(
+        program, [tensors[slot] for slot in walk.output_slots])
     params = [name_ for name_, _ in ctx.bound_buffers()]
     returns = (ctx.ops_var.name,) if instrument else ()
-    func = asm.FuncDef(name, params,
-                       asm.Block(preamble + [body] + epilogue),
-                       returns=returns)
+    func = asm.FuncDef(name, params, body, returns=returns)
     if opt_level > 0:
         func = optimize_kernel(func, opt_level, ctx.bound_buffers())
         # The python source alone reads through views; the C emitter
@@ -822,12 +804,15 @@ def compile_kernel(program, instrument=False, name="kernel",
 
     ``opt_level`` selects the target-IR optimizer pipeline
     (:mod:`repro.ir.optimize`): 0 emits the lowered code untouched, 1
-    runs the scalar passes (the constant-folding + dead-code fixpoint,
-    then LICM), and 2 — the default — adds dense-loop vectorization to
-    numpy slice operations as the last step.  The level is part of the
-    cache key, so kernels compiled at different levels never share an
-    artifact; any other value (``7``, ``2.7``, ``True``) raises
-    ``ValueError``.
+    hoists loop invariants, and 2 — the default — adds dense-loop
+    vectorization to numpy slice operations as the last step.  Every
+    level starts from code the lowerer folded as it built it: literal
+    branches decided, literal extents resolved, literal copies
+    forwarded and the set-up of regions that cannot run left out, so
+    no level runs a constant-folding or dead-code pass.  The level is
+    part of the cache key, so kernels compiled at different levels
+    never share an artifact; any other value (``7``, ``2.7``,
+    ``True``) raises ``ValueError``.
 
     ``backend`` selects how the optimized kernel is executed:
     ``"python"`` (the default) ``exec``s the emitted Python source,

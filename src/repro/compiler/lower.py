@@ -35,7 +35,7 @@ from repro.compiler.unfurl import (
     unfurl_access,
 )
 from repro.ir import asm, build, ops
-from repro.ir.nodes import Extent, Literal, Load, Slice, Var
+from repro.ir.nodes import Extent, Literal, Load, Slice, Var, substitute
 from repro.looplets import (
     Jumper,
     Lookup,
@@ -131,18 +131,6 @@ def _collect_unfurled_expr(expr, index_name, seen):
         _collect_unfurled_expr(child, index_name, seen)
 
 
-def stmt_uses_var(stmt, name):
-    for node in walk_stmts(stmt):
-        for expr in stmt_exprs(node):
-            if name in expr.free_vars():
-                return True
-        if isinstance(node, Assign):
-            for idx in node.lhs.idxs:
-                if name in idx.free_vars():
-                    return True
-    return False
-
-
 def ext_is_unit(ext):
     cond = simplify_expr(build.eq(build.plus(ext.start, 1), ext.stop))
     return cond == Literal(True)
@@ -155,6 +143,42 @@ def ext_is_empty(ext):
 
 def ext_nonempty_cond(ext):
     return simplify_expr(build.lt(ext.start, ext.stop))
+
+
+def _assigns(stmt, names):
+    """Whether ``stmt`` assigns one of the scalar variables ``names``."""
+    return isinstance(stmt, asm.AssignStmt) \
+        and getattr(stmt.target, "name", None) in names
+
+
+def read_setup(setup, stmt):
+    """The statements of ``setup``, which runs before ``stmt``, less
+    the assignments nothing after them reads: the fiber set-up of
+    accesses whose looplets lowered to no code."""
+    reads = set(asm.effects(stmt).reads)
+    kept = []
+    for piece in reversed(setup):
+        if not _assigns(piece, asm.effects(piece).writes - reads):
+            kept.append(piece)
+            reads |= asm.effects(piece).reads
+    return asm.Block(reversed(kept))
+
+
+def bind_index(stmt, name, value):
+    """``stmt`` reading the variable ``name`` as ``value``, with what
+    that decides folded: each expression reading it is simplified
+    again, and each branch and loop built again."""
+    def rebuild(node):
+        node = asm.map_statement_exprs(node, lambda expr: simplify_expr(
+            substitute(expr, {name: value}))
+            if name in expr.free_vars() else expr)
+        if isinstance(node, asm.If):
+            return build.if_(node.branches)
+        if isinstance(node, asm.ForLoop):
+            return build.for_(node.var, node.start, node.stop, node.body)
+        return node
+
+    return asm.map_statements(stmt, rebuild)
 
 
 # --------------------------------------------------------------------------
@@ -186,6 +210,29 @@ class Lowerer:
         else:
             raise LoweringError("cannot lower statement %r" % (stmt,))
 
+    def lower_kernel(self, program, outputs):
+        """The kernel body for ``program``: the ``outputs``' resets,
+        the lowered program, and the loads and stores of its scalars.
+        A reset output scalar is never loaded."""
+        ctx = self.ctx
+        for tensor in outputs:
+            self.emit_reset(tensor)
+        resets = ctx.take_block().stmts
+        self.lower_stmt(program)
+        body = ctx.take_block()
+        inits = [asm.AssignStmt(ctx.ops_var, Literal(0))] \
+            if ctx.instrument else []
+        stores = []
+        for var, tensor, is_output in ctx.scalar_bindings():
+            cell = Load(ctx.buffer(tensor.element.val, tensor.name + "_val"),
+                        Literal(0))
+            if not any(stmt.target == var for stmt in resets):
+                inits.append(asm.AssignStmt(var, cell))
+            if is_output:
+                stores.append(asm.AssignStmt(cell, var))
+        return asm.Block([*inits, *resets, body, *stores,
+                          *self.append_epilogue()])
+
     def lower_where(self, stmt):
         for tensor in output_tensors(stmt.producer):
             self.emit_reset(tensor)
@@ -194,12 +241,8 @@ class Lowerer:
 
     def lower_sieve(self, stmt):
         cond = simplify_expr(self.resolve_expr(stmt.cond))
-        if isinstance(cond, Literal):
-            if cond.value:
-                self.lower_stmt(stmt.body)
-            return
         body = self.ctx.scoped(self.lower_stmt, stmt.body)
-        self.ctx.emit(asm.If([(cond, body)]))
+        self.ctx.emit(build.if_([(cond, body)]))
 
     def emit_reset(self, tensor):
         """Initialize a result tensor as it enters scope."""
@@ -227,8 +270,11 @@ class Lowerer:
         ext = stmt.ext or self.ctx.extents.get(name)
         if ext is None:
             raise LoweringError("no extent known for index %r" % name)
-        body = self._unfurl_in_stmt(stmt.body, name)
-        self.lower_loop(stmt.index, ext, body)
+        with self.ctx.scope() as setup:
+            body = self._unfurl_in_stmt(stmt.body, name)
+        loop = self.ctx.scoped(self.lower_loop, stmt.index, ext, body)
+        self.ctx.emit(read_setup(setup, loop))
+        self.ctx.emit(loop)
 
     def _unfurl_in_stmt(self, stmt, index_name):
         cache = {}
@@ -299,21 +345,16 @@ class Lowerer:
         branches = []
         for case in node.looplet.cases:
             cond = simplify_expr(case.cond)
-            if cond == Literal(False):
+            truth = build.literal_truth(cond)
+            if truth is False:
                 continue
             variant = self._replace_nodes(
                 stmt, {id(node): self._substituted(node, case.body)})
-            block = self.ctx.scoped(self.lower_loop, index, ext, variant)
-            if cond == Literal(True):
-                branches.append((None, block))
+            branches.append((cond, self.ctx.scoped(self.lower_loop, index,
+                                                   ext, variant)))
+            if truth:
                 break
-            branches.append((cond, block))
-        if not branches:
-            return
-        if branches[0][0] is None:
-            self.ctx.emit(branches[0][1])
-            return
-        self.ctx.emit(asm.If(branches))
+        self.ctx.emit(build.if_(branches))
 
     # Run: unwrap constant regions into their scalar payloads.
     def lower_run(self, index, ext, stmt, nodes):
@@ -348,51 +389,45 @@ class Lowerer:
             self.lower_loop(index, tail_ext,
                             self._replace_nodes(stmt, tail_map))
 
-        nonempty = ext_nonempty_cond(ext)
-        if nonempty == Literal(True):
-            emit_regions()
-        else:
-            block = self.ctx.scoped(emit_regions)
-            self.ctx.emit(asm.If([(nonempty, block)]))
+        self.ctx.emit(build.if_([(ext_nonempty_cond(ext),
+                                  self.ctx.scoped(emit_regions))]))
 
-    # Pipeline: split the extent phase by phase.
+    # Pipeline: split the extent phase by phase.  The phase cursor is
+    # an expression: each phase starts where the one before stopped.
+    # Phases that all emit nothing take their stops with them.
     def lower_pipeline(self, index, ext, stmt, nodes):
         node = next(n for n in nodes if isinstance(n.looplet, Pipeline))
         phases = node.looplet.phases
-        cur = Var(self.ctx.freshen(index.name + "_start"))
-        self.ctx.emit(asm.AssignStmt(cur, ext.start))
-        for position, phase in enumerate(phases):
-            final = position == len(phases) - 1
-            if final:
-                p_stop = ext.stop
-            else:
-                p_stop = Var(self.ctx.freshen(index.name + "_stop"))
-                clipped = build.maximum(
-                    cur, build.minimum(phase.stride, ext.stop))
-                self.ctx.emit(asm.AssignStmt(p_stop, clipped))
-            phase_ext = Extent(cur, p_stop)
-            declared = Extent(cur, ext.stop if final else phase.stride)
-            body = call_body(phase.body, self.ctx, phase_ext)
-            body = truncate(body, phase_ext, declared) if is_looplet(body) \
-                else body
-            mapping = {id(node): self._substituted(node, body)}
-            for other in nodes:
-                if other is node:
-                    continue
-                mapping[id(other)] = self._substituted(
-                    other, truncate(other.looplet, phase_ext,
-                                    Extent(cur, ext.stop)))
-            variant = self._replace_nodes(stmt, mapping)
-            block = self.ctx.scoped(self.lower_loop, index, phase_ext,
-                                    variant)
-            if not block.is_nop():
-                nonempty = ext_nonempty_cond(phase_ext)
-                if nonempty == Literal(True):
-                    self.ctx.emit(block)
-                else:
-                    self.ctx.emit(asm.If([(nonempty, block)]))
-            if not final:
-                self.ctx.emit(asm.AssignStmt(cur, p_stop))
+        ran = False
+        with self.ctx.scope() as pipeline:
+            cur = self.ctx.let(index.name + "_start", ext.start)
+            for position, phase in enumerate(phases):
+                final = position == len(phases) - 1
+                p_stop = ext.stop if final else self.ctx.let(
+                    index.name + "_stop",
+                    build.maximum(cur, build.minimum(phase.stride, ext.stop)))
+                phase_ext, cur = Extent(cur, p_stop), p_stop
+                if ext_is_empty(phase_ext):
+                    continue  # not even the phase body's set-up
+                declared = Extent(phase_ext.start,
+                                  ext.stop if final else phase.stride)
+                body = call_body(phase.body, self.ctx, phase_ext)
+                if is_looplet(body):
+                    body = truncate(body, phase_ext, declared)
+                mapping = {id(node): self._substituted(node, body)}
+                for other in nodes:
+                    if other is not node:
+                        mapping[id(other)] = self._substituted(
+                            other, truncate(other.looplet, phase_ext,
+                                            Extent(phase_ext.start,
+                                                   ext.stop)))
+                block = self.ctx.scoped(self.lower_loop, index, phase_ext,
+                                        self._replace_nodes(stmt, mapping))
+                ran = ran or not block.is_nop()
+                self.ctx.emit(build.if_([(ext_nonempty_cond(phase_ext),
+                                          block)]))
+        if ran:
+            self.ctx.emit(asm.Block(pipeline))
 
     # Steppers/jumpers: a while loop over child regions.
     def lower_stepper(self, index, ext, stmt, nodes):
@@ -408,10 +443,11 @@ class Lowerer:
         leaders = [n for n in nodes if isinstance(n.looplet, cls)]
         cur = Var(self.ctx.freshen(index.name + "_cur"))
         self.ctx.emit(asm.AssignStmt(cur, ext.start))
+        start = ext.start if isinstance(ext.start, (Literal, Var)) else cur
         for node in leaders:
             for piece in node.looplet.preamble(self.ctx):
                 self.ctx.emit(piece)
-            for piece in node.looplet.seek(self.ctx, cur):
+            for piece in node.looplet.seek(self.ctx, start):
                 self.ctx.emit(piece)
             # A seek is one unit of coiteration work (a binary search).
             self.ctx.emit(self.ctx.count_op())
@@ -421,17 +457,15 @@ class Lowerer:
             self.ctx.emit(self.ctx.count_op())
             stride_vars = {}
             for node in leaders:
-                stride = Var(self.ctx.freshen(index.name + "_stride"))
-                self.ctx.emit(asm.AssignStmt(stride, node.looplet.stride))
-                stride_vars[id(node)] = stride
+                stride_vars[id(node)] = self.ctx.let(
+                    index.name + "_stride", node.looplet.stride)
             if leaders_use_max:
                 widest = build.maximum(*stride_vars.values())
                 p_stop_expr = build.minimum(widest, ext.stop)
             else:
                 p_stop_expr = build.minimum(
                     *(list(stride_vars.values()) + [ext.stop]))
-            p_stop = Var(self.ctx.freshen(index.name + "_stop"))
-            self.ctx.emit(asm.AssignStmt(p_stop, p_stop_expr))
+            p_stop = self.ctx.let(index.name + "_stop", p_stop_expr)
             region = Extent(cur, p_stop)
             mapping = {}
             for node in nodes:
@@ -453,13 +487,10 @@ class Lowerer:
                     continue
                 guard = simplify_expr(
                     build.eq(p_stop, stride_vars[id(node)]))
-                if guard == Literal(True):
-                    self.ctx.emit(advance)
-                elif guard != Literal(False):
-                    self.ctx.emit(asm.If([(guard, advance)]))
+                self.ctx.emit(build.if_([(guard, advance)]))
             self.ctx.emit(asm.AssignStmt(cur, p_stop))
 
-        body = self.ctx.scoped(loop_body)
+        body = self.ctx.scoped(loop_body, repeats=True)
         self.ctx.emit(asm.WhileLoop(build.lt(cur, ext.stop), body))
 
     # Lookup: emit the for loop; element access happens per iteration.
@@ -474,23 +505,32 @@ class Lowerer:
             return
         ivar = Var(index.name)
         unit = Extent(ivar, build.plus(ivar, 1))
-        body = self.ctx.scoped(self.lower_loop, index, unit, stmt)
-        self.ctx.emit(asm.ForLoop(ivar, ext.start, ext.stop, body))
+        body = self.ctx.scoped(self.lower_loop, index, unit, stmt,
+                               repeats=True)
+        self.ctx.emit(build.for_(ivar, ext.start, ext.stop, body))
 
     # No looplets left for this index: bind or loop, with the constant-
     # loop rewrites of Figure 5 (run summation).
     def lower_leaf(self, index, ext, stmt):
         ivar = Var(index.name)
         if ext_is_unit(ext):
-            if stmt_uses_var(stmt, index.name) and ext.start != ivar:
+            block = self.ctx.scoped(self.lower_stmt, stmt)
+            if index.name not in asm.effects(block).reads \
+                    or ext.start == ivar:
+                self.ctx.emit(block)
+            elif isinstance(ext.start, (Literal, Var)) \
+                    and ext.start.free_vars().isdisjoint(
+                        asm.effects(block).writes):
+                self.ctx.emit(bind_index(block, index.name, ext.start))
+            else:
                 self.ctx.emit(asm.AssignStmt(ivar, ext.start))
-            self.lower_stmt(stmt)
+                self.ctx.emit(block)
             return
         if (isinstance(stmt, Assign) and self.ctx.constant_loop_rewrite
                 and self._emit_constant_loop(index, ext, stmt)):
             return
-        body = self.ctx.scoped(self.lower_stmt, stmt)
-        self.ctx.emit(asm.ForLoop(ivar, ext.start, ext.stop, body))
+        body = self.ctx.scoped(self.lower_stmt, stmt, repeats=True)
+        self.ctx.emit(build.for_(ivar, ext.start, ext.stop, body))
 
     def _emit_constant_loop(self, index, ext, stmt):
         """``@loop i ∈ a:b  C[...] += v`` with v independent of i becomes
@@ -524,11 +564,7 @@ class Lowerer:
             # Overwrites and idempotent reductions collapse to one step.
             single = self.ctx.scoped(self._emit_resolved_assign,
                                      stmt, target, rhs)
-            nonempty = ext_nonempty_cond(ext)
-            if nonempty == Literal(True):
-                self.ctx.emit(single)
-            else:
-                self.ctx.emit(asm.If([(nonempty, single)]))
+            self.ctx.emit(build.if_([(ext_nonempty_cond(ext), single)]))
             return True
         return False
 
@@ -605,12 +641,8 @@ class Lowerer:
             tensor, list(stmt.lhs.idxs[:-1]) + [ext.start])
         stop = self._flat_position(
             tensor, list(stmt.lhs.idxs[:-1]) + [ext.stop])
-        append = self._append(tensor, start, stop, rhs)
-        nonempty = ext_nonempty_cond(ext)
-        if nonempty == Literal(True):
-            self.ctx.emit(append)
-        else:
-            self.ctx.emit(asm.If([(nonempty, append)]))
+        self.ctx.emit(build.if_([(ext_nonempty_cond(ext),
+                                  self._append(tensor, start, stop, rhs))]))
         self.ctx.emit(self.ctx.count_op())
         return True
 

@@ -105,6 +105,29 @@ def _install_seek_overshoot():
     return undo
 
 
+@_register("literal-if-wrong-arm",
+           "the If constructor keeps only the last arm of a chain that "
+           "ends in a literally true condition, instead of the first arm "
+           "whose condition holds at runtime")
+def _install_literal_if_wrong_arm():
+    from repro.ir import build
+
+    original = build.if_
+
+    def buggy(branches):
+        for cond, body in branches:
+            if build.literal_truth(cond):
+                return original([(None, body)])
+        return original(branches)
+
+    build.if_ = buggy
+
+    def undo():
+        build.if_ = original
+
+    return undo
+
+
 @_register("batch-drops-last",
            "the batch engine silently skips the final dataset of every "
            "batch (executor-level result loss)")

@@ -21,8 +21,7 @@ changed.**  :func:`map_statements` and :func:`map_statement_exprs`
 rebuild a node only when a child or an expression comes back as a
 different object (:func:`unchanged`), and every pass built otherwise
 follows the same rule.  It keeps the effects memo warm from one pass to
-the next, and it is how the optimizer detects its fixpoint: a round
-that returns its input object changed nothing.
+the next.
 """
 
 from collections import namedtuple
@@ -186,10 +185,6 @@ class FuncDef(Stmt):
         self.params = tuple(params)
         self.body = body if isinstance(body, Block) else Block([body])
         self.returns = tuple(returns)
-
-
-def block(*stmts):
-    return Block(stmts)
 
 
 def child_statements(stmt):

@@ -1,14 +1,18 @@
-"""Smart constructors for IR expressions.
+"""Smart constructors for IR expressions and statements.
 
 These helpers apply cheap, always-sound local simplifications (constant
 folding, identity and annihilator elements) as expressions are built.
 The full rewrite system in :mod:`repro.rewrite` does the heavy lifting;
 folding here just keeps intermediate looplet expressions small and the
 emitted code readable.
+
+The statement constructors (:func:`if_`, :func:`for_`) decide a
+literal condition or extent as the lowerer builds the statement, so no
+region that cannot run reaches :mod:`repro.ir.optimize`.
 """
 
-from repro.ir import ops
-from repro.ir.nodes import Call, Literal, as_expr
+from repro.ir import asm, ops
+from repro.ir.nodes import Call, Extent, Literal, as_expr
 
 
 def call(op, *args):
@@ -125,3 +129,54 @@ def coalesce(*args):
     if len(kept) == 1:
         return kept[0]
     return Call(ops.COALESCE, kept)
+
+
+# --------------------------------------------------------------------------
+# Statements
+# --------------------------------------------------------------------------
+def literal_truth(expr):
+    """True/False when ``expr`` is a literal condition, else None.
+
+    ``missing`` renders as Python ``None`` and is therefore falsy at
+    runtime, whatever its compile-time object truthiness says.
+    """
+    if not isinstance(expr, Literal):
+        return None
+    if expr.value is ops.MISSING:
+        return False
+    return bool(expr.value)
+
+
+def if_(branches):
+    """An ``if``/``elif``/``else`` chain of ``(cond, body)`` pairs with
+    literal conditions decided: a false branch goes, a true one is the
+    ``else`` (alone: its body), and so do trailing empty branches (an
+    empty one before a live one would hand its cases on)."""
+    kept = []
+    for cond, body in branches:
+        truth = True if cond is None else literal_truth(cond)
+        if truth is False:
+            continue
+        kept.append((None if truth else cond, asm.Block([body])))
+        if truth:
+            break
+    while kept and kept[-1][1].is_nop():
+        kept.pop()
+    if not kept:
+        return asm.Nop()
+    if kept[0][0] is None:
+        return kept[0][1]
+    return asm.If(kept)
+
+
+def for_(var, start, stop, body):
+    """``for var in range(start, stop): body``, resolved when the
+    extent is literal: an empty one (or an empty body) is no statement,
+    and a unit one binds ``var`` to ``start`` and runs ``body`` once."""
+    body = asm.Block([body])
+    length = Extent(start, stop).static_length()
+    if length == 0 or body.is_nop():
+        return asm.Nop()
+    if length == 1:
+        return asm.Block([asm.AssignStmt(var, start), body])
+    return asm.ForLoop(var, start, stop, body)

@@ -287,10 +287,3 @@ class Extent:
         if self.start == self.stop:
             return 0
         return None
-
-    def is_certainly_empty(self):
-        length = self.static_length()
-        return length == 0
-
-    def is_unit(self):
-        return self.static_length() == 1

@@ -126,7 +126,9 @@ class Op:
         ``("infix", "+", 12)`` / ``("prefix", "-", 14)`` (symbol, C
         precedence), ``("helper", "fl_div")`` (a prelude or libm
         function), ``("typed", "fl_min")`` (``fl_min_i64``/``_f64`` by
-        operand type), or a custom renderer named there:
+        operand type; ``("typed", "fl_mod", "checked")`` when the
+        ``_i64`` one reports an error through the kernel's status), or
+        a custom renderer named there:
         ``("logical", "&&", 5)``, ``("conditional",)``,
         ``("magnitude",)``, ``("search", "fl_search_ge")``,
         ``("checked", "fl_round_u8")`` (a helper that reports Python's
@@ -307,9 +309,10 @@ MUL = register_op(Op("mul", _mul, symbol="*", precedence=11, identity=1,
 DIV = register_op(Op("div", _divide, symbol="/", precedence=11, accum="/=",
                      numpy=("infix", "/"), c=("helper", "fl_div")))
 FLOORDIV = register_op(Op("floordiv", lambda a, b: a // b, symbol="//",
-                          precedence=11, c=("typed", "fl_floordiv")))
+                          precedence=11,
+                          c=("typed", "fl_floordiv", "checked")))
 MOD = register_op(Op("mod", lambda a, b: a % b, symbol="%", precedence=11,
-                     c=("typed", "fl_mod")))
+                     c=("typed", "fl_mod", "checked")))
 POW = register_op(Op("pow", lambda a, b: a ** b, symbol="**", precedence=14))
 # No numpy form: ``_np.minimum``/``_np.maximum`` propagate a NaN where
 # Python's ``min``/``max`` keep their first argument.

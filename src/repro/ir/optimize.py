@@ -1,24 +1,13 @@
 """Optimizer pipeline over the target AST.
 
 Lowering (:mod:`repro.compiler.lower`) is organized around *looplet*
-structure and deliberately emits naive straight-line code: buffer
-elements are re-loaded inside hot loops, position arithmetic repeats,
-scalar accumulators are loaded and immediately overwritten, and dense
-regions are walked element by element in interpreted CPython.  This
-module runs between lowering and emission and cleans all of that up
-with composable passes over :mod:`repro.ir.asm` statements:
-
-``fold_constants``
-    Forward constant *and copy* propagation with expression
-    simplification: literal conditions prune ``If`` branches, loops
-    with statically-empty extents disappear, single-trip loops unroll,
-    and literal accumulations fold into assignments.
-
-``dead_code``
-    Backward liveness: assignments to scalar variables nobody reads
-    are deleted (buffer stores always survive — buffers escape the
-    kernel), trailing empty ``If`` branches are pruned, and empty
-    loops with no live side effects vanish.
+structure and folds as it builds (:func:`repro.ir.build.if_`,
+:func:`~repro.ir.build.for_`, the lowering context's ``let`` and
+``accumulate``), so no pass here folds constants or drops dead
+code.  Its code still re-loads buffer elements inside hot loops,
+repeats position arithmetic, and walks dense regions element by
+element in interpreted CPython; two passes over :mod:`repro.ir.asm`
+statements improve that:
 
 ``hoist_invariants``
     Loop-invariant code motion: buffer loads and position arithmetic
@@ -41,20 +30,16 @@ with composable passes over :mod:`repro.ir.asm` statements:
     (the scalar fallback).
 
 :func:`optimize_kernel` runs the steps :data:`PIPELINE` lists for an
-``opt_level``, in order: 0 = untouched, 1 = the fold + dead-code
-fixpoint then LICM, 2 (the default used by
-:mod:`repro.compiler.kernel`) = the same, then vectorization.  Each
-step is there because removing it changes what a paper figure runs
+``opt_level``, in order: 0 = untouched, 1 = LICM, 2 (the default used
+by :mod:`repro.compiler.kernel`) = LICM then vectorization.  Each step
+is there because removing it changes what a paper figure runs
 (docs/compilation.md gives the measurements).  Vectorization runs last,
-so the only slice statement the scalar passes meet is the lowerer's
-dense reset: its *bounds* and scalar operands are folded and hoisted
-like any scalar expression, while a *vector* (a slice, a call over one)
-is never itself rewritten or hoisted.  Passes rebuild what they change
-and never mutate a statement (:func:`repro.ir.asm.effects` memoises on
-it), and a pass returns the very node it was given when nothing under
-it changed.  That identity is the fixpoint test: ``fold_constants`` +
-``dead_code`` repeat until a round returns its input object (at most
-four rounds), with no detour through source text.
+so the only slice statement LICM meets is the lowerer's dense reset:
+its *bounds* and scalar operands are hoisted like any scalar
+expression, while a *vector* (a slice, a call over one) is never itself
+rewritten or hoisted.  Passes rebuild what they change and never mutate
+a statement (:func:`repro.ir.asm.effects` memoises on it), and a pass
+returns the very node it was given when nothing under it changed.
 """
 
 from repro.ir import build, dtypes
@@ -74,20 +59,15 @@ from repro.ir.asm import (
     map_statements,
     statement_exprs,
     target_address,
-    unchanged,
-    with_body,
 )
 from repro.ir.nodes import (
     Call,
-    Extent,
     Literal,
     Load,
     Reduce,
     Slice,
     Var,
-    substitute,
 )
-from repro.ir.ops import MISSING
 from repro.ir.runtime import reserved_names
 from repro.rewrite import simplify_expr
 from repro.util.config import OPTIONS
@@ -176,232 +156,6 @@ def _namer_for(stmt):
     return Namer(reserved=reserved | reserved_names())
 
 
-def _literal_truth(expr):
-    """True/False when ``expr`` is a literal condition, else None.
-
-    ``missing`` renders as Python ``None`` and is therefore falsy at
-    runtime, whatever its compile-time object truthiness says.
-    """
-    if not isinstance(expr, Literal):
-        return None
-    if expr.value is MISSING:
-        return False
-    return bool(expr.value)
-
-
-# --------------------------------------------------------------------------
-# Constant folding and copy propagation
-# --------------------------------------------------------------------------
-def fold_constants(stmt):
-    """Forward constant/copy propagation with simplification."""
-    return _fold(stmt, {})
-
-
-def _resolve(expr, env):
-    if env:
-        expr = substitute(expr, env)
-    return simplify_expr(expr)
-
-
-def _env_kill(env, names):
-    """Drop bindings for ``names`` and any binding reading them."""
-    if not names or not env:
-        return
-    for key in list(env):
-        if key in names or (env[key].free_vars() & names):
-            del env[key]
-
-
-def _fold(stmt, env):
-    if isinstance(stmt, FuncDef):
-        return with_body(stmt, _fold(stmt.body, {}))
-    if isinstance(stmt, Block):
-        stmts = [_fold(child, env) for child in stmt.stmts]
-        return stmt if unchanged(stmts, stmt.stmts) else Block(stmts)
-    if isinstance(stmt, (AssignStmt, AccumStmt)):
-        if not isinstance(stmt.target, Var):
-            return map_statement_exprs(stmt, lambda e: _resolve(e, env))
-        if isinstance(stmt, AssignStmt):
-            return _fold_assign(stmt, env)
-        return _fold_accum(stmt, env)
-    if isinstance(stmt, ForLoop):
-        return _fold_for(stmt, env)
-    if isinstance(stmt, WhileLoop):
-        return _fold_while(stmt, env)
-    if isinstance(stmt, If):
-        return _fold_if(stmt, env)
-    return stmt
-
-
-def _fold_assign(stmt, env):
-    value = _resolve(stmt.value, env)
-    target = stmt.target
-    name = target.name
-    if isinstance(value, Var) and value.name == name:
-        return Nop()
-    _env_kill(env, {name})
-    if isinstance(value, (Literal, Var)):
-        env[name] = value
-    return stmt if value is stmt.value else AssignStmt(target, value)
-
-
-def _fold_accum(stmt, env):
-    value = _resolve(stmt.value, env)
-    target = stmt.target
-    name = target.name
-    prior = env.get(name)
-    if isinstance(prior, Literal) and isinstance(value, Literal) \
-            and prior.value is not MISSING and value.value is not MISSING:
-        folded = Literal(stmt.op.fold(prior.value, value.value))
-        _env_kill(env, {name})
-        env[name] = folded
-        return AssignStmt(target, folded)
-    _env_kill(env, {name})
-    return stmt if value is stmt.value else AccumStmt(target, stmt.op, value)
-
-
-def _fold_for(stmt, env):
-    start = _resolve(stmt.start, env)
-    stop = _resolve(stmt.stop, env)
-    length = Extent(start, stop).static_length()
-    if length == 0:
-        return Nop()
-    if length == 1:
-        # Unroll the single iteration; the loop-variable assignment
-        # feeds propagation and dead-code cleans it up if unused.
-        return _fold(Block([AssignStmt(stmt.var, start), stmt.body]), env)
-    _env_kill(env, effects(stmt.body).writes | {stmt.var.name})
-    body = _fold(stmt.body, dict(env))
-    if unchanged((start, stop, body), (stmt.start, stmt.stop, stmt.body)):
-        return stmt
-    return ForLoop(stmt.var, start, stop, body)
-
-
-def _fold_while(stmt, env):
-    _env_kill(env, effects(stmt.body).writes)
-    cond = _resolve(stmt.cond, env)
-    if _literal_truth(cond) is False:
-        return Nop()
-    body = _fold(stmt.body, dict(env))
-    if cond is stmt.cond and body is stmt.body:
-        return stmt
-    return WhileLoop(cond, body)
-
-
-def _fold_if(stmt, env):
-    branches = []
-    for cond, body in stmt.branches:
-        if cond is not None:
-            cond = _resolve(cond, env)
-            truth = _literal_truth(cond)
-            if truth is False:
-                continue
-            if truth is True:
-                cond = None
-        branches.append((cond, _fold(body, dict(env))))
-        if cond is None:
-            break
-    if not branches:
-        return Nop()
-    if branches[0][0] is None:
-        body = branches[0][1]
-        _env_kill(env, effects(body).writes)
-        return body
-    killed = set()
-    for _, body in branches:
-        killed |= effects(body).writes
-    _env_kill(env, killed)
-    return stmt if unchanged(branches, stmt.branches) else If(branches)
-
-
-# --------------------------------------------------------------------------
-# Dead store / dead branch elimination
-# --------------------------------------------------------------------------
-def dead_code(stmt, live=None):
-    """Delete stores to scalar variables that are never read.
-
-    ``live`` seeds the live-out set; for a :class:`FuncDef` the
-    function's returns are live.  Buffer stores are always considered
-    live (their effects escape the kernel).
-    """
-    if isinstance(stmt, FuncDef):
-        live = set(stmt.returns) | (live or set())
-        return with_body(stmt, _dce_block(stmt.body, live))
-    live = set(live) if live else set()
-    if isinstance(stmt, Block):
-        return _dce_block(stmt, live)
-    result = _dce_stmt(stmt, live)
-    return Nop() if result is None else result
-
-
-def _dce_block(block, live):
-    kept = []
-    for child in reversed(block.stmts):
-        result = _dce_stmt(child, live)
-        if result is not None:
-            kept.append(result)
-    kept.reverse()
-    return block if unchanged(kept, block.stmts) else Block(kept)
-
-
-def _dce_stmt(stmt, live):
-    if isinstance(stmt, (AssignStmt, AccumStmt)):
-        target = stmt.target
-        if isinstance(target, Var):
-            if target.name not in live:
-                return None
-            live.discard(target.name)
-        # Value and store address, and an accumulation's own target.
-        live |= effects(stmt).reads
-        return stmt
-    if isinstance(stmt, ForLoop):
-        if stmt.body.is_nop() and stmt.var.name not in live:
-            return None
-        inner = live | effects(stmt.body).reads
-        body = _dce_block(stmt.body, inner)
-        live |= inner
-        live |= stmt.start.free_vars() | stmt.stop.free_vars()
-        return with_body(stmt, body)
-    if isinstance(stmt, WhileLoop):
-        # Never dropped: a (mis)compiled infinite loop should stay
-        # observable rather than silently vanish.
-        inner = live | effects(stmt.body).reads | stmt.cond.free_vars()
-        body = _dce_block(stmt.body, inner)
-        live |= inner
-        # The block walk treats the body as straight-line code, so a
-        # bottom-of-body write to a condition variable discards it
-        # from ``inner`` — but the condition is evaluated again before
-        # the body ever runs, so its reads are live at loop entry
-        # regardless of what the body does (found by the fuzz engine:
-        # an initializer feeding only the condition was deleted).
-        live |= stmt.cond.free_vars()
-        return with_body(stmt, body)
-    if isinstance(stmt, If):
-        processed = []
-        for cond, body in stmt.branches:
-            branch_live = set(live)
-            processed.append((cond, _dce_block(body, branch_live),
-                              branch_live))
-        # Only trailing empty branches may go: dropping an empty
-        # middle branch would re-route its cases to later conditions.
-        while processed and processed[-1][1].is_nop():
-            processed.pop()
-        if not processed:
-            return None
-        for cond, _, branch_live in processed:
-            live |= branch_live
-            if cond is not None:
-                live |= cond.free_vars()
-        branches = [(cond, body) for cond, body, _ in processed]
-        return stmt if unchanged(branches, stmt.branches) else If(branches)
-    if isinstance(stmt, Nop):
-        return None
-    if isinstance(stmt, Block):
-        result = _dce_block(stmt, live)
-        return None if result.is_nop() else result
-    return stmt
-
-
 # --------------------------------------------------------------------------
 # Loop-invariant code motion
 # --------------------------------------------------------------------------
@@ -478,9 +232,8 @@ def _hoist_loop(loop, namer, loop_var):
         new_loop = WhileLoop(replace_by_key(loop.cond, mapping), new_body)
         guard = loop.cond  # pre-substitution: temps are not bound yet
     hoisted = Block(assigns + [new_loop])
-    if any(can_raise(expr) for expr in candidates) \
-            and _literal_truth(guard) is not True:
-        return If([(guard, hoisted)])
+    if any(can_raise(expr) for expr in candidates):
+        return build.if_([(guard, hoisted)])
     return hoisted
 
 
@@ -618,13 +371,8 @@ def _vectorize_loop(loop, sums_alike):
         out.append(AccumStmt(counter.target, counter.op,
                              simplify_expr(build.times(counter.value,
                                                        trip))))
-    guard = simplify_expr(build.lt(loop.start, loop.stop))
-    truth = _literal_truth(guard)
-    if truth is True:
-        return Block(out)
-    if truth is False:
-        return Nop()
-    return If([(guard, Block(out))])
+    return build.if_([(simplify_expr(build.lt(loop.start, loop.stop)),
+                       Block(out))])
 
 
 def _vectorize_core(core, var, start, stop, sums_alike):
@@ -673,25 +421,14 @@ def _vectorize_core(core, var, start, stop, sums_alike):
 # --------------------------------------------------------------------------
 # The pipeline
 # --------------------------------------------------------------------------
-def _scalar_cleanup(stmt, rounds=4):
-    """fold+dce to a (bounded) fixpoint: the round that hands back the
-    very tree it was given changed nothing."""
-    for _ in range(rounds):
-        cleaned = dead_code(fold_constants(stmt))
-        if cleaned is stmt:
-            break
-        stmt = cleaned
-    return stmt
-
-
 #: The steps of each ``opt_level``, in the order :func:`optimize_kernel`
 #: runs them.  ``vectorize`` goes last: LICM first moves the invariant
 #: loads out of the loops it turns into slices (run the other way round,
 #: fig11 measured 4-8 % slower).
 PIPELINE = {
     0: (),
-    1: (_scalar_cleanup, hoist_invariants),
-    2: (_scalar_cleanup, hoist_invariants, vectorize),
+    1: (hoist_invariants,),
+    2: (hoist_invariants, vectorize),
 }
 
 

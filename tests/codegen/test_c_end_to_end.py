@@ -11,14 +11,19 @@ Data is integer-valued throughout, so every comparison is exact
 ``==``; there is no tolerance for a divergence to hide behind.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 import repro.lang as fl
 from repro import codegen
 from repro.codegen import toolchain
 from repro.fuzz.gen import FORMATS_INNER, PROTOCOLS_BY_FORMAT
-from repro.ir import Load, Var, asm, build
+from repro.ir import Load, Var, asm, build, ops
 
 needs_cc = pytest.mark.skipif(
     not codegen.have_toolchain(), reason="no C compiler on PATH")
@@ -586,6 +591,46 @@ class TestRoundU8Errors:
         assert kernel.effective_backend == "python"
         with pytest.raises(TypeError):
             kernel.run()
+
+
+_DIVIDE_BY_ZERO = """
+import numpy as np
+from repro.codegen import c_emit, toolchain
+from repro.ir import Call, Load, Literal, asm, ops
+
+func = asm.FuncDef("divide", ("out", "a", "b"), asm.AssignStmt(
+    Load("out", Literal(0)),
+    Call(ops.get_op(%r), [Load("a", Literal(0)), Load("b", Literal(0))])))
+dtypes = ["int64"] * 3
+entry, _ = toolchain.kernel_entry(
+    c_emit.emit_c(func, dict(zip(func.params, dtypes))), "divide", dtypes)
+try:
+    entry(np.zeros(1, dtype=np.int64), np.array([7], dtype=np.int64),
+          np.zeros(1, dtype=np.int64))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@needs_cc
+class TestIntegerDivisionByZero:
+    """``out[0] = a[0] // b[0]`` with ``b = [0]``: the native kernel
+    raises what Python raises on ints (the python kernel's element
+    views) instead of dying of ``SIGFPE``.  The C call runs in a child
+    process, so a regression fails this test rather than the run."""
+
+    @pytest.mark.parametrize("name", ["floordiv", "mod"])
+    def test_native_kernel_raises_like_python(self, name):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(
+            repro.__file__)) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIVIDE_BY_ZERO % name],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        with pytest.raises(ZeroDivisionError) as python:
+            ops.get_op(name).fn(7, 0)
+        assert proc.stdout.strip() == "ZeroDivisionError %s" % python.value
 
 
 @needs_cc

@@ -28,10 +28,12 @@ FL_EXPORT int64_t probe(void **fl_args) {
     int64_t *iout = (int64_t *) fl_args[1];
     const double *fin = (const double *) fl_args[2];
     double *fout = (double *) fl_args[3];
-    iout[0] = fl_floordiv_i64(iin[0], iin[1]);
-    iout[1] = fl_mod_i64(iin[0], iin[1]);
     iout[3] = 0;
-    iout[2] = fl_round_u8(fin[0], &iout[3]);
+    iout[0] = fl_floordiv_i64(iin[0], iin[1], &iout[3]);
+    iout[4] = 0;
+    iout[1] = fl_mod_i64(iin[0], iin[1], &iout[4]);
+    iout[5] = 0;
+    iout[2] = fl_round_u8(fin[0], &iout[5]);
     fout[0] = fl_div((double) iin[0], (double) iin[1]);
     return 0;
 }
@@ -42,7 +44,7 @@ def _run_probe(a, b, f):
     so_path = toolchain.compile_shared(_PROBE, name="probe")
     fn = toolchain.load_symbol(so_path, "probe")
     iin = np.array([a, b], dtype=np.int64)
-    iout = np.zeros(4, dtype=np.int64)
+    iout = np.zeros(6, dtype=np.int64)
     fin = np.array([f], dtype=np.float64)
     fout = np.zeros(1, dtype=np.float64)
     arrays = (iin, iout, fin, fout)
@@ -59,7 +61,20 @@ class TestPreludeSemantics:
         iout, fout = _run_probe(a, b, 0.0)
         assert iout[0] == a // b
         assert iout[1] == a % b
+        assert (iout[3], iout[4]) == (0, 0)
         assert fout[0] == a / b          # true division, always double
+
+    @pytest.mark.parametrize("a", [-7, 0, 7])
+    def test_integer_division_by_zero_sets_the_status(self, a):
+        # No SIGFPE: the status Python's error stands for, and a 0.
+        iout, _ = _run_probe(a, 0, 0.0)
+        for result, status, fn in ((iout[0], iout[3], ops.FLOORDIV.fn),
+                                   (iout[1], iout[4], ops.MOD.fn)):
+            with pytest.raises(ZeroDivisionError) as exc:
+                fn(a, 0)
+            assert STATUS_ERRORS[status] == (ZeroDivisionError,
+                                             str(exc.value))
+            assert result == 0
 
     @pytest.mark.parametrize(
         "f", [0.5, 1.5, 2.5, -0.5, -1.5, 3.4999, 254.5, 255.0, 999.0,
@@ -72,9 +87,9 @@ class TestPreludeSemantics:
         try:
             want = ops.ROUND_U8.fn(f)
         except (ValueError, OverflowError) as exc:
-            assert STATUS_ERRORS[iout[3]] == (type(exc), str(exc))
+            assert STATUS_ERRORS[iout[5]] == (type(exc), str(exc))
         else:
-            assert (iout[2], iout[3]) == (want, 0)
+            assert (iout[2], iout[5]) == (want, 0)
 
 
 @needs_cc

@@ -163,4 +163,4 @@ class TestContext:
 
         block = ctx.scoped(lambda: ctx.emit(asm.AssignStmt("x", 1)))
         assert len(block.stmts) == 1
-        assert ctx.current_block().is_nop()
+        assert ctx.take_block().is_nop()

@@ -18,8 +18,8 @@ def test_list_bugs(capsys):
     code = main(["--list-bugs"])
     out = capsys.readouterr().out
     assert code == 0
-    for name in ("vector-slice-short", "seek-overshoot",
-                 "batch-drops-last"):
+    for name in ("literal-if-wrong-arm", "vector-slice-short",
+                 "seek-overshoot", "batch-drops-last"):
         assert name in out
 
 

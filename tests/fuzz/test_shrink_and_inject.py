@@ -30,10 +30,11 @@ from repro.fuzz import (
 _CATCH_BUDGET = 30
 
 
-def test_registry_lists_three_layer_bugs():
+def test_registry_lists_a_bug_per_layer():
+    # Lowering constructors, optimizer, runtime helper, executor.
     bugs = injectable_bugs()
-    assert set(bugs) == {"vector-slice-short", "seek-overshoot",
-                         "batch-drops-last"}
+    assert set(bugs) == {"literal-if-wrong-arm", "vector-slice-short",
+                         "seek-overshoot", "batch-drops-last"}
     assert all(isinstance(desc, str) and desc for desc in bugs.values())
 
 

@@ -1,6 +1,8 @@
-"""Unit tests for IR smart constructors."""
+"""Unit tests for IR smart constructors: expressions fold as they are
+built, and statements decide their literal conditions and extents."""
 
-from repro.ir import Call, Literal, MISSING, Var, build, ops
+from repro.ir import Call, Literal, Load, MISSING, Var, asm, build, ops
+from repro.ir.emit import emit
 
 
 class TestPlus:
@@ -95,3 +97,81 @@ class TestCall:
 
     def test_missing_propagates_through_mul(self):
         assert build.call(ops.MUL, Literal(MISSING), 5) == Literal(MISSING)
+
+
+def sink(value):
+    """A structured stand-in for "some effectful statement": a store
+    of ``value`` to the ``sink`` buffer."""
+    return asm.AssignStmt(Load("sink", Literal(0)), value)
+
+
+class TestIf:
+    def test_literal_conditions_decide_the_chain(self):
+        stmt = build.if_([
+            (build.lt(Literal(3), Literal(1)), sink(1)),
+            (build.lt(Literal(1), Literal(3)), sink(2)),
+            (None, sink(3)),
+        ])
+        # Only the taken branch is built, inlined (no ``if``).
+        assert emit(stmt) == "sink[0] = 2\n"
+
+    def test_true_condition_ends_the_chain_as_its_else(self):
+        stmt = build.if_([
+            (build.lt(Var("a"), Var("b")), sink(1)),
+            (Literal(True), sink(2)),
+            (build.lt(Var("b"), Var("a")), sink(3)),
+        ])
+        assert emit(stmt) == ("if a < b:\n    sink[0] = 1\n"
+                              "else:\n    sink[0] = 2\n")
+
+    def test_missing_is_false(self):
+        # ``missing`` renders as ``None``: falsy at runtime.
+        stmt = build.if_([(Literal(MISSING), sink(1)), (None, sink(2))])
+        assert emit(stmt) == "sink[0] = 2\n"
+
+    def test_no_live_branch_is_no_statement(self):
+        assert build.if_([(Literal(False), sink(1))]).is_nop()
+        assert build.if_([(Var("c"), asm.Block([]))]).is_nop()
+
+    def test_trailing_empty_branches_go(self):
+        stmt = build.if_([
+            (build.lt(Var("a"), Var("b")), sink(1)),
+            (build.lt(Var("b"), Var("a")), asm.Block([])),
+            (None, asm.Block([])),
+        ])
+        source = emit(stmt)
+        assert "sink[0] = 1" in source
+        # Both the empty else and the (then-trailing) empty elif go.
+        assert "else" not in source
+        assert "elif" not in source
+
+    def test_empty_middle_branch_stays(self):
+        stmt = build.if_([
+            (build.lt(Var("a"), Var("b")), asm.Block([])),
+            (None, sink(1)),
+        ])
+        source = emit(stmt)
+        # Dropping the empty first branch would reroute its cases into
+        # the else; it must stay, rendered with a pass body.
+        assert "if a < b:" in source
+        assert "pass" in source
+        assert "sink[0] = 1" in source
+
+
+class TestFor:
+    def test_literal_empty_extent_is_no_statement(self):
+        assert build.for_(Var("i"), Literal(5), Literal(5), sink(1)).is_nop()
+        assert build.for_(Var("i"), Literal(5), Literal(2), sink(1)).is_nop()
+
+    def test_empty_body_is_no_statement(self):
+        loop = build.for_(Var("i"), Literal(0), Var("n"), asm.Block([]))
+        assert loop.is_nop()
+
+    def test_unit_extent_binds_its_index(self):
+        loop = build.for_(Var("i"), Literal(3), Literal(4),
+                          asm.AssignStmt(Load("buf", Var("i")), Var("i")))
+        assert emit(loop) == "i = 3\nbuf[i] = i\n"
+
+    def test_a_runtime_extent_loops(self):
+        loop = build.for_(Var("i"), Literal(0), Var("n"), sink(Var("i")))
+        assert isinstance(loop, asm.ForLoop)

@@ -127,8 +127,8 @@ class TestExtent:
     def test_unit_detection_with_dynamic_bounds(self):
         start = Var("s")
         stop = Call(ops.ADD, [Var("s"), Literal(1)])
-        assert Extent(start, stop).is_unit()
+        assert Extent(start, stop).static_length() == 1
 
     def test_empty_when_bounds_equal(self):
         ext = Extent(Var("s"), Var("s"))
-        assert ext.is_certainly_empty()
+        assert ext.static_length() == 0

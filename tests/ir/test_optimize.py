@@ -19,9 +19,7 @@ from repro.ir.optimize import (
     DEFAULT_OPT_LEVEL,
     PIPELINE,
     can_raise,
-    dead_code,
     entry_exprs,
-    fold_constants,
     hoist_invariants,
     linear_parts,
     optimize_kernel,
@@ -41,189 +39,6 @@ def sink(value):
     of ``value`` to the ``sink`` buffer (always live, touches no
     scalar)."""
     return asm.AssignStmt(Load("sink", Literal(0)), value)
-
-
-class TestFoldConstants:
-    def test_literal_condition_prunes_branches(self):
-        stmt = asm.If([
-            (build.lt(Literal(3), Literal(1)), sink(1)),
-            (build.lt(Literal(1), Literal(3)), sink(2)),
-            (None, sink(3)),
-        ])
-        folded = fold_constants(func_of(stmt))
-        # Only the taken branch survives, inlined (no ``if``).
-        assert emit(folded.body) == "sink[0] = 2\n"
-
-    def test_statically_empty_loop_vanishes(self):
-        loop = asm.ForLoop("i", Literal(5), Literal(5), sink(1))
-        source = emit(fold_constants(func_of(loop)))
-        assert "sink" not in source
-
-    def test_unit_loop_unrolls(self):
-        loop = asm.ForLoop("i", Literal(3), Literal(4),
-                           asm.AssignStmt(Load("buf", Var("i")),
-                                          Var("i")))
-        source = emit(fold_constants(func_of(loop)))
-        assert "for" not in source
-        assert "buf[3] = 3" in source
-
-    def test_copy_propagation_feeds_simplification(self):
-        stmts = [
-            asm.AssignStmt("x", Literal(2)),
-            asm.AssignStmt("y", Var("x")),
-            asm.AssignStmt(Load("buf", Literal(0)),
-                           build.times(Var("y"), Literal(3))),
-        ]
-        source = emit(fold_constants(func_of(*stmts)))
-        assert "buf[0] = 6" in source
-
-    def test_literal_accumulation_folds_to_assignment(self):
-        stmts = [
-            asm.AssignStmt("n", Literal(0)),
-            asm.AccumStmt("n", ops.ADD, Literal(1)),
-            asm.AccumStmt("n", ops.ADD, Literal(2)),
-            asm.AssignStmt(Load("buf", Literal(0)), Var("n")),
-        ]
-        source = emit(fold_constants(func_of(*stmts)))
-        assert "buf[0] = 3" in source
-
-    def test_propagation_stops_at_reassignment_in_loop(self):
-        stmts = [
-            asm.AssignStmt("x", Literal(1)),
-            asm.WhileLoop(build.lt(Var("x"), Load("buf", Literal(0))),
-                          asm.AccumStmt("x", ops.ADD, Literal(1))),
-            asm.AssignStmt(Load("buf", Literal(1)), Var("x")),
-        ]
-        source = emit(fold_constants(func_of(*stmts)))
-        # x is mutated by the loop: the final store must read x, not 1.
-        assert "buf[1] = x" in source
-
-    def test_accumulation_kills_propagation(self):
-        stmts = [
-            asm.AssignStmt("x", Literal(1)),
-            asm.AccumStmt("x", ops.ADD, Load("buf", Literal(0))),
-            asm.AssignStmt(Load("buf", Literal(1)), Var("x")),
-        ]
-        source = emit(fold_constants(func_of(*stmts)))
-        assert "buf[1] = x" in source
-
-    def test_propagation_reaches_slice_bounds_and_operands(self):
-        stmts = [
-            asm.AssignStmt("n", Literal(4)),
-            asm.AssignStmt("s", Var("scale")),
-            asm.AssignStmt(
-                Slice("buf", Literal(0), build.plus(Var("n"), Literal(4))),
-                Call(ops.MUL, [Var("s"),
-                               Slice("x", Var("n"),
-                                     build.times(Var("n"), Literal(3)))])),
-        ]
-        source = emit(fold_constants(func_of(
-            *stmts, params=("buf", "x", "scale"))))
-        assert "buf[0:8] = (scale * x[4:12])" in source
-
-    def test_scalar_rules_stop_at_vectors(self):
-        # v / v is 1 on scalars; on a slice it would turn a sum of n
-        # ones into a single 1 (and x[a:b] - x[a:b] is n zeros, not 0).
-        x = Slice("x", Var("a"), Var("b"))
-        ratio = Call(ops.DIV, [x, x])
-        zero = Call(ops.MUL, [Literal(0), x])
-        stmts = [
-            asm.AccumStmt("acc", ops.ADD, Reduce(ops.ADD, ratio)),
-            asm.AssignStmt(Slice("buf", Var("a"), Var("b")), zero),
-        ]
-        source = emit(fold_constants(func_of(
-            *stmts, params=("buf", "x", "a", "b"), returns=("acc",))))
-        assert "acc += _np.add.reduce((x[a:b] / x[a:b]))" in source
-        assert "buf[a:b] = (0 * x[a:b])" in source
-
-
-class TestDeadCode:
-    def test_dead_store_before_overwrite(self):
-        stmts = [
-            asm.AssignStmt("acc", Load("buf", Literal(0))),
-            asm.AssignStmt("acc", Literal(0.0)),
-            asm.AssignStmt(Load("buf", Literal(0)), Var("acc")),
-        ]
-        source = emit(dead_code(func_of(*stmts)))
-        assert source.count("acc =") == 1
-        assert "buf[0] = acc" in source
-
-    def test_trailing_dead_assign_dropped(self):
-        stmts = [
-            asm.AssignStmt(Load("buf", Literal(0)), Literal(1.0)),
-            asm.AssignStmt("leftover", Var("x")),
-        ]
-        source = emit(dead_code(func_of(*stmts)))
-        assert "leftover" not in source
-
-    def test_returned_variable_stays_live(self):
-        stmts = [asm.AssignStmt("n", Literal(7))]
-        source = emit(dead_code(func_of(*stmts, returns=("n",))))
-        assert "n = 7" in source
-
-    def test_slice_store_keeps_its_bounds_and_value_live(self):
-        stmts = [
-            asm.AssignStmt("x", Literal(1)),
-            asm.AssignStmt("n", Literal(4)),
-            asm.AssignStmt("unused", Literal(9)),
-            asm.AssignStmt(Slice("buf", Literal(0), Var("n")), Var("x")),
-        ]
-        source = emit(dead_code(func_of(*stmts)))
-        assert "x = 1" in source and "n = 4" in source
-        assert "buf[0:n] = x" in source
-        assert "unused" not in source
-
-    def test_trailing_empty_branches_pruned(self):
-        branches = [
-            (build.lt(Var("a"), Var("b")), sink(1)),
-            (build.lt(Var("b"), Var("a")), asm.Block([])),
-            (None, asm.Block([])),
-        ]
-        source = emit(dead_code(func_of(asm.If(branches),
-                                        params=("a", "b"))))
-        assert "sink[0] = 1" in source
-        # Both the empty else and the (then-trailing) empty elif go.
-        assert "else" not in source
-        assert "elif" not in source
-
-    def test_empty_middle_branch_survives(self):
-        branches = [
-            (build.lt(Var("a"), Var("b")), asm.Block([])),
-            (None, sink(1)),
-        ]
-        source = emit(dead_code(func_of(asm.If(branches),
-                                        params=("a", "b"))))
-        # Dropping the empty first branch would reroute its cases into
-        # the else; it must stay, rendered with a pass body.
-        assert "if a < b:" in source
-        assert "pass" in source
-        assert "sink[0] = 1" in source
-
-    def test_accumulation_into_dead_var_dropped(self):
-        stmts = [
-            asm.AssignStmt("n", Literal(0)),
-            asm.AccumStmt("n", ops.ADD, Literal(1)),
-            asm.AssignStmt(Load("buf", Literal(0)), Literal(2.0)),
-        ]
-        source = emit(dead_code(func_of(*stmts)))
-        assert "n =" not in source
-        assert "n +=" not in source
-
-    def test_while_condition_initializer_survives_bottom_write(self):
-        """Found by the fuzz engine (corpus case_12): a while body
-        whose *last* statement overwrites the condition variable must
-        not kill the initializer above the loop — the condition reads
-        it before the body ever runs."""
-        body = asm.Block([
-            asm.AssignStmt(Load("buf", Literal(0)), Var("cur")),
-            asm.AssignStmt("cur", Load("buf", Literal(1))),
-        ])
-        stmts = [
-            asm.AssignStmt("cur", Literal(0)),
-            asm.WhileLoop(build.lt(Var("cur"), Var("stop")), body),
-        ]
-        source = emit(dead_code(func_of(*stmts, params=("buf", "stop"))))
-        assert "cur = 0" in source
 
 
 class TestHoistInvariants:
@@ -643,18 +458,17 @@ class TestGoldenKernels:
         assert first_index(raw_lines, "pos_2[0]") > raw_for
         assert first_index(opt_lines, "pos_2[0]") < opt_for
 
-    def test_dead_preamble_load_dropped(self):
+    def test_reset_output_is_never_loaded(self):
         a = np.arange(4.0)
         A = fl.from_numpy(a, ("dense",), name="A")
         C = fl.Scalar(name="C")
         i = fl.indices("i")
         prog = fl.forall(i, fl.increment(C[()], A[i]))
-        kernel = fl.compile_kernel(prog, cache=False)
-        lowered = fl.compile_kernel(prog, cache=False, opt_level=0)
         # The scalar accumulator is reset before first read: the
-        # preamble load of C_val[0] is a dead store and must go.
-        assert lowered.source.count("C_val[0]") == 2
-        assert kernel.source.count("C_val[0]") == 1  # writeback only
+        # lowerer emits no load of C_val[0] at any level.
+        for level in (0, 1, 2):
+            kernel = fl.compile_kernel(prog, cache=False, opt_level=level)
+            assert kernel.source.count("C_val[0]") == 1  # writeback only
 
     def test_dense_dot_vectorizes_to_np_dot(self):
         a = np.arange(32.0)
@@ -786,18 +600,13 @@ class TestUnchangedNodesComeBack:
     given when nothing under it changed, and ``simplify_expr`` returns a
     normal form of the default rules as it is."""
 
-    @pytest.mark.parametrize("run", [fold_constants, dead_code, vectorize],
-                             ids=lambda run: run.__name__)
-    def test_a_pass_at_its_fixpoint_returns_its_input(self, run,
-                                                      lowered_figures):
-        # Folding and dead code reach theirs in the cleanup step (LICM's
-        # temps are copies a later fold would forward); vectorize, the
-        # last step, at the end of the pipeline.
-        steps = PIPELINE[2] if run is vectorize else PIPELINE[2][:1]
+    def test_vectorize_at_its_fixpoint_returns_its_input(self,
+                                                       lowered_figures):
+        # Vectorize is the last step: at the end of the pipeline.
         for figure, func in lowered_figures.items():
-            for step in steps:
+            for step in PIPELINE[2]:
                 func = step(func)
-            assert run(func) is func, figure
+            assert vectorize(func) is func, figure
 
     def test_licm_returns_its_input_unless_it_rewrote(
             self, optimised_figures):
@@ -845,22 +654,6 @@ class TestUnchangedNodesComeBack:
         unsimplified = simplify_expr(Call(ops.ADD, [Var("x"), Literal(0)]),
                                      rules=())
         assert simplify_expr(unsimplified) == Var("x")
-
-    def test_a_fixpoint_more_than_one_round_away_is_reached(self):
-        # Round 1 cannot forward ``c = p`` into the loop (the body writes
-        # p) and deletes that write as dead; only round 2 forwards p and
-        # round 3 finds nothing left to do.
-        func = func_of(
-            asm.AssignStmt("c", Var("p")),
-            asm.ForLoop("i", Literal(0), Var("n"), asm.Block([
-                asm.AssignStmt("p", Literal(7)),
-                asm.AssignStmt(Load("buf", Var("i")), Var("c"))])),
-            params=("buf", "p", "n"))
-        one_round = dead_code(fold_constants(func))
-        assert "c = p" in emit(one_round)
-        assert emit(optimize_kernel(func, 1).body) == (
-            "for i in range(0, n):\n"
-            "    buf[i] = p\n")
 
 
 class TestTempsAvoidTheKernelNamespace:
