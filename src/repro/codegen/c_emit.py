@@ -18,7 +18,11 @@ Python arithmetic exactly where C differs:
 * ``/`` always divides in ``double`` (``fl_div``),
 * ``//`` and ``%`` use floor-division / sign-of-divisor semantics
   (``fl_floordiv_*`` / ``fl_mod_*``); an integer one by zero sets
-  ``fl_status`` like ``round_u8`` below,
+  ``fl_status`` like ``round_u8`` below, and one by ``-1`` never
+  traps: ``INT64_MIN // -1`` wraps to ``INT64_MIN`` as numpy's does on
+  the int64 operands a python kernel keeps, ``INT64_MIN % -1`` is 0,
+* ``sqrt`` of a negative (``-inf`` too) sets ``fl_status``: Python's
+  ``math.sqrt`` raises where C returns NaN,
 * ``min``/``max`` return the *first* minimal/maximal argument like the
   Python builtins (ternary helpers, not ``fmin``/``fmax``),
 * ``round_u8`` rounds half-to-even (``rint`` under the default
@@ -50,6 +54,7 @@ search over a non-``int64`` buffer, and arithmetic on truth values
 alone.  The caller falls back to the python backend.
 """
 
+import math
 import operator
 from collections import Counter
 
@@ -80,23 +85,25 @@ _RESERVED = frozenset("""
 _ATOM = 100
 
 
-def _by_zero(fn):
-    """The error ``fn(1, 0)`` raises in the running interpreter."""
+def _raised(fn, *args):
+    """The error ``fn(*args)`` raises in the running interpreter."""
     try:
-        fn(1, 0)
-    except ZeroDivisionError as exc:
-        return ZeroDivisionError, str(exc)
+        fn(*args)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 #: A kernel's negative return value, set by a ``checked`` helper: the
 #: error Python raises at the same point (``round(nan)``,
-#: ``round(inf)``, ``1 // 0``, ``1 % 0``).  The division messages are
-#: the running interpreter's: 3.11 words ``%`` apart from ``//``.
+#: ``round(inf)``, ``1 // 0``, ``1 % 0``, ``math.sqrt(-1.0)``).  The
+#: messages are the running interpreter's: 3.11 words ``%`` apart from
+#: ``//``.
 STATUS_ERRORS = {
     -1: (ValueError, "cannot convert float NaN to integer"),
     -2: (OverflowError, "cannot convert float infinity to integer"),
-    -3: _by_zero(operator.floordiv),
-    -4: _by_zero(operator.mod),
+    -3: _raised(operator.floordiv, 1, 0),
+    -4: _raised(operator.mod, 1, 0),
+    -5: _raised(math.sqrt, -1.0),
 }
 
 
@@ -118,6 +125,7 @@ static inline int64_t fl_fail(int64_t *status, int64_t code) {
 static inline int64_t fl_floordiv_i64(int64_t a, int64_t b,
                                       int64_t *status) {
     if (b == 0) return fl_fail(status, -3);
+    if (b == -1) return a == INT64_MIN ? a : -a;    /* a / -1 may trap */
     int64_t q = a / b;
     if ((a % b != 0) && ((a < 0) != (b < 0))) q -= 1;
     return q;
@@ -125,6 +133,7 @@ static inline int64_t fl_floordiv_i64(int64_t a, int64_t b,
 
 static inline int64_t fl_mod_i64(int64_t a, int64_t b, int64_t *status) {
     if (b == 0) return fl_fail(status, -4);
+    if (b == -1) return 0;                          /* a % -1 may trap */
     int64_t r = a % b;
     if (r != 0 && ((r < 0) != (b < 0))) r += b;
     return r;
@@ -157,6 +166,11 @@ static inline double fl_max_f64(double a, double b) {
 }
 
 static inline int64_t fl_abs_i64(int64_t a) { return a < 0 ? -a : a; }
+
+static inline double fl_sqrt(double v, int64_t *status) {
+    if (v < 0.0) return fl_fail(status, -5);
+    return sqrt(v);
+}
 
 static inline int64_t fl_round_u8(double v, int64_t *status) {
     if (isnan(v) || isinf(v)) return fl_fail(status, isnan(v) ? -1 : -2);
@@ -427,12 +441,14 @@ class _Emitter:
     def _render_helper(self, expr, helper):
         return "%s(%s)" % (helper, self._render_args(expr.args)), _ATOM
 
-    def _render_checked(self, expr, helper):
+    def _render_checked(self, expr, helper, takes_truth=False):
         """A helper that reports an error through the kernel's
-        ``fl_status`` (:data:`STATUS_ERRORS`)."""
+        ``fl_status`` (:data:`STATUS_ERRORS`); one that does not
+        ``takes_truth`` refuses a truth-valued operand."""
         self.checked = True
         rendered = self._render_args(expr.args)
-        if any(bool in self._reads(arg) for arg in expr.args):
+        if not takes_truth and any(bool in self._reads(arg)
+                                   for arg in expr.args):
             raise CUnsupportedError(
                 "%s of a truth value (numpy's bool has no __round__)"
                 % expr.op.name)

@@ -16,27 +16,27 @@ Loading goes through :mod:`ctypes`.  The exported symbol is
 ``int64_t <name>(void **args)`` and ``ctypes`` releases the GIL for
 the duration of every foreign call, which is what lets the batch
 engine's ``threads`` executor scale on C kernels.  The returned entry
-point is a plain Python callable taking the same positional numpy
-buffers as the python backend's function; per-binding pointer arrays
-are validated once and memoized (keyed by argument identity, holding
-references so the identities stay pinned), and a bound kernel keeps
-its binding's call prepared: one foreign call and one status check.
+point is a kernel entry (:func:`repro.ir.runtime.make_entry`) taking
+the same positional numpy buffers as the python backend's: per-binding
+pointer arrays are validated once and memoized (keyed by argument
+identity, holding references so the identities stay pinned), and a
+bound kernel keeps its binding's call prepared: one foreign call and
+one status check.
 """
 
 import atexit
 import ctypes
-import functools
 import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
 from repro.codegen.c_emit import STATUS_ERRORS
+from repro.ir import runtime
 from repro.util import config
 from repro.util.errors import ReproError
 
@@ -47,9 +47,6 @@ COMPILER_CANDIDATES = ("cc", "gcc", "clang")
 #: the math helpers (``rint``, ``floor``, ``fmod``) resolve at link
 #: time on toolchains that do not link libm implicitly.
 CFLAGS = ("-O2", "-fPIC", "-shared", "-std=c99", "-fvisibility=hidden")
-
-#: Per-binding pointer arrays memoized per kernel entry (LRU).
-_BINDING_MEMO_CAP = 64
 
 
 class ToolchainError(ReproError):
@@ -198,31 +195,19 @@ def load_symbol(so_path, name):
 
 
 def make_entry(cfn, name, param_dtypes):
-    """Wrap a raw C entry as a Python callable over numpy buffers.
-
-    ``entry(*args)`` runs the kernel on ``args``; ``entry.prepare(args)``
-    returns the zero-argument call a bound ``Kernel`` keeps per binding.
-    Both marshal through one step: it validates each distinct argument
-    binding once — ndarray, matching dtype, C-contiguous — then memoizes
-    its pointer array keyed by argument identities.  Entries and
-    prepared calls hold references to their arrays, so a memoized
-    identity can never be recycled while its pointers are still served;
-    the memo is a small LRU so retired bindings release their arrays.
+    """Wrap a raw C entry as a kernel entry point over numpy buffers
+    (:func:`repro.ir.runtime.make_entry`): a binding is marshalled
+    once — each argument validated (ndarray, matching dtype,
+    C-contiguous) and its pointer array built — and then served from
+    the entry's identity memo; a prepared call holds the pointers and
+    the arrays they point into.
     """
     dtypes = [np.dtype(dtype) for dtype in param_dtypes]
     count = len(dtypes)
     array_type = ctypes.c_void_p * count
-    memo = OrderedDict()
-    memo_lock = threading.Lock()
 
     def marshal(args):
         """``(pointers, args)`` of one binding."""
-        key = tuple(map(id, args))
-        with memo_lock:
-            cached = memo.get(key)
-            if cached is not None:
-                memo.move_to_end(key)
-                return cached
         if len(args) != count:
             raise ToolchainError(
                 "kernel %r takes %d buffers, got %d"
@@ -240,13 +225,8 @@ def make_entry(cfn, name, param_dtypes):
                 raise ToolchainError(
                     "kernel %r argument %d is not C-contiguous"
                     % (name, position))
-        cached = (array_type(*[array.ctypes.data for array in args]),
-                  tuple(args))
-        with memo_lock:
-            memo[key] = cached
-            while len(memo) > _BINDING_MEMO_CAP:
-                memo.popitem(last=False)
-        return cached
+        return (array_type(*[array.ctypes.data for array in args]),
+                tuple(args))
 
     def invoke(pointers, pinned):
         # ``pinned`` (the arrays) is what a prepared call holds them by.
@@ -258,12 +238,7 @@ def make_entry(cfn, name, param_dtypes):
             raise error(message)
         return result
 
-    def entry(*args):
-        return invoke(*marshal(args))
-
-    entry.__name__ = name
-    entry.prepare = lambda args: functools.partial(invoke, *marshal(args))
-    return entry
+    return runtime.make_entry(invoke, marshal, name)
 
 
 def kernel_entry(c_source, name, param_dtypes, so_path=None):

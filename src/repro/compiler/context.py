@@ -19,6 +19,7 @@ from repro.ir import asm, ops
 from repro.ir.nodes import Literal, Load, Var
 from repro.ir.runtime import reserved_names
 from repro.rewrite import simplify_expr
+from repro.rewrite.rules import value_range
 from repro.util.errors import LoweringError
 from repro.util.namer import Namer
 
@@ -64,15 +65,17 @@ class Context:
             for role, buf in tensor_binding_buffers(tensor).items():
                 self._slot_roles.setdefault(id(buf), (slot, role))
 
-    def buffer(self, array, hint="buf"):
-        """Bind ``array`` as a kernel parameter; returns its Var."""
+    def buffer(self, array, hint="buf", bounds=None):
+        """Bind ``array`` as a kernel parameter; returns its Var, which
+        carries ``bounds``, the closed range of its elements, when given
+        (a level's declared coordinate bounds)."""
         key = id(array)
         if key not in self._buffers:
             name = self.namer.fresh(hint)
             self._buffers[key] = (name, array)
             self._buffer_order.append(key)
             self._plan.append(self._slot_roles.get(key))
-        return Var(self._buffers[key][0])
+        return Var(self._buffers[key][0], bounds)
 
     def bound_buffers(self):
         """``(name, array)`` pairs in binding order."""
@@ -125,11 +128,12 @@ class Context:
 
     def let(self, hint, value):
         """``value`` as an operand: itself if a literal or a variable,
-        else a fresh variable assigned it once."""
+        else a fresh variable assigned it once, bounded by the value's
+        range."""
         value = simplify_expr(value)
         if isinstance(value, (Literal, Var)):
             return value
-        var = Var(self.freshen(hint))
+        var = Var(self.freshen(hint), value_range(value))
         self.emit(asm.AssignStmt(var, value))
         return var
 

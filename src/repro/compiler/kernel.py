@@ -49,7 +49,6 @@ update, giving a deterministic work measure used by the benchmark
 harness alongside wall-clock time.
 """
 
-import functools
 import threading
 import time
 from collections import OrderedDict
@@ -66,9 +65,9 @@ from repro.compiler.key import KernelKey
 from repro.compiler.lower import Lowerer
 from repro.compiler.tiers import read_through
 from repro.ir import asm, emit
-from repro.ir.emit import scalar_views
+from repro.ir.dtypes import viewable
 from repro.ir.optimize import DEFAULT_OPT_LEVEL, optimize_kernel
-from repro.ir.runtime import kernel_globals
+from repro.ir.runtime import kernel_globals, python_entry
 from repro.tensors import share as _share
 from repro.util import config as _config
 from repro.util.errors import BindingError, SpecError
@@ -88,13 +87,15 @@ from repro.util.errors import BindingError, SpecError
 #: ``.so`` sibling when one is present).
 #: Version 4 dropped the source as lowered, which is the ``source`` of
 #: the same program compiled at ``opt_level=0``.
-SPEC_VERSION = 4
+#: Version 5 added ``views``, the parameters the python entry hands the
+#: kernel as element views (the source no longer takes them itself).
+SPEC_VERSION = 5
 
 #: Every key of a spec besides ``spec_version``, in spec order.  Each
 #: is also the :class:`CompiledKernel` attribute and constructor
 #: parameter of that name: ``to_spec`` and ``from_spec`` both walk
 #: this table, so a new field is added here (and to ``__init__``).
-SPEC_FIELDS = ("name", "source", "backend", "c_source",
+SPEC_FIELDS = ("name", "source", "views", "backend", "c_source",
                "c_param_dtypes", "opt_level", "plan", "signatures",
                "alias_groups", "instrument", "constant_loop_rewrite",
                "compile_seconds", "structural_key", "slot_names")
@@ -137,15 +138,18 @@ class CompiledKernel:
                  instrument, compile_seconds, structural_key=None,
                  slot_names=None, constant_loop_rewrite=True,
                  backend="python", c_source=None, c_param_dtypes=None,
-                 so_path=None, code=None):
-        # ``fn`` is the *active* entry point: the C wrapper (and then
+                 so_path=None, code=None, views=()):
+        # ``fn`` is the *active* entry point: the C one (and then
         # ``so_path`` names its shared object) when the C backend
-        # produced one, the exec'd Python function otherwise (and then
-        # ``code`` is the module code object ``source`` compiled to,
-        # which the disk store keeps beside the entry).  Both take the
-        # same positional buffers, so every runner (Kernel.run, the
-        # batch workers) stays backend-agnostic.
+        # produced one, the exec'd Python function's otherwise (and
+        # then ``code`` is the module code object ``source`` compiled
+        # to, which the disk store keeps beside the entry).  Both take
+        # the same positional buffers and prepare a binding's call
+        # (:func:`repro.ir.runtime.make_entry`), so every runner
+        # (Kernel.run, the batch workers) stays backend-agnostic.
+        # ``views`` names the parameters the python entry views.
         self.fn = fn
+        self.views = tuple(views)
         self.backend = backend
         self.c_source = c_source
         self.c_param_dtypes = (None if c_param_dtypes is None
@@ -257,7 +261,7 @@ class CompiledKernel:
         spec = {**_SPEC_DEFAULTS, **spec}
         fields = {key: _frozen(spec[key]) for key in SPEC_FIELDS}
         fn, built_path, code = _entry_point(
-            fields["name"], fields["source"],
+            fields["name"], fields["source"], fields["views"],
             fields["c_source"] if fields["backend"] == "c" else None,
             fields["c_param_dtypes"], so_path=so_path, code=code)
         return cls(fn=fn, so_path=built_path, code=code,
@@ -461,9 +465,7 @@ class Kernel:
             result = self._artifact.fn(*self._with_overrides(overrides)[1])
         else:
             if self._call is None:      # the binding's call, prepared once
-                fn = self._artifact.fn
-                self._call = fn.prepare(self._args) if hasattr(
-                    fn, "prepare") else functools.partial(fn, *self._args)
+                self._call = self._artifact.fn.prepare(self._args)
             result = self._call()
         return result if self._artifact.instrument else None
 
@@ -651,12 +653,13 @@ def kernel_cache():
     return KERNEL_CACHE
 
 
-def _entry_point(name, source, c_source, c_param_dtypes, so_path=None,
-                 code=None):
+def _entry_point(name, source, views, c_source, c_param_dtypes,
+                 so_path=None, code=None):
     """The active entry point of one kernel, as ``(fn, so_path,
     code)``: the native entry and its shared object when ``c_source``
     loads or compiles (``so_path``, a persisted ``.so``, is tried
-    first); else the python function — ``exec``'d only here, when no C
+    first); else the python function's entry, viewing the parameters
+    ``views`` names — the function ``exec``'d only here, when no C
     entry is live — and the module code object it came from (``code``
     when given, which must be ``source`` compiled: the store hands
     back the one it kept).  A toolchain failure is a logged fallback,
@@ -674,7 +677,7 @@ def _entry_point(name, source, c_source, c_param_dtypes, so_path=None,
         code = compile(source, "<repro-kernel>", "exec")
     namespace = kernel_globals()
     exec(code, namespace)
-    return namespace[name], None, code
+    return python_entry(namespace[name], views), None, code
 
 
 def _compile_artifact(program, walk, instrument, name,
@@ -700,14 +703,11 @@ def _compile_artifact(program, walk, instrument, name,
     params = [name_ for name_, _ in ctx.bound_buffers()]
     returns = (ctx.ops_var.name,) if instrument else ()
     func = asm.FuncDef(name, params, body, returns=returns)
+    views = ()
     if opt_level > 0:
         func = optimize_kernel(func, opt_level, ctx.bound_buffers())
-        # The python source alone reads through views; the C emitter
-        # below takes ``func`` as the optimizer left it.
-        source = emit(scalar_views(func, ctx.bound_buffers(),
-                                   ctx.binding_plan()))
-    else:
-        source = emit(func)
+        views = viewable(func, ctx.bound_buffers(), ctx.binding_plan())
+    source = emit(func)
 
     c_source = None
     c_param_dtypes = None
@@ -721,7 +721,7 @@ def _compile_artifact(program, walk, instrument, name,
             c_param_dtypes = [dtype_map[p] for p in func.params]
         except codegen.CUnsupportedError as exc:
             codegen.note_fallback(name, str(exc))
-    fn, so_path, code = _entry_point(name, source, c_source,
+    fn, so_path, code = _entry_point(name, source, views, c_source,
                                      c_param_dtypes)
 
     plan = ctx.binding_plan()
@@ -757,6 +757,7 @@ def _compile_artifact(program, walk, instrument, name,
         c_param_dtypes=c_param_dtypes,
         so_path=so_path,
         code=code,
+        views=views,
     )
 
 

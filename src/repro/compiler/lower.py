@@ -164,6 +164,16 @@ def read_setup(setup, stmt):
     return asm.Block(reversed(kept))
 
 
+def folded_seek(stmt):
+    """A seek statement with its search simplified; none when that
+    leaves the cursor where it is (``q = q``: a search from a key no
+    coordinate is below, :func:`repro.rewrite.rules.rule_seek_at_start`)."""
+    stmt = asm.map_statement_exprs(stmt, simplify_expr)
+    if isinstance(stmt, asm.AssignStmt) and stmt.target == stmt.value:
+        return None
+    return stmt
+
+
 def bind_index(stmt, name, value):
     """``stmt`` reading the variable ``name`` as ``value``, with what
     that decides folded: each expression reading it is simplified
@@ -448,8 +458,9 @@ class Lowerer:
             for piece in node.looplet.preamble(self.ctx):
                 self.ctx.emit(piece)
             for piece in node.looplet.seek(self.ctx, start):
-                self.ctx.emit(piece)
-            # A seek is one unit of coiteration work (a binary search).
+                self.ctx.emit(folded_seek(piece))
+            # A seek is one unit of coiteration work (a binary search),
+            # counted where its search folded away too.
             self.ctx.emit(self.ctx.count_op())
 
         def loop_body():

@@ -37,6 +37,12 @@ class Level:
     #: order — also the attribute names, the :meth:`buffers` hints and
     #: the keys of :meth:`build`'s result.
     ARRAYS = ()
+    #: the closed value range ``(lo, hi)`` of each of ``ARRAYS`` that
+    #: the constructor enforces, ``hi`` counted from the dimension
+    #: ``n``: ``{"idx": (0, -1)}`` is ``0 <= idx[q] <= n - 1``.  Read
+    #: through :meth:`bind`, it lets the lowerer fold seeks and clamps
+    #: (:func:`repro.rewrite.rules.value_range`).
+    BOUNDS = {}
     #: True for value-compressing formats, legal only innermost.
     LEAF_ONLY = False
     #: protocols this level accepts, in addition to its default.
@@ -113,6 +119,14 @@ class Level:
         """Mapping of buffer-name hints to the numpy arrays backing the
         level (used by the compiler to bind kernel arguments)."""
         return {name: getattr(self, name) for name in self.ARRAYS}
+
+    def bind(self, ctx, name):
+        """Bind the array ``name`` as a kernel parameter: its Var, with
+        the bounds :attr:`BOUNDS` declares for it."""
+        bounds = self.BOUNDS.get(name)
+        if bounds is not None:
+            bounds = (bounds[0], self.shape + bounds[1])
+        return ctx.buffer(getattr(self, name), name, bounds)
 
 
 class FiberSlice:

@@ -43,15 +43,19 @@ def run_stops(starts):
 
 def check_tiling(level, ends, noun):
     """What the run formats validate: within every fiber of ``level``
-    the exclusive ``ends`` increase strictly, up to exactly the
-    dimension.  Raises naming the first fiber where they do not."""
+    the exclusive ``ends`` increase strictly from above 0 up to exactly
+    the dimension, so each lies in ``[1, n]`` (a 0-wide level stores
+    none).  Raises naming the first fiber where they do not."""
     if not level.shape:
+        if level.shape == 0 and len(ends):
+            raise FormatError("a 0-wide level stores no %s" % noun)
         return
     pos = level.pos
     fiber = fiber_of(pos)
     empty = pos[1:] == pos[:-1]
     bad = empty.copy()
-    bad[~empty] = ends[pos[1:][~empty] - 1] != level.shape
+    bad[~empty] = ((ends[pos[1:][~empty] - 1] != level.shape)
+                   | (ends[pos[:-1][~empty]] < 1))
     bad[fiber[1:][(ends[1:] <= ends[:-1]) & (fiber[1:] == fiber[:-1])]] = True
     if bad.any():
         raise FormatError("fiber %d %s must increase and tile [0, %d)"
@@ -73,6 +77,7 @@ class RunLengthLevel(Level):
 
     NAME = "rle"
     ARRAYS = ("pos", "right")
+    BOUNDS = {"right": (1, 0)}
     LEAF_ONLY = True
     PROTOCOLS = ("walk",)
     DEFAULT_PROTOCOL = "walk"
@@ -94,7 +99,7 @@ class RunLengthLevel(Level):
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
         pos_buf = ctx.buffer(self.pos, "pos")
-        right_buf = ctx.buffer(self.right, "right")
+        right_buf = self.bind(ctx, "right")
         q = Var(ctx.freshen("q"))
         q_stop = Var(ctx.freshen("q_stop"))
         ctx.emit(asm.AssignStmt(q, Load(pos_buf, pos)))

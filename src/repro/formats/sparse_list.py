@@ -43,6 +43,7 @@ class SparseListLevel(Level):
 
     NAME = "sparse"
     ARRAYS = ("pos", "idx")
+    BOUNDS = {"idx": (0, -1)}
     PROTOCOLS = ("walk", "gallop")
     DEFAULT_PROTOCOL = "walk"
 
@@ -87,7 +88,7 @@ class SparseListLevel(Level):
     def _enter_fiber(self, ctx, pos):
         """Emit per-fiber setup: the position cursor and its bounds."""
         pos_buf = ctx.buffer(self.pos, "pos")
-        idx_buf = ctx.buffer(self.idx, "idx")
+        idx_buf = self.bind(ctx, "idx")
         q = Var(ctx.freshen("q"))
         q_stop = Var(ctx.freshen("q_stop"))
         ctx.emit(asm.AssignStmt(q, Load(pos_buf, pos)))

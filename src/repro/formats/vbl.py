@@ -36,6 +36,7 @@ class SparseVBLLevel(Level):
 
     NAME = "vbl"
     ARRAYS = ("pos", "end", "ofs")
+    BOUNDS = {"end": (1, 0)}
     PROTOCOLS = ("walk", "gallop")
     DEFAULT_PROTOCOL = "walk"
 
@@ -69,7 +70,7 @@ class SparseVBLLevel(Level):
     def unfurl(self, ctx, pos, proto=None):
         proto = self.resolve_protocol(proto)
         pos_buf = ctx.buffer(self.pos, "pos")
-        end_buf = ctx.buffer(self.end, "end")
+        end_buf = self.bind(ctx, "end")
         ofs_buf = ctx.buffer(self.ofs, "ofs")
         b = Var(ctx.freshen("b"))
         b_stop = Var(ctx.freshen("b_stop"))

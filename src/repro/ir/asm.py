@@ -163,18 +163,6 @@ class If(Stmt):
         return all(body.is_nop() for _, body in self.branches)
 
 
-class View(Stmt):
-    """Re-bind the parameter ``buffer`` to an element view of itself:
-    from here on ``buffer[i]`` reads and stores a Python scalar, not a
-    numpy one.  Built only by :func:`repro.ir.emit.scalar_views`, after
-    the optimizer and for the python printer alone."""
-
-    __slots__ = ("buffer",)
-
-    def __init__(self, buffer):
-        self.buffer = as_expr(buffer)
-
-
 class FuncDef(Stmt):
     """Top-level function wrapper for a compiled kernel."""
 
@@ -219,8 +207,6 @@ def statement_exprs(stmt):
         for cond, _ in stmt.branches:
             if cond is not None:
                 yield cond
-    elif isinstance(stmt, View):
-        yield stmt.buffer
 
 
 def target_address(target):
@@ -359,8 +345,6 @@ def effects(stmt):
                 exprs = (stmt.value,)   # a plain write does not read it
     elif isinstance(stmt, ForLoop):
         writes.add(stmt.var.name)
-    elif isinstance(stmt, View):
-        writes.add(stmt.buffer.name)    # read, too: see statement_exprs
     for expr in exprs:
         reads |= expr.free_vars()
     for child in child_statements(stmt):

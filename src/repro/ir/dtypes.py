@@ -5,8 +5,10 @@ The reference semantics are those of an ``opt_level=0`` kernel: a load
 is a numpy scalar of its buffer's dtype, and numpy promotes by NEP 50 —
 a Python literal is *weak*, it takes the width of the numpy operand it
 meets (``np.uint8(200) * 25`` wraps in ``uint8``), and a comparison
-gives ``bool``.  An element view (:func:`repro.ir.emit.scalar_views`)
-reads a Python ``int``/``float``/``bool``, which is weak everywhere.
+gives ``bool``.  An element view — what a python kernel's entry hands
+it in place of a parameter's ndarray
+(:func:`repro.ir.runtime.python_entry`) — reads a Python
+``int``/``float``/``bool``, which is weak everywhere.
 
 One walk over the statements, repeated for the assignments until no
 variable grows (:func:`sites`), gives every expression the set of types
@@ -327,7 +329,9 @@ def sums_alike(func, buffers):
 
 def viewable(func, buffers, plan):
     """The parameters of ``func`` a python kernel may read and store
-    through element views, in parameter order.
+    through element views, in parameter order: the view set an artifact
+    carries (``CompiledKernel.views``), which its entry turns into
+    views once per binding.
 
     ``buffers`` are the compile-time ``(name, array)`` pairs and ``plan``
     their binding-plan entries.  A candidate has a plan entry (a buffer

@@ -1,15 +1,14 @@
 """Emit target AST as Python source text.
 
-The python backend's last step also lives here: :func:`scalar_views`
-opens an optimized kernel with ``p = memoryview(p)`` for every
-parameter its body only indexes one element at a time, so the scalar
+The source reads a parameter as whatever the kernel is called with:
+its entry (:func:`repro.ir.runtime.python_entry`) hands over an element
+view of every parameter the dtype pass lets it
+(:func:`repro.ir.dtypes.viewable`), once per binding, so the scalar
 loop computes on Python ``int``/``float`` and not on boxed numpy
-scalars.  Kernel *arguments* are ndarrays all the same; a view is a
-local of one call.
+scalars; nothing in the source says which.
 """
 
 from repro.ir import asm
-from repro.ir.dtypes import viewable
 from repro.ir.nodes import Call
 from repro.ir.pretty import expr_source
 from repro.util.errors import ReproError
@@ -18,7 +17,7 @@ _INDENT = "    "
 
 #: The builtins emitted statements call; no compiler-made name may
 #: shadow one (:func:`repro.ir.runtime.reserved_names`).
-BUILTINS = ("range", "memoryview", "round")
+BUILTINS = ("range", "round")
 
 
 def emit(stmt, indent=0):
@@ -43,9 +42,6 @@ def _emit(stmt, depth, lines):
                                     expr_source(stmt.value)))
     elif isinstance(stmt, asm.AccumStmt):
         _emit_accum(stmt, pad, lines)
-    elif isinstance(stmt, asm.View):
-        lines.append("%s%s = memoryview(%s)" % (pad, stmt.buffer.name,
-                                                 stmt.buffer.name))
     elif isinstance(stmt, asm.ForLoop):
         lines.append("%sfor %s in range(%s, %s):" % (
             pad, stmt.var.name, expr_source(stmt.start),
@@ -110,18 +106,3 @@ def _emit_body(body, depth, lines):
     if len(lines) == before:
         lines.append(_INDENT * depth + "pass")
 
-
-# --------------------------------------------------------------------------
-# Scalar views
-# --------------------------------------------------------------------------
-def scalar_views(func, buffers, plan):
-    """``func`` opening with an :class:`~repro.ir.asm.View` of every
-    parameter that may be read and stored as Python scalars
-    (:func:`repro.ir.dtypes.viewable`); ``func`` itself when there is
-    none.  ``buffers`` are the compile-time ``(name, array)`` pairs in
-    parameter order and ``plan`` their binding-plan entries."""
-    views = [asm.View(name) for name in viewable(func, buffers, plan)]
-    if not views:
-        return func
-    return asm.FuncDef(func.name, func.params,
-                       asm.Block(views + [func.body]), returns=func.returns)

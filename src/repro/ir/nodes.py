@@ -24,7 +24,10 @@ class Expr:
 
     #: ``_simple``: set by :func:`repro.rewrite.simplify_expr` on a
     #: normal form of the default rules (a cache, not part of the value).
-    __slots__ = ("_simple",)
+    #: ``_range``: the closed ``(lo, hi)`` range of the value, kept by
+    #: :func:`repro.rewrite.rules.value_range` (also a cache) or given
+    #: to a :class:`Var`.
+    __slots__ = ("_simple", "_range")
 
     #: Whether the value is a numpy vector (a slice, or a call over one).
     vector = False
@@ -88,12 +91,20 @@ class Literal(Expr):
 
 
 class Var(Expr):
-    """A runtime variable in the emitted kernel (loop index, position...)."""
+    """A runtime variable in the emitted kernel (loop index, position...).
+
+    ``bounds`` is a closed range ``(lo, hi)`` its value always lies in
+    — of each element, for a buffer parameter — when the compiler knows
+    one: a level's declared coordinate bounds, or the range of the one
+    value a named temporary is assigned.  It is not part of the
+    variable's identity."""
 
     __slots__ = ("name",)
 
-    def __init__(self, name):
+    def __init__(self, name, bounds=None):
         self.name = name
+        if bounds is not None:
+            self._range = bounds
 
     def key(self):
         return ("var", self.name)

@@ -132,7 +132,9 @@ class Op:
         ``("logical", "&&", 5)``, ``("conditional",)``,
         ``("magnitude",)``, ``("search", "fl_search_ge")``,
         ``("checked", "fl_round_u8")`` (a helper that reports Python's
-        error through the kernel's status).  ``None``: kernels using the
+        error through the kernel's status; ``("checked", "fl_sqrt",
+        "takes_truth")`` when a truth-valued operand computes alike,
+        as ``math.sqrt(True)`` does).  ``None``: kernels using the
         op fall back to the python backend.  Like the python backend, C
         reads its types off the dtype pass, not off the declaration.
     """
@@ -342,7 +344,8 @@ NOT = register_op(Op("not", lambda a: not a, symbol="not ", precedence=5,
 ABS = register_op(Op("abs", abs, total=True, exact=True,
                      numpy=("unary", "_np.abs(%s)"), c=("magnitude",)))
 SQRT = register_op(Op("sqrt", math.sqrt, runtime_name="_sqrt", exact=True,
-                      numpy=("unary", "_np.sqrt(%s)"), c=("helper", "sqrt")))
+                      numpy=("unary", "_np.sqrt(%s)"),
+                      c=("checked", "fl_sqrt", "takes_truth")))
 COALESCE = register_op(Op("coalesce", _coalesce, propagates_missing=False,
                           exact=True, python=("first_not_none",)))
 IFELSE = register_op(Op("ifelse", _ifelse, propagates_missing=False,

@@ -1,4 +1,5 @@
-"""The namespace emitted kernels execute in.
+"""The namespace emitted kernels execute in, and the entry point both
+backends are called through.
 
 Compiled kernels are executed with :func:`kernel_globals` as their
 namespace: the runtime callable of every registered op that prints as a
@@ -8,16 +9,26 @@ expressions), numpy as ``_np`` for slice operations, and
 ``_inf``/``_nan``, which is how the printer spells the non-finite float
 literals.  Every helper bound here
 takes Python and numpy scalars alike, and the search helpers an index
-buffer that is an ndarray or the element view a kernel took of one
-(:func:`repro.ir.emit.scalar_views`).
+buffer that is an ndarray or an element view of one.
 
 The namespace is assembled once — a snapshot of the op registry — and
 cheaply copied per ``exec``; late-registered ops invalidate the
 snapshot via the registry's version counter instead of forcing a full
 rebuild on every compile.
+
+:func:`make_entry` is what a kernel is called through, on either
+backend: ``entry(*args)`` takes the ndarrays a binding resolves to, and
+``entry.prepare(args)`` the zero-argument call a bound ``Kernel`` keeps.
+Both marshal a binding once — a python kernel's element views
+(:func:`python_entry`), a C kernel's pointer array
+(:func:`repro.codegen.toolchain.make_entry`) — and memoize it by
+argument identity.
 """
 
+import functools
 import math
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -51,3 +62,63 @@ def reserved_names():
     kernel namespace and the builtins the printer calls); compiler
     temps must avoid them all."""
     return set(_base_globals()).union(BUILTINS)
+
+
+#: Marshalled bindings memoized per kernel entry (LRU).
+BINDING_MEMO_CAP = 64
+
+
+def make_entry(invoke, marshal, name):
+    """A kernel entry point: ``entry(*args)`` is ``invoke(*marshal(args))``
+    and ``entry.prepare(args)`` that call with ``marshal(args)`` bound.
+
+    ``marshal`` turns one binding's arguments into ``invoke``'s, and
+    is called once per distinct binding: its result is memoized keyed
+    by argument identities, in a small LRU so retired bindings release
+    their arrays.  Each result must hold references to the arguments
+    (a memoized identity can then never be recycled while it is still
+    served), as must a prepared call.
+    """
+    memo = OrderedDict()
+    lock = threading.Lock()
+
+    def marshalled(args):
+        key = tuple(map(id, args))
+        with lock:
+            cached = memo.get(key)
+            if cached is not None:
+                memo.move_to_end(key)
+                return cached
+        cached = marshal(args)
+        with lock:
+            memo[key] = cached
+            while len(memo) > BINDING_MEMO_CAP:
+                memo.popitem(last=False)
+        return cached
+
+    def entry(*args):
+        return invoke(*marshalled(args))
+
+    entry.__name__ = name
+    entry.prepare = lambda args: functools.partial(invoke,
+                                                   *marshalled(args))
+    return entry
+
+
+def python_entry(fn, views):
+    """The entry of the exec'd python kernel ``fn``: each parameter
+    named in ``views`` (:func:`repro.ir.dtypes.viewable`) is handed to
+    it as an element view of its ndarray, so its loads and stores are
+    Python scalars; the rest as they are."""
+    code = fn.__code__
+    params = code.co_varnames[:code.co_argcount]
+    viewed = [pos for pos, name in enumerate(params) if name in views]
+
+    def marshal(args):
+        args = list(args)
+        if len(args) == len(params):    # else calling ``fn`` raises
+            for pos in viewed:
+                args[pos] = memoryview(args[pos])
+        return args
+
+    return make_entry(fn, marshal, fn.__name__)

@@ -8,13 +8,21 @@ annihilator elements (``x * 0 => 0``, ``x + 0 => x``, ``or(..., true,
 ...) => true``), negation normalization, ``missing`` propagation, and
 ``coalesce`` short-circuiting.
 
+Two rules read what a level guarantees about its coordinates
+(``Level.BOUNDS``, carried by each buffer's :class:`~repro.ir.nodes.Var`)
+through one query, :func:`value_range`: a seek to a key at or below
+every coordinate is its start, and a ``min``/``max`` drops an operand
+another one always beats.
+
 Users can extend the set with domain rules (semirings and beyond), as
 the paper encourages — pass extra rules to
 :func:`repro.rewrite.simplify.simplify_expr`.
 """
 
+import math
+
 from repro.ir import build, ops
-from repro.ir.nodes import Call, Literal
+from repro.ir.nodes import Call, Literal, Load
 
 _VARIADIC_BUILDERS = {
     "add": build.plus,
@@ -181,6 +189,79 @@ def rule_affine_comparison(expr):
     return Literal(compare(lhs_offset - rhs_offset))
 
 
+UNBOUNDED = (-math.inf, math.inf)
+
+
+#: How the range of a call follows from its operands' ranges.
+_RANGE_OF_CALL = {
+    ops.ADD: lambda ranges: (sum(lo for lo, _ in ranges),
+                             sum(hi for _, hi in ranges)),
+    ops.SUB: lambda ranges: (ranges[0][0] - ranges[1][1],
+                             ranges[0][1] - ranges[1][0]),
+    ops.MIN: lambda ranges: (min(lo for lo, _ in ranges),
+                             min(hi for _, hi in ranges)),
+    ops.MAX: lambda ranges: (max(lo for lo, _ in ranges),
+                             max(hi for _, hi in ranges)),
+    ops.IFELSE: lambda ranges: (min(ranges[1][0], ranges[2][0]),
+                                max(ranges[1][1], ranges[2][1])),
+}
+
+
+def value_range(expr):
+    """The closed range ``(lo, hi)`` an integer expression's value lies
+    in, ``UNBOUNDED`` when nothing is known (and for every value that
+    is not an ``int``): an ``int`` literal is itself, a load is what
+    its buffer declares, a variable what it was declared with, and
+    ``+``, ``-``, ``min``, ``max`` and ``ifelse`` combine their
+    operands'.  Kept on the node, so each node is asked once."""
+    try:
+        return expr._range
+    except AttributeError:
+        pass
+    if isinstance(expr, Literal):
+        value = expr.value
+        found = (value, value) if type(value) is int else UNBOUNDED
+    elif isinstance(expr, Load):
+        found = value_range(expr.buffer)
+    elif isinstance(expr, Call) and expr.op in _RANGE_OF_CALL:
+        found = _RANGE_OF_CALL[expr.op]([value_range(arg)
+                                         for arg in expr.args])
+    else:
+        found = UNBOUNDED
+    expr._range = found
+    return found
+
+
+def rule_seek_at_start(expr):
+    """``search_ge(idx, lo, hi, key) => lo`` when ``key`` is at or
+    below every value ``idx`` may hold: the first position at or past
+    the key is the first one searched."""
+    if isinstance(expr, Call) and expr.op is ops.SEARCH_GE:
+        buffer, lo, _, key = expr.args
+        if value_range(key)[1] <= value_range(buffer)[0]:
+            return lo
+    return None
+
+
+def rule_unreachable_operand(expr):
+    """``min``/``max`` keep only the operands they can pick:
+    ``min(x, y) => x`` when ``x`` is never above ``y`` (``max``: never
+    below), by their :func:`value_range`."""
+    if not isinstance(expr, Call) or expr.op not in (ops.MIN, ops.MAX):
+        return None
+    beats = ((lambda mine, other: other[1] <= mine[0]) if expr.op is ops.MIN
+             else (lambda mine, other: other[0] >= mine[1]))
+    kept = [(arg, value_range(arg)) for arg in expr.args]
+    for item in list(kept):
+        if any(other is not item and beats(item[1], other[1])
+               for other in kept):
+            kept.remove(item)
+    if len(kept) == len(expr.args):
+        return None
+    return kept[0][0] if len(kept) == 1 else Call(
+        expr.op, [arg for arg, _ in kept])
+
+
 DEFAULT_EXPR_RULES = (
     rule_missing_propagation,
     rule_renormalize,
@@ -191,4 +272,6 @@ DEFAULT_EXPR_RULES = (
     rule_self_comparison,
     rule_affine_comparison,
     rule_ifelse_literal_condition,
+    rule_seek_at_start,
+    rule_unreachable_operand,
 )

@@ -11,6 +11,7 @@ Data is integer-valued throughout, so every comparison is exact
 ``==``; there is no tolerance for a divergence to hide behind.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -294,6 +295,9 @@ class TestNoCompilerFallback:
     def broken_toolchain(self, monkeypatch):
         monkeypatch.setenv("FL_CC", "/nonexistent/definitely-not-a-cc")
         toolchain.reset()
+        # Nor is an earlier test's shared object served by source digest
+        # (two kernels differing in a folded-away literal share a source).
+        monkeypatch.setattr(toolchain, "_entries", {})
         codegen.clear_fallback_events()
         yield
         monkeypatch.undo()
@@ -349,7 +353,7 @@ class TestNoCompilerFallback:
         assert rebuilt.so_path is None
         assert rebuilt.source == kernel.source
         assert rebuilt.c_source == kernel.c_source  # kept for others
-        assert rebuilt.fn.__code__.co_filename == "<repro-kernel>"
+        assert rebuilt.code.co_filename == "<repro-kernel>"
         rebuilt.fn(*rebuilt.bind(program_tensors(program)))
         assert float(C.value) == 24.0
         assert "no C compiler" in codegen.fallback_events()[-1][1]
@@ -593,23 +597,40 @@ class TestRoundU8Errors:
             kernel.run()
 
 
-_DIVIDE_BY_ZERO = """
+_NATIVE_CALL = """
 import numpy as np
 from repro.codegen import c_emit, toolchain
 from repro.ir import Call, Load, Literal, asm, ops
 
-func = asm.FuncDef("divide", ("out", "a", "b"), asm.AssignStmt(
+name, dtype, operands = %r, %r, %r
+params = ["out"] + ["a%%d" %% k for k in range(len(operands))]
+func = asm.FuncDef("native", params, asm.AssignStmt(
     Load("out", Literal(0)),
-    Call(ops.get_op(%r), [Load("a", Literal(0)), Load("b", Literal(0))])))
-dtypes = ["int64"] * 3
+    Call(ops.get_op(name), [Load(p, Literal(0)) for p in params[1:]])))
+dtypes = [dtype] * len(params)
 entry, _ = toolchain.kernel_entry(
-    c_emit.emit_c(func, dict(zip(func.params, dtypes))), "divide", dtypes)
+    c_emit.emit_c(func, dict(zip(params, dtypes))), "native", dtypes)
+out = np.zeros(1, dtype=dtype)
 try:
-    entry(np.zeros(1, dtype=np.int64), np.array([7], dtype=np.int64),
-          np.zeros(1, dtype=np.int64))
+    entry(out, *[np.array([value], dtype=dtype) for value in operands])
+    print("=", repr(out[0].item()))
 except Exception as exc:
     print(type(exc).__name__, exc)
 """
+
+
+def native_call(name, dtype, *operands):
+    """What ``out[0] = name(a0[0], ...)`` prints in a child process
+    running the native kernel: ``= value`` or the error it raises."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(
+        repro.__file__)) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         _NATIVE_CALL % (name, dtype, [repr(value) for value in operands])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    return proc.stdout.strip()
 
 
 @needs_cc
@@ -621,16 +642,41 @@ class TestIntegerDivisionByZero:
 
     @pytest.mark.parametrize("name", ["floordiv", "mod"])
     def test_native_kernel_raises_like_python(self, name):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(
-            repro.__file__)) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", _DIVIDE_BY_ZERO % name],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, (proc.returncode, proc.stderr)
         with pytest.raises(ZeroDivisionError) as python:
             ops.get_op(name).fn(7, 0)
-        assert proc.stdout.strip() == "ZeroDivisionError %s" % python.value
+        assert native_call(name, "int64", 7, 0) \
+            == "ZeroDivisionError %s" % python.value
+
+
+@needs_cc
+class TestTrappingOperands:
+    """The other operands C leaves undefined or answers unlike Python,
+    each run in a child process as above."""
+
+    @pytest.mark.parametrize("name", ["floordiv", "mod"])
+    def test_int64_min_by_minus_one_wraps_like_numpy(self, name):
+        # ``INT64_MIN // -1`` traps on x86.  On int64 value operands (a
+        # python kernel never views them) numpy wraps the quotient to
+        # INT64_MIN; the remainder is 0, as on Python ints.
+        low = np.iinfo(np.int64).min
+        with np.errstate(all="ignore"):
+            want = ops.get_op(name).fn(np.int64(low), np.int64(-1))
+        assert native_call(name, "int64", int(low), -1) == "= %d" % want
+        assert native_call(name, "int64", 7, -1) \
+            == "= %d" % ops.get_op(name).fn(7, -1)
+
+    @pytest.mark.parametrize("value", [-1.0, -math.inf, -1e-300])
+    def test_sqrt_of_a_negative_raises_like_math(self, value):
+        with pytest.raises(ValueError) as python:
+            math.sqrt(value)
+        assert native_call("sqrt", "float64", value) \
+            == "ValueError %s" % python.value
+
+    @pytest.mark.parametrize("value", [math.nan, -0.0, 0.0, 2.25,
+                                       math.inf])
+    def test_sqrt_of_anything_else_is_sqrt(self, value):
+        assert native_call("sqrt", "float64", value) \
+            == "= %r" % math.sqrt(value)
 
 
 @needs_cc

@@ -54,13 +54,13 @@ def test_spec_key_set_is_golden():
     service): a key added or dropped needs a ``SPEC_VERSION`` bump, so
     the set is pinned here and not only derived from ``SPEC_FIELDS``."""
     spec = fl.compile_kernel(dot_program(*make_pair())).to_spec()
-    assert SPEC_VERSION == 4
+    assert SPEC_VERSION == 5
     assert list(spec) == ["spec_version"] + list(SPEC_FIELDS)
     assert sorted(spec) == [
         "alias_groups", "backend", "c_param_dtypes", "c_source",
         "compile_seconds", "constant_loop_rewrite", "instrument", "name",
         "opt_level", "plan", "signatures", "slot_names",
-        "source", "spec_version", "structural_key"]
+        "source", "spec_version", "structural_key", "views"]
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])
@@ -144,12 +144,12 @@ def test_identity_pinned_kernels_refuse_to_serialize():
 
 def test_opt_level_zero_spec_roundtrip():
     """Unoptimized artifacts serialize too: the spec's one source is
-    the lowered source."""
+    the lowered source, and it takes no element view."""
     program = dot_program(*make_pair())
     kernel = fl.compile_kernel(program, opt_level=0)
     spec = kernel.to_spec()
     assert spec["source"] == kernel.source
-    assert spec["source"] != fl.compile_kernel(program).source
+    assert spec["views"] == [] != list(fl.compile_kernel(program).artifact.views)
     rebuilt = CompiledKernel.from_spec(spec)
     tensors = program_tensors(program)
     rebuilt.fn(*rebuilt.bind(tensors))

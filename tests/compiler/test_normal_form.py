@@ -10,11 +10,16 @@ guarantee:
 * no ``ForLoop`` over a literal empty or unit extent;
 * no scalar assigned a literal or a variable exactly once (and never
   written again): that value is substituted, not assigned;
-* no load of a scalar output that is reset before it is read.
+* no load of a scalar output that is reset before it is read;
+* no seek to a key at or below every coordinate its array may hold,
+  and no ``min``/``max`` operand another one always beats, by each
+  level's declared coordinate bounds (``Level.BOUNDS``).
 
 The unit tests below drive the lowering context's constructors
 directly (literal accumulations, naming a value once, set-up nothing
-reads, binding a unit index).
+reads, binding a unit index), and pin what the bounds may not fold: a
+window narrower than its level keeps its clamp, and a level whose
+array breaks its declared bounds is not built.
 """
 
 import collections
@@ -27,12 +32,15 @@ import repro.lang as fl
 from repro.bench.figures import warm_start_programs
 from repro.compiler.context import Context
 from repro.compiler.lower import bind_index, read_setup
+from repro.formats import FORMATS, ElementLevel
 from repro.fuzz.gen import build_case, generate_spec
 from repro.ir import Call, Literal, Load, Slice, Var, asm, build, ops
 from repro.ir.emit import emit
 from repro.ir.nodes import Reduce
 from repro.ir.optimize import optimize_kernel
 from repro.rewrite import simplify_expr
+from repro.rewrite.rules import rule_unreachable_operand, value_range
+from repro.util.errors import FormatError
 
 
 def lowered_tree(program):
@@ -123,8 +131,39 @@ def dead_output_loads(func):
     return dead
 
 
+def calls(func, op):
+    """Every call of ``op`` in ``func``, nested ones included."""
+    found = []
+
+    def visit(expr):
+        if isinstance(expr, Call) and expr.op is op:
+            found.append(expr)
+        for child in expr.children():
+            visit(child)
+
+    for stmt in asm.walk_statements(func):
+        for expr in asm.statement_exprs(stmt):
+            visit(expr)
+    return found
+
+
+def seeks_to_the_start(func):
+    """Searches whose key is at or below every value the array may
+    hold: the cursor would stay where it is."""
+    return [call for call in calls(func, ops.SEARCH_GE)
+            if value_range(call.args[3])[1]
+            <= value_range(call.args[0])[0]]
+
+
+def bounded_clamps(func):
+    """``min``/``max`` calls with an operand another one always beats."""
+    return [call for op in (ops.MIN, ops.MAX) for call in calls(func, op)
+            if rule_unreachable_operand(call) is not None]
+
+
 @pytest.mark.parametrize("check", [literal_ifs, literal_short_loops,
-                                   single_copies, dead_output_loads],
+                                   single_copies, dead_output_loads,
+                                   seeks_to_the_start, bounded_clamps],
                          ids=lambda check: check.__name__)
 def test_lowered_kernels_are_in_normal_form(check, lowered):
     found = {name: check(func) for name, func in lowered.items()}
@@ -135,6 +174,57 @@ def test_the_walk_sees_figures_and_fuzz_specs(lowered):
     assert len(lowered) == 46
     assert sum(isinstance(stmt, asm.If) for func in lowered.values()
                for stmt in asm.walk_statements(func)) > 100
+    # The bound checks have something to look at: seeks that stay, and
+    # clamps by a declared bound.
+    assert sum(len(calls(func, ops.SEARCH_GE))
+               for func in lowered.values()) > 10
+    assert sum(value_range(call)[1] < float("inf")
+               for func in lowered.values()
+               for op in (ops.MIN, ops.MAX) for call in calls(func, op)) > 10
+
+
+class TestLevelBounds:
+    def test_the_declared_bounds(self):
+        assert {name: level.BOUNDS for name, level in FORMATS.items()
+                if level.BOUNDS} == {
+            "sparse": {"idx": (0, -1)}, "sparse_list": {"idx": (0, -1)},
+            "vbl": {"end": (1, 0)}, "rle": {"right": (1, 0)}}
+
+    @pytest.mark.parametrize("name, arrays", [
+        ("sparse", {"pos": [0, 2], "idx": [1, 6]}),
+        ("sparse", {"pos": [0, 2], "idx": [-1, 3]}),
+        ("vbl", {"pos": [0, 1], "end": [7], "ofs": [0, 2]}),
+        ("vbl", {"pos": [0, 1], "end": [0], "ofs": [0, 1]}),
+        ("rle", {"pos": [0, 2], "right": [0, 6]}),
+        ("rle", {"pos": [0, 2], "right": [-3, 6]}),
+        ("rle", {"pos": [0, 2], "right": [3, 7]}),
+    ])
+    def test_an_array_out_of_its_bounds_is_refused(self, name, arrays):
+        # Each bound a level declares is enforced where it is built, so
+        # the folds below it may rely on it.
+        values = ElementLevel(np.ones(4))
+        with pytest.raises(FormatError):
+            FORMATS[name](6, values, **arrays)
+
+    def test_a_window_narrower_than_the_level_keeps_its_clamp(self):
+        # vbl x dense under a window: the block ends shifted by the
+        # window's start reach past its width 4, so the stop is clamped
+        # to 4 and the start to 0 (folding both reads out of bounds).
+        a = np.array([0, 1.0, 2.0, 0, 0, 3.0, 4.0, 5.0, 0, 6.0])
+        b = np.array([1.0, 2.0, 3.0, 4.0])
+        A = fl.from_numpy(a, ("vbl",), name="A")
+        B = fl.from_numpy(b, ("dense",), name="B")
+        C = fl.Scalar(name="C")
+        i = fl.indices("i")
+        program = fl.forall(i, fl.increment(
+            C[()], fl.access(A, fl.window(i, 2, 6)) * B[i]))
+        func = lowered_tree(program)
+        clamps = [call.args for op in (ops.MIN, ops.MAX)
+                  for call in calls(func, op)]
+        assert any(Literal(4) in args for args in clamps)
+        assert any(Literal(0) in args for args in clamps)
+        fl.compile_kernel(program, cache=False).run()
+        assert C.value == a[2:6] @ b
 
 
 class TestLiteralAccumulation:

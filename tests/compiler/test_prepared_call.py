@@ -1,11 +1,15 @@
 """A bound kernel's ``run()`` makes the call its binding prepared.
 
-A C kernel marshals a binding's pointer array once — on the first
-``run()`` after a bind, a ``rebind`` or an adoption — and then calls
-its native entry directly.  Counted in Python-level calls
-(``cProfile``), which no machine's speed moves: a bound ``run()`` that
-went through the entry's identity memo every time made 5 calls, the
-prepared call makes 2.
+Both backends marshal a binding once — on the first ``run()`` after a
+bind, a ``rebind`` or an adoption — through one identity memo
+(:func:`repro.ir.runtime.make_entry`): a C kernel its pointer array,
+then it calls the native entry directly; a python kernel the element
+views of its view set (``CompiledKernel.views``), then it calls the
+exec'd function directly.  Counted in Python-level calls
+(``cProfile``), which no machine's speed moves: a bound C ``run()``
+that went through the identity memo every time made 5 calls, the
+prepared call makes 2; a bound python ``run()`` makes 2 (``run`` and
+the kernel) and takes no view.
 """
 
 import cProfile
@@ -16,12 +20,13 @@ import pytest
 
 import repro.lang as fl
 from repro import codegen
+from repro.ir import runtime
 from repro.util.errors import BindingError
 
-pytestmark = pytest.mark.skipif(not codegen.have_toolchain(),
-                                reason="no C compiler on PATH")
+needs_cc = pytest.mark.skipif(not codegen.have_toolchain(),
+                              reason="no C compiler on PATH")
 
-#: Python-level calls allowed per bound ``run()`` of a C kernel.
+#: Python-level calls allowed per bound ``run()``.
 CALLS_PER_RUN = 3
 
 A_DATA = np.array([0, 1.5, 0, 2.0, 0, 0, 3.0, 0])
@@ -33,20 +38,41 @@ def operand(data, name):
     return fl.from_numpy(data, ("sparse",), name=name)
 
 
-@pytest.fixture
-def dot():
-    """``(kernel, C)``: a native sparse dot, run once."""
-    A, B, C = operand(A_DATA, "A"), operand(B_DATA, "B"), fl.Scalar(name="C")
+def compile_dot(backend, C=None):
+    """``(kernel, C)``: a sparse dot on ``backend``, not yet run."""
+    A, B = operand(A_DATA, "A"), operand(B_DATA, "B")
+    C = fl.Scalar(name="C") if C is None else C
     i = fl.indices("i")
     kernel = fl.compile_kernel(fl.forall(i, fl.increment(C[()], A[i] * B[i])),
-                               cache=False, backend="c", name="prepared")
-    assert kernel.effective_backend == "c"
+                               cache=False, backend=backend,
+                               name="prepared_" + backend)
+    assert kernel.effective_backend == backend
+    return kernel, C
+
+
+@pytest.fixture(params=[pytest.param("c", marks=needs_cc), "python"])
+def dot(request):
+    """``(kernel, C)``: a sparse dot on each backend, run once."""
+    kernel, C = compile_dot(request.param)
     kernel.run()
     return kernel, C
 
 
+@pytest.fixture
+def views_made(monkeypatch):
+    """Every element view a python entry takes from here on."""
+    made = []
+
+    def counted(array):
+        made.append(array)
+        return memoryview(array)
+
+    monkeypatch.setattr(runtime, "memoryview", counted, raising=False)
+    return made
+
+
 def profiled(action):
-    """``(calls of the C entry's memo, total Python calls)`` of one
+    """``(calls of an entry's marshal, total Python calls)`` of one
     ``action()``."""
     profile = cProfile.Profile()
     profile.enable()
@@ -57,7 +83,8 @@ def profiled(action):
     stats = pstats.Stats(profile)
     marshals = sum(counts[0] for (path, _, name), counts
                    in stats.stats.items()
-                   if name == "marshal" and path.endswith("toolchain.py"))
+                   if name == "marshal"
+                   and path.endswith(("toolchain.py", "runtime.py")))
     return marshals, stats.total_calls
 
 
@@ -125,6 +152,7 @@ def test_an_adoption_prepares_again(dot):
         arena.close()
 
 
+@needs_cc
 @pytest.mark.parametrize("value, error", [
     (float("nan"), ValueError), (float("inf"), OverflowError),
     (float("-inf"), OverflowError)])
@@ -150,3 +178,49 @@ def test_a_status_raises_through_the_prepared_call(value, error):
         with pytest.raises(error) as got:
             run()
         assert str(got.value) == str(want.value)
+
+
+# ------------------------------------------------------------- python entry
+def test_a_bound_python_run_takes_no_view_after_its_first(views_made):
+    kernel, C = compile_dot("python")
+    assert {"val", "val_2", "idx", "idx_2"} <= set(kernel.artifact.views)
+    assert profiled(lambda: rerun(kernel, C))[0] == 1
+    assert len(views_made) == len(kernel.artifact.views)
+    del views_made[:]
+    marshals, calls = profiled(lambda: [kernel.run() for _ in range(50)])
+    assert (marshals, views_made) == (0, [])
+    # run() and the kernel each; the lambda, its list and disable.
+    assert calls <= 2 * 50 + 3
+    assert rerun(kernel, C) == DOT
+
+
+def test_a_python_override_views_each_new_binding_once(views_made):
+    kernel, C = compile_dot("python")
+    kernel.run()
+    other = operand(A_DATA * 5.0, "A")
+    for marshals in (1, 0):     # a new identity, then the memo's
+        C.set(0.0)
+        assert profiled(lambda: kernel.run(A=other))[0] == marshals
+        assert C.value == 5.0 * DOT
+    del views_made[:]
+    assert profiled(lambda: rerun(kernel, C))[0] == 0
+    assert (views_made, C.value) == ([], DOT)
+
+
+def test_a_python_source_takes_no_view_itself():
+    kernel, _ = compile_dot("python")
+    assert kernel.artifact.views and "memoryview(" not in kernel.source
+    level_0 = fl.compile_kernel(kernel.program, cache=False, opt_level=0)
+    assert level_0.artifact.views == ()
+
+
+def test_a_read_only_output_raises_on_the_preparing_run():
+    """docs/backends.md: a store through a view of a read-only output
+    raises ``TypeError``; the run that prepares the call is that run."""
+    C = fl.Scalar(name="C")
+    C.element.val.flags.writeable = False
+    kernel, _ = compile_dot("python", C)
+    assert "C_val" in kernel.artifact.views
+    for _ in range(2):
+        with pytest.raises(TypeError, match="read-only"):
+            kernel.run()

@@ -1,16 +1,17 @@
 """The python backend's scalar loop runs on Python scalars.
 
-At ``opt_level >= 1`` the emitted kernel opens with ``p =
-memoryview(p)`` for every parameter it only indexes one element at a
-time (:func:`repro.ir.emit.scalar_views`).  Three things are pinned
-here:
+At ``opt_level >= 1`` a python kernel is handed an element view
+(``memoryview``) of every parameter it only indexes one element at a
+time: the artifact carries that view set (``CompiledKernel.views``,
+from :func:`repro.ir.dtypes.viewable`) and its entry takes the views
+once per binding.  Three things are pinned here:
 
 * the values: the six figure programs, and ``y[i] = op(a[i], b[i])``
   for every ``exact`` operator over float64 data with signed zeros,
   infinities, NaN, denormals and an overflowing product, are
   bit-identical at every ``opt_level`` (0 takes no view) and to the
   reference interpreter;
-* the eligibility matrix, read off ``kernel.source``;
+* the eligibility matrix, read off the artifact's view set;
 * the ``exact`` declaration itself, derived from ``all_ops()`` with no
   operator named: equal results, or equal errors, on Python and numpy
   scalars.
@@ -32,7 +33,7 @@ from repro.bench.kernels import triangle_count_program
 from repro.cin.analyze import output_tensors
 from repro.formats.custom import LoopletTensor
 from repro.ir import asm, ops
-from repro.ir.emit import scalar_views
+from repro.ir.dtypes import viewable
 from repro.ir.nodes import Call, Literal, Load, Var
 from repro.looplets import Lookup
 from repro.tensors.output import RunOutput
@@ -40,22 +41,11 @@ from repro.workloads import graphs
 
 OPS = sorted(ops.all_ops().items())
 
-_VIEW_LINE = re.compile(r"^    (\w+) = memoryview\((\w+)\)$")
-
-
 def viewed(kernel):
-    """Names of the parameters ``kernel.source`` reads through a view;
-    the view lines are the first lines of the body."""
-    names = []
-    lines = kernel.source.splitlines()[1:]
-    for line in lines:
-        match = _VIEW_LINE.match(line)
-        if match is None:
-            break
-        assert match.group(1) == match.group(2)
-        names.append(match.group(1))
-    assert not any("memoryview(" in line for line in lines[len(names):])
-    return set(names)
+    """Names of the parameters ``kernel`` reads through a view: its
+    artifact's view set, which the source itself never spells."""
+    assert "memoryview(" not in kernel.source
+    return set(kernel.artifact.views)
 
 
 def bits(array):
@@ -258,9 +248,15 @@ class TestEligibility:
             kernel.run()
             views = viewed(kernel)
             if fmt == "rle":
-                # ``S += val[q] * (stop - start)``: the value and the
-                # run boundaries both stay numpy scalars.
-                assert not {"val", "right"} & views
+                # ``S += val[q] * (stop - start)``, both ends int64 run
+                # boundaries (no clamp adds a Python int literal: a run
+                # ends within the dimension): a float32 value times
+                # their difference computes in float64 on numpy and
+                # Python scalars alike, so both are viewed; a uint8
+                # value and the boundaries stay numpy scalars.
+                both = dtype is np.float32 and level > 0
+                assert ({"val", "right"} <= views) == both
+                assert not {"val", "right"} & views or both
             else:
                 # ``S += val[k]`` from ``S = 0.0``: a weak float takes a
                 # float32's width, and a uint8 value's float64.  (Level 2
@@ -381,9 +377,7 @@ class TestEligibility:
         def views(*stmts):
             func = asm.FuncDef("kernel", ("y", "a"), asm.Block(stmts))
             buffers = [("y", np.zeros(4)), ("a", np.zeros(4))]
-            func = scalar_views(func, buffers, [(0, "val"), (1, "val")])
-            return [stmt.buffer.name for stmt in func.body.stmts
-                    if isinstance(stmt, asm.View)]
+            return list(viewable(func, buffers, [(0, "val"), (1, "val")]))
         i = Literal(0)
         t = asm.AssignStmt("t", Call(ops.GT, [Load("a", i), 0.0]))
         u = asm.AssignStmt("u", Var("w"))       # ...assigned further down
@@ -470,11 +464,14 @@ class TestEligibility:
         kernel, C = _dot(A64, B64, opt_level=1)
         rebuilt = CompiledKernel.from_spec(kernel.to_spec())
         assert rebuilt.source == kernel.source
+        assert rebuilt.views == kernel.artifact.views
         C.set(0.0)
         Kernel(rebuilt, kernel.tensors, kernel.program).run()
         assert C.value == float(A64 @ B64)
 
-    def test_an_index_named_like_the_builtin_is_renamed(self):
+    def test_an_index_named_like_the_view_builtin_is_left_alone(self):
+        # The entry takes the views, so the source calls no
+        # ``memoryview`` an index could shadow.
         A = fl.from_numpy(A64, ("sparse",), name="A")
         B = fl.from_numpy(B64, ("dense",), name="B")
         C = fl.Scalar(name="C")
@@ -484,7 +481,6 @@ class TestEligibility:
             cache=False, opt_level=1)
         kernel.run()
         assert viewed(kernel) and C.value == float(A64 @ B64)
-        assert not re.search(r"\bmemoryview\b(?!\()", kernel.source)
 
     def test_an_index_named_like_round_is_renamed(self):
         A = fl.from_numpy(A64 * 100, ("sparse",), name="A")
@@ -537,6 +533,22 @@ NARROW_CASES = {
 
 
 class TestNarrowValues:
+    @pytest.mark.parametrize("runs", [[375], [200, 175]])
+    def test_a_run_length_computes_as_the_interpreter_does(self, runs):
+        # ``S += val[q] * (stop - cur)`` over float32 runs.  A clamp
+        # ``min(right[q], 375)`` used to hand a whole-dimension run the
+        # Python int 375, and ``v * (375 - 0)`` then rounded in float32
+        # where the interpreter multiplies in float64.  A run ends
+        # within the dimension, so no clamp is emitted.
+        vec = np.repeat(np.array([0.1, 0.3], np.float32)[:len(runs)], runs)
+        for level in (0, 1, 2):
+            R = fl.from_numpy(vec, ("rle",), name="R")
+            S = fl.Scalar(name="S")
+            i = fl.indices("i")
+            program = fl.forall(i, fl.increment(S[()], R[i]))
+            fl.compile_kernel(program, cache=False, opt_level=level).run()
+            assert bits(S.value) == bits(interpret(program).result_for(S))
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.float32],
                              ids=["uint8", "float32"])
     @pytest.mark.parametrize("case", sorted(NARROW_CASES))
@@ -556,7 +568,9 @@ class TestNarrowValues:
     def test_an_int64_structure_array_meets_it_as_a_numpy_scalar(
             self, dtype):
         # ``S += val[q] * (stop - start)``, the run boundaries from an
-        # int64 ``right``: neither side is viewed, at any level.
+        # int64 ``right``: a uint8 value wraps in int64 and not in a
+        # Python int, so neither side is viewed, at any level; a
+        # float32 one computes in float64 both ways, so both are.
         values = []
         for level in (0, 1, 2):
             R = fl.from_numpy(np.repeat(NARROW[dtype], 40), ("rle",),
@@ -568,7 +582,10 @@ class TestNarrowValues:
                 cache=False, opt_level=level)
             with np.errstate(all="ignore"):
                 kernel.run()
-            assert not {"val", "right"} & viewed(kernel)
+            if dtype is np.float32 and level > 0:
+                assert {"val", "right"} <= viewed(kernel)
+            else:
+                assert not {"val", "right"} & viewed(kernel)
             values.append(bits(S.value))
         assert values[0] == values[1] == values[2]
 

@@ -365,11 +365,6 @@ class TestExactEffects:
         assert first.stores == asm.effects(stmt).stores
         assert first.reads >= asm.effects(stmt).reads
 
-    def test_a_view_reads_and_rebinds_its_parameter(self):
-        view = asm.View("idx")
-        assert asm.effects(view) == ({"idx"}, {"idx"}, set())
-        assert emit(view) == "idx = memoryview(idx)\n"
-
     def test_loop_variable_is_written_by_the_loop_not_its_body(self):
         body = asm.AssignStmt(Load("out", Var("i")), Var("v"))
         loop = asm.ForLoop("i", Literal(0), Var("n"), body)
