@@ -3,16 +3,16 @@ and programs of the six reproduced figures.
 
 The persistent kernel store addresses kernels by structural key, and
 structural keys embed tensor *shapes* — so ahead-of-time compilation
-only pays off if the pack builder and everything that later compiles
+only pays off if the store warmer and everything that later compiles
 a figure construct bit-for-bit the same program structures.  This
 module is that single source: the input sizes, seeds, and program
 builders live here; ``tests/paper/`` and ``perf/`` build their inputs
 from them, and :func:`warm_start_programs` is the headline kernel per
-figure that ``python -m repro.store pack`` compiles into the
-``.flpack`` CI ships between jobs.
+figure that ``python -m repro.store warm`` compiles into the store
+directory CI ships between jobs.
 
 Suites (matrices, graphs, images) are memoized at module level: the
-registry is consulted by the pack builder, tests and ``perf/`` alike,
+registry is consulted by the store warmer, tests and ``perf/`` alike,
 and workload construction must not dominate any of them.
 """
 
@@ -122,7 +122,7 @@ def warm_start_programs():
 
     Each item is ``(figure, label, make_program, compile_opts)``;
     ``make_program`` builds a structurally-canonical program over
-    fresh tensors on every call.  The AOT pack carries exactly these
+    fresh tensors on every call.  A warmed store carries exactly these
     figure kernels, and a fresh process compiling them against a
     warmed store (or a warmed kernel service) must see a 100% hit
     rate — zero kernels compiled

@@ -13,8 +13,8 @@ in the two forms the cache tiers need:
   form carrying :func:`version_axes` (everything that decides whether
   a kernel compiled by *other* code is still the kernel this code
   would compile), and its content digest: the store's entry filename,
-  the service's ``/kernels/<digest>`` address, a pack's member name
-  and the worker pool's ship-once id.  Both are derived lazily, so a
+  the service's ``/kernels/<digest>`` address and the worker pool's
+  ship-once id.  Both are derived lazily, so a
   memory-tier hit hashes nothing.
 
 The version axes:
@@ -50,9 +50,9 @@ def code_fingerprint():
     assembles, and the lowerer reaches them through tensors, not
     imports — so the sound answer to "which code produced this
     kernel?" is the source tree; living in the package is what puts a
-    module in the key.  Any edit turns every persisted kernel, pack
-    entry and tuning into a miss, never a stale hit: a released
-    install's files never change, and CI rebuilds its pack per run.
+    module in the key.  Any edit turns every persisted kernel and
+    tuning into a miss, never a stale hit: a released install's files
+    never change, and CI warms its store per run.
     A source-less install falls back to the package version string.
     Computed once per process.
     """
@@ -74,7 +74,7 @@ def code_fingerprint():
 
 def version_axes():
     """The version axes of the running code — the fields every
-    persisted key (kernel entries, pack manifests, tuning records)
+    persisted key (kernel entries, tuning records)
     carries so that a change to the compiler reads as a miss."""
     from repro.compiler.kernel import SPEC_VERSION
 
@@ -135,9 +135,9 @@ class KernelKey:
         """The key of a serialized artifact (a ``to_spec`` dict).
 
         ``meta`` pins the plain-dict form to a key *recorded* next to
-        the spec (a pack member, an entry pushed to the service)
-        instead of deriving it from the running code's version axes:
-        such an entry is filed under the address it arrived with.
+        the spec (an entry pushed to the service) instead of deriving
+        it from the running code's version axes: such an entry is
+        filed under the address it arrived with.
         """
         from repro.compiler.kernel import _frozen
 

@@ -1,10 +1,10 @@
 """One read-through over the cache tiers, one way back from a spec.
 
 Every consumer that turns a :class:`~repro.compiler.key.KernelKey`
-into a live artifact — ``compile_kernel``, the pool worker, the pack
-loader, the service's compile queue — goes through the three pieces
-here, so tier order, promotion and write-behind exist exactly once
-(``docs/ARCHITECTURE.md`` §7 draws the shared picture)::
+into a live artifact — ``compile_kernel``, the pool worker, the store
+CLI's ``warm``/``verify``, the service's compile queue — goes through
+the three pieces here, so tier order, promotion and write-behind exist
+exactly once (``docs/ARCHITECTURE.md`` §7 draws the shared picture)::
 
     read_through(key, build):  memory ─► disk ─► remote ─► build()
     put(key, ...):             promote into the tiers above the one

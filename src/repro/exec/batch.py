@@ -67,6 +67,7 @@ from repro.compiler.key import KernelKey
 from repro.exec import pool as _pool
 from repro.exec import shm as _shm
 from repro.exec import worker as _worker
+from repro.util import config
 from repro.util.errors import (BatchExecutionError, BindingError,
                                is_transient)
 
@@ -220,16 +221,14 @@ class KernelPool:
         self._key = KernelKey.of(kernel.artifact)
         self._output_slots = tuple(kernel.output_slots)
         self.executor = executor
-        self._requested_workers = (int(max_workers)
-                                   if max_workers else None)
+        self._requested_workers = config.worker_count(max_workers)
         if executor == "serial":
             self.max_workers = 1
         elif worker_pool is not None:
             self.max_workers = worker_pool.max_workers
         else:
-            self.max_workers = int(max_workers or (os.cpu_count() or 1))
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
+            self.max_workers = (self._requested_workers
+                                or os.cpu_count() or 1)
         self._pool = None
         self._worker_pool = worker_pool
         self._explicit_pool = worker_pool is not None

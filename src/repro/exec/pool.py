@@ -82,6 +82,7 @@ import numpy as np
 from repro import chaos as _chaos
 from repro.exec import shm as _shm
 from repro.exec import worker as _worker
+from repro.util import config
 from repro.util.errors import (WorkerCrashError, WorkerStallError,
                                is_transient)
 
@@ -139,9 +140,8 @@ class WorkerPool:
     def __init__(self, max_workers=None, start_method=None,
                  chunk_target_s=0.01, deadline_s=None, max_retries=2,
                  backoff_s=0.05):
-        self.max_workers = int(max_workers or (os.cpu_count() or 1))
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
+        self.max_workers = (config.worker_count(max_workers)
+                            or os.cpu_count() or 1)
         method = start_method or default_start_method()
         if method not in mp.get_all_start_methods():
             raise ValueError(
@@ -594,8 +594,6 @@ def _config_pool_kwargs():
     currently prescribes (``fl.configure(pool_*=...)`` /
     ``FL_POOL_*``); unset options are omitted so the pool's own
     defaults apply."""
-    from repro.util import config
-
     kwargs = {}
     for arg, option in POOL_OPTION_ARGS.items():
         value = config.resolve(option)

@@ -80,9 +80,9 @@ CHAOS_PLAN = {"worker_crash": {"nth": 1}}
 
 #: The compile options of the compiling oracles: ``compiled@0/1/2``
 #: (indexed by opt level; the round-trip oracles reuse ``@2``) and
-#: ``c_backend`` last.  The AOT pack builder (:mod:`repro.store.pack`)
-#: compiles every case under exactly these, which is what lets a store
-#: warmed from a pack serve every compile of a campaign.
+#: ``c_backend`` last.  ``python -m repro.store warm`` compiles every
+#: case under exactly these, which is what lets a warmed store serve
+#: every compile of a campaign.
 ORACLE_COMPILE_OPTS = (
     {"instrument": True, "opt_level": 0},
     {"instrument": True, "opt_level": 1},

@@ -63,7 +63,7 @@ from repro.exec import (
     run_batch,
 )
 from repro.ir import MISSING, ops
-from repro.store import KernelStore, active_store, load_pack
+from repro.store import KernelStore, active_store
 from repro.tensors.output import RunOutput, SparseOutput
 from repro.util.config import configure, runtime_config
 from repro.tensors.share import share_dataset, share_tensor
@@ -129,7 +129,7 @@ __all__ = [
     "compile_kernel", "execute", "kernel_cache", "MISSING", "ops",
     "BatchItem", "BatchResult", "EXECUTORS", "KernelPool", "ShmArena",
     "WorkerPool", "default_pool", "run_batch",
-    "KernelStore", "active_store", "load_pack",
+    "KernelStore", "active_store",
     "configure", "runtime_config",
     "KernelService", "ServiceClient", "active_client",
     "reset_service_stats", "service_stats",

@@ -18,10 +18,11 @@ Two halves:
     the entry key, so a client can reject stale kernels), ``POST
     /compile`` enqueues a client-pushed spec on an async compile queue
     with digest-level dedup (the server rebuilds the ``.so`` sidecar
-    server-side), ``GET /packs/<name>`` serves ``.flpack`` artifacts,
-    and ``/healthz`` / ``/stats`` expose liveness and hit/miss/queue
-    counters in the same schema as the store's ``stats.json``.
-    ``python -m repro.service --store DIR`` runs it.
+    server-side), and ``/healthz`` / ``/stats`` expose liveness and
+    hit/miss/queue counters in the same schema as the store's
+    ``stats.json``.  ``python -m repro.service --store DIR`` serves
+    that store directory (fill one ahead of time with ``python -m
+    repro.store warm --store DIR``).
 
 :class:`ServiceClient` (:mod:`repro.service.client`)
     The read-through/write-behind side ``compile_kernel`` calls on a

@@ -2,12 +2,9 @@
 
 Examples::
 
-    # Serve an existing (warm) store on an explicit port:
+    # Fill a store ahead of time, then serve it on an explicit port:
+    python -m repro.store warm --store .fl_store
     python -m repro.service --store .fl_store --port 8090
-
-    # Warm the store from a pack first, then serve, sharing packs:
-    python -m repro.service --store .fl_store --warm kernels.flpack \\
-        --packs-dir packs/ --port 8090
 
 The service is read-mostly infrastructure: clients GET entries by
 digest and POST freshly compiled specs, which an async queue rebuilds
@@ -23,7 +20,6 @@ import sys
 
 from repro.service.server import KernelService
 from repro.store import KernelStore
-from repro.store.pack import PackError, load_pack
 
 
 def _build_parser():
@@ -38,14 +34,6 @@ def _build_parser():
                         help="bind port (default 8090; 0 = ephemeral)")
     parser.add_argument("--max-bytes", type=int, default=None,
                         help="store size budget (LRU eviction past it)")
-    parser.add_argument("--packs-dir", default=None,
-                        help="directory served under GET /packs/")
-    parser.add_argument("--warm", default=None, metavar="PACK",
-                        help="import this .flpack into the store "
-                             "before serving")
-    parser.add_argument("--warm-base", default=None, metavar="PACK",
-                        help="base pack layered under a --warm diff "
-                             "pack")
     return parser
 
 
@@ -55,18 +43,9 @@ def main(argv=None):
         level=logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
     store = KernelStore(args.store, max_bytes=args.max_bytes)
-    if args.warm:
-        try:
-            summary = load_pack(args.warm, store=store, memory=False,
-                                base=args.warm_base)
-        except PackError as exc:
-            print("error: %s" % exc)
-            return 1
-        print("warmed %s: %d loaded, %d stale, %d error(s)"
-              % (store.root, summary["loaded"], summary["stale"],
-                 summary["errors"]))
-    service = KernelService(store, host=args.host, port=args.port,
-                            packs_dir=args.packs_dir)
+    service = KernelService(store, host=args.host, port=args.port)
+    # The last token of this first line is the URL: callers that start
+    # the service with --port 0 read it from here.
     print("serving kernel store %s on %s" % (store.root, service.url),
           flush=True)
     try:

@@ -283,25 +283,6 @@ class ServiceClient:
                 % (self.url, status))
         return json.loads(body)
 
-    def fetch_pack(self, name, dest):
-        """Download pack ``name`` to path ``dest``; returns ``dest``
-        or None (miss or degraded)."""
-        if not self.available():
-            return self._degraded()
-        try:
-            status, body = self._request("/packs/" + name)
-        except ServiceUnreachableError as exc:
-            _bump("remote_errors")
-            self._mark_down(exc)
-            return self._degraded()
-        if status != 200:
-            _bump("remote_misses")
-            return None
-        with open(dest, "wb") as handle:
-            handle.write(body)
-        _bump("remote_hits")
-        return dest
-
 
 #: Per-process client memo: one client per base URL, so the degrade
 #: cooldown and warn-once state survive across compiles.

@@ -14,7 +14,6 @@ Routes::
     GET  /stats              hit/miss/queue counters (stats.json schema)
     GET  /kernels/<digest>   one entry: {"key", "spec", "so": base64?}
     POST /compile            enqueue a pushed {"key", "spec"} entry
-    GET  /packs/<name>       a .flpack artifact from the packs dir
 
 ``GET /kernels`` serves the stored entry *with its recorded key* —
 the key carries every version axis (spec layout, registry version,
@@ -184,9 +183,6 @@ class _Handler(BaseHTTPRequestHandler):
         if path.startswith("/kernels/"):
             self._get_kernel(service, path[len("/kernels/"):])
             return
-        if path.startswith("/packs/"):
-            self._get_pack(service, path[len("/packs/"):])
-            return
         self._send_json(404, {"error": "unknown route %s" % path})
 
     def _get_kernel(self, service, digest):
@@ -209,26 +205,6 @@ class _Handler(BaseHTTPRequestHandler):
                 pass  # sidecar raced eviction: the spec alone rebuilds
         service.bump("hits")
         self._send_json(200, payload)
-
-    def _get_pack(self, service, name):
-        if (service.packs_dir is None
-                or os.path.basename(name) != name
-                or not name.endswith(".flpack")):
-            self._send_json(404, {"error": "unknown pack %r" % name})
-            return
-        path = os.path.join(service.packs_dir, name)
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            self._send_json(404, {"error": "unknown pack %r" % name})
-            return
-        service.bump("pack_downloads")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/zip")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
 
     def do_POST(self):
         service = self.server.service
@@ -260,21 +236,17 @@ class KernelService:
     """One kernel service: a store, a compile queue, an HTTP front.
 
     ``store`` is a :class:`~repro.store.disk.KernelStore` or a
-    directory path; ``packs_dir`` (optional) is where ``GET /packs``
-    looks for ``.flpack`` files.  ``port=0`` binds an ephemeral port —
+    directory path.  ``port=0`` binds an ephemeral port —
     read :attr:`url` after construction.  :meth:`start` serves on a
     daemon thread (tests, embedded use); :meth:`serve_forever` serves
     on the calling thread (``python -m repro.service``).
     """
 
-    def __init__(self, store, host="127.0.0.1", port=0,
-                 packs_dir=None):
+    def __init__(self, store, host="127.0.0.1", port=0):
         self.store = (store if isinstance(store, KernelStore)
                       else KernelStore(store))
-        self.packs_dir = packs_dir
         self.queue = _CompileQueue(self.store)
-        self._counters = {"hits": 0, "misses": 0, "pushes": 0,
-                          "pack_downloads": 0}
+        self._counters = {"hits": 0, "misses": 0, "pushes": 0}
         self._counters_lock = threading.Lock()
         #: The sockets of the open client connections.
         self.connections = set()

@@ -1,21 +1,16 @@
-"""Persistent kernel storage: the on-disk store and AOT kernel packs.
+"""Persistent kernel storage: the on-disk, content-addressed store.
 
-Two artifacts live here, both built on the serialized kernel spec
-(:meth:`repro.compiler.kernel.CompiledKernel.to_spec`):
-
-:class:`KernelStore` (:mod:`repro.store.disk`)
-    A content-addressed directory of compiled-kernel specs, layered
-    *under* the in-memory LRU cache by ``compile_kernel``: memory miss
-    → disk lookup → full compile, with every fresh compile written
-    behind.  Safe for many processes to share (atomic writes, advisory
-    locking, quarantine-on-corruption, LRU eviction by size budget).
-
-``.flpack`` kernel packs (:mod:`repro.store.pack`)
-    A single relocatable zip of specs plus a manifest — the
-    ahead-of-time compilation unit.  CI's ``warm-kernels`` job builds
-    one from the benchmark figures and the fuzz corpus; downstream
-    jobs (and :func:`load_pack` callers) import it so their processes
-    start warm and compile nothing.
+:class:`KernelStore` (:mod:`repro.store.disk`) is a directory of
+compiled-kernel specs (:meth:`repro.compiler.kernel.CompiledKernel.
+to_spec`), layered *under* the in-memory LRU cache by
+``compile_kernel``: memory miss → disk lookup → full compile, with
+every fresh compile written behind.  It is safe for many processes to
+share (atomic writes, advisory locking, quarantine-on-corruption, LRU
+eviction by size budget), and it is the one kernel artifact that
+leaves a process: CI's ``warm-kernels`` job compiles the benchmark
+figures and the fuzz kernels into one, verifies it and uploads the
+directory, downstream jobs point ``FL_KERNEL_STORE`` at the download,
+and the kernel service (:mod:`repro.service`) serves one to a fleet.
 
 Configuration routes through the package-wide resolver
 (:mod:`repro.util.config`) under the one precedence rule — per-call
@@ -29,9 +24,8 @@ re-points) per call.
 
 The CLI lives in :mod:`repro.store.__main__`::
 
-    python -m repro.store pack --out kernels.flpack
-    python -m repro.store warm --store .fl_store --pack kernels.flpack
-    python -m repro.store verify kernels.flpack
+    python -m repro.store warm --store .fl_store
+    python -m repro.store verify --store .fl_store
     python -m repro.store ls --store .fl_store
     python -m repro.store stats --store .fl_store --min-hit-rate 0.9
 """
@@ -41,13 +35,6 @@ from contextlib import contextmanager
 
 from repro.compiler.key import KernelKey, entry_digest
 from repro.store.disk import KernelStore
-from repro.store.pack import (
-    PACK_VERSION,
-    load_pack,
-    read_pack,
-    verify_pack,
-    write_pack,
-)
 
 #: Per-process memo of the env/config-resolved store instance, keyed
 #: by ``(root, max_bytes)`` so repeated ``active_store()`` calls do
@@ -123,7 +110,6 @@ def using_store(store):
 
 
 __all__ = [
-    "KernelStore", "PACK_VERSION", "active_store", "entry_digest",
-    "load_pack", "meta_for_artifact", "read_pack", "resolve_store",
-    "using_store", "verify_pack", "write_pack",
+    "KernelStore", "active_store", "entry_digest", "meta_for_artifact",
+    "resolve_store", "using_store",
 ]

@@ -1,23 +1,26 @@
-"""``python -m repro.store`` — build, warm, and inspect kernel packs.
+"""``python -m repro.store`` — fill, verify, and inspect a kernel store.
 
 Subcommands::
 
-    pack    compile the AOT kernel set into one .flpack
-    warm    import a pack into a store dir (or compile straight in)
-    verify  deep-check a pack (digests, spec rebuilds, version axes)
-    ls      list a pack's or a store's entries
+    warm    compile the AOT kernel set straight into a store dir
+    verify  deep-check a store (digests, version axes, spec rebuilds)
+    ls      list a store's entries
     stats   print a store's counters; optionally enforce a hit-rate
             floor (the CI gate) and emit a markdown summary table
     gc      delete a store's stale entries (other code versions')
 
 Examples::
 
-    python -m repro.store pack --out kernels.flpack --fuzz-campaign 0:200:quick
-    python -m repro.store warm --store .fl_store --pack kernels.flpack
-    python -m repro.store verify kernels.flpack
-    python -m repro.store ls --store .fl_store
+    python -m repro.store warm --store kernels-store --fuzz-campaign 0:200:quick
+    python -m repro.store verify --store kernels-store
+    python -m repro.store ls --store kernels-store
     python -m repro.store stats --store .fl_store --min-hit-rate 0.9 --markdown
     python -m repro.store gc --store .fl_store --stale
+
+The store directory is the artifact: CI's ``warm-kernels`` job fills
+one, verifies it and uploads it; downstream jobs point
+``FL_KERNEL_STORE`` (or ``python -m repro.service --store``) at the
+downloaded copy.
 """
 
 import argparse
@@ -26,73 +29,43 @@ import os
 import sys
 
 from repro.compiler.key import KernelKey, is_current
-from repro.compiler.tiers import put
+from repro.compiler.tiers import portable_spec, put, rebuild
 from repro.store import KernelStore
-from repro.store.pack import (
-    PackError,
-    campaign_entries,
-    corpus_entries,
-    figure_entries,
-    load_pack,
-    read_pack,
-    verify_pack,
-    write_pack,
-)
 
 
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro.store",
-        description="Persistent kernel store and AOT kernel packs.")
+        description="Fill, verify and inspect a persistent kernel store.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pack = sub.add_parser(
-        "pack", help="compile the AOT kernel set into a .flpack")
-    pack.add_argument("--out", required=True,
-                      help="output .flpack path")
-    pack.add_argument("--no-figures", action="store_true",
-                      help="skip the benchmark-figure kernels")
-    pack.add_argument("--corpus", default=None,
-                      help="fuzz corpus directory (default "
-                           "fuzz_corpus/)")
-    pack.add_argument("--no-corpus", action="store_true",
-                      help="skip the fuzz-corpus kernels")
-    pack.add_argument("--fuzz-campaign", metavar="SEED:BUDGET:PROFILE",
-                      default=None,
-                      help="also pack the kernels of one deterministic "
-                           "fuzz campaign (e.g. 0:200:quick — the CI "
-                           "smoke campaign)")
-    pack.add_argument("--base", default=None,
-                      help="emit a diff pack: entries already in this "
-                           ".flpack are listed, not re-packed")
-    pack.add_argument("--note", default="",
-                      help="free-text provenance recorded in the "
-                           "manifest")
-    pack.add_argument("--quiet", action="store_true")
-
     warm = sub.add_parser(
-        "warm", help="populate a store directory ahead of time")
+        "warm", help="compile the AOT kernel set into a store directory")
     warm.add_argument("--store", required=True,
                       help="store directory to warm")
-    warm.add_argument("--pack", default=None,
-                      help="import this .flpack (default: compile the "
-                           "figure+corpus set directly into the store)")
-    warm.add_argument("--base", default=None,
-                      help="base .flpack layered under a diff pack")
+    warm.add_argument("--no-figures", action="store_true",
+                      help="skip the benchmark-figure kernels")
+    warm.add_argument("--corpus", default=None,
+                      help="fuzz corpus directory (default "
+                           "fuzz_corpus/)")
+    warm.add_argument("--no-corpus", action="store_true",
+                      help="skip the fuzz-corpus kernels")
+    warm.add_argument("--fuzz-campaign", metavar="SEED:BUDGET:PROFILE",
+                      default=None,
+                      help="also compile the kernels of one "
+                           "deterministic fuzz campaign (e.g. "
+                           "0:200:quick — the CI smoke campaign)")
     warm.add_argument("--max-bytes", type=int, default=None,
                       help="store size budget (LRU eviction past it)")
     warm.add_argument("--quiet", action="store_true")
 
-    verify = sub.add_parser("verify", help="deep-check one pack")
-    verify.add_argument("pack", help=".flpack path")
-    verify.add_argument("--base", default=None,
-                        help="base .flpack resolving a diff pack's "
-                             "deferred digests")
+    verify = sub.add_parser(
+        "verify", help="deep-check every entry of a store directory")
+    verify.add_argument("--store", required=True,
+                        help="store directory")
 
-    ls = sub.add_parser("ls", help="list pack or store entries")
-    group = ls.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pack", help=".flpack path")
-    group.add_argument("--store", help="store directory")
+    ls = sub.add_parser("ls", help="list a store's entries")
+    ls.add_argument("--store", required=True, help="store directory")
 
     stats = sub.add_parser(
         "stats", help="print store counters; optionally gate on them")
@@ -125,92 +98,137 @@ def _parse_campaign(value):
             "got %r" % value)
 
 
-def _cmd_pack(args, log):
-    entries = []
-    if not args.no_figures:
-        log("compiling benchmark-figure kernels ...")
-        entries += figure_entries(log=log)
-    if not args.no_corpus:
-        log("compiling fuzz-corpus kernels ...")
-        entries += corpus_entries(corpus_dir=args.corpus, log=log)
-    if args.fuzz_campaign:
-        seed, budget, profile = _parse_campaign(args.fuzz_campaign)
-        log("compiling fuzz-campaign kernels (seed=%d budget=%d "
-            "profile=%s) ..." % (seed, budget, profile))
-        entries += campaign_entries(seed, budget, profile, log=log)
-    summary = write_pack(args.out, entries, note=args.note,
-                         base=args.base)
-    if args.base:
-        print("packed %d kernel(s) -> %s (%d deferred to base %s)"
-              % (summary["count"], summary["path"],
-                 summary["deferred"], args.base))
-    else:
-        print("packed %d kernel(s) -> %s" % (summary["count"],
-                                             summary["path"]))
-    return 0
+# -------------------------------------------------------------------------
+# The AOT kernel set: the kernel populations CI compiles ahead of time.
+# -------------------------------------------------------------------------
+def _compile(program, opts):
+    from repro.compiler.kernel import compile_kernel
+
+    return compile_kernel(program, store=False, remote=False, **opts)
+
+
+def figure_kernels(log):
+    """Compile the six figure kernels.
+
+    The programs come from
+    :func:`repro.bench.figures.warm_start_programs`, the same canonical
+    registry everything that later compiles a figure builds its inputs
+    from — which is what guarantees a warmed store actually hits.
+    """
+    from repro.bench.figures import warm_start_programs
+
+    for figure, label, make_program, opts in warm_start_programs():
+        yield _compile(make_program(), opts)
+        log("  compiled %s / %s" % (figure, label))
+
+
+def _fuzz_case_kernels(spec):
+    """One fuzz case under every compile the conformance oracles make
+    of it (:data:`repro.fuzz.conform.ORACLE_COMPILE_OPTS`): a compile
+    the store leaves out is a guaranteed miss per case."""
+    from repro.fuzz.conform import ORACLE_COMPILE_OPTS
+    from repro.fuzz.gen import build_case
+
+    program = build_case(spec).program
+    for opts in ORACLE_COMPILE_OPTS:
+        yield _compile(program, opts)
+
+
+def corpus_kernels(corpus_dir, log):
+    """Compile every fuzz-corpus case (the exact kernels the corpus
+    replay recompiles on every CI run)."""
+    from repro.fuzz import corpus as corpus_mod
+
+    for path in corpus_mod.corpus_entries(
+            corpus_mod.DEFAULT_CORPUS_DIR if corpus_dir is None
+            else corpus_dir):
+        yield from _fuzz_case_kernels(corpus_mod.load_entry(path)["spec"])
+        log("  compiled corpus %s" % path)
+
+
+def campaign_kernels(seed, budget, profile, log):
+    """Compile the kernels of one deterministic fuzz campaign.
+
+    The conformance engine derives its case seeds from ``(seed,
+    budget, profile)`` alone, so warming the same triple CI's
+    ``fuzz-smoke`` job runs means that job's compiles all come off the
+    warmed store.
+    """
+    from repro.fuzz.engine import case_seed
+    from repro.fuzz.gen import generate_spec
+
+    for step in range(budget):
+        yield from _fuzz_case_kernels(
+            generate_spec(case_seed(seed, step), profile))
+        if (step + 1) % 50 == 0:
+            log("  compiled campaign %d/%d" % (step + 1, budget))
 
 
 def _cmd_warm(args, log):
+    """File the spec of every AOT kernel with :func:`~repro.compiler.
+    tiers.put`: no lookup, so the store's hit/miss counters stay as
+    they were."""
     store = KernelStore(args.store, max_bytes=args.max_bytes)
-    if args.pack:
-        summary = load_pack(args.pack, store=store, memory=False,
-                            base=args.base)
-        print("warmed %s: %d loaded, %d stale, %d error(s) from %s"
-              % (store.root, summary["loaded"], summary["stale"],
-                 summary["errors"], args.pack))
-        return 0 if summary["errors"] == 0 else 1
-    log("no pack given; compiling the figure+corpus set directly ...")
+    populations = []
+    if not args.no_figures:
+        populations.append(("benchmark-figure", figure_kernels(log)))
+    if not args.no_corpus:
+        populations.append(("fuzz-corpus",
+                            corpus_kernels(args.corpus, log)))
+    if args.fuzz_campaign:
+        seed, budget, profile = _parse_campaign(args.fuzz_campaign)
+        populations.append((
+            "fuzz-campaign (seed=%d budget=%d profile=%s)"
+            % (seed, budget, profile),
+            campaign_kernels(seed, budget, profile, log)))
     digests = set()
-    for entry in figure_entries(log=log) + corpus_entries(log=log):
-        key = KernelKey.of_spec(entry["spec"], meta=entry["key"])
-        put(key, spec=entry["spec"], store=store)
-        digests.add(key.digest)
-    written = len(digests)
-    print("warmed %s: compiled %d entr%s in directly"
-          % (store.root, written, "y" if written == 1 else "ies"))
+    for what, kernels in populations:
+        log("compiling %s kernels ..." % what)
+        for kernel in kernels:
+            key = KernelKey.of(kernel.artifact)
+            spec = portable_spec(kernel.artifact)
+            if spec is None or key.digest in digests:
+                continue  # identity-pinned, or already filed
+            put(key, spec=spec, store=store)
+            digests.add(key.digest)
+    print("warmed %s: compiled %d entr%s"
+          % (store.root, len(digests), "y" if len(digests) == 1
+             else "ies"))
     return 0
 
 
 def _cmd_verify(args):
-    report = verify_pack(args.pack, base=args.base)
-    print("pack %s: %d entr%s, %d rebuilt, %d stale"
-          % (report["path"], report["count"],
-             "y" if report["count"] == 1 else "ies",
-             report["rebuilt"], len(report["stale"])))
-    if report["deferred"]:
-        if args.base:
-            print("  layered: %d digest(s) deferred to %s, %d missing"
-                  % (report["deferred"], args.base,
-                     len(report["unresolved"])))
+    """Read every entry digest-checked (a defective one is
+    quarantined), skip the stale ones, rebuild the rest; exit 1 when
+    any entry is unreadable or does not rebuild."""
+    store = KernelStore(args.store)
+    digests = store.digests()
+    rebuilt = stale = 0
+    errors = []
+    for digest in digests:
+        entry, so_path = store.read_entry(digest)
+        if entry is None:
+            errors.append("%s: unreadable entry (quarantined)" % digest)
+        elif not is_current(entry["key"]):
+            stale += 1
+        elif rebuild(entry["spec"], so=so_path) is None:
+            errors.append("%s: spec does not rebuild" % digest)
         else:
-            print("  layered: %d digest(s) deferred to a base pack "
-                  "(pass --base to resolve them)" % report["deferred"])
-    for error in report["errors"]:
+            rebuilt += 1
+    print("store %s: %d entr%s, %d rebuilt, %d stale"
+          % (store.root, len(digests),
+             "y" if len(digests) == 1 else "ies", rebuilt, stale))
+    for error in errors:
         print("  ERROR %s" % error)
-    if not report["ok"]:
-        print("result: FAIL — %d entr%s failed to rebuild"
-              % (len(report["errors"]),
-                 "y" if len(report["errors"]) == 1 else "ies"))
+    if errors:
+        print("result: FAIL — %d entr%s failed to verify"
+              % (len(errors), "y" if len(errors) == 1 else "ies"))
         return 1
     print("result: PASS")
     return 0
 
 
 def _cmd_ls(args):
-    if args.pack:
-        manifest, _ = read_pack(args.pack)
-        print("pack %s: %d entr%s (spec v%s, registry v%s, code %s)"
-              % (args.pack, manifest["count"],
-                 "y" if manifest["count"] == 1 else "ies",
-                 manifest["spec_version"],
-                 manifest["registry_version"],
-                 manifest["code_fingerprint"]))
-        for entry in manifest["entries"]:
-            print("  %s  opt=%d%s  %-16s %s"
-                  % (entry["digest"][:12], entry["opt_level"],
-                     " instr" if entry["instrument"] else "      ",
-                     entry["figure"], entry["label"]))
-        return 0
     store = KernelStore(args.store)
     listed = [(meta, is_current(meta)) for _, meta in store.entries()]
     print("store %s: %d entr%s (%d stale)"
@@ -276,8 +294,6 @@ def main(argv=None):
     quiet = getattr(args, "quiet", True)
     log = (lambda *a, **k: None) if quiet else print
     try:
-        if args.command == "pack":
-            return _cmd_pack(args, log)
         if args.command == "warm":
             return _cmd_warm(args, log)
         if args.command == "verify":
@@ -287,9 +303,6 @@ def main(argv=None):
         if args.command == "gc":
             return _cmd_gc(args)
         return _cmd_stats(args)
-    except PackError as exc:
-        print("error: %s" % exc)
-        return 1
     except BrokenPipeError:
         # `... ls | head` under pipefail: a closed pipe is not a
         # failure of the listing.

@@ -41,7 +41,7 @@ MAGIC_NUMBER`, the sha256 of the spec's ``source``, then the
 ``marshal``\\ led code object; a header that does not match the
 running interpreter and the entry's source reads as absent, and the
 load that compiled the source instead rewrites it.  Code objects are
-only ever read from this directory — never from a pack or a service
+only ever read from this directory — never from a service
 response: the store is trusted (it ``dlopen``\\ s its ``.so`` files),
 the wire is not.
 """
@@ -634,6 +634,12 @@ class KernelStore:
     def entries(self):
         """Parsed ``(path, key-meta)`` pairs of every readable entry."""
         return self._list_entries(self._entry_files())
+
+    def digests(self):
+        """The digest of every entry file, readable or not — each one
+        :meth:`read_entry` can be asked for."""
+        return [os.path.basename(path)[len(_ENTRY_PREFIX):-len(".json")]
+                for path, _, _ in self._entry_files()]
 
     def _list_entries(self, files):
         """``(path, key-meta)`` of the readable entries among

@@ -41,13 +41,14 @@ every ``FL_*`` variable), so spawned workers and subprocesses inherit
 configuration with no code changes.
 """
 
+import numbers
 import os
 import threading
 
 __all__ = [
     "BACKENDS", "OPTIONS", "OPT_LEVELS", "TUNE_MODES", "UNSET", "clear",
     "configure", "option_names", "resolve", "restore", "runtime_config",
-    "snapshot", "source",
+    "snapshot", "source", "worker_count",
 ]
 
 #: Backend names ``compile_kernel`` accepts: ``"python"`` ``exec``s
@@ -77,6 +78,19 @@ def _int_or_text(text):
         return text
 
 
+def worker_count(value):
+    """``value`` as a worker count — None (the CPU count) or an int >=
+    1; anything else (0, a negative, a float, a bool) raises
+    ``ValueError`` rather than silently meaning the CPU count."""
+    if value is None:
+        return None
+    if (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= 1):
+        return int(value)
+    raise ValueError("max_workers must be None (the CPU count) or an "
+                     "int >= 1; got %r" % (value,))
+
+
 class _Unset:
     """Sentinel: pass ``UNSET`` to :func:`configure` to drop an
     override (distinct from ``None``, which *is* a value — e.g. an
@@ -94,17 +108,20 @@ UNSET = _Unset()
 class Option:
     """One registered configuration knob: its env var, how to parse
     the env text, its default, and (optionally) the values it
-    accepts."""
+    accepts: a tuple of ``choices``, or a ``check`` that returns the
+    value or raises ``ValueError``."""
 
-    __slots__ = ("name", "env", "parse", "default", "choices", "doc")
+    __slots__ = ("name", "env", "parse", "default", "choices", "check",
+                 "doc")
 
     def __init__(self, name, env, parse, default, choices=None,
-                 doc=""):
+                 check=None, doc=""):
         self.name = name
         self.env = env
         self.parse = parse
         self.default = default
         self.choices = choices
+        self.check = check
         self.doc = doc
 
     def validate(self, value):
@@ -121,7 +138,7 @@ class Option:
             raise ValueError(
                 "%s must be one of %s; got %r"
                 % (self.name, "/".join(map(str, self.choices)), value))
-        return value
+        return value if self.check is None else self.check(value)
 
 
 OPTIONS = {
@@ -149,6 +166,7 @@ OPTIONS = {
         Option("service_retries", "FL_SERVICE_RETRIES", int, 1,
                doc="extra attempts per service request"),
         Option("pool_max_workers", "FL_POOL_MAX_WORKERS", int, None,
+               check=worker_count,
                doc="worker-pool width (None = CPU count)"),
         Option("pool_start_method", "FL_POOL_START_METHOD", str,
                None, doc="multiprocessing start method"),

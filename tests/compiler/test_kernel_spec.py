@@ -50,7 +50,7 @@ def test_spec_is_json_serializable_and_complete():
 
 
 def test_spec_key_set_is_golden():
-    """The spec layout is a persisted contract (stores, packs, the
+    """The spec layout is a persisted contract (the store, the
     service): a key added or dropped needs a ``SPEC_VERSION`` bump, so
     the set is pinned here and not only derived from ``SPEC_FIELDS``."""
     spec = fl.compile_kernel(dot_program(*make_pair())).to_spec()

@@ -166,3 +166,26 @@ def test_worker_crash_is_attributed_and_healed():
         assert stats["respawns"] >= 1
         assert stats["crashes"] >= 1
         assert stats["alive"] == workers.max_workers
+
+
+@pytest.mark.parametrize("where", ["serial", "threads", "processes",
+                                   "WorkerPool", "run_batch",
+                                   "configure"])
+@pytest.mark.parametrize("max_workers", [0, -1, 0.5, True])
+def test_max_workers_is_none_or_a_positive_int(where, max_workers):
+    """A worker count is None (the CPU count) or an int >= 1 on every
+    entry point; 0 never silently means the CPU count, and the serial
+    executor does not ignore the value."""
+    template = dot_program(*make_pair(0))
+    with pytest.raises(ValueError, match="max_workers"):
+        if where in ("serial", "threads", "processes"):
+            KernelPool(fl.compile_kernel(template), executor=where,
+                       max_workers=max_workers)
+        elif where == "WorkerPool":
+            WorkerPool(max_workers=max_workers)
+        elif where == "run_batch":
+            run_batch(template, dot_datasets(1),
+                      max_workers=max_workers)
+        else:
+            fl.configure(pool_max_workers=max_workers)
+    assert config.snapshot(["pool_max_workers"]) == {}

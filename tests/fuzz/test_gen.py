@@ -71,7 +71,7 @@ def test_protocols_respect_format_support():
 
 def test_seeded_specs_are_pinned():
     """The protocol table is derived from the level classes; every
-    seeded campaign, the corpus and the AOT pack population draw from
+    seeded campaign, the corpus and the warmed store population draw from
     it, so the stream must not move unnoticed (digests re-taken when
     the ``copy_out`` template joined ``TEMPLATES``, which shifted every
     seed's first draw, and when ``outer`` did, which re-drew only the

@@ -3,26 +3,26 @@
 Drives a real :class:`~repro.service.KernelService` on an ephemeral
 port through raw ``urllib`` requests — the same wire a fleet client
 uses — and checks each route's contract: entry serving with the
-recorded key, digest validation, the async compile queue's dedup, the
-pack route's name hygiene, and the ``stats.json``-schema counters.
+recorded key, digest validation, the async compile queue's dedup, and
+the ``stats.json``-schema counters.
 """
 
 import base64
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
+import repro
 import repro.lang as fl
 from repro.compiler.kernel import kernel_cache
 from repro.service import KernelService
-from repro.store import (
-    entry_digest,
-    meta_for_artifact,
-    write_pack,
-)
+from repro.store import entry_digest, meta_for_artifact
 from repro.util import config
 
 
@@ -37,10 +37,7 @@ def clean_state():
 
 @pytest.fixture
 def service(tmp_path):
-    packs = tmp_path / "packs"
-    packs.mkdir()
-    with KernelService(tmp_path / "store",
-                       packs_dir=str(packs)) as svc:
+    with KernelService(tmp_path / "store") as svc:
         yield svc
 
 
@@ -170,21 +167,6 @@ def test_queue_rejects_specs_that_do_not_rebuild(service):
     assert service.queue.counters()["errors"] == 1
 
 
-def test_pack_route(service, tmp_path):
-    kernel = fl.compile_kernel(dot_program(), cache=False)
-    pack_path = tmp_path / "packs" / "kernels.flpack"
-    write_pack(str(pack_path),
-               [{"key": meta_for_artifact(kernel.artifact),
-                 "spec": kernel.artifact.to_spec()}])
-    status, body = get(service, "/packs/kernels.flpack")
-    assert status == 200
-    assert body == pack_path.read_bytes()
-    assert get(service, "/packs/missing.flpack")[0] == 404
-    assert get(service, "/packs/kernels.zip")[0] == 404
-    assert get(service, "/packs/..%2Fsecrets.flpack")[0] == 404
-    assert service.stats()["pack_downloads"] == 1
-
-
 def test_stats_schema(service):
     digest, _, _ = seed_entry(service)
     get(service, "/kernels/" + digest)
@@ -195,8 +177,34 @@ def test_stats_schema(service):
     assert stats["hit_rate"] == 0.5
     # The same shape stats.json consumers already parse, plus the
     # queue and the backing store's own counters.
-    for key in ("pushes", "pack_downloads", "queue_depth",
+    for key in ("pushes", "queue_depth",
                 "queue_queued", "queue_deduped", "queue_compiled",
                 "queue_errors"):
         assert key in stats, key
     assert stats["store"]["entries"] == 1
+
+
+def test_cli_first_line_ends_with_the_url(tmp_path):
+    """``python -m repro.service --port 0`` names the address it bound
+    as the last token of its first stdout line — what a caller that
+    starts the service on an ephemeral port reads it from."""
+    src = os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.service",
+         "--store", str(tmp_path / "store"), "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=env)
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("serving kernel store "), line
+        url = line.split()[-1]
+        with urllib.request.urlopen(url + "/healthz",
+                                    timeout=10) as response:
+            assert json.loads(response.read())["ok"] is True
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
