@@ -116,8 +116,8 @@ def _plain(value):
 
 def _frozen(value):
     """The inverse of :func:`_plain`: nested lists back to tuples."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_frozen(item) for item in value)
+    if type(value) in (list, tuple):
+        return tuple(map(_frozen, value))
     return value
 
 
@@ -236,7 +236,8 @@ class CompiledKernel:
         return spec
 
     @classmethod
-    def from_spec(cls, spec, so_path=None, code=None):
+    def from_spec(cls, spec, so_path=None, code=None,
+                  structural_key=None):
         """Rebuild an artifact from :meth:`to_spec` output.
 
         Builds the entry point from the serialized source (the only
@@ -252,6 +253,9 @@ class CompiledKernel:
         the python backend with a logged fallback, never an error.
         ``code`` — the store's verified code object of ``source`` — is
         ``exec``'d instead of compiling the source again.
+        ``structural_key`` — the frozen key a tier lookup was keyed by,
+        whose digest the spec's recorded key matched — replaces the
+        spec's own copy, which then is never walked.
         """
         version = spec.get("spec_version")
         if version != SPEC_VERSION:
@@ -259,7 +263,11 @@ class CompiledKernel:
                 "kernel spec version %r is not supported (expected %d)"
                 % (version, SPEC_VERSION))
         spec = {**_SPEC_DEFAULTS, **spec}
-        fields = {key: _frozen(spec[key]) for key in SPEC_FIELDS}
+        fields = {key: _frozen(spec[key]) for key in SPEC_FIELDS
+                  if key != "structural_key"}
+        fields["structural_key"] = (_frozen(spec["structural_key"])
+                                    if structural_key is None
+                                    else structural_key)
         fn, built_path, code = _entry_point(
             fields["name"], fields["source"], fields["views"],
             fields["c_source"] if fields["backend"] == "c" else None,

@@ -31,7 +31,7 @@ from repro.util.errors import SpecError
 _log = logging.getLogger("repro.compiler")
 
 
-def rebuild(spec, so=None, code=None):
+def rebuild(spec, so=None, code=None, structural_key=None):
     """The artifact ``spec`` rebuilds to, or None when it does not
     (malformed, wrong spec version, source that no longer ``exec``\\ s)
     — each tier reads that as a miss.
@@ -44,6 +44,8 @@ def rebuild(spec, so=None, code=None):
     spec's python source.  Each is an optimization — a C spec
     recompiles from its carried source when its ``.so`` is missing or
     does not load, a python one compiles its source.
+    ``structural_key`` is the frozen key the spec was looked up by,
+    which the artifact takes instead of the spec's own copy.
     """
     from repro.compiler.kernel import CompiledKernel
 
@@ -54,7 +56,8 @@ def rebuild(spec, so=None, code=None):
             so = (toolchain.adopt_shared(spec["c_source"],
                                          spec["name"], so)
                   if spec.get("c_source") else None)
-        return CompiledKernel.from_spec(spec, so_path=so, code=code)
+        return CompiledKernel.from_spec(spec, so_path=so, code=code,
+                                        structural_key=structural_key)
     except Exception as exc:
         _log.warning("kernel spec does not rebuild (%s: %s)",
                      type(exc).__name__, exc)
@@ -134,7 +137,8 @@ def read_through(key, build, memory=None, store=None, remote=None,
 
         disk = resolve_store(store)
         if disk is not None:
-            artifact = disk.load_artifact(key.meta)
+            artifact = disk.load_artifact(
+                key.meta, structural_key=key.memory[0])
             if artifact is not None:
                 tier = "disk"
     if artifact is None and remote is not False:
@@ -143,7 +147,8 @@ def read_through(key, build, memory=None, store=None, remote=None,
         client = active_client(remote)
         fetched = client.fetch(key.meta) if client is not None else None
         if fetched is not None:
-            artifact = rebuild(fetched[0], so=fetched[1])
+            artifact = rebuild(fetched[0], so=fetched[1],
+                               structural_key=key.memory[0])
             if artifact is not None:
                 spec, tier = fetched[0], "remote"
     if artifact is None:

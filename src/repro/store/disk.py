@@ -29,6 +29,8 @@ store directory):
 * **persisted stats** — ``hits``/``misses``/``writes``/``evictions``/
   ``quarantined`` accumulate in ``stats.json`` across processes, so a
   CI job can assert its warm-start hit rate after the workload exits.
+  A process buffers its counts and folds them in batches
+  (:func:`flush_counters`): a lookup pays for no bookkeeping write.
 
 Beside an entry ``k_<digest>.json`` live its *sidecars*
 (:data:`SIDECARS`): the C kernel's shared object (``.so``) and the
@@ -46,6 +48,7 @@ response: the store is trusted (it ``dlopen``\\ s its ``.so`` files),
 the wire is not.
 """
 
+import atexit
 import hashlib
 import importlib.util
 import json
@@ -53,6 +56,7 @@ import logging
 import marshal
 import os
 import shutil
+import threading
 import time
 import types
 from contextlib import contextmanager
@@ -78,6 +82,17 @@ try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
+
+#: This process's counter deltas not yet in ``stats.json``, per store
+#: root: ``root -> [store, deltas, events, first event time]``.  A
+#: root's deltas are folded in by ``stats()``, by ``_bump`` once
+#: :data:`FLUSH_EVENTS` events or :data:`FLUSH_SECONDS` seconds have
+#: built up, at interpreter exit, and when a pool worker shuts down
+#: (multiprocessing children skip ``atexit``).
+_pending = {}
+_pending_lock = threading.Lock()
+FLUSH_EVENTS = 64
+FLUSH_SECONDS = 1.0
 
 #: Filename prefix of one store entry.
 _ENTRY_PREFIX = "k_"
@@ -244,7 +259,7 @@ class KernelStore:
         A ``stats.json`` left half-written by a killed process (or
         holding valid JSON of the wrong shape) must never crash store
         use: it reads as empty stats with ``stats_resets`` bumped, and
-        the next ``_bump`` persists the reset.
+        the next flush persists the reset.
         """
         try:
             # Bytes, not text: undecodable garbage must land in the
@@ -265,15 +280,39 @@ class KernelStore:
             return reset
 
     def _bump(self, **deltas):
-        """Atomically increment the persisted counters (under lock).
+        """Add ``deltas`` to the counters: buffered in this process's
+        pending table, written by the next flush of this root."""
+        now = time.monotonic()
+        with _pending_lock:
+            pending = _pending.get(self.root)
+            if pending is None:
+                pending = _pending[self.root] = [self, {}, 0, now]
+            counts = pending[1]
+            for name, delta in deltas.items():
+                counts[name] = counts.get(name, 0) + delta
+            pending[2] += 1
+            due = (pending[2] >= FLUSH_EVENTS
+                   or now - pending[3] >= FLUSH_SECONDS)
+        if due:
+            self._flush()
 
-        Dropped silently when the store is unwritable: losing counter
-        updates on a read-only mount must never break a compile.
+    def _flush(self):
+        """Fold this process's pending deltas for this root into
+        ``stats.json`` in one read-modify-write under the lock.
+
+        Dropped (and counted in ``io_errors``) when the store is
+        unwritable: losing counter updates on a read-only mount must
+        never break a compile.  A root removed meanwhile (a temporary
+        store) takes its counts with it.
         """
+        with _pending_lock:
+            pending = _pending.pop(self.root, None)
+        if pending is None or not os.path.isdir(self.root):
+            return
         try:
             with self._lock():
                 counters = self._read_counters()
-                for name, delta in deltas.items():
+                for name, delta in pending[1].items():
                     counters[name] = counters.get(name, 0) + delta
                 _replace_file(self._stats_path, json.dumps(counters))
         except OSError as exc:
@@ -361,25 +400,24 @@ class KernelStore:
         return True
 
     # -- reads ---------------------------------------------------------
-    def _read_record(self, kind, digest, count=True):
+    def _read_record(self, kind, digest, count=True, meta=None):
         """The verified ``kind`` record addressed by ``digest``, or
         None — the one read path of every persisted record.
 
         A missing file is a miss.  Any defect — unreadable file,
         malformed JSON, another ``store_version``, a recorded key that
-        does not hash back to ``digest`` (tamper and collision
-        defense), a missing payload — quarantines the record and reads
-        as a miss, so one corrupt file can never poison compiles.
-        ``count=False`` leaves the ``kind``'s hit/miss counters alone
-        (a quarantine is always counted).
+        is not the address's (tamper and collision defense), a missing
+        payload — quarantines the record and reads as a miss, so one
+        corrupt file can never poison compiles.  The recorded key must
+        equal ``meta`` when the caller passes the key ``digest`` was
+        computed from, and hash back to ``digest`` otherwise: the two
+        checks accept the same records.  ``count=False`` leaves the
+        ``kind``'s hit/miss counters alone (a quarantine is always
+        counted).
         """
         field, prefix = kind
         path = self._record_path(kind, digest)
         missed = {prefix + "misses": 1} if count else {}
-        if not os.path.exists(path):
-            if missed:
-                self._bump(**missed)
-            return None
         try:
             from repro import chaos as _chaos
 
@@ -397,9 +435,15 @@ class KernelStore:
                 raise ValueError("not a %s record" % field)
             if record.get("store_version") != STORE_VERSION:
                 raise ValueError("store version mismatch")
-            if entry_digest(record.get("key")) != digest:
-                raise ValueError("record key does not hash to %s"
+            if (record.get("key") != meta if meta is not None
+                    else entry_digest(record.get("key")) != digest):
+                raise ValueError("record key is not the key of %s"
                                  % digest)
+        except FileNotFoundError:
+            # Never written, or evicted before the open: a plain miss.
+            if missed:
+                self._bump(**missed)
+            return None
         except (OSError, ValueError, TypeError):
             self._quarantine(path)
             self._bump(quarantined=1, **missed)
@@ -419,7 +463,8 @@ class KernelStore:
         ``(entry, so_path)`` — the kernel service's lookup primitive.
 
         ``entry`` is the persisted ``{"store_version", "key", "spec"}``
-        payload, verified exactly like :meth:`load_spec` verifies it;
+        payload, verified like :meth:`load_spec` verifies it (with no
+        key in hand, by hashing the recorded one);
         ``so_path`` is the sidecar's path when one exists, else None.
         Returns ``(None, None)`` on a miss or any defect.  Deliberately
         does *not* touch the persisted hit/miss counters: the service
@@ -434,10 +479,10 @@ class KernelStore:
     def load_spec(self, meta):
         """The stored spec for ``meta``, or None (counts a miss; see
         :meth:`_read_record` for what reads as one)."""
-        entry = self._read_record(_ENTRY, entry_digest(meta))
+        entry = self._read_record(_ENTRY, entry_digest(meta), meta=meta)
         return None if entry is None else entry["spec"]
 
-    def load_artifact(self, meta):
+    def load_artifact(self, meta, structural_key=None):
         """The rebuilt :class:`CompiledKernel` for ``meta``, or None.
 
         A spec that no longer rebuilds (its carried source fails to
@@ -445,9 +490,12 @@ class KernelStore:
         hit already counted for it is taken back.  A python kernel
         ``exec``\\ s its ``.code`` sidecar; when that is absent or
         defective the source is compiled and the sidecar rewritten.
+        ``structural_key`` is the caller's frozen key ``meta`` was
+        derived from: the artifact takes it instead of freezing the
+        stored one again.
         """
         digest = entry_digest(meta)
-        entry = self._read_record(_ENTRY, digest)
+        entry = self._read_record(_ENTRY, digest, meta=meta)
         if entry is None:
             return None
         path = self.entry_path_for_digest(digest)
@@ -455,7 +503,8 @@ class KernelStore:
         source = spec.get("source") if isinstance(spec, dict) else None
         code = (_load_code(_sidecar_path(path, ".code"), source)
                 if isinstance(source, str) else None)
-        artifact = rebuild(spec, so=self._so_path(digest), code=code)
+        artifact = rebuild(spec, so=self._so_path(digest), code=code,
+                           structural_key=structural_key)
         if artifact is None:
             self._quarantine(path)
             self._bump(hits=-1, misses=1, quarantined=1)
@@ -605,7 +654,8 @@ class KernelStore:
         tune layout) lands in a *different* digest, so stale winners
         are simply never found.
         """
-        record = self._read_record(_TUNING, entry_digest(meta))
+        record = self._read_record(_TUNING, entry_digest(meta),
+                                   meta=meta)
         return None if record is None else record["winner"]
 
     # -- inspection ----------------------------------------------------
@@ -667,7 +717,10 @@ class KernelStore:
         return {"removed": removed, "bytes": freed}
 
     def clear(self):
-        """Drop every entry, the quarantine, and the counters."""
+        """Drop every entry, the quarantine, and the counters (this
+        process's pending deltas included)."""
+        with _pending_lock:
+            _pending.pop(self.root, None)
         with self._lock():
             for path, _, _ in self._entry_files():
                 self._discard_entry(path)
@@ -679,12 +732,16 @@ class KernelStore:
         """Persisted counters plus live occupancy.
 
         ``hits``/``misses``/... aggregate across every process that
-        ever used this store directory; ``hit_rate`` is their ratio
+        ever used this store directory, as of each one's last flush
+        (this process's pending deltas are flushed first); a process
+        killed before a flush loses its unflushed counts, never an
+        entry.  ``hit_rate`` is their ratio
         (0.0 before any lookup).  ``entries``/``bytes`` are measured
         from the directory right now, sidecars included;
         ``stale_entries``/``stale_bytes`` are the part of them that
         other code versions wrote (:meth:`gc_stale` removes it).
         """
+        self._flush()
         counters = self._read_counters()
         files = self._entry_files()
         stale = self._stale_files(files)
@@ -710,3 +767,25 @@ class KernelStore:
             "root": self.root,
         })
         return counters
+
+
+def flush_counters():
+    """Fold every store's pending counter deltas into its
+    ``stats.json`` (see :data:`_pending`)."""
+    with _pending_lock:
+        stores = [pending[0] for pending in _pending.values()]
+    for store in stores:
+        store._flush()
+
+
+def _forget_pending():
+    """A forked child starts with no pending deltas: its parent's are
+    the parent's to flush."""
+    global _pending_lock
+    _pending.clear()
+    _pending_lock = threading.Lock()
+
+
+atexit.register(flush_counters)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pending)

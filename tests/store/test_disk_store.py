@@ -492,6 +492,7 @@ def test_readonly_store_serves_hits_and_drops_writes(tmp_path):
     store = KernelStore(tmp_path)
     with using_store(store):
         fl.compile_kernel(dot_program()[0])  # warm one entry
+    store.stats()  # the flush point: stats.json now exists
     os.remove(store._lock_path)
     os.remove(store._stats_path)
     os.mkdir(store._lock_path)      # open(.lock, "a+") now raises

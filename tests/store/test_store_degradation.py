@@ -82,6 +82,7 @@ def test_corrupt_stats_json_resets_instead_of_crashing(tmp_path,
         program, C, expected = dot_program()
         fl.compile_kernel(program).run()
         assert C.value == pytest.approx(expected)
+    store.stats()  # the flush point: the hit reaches stats.json
     persisted = json.load(open(stats_path))
     assert persisted["stats_resets"] == 1
     assert persisted["hits"] == 1
