@@ -38,8 +38,8 @@ def main(argv=None):
                              % ",".join(EXECUTORS))
     parser.add_argument("--policies", type=_split, default=None,
                         metavar="A,B",
-                        help="on_failure policies to sweep (default: "
-                             "%s)" % ",".join(POLICIES))
+                        help="on_failure policies to sweep, from %s "
+                             "(default: all)" % ",".join(POLICIES))
     parser.add_argument("--datasets", type=int, default=DATASETS,
                         help="datasets per case (default: %d)"
                              % DATASETS)

@@ -4,7 +4,7 @@ One campaign proves the fault-tolerance layer's contract the same way
 the conformance engine proves the compiler's: systematically, against
 a fault-free oracle.  For every registered fault point, every executor
 (serial / threads / processes), and every failure policy (raise /
-degrade / skip), a case runs the same self-contained workload — a
+skip), a case runs the same self-contained workload — a
 sparse-times-band dot product over :data:`DATASETS` datasets — under
 an armed chaos plan and must end in one of three *documented* states:
 
@@ -23,13 +23,13 @@ an armed chaos plan and must end in one of three *documented* states:
 
 Which state is *expected* is a function of the case: a worker-level
 fault pinned to one dataset (crash/stall at ``index=3``, firing every
-attempt) must raise under ``raise``, recover under ``degrade`` (the
-dataset re-runs below the processes tier, where the fault point cannot
-reach), and be isolated under ``skip``; a one-shot environment fault
-(shm attach race, store IO error, corrupt store entry, slow chunk)
-must be absorbed — bit-identical — under every policy.  Worker-level
-fault points are inert outside the processes executor, so those rows
-must come back identical too (the fault genuinely did not fire).
+attempt) exhausts the pool's retry, so it must raise under ``raise``
+and be isolated under ``skip`` — nothing re-runs a dataset that kills
+its worker in the calling process.  A one-shot environment fault (shm
+attach race, store read error, corrupt store entry, slow chunk) must
+be absorbed — bit-identical — under every policy.  Worker-level fault
+points are inert outside the processes executor, so those rows must
+come back identical too (the fault genuinely did not fire).
 
 Every case additionally asserts the hygiene invariants: zero leaked
 ``/dev/shm`` segments, zero orphan worker processes, and — for stall
@@ -59,7 +59,7 @@ DATASETS = 8
 POISON_INDEX = 3  # the dataset worker-level faults are pinned to
 
 EXECUTORS = ("serial", "threads", "processes")
-POLICIES = ("raise", "degrade", "skip")
+POLICIES = ("raise", "skip")
 
 #: How long an injected stall sleeps.  The watchdog (deadline ~1.5s)
 #: must detect and kill it long before this elapses; the campaign
@@ -84,8 +84,7 @@ def expected_status(fault, executor, policy):
     """The documented outcome of one case (see module docstring)."""
     if executor == "processes" and fault in ("worker_crash",
                                              "worker_stall"):
-        return {"raise": "typed-error", "degrade": "identical",
-                "skip": "skip-partial"}[policy]
+        return {"raise": "typed-error", "skip": "skip-partial"}[policy]
     return "identical"
 
 

@@ -41,11 +41,13 @@ dataset that raised — including workers that die hard mid-chunk
 (wrapped :class:`~repro.util.errors.WorkerCrashError`) or wedge past
 the watchdog deadline (wrapped
 :class:`~repro.util.errors.WorkerStallError`), both respawned by the
-pool.  Transient failures are retried with backoff up to
-``max_retries`` before they count; the ``on_failure`` policy then
-decides whether a permanent failure aborts the batch (``raise``),
-falls back to a simpler executor for the affected datasets
-(``degrade``), or is reported per-dataset in
+pool.  The pool's retry is the one recovery path: a dataset whose
+worker crashed or stalled (or raised a
+:class:`~repro.util.errors.TransientError`) is retried on a fresh
+worker, with backoff, up to ``max_retries`` times.  Serial and threads
+runs are never retried, and neither is a kernel exception.  The
+``on_failure`` policy then decides whether a permanent failure aborts
+the batch (``raise``) or is reported per-dataset in
 :attr:`BatchResult.failures` (``skip``).
 
 All three executors write outputs into the caller's dataset tensors in
@@ -56,6 +58,7 @@ results should still read them off the :class:`BatchResult` snapshots,
 which behave identically everywhere.
 """
 
+import math
 import os
 import threading
 import time
@@ -68,36 +71,20 @@ from repro.exec import pool as _pool
 from repro.exec import shm as _shm
 from repro.exec import worker as _worker
 from repro.util import config
-from repro.util.errors import (BatchExecutionError, BindingError,
-                               is_transient)
+from repro.util.errors import BatchExecutionError, BindingError
 
 #: The executor names :func:`run_batch` accepts.
 EXECUTORS = ("serial", "threads", "processes")
 
 #: The failure policies :func:`run_batch` accepts.  ``raise`` aborts
-#: on the first failing dataset (the default and the historical
-#: behavior); ``degrade`` re-runs failed datasets on progressively
-#: simpler executors (processes -> threads -> serial) and only raises
-#: when the serial re-run fails too (a genuinely poison dataset);
-#: ``skip`` never raises per-dataset — failed datasets land in
-#: :attr:`BatchResult.failures` keyed by index.
-ON_FAILURE = ("raise", "degrade", "skip")
+#: on the first failing dataset (the default); ``skip`` never raises
+#: per-dataset — failed datasets land in :attr:`BatchResult.failures`
+#: keyed by index.
+ON_FAILURE = ("raise", "skip")
 
 #: The per-stage overhead keys every executor reports.
 OVERHEAD_STAGES = ("serialize_s", "transport_s", "execute_s",
                    "collect_s")
-
-#: The per-batch fault keys every executor reports: the pool's
-#: :data:`repro.exec.pool.FAULT_KEYS` plus the datasets re-run on a
-#: lower executor tier by the ``degrade`` policy.
-FAULT_KEYS = _pool.FAULT_KEYS + ("degraded",)
-
-#: The ``degrade`` policy's fallback ladder below each executor.
-_DEGRADE_LADDER = {"processes": ("threads", "serial"),
-                   "threads": ("serial",), "serial": ()}
-
-#: Default transient-failure retry budget per dataset.
-DEFAULT_MAX_RETRIES = 2
 
 
 class BatchItem:
@@ -128,11 +115,11 @@ class BatchResult:
     ``overhead`` is this batch's per-stage time breakdown
     (serialize / transport / execute / collect seconds);
     ``faults`` is this batch's fault-tolerance ledger (retries,
-    crashes, stalls, transient errors, backoff seconds, datasets
-    degraded to a simpler executor); ``failures`` maps dataset index
-    -> :class:`~repro.util.errors.BatchExecutionError` for datasets
-    the ``skip`` policy gave up on (empty under other policies —
-    they raise instead).
+    crashes, stalls, transient errors, backoff seconds; only the
+    processes executor ever fills it); ``failures`` maps dataset
+    index -> :class:`~repro.util.errors.BatchExecutionError` for
+    datasets the ``skip`` policy gave up on (empty under ``raise``,
+    which raises instead).
     """
 
     def __init__(self, items, executor, max_workers, wall_seconds,
@@ -145,7 +132,7 @@ class BatchResult:
         self.stats = stats or {}
         self.overhead = dict(overhead or {})
         self.faults = dict(faults if faults is not None
-                           else _pool._fresh_faults(FAULT_KEYS))
+                           else _pool._fresh_faults())
         self.failures = dict(failures or {})
 
     @property
@@ -204,7 +191,7 @@ class KernelPool:
 
     def __init__(self, kernel, executor="threads", max_workers=None,
                  worker_pool=None, on_failure="raise",
-                 max_retries=None, deadline_s=None, backoff_s=None):
+                 max_retries=None, deadline_s=None):
         if executor not in EXECUTORS:
             raise ValueError(
                 "unknown executor %r (choose from %s)"
@@ -216,6 +203,19 @@ class KernelPool:
         if worker_pool is not None and executor != "processes":
             raise ValueError(
                 "worker_pool only applies to the processes executor")
+        if max_retries is None:
+            max_retries = _pool.DEFAULT_MAX_RETRIES
+        if type(max_retries) is not int or max_retries < 0:
+            raise ValueError("max_retries must be an int >= 0, not %r"
+                             % (max_retries,))
+        if deadline_s is not None:
+            # A negative or NaN deadline would read every busy worker
+            # as stalled; 0 turns the watchdog off.
+            deadline_s = float(deadline_s)
+            if not (deadline_s == 0 or 0 < deadline_s < math.inf):
+                raise ValueError(
+                    "deadline_s must be None, 0 (watchdog off) or a "
+                    "finite number > 0, not %r" % (deadline_s,))
         self._kernel = kernel
         self._artifact = kernel.artifact
         self._key = KernelKey.of(kernel.artifact)
@@ -234,18 +234,15 @@ class KernelPool:
         self._explicit_pool = worker_pool is not None
         self._owns_worker_pool = False
         self.on_failure = on_failure
-        self.max_retries = (DEFAULT_MAX_RETRIES if max_retries is None
-                            else int(max_retries))
-        self.deadline_s = (None if deadline_s is None
-                           else float(deadline_s))
-        self.backoff_s = 0.05 if backoff_s is None else float(backoff_s)
+        self.max_retries = max_retries
+        self.deadline_s = deadline_s
         self._spec = None
         self._closed = False
         self._lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._worker_stats = {}
         self._overhead = dict.fromkeys(OVERHEAD_STAGES, 0.0)
-        self._faults = _pool._fresh_faults(FAULT_KEYS)
+        self._faults = _pool._fresh_faults()
         self._thread_ids = threading.local()
         self._thread_counter = 0
 
@@ -277,8 +274,7 @@ class KernelPool:
         return False
 
     def _ensure_pool(self):
-        """The thread executor (threads mode, and the ``threads``
-        rung of the degrade ladder), created lazily."""
+        """The thread executor of threads mode, created lazily."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("KernelPool is closed")
@@ -347,10 +343,6 @@ class KernelPool:
         with self._stats_lock:
             return dict(self._overhead)
 
-    def _note_fault(self, key, amount=1):
-        with self._stats_lock:
-            self._faults[key] += amount
-
     def _merge_faults(self, faults):
         with self._stats_lock:
             for key, value in faults.items():
@@ -395,15 +387,6 @@ class KernelPool:
         if self.executor == "processes" and self._worker_pool is not None:
             out["pool"] = self._worker_pool.stats()
         return out
-
-    def _thread_worker_id(self):
-        wid = getattr(self._thread_ids, "worker_id", None)
-        if wid is None:
-            with self._stats_lock:
-                wid = "thread-%d" % self._thread_counter
-                self._thread_counter += 1
-            self._thread_ids.worker_id = wid
-        return wid
 
     # -- dataset resolution --------------------------------------------
     def _resolve(self, datasets):
@@ -486,33 +469,7 @@ class KernelPool:
         return error
 
     def _run_local(self, index, dataset, worker_id):
-        """One dataset, in-process, with the transient retry policy.
-
-        An in-process :class:`TransientError` (store IO flake, shm
-        attach race from an arena-resident input) is retried with
-        exponential backoff up to ``max_retries``; anything else is a
-        deterministic kernel exception and raises immediately.
-        """
-        attempt = 0
-        while True:
-            try:
-                return self._run_local_once(index, dataset, worker_id)
-            except BatchExecutionError as exc:
-                if (not is_transient(exc.cause)
-                        or attempt >= self.max_retries):
-                    raise
-                attempt += 1
-                self._note_fault("transient_errors")
-                self._note_fault("retries")
-                delay = min(1.0, self.backoff_s * 2 ** (attempt - 1))
-                # The pool's module-private jitter RNG, never the
-                # global ``random`` stream (seed-reproducibility of
-                # interleaved fuzz/chaos campaigns).
-                delay *= 1.0 + _pool._JITTER_RNG.random()  # jitter
-                self._note_fault("backoff_s", delay)
-                time.sleep(delay)
-
-    def _run_local_once(self, index, dataset, worker_id):
+        """One dataset, in-process; an exception surfaces at once."""
         start = time.perf_counter()
         tensors, roles, _ = dataset
         try:
@@ -534,9 +491,15 @@ class KernelPool:
                            collect_s=done - ran)
         return BatchItem(index, outputs, ops, worker_id, done - start)
 
-    def _run_threaded(self, index, dataset, worker_id=None):
-        return self._run_local(index, dataset,
-                               worker_id or self._thread_worker_id())
+    def _run_threaded(self, index, dataset):
+        """:meth:`_run_local` labelled by the thread that took it."""
+        wid = getattr(self._thread_ids, "worker_id", None)
+        if wid is None:
+            with self._stats_lock:
+                wid = "thread-%d" % self._thread_counter
+                self._thread_counter += 1
+            self._thread_ids.worker_id = wid
+        return self._run_local(index, dataset, wid)
 
     def map(self, datasets):
         """Run every dataset; returns a :class:`BatchResult`.
@@ -546,10 +509,8 @@ class KernelPool:
         does depends on the ``on_failure`` policy: ``raise`` (default)
         raises the first failure (in index order) as a
         :class:`~repro.util.errors.BatchExecutionError` carrying its
-        index; ``degrade`` re-runs failed datasets on progressively
-        simpler executors before raising only genuinely poison ones;
-        ``skip`` completes the batch and reports failed datasets in
-        :attr:`BatchResult.failures`.
+        index; ``skip`` completes the batch and reports failed
+        datasets in :attr:`BatchResult.failures`.
         """
         resolved = self._resolve(list(datasets))
         start = time.perf_counter()
@@ -561,17 +522,12 @@ class KernelPool:
                                overhead=dict.fromkeys(OVERHEAD_STAGES,
                                                       0.0))
         if self.executor == "serial":
-            items, failures = self._map_serial(resolved,
-                                               range(len(resolved)))
+            items, failures = self._map_serial(resolved)
         elif self.executor == "threads":
-            items, failures = self._map_threads(resolved,
-                                                range(len(resolved)))
+            items, failures = self._map_threads(resolved)
         else:
             items, failures = self._map_processes(resolved)
-        if failures and self.on_failure == "degrade":
-            recovered, failures = self._degrade(resolved, failures)
-            items.extend(recovered)
-        if failures and self.on_failure != "skip":
+        if failures and self.on_failure == "raise":
             raise failures[min(failures)]
         wall = time.perf_counter() - start
         after = self._overhead_snapshot()
@@ -579,32 +535,30 @@ class KernelPool:
                     for key in OVERHEAD_STAGES}
         faults_after = self._faults_snapshot()
         faults = {key: faults_after[key] - faults_before[key]
-                  for key in FAULT_KEYS}
+                  for key in _pool.FAULT_KEYS}
         return BatchResult(items, self.executor, self.max_workers,
                            wall, stats=self.stats(), overhead=overhead,
                            faults=faults, failures=failures)
 
-    def _map_serial(self, resolved, indices, worker_id="serial-0"):
-        """Run ``indices`` of ``resolved`` one by one; returns
+    def _map_serial(self, resolved):
+        """Run every dataset one by one; returns
         ``(items, {index: failure})``."""
         items, failures = [], {}
-        for index in indices:
+        for index, dataset in enumerate(resolved):
             try:
-                items.append(self._run_local(index, resolved[index],
-                                             worker_id))
+                items.append(self._run_local(index, dataset, "serial-0"))
             except BatchExecutionError as exc:
                 failures[index] = exc
                 if self.on_failure == "raise":
                     break
         return items, failures
 
-    def _map_threads(self, resolved, indices, worker_id=None):
-        """:meth:`_map_serial` over the thread executor (``worker_id``
-        None labels each run by the thread that took it)."""
+    def _map_threads(self, resolved):
+        """:meth:`_map_serial` over the thread executor."""
         pool = self._ensure_pool()
         futures = [(index, pool.submit(self._run_threaded, index,
-                                       resolved[index], worker_id))
-                   for index in indices]
+                                       dataset))
+                   for index, dataset in enumerate(resolved)]
         items, failures = [], {}
         for index, future in futures:
             try:
@@ -612,26 +566,6 @@ class KernelPool:
             except BatchExecutionError as exc:
                 failures[index] = exc
         return items, failures
-
-    def _degrade(self, resolved, failures):
-        """The ``degrade`` policy: re-run failed datasets on each
-        simpler executor tier in turn (processes -> threads ->
-        serial).  Environment failures recover on the way down; a
-        dataset that still fails serially is genuinely poison and
-        stays failed.  Returns ``(recovered_items, still_failed)``.
-        """
-        recovered = []
-        still = dict(failures)
-        for stage in _DEGRADE_LADDER[self.executor]:
-            if not still:
-                break
-            self._note_fault("degraded", len(still))
-            run = (self._map_threads if stage == "threads"
-                   else self._map_serial)
-            items, still = run(resolved, sorted(still),
-                               "degrade-" + stage)
-            recovered.extend(items)
-        return recovered, still
 
     def _map_processes(self, resolved):
         """Dispatch one batch over the warm worker pool.
@@ -643,7 +577,7 @@ class KernelPool:
         Execute: the pool's chunked dispatch, under this pool's
         deadline/retry settings.  Collect: snapshot and assemble
         items.  Returns ``(items, failures)``
-        — policy handling (raise/degrade/skip) is :meth:`map`'s job.
+        — policy handling (raise/skip) is :meth:`map`'s job.
         The staging segment is unlinked on every path.
         """
         spec = self._ensure_spec()
@@ -754,11 +688,13 @@ def run_batch(program, datasets, executor="serial", max_workers=None,
     the configured disk store).
 
     Fault tolerance: ``on_failure`` picks the policy for failing
-    datasets (:data:`ON_FAILURE` — raise / degrade / skip),
-    ``max_retries`` bounds transient-failure retries per dataset
-    (default :data:`DEFAULT_MAX_RETRIES`), and ``deadline_s`` pins the
-    processes executor's watchdog deadline (default: derived from the
-    measured chunk cost).
+    datasets (:data:`ON_FAILURE` — raise / skip), ``max_retries``
+    bounds the processes executor's retries of a crashed or stalled
+    dataset (an int >= 0, default
+    :data:`~repro.exec.pool.DEFAULT_MAX_RETRIES`), and ``deadline_s``
+    pins its watchdog deadline (None derives it from the measured
+    chunk cost, 0 turns it off; anything else must be finite and
+    positive).
 
     Returns a :class:`BatchResult` whose per-dataset output snapshots
     and instrumented op counts are identical across executors.  For a

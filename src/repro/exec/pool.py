@@ -27,8 +27,8 @@ shared-memory transport
 chunked scheduling
     many datasets ride one IPC round-trip.  The chunk size adapts to
     the measured per-item cost (an EMA of worker-reported kernel
-    seconds) targeting ``chunk_target_s`` of work per message, capped
-    so every worker gets something to do.
+    seconds) targeting :data:`CHUNK_TARGET_S` of work per message,
+    capped so every worker gets something to do.
 
 self-healing
     each worker publishes the dataset index it is executing *and a
@@ -46,19 +46,21 @@ watchdog deadlines
     call): the dispatcher kills it, attributes the stall to the
     in-flight dataset (:class:`~repro.util.errors.WorkerStallError`),
     and respawns the slot exactly like a crash.  The deadline is
-    explicit (``deadline_s`` on the pool, or per ``run`` call) or
-    derived from the chunk-cost EMA (``max(5s, 50x measured per-item
-    seconds)``); before any measurement and with no explicit deadline
-    the watchdog stays off, so a cold first chunk can never be killed
-    by a guess.
+    explicit (``deadline_s`` per ``run`` call, which the batch layer
+    passes from its ``KernelPool``) or derived from the chunk-cost EMA
+    (``max(5s, 50x measured per-item seconds)``); before any
+    measurement and with no explicit deadline the watchdog stays off,
+    so a cold first chunk can never be killed by a guess.
 
 retry with backoff
     transient failures — crashes, stalls, and worker-raised
     :class:`~repro.util.errors.TransientError`\\ s such as shm attach
     races — are retried on a healthy worker with exponential backoff
-    plus jitter, up to ``max_retries`` per dataset.  Deterministic
-    kernel exceptions are never retried.  Datasets that merely shared
-    a chunk with the suspect are requeued without penalty.
+    (from :data:`BACKOFF_S`) plus jitter, up to ``max_retries`` per
+    dataset.  This is the batch layer's one recovery path: nothing
+    re-runs a dataset in the calling process.  Deterministic kernel
+    exceptions are never retried.  Datasets that merely shared a chunk
+    with the suspect are requeued without penalty.
 
 A module-level default pool (:func:`default_pool`, tuned via
 ``fl.configure(pool_*=...)``) is shared by every ``KernelPool`` that does
@@ -90,9 +92,19 @@ from repro.util.errors import (WorkerCrashError, WorkerStallError,
 FAULT_KEYS = ("retries", "crashes", "stalls", "transient_errors",
               "backoff_s")
 
+#: Seconds of measured work one chunk message aims to carry.
+CHUNK_TARGET_S = 0.01
 
-def _fresh_faults(keys=FAULT_KEYS):
-    return {key: (0.0 if key == "backoff_s" else 0) for key in keys}
+#: The first retry's backoff in seconds; it doubles per attempt,
+#: capped at 1s, before jitter.
+BACKOFF_S = 0.05
+
+#: Retries of a crashed or stalled dataset when the caller names none.
+DEFAULT_MAX_RETRIES = 2
+
+
+def _fresh_faults():
+    return {key: (0.0 if key == "backoff_s" else 0) for key in FAULT_KEYS}
 
 #: Start methods accepted by :class:`WorkerPool` (a subset of the
 #: platform's ``multiprocessing.get_all_start_methods()``).
@@ -137,9 +149,7 @@ class WorkerPool:
     call :meth:`close`; closing is idempotent.
     """
 
-    def __init__(self, max_workers=None, start_method=None,
-                 chunk_target_s=0.01, deadline_s=None, max_retries=2,
-                 backoff_s=0.05):
+    def __init__(self, max_workers=None, start_method=None):
         self.max_workers = (config.worker_count(max_workers)
                             or os.cpu_count() or 1)
         method = start_method or default_start_method()
@@ -149,12 +159,6 @@ class WorkerPool:
                 "(choose from %s)"
                 % (method, ", ".join(mp.get_all_start_methods())))
         self.start_method = method
-        self.chunk_target_s = float(chunk_target_s)
-        #: Explicit watchdog deadline in seconds; None derives one
-        #: from the chunk-cost EMA once measurements exist.
-        self.deadline_s = None if deadline_s is None else float(deadline_s)
-        self.max_retries = int(max_retries)
-        self.backoff_s = float(backoff_s)
         self._ctx = mp.get_context(method)
         self._lock = threading.RLock()
         self._workers = [None] * self.max_workers
@@ -290,14 +294,14 @@ class WorkerPool:
 
     # -- scheduling ----------------------------------------------------
     def _pick_chunk_size(self, n):
-        """Datasets per IPC round-trip: about ``chunk_target_s`` of
+        """Datasets per IPC round-trip: about :data:`CHUNK_TARGET_S` of
         measured work, clamped so every worker gets a share; before
         any measurement, four chunks per worker."""
         per_worker = max(1, -(-n // self.max_workers))
         if self._per_item_s is None or self._per_item_s <= 0:
             size = max(1, -(-n // (self.max_workers * 4)))
         else:
-            size = int(self.chunk_target_s / self._per_item_s) or 1
+            size = int(CHUNK_TARGET_S / self._per_item_s) or 1
         size = max(1, min(per_worker, size))
         self._last_chunk_size = size
         return size
@@ -321,26 +325,9 @@ class WorkerPool:
             self._counters["specs_shipped"] += 1
         worker.conn.send_bytes(data)
 
-    def _effective_deadline(self, deadline_s):
-        """The watchdog deadline for one ``run`` call, in seconds.
-
-        Per-call override wins, then the pool's configured deadline,
-        then an EMA-derived guess (generous: 50x the measured
-        per-item cost, floored at 5s, so a chunk of slow-but-honest
-        datasets is never killed).  Returns None — watchdog off —
-        when nothing is configured and nothing has been measured yet,
-        and when the caller passes ``0`` explicitly.
-        """
-        if deadline_s is not None:
-            return float(deadline_s) or None
-        if self.deadline_s is not None:
-            return self.deadline_s or None
-        if self._per_item_s is not None and self._per_item_s > 0:
-            return max(5.0, 50.0 * self._per_item_s)
-        return None
-
     def run(self, spec, digest, tasks, staging_name=None,
-            deadline_s=None, max_retries=None, fail_fast=True):
+            deadline_s=None, max_retries=DEFAULT_MAX_RETRIES,
+            fail_fast=True):
         """Map ``tasks`` (transport payloads, each carrying its
         dataset ``index``) over the warm workers under one kernel.
 
@@ -349,12 +336,12 @@ class WorkerPool:
         that failed permanently, and the call's fault counters
         (:data:`FAULT_KEYS`).  Transient failures — crashes, stalls,
         worker-raised :class:`TransientError`\\ s — are retried with
-        exponential backoff up to ``max_retries`` (default: the
-        pool's) before landing in ``failures``; deterministic kernel
-        exceptions land there immediately.  With ``fail_fast`` (the
-        default) dispatch stops after the first permanent failure;
-        policies that want every dataset's outcome pass False.  Staged
-        write-back and error wrapping are the caller's job.
+        exponential backoff up to ``max_retries`` times before
+        landing in ``failures``; deterministic kernel exceptions land
+        there immediately.  With ``fail_fast`` (the default) dispatch
+        stops after the first permanent failure; policies that want
+        every dataset's outcome pass False.  Staged write-back and
+        error wrapping are the caller's job.
         """
         with self._lock:
             if self._closed:
@@ -368,9 +355,16 @@ class WorkerPool:
         faults = _fresh_faults()
         if not tasks:
             return [], [], faults
-        retries_allowed = (self.max_retries if max_retries is None
-                           else int(max_retries))
-        deadline = self._effective_deadline(deadline_s)
+        # The watchdog deadline: the caller's (0 turns it off), else a
+        # generous guess from the chunk-cost EMA (50x the per-item
+        # cost, floored at 5s).  Before any measurement the watchdog
+        # stays off, so a cold first chunk is never killed by a guess.
+        if deadline_s is not None:
+            deadline = float(deadline_s) or None
+        elif self._per_item_s:
+            deadline = max(5.0, 50.0 * self._per_item_s)
+        else:
+            deadline = None
         self._counters["batches"] += 1
         chunk_size = self._pick_chunk_size(len(tasks))
         pending = deque(tasks[i:i + chunk_size]
@@ -400,7 +394,7 @@ class WorkerPool:
             if survivors:
                 pending.append(survivors)
             attempts[suspect] = attempts.get(suspect, 0) + 1
-            if attempts[suspect] > retries_allowed:
+            if attempts[suspect] > max_retries:
                 failures.append((suspect, exc))
                 if fail_fast:
                     stop = True
@@ -408,8 +402,7 @@ class WorkerPool:
                 return True
             faults["retries"] += 1
             self._counters["retries"] += 1
-            delay = min(1.0, self.backoff_s
-                        * 2 ** (attempts[suspect] - 1))
+            delay = min(1.0, BACKOFF_S * 2 ** (attempts[suspect] - 1))
             delay *= 1.0 + _JITTER_RNG.random()  # jitter
             faults["backoff_s"] += delay
             time.sleep(delay)
@@ -568,8 +561,6 @@ class WorkerPool:
             out["start_method"] = self.start_method
             out["chunk_size"] = self._last_chunk_size
             out["per_item_s"] = self._per_item_s
-            out["deadline_s"] = self.deadline_s
-            out["max_retries"] = self.max_retries
             out["alive"] = sum(
                 1 for worker in self._workers
                 if worker is not None and worker.process.is_alive())

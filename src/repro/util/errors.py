@@ -86,16 +86,17 @@ class SpecError(ReproError):
 class TransientError(ReproError):
     """A failure caused by the *execution environment*, not the kernel.
 
-    The fault-tolerance layer retries transient failures (with
+    The process worker pool retries transient failures (with
     exponential backoff, on a healthy worker) because re-running the
-    same dataset can succeed: the worker crashed or stalled, a
-    shared-memory attach raced a teardown, a store read hit flaky IO.
-    Deterministic kernel exceptions — the kernel itself raising on its
-    input — are *never* classified transient and are never retried.
+    same dataset can succeed: the worker crashed or stalled, or a
+    shared-memory attach raced a teardown.  Deterministic kernel
+    exceptions — the kernel itself raising on its input — are *never*
+    classified transient and are never retried.
 
     Use :func:`is_transient` to classify an exception; custom kernels
     may raise their own ``TransientError`` subclass to opt a failure
-    into the retry policy.
+    into the pool's retry (the serial and threads executors retry
+    nothing).
     """
 
 
@@ -162,15 +163,6 @@ class ShmAttachError(TransientError):
     Raised when a worker races segment teardown (the parent unlinked a
     staging segment while a retry was in flight) or the attach itself
     fails transiently.  Transient: a retry re-stages the payload.
-    """
-
-
-class StoreIOError(TransientError):
-    """A kernel-store read or write failed at the IO layer.
-
-    The store itself degrades IO failures to cache misses internally;
-    this type exists for callers that surface store IO problems into
-    the retry policy instead of swallowing them.
     """
 
 

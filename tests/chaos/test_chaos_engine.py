@@ -11,7 +11,7 @@ import os
 import pytest
 
 from repro import chaos
-from repro.chaos.campaign import expected_status, run_campaign
+from repro.chaos.campaign import POLICIES, expected_status, run_campaign
 
 
 def test_plan_parse_encode_roundtrip():
@@ -127,16 +127,18 @@ def test_fault_points_registry_is_exported():
 
 
 def test_expected_status_matrix():
-    assert expected_status("worker_crash", "processes",
-                           "raise") == "typed-error"
-    assert expected_status("worker_crash", "processes",
-                           "degrade") == "identical"
-    assert expected_status("worker_stall", "processes",
-                           "skip") == "skip-partial"
-    assert expected_status("worker_crash", "threads",
-                           "raise") == "identical"
-    assert expected_status("store_read_error", "processes",
-                           "raise") == "identical"
+    assert POLICIES == ("raise", "skip")
+    pinned = {"raise": "typed-error", "skip": "skip-partial"}
+    for policy in POLICIES:
+        for fault in ("worker_crash", "worker_stall"):
+            assert expected_status(fault, "processes",
+                                   policy) == pinned[policy]
+            assert expected_status(fault, "threads",
+                                   policy) == "identical"
+            assert expected_status(fault, "serial",
+                                   policy) == "identical"
+        assert expected_status("store_read_error", "processes",
+                               policy) == "identical"
 
 
 def test_reduced_campaign_is_clean():
@@ -146,15 +148,15 @@ def test_reduced_campaign_is_clean():
     report = run_campaign(seed=3,
                           faults=["worker_crash", "store_read_error"],
                           executors=["serial", "processes"],
-                          policies=["degrade", "skip"], count=4)
+                          policies=["raise", "skip"], count=4)
     assert report["violations"] == 0, [
         case for case in report["cases"] if case["violations"]]
     assert len(report["cases"]) == 8
     by_key = {(case["fault"], case["executor"], case["policy"]): case
               for case in report["cases"]}
     assert by_key[("worker_crash", "processes",
-                   "degrade")]["status"] == "identical"
+                   "raise")]["status"] == "typed-error"
+    assert by_key[("worker_crash", "processes",
+                   "raise")]["faults"]["crashes"] >= 1
     assert by_key[("worker_crash", "processes",
                    "skip")]["status"] == "skip-partial"
-    assert by_key[("worker_crash", "processes",
-                   "degrade")]["faults"]["crashes"] >= 1

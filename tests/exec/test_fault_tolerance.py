@@ -21,9 +21,8 @@ from repro.exec import KernelPool, WorkerPool
 from repro.exec import pool as pool_mod
 from repro.exec import shm as shm_mod
 from repro.util.errors import (BatchExecutionError, ShmAttachError,
-                               StoreIOError, TransientError,
-                               WorkerCrashError, WorkerStallError,
-                               is_transient)
+                               TransientError, WorkerCrashError,
+                               WorkerStallError, is_transient)
 
 N = 120
 
@@ -78,7 +77,6 @@ def test_transient_taxonomy():
     assert is_transient(WorkerCrashError("pid-1", -9, 0))
     assert is_transient(WorkerStallError("pid-1", 0, 1.0))
     assert is_transient(ShmAttachError("gone"))
-    assert is_transient(StoreIOError("disk"))
     assert not is_transient(ValueError("kernel bug"))
     assert not is_transient(KeyboardInterrupt())
     assert issubclass(WorkerStallError, TransientError)
@@ -192,22 +190,6 @@ def test_retry_budget_exhausts_to_typed_error():
 
 
 # -- failure policies ------------------------------------------------------
-
-def test_degrade_recovers_poisoned_dataset():
-    """on_failure='degrade': a dataset that always kills its process
-    worker re-runs on a lower tier (where the fault point cannot
-    reach) and the batch comes back complete."""
-    kernel = dot_kernel()
-    with WorkerPool(max_workers=2) as workers:
-        with KernelPool(kernel, executor="processes",
-                        worker_pool=workers, on_failure="degrade",
-                        max_retries=0) as pool:
-            with fl.chaos("worker_crash", index=3):
-                result = pool.map(dot_datasets(6))
-            assert outputs_of(result) == pytest.approx(expected_dots(6))
-            assert not result.failures
-            assert result.faults["degraded"] >= 1
-
 
 def test_skip_isolates_poisoned_dataset():
     """on_failure='skip': the poisoned dataset lands in

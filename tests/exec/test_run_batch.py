@@ -160,19 +160,19 @@ def test_single_dataset_degenerates(executor):
     assert result.stats["runs"] == 1
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_worker_error_carries_dataset_index(executor):
-    """A dataset that raises inside the kernel surfaces as
-    BatchExecutionError with the failing index attached."""
+def dense_dot_program(a, b):
+    A = fl.from_numpy(a, ("dense",), name="A")
+    B = fl.from_numpy(b, ("dense",), name="B")
+    C = fl.Scalar(name="C")
+    i = fl.indices("i")
+    return fl.forall(i, fl.increment(C[()], A[i] * B[i]))
+
+
+def poisoned_dense_batch():
+    """A dense dot template and five datasets whose dataset 3 makes
+    the kernel raise IndexError (compile at ``opt_level=1``: a
+    vectorized slice read would silently clamp instead of raising)."""
     rng = np.random.default_rng(7)
-
-    def dense_dot_program(a, b):
-        A = fl.from_numpy(a, ("dense",), name="A")
-        B = fl.from_numpy(b, ("dense",), name="B")
-        C = fl.Scalar(name="C")
-        i = fl.indices("i")
-        return fl.forall(i, fl.increment(C[()], A[i] * B[i]))
-
     template = dense_dot_program(rng.random(8), rng.random(8))
     datasets = []
     for position in range(5):
@@ -185,13 +185,35 @@ def test_worker_error_carries_dataset_index(executor):
             broken = tensors[named(tensors, "A")]
             broken.element.val = broken.element.val[:4]
         datasets.append(tensors)
+    return template, datasets
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_worker_error_carries_dataset_index(executor):
+    """A dataset that raises inside the kernel surfaces as
+    BatchExecutionError with the failing index attached."""
+    template, datasets = poisoned_dense_batch()
     with pytest.raises(BatchExecutionError) as info:
-        # opt_level=1 keeps the loop scalar (a vectorized slice read
-        # would silently clamp instead of raising).
         run_batch(template, datasets, executor=executor,
                   max_workers=2, opt_level=1)
     assert info.value.index == 3
     assert "IndexError" in str(info.value)
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads"])
+def test_in_process_kernel_error_is_not_retried(executor):
+    """Serial and threads runs have no recovery path: a kernel that
+    raises surfaces at once, whatever the retry budget, and the
+    batch's fault ledger stays at zero."""
+    template, datasets = poisoned_dense_batch()
+    kernel = fl.compile_kernel(template, opt_level=1)
+    with KernelPool(kernel, executor=executor, max_workers=2,
+                    max_retries=3) as pool:
+        with pytest.raises(BatchExecutionError) as info:
+            pool.map(datasets)
+        faults = pool.stats()["faults"]
+    assert info.value.index == 3
+    assert not any(faults.values()), faults
 
 
 def test_signature_mismatch_rejected_up_front():
@@ -316,11 +338,49 @@ def test_batch_execution_error_survives_pickling():
     assert "boom" in str(clone)
 
 
-def test_unknown_executor_rejected():
+@pytest.mark.parametrize("kwargs,match", [
+    ({"executor": "fibers"}, "unknown executor"),
+    ({"on_failure": "degrade"},
+     r"unknown on_failure policy 'degrade' \(choose from raise, skip\)"),
+], ids=["executor", "on_failure"])
+def test_unknown_executor_rejected(kwargs, match):
     template = dot_program(*make_pair(0))
     kernel = fl.compile_kernel(template)
-    with pytest.raises(ValueError, match="unknown executor"):
-        KernelPool(kernel, executor="fibers")
+    with pytest.raises(ValueError, match=match):
+        KernelPool(kernel, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"deadline_s": -1.0}, {"deadline_s": float("nan")},
+    {"deadline_s": float("inf")}, {"max_retries": -1},
+    {"max_retries": 1.5}, {"max_retries": True},
+], ids=lambda kwargs: "%s=%r" % next(iter(kwargs.items())))
+def test_bad_deadline_or_retry_budget_rejected(kwargs):
+    """A negative or NaN watchdog deadline would read every busy
+    worker as stalled and kill healthy ones; the pool and the one-call
+    API refuse it, and any retry budget but an int >= 0, up front."""
+    template = dot_program(*make_pair(0))
+    kernel = fl.compile_kernel(template)
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
+        KernelPool(kernel, executor="processes", **kwargs)
+    with pytest.raises(ValueError, match=name):
+        run_batch(template, dot_datasets(1), **kwargs)
+
+
+def test_zero_deadline_turns_the_watchdog_off():
+    """0 is a valid deadline (watchdog off), as is a retry budget of
+    0: a healthy batch runs with no faults."""
+    from repro.exec import WorkerPool
+
+    kernel = fl.compile_kernel(dot_program(*make_pair(0)))
+    with WorkerPool(max_workers=2) as workers:
+        with KernelPool(kernel, executor="processes",
+                        worker_pool=workers, deadline_s=0,
+                        max_retries=0) as pool:
+            result = pool.map(dot_datasets(2))
+    assert len(result) == 2
+    assert not any(result.faults.values())
 
 
 def test_pool_reuse_accumulates_stats():

@@ -109,8 +109,9 @@ def test_unknown_option_rejected():
 
 
 def test_removed_pool_options_are_unknown():
-    # The watchdog deadline, chunk size, retry budget and backoff are
-    # WorkerPool/KernelPool constructor arguments, not config options.
+    # The watchdog deadline and retry budget are KernelPool arguments
+    # and the chunk target and backoff are constants in exec/pool.py,
+    # not config options.
     with pytest.raises(ValueError, match="unknown configuration"):
         fl.configure(pool_deadline_s=1)
     assert len(config.OPTIONS) == 11
