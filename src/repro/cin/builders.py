@@ -35,7 +35,7 @@ def indices(*names):
     """Create loop index variables: ``i, j = indices("i", "j")``."""
     if len(names) == 1 and " " in names[0]:
         names = tuple(names[0].split())
-    out = tuple(Var(name) for name in names)
+    out = tuple(Var(name, integral=True) for name in names)
     return out[0] if len(out) == 1 else out
 
 
@@ -137,7 +137,7 @@ def foralls(index_list, body, exts=None):
     out = body
     for index in reversed(list(index_list)):
         if isinstance(index, str):
-            index = Var(index)
+            index = Var(index, integral=True)
         out = forall(index, out, ext=exts.get(index.name))
     return out
 

@@ -10,6 +10,8 @@ carry per-mode access :class:`protocols <repro.formats>` (walk, gallop,
 locate, ...).
 """
 
+import numpy as np
+
 from repro.ir.nodes import Expr, Var, as_expr
 from repro.ir.ops import Op, get_op
 from repro.util.errors import ReproError
@@ -95,6 +97,15 @@ class PermitExpr(Expr):
         return "permit[%r]" % (self.base,)
 
 
+def _permits(idx):
+    """Whether a ``permit`` wraps index ``idx`` under any modifiers."""
+    while isinstance(idx, (OffsetExpr, WindowExpr, PermitExpr)):
+        if isinstance(idx, PermitExpr):
+            return True
+        idx = idx.base
+    return False
+
+
 def index_base(idx):
     """The innermost plain index expression under any modifiers."""
     while isinstance(idx, (OffsetExpr, WindowExpr, PermitExpr)):
@@ -140,6 +151,13 @@ class Access(Expr):
         name = getattr(self.tensor, "name", None) or type(self.tensor).__name__
         return "%s[%s]" % (name, ", ".join(repr(i) for i in self.idxs))
 
+    @property
+    def integral(self):
+        """An integer element type, and no ``permit`` that may read
+        ``missing``."""
+        return (np.dtype(getattr(self.tensor, "dtype", None)).kind in "biu"
+                and not any(_permits(idx) for idx in self.idxs))
+
 
 class CinStmt:
     """Base class for CIN statements."""
@@ -176,7 +194,7 @@ class Forall(CinStmt):
 
     def __init__(self, index, body, ext=None):
         if isinstance(index, str):
-            index = Var(index)
+            index = Var(index, integral=True)
         if not isinstance(index, Var):
             raise ReproError("forall index must be a Var")
         self.index = index

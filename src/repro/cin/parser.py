@@ -151,7 +151,7 @@ class Parser:
             self.expect(":")
             stop = self.parse_expr()
             ext = Extent(start, stop)
-        return Var(name), ext
+        return Var(name, integral=True), ext
 
     def _expect_name(self):
         token = self.advance()

@@ -111,9 +111,29 @@ class CUnsupportedError(ReproError):
     """The C emitter cannot translate this kernel bit-identically."""
 
 
-_PRELUDE = r"""#include <stdint.h>
+#: What the kernels use of ``<stdint.h>``, ``<stdbool.h>`` and
+#: ``<math.h>``, taken from the compiler's predefined macros and
+#: builtins where GCC and Clang predefine them, so a compile parses no
+#: system header (glibc's ``<math.h>`` spells ``isnan``/``isinf`` as
+#: these builtins too); any other compiler includes the headers.
+_PRELUDE = r"""#if defined(__GNUC__) && defined(__INT64_TYPE__) && defined(__INT64_C)
+typedef __INT64_TYPE__ int64_t;
+#define INT64_C(c) __INT64_C(c)
+#define INT64_MIN (-__INT64_C(9223372036854775807) - 1)
+#define bool _Bool
+#define true 1
+#define false 0
+#define floor(x) __builtin_floor(x)
+#define fmod(x, y) __builtin_fmod(x, y)
+#define rint(x) __builtin_rint(x)
+#define sqrt(x) __builtin_sqrt(x)
+#define isnan(x) __builtin_isnan(x)
+#define isinf(x) __builtin_isinf_sign(x)
+#else
+#include <stdint.h>
 #include <stdbool.h>
 #include <math.h>
+#endif
 
 static inline double fl_div(double a, double b) { return a / b; }
 

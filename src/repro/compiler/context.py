@@ -19,7 +19,7 @@ from repro.ir import asm, ops
 from repro.ir.nodes import Literal, Load, Var
 from repro.ir.runtime import reserved_names
 from repro.rewrite import simplify_expr
-from repro.rewrite.rules import value_range
+from repro.rewrite.rules import integer_valued, value_range
 from repro.util.errors import LoweringError
 from repro.util.namer import Namer
 
@@ -68,14 +68,16 @@ class Context:
     def buffer(self, array, hint="buf", bounds=None):
         """Bind ``array`` as a kernel parameter; returns its Var, which
         carries ``bounds``, the closed range of its elements, when given
-        (a level's declared coordinate bounds)."""
+        (a level's declared coordinate bounds), and is ``integral`` when
+        its dtype is."""
         key = id(array)
         if key not in self._buffers:
             name = self.namer.fresh(hint)
             self._buffers[key] = (name, array)
             self._buffer_order.append(key)
             self._plan.append(self._slot_roles.get(key))
-        return Var(self._buffers[key][0], bounds)
+        return Var(self._buffers[key][0], bounds,
+                   integral=_integral_dtype(array.dtype))
 
     def bound_buffers(self):
         """``(name, array)`` pairs in binding order."""
@@ -95,7 +97,8 @@ class Context:
         """The local accumulator Var standing in for a 0-dim tensor."""
         key = id(tensor)
         if key not in self._scalars:
-            var = Var(self.namer.fresh(tensor.name + "_acc"))
+            var = Var(self.namer.fresh(tensor.name + "_acc"),
+                      integral=_integral_dtype(tensor.dtype))
             self._scalars[key] = (var, tensor, False)
             self._scalar_order.append(key)
         return self._scalars[key][0]
@@ -129,11 +132,12 @@ class Context:
     def let(self, hint, value):
         """``value`` as an operand: itself if a literal or a variable,
         else a fresh variable assigned it once, bounded by the value's
-        range."""
+        range and integral when it is."""
         value = simplify_expr(value)
         if isinstance(value, (Literal, Var)):
             return value
-        var = Var(self.freshen(hint), value_range(value))
+        var = Var(self.freshen(hint), value_range(value),
+                  integral=integer_valued(value))
         self.emit(asm.AssignStmt(var, value))
         return var
 
@@ -180,6 +184,11 @@ class Context:
         if not self.instrument:
             return None
         return self.accumulate(self.ops_var, ops.ADD, Literal(1))
+
+
+def _integral_dtype(dtype):
+    """Whether every value of ``dtype`` is an integer (a bool included)."""
+    return np.dtype(dtype).kind in "biu"
 
 
 def fill_literal(tensor):

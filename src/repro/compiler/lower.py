@@ -52,6 +52,7 @@ from repro.looplets import (
     truncate,
 )
 from repro.rewrite import simplify_expr
+from repro.rewrite.rules import integer_valued
 from repro.tensors.output import RunOutput, SparseOutput
 from repro.tensors.tensor import Tensor
 from repro.util.errors import LoweringError
@@ -451,7 +452,7 @@ class Lowerer:
     def _lower_coiteration(self, index, ext, stmt, nodes, cls,
                            leaders_use_max):
         leaders = [n for n in nodes if isinstance(n.looplet, cls)]
-        cur = Var(self.ctx.freshen(index.name + "_cur"))
+        cur = Var(self.ctx.freshen(index.name + "_cur"), integral=True)
         self.ctx.emit(asm.AssignStmt(cur, ext.start))
         start = ext.start if isinstance(ext.start, (Literal, Var)) else cur
         for node in leaders:
@@ -514,7 +515,7 @@ class Lowerer:
                     mapping[id(node)] = self._substituted(node, result)
             self.lower_loop(index, ext, self._replace_nodes(stmt, mapping))
             return
-        ivar = Var(index.name)
+        ivar = Var(index.name, integral=True)
         unit = Extent(ivar, build.plus(ivar, 1))
         body = self.ctx.scoped(self.lower_loop, index, unit, stmt,
                                repeats=True)
@@ -523,7 +524,7 @@ class Lowerer:
     # No looplets left for this index: bind or loop, with the constant-
     # loop rewrites of Figure 5 (run summation).
     def lower_leaf(self, index, ext, stmt):
-        ivar = Var(index.name)
+        ivar = Var(index.name, integral=True)
         if ext_is_unit(ext):
             block = self.ctx.scoped(self.lower_stmt, stmt)
             if index.name not in asm.effects(block).reads \
@@ -591,7 +592,8 @@ class Lowerer:
                 [self.ctx.buffer(buffers[role],
                                  "%s_%s" % (tensor.name, role))
                  for role in ("coords", "vals", "state")]
-                + [Var(self.ctx.freshen("%s_%s" % (tensor.name, hint)))
+                + [Var(self.ctx.freshen("%s_%s" % (tensor.name, hint)),
+                       integral=True)
                    for hint in ("n", "cur")])
         return self._streams[key]
 
@@ -680,7 +682,8 @@ class Lowerer:
             # point of sparse assembly.
             return
         flat = self._flat_position(tensor, stmt.lhs.idxs)
-        value = Var(self.ctx.freshen(tensor.name + "_v"))
+        value = Var(self.ctx.freshen(tensor.name + "_v"),
+                    integral=integer_valued(rhs))
         self.ctx.emit(asm.AssignStmt(value, rhs))
         guard = build.ne(value, Literal(tensor.fill))
         append = self._append(

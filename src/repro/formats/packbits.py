@@ -85,9 +85,9 @@ class PackBitsLevel(Level):
         pos_buf = ctx.buffer(self.pos, "pos")
         idx_buf = ctx.buffer(self.idx, "idx")
         vof_buf = ctx.buffer(self.vof, "vof")
-        g = Var(ctx.freshen("g"))
-        g0 = Var(ctx.freshen("g0"))
-        g_stop = Var(ctx.freshen("g_stop"))
+        g = Var(ctx.freshen("g"), integral=True)
+        g0 = Var(ctx.freshen("g0"), integral=True)
+        g_stop = Var(ctx.freshen("g_stop"), integral=True)
         ctx.emit(asm.AssignStmt(g0, Load(pos_buf, pos)))
         ctx.emit(asm.AssignStmt(g, g0))
         ctx.emit(asm.AssignStmt(g_stop, Load(pos_buf, build.plus(pos, 1))))

@@ -48,8 +48,8 @@ class RaggedLevel(Level):
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
         pos_buf = ctx.buffer(self.pos, "pos")
-        q0 = Var(ctx.freshen("q0"))
-        width = Var(ctx.freshen("width"))
+        q0 = Var(ctx.freshen("q0"), integral=True)
+        width = Var(ctx.freshen("width"), integral=True)
         ctx.emit(asm.AssignStmt(q0, Load(pos_buf, pos)))
         ctx.emit(asm.AssignStmt(
             width, build.minus(Load(pos_buf, build.plus(pos, 1)), q0)))

@@ -100,8 +100,8 @@ class RunLengthLevel(Level):
         self.resolve_protocol(proto)
         pos_buf = ctx.buffer(self.pos, "pos")
         right_buf = self.bind(ctx, "right")
-        q = Var(ctx.freshen("q"))
-        q_stop = Var(ctx.freshen("q_stop"))
+        q = Var(ctx.freshen("q"), integral=True)
+        q_stop = Var(ctx.freshen("q_stop"), integral=True)
         ctx.emit(asm.AssignStmt(q, Load(pos_buf, pos)))
         ctx.emit(asm.AssignStmt(q_stop, Load(pos_buf, build.plus(pos, 1))))
 

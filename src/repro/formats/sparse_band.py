@@ -55,9 +55,9 @@ class SparseBandLevel(Level):
         self.resolve_protocol(proto)
         pos_buf = ctx.buffer(self.pos, "pos")
         lo_buf = ctx.buffer(self.lo, "lo")
-        q0 = Var(ctx.freshen("q0"))
-        lo = Var(ctx.freshen("lo"))
-        hi = Var(ctx.freshen("hi"))
+        q0 = Var(ctx.freshen("q0"), integral=True)
+        lo = Var(ctx.freshen("lo"), integral=True)
+        hi = Var(ctx.freshen("hi"), integral=True)
         ctx.emit(asm.AssignStmt(q0, Load(pos_buf, pos)))
         ctx.emit(asm.AssignStmt(lo, Load(lo_buf, pos)))
         width = build.minus(Load(pos_buf, build.plus(pos, 1)), q0)

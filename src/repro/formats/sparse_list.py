@@ -89,8 +89,8 @@ class SparseListLevel(Level):
         """Emit per-fiber setup: the position cursor and its bounds."""
         pos_buf = ctx.buffer(self.pos, "pos")
         idx_buf = self.bind(ctx, "idx")
-        q = Var(ctx.freshen("q"))
-        q_stop = Var(ctx.freshen("q_stop"))
+        q = Var(ctx.freshen("q"), integral=True)
+        q_stop = Var(ctx.freshen("q_stop"), integral=True)
         ctx.emit(asm.AssignStmt(q, Load(pos_buf, pos)))
         ctx.emit(asm.AssignStmt(q_stop, Load(pos_buf, build.plus(pos, 1))))
         return {"q": q, "q_stop": q_stop, "idx": idx_buf}

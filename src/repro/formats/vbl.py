@@ -72,8 +72,8 @@ class SparseVBLLevel(Level):
         pos_buf = ctx.buffer(self.pos, "pos")
         end_buf = self.bind(ctx, "end")
         ofs_buf = ctx.buffer(self.ofs, "ofs")
-        b = Var(ctx.freshen("b"))
-        b_stop = Var(ctx.freshen("b_stop"))
+        b = Var(ctx.freshen("b"), integral=True)
+        b_stop = Var(ctx.freshen("b_stop"), integral=True)
         ctx.emit(asm.AssignStmt(b, Load(pos_buf, pos)))
         ctx.emit(asm.AssignStmt(b_stop, Load(pos_buf, build.plus(pos, 1))))
 

@@ -6,6 +6,12 @@ The full rewrite system in :mod:`repro.rewrite` does the heavy lifting;
 folding here just keeps intermediate looplet expressions small and the
 emitted code readable.
 
+A call a constructor returns is marked as its own normal form
+(``Call._renormalized``): building it again from its operands changes
+nothing, so the rewriter does not try.  :func:`call` marks only the
+operators with no constructor of their own in :data:`BUILDERS`; it
+neither flattens nor drops identities.
+
 The statement constructors (:func:`if_`, :func:`for_`) decide a
 literal condition or extent as the lowerer builds the statement, so no
 region that cannot run reaches :mod:`repro.ir.optimize`.
@@ -22,7 +28,9 @@ def call(op, *args):
     exprs = [as_expr(a) for a in args]
     if all(isinstance(e, Literal) for e in exprs):
         return Literal(op.fold(*[e.value for e in exprs]))
-    return Call(op, exprs)
+    out = Call(op, exprs)
+    out._renormalized = op.name not in BUILDERS
+    return out
 
 
 def _variadic(op, args, *, unit):
@@ -50,7 +58,11 @@ def _variadic(op, args, *, unit):
         return Literal(unit if op.identity is None else op.identity)
     if len(folded) == 1:
         return folded[0]
-    return Call(op, folded)
+    out = Call(op, folded)
+    # One level is flattened: an operand nested deeper is not.
+    out._renormalized = not any(
+        isinstance(expr, Call) and expr.op is op for expr in folded)
+    return out
 
 
 def plus(*args):
@@ -82,7 +94,10 @@ def minus(a, b):
     a, b = as_expr(a), as_expr(b)
     if isinstance(b, Literal) and b.value == 0 and not isinstance(b.value, bool):
         return a
-    return call(ops.SUB, a, b)
+    out = call(ops.SUB, a, b)
+    if isinstance(out, Call):
+        out._renormalized = True
+    return out
 
 
 def negate(a):
@@ -128,7 +143,24 @@ def coalesce(*args):
         return Literal(ops.MISSING)
     if len(kept) == 1:
         return kept[0]
-    return Call(ops.COALESCE, kept)
+    out = Call(ops.COALESCE, kept)
+    out._renormalized = True
+    return out
+
+
+#: The constructor that renormalizes a call of each operator named here
+#: (flattening, identities, folding); any other call is renormalized by
+#: folding literal operands alone.
+BUILDERS = {
+    "add": plus,
+    "mul": times,
+    "min": minimum,
+    "max": maximum,
+    "and": land,
+    "or": lor,
+    "sub": minus,
+    "coalesce": coalesce,
+}
 
 
 # --------------------------------------------------------------------------

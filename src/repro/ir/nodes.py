@@ -32,6 +32,13 @@ class Expr:
     #: Whether the value is a numpy vector (a slice, or a call over one).
     vector = False
 
+    #: Whether the value is known to be an integer (a bool included), so
+    #: never a NaN, an infinity or ``missing``: of a literal, its type;
+    #: of a :class:`Var`, what the compiler declared; of a load, its
+    #: buffer's.  A call's follows from its operator
+    #: (:func:`repro.rewrite.rules.integer_valued`).
+    integral = False
+
     def key(self):
         """A hashable structural identity for this expression."""
         raise NotImplementedError
@@ -86,6 +93,10 @@ class Literal(Expr):
         return "Literal(%r)" % (self.value,)
 
     @property
+    def integral(self):
+        return type(self.value) in (int, bool)
+
+    @property
     def is_missing(self):
         return self.value is MISSING
 
@@ -96,13 +107,16 @@ class Var(Expr):
     ``bounds`` is a closed range ``(lo, hi)`` its value always lies in
     — of each element, for a buffer parameter — when the compiler knows
     one: a level's declared coordinate bounds, or the range of the one
-    value a named temporary is assigned.  It is not part of the
-    variable's identity."""
+    value a named temporary is assigned.  ``integral`` says its value
+    (each element's, for a buffer) is an integer: a loop index, a
+    position, an integer buffer, a temporary assigned an integer.
+    Neither is part of the variable's identity."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "integral")
 
-    def __init__(self, name, bounds=None):
+    def __init__(self, name, bounds=None, integral=False):
         self.name = name
+        self.integral = integral
         if bounds is not None:
             self._range = bounds
 
@@ -117,9 +131,14 @@ class Var(Expr):
 
 
 class Call(Expr):
-    """Application of a registered operator to argument expressions."""
+    """Application of a registered operator to argument expressions.
 
-    __slots__ = ("op", "args", "vector")
+    ``_renormalized`` is set on a call a smart constructor of
+    :mod:`repro.ir.build` returned: building it again from its operands
+    gives the same call, so :func:`repro.rewrite.rules.rule_renormalize`
+    leaves it (a cache, like ``_simple``)."""
+
+    __slots__ = ("op", "args", "vector", "_renormalized")
 
     def __init__(self, op, args):
         if isinstance(op, str):
@@ -132,6 +151,15 @@ class Call(Expr):
 
     def key(self):
         return ("call", self.op.name) + tuple(a.key() for a in self.args)
+
+    def __eq__(self, other):
+        # What comparing keys says, without building them: operands
+        # compare by identity first, and equal subtrees usually are one.
+        if isinstance(other, Call):
+            return self.op.name == other.op.name and self.args == other.args
+        return isinstance(other, Expr) and self.key() == other.key()
+
+    __hash__ = Expr.__hash__
 
     def children(self):
         return self.args
@@ -166,6 +194,10 @@ class Load(Expr):
 
     def __repr__(self):
         return "Load(%s, %r)" % (self.buffer.name, self.index)
+
+    @property
+    def integral(self):
+        return self.buffer.integral
 
 
 class Slice(Expr):

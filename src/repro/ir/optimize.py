@@ -70,6 +70,7 @@ from repro.ir.nodes import (
 )
 from repro.ir.runtime import reserved_names
 from repro.rewrite import simplify_expr
+from repro.rewrite.rules import integer_valued
 from repro.util.config import OPTIONS
 from repro.util.namer import Namer
 
@@ -216,7 +217,8 @@ def _hoist_loop(loop, namer, loop_var):
     mapping = {}
     assigns = []
     for expr in candidates:
-        temp = Var(namer.fresh(_hoist_hint(expr)))
+        temp = Var(namer.fresh(_hoist_hint(expr)),
+                   integral=integer_valued(expr))
         assigns.append(AssignStmt(temp, replace_by_key(expr, mapping)))
         mapping[expr.key()] = temp
 

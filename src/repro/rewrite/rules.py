@@ -1,18 +1,27 @@
 """Expression rewrite rules (Figure 5 of the paper).
 
 A rule is a callable taking an expression and returning either a
-replacement expression or ``None`` when it does not apply.  The default
-rule set implements the mathematical-property rules the paper lists:
-constant folding, flattening of associative operators, identity and
-annihilator elements (``x * 0 => 0``, ``x + 0 => x``, ``or(..., true,
-...) => true``), negation normalization, ``missing`` propagation, and
-``coalesce`` short-circuiting.
+replacement expression or ``None`` when it does not apply.  A rule may
+declare the calls it can rewrite (:func:`rewrites`): the engine then
+tries it on those calls alone, and on no other node.  A rule without a
+declaration is tried on every node; either kind accepts any node.
+
+The default rule set implements the mathematical-property rules the
+paper lists: constant folding, flattening of associative operators,
+identity and annihilator elements (``x * 0 => 0``, ``x + 0 => x``,
+``or(..., true, ...) => true``), negation normalization, ``missing``
+propagation, and ``coalesce`` short-circuiting.
 
 Two rules read what a level guarantees about its coordinates
 (``Level.BOUNDS``, carried by each buffer's :class:`~repro.ir.nodes.Var`)
 through one query, :func:`value_range`: a seek to a key at or below
 every coordinate is its start, and a ``min``/``max`` drops an operand
 another one always beats.
+
+A comparison of two terms that differ by a known integer, identical
+terms included, folds only where every operand is an integer
+(:func:`integer_valued`): ``x == x`` is false on a NaN, and
+``x + 1 == x`` true on an infinity.
 
 Users can extend the set with domain rules (semirings and beyond), as
 the paper encourages — pass extra rules to
@@ -24,16 +33,23 @@ import math
 from repro.ir import build, ops
 from repro.ir.nodes import Call, Literal, Load
 
-_VARIADIC_BUILDERS = {
-    "add": build.plus,
-    "mul": build.times,
-    "min": build.minimum,
-    "max": build.maximum,
-    "and": build.land,
-    "or": build.lor,
-}
+
+def rewrites(test):
+    """Declare the calls a rule can rewrite: those whose operator
+    passes ``test``.  Kept on the rule as ``rule.rewrites``."""
+    def declare(rule):
+        rule.rewrites = test
+        return rule
+    return declare
 
 
+def named(*names):
+    """A :func:`rewrites` test: the operator is one of ``names``."""
+    names = frozenset(names)
+    return lambda op: op.name in names
+
+
+@rewrites(lambda op: op.propagates_missing)
 def rule_missing_propagation(expr):
     """``f(a..., missing, b...) => missing`` for propagating operators."""
     if not isinstance(expr, Call) or not expr.op.propagates_missing:
@@ -43,22 +59,20 @@ def rule_missing_propagation(expr):
     return None
 
 
+@rewrites(lambda op: True)
 def rule_renormalize(expr):
     """Rebuild calls through the smart constructors.
 
     This one rule subsumes flattening, identity/annihilator elements and
     constant folding, because the constructors in :mod:`repro.ir.build`
-    perform those simplifications on construction.
+    perform those simplifications on construction.  A call one of them
+    returned is already rebuilt (``_renormalized``).
     """
-    if not isinstance(expr, Call):
+    if not isinstance(expr, Call) or getattr(expr, "_renormalized", False):
         return None
-    builder = _VARIADIC_BUILDERS.get(expr.op.name)
+    builder = build.BUILDERS.get(expr.op.name)
     if builder is not None:
         out = builder(*expr.args)
-    elif expr.op.name == "coalesce":
-        out = build.coalesce(*expr.args)
-    elif expr.op.name == "sub":
-        out = build.minus(*expr.args)
     elif all(isinstance(a, Literal) for a in expr.args):
         out = Literal(expr.op.fold(*[a.value for a in expr.args]))
     else:
@@ -66,6 +80,7 @@ def rule_renormalize(expr):
     return None if out == expr else out
 
 
+@rewrites(named("neg"))
 def rule_double_negation(expr):
     """``-(-a) => a``."""
     if (isinstance(expr, Call) and expr.op.name == "neg"
@@ -75,6 +90,7 @@ def rule_double_negation(expr):
     return None
 
 
+@rewrites(named("mul"))
 def rule_mul_of_negation(expr):
     """``*(a..., -b, c...) => -(*(a..., b, c...))``."""
     if not isinstance(expr, Call) or expr.op.name != "mul":
@@ -87,6 +103,7 @@ def rule_mul_of_negation(expr):
     return None
 
 
+@rewrites(named("sub"))
 def rule_sub_zero_lhs(expr):
     """``0 - b => -b``."""
     if (isinstance(expr, Call) and expr.op.name == "sub"
@@ -97,6 +114,7 @@ def rule_sub_zero_lhs(expr):
     return None
 
 
+@rewrites(named("not"))
 def rule_not_not(expr):
     """``not not a => a``."""
     if (isinstance(expr, Call) and expr.op.name == "not"
@@ -106,24 +124,7 @@ def rule_not_not(expr):
     return None
 
 
-def rule_self_comparison(expr):
-    """``x == x => true`` and ``x != x => false`` for identical terms.
-
-    All IR expressions are pure, so structural equality implies value
-    equality (floating NaN never appears as a literal index).
-    """
-    if not isinstance(expr, Call) or len(expr.args) != 2:
-        return None
-    lhs, rhs = expr.args
-    if lhs != rhs:
-        return None
-    if expr.op.name in ("eq", "le", "ge"):
-        return Literal(True)
-    if expr.op.name in ("ne", "lt", "gt"):
-        return Literal(False)
-    return None
-
-
+@rewrites(named("ifelse"))
 def rule_ifelse_literal_condition(expr):
     """``ifelse(true, a, b) => a`` and ``ifelse(false, a, b) => b``."""
     if (isinstance(expr, Call) and expr.op.name == "ifelse"
@@ -174,9 +175,11 @@ _COMPARE_BY_OFFSET = {
 }
 
 
+@rewrites(lambda op: op.name in _COMPARE_BY_OFFSET)
 def rule_affine_comparison(expr):
-    """Fold comparisons of expressions differing by an integer constant:
-    ``x - 1 == x => false``, ``x < x + 2 => true``."""
+    """Fold comparisons of integer expressions differing by a constant:
+    ``x - 1 == x => false``, ``x < x + 2 => true``, and ``x == x =>
+    true`` for identical terms (all IR expressions are pure)."""
     if not isinstance(expr, Call) or len(expr.args) != 2:
         return None
     compare = _COMPARE_BY_OFFSET.get(expr.op.name)
@@ -184,7 +187,7 @@ def rule_affine_comparison(expr):
         return None
     lhs_bases, lhs_offset = _affine_parts(expr.args[0])
     rhs_bases, rhs_offset = _affine_parts(expr.args[1])
-    if lhs_bases != rhs_bases:
+    if lhs_bases != rhs_bases or not all(map(integer_valued, expr.args)):
         return None
     return Literal(compare(lhs_offset - rhs_offset))
 
@@ -232,6 +235,32 @@ def value_range(expr):
     return found
 
 
+#: Operators whose value is an integer (or a bool) whatever their
+#: operands are, and those whose value is one when every operand's is
+#: (``ifelse``: past its condition).
+_INTEGRAL_ALWAYS = frozenset([ops.EQ, ops.NE, ops.LT, ops.LE, ops.GT,
+                              ops.GE, ops.NOT, ops.SEARCH_GE,
+                              ops.SEARCH_ABS_GE, ops.ROUND_U8])
+_INTEGRAL_OPERANDS = frozenset([ops.ADD, ops.SUB, ops.MUL, ops.NEG,
+                                ops.ABS, ops.MIN, ops.MAX, ops.FLOORDIV,
+                                ops.MOD, ops.AND, ops.OR])
+
+
+def integer_valued(expr):
+    """Whether ``expr``'s value is always an integer (a bool included),
+    so never a NaN or an infinity: a leaf says so itself
+    (``Expr.integral``), a call by its operator and operands."""
+    if not isinstance(expr, Call):
+        return expr.integral
+    if expr.op in _INTEGRAL_ALWAYS:
+        return True
+    if expr.op is ops.IFELSE:
+        return all(map(integer_valued, expr.args[1:]))
+    return expr.op in _INTEGRAL_OPERANDS \
+        and all(map(integer_valued, expr.args))
+
+
+@rewrites(named("search_ge"))
 def rule_seek_at_start(expr):
     """``search_ge(idx, lo, hi, key) => lo`` when ``key`` is at or
     below every value ``idx`` may hold: the first position at or past
@@ -243,6 +272,7 @@ def rule_seek_at_start(expr):
     return None
 
 
+@rewrites(named("min", "max"))
 def rule_unreachable_operand(expr):
     """``min``/``max`` keep only the operands they can pick:
     ``min(x, y) => x`` when ``x`` is never above ``y`` (``max``: never
@@ -269,7 +299,6 @@ DEFAULT_EXPR_RULES = (
     rule_mul_of_negation,
     rule_sub_zero_lhs,
     rule_not_not,
-    rule_self_comparison,
     rule_affine_comparison,
     rule_ifelse_literal_condition,
     rule_seek_at_start,

@@ -43,9 +43,12 @@ MAGIC_NUMBER`, the sha256 of the spec's ``source``, then the
 ``marshal``\\ led code object; a header that does not match the
 running interpreter and the entry's source reads as absent, and the
 load that compiled the source instead rewrites it.  Code objects are
-only ever read from this directory — never from a service
-response: the store is trusted (it ``dlopen``\\ s its ``.so`` files),
-the wire is not.
+only ever read from this directory, never from a service response: a
+remote python hit compiles its spec's source.  That is no trust
+boundary.  A remote hit runs code the service sent either way (the
+fetched source is ``exec``\\ ed, a fetched ``.so`` is
+``dlopen``\\ ed), so pointing a client at a service trusts it with
+code, as a store directory is trusted.
 """
 
 import atexit

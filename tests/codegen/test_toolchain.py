@@ -5,9 +5,14 @@ whose C and Python semantics differ — floor division and modulo on
 negative operands, banker's rounding — so they get direct probes here:
 a tiny hand-written translation unit reusing the real ``_PRELUDE`` is
 compiled and compared against the Python operators over a sign grid.
+The prelude takes its types and math from the compiler's predefined
+macros and builtins, or else from the system headers; the probe runs
+through both branches.
 """
 
 import ctypes
+import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -35,22 +40,47 @@ FL_EXPORT int64_t probe(void **fl_args) {
     iout[5] = 0;
     iout[2] = fl_round_u8(fin[0], &iout[5]);
     fout[0] = fl_div((double) iin[0], (double) iin[1]);
+    fout[1] = fl_floordiv_f64(fin[0], fin[1]);
+    fout[2] = fl_mod_f64(fin[0], fin[1]);
+    iout[6] = 0;
+    fout[3] = fl_sqrt(fin[0], &iout[6]);
+    iout[7] = INT64_MIN;
+    iout[8] = true + INT64_C(1);
     return 0;
 }
 """
 
 
-def _run_probe(a, b, f):
-    so_path = toolchain.compile_shared(_PROBE, name="probe")
+def _run_probe(a, b, f, g=1.0, so_path=None):
+    if so_path is None:
+        so_path = toolchain.compile_shared(_PROBE, name="probe")
     fn = toolchain.load_symbol(so_path, "probe")
     iin = np.array([a, b], dtype=np.int64)
-    iout = np.zeros(6, dtype=np.int64)
-    fin = np.array([f], dtype=np.float64)
-    fout = np.zeros(1, dtype=np.float64)
+    iout = np.zeros(9, dtype=np.int64)
+    fin = np.array([f, g], dtype=np.float64)
+    fout = np.zeros(4, dtype=np.float64)
     arrays = (iin, iout, fin, fout)
     ptrs = (ctypes.c_void_p * 4)(*(arr.ctypes.data for arr in arrays))
     fn(ptrs)
     return iout, fout
+
+
+def _cc(tmp_path, *flags):
+    """Run the compiler on the probe with the kernel flags and
+    ``flags``; the path it wrote."""
+    c_path = os.path.join(tmp_path, "probe.c")
+    out_path = os.path.join(tmp_path, "probe.out")
+    with open(c_path, "w") as handle:
+        handle.write(_PROBE)
+    subprocess.run([toolchain.compiler_path(), *toolchain.CFLAGS, *flags,
+                    "-o", out_path, c_path, "-lm"],
+                   check=True, capture_output=True)
+    return out_path
+
+
+#: Operand grid of the branch comparison: signs, zeros, NaN, infinities.
+_FLOATS = [2.5, -2.5, 7.0, -0.0, 0.0, float("nan"), float("inf"),
+           float("-inf"), 1e300]
 
 
 @needs_cc
@@ -90,6 +120,53 @@ class TestPreludeSemantics:
             assert STATUS_ERRORS[iout[5]] == (type(exc), str(exc))
         else:
             assert (iout[2], iout[5]) == (want, 0)
+
+
+@needs_cc
+class TestPreludeBranches:
+    """Without the predefined ``__INT64_TYPE__`` the prelude includes
+    ``<stdint.h>``, ``<stdbool.h>`` and ``<math.h>``; every helper
+    computes the same there."""
+
+    @pytest.fixture(scope="class")
+    def include_branch(self, tmp_path_factory):
+        return _cc(str(tmp_path_factory.mktemp("include")),
+                   "-U__INT64_TYPE__")
+
+    def test_helpers_agree_across_branches(self, include_branch):
+        for a, b in [(-7, 3), (7, -3), (-9, -1), (5, 0)]:
+            for f in _FLOATS:
+                for g in (3.0, -3.0, 0.0, float("inf")):
+                    builtin = _run_probe(a, b, f, g)
+                    included = _run_probe(a, b, f, g, include_branch)
+                    for mine, theirs in zip(builtin, included):
+                        np.testing.assert_array_equal(mine, theirs)
+
+    def test_int64_and_bool_spellings(self, include_branch):
+        for so_path in (None, include_branch):
+            iout, _ = _run_probe(1, 1, 0.0, so_path=so_path)
+            assert (iout[7], iout[8]) == (np.iinfo(np.int64).min, 2)
+
+    def test_the_builtin_branch_reads_no_header(self, tmp_path):
+        # -M lists every file a unit reads: the probe reads only what
+        # the compiler reads for an empty unit (glibc's implicit
+        # stdc-predef.h), the include branch <math.h> and more.
+        def reads(*flags):
+            listed = _cc(str(tmp_path), "-M", *flags)
+            with open(listed) as handle:
+                rule = handle.read().split(":", 1)[1]
+            return set(rule.replace("\\", " ").split()) - {
+                os.path.join(str(tmp_path), "probe.c")}
+
+        empty = os.path.join(str(tmp_path), "empty.c")
+        open(empty, "w").close()
+        baseline = subprocess.run(
+            [toolchain.compiler_path(), "-M", empty], check=True,
+            capture_output=True, text=True).stdout.split(":", 1)[1]
+        baseline = set(baseline.replace("\\", " ").split()) - {empty}
+        assert reads() == baseline
+        assert "math.h" in {os.path.basename(path)
+                            for path in reads("-U__INT64_TYPE__")}
 
 
 @needs_cc

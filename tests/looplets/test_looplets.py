@@ -75,7 +75,7 @@ class TestTruncate:
 
     def test_spike_with_tail_kept_statically(self):
         spike = Spike(Literal(0), Var("tail"))
-        ext = Extent(Var("a"), Var("b"))
+        ext = Extent(Var("a", integral=True), Var("b", integral=True))
         assert truncate(spike, ext, ext) is spike
 
     def test_spike_truncated_to_interior_becomes_run(self):

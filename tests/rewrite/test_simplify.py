@@ -93,10 +93,30 @@ class TestMissing:
 
 class TestComparisons:
     def test_eq_self(self):
-        assert simplify_expr(raw(ops.EQ, Var("i"), Var("i"))) == Literal(True)
+        i = Var("i", integral=True)
+        assert simplify_expr(raw(ops.EQ, i, i)) == Literal(True)
 
     def test_ne_self(self):
-        assert simplify_expr(raw(ops.NE, Var("i"), Var("i"))) == Literal(False)
+        i = Var("i", integral=True)
+        assert simplify_expr(raw(ops.NE, i, i)) == Literal(False)
+
+    @pytest.mark.parametrize("op", [ops.EQ, ops.NE, ops.LE, ops.LT])
+    def test_self_comparison_of_a_maybe_float_stays(self, op):
+        # x == x is false on a NaN: a value not known to be an integer
+        # is compared at run time.
+        for x in (Var("x"), Load("val", Var("p")),
+                  build.plus(Var("i", integral=True), 0.5)):
+            expr = raw(op, x, x)
+            assert simplify_expr(expr) == expr
+
+    def test_affine_comparison_needs_integer_operands(self):
+        # x + 1 == x is true on an infinity.
+        x = Var("x")
+        expr = build.eq(build.plus(x, 1), x)
+        assert simplify_expr(expr) == expr
+        i = Var("i", integral=True)
+        assert simplify_expr(build.eq(build.plus(i, 1), i)) == Literal(False)
+        assert simplify_expr(build.lt(build.minus(i, 1), i)) == Literal(True)
 
     def test_eq_different_not_folded(self):
         expr = raw(ops.EQ, Var("i"), Var("j"))
@@ -106,7 +126,7 @@ class TestComparisons:
         assert simplify_expr(raw(ops.LT, Literal(2), Literal(3))) == Literal(True)
 
     def test_eq_on_loads(self):
-        load = Load("idx", Var("p"))
+        load = Load(Var("idx", integral=True), Var("p"))
         assert simplify_expr(raw(ops.EQ, load, load)) == Literal(True)
 
 
