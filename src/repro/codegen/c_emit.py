@@ -127,8 +127,11 @@ typedef __INT64_TYPE__ int64_t;
 #define fmod(x, y) __builtin_fmod(x, y)
 #define rint(x) __builtin_rint(x)
 #define sqrt(x) __builtin_sqrt(x)
+#define fabs(x) __builtin_fabs(x)
 #define isnan(x) __builtin_isnan(x)
 #define isinf(x) __builtin_isinf_sign(x)
+#define INFINITY (__builtin_inff())
+#define NAN (__builtin_nanf(""))
 #else
 #include <stdint.h>
 #include <stdbool.h>

@@ -141,6 +141,14 @@ class Context:
         self.emit(asm.AssignStmt(var, value))
         return var
 
+    def assign(self, hint, value):
+        """A fresh variable assigned ``value`` here, free to be assigned
+        again (a cursor): unlike :meth:`let`, never ``value`` itself and
+        unbounded; integral when ``value`` is."""
+        var = Var(self.freshen(hint), integral=integer_valued(value))
+        self.emit(asm.AssignStmt(var, value))
+        return var
+
     @contextlib.contextmanager
     def scope(self, repeats=False):
         """Collect emitted statements into the list it yields, to run

@@ -52,7 +52,6 @@ from repro.looplets import (
     truncate,
 )
 from repro.rewrite import simplify_expr
-from repro.rewrite.rules import integer_valued
 from repro.tensors.output import RunOutput, SparseOutput
 from repro.tensors.tensor import Tensor
 from repro.util.errors import LoweringError
@@ -682,9 +681,7 @@ class Lowerer:
             # point of sparse assembly.
             return
         flat = self._flat_position(tensor, stmt.lhs.idxs)
-        value = Var(self.ctx.freshen(tensor.name + "_v"),
-                    integral=integer_valued(rhs))
-        self.ctx.emit(asm.AssignStmt(value, rhs))
+        value = self.ctx.assign(tensor.name + "_v", rhs)
         guard = build.ne(value, Literal(tensor.fill))
         append = self._append(
             tensor, flat, simplify_expr(build.plus(flat, 1)), value)

@@ -27,7 +27,7 @@ from repro.formats.level import (
 )
 from repro.formats.rle import check_tiling, run_starts, run_stops, run_widths
 from repro.ir import asm, build, ops
-from repro.ir.nodes import Call, Literal, Load, Var
+from repro.ir.nodes import Call, Literal, Load
 from repro.looplets import Case, Lookup, Run, Stepper, Switch
 from repro.util.errors import FormatError
 
@@ -85,12 +85,9 @@ class PackBitsLevel(Level):
         pos_buf = ctx.buffer(self.pos, "pos")
         idx_buf = ctx.buffer(self.idx, "idx")
         vof_buf = ctx.buffer(self.vof, "vof")
-        g = Var(ctx.freshen("g"), integral=True)
-        g0 = Var(ctx.freshen("g0"), integral=True)
-        g_stop = Var(ctx.freshen("g_stop"), integral=True)
-        ctx.emit(asm.AssignStmt(g0, Load(pos_buf, pos)))
-        ctx.emit(asm.AssignStmt(g, g0))
-        ctx.emit(asm.AssignStmt(g_stop, Load(pos_buf, build.plus(pos, 1))))
+        g0 = ctx.assign("g0", Load(pos_buf, pos))
+        g = ctx.assign("g", g0)
+        g_stop = ctx.assign("g_stop", Load(pos_buf, build.plus(pos, 1)))
 
         marker = Load(idx_buf, g)
         end = build.call(ops.ABS, marker)

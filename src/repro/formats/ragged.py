@@ -17,8 +17,8 @@ from repro.formats.level import (
     stored_mask,
     stored_span,
 )
-from repro.ir import asm, build
-from repro.ir.nodes import Load, Var
+from repro.ir import build
+from repro.ir.nodes import Load
 from repro.looplets import Lookup, Phase, Pipeline, Run
 from repro.util.errors import FormatError
 
@@ -48,11 +48,9 @@ class RaggedLevel(Level):
     def unfurl(self, ctx, pos, proto=None):
         self.resolve_protocol(proto)
         pos_buf = ctx.buffer(self.pos, "pos")
-        q0 = Var(ctx.freshen("q0"), integral=True)
-        width = Var(ctx.freshen("width"), integral=True)
-        ctx.emit(asm.AssignStmt(q0, Load(pos_buf, pos)))
-        ctx.emit(asm.AssignStmt(
-            width, build.minus(Load(pos_buf, build.plus(pos, 1)), q0)))
+        q0 = ctx.assign("q0", Load(pos_buf, pos))
+        width = ctx.assign(
+            "width", build.minus(Load(pos_buf, build.plus(pos, 1)), q0))
 
         def prefix(j):
             return FiberSlice(self.child, build.plus(q0, j))

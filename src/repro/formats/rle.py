@@ -18,7 +18,7 @@ from repro.formats.level import (
     offsets,
 )
 from repro.ir import asm, build, ops
-from repro.ir.nodes import Call, Load, Var
+from repro.ir.nodes import Call, Load
 from repro.looplets import Run, Stepper
 from repro.util.errors import FormatError
 
@@ -100,10 +100,8 @@ class RunLengthLevel(Level):
         self.resolve_protocol(proto)
         pos_buf = ctx.buffer(self.pos, "pos")
         right_buf = self.bind(ctx, "right")
-        q = Var(ctx.freshen("q"), integral=True)
-        q_stop = Var(ctx.freshen("q_stop"), integral=True)
-        ctx.emit(asm.AssignStmt(q, Load(pos_buf, pos)))
-        ctx.emit(asm.AssignStmt(q_stop, Load(pos_buf, build.plus(pos, 1))))
+        q = ctx.assign("q", Load(pos_buf, pos))
+        q_stop = ctx.assign("q_stop", Load(pos_buf, build.plus(pos, 1)))
 
         def seek(ctx, start):
             # First run extending past `start`: right[q] >= start + 1.

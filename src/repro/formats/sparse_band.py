@@ -19,8 +19,8 @@ from repro.formats.level import (
     stored_mask,
     stored_span,
 )
-from repro.ir import asm, build
-from repro.ir.nodes import Load, Var
+from repro.ir import build
+from repro.ir.nodes import Load
 from repro.looplets import Lookup, Phase, Pipeline, Run
 from repro.util.errors import FormatError
 
@@ -55,13 +55,10 @@ class SparseBandLevel(Level):
         self.resolve_protocol(proto)
         pos_buf = ctx.buffer(self.pos, "pos")
         lo_buf = ctx.buffer(self.lo, "lo")
-        q0 = Var(ctx.freshen("q0"), integral=True)
-        lo = Var(ctx.freshen("lo"), integral=True)
-        hi = Var(ctx.freshen("hi"), integral=True)
-        ctx.emit(asm.AssignStmt(q0, Load(pos_buf, pos)))
-        ctx.emit(asm.AssignStmt(lo, Load(lo_buf, pos)))
+        q0 = ctx.assign("q0", Load(pos_buf, pos))
+        lo = ctx.assign("lo", Load(lo_buf, pos))
         width = build.minus(Load(pos_buf, build.plus(pos, 1)), q0)
-        ctx.emit(asm.AssignStmt(hi, build.plus(lo, width)))
+        hi = ctx.assign("hi", build.plus(lo, width))
 
         def band(j):
             return FiberSlice(self.child, build.plus(q0, build.minus(j, lo)))

@@ -33,7 +33,7 @@ from repro.formats.level import (
     stored_mask,
 )
 from repro.ir import asm, build, ops
-from repro.ir.nodes import Call, Literal, Load, Var
+from repro.ir.nodes import Call, Literal, Load
 from repro.looplets import Case, Jumper, Phase, Pipeline, Run, Spike, Stepper, Switch
 from repro.util.errors import FormatError
 
@@ -89,10 +89,8 @@ class SparseListLevel(Level):
         """Emit per-fiber setup: the position cursor and its bounds."""
         pos_buf = ctx.buffer(self.pos, "pos")
         idx_buf = self.bind(ctx, "idx")
-        q = Var(ctx.freshen("q"), integral=True)
-        q_stop = Var(ctx.freshen("q_stop"), integral=True)
-        ctx.emit(asm.AssignStmt(q, Load(pos_buf, pos)))
-        ctx.emit(asm.AssignStmt(q_stop, Load(pos_buf, build.plus(pos, 1))))
+        q = ctx.assign("q", Load(pos_buf, pos))
+        q_stop = ctx.assign("q_stop", Load(pos_buf, build.plus(pos, 1)))
         return {"q": q, "q_stop": q_stop, "idx": idx_buf}
 
     def _stored_stop(self, state):

@@ -25,7 +25,7 @@ from repro.formats.level import (
     stored_mask,
 )
 from repro.ir import asm, build, ops
-from repro.ir.nodes import Call, Literal, Load, Var
+from repro.ir.nodes import Call, Literal, Load
 from repro.looplets import (Case, Jumper, Lookup, Phase, Pipeline, Run,
                             Stepper, Switch)
 from repro.util.errors import FormatError
@@ -72,10 +72,8 @@ class SparseVBLLevel(Level):
         pos_buf = ctx.buffer(self.pos, "pos")
         end_buf = self.bind(ctx, "end")
         ofs_buf = ctx.buffer(self.ofs, "ofs")
-        b = Var(ctx.freshen("b"), integral=True)
-        b_stop = Var(ctx.freshen("b_stop"), integral=True)
-        ctx.emit(asm.AssignStmt(b, Load(pos_buf, pos)))
-        ctx.emit(asm.AssignStmt(b_stop, Load(pos_buf, build.plus(pos, 1))))
+        b = ctx.assign("b", Load(pos_buf, pos))
+        b_stop = ctx.assign("b_stop", Load(pos_buf, build.plus(pos, 1)))
 
         block_end = Load(end_buf, b)
         block_start = build.minus(

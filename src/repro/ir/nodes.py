@@ -152,15 +152,6 @@ class Call(Expr):
     def key(self):
         return ("call", self.op.name) + tuple(a.key() for a in self.args)
 
-    def __eq__(self, other):
-        # What comparing keys says, without building them: operands
-        # compare by identity first, and equal subtrees usually are one.
-        if isinstance(other, Call):
-            return self.op.name == other.op.name and self.args == other.args
-        return isinstance(other, Expr) and self.key() == other.key()
-
-    __hash__ = Expr.__hash__
-
     def children(self):
         return self.args
 

@@ -23,8 +23,6 @@ since the last optimizer round is not rewritten again.  The mark means
 other rule set ignores it.
 """
 
-import functools
-
 from repro.ir.nodes import Call, Expr
 from repro.rewrite.rules import DEFAULT_EXPR_RULES
 from repro.util.errors import ReproError
@@ -37,7 +35,7 @@ class _RuleIndex:
 
     def __init__(self, rules):
         self.rules = rules
-        self.default = rules == DEFAULT_EXPR_RULES
+        self.default = _identities(rules) == _identities(DEFAULT_EXPR_RULES)
         self.anywhere = tuple(rule for rule in rules
                               if getattr(rule, "rewrites", None) is None)
         self._by_op = {}
@@ -57,9 +55,24 @@ class _RuleIndex:
             return found
 
 
-@functools.lru_cache(maxsize=32)
+def _identities(rules):
+    return tuple(map(id, rules))
+
+
+#: Rule indexes by the identities of their rules, so a rule need not be
+#: hashable; an index holds its rules, so their identities stay theirs
+#: while it is here.  Emptied when it reaches 32.
+_INDEXES = {}
+
+
 def _index(rules):
-    return _RuleIndex(rules)
+    key = _identities(rules)
+    index = _INDEXES.get(key)
+    if index is None:
+        if len(_INDEXES) >= 32:
+            _INDEXES.clear()
+        index = _INDEXES[key] = _RuleIndex(rules)
+    return index
 
 
 def simplify_expr(expr, rules=DEFAULT_EXPR_RULES):

@@ -537,6 +537,10 @@ class TestNonFiniteLiterals:
             want = np.asarray(interpret(prog).result_for(out))
             kernel = fl.compile_kernel(prog, backend=backend,
                                        opt_level=opt_level, cache=False)
+            if backend == "c" and make is _scalar_accumulator:
+                # A scalar output compiles natively: a python fallback
+                # here means the prelude left a spelling undeclared.
+                assert kernel.effective_backend == "c", opt_level
             kernel.run()
             got = np.asarray(out.to_numpy() if out.ndim else out.value,
                              dtype=want.dtype)

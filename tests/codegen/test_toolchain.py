@@ -11,6 +11,7 @@ through both branches.
 """
 
 import ctypes
+import inspect
 import os
 import subprocess
 
@@ -20,7 +21,8 @@ import pytest
 from repro import codegen
 from repro.codegen import toolchain
 from repro.codegen.c_emit import _PRELUDE, STATUS_ERRORS
-from repro.ir import ops
+from repro.ir import asm, ops
+from repro.ir.nodes import Call, Literal, Load
 
 needs_cc = pytest.mark.skipif(
     not codegen.have_toolchain(), reason="no C compiler on PATH")
@@ -65,17 +67,41 @@ def _run_probe(a, b, f, g=1.0, so_path=None):
     return iout, fout
 
 
-def _cc(tmp_path, *flags):
-    """Run the compiler on the probe with the kernel flags and
-    ``flags``; the path it wrote."""
+def _cc(tmp_path, *flags, source=_PROBE):
+    """Run the compiler on ``source`` (the probe) with the kernel flags
+    and ``flags``; the path it wrote."""
     c_path = os.path.join(tmp_path, "probe.c")
     out_path = os.path.join(tmp_path, "probe.out")
     with open(c_path, "w") as handle:
-        handle.write(_PROBE)
+        handle.write(source)
     subprocess.run([toolchain.compiler_path(), *toolchain.CFLAGS, *flags,
                     "-o", out_path, c_path, "-lm"],
                    check=True, capture_output=True)
     return out_path
+
+
+def _every_spelling():
+    """An emitted unit writing every identifier the emitter can: each
+    operator with a scalar C form applied to int64 and to float64
+    operands, and the non-finite literals; and how many values it
+    stores."""
+    stmts = []
+    for buf in ("iin", "fin"):
+        for op in ops.all_ops().values():
+            if op.c is None or op.c[0] in ("search", "logical"):
+                continue
+            params = inspect.signature(op.fn).parameters.values()
+            arity = 2 if any(p.kind is p.VAR_POSITIONAL
+                             for p in params) else len(params)
+            stmts.append(asm.AssignStmt(
+                Load("fout", len(stmts)),
+                Call(op, [Load(buf, k) for k in range(arity)])))
+    for value in (float("inf"), float("-inf"), float("nan")):
+        stmts.append(asm.AssignStmt(Load("fout", len(stmts)),
+                                    Literal(value)))
+    func = asm.FuncDef("every", ("iin", "fin", "fout"), asm.Block(stmts))
+    dtypes = {"iin": "int64", "fin": "float64", "fout": "float64"}
+    return codegen.emit_c(func, dtypes), len(stmts)
 
 
 #: Operand grid of the branch comparison: signs, zeros, NaN, infinities.
@@ -146,6 +172,30 @@ class TestPreludeBranches:
         for so_path in (None, include_branch):
             iout, _ = _run_probe(1, 1, 0.0, so_path=so_path)
             assert (iout[7], iout[8]) == (np.iinfo(np.int64).min, 2)
+
+    def test_every_emitted_spelling_is_declared_on_both_branches(
+            self, tmp_path):
+        # An identifier neither branch declares would be an error, or
+        # (a function) an implicit declaration some compilers accept.
+        source, count = _every_spelling()
+        results = []
+        for branch, flags in (("builtin", ()),
+                              ("include", ("-U__INT64_TYPE__",))):
+            os.mkdir(os.path.join(str(tmp_path), branch))
+            so_path = _cc(os.path.join(str(tmp_path), branch),
+                          "-Werror=implicit-function-declaration", *flags,
+                          source=source)
+            fn = toolchain.load_symbol(so_path, "every")
+            iin = np.array([7, -2, 1], dtype=np.int64)
+            fin = np.array([2.5, -1.5, 0.5])
+            fout = np.zeros(count)
+            arrays = (iin, fin, fout)
+            assert fn((ctypes.c_void_p * 3)(
+                *(arr.ctypes.data for arr in arrays))) == 0
+            results.append(fout)
+        np.testing.assert_array_equal(*results)
+        inf, minus_inf, nan = results[0][-3:]
+        assert (inf, minus_inf) == (np.inf, -np.inf) and np.isnan(nan)
 
     def test_the_builtin_branch_reads_no_header(self, tmp_path):
         # -M lists every file a unit reads: the probe reads only what

@@ -105,9 +105,18 @@ def _outcome(fn):
         return type(exc)
 
 
-def rule_leaf_x_is_zero(expr):
-    """An undeclared user rule: it rewrites a leaf."""
-    return Literal(0) if expr == Var("x") else None
+class _LeafXIsZero:
+    """An undeclared user rule that rewrites a leaf: a callable object
+    defining ``__eq__`` and so unhashable."""
+
+    def __eq__(self, other):
+        return isinstance(other, _LeafXIsZero)
+
+    def __call__(self, expr):
+        return Literal(0) if expr == Var("x") else None
+
+
+rule_leaf_x_is_zero = _LeafXIsZero()
 
 
 def rule_swap_sub(expr):
@@ -201,13 +210,3 @@ def test_a_deeper_nested_operand_leaves_the_call_unmarked():
     assert not out._renormalized
     assert simplify_expr(out) == build.plus(
         Var("w"), Var("x"), Var("y"), Var("z"))
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=EXPRS, b=EXPRS)
-def test_call_equality_is_key_equality(a, b):
-    for x, y in ((a, b), (a, _unmarked(a)), (b, a)):
-        assert (x == y) == (x.key() == y.key())
-        assert (x != y) == (x.key() != y.key())
-        if x == y:
-            assert hash(x) == hash(y)

@@ -629,9 +629,9 @@ print(json.dumps({"from_cache": kernel.from_cache,
 
         vbl = root / "repro" / "formats" / "vbl.py"
         text = vbl.read_text()
-        assert 'ctx.freshen("b_stop")' in text
-        vbl.write_text(text.replace('ctx.freshen("b_stop")',
-                                    'ctx.freshen("b_limit")'))
+        assert 'ctx.assign("b_stop"' in text
+        vbl.write_text(text.replace('ctx.assign("b_stop"',
+                                    'ctx.assign("b_limit"'))
         edited = self._fresh(root, self.VBL_DOT, FL_KERNEL_STORE=store)
         assert not edited["from_cache"]
         assert "b_limit" in edited["source"]
