@@ -128,6 +128,7 @@ typedef __INT64_TYPE__ int64_t;
 #define rint(x) __builtin_rint(x)
 #define sqrt(x) __builtin_sqrt(x)
 #define fabs(x) __builtin_fabs(x)
+#define copysign(x, y) __builtin_copysign(x, y)
 #define isnan(x) __builtin_isnan(x)
 #define isinf(x) __builtin_isinf_sign(x)
 #define INFINITY (__builtin_inff())
@@ -162,14 +163,22 @@ static inline int64_t fl_mod_i64(int64_t a, int64_t b, int64_t *status) {
     return r;
 }
 
-static inline double fl_floordiv_f64(double a, double b) {
-    return floor(a / b);
-}
-
+/* CPython's float_divmod: the remainder takes the divisor's sign (a
+   zero one too), and the quotient is (a - mod) / b snapped to an
+   integer, a zero one signed like a / b. */
 static inline double fl_mod_f64(double a, double b) {
     double r = fmod(a, b);
-    if (r != 0.0 && ((r < 0.0) != (b < 0.0))) r += b;
-    return r;
+    if (r == 0.0) return copysign(0.0, b);
+    return (r < 0.0) != (b < 0.0) ? r + b : r;
+}
+
+static inline double fl_floordiv_f64(double a, double b) {
+    double r = fmod(a, b);
+    double q = (a - r) / b;
+    if (r != 0.0 && ((r < 0.0) != (b < 0.0))) q -= 1.0;
+    if (q == 0.0) return copysign(0.0, a / b);
+    double f = floor(q);
+    return q - f > 0.5 ? f + 1.0 : f;
 }
 
 static inline int64_t fl_min_i64(int64_t a, int64_t b) {

@@ -63,7 +63,7 @@ from repro.cin.analyze import (
 from repro.compiler.context import Context
 from repro.compiler.key import KernelKey
 from repro.compiler.lower import Lowerer
-from repro.compiler.tiers import read_through
+from repro.compiler.tiers import compile_source, read_through
 from repro.ir import asm, emit
 from repro.ir.dtypes import viewable
 from repro.ir.optimize import DEFAULT_OPT_LEVEL, optimize_kernel
@@ -251,8 +251,9 @@ class CompiledKernel:
         persisted shared object — is tried first, and any failure
         (missing toolchain, foreign or truncated ``.so``) degrades to
         the python backend with a logged fallback, never an error.
-        ``code`` — the store's verified code object of ``source`` — is
-        ``exec``'d instead of compiling the source again.
+        ``code`` — a verified code object of ``source``, from a store
+        sidecar or a service fetch — is ``exec``'d instead of compiling
+        the source again.
         ``structural_key`` — the frozen key a tier lookup was keyed by,
         whose digest the spec's recorded key matched — replaces the
         spec's own copy, which then is never walked.
@@ -669,10 +670,11 @@ def _entry_point(name, source, views, c_source, c_param_dtypes,
     first); else the python function's entry, viewing the parameters
     ``views`` names — the function ``exec``'d only here, when no C
     entry is live — and the module code object it came from (``code``
-    when given, which must be ``source`` compiled: the store hands
-    back the one it kept).  A toolchain failure is a logged fallback,
-    never an error, and the artifact keeps its C source: another
-    process loading its spec may have a working toolchain."""
+    when given, which must be ``source`` compiled: a store or a
+    service hands back the one it kept).  A toolchain failure is a
+    logged fallback, never an error, and the artifact keeps its C
+    source: another process loading its spec may have a working
+    toolchain."""
     if c_source:
         from repro import codegen
 
@@ -682,7 +684,7 @@ def _entry_point(name, source, views, c_source, c_param_dtypes,
         except codegen.ToolchainError as exc:
             codegen.note_fallback(name, str(exc))
     if code is None:
-        code = compile(source, "<repro-kernel>", "exec")
+        code = compile_source(source)
     namespace = kernel_globals()
     exec(code, namespace)
     return python_entry(namespace[name], views), None, code

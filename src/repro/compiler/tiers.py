@@ -40,10 +40,11 @@ def rebuild(spec, so=None, code=None, structural_key=None):
     ``.so`` sidecar) or the raw bytes a service fetch carried, which
     are parked in the toolchain's per-process scratch directory so the
     artifact's ``so_path`` names a real file for the life of the
-    process.  ``code`` is the store's verified code object of the
-    spec's python source.  Each is an optimization — a C spec
-    recompiles from its carried source when its ``.so`` is missing or
-    does not load, a python one compiles its source.
+    process.  ``code`` is a verified code object of the spec's python
+    source: the store's ``.code`` sidecar, or the one a service fetch
+    carried.  Each is an optimization — a C spec recompiles from its
+    carried source when its ``.so`` is missing or does not load, a
+    python one compiles its source (:func:`compile_source`).
     ``structural_key`` is the frozen key the spec was looked up by,
     which the artifact takes instead of the spec's own copy.
     """
@@ -62,6 +63,12 @@ def rebuild(spec, so=None, code=None, structural_key=None):
         _log.warning("kernel spec does not rebuild (%s: %s)",
                      type(exc).__name__, exc)
         return None
+
+
+def compile_source(source):
+    """The module code object of a python kernel's ``source``: compiled
+    (never run) the one way every tier compiles it."""
+    return compile(source, "<repro-kernel>", "exec")
 
 
 def portable_spec(artifact):
@@ -147,7 +154,7 @@ def read_through(key, build, memory=None, store=None, remote=None,
         client = active_client(remote)
         fetched = client.fetch(key.meta) if client is not None else None
         if fetched is not None:
-            artifact = rebuild(fetched[0], so=fetched[1],
+            artifact = rebuild(fetched[0], so=fetched[1], code=fetched[2],
                                structural_key=key.memory[0])
             if artifact is not None:
                 spec, tier = fetched[0], "remote"

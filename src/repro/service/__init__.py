@@ -6,16 +6,18 @@ scale of sharing: the in-memory LRU shares within a process, the disk
 machine, and this package adds the third tier — a long-lived HTTP
 service that shares one store across a fleet.  A warm service means a
 brand-new machine (empty local store, cold process) completes entire
-workloads with **zero local compiles**: every kernel is fetched as a
-spec (plus the compiled ``.so`` sidecar when one exists) and imported
-into the local tiers on the way in.
+workloads with **zero local compiles**: every kernel is fetched as
+the stored entry's bytes — its spec, plus the compiled ``.so`` or
+python code object sidecar — and imported into the local tiers on the
+way in.
 
 Two halves:
 
 :class:`KernelService` (:mod:`repro.service.server`)
     A stdlib ``ThreadingHTTPServer`` in front of a ``KernelStore``:
-    ``GET /kernels/<digest>`` serves one entry (version axes ride in
-    the entry key, so a client can reject stale kernels), ``POST
+    ``GET /kernels/<digest>`` serves one entry as it is stored
+    (version axes ride in the entry key, so a client can reject stale
+    kernels), ``POST
     /compile`` enqueues a client-pushed spec on an async compile queue
     with digest-level dedup (the server rebuilds the ``.so`` sidecar
     server-side), and ``/healthz`` / ``/stats`` expose liveness and

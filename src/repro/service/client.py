@@ -15,10 +15,15 @@ work, never break a compile:
   the client skips the wire entirely (each skip counted as
   ``remote_degraded``), so a dead service costs one timeout per
   window — not one per compile.
-* A corrupt response — unparseable JSON, a key that does not match
-  the requested meta (version-axes check), a bad ``.so`` encoding —
+* A fetched entry is checked by the disk tier's readers
+  (:func:`~repro.store.disk.parse_entry`,
+  :func:`~repro.store.disk.decode_code`).  A corrupt reply — parts
+  that do not frame the body, a record that does not parse, a key
+  that does not match the requested meta (version-axes check) —
   counts ``remote_errors`` and reads as a miss, mirroring the disk
-  store's quarantine-as-miss discipline.
+  store's quarantine-as-miss discipline; a ``.code`` part that does
+  not decode for the record's source is dropped, and the source
+  compiles, as for a defective sidecar on disk.
 * Requests ride a keep-alive connection: one
   :class:`http.client.HTTPConnection` per client, process and thread,
   so a warm fetch pays a round trip, not a TCP handshake.  A reused
@@ -35,7 +40,6 @@ request boundary, so the whole degrade path is testable without a
 real network failure.
 """
 
-import base64
 import http.client
 import json
 import logging
@@ -44,6 +48,8 @@ import threading
 import time
 
 from repro.compiler.key import entry_digest
+from repro.service.server import PARTS_HEADER
+from repro.store.disk import decode_code, parse_entry
 from repro.util.errors import ServiceUnreachableError
 
 _log = logging.getLogger("repro.service")
@@ -110,10 +116,10 @@ class ServiceClient:
 
     # -- transport -----------------------------------------------------
     def _request(self, path, data=None):
-        """``(status, body_bytes)`` for one request, after the retry
-        budget.  HTTP-level errors (404, 400, 500) are *responses*,
-        returned as-is; transport-level failures retry and finally
-        raise :class:`ServiceUnreachableError`."""
+        """``(status, body_bytes, headers)`` for one request, after the
+        retry budget.  HTTP-level errors (404, 400, 500) are
+        *responses*, returned as-is; transport-level failures retry
+        and finally raise :class:`ServiceUnreachableError`."""
         from repro import chaos as _chaos
 
         last = None
@@ -144,15 +150,15 @@ class ServiceClient:
         return self._send(self._connection(), path, data)
 
     def _send(self, conn, path, data):
-        """``(status, body)`` of one request on ``conn``; on any
-        failure the connection is closed and forgotten."""
+        """``(status, body, headers)`` of one request on ``conn``; on
+        any failure the connection is closed and forgotten."""
         try:
             conn.request("GET" if data is None else "POST",
                          self._prefix + path, body=data,
                          headers={"Content-Type": "application/json"}
                          if data is not None else {})
             response = conn.getresponse()
-            return response.status, response.read()
+            return response.status, response.read(), response.headers
         except BaseException:
             self._local.conn = None
             conn.close()
@@ -200,18 +206,20 @@ class ServiceClient:
     # -- the tier ------------------------------------------------------
     def fetch(self, meta):
         """The remote entry for store-key ``meta``, as ``(spec,
-        so_bytes)`` — or None on miss, corrupt response, or a degraded
-        service.  Never raises: the remote tier is an optimization.
+        so_bytes, code)`` — or None on miss, corrupt reply, or a
+        degraded service.  Never raises: the remote tier is an
+        optimization.
 
         The returned entry's recorded key must equal ``meta`` exactly;
         since the key carries every version axis, this is the same
-        staleness rejection the disk store applies.
+        staleness rejection the disk store applies.  ``code`` is the
+        reply's ``.code`` part decoded for the spec's source, or None.
         """
         if not self.available():
             return self._degraded()
         digest = entry_digest(meta)
         try:
-            status, body = self._request("/kernels/" + digest)
+            status, body, headers = self._request("/kernels/" + digest)
         except ServiceUnreachableError as exc:
             _bump("remote_errors")
             self._mark_down(exc)
@@ -222,17 +230,8 @@ class ServiceClient:
         try:
             if status != 200:
                 raise ValueError("unexpected status %d" % status)
-            payload = json.loads(body)
-            if payload["key"] != meta:
-                raise ValueError(
-                    "entry key mismatch for %s (stale or corrupt "
-                    "service entry)" % digest[:12])
-            spec = payload["spec"]
-            if not isinstance(spec, dict):
-                raise ValueError("spec must be an object")
-            so_bytes = (base64.b64decode(payload["so"])
-                        if payload.get("so") else None)
-        except (ValueError, KeyError, TypeError) as exc:
+            fetched = _split_entry(body, headers.get(PARTS_HEADER), meta)
+        except (ValueError, TypeError) as exc:
             _log.warning("kernel service %s returned a corrupt entry "
                          "for %s (%s); treating as a miss",
                          self.url, digest[:12], exc)
@@ -240,7 +239,7 @@ class ServiceClient:
             _bump("remote_misses")
             return None
         _bump("remote_hits")
-        return spec, so_bytes
+        return fetched
 
     def push(self, meta, spec):
         """Write-behind one locally compiled entry; returns whether
@@ -251,7 +250,7 @@ class ServiceClient:
         body = json.dumps({"key": meta, "spec": spec},
                           sort_keys=True).encode()
         try:
-            status, _ = self._request("/compile", data=body)
+            status, _, _ = self._request("/compile", data=body)
         except ServiceUnreachableError as exc:
             _bump("remote_errors")
             self._mark_down(exc)
@@ -267,7 +266,7 @@ class ServiceClient:
     def healthz(self):
         """The service's health payload, or None when unreachable."""
         try:
-            status, body = self._request("/healthz")
+            status, body, _ = self._request("/healthz")
             return json.loads(body) if status == 200 else None
         except (ServiceUnreachableError, ValueError):
             return None
@@ -276,12 +275,30 @@ class ServiceClient:
         """The service's ``/stats`` payload (raises
         :class:`ServiceUnreachableError` when it cannot answer —
         callers of this route want the truth, not a degrade)."""
-        status, body = self._request("/stats")
+        status, body, _ = self._request("/stats")
         if status != 200:
             raise ServiceUnreachableError(
                 "kernel service %s /stats returned %d"
                 % (self.url, status))
         return json.loads(body)
+
+
+def _split_entry(body, parts, meta):
+    """``(spec, so_bytes, code)`` of one ``GET /kernels`` reply
+    ``body`` framed by the ``parts`` header; raises ValueError (or
+    TypeError) when the parts do not frame the body or the record
+    fails the disk tier's check against ``meta``."""
+    lengths = [int(length) for length in (parts or "").split(",")]
+    if (len(lengths) != 3 or min(lengths) < 0
+            or sum(lengths) != len(body)):
+        raise ValueError("parts %r do not frame a %d-byte body"
+                         % (parts, len(body)))
+    record, so_end = lengths[0], lengths[0] + lengths[1]
+    spec = parse_entry(body[:record], meta)
+    if not isinstance(spec, dict):
+        raise ValueError("spec must be an object")
+    return (spec, body[record:so_end] or None,
+            decode_code(body[so_end:], spec.get("source")))
 
 
 #: Per-process client memo: one client per base URL, so the degrade

@@ -2,7 +2,7 @@
 
 Deliberately boring infrastructure: stdlib ``ThreadingHTTPServer``
 (one thread per connection, fine for a cache whose responses are
-small JSON bodies), one background compile-queue thread, and the
+small bodies), one background compile-queue thread, and the
 existing :class:`~repro.store.disk.KernelStore` as the only state.
 Everything durable — atomicity, locking, quarantine, eviction, the
 persisted counters — is the store's problem, already solved; the
@@ -12,17 +12,20 @@ Routes::
 
     GET  /healthz            {"ok": true, ...}
     GET  /stats              hit/miss/queue counters (stats.json schema)
-    GET  /kernels/<digest>   one entry: {"key", "spec", "so": base64?}
+    GET  /kernels/<digest>   one entry: record, .so, .code bytes
     POST /compile            enqueue a pushed {"key", "spec"} entry
 
-``GET /kernels`` serves the stored entry *with its recorded key* —
-the key carries every version axis (spec layout, registry version,
-optimizer/codegen fingerprints), so the client compares it against
-the key it derived locally and rejects entries compiled under other
-code, exactly like the disk store does.  The server never trusts a
-pushed entry's digest claim either: ``POST /compile`` re-derives the
-digest from the pushed key and verifies the spec rebuilds before the
-entry reaches the store.
+``GET /kernels`` serves the stored entry's verified bytes as they are
+stored (:meth:`~repro.store.disk.KernelStore.read_parts`): the record
+file as written, then its ``.so`` and ``.code`` sidecars, their
+lengths in the :data:`PARTS_HEADER` header — no re-encoding.  The
+record carries the entry's key, and the key every version axis (spec
+layout, registry version, optimizer/codegen fingerprints), so the
+client compares it against the key it derived locally and rejects
+entries compiled under other code, exactly like the disk store does.
+The server never trusts a pushed entry's digest claim either: ``POST
+/compile`` re-derives the digest from the pushed key and verifies the
+spec rebuilds before the entry reaches the store.
 
 Connections are HTTP/1.1 keep-alive: a client's fetches share one TCP
 connection and one handler thread.  Responses go out with Nagle's
@@ -32,7 +35,6 @@ request.  A connection idle for :data:`IDLE_TIMEOUT_S` is closed, and
 :meth:`KernelService.close` ends every open one.
 """
 
-import base64
 import json
 import logging
 import os
@@ -50,6 +52,10 @@ _log = logging.getLogger("repro.service")
 #: Largest request body ``POST /compile`` accepts (a spec is tens of
 #: kilobytes; anything near this is garbage or abuse).
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: The ``GET /kernels`` reply header naming its body's three parts:
+#: ``<record>,<so>,<code>`` byte lengths, an absent sidecar 0.
+PARTS_HEADER = "X-Entry-Parts"
 
 #: Seconds a kept-alive connection may sit idle before the server
 #: closes it (the client re-opens one on its next request).
@@ -159,15 +165,20 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # route to logging, not stderr
         _log.debug("%s " + fmt, self.address_string(), *args)
 
-    def _send_json(self, status, payload):
-        body = json.dumps(payload, sort_keys=True).encode()
+    def _send(self, status, body, content_type, headers=()):
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in headers:
+            self.send_header(name, value)
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, status, payload):
+        self._send(status, json.dumps(payload, sort_keys=True).encode(),
+                   "application/json")
 
     def do_GET(self):
         service = self.server.service
@@ -189,22 +200,17 @@ class _Handler(BaseHTTPRequestHandler):
         if not _is_digest(digest):
             self._send_json(400, {"error": "malformed digest"})
             return
-        entry, so_path = service.store.read_entry(digest)
-        if entry is None:
+        parts = service.store.read_parts(digest)
+        if parts is None:
             service.bump("misses")
             self._send_json(404, {"error": "unknown kernel",
                                   "digest": digest})
             return
-        payload = dict(entry, so=None)  # the store-verified record
-        if so_path is not None:
-            try:
-                with open(so_path, "rb") as handle:
-                    payload["so"] = base64.b64encode(
-                        handle.read()).decode("ascii")
-            except OSError:
-                pass  # sidecar raced eviction: the spec alone rebuilds
+        chunks = (parts.record, parts.so or b"", parts.code or b"")
         service.bump("hits")
-        self._send_json(200, payload)
+        self._send(200, b"".join(chunks), "application/octet-stream",
+                   [(PARTS_HEADER, ",".join(str(len(chunk))
+                                            for chunk in chunks))])
 
     def do_POST(self):
         service = self.server.service

@@ -31,6 +31,7 @@ import sys
 from repro.compiler.key import KernelKey, is_current
 from repro.compiler.tiers import portable_spec, put, rebuild
 from repro.store import KernelStore
+from repro.store.disk import decode_code
 
 
 def _build_parser():
@@ -206,12 +207,16 @@ def _cmd_verify(args):
     rebuilt = stale = 0
     errors = []
     for digest in digests:
-        entry, so_path = store.read_entry(digest)
-        if entry is None:
+        parts = store.read_parts(digest)
+        if parts is None:
             errors.append("%s: unreadable entry (quarantined)" % digest)
-        elif not is_current(entry["key"]):
+            continue
+        spec = parts.entry["spec"]
+        source = spec.get("source") if isinstance(spec, dict) else None
+        if not is_current(parts.entry["key"]):
             stale += 1
-        elif rebuild(entry["spec"], so=so_path) is None:
+        elif rebuild(spec, so=parts.so,
+                     code=decode_code(parts.code, source)) is None:
             errors.append("%s: spec does not rebuild" % digest)
         else:
             rebuilt += 1

@@ -42,16 +42,21 @@ follows CPython's ``.pyc`` contract: :data:`importlib.util.
 MAGIC_NUMBER`, the sha256 of the spec's ``source``, then the
 ``marshal``\\ led code object; a header that does not match the
 running interpreter and the entry's source reads as absent, and the
-load that compiled the source instead rewrites it.  Code objects are
-only ever read from this directory, never from a service response: a
-remote python hit compiles its spec's source.  That is no trust
-boundary.  A remote hit runs code the service sent either way (the
-fetched source is ``exec``\\ ed, a fetched ``.so`` is
+load that compiled the source instead rewrites it.
+
+The kernel service serves an entry as the bytes :meth:`KernelStore.
+read_parts` returns — the record file as written, then the sidecars —
+and its client checks them with the readers the disk tier uses
+(:func:`parse_entry`, :func:`decode_code`), so a code object reaches a
+kernel from this directory or from a service's, through one check.
+That is no new trust: a remote hit runs code the service sent either
+way (the fetched source is ``exec``\\ ed, a fetched ``.so`` is
 ``dlopen``\\ ed), so pointing a client at a service trusts it with
 code, as a store directory is trusted.
 """
 
 import atexit
+import collections
 import hashlib
 import importlib.util
 import json
@@ -70,7 +75,7 @@ from repro.compiler.key import (
     entry_digest,
     is_current,
 )
-from repro.compiler.tiers import portable_spec, rebuild
+from repro.compiler.tiers import compile_source, portable_spec, rebuild
 
 _log = logging.getLogger("repro.store")
 
@@ -140,19 +145,69 @@ def _dump_code(source, code):
     return _code_header(source) + marshal.dumps(code)
 
 
-def _load_code(path, source):
-    """The code object ``path`` holds for ``source``, or None — absent,
-    truncated, another interpreter's, another source's, or garbage."""
+def decode_code(data, source):
+    """The code object the ``.code`` sidecar bytes ``data`` hold for
+    the python ``source``, or None — no bytes or no source, truncated,
+    another interpreter's, another source's, or garbage.  The one
+    sidecar reader: the disk tier's and a service fetch's."""
+    if not data or not isinstance(source, str):
+        return None
+    header = _code_header(source)
+    if not data.startswith(header):
+        return None
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-        header = _code_header(source)
-        if not data.startswith(header):
-            return None
         code = marshal.loads(data[len(header):])
-    except (OSError, ValueError, EOFError, TypeError):
+    except (ValueError, EOFError, TypeError):
         return None
     return code if isinstance(code, types.CodeType) else None
+
+
+def _read_bytes(path):
+    """The bytes of the file at ``path``, or None when it cannot be
+    read (absent, or removed meanwhile)."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError:
+        return None
+
+
+def _load_code(path, source):
+    """The code object ``path`` holds for ``source``, or None (absent,
+    or :func:`decode_code` rejects it)."""
+    return decode_code(_read_bytes(path), source)
+
+
+def _check_record(raw, field, digest=None, meta=None):
+    """The record the bytes ``raw`` hold, verified; raises ValueError
+    (or TypeError) for malformed JSON, a missing ``field`` payload,
+    another ``store_version``, or a recorded key that is not ``meta``
+    (when given) or does not hash to ``digest``."""
+    record = json.loads(raw)
+    if not isinstance(record, dict) or field not in record:
+        raise ValueError("not a %s record" % field)
+    if record.get("store_version") != STORE_VERSION:
+        raise ValueError("store version mismatch")
+    if (record.get("key") != meta if meta is not None
+            else entry_digest(record.get("key")) != digest):
+        raise ValueError("recorded key is not the key looked up")
+    return record
+
+
+def parse_entry(raw, meta):
+    """The spec of the entry record bytes ``raw``, whose recorded key
+    must equal ``meta``; raises ValueError (or TypeError) like a
+    quarantined read — the check a service fetch applies to a
+    record's bytes."""
+    return _check_record(raw, _ENTRY[0], meta=meta)["spec"]
+
+
+#: One stored entry as :meth:`KernelStore.read_parts` serves it:
+#: ``record`` is the entry file's bytes as written, ``entry`` the
+#: verified record they hold, ``so`` and ``code`` the sidecars' bytes
+#: (None when there is none).
+EntryParts = collections.namedtuple("EntryParts",
+                                    "record entry so code")
 
 
 def _replace_file(path, data):
@@ -404,8 +459,9 @@ class KernelStore:
 
     # -- reads ---------------------------------------------------------
     def _read_record(self, kind, digest, count=True, meta=None):
-        """The verified ``kind`` record addressed by ``digest``, or
-        None — the one read path of every persisted record.
+        """The verified ``kind`` record addressed by ``digest``, as
+        ``(bytes as written, record)``, or None — the one read path of
+        every persisted record.
 
         A missing file is a miss.  Any defect — unreadable file,
         malformed JSON, another ``store_version``, a recorded key that
@@ -426,22 +482,14 @@ class KernelStore:
 
             if _chaos.active():
                 # Chaos fault points: a flaky read raises OSError, a
-                # corrupt record garbles the text so JSON parsing
-                # rejects it (both the quarantine path below).
+                # corrupt record garbles the bytes so JSON parsing
+                # rejects them (both the quarantine path below).
                 _chaos.inject("store_read_error")
-            with open(path) as handle:
+            with open(path, "rb") as handle:
                 raw = handle.read()
             if _chaos.active():
                 raw = _chaos.mangle("store_corrupt_entry", raw)
-            record = json.loads(raw)
-            if not isinstance(record, dict) or field not in record:
-                raise ValueError("not a %s record" % field)
-            if record.get("store_version") != STORE_VERSION:
-                raise ValueError("store version mismatch")
-            if (record.get("key") != meta if meta is not None
-                    else entry_digest(record.get("key")) != digest):
-                raise ValueError("record key is not the key of %s"
-                                 % digest)
+            record = _check_record(raw, field, digest, meta)
         except FileNotFoundError:
             # Never written, or evicted before the open: a plain miss.
             if missed:
@@ -459,31 +507,47 @@ class KernelStore:
             pass
         if count:
             self._bump(**{prefix + "hits": 1})
-        return record
+        return raw, record
 
-    def read_entry(self, digest):
-        """The raw stored entry addressed by ``digest``, served as
-        ``(entry, so_path)`` — the kernel service's lookup primitive.
+    def read_parts(self, digest):
+        """The stored entry addressed by ``digest`` as verified bytes
+        (:data:`EntryParts`), or None on a miss or any defect — the one
+        read primitive the kernel service serves and ``verify`` checks.
 
-        ``entry`` is the persisted ``{"store_version", "key", "spec"}``
-        payload, verified like :meth:`load_spec` verifies it (with no
-        key in hand, by hashing the recorded one);
-        ``so_path`` is the sidecar's path when one exists, else None.
-        Returns ``(None, None)`` on a miss or any defect.  Deliberately
-        does *not* touch the persisted hit/miss counters: the service
-        keeps its own, and a remote fleet's traffic must not
-        masquerade as local lookups.
+        The record is verified like :meth:`load_spec` verifies it (with
+        no key in hand, by hashing the recorded one).  A python entry
+        whose ``.code`` sidecar is absent or does not decode for its
+        source gets one: the source is compiled (never run) and the
+        sidecar written best effort, the rule :meth:`load_artifact`
+        follows.  Deliberately does *not* touch the persisted hit/miss
+        counters: the service keeps its own, and a remote fleet's
+        traffic must not masquerade as local lookups.
         """
-        entry = self._read_record(_ENTRY, digest, count=False)
-        if entry is None:
-            return None, None
-        return entry, self._so_path(digest)
+        found = self._read_record(_ENTRY, digest, count=False)
+        if found is None:
+            return None
+        record, entry = found
+        path = self.entry_path_for_digest(digest)
+        code = _read_bytes(_sidecar_path(path, ".code"))
+        spec = entry["spec"]
+        # A spec with C source runs its .so, not a code object.
+        source = (spec.get("source") if isinstance(spec, dict)
+                  and not spec.get("c_source") else None)
+        if isinstance(source, str) and decode_code(code, source) is None:
+            try:
+                compiled = compile_source(source)
+            except (SyntaxError, ValueError):
+                code = None  # the spec does not rebuild anywhere
+            else:
+                code = self._save_code(path, source, compiled)
+        return EntryParts(record, entry,
+                          _read_bytes(_sidecar_path(path, ".so")), code)
 
     def load_spec(self, meta):
         """The stored spec for ``meta``, or None (counts a miss; see
         :meth:`_read_record` for what reads as one)."""
-        entry = self._read_record(_ENTRY, entry_digest(meta), meta=meta)
-        return None if entry is None else entry["spec"]
+        found = self._read_record(_ENTRY, entry_digest(meta), meta=meta)
+        return None if found is None else found[1]["spec"]
 
     def load_artifact(self, meta, structural_key=None):
         """The rebuilt :class:`CompiledKernel` for ``meta``, or None.
@@ -498,14 +562,13 @@ class KernelStore:
         stored one again.
         """
         digest = entry_digest(meta)
-        entry = self._read_record(_ENTRY, digest, meta=meta)
-        if entry is None:
+        found = self._read_record(_ENTRY, digest, meta=meta)
+        if found is None:
             return None
         path = self.entry_path_for_digest(digest)
-        spec = entry["spec"]
+        spec = found[1]["spec"]
         source = spec.get("source") if isinstance(spec, dict) else None
-        code = (_load_code(_sidecar_path(path, ".code"), source)
-                if isinstance(source, str) else None)
+        code = _load_code(_sidecar_path(path, ".code"), source)
         artifact = rebuild(spec, so=self._so_path(digest), code=code,
                            structural_key=structural_key)
         if artifact is None:
@@ -518,14 +581,16 @@ class KernelStore:
     def _save_code(self, path, source, code):
         """Best effort: write ``code``, compiled from ``source``, as
         the ``.code`` sidecar of the entry at ``path`` — unless the
-        entry is gone (evicted or cleared meanwhile)."""
+        entry is gone (evicted or cleared meanwhile); returns the
+        sidecar's bytes."""
+        data = _dump_code(source, code)
         try:
             with self._lock():
                 if os.path.exists(path):
-                    _replace_file(_sidecar_path(path, ".code"),
-                                  _dump_code(source, code))
+                    _replace_file(_sidecar_path(path, ".code"), data)
         except OSError as exc:
             self._note_io_error("code sidecar write", exc)
+        return data
 
     def _quarantine(self, path):
         """Move a defective entry and its sidecars aside (never
@@ -657,9 +722,9 @@ class KernelStore:
         tune layout) lands in a *different* digest, so stale winners
         are simply never found.
         """
-        record = self._read_record(_TUNING, entry_digest(meta),
-                                   meta=meta)
-        return None if record is None else record["winner"]
+        found = self._read_record(_TUNING, entry_digest(meta),
+                                  meta=meta)
+        return None if found is None else found[1]["winner"]
 
     # -- inspection ----------------------------------------------------
     @staticmethod
@@ -690,7 +755,7 @@ class KernelStore:
 
     def digests(self):
         """The digest of every entry file, readable or not — each one
-        :meth:`read_entry` can be asked for."""
+        :meth:`read_parts` can be asked for."""
         return [os.path.basename(path)[len(_ENTRY_PREFIX):-len(".json")]
                 for path, _, _ in self._entry_files()]
 

@@ -109,6 +109,23 @@ _FLOATS = [2.5, -2.5, 7.0, -0.0, 0.0, float("nan"), float("inf"),
            float("-inf"), 1e300]
 
 
+def _divmod_grid(seed=0, draws=12):
+    """Float operands for ``//`` and ``%``: signed zeros, infinities,
+    NaN, subnormals, and ``draws`` seeded values of either sign over
+    many magnitudes."""
+    rng = np.random.default_rng(seed)
+    drawn = (rng.choice([-1.0, 1.0], draws) * rng.random(draws)
+             * 10.0 ** rng.integers(-300, 300, draws))
+    tiny = float(np.finfo(np.float64).smallest_subnormal)
+    return [0.0, -0.0, float("inf"), float("-inf"), float("nan"),
+            tiny, -tiny, 3 * tiny, 1.5, -2.5, 3.0, -6.0,
+            *drawn.tolist()]
+
+
+def _bits(value):
+    return int(np.float64(value).view(np.int64))
+
+
 @needs_cc
 class TestPreludeSemantics:
     @pytest.mark.parametrize("a", [-7, -1, 0, 1, 7, 9223372036854])
@@ -131,6 +148,19 @@ class TestPreludeSemantics:
             assert STATUS_ERRORS[status] == (ZeroDivisionError,
                                              str(exc.value))
             assert result == 0
+
+    @pytest.mark.parametrize("f, g, quotient, remainder", [
+        (float("inf"), 3.0, float("nan"), float("nan")),
+        (-2.5, float("inf"), -1.0, float("inf")),
+        (-6.0, 3.0, -2.0, 0.0),
+    ])
+    def test_float_floordiv_mod_follow_float_divmod(self, f, g, quotient,
+                                                    remainder):
+        # floor(a / b) and a bare fmod gave inf, -0.0 and -0.0 here.
+        _, fout = _run_probe(1, 1, f, g)
+        assert (str(f // g), str(f % g)) == (str(quotient), str(remainder))
+        assert (str(fout[1]), str(fout[2])) == (str(quotient),
+                                                str(remainder))
 
     @pytest.mark.parametrize(
         "f", [0.5, 1.5, 2.5, -0.5, -1.5, 3.4999, 254.5, 255.0, 999.0,
@@ -167,6 +197,18 @@ class TestPreludeBranches:
                     included = _run_probe(a, b, f, g, include_branch)
                     for mine, theirs in zip(builtin, included):
                         np.testing.assert_array_equal(mine, theirs)
+
+    def test_float_floordiv_mod_are_python_bit_for_bit(self,
+                                                       include_branch):
+        grid = _divmod_grid()
+        for so_path in (None, include_branch):
+            for f in grid:
+                for g in grid:
+                    if g == 0.0:
+                        continue  # Python raises; out of the C contract
+                    _, fout = _run_probe(1, 1, f, g, so_path)
+                    assert [_bits(fout[1]), _bits(fout[2])] == \
+                        [_bits(f // g), _bits(f % g)], (f, g, so_path)
 
     def test_int64_and_bool_spellings(self, include_branch):
         for so_path in (None, include_branch):

@@ -10,6 +10,7 @@ child opens its own rather than writing to its parent's socket; and
 """
 
 import cProfile
+import json
 import os
 import pstats
 import time
@@ -23,7 +24,9 @@ from repro.service import KernelService
 from repro.service import client as client_mod
 from repro.service import server as server_mod
 from repro.service.client import ServiceClient, reset_clients
-from repro.store import meta_for_artifact
+from repro.service.server import PARTS_HEADER
+from repro.store import disk as disk_mod
+from repro.store import entry_digest, meta_for_artifact
 from repro.util import config
 
 
@@ -146,7 +149,7 @@ def test_a_refused_push_closes_its_connection(served, accepted):
     ``Connection: close``, and the next request opens a new one."""
     service, meta = served
     client = ServiceClient(service.url, retries=0)
-    status, _ = client._request("/compile", data=b"{ not json")
+    status, _, _ = client._request("/compile", data=b"{ not json")
     assert status == 400
     assert client._local.conn.sock is None     # closed as announced
     assert client.fetch(meta) is not None
@@ -165,22 +168,69 @@ def test_close_ends_kept_alive_connections(tmp_path):
     assert not client.available()        # degraded, not served
 
 
-def test_a_remote_python_hit_compiles_its_source(served):
-    """Code objects never cross the wire: the service's store keeps a
-    ``.code`` sidecar, the fetch carries only the spec."""
-    service, meta = served
-    entry = service.store._entry_path(meta)
-    assert os.path.exists(entry[:-len(".json")] + ".code")
-    client = ServiceClient(service.url)
-    spec, so = client.fetch(meta)
-    assert so is None and "code" not in spec
-    program, _ = dot_program(seed=3)
+def _client_compiles(thunk):
+    """``thunk()``'s result and how many times it called
+    ``builtins.compile`` on this thread."""
     profile = cProfile.Profile()
     profile.enable()
-    kernel = fl.compile_kernel(program, remote=service.url, store=False)
+    result = thunk()
     profile.disable()
-    assert kernel.from_cache
-    compiles = sum(
+    return result, sum(
         row[1] for (_, _, name), row in pstats.Stats(profile).stats.items()
         if name == "<built-in method builtins.compile>")
-    assert compiles == 1
+
+
+def test_a_remote_python_hit_compiles_only_what_no_store_kept(
+        served, monkeypatch):
+    """The reply carries the served store's bytes: the record file as
+    written and the ``.code`` sidecar, so a remote python hit compiles
+    nothing while the service's store keeps a current code object.
+    With none stored the server compiles once (never runs it) and
+    writes the sidecar; a code part foreign to the client's
+    interpreter costs the client one compile."""
+    service, meta = served
+    entry = service.store._entry_path(meta)
+    code_path = entry[:-len(".json")] + ".code"
+    errors = client_mod.service_stats()["remote_errors"]
+    client = ServiceClient(service.url)
+    status, body, headers = client._request(
+        "/kernels/" + entry_digest(meta))
+    record = int(headers[PARTS_HEADER].split(",")[0])
+    with open(entry, "rb") as handle:
+        assert status == 200 and body[:record] == handle.read()
+    with open(code_path, "rb") as handle:
+        stored_code = handle.read()
+    assert body.endswith(stored_code)
+
+    server_compiles = []
+    real_compile = disk_mod.compile_source
+    monkeypatch.setattr(disk_mod, "compile_source", lambda source: (
+        server_compiles.append(source), real_compile(source))[1])
+
+    def remote_hit(seed):
+        kernel_cache().clear()
+        program, _ = dot_program(seed=seed)
+        kernel, compiles = _client_compiles(lambda: fl.compile_kernel(
+            program, remote=service.url, store=False))
+        assert kernel.from_cache
+        return compiles
+
+    assert remote_hit(3) == 0 and server_compiles == []
+
+    os.remove(code_path)                   # no code object stored
+    assert remote_hit(4) == 0 and len(server_compiles) == 1
+    with open(entry) as handle:
+        source = json.load(handle)["spec"]["source"]
+    assert disk_mod._load_code(code_path, source) is not None
+
+    # A service on another interpreter: its sidecar's magic is foreign
+    # here, so the code part is dropped and the source compiles.
+    read_parts = service.store.read_parts
+
+    def foreign(digest):
+        parts = read_parts(digest)
+        return parts._replace(code=b"\0\0\0\0" + parts.code[4:])
+
+    monkeypatch.setattr(service.store, "read_parts", foreign)
+    assert remote_hit(5) == 1 and len(server_compiles) == 1
+    assert client_mod.service_stats()["remote_errors"] == errors

@@ -7,7 +7,6 @@ recorded key, digest validation, the async compile queue's dedup, and
 the ``stats.json``-schema counters.
 """
 
-import base64
 import json
 import os
 import subprocess
@@ -22,7 +21,9 @@ import repro
 import repro.lang as fl
 from repro.compiler.kernel import kernel_cache
 from repro.service import KernelService
+from repro.service.server import PARTS_HEADER
 from repro.store import entry_digest, meta_for_artifact
+from repro.store.disk import decode_code
 from repro.util import config
 
 
@@ -95,14 +96,28 @@ def test_unknown_routes_404(service):
 
 
 def test_get_kernel_serves_entry_with_recorded_key(service):
+    """The reply is the stored bytes: the record file as written (with
+    its recorded key), then the ``.so`` and ``.code`` sidecars, framed
+    by the parts header."""
     digest, meta, spec = seed_entry(service)
-    status, body = get(service, "/kernels/" + digest)
-    payload = json.loads(body)
-    assert status == 200
+    with urllib.request.urlopen(service.url + "/kernels/" + digest,
+                                timeout=5) as response:
+        status, body = response.status, response.read()
+        parts = response.headers[PARTS_HEADER]
+    record, so, code = (int(length) for length in parts.split(","))
+    assert status == 200 and record + so + code == len(body)
+    path = service.store.entry_path_for_digest(digest)
+    with open(path, "rb") as handle:
+        assert body[:record] == handle.read()
+    payload = json.loads(body[:record])
     assert payload["key"] == meta
     assert payload["spec"]["name"] == spec["name"]
-    assert payload["so"] is None or isinstance(
-        base64.b64decode(payload["so"]), bytes)
+    assert so == 0  # a python entry has no shared object
+    # The entry was stored without a code object: the first read
+    # compiled one, wrote it beside the entry and served its bytes.
+    with open(path[:-len(".json")] + ".code", "rb") as handle:
+        assert body[record + so:] == handle.read()
+    assert decode_code(body[record + so:], spec["source"]) is not None
 
 
 def test_get_kernel_miss_and_malformed(service):

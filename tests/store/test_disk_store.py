@@ -205,9 +205,9 @@ RECORD_KINDS = {
     "entry": (lambda store, meta: store.save_spec(meta, {"body": 1}),
               lambda store, meta: store.load_spec(meta),
               "misses", "hits"),
-    "read_entry": (lambda store, meta: store.save_spec(meta, {"body": 1}),
+    "read_parts": (lambda store, meta: store.save_spec(meta, {"body": 1}),
                    lambda store, meta:
-                   store.read_entry(entry_digest(meta))[0],
+                   store.read_parts(entry_digest(meta)),
                    None, None),
     "tuning": (lambda store, meta: store.save_tuning(meta, {"body": 1}),
                lambda store, meta: store.load_tuning(meta),

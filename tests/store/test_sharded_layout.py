@@ -4,8 +4,8 @@ Entries land under ``<root>/<digest[:2]>/k_<digest>.json`` so a
 fleet-scale store never piles tens of thousands of files into one
 directory.  A store written by pre-shard code (entries flat in the
 root) reads as cold: a cache miss, never a wrong kernel.
-``read_entry`` — the kernel service's lookup primitive — is covered
-here too.
+``read_parts`` — the read primitive the kernel service serves and
+``verify`` checks — is covered here too.
 """
 
 import json
@@ -88,39 +88,44 @@ def test_flat_pre_shard_entry_reads_as_cold(tmp_path):
     assert os.path.dirname(sole_entry_path(fresh)) != fresh.root
 
 
-def test_read_entry_round_trip(tmp_path):
+def test_read_parts_round_trip(tmp_path):
     store = KernelStore(tmp_path)
     store_one(store)
     path = sole_entry_path(store)
     digest = os.path.basename(path)[len(_ENTRY_PREFIX):-len(".json")]
-    entry, so_path = store.read_entry(digest)
-    assert entry is not None
-    assert set(entry) >= {"store_version", "key", "spec"}
-    assert entry_digest(entry["key"]) == digest
-    # The spec rebuilds into a working kernel.
+    parts = store.read_parts(digest)
+    assert parts is not None
+    # The record part is the entry file's bytes, exactly as written.
+    with open(path, "rb") as handle:
+        assert parts.record == handle.read()
+    assert json.loads(parts.record) == parts.entry
+    assert set(parts.entry) >= {"store_version", "key", "spec"}
+    assert entry_digest(parts.entry["key"]) == digest
+    # The spec rebuilds into a working kernel, from the code part.
     from repro.compiler.kernel import CompiledKernel
+    from repro.store.disk import decode_code
 
-    artifact = CompiledKernel.from_spec(entry["spec"])
-    assert artifact is not None
-    if so_path is not None:
-        assert os.path.exists(so_path)
+    code = decode_code(parts.code, parts.entry["spec"]["source"])
+    assert code is not None
+    artifact = CompiledKernel.from_spec(parts.entry["spec"], code=code)
+    assert artifact.code is code
+    assert parts.so is None  # a python entry has no shared object
 
 
-def test_read_entry_misses_and_rejects_defects(tmp_path):
+def test_read_parts_misses_and_rejects_defects(tmp_path):
     store = KernelStore(tmp_path)
-    assert store.read_entry("0" * 40) == (None, None)
+    assert store.read_parts("0" * 40) is None
     store_one(store)
     path = sole_entry_path(store)
     digest = os.path.basename(path)[len(_ENTRY_PREFIX):-len(".json")]
     with open(path, "w") as handle:
         handle.write("{ not json")
-    entry, so_path = store.read_entry(digest)
-    assert entry is None and so_path is None
+    assert store.read_parts(digest) is None
     # The defective entry was quarantined, not left to fail again.
     assert not os.path.exists(path)
 
 
-def test_read_entry_rejects_digest_mismatch(tmp_path):
+def test_read_parts_rejects_digest_mismatch(tmp_path):
     store = KernelStore(tmp_path)
     store_one(store)
     path = sole_entry_path(store)
@@ -130,4 +135,4 @@ def test_read_entry_rejects_digest_mismatch(tmp_path):
     entry["key"]["name"] = "tampered"
     with open(path, "w") as handle:
         json.dump(entry, handle)
-    assert store.read_entry(digest) == (None, None)
+    assert store.read_parts(digest) is None
