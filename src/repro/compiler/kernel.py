@@ -95,14 +95,11 @@ SPEC_VERSION = 5
 #: is also the :class:`CompiledKernel` attribute and constructor
 #: parameter of that name: ``to_spec`` and ``from_spec`` both walk
 #: this table, so a new field is added here (and to ``__init__``).
+#: Every field is required: a spec that lacks one does not rebuild.
 SPEC_FIELDS = ("name", "source", "views", "backend", "c_source",
                "c_param_dtypes", "opt_level", "plan", "signatures",
                "alias_groups", "instrument", "constant_loop_rewrite",
                "compile_seconds", "structural_key", "slot_names")
-#: What ``from_spec`` reads for a field a spec leaves out; the fields
-#: not listed are required.
-_SPEC_DEFAULTS = {"backend": "python", "c_source": None,
-                  "c_param_dtypes": None, "slot_names": None}
 
 
 def _plain(value):
@@ -263,7 +260,6 @@ class CompiledKernel:
             raise SpecError(
                 "kernel spec version %r is not supported (expected %d)"
                 % (version, SPEC_VERSION))
-        spec = {**_SPEC_DEFAULTS, **spec}
         fields = {key: _frozen(spec[key]) for key in SPEC_FIELDS
                   if key != "structural_key"}
         fields["structural_key"] = (_frozen(spec["structural_key"])
@@ -805,10 +801,10 @@ def compile_kernel(program, instrument=False, name="kernel",
     ``FL_SERVICE_URL`` / ``remote=``).  A disk or remote hit rebuilds
     the artifact from its serialized spec and promotes it into the
     tiers above; a full miss compiles fresh and writes the artifact
-    behind into every tier (the remote push rides an async
-    server-side compile queue).  An unreachable service degrades to
-    the local tiers with a warn-once log line — the remote tier can
-    never fail a compile.  ``store=False`` and ``remote=False`` leave
+    behind into every tier (the remote push sends the entry's bytes,
+    which the service files as they are).  An unreachable service
+    degrades to the local tiers with a warn-once log line — the
+    remote tier can never fail a compile.  ``store=False`` and ``remote=False`` leave
     out one tier; ``store=False, remote=False`` is served from memory
     alone.  ``cache=False`` always compiles fresh and leaves every
     cache (and its statistics) untouched.

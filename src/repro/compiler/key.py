@@ -131,21 +131,13 @@ class KernelKey:
                    artifact.opt_level, artifact.backend)
 
     @classmethod
-    def of_spec(cls, spec, meta=None):
-        """The key of a serialized artifact (a ``to_spec`` dict).
-
-        ``meta`` pins the plain-dict form to a key *recorded* next to
-        the spec (an entry pushed to the service) instead of deriving
-        it from the running code's version axes: such an entry is
-        filed under the address it arrived with.
-        """
+    def of_spec(cls, spec):
+        """The key of a serialized artifact (a ``to_spec`` dict)."""
         from repro.compiler.kernel import _frozen
 
-        key = cls(_frozen(spec["structural_key"]), spec["instrument"],
-                  spec["name"], spec["constant_loop_rewrite"],
-                  spec["opt_level"], spec.get("backend", "python"))
-        key._meta = meta
-        return key
+        return cls(_frozen(spec["structural_key"]), spec["instrument"],
+                   spec["name"], spec["constant_loop_rewrite"],
+                   spec["opt_level"], spec["backend"])
 
     @property
     def meta(self):

@@ -2,9 +2,10 @@
 
 Every consumer that turns a :class:`~repro.compiler.key.KernelKey`
 into a live artifact — ``compile_kernel``, the pool worker, the store
-CLI's ``warm``/``verify``, the service's compile queue — goes through
-the three pieces here, so tier order, promotion and write-behind exist
-exactly once (``docs/ARCHITECTURE.md`` §7 draws the shared picture)::
+CLI's ``warm``/``verify`` — goes through the three pieces here, so
+tier order, promotion and write-behind exist exactly once
+(``docs/ARCHITECTURE.md`` §7 draws the shared picture; the kernel
+service uses none of them — it files and serves bytes)::
 
     read_through(key, build):  memory ─► disk ─► remote ─► build()
     put(key, ...):             promote into the tiers above the one
@@ -88,10 +89,10 @@ def put(key, artifact=None, spec=None, memory=None, store=None,
 
     ``artifact`` goes to ``memory``; its spec (``spec`` when the
     caller already holds it, else serialized here, once) goes to
-    ``store`` — with the artifact's shared object or code object as
-    the sidecars — and to ``client`` (the service's async compile
-    queue).  A bulk importer filing specs it never rebuilt passes
-    ``spec`` alone.
+    ``store`` and is pushed to ``client`` (the kernel service) — with
+    the artifact's shared object or code object as the sidecars, so
+    both file the same bytes.  A bulk importer filing specs it never
+    rebuilt passes ``spec`` alone.
     """
     if memory is not None:
         memory.store(key.memory, artifact)
@@ -101,14 +102,12 @@ def put(key, artifact=None, spec=None, memory=None, store=None,
         spec = portable_spec(artifact)
         if spec is None:
             return
+    sidecars = ({} if artifact is None
+                else dict(so_path=artifact.so_path, code=artifact.code))
     if store is not None:
-        if artifact is None:
-            store.save_spec(key.meta, spec)
-        else:
-            store.save_spec(key.meta, spec, so_path=artifact.so_path,
-                            code=artifact.code)
+        store.save_spec(key.meta, spec, **sidecars)
     if client is not None:
-        client.push(key.meta, spec)
+        client.push(key.meta, spec, **sidecars)
 
 
 def read_through(key, build, memory=None, store=None, remote=None,

@@ -17,12 +17,11 @@ Two halves:
     A stdlib ``ThreadingHTTPServer`` in front of a ``KernelStore``:
     ``GET /kernels/<digest>`` serves one entry as it is stored
     (version axes ride in the entry key, so a client can reject stale
-    kernels), ``POST
-    /compile`` enqueues a client-pushed spec on an async compile queue
-    with digest-level dedup (the server rebuilds the ``.so`` sidecar
-    server-side), and ``/healthz`` / ``/stats`` expose liveness and
-    hit/miss/queue counters in the same schema as the store's
-    ``stats.json``.  ``python -m repro.service --store DIR`` serves
+    kernels), ``POST /kernels/<digest>`` files a client-pushed entry
+    sent the same way — checked by readers that run nothing, so the
+    server executes nothing it is sent and needs no C toolchain — and
+    ``/healthz`` / ``/stats`` expose liveness and hit/miss/push
+    counters in the same schema as the store's ``stats.json``.  ``python -m repro.service --store DIR`` serves
     that store directory (fill one ahead of time with ``python -m
     repro.store warm --store DIR``).
 

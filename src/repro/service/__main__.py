@@ -7,8 +7,10 @@ Examples::
     python -m repro.service --store .fl_store --port 8090
 
 The service is read-mostly infrastructure: clients GET entries by
-digest and POST freshly compiled specs, which an async queue rebuilds
-(producing the ``.so`` sidecar server-side) and persists.  Point
+digest and POST freshly compiled ones, which it files as the bytes
+they arrive as (record, ``.so``, ``.code``) without running any of
+them; a ``.so`` comes from a pusher or from a store warmed ahead of
+time.  Point
 clients at it with ``FL_SERVICE_URL=http://host:port``,
 ``fl.configure(service_url=...)``, or ``compile_kernel(...,
 remote=...)``.

@@ -3,7 +3,9 @@
 ``compile_kernel`` calls :meth:`ServiceClient.fetch` after a local
 store miss and :meth:`ServiceClient.push` after a local compile
 (write-behind) — both built so the remote tier can only ever *save*
-work, never break a compile:
+work, never break a compile.  An entry crosses the wire both ways as
+the store holds it: the record bytes, the ``.so`` and the ``.code``
+sidecar, framed by :func:`~repro.service.server.frame_parts`.
 
 * Requests carry a timeout (``FL_SERVICE_TIMEOUT_S``) and a retry
   budget (``FL_SERVICE_RETRIES``) with exponential backoff; an
@@ -48,8 +50,13 @@ import threading
 import time
 
 from repro.compiler.key import entry_digest
-from repro.service.server import PARTS_HEADER
-from repro.store.disk import decode_code, parse_entry
+from repro.service.server import PARTS_HEADER, frame_parts, split_parts
+from repro.store.disk import (
+    decode_code,
+    encode_record,
+    parse_entry,
+    sidecar_bytes,
+)
 from repro.util.errors import ServiceUnreachableError
 
 _log = logging.getLogger("repro.service")
@@ -115,8 +122,9 @@ class ServiceClient:
         self._local = threading.local()
 
     # -- transport -----------------------------------------------------
-    def _request(self, path, data=None):
-        """``(status, body_bytes, headers)`` for one request, after the
+    def _request(self, path, data=None, headers=None):
+        """``(status, body_bytes, headers)`` for one request (a POST of
+        ``data`` with ``headers`` when ``data`` is given), after the
         retry budget.  HTTP-level errors (404, 400, 500) are
         *responses*, returned as-is; transport-level failures retry
         and finally raise :class:`ServiceUnreachableError`."""
@@ -129,34 +137,33 @@ class ServiceClient:
             try:
                 if _chaos.active():
                     _chaos.inject("service_unreachable")
-                return self._exchange(path, data)
+                return self._exchange(path, data, headers)
             except (http.client.HTTPException, OSError) as exc:
                 last = exc
         raise ServiceUnreachableError(
             "kernel service %s unreachable after %d attempt(s): %s: %s"
             % (self.url, self.retries + 1, type(last).__name__, last))
 
-    def _exchange(self, path, data):
+    def _exchange(self, path, data, headers):
         """One request over this thread's connection.  When a reused
         connection turns out closed by the server, the request is sent
         once more on a new one, immediately."""
         conn = self._connection()
         reused = conn.sock is not None
         try:
-            return self._send(conn, path, data)
+            return self._send(conn, path, data, headers)
         except ConnectionError:
             if not reused:
                 raise
-        return self._send(self._connection(), path, data)
+        return self._send(self._connection(), path, data, headers)
 
-    def _send(self, conn, path, data):
+    def _send(self, conn, path, data, headers):
         """``(status, body, headers)`` of one request on ``conn``; on
         any failure the connection is closed and forgotten."""
         try:
             conn.request("GET" if data is None else "POST",
                          self._prefix + path, body=data,
-                         headers={"Content-Type": "application/json"}
-                         if data is not None else {})
+                         headers=headers or {})
             response = conn.getresponse()
             return response.status, response.read(), response.headers
         except BaseException:
@@ -241,22 +248,29 @@ class ServiceClient:
         _bump("remote_hits")
         return fetched
 
-    def push(self, meta, spec):
-        """Write-behind one locally compiled entry; returns whether
-        the service accepted it.  Never raises."""
+    def push(self, meta, spec, so_path=None, code=None):
+        """Write-behind one locally compiled entry, as a local store
+        files it: the record of ``spec`` under ``meta``, the shared
+        object at ``so_path`` and the code object ``code`` as
+        sidecars.  Returns whether the service accepted it (filed now
+        or already stored).  Never raises."""
         if not self.available():
             self._degraded()
             return False
-        body = json.dumps({"key": meta, "spec": spec},
-                          sort_keys=True).encode()
+        sidecars = sidecar_bytes(spec, so_path, code)
+        body, parts = frame_parts(encode_record(meta, spec),
+                                  sidecars.get(".so"),
+                                  sidecars.get(".code"))
         try:
-            status, _, _ = self._request("/compile", data=body)
+            status, _, _ = self._request("/kernels/" + entry_digest(meta),
+                                         data=body,
+                                         headers={PARTS_HEADER: parts})
         except ServiceUnreachableError as exc:
             _bump("remote_errors")
             self._mark_down(exc)
             self._degraded()
             return False
-        if status != 202:
+        if status not in (200, 201):
             _bump("remote_errors")
             return False
         _bump("remote_pushes")
@@ -271,34 +285,17 @@ class ServiceClient:
         except (ServiceUnreachableError, ValueError):
             return None
 
-    def server_stats(self):
-        """The service's ``/stats`` payload (raises
-        :class:`ServiceUnreachableError` when it cannot answer —
-        callers of this route want the truth, not a degrade)."""
-        status, body, _ = self._request("/stats")
-        if status != 200:
-            raise ServiceUnreachableError(
-                "kernel service %s /stats returned %d"
-                % (self.url, status))
-        return json.loads(body)
-
 
 def _split_entry(body, parts, meta):
     """``(spec, so_bytes, code)`` of one ``GET /kernels`` reply
     ``body`` framed by the ``parts`` header; raises ValueError (or
     TypeError) when the parts do not frame the body or the record
     fails the disk tier's check against ``meta``."""
-    lengths = [int(length) for length in (parts or "").split(",")]
-    if (len(lengths) != 3 or min(lengths) < 0
-            or sum(lengths) != len(body)):
-        raise ValueError("parts %r do not frame a %d-byte body"
-                         % (parts, len(body)))
-    record, so_end = lengths[0], lengths[0] + lengths[1]
-    spec = parse_entry(body[:record], meta)
+    record, so, code = split_parts(body, parts)
+    spec = parse_entry(record, meta)
     if not isinstance(spec, dict):
         raise ValueError("spec must be an object")
-    return (spec, body[record:so_end] or None,
-            decode_code(body[so_end:], spec.get("source")))
+    return spec, so, decode_code(code, spec.get("source"))
 
 
 #: Per-process client memo: one client per base URL, so the degrade

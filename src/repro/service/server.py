@@ -2,30 +2,32 @@
 
 Deliberately boring infrastructure: stdlib ``ThreadingHTTPServer``
 (one thread per connection, fine for a cache whose responses are
-small bodies), one background compile-queue thread, and the
-existing :class:`~repro.store.disk.KernelStore` as the only state.
-Everything durable — atomicity, locking, quarantine, eviction, the
-persisted counters — is the store's problem, already solved; the
-service is a wire adapter over it.
+small bodies) and the existing :class:`~repro.store.disk.KernelStore`
+as the only state.  Everything durable — atomicity, locking,
+quarantine, eviction, the persisted counters — is the store's
+problem, already solved; the service is a wire adapter over it.
 
 Routes::
 
     GET  /healthz            {"ok": true, ...}
-    GET  /stats              hit/miss/queue counters (stats.json schema)
+    GET  /stats              hit/miss/push counters (stats.json schema)
     GET  /kernels/<digest>   one entry: record, .so, .code bytes
-    POST /compile            enqueue a pushed {"key", "spec"} entry
+    POST /kernels/<digest>   file one pushed entry, in the same framing
 
-``GET /kernels`` serves the stored entry's verified bytes as they are
-stored (:meth:`~repro.store.disk.KernelStore.read_parts`): the record
-file as written, then its ``.so`` and ``.code`` sidecars, their
-lengths in the :data:`PARTS_HEADER` header — no re-encoding.  The
-record carries the entry's key, and the key every version axis (spec
-layout, registry version, optimizer/codegen fingerprints), so the
-client compares it against the key it derived locally and rejects
-entries compiled under other code, exactly like the disk store does.
-The server never trusts a pushed entry's digest claim either: ``POST
-/compile`` re-derives the digest from the pushed key and verifies the
-spec rebuilds before the entry reaches the store.
+An entry crosses the wire in both directions as the store holds it:
+the record file's bytes, then its ``.so`` and ``.code`` sidecars,
+their lengths in the :data:`PARTS_HEADER` header
+(:func:`frame_parts`, :func:`split_parts`) — no re-encoding.  ``GET``
+serves what :meth:`~repro.store.disk.KernelStore.read_parts` read and
+verified; the record carries the entry's key, and the key every
+version axis, so the client compares it against the key it derived
+locally and rejects entries compiled under other code, exactly like
+the disk store does.  ``POST`` hands the parts to
+:meth:`~repro.store.disk.KernelStore.file_parts`, which checks them
+with readers that run nothing — the recorded key must hash to the
+digest in the URL, the spec's source must compile — and files the
+record verbatim.  The service rebuilds nothing and executes nothing
+it is sent, so it needs no C toolchain.
 
 Connections are HTTP/1.1 keep-alive: a client's fetches share one TCP
 connection and one handler thread.  Responses go out with Nagle's
@@ -37,24 +39,22 @@ request.  A connection idle for :data:`IDLE_TIMEOUT_S` is closed, and
 
 import json
 import logging
-import os
-import queue
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.compiler.key import STORE_VERSION, KernelKey, entry_digest
-from repro.compiler.tiers import put, rebuild
+from repro.compiler.key import STORE_VERSION
 from repro.store.disk import KernelStore
 
 _log = logging.getLogger("repro.service")
 
-#: Largest request body ``POST /compile`` accepts (a spec is tens of
+#: Largest push body ``POST /kernels`` accepts (an entry is tens of
 #: kilobytes; anything near this is garbage or abuse).
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
-#: The ``GET /kernels`` reply header naming its body's three parts:
-#: ``<record>,<so>,<code>`` byte lengths, an absent sidecar 0.
+#: The header naming a framed entry's three parts, in a ``GET
+#: /kernels`` reply and a push alike: ``<record>,<so>,<code>`` byte
+#: lengths, an absent sidecar 0.
 PARTS_HEADER = "X-Entry-Parts"
 
 #: Seconds a kept-alive connection may sit idle before the server
@@ -62,83 +62,24 @@ PARTS_HEADER = "X-Entry-Parts"
 IDLE_TIMEOUT_S = 60.0
 
 
-class _CompileQueue:
-    """The async compile queue behind ``POST /compile``.
+def frame_parts(record, so=None, code=None):
+    """``(body, PARTS_HEADER value)`` of one entry's parts — how an
+    entry crosses the wire in either direction."""
+    chunks = (record, so or b"", code or b"")
+    return b"".join(chunks), ",".join(str(len(chunk)) for chunk in chunks)
 
-    One daemon worker drains pushed entries: rebuild the spec
-    (:func:`~repro.compiler.tiers.rebuild` — which compiles the
-    carried C source into a ``.so`` when the toolchain allows), then
-    write spec + sidecar into the store.  Submissions are deduplicated at digest level —
-    against entries already stored, already queued, and currently
-    being compiled — so a thousand workers pushing the same kernel
-    cost one compile.
-    """
 
-    def __init__(self, store):
-        self._store = store
-        self._queue = queue.Queue()
-        self._lock = threading.Lock()
-        self._inflight = set()  # digests queued or compiling
-        self._counters = {"queued": 0, "deduped": 0, "compiled": 0,
-                          "errors": 0}
-        self._thread = threading.Thread(target=self._run,
-                                        name="fl-compile-queue",
-                                        daemon=True)
-        self._thread.start()
-
-    def submit(self, entry):
-        """Enqueue one ``{"key", "spec"}`` entry; returns ``(digest,
-        queued)`` where ``queued`` is False when dedup dropped it."""
-        digest = entry_digest(entry["key"])
-        with self._lock:
-            if digest in self._inflight:
-                self._counters["deduped"] += 1
-                return digest, False
-            spec_path = self._store.entry_path_for_digest(digest)
-            if os.path.exists(spec_path):
-                self._counters["deduped"] += 1
-                return digest, False
-            self._inflight.add(digest)
-            self._counters["queued"] += 1
-        self._queue.put((digest, entry))
-        return digest, True
-
-    def _run(self):
-        while True:
-            digest, entry = self._queue.get()
-            try:
-                # Rebuild before storing: a spec that does not rebuild
-                # must never be served to the fleet, and rebuilding is
-                # also what produces the .so sidecar server-side.
-                artifact = rebuild(entry["spec"])
-                if artifact is None:
-                    raise ValueError("spec does not rebuild")
-                put(KernelKey.of_spec(entry["spec"], meta=entry["key"]),
-                    artifact, spec=entry["spec"], store=self._store)
-                with self._lock:
-                    self._counters["compiled"] += 1
-            except Exception as exc:
-                with self._lock:
-                    self._counters["errors"] += 1
-                _log.warning("compile queue: pushed entry %s rejected:"
-                             " %s: %s", digest[:12],
-                             type(exc).__name__, exc)
-            finally:
-                with self._lock:
-                    self._inflight.discard(digest)
-                self._queue.task_done()
-
-    def depth(self):
-        with self._lock:
-            return len(self._inflight)
-
-    def join(self):
-        """Block until every submitted entry is processed (tests)."""
-        self._queue.join()
-
-    def counters(self):
-        with self._lock:
-            return dict(self._counters)
+def split_parts(body, parts):
+    """``(record, so, code)`` of one :func:`frame_parts` ``body``
+    (an empty sidecar None); raises ValueError when the header value
+    ``parts`` does not frame it."""
+    lengths = [int(length) for length in (parts or "").split(",")]
+    if (len(lengths) != 3 or min(lengths) < 0
+            or sum(lengths) != len(body)):
+        raise ValueError("parts %r do not frame a %d-byte body"
+                         % (parts, len(body)))
+    record, so_end = lengths[0], lengths[0] + lengths[1]
+    return body[:record], body[record:so_end] or None, body[so_end:] or None
 
 
 def _is_digest(text):
@@ -206,40 +147,40 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": "unknown kernel",
                                   "digest": digest})
             return
-        chunks = (parts.record, parts.so or b"", parts.code or b"")
+        body, header = frame_parts(parts.record, parts.so, parts.code)
         service.bump("hits")
-        self._send(200, b"".join(chunks), "application/octet-stream",
-                   [(PARTS_HEADER, ",".join(str(len(chunk))
-                                            for chunk in chunks))])
+        self._send(200, body, "application/octet-stream",
+                   [(PARTS_HEADER, header)])
 
     def do_POST(self):
         service = self.server.service
-        if self.path.split("?", 1)[0] != "/compile":
-            self._send_json(404, {"error": "unknown route"})
+        path = self.path.split("?", 1)[0]
+        if not path.startswith("/kernels/"):
+            self._send_json(404, {"error": "unknown route %s" % path})
             return
+        digest = path[len("/kernels/"):]
         try:
+            if not _is_digest(digest):
+                raise ValueError("malformed digest")
             length = int(self.headers.get("Content-Length", "0"))
             if not 0 < length <= MAX_BODY_BYTES:
                 raise ValueError("bad content length %d" % length)
-            entry = json.loads(self.rfile.read(length))
-            digest = entry_digest(entry["key"])
-            if not isinstance(entry["spec"], dict):
-                raise ValueError("spec must be an object")
-        except (ValueError, KeyError, TypeError) as exc:
+            stored = service.store.file_parts(digest, *split_parts(
+                self.rfile.read(length), self.headers.get(PARTS_HEADER)))
+        except (ValueError, TypeError, SyntaxError) as exc:
             # The body may be unread: this connection cannot carry
             # another request.
             self.close_connection = True
-            self._send_json(400, {"error": "malformed entry: %s" % exc})
+            service.bump("push_rejected")
+            self._send_json(400, {"error": "rejected entry: %s" % exc})
             return
-        digest, queued = service.queue.submit(
-            {"key": entry["key"], "spec": entry["spec"]})
         service.bump("pushes")
-        self._send_json(202, {"digest": digest, "queued": queued,
-                              "queue_depth": service.queue.depth()})
+        self._send_json(201 if stored else 200,
+                        {"digest": digest, "stored": stored})
 
 
 class KernelService:
-    """One kernel service: a store, a compile queue, an HTTP front.
+    """One kernel service: a store and an HTTP front.
 
     ``store`` is a :class:`~repro.store.disk.KernelStore` or a
     directory path.  ``port=0`` binds an ephemeral port —
@@ -251,8 +192,8 @@ class KernelService:
     def __init__(self, store, host="127.0.0.1", port=0):
         self.store = (store if isinstance(store, KernelStore)
                       else KernelStore(store))
-        self.queue = _CompileQueue(self.store)
-        self._counters = {"hits": 0, "misses": 0, "pushes": 0}
+        self._counters = {"hits": 0, "misses": 0, "pushes": 0,
+                          "push_rejected": 0}
         self._counters_lock = threading.Lock()
         #: The sockets of the open client connections.
         self.connections = set()
@@ -273,15 +214,13 @@ class KernelService:
     def stats(self):
         """Service counters in the ``stats.json`` schema — ``hits``/
         ``misses``/``hit_rate`` count wire lookups (not the store's
-        local lookups), plus queue counters and the backing store's
-        own ``stats()`` under ``"store"``."""
+        local lookups), ``pushes``/``push_rejected`` count pushes
+        accepted and refused, and the backing store's own ``stats()``
+        sits under ``"store"``."""
         with self._counters_lock:
             out = dict(self._counters)
         lookups = out["hits"] + out["misses"]
         out["hit_rate"] = out["hits"] / lookups if lookups else 0.0
-        out["queue_depth"] = self.queue.depth()
-        out.update({"queue_" + k: v
-                    for k, v in self.queue.counters().items()})
         out["store"] = self.store.stats()
         return out
 

@@ -48,7 +48,11 @@ The kernel service serves an entry as the bytes :meth:`KernelStore.
 read_parts` returns — the record file as written, then the sidecars —
 and its client checks them with the readers the disk tier uses
 (:func:`parse_entry`, :func:`decode_code`), so a code object reaches a
-kernel from this directory or from a service's, through one check.
+kernel from this directory or from a service's, through one check.  A
+push is the same bytes the other way: the pusher encodes them as its
+own store writes them (:func:`encode_record`, :func:`sidecar_bytes`)
+and the service files them verbatim (:meth:`KernelStore.file_parts`)
+after checks that run none of them.
 That is no new trust: a remote hit runs code the service sent either
 way (the fetched source is ``exec``\\ ed, a fetched ``.so`` is
 ``dlopen``\\ ed), so pointing a client at a service trusts it with
@@ -145,6 +149,20 @@ def _dump_code(source, code):
     return _code_header(source) + marshal.dumps(code)
 
 
+def sidecar_bytes(spec, so_path=None, code=None):
+    """The sidecars of one entry as ``{suffix: bytes}``: the file at
+    ``so_path`` (left out when it is gone: the C source recompiles)
+    and ``code``, the module code object of ``spec``'s source — what
+    a store writes beside the record and a push sends with it."""
+    sidecars = {}
+    so = None if so_path is None else _read_bytes(so_path)
+    if so is not None:
+        sidecars[".so"] = so
+    if code is not None:
+        sidecars[".code"] = _dump_code(spec["source"], code)
+    return sidecars
+
+
 def decode_code(data, source):
     """The code object the ``.code`` sidecar bytes ``data`` hold for
     the python ``source``, or None — no bytes or no source, truncated,
@@ -192,6 +210,14 @@ def _check_record(raw, field, digest=None, meta=None):
             else entry_digest(record.get("key")) != digest):
         raise ValueError("recorded key is not the key looked up")
     return record
+
+
+def encode_record(meta, value, field=_ENTRY[0]):
+    """The bytes of the record filing ``value`` under ``meta`` — the
+    one record encoder: the store writes them, a push sends them."""
+    return json.dumps(
+        {"store_version": STORE_VERSION, "key": meta, field: value},
+        sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def parse_entry(raw, meta):
@@ -635,30 +661,55 @@ class KernelStore:
         spec alone rebuilds the kernel, so a lost or stale sidecar
         costs one compile, never correctness.
         """
-        sidecars = {}
-        if so_path is not None:
-            try:
-                with open(so_path, "rb") as handle:
-                    sidecars[".so"] = handle.read()
-            except OSError:
-                pass  # gone: the C source recompiles on load
-        if code is not None:
-            sidecars[".code"] = _dump_code(spec["source"], code)
-        return self._write_record(_ENTRY, meta, spec, sidecars=sidecars)
+        return self._write_record(_ENTRY, entry_digest(meta),
+                                  encode_record(meta, spec),
+                                  sidecar_bytes(spec, so_path, code))
 
-    def _write_record(self, kind, meta, value, sidecars=None):
-        """Persist one ``kind`` record under the lock — the one write
-        path of every persisted record; returns its path (None when
-        the store is unwritable).  An entry's ``sidecars`` (suffix ->
-        bytes) are written beside it, and a sidecar it does not name
-        is removed: a rewrite must not leave a stale one behind."""
+    def file_parts(self, digest, record, so=None, code=None):
+        """File one pushed entry under ``digest`` as it came: the
+        record bytes verbatim, with the sidecar parts that check out;
+        returns whether it was filed — False when ``digest`` is already
+        stored (or the store is unwritable).  Raises ValueError (or
+        TypeError, SyntaxError) when ``record`` is not an entry whose
+        key hashes to ``digest`` or its spec's source does not compile.
+
+        Nothing it is given runs: the source is compiled, never
+        ``exec``\\ ed; the ``.code`` part is kept only when
+        :func:`decode_code` accepts it for that source, and the
+        ``.so`` only when the spec carries the C source it was built
+        from.  The write mirror of :meth:`read_parts`.
+        """
+        spec = _check_record(record, _ENTRY[0], digest)["spec"]
+        path = self.entry_path_for_digest(digest)
+        if os.path.exists(path):
+            return False
+        if not isinstance(spec, dict):
+            raise ValueError("spec must be an object")
+        compile_source(spec.get("source"))
+        sidecars = {}
+        if so and spec.get("c_source"):
+            sidecars[".so"] = so
+        if decode_code(code, spec["source"]) is not None:
+            sidecars[".code"] = code
+        return bool(self._write_record(_ENTRY, digest, record, sidecars,
+                                       new_only=True))
+
+    def _write_record(self, kind, digest, payload, sidecars=None,
+                      new_only=False):
+        """Persist the record bytes ``payload`` as the ``kind`` record
+        addressed by ``digest``, under the lock, and evict past
+        ``max_bytes`` — the one write path of every persisted record;
+        returns its path, None when the store is unwritable, and False
+        when ``new_only`` finds a record there already.  An entry's
+        ``sidecars`` (suffix -> bytes) are written beside it, and a
+        sidecar it does not name is removed: a rewrite must not leave
+        a stale one behind."""
         field, prefix = kind
-        path = self._record_path(kind, entry_digest(meta))
-        payload = json.dumps(
-            {"store_version": STORE_VERSION, "key": meta, field: value},
-            sort_keys=True, separators=(",", ":"))
+        path = self._record_path(kind, digest)
         try:
             with self._lock():
+                if new_only and os.path.exists(path):
+                    return False
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 if kind is _ENTRY:
                     for suffix in SIDECARS:
@@ -711,7 +762,8 @@ class KernelStore:
     def save_tuning(self, meta, winner):
         """Persist one tuning winner under ``meta``; returns the
         record path (None when the store is unwritable)."""
-        return self._write_record(_TUNING, meta, winner)
+        return self._write_record(_TUNING, entry_digest(meta),
+                                  encode_record(meta, winner, _TUNING[0]))
 
     def load_tuning(self, meta):
         """The stored winner record for ``meta``, or None.

@@ -80,17 +80,6 @@ def test_memory_hit_derives_no_meta_and_no_digest(compile_keys):
     assert compile_keys[1]._digest is None
 
 
-def test_recorded_meta_pins_the_address_of_a_spec():
-    make_program, opts = FIGURES["fig1_dot"]
-    kernel = fl.compile_kernel(make_program(), cache=False, **opts)
-    recorded = dict(meta_for_artifact(kernel.artifact),
-                    code_fingerprint="built-by-other-code")
-    key = KernelKey.of_spec(kernel.to_spec(), meta=recorded)
-    assert key.meta == recorded
-    assert key.digest != KernelKey.of(kernel.artifact).digest
-    assert key.memory == KernelKey.of(kernel.artifact).memory
-
-
 def test_pool_ship_once_digest_is_the_store_entry_digest(
         tmp_path, monkeypatch):
     store = KernelStore(tmp_path / "store")

@@ -125,6 +125,20 @@ def test_spec_version_checked():
         CompiledKernel.from_spec(spec)
 
 
+@pytest.mark.parametrize("field", ["backend", "c_source",
+                                   "c_param_dtypes", "slot_names"])
+def test_a_spec_missing_a_field_is_a_miss(field):
+    """Every version-5 spec carries every field (``to_spec`` walks
+    :data:`SPEC_FIELDS`): one that lacks a field is not read with a
+    default, it does not rebuild — which every tier reads as a miss."""
+    from repro.compiler.tiers import rebuild
+
+    spec = fl.compile_kernel(dot_program(*make_pair())).to_spec()
+    assert rebuild(spec) is not None
+    del spec[field]
+    assert rebuild(spec) is None
+
+
 def test_identity_pinned_kernels_refuse_to_serialize():
     """Custom looplet tensors are identity-keyed and pin compile-time
     buffers; their artifacts must not cross a process boundary."""

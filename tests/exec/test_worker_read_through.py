@@ -90,7 +90,6 @@ def test_warm_service_serves_worker_and_driver_alike(tmp_path):
         spec = fl.compile_kernel(dot_program(), remote=service.url,
                                  store=False, **opts).to_spec()
         assert spec["c_source"]
-        service.queue.join()
         kernel_cache().clear()
         reset_service_stats()
         fl.configure(service_url=service.url)
@@ -119,7 +118,6 @@ def test_python_spec_never_costs_the_worker_a_round_trip(tmp_path):
     with KernelService(tmp_path / "served") as service:
         spec = fl.compile_kernel(dot_program(), remote=service.url,
                                  store=False).to_spec()
-        service.queue.join()
         reset_service_stats()
         fl.configure(service_url=service.url)
         _, cached, store_hit, remote_hit = \

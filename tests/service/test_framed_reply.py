@@ -1,14 +1,17 @@
-"""Every defect of a ``GET /kernels`` reply degrades, none raises.
+"""Every defect of a framed entry degrades, none raises.
 
-The reply is the served store's bytes: the record file, then the
-``.so`` and ``.code`` sidecars, framed by the parts header.  A reply
-whose framing or record is wrong — the header missing or malformed,
-lengths that do not frame the body, a truncated record, a record
-under another key, a reply in the older JSON form — is a miss counted
-in ``remote_errors``, and the compile builds locally.  A sidecar part
-that does not load — a garbage ``.so``, a ``.code`` part with foreign
-magic or another source's hash — is dropped without an error: the
-spec's source compiles, as for a defective sidecar on disk.
+An entry crosses the wire in both directions as the store holds it:
+the record file, then the ``.so`` and ``.code`` sidecars, framed by
+the parts header.  A ``GET /kernels`` reply whose framing or record is
+wrong — the header missing or malformed, lengths that do not frame
+the body, a truncated record, a record under another key, a reply in
+the older JSON form — is a miss counted in ``remote_errors``, and the
+compile builds locally; a push with the same defect is refused
+(``400``, ``push_rejected``), files nothing, and counts
+``remote_errors`` on the pusher.  A sidecar part that does not load —
+a garbage ``.so``, a ``.code`` part with foreign magic or another
+source's hash — is dropped without an error: the spec's source
+compiles, as for a defective sidecar on disk.
 """
 
 import cProfile
@@ -70,22 +73,33 @@ def service(tmp_path):
         yield svc
 
 
-def serve(service, monkeypatch, tamper, **opts):
-    """Store the dot kernel compiled with ``opts`` in ``service``, and
-    make every client see its ``GET /kernels`` replies through
+def _tampered(body, headers, tamper):
+    """``(body, headers)`` of one framed entry passed through
     ``tamper(record, so, code) -> (body, parts header or None)``."""
-    kernel = fl.compile_kernel(dot_program()[0], cache=False, **opts)
-    service.store.save_artifact(kernel.artifact)
+    record, so, _ = (int(n) for n in headers[PARTS_HEADER].split(","))
+    body, parts = tamper(body[:record], body[record:record + so],
+                         body[record + so:])
+    return body, {} if parts is None else {PARTS_HEADER: parts}
+
+
+def serve(service, monkeypatch, tamper, direction="fetch", **opts):
+    """Pass every framed entry crossing the wire in ``direction``
+    through ``tamper`` (:func:`_tampered`): a ``"fetch"`` sees the dot
+    kernel compiled with ``opts``, stored in ``service`` here; a
+    ``"push"`` is the one a compile's miss sends."""
+    if direction == "fetch":
+        kernel = fl.compile_kernel(dot_program()[0], cache=False, **opts)
+        service.store.save_artifact(kernel.artifact)
     real_request = ServiceClient._request
 
-    def tampered(self, path, data=None):
-        status, body, headers = real_request(self, path, data)
-        if not path.startswith("/kernels/") or status != 200:
-            return status, body, headers
-        record, so, _ = (int(n) for n in headers[PARTS_HEADER].split(","))
-        body, parts = tamper(body[:record], body[record:record + so],
-                             body[record + so:])
-        return status, body, {} if parts is None else {PARTS_HEADER: parts}
+    def tampered(self, path, data=None, headers=None):
+        if direction == "push" and data is not None:
+            data, headers = _tampered(data, headers, tamper)
+        status, body, reply = real_request(self, path, data, headers)
+        if direction == "fetch" and data is None and status == 200 \
+                and path.startswith("/kernels/"):
+            body, reply = _tampered(body, reply, tamper)
+        return status, body, reply
 
     monkeypatch.setattr(ServiceClient, "_request", tampered)
     kernel_cache().clear()
@@ -143,14 +157,22 @@ CORRUPT = {
 }
 
 
+@pytest.mark.parametrize("direction", ["fetch", "push"])
 @pytest.mark.parametrize("defect", sorted(CORRUPT))
-def test_a_corrupt_reply_is_a_counted_miss(service, monkeypatch, defect):
-    serve(service, monkeypatch, CORRUPT[defect])
+def test_a_corrupt_frame_is_counted_and_never_stored(
+        service, monkeypatch, defect, direction):
+    """Either way the compile builds locally and one error is counted:
+    a corrupt reply is a miss (the push that follows finds the entry
+    stored), and a push after a plain miss is refused unfiled."""
+    serve(service, monkeypatch, CORRUPT[defect], direction)
     kernel, _, correct = remote_compile(service)
     assert not kernel.from_cache and correct
     stats = service_stats()
     assert (stats["remote_hits"], stats["remote_errors"],
             stats["remote_misses"]) == (0, 1, 1)
+    refused = direction == "push"
+    assert service.stats()["push_rejected"] == refused
+    assert service.store.stats()["entries"] == (0 if refused else 1)
 
 
 def _code_magic(record, so, code):

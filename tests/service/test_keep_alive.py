@@ -149,7 +149,8 @@ def test_a_refused_push_closes_its_connection(served, accepted):
     ``Connection: close``, and the next request opens a new one."""
     service, meta = served
     client = ServiceClient(service.url, retries=0)
-    status, _, _ = client._request("/compile", data=b"{ not json")
+    status, _, _ = client._request("/kernels/" + entry_digest(meta),
+                                   data=b"{ not json")
     assert status == 400
     assert client._local.conn.sock is None     # closed as announced
     assert client.fetch(meta) is not None

@@ -1,9 +1,10 @@
 """The remote tier in ``compile_kernel``: read-through, write-behind.
 
 A warm service turns a cold process's compiles into wire fetches; a
-cold service learns every kernel the fleet compiles via the push
-queue.  These tests drive real compiles against a real service on an
-ephemeral port and watch both sides' counters.
+cold service learns every kernel the fleet compiles from its pushes,
+which carry the entry's files as the pusher's store writes them.
+These tests drive real compiles against a real service on an
+ephemeral port and watch both sides' counters and files.
 """
 
 import os
@@ -13,15 +14,21 @@ import pytest
 
 import repro.lang as fl
 from repro import codegen
+from repro.codegen import toolchain
 from repro.compiler.kernel import kernel_cache
 from repro.service import KernelService
 from repro.service.client import (
+    ServiceClient,
     reset_clients,
     reset_service_stats,
     service_stats,
 )
-from repro.store import KernelStore
+from repro.service.server import PARTS_HEADER, frame_parts
+from repro.store import KernelStore, entry_digest, meta_for_artifact
 from repro.util import config
+
+needs_cc = pytest.mark.skipif(not codegen.have_toolchain(),
+                              reason="no C compiler on PATH")
 
 
 @pytest.fixture(autouse=True)
@@ -57,11 +64,10 @@ def test_miss_compiles_and_pushes(service):
     kernel = fl.compile_kernel(program, remote=service.url,
                                store=False)
     assert not kernel.from_cache
-    service.queue.join()
     stats = service_stats()
     assert stats["remote_misses"] == 1
     assert stats["remote_pushes"] == 1
-    # The push rode the queue into the service's store.
+    # The push filed the entry in the service's store.
     assert service.store.stats()["entries"] == 1
     assert service.stats()["pushes"] == 1
 
@@ -69,7 +75,6 @@ def test_miss_compiles_and_pushes(service):
 def test_remote_hit_skips_the_compile(service):
     program, C = dot_program()
     fl.compile_kernel(program, remote=service.url, store=False)
-    service.queue.join()
     kernel_cache().clear()
     reset_service_stats()
 
@@ -91,7 +96,6 @@ def test_remote_hit_skips_the_compile(service):
 def test_remote_hit_promotes_into_memory(service):
     program, _ = dot_program()
     fl.compile_kernel(program, remote=service.url, store=False)
-    service.queue.join()
     kernel_cache().clear()
     fl.compile_kernel(dot_program(seed=1)[0], remote=service.url,
                       store=False)
@@ -105,7 +109,6 @@ def test_remote_hit_promotes_into_memory(service):
 def test_remote_hit_writes_behind_into_local_store(service, tmp_path):
     program, _ = dot_program()
     fl.compile_kernel(program, remote=service.url, store=False)
-    service.queue.join()
     kernel_cache().clear()
 
     local = KernelStore(tmp_path / "local_store")
@@ -125,7 +128,6 @@ def test_remote_hit_writes_behind_into_local_store(service, tmp_path):
 def test_cache_false_skips_the_remote_tier(service):
     program, _ = dot_program()
     fl.compile_kernel(program, remote=service.url, store=False)
-    service.queue.join()
     kernel_cache().clear()
     # cache=False asks for a fresh compile: it may not touch the wire.
     kernel = fl.compile_kernel(dot_program(seed=1)[0], cache=False,
@@ -147,7 +149,6 @@ def test_configured_service_url_is_picked_up(service):
     fl.configure(service_url=service.url)
     program, _ = dot_program()
     fl.compile_kernel(program, store=False)
-    service.queue.join()
     kernel_cache().clear()
     kernel = fl.compile_kernel(dot_program(seed=1)[0], store=False)
     assert kernel.from_cache
@@ -168,8 +169,7 @@ def test_batch_engine_reports_remote_hits(service):
     assert stats["remote_hits"] == 0  # serial executor: no workers
 
 
-@pytest.mark.skipif(not codegen.have_toolchain(),
-                    reason="no C compiler on PATH")
+@needs_cc
 def test_remote_hit_leaves_a_live_so_path(service, tmp_path):
     """A remote-tier hit parks the fetched ``.so`` in the toolchain's
     scratch directory, so the artifact's ``so_path`` names a real file
@@ -179,7 +179,6 @@ def test_remote_hit_leaves_a_live_so_path(service, tmp_path):
     opts = dict(backend="c", opt_level=1, remote=service.url,
                 store=False)
     fl.compile_kernel(dot_program()[0], **opts)
-    service.queue.join()
     kernel_cache().clear()
 
     kernel = fl.compile_kernel(dot_program(seed=1)[0], **opts)
@@ -196,3 +195,61 @@ def test_remote_hit_leaves_a_live_so_path(service, tmp_path):
     kernel_cache().clear()
     again = fl.compile_kernel(dot_program(seed=2)[0], **opts)
     assert again.from_cache and again.so_path == kernel.so_path
+
+
+def _entry_files(store, digest):
+    """``{suffix: bytes}`` of the files of ``store``'s entry
+    ``digest``: the record and whichever sidecars it has."""
+    stem = store.entry_path_for_digest(digest)[:-len(".json")]
+    files = {}
+    for suffix in (".json", ".so", ".code"):
+        if os.path.exists(stem + suffix):
+            with open(stem + suffix, "rb") as handle:
+                files[suffix] = handle.read()
+    return files
+
+
+@pytest.mark.parametrize("backend", [
+    "python", pytest.param("c", marks=needs_cc)])
+def test_a_pushed_entry_is_filed_byte_for_byte(service, tmp_path,
+                                               backend):
+    """A push carries the entry as the pusher's store writes it: the
+    service's record and sidecar files are the pusher's, byte for
+    byte, and a fetch serves exactly those bytes."""
+    local = KernelStore(tmp_path / "local_store")
+    kernel = fl.compile_kernel(dot_program()[0], remote=service.url,
+                               store=local, backend=backend, opt_level=1)
+    assert not kernel.from_cache
+    digest = entry_digest(meta_for_artifact(kernel.artifact))
+    pushed = _entry_files(local, digest)
+    assert set(pushed) == ({".json", ".so"} if backend == "c"
+                           else {".json", ".code"})
+    assert _entry_files(service.store, digest) == pushed
+    status, body, headers = ServiceClient(service.url)._request(
+        "/kernels/" + digest)
+    assert status == 200
+    assert (body, headers[PARTS_HEADER]) == frame_parts(
+        pushed[".json"], pushed.get(".so"), pushed.get(".code"))
+
+
+@needs_cc
+def test_a_pushed_so_serves_a_client_with_no_compiler(service,
+                                                      monkeypatch):
+    """The service builds nothing: the ``.so`` a client fetches is the
+    one the pusher compiled, and it runs natively on a client with no
+    C compiler."""
+    opts = dict(backend="c", opt_level=1, remote=service.url,
+                store=False)
+    fl.compile_kernel(dot_program()[0], **opts)
+    assert service_stats()["remote_pushes"] == 1
+
+    monkeypatch.setattr(toolchain, "compiler_path", lambda: None)
+    monkeypatch.setattr(toolchain, "_entries", {})
+    kernel_cache().clear()
+    program, C = dot_program(seed=1)
+    kernel = fl.compile_kernel(program, **opts)
+    assert kernel.from_cache and kernel.effective_backend == "c"
+    kernel.run()
+    expected, C2 = dot_program(seed=1)
+    fl.execute(expected, cache=False)
+    assert C.value == pytest.approx(C2.value)

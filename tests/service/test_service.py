@@ -1,16 +1,19 @@
-"""The kernel service's HTTP surface: routes, queue, stats schema.
+"""The kernel service's HTTP surface: routes, pushes, stats schema.
 
 Drives a real :class:`~repro.service.KernelService` on an ephemeral
 port through raw ``urllib`` requests — the same wire a fleet client
 uses — and checks each route's contract: entry serving with the
-recorded key, digest validation, the async compile queue's dedup, and
-the ``stats.json``-schema counters.
+recorded key, digest validation, a push filed at once (or refused)
+without running anything it carries, and the ``stats.json``-schema
+counters.
 """
 
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -20,10 +23,11 @@ import pytest
 import repro
 import repro.lang as fl
 from repro.compiler.kernel import kernel_cache
-from repro.service import KernelService
-from repro.service.server import PARTS_HEADER
+from repro.service import KernelService, ServiceClient
+from repro.service.server import PARTS_HEADER, frame_parts
+from repro.store import disk as disk_mod
 from repro.store import entry_digest, meta_for_artifact
-from repro.store.disk import decode_code
+from repro.store.disk import decode_code, encode_record
 from repro.util import config
 
 
@@ -70,11 +74,9 @@ def get(service, path):
         return exc.code, exc.read()
 
 
-def post(service, path, payload):
-    request = urllib.request.Request(
-        service.url + path,
-        data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"})
+def post(service, path, data, headers=None):
+    request = urllib.request.Request(service.url + path, data=data,
+                                     headers=headers or {})
     try:
         with urllib.request.urlopen(request, timeout=5) as response:
             return response.status, response.read()
@@ -92,7 +94,7 @@ def test_healthz(service):
 
 def test_unknown_routes_404(service):
     assert get(service, "/nope")[0] == 404
-    assert post(service, "/nope", {})[0] == 404
+    assert post(service, "/nope", b"{}")[0] == 404
 
 
 def test_get_kernel_serves_entry_with_recorded_key(service):
@@ -129,57 +131,128 @@ def test_get_kernel_miss_and_malformed(service):
     assert stats["hits"] == 0
 
 
-def test_post_compile_queues_and_dedups(service):
+def push(service, meta, spec, record=None, so=None, code=None):
+    """POST one entry's framed parts to ``/kernels/<digest of meta>``;
+    returns ``(status, reply payload)``."""
+    body, parts = frame_parts(
+        encode_record(meta, spec) if record is None else record, so, code)
+    status, reply = post(service, "/kernels/" + entry_digest(meta), body,
+                         {PARTS_HEADER: parts})
+    return status, json.loads(reply)
+
+
+def test_a_push_is_stored_at_once_and_a_repush_is_not(service):
     kernel = fl.compile_kernel(dot_program(n=60), cache=False)
-    entry = {"key": meta_for_artifact(kernel.artifact),
-             "spec": kernel.artifact.to_spec()}
-    status, body = post(service, "/compile", entry)
-    first = json.loads(body)
-    assert status == 202
-    assert first["queued"] is True
-    assert first["digest"] == entry_digest(entry["key"])
-    service.queue.join()
-    # The queue rebuilt and stored the entry; a re-push dedups.
+    meta = meta_for_artifact(kernel.artifact)
+    spec = kernel.artifact.to_spec()
+    status, reply = push(service, meta, spec)
+    assert status == 201
+    assert reply == {"digest": entry_digest(meta), "stored": True}
+    # Filed before the reply.
     assert service.store.stats()["entries"] == 1
-    status, body = post(service, "/compile", entry)
-    assert status == 202
-    assert json.loads(body)["queued"] is False
-    counters = service.queue.counters()
-    assert counters["compiled"] == 1
-    assert counters["deduped"] == 1
-    assert counters["errors"] == 0
+    status, reply = push(service, meta, spec)
+    assert status == 200 and reply["stored"] is False
+    assert service.stats()["pushes"] == 2
     # The stored entry is now servable.
-    assert get(service, "/kernels/" + first["digest"])[0] == 200
+    assert get(service, "/kernels/" + reply["digest"])[0] == 200
 
 
-def test_post_compile_rejects_garbage(service):
-    assert post(service, "/compile", {"nope": 1})[0] == 400
-    assert post(service, "/compile", {"key": {}, "spec": "text"})[0] \
-        == 400
-    request = urllib.request.Request(
-        service.url + "/compile", data=b"{ not json",
-        headers={"Content-Type": "application/json"})
-    try:
-        with urllib.request.urlopen(request, timeout=5) as response:
-            status = response.status
-    except urllib.error.HTTPError as exc:
-        status = exc.code
-    assert status == 400
-    assert service.queue.counters()["queued"] == 0
+def _framed(record):
+    body, parts = frame_parts(record)
+    return body, {PARTS_HEADER: parts}
 
 
-def test_queue_rejects_specs_that_do_not_rebuild(service):
+def test_a_garbage_push_is_refused(service):
+    _, meta, spec = seed_entry(service)
+    digest = entry_digest(dict(meta, name="another"))
+    record = encode_record(meta, spec)
+    for path, body, headers in [
+            ("/kernels/" + digest, record, None),          # no header
+            ("/kernels/" + digest, b"{ not json",
+             {PARTS_HEADER: "10,0,0"}),
+            ("/kernels/not-a-digest", *_framed(record)),
+            # The recorded key does not hash to the address.
+            ("/kernels/" + digest, *_framed(record)),
+            # The JSON body of the old compile queue.
+            ("/kernels/" + digest,
+             json.dumps({"key": meta, "spec": spec}).encode(), None)]:
+        assert post(service, path, body, headers)[0] == 400, path
+    assert service.store.stats()["entries"] == 1
+    assert service.stats()["push_rejected"] == 5
+
+
+def test_a_spec_whose_source_does_not_compile_is_refused(service):
     kernel = fl.compile_kernel(dot_program(n=70), cache=False)
     spec = dict(kernel.artifact.to_spec())
     spec["source"] = "this is not python ("
-    status, _ = post(service, "/compile",
-                     {"key": meta_for_artifact(kernel.artifact),
-                      "spec": spec})
-    assert status == 202  # accepted for the queue ...
-    service.queue.join()
-    # ... but rejected at rebuild: never stored, counted as an error.
+    status, reply = push(service, meta_for_artifact(kernel.artifact), spec)
+    assert status == 400 and "error" in reply
     assert service.store.stats()["entries"] == 0
-    assert service.queue.counters()["errors"] == 1
+    assert service.stats()["push_rejected"] == 1
+
+
+def test_a_pushed_spec_is_stored_and_never_run(service, tmp_path):
+    """The service compiles a pushed source to check it and never
+    executes it: a module-level statement that writes a file is stored
+    with the entry, and the file never appears."""
+    sentinel = tmp_path / "ran"
+    kernel = fl.compile_kernel(dot_program(n=80), cache=False)
+    meta = meta_for_artifact(kernel.artifact)
+    spec = dict(kernel.artifact.to_spec())
+    spec["source"] = ("open(%r, 'w').write('ran')\n" % str(sentinel)
+                      + spec["source"])
+    assert ServiceClient(service.url).push(meta, spec)
+    assert service.store.load_spec(meta) == spec
+    assert get(service, "/kernels/" + entry_digest(meta))[0] == 200
+    assert not sentinel.exists()
+
+
+def test_a_push_keeps_only_the_sidecars_that_check_out(service):
+    """A ``.code`` part that does not decode for the spec's source, and
+    a ``.so`` part beside a spec with no C source, are not filed."""
+    kernel = fl.compile_kernel(dot_program(n=90), cache=False)
+    meta = meta_for_artifact(kernel.artifact)
+    status, _ = push(service, meta, kernel.artifact.to_spec(),
+                     so=b"not an ELF", code=b"not a code object")
+    assert status == 201
+    path = service.store.entry_path_for_digest(entry_digest(meta))
+    for suffix in (".so", ".code"):
+        assert not os.path.exists(path[:-len(".json")] + suffix)
+
+
+def test_concurrent_pushes_of_one_entry_file_it_once(service,
+                                                     monkeypatch):
+    """Pushes of one entry race on the store's lock: exactly one files
+    it, and the store writes it once.  A slow source check holds every
+    push past the unlocked "already stored?" test, so the locked write
+    decides."""
+    monkeypatch.setattr(disk_mod, "compile_source",
+                        lambda source: time.sleep(0.02))
+    kernel = fl.compile_kernel(dot_program(n=100), cache=False)
+    meta = meta_for_artifact(kernel.artifact)
+    record = encode_record(meta, kernel.artifact.to_spec())
+    barrier = threading.Barrier(16)
+    filed = []
+
+    def pusher():
+        barrier.wait(timeout=30)
+        filed.append(service.store.file_parts(entry_digest(meta), record))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=pusher)
+                   for _ in range(barrier.parties)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(filed) == [False] * (barrier.parties - 1) + [True]
+    stats = service.store.stats()
+    assert (stats["entries"], stats["writes"]) == (1, 1)
 
 
 def test_stats_schema(service):
@@ -190,12 +263,9 @@ def test_stats_schema(service):
     assert stats["hits"] == 1
     assert stats["misses"] == 1
     assert stats["hit_rate"] == 0.5
-    # The same shape stats.json consumers already parse, plus the
-    # queue and the backing store's own counters.
-    for key in ("pushes", "queue_depth",
-                "queue_queued", "queue_deduped", "queue_compiled",
-                "queue_errors"):
-        assert key in stats, key
+    # The same shape stats.json consumers already parse, plus the push
+    # counters and the backing store's own counters.
+    assert (stats["pushes"], stats["push_rejected"]) == (0, 0)
     assert stats["store"]["entries"] == 1
 
 

@@ -108,7 +108,6 @@ def test_chaos_injects_unreachable(tmp_path):
     with KernelService(tmp_path / "store") as service:
         fl.compile_kernel(dot_program()[0], remote=service.url,
                           store=False)
-        service.queue.join()
         kernel_cache().clear()
         reset_clients()
         reset_service_stats()
@@ -133,8 +132,9 @@ def test_chaos_injects_unreachable(tmp_path):
 
 
 def test_corrupt_response_reads_as_miss(monkeypatch, caplog):
-    monkeypatch.setattr(ServiceClient, "_request",
-                        lambda self, path, data=None: (200, b"{ bad", {}))
+    monkeypatch.setattr(
+        ServiceClient, "_request",
+        lambda self, path, data=None, headers=None: (200, b"{ bad", {}))
     program, C = dot_program()
     with caplog.at_level(logging.WARNING, logger="repro.service"):
         kernel = fl.compile_kernel(program, remote=DEAD_URL,
@@ -161,7 +161,6 @@ def test_service_killed_mid_run_degrades(tmp_path):
     fl.configure(service_url=url)
     program, C = dot_program()
     fl.compile_kernel(program, store=False)
-    service.queue.join()
     kernel_cache().clear()
     # Warm fetch works ...
     kernel = fl.compile_kernel(dot_program(seed=1)[0], store=False)
