@@ -28,8 +28,10 @@ def main():
     _, merge_steps = twofinger.dot_merge(a_idx, a_val, b_idx, b_val)
     print("result: %.2f | looplet work: %d ops | two-finger merge: %d "
           "steps" % (C.value, work, merge_steps))
-    print("\nSee examples/ for more, and EXPERIMENTS.md for the "
-          "reproduced figures.")
+    print("\nSee examples/ for more walkthroughs, "
+          "`python -m pytest tests/paper -q -s`\nfor the paper's figures "
+          "as op-count tables, and docs/benchmarks.md for\nthe "
+          "wall-clock benchmark.")
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ A *plan* maps fault names to firing rules:
 (no rule)          fire on every eligible hit
 
 Hit counting is **global across the fleet** when a state directory is
-configured (``fl.chaos(...)`` always sets one up): every eligible hit
+configured (``chaos(...)`` always sets one up): every eligible hit
 increments a lock-protected counter file shared by parent and workers,
 so ``nth=1`` means "once per run", not "once per process" — which is
 what makes *retry succeeds after one crash* a testable scenario.  A
@@ -47,11 +47,11 @@ Configuration travels through the environment (``FL_CHAOS`` holds the
 encoded plan) so fork/spawn/forkserver workers all inherit it; the
 :func:`chaos` context manager is the programmatic front end::
 
-    with fl.chaos("worker_crash", nth=1):          # one crash, anywhere
+    with chaos("worker_crash", nth=1):             # one crash, anywhere
         fl.run_batch(program, datasets, executor="processes",
                      max_retries=2)                # ...and it still passes
 
-    with fl.chaos("slow_chunk", p=0.25, seed=7, delay_s=0.01):
+    with chaos("slow_chunk", p=0.25, seed=7, delay_s=0.01):
         ...
 
     FL_CHAOS="worker_crash:nth=1;slow_chunk:p=0.5,seed=3" python app.py

@@ -48,6 +48,7 @@ import time
 import numpy as np
 
 import repro.lang as fl
+from repro.chaos import chaos, fault_points
 from repro.cin.analyze import program_tensors
 from repro.compiler.kernel import KERNEL_CACHE
 from repro.exec import shm as _shm
@@ -145,7 +146,7 @@ def _run_case(kernel, fault, executor, policy, seed, count,
                        max_retries=max_retries, deadline_s=deadline)
     result = error = None
     try:
-        with fl.chaos(plan):
+        with chaos(plan):
             try:
                 result = kp.map(datasets)
             except BatchExecutionError as exc:
@@ -231,7 +232,7 @@ def run_campaign(seed=0, faults=None, executors=None, policies=None,
     / ``policies`` restrict the swept axes (default: everything).
     """
     say = log or (lambda message: None)
-    faults = list(faults or sorted(fl.fault_points()))
+    faults = list(faults or sorted(fault_points()))
     executors = list(executors or EXECUTORS)
     policies = list(policies or POLICIES)
     store_root = tempfile.mkdtemp(prefix="flchaos-store-")

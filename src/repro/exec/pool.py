@@ -81,7 +81,6 @@ from multiprocessing import connection as mp_connection
 
 import numpy as np
 
-from repro import chaos as _chaos
 from repro.exec import shm as _shm
 from repro.exec import worker as _worker
 from repro.util import config
@@ -307,6 +306,8 @@ class WorkerPool:
         return size
 
     def _send_chunk(self, worker, spec, digest, chunk, staging_name):
+        from repro import chaos as _chaos
+
         message = {"digest": digest, "staging": staging_name,
                    "datasets": chunk,
                    # The parent's chaos configuration rides along so

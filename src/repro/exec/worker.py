@@ -38,7 +38,6 @@ import numpy as np
 from repro.compiler.kernel import KernelCache
 from repro.compiler.key import KernelKey
 from repro.compiler.tiers import read_through, rebuild
-from repro.store.disk import flush_counters
 from repro.util.errors import SpecError
 
 #: The worker's memory tier: rebuilt artifacts by kernel key.  One
@@ -249,6 +248,8 @@ def worker_main(conn, progress_name, slot, nslots):
     finally:
         # A multiprocessing child exits without running ``atexit``:
         # this worker's store counters are flushed here.
+        from repro.store.disk import flush_counters
+
         flush_counters()
         cache.close()
         try:

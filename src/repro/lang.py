@@ -8,7 +8,14 @@
     B = fl.from_numpy(b, ("band",), name="B")
     fl.execute(fl.forall(i, fl.increment(C[()], A[i] * B[i])))
     print(C.value)
+
+Importing it loads the language and the compile-and-run path only.
+The batch engine, the kernel store, the kernel service, the autotuner
+and the fuzzer resolve on first use, through the ``_LAZY`` table.
+The chaos engine is a test tool: import it from :mod:`repro.chaos`.
 """
+
+import importlib
 
 from repro.cin.builders import (
     access,
@@ -43,7 +50,6 @@ from repro.cin.builders import (
     where,
     window,
 )
-from repro.chaos import chaos, fault_points
 from repro.compiler.kernel import (
     CompiledKernel,
     Kernel,
@@ -52,18 +58,7 @@ from repro.compiler.kernel import (
     execute,
     kernel_cache,
 )
-from repro.exec import (
-    EXECUTORS,
-    BatchItem,
-    BatchResult,
-    KernelPool,
-    ShmArena,
-    WorkerPool,
-    default_pool,
-    run_batch,
-)
 from repro.ir import MISSING, ops
-from repro.store import KernelStore, active_store
 from repro.tensors.output import RunOutput, SparseOutput
 from repro.util.config import configure, runtime_config
 from repro.tensors.share import share_dataset, share_tensor
@@ -78,46 +73,33 @@ from repro.tensors import (
     zeros,
 )
 
+#: Each deferred public name and the module that defines it.  Most
+#: sessions never batch, persist, serve, tune or fuzz; and the tuner
+#: and the fuzzer build programs through this very module, so an eager
+#: import of them would be circular.
+_LAZY = {
+    **dict.fromkeys(("BatchItem", "BatchResult", "EXECUTORS", "KernelPool",
+                     "ShmArena", "WorkerPool", "default_pool", "run_batch"),
+                    "repro.exec"),
+    **dict.fromkeys(("KernelStore", "active_store"), "repro.store"),
+    **dict.fromkeys(("KernelService", "ServiceClient", "active_client",
+                     "reset_service_stats", "service_stats"),
+                    "repro.service"),
+    **dict.fromkeys(("fuzz_one", "run_fuzz"), "repro.fuzz"),
+    **dict.fromkeys(("apply_schedule", "lookup_schedule", "tune_program"),
+                    "repro.tune"),
+}
+
 
 def __getattr__(name):
-    # Lazy: repro.fuzz builds its programs through this very module
-    # (the generator composes the public eDSL), so importing it here
-    # eagerly would be circular whichever module loads first.
-    if name in ("fuzz_one", "run_fuzz"):
-        from repro.fuzz import fuzz_one, run_fuzz
-
-        return {"fuzz_one": fuzz_one, "run_fuzz": run_fuzz}[name]
-    # Same story for the autotuner: it compiles candidates through
-    # compile_kernel, which this module re-exports.
-    if name in ("tune_program", "lookup_schedule", "apply_schedule"):
-        from repro.tune import (
-            apply_schedule,
-            lookup_schedule,
-            tune_program,
-        )
-
-        return {"tune_program": tune_program,
-                "lookup_schedule": lookup_schedule,
-                "apply_schedule": apply_schedule}[name]
-    # And for the kernel service: most sessions never talk to one, so
-    # the HTTP client/server stack only loads when a name is touched.
-    if name in ("KernelService", "ServiceClient", "active_client",
-                "service_stats", "reset_service_stats"):
-        from repro.service import (
-            KernelService,
-            ServiceClient,
-            active_client,
-            reset_service_stats,
-            service_stats,
-        )
-
-        return {"KernelService": KernelService,
-                "ServiceClient": ServiceClient,
-                "active_client": active_client,
-                "service_stats": service_stats,
-                "reset_service_stats": reset_service_stats}[name]
-    raise AttributeError("module %r has no attribute %r"
-                         % (__name__, name))
+    # PEP 562: called only for a name not yet in the module globals;
+    # the value is stored there, so a second access is a plain lookup.
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
 
 
 __all__ = [
@@ -133,7 +115,6 @@ __all__ = [
     "configure", "runtime_config",
     "KernelService", "ServiceClient", "active_client",
     "reset_service_stats", "service_stats",
-    "chaos", "fault_points",
     "fuzz_one", "run_fuzz",
     "apply_schedule", "lookup_schedule", "tune_program",
     "RunOutput", "SparseOutput",

@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 import repro.lang as fl
+from repro.chaos import chaos
 from repro.cin.analyze import program_tensors
 from repro.exec import KernelPool, WorkerPool
 from repro.exec import pool as pool_mod
@@ -88,7 +89,7 @@ def test_watchdog_survives_wall_clock_step(monkeypatch):
                 return real_time() + ahead
 
             monkeypatch.setattr(time, "time", stepped)
-            with fl.chaos("worker_stall", index=1, stall_s=0.6):
+            with chaos("worker_stall", index=1, stall_s=0.6):
                 result = pool.map(dot_datasets(6))
 
         assert outputs_of(result) == expected_dots(6)
@@ -114,7 +115,7 @@ def test_retry_jitter_spares_the_global_random_stream():
     with WorkerPool(max_workers=2) as workers:
         with KernelPool(kernel, executor="processes",
                         worker_pool=workers, max_retries=3) as pool:
-            with fl.chaos("worker_crash", nth=1):
+            with chaos("worker_crash", nth=1):
                 result = pool.map(dot_datasets(6))
 
     # The fault fired and was retried — otherwise the test proves

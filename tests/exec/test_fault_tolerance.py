@@ -5,7 +5,7 @@ Every fault here is injected through the chaos engine
 (:mod:`repro.chaos`), so these tests double as its integration
 coverage: the plan reaches long-lived workers through the per-chunk
 environment handoff, fires at the real seams, and disarms cleanly
-when the ``with fl.chaos(...)`` block exits.
+when the ``with chaos(...)`` block exits.
 """
 
 import multiprocessing as mp
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro.lang as fl
+from repro.chaos import chaos
 from repro.cin.analyze import program_tensors
 from repro.exec import KernelPool, WorkerPool
 from repro.exec import pool as pool_mod
@@ -103,7 +104,7 @@ def test_kill_matrix_attributes_and_heals(mode, rule, expected_code):
     with WorkerPool(max_workers=2) as workers:
         with KernelPool(kernel, executor="processes",
                         worker_pool=workers, max_retries=0) as pool:
-            with fl.chaos("worker_crash", index=2, **rule):
+            with chaos("worker_crash", index=2, **rule):
                 with pytest.raises(BatchExecutionError) as info:
                     pool.map(dot_datasets(6))
             assert info.value.index == 2
@@ -128,7 +129,7 @@ def test_watchdog_kills_hung_worker_within_deadline():
                         worker_pool=workers, max_retries=0,
                         deadline_s=1.0) as pool:
             start = time.monotonic()
-            with fl.chaos("worker_stall", index=1, stall_s=60):
+            with chaos("worker_stall", index=1, stall_s=60):
                 with pytest.raises(BatchExecutionError) as info:
                     pool.map(dot_datasets(4))
             elapsed = time.monotonic() - start
@@ -152,7 +153,7 @@ def test_one_crash_retries_to_success():
     with WorkerPool(max_workers=2) as workers:
         with KernelPool(kernel, executor="processes",
                         worker_pool=workers, max_retries=2) as pool:
-            with fl.chaos("worker_crash", nth=1):
+            with chaos("worker_crash", nth=1):
                 result = pool.map(dot_datasets(6))
             assert outputs_of(result) == pytest.approx(expected_dots(6))
             assert result.faults["crashes"] >= 1
@@ -168,7 +169,7 @@ def test_shm_attach_race_retries_to_success():
     with WorkerPool(max_workers=2) as workers:
         with KernelPool(kernel, executor="processes",
                         worker_pool=workers, max_retries=2) as pool:
-            with fl.chaos("shm_attach_fail", nth=1):
+            with chaos("shm_attach_fail", nth=1):
                 result = pool.map(dot_datasets(6))
             assert outputs_of(result) == pytest.approx(expected_dots(6))
             assert result.faults["transient_errors"] >= 1
@@ -182,7 +183,7 @@ def test_retry_budget_exhausts_to_typed_error():
     with WorkerPool(max_workers=2) as workers:
         with KernelPool(kernel, executor="processes",
                         worker_pool=workers, max_retries=1) as pool:
-            with fl.chaos("worker_crash", index=2):
+            with chaos("worker_crash", index=2):
                 with pytest.raises(BatchExecutionError) as info:
                     pool.map(dot_datasets(4))
             assert isinstance(info.value.__cause__, WorkerCrashError)
@@ -200,7 +201,7 @@ def test_skip_isolates_poisoned_dataset():
         with KernelPool(kernel, executor="processes",
                         worker_pool=workers, on_failure="skip",
                         max_retries=0) as pool:
-            with fl.chaos("worker_crash", index=3):
+            with chaos("worker_crash", index=3):
                 result = pool.map(dot_datasets(6))
             assert set(result.failures) == {3}
             failure = result.failures[3]

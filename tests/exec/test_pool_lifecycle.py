@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.lang as fl
+from repro.chaos import chaos
 from repro.cin.analyze import program_tensors
 from repro.exec import KernelPool, WorkerPool, default_pool, run_batch
 from repro.exec.pool import START_METHODS
@@ -149,7 +150,7 @@ def test_worker_crash_is_attributed_and_healed():
     with WorkerPool(max_workers=2) as workers:
         with KernelPool(kernel, executor="processes",
                         worker_pool=workers, max_retries=0) as pool:
-            with fl.chaos("worker_crash", index=3, exit_code=17):
+            with chaos("worker_crash", index=3, exit_code=17):
                 with pytest.raises(BatchExecutionError) as info:
                     pool.map(dot_datasets(6))
             assert info.value.index == 3

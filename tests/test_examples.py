@@ -1,10 +1,14 @@
 """Every example script must run cleanly (they assert internally)."""
 
 import os
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from repro.__main__ import main
 
 _EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
                              "examples")
@@ -45,3 +49,20 @@ def test_module_demo_runs():
         env=_subprocess_env())
     assert result.returncode == 0, result.stderr[-2000:]
     assert "Emitted kernel" in result.stdout
+
+
+def test_demo_prints_the_dot_product_and_names_real_paths(capsys):
+    """``python -m repro`` prints ``a @ b`` and points only at paths
+    that exist in the repo."""
+    main()
+    out = capsys.readouterr().out
+    a = np.array([0, 1.9, 0, 3.0, 0, 0, 2.7, 0, 5.5, 0, 0])
+    b = np.array([0, 0, 0, 3.7, 4.7, 9.2, 1.5, 8.7, 0, 0, 0])
+    result = re.search(r"result: (\S+)", out).group(1)
+    assert result == "%.2f" % (a @ b)
+    pointers = out[out.index("result:"):].split("\n", 1)[1]
+    paths = re.findall(r"[\w.-]+/[\w./-]*|[\w.-]+\.md\b", pointers)
+    assert paths, pointers
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    for path in paths:
+        assert os.path.exists(os.path.join(root, path)), path

@@ -1,5 +1,10 @@
 """The public surface: everything README/docs mention must import."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,6 +66,56 @@ def test_data_plane_surface():
                  "ShmArena", "share_dataset", "share_tensor"):
         assert name in fl.__all__
         assert getattr(fl, name) is not None
+
+
+_BOUNDARY_PROBE = """
+import sys
+
+import repro.lang as fl
+
+PACKAGES = ("repro.exec", "repro.store", "repro.chaos", "repro.service",
+            "repro.tune", "repro.fuzz")
+
+
+def loaded():
+    return sorted({package for package in PACKAGES for module in sys.modules
+                   if module == package or module.startswith(package + ".")})
+
+
+print(loaded())
+for name in sys.argv[1:]:
+    before = loaded()
+    getattr(fl, name)
+    print(sorted(set(loaded()) - set(before)))
+try:
+    fl.chaos
+except AttributeError as error:
+    print(error)
+"""
+
+
+def test_importing_the_language_loads_no_infrastructure():
+    """``import repro.lang`` loads the compile-and-run path only.  Each
+    deferred name, touched in this order, then loads exactly its own
+    package (what it needs of the others is loaded by then), and the
+    chaos engine is not on the surface."""
+    import repro.lang as fl
+
+    src = str(Path(fl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    touched = [("KernelPool", "repro.exec"), ("KernelStore", "repro.store"),
+               ("ServiceClient", "repro.service"),
+               ("tune_program", "repro.tune"), ("run_fuzz", "repro.fuzz")]
+    out = subprocess.run(
+        [sys.executable, "-c", _BOUNDARY_PROBE] + [n for n, _ in touched],
+        env=env, capture_output=True, text=True, check=True,
+        timeout=120).stdout.splitlines()
+    assert out[0] == "[]", out[0]
+    for (name, package), line in zip(touched, out[1:]):
+        assert line == repr([package]), (name, line)
+    assert out[-1] == "module 'repro.lang' has no attribute 'chaos'"
+    assert "chaos" not in fl.__all__ and "fault_points" not in fl.__all__
 
 
 def test_subpackage_imports():
