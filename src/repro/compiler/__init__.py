@@ -1,26 +1,5 @@
-"""The Finch compiler: unfurling, progressive lowering, kernels."""
+"""The Finch compiler: unfurling, progressive lowering, kernels.
 
-from repro.compiler.context import Context
-from repro.compiler.kernel import (
-    CompiledKernel,
-    Kernel,
-    KernelCache,
-    compile_kernel,
-    execute,
-    kernel_cache,
-)
-from repro.compiler.lower import Lowerer
-from repro.compiler.unfurl import Unfurled, unfurl_access
-
-__all__ = [
-    "CompiledKernel",
-    "Context",
-    "Kernel",
-    "KernelCache",
-    "compile_kernel",
-    "execute",
-    "kernel_cache",
-    "Lowerer",
-    "Unfurled",
-    "unfurl_access",
-]
+The package re-exports nothing, so a process that needs only a
+kernel's identity (:mod:`repro.compiler.key`) never loads the lowerer.
+"""

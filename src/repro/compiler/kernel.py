@@ -61,7 +61,7 @@ from repro.cin.analyze import (
     tensor_signature,
 )
 from repro.compiler.context import Context
-from repro.compiler.key import KernelKey
+from repro.compiler.key import SPEC_VERSION, KernelKey
 from repro.compiler.lower import Lowerer
 from repro.compiler.tiers import compile_source, read_through
 from repro.ir import asm, emit
@@ -71,25 +71,6 @@ from repro.ir.runtime import kernel_globals, python_entry
 from repro.tensors import share as _share
 from repro.util import config as _config
 from repro.util.errors import BindingError, SpecError
-
-#: Version tag of the serialized-artifact format (see
-#: :meth:`CompiledKernel.to_spec`); bumped whenever the spec layout
-#: changes incompatibly.
-#: Version 2 added ``constant_loop_rewrite``: the flag changes what
-#: lowering emits, so any consumer keying artifacts by spec content
-#: (the on-disk kernel store) needs it carried in the spec itself.
-#: Version 3 added the backend axis: ``backend`` (the requested
-#: backend), ``c_source`` (the generated C translation unit, or None
-#: when the C emitter fell back), and ``c_param_dtypes`` (per-parameter
-#: numpy dtype names the C entry validates bindings against).  Specs
-#: stay JSON-safe: the shared object itself never rides in a spec —
-#: receivers recompile from the carried C source (or load the store's
-#: ``.so`` sibling when one is present).
-#: Version 4 dropped the source as lowered, which is the ``source`` of
-#: the same program compiled at ``opt_level=0``.
-#: Version 5 added ``views``, the parameters the python entry hands the
-#: kernel as element views (the source no longer takes them itself).
-SPEC_VERSION = 5
 
 #: Every key of a spec besides ``spec_version``, in spec order.  Each
 #: is also the :class:`CompiledKernel` attribute and constructor

@@ -15,7 +15,8 @@ in the two forms the cache tiers need:
   would compile), and its content digest: the store's entry filename,
   the service's ``/kernels/<digest>`` address and the worker pool's
   ship-once id.  Both are derived lazily, so a
-  memory-tier hit hashes nothing.
+  memory-tier hit hashes nothing, and a process that never derives
+  them (the kernel service) never loads the CIN or the IR.
 
 The version axes:
 
@@ -32,11 +33,28 @@ import json
 import os
 
 import repro
-from repro.cin.analyze import structural_digest
-from repro.ir.ops import registry_version
 
 #: Bumped when the on-disk entry layout changes incompatibly.
 STORE_VERSION = 1
+
+#: Version tag of the serialized-artifact format (see
+#: :meth:`~repro.compiler.kernel.CompiledKernel.to_spec`); bumped
+#: whenever the spec layout changes incompatibly.
+#: Version 2 added ``constant_loop_rewrite``: the flag changes what
+#: lowering emits, so any consumer keying artifacts by spec content
+#: (the on-disk kernel store) needs it carried in the spec itself.
+#: Version 3 added the backend axis: ``backend`` (the requested
+#: backend), ``c_source`` (the generated C translation unit, or None
+#: when the C emitter fell back), and ``c_param_dtypes`` (per-parameter
+#: numpy dtype names the C entry validates bindings against).  Specs
+#: stay JSON-safe: the shared object itself never rides in a spec —
+#: receivers recompile from the carried C source (or load the store's
+#: ``.so`` sibling when one is present).
+#: Version 4 dropped the source as lowered, which is the ``source`` of
+#: the same program compiled at ``opt_level=0``.
+#: Version 5 added ``views``, the parameters the python entry hands the
+#: kernel as element views (the source no longer takes them itself).
+SPEC_VERSION = 5
 
 
 @functools.lru_cache(maxsize=None)
@@ -76,7 +94,7 @@ def version_axes():
     """The version axes of the running code — the fields every
     persisted key (kernel entries, tuning records)
     carries so that a change to the compiler reads as a miss."""
-    from repro.compiler.kernel import SPEC_VERSION
+    from repro.ir.ops import registry_version
 
     return {
         "store_version": STORE_VERSION,
@@ -145,6 +163,8 @@ class KernelKey:
         key as a digest) plus :func:`version_axes`.  Two metas are the
         same entry exactly when their :func:`entry_digest`\\ s match."""
         if self._meta is None:
+            from repro.cin.analyze import structural_digest
+
             skey, instrument, name, rewrite, opt_level, backend = \
                 self.memory
             self._meta = dict(

@@ -27,6 +27,7 @@ The tiers are named, not abstracted: the in-process
 
 import logging
 
+from repro.util import config
 from repro.util.errors import SpecError
 
 _log = logging.getLogger("repro.compiler")
@@ -110,6 +111,14 @@ def put(key, artifact=None, spec=None, memory=None, store=None,
         client.push(key.meta, spec, **sidecars)
 
 
+def _named(value, option):
+    """Whether a ``store=``/``remote=`` value (or, for None, the
+    configured ``option``) names a tier."""
+    if value is None:
+        return bool(config.resolve(option))
+    return value is not False
+
+
 def read_through(key, build, memory=None, store=None, remote=None,
                  push=True):
     """``(artifact, tier)`` for ``key``: the first tier that holds it,
@@ -136,9 +145,9 @@ def read_through(key, build, memory=None, store=None, remote=None,
         if artifact is not None:
             return artifact, "memory"
     artifact = spec = tier = disk = client = None
-    if store is not False:
-        # Imported lazily: the store and the service client rebuild
-        # artifacts through this module.
+    # Imported lazily, and only when given or configured: the store and
+    # the service client rebuild artifacts through this module.
+    if _named(store, "store_path"):
         from repro.store import resolve_store
 
         disk = resolve_store(store)
@@ -147,7 +156,7 @@ def read_through(key, build, memory=None, store=None, remote=None,
                 key.meta, structural_key=key.memory[0])
             if artifact is not None:
                 tier = "disk"
-    if artifact is None and remote is not False:
+    if artifact is None and _named(remote, "service_url"):
         from repro.service.client import active_client
 
         client = active_client(remote)

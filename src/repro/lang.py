@@ -82,9 +82,10 @@ _LAZY = {
                      "ShmArena", "WorkerPool", "default_pool", "run_batch"),
                     "repro.exec"),
     **dict.fromkeys(("KernelStore", "active_store"), "repro.store"),
-    **dict.fromkeys(("KernelService", "ServiceClient", "active_client",
+    **dict.fromkeys(("ServiceClient", "active_client",
                      "reset_service_stats", "service_stats"),
-                    "repro.service"),
+                    "repro.service.client"),
+    "KernelService": "repro.service.server",
     **dict.fromkeys(("fuzz_one", "run_fuzz"), "repro.fuzz"),
     **dict.fromkeys(("apply_schedule", "lookup_schedule", "tune_program"),
                     "repro.tune"),

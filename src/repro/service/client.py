@@ -5,7 +5,7 @@ store miss and :meth:`ServiceClient.push` after a local compile
 (write-behind) — both built so the remote tier can only ever *save*
 work, never break a compile.  An entry crosses the wire both ways as
 the store holds it: the record bytes, the ``.so`` and the ``.code``
-sidecar, framed by :func:`~repro.service.server.frame_parts`.
+sidecar, framed by :func:`~repro.store.disk.frame_parts`.
 
 * Requests carry a timeout (``FL_SERVICE_TIMEOUT_S``) and a retry
   budget (``FL_SERVICE_RETRIES``) with exponential backoff; an
@@ -50,12 +50,14 @@ import threading
 import time
 
 from repro.compiler.key import entry_digest
-from repro.service.server import PARTS_HEADER, frame_parts, split_parts
 from repro.store.disk import (
+    PARTS_HEADER,
     decode_code,
     encode_record,
+    frame_parts,
     parse_entry,
     sidecar_bytes,
+    split_parts,
 )
 from repro.util.errors import ServiceUnreachableError
 

@@ -16,10 +16,9 @@ Routes::
 
 An entry crosses the wire in both directions as the store holds it:
 the record file's bytes, then its ``.so`` and ``.code`` sidecars,
-their lengths in the :data:`PARTS_HEADER` header
-(:func:`frame_parts`, :func:`split_parts`) — no re-encoding.  ``GET``
-serves what :meth:`~repro.store.disk.KernelStore.read_parts` read and
-verified; the record carries the entry's key, and the key every
+their lengths in one header (framed by :mod:`repro.store.disk`) — no
+re-encoding.  ``GET`` serves what :meth:`~repro.store.disk.KernelStore.
+read_parts` read and verified; the record carries the entry's key, and the key every
 version axis, so the client compares it against the key it derived
 locally and rejects entries compiled under other code, exactly like
 the disk store does.  ``POST`` hands the parts to
@@ -35,6 +34,10 @@ algorithm off (``TCP_NODELAY``) — otherwise the small body written
 after the headers waits for the client's delayed ACK, about 40 ms per
 request.  A connection idle for :data:`IDLE_TIMEOUT_S` is closed, and
 :meth:`KernelService.close` ends every open one.
+
+The process loads no numpy, no compiler and no C toolchain.  Only
+``/stats`` loads more: counting stale entries reads the op registry's
+version, and with it :mod:`repro.ir` and numpy.
 """
 
 import json
@@ -44,7 +47,12 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.compiler.key import STORE_VERSION
-from repro.store.disk import KernelStore
+from repro.store.disk import (
+    PARTS_HEADER,
+    KernelStore,
+    frame_parts,
+    split_parts,
+)
 
 _log = logging.getLogger("repro.service")
 
@@ -52,34 +60,9 @@ _log = logging.getLogger("repro.service")
 #: kilobytes; anything near this is garbage or abuse).
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
-#: The header naming a framed entry's three parts, in a ``GET
-#: /kernels`` reply and a push alike: ``<record>,<so>,<code>`` byte
-#: lengths, an absent sidecar 0.
-PARTS_HEADER = "X-Entry-Parts"
-
 #: Seconds a kept-alive connection may sit idle before the server
 #: closes it (the client re-opens one on its next request).
 IDLE_TIMEOUT_S = 60.0
-
-
-def frame_parts(record, so=None, code=None):
-    """``(body, PARTS_HEADER value)`` of one entry's parts — how an
-    entry crosses the wire in either direction."""
-    chunks = (record, so or b"", code or b"")
-    return b"".join(chunks), ",".join(str(len(chunk)) for chunk in chunks)
-
-
-def split_parts(body, parts):
-    """``(record, so, code)`` of one :func:`frame_parts` ``body``
-    (an empty sidecar None); raises ValueError when the header value
-    ``parts`` does not frame it."""
-    lengths = [int(length) for length in (parts or "").split(",")]
-    if (len(lengths) != 3 or min(lengths) < 0
-            or sum(lengths) != len(body)):
-        raise ValueError("parts %r do not frame a %d-byte body"
-                         % (parts, len(body)))
-    record, so_end = lengths[0], lengths[0] + lengths[1]
-    return body[:record], body[record:so_end] or None, body[so_end:] or None
 
 
 def _is_digest(text):
@@ -179,6 +162,12 @@ class _Handler(BaseHTTPRequestHandler):
                         {"digest": digest, "stored": stored})
 
 
+class _Server(ThreadingHTTPServer):
+    # socketserver's backlog of 5 refuses a fleet that starts together.
+    request_queue_size = 128
+    daemon_threads = True
+
+
 class KernelService:
     """One kernel service: a store and an HTTP front.
 
@@ -197,8 +186,7 @@ class KernelService:
         self._counters_lock = threading.Lock()
         #: The sockets of the open client connections.
         self.connections = set()
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((host, port), _Handler)
         self._httpd.service = self
         self._thread = None
 

@@ -235,6 +235,31 @@ def parse_entry(raw, meta):
 EntryParts = collections.namedtuple("EntryParts",
                                     "record entry so code")
 
+#: The header naming a framed entry's three parts, in a kernel
+#: service's ``GET /kernels`` reply and a push alike:
+#: ``<record>,<so>,<code>`` byte lengths, an absent sidecar 0.
+PARTS_HEADER = "X-Entry-Parts"
+
+
+def frame_parts(record, so=None, code=None):
+    """``(body, PARTS_HEADER value)`` of one entry's parts — how an
+    entry crosses the wire in either direction."""
+    chunks = (record, so or b"", code or b"")
+    return b"".join(chunks), ",".join(str(len(chunk)) for chunk in chunks)
+
+
+def split_parts(body, parts):
+    """``(record, so, code)`` of one :func:`frame_parts` ``body``
+    (an empty sidecar None); raises ValueError when the header value
+    ``parts`` does not frame it."""
+    lengths = [int(length) for length in (parts or "").split(",")]
+    if (len(lengths) != 3 or min(lengths) < 0
+            or sum(lengths) != len(body)):
+        raise ValueError("parts %r do not frame a %d-byte body"
+                         % (parts, len(body)))
+    record, so_end = lengths[0], lengths[0] + lengths[1]
+    return body[:record], body[record:so_end] or None, body[so_end:] or None
+
 
 def _replace_file(path, data):
     """Write ``data`` (text or bytes) to ``path`` atomically (tmp

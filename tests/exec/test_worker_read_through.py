@@ -14,12 +14,12 @@ import repro.lang as fl
 from repro import codegen
 from repro.compiler.kernel import kernel_cache
 from repro.exec import worker as worker_mod
-from repro.service import KernelService
 from repro.service.client import (
     reset_clients,
     reset_service_stats,
     service_stats,
 )
+from repro.service.server import KernelService
 from repro.store import KernelStore
 from repro.util import config
 from repro.util.errors import SpecError

@@ -26,15 +26,15 @@ import repro.lang as fl
 from repro import codegen
 from repro.codegen import toolchain
 from repro.compiler.kernel import kernel_cache
-from repro.service import KernelService
 from repro.service.client import (
     ServiceClient,
     reset_clients,
     reset_service_stats,
     service_stats,
 )
-from repro.service.server import PARTS_HEADER
+from repro.service.server import KernelService
 from repro.store import entry_digest, meta_for_artifact
+from repro.store.disk import PARTS_HEADER
 from repro.util import config
 
 needs_cc = pytest.mark.skipif(

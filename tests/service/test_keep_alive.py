@@ -13,20 +13,22 @@ import cProfile
 import json
 import os
 import pstats
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import repro.lang as fl
 from repro.compiler.kernel import kernel_cache
-from repro.service import KernelService
 from repro.service import client as client_mod
 from repro.service import server as server_mod
 from repro.service.client import ServiceClient, reset_clients
-from repro.service.server import PARTS_HEADER
+from repro.service.server import KernelService
 from repro.store import disk as disk_mod
 from repro.store import entry_digest, meta_for_artifact
+from repro.store.disk import PARTS_HEADER
 from repro.util import config
 
 
@@ -167,6 +169,32 @@ def test_close_ends_kept_alive_connections(tmp_path):
     service.close()
     assert client.fetch(meta) is None
     assert not client.available()        # degraded, not served
+
+
+def test_a_fleet_that_starts_together_is_queued_not_refused(
+        served, accepted, monkeypatch):
+    """32 clients fetch at once, none with a retry to spare, while
+    every read is slow: the listen backlog queues each connection
+    until the server accepts it, and every fetch is served."""
+    service, meta = served
+    read_parts = service.store.read_parts
+
+    def slow(digest):
+        time.sleep(0.05)
+        return read_parts(digest)
+
+    monkeypatch.setattr(service.store, "read_parts", slow)
+    start = threading.Barrier(32, timeout=30)
+
+    def fetch(_):
+        client = ServiceClient(service.url, retries=0)
+        start.wait()
+        return client.fetch(meta)
+
+    with ThreadPoolExecutor(32) as pool:
+        fetched = list(pool.map(fetch, range(32)))
+    assert all(entry is not None for entry in fetched)
+    assert accepted[0] == 32
 
 
 def _client_compiles(thunk):

@@ -9,7 +9,7 @@ Three actors:
   compiles, six write-behinds) — it stands in for the fleet members
   that compiled before us;
 * the pytest process serves that store over HTTP
-  (:class:`~repro.service.KernelService` on an ephemeral port);
+  (:class:`~repro.service.server.KernelService` on an ephemeral port);
 * the **remote** child starts with an empty local store and
   ``FL_SERVICE_URL`` pointed at the service: every compile must be
   served over the wire and written behind into its local store.
@@ -28,7 +28,7 @@ import sys
 import pytest
 
 import repro
-from repro.service import KernelService
+from repro.service.server import KernelService
 
 _COLD_CHILD = r"""
 import hashlib, json, os, sys

@@ -1,6 +1,6 @@
 """The kernel service's HTTP surface: routes, pushes, stats schema.
 
-Drives a real :class:`~repro.service.KernelService` on an ephemeral
+Drives a real :class:`~repro.service.server.KernelService` on an ephemeral
 port through raw ``urllib`` requests — the same wire a fleet client
 uses — and checks each route's contract: entry serving with the
 recorded key, digest validation, a push filed at once (or refused)
@@ -23,11 +23,16 @@ import pytest
 import repro
 import repro.lang as fl
 from repro.compiler.kernel import kernel_cache
-from repro.service import KernelService, ServiceClient
-from repro.service.server import PARTS_HEADER, frame_parts
+from repro.service.client import ServiceClient
+from repro.service.server import KernelService
 from repro.store import disk as disk_mod
 from repro.store import entry_digest, meta_for_artifact
-from repro.store.disk import decode_code, encode_record
+from repro.store.disk import (
+    PARTS_HEADER,
+    decode_code,
+    encode_record,
+    frame_parts,
+)
 from repro.util import config
 
 

@@ -16,7 +16,6 @@ import pytest
 import repro.lang as fl
 from repro import chaos
 from repro.compiler.kernel import kernel_cache
-from repro.service import KernelService
 from repro.service.client import (
     ServiceClient,
     active_client,
@@ -24,6 +23,7 @@ from repro.service.client import (
     reset_service_stats,
     service_stats,
 )
+from repro.service.server import KernelService
 from repro.util import config
 from repro.util.errors import ServiceUnreachableError, TransientError
 
