@@ -19,7 +19,7 @@ from repro.cin.nodes import (
     Where,
     WindowExpr,
     collect_accesses,
-    stmt_exprs,
+    stmt_children,
     walk_stmts,
 )
 import collections
@@ -324,10 +324,6 @@ def _check(stmt, names_in_scope):
     if isinstance(stmt, Sieve):
         _check(stmt.body, names_in_scope)
         return
-    for expr in stmt_exprs(stmt):
-        del expr
-    from repro.cin.nodes import stmt_children
-
     for child in stmt_children(stmt):
         _check(child, names_in_scope)
 

@@ -1,51 +1,15 @@
-"""Differential conformance: one generated case, every oracle pair.
+"""Differential conformance: one generated case, every oracle.
 
-Each case spec is executed through every implementation layer that
-must agree bit-for-bit:
-
-``interpreter``
-    The naive reference interpreter (:mod:`repro.baselines.reference`)
-    — the trusted semantics every other oracle is judged against.
-
-``compiled@0`` / ``compiled@1`` / ``compiled@2``
-    The full compiler with the target-IR optimizer off, scalar-only,
-    and with vectorization.  Instrumented, so the op-count invariant
-    (the optimizer never changes the measured work) is checked too.
-
-``c_backend``
-    The same program compiled with ``backend="c"``
-    (:mod:`repro.codegen`): the optimized target AST lowered to C99,
-    built into a shared object, and called through ctypes.  Cases the
-    C emitter cannot express fall back to the python backend — the
-    oracle still runs them (the fallback path must agree too) and
-    reports the effective backend in any divergence it files.  The
-    instrumented op count must equal ``compiled@2``'s: the C lowering
-    may never change the measured work.
-
-``spec_roundtrip``
-    The ``compiled@2`` artifact serialized through
-    :meth:`~repro.compiler.kernel.CompiledKernel.to_spec`, rebuilt
-    with ``from_spec`` (a fresh ``exec`` of the carried source), and
-    rebound to fresh tensors.
-
-``store_roundtrip``
-    The ``compiled@2`` artifact persisted into an on-disk
-    :class:`~repro.store.KernelStore` (one per process, in a temp
-    directory), loaded back by store key, and rebound to fresh
-    tensors — the disk tier's write/read/rebuild path must be
-    bit-identical too.
-
-``batch_serial`` / ``batch_threads`` / ``batch_processes``
-    :func:`repro.exec.batch.run_batch` mapping the kernel over several
-    fresh copies of the dataset under each executor; every per-dataset
-    snapshot and the aggregate op count must match.
-
-``batch_chaos``
-    (``chaos=True`` only) the processes batch re-run under an armed
-    :func:`repro.chaos.chaos` plan — one injected worker crash, with a
-    retry budget.  Fault tolerance must be *invisible* in the data
-    plane: the recovered batch's snapshots and op totals must still be
-    bit-identical to the interpreter.
+Each case spec runs through :data:`BATTERY`, one row per
+implementation layer that must agree bit-for-bit with the naive
+reference interpreter (:mod:`repro.baselines.reference`) — the
+trusted semantics every row is judged against.  A row names its
+oracle, the runner that executes the case through that layer, the row
+whose instrumented op count it must equal, and whether it maps a
+batch of fresh copies of the dataset.  :func:`conform_spec` judges
+every row in one loop: a crash, a wrong number of results, a wrong op
+count and any output that is not bit-identical to the interpreter's
+each file a :class:`Divergence`.
 
 Case data is integer-valued (see :mod:`repro.fuzz.gen`), so every
 intermediate is exact in float64 and all comparisons demand
@@ -54,6 +18,7 @@ divergence behind.
 """
 
 import atexit
+import collections
 import shutil
 import tempfile
 import time
@@ -66,16 +31,12 @@ from repro.exec.batch import run_batch
 from repro.exec.worker import snapshot_tensor
 from repro.fuzz.gen import build_case, describe_spec, generate_spec
 
-#: Oracle names, in execution order.
-ORACLES = ("interpreter", "compiled@0", "compiled@1", "compiled@2",
-           "c_backend", "spec_roundtrip", "store_roundtrip",
-           "batch_serial", "batch_threads", "batch_processes")
-
 #: The opt-in fault-injection oracle (``conform_spec(..., chaos=True)``).
 CHAOS_ORACLE = "batch_chaos"
 
-#: The chaos plan the ``batch_chaos`` oracle arms: one worker crash,
-#: anywhere in the fleet, which the retry machinery must absorb.
+#: The chaos plan the ``batch_chaos`` oracle arms (the processes batch
+#: re-run with a retry budget): one worker crash, anywhere in the
+#: fleet, which the retry machinery must absorb.
 CHAOS_PLAN = {"worker_crash": {"nth": 1}}
 
 #: The compile options of the compiling oracles: ``compiled@0/1/2``
@@ -166,6 +127,11 @@ def _compare(divergences, left_name, right_name, left, right,
         "max|delta|=%s" % (_max_abs_delta(left_arr, right_arr),)))
 
 
+def _crash(name, exc):
+    return Divergence("interpreter", name, "crash",
+                      "%s: %s" % (type(exc).__name__, exc))
+
+
 def reference_outputs(program):
     """The reference interpreter's outputs for ``program``, as numpy
     arrays in :func:`~repro.cin.analyze.output_tensors` order.
@@ -208,46 +174,36 @@ def verify_candidate(program, kernel, name="candidate", expected=None):
     try:
         kernel.run()
     except Exception as exc:
-        divergences.append(Divergence(
-            "interpreter", name, "crash",
-            "%s: %s" % (type(exc).__name__, exc)))
-        return divergences
+        return [_crash(name, exc)]
     for pos, (out, want) in enumerate(zip(outputs, expected)):
         _compare(divergences, "interpreter", name, want,
                  snapshot_tensor(out), what="output[%d]" % pos)
     return divergences
 
 
-def _run_compiled(spec, opt_level):
-    """(output array, op count) of a fresh compiled run of ``spec``."""
-    case = build_case(spec)
-    kernel = compile_kernel(case.program,
-                            **ORACLE_COMPILE_OPTS[opt_level])
-    n_ops = kernel.run()
-    return case.output_array(), int(n_ops)
+def _compiled(opts, rebuild=None):
+    """Runner: compile a fresh copy of the case under ``opts`` and run
+    it — or run the artifact ``rebuild(kernel)`` returns, rebound to
+    the case's tensors.  A ``backend``-requesting row is labelled with
+    the backend that really ran: cases the C emitter cannot express
+    fall back to python, and that path must agree too."""
+    def run(name, spec, count, workers):
+        case = build_case(spec)
+        kernel = compile_kernel(case.program, **opts)
+        if rebuild is not None:
+            kernel = Kernel(rebuild(kernel), case.slot_tensors(),
+                            case.program)
+        n_ops = kernel.run()
+        if "backend" in opts:
+            name = "%s[%s]" % (name, kernel.effective_backend)
+        return name, [case.output_array()], int(n_ops), None
+    return run
 
 
-def _run_c_backend(spec):
-    """(output, op count, effective backend) of a ``backend="c"`` run.
-
-    The effective backend says whether the case actually exercised the
-    C path or fell back to python (both must be bit-identical to the
-    interpreter, but a campaign summary wants to know its C coverage).
-    """
-    case = build_case(spec)
-    kernel = compile_kernel(case.program, **ORACLE_COMPILE_OPTS[-1])
-    n_ops = kernel.run()
-    return case.output_array(), int(n_ops), kernel.effective_backend
-
-
-def _run_spec_roundtrip(spec):
-    """Output of the serialized-then-rebuilt ``compiled@2`` artifact."""
-    case = build_case(spec)
-    kernel = compile_kernel(case.program, **ORACLE_COMPILE_OPTS[2])
-    rebuilt = CompiledKernel.from_spec(kernel.to_spec())
-    view = Kernel(rebuilt, case.slot_tensors(), case.program)
-    n_ops = view.run()
-    return case.output_array(), int(n_ops)
+def _via_spec(kernel):
+    """The artifact serialized by ``to_spec`` and rebuilt by
+    ``from_spec`` (a fresh ``exec`` of the carried source)."""
+    return CompiledKernel.from_spec(kernel.to_spec())
 
 
 _STORE = None
@@ -266,12 +222,11 @@ def _oracle_store():
     return _STORE
 
 
-def _run_store_roundtrip(spec):
-    """Output of the artifact after a disk-store write/read cycle."""
+def _via_store(kernel):
+    """The artifact written into the on-disk store and loaded back by
+    store key."""
     from repro.store import meta_for_artifact
 
-    case = build_case(spec)
-    kernel = compile_kernel(case.program, **ORACLE_COMPILE_OPTS[2])
     store = _oracle_store()
     if store.save_artifact(kernel.artifact) is None:
         raise RuntimeError("artifact refused to serialize for the "
@@ -280,40 +235,86 @@ def _run_store_roundtrip(spec):
     if rebuilt is None:
         raise RuntimeError("store round-trip read back a miss for an "
                            "entry written this call")
-    view = Kernel(rebuilt, case.slot_tensors(), case.program)
-    n_ops = view.run()
-    return case.output_array(), int(n_ops)
+    return rebuilt
 
 
-def _run_batch_oracle(spec, executor, count, workers):
-    """Per-dataset snapshots and total ops under one batch executor."""
+def _map_batch(spec, count, **options):
+    """(outputs, total ops, fault ledger) of
+    :func:`~repro.exec.batch.run_batch` over ``count`` fresh copies of
+    the case's dataset."""
     template_case = build_case(spec)
     datasets = [build_case(spec).slot_tensors() for _ in range(count)]
     result = run_batch(template_case.program, datasets,
-                       executor=executor, max_workers=workers,
-                       instrument=True)
-    snapshots = [item.outputs[0] for item in result]
-    return snapshots, int(result.total_ops)
+                       instrument=True, **options)
+    return ([item.outputs[0] for item in result],
+            int(result.total_ops), dict(result.faults))
 
 
-def _run_chaos_oracle(spec, count, workers):
-    """The processes batch with one injected worker crash.
+def _batch(executor):
+    """Runner: the batch under one executor."""
+    def run(name, spec, count, workers):
+        return (name,) + _map_batch(spec, count, executor=executor,
+                                    max_workers=workers)
+    return run
 
-    Returns the same (snapshots, total ops) shape as the plain batch
-    oracles plus the batch's fault ledger, so the caller can verify a
-    fault actually fired (a chaos oracle that never injects anything
-    proves nothing).
-    """
+
+def _chaos_batch(name, spec, count, workers):
+    """Runner: the processes batch with one injected worker crash and
+    a retry budget."""
     from repro.chaos import chaos as chaos_ctx
 
-    template_case = build_case(spec)
-    datasets = [build_case(spec).slot_tensors() for _ in range(count)]
     with chaos_ctx(CHAOS_PLAN):
-        result = run_batch(template_case.program, datasets,
-                           executor="processes", max_workers=workers,
-                           instrument=True, max_retries=3)
-    snapshots = [item.outputs[0] for item in result]
-    return snapshots, int(result.total_ops), dict(result.faults)
+        return (name,) + _map_batch(spec, count, executor="processes",
+                                    max_workers=workers, max_retries=3)
+
+
+#: One battery row: the oracle's name; ``run(name, spec, count,
+#: workers)``, returning (divergence label, one output per dataset,
+#: op count, fault ledger); the row whose op count this row's must
+#: equal (``count`` times over for a batch) — no layer may change the
+#: measured work; and whether the row maps a batch of ``count``
+#: datasets.
+Oracle = collections.namedtuple("Oracle", "name run ops_ref batch")
+
+#: Every oracle, in execution order.
+BATTERY = (
+    # The full compiler with the target-IR optimizer off, scalar-only,
+    # and vectorizing.
+    Oracle("compiled@0", _compiled(ORACLE_COMPILE_OPTS[0]), None, False),
+    Oracle("compiled@1", _compiled(ORACLE_COMPILE_OPTS[1]),
+           "compiled@0", False),
+    Oracle("compiled@2", _compiled(ORACLE_COMPILE_OPTS[2]),
+           "compiled@0", False),
+    # backend="c" (repro.codegen): the optimized target AST lowered to
+    # C99, built into a shared object and called through ctypes.
+    Oracle("c_backend", _compiled(ORACLE_COMPILE_OPTS[3]),
+           "compiled@2", False),
+    # The compiled@2 artifact rebuilt from its spec, and from the disk
+    # tier's write/read path.
+    Oracle("spec_roundtrip", _compiled(ORACLE_COMPILE_OPTS[2], _via_spec),
+           "compiled@2", False),
+    Oracle("store_roundtrip",
+           _compiled(ORACLE_COMPILE_OPTS[2], _via_store),
+           "compiled@2", False),
+    # run_batch over fresh copies of the dataset under each executor;
+    # the executors' op totals must also agree with each other.
+    Oracle("batch_serial", _batch("serial"), "compiled@2", True),
+    Oracle("batch_threads", _batch("threads"), "compiled@2", True),
+    Oracle("batch_processes", _batch("processes"), "compiled@2", True),
+    # chaos=True only: fault tolerance must be invisible in the data
+    # plane, and a fault must actually have fired.
+    Oracle(CHAOS_ORACLE, _chaos_batch, "compiled@2", True),
+)
+
+
+def battery(chaos):
+    """The rows one :func:`conform_spec` call runs, in order: the
+    chaos row only under ``chaos``."""
+    return [row for row in BATTERY if chaos or row.name != CHAOS_ORACLE]
+
+
+#: Oracle names, in execution order.
+ORACLES = ("interpreter",) + tuple(row.name for row in battery(False))
 
 
 def conform_spec(spec, profile="quick", chaos=False):
@@ -326,142 +327,47 @@ def conform_spec(spec, profile="quick", chaos=False):
     """
     start = time.perf_counter()
     divergences = []
-    oracles_run = ["interpreter"]
-
     case = build_case(spec)
-    reference = interpret(case.program)
-    expected = np.asarray(reference.result_for(case.output))
-
-    compiled_ops = {}
-    for level in (0, 1, 2):
-        name = "compiled@%d" % level
-        oracles_run.append(name)
-        try:
-            got, n_ops = _run_compiled(spec, level)
-        except Exception as exc:
-            divergences.append(Divergence(
-                "interpreter", name, "crash",
-                "%s: %s" % (type(exc).__name__, exc)))
-            continue
-        compiled_ops[level] = n_ops
-        _compare(divergences, "interpreter", name, expected, got)
-    for level in (1, 2):
-        if 0 in compiled_ops and level in compiled_ops \
-                and compiled_ops[level] != compiled_ops[0]:
-            divergences.append(Divergence(
-                "compiled@0", "compiled@%d" % level, "op count",
-                "%d vs %d" % (compiled_ops[0], compiled_ops[level])))
-
-    oracles_run.append("c_backend")
-    try:
-        got, n_ops, effective = _run_c_backend(spec)
-        _compare(divergences, "interpreter",
-                 "c_backend[%s]" % effective, expected, got)
-        if 2 in compiled_ops and n_ops != compiled_ops[2]:
-            divergences.append(Divergence(
-                "compiled@2", "c_backend[%s]" % effective, "op count",
-                "%d vs %d" % (compiled_ops[2], n_ops)))
-    except Exception as exc:
-        divergences.append(Divergence(
-            "interpreter", "c_backend", "crash",
-            "%s: %s" % (type(exc).__name__, exc)))
-
-    oracles_run.append("spec_roundtrip")
-    try:
-        got, n_ops = _run_spec_roundtrip(spec)
-        _compare(divergences, "interpreter", "spec_roundtrip",
-                 expected, got)
-        if 2 in compiled_ops and n_ops != compiled_ops[2]:
-            divergences.append(Divergence(
-                "compiled@2", "spec_roundtrip", "op count",
-                "%d vs %d" % (compiled_ops[2], n_ops)))
-    except Exception as exc:
-        divergences.append(Divergence(
-            "interpreter", "spec_roundtrip", "crash",
-            "%s: %s" % (type(exc).__name__, exc)))
-
-    oracles_run.append("store_roundtrip")
-    try:
-        got, n_ops = _run_store_roundtrip(spec)
-        _compare(divergences, "interpreter", "store_roundtrip",
-                 expected, got)
-        if 2 in compiled_ops and n_ops != compiled_ops[2]:
-            divergences.append(Divergence(
-                "compiled@2", "store_roundtrip", "op count",
-                "%d vs %d" % (compiled_ops[2], n_ops)))
-    except Exception as exc:
-        divergences.append(Divergence(
-            "interpreter", "store_roundtrip", "crash",
-            "%s: %s" % (type(exc).__name__, exc)))
-
+    expected = np.asarray(interpret(case.program).result_for(case.output))
     count, workers = _BATCH_SHAPE.get(profile, _BATCH_SHAPE["quick"])
-    batch_ops = {}
-    for executor in ("serial", "threads", "processes"):
-        name = "batch_%s" % executor
-        oracles_run.append(name)
+    rows = battery(chaos)
+    ops = {}
+    for row in rows:
         try:
-            snapshots, total_ops = _run_batch_oracle(
-                spec, executor, count, workers)
+            label, outputs, n_ops, faults = row.run(row.name, spec, count,
+                                                    workers)
         except Exception as exc:
-            divergences.append(Divergence(
-                "interpreter", name, "crash",
-                "%s: %s" % (type(exc).__name__, exc)))
+            divergences.append(_crash(row.name, exc))
             continue
-        batch_ops[executor] = total_ops
-        if len(snapshots) != count:
+        ops[row.name] = n_ops
+        datasets = count if row.batch else 1
+        if row.name == CHAOS_ORACLE and faults.get("crashes", 0) < 1:
             divergences.append(Divergence(
-                "interpreter", name, "dataset count",
+                "interpreter", label, "no fault fired",
+                "armed %r but the ledger shows %r" % (CHAOS_PLAN, faults)))
+        if len(outputs) != datasets:
+            divergences.append(Divergence(
+                "interpreter", label, "dataset count",
                 "%d datasets in, %d results out"
-                % (count, len(snapshots))))
-        if 2 in compiled_ops and total_ops != count * compiled_ops[2]:
+                % (datasets, len(outputs))))
+        want = ops.get(row.ops_ref)
+        if want is not None and n_ops != datasets * want:
             divergences.append(Divergence(
-                "compiled@2", name, "op count",
-                "%d datasets x %d ops != %d"
-                % (count, compiled_ops[2], total_ops)))
-        for pos, snapshot in enumerate(snapshots):
-            _compare(divergences, "interpreter", name, expected,
-                     snapshot, what="output[dataset %d]" % pos)
-    executors = [e for e in ("serial", "threads", "processes")
-                 if e in batch_ops]
-    for other in executors[1:]:
-        if batch_ops[other] != batch_ops[executors[0]]:
-            divergences.append(Divergence(
-                "batch_%s" % executors[0], "batch_%s" % other,
-                "op count", "%d vs %d" % (batch_ops[executors[0]],
-                                          batch_ops[other])))
-
-    if chaos:
-        oracles_run.append(CHAOS_ORACLE)
-        try:
-            snapshots, total_ops, faults = _run_chaos_oracle(
-                spec, count, workers)
-        except Exception as exc:
-            divergences.append(Divergence(
-                "interpreter", CHAOS_ORACLE, "crash",
-                "%s: %s" % (type(exc).__name__, exc)))
-        else:
-            if faults.get("crashes", 0) < 1:
+                row.ops_ref, label, "op count",
+                "%d datasets x %d ops != %d" % (count, want, n_ops)
+                if row.batch else "%d vs %d" % (want, n_ops)))
+        if row.batch and row.name != CHAOS_ORACLE:
+            first = next(r.name for r in rows if r.batch and r.name in ops)
+            if n_ops != ops[first]:
                 divergences.append(Divergence(
-                    "interpreter", CHAOS_ORACLE, "no fault fired",
-                    "armed %r but the ledger shows %r"
-                    % (CHAOS_PLAN, faults)))
-            if len(snapshots) != count:
-                divergences.append(Divergence(
-                    "interpreter", CHAOS_ORACLE, "dataset count",
-                    "%d datasets in, %d results out"
-                    % (count, len(snapshots))))
-            if 2 in compiled_ops \
-                    and total_ops != count * compiled_ops[2]:
-                divergences.append(Divergence(
-                    "compiled@2", CHAOS_ORACLE, "op count",
-                    "%d datasets x %d ops != %d"
-                    % (count, compiled_ops[2], total_ops)))
-            for pos, snapshot in enumerate(snapshots):
-                _compare(divergences, "interpreter", CHAOS_ORACLE,
-                         expected, snapshot,
-                         what="output[dataset %d]" % pos)
-
-    return CaseReport(spec, divergences, oracles_run,
+                    first, label, "op count",
+                    "%d vs %d" % (ops[first], n_ops)))
+        for pos, got in enumerate(outputs):
+            _compare(divergences, "interpreter", label, expected, got,
+                     what="output[dataset %d]" % pos if row.batch
+                     else "output")
+    return CaseReport(spec, divergences, ("interpreter",)
+                      + tuple(row.name for row in rows),
                       time.perf_counter() - start)
 
 

@@ -10,7 +10,7 @@ corpus.  Everything is deterministic in (seed, budget, profile).
 import time
 
 from repro.fuzz import corpus as corpus_mod
-from repro.fuzz.conform import ORACLES, conform_spec
+from repro.fuzz.conform import battery, conform_spec
 from repro.fuzz.gen import describe_spec, generate_spec
 from repro.fuzz.shrink import shrink_spec
 
@@ -60,7 +60,7 @@ class CampaignResult:
         return not self.failures
 
     def summary(self):
-        oracle_count = len(ORACLES) + (1 if self.chaos else 0)
+        oracle_count = 1 + len(battery(self.chaos))  # + interpreter
         lines = [
             "fuzz campaign: seed=%d budget=%d profile=%s%s" % (
                 self.seed, self.budget, self.profile,

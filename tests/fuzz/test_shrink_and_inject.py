@@ -29,6 +29,58 @@ from repro.fuzz import (
 #: Budget that catches every registered bug (measured with margin).
 _CATCH_BUDGET = 30
 
+#: Each battery row: (the row whose op count it must equal, whether it
+#: maps a batch).  A divergence on a row is filed against the
+#: interpreter, except an op count, which is filed against this
+#: reference; a batch row's outputs are numbered per dataset.
+_ROWS = {
+    "compiled@0": (None, False),
+    "compiled@1": ("compiled@0", False),
+    "compiled@2": ("compiled@0", False),
+    "c_backend": ("compiled@2", False),
+    "spec_roundtrip": ("compiled@2", False),
+    "store_roundtrip": ("compiled@2", False),
+    "batch_serial": ("compiled@2", True),
+    "batch_threads": ("compiled@2", True),
+    "batch_processes": ("compiled@2", True),
+}
+
+_BATCHES = {"batch_serial", "batch_threads", "batch_processes"}
+
+#: Per bug: the rows its first caught case must diverge on, and the
+#: rows it must leave alone — each bug breaks one layer, and every row
+#: built on that layer has to notice.
+_CAUGHT_BY = {
+    "vector-slice-short": (
+        {"compiled@2", "c_backend", "spec_roundtrip",
+         "store_roundtrip"} | _BATCHES,
+        {"compiled@0", "compiled@1"}),
+    "batch-drops-last": (_BATCHES, set(_ROWS) - _BATCHES),
+    "literal-if-wrong-arm": ({"compiled@0"}, set()),
+    "seek-overshoot": ({"compiled@0"}, set()),
+}
+
+
+def _kinds_by_row(report):
+    """row -> the divergence kinds filed on it, each checked against
+    the row's op-count reference and batch flag."""
+    kinds = {}
+    for divergence in report.divergences:
+        row = divergence.right.split("[")[0]  # c_backend[python] too
+        ops_ref, batch = _ROWS[row]
+        what = divergence.what
+        if what == "op count":
+            assert divergence.left == ops_ref, divergence
+            assert ("datasets x" in divergence.detail) == batch, divergence
+        else:
+            assert divergence.left == "interpreter", divergence
+        if what.startswith("output"):
+            assert (what != "output") == batch, divergence
+        if what == "dataset count":
+            assert batch, divergence
+        kinds.setdefault(row, set()).add(what.split("[")[0])
+    return kinds
+
 
 def test_registry_lists_a_bug_per_layer():
     # Lowering constructors, optimizer, runtime helper, executor.
@@ -52,6 +104,15 @@ def test_campaign_catches_every_injectable_bug(bug):
                           max_failures=1)
         assert result.failures, \
             "bug %r survived %d cases" % (bug, result.cases)
+    report = result.failures[0].report
+    kinds = _kinds_by_row(report)
+    caught_by, spared = _CAUGHT_BY[bug]
+    assert caught_by <= set(kinds), report.summary()
+    assert not spared & set(kinds), report.summary()
+    if bug == "batch-drops-last":
+        for row in _BATCHES:
+            assert kinds[row] == {"dataset count", "op count"}, \
+                report.summary()
     # The tree is healthy again once the injection exits.
     assert conform_spec(result.failures[0].report.spec).ok
 
