@@ -55,20 +55,10 @@ def walk(idx):
     return ProtocolMarker(idx, "walk")
 
 
-def follow(idx):
-    """Iterate passively, following the extents other operands declare."""
-    return ProtocolMarker(idx, "follow")
-
-
 def gallop(idx):
     """Lead the coiteration, skipping ahead (mutual lookahead when all
     operands gallop — the worst-case-optimal-join strategy)."""
     return ProtocolMarker(idx, "gallop")
-
-
-def locate(idx):
-    """Random access by index (requires a format that supports it)."""
-    return ProtocolMarker(idx, "locate")
 
 
 def offset(base, delta):
@@ -104,7 +94,7 @@ def access(tensor, *idxs):
             protocols.append(idx.protocol)
         else:
             plain.append(as_expr(idx))
-            protocols.append(None)
+            protocols.append("walk")
     return Access(tensor, plain, protocols)
 
 

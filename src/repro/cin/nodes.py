@@ -6,8 +6,8 @@ scalar IR (:mod:`repro.ir`) extended with :class:`Access` nodes, which
 reference a tensor by a sequence of index expressions.  Index
 expressions may wrap a loop index with the Section 8 modifiers
 (:class:`OffsetExpr`, :class:`WindowExpr`, :class:`PermitExpr`) and may
-carry per-mode access :class:`protocols <repro.formats>` (walk, gallop,
-locate, ...).
+carry per-mode access :class:`protocols <repro.formats>` (walk or
+gallop).
 """
 
 import numpy as np
@@ -16,8 +16,8 @@ from repro.ir.nodes import Expr, Var, as_expr
 from repro.ir.ops import Op, get_op
 from repro.util.errors import ReproError
 
-#: Recognized access protocols.  ``None`` selects the format's default.
-PROTOCOLS = ("walk", "follow", "gallop", "locate")
+#: Recognized access protocols; an unmarked mode walks.
+PROTOCOLS = ("walk", "gallop")
 
 
 class OffsetExpr(Expr):
@@ -119,7 +119,7 @@ class Access(Expr):
     ``tensor`` is any object implementing the tensor protocol (see
     :mod:`repro.tensors`), or a fiber handle introduced by the compiler
     for partially-consumed accesses.  ``protocols`` is a per-mode tuple
-    of protocol names (``None`` for the format default).
+    of protocol names (``"walk"`` for an unmarked mode).
     """
 
     __slots__ = ("tensor", "idxs", "protocols")
@@ -128,12 +128,12 @@ class Access(Expr):
         self.tensor = tensor
         self.idxs = tuple(as_expr(i) for i in idxs)
         if protocols is None:
-            protocols = (None,) * len(self.idxs)
+            protocols = ("walk",) * len(self.idxs)
         protocols = tuple(protocols)
         if len(protocols) != len(self.idxs):
             raise ReproError("protocol count does not match index count")
         for proto in protocols:
-            if proto is not None and proto not in PROTOCOLS:
+            if proto not in PROTOCOLS:
                 raise ReproError("unknown protocol %r" % (proto,))
         self.protocols = protocols
 

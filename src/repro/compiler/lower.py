@@ -281,19 +281,20 @@ class Lowerer:
         if ext is None:
             raise LoweringError("no extent known for index %r" % name)
         with self.ctx.scope() as setup:
-            body = self._unfurl_in_stmt(stmt.body, name)
+            body = self._unfurl_in_stmt(stmt.body, name, ext)
         loop = self.ctx.scoped(self.lower_loop, stmt.index, ext, body)
         self.ctx.emit(read_setup(setup, loop))
         self.ctx.emit(loop)
 
-    def _unfurl_in_stmt(self, stmt, index_name):
+    def _unfurl_in_stmt(self, stmt, index_name, ext):
         cache = {}
 
         def transform(expr):
             if isinstance(expr, Access) and access_leads_with(expr, index_name):
                 key = expr.key()
                 if key not in cache:
-                    cache[key] = unfurl_access(self.ctx, expr, index_name)
+                    cache[key] = unfurl_access(self.ctx, expr, index_name,
+                                               ext)
                 return cache[key]
             return None
 

@@ -26,7 +26,7 @@ from repro.looplets import (
     truncate,
 )
 from repro.tensors.tensor import Tensor
-from repro.util.errors import LoweringError
+from repro.util.errors import DimensionError, LoweringError
 
 
 class Unfurled(Expr):
@@ -72,12 +72,33 @@ def access_leads_with(access, index_name):
     return base is not None and base.name == index_name
 
 
-def unfurl_access(ctx, access, index_name):
-    """Unfurl one access at the forall binding ``index_name``."""
+def unfurl_access(ctx, access, index_name, ext=None):
+    """Unfurl one access at the forall binding ``index_name``, whose
+    loop runs over ``ext``."""
     looplet, domain = _unfurl_core(ctx, access)
     looplet, domain = _apply_modifiers(ctx, looplet, domain, access.idxs[0])
+    _check_domain(ext, domain)
     return Unfurled(looplet, index_name, access.idxs[1:],
                     access.protocols[1:])
+
+
+def _check_domain(ext, domain):
+    """Reject a static loop extent that leaves the access's static
+    domain, as the reference interpreter does at the first index
+    outside it: a kernel would read out of bounds.  A ``permit`` in the
+    chain leaves no domain to leave."""
+    if ext is None or domain is None:
+        return
+    ends = (ext.start, ext.stop, domain.start, domain.stop)
+    if not all(isinstance(end, Literal) for end in ends):
+        return
+    start, stop, lo, hi = (end.value for end in ends)
+    if start >= stop or (lo <= start and stop <= hi):
+        return
+    first = start if not lo <= start < hi else hi
+    raise DimensionError(
+        "index %r out of bounds for domain [%r, %r) (use permit for "
+        "padded accesses)" % (first, lo, hi))
 
 
 def _unfurl_core(ctx, access):

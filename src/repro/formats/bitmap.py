@@ -29,8 +29,6 @@ class BitmapLevel(Level):
 
     NAME = "bitmap"
     ARRAYS = ("tbl",)
-    PROTOCOLS = ("walk", "locate")
-    DEFAULT_PROTOCOL = "walk"
 
     def __init__(self, shape, child, tbl):
         super().__init__(shape, child)
@@ -44,7 +42,7 @@ class BitmapLevel(Level):
     def build(cls, slab, dim, fill):
         return {"tbl": stored_mask(slab, fill).ravel()}, flat_children(slab)
 
-    def unfurl(self, ctx, pos, proto=None):
+    def unfurl(self, ctx, pos, proto="walk"):
         self.resolve_protocol(proto)
         tbl_buf = ctx.buffer(self.tbl, "tbl")
         base = build.times(pos, self.shape)

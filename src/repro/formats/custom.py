@@ -63,7 +63,7 @@ class LoopletTensor:
         two distinct LoopletTensors never share a compiled kernel."""
         return ("custom", id(self), self.shape)
 
-    def unfurl_root(self, ctx, proto=None):
+    def unfurl_root(self, ctx, proto="walk"):
         """Unfurl the (single) fiber of this tensor."""
         del proto  # custom formats decide their own protocol
         from repro.ir.nodes import Literal

@@ -8,21 +8,19 @@ from repro.looplets import Lookup
 class DenseLevel(Level):
     """Fiber ``p`` stores children at positions ``p * shape + j``.
 
-    Supports random access (``locate``), which is also how dense
-    *output* tensors are written.  The walk and locate protocols unfurl
-    identically — a Lookup over child slices (Figure 6b's locate
-    protocol) — because a dense sequence has no structure to expose.
+    Supports random access (``locate``), which is how dense *output*
+    tensors are written.  A read unfurls to a Lookup over child slices
+    (Figure 6b's locate protocol): a dense sequence has no structure to
+    expose, so walking it is random access.
     """
 
     NAME = "dense"
-    PROTOCOLS = ("walk", "locate")
-    DEFAULT_PROTOCOL = "walk"
 
     @classmethod
     def build(cls, slab, dim, fill):
         return {}, flat_children(slab)
 
-    def unfurl(self, ctx, pos, proto=None):
+    def unfurl(self, ctx, pos, proto="walk"):
         self.resolve_protocol(proto)
         base = build.times(pos, self.shape)
 

@@ -45,9 +45,8 @@ class Level:
     BOUNDS = {}
     #: True for value-compressing formats, legal only innermost.
     LEAF_ONLY = False
-    #: protocols this level accepts, in addition to its default.
+    #: protocols this level accepts.
     PROTOCOLS = ("walk",)
-    DEFAULT_PROTOCOL = "walk"
 
     def __init__(self, shape, child):
         if shape is not None and int(shape) < 0:
@@ -64,9 +63,6 @@ class Level:
         return level.fill_value
 
     def resolve_protocol(self, proto):
-        if proto is None or proto == "follow":
-            # "follow" asks the format for its passive default.
-            proto = self.DEFAULT_PROTOCOL if proto is None else "walk"
         if proto not in self.PROTOCOLS:
             raise ProtocolError(
                 "%s does not support the %r protocol (supported: %s)"
@@ -82,7 +78,7 @@ class Level:
         stored children, in position order."""
         raise NotImplementedError
 
-    def unfurl(self, ctx, pos, proto=None):
+    def unfurl(self, ctx, pos, proto="walk"):
         """The looplet nest describing fiber ``pos`` under ``proto``.
 
         May emit per-fiber setup statements through ``ctx.emit`` (e.g.
@@ -156,7 +152,7 @@ class FiberSlice:
             raise FormatError("fiber slice %r is not terminal" % (self,))
         return self.level.load(ctx, self.pos)
 
-    def unfurl(self, ctx, proto=None):
+    def unfurl(self, ctx, proto="walk"):
         return self.level.unfurl(ctx, self.pos, proto)
 
 
@@ -181,7 +177,7 @@ class FillFiber:
     def scalar(self, ctx):
         return Literal(self.level.fill_value)
 
-    def unfurl(self, ctx, proto=None):
+    def unfurl(self, ctx, proto="walk"):
         child = self.level.child
         if getattr(child, "child", None) is None:
             payload = Literal(self.level.fill)

@@ -41,8 +41,6 @@ class PackBitsLevel(Level):
     NAME = "packbits"
     ARRAYS = ("pos", "idx", "vof")
     LEAF_ONLY = True
-    PROTOCOLS = ("walk",)
-    DEFAULT_PROTOCOL = "walk"
 
     def __init__(self, shape, child, pos, idx, vof):
         super().__init__(shape, child)
@@ -80,7 +78,7 @@ class PackBitsLevel(Level):
                  "vof": stored[heads]},
                 flat_children(slab)[starts.ravel() | ~long.repeat(width)])
 
-    def unfurl(self, ctx, pos, proto=None):
+    def unfurl(self, ctx, pos, proto="walk"):
         self.resolve_protocol(proto)
         pos_buf = ctx.buffer(self.pos, "pos")
         idx_buf = ctx.buffer(self.idx, "idx")

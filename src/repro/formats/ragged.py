@@ -28,8 +28,6 @@ class RaggedLevel(Level):
 
     NAME = "ragged"
     ARRAYS = ("pos",)
-    PROTOCOLS = ("walk",)
-    DEFAULT_PROTOCOL = "walk"
 
     def __init__(self, shape, child, pos):
         super().__init__(shape, child)
@@ -45,7 +43,7 @@ class RaggedLevel(Level):
         prefix = np.arange(dim) < width[:, None]
         return {"pos": offsets(width)}, slab[prefix]
 
-    def unfurl(self, ctx, pos, proto=None):
+    def unfurl(self, ctx, pos, proto="walk"):
         self.resolve_protocol(proto)
         pos_buf = ctx.buffer(self.pos, "pos")
         q0 = ctx.assign("q0", Load(pos_buf, pos))

@@ -79,8 +79,6 @@ class RunLengthLevel(Level):
     ARRAYS = ("pos", "right")
     BOUNDS = {"right": (1, 0)}
     LEAF_ONLY = True
-    PROTOCOLS = ("walk",)
-    DEFAULT_PROTOCOL = "walk"
 
     def __init__(self, shape, child, pos, right):
         super().__init__(shape, child)
@@ -96,7 +94,7 @@ class RunLengthLevel(Level):
         return ({"pos": offsets(starts.sum(axis=1)),
                  "right": run_stops(starts)}, slab[starts])
 
-    def unfurl(self, ctx, pos, proto=None):
+    def unfurl(self, ctx, pos, proto="walk"):
         self.resolve_protocol(proto)
         pos_buf = ctx.buffer(self.pos, "pos")
         right_buf = self.bind(ctx, "right")

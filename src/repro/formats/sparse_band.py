@@ -30,8 +30,6 @@ class SparseBandLevel(Level):
 
     NAME = "band"
     ARRAYS = ("pos", "lo")
-    PROTOCOLS = ("walk",)
-    DEFAULT_PROTOCOL = "walk"
 
     def __init__(self, shape, child, pos, lo):
         super().__init__(shape, child)
@@ -51,7 +49,7 @@ class SparseBandLevel(Level):
         return ({"pos": offsets(stop - lo), "lo": lo},
                 slab[span_mask(dim, lo, stop)])
 
-    def unfurl(self, ctx, pos, proto=None):
+    def unfurl(self, ctx, pos, proto="walk"):
         self.resolve_protocol(proto)
         pos_buf = ctx.buffer(self.pos, "pos")
         lo_buf = ctx.buffer(self.lo, "lo")

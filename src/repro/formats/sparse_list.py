@@ -45,7 +45,6 @@ class SparseListLevel(Level):
     ARRAYS = ("pos", "idx")
     BOUNDS = {"idx": (0, -1)}
     PROTOCOLS = ("walk", "gallop")
-    DEFAULT_PROTOCOL = "walk"
 
     def __init__(self, shape, child, pos, idx):
         super().__init__(shape, child)
@@ -73,7 +72,7 @@ class SparseListLevel(Level):
         return ({"pos": offsets(mask.sum(axis=1)), "idx": flat % dim},
                 flat_children(slab)[flat])
 
-    def unfurl(self, ctx, pos, proto=None):
+    def unfurl(self, ctx, pos, proto="walk"):
         proto = self.resolve_protocol(proto)
         state = self._enter_fiber(ctx, pos)
         if proto == "walk":

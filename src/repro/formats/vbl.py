@@ -38,7 +38,6 @@ class SparseVBLLevel(Level):
     ARRAYS = ("pos", "end", "ofs")
     BOUNDS = {"end": (1, 0)}
     PROTOCOLS = ("walk", "gallop")
-    DEFAULT_PROTOCOL = "walk"
 
     def __init__(self, shape, child, pos, end, ofs):
         super().__init__(shape, child)
@@ -67,7 +66,7 @@ class SparseVBLLevel(Level):
         return ({"pos": offsets(blocks), "end": col[opens[1:]] + 1,
                  "ofs": opens.nonzero()[0]}, flat_children(slab)[flat])
 
-    def unfurl(self, ctx, pos, proto=None):
+    def unfurl(self, ctx, pos, proto="walk"):
         proto = self.resolve_protocol(proto)
         pos_buf = ctx.buffer(self.pos, "pos")
         end_buf = self.bind(ctx, "end")

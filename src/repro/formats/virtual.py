@@ -29,9 +29,6 @@ def _packed_offset(i):
 class TriangularLevel(Level):
     """Lower-triangular packed rows: values at ``j <= i``, fill above."""
 
-    PROTOCOLS = ("walk",)
-    DEFAULT_PROTOCOL = "walk"
-
     def __init__(self, shape, child):
         super().__init__(shape, child)
         expected = shape * (shape + 1) // 2
@@ -40,7 +37,7 @@ class TriangularLevel(Level):
                 "packed triangular storage for n=%d needs %d values, "
                 "got %d" % (shape, expected, child.fiber_count()))
 
-    def unfurl(self, ctx, pos, proto=None):
+    def unfurl(self, ctx, pos, proto="walk"):
         self.resolve_protocol(proto)
         offset = _packed_offset(pos)
 
@@ -68,9 +65,6 @@ class TriangularLevel(Level):
 class SymmetricLevel(Level):
     """Symmetric matrix stored as its packed lower triangle."""
 
-    PROTOCOLS = ("walk",)
-    DEFAULT_PROTOCOL = "walk"
-
     def __init__(self, shape, child):
         super().__init__(shape, child)
         expected = shape * (shape + 1) // 2
@@ -79,7 +73,7 @@ class SymmetricLevel(Level):
                 "packed symmetric storage for n=%d needs %d values, "
                 "got %d" % (shape, expected, child.fiber_count()))
 
-    def unfurl(self, ctx, pos, proto=None):
+    def unfurl(self, ctx, pos, proto="walk"):
         self.resolve_protocol(proto)
         offset = _packed_offset(pos)
 

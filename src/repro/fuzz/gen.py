@@ -14,7 +14,7 @@ into fresh tensors plus a CIN program.  The split matters twice over:
 The grammar composes the full registered surface: every level format
 (dense / sparse / band / vbl / rle / bitmap / ragged / packbits, with
 rle and packbits restricted to the innermost mode), every access
-protocol a format supports (walk / gallop / locate / follow), and the
+protocol a format supports (walk, and gallop where offered), and the
 index-modifier chains whose domain semantics the reference interpreter
 pins down (offset with or without permit, nested offsets, windows, and
 offset-of-window — the shift-of-truncate composition).  Data is
@@ -42,17 +42,6 @@ FORMATS_LEAF_ONLY = format_names(leaf_only=True)
 #: Formats legal in the innermost mode.
 FORMATS_INNER = FORMATS_ANY + FORMATS_LEAF_ONLY
 
-#: Per-format access protocols: ``None`` ("no annotation"), then what
-#: the format's level class declares (its ``PROTOCOLS``), then
-#: ``follow``, which degrades to the passive default on every format.
-PROTOCOLS_BY_FORMAT = {
-    fmt: (None,) + FORMATS[fmt].PROTOCOLS + ("follow",)
-    for fmt in FORMATS_INNER}
-
-#: Protocols that can lead a coiteration; every loop index needs at
-#: least one operand accessing it with one of these.
-LEADER_PROTOCOLS = (None, "walk", "gallop")
-
 #: Program templates.  ``arity`` is the operand rank, ``outputs`` the
 #: kind of result tensor.  ``outer`` nests ``T1``'s loops under a loop
 #: the output omits: ``OUT[j] += T0[i] * T1[j]`` for a vector ``T1``,
@@ -75,8 +64,7 @@ COMBINE_OPS = ("mul", "add", "min", "max")
 CHAIN_KINDS = ("plain", "offset", "offset_exact", "offset2", "window",
                "offset_of_window")
 
-_MARKERS = {"walk": fl.walk, "gallop": fl.gallop, "locate": fl.locate,
-            "follow": fl.follow}
+_MARKERS = {"walk": fl.walk, "gallop": fl.gallop}
 
 
 class GenError(ValueError):
@@ -195,7 +183,7 @@ def _draw_operand(rng, name, dims, profile, leaf_ok=True):
         pool = FORMATS_INNER if (innermost and leaf_ok) else FORMATS_ANY
         fmt = rng.choice(pool)
         formats.append(fmt)
-        protocols.append(rng.choice(PROTOCOLS_BY_FORMAT[fmt]))
+        protocols.append(rng.choice(FORMATS[fmt].PROTOCOLS))
         chains.append(_draw_chain(rng, n, profile))
     if ndim == 1:
         data = _draw_values(rng, dims[0])
@@ -273,7 +261,7 @@ def generate_spec(seed, profile="quick"):
         if rng.random() < 0.5:
             # The shape the vectoriser takes: a dense innermost loop.
             spec["operands"][1]["formats"][-1] = "dense"
-            spec["operands"][1]["protocols"][-1] = None
+            spec["operands"][1]["protocols"][-1] = "walk"
         # T0's loop sits directly around T1's innermost one.
         spec["operands"][0]["indices"] = [len(dims) - 1]
         spec["operands"][1]["indices"] = [
@@ -293,36 +281,9 @@ def generate_spec(seed, profile="quick"):
         spec["store"] = rng.random() < 0.6
     else:
         spec["accum"] = rng.choice(ACCUM_OPS)
-    _ensure_leader(rng, spec)
     if profile == "narrow":
         _draw_dtypes(seed, spec)
     return spec
-
-
-def _ensure_leader(rng, spec):
-    """Force at least one leader-protocol access per loop index.
-
-    ``follow`` and ``locate`` iterate passively; a loop where every
-    operand is passive has nothing to drive the coiteration, so one
-    operand per index is demoted to an active protocol.
-    """
-    template = spec["template"]
-    for index_pos in range(_loop_count(spec)):
-        accesses = []
-        for operand in spec["operands"]:
-            mode = _index_mode(template, index_pos, operand)
-            if mode is not None:
-                accesses.append((operand, mode))
-        if not accesses:
-            continue
-        if any(op["protocols"][mode] in LEADER_PROTOCOLS
-               for op, mode in accesses):
-            continue
-        operand, mode = rng.choice(accesses)
-        fmt = operand["formats"][mode]
-        leaders = [p for p in PROTOCOLS_BY_FORMAT[fmt]
-                   if p in LEADER_PROTOCOLS]
-        operand["protocols"][mode] = rng.choice(leaders)
 
 
 def _loop_count(spec):

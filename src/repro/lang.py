@@ -22,7 +22,6 @@ from repro.cin.builders import (
     call,
     coalesce,
     eq,
-    follow,
     forall,
     foralls,
     gallop,
@@ -33,7 +32,6 @@ from repro.cin.builders import (
     land,
     le,
     literal,
-    locate,
     lor,
     lt,
     maximum,
@@ -104,11 +102,11 @@ def __getattr__(name):
 
 
 __all__ = [
-    "access", "call", "coalesce", "eq", "follow", "forall", "foralls",
-    "gallop", "ge", "gt", "increment", "indices", "land", "le", "literal",
-    "locate", "lor", "lt", "maximum", "minimum", "multi", "ne", "offset",
-    "pass_", "permit", "reduce_into", "sieve", "store", "walk", "where",
-    "window", "CompiledKernel", "Kernel", "KernelCache",
+    "access", "call", "coalesce", "eq", "forall", "foralls", "gallop",
+    "ge", "gt", "increment", "indices", "land", "le", "literal", "lor",
+    "lt", "maximum", "minimum", "multi", "ne", "offset", "pass_", "permit",
+    "reduce_into", "sieve", "store", "walk", "where", "window",
+    "CompiledKernel", "Kernel", "KernelCache",
     "compile_kernel", "execute", "kernel_cache", "MISSING", "ops",
     "BatchItem", "BatchResult", "EXECUTORS", "KernelPool", "ShmArena",
     "WorkerPool", "default_pool", "run_batch",

@@ -5,7 +5,7 @@ protocol each tensor access uses to traverse its levels — changes the
 asymptotics of a kernel, and that the strategy is a compiler choice,
 not a format property.  This package closes the loop: instead of the
 program author hand-picking ``gallop`` vs ``walk`` per access, the
-autotuner enumerates the legal protocol assignments, times each on
+autotuner enumerates the protocol assignments, times each on
 representative data at the ``opt_level`` and backend the ordinary
 precedence rule resolves, rejects any candidate that is not
 **bit-identical** to the reference interpreter, and persists the
@@ -21,8 +21,7 @@ Layout:
 :mod:`repro.tune.schedule`
     The schedule representation (per-access protocol lists over the
     canonical ``collect_accesses`` preorder), the protocol rewriter,
-    the protocol-erased tuning key, and candidate enumeration with the
-    loop-leader legality filter.
+    the protocol-erased tuning key, and candidate enumeration.
 
 :mod:`repro.tune.engine`
     The search loop: compile → verify against the interpreter → time

@@ -2,15 +2,15 @@
 
 A *schedule* is what the autotuner is allowed to vary without changing
 what a program computes: the access protocol of every tensor mode
-(walk / gallop / locate / the format default), which decides the
-coiteration strategy the compiler lowers — the paper's headline
-asymptotic knob.  ``opt_level`` and the backend are not part of it:
-they resolve as for any compile (:mod:`repro.util.config`), and a
-search measures at the configuration it runs under.
+(walk or gallop), which decides the coiteration strategy the compiler
+lowers — the paper's headline asymptotic knob.  ``opt_level`` and the
+backend are not part of it: they resolve as for any compile
+(:mod:`repro.util.config`), and a search measures at the configuration
+it runs under.
 
 Schedules are plain JSON dicts::
 
-    {"protocols": [[proto-or-None, ...] per access]}
+    {"protocols": [[proto, ...] per access]}
 
 ``protocols`` lists one entry per :class:`~repro.cin.nodes.Access` in
 :func:`~repro.cin.nodes.collect_accesses` preorder — the one canonical
@@ -21,7 +21,7 @@ one), so a schedule round-trips losslessly.
 The *tuning key* is deliberately protocol-erased: protocols are part of
 the structural key (two protocol variants of one program compile to
 different kernels), so the winners table is addressed by the structural
-digest of the program with every protocol reset to the format default
+digest of the program with every protocol reset to ``walk``
 (:func:`neutral_digest`).  Any protocol spelling of a program maps to
 the same table row — which is the point: the tuner, not the program
 author, decides protocols.  The key also carries the ``opt_level`` and
@@ -31,7 +31,7 @@ under the configuration that measured it.
 
 from itertools import product
 
-from repro.cin.analyze import forall_indices, structural_digest, structural_key
+from repro.cin.analyze import structural_digest, structural_key
 from repro.cin.nodes import (
     Access,
     Assign,
@@ -49,12 +49,7 @@ from repro.util.errors import ReproError
 #: Bumped when the schedule layout or the tuning-key derivation changes
 #: incompatibly; part of every tuning key, so old winners read as
 #: misses rather than misapply.
-TUNE_VERSION = 2
-
-#: Protocols that may *lead* a coiterated loop (drive its position).
-#: ``None`` (the format default) resolves to ``walk``; ``locate``
-#: probes positions someone else produced and cannot lead alone.
-LEADER_PROTOCOLS = (None, "walk", "gallop", "follow")
+TUNE_VERSION = 3
 
 #: Above this many full-cartesian protocol assignments the enumerator
 #: falls back to baseline + single-site mutations.
@@ -135,10 +130,10 @@ def apply_schedule(program, schedule):
 
 
 def neutral_program(program):
-    """``program`` with every protocol reset to the format default."""
+    """``program`` with every protocol reset to ``walk``."""
     return apply_protocols(
         program,
-        [[None] * len(access.idxs)
+        [["walk"] * len(access.idxs)
          for access in collect_accesses(program)])
 
 
@@ -191,7 +186,7 @@ def validate_schedule(program, schedule):
     for entry, access in zip(protocols, accesses):
         if not isinstance(entry, list) or len(entry) != len(access.idxs):
             return False
-        if any(p is not None and p not in PROTOCOLS for p in entry):
+        if any(p not in PROTOCOLS for p in entry):
             return False
     return True
 
@@ -200,12 +195,11 @@ def tunable_sites(program):
     """The protocol search sites of one program.
 
     Each site is ``(access position, mode, options)`` where ``options``
-    are the protocol names the access's level format supports (always
-    including ``None``, the format default).  Only *read* accesses over
-    loop indices are tunable: assignment targets keep their protocols
-    (outputs are appended/located by the lowerer, not coiterated), and
-    a mode whose format supports a single protocol has nothing to
-    search.
+    are the protocol names the access's level format supports.  Only
+    *read* accesses over loop indices are tunable: assignment targets
+    keep their protocols (outputs are appended/located by the lowerer,
+    not coiterated), and a mode whose format supports a single protocol
+    has nothing to search.
     """
     from repro.cin.nodes import walk_stmts
 
@@ -225,33 +219,10 @@ def tunable_sites(program):
                 continue
             if not isinstance(index_base(idx), Var):
                 continue
-            supported = tuple(getattr(levels[mode], "PROTOCOLS",
-                                      ("walk",)))
-            options = (None,) + tuple(p for p in supported
-                                      if p != "walk")
+            options = levels[mode].PROTOCOLS
             if len(options) > 1:
                 sites.append((pos, mode, options))
     return sites
-
-
-def _legal(program, protocols):
-    """True when every coiterated loop keeps at least one leader.
-
-    ``locate`` probes positions another access produced; an index whose
-    every access locates has no one to produce positions, and the
-    lowering has nothing to drive the loop with.
-    """
-    by_index = {}
-    for access, protos in zip(collect_accesses(program), protocols):
-        for mode, idx in enumerate(access.idxs):
-            base = index_base(idx)
-            if isinstance(base, Var):
-                by_index.setdefault(base.name, []).append(protos[mode])
-    for name in forall_indices(program):
-        seen = by_index.get(name)
-        if seen and not any(p in LEADER_PROTOCOLS for p in seen):
-            return False
-    return True
 
 
 def enumerate_candidates(program, max_cartesian=MAX_CARTESIAN):
@@ -260,10 +231,9 @@ def enumerate_candidates(program, max_cartesian=MAX_CARTESIAN):
     Protocol assignments come from the full cartesian product over the
     :func:`tunable_sites` when it stays within ``max_cartesian``,
     otherwise from the baseline plus every single-site mutation (a
-    coordinate-descent neighborhood).  Illegal assignments (a loop
-    left with no leader access) are filtered out.  The first candidate
-    is always the program exactly as written, so a measured "win" is
-    always a win over what the user would have gotten.
+    coordinate-descent neighborhood).  The first candidate is always
+    the program exactly as written, so a measured "win" is always a win
+    over what the user would have gotten.
     """
     baseline = extract_protocols(program)
     sites = tunable_sites(program)
@@ -272,7 +242,7 @@ def enumerate_candidates(program, max_cartesian=MAX_CARTESIAN):
 
     def admit(protocols):
         key = _freeze(protocols)
-        if key in seen or not _legal(program, protocols):
+        if key in seen:
             return
         seen.add(key)
         assignments.append(protocols)
@@ -303,5 +273,5 @@ def _freeze(protocols):
 def describe_schedule(schedule):
     """A compact one-line rendering for tables and logs."""
     return "/".join(
-        ",".join("-" if p is None else p for p in entry)
+        ",".join(entry)
         for entry in schedule["protocols"])

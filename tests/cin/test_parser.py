@@ -96,6 +96,11 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse("forall j: C[] += x[j::zigzag]", tensors)
 
+    @pytest.mark.parametrize("proto", ["follow", "locate"])
+    def test_walk_and_gallop_are_the_only_protocols(self, tensors, proto):
+        with pytest.raises(ParseError, match="unknown protocol"):
+            parse("forall j: C[] += x[j::%s]" % proto, tensors)
+
     def test_bad_character(self, tensors):
         with pytest.raises(ParseError):
             parse("forall j: C[] += x[j] @ 2", tensors)

@@ -23,7 +23,8 @@ import repro
 import repro.lang as fl
 from repro import codegen
 from repro.codegen import toolchain
-from repro.fuzz.gen import FORMATS_INNER, PROTOCOLS_BY_FORMAT
+from repro.formats import FORMATS
+from repro.fuzz.gen import FORMATS_INNER
 from repro.ir import Load, Var, asm, build, ops
 
 needs_cc = pytest.mark.skipif(
@@ -34,13 +35,11 @@ _PROTO = {
     None: lambda i: i,
     "walk": fl.walk,
     "gallop": fl.gallop,
-    "locate": fl.locate,
-    "follow": fl.follow,
 }
 
 MATRIX = [(fmt, proto)
           for fmt in FORMATS_INNER
-          for proto in PROTOCOLS_BY_FORMAT[fmt]]
+          for proto in (None,) + FORMATS[fmt].PROTOCOLS]
 
 
 def _vector_data(rng):
@@ -154,7 +153,7 @@ class TestDifferentialMatrix:
             y = fl.from_numpy(np.zeros(8), ("dense",), name="y")
             prog = fl.forall(i, fl.forall(j, fl.increment(
                 y[i], fl.access(A, i, fl.gallop(j)) *
-                fl.access(x, fl.locate(j)))))
+                fl.access(x, j))))
             kernel = fl.compile_kernel(prog, backend=backend,
                                        opt_level=1, cache=False)
             kernel.run()

@@ -197,6 +197,19 @@ class TestCacheMisses:
             spmspv_program(mat, vec, "gallop_both")[0])
         assert not kernel.from_cache
 
+    def test_an_unmarked_mode_is_spelled_walk(self):
+        a, b = sparse_vec(30, 4, 1), band_vec(30, 5, 20, 1)
+        A = fl.from_numpy(a, ("sparse",), name="A")
+        B = fl.from_numpy(b, ("band",), name="B")
+        C = fl.Scalar(name="C")
+        i = fl.indices("i")
+        fl.compile_kernel(fl.forall(i, fl.increment(C[()], A[i] * B[i])))
+        kernel = fl.compile_kernel(fl.forall(i, fl.increment(
+            C[()], A[fl.walk(i)] * B[fl.walk(i)])))
+        assert kernel.from_cache
+        stats = fl.kernel_cache().stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+
     def test_different_fill_misses(self):
         for fill in (0.0, 1.5):
             vec = np.full(10, fill)

@@ -51,7 +51,7 @@ class SuffixLevel(Level):
         suffix = np.arange(dim) >= lo[:, None]
         return {"pos": offsets(dim - lo), "lo": lo}, slab[suffix]
 
-    def unfurl(self, ctx, pos, proto=None):
+    def unfurl(self, ctx, pos, proto="walk"):
         self.resolve_protocol(proto)
         q0 = Var(ctx.freshen("q0"))
         lo = Var(ctx.freshen("lo"))

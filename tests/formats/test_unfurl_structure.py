@@ -27,7 +27,7 @@ def ctx():
     return Context()
 
 
-def unfurl_vector(vec, fmt, ctx, proto=None):
+def unfurl_vector(vec, fmt, ctx, proto="walk"):
     tensor = fl.from_numpy(np.asarray(vec, dtype=float), (fmt,), name="T")
     return tensor.levels[0].unfurl(ctx, Literal(0), proto)
 
@@ -182,11 +182,6 @@ class TestProtocolValidation:
         tensor = fl.from_numpy(np.zeros(4), ("rle",), name="T")
         with pytest.raises(ProtocolError):
             tensor.levels[0].unfurl(ctx, Literal(0), "gallop")
-
-    def test_follow_maps_to_walk(self, ctx):
-        tensor = fl.from_numpy(np.zeros(4), ("sparse",), name="T")
-        nest = tensor.levels[0].unfurl(ctx, Literal(0), "follow")
-        assert isinstance(nest, Pipeline)
 
 
 class TestVBLGallop:

@@ -4,14 +4,12 @@ import json
 
 import numpy as np
 
+from repro.formats import FORMATS
 from repro.fuzz import build_case, describe_spec, generate_spec
 from repro.fuzz.gen import (
     APPEND_OUTPUTS,
     FORMATS_ANY,
     FORMATS_LEAF_ONLY,
-    LEADER_PROTOCOLS,
-    PROTOCOLS_BY_FORMAT,
-    _index_mode,
     _loop_count,
     _operand_dims,
     chain_extent,
@@ -49,7 +47,7 @@ def test_distinct_seeds_explore_the_grammar():
                          "copy_out", "outer"}
     assert outputs == {None, "run", "sparse"}
     assert formats == set(FORMATS_ANY) | set(FORMATS_LEAF_ONLY)
-    assert {"walk", "gallop", "locate", "follow"} <= protocols
+    assert protocols == {"walk", "gallop"}
     assert {"plain", "offset", "offset_exact", "offset2", "window",
             "offset_of_window"} <= chain_kinds
 
@@ -66,7 +64,7 @@ def test_protocols_respect_format_support():
         for operand in generate_spec(seed)["operands"]:
             for fmt, proto in zip(operand["formats"],
                                   operand["protocols"]):
-                assert proto in PROTOCOLS_BY_FORMAT[fmt]
+                assert proto in FORMATS[fmt].PROTOCOLS
 
 
 def test_seeded_specs_are_pinned():
@@ -74,16 +72,17 @@ def test_seeded_specs_are_pinned():
     seeded campaign, the corpus and the warmed store population draw from
     it, so the stream must not move unnoticed (digests re-taken when
     the ``copy_out`` template joined ``TEMPLATES``, which shifted every
-    seed's first draw, and when ``outer`` did, which re-drew only the
-    eighth of the seeds that now pick it)."""
+    seed's first draw, when ``outer`` did, which re-drew only the
+    eighth of the seeds that now pick it, and when the protocols became
+    the level's own ``PROTOCOLS``, with no ``follow`` or ``locate``)."""
     import hashlib
     import json
 
     expected = {
-        "quick": "116ff6d8431cd5a5980000fd2db6dcf485f0709d1fd53e23"
-                 "e18eb52925c859c7",
-        "deep": "4dbd6f7dd2d203f3f2f2b5dcfd8b86627801d413daa4c6a16"
-                "f445a4fb3d8929e",
+        "quick": "bacfd69b416da877b92574bd252d30ccbc0ed6d9f364baa0"
+                 "759b07cc27ec3875",
+        "deep": "f35dfb0b763e511dba29b6217d9393b59ad85d15a3b0a09e1"
+                "96932e89e9f3497",
     }
     for profile, digest in expected.items():
         stream = hashlib.sha256()
@@ -91,20 +90,6 @@ def test_seeded_specs_are_pinned():
             stream.update(json.dumps(generate_spec(seed, profile),
                                      sort_keys=True).encode())
         assert stream.hexdigest() == digest, profile
-
-
-def test_every_loop_index_has_a_leader():
-    for seed in range(200):
-        spec = generate_spec(seed)
-        for index_pos in range(_loop_count(spec)):
-            leaders = 0
-            for operand in spec["operands"]:
-                mode = _index_mode(spec["template"], index_pos, operand)
-                if mode is not None \
-                        and operand["protocols"][mode] in \
-                        LEADER_PROTOCOLS:
-                    leaders += 1
-            assert leaders >= 1, (seed, index_pos, spec)
 
 
 def test_built_cases_have_valid_extents():

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import repro.lang as fl
+from repro.baselines.reference import interpret
 from repro.formats import format_names
+from repro.util.errors import DimensionError, ReproError
 
 RNG = np.random.default_rng(1234)
 ALL_VECTOR_FORMATS = format_names()
@@ -285,6 +287,29 @@ class TestIndexModifiers:
         fl.execute(prog)
         expected = sum(a[k - 2] * b[k] for k in range(2, 16))
         assert C.value == pytest.approx(expected)
+
+    @pytest.mark.parametrize("opt_level", [0, 2])
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    @pytest.mark.parametrize("fmt", ["dense", "bitmap", "sparse", "rle"])
+    def test_offset_out_of_domain_is_rejected(self, fmt, backend,
+                                              opt_level):
+        # B[offset(i, 1)] reads B[i - 1]: its domain is [1, 11), and
+        # the loop runs over A's [0, 10).  Without a permit, the
+        # reference interpreter rejects i = 0; a kernel must too, not
+        # read before B's buffer.
+        A = fl.from_numpy(np.arange(1.0, 11.0), ("dense",), name="A")
+        B = fl.from_numpy(np.arange(1.0, 11.0), (fmt,), name="B")
+        C = fl.Scalar(name="C")
+        i = fl.indices("i")
+        prog = fl.forall(i, fl.increment(
+            C[()], A[i] * fl.access(B, fl.offset(i, 1))))
+        message = (r"index 0 out of bounds for domain \[1, 11\) "
+                   r"\(use permit for padded accesses\)")
+        with pytest.raises(ReproError, match=message):
+            interpret(prog)
+        with pytest.raises(DimensionError, match=message):
+            fl.compile_kernel(prog, backend=backend, opt_level=opt_level,
+                              cache=False)
 
 
 class TestWhereAndMulti:

@@ -80,8 +80,8 @@ def test_spmspv_random_protocols(mat, proto):
 class TestProtocolSupport:
     """Formats must reject protocols they cannot honor, cleanly."""
 
-    @pytest.mark.parametrize("fmt", ["band", "ragged", "rle",
-                                     "packbits"])
+    @pytest.mark.parametrize("fmt", ["dense", "bitmap", "band", "ragged",
+                                     "rle", "packbits"])
     def test_gallop_unsupported(self, fmt):
         from repro.compiler.context import Context
         from repro.ir import Literal
@@ -98,14 +98,3 @@ class TestProtocolSupport:
 
         tensor = fl.from_numpy(np.zeros(6), (fmt,), name="T")
         tensor.levels[0].unfurl(Context(), Literal(0), "gallop")
-
-    def test_locate_on_dense_and_bitmap_only(self):
-        from repro.compiler.context import Context
-        from repro.ir import Literal
-        from repro.util.errors import ProtocolError
-
-        dense = fl.from_numpy(np.zeros(6), ("dense",), name="D")
-        dense.levels[0].unfurl(Context(), Literal(0), "locate")
-        sparse = fl.from_numpy(np.zeros(6), ("sparse",), name="S")
-        with pytest.raises(ProtocolError):
-            sparse.levels[0].unfurl(Context(), Literal(0), "locate")

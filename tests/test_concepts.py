@@ -24,7 +24,8 @@ that times anything (``perf/``, declared by BENCHMARK.json; the paper's
 op-count claims are tier-1 tests in ``tests/paper/``; the brackets keep
 the pattern from matching itself), one kind of kernel argument (every
 argument is an ndarray: append outputs are arrays, so the builder
-objects and their pickled transport stay deleted), and a closed target
+objects and their pickled transport stay deleted), two access
+protocols with one spelling each (walk and gallop), and a closed target
 IR (no opaque Raw statement, and so no regex built over emitted text to
 guess what a line reads and writes: a dense reset and a vectorized loop
 are Slice/Reduce nodes, and effects are read off the nodes).
@@ -255,6 +256,20 @@ GUARDS = (
           " resolve through util/config.py",
           ("src/repro/tune/__init__.py", "for level in opt_levels:"),
           py_only=False),
+    # Two protocols, one spelling each: follow and locate compiled
+    # exactly like walk, an unmarked mode is stored as walk, and both
+    # protocols lead a loop.  ``Level.locate``, the random access
+    # writes use, is a method, not a quoted protocol name.
+    Guard("protocol_names", r"[\"'](follow|locate)[\"']", ("src/repro",),
+          "walk and gallop are the only protocols (cin/nodes.PROTOCOLS)",
+          ("src/repro/formats/dense.py", 'PROTOCOLS = ("walk", "locate")')),
+    Guard("protocol_defaults",
+          r"\b(DEFAULT_PROTOCOL|LEADER_PROTOCOLS|_ensure_leader)\b",
+          ("src/repro",),
+          "an unmarked mode is walk and every protocol leads: no format"
+          " default, no leader rule",
+          ("src/repro/tune/schedule.py",
+           'LEADER_PROTOCOLS = (None, "walk", "gallop", "follow")')),
     # One way to ask for a compile: keyword arguments, cache on or off,
     # and a spec that carries one python source.
     Guard("options_bundle",

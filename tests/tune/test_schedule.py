@@ -2,8 +2,8 @@
 
 A schedule must round-trip losslessly through the one canonical
 access order, map every protocol spelling of a program onto one
-protocol-erased table address, and enumerate only *legal* candidates
-(every coiterated loop keeps a leader).
+protocol-erased table address, and enumerate each distinct kernel
+exactly once.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from repro.tune import (
     tuning_key_meta,
     validate_schedule,
 )
-from repro.tune.schedule import LEADER_PROTOCOLS, apply_protocols
+from repro.tune.schedule import apply_protocols
 from repro.util.errors import ReproError
 
 
@@ -59,14 +59,14 @@ def test_protocols_round_trip():
 def test_apply_rejects_wrong_shapes():
     program, _ = dot_program()
     with pytest.raises(ReproError, match="access protocol entries"):
-        apply_protocols(program, [[None]])
+        apply_protocols(program, [["walk"]])
     with pytest.raises(ReproError, match="modes"):
-        apply_protocols(program, [[], [None, None], [None]])
+        apply_protocols(program, [[], ["walk", "walk"], ["walk"]])
 
 
 def test_neutral_digest_erases_protocol_spelling():
     program, _ = dot_program()
-    gallop = apply_protocols(program, [[], ["gallop"], [None]])
+    gallop = apply_protocols(program, [[], ["gallop"], ["walk"]])
     # Different programs to the compiler (protocols are structural) ...
     assert structural_digest(structural_key(gallop)) \
         != structural_digest(structural_key(program))
@@ -83,7 +83,7 @@ def test_tuning_key_carries_version_axes_and_the_configuration():
     program = dot_program()[0]
     meta = tuning_key_meta(program, 2, "python")
     assert meta["kind"] == "tuning"
-    assert meta["tune_version"] == TUNE_VERSION == 2
+    assert meta["tune_version"] == TUNE_VERSION == 3
     for axis in ("store_version", "tune_version", "registry_version",
                  "code_fingerprint"):
         assert meta[axis], axis
@@ -97,25 +97,26 @@ def test_tunable_sites_skip_writes_and_single_protocol_formats():
     # A is sparse_list (walk|gallop): one searchable site.  B is band
     # (walk only) and C is the written scalar: neither is a site.
     program, _ = dot_program()
-    assert tunable_sites(program) == [(1, 0, (None, "gallop"))]
+    assert tunable_sites(program) == [(1, 0, ("walk", "gallop"))]
 
 
-def test_candidates_are_exactly_the_legal_protocol_assignments():
-    # bitmap and dense both offer locate; locate-everywhere leaves the
-    # i loop without a leader and must be filtered out.
-    program, _ = dot_program(a_fmt="bitmap", b_fmt="dense")
+def test_candidates_are_exactly_the_protocol_assignments():
+    # sparse_list and VBL both offer walk and gallop: the product is
+    # four assignments.  dense and bitmap offer walk only: no site.
+    program, _ = dot_program(a_fmt="sparse", b_fmt="vbl")
     candidates = enumerate_candidates(program)
     assert candidates[0] == {"protocols": extract_protocols(program)}
     assignments = [tuple(map(tuple, c["protocols"])) for c in candidates]
     assert all(list(c) == ["protocols"] for c in candidates)
     assert len(set(assignments)) == len(assignments)
-    assert set(assignments) == {((), (None,), (None,)),
-                                ((), ("locate",), (None,)),
-                                ((), (None,), ("locate",))}
+    assert set(assignments) == {((), (a,), (b,))
+                                for a in ("walk", "gallop")
+                                for b in ("walk", "gallop")}
     for candidate in candidates:
         assert validate_schedule(program, candidate)
-        on_i = [entry[0] for entry in candidate["protocols"] if entry]
-        assert any(p in LEADER_PROTOCOLS for p in on_i)
+    dense, _ = dot_program(a_fmt="bitmap", b_fmt="dense")
+    assert enumerate_candidates(dense) \
+        == [{"protocols": [[], ["walk"], ["walk"]]}]
 
 
 def test_figure_candidate_counts_need_no_compile(monkeypatch):
@@ -128,7 +129,21 @@ def test_figure_candidate_counts_need_no_compile(monkeypatch):
     monkeypatch.setattr(kernel_mod, "_compile_artifact", no_compile)
     counts = [len(enumerate_candidates(make_program()))
               for _, _, make_program, _ in warm_start_programs()]
-    assert counts == [2, 9, 49, 48, 4, 11]
+    assert counts == [2, 4, 8, 4, 1, 16]
+
+
+def test_the_tuner_times_only_distinct_kernels():
+    """Every candidate of every figure is a different kernel: no
+    spelling of one kernel is compiled and timed twice."""
+    from repro.bench.figures import warm_start_programs
+
+    for figure, _, make_program, _ in warm_start_programs():
+        program = make_program()
+        sources = [
+            fl.compile_kernel(apply_schedule(program, candidate),
+                              backend="python", cache=False).source
+            for candidate in enumerate_candidates(program)]
+        assert len(set(sources)) == len(sources), figure
 
 
 def test_validate_schedule_rejects_misfits():
@@ -138,7 +153,9 @@ def test_validate_schedule_rejects_misfits():
     assert not validate_schedule(program, None)
     assert not validate_schedule(program, {**good, "protocols": [[]]})
     assert not validate_schedule(
-        program, {**good, "protocols": [[], ["sprint"], [None]]})
+        program, {**good, "protocols": [[], ["sprint"], ["walk"]]})
+    assert not validate_schedule(
+        program, {**good, "protocols": [[], [None], ["walk"]]})
     # A winner recorded for a structurally different program (here:
     # fewer accesses) must read as a misfit, never be applied.
     A = fl.from_numpy(dot_data()[0], ("sparse",), name="A")
@@ -149,14 +166,14 @@ def test_validate_schedule_rejects_misfits():
 
 
 def test_describe_schedule_is_compact():
-    schedule = {"protocols": [[], ["gallop"], [None]]}
-    assert describe_schedule(schedule) == "/gallop/-"
+    schedule = {"protocols": [[], ["gallop"], ["walk"]]}
+    assert describe_schedule(schedule) == "/gallop/walk"
 
 
 def test_applied_schedule_computes_the_same_answer():
     program, C = dot_program()
     a, b = dot_data()
-    candidate = {"protocols": [[], ["gallop"], [None]]}
+    candidate = {"protocols": [[], ["gallop"], ["walk"]]}
     variant = apply_schedule(program, candidate)
     assert extract_protocols(variant) == candidate["protocols"]
     kernel = fl.compile_kernel(variant, opt_level=1, cache=False)
