@@ -136,18 +136,20 @@ def tensor_signature(tensor):
     Objects without a ``format_signature`` method are opaque: they are
     keyed by identity, so they only ever match themselves.
     """
-    fn = getattr(tensor, "format_signature", None)
-    if fn is not None:
-        return fn()
-    return ("opaque", id(tensor))
+    try:
+        fn = tensor.format_signature
+    except AttributeError:
+        return ("opaque", id(tensor))
+    return fn()
 
 
 def tensor_binding_buffers(tensor):
     """The canonical role -> buffer mapping for kernel (re)binding."""
-    fn = getattr(tensor, "kernel_buffers", None)
-    if fn is not None:
-        return fn()
-    return {}
+    try:
+        fn = tensor.kernel_buffers
+    except AttributeError:
+        return {}
+    return fn()
 
 
 def structural_key(stmt):

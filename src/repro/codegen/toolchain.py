@@ -9,8 +9,9 @@ the no-compiler degradation path.
 Compilation shells out — ``cc -O2 -fPIC -shared -std=c99`` — into a
 per-process scratch directory and is memoized by the source digest, so
 one process compiles each distinct kernel at most once no matter how
-many cache tiers ask.  No ``-ffast-math``-style flags are ever passed:
-the C backend's contract is bit-identity with the python backend.
+many cache tiers or threads ask.  No ``-ffast-math``-style flags are
+ever passed: the C backend's contract is bit-identity with the python
+backend.
 
 Loading goes through :mod:`ctypes`.  The exported symbol is
 ``int64_t <name>(void **args)`` and ``ctypes`` releases the GIL for
@@ -58,6 +59,7 @@ _compiler = None
 _compiler_probed = False
 _build_dir = None
 _entries = {}  # source digest -> (so_path, symbol name)
+_builds = {}   # source digest -> the lock its one build holds
 
 
 def compiler_path():
@@ -118,36 +120,58 @@ def source_digest(c_source):
 def compile_shared(c_source, name="kernel"):
     """Compile ``c_source`` into a shared object; returns its path.
 
-    Memoized by source digest per process.  Raises
-    :class:`ToolchainError` when no compiler is available or the
-    compile fails (the compiler's stderr is carried in the message —
-    a generated kernel failing to compile is an emitter bug worth the
-    full diagnostic).
+    Memoized by source digest per process, and built once: concurrent
+    callers of one digest wait for the first one's build and share it.
+    The source and the object are written under temporary names and
+    published whole by ``os.replace``, so no caller can load a
+    half-written object.  Raises :class:`ToolchainError` when no
+    compiler is available or the compile fails (the compiler's stderr
+    is carried in the message — a generated kernel failing to compile
+    is an emitter bug worth the full diagnostic).
     """
     digest = source_digest(c_source)
     with _lock:
         cached = _entries.get(digest)
         if cached is not None:
             return cached[0]
+        build = _builds.setdefault(digest, threading.Lock())
+    with build:
+        with _lock:
+            cached = _entries.get(digest)
+        if cached is not None:
+            return cached[0]
+        try:
+            so_path = _build(c_source, name, digest)
+            with _lock:
+                _entries[digest] = (so_path, name)
+        finally:
+            with _lock:
+                if _builds.get(digest) is build:
+                    del _builds[digest]
+    return so_path
+
+
+def _build(c_source, name, digest):
+    """Run the compiler on ``c_source``; the published object's path."""
     cc = compiler_path()
     if cc is None:
         raise ToolchainError(
             "no C compiler found (set FL_CC or install cc/gcc/clang)")
-    scratch = _scratch_dir()
-    c_path = os.path.join(scratch, "k_%s.c" % digest)
-    so_path = os.path.join(scratch, "k_%s.so" % digest)
-    with open(c_path, "w") as handle:
+    stem = os.path.join(_scratch_dir(), "k_%s" % digest)
+    tmp = "%s.%d-%d.tmp" % (stem, os.getpid(), threading.get_ident())
+    with open(tmp + ".c", "w") as handle:
         handle.write(c_source)
-    command = [cc, *CFLAGS, "-o", so_path, c_path, "-lm"]
+    command = [cc, *CFLAGS, "-o", tmp + ".so", tmp + ".c", "-lm"]
     proc = subprocess.run(command, capture_output=True, text=True)
-    if proc.returncode != 0 or not os.path.exists(so_path):
+    if proc.returncode != 0 or not os.path.exists(tmp + ".so"):
+        os.remove(tmp + ".c")
         raise ToolchainError(
             "C compile of kernel %r failed (%s exit %d):\n%s"
             % (name, cc, proc.returncode,
                proc.stderr.strip() or proc.stdout.strip()))
-    with _lock:
-        _entries[digest] = (so_path, name)
-    return so_path
+    os.replace(tmp + ".c", stem + ".c")
+    os.replace(tmp + ".so", stem + ".so")
+    return stem + ".so"
 
 
 def adopt_shared(c_source, name, so_bytes):
@@ -189,8 +213,9 @@ def load_symbol(so_path, name):
     except (OSError, AttributeError) as exc:
         raise ToolchainError(
             "cannot load kernel %r from %s: %s" % (name, so_path, exc))
+    # No ``argtypes``: the one argument is always the binding's
+    # ``c_void_p`` array, which ctypes passes as a pointer unconverted.
     fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)]
     return fn
 
 

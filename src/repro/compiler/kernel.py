@@ -51,7 +51,7 @@ harness alongside wall-clock time.
 
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 
 from repro.cin.analyze import (
     check_program,
@@ -109,7 +109,8 @@ class CompiledKernel:
     """
 
     __slots__ = ("fn", "seed_args", "seed_tensors", "so_path", "code",
-                 "_slot_params", "_alias_pairs") + SPEC_FIELDS
+                 "_slot_params", "_alias_pairs", "_whole",
+                 "_arity") + SPEC_FIELDS
 
     def __init__(self, fn, name, source, opt_level, plan,
                  seed_args, seed_tensors, signatures, alias_groups,
@@ -156,6 +157,10 @@ class CompiledKernel:
                 self._slot_params[entry[0]].append((param, entry[1]))
         self._alias_pairs = [(group, group[0], other)
                              for group in alias_groups for other in group[1:]]
+        self._whole = BindPlan((), tuple(range(len(signatures))),
+                               tuple(enumerate(self._slot_params)),
+                               tuple(self._alias_pairs))
+        self._arity = len(plan)
 
     @property
     def effective_backend(self):
@@ -266,20 +271,22 @@ class CompiledKernel:
             raise BindingError(
                 "kernel has %d tensor slots, got %d tensors"
                 % (len(self.signatures), len(tensors)))
-        for slot, tensor in enumerate(tensors):
-            self._check_signature(slot, tensor)
+        self._check(tensors, self._whole.checks)
 
-    def _check_signature(self, slot, tensor):
-        """Raise unless ``tensor`` has ``slot``'s format signature; a
-        tensor's memoized tuple matches itself or its copy with ``is``."""
-        actual = tensor_signature(tensor)
-        expected = self.signatures[slot]
-        if actual is not expected and actual != expected:
-            raise BindingError(
-                "slot %d (%s): format signature %r does not match "
-                "the compiled kernel's %r"
-                % (slot, getattr(tensor, "name", "?"), actual,
-                   expected))
+    def _check(self, tensors, slots):
+        """Raise unless each of ``slots`` holds a tensor with that
+        slot's format signature, checked in the order given; a tensor's
+        memoized tuple matches itself or its copy with ``is``."""
+        signatures = self.signatures
+        for slot in slots:
+            actual = tensor_signature(tensors[slot])
+            expected = signatures[slot]
+            if actual is not expected and actual != expected:
+                raise BindingError(
+                    "slot %d (%s): format signature %r does not match "
+                    "the compiled kernel's %r"
+                    % (slot, getattr(tensors[slot], "name", "?"), actual,
+                       expected))
 
     def bind(self, tensors, buffers=None):
         """Positional kernel arguments for ``tensors`` (one per slot).
@@ -292,25 +299,27 @@ class CompiledKernel:
         """
         tensors = list(tensors)
         self.validate(tensors)
-        return self._point(tensors, range(len(tensors)),
-                           [None] * len(tensors) if buffers is None
-                           else buffers)
+        return self._point(tensors, [None] * len(tensors)
+                           if buffers is None else buffers)
 
-    def _point(self, tensors, slots, roles, args=None):
+    def _point(self, tensors, roles, plan=None, args=None):
         """The one bind pass: ``args`` (default: a fresh list) with the
-        parameters ``slots`` feed re-pointed at ``tensors`` (signatures
-        already checked), then checked whole for the aliasing pattern.
-        ``roles`` holds each slot's ``kernel_buffers()`` walk, None
-        where not taken."""
+        parameters ``plan`` feeds (default: every slot) re-pointed at
+        ``tensors`` (signatures already checked), then checked whole
+        for the aliasing pattern.  ``roles`` holds each slot's
+        ``kernel_buffers()`` walk, None where not taken."""
+        if plan is None:
+            plan = self._whole
         if args is None:
             args = list(self.seed_args)
-        for slot in slots:
-            if roles[slot] is None:
-                roles[slot] = tensor_binding_buffers(tensors[slot])
+        for slot, feeds in plan.feeds:
             buffers = roles[slot]
-            for param, role in self._slot_params[slot]:
+            if buffers is None:
+                buffers = roles[slot] = tensor_binding_buffers(
+                    tensors[slot])
+            for param, role in feeds:
                 args[param] = buffers[role]
-        for group, (slot_a, role_a), (slot_b, role_b) in self._alias_pairs:
+        for group, (slot_a, role_a), (slot_b, role_b) in plan.alias_pairs:
             for slot in (slot_a, slot_b):
                 if roles[slot] is None:
                     roles[slot] = tensor_binding_buffers(tensors[slot])
@@ -323,7 +332,7 @@ class CompiledKernel:
         # aliasing here is new — the emitted code assumes separate
         # storage (e.g. output resets would wipe inputs).  The loop
         # runs only to name the offending pair.
-        if len(set(map(id, args))) != len(args):
+        if len(set(map(id, args))) != self._arity:
             seen = {}  # id(buffer) -> (slot, role)
             for entry, buf in zip(self.plan, args):
                 if entry is None:
@@ -336,6 +345,57 @@ class CompiledKernel:
                         "use distinct arrays or recompile with the "
                         "shared tensors" % (other, entry))
         return args
+
+
+class BindPlan(namedtuple("BindPlan", "slots checks feeds alias_pairs")):
+    """How one tuple of override names binds, resolved once per
+    binding (:meth:`Kernel.bind_plan`): ``slots`` the ``(name, slot)``
+    pairs in the names' order, ``checks`` those slots in the order
+    their signatures are checked, ``feeds`` each such slot's
+    ``(parameter, role)`` pairs, and ``alias_pairs`` the compile-time
+    alias pairs that touch them.  An artifact's whole binding is the
+    plan of no names that feeds every slot."""
+
+    __slots__ = ()
+
+    def place(self, template, mapping):
+        """``template`` (a slot-ordered tensor list), copied, with the
+        slots of ``mapping``'s names replaced by its tensors."""
+        tensors = list(template)
+        for name, slot in self.slots:
+            tensors[slot] = mapping[name]
+        return tensors
+
+
+def _bind_plan(artifact, tensors, names):
+    """The :class:`BindPlan` of ``names`` over ``tensors`` (bound to
+    ``artifact``): a name must resolve to exactly one slot, otherwise
+    a full slot-ordered sequence is required."""
+    by_name = {}
+    for slot, tensor in enumerate(tensors):
+        by_name.setdefault(getattr(tensor, "name", None),
+                           []).append(slot)
+    slots = []
+    for name in names:
+        bearing = by_name.get(name, ())
+        if not bearing:
+            raise BindingError(
+                "no tensor named %r bound by this kernel (have: %s)"
+                % (name, ", ".join(sorted(str(n) for n in by_name))))
+        if len(bearing) > 1:
+            raise BindingError(
+                "tensor name %r is bound to %d slots; rebind with a "
+                "full tensor sequence instead" % (name, len(bearing)))
+        slots.append((name, bearing[0]))
+    if artifact is None:
+        return BindPlan(tuple(slots), (), (), ())
+    checks = tuple(sorted(slot for _, slot in slots))
+    return BindPlan(
+        tuple(slots), checks,
+        tuple((slot, tuple(artifact._slot_params[slot]))
+              for slot in checks),
+        tuple((group, a, b) for group, a, b in artifact._alias_pairs
+              if a[0] in checks or b[0] in checks))
 
 
 class Kernel:
@@ -447,8 +507,9 @@ class Kernel:
         # adoption (share_tensor re-pointing them) caught up with.
         if self._epoch != _share._adoptions:
             self.rebind(self._tensors)
-        if overrides:
-            result = self._artifact.fn(*self._with_overrides(overrides)[1])
+        if overrides:       # the memo's prepared call for these args
+            result = self._artifact.fn.prepare(
+                self._with_overrides(overrides)[1])()
         else:
             if self._call is None:      # the binding's call, prepared once
                 self._call = self._artifact.fn.prepare(self._args)
@@ -468,7 +529,7 @@ class Kernel:
             self._tensors, self._args = self._with_overrides(mapping)
             for name, tensor in mapping.items():
                 if getattr(tensor, "name", None) != name:
-                    self._by_name = None    # a slot's name moved
+                    self._plans = {}    # a slot's name moved
         else:
             if named:
                 raise BindingError(
@@ -483,23 +544,32 @@ class Kernel:
         self._args = self._artifact.bind(tensors, buffers)
         self._tensors = tensors
         self._epoch = _share._adoptions
-        self._by_name = None  # name -> slots, built on first override
+        self._plans = {}    # names -> BindPlan, built on first use
         self._call = None   # prepared by the next run()
+
+    def bind_plan(self, names):
+        """The :class:`BindPlan` of the override names ``names`` (a
+        tuple) against this binding, built on first use; raises
+        :class:`BindingError` for a name that resolves to no slot or to
+        several."""
+        plan = self._plans.get(names)
+        if plan is None:
+            plan = self._plans[names] = _bind_plan(
+                self._artifact, self._tensors, names)
+        return plan
 
     def _with_overrides(self, mapping):
         """``(tensors, args)`` with the named slots replaced: only
         those are validated and re-resolved, the rest stay as bound."""
-        if self._by_name is None:
-            self._by_name = _slots_by_name(self._tensors)
-        tensors = list(self._tensors)
-        slots = []
-        for name, replacement in mapping.items():
-            slots.append(_named_slot(self._by_name, name))
-            tensors[slots[-1]] = replacement
-        for slot in sorted(slots):
-            self._artifact._check_signature(slot, tensors[slot])
+        names = tuple(mapping)
+        try:
+            plan = self._plans[names]
+        except KeyError:
+            plan = self.bind_plan(names)
+        tensors = plan.place(self._tensors, mapping)
+        self._artifact._check(tensors, plan.checks)
         return tensors, self._artifact._point(
-            tensors, slots, [None] * len(tensors), list(self._args))
+            tensors, [None] * len(tensors), plan, list(self._args))
 
     def __call__(self, **overrides):
         return self.run(**overrides)
@@ -509,40 +579,12 @@ def resolve_name_overrides(template, mapping):
     """``template`` (a slot-ordered tensor list) with named slots
     replaced per ``mapping``.
 
-    Shared by :meth:`Kernel.rebind`/:meth:`Kernel.run` overrides and
-    the batch engine's per-dataset resolution
-    (:func:`repro.exec.batch.run_batch`): a name must resolve to
-    exactly one slot, otherwise a full slot-ordered sequence is
-    required.
+    The name resolution of :meth:`Kernel.bind_plan`, for callers that
+    hold no kernel: a name must resolve to exactly one slot, otherwise
+    a full slot-ordered sequence is required.
     """
-    by_name = _slots_by_name(template)
-    tensors = list(template)
-    for name, replacement in mapping.items():
-        tensors[_named_slot(by_name, name)] = replacement
-    return tensors
-
-
-def _slots_by_name(tensors):
-    """Tensor name -> the slots of ``tensors`` bearing it."""
-    by_name = {}
-    for slot, tensor in enumerate(tensors):
-        by_name.setdefault(getattr(tensor, "name", None),
-                           []).append(slot)
-    return by_name
-
-
-def _named_slot(by_name, name):
-    """The one slot ``name`` resolves to, else a BindingError."""
-    slots = by_name.get(name, ())
-    if len(slots) == 1:
-        return slots[0]
-    if not slots:
-        raise BindingError(
-            "no tensor named %r bound by this kernel (have: %s)"
-            % (name, ", ".join(sorted(str(n) for n in by_name))))
-    raise BindingError(
-        "tensor name %r is bound to %d slots; rebind with a full "
-        "tensor sequence instead" % (name, len(slots)))
+    return _bind_plan(None, template, tuple(mapping)).place(template,
+                                                           mapping)
 
 
 class KernelCache:

@@ -65,7 +65,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.cin.analyze import tensor_binding_buffers
-from repro.compiler.kernel import compile_kernel, resolve_name_overrides
+from repro.compiler.kernel import compile_kernel
 from repro.compiler.key import KernelKey
 from repro.exec import pool as _pool
 from repro.exec import shm as _shm
@@ -399,7 +399,8 @@ class KernelPool:
         for index, dataset in enumerate(datasets):
             try:
                 if isinstance(dataset, dict):
-                    tensors = resolve_name_overrides(template, dataset)
+                    tensors = self._kernel.bind_plan(
+                        tuple(dataset)).place(template, dataset)
                 else:
                     tensors = list(dataset)
                 self._artifact.validate(tensors)
@@ -473,8 +474,7 @@ class KernelPool:
         start = time.perf_counter()
         tensors, roles, _ = dataset
         try:
-            args = self._artifact._point(tensors, range(len(roles)),
-                                         roles)
+            args = self._artifact._point(tensors, roles)
             bound = time.perf_counter()
             result = self._artifact.fn(*args)
             ran = time.perf_counter()
@@ -592,8 +592,7 @@ class KernelPool:
         try:
             for index, (tensors, roles, ids) in enumerate(resolved):
                 try:
-                    args = self._artifact._point(
-                        tensors, range(len(roles)), roles)
+                    args = self._artifact._point(tensors, roles)
                 except Exception as exc:
                     raise self._wrap_failure(index, exc,
                                              tensors) from exc

@@ -73,35 +73,39 @@ def make_entry(invoke, marshal, name):
     and ``entry.prepare(args)`` that call with ``marshal(args)`` bound.
 
     ``marshal`` turns one binding's arguments into ``invoke``'s, and
-    is called once per distinct binding: its result is memoized keyed
-    by argument identities, in a small LRU so retired bindings release
-    their arrays.  Each result must hold references to the arguments
-    (a memoized identity can then never be recycled while it is still
-    served), as must a prepared call.
+    is called once per distinct binding: its prepared call is memoized
+    keyed by argument identities, in a small LRU so retired bindings
+    release their arrays.  Each result must hold references to the
+    arguments (a memoized identity can then never be recycled while it
+    is still served), as does the prepared call.
     """
     memo = OrderedDict()
-    lock = threading.Lock()
+    lock = threading.Lock()     # taken to insert and evict, not to hit
 
-    def marshalled(args):
+    def prepare(args):
         key = tuple(map(id, args))
-        with lock:
-            cached = memo.get(key)
-            if cached is not None:
-                memo.move_to_end(key)
-                return cached
-        cached = marshal(args)
-        with lock:
-            memo[key] = cached
-            while len(memo) > BINDING_MEMO_CAP:
-                memo.popitem(last=False)
-        return cached
+        call = memo.get(key)
+        if call is None:
+            call = functools.partial(invoke, *marshal(args))
+            with lock:
+                memo[key] = call
+                while len(memo) > BINDING_MEMO_CAP:
+                    memo.popitem(last=False)
+            return call
+        # A hit takes no lock: the call pins the arrays, so their
+        # identities are not recycled while the key is in the memo, and
+        # a concurrent eviction only costs the hit its recency.
+        try:
+            memo.move_to_end(key)
+        except KeyError:
+            pass
+        return call
 
     def entry(*args):
-        return invoke(*marshalled(args))
+        return prepare(args)()
 
     entry.__name__ = name
-    entry.prepare = lambda args: functools.partial(invoke,
-                                                   *marshalled(args))
+    entry.prepare = prepare
     return entry
 
 

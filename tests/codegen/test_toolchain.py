@@ -14,10 +14,13 @@ import ctypes
 import inspect
 import os
 import subprocess
+import threading
+import uuid
 
 import numpy as np
 import pytest
 
+import repro.lang as fl
 from repro import codegen
 from repro.codegen import toolchain
 from repro.codegen.c_emit import _PRELUDE, STATUS_ERRORS
@@ -294,6 +297,83 @@ class TestToolchain:
             entry(np.arange(8, dtype=np.int64)[::2])  # not contiguous
         with pytest.raises(codegen.ToolchainError):
             entry([1, 2])                             # not an ndarray
+
+
+def _racing(count, action):
+    """``action()``'s results in ``count`` threads released together by
+    a barrier; an exception a thread raised stands as its result."""
+    barrier = threading.Barrier(count)
+    results = [None] * count
+
+    def run(slot):
+        barrier.wait()
+        try:
+            results[slot] = action()
+        except Exception as exc:     # reported through the results
+            results[slot] = exc
+
+    threads = [threading.Thread(target=run, args=(slot,))
+               for slot in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+@pytest.fixture
+def cc_runs(monkeypatch):
+    """Every compiler command run from here on."""
+    runs = []
+    real = subprocess.run
+
+    def counted(command, *args, **kwargs):
+        if command[0] == toolchain.compiler_path():
+            runs.append(command)
+        return real(command, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counted)
+    return runs
+
+
+@needs_cc
+class TestConcurrentBuilds:
+    """Threads that miss the build memo together for one source share
+    one compiler run, and none loads a half-written object."""
+
+    TRIALS = 5
+
+    def test_one_compiler_run_serves_every_racing_caller(self, cc_runs):
+        for trial in range(self.TRIALS):
+            source = _PROBE + "\n/* %s */\n" % uuid.uuid4().hex
+            paths = _racing(4, lambda: toolchain.compile_shared(
+                source, name="probe"))
+            assert len(cc_runs) == trial + 1
+            assert len(set(paths)) == 1, paths
+            for _ in paths:
+                assert _run_probe(7, 2, 2.5, so_path=paths[0])[0][0] == 3
+
+    def test_racing_compiles_all_come_up_native(self, cc_runs):
+        codegen.clear_fallback_events()
+        A = fl.from_numpy(np.array([0, 1.5, 0, 2.0, 0, 3.0]), ("sparse",),
+                          name="A")
+        B = fl.from_numpy(np.array([1.0, 2.0, 0, 4.0, 0, 5.0]), ("sparse",),
+                          name="B")
+        i = fl.indices("i")
+        for trial in range(self.TRIALS):
+            C = fl.Scalar(name="C")
+            program = fl.forall(i, fl.increment(C[()], A[i] * B[i]))
+            name = "race_%s" % uuid.uuid4().hex     # a fresh C unit
+            kernels = _racing(4, lambda: fl.compile_kernel(
+                program, cache=False, backend="c", name=name))
+            assert [k.effective_backend for k in kernels] == ["c"] * 4
+            assert len(cc_runs) == trial + 1
+            for kernel in kernels:
+                C.set(0.0)
+                kernel.run()
+                assert C.value == 26.0
+        assert list(codegen.fallback_events()) == []
 
 
 class TestDiscovery:

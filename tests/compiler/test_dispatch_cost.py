@@ -29,6 +29,11 @@ REPO = os.path.normpath(os.path.join(os.path.dirname(__file__),
 #: this budget existed; the budget is a third of it.
 CALLS_BEFORE = 134
 
+#: The tighter budget once each set of override names binds through one
+#: plan and a memo hit is a lock-free lookup of the prepared call: a
+#: call counted 23 then, 40 before.
+CALLS_PLANNED = 24
+
 
 def perf_programs():
     """``perf/programs.py``, the benchmark's program builders."""
@@ -77,6 +82,44 @@ def test_override_costs_a_third_of_the_calls_it_did(dot64):
     a, b = operands[-1]
     assert output.value == pytest.approx(
         float(a.to_numpy() @ b.to_numpy()))
+
+
+def test_override_binds_through_its_plan_within_budget(dot64):
+    kernel, output, operands = dot64
+    stats, ops = profile_repeats(kernel, operands)
+    assert stats.total_calls / ops <= CALLS_PLANNED
+    called = {name for _, _, name in stats.stats}
+    assert "_bind_plan" not in called       # every plan came from the memo
+    a, b = operands[-1]
+    assert output.value == pytest.approx(
+        float(a.to_numpy() @ b.to_numpy()))
+
+
+def test_a_plan_serves_until_a_rebind_moves_a_name(dot64):
+    """One plan per set of names, kept across calls and name-keeping
+    rebinds; a rebind that moves a name drops it, or ``run(A=...)``
+    would re-point the slot that used to bear ``A``."""
+    kernel, output, operands = dot64
+    C, A, B = kernel.tensors
+    (a1, b1), (a2, b2) = operands[1], operands[2]
+    kernel.run(A=a1, B=b1)
+    plan = kernel.bind_plan(("A", "B"))
+    assert plan.slots == (("A", 1), ("B", 2))
+    kernel.run(A=a2, B=b2)
+    kernel.rebind(A=a1)
+    assert kernel.bind_plan(("A", "B")) is plan
+    as_b, as_a = copy.deepcopy(a2), copy.deepcopy(b2)
+    as_b.name, as_a.name = "B", "A"
+    try:
+        kernel.rebind(A=as_b, B=as_a)       # slot 1 bears B, slot 2 A
+        assert kernel.bind_plan(("A", "B")).slots == (("A", 2), ("B", 1))
+        output.set(0.0)
+        kernel.run(A=b1)
+        assert output.value == pytest.approx(
+            float(as_b.to_numpy() @ b1.to_numpy()))
+        assert kernel.tensors == [C, as_b, as_a]
+    finally:
+        kernel.rebind([C, A, B])
 
 
 def test_repeat_override_recomputes_no_signature(dot64):

@@ -14,6 +14,8 @@ the kernel) and takes no view.
 
 import cProfile
 import pstats
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -178,6 +180,51 @@ def test_a_status_raises_through_the_prepared_call(value, error):
         with pytest.raises(error) as got:
             run()
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("c", marks=needs_cc), "python"])
+def test_threads_cycling_past_the_memo_cap(backend):
+    """Four threads each cycle their own bindings through one entry,
+    more bindings in all than the memo holds: hits race evictions
+    with no lock, and every call still computes its own binding."""
+    kernel, _ = compile_dot(backend)
+    artifact = kernel.artifact
+    _, _, B = kernel.tensors
+    per_thread = runtime.BINDING_MEMO_CAP // 2
+    bindings = [[] for _ in range(4)]
+    for thread, own in enumerate(bindings):
+        for k in range(per_thread):
+            factor = float(thread * per_thread + k + 1)
+            C = fl.Scalar(name="C")
+            args = artifact.bind([C, operand(A_DATA * factor, "A"), B])
+            own.append((C, args, factor * DOT))
+    failures = []
+
+    def cycle(own):
+        try:
+            for _ in range(10):
+                for C, args, want in own:
+                    C.set(0.0)
+                    artifact.fn(*args)
+                    if C.value != pytest.approx(want):
+                        failures.append((C.value, want))
+        except Exception as exc:     # a KeyError from the memo, say
+            failures.append(exc)
+
+    threads = [threading.Thread(target=cycle, args=(own,))
+               for own in bindings]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads between any two ops
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 # ------------------------------------------------------------- python entry

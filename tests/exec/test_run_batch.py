@@ -293,6 +293,47 @@ def test_mapping_datasets_resolve_by_name():
         run_batch(template, [{"nope": outputs[0]}])
 
 
+def test_mapping_datasets_fail_with_their_index():
+    """A name dataset resolves through the kernel's plan for its names,
+    and each binding error still names the dataset it came from."""
+    a0, b0 = make_pair(0)
+    kernel = fl.compile_kernel(dot_program(a0, b0), cache=False)
+    slots = kernel.tensors
+    band_slot = named(slots, "B")
+
+    def dataset(seed, **replace):
+        a, b = make_pair(seed)
+        out = {"A": fl.from_numpy(a, ("sparse",), name="A"),
+               "B": fl.from_numpy(b, ("band",), name="B"),
+               "C": fl.Scalar(name="C")}
+        out.update(replace)
+        return out
+
+    wrong = fl.from_numpy(make_pair(9)[1], ("sparse",), name="B")
+    with KernelPool(kernel, executor="serial") as pool:
+        with pytest.raises(BindingError, match=(
+                r"^dataset 1: no tensor named 'nope' bound by this "
+                r"kernel \(have: A, B, C\)$")):
+            pool.map([dataset(1), {"nope": fl.Scalar(name="C")}])
+        with pytest.raises(BindingError, match=(
+                r"^dataset 2: slot %d \(B\): format signature"
+                % band_slot)):
+            pool.map([dataset(1), dataset(2), dataset(3, B=wrong)])
+        assert pool.stats()["runs"] == 0
+        assert len(pool.map([dataset(4), dataset(5)])) == 2
+
+    X = fl.from_numpy(a0, ("sparse",), name="X")
+    X_twin = fl.from_numpy(b0, ("band",), name="X")
+    i = fl.indices("i")
+    twins = fl.compile_kernel(fl.forall(i, fl.increment(
+        fl.Scalar(name="C")[()], X[i] * X_twin[i])), cache=False)
+    with KernelPool(twins, executor="serial") as pool:
+        with pytest.raises(BindingError, match=(
+                r"^dataset 0: tensor name 'X' is bound to 2 slots")):
+            pool.map([{"X": fl.from_numpy(a0, ("sparse",), name="X"),
+                       "C": fl.Scalar(name="C")}])
+
+
 def test_shared_output_tensor_rejected():
     """Mapping datasets that do not override the output would make
     every dataset write one buffer; the pool refuses."""
