@@ -3,11 +3,8 @@
 The paper's claims are about *work*: ``tests/paper/`` checks them as
 instrumented operation counts and prints each figure as a
 :class:`Table`.  Wall-clock belongs to ``perf/`` (docs/benchmarks.md);
-the one timer here, :func:`median_time_kernel`, is the autotuner's
-(:mod:`repro.tune`).
+nothing here times anything.
 """
-
-import time
 
 
 class Table:
@@ -51,27 +48,6 @@ def _fmt(value):
             return "%.3g" % value
         return "%.3f" % value
     return str(value)
-
-
-def median_time_kernel(kernel, repeats=5, warmup=1):
-    """Median wall-clock seconds over ``repeats`` runs, after
-    ``warmup`` discarded runs.
-
-    The autotuner's measurement (:mod:`repro.tune`): the warmup
-    absorbs first-touch effects (allocator, caches, lazy imports on
-    the run path) and the median resists scheduler noise in both
-    directions — a winner must be *typically* faster, not
-    once-lucky-faster the way a min-of-k can be.
-    """
-    for _ in range(max(0, warmup)):
-        kernel.run()
-    times = []
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        kernel.run()
-        times.append(time.perf_counter() - start)
-    times.sort()
-    return times[len(times) // 2]
 
 
 def _snapshot_outputs(program):

@@ -403,7 +403,7 @@ class Kernel:
     view over a shared :class:`CompiledKernel` artifact."""
 
     def __init__(self, artifact, tensors, program, from_cache=False,
-                 tuned=False, walk=None):
+                 walk=None):
         """Bind ``artifact`` to ``tensors``, ``program``'s tensors in
         slot order.  ``walk`` is the program's :func:`~repro.cin.
         analyze.program_walk` when the caller already made it (and
@@ -417,9 +417,6 @@ class Kernel:
             self._bind(list(tensors))
         self.program = program
         self.from_cache = from_cache
-        #: True when the autotuner's winners table rewrote the program
-        #: (``compile_kernel(..., tune="apply")`` with a hit).
-        self.tuned = tuned
         self._output_slots = walk.output_slots
 
     @property
@@ -805,11 +802,11 @@ def _identity_pinned(tensor, signature):
 
 def compile_kernel(program, instrument=False, name="kernel",
                    constant_loop_rewrite=True, cache=None,
-                   opt_level=None, backend=None, tune=None,
+                   opt_level=None, backend=None,
                    remote=None, store=None):
     """Compile one CIN program into a :class:`Kernel`.
 
-    ``opt_level``, ``backend`` and ``tune`` left at None resolve
+    ``opt_level`` and ``backend`` left at None resolve
     through the package precedence rule (per-call kwarg >
     ``fl.configure`` > ``FL_*`` env > default; see
     :mod:`repro.util.config`), as do ``store`` and ``remote``.
@@ -858,16 +855,6 @@ def compile_kernel(program, instrument=False, name="kernel",
     reality as ``.effective_backend``.  The backend joins
     ``opt_level`` in every cache key, so the two backends never share
     an artifact slot.
-
-    ``tune="apply"`` consults the persisted autotuner winners table
-    (:mod:`repro.tune`) before compiling, at the row of the resolved
-    ``opt_level`` and ``backend``: a hit rewrites the program's access
-    protocols to the winning schedule and changes nothing else; a miss
-    compiles the program exactly as written.  The rewritten program
-    has its own structural key, so the winning variant occupies its
-    own cache/store slot (zero extra compiles in a process whose store
-    already holds the winner's artifact).  It resolves to ``"off"``
-    by default.  The returned kernel reports a table hit as ``.tuned``.
     """
     check_program(program)
     # Identity, not equality: ``1 == True`` would pass.
@@ -881,18 +868,6 @@ def compile_kernel(program, instrument=False, name="kernel",
     if opt_level is None:
         opt_level = DEFAULT_OPT_LEVEL
     backend = _config.resolve("backend", override=backend)
-    tuned = False
-    if _config.resolve("tune", override=tune) == "apply":
-        # Imported lazily: repro.tune compiles candidates through this
-        # module, so a top-level import would be circular.
-        from repro import tune as _tune
-
-        tuning = _tune.lookup_schedule(
-            program, opt_level, backend,
-            constant_loop_rewrite=constant_loop_rewrite)
-        if tuning is not None:
-            program = _tune.apply_schedule(program, tuning)
-            tuned = True
     walk = program_walk(program)
 
     def build():
@@ -908,7 +883,7 @@ def compile_kernel(program, instrument=False, name="kernel",
         store=store if cache else False,
         remote=remote if cache else False)
     return Kernel(artifact, walk.tensors, program,
-                  from_cache=tier is not None, tuned=tuned, walk=walk)
+                  from_cache=tier is not None, walk=walk)
 
 
 def execute(program, instrument=False, cache=None, opt_level=None,

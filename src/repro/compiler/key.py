@@ -68,8 +68,8 @@ def code_fingerprint():
     assembles, and the lowerer reaches them through tensors, not
     imports — so the sound answer to "which code produced this
     kernel?" is the source tree; living in the package is what puts a
-    module in the key.  Any edit turns every persisted kernel and
-    tuning into a miss, never a stale hit: a released install's files
+    module in the key.  Any edit turns every persisted kernel into a
+    miss, never a stale hit: a released install's files
     never change, and CI warms its store per run.
     A source-less install falls back to the package version string.
     Computed once per process.
@@ -92,8 +92,8 @@ def code_fingerprint():
 
 def version_axes():
     """The version axes of the running code — the fields every
-    persisted key (kernel entries, tuning records)
-    carries so that a change to the compiler reads as a miss."""
+    persisted kernel key carries so that a change to the compiler
+    reads as a miss."""
     from repro.ir.ops import registry_version
 
     return {

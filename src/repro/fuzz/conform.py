@@ -28,7 +28,6 @@ import numpy as np
 from repro.baselines.reference import interpret
 from repro.compiler.kernel import CompiledKernel, Kernel, compile_kernel
 from repro.exec.batch import run_batch
-from repro.exec.worker import snapshot_tensor
 from repro.fuzz.gen import build_case, describe_spec, generate_spec
 
 #: The opt-in fault-injection oracle (``conform_spec(..., chaos=True)``).
@@ -79,17 +78,29 @@ class Divergence:
 
 
 class CaseReport:
-    """Everything one conformance run learned about one spec."""
+    """Everything one conformance run learned about one spec.
 
-    def __init__(self, spec, divergences, oracles_run, seconds):
+    ``c_backend`` is the label the ``c_backend`` row ran under:
+    ``"c_backend[c]"`` when the kernel ran native C,
+    ``"c_backend[python]"`` when it fell back, None when the row
+    crashed (or a caller built the report without running it)."""
+
+    def __init__(self, spec, divergences, oracles_run, seconds,
+                 c_backend=None):
         self.spec = spec
         self.divergences = divergences
         self.oracles_run = tuple(oracles_run)
         self.seconds = seconds
+        self.c_backend = c_backend
 
     @property
     def ok(self):
         return not self.divergences
+
+    @property
+    def native_c(self):
+        """True when the ``c_backend`` row really ran C."""
+        return self.c_backend == "c_backend[c]"
 
     def summary(self):
         head = describe_spec(self.spec)
@@ -134,51 +145,12 @@ def _crash(name, exc):
 
 def reference_outputs(program):
     """The reference interpreter's outputs for ``program``, as numpy
-    arrays in :func:`~repro.cin.analyze.output_tensors` order.
-
-    The trusted side of :func:`verify_candidate`, split out so a
-    caller checking many rewrites of one program (the autotuner runs
-    dozens of candidates over identical data) pays for the interpreter
-    once, not once per candidate.
-    """
+    arrays in :func:`~repro.cin.analyze.output_tensors` order."""
     from repro.cin.analyze import output_tensors
 
     reference = interpret(program)
     return [np.asarray(reference.result_for(out))
             for out in output_tensors(program)]
-
-
-def verify_candidate(program, kernel, name="candidate", expected=None):
-    """Bit-identity check of one compiled kernel against the reference
-    interpreter — the eligibility gate of the schedule autotuner
-    (:mod:`repro.tune`): a candidate with any divergence can never
-    become a persisted winner.
-
-    ``kernel`` must be bound to ``program``'s tensors (the tuner's
-    protocol rewrite shares tensors, so the rewritten program
-    qualifies).  The interpreter runs first — it reads inputs and
-    never writes outputs — then the kernel, and every output tensor is
-    compared **bit-for-bit** (:func:`numpy.array_equal`, no
-    tolerance).  A kernel crash is a divergence too, same as in
-    :func:`conform_spec`.  ``expected`` short-circuits the interpreter
-    run with precomputed :func:`reference_outputs` (per-candidate
-    loops).  Returns a list of :class:`Divergence` (empty =
-    conformant).
-    """
-    from repro.cin.analyze import output_tensors
-
-    divergences = []
-    outputs = output_tensors(program)
-    if expected is None:
-        expected = reference_outputs(program)
-    try:
-        kernel.run()
-    except Exception as exc:
-        return [_crash(name, exc)]
-    for pos, (out, want) in enumerate(zip(outputs, expected)):
-        _compare(divergences, "interpreter", name, want,
-                 snapshot_tensor(out), what="output[%d]" % pos)
-    return divergences
 
 
 def _compiled(opts, rebuild=None):
@@ -332,6 +304,7 @@ def conform_spec(spec, profile="quick", chaos=False):
     count, workers = _BATCH_SHAPE.get(profile, _BATCH_SHAPE["quick"])
     rows = battery(chaos)
     ops = {}
+    labels = {}
     for row in rows:
         try:
             label, outputs, n_ops, faults = row.run(row.name, spec, count,
@@ -340,6 +313,7 @@ def conform_spec(spec, profile="quick", chaos=False):
             divergences.append(_crash(row.name, exc))
             continue
         ops[row.name] = n_ops
+        labels[row.name] = label
         datasets = count if row.batch else 1
         if row.name == CHAOS_ORACLE and faults.get("crashes", 0) < 1:
             divergences.append(Divergence(
@@ -368,7 +342,8 @@ def conform_spec(spec, profile="quick", chaos=False):
                      else "output")
     return CaseReport(spec, divergences, ("interpreter",)
                       + tuple(row.name for row in rows),
-                      time.perf_counter() - start)
+                      time.perf_counter() - start,
+                      c_backend=labels.get("c_backend"))
 
 
 def fuzz_one(seed, profile="quick", chaos=False):

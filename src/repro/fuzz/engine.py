@@ -43,10 +43,14 @@ class Failure:
 
 
 class CampaignResult:
-    """The outcome of one :func:`run_fuzz` campaign."""
+    """The outcome of one :func:`run_fuzz` campaign.
+
+    ``native_c`` counts the cases whose ``c_backend`` row really ran C
+    (:attr:`~repro.fuzz.conform.CaseReport.native_c`); the rest fell
+    back to python, or crashed."""
 
     def __init__(self, seed, budget, profile, cases, failures,
-                 seconds, chaos=False):
+                 seconds, chaos=False, native_c=0):
         self.seed = seed
         self.budget = budget
         self.profile = profile
@@ -54,6 +58,7 @@ class CampaignResult:
         self.failures = failures
         self.seconds = seconds
         self.chaos = chaos
+        self.native_c = native_c
 
     @property
     def ok(self):
@@ -67,6 +72,8 @@ class CampaignResult:
                 " chaos=on" if self.chaos else ""),
             "cases: %d conformed in %.1fs (%.0f oracle runs)" % (
                 self.cases, self.seconds, self.cases * oracle_count),
+            "c_backend: %d/%d cases native C" % (self.native_c,
+                                                 self.cases),
         ]
         if self.ok:
             lines.append("result: PASS — zero divergences across all "
@@ -104,12 +111,13 @@ def run_fuzz(seed=0, budget=200, profile="quick",
                          % (profile, ", ".join(PROFILES)))
     start = time.perf_counter()
     failures = []
-    cases = 0
+    cases = native_c = 0
     for step in range(budget):
         derived = case_seed(seed, step)
         spec = generate_spec(derived, profile)
         report = conform_spec(spec, profile=profile, chaos=chaos)
         cases += 1
+        native_c += report.native_c
         if log is not None and (step + 1) % 50 == 0:
             log("  ... %d/%d cases, %d failure(s)"
                 % (step + 1, budget, len(failures)))
@@ -152,4 +160,5 @@ def run_fuzz(seed=0, budget=200, profile="quick",
         if len(failures) >= max_failures:
             break
     return CampaignResult(seed, budget, profile, cases, failures,
-                          time.perf_counter() - start, chaos=chaos)
+                          time.perf_counter() - start, chaos=chaos,
+                          native_c=native_c)

@@ -10,8 +10,8 @@
     print(C.value)
 
 Importing it loads the language and the compile-and-run path only.
-The batch engine, the kernel store, the kernel service, the autotuner
-and the fuzzer resolve on first use, through the ``_LAZY`` table.
+The batch engine, the kernel store, the kernel service and the fuzzer
+resolve on first use, through the ``_LAZY`` table.
 The chaos engine is a test tool: import it from :mod:`repro.chaos`.
 """
 
@@ -72,9 +72,9 @@ from repro.tensors import (
 )
 
 #: Each deferred public name and the module that defines it.  Most
-#: sessions never batch, persist, serve, tune or fuzz; and the tuner
-#: and the fuzzer build programs through this very module, so an eager
-#: import of them would be circular.
+#: sessions never batch, persist, serve or fuzz; and the fuzzer builds
+#: programs through this very module, so an eager import of it would
+#: be circular.
 _LAZY = {
     **dict.fromkeys(("BatchItem", "BatchResult", "EXECUTORS", "KernelPool",
                      "ShmArena", "WorkerPool", "default_pool", "run_batch"),
@@ -85,8 +85,6 @@ _LAZY = {
                     "repro.service.client"),
     "KernelService": "repro.service.server",
     **dict.fromkeys(("fuzz_one", "run_fuzz"), "repro.fuzz"),
-    **dict.fromkeys(("apply_schedule", "lookup_schedule", "tune_program"),
-                    "repro.tune"),
 }
 
 
@@ -115,7 +113,6 @@ __all__ = [
     "KernelService", "ServiceClient", "active_client",
     "reset_service_stats", "service_stats",
     "fuzz_one", "run_fuzz",
-    "apply_schedule", "lookup_schedule", "tune_program",
     "RunOutput", "SparseOutput",
     "Scalar", "Tensor", "convert", "dropfills", "from_numpy",
     "share_dataset", "share_tensor", "symmetric_from_numpy",

@@ -257,8 +257,7 @@ def _cmd_stats(args):
         print("| --- | --- |")
         for name in ("hits", "misses", "hit_rate", "writes",
                      "evictions", "quarantined", "entries", "bytes",
-                     "stale_entries", "stale_bytes", "tunings",
-                     "tuning_hits", "tuning_misses", "tuning_writes"):
+                     "stale_entries", "stale_bytes"):
             value = stats.get(name, 0)
             if name == "hit_rate":
                 value = "%.1f%%" % (100.0 * value)

@@ -87,8 +87,7 @@ _log = logging.getLogger("repro.store")
 #: counts the times a corrupt stats file (a process killed mid-write)
 #: was thrown away and restarted from zero.
 COUNTER_NAMES = ("hits", "misses", "writes", "evictions",
-                 "quarantined", "stats_resets",
-                 "tuning_hits", "tuning_misses", "tuning_writes")
+                 "quarantined", "stats_resets")
 
 try:
     import fcntl
@@ -114,19 +113,8 @@ _ENTRY_PREFIX = "k_"
 #: tens of thousands of files into one directory (directory-listing
 #: and rename costs grow with entry count on most filesystems, and
 #: the kernel service lists by digest prefix).  Two hex characters can
-#: never collide with the reserved ``quarantine``/``tunings``
-#: directory names.
+#: never collide with the reserved ``quarantine`` directory name.
 _SHARD_CHARS = 2
-
-#: Filename prefix of one tuning record (``tunings/``).
-_TUNING_PREFIX = "t_"
-
-#: The two record kinds that share one read path and one write path,
-#: as ``(payload field, counter prefix)``: every record on disk is
-#: ``{"store_version", "key", <payload field>}`` in a file named by
-#: the digest of its key.
-_ENTRY = ("spec", "")
-_TUNING = ("winner", "tuning_")
 
 #: The sidecar suffixes an entry may carry (module docstring).
 SIDECARS = (".so", ".code")
@@ -196,14 +184,14 @@ def _load_code(path, source):
     return decode_code(_read_bytes(path), source)
 
 
-def _check_record(raw, field, digest=None, meta=None):
-    """The record the bytes ``raw`` hold, verified; raises ValueError
-    (or TypeError) for malformed JSON, a missing ``field`` payload,
-    another ``store_version``, or a recorded key that is not ``meta``
-    (when given) or does not hash to ``digest``."""
+def _check_record(raw, digest=None, meta=None):
+    """The entry record the bytes ``raw`` hold, verified; raises
+    ValueError (or TypeError) for malformed JSON, a missing ``spec``
+    payload, another ``store_version``, or a recorded key that is not
+    ``meta`` (when given) or does not hash to ``digest``."""
     record = json.loads(raw)
-    if not isinstance(record, dict) or field not in record:
-        raise ValueError("not a %s record" % field)
+    if not isinstance(record, dict) or "spec" not in record:
+        raise ValueError("not a spec record")
     if record.get("store_version") != STORE_VERSION:
         raise ValueError("store version mismatch")
     if (record.get("key") != meta if meta is not None
@@ -212,11 +200,11 @@ def _check_record(raw, field, digest=None, meta=None):
     return record
 
 
-def encode_record(meta, value, field=_ENTRY[0]):
-    """The bytes of the record filing ``value`` under ``meta`` — the
+def encode_record(meta, spec):
+    """The bytes of the record filing ``spec`` under ``meta`` — the
     one record encoder: the store writes them, a push sends them."""
     return json.dumps(
-        {"store_version": STORE_VERSION, "key": meta, field: value},
+        {"store_version": STORE_VERSION, "key": meta, "spec": spec},
         sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
@@ -225,7 +213,7 @@ def parse_entry(raw, meta):
     must equal ``meta``; raises ValueError (or TypeError) like a
     quarantined read — the check a service fetch applies to a
     record's bytes."""
-    return _check_record(raw, _ENTRY[0], meta=meta)["spec"]
+    return _check_record(raw, meta=meta)["spec"]
 
 
 #: One stored entry as :meth:`KernelStore.read_parts` serves it:
@@ -271,15 +259,15 @@ def _replace_file(path, data):
     os.replace(tmp, path)
 
 
-def _record_files(directory, prefix):
-    """The ``<prefix>*.json`` record paths in ``directory``, in name
-    order ([] when it cannot be listed: absent, or evicted empty)."""
+def _record_files(directory):
+    """The ``k_*.json`` entry paths in ``directory``, in name order
+    ([] when it cannot be listed: absent, or evicted empty)."""
     try:
         names = sorted(os.listdir(directory))
     except OSError:
         return []
     return [os.path.join(directory, name) for name in names
-            if name.startswith(prefix) and name.endswith(".json")]
+            if name.startswith(_ENTRY_PREFIX) and name.endswith(".json")]
 
 
 def _discard(path):
@@ -314,7 +302,6 @@ class KernelStore:
         self._lock_path = os.path.join(self.root, ".lock")
         self._stats_path = os.path.join(self.root, "stats.json")
         self.quarantine_dir = os.path.join(self.root, "quarantine")
-        self.tunings_dir = os.path.join(self.root, "tunings")
         # In-memory (per-process) degradation ledger: IO failures the
         # store absorbed instead of raising.  Logged once, counted
         # always, never an exception — a broken disk tier must leave
@@ -439,12 +426,6 @@ class KernelStore:
     def _entry_path(self, meta):
         return self.entry_path_for_digest(entry_digest(meta))
 
-    def _record_path(self, kind, digest):
-        if kind is _TUNING:
-            return os.path.join(self.tunings_dir,
-                                _TUNING_PREFIX + digest + ".json")
-        return self.entry_path_for_digest(digest)
-
     def entry_path_for_digest(self, digest):
         """The sharded spec path addressing ``digest`` — whether or
         not an entry exists there yet.  The single place the
@@ -483,7 +464,7 @@ class KernelStore:
         """
         entries = []
         for directory in self._shard_dirs():
-            for path in _record_files(directory, _ENTRY_PREFIX):
+            for path in _record_files(directory):
                 try:
                     info = os.stat(path)
                 except OSError:
@@ -509,10 +490,10 @@ class KernelStore:
         return True
 
     # -- reads ---------------------------------------------------------
-    def _read_record(self, kind, digest, count=True, meta=None):
-        """The verified ``kind`` record addressed by ``digest``, as
+    def _read_record(self, digest, count=True, meta=None):
+        """The verified entry record addressed by ``digest``, as
         ``(bytes as written, record)``, or None — the one read path of
-        every persisted record.
+        every persisted entry.
 
         A missing file is a miss.  Any defect — unreadable file,
         malformed JSON, another ``store_version``, a recorded key that
@@ -522,12 +503,10 @@ class KernelStore:
         equal ``meta`` when the caller passes the key ``digest`` was
         computed from, and hash back to ``digest`` otherwise: the two
         checks accept the same records.  ``count=False`` leaves the
-        ``kind``'s hit/miss counters alone (a quarantine is always
-        counted).
+        hit/miss counters alone (a quarantine is always counted).
         """
-        field, prefix = kind
-        path = self._record_path(kind, digest)
-        missed = {prefix + "misses": 1} if count else {}
+        path = self.entry_path_for_digest(digest)
+        missed = {"misses": 1} if count else {}
         try:
             from repro import chaos as _chaos
 
@@ -540,7 +519,7 @@ class KernelStore:
                 raw = handle.read()
             if _chaos.active():
                 raw = _chaos.mangle("store_corrupt_entry", raw)
-            record = _check_record(raw, field, digest, meta)
+            record = _check_record(raw, digest, meta)
         except FileNotFoundError:
             # Never written, or evicted before the open: a plain miss.
             if missed:
@@ -551,13 +530,12 @@ class KernelStore:
             self._bump(quarantined=1, **missed)
             return None
         try:
-            # LRU touch: recently used entries survive eviction
-            # (inert on tunings, which are never evicted).
+            # LRU touch: recently used entries survive eviction.
             os.utime(path)
         except OSError:
             pass
         if count:
-            self._bump(**{prefix + "hits": 1})
+            self._bump(hits=1)
         return raw, record
 
     def read_parts(self, digest):
@@ -574,7 +552,7 @@ class KernelStore:
         counters: the service keeps its own, and a remote fleet's
         traffic must not masquerade as local lookups.
         """
-        found = self._read_record(_ENTRY, digest, count=False)
+        found = self._read_record(digest, count=False)
         if found is None:
             return None
         record, entry = found
@@ -597,7 +575,7 @@ class KernelStore:
     def load_spec(self, meta):
         """The stored spec for ``meta``, or None (counts a miss; see
         :meth:`_read_record` for what reads as one)."""
-        found = self._read_record(_ENTRY, entry_digest(meta), meta=meta)
+        found = self._read_record(entry_digest(meta), meta=meta)
         return None if found is None else found[1]["spec"]
 
     def load_artifact(self, meta, structural_key=None):
@@ -613,7 +591,7 @@ class KernelStore:
         stored one again.
         """
         digest = entry_digest(meta)
-        found = self._read_record(_ENTRY, digest, meta=meta)
+        found = self._read_record(digest, meta=meta)
         if found is None:
             return None
         path = self.entry_path_for_digest(digest)
@@ -686,7 +664,7 @@ class KernelStore:
         spec alone rebuilds the kernel, so a lost or stale sidecar
         costs one compile, never correctness.
         """
-        return self._write_record(_ENTRY, entry_digest(meta),
+        return self._write_record(entry_digest(meta),
                                   encode_record(meta, spec),
                                   sidecar_bytes(spec, so_path, code))
 
@@ -704,7 +682,7 @@ class KernelStore:
         ``.so`` only when the spec carries the C source it was built
         from.  The write mirror of :meth:`read_parts`.
         """
-        spec = _check_record(record, _ENTRY[0], digest)["spec"]
+        spec = _check_record(record, digest)["spec"]
         path = self.entry_path_for_digest(digest)
         if os.path.exists(path):
             return False
@@ -716,43 +694,38 @@ class KernelStore:
             sidecars[".so"] = so
         if decode_code(code, spec["source"]) is not None:
             sidecars[".code"] = code
-        return bool(self._write_record(_ENTRY, digest, record, sidecars,
+        return bool(self._write_record(digest, record, sidecars,
                                        new_only=True))
 
-    def _write_record(self, kind, digest, payload, sidecars=None,
-                      new_only=False):
-        """Persist the record bytes ``payload`` as the ``kind`` record
-        addressed by ``digest``, under the lock, and evict past
-        ``max_bytes`` — the one write path of every persisted record;
-        returns its path, None when the store is unwritable, and False
-        when ``new_only`` finds a record there already.  An entry's
-        ``sidecars`` (suffix -> bytes) are written beside it, and a
-        sidecar it does not name is removed: a rewrite must not leave
-        a stale one behind."""
-        field, prefix = kind
-        path = self._record_path(kind, digest)
+    def _write_record(self, digest, payload, sidecars, new_only=False):
+        """Persist the record bytes ``payload`` as the entry addressed
+        by ``digest``, under the lock, and evict past ``max_bytes`` —
+        the one write path of every persisted entry; returns its path,
+        None when the store is unwritable, and False when ``new_only``
+        finds an entry there already.  The ``sidecars`` (suffix ->
+        bytes) are written beside it, and a sidecar it does not name is
+        removed: a rewrite must not leave a stale one behind."""
+        path = self.entry_path_for_digest(digest)
         try:
             with self._lock():
                 if new_only and os.path.exists(path):
                     return False
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                if kind is _ENTRY:
-                    for suffix in SIDECARS:
-                        target = _sidecar_path(path, suffix)
-                        if suffix in sidecars:
-                            _replace_file(target, sidecars[suffix])
-                        else:
-                            _discard(target)
+                for suffix in SIDECARS:
+                    target = _sidecar_path(path, suffix)
+                    if suffix in sidecars:
+                        _replace_file(target, sidecars[suffix])
+                    else:
+                        _discard(target)
                 _replace_file(path, payload)
-                evicted = (self._evict_locked(keep=path)
-                           if kind is _ENTRY else 0)
+                evicted = self._evict_locked(keep=path)
         except OSError as exc:
             # An unwritable store (read-only fleet mount, disk full)
             # degrades to a read-only tier: the compile that wanted to
             # write behind still succeeded.
-            self._note_io_error("%s write" % field, exc)
+            self._note_io_error("spec write", exc)
             return None
-        self._bump(**{prefix + "writes": 1, "evictions": evicted})
+        self._bump(writes=1, evictions=evicted)
         return path
 
     def _evict_locked(self, keep=None):
@@ -773,59 +746,7 @@ class KernelStore:
             evicted += 1
         return evicted
 
-    # -- tunings -------------------------------------------------------
-    # The winners table of the schedule autotuner
-    # (:mod:`repro.tune`): tiny JSON records under ``tunings/``,
-    # addressed by a protocol-erased structural digest plus the same
-    # version axes entries invalidate on.  Same durability discipline
-    # as entries — atomic tmp+rename writes under the store lock,
-    # defects quarantined (never deleted) and read as misses — but no
-    # LRU eviction: a tuning record is a few hundred bytes of
-    # *measurement*, and rerunning the search it summarizes costs far
-    # more than the bytes ever will.
-
-    def save_tuning(self, meta, winner):
-        """Persist one tuning winner under ``meta``; returns the
-        record path (None when the store is unwritable)."""
-        return self._write_record(_TUNING, entry_digest(meta),
-                                  encode_record(meta, winner, _TUNING[0]))
-
-    def load_tuning(self, meta):
-        """The stored winner record for ``meta``, or None.
-
-        Exactly the entry contract (:meth:`_read_record`): a missing
-        record is a miss, and any defect is quarantined and reads as a
-        miss.  A version-axis change (op registry, code fingerprint,
-        tune layout) lands in a *different* digest, so stale winners
-        are simply never found.
-        """
-        found = self._read_record(_TUNING, entry_digest(meta),
-                                  meta=meta)
-        return None if found is None else found[1]["winner"]
-
     # -- inspection ----------------------------------------------------
-    @staticmethod
-    def _list_records(paths, kind):
-        """``(path, key-meta, payload)`` of every readable record of
-        ``kind`` among ``paths`` (unreadable ones are skipped, not
-        quarantined: listing is inspection, not lookup)."""
-        field, _ = kind
-        listed = []
-        for path in paths:
-            try:
-                with open(path) as handle:
-                    record = json.load(handle)
-                listed.append((path, record["key"], record[field]))
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-        return listed
-
-    def tunings(self):
-        """Parsed ``(path, key-meta, winner)`` triples of every
-        readable tuning record."""
-        return self._list_records(
-            _record_files(self.tunings_dir, _TUNING_PREFIX), _TUNING)
-
     def entries(self):
         """Parsed ``(path, key-meta)`` pairs of every readable entry."""
         return self._list_entries(self._entry_files())
@@ -836,11 +757,21 @@ class KernelStore:
         return [os.path.basename(path)[len(_ENTRY_PREFIX):-len(".json")]
                 for path, _, _ in self._entry_files()]
 
-    def _list_entries(self, files):
+    @staticmethod
+    def _list_entries(files):
         """``(path, key-meta)`` of the readable entries among
-        ``files`` (``_entry_files`` rows)."""
-        return [(path, meta) for path, meta, _ in self._list_records(
-            [path for path, _, _ in files], _ENTRY)]
+        ``files`` (``_entry_files`` rows; unreadable ones are skipped,
+        not quarantined: listing is inspection, not lookup)."""
+        listed = []
+        for path, _, _ in files:
+            try:
+                with open(path) as handle:
+                    record = json.load(handle)
+                if "spec" in record:
+                    listed.append((path, record["key"]))
+            except (OSError, ValueError, KeyError, TypeError):
+                continue
+        return listed
 
     def _stale_files(self, files):
         """The rows of ``files`` whose recorded key another code
@@ -870,7 +801,6 @@ class KernelStore:
             for path, _, _ in self._entry_files():
                 self._discard_entry(path)
             shutil.rmtree(self.quarantine_dir, ignore_errors=True)
-            shutil.rmtree(self.tunings_dir, ignore_errors=True)
             _discard(self._stats_path)
 
     def stats(self):
@@ -897,8 +827,6 @@ class KernelStore:
         except OSError:
             pass
         counters.update({
-            "tunings": len(_record_files(self.tunings_dir,
-                                         _TUNING_PREFIX)),
             "entries": len(files),
             "bytes": sum(size for _, size, _ in files),
             "stale_entries": len(stale),

@@ -25,7 +25,6 @@ option                environment variable        owns
 ``store_max_bytes``   ``FL_KERNEL_STORE_MAX_BYTES``  store size budget
 ``backend``           ``FL_KERNEL_BACKEND``       ``python`` / ``c``
 ``opt_level``         ``FL_KERNEL_OPT_LEVEL``     optimizer level 0/1/2
-``tune``              ``FL_KERNEL_TUNE``          ``off`` / ``apply``
 ``service_url``       ``FL_SERVICE_URL``          remote kernel service
 ``service_timeout_s``  ``FL_SERVICE_TIMEOUT_S``   per-request timeout
 ``service_retries``   ``FL_SERVICE_RETRIES``      request retry budget
@@ -46,7 +45,7 @@ import os
 import threading
 
 __all__ = [
-    "BACKENDS", "OPTIONS", "OPT_LEVELS", "TUNE_MODES", "UNSET", "clear",
+    "BACKENDS", "OPTIONS", "OPT_LEVELS", "UNSET", "clear",
     "configure", "option_names", "resolve", "restore", "runtime_config",
     "snapshot", "source", "worker_count",
 ]
@@ -57,12 +56,6 @@ __all__ = [
 #: for constructs the C emitter does not cover, or when no C compiler
 #: is installed — see :mod:`repro.codegen`).
 BACKENDS = ("python", "c")
-
-#: The values the ``tune`` option accepts: ``"off"`` compiles the
-#: program exactly as written, ``"apply"`` consults the persisted
-#: autotuner winners table (:mod:`repro.tune`) and compiles the
-#: winning schedule when one is on record.
-TUNE_MODES = ("off", "apply")
 
 #: The optimizer levels (:mod:`repro.ir.optimize`): 0 emits the
 #: lowered code, 1 adds the scalar passes, 2 dense-loop vectorization.
@@ -155,9 +148,6 @@ OPTIONS = {
         Option("opt_level", "FL_KERNEL_OPT_LEVEL", _int_or_text, None,
                choices=OPT_LEVELS,
                doc="optimizer level (None = the compiler default)"),
-        Option("tune", "FL_KERNEL_TUNE", str, "off",
-               choices=TUNE_MODES,
-               doc="autotuner winners-table mode"),
         Option("service_url", "FL_SERVICE_URL", str, None,
                doc="base URL of the remote kernel service "
                    "(None = no remote tier)"),

@@ -682,6 +682,41 @@ class TestTrappingOperands:
             == "= %r" % math.sqrt(value)
 
 
+_SLICE = ("Slice node (the slice operation of a dense reset or a "
+          "vectorized loop) has no C lowering yet")
+
+#: What each figure's headline kernel runs as under ``backend="c"``,
+#: and the ledger's reasons when it falls back.  A C lowering that
+#: lands moves its figures to ``("c", [])`` here.
+FIGURE_C_STATUS = {
+    "fig1_dot": ("c", []),
+    "fig7_spmspv": ("python", [_SLICE]),
+    "fig8_triangles": ("c", []),
+    "fig9_convolution": ("python", [_SLICE]),
+    "fig10_alpha": ("python", ["buffer 'A_vals' has dtype uint8 (C "
+                               "backend supports bool/float64/int64)"]),
+    "fig11_allpairs": ("python", [_SLICE]),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("figure", sorted(FIGURE_C_STATUS))
+def test_each_figure_runs_c_or_says_why_not(figure):
+    """A C-requested figure kernel either runs native C with an empty
+    ledger, or falls back to python with exactly its pinned reasons."""
+    from repro.bench.figures import warm_start_programs
+
+    programs = {row[0]: row[1:] for row in warm_start_programs()}
+    assert set(programs) == set(FIGURE_C_STATUS)
+    label, make_program, opts = programs[figure]
+    codegen.clear_fallback_events()
+    kernel = fl.compile_kernel(make_program(), backend="c", cache=False,
+                               **opts)
+    backend, reasons = FIGURE_C_STATUS[figure]
+    assert kernel.effective_backend == backend, label
+    assert [r for _, r in codegen.fallback_events()] == reasons, label
+
+
 @needs_cc
 class TestUnsupportedConstructFallback:
     def test_vectorized_kernel_falls_back(self):

@@ -1,6 +1,6 @@
 """A compile is asked for with keyword arguments only.
 
-``opt_level``, ``backend`` and ``tune`` are validated where they
+``opt_level`` and ``backend`` are validated where they
 resolve (:mod:`repro.util.config`), whichever layer sets them: the
 keyword argument, ``fl.configure`` or the ``FL_*`` environment.
 ``execute`` and ``run_batch`` pass theirs through to
@@ -34,16 +34,17 @@ def dot_program(n=40, seed=0):
     return fl.forall(i, fl.increment(C[()], A[i] * B[i]))
 
 
-def test_backend_and_tune_validated_as_kwargs():
+def test_backend_validated_as_kwarg():
     with pytest.raises(ValueError, match="backend must be one of"):
         fl.compile_kernel(dot_program(), cache=False, backend="rust")
-    with pytest.raises(ValueError, match="tune must be one of"):
-        fl.compile_kernel(dot_program(), cache=False, tune="always")
+    # A program compiles with the protocols it spells: no tune keyword.
+    with pytest.raises(TypeError, match="tune"):
+        fl.compile_kernel(dot_program(), cache=False, tune="apply")
 
 
 #: Each was once compiled and reported as a level of its own (``2.7``
-#: as 2, ``True`` as 1), taking a cache slot, a store entry and a
-#: tuning candidate for a kernel identical to level 0 or 2.
+#: as 2, ``True`` as 1), taking a cache slot and a store entry for a
+#: kernel identical to level 0 or 2.
 BAD_LEVELS = [7, -1, 2.7, True, 9]
 LEVELS_ERROR = "opt_level must be one of 0/1/2"
 

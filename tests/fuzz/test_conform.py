@@ -67,3 +67,27 @@ def test_scalar_and_vector_outputs_both_snapshot():
             break
     else:  # pragma: no cover - seed range always contains a reduce
         raise AssertionError("no reduce template in the seed range")
+
+
+def test_campaign_counts_the_cases_that_ran_native_c():
+    """The summary's ``c_backend`` count is the number of cases whose
+    C-requesting compile really ran C, case by case."""
+    from repro import codegen
+    from repro.compiler.kernel import compile_kernel
+    from repro.fuzz import build_case, case_seed, run_fuzz
+    from repro.fuzz.conform import ORACLE_COMPILE_OPTS
+
+    seed, budget = 2, 6
+    result = run_fuzz(seed=seed, budget=budget, profile="quick",
+                      corpus_dir=None)
+    assert result.ok, result.summary()
+    ran = [compile_kernel(build_case(generate_spec(
+        case_seed(seed, step), "quick")).program, cache=False,
+        **ORACLE_COMPILE_OPTS[3]).effective_backend
+        for step in range(budget)]
+    assert result.native_c == ran.count("c")
+    assert "c_backend: %d/%d cases native C" % (ran.count("c"), budget) \
+        in result.summary().splitlines()
+    if codegen.have_toolchain():
+        # These six cases draw both kinds; at least one runs C.
+        assert result.native_c > 0

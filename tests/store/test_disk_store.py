@@ -198,7 +198,7 @@ def _unreadable(path, record):
     os.mkdir(path)  # open() raises IsADirectoryError (root-proof)
 
 
-COUNTED = ("hits", "misses", "tuning_hits", "tuning_misses")
+COUNTED = ("hits", "misses")
 
 RECORD_KINDS = {
     # kind: (save, look up -> payload or None, miss counter, hit counter)
@@ -209,9 +209,6 @@ RECORD_KINDS = {
                    lambda store, meta:
                    store.read_parts(entry_digest(meta)),
                    None, None),
-    "tuning": (lambda store, meta: store.save_tuning(meta, {"body": 1}),
-               lambda store, meta: store.load_tuning(meta),
-               "tuning_misses", "tuning_hits"),
 }
 
 
@@ -221,9 +218,9 @@ RECORD_KINDS = {
                                     _unreadable])
 def test_every_defect_of_every_record_kind_is_a_quarantined_miss(
         tmp_path, kind, defect):
-    """Entries, the service's raw entry read and tunings share one
-    reader: whatever is wrong with a record, it is moved aside (never
-    deleted, never served), counted once, and reads as a miss."""
+    """Entries and the service's raw entry read share one reader:
+    whatever is wrong with a record, it is moved aside (never deleted,
+    never served), counted once, and reads as a miss."""
     save, lookup, misses, hits = RECORD_KINDS[kind]
     store = KernelStore(tmp_path)
     meta = {"name": kind, "structural_digest": "0" * 40}

@@ -88,6 +88,28 @@ def test_corrupt_stats_json_resets_instead_of_crashing(tmp_path,
     assert persisted["hits"] == 1
 
 
+def test_stats_json_with_retired_counters_still_reads(tmp_path):
+    """A stats.json written when the store kept tuning records reads as
+    the counters it shares with today's, with no reset; the retired
+    ``tuning_*`` keys are dropped at the next flush."""
+    store = KernelStore(tmp_path)
+    stats_path = os.path.join(str(tmp_path), "stats.json")
+    with open(stats_path, "w") as handle:
+        json.dump({"hits": 3, "misses": 2, "writes": 2, "tuning_hits": 4,
+                   "tuning_misses": 1, "tuning_writes": 1}, handle)
+
+    stats = store.stats()
+    assert (stats["hits"], stats["misses"], stats["writes"]) == (3, 2, 2)
+    assert stats["stats_resets"] == 0
+    assert not any(name.startswith("tuning") for name in stats)
+
+    store._bump(hits=1)
+    store.stats()
+    persisted = json.load(open(stats_path))
+    assert persisted["hits"] == 4
+    assert not any(name.startswith("tuning") for name in persisted)
+
+
 def test_unwritable_root_degrades_to_memory_only(tmp_path,
                                                  monkeypatch, caplog):
     """Every write failure is absorbed: compiles succeed, io_errors

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import Table, median_time_kernel, summarize
+from repro.bench.harness import Table, summarize
 
 
 class TestTable:
@@ -41,16 +41,3 @@ class TestHelpers:
         assert summarize([3, 1, 2]) == (1, 2, 3)
         assert summarize([]) == (0.0, 0.0, 0.0)
         assert summarize([7]) == (7, 7, 7)
-
-    def test_median_time_kernel_discards_warmup(self):
-        class FakeKernel:
-            def __init__(self):
-                self.calls = 0
-
-            def run(self):
-                self.calls += 1
-
-        kernel = FakeKernel()
-        elapsed = median_time_kernel(kernel, repeats=5, warmup=2)
-        assert kernel.calls == 7  # 2 warmup + 5 timed
-        assert elapsed >= 0.0

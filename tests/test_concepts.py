@@ -25,7 +25,9 @@ op-count claims are tier-1 tests in ``tests/paper/``; the brackets keep
 the pattern from matching itself), one kind of kernel argument (every
 argument is an ndarray: append outputs are arrays, so the builder
 objects and their pickled transport stay deleted), two access
-protocols with one spelling each (walk and gallop), and a closed target
+protocols with one spelling each (walk and gallop) and no search that
+respells them (the autotuner and the store's tuning records stay
+deleted), and a closed target
 IR (no opaque Raw statement, and so no regex built over emitted text to
 guess what a line reads and writes: a dense reset and a vectorized loop
 are Slice/Reduce nodes, and effects are read off the nodes).
@@ -248,14 +250,15 @@ GUARDS = (
           "the service client keeps an http.client connection per"
           " process and thread: no urllib",
           ("src/repro/service/client.py", "import urllib.request")),
-    # A schedule is its protocols: the tuner searches no level or
-    # backend, and a winners-table hit adopts neither.
-    Guard("tuner_levels", r"opt_levels|--opt-levels|tuning\.get\(",
-          ("src/repro/tune", "src/repro/compiler/kernel.py"),
-          "the tuner searches protocols only: opt_level and backend"
-          " resolve through util/config.py",
-          ("src/repro/tune/__init__.py", "for level in opt_levels:"),
-          py_only=False),
+    # The protocols a program spells are the ones it compiles: no
+    # search rewrites them, and the store keeps one record kind.
+    Guard("autotuner", r"repro\.tune\b|FL_KERNEL_TUNE|\btune=|tunings",
+          ("src/repro",),
+          "the autotuner is gone: a program compiles with the protocols"
+          " it spells, and the store keeps kernel entries only",
+          ("src/repro/compiler/kernel.py",
+           "opt_level=None, backend=None, tune=None,"),
+          absent="src/repro/tune/__init__.py"),
     # Two protocols, one spelling each: follow and locate compiled
     # exactly like walk, an unmarked mode is stored as walk, and both
     # protocols lead a loop.  ``Level.locate``, the random access
@@ -268,7 +271,7 @@ GUARDS = (
           ("src/repro",),
           "an unmarked mode is walk and every protocol leads: no format"
           " default, no leader rule",
-          ("src/repro/tune/schedule.py",
+          ("src/repro/cin/nodes.py",
            'LEADER_PROTOCOLS = (None, "walk", "gallop", "follow")')),
     # One way to ask for a compile: keyword arguments, cache on or off,
     # and a spec that carries one python source.

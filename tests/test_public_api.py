@@ -74,7 +74,7 @@ import sys
 import repro.lang as fl
 
 PACKAGES = ("repro.exec", "repro.store", "repro.chaos", "repro.service",
-            "repro.tune", "repro.fuzz")
+            "repro.fuzz")
 
 
 def loaded():
@@ -105,8 +105,7 @@ def test_importing_the_language_loads_no_infrastructure():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     touched = [("KernelPool", "repro.exec"), ("KernelStore", "repro.store"),
-               ("ServiceClient", "repro.service"),
-               ("tune_program", "repro.tune"), ("run_fuzz", "repro.fuzz")]
+               ("ServiceClient", "repro.service"), ("run_fuzz", "repro.fuzz")]
     out = subprocess.run(
         [sys.executable, "-c", _BOUNDARY_PROBE] + [n for n, _ in touched],
         env=env, capture_output=True, text=True, check=True,

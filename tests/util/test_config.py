@@ -2,8 +2,8 @@
 
 The package-wide contract is ``per-call kwarg > fl.configure(...) >
 FL_* env > default``.  These tests prove it layer by layer for the
-resolver itself, then end-to-end for the four axes the acceptance
-criteria name — store, backend, tune, and service URL — driving real
+resolver itself, then end-to-end for the three axes a compile reads
+from every layer — store, backend and service URL — driving real
 ``compile_kernel`` / ``active_store`` / ``active_client`` calls, not
 just ``resolve``.
 """
@@ -47,7 +47,7 @@ def clean_state(monkeypatch):
 
 def test_default_layer():
     assert config.resolve("backend") == "python"
-    assert config.resolve("tune") == "off"
+    assert config.resolve("opt_level") is None
     assert config.resolve("store_path") is None
     assert config.resolve("service_url") is None
     assert config.source("backend") == "default"
@@ -55,9 +55,9 @@ def test_default_layer():
 
 def test_env_beats_default(monkeypatch):
     monkeypatch.setenv("FL_KERNEL_BACKEND", "c")
-    monkeypatch.setenv("FL_KERNEL_TUNE", "apply")
+    monkeypatch.setenv("FL_KERNEL_OPT_LEVEL", "1")
     assert config.resolve("backend") == "c"
-    assert config.resolve("tune") == "apply"
+    assert config.resolve("opt_level") == 1
     assert config.source("backend") == "env"
 
 
@@ -83,11 +83,11 @@ def test_kwarg_beats_configure(monkeypatch):
 
 
 def test_unset_drops_the_configure_layer(monkeypatch):
-    monkeypatch.setenv("FL_KERNEL_TUNE", "apply")
-    fl.configure(tune="off")
-    assert config.resolve("tune") == "off"
-    fl.configure(tune=config.UNSET)
-    assert config.resolve("tune") == "apply"
+    monkeypatch.setenv("FL_KERNEL_BACKEND", "c")
+    fl.configure(backend="python")
+    assert config.resolve("backend") == "python"
+    fl.configure(backend=config.UNSET)
+    assert config.resolve("backend") == "c"
 
 
 def test_none_is_a_value_not_unset(monkeypatch):
@@ -106,6 +106,9 @@ def test_unknown_option_rejected():
         fl.configure(no_such_option=1)
     with pytest.raises(ValueError, match="unknown configuration"):
         config.resolve("no_such_option")
+    # The autotuner's winners-table mode went with the autotuner.
+    with pytest.raises(ValueError, match="unknown configuration"):
+        fl.configure(tune="apply")
 
 
 def test_removed_pool_options_are_unknown():
@@ -114,14 +117,14 @@ def test_removed_pool_options_are_unknown():
     # not config options.
     with pytest.raises(ValueError, match="unknown configuration"):
         fl.configure(pool_deadline_s=1)
-    assert len(config.OPTIONS) == 11
+    assert len(config.OPTIONS) == 10
 
 
 def test_choices_validated():
     with pytest.raises(ValueError, match="backend must be"):
         fl.configure(backend="rust")
-    with pytest.raises(ValueError, match="tune must be"):
-        fl.configure(tune="always")
+    with pytest.raises(ValueError, match="opt_level must be"):
+        fl.configure(opt_level=7)
 
 
 def test_env_values_parsed(monkeypatch):
@@ -140,26 +143,26 @@ def test_runtime_config_reports_every_option():
 
 
 def test_runtime_config_detailed_names_the_layer(monkeypatch):
-    monkeypatch.setenv("FL_KERNEL_TUNE", "apply")
+    monkeypatch.setenv("FL_KERNEL_OPT_LEVEL", "1")
     fl.configure(backend="c")
     detailed = fl.runtime_config(detailed=True)
     assert detailed["backend"] == {
         "value": "c", "source": "configure",
         "env": "FL_KERNEL_BACKEND"}
-    assert detailed["tune"]["source"] == "env"
-    assert detailed["opt_level"]["source"] == "default"
+    assert detailed["opt_level"]["source"] == "env"
+    assert detailed["service_url"]["source"] == "default"
 
 
 def test_snapshot_restore_roundtrip():
-    fl.configure(backend="c", tune="apply")
+    fl.configure(backend="c", opt_level=1)
     before = config.snapshot()
-    fl.configure(backend="python", tune=config.UNSET)
+    fl.configure(backend="python", opt_level=config.UNSET)
     config.restore(before)
     assert config.resolve("backend") == "c"
-    assert config.resolve("tune") == "apply"
+    assert config.resolve("opt_level") == 1
 
 
-# -- end-to-end: the four named axes ---------------------------------------
+# -- end-to-end: the three named axes --------------------------------------
 
 
 def test_store_precedence_end_to_end(tmp_path, monkeypatch):
@@ -186,14 +189,16 @@ def test_backend_precedence_end_to_end(monkeypatch):
     assert kernel.backend == "c"  # the kwarg beat configure
 
 
-def test_tune_precedence_end_to_end(monkeypatch):
-    monkeypatch.setenv("FL_KERNEL_TUNE", "apply")
-    assert config.resolve("tune", override=None) == "apply"
-    fl.configure(tune="off")
-    assert config.resolve("tune", override=None) == "off"
-    assert config.resolve("tune", override="apply") == "apply"  # kwarg wins
-    with pytest.raises(ValueError, match="tune must be one of"):
-        config.resolve("tune", override="always")
+def test_backend_override_resolves_and_validates(monkeypatch):
+    monkeypatch.setenv("FL_KERNEL_BACKEND", "c")
+    assert config.resolve("backend", override=None) == "c"
+    assert fl.compile_kernel(dot_program()[0],
+                             cache=False).backend == "c"  # env alone
+    fl.configure(backend="python")
+    assert config.resolve("backend", override=None) == "python"
+    assert config.resolve("backend", override="c") == "c"  # kwarg wins
+    with pytest.raises(ValueError, match="backend must be one of"):
+        config.resolve("backend", override="rust")
 
 
 def test_service_url_precedence_end_to_end(monkeypatch):
