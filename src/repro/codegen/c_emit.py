@@ -29,8 +29,10 @@ Python arithmetic exactly where C differs:
   rounding mode, matching Python's ``round``); on NaN or an infinity it
   sets the kernel's ``fl_status``, the kernel returns it, and the entry
   raises what ``round`` raises (:data:`STATUS_ERRORS`),
-* the ``search_ge``/``search_abs_ge`` protocol helpers are the same
-  binary searches as :mod:`repro.ir.ops`, over the typed pointer.
+* the ``search_ge``/``search_abs_ge`` protocol helpers return the
+  position :mod:`repro.ir.ops`'s binary searches return, over the typed
+  pointer, but gallop: they probe ``lo``, ``lo+1``, ``lo+3``, ... and
+  binary-search only the last gap, so a short seek costs a few probes.
 
 How each operator lowers — an infix symbol, a prelude helper, one of the
 named custom renderers below — is declared on its
@@ -212,10 +214,20 @@ static inline int64_t fl_round_u8(double v, int64_t *status) {
     return (int64_t) r;
 }
 
+/* Galloping searches: probe lo, lo+1, lo+3, lo+7, ... until a probe
+   reaches key (or passes hi), then binary-search the last gap.  A seek
+   that lands k positions ahead costs O(log k), not O(log(hi - lo)). */
 static inline int64_t fl_search_ge(const int64_t *idx, int64_t lo,
                                    int64_t hi, int64_t key) {
+    int64_t probe = lo, step = 1;
+    while (probe < hi && idx[probe] < key) {
+        lo = probe + 1;
+        probe += step;
+        step *= 2;
+    }
+    if (probe < hi) hi = probe;
     while (lo < hi) {
-        int64_t mid = (lo + hi) / 2;
+        int64_t mid = lo + (hi - lo) / 2;
         if (idx[mid] < key) lo = mid + 1;
         else hi = mid;
     }
@@ -224,8 +236,16 @@ static inline int64_t fl_search_ge(const int64_t *idx, int64_t lo,
 
 static inline int64_t fl_search_abs_ge(const int64_t *idx, int64_t lo,
                                        int64_t hi, int64_t key) {
+    int64_t probe = lo, step = 1;
+    while (probe < hi && (idx[probe] < 0 ? -idx[probe] : idx[probe])
+           < key) {
+        lo = probe + 1;
+        probe += step;
+        step *= 2;
+    }
+    if (probe < hi) hi = probe;
     while (lo < hi) {
-        int64_t mid = (lo + hi) / 2;
+        int64_t mid = lo + (hi - lo) / 2;
         int64_t v = idx[mid];
         if ((v < 0 ? -v : v) < key) lo = mid + 1;
         else hi = mid;

@@ -460,8 +460,9 @@ class Lowerer:
                 self.ctx.emit(piece)
             for piece in node.looplet.seek(self.ctx, start):
                 self.ctx.emit(folded_seek(piece))
-            # A seek is one unit of coiteration work (a binary search),
-            # counted where its search folded away too.
+            # A seek is one unit of coiteration work (a search, however
+            # many probes it makes), counted where its search folded
+            # away too.
             self.ctx.emit(self.ctx.count_op())
 
         def loop_body():

@@ -25,6 +25,7 @@ import time
 
 import numpy as np
 
+from repro import codegen
 from repro.baselines.reference import interpret
 from repro.compiler.kernel import CompiledKernel, Kernel, compile_kernel
 from repro.exec.batch import run_batch
@@ -49,6 +50,11 @@ ORACLE_COMPILE_OPTS = (
     {"instrument": True, "opt_level": 2},
     {"instrument": True, "opt_level": 2, "backend": "c"},
 )
+
+#: The reason a ``c_backend`` fallback counts under when a cache tier
+#: served the compile: a hit runs no emitter and no toolchain, so it
+#: files no ledger event to read the reason from.
+CACHED_FALLBACK = "served from a cache tier (no fallback event)"
 
 #: Per-profile batch shape: (datasets per batch, workers).
 _BATCH_SHAPE = {"quick": (2, 2), "deep": (3, 3)}
@@ -83,15 +89,19 @@ class CaseReport:
     ``c_backend`` is the label the ``c_backend`` row ran under:
     ``"c_backend[c]"`` when the kernel ran native C,
     ``"c_backend[python]"`` when it fell back, None when the row
-    crashed (or a caller built the report without running it)."""
+    crashed (or a caller built the report without running it).
+    ``c_fallback`` is why it fell back: the reason of the fallback
+    event its compile filed (:func:`repro.codegen.fallback_events`),
+    or :data:`CACHED_FALLBACK`; None when it ran C or crashed."""
 
     def __init__(self, spec, divergences, oracles_run, seconds,
-                 c_backend=None):
+                 c_backend=None, c_fallback=None):
         self.spec = spec
         self.divergences = divergences
         self.oracles_run = tuple(oracles_run)
         self.seconds = seconds
         self.c_backend = c_backend
+        self.c_fallback = c_fallback
 
     @property
     def ok(self):
@@ -161,15 +171,36 @@ def _compiled(opts, rebuild=None):
     fall back to python, and that path must agree too."""
     def run(name, spec, count, workers):
         case = build_case(spec)
+        filed = _events_filed()
         kernel = compile_kernel(case.program, **opts)
         if rebuild is not None:
             kernel = Kernel(rebuild(kernel), case.slot_tensors(),
                             case.program)
         n_ops = kernel.run()
+        fallback = None
         if "backend" in opts:
             name = "%s[%s]" % (name, kernel.effective_backend)
-        return name, [case.output_array()], int(n_ops), None
+            if kernel.effective_backend != opts["backend"]:
+                fallback = _fallback_since(filed)
+        return name, [case.output_array()], int(n_ops), fallback
     return run
+
+
+def _events_filed():
+    """How many fallback events the codegen ledger has filed so far."""
+    events = codegen.fallback_events()
+    return len(events) + events.dropped
+
+
+def _fallback_since(filed):
+    """The reason of the first fallback event filed after the first
+    ``filed`` (:func:`_events_filed`); :data:`CACHED_FALLBACK` when
+    none was."""
+    events = codegen.fallback_events()
+    new = len(events) + events.dropped - filed
+    if new <= 0:
+        return CACHED_FALLBACK
+    return events[max(len(events) - new, 0)][1]
 
 
 def _via_spec(kernel):
@@ -242,7 +273,8 @@ def _chaos_batch(name, spec, count, workers):
 
 #: One battery row: the oracle's name; ``run(name, spec, count,
 #: workers)``, returning (divergence label, one output per dataset,
-#: op count, fault ledger); the row whose op count this row's must
+#: op count, ledger: a batch's fault counts, a backend-requesting
+#: row's fallback reason or None); the row whose op count this row's must
 #: equal (``count`` times over for a batch) — no layer may change the
 #: measured work; and whether the row maps a batch of ``count``
 #: datasets.
@@ -305,20 +337,22 @@ def conform_spec(spec, profile="quick", chaos=False):
     rows = battery(chaos)
     ops = {}
     labels = {}
+    ledgers = {}
     for row in rows:
         try:
-            label, outputs, n_ops, faults = row.run(row.name, spec, count,
+            label, outputs, n_ops, ledger = row.run(row.name, spec, count,
                                                     workers)
         except Exception as exc:
             divergences.append(_crash(row.name, exc))
             continue
         ops[row.name] = n_ops
         labels[row.name] = label
+        ledgers[row.name] = ledger
         datasets = count if row.batch else 1
-        if row.name == CHAOS_ORACLE and faults.get("crashes", 0) < 1:
+        if row.name == CHAOS_ORACLE and ledger.get("crashes", 0) < 1:
             divergences.append(Divergence(
                 "interpreter", label, "no fault fired",
-                "armed %r but the ledger shows %r" % (CHAOS_PLAN, faults)))
+                "armed %r but the ledger shows %r" % (CHAOS_PLAN, ledger)))
         if len(outputs) != datasets:
             divergences.append(Divergence(
                 "interpreter", label, "dataset count",
@@ -343,7 +377,8 @@ def conform_spec(spec, profile="quick", chaos=False):
     return CaseReport(spec, divergences, ("interpreter",)
                       + tuple(row.name for row in rows),
                       time.perf_counter() - start,
-                      c_backend=labels.get("c_backend"))
+                      c_backend=labels.get("c_backend"),
+                      c_fallback=ledgers.get("c_backend"))
 
 
 def fuzz_one(seed, profile="quick", chaos=False):

@@ -7,6 +7,7 @@ hands the spec to the shrinker and writes the minimal repro into the
 corpus.  Everything is deterministic in (seed, budget, profile).
 """
 
+import collections
 import time
 
 from repro.fuzz import corpus as corpus_mod
@@ -16,6 +17,10 @@ from repro.fuzz.shrink import shrink_spec
 
 #: Recognized campaign profiles (case sizes, batch widths).
 PROFILES = ("quick", "deep", "narrow")
+
+#: What a case counts under in ``CampaignResult.c_fallbacks`` when its
+#: ``c_backend`` row crashed (a divergence of its own).
+C_CRASHED = "the c_backend row crashed"
 
 
 def case_seed(master_seed, step):
@@ -46,11 +51,13 @@ class CampaignResult:
     """The outcome of one :func:`run_fuzz` campaign.
 
     ``native_c`` counts the cases whose ``c_backend`` row really ran C
-    (:attr:`~repro.fuzz.conform.CaseReport.native_c`); the rest fell
-    back to python, or crashed."""
+    (:attr:`~repro.fuzz.conform.CaseReport.native_c`); ``c_fallbacks``
+    counts the rest by reason (:attr:`~repro.fuzz.conform.CaseReport.
+    c_fallback`, or :data:`C_CRASHED`), most frequent first, so the
+    two always add up to ``cases``."""
 
     def __init__(self, seed, budget, profile, cases, failures,
-                 seconds, chaos=False, native_c=0):
+                 seconds, chaos=False, native_c=0, c_fallbacks=None):
         self.seed = seed
         self.budget = budget
         self.profile = profile
@@ -59,6 +66,8 @@ class CampaignResult:
         self.seconds = seconds
         self.chaos = chaos
         self.native_c = native_c
+        self.c_fallbacks = dict(collections.Counter(
+            c_fallbacks or {}).most_common())
 
     @property
     def ok(self):
@@ -75,6 +84,8 @@ class CampaignResult:
             "c_backend: %d/%d cases native C" % (self.native_c,
                                                  self.cases),
         ]
+        lines += ["  %d fell back: %s" % (count, reason)
+                  for reason, count in self.c_fallbacks.items()]
         if self.ok:
             lines.append("result: PASS — zero divergences across all "
                          "oracle pairs")
@@ -112,12 +123,15 @@ def run_fuzz(seed=0, budget=200, profile="quick",
     start = time.perf_counter()
     failures = []
     cases = native_c = 0
+    c_fallbacks = collections.Counter()
     for step in range(budget):
         derived = case_seed(seed, step)
         spec = generate_spec(derived, profile)
         report = conform_spec(spec, profile=profile, chaos=chaos)
         cases += 1
         native_c += report.native_c
+        if not report.native_c:
+            c_fallbacks[report.c_fallback or C_CRASHED] += 1
         if log is not None and (step + 1) % 50 == 0:
             log("  ... %d/%d cases, %d failure(s)"
                 % (step + 1, budget, len(failures)))
@@ -161,4 +175,4 @@ def run_fuzz(seed=0, budget=200, profile="quick",
             break
     return CampaignResult(seed, budget, profile, cases, failures,
                           time.perf_counter() - start, chaos=chaos,
-                          native_c=native_c)
+                          native_c=native_c, c_fallbacks=c_fallbacks)

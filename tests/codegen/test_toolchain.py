@@ -10,6 +10,7 @@ macros and builtins, or else from the system headers; the probe runs
 through both branches.
 """
 
+import bisect
 import ctypes
 import inspect
 import os
@@ -179,6 +180,76 @@ class TestPreludeSemantics:
             assert STATUS_ERRORS[iout[5]] == (type(exc), str(exc))
         else:
             assert (iout[2], iout[5]) == (want, 0)
+
+
+_SEARCH_PROBE = _PRELUDE + r"""
+#define FL_EXPORT __attribute__((visibility("default")))
+
+FL_EXPORT int64_t search_probe(void **fl_args) {
+    const int64_t *idx = (const int64_t *) fl_args[0];
+    const int64_t *query = (const int64_t *) fl_args[1];
+    int64_t *out = (int64_t *) fl_args[2];
+    int64_t count = ((const int64_t *) fl_args[3])[0];
+    for (int64_t q = 0; q < count; q++) {
+        const int64_t *lo_hi_key = query + 3 * q;
+        out[2 * q] = fl_search_ge(idx, lo_hi_key[0], lo_hi_key[1],
+                                  lo_hi_key[2]);
+        out[2 * q + 1] = fl_search_abs_ge(idx, lo_hi_key[0],
+                                          lo_hi_key[1], lo_hi_key[2]);
+    }
+    return 0;
+}
+"""
+
+
+def _search_queries(idx, seed=0):
+    """``(lo, hi, key)`` triples over the sorted ``idx``: empty ranges,
+    keys at or below the first coordinate and above the last, an exact
+    hit at every position, and long jumps from the start."""
+    rng = np.random.default_rng(seed)
+    n = len(idx)
+    queries = [(0, 0, 5), (7, 7, int(idx[7])), (9, 3, 0)]   # empty
+    for lo in range(0, n, 5):
+        for hi in {lo + 1, min(lo + 2, n), n,
+                   int(rng.integers(lo, n + 1))}:
+            first, last = int(idx[lo]), int(idx[max(hi - 1, lo)])
+            queries += [(lo, hi, first - 1), (lo, hi, first),
+                        (lo, hi, last), (lo, hi, last + 1),
+                        (lo, hi, 1 << 40)]
+    for pos in range(n):                        # exact hits, long jumps
+        queries += [(0, n, int(idx[pos])), (0, n, int(idx[pos]) + 1),
+                    (pos // 2, n, int(idx[pos]))]
+    return queries
+
+
+@needs_cc
+@pytest.mark.parametrize("signed", [False, True])
+def test_galloping_search_lands_where_bisect_left_does(signed):
+    """The prelude's galloping ``fl_search_ge``/``fl_search_abs_ge``
+    return what :func:`bisect.bisect_left` returns over ``idx`` (and
+    over ``abs(idx)``: PackBits' signed markers) for every range."""
+    rng = np.random.default_rng(3)
+    idx = np.cumsum(rng.integers(1, 4, 300)).astype(np.int64)
+    if signed:
+        idx *= rng.choice([-1, 1], len(idx))
+    magnitude = [abs(int(v)) for v in idx]
+    queries = _search_queries(np.abs(idx))
+    fn = toolchain.load_symbol(
+        toolchain.compile_shared(_SEARCH_PROBE, name="search_probe"),
+        "search_probe")
+    query = np.array(queries, dtype=np.int64).ravel()
+    out = np.zeros(2 * len(queries), dtype=np.int64)
+    count = np.array([len(queries)], dtype=np.int64)
+    arrays = (idx, query, out, count)
+    fn((ctypes.c_void_p * 4)(*(arr.ctypes.data for arr in arrays)))
+    plain = idx.tolist()
+    for q, (lo, hi, key) in enumerate(queries):
+        want = bisect.bisect_left(magnitude, key, lo, hi)
+        assert out[2 * q + 1] == want, (lo, hi, key)
+        assert out[2 * q + 1] == ops._search_abs_ge(idx, lo, hi, key)
+        if not signed:
+            assert out[2 * q] == want == bisect.bisect_left(
+                plain, key, lo, hi), (lo, hi, key)
 
 
 @needs_cc

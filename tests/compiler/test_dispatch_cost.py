@@ -6,7 +6,8 @@ builtins included), which no machine's speed moves: one
 before signatures were memoized and ``bind`` became one incremental
 pass.  The error cases check that the incremental path — named
 overrides re-resolving only the slots they replace — raises what a
-full-sequence ``rebind([...])`` raises.
+full-sequence ``rebind([...])`` raises, on a first call and on a
+repeated one: a refused override never enters a plan's memo.
 """
 
 import cProfile
@@ -20,6 +21,7 @@ import pytest
 
 import repro.lang as fl
 from repro import codegen
+from repro.ir.runtime import BINDING_MEMO_CAP
 from repro.util.errors import BindingError
 
 REPO = os.path.normpath(os.path.join(os.path.dirname(__file__),
@@ -33,6 +35,11 @@ CALLS_BEFORE = 134
 #: plan and a memo hit is a lock-free lookup of the prepared call: a
 #: call counted 23 then, 40 before.
 CALLS_PLANNED = 24
+
+#: The budget once each plan memoizes its prepared calls by buffer
+#: identity: a repeated override checks its signatures, reads each
+#: replacement's buffers and makes one lookup (21 calls when set).
+CALLS_MEMOIZED = 21
 
 
 def perf_programs():
@@ -95,6 +102,125 @@ def test_override_binds_through_its_plan_within_budget(dot64):
         float(a.to_numpy() @ b.to_numpy()))
 
 
+def test_a_repeated_override_neither_binds_nor_prepares(dot64):
+    kernel, output, operands = dot64
+    stats, ops = profile_repeats(kernel, operands)
+    assert stats.total_calls <= CALLS_MEMOIZED * ops + 1  # + disable
+    called = {name for _, _, name in stats.stats}
+    assert not called & {"_point", "prepare", "_check", "place"}
+    a, b = operands[-1]
+    assert output.value == pytest.approx(
+        float(a.to_numpy() @ b.to_numpy()))
+
+
+@pytest.fixture
+def prepares(dot64, monkeypatch):
+    """The argument lists the kernel's entry prepares from here on:
+    one per memo miss of an override."""
+    fn = dot64[0].artifact.fn
+    prepared = []
+
+    def counted(args):
+        prepared.append(args)
+        return prepare(args)
+
+    prepare = fn.prepare
+    monkeypatch.setattr(fn, "prepare", counted)
+    return prepared
+
+
+def dot(a, b):
+    return float(a.to_numpy() @ b.to_numpy())
+
+
+def test_a_hand_assigned_array_is_a_miss_not_a_stale_hit(dot64,
+                                                         prepares):
+    kernel, output, operands = dot64
+    a, b = copy.deepcopy(operands[1][0]), operands[1][1]
+    for _ in range(2):
+        kernel.run(A=a, B=b)
+    assert len(prepares) == 1
+    a.element.val = a.element.val * 3.0       # a new array, same dtype
+    kernel.run(A=a, B=b)
+    assert len(prepares) == 2
+    assert output.value == pytest.approx(dot(a, b))
+    kernel.run(A=a, B=b)
+    assert len(prepares) == 2
+
+
+def test_a_rebind_keeps_its_own_memo_and_drops_the_others(dot64,
+                                                          prepares):
+    kernel, output, operands = dot64
+    C, A, B = kernel.tensors
+    (a1, b1), (a2, b2) = operands[1], operands[2]
+    kernel.rebind([C, A, B])                # a full rebind: no memo
+    try:
+        kernel.run(A=a1, B=b1)
+        kernel.run(A=a1)
+        both, alone = kernel.bind_plan(("A", "B")), kernel.bind_plan(("A",))
+        assert (len(both.memo), len(alone.memo)) == (1, 1)
+        kernel.rebind(A=a2, B=b2)           # a miss: prepared by run()
+        kernel.rebind(A=a1, B=b1)           # a hit: its prepared call
+        assert (len(both.memo), len(alone.memo)) == (1, 0)
+        count = len(prepares)
+        output.set(0.0)
+        kernel.run()
+        assert len(prepares) == count
+        assert output.value == pytest.approx(dot(a1, b1))
+        # run(A=a1) was checked against B; a B that shares a1's arrays
+        # makes the same override new aliasing, refused again.
+        kernel.rebind([C, A, B])
+        kernel.run(A=a1)
+        twin = fl.Tensor(a1.levels, a1.element, name="B")
+        kernel.rebind(B=twin)
+        assert "bind one array" in message(lambda: kernel.run(A=a1))
+    finally:
+        kernel.rebind([C, A, B])
+
+
+def test_an_adoption_drops_every_memo(dot64, prepares):
+    kernel, output, operands = dot64
+    a, b = copy.deepcopy(operands[1][0]), copy.deepcopy(operands[1][1])
+    kernel.run(A=a, B=b)
+    plan = kernel.bind_plan(("A", "B"))
+    arena = fl.ShmArena()
+    try:
+        fl.share_dataset([a, b], arena)
+        a.element.val[:] *= 2.0             # the adopted array
+        count = len(prepares)
+        kernel.run(A=a, B=b)
+        assert len(prepares) == count + 1
+        assert kernel.bind_plan(("A", "B")) is not plan
+        assert output.value == pytest.approx(dot(a, b))
+    finally:
+        kernel.rebind(kernel.tensors)
+        del a, b
+        arena.close()
+
+
+def test_cycling_past_the_memo_cap_stays_correct(dot64, prepares):
+    kernel, output, operands = dot64
+    count = BINDING_MEMO_CAP + 6
+    base_a, base_b = operands[0]
+    sets = []
+    for k in range(count):
+        a, b = copy.deepcopy(base_a), copy.deepcopy(base_b)
+        a.element.val[:] *= k + 1.0
+        sets.append((a, b))
+    kernel.rebind(kernel.tensors)
+    for _ in range(2):
+        for a, b in sets:
+            kernel.run(A=a, B=b)
+            assert output.value == pytest.approx(dot(a, b))
+    # Least recently used first: a cycle longer than the cap misses
+    # every time.
+    assert len(prepares) == 2 * count
+    assert len(kernel.bind_plan(("A", "B")).memo) == BINDING_MEMO_CAP
+    for a, b in sets[-BINDING_MEMO_CAP:]:
+        kernel.run(A=a, B=b)
+    assert len(prepares) == 2 * count
+
+
 def test_a_plan_serves_until_a_rebind_moves_a_name(dot64):
     """One plan per set of names, kept across calls and name-keeping
     rebinds; a rebind that moves a name drops it, or ``run(A=...)``
@@ -146,8 +272,11 @@ def test_signature_mismatch_on_the_replaced_slot(dot64):
     wrong = fl.from_numpy(np.zeros(65), ("sparse",), name="A")
     full = message(lambda: kernel.rebind([C, wrong, B]))
     assert full.startswith("slot 1 (A): format signature")
-    assert message(lambda: kernel.run(A=wrong)) == full
-    assert message(lambda: kernel.rebind(A=wrong)) == full
+    for _ in range(2):
+        assert message(lambda: kernel.run(A=wrong)) == full
+        assert message(lambda: kernel.rebind(A=wrong)) == full
+        assert message(lambda: kernel.run(A=A, B=wrong)).startswith(
+            "slot 2 (A): format signature")
     assert kernel.tensors == [C, A, B]      # a refused rebind binds nothing
 
 
@@ -158,14 +287,16 @@ def test_new_aliasing_with_an_untouched_slot(dot64):
     C, A, B = kernel.tensors
     full = message(lambda: kernel.rebind([C, B, B]))
     assert "bind one array" in full
-    assert message(lambda: kernel.run(A=B)) == full
-    assert message(lambda: kernel.rebind(A=B)) == full
+    for _ in range(2):
+        assert message(lambda: kernel.run(A=B)) == full
+        assert message(lambda: kernel.rebind(A=B)) == full
 
 
 def test_unknown_and_ambiguous_names(dot64):
     kernel, _, operands = dot64
-    assert message(lambda: kernel.run(Z=operands[0][0])) == (
-        "no tensor named 'Z' bound by this kernel (have: A, B, C)")
+    for _ in range(2):
+        assert message(lambda: kernel.run(Z=operands[0][0])) == (
+            "no tensor named 'Z' bound by this kernel (have: A, B, C)")
     # A name map is per binding: give two slots one name and the name
     # stops resolving, for run and rebind alike.
     twin = copy.deepcopy(operands[0][1])
@@ -174,9 +305,11 @@ def test_unknown_and_ambiguous_names(dot64):
     try:
         expected = ("tensor name 'A' is bound to 2 slots; rebind with "
                     "a full tensor sequence instead")
-        assert message(lambda: kernel.run(A=operands[1][0])) == expected
-        assert message(
-            lambda: kernel.rebind(A=operands[1][0])) == expected
+        for _ in range(2):
+            assert message(
+                lambda: kernel.run(A=operands[1][0])) == expected
+            assert message(
+                lambda: kernel.rebind(A=operands[1][0])) == expected
     finally:
         C, A, _ = kernel.tensors
         kernel.rebind([C, A, operands[0][1]])
@@ -197,8 +330,16 @@ def test_broken_compile_time_alias_group():
     distinct = fl.from_numpy(data, ("dense", "sparse"), name="B")
     full = message(lambda: kernel.rebind([C, A, distinct]))
     assert "shared one array at compile time" in full
-    assert message(lambda: kernel.run(B=distinct)) == full
-    assert message(lambda: kernel.rebind(B=distinct)) == full
+    for _ in range(2):
+        assert message(lambda: kernel.run(B=distinct)) == full
+        assert message(lambda: kernel.rebind(B=distinct)) == full
     A2 = fl.from_numpy(data * 3.0, ("dense", "sparse"), name="A")
-    kernel.run(A=A2, B=fl.Tensor(A2.levels, A2.element, name="B"))
-    assert C.value == pytest.approx(36.0)
+    B2 = fl.Tensor(A2.levels, A2.element, name="B")
+    for _ in range(2):
+        C.set(0.0)
+        kernel.run(A=A2, B=B2)
+        assert C.value == pytest.approx(36.0)
+    # The memo holds A2's arrays with B2's: B alone over them is new.
+    full = message(lambda: kernel.rebind([C, A2, distinct]))
+    for _ in range(2):
+        assert message(lambda: kernel.run(A=A2, B=distinct)) == full

@@ -17,8 +17,11 @@ import pstats
 import pytest
 
 import repro.lang as fl
+from repro.compiler import kernel as kernel_module
+from repro.compiler import tiers
 from repro.compiler.kernel import artifact_cache_key, kernel_cache
-from repro.store import KernelStore, meta_for_artifact
+from repro.compiler.tiers import compile_source
+from repro.store import KernelStore, disk, meta_for_artifact
 
 REPO = os.path.normpath(os.path.join(os.path.dirname(__file__),
                                      "..", ".."))
@@ -83,8 +86,25 @@ def test_memory_hit_on_a_fresh_fig8_program_stays_in_budget(fig8):
     assert calls_to(stats, "buffers") == len(kernel.tensors) == 3
 
 
+@pytest.fixture
+def kernel_compiles(monkeypatch):
+    """Every kernel source compiled from here on.  Counted at
+    :func:`~repro.compiler.tiers.compile_source` (in each module that
+    imported it), not at ``builtins.compile``: an import the load
+    triggers compiles its module too, unless a ``.pyc`` was written."""
+    compiled = []
+
+    def counted(source):
+        compiled.append(source)
+        return compile_source(source)
+
+    for module in (tiers, kernel_module, disk):
+        monkeypatch.setattr(module, "compile_source", counted)
+    return compiled
+
+
 def test_python_disk_hit_compiles_nothing_when_its_sidecar_is_valid(
-        fig8, tmp_path):
+        fig8, tmp_path, kernel_compiles):
     programs, tensors, artifact = fig8
     store = KernelStore(tmp_path)
     meta = meta_for_artifact(artifact)
@@ -92,12 +112,12 @@ def test_python_disk_hit_compiles_nothing_when_its_sidecar_is_valid(
     code_path = store._entry_path(meta)[:-len(".json")] + ".code"
     assert not os.path.exists(code_path)
 
-    compiles = "<built-in method builtins.compile>"
-    first, stats = profiled(lambda: store.load_artifact(meta))
-    assert calls_to(stats, compiles) == 1        # source compiled ...
+    first = store.load_artifact(meta)
+    assert kernel_compiles == [artifact.source]  # source compiled ...
     assert os.path.exists(code_path)             # ... and kept
-    again, stats = profiled(lambda: store.load_artifact(meta))
-    assert calls_to(stats, compiles) == 0
+    del kernel_compiles[:]
+    again = store.load_artifact(meta)
+    assert kernel_compiles == []
     assert again.source == first.source == artifact.source
 
     program, output = programs.build("fig8", tensors)

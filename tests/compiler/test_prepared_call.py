@@ -227,6 +227,48 @@ def test_threads_cycling_past_the_memo_cap(backend):
     assert failures == []
 
 
+@pytest.mark.parametrize("backend", [
+    pytest.param("c", marks=needs_cc), "python"])
+def test_threads_cycling_overrides_past_the_plan_memo_cap(backend):
+    """Four threads override one kernel with their own outputs and
+    operands, more sets in all than a plan's memo holds: hits race
+    inserts and evictions, and every call still computes its own
+    operands into its own output."""
+    kernel, _ = compile_dot(backend)
+    per_thread = runtime.BINDING_MEMO_CAP // 2
+    sets = [[(fl.Scalar(name="C"), operand(A_DATA * float(k + 1), "A"),
+              float(k + 1) * DOT)
+             for k in range(t * per_thread, (t + 1) * per_thread)]
+            for t in range(4)]
+    failures = []
+
+    def cycle(own):
+        try:
+            for _ in range(10):
+                for C, A, want in own:
+                    C.set(0.0)
+                    kernel.run(C=C, A=A)
+                    if C.value != pytest.approx(want):
+                        failures.append((C.value, want))
+        except Exception as exc:     # a KeyError from the memo, say
+            failures.append(exc)
+
+    threads = [threading.Thread(target=cycle, args=(own,))
+               for own in sets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads between any two ops
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(kernel.bind_plan(("C", "A")).memo) <= runtime.BINDING_MEMO_CAP
+
+
 # ------------------------------------------------------------- python entry
 def test_a_bound_python_run_takes_no_view_after_its_first(views_made):
     kernel, C = compile_dot("python")

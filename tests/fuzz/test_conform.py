@@ -91,3 +91,29 @@ def test_campaign_counts_the_cases_that_ran_native_c():
     if codegen.have_toolchain():
         # These six cases draw both kinds; at least one runs C.
         assert result.native_c > 0
+
+
+def test_campaign_tallies_each_c_fallback_by_reason():
+    """Every case either ran native C or counts under one fallback
+    reason: the ledger's, or the cache label when a cache tier served
+    the compile and so filed no event."""
+    from repro import codegen
+    from repro.compiler.kernel import kernel_cache
+    from repro.fuzz import run_fuzz
+    from repro.fuzz.conform import CACHED_FALLBACK
+
+    kernel_cache().clear()
+    first = run_fuzz(seed=2, budget=6, profile="quick", corpus_dir=None)
+    again = run_fuzz(seed=2, budget=6, profile="quick", corpus_dir=None)
+    for result in (first, again):
+        assert result.ok, result.summary()
+        assert result.native_c + sum(result.c_fallbacks.values()) == 6
+        lines = result.summary().splitlines()
+        for reason, count in result.c_fallbacks.items():
+            assert "  %d fell back: %s" % (count, reason) in lines
+    filed = {reason for _, reason in codegen.fallback_events()}
+    assert first.c_fallbacks and set(first.c_fallbacks) <= filed
+    # The second campaign's compiles are memory hits.
+    assert again.native_c == first.native_c
+    assert again.c_fallbacks == {
+        CACHED_FALLBACK: sum(first.c_fallbacks.values())}
