@@ -51,9 +51,7 @@ harness alongside wall-clock time.
 
 import threading
 import time
-from collections import OrderedDict
-from itertools import chain
-from operator import methodcaller
+from collections import OrderedDict, namedtuple
 
 from repro.cin.analyze import (
     check_program,
@@ -69,7 +67,7 @@ from repro.compiler.tiers import compile_source, read_through
 from repro.ir import asm, emit
 from repro.ir.dtypes import viewable
 from repro.ir.optimize import DEFAULT_OPT_LEVEL, optimize_kernel
-from repro.ir.runtime import BINDING_MEMO_CAP, kernel_globals, python_entry
+from repro.ir.runtime import IdentityMemo, kernel_globals, python_entry
 from repro.tensors import share as _share
 from repro.util import config as _config
 from repro.util.errors import BindingError, SpecError
@@ -161,7 +159,7 @@ class CompiledKernel:
                              for group in alias_groups for other in group[1:]]
         self._whole = BindPlan((), tuple(range(len(signatures))),
                                tuple(enumerate(self._slot_params)),
-                               tuple(self._alias_pairs))
+                               tuple(self._alias_pairs), None)
         self._arity = len(plan)
 
     @property
@@ -304,16 +302,12 @@ class CompiledKernel:
         return self._point(tensors, [None] * len(tensors)
                            if buffers is None else buffers)
 
-    def _point(self, tensors, roles, plan=None, args=None,
-               untouched=None):
+    def _point(self, tensors, roles, plan=None, args=None):
         """The one bind pass: ``args`` (default: a fresh list) with the
         parameters ``plan`` feeds (default: every slot) re-pointed at
-        ``tensors`` (signatures already checked), then checked for the
-        aliasing pattern.  ``roles`` holds each slot's
-        ``kernel_buffers()`` walk, None where not taken.  ``untouched``
-        holds the identities of the parameters ``plan`` leaves as bound
-        (:meth:`BindPlan.untouched_ids`): only the ones it feeds are
-        then checked for new aliasing, not the whole list."""
+        ``tensors`` (signatures already checked), then checked whole
+        for the aliasing pattern.  ``roles`` holds each slot's
+        ``kernel_buffers()`` walk, None where not taken."""
         if plan is None:
             plan = self._whole
         if args is None:
@@ -336,17 +330,9 @@ class CompiledKernel:
         # Distinct parameters were distinct arrays at compile time
         # (aliased buffers collapse into one parameter), so any
         # aliasing here is new — the emitted code assumes separate
-        # storage (e.g. output resets would wipe inputs).  The bound
-        # parameters are distinct already, so the fed ones need only be
-        # distinct from each other and from those.  The loop runs only
-        # to name the offending pair.
-        if untouched is None:
-            distinct = len(set(map(id, args))) == self._arity
-        else:
-            fed = [id(args[param]) for param in plan.params]
-            distinct = (len(set(fed)) == len(fed)
-                        and untouched.isdisjoint(fed))
-        if not distinct:
+        # storage (e.g. output resets would wipe inputs).  The loop
+        # runs only to name the offending pair.
+        if len(set(map(id, args))) != self._arity:
             seen = {}  # id(buffer) -> (slot, role)
             for entry, buf in zip(self.plan, args):
                 if entry is None:
@@ -361,38 +347,24 @@ class CompiledKernel:
         return args
 
 
-class BindPlan:
+class BindPlan(namedtuple("BindPlan",
+                          "slots checks feeds alias_pairs memo")):
     """How one tuple of override names binds, resolved once per
     binding (:meth:`Kernel.bind_plan`): ``slots`` the ``(name, slot)``
     pairs in the names' order, ``checks`` those slots in the order
     their signatures are checked, ``feeds`` each such slot's
-    ``(parameter, role)`` pairs, ``alias_pairs`` the compile-time
-    alias pairs that touch them, ``named`` the ``(slot, name)`` pairs
-    in ``checks`` order, and ``params`` the parameters fed.  An
-    artifact's whole binding is the plan of no names that feeds every
-    slot.
+    ``(parameter, role)`` pairs, and ``alias_pairs`` the compile-time
+    alias pairs that touch them.  An artifact's whole binding is the
+    plan of no names that feeds every slot.
 
-    ``memo`` maps the identities of the replaced slots' buffers (every
-    ``kernel_buffers()`` value, slot by slot) to the prepared override
-    ``(args, call, taken)`` (:meth:`Kernel._with_overrides`), least
-    recently used first, at most :data:`~repro.ir.runtime.
-    BINDING_MEMO_CAP` of them; ``untouched`` is None or the identities
-    of the parameters the plan does not feed.  Both belong to one
-    binding: :meth:`forget` drops them."""
+    ``memo`` (an :class:`~repro.ir.runtime.IdentityMemo`) maps the
+    identities of the replacements' signatures and buffers to the
+    prepared override ``(args, call, pinned)``
+    (:meth:`Kernel._with_overrides`).  It belongs to one binding: a
+    change that reaches the slots the plan leaves as bound clears
+    it."""
 
-    __slots__ = ("slots", "checks", "feeds", "alias_pairs", "named",
-                 "params", "memo", "untouched")
-
-    def __init__(self, slots, checks, feeds, alias_pairs):
-        self.slots = slots
-        self.checks = checks
-        self.feeds = feeds
-        self.alias_pairs = alias_pairs
-        self.named = tuple(sorted((slot, name) for name, slot in slots))
-        self.params = tuple(param for _, pairs in feeds
-                            for param, _ in pairs)
-        self.memo = OrderedDict()
-        self.untouched = None
+    __slots__ = ()
 
     def place(self, template, mapping):
         """``template`` (a slot-ordered tensor list), copied, with the
@@ -401,38 +373,6 @@ class BindPlan:
         for name, slot in self.slots:
             tensors[slot] = mapping[name]
         return tensors
-
-    def untouched_ids(self, args):
-        """The identities of the arguments in ``args`` (the binding's)
-        that this plan does not feed, taken once per binding."""
-        if self.untouched is None:
-            fed = set(self.params)
-            self.untouched = frozenset(
-                id(arg) for param, arg in enumerate(args)
-                if param not in fed)
-        return self.untouched
-
-    def remember(self, key, entry):
-        """File ``entry`` under ``key``, evicting the least recently
-        used past the cap.  A hit takes no lock: an entry pins its
-        buffers, so their identities are not recycled while its key is
-        in the memo, and a concurrent eviction only costs the hit its
-        recency."""
-        with _MEMO_LOCK:
-            self.memo[key] = entry
-            while len(self.memo) > BINDING_MEMO_CAP:
-                self.memo.popitem(last=False)
-
-    def forget(self):
-        """Drop the memo and ``untouched``: the binding changed."""
-        self.memo.clear()
-        self.untouched = None
-
-
-#: Taken to insert into and evict from a plan's memo, not to hit.
-_MEMO_LOCK = threading.Lock()
-
-_values = methodcaller("values")
 
 
 def _bind_plan(artifact, tensors, names):
@@ -456,14 +396,15 @@ def _bind_plan(artifact, tensors, names):
                 "full tensor sequence instead" % (name, len(bearing)))
         slots.append((name, bearing[0]))
     if artifact is None:
-        return BindPlan(tuple(slots), (), (), ())
+        return BindPlan(tuple(slots), (), (), (), None)
     checks = tuple(sorted(slot for _, slot in slots))
     feeds = tuple((slot, tuple(artifact._slot_params[slot]))
                   for slot in checks)
     alias_pairs = tuple((group, a, b)
                         for group, a, b in artifact._alias_pairs
                         if a[0] in checks or b[0] in checks)
-    return BindPlan(tuple(slots), checks, feeds, alias_pairs)
+    return BindPlan(tuple(slots), checks, feeds, alias_pairs,
+                    IdentityMemo())
 
 
 class Kernel:
@@ -575,15 +516,21 @@ class Kernel:
         if self._epoch != _share._adoptions:
             self.rebind(self._tensors)
         if overrides:       # the plan memo's call for these buffers
-            plan, key, (args, call, taken) = self._with_overrides(
+            plan, key, (args, call, pinned) = self._with_overrides(
                 overrides)
             if call is None:
-                call = self._artifact.fn.prepare(args)
-                plan.remember(key, (args, call, taken))
+                call = self._artifact.fn.prepare_new(args)
+                plan.memo.put(key, (args, call, pinned))
             result = call()
         else:
             if self._call is None:      # the binding's call, prepared once
-                self._call = self._artifact.fn.prepare(self._args)
+                if self._filing is None:
+                    self._call = self._artifact.fn.prepare(self._args)
+                else:   # a rebind's miss, filed where a hit is sought
+                    memo, key, pinned = self._filing
+                    self._call = self._artifact.fn.prepare_new(self._args)
+                    memo.put(key, (self._args, self._call, pinned))
+                    self._filing = None
             result = self._call()
         return result if self._artifact.instrument else None
 
@@ -598,15 +545,17 @@ class Kernel:
         if tensors is None or isinstance(tensors, dict):
             mapping = {**(tensors or {}), **named}
             # A memo hit brings its prepared call; a miss leaves the
-            # call to the next run(), as a full rebind does.
-            plan, _, (args, call, _) = self._with_overrides(mapping)
+            # call to the next run(), which files it in the plan's memo.
+            plan, key, (self._args, self._call, pinned) = \
+                self._with_overrides(mapping)
             self._tensors = plan.place(self._tensors, mapping)
-            self._args, self._call = args, call
-            # The other plans' untouched slots may include the ones
-            # just re-pointed; this plan's untouched slots are as bound.
+            self._filing = (None if self._call is not None
+                            else (plan.memo, key, pinned))
+            # The other plans leave bound slots this one just re-pointed;
+            # this plan's untouched slots are as they were.
             for other in self._plans.values():
                 if other is not plan:
-                    other.forget()
+                    other.memo.clear()
             for name, tensor in mapping.items():
                 if getattr(tensor, "name", None) != name:
                     self._plans = {}    # a slot's name moved
@@ -625,6 +574,7 @@ class Kernel:
         self._epoch = _share._adoptions
         self._plans = {}    # names -> BindPlan, built on first use
         self._call = None   # prepared by the next run()
+        self._filing = None     # (memo, key, pinned) for that call
 
     def bind_plan(self, names):
         """The :class:`BindPlan` of the override names ``names`` (a
@@ -639,46 +589,37 @@ class Kernel:
 
     def _with_overrides(self, mapping):
         """``(plan, key, entry)`` of the overrides ``mapping``: the plan
-        of its names, the identities of the replaced slots' buffers,
-        and the plan's memo entry ``(args, call, taken)`` for those —
-        or, for identities it does not hold, a fresh ``(args, None,
-        taken)``, checked for aliasing.  ``taken`` is the replacements'
-        ``kernel_buffers()`` walks, in slot order.
+        of its names, the key of the replacements, and the plan's memo
+        entry ``(args, call, pinned)`` under that key — or, for a key it
+        does not hold, a fresh ``(args, None, pinned)``, checked.
 
-        The replacements' signatures are checked on every call.  A hit
-        is sound without the aliasing checks: the entry pins the
-        buffers its key names, and the binding it was checked against
-        is unchanged (a change drops the memo)."""
+        Every call reads each replacement's signature and buffers
+        (``kernel_buffers()``); ``pinned`` lists them and the key is
+        their identities.  A new key runs every check.  A known one
+        needs none: its entry pins the objects its key names, which
+        passed those checks against the binding as it still is (a
+        change clears the memo), and a signature tuple is immutable."""
         names = tuple(mapping)
         plan = self._plans.get(names)
         if plan is None:
             plan = self.bind_plan(names)
-        artifact = self._artifact
-        signatures = artifact.signatures
-        taken = []
-        for slot, name in plan.named:
+        pinned, taken = [], []
+        for name in names:
             tensor = mapping[name]
-            actual = tensor_signature(tensor)
-            if actual is not signatures[slot] and \
-                    actual != signatures[slot]:
-                artifact._check(plan.place(self._tensors, mapping),
-                                plan.checks)
-            taken.append(tensor_binding_buffers(tensor))
-        key = tuple(map(id, chain.from_iterable(map(_values, taken))))
-        memo = plan.memo
-        entry = memo.get(key)
+            buffers = tensor_binding_buffers(tensor)
+            taken.append(buffers)
+            pinned += tensor_signature(tensor), *buffers.values()
+        key = tuple(map(id, pinned))
+        entry = plan.memo.hit(key)
         if entry is None:
             tensors = plan.place(self._tensors, mapping)
+            artifact = self._artifact
+            artifact._check(tensors, plan.checks)
             roles = [None] * len(tensors)
-            for slot, buffers in zip(plan.checks, taken):
+            for (_, slot), buffers in zip(plan.slots, taken):
                 roles[slot] = buffers
-            return plan, key, (artifact._point(
-                tensors, roles, plan, list(self._args),
-                plan.untouched_ids(self._args)), None, taken)
-        try:
-            memo.move_to_end(key)
-        except KeyError:            # evicted by another thread
-            pass
+            entry = (artifact._point(tensors, roles, plan,
+                                     list(self._args)), None, pinned)
         return plan, key, entry
 
     def __call__(self, **overrides):

@@ -68,37 +68,62 @@ def reserved_names():
 BINDING_MEMO_CAP = 64
 
 
+class IdentityMemo(OrderedDict):
+    """An LRU of at most :data:`BINDING_MEMO_CAP` values keyed by
+    object identities, least recently used first.  Each value must
+    hold references to the objects its key names: a memoized identity
+    can then never be recycled while it is still served.
+
+    :meth:`hit` takes no lock, so a concurrent eviction only costs a
+    hit its recency; :meth:`put` takes one to insert and evict."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def hit(self, key):
+        """The value under ``key``, made most recent; None if absent."""
+        value = self.get(key)
+        if value is not None:
+            try:
+                self.move_to_end(key)
+            except KeyError:
+                pass
+        return value
+
+    def put(self, key, value):
+        """File ``value`` under ``key``, evicting past the cap."""
+        with self._lock:
+            self[key] = value
+            while len(self) > BINDING_MEMO_CAP:
+                self.popitem(last=False)
+
+
 def make_entry(invoke, marshal, name):
     """A kernel entry point: ``entry(*args)`` is ``invoke(*marshal(args))``
     and ``entry.prepare(args)`` that call with ``marshal(args)`` bound.
 
     ``marshal`` turns one binding's arguments into ``invoke``'s, and
     is called once per distinct binding: its prepared call is memoized
-    keyed by argument identities, in a small LRU so retired bindings
-    release their arrays.  Each result must hold references to the
-    arguments (a memoized identity can then never be recycled while it
-    is still served), as does the prepared call.
+    keyed by argument identities (an :class:`IdentityMemo`, so retired
+    bindings release their arrays).  Each result must hold references
+    to the arguments, as does the prepared call.
+    ``entry.prepare_new(args)`` marshals without the memo, for a caller
+    that memoizes the call itself.
     """
-    memo = OrderedDict()
-    lock = threading.Lock()     # taken to insert and evict, not to hit
+    memo = IdentityMemo()
+
+    def prepare_new(args):
+        return functools.partial(invoke, *marshal(args))
 
     def prepare(args):
         key = tuple(map(id, args))
-        call = memo.get(key)
+        call = memo.hit(key)
         if call is None:
-            call = functools.partial(invoke, *marshal(args))
-            with lock:
-                memo[key] = call
-                while len(memo) > BINDING_MEMO_CAP:
-                    memo.popitem(last=False)
-            return call
-        # A hit takes no lock: the call pins the arrays, so their
-        # identities are not recycled while the key is in the memo, and
-        # a concurrent eviction only costs the hit its recency.
-        try:
-            memo.move_to_end(key)
-        except KeyError:
-            pass
+            call = prepare_new(args)
+            memo.put(key, call)
         return call
 
     def entry(*args):
@@ -106,6 +131,7 @@ def make_entry(invoke, marshal, name):
 
     entry.__name__ = name
     entry.prepare = prepare
+    entry.prepare_new = prepare_new
     return entry
 
 

@@ -38,8 +38,8 @@ CALLS_PLANNED = 24
 
 #: The budget once each plan memoizes its prepared calls by buffer
 #: identity: a repeated override checks its signatures, reads each
-#: replacement's buffers and makes one lookup (21 calls when set).
-CALLS_MEMOIZED = 21
+#: replacement's buffers and makes one lookup (23 calls when set).
+CALLS_MEMOIZED = 23
 
 
 def perf_programs():
@@ -107,7 +107,7 @@ def test_a_repeated_override_neither_binds_nor_prepares(dot64):
     stats, ops = profile_repeats(kernel, operands)
     assert stats.total_calls <= CALLS_MEMOIZED * ops + 1  # + disable
     called = {name for _, _, name in stats.stats}
-    assert not called & {"_point", "prepare", "_check", "place"}
+    assert not called & {"_point", "place", "prepare", "prepare_new"}
     a, b = operands[-1]
     assert output.value == pytest.approx(
         float(a.to_numpy() @ b.to_numpy()))
@@ -115,17 +115,20 @@ def test_a_repeated_override_neither_binds_nor_prepares(dot64):
 
 @pytest.fixture
 def prepares(dot64, monkeypatch):
-    """The argument lists the kernel's entry prepares from here on:
-    one per memo miss of an override."""
+    """The argument lists the kernel's entry prepares from here on,
+    memoized there (``prepare``) or by a plan (``prepare_new``): one
+    per memo miss of an override."""
     fn = dot64[0].artifact.fn
     prepared = []
 
-    def counted(args):
-        prepared.append(args)
-        return prepare(args)
+    def counting(prepare):
+        def counted(args):
+            prepared.append(args)
+            return prepare(args)
+        return counted
 
-    prepare = fn.prepare
-    monkeypatch.setattr(fn, "prepare", counted)
+    for attr in ("prepare", "prepare_new"):
+        monkeypatch.setattr(fn, attr, counting(getattr(fn, attr)))
     return prepared
 
 
@@ -174,6 +177,34 @@ def test_a_rebind_keeps_its_own_memo_and_drops_the_others(dot64,
         twin = fl.Tensor(a1.levels, a1.element, name="B")
         kernel.rebind(B=twin)
         assert "bind one array" in message(lambda: kernel.run(A=a1))
+    finally:
+        kernel.rebind([C, A, B])
+
+
+def test_a_rebind_files_its_miss_when_run_prepares_it(dot64, prepares):
+    """``rebind(A=, B=)`` + ``run()`` over repeated operand sets
+    prepares each set once, with no ``run(A=, B=)`` to fill the memo;
+    a miss superseded by another rebind before a run is not filed."""
+    kernel, output, operands = dot64
+    C, A, B = kernel.tensors
+    kernel.rebind([C, A, B])
+    try:
+        for _ in range(3):
+            for a, b in operands[1:]:
+                kernel.rebind(A=a, B=b)
+                kernel.run()
+                assert output.value == pytest.approx(dot(a, b))
+        assert len(prepares) == len(operands) - 1
+        assert len(kernel.bind_plan(("A", "B")).memo) == len(operands) - 1
+        fresh_a, fresh_b = (copy.deepcopy(operands[1][0]),
+                            copy.deepcopy(operands[1][1]))
+        kernel.rebind(A=fresh_a, B=fresh_b)     # a miss, never run
+        kernel.rebind(A=operands[2][0], B=operands[2][1])   # a hit
+        kernel.run()
+        assert len(prepares) == len(operands) - 1
+        assert len(kernel.bind_plan(("A", "B")).memo) == len(operands) - 1
+        kernel.run(A=fresh_a, B=fresh_b)        # still a miss
+        assert len(prepares) == len(operands)
     finally:
         kernel.rebind([C, A, B])
 
@@ -278,6 +309,18 @@ def test_signature_mismatch_on_the_replaced_slot(dot64):
         assert message(lambda: kernel.run(A=A, B=wrong)).startswith(
             "slot 2 (A): format signature")
     assert kernel.tensors == [C, A, B]      # a refused rebind binds nothing
+
+
+def test_a_changed_signature_over_memoized_buffers_is_refused(dot64):
+    """The memo key names each replacement's signature tuple: the same
+    buffers under another signature are a new key, checked again."""
+    kernel, _, operands = dot64
+    a = copy.deepcopy(operands[1][0])
+    kernel.run(A=a)
+    kernel.run(A=a)                         # a memo hit
+    a.format_signature = lambda: ("tensor", (), "float64", None)
+    assert message(lambda: kernel.run(A=a)).startswith(
+        "slot 1 (A): format signature ('tensor', (), 'float64', None)")
 
 
 def test_new_aliasing_with_an_untouched_slot(dot64):
