@@ -18,11 +18,10 @@ Loading goes through :mod:`ctypes`.  The exported symbol is
 the duration of every foreign call, which is what lets the batch
 engine's ``threads`` executor scale on C kernels.  The returned entry
 point is a kernel entry (:func:`repro.ir.runtime.make_entry`) taking
-the same positional numpy buffers as the python backend's: per-binding
-pointer arrays are validated once and memoized (keyed by argument
-identity, holding references so the identities stay pinned), and a
-bound kernel keeps its binding's call prepared: one foreign call and
-one status check.
+the same positional numpy buffers as the python backend's: a binding's
+arrays are validated and its pointer array built on each call, or once
+by ``entry.prepare`` for the prepared call a bind-plan entry keeps —
+then a call is one foreign call and one status check.
 """
 
 import atexit
@@ -221,11 +220,11 @@ def load_symbol(so_path, name):
 
 def make_entry(cfn, name, param_dtypes):
     """Wrap a raw C entry as a kernel entry point over numpy buffers
-    (:func:`repro.ir.runtime.make_entry`): a binding is marshalled
-    once — each argument validated (ndarray, matching dtype,
-    C-contiguous) and its pointer array built — and then served from
-    the entry's identity memo; a prepared call holds the pointers and
-    the arrays they point into.
+    (:func:`repro.ir.runtime.make_entry`): marshalling a binding
+    validates each argument (ndarray, matching dtype, C-contiguous)
+    and builds its pointer array — on every ``entry(*args)``, and once
+    for ``entry.prepare(args)``, whose call holds the pointers and the
+    arrays they point into.
     """
     dtypes = [np.dtype(dtype) for dtype in param_dtypes]
     count = len(dtypes)

@@ -67,7 +67,7 @@ from repro.compiler.tiers import compile_source, read_through
 from repro.ir import asm, emit
 from repro.ir.dtypes import viewable
 from repro.ir.optimize import DEFAULT_OPT_LEVEL, optimize_kernel
-from repro.ir.runtime import IdentityMemo, kernel_globals, python_entry
+from repro.ir.runtime import kernel_globals, python_entry
 from repro.tensors import share as _share
 from repro.util import config as _config
 from repro.util.errors import BindingError, SpecError
@@ -157,9 +157,10 @@ class CompiledKernel:
                 self._slot_params[entry[0]].append((param, entry[1]))
         self._alias_pairs = [(group, group[0], other)
                              for group in alias_groups for other in group[1:]]
-        self._whole = BindPlan((), tuple(range(len(signatures))),
+        slots = tuple(range(len(signatures)))
+        self._whole = BindPlan(tuple(zip(slots, slots)), slots,
                                tuple(enumerate(self._slot_params)),
-                               tuple(self._alias_pairs), None)
+                               tuple(self._alias_pairs), IdentityMemo())
         self._arity = len(plan)
 
     @property
@@ -271,15 +272,17 @@ class CompiledKernel:
             raise BindingError(
                 "kernel has %d tensor slots, got %d tensors"
                 % (len(self.signatures), len(tensors)))
-        self._check(tensors, self._whole.checks)
+        self._check(tensors, self._whole.checks,
+                    list(map(tensor_signature, tensors)))
 
-    def _check(self, tensors, slots):
+    def _check(self, tensors, slots, read):
         """Raise unless each of ``slots`` holds a tensor with that
-        slot's format signature, checked in the order given; a tensor's
-        memoized tuple matches itself or its copy with ``is``."""
+        slot's format signature (``read[slot]``, as read), checked in
+        the order given; a tensor's memoized tuple matches itself or
+        its copy with ``is``."""
         signatures = self.signatures
         for slot in slots:
-            actual = tensor_signature(tensors[slot])
+            actual = read[slot]
             expected = signatures[slot]
             if actual is not expected and actual != expected:
                 raise BindingError(
@@ -299,19 +302,16 @@ class CompiledKernel:
         """
         tensors = list(tensors)
         self.validate(tensors)
-        return self._point(tensors, [None] * len(tensors)
-                           if buffers is None else buffers)
+        roles = [None] * len(tensors) if buffers is None else buffers
+        return self._point(tensors, roles, self._whole, self.seed_args)
 
-    def _point(self, tensors, roles, plan=None, args=None):
-        """The one bind pass: ``args`` (default: a fresh list) with the
-        parameters ``plan`` feeds (default: every slot) re-pointed at
-        ``tensors`` (signatures already checked), then checked whole
-        for the aliasing pattern.  ``roles`` holds each slot's
-        ``kernel_buffers()`` walk, None where not taken."""
-        if plan is None:
-            plan = self._whole
-        if args is None:
-            args = list(self.seed_args)
+    def _point(self, tensors, roles, plan, args):
+        """The one bind pass: a copy of ``args`` with the parameters
+        ``plan`` feeds re-pointed at ``tensors`` (signatures already
+        checked), then checked whole for the aliasing pattern.
+        ``roles`` holds each slot's ``kernel_buffers()`` walk, None
+        where not taken."""
+        args = list(args)
         for slot, feeds in plan.feeds:
             buffers = roles[slot]
             if buffers is None:
@@ -346,6 +346,88 @@ class CompiledKernel:
                         "shared tensors" % (other, entry))
         return args
 
+    def plan_entry(self, plan, mapping, template, args):
+        """``(entry, tensors, taken)``: the :class:`PlanEntry` in
+        ``plan``'s memo for the replacements ``mapping`` (name -> tensor;
+        for the whole plan, a slot-ordered list) over ``template``, the
+        tensors ``args`` binds.  ``taken`` holds each replacement's
+        ``kernel_buffers()``, read once, as is its signature; the key is
+        their identities.  A known key needs no check: its entry pins what
+        the key names, which passed every check against the binding as
+        it still is (a change clears the memo).  A new key is checked,
+        bound onto a copy of ``args`` and filed, and ``tensors`` is the
+        placed slot list (else None)."""
+        pinned, taken = [], []
+        for name, _ in plan.slots:
+            tensor = mapping[name]
+            buffers = tensor_binding_buffers(tensor)
+            taken.append(buffers)
+            pinned += tensor_signature(tensor), *buffers.values()
+        key = tuple(map(id, pinned))
+        entry = plan.memo.hit(key)
+        if entry is not None:
+            return entry, None, taken
+        tensors = plan.place(template, mapping)
+        read, roles = [None] * len(tensors), [None] * len(tensors)
+        at = 0      # each replacement's signature in pinned
+        for (_, slot), buffers in zip(plan.slots, taken):
+            read[slot], roles[slot] = pinned[at], buffers
+            at += 1 + len(buffers)
+        self._check(tensors, plan.checks, read)
+        entry = PlanEntry(self._point(tensors, roles, plan, args), pinned)
+        plan.memo.put(key, entry)
+        return entry, tensors, taken
+
+
+#: Bind-plan entries memoized per plan (LRU).
+BINDING_MEMO_CAP = 64
+
+
+class IdentityMemo(OrderedDict):
+    """An LRU of at most :data:`BINDING_MEMO_CAP` values keyed by
+    object identities, least recently used first.  Each value must
+    hold references to the objects its key names: a memoized identity
+    can then never be recycled while it is still served.
+
+    :meth:`hit` takes no lock, so a concurrent eviction only costs a
+    hit its recency; :meth:`put` takes one to insert and evict."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def hit(self, key):
+        """The value under ``key``, made most recent; None if absent."""
+        value = self.get(key)
+        if value is not None:
+            try:
+                self.move_to_end(key)
+            except KeyError:
+                pass
+        return value
+
+    def put(self, key, value):
+        """File ``value`` under ``key``, evicting past the cap."""
+        with self._lock:
+            self[key] = value
+            while len(self) > BINDING_MEMO_CAP:
+                self.popitem(last=False)
+
+
+class PlanEntry:
+    """One checked binding: ``args``, its prepared ``call`` once a run
+    made it, and ``pinned``, what its memo key names.  Two runs racing
+    on an unprepared entry each prepare a valid call; either is kept."""
+
+    __slots__ = ("args", "call", "pinned")
+
+    def __init__(self, args, pinned=()):
+        self.args = args
+        self.call = None
+        self.pinned = pinned
+
 
 class BindPlan(namedtuple("BindPlan",
                           "slots checks feeds alias_pairs memo")):
@@ -354,15 +436,16 @@ class BindPlan(namedtuple("BindPlan",
     pairs in the names' order, ``checks`` those slots in the order
     their signatures are checked, ``feeds`` each such slot's
     ``(parameter, role)`` pairs, and ``alias_pairs`` the compile-time
-    alias pairs that touch them.  An artifact's whole binding is the
-    plan of no names that feeds every slot.
+    alias pairs that touch them.  An artifact's whole binding
+    (``CompiledKernel._whole``) is the plan that feeds every slot, each
+    named by its own number: its replacements are a slot-ordered list.
 
-    ``memo`` (an :class:`~repro.ir.runtime.IdentityMemo`) maps the
-    identities of the replacements' signatures and buffers to the
-    prepared override ``(args, call, pinned)``
-    (:meth:`Kernel._with_overrides`).  It belongs to one binding: a
-    change that reaches the slots the plan leaves as bound clears
-    it."""
+    ``memo`` (an :class:`IdentityMemo`) maps the identities of the
+    replacements' signatures and buffers to their :class:`PlanEntry`
+    (:meth:`CompiledKernel.plan_entry`).  A kernel's plan belongs to
+    one binding: a change that reaches the slots the plan leaves as
+    bound clears it.  The whole plan leaves none, so its memo is the
+    artifact's."""
 
     __slots__ = ()
 
@@ -515,23 +598,19 @@ class Kernel:
         # adoption (share_tensor re-pointing them) caught up with.
         if self._epoch != _share._adoptions:
             self.rebind(self._tensors)
-        if overrides:       # the plan memo's call for these buffers
-            plan, key, (args, call, pinned) = self._with_overrides(
-                overrides)
-            if call is None:
-                call = self._artifact.fn.prepare_new(args)
-                plan.memo.put(key, (args, call, pinned))
-            result = call()
+        if overrides:       # the plan memo's entry for these buffers
+            names = tuple(overrides)
+            plan = self._plans.get(names)
+            if plan is None:
+                plan = self.bind_plan(names)
+            entry = self._artifact.plan_entry(plan, overrides, self._tensors,
+                                              self._entry.args)[0]
         else:
-            if self._call is None:      # the binding's call, prepared once
-                if self._filing is None:
-                    self._call = self._artifact.fn.prepare(self._args)
-                else:   # a rebind's miss, filed where a hit is sought
-                    memo, key, pinned = self._filing
-                    self._call = self._artifact.fn.prepare_new(self._args)
-                    memo.put(key, (self._args, self._call, pinned))
-                    self._filing = None
-            result = self._call()
+            entry = self._entry
+        call = entry.call
+        if call is None:        # an entry's call, prepared once
+            call = entry.call = self._artifact.fn.prepare(entry.args)
+        result = call()
         return result if self._artifact.instrument else None
 
     def rebind(self, tensors=None, **named):
@@ -544,13 +623,16 @@ class Kernel:
         """
         if tensors is None or isinstance(tensors, dict):
             mapping = {**(tensors or {}), **named}
-            # A memo hit brings its prepared call; a miss leaves the
-            # call to the next run(), which files it in the plan's memo.
-            plan, key, (self._args, self._call, pinned) = \
-                self._with_overrides(mapping)
-            self._tensors = plan.place(self._tensors, mapping)
-            self._filing = (None if self._call is not None
-                            else (plan.memo, key, pinned))
+            names = tuple(mapping)
+            plan = self._plans.get(names)
+            if plan is None:
+                plan = self.bind_plan(names)
+            # A memo hit brings its prepared call, if a run made one; a
+            # miss is filed unprepared, for the next run() to prepare.
+            self._entry, placed, _ = self._artifact.plan_entry(
+                plan, mapping, self._tensors, self._entry.args)
+            self._tensors = (plan.place(self._tensors, mapping)
+                             if placed is None else placed)
             # The other plans leave bound slots this one just re-pointed;
             # this plan's untouched slots are as they were.
             for other in self._plans.values():
@@ -569,12 +651,10 @@ class Kernel:
 
     def _bind(self, tensors, buffers=None):
         """Bind every slot to ``tensors`` (a list this kernel keeps)."""
-        self._args = self._artifact.bind(tensors, buffers)
+        self._entry = PlanEntry(self._artifact.bind(tensors, buffers))
         self._tensors = tensors
         self._epoch = _share._adoptions
         self._plans = {}    # names -> BindPlan, built on first use
-        self._call = None   # prepared by the next run()
-        self._filing = None     # (memo, key, pinned) for that call
 
     def bind_plan(self, names):
         """The :class:`BindPlan` of the override names ``names`` (a
@@ -586,41 +666,6 @@ class Kernel:
             plan = self._plans[names] = _bind_plan(
                 self._artifact, self._tensors, names)
         return plan
-
-    def _with_overrides(self, mapping):
-        """``(plan, key, entry)`` of the overrides ``mapping``: the plan
-        of its names, the key of the replacements, and the plan's memo
-        entry ``(args, call, pinned)`` under that key — or, for a key it
-        does not hold, a fresh ``(args, None, pinned)``, checked.
-
-        Every call reads each replacement's signature and buffers
-        (``kernel_buffers()``); ``pinned`` lists them and the key is
-        their identities.  A new key runs every check.  A known one
-        needs none: its entry pins the objects its key names, which
-        passed those checks against the binding as it still is (a
-        change clears the memo), and a signature tuple is immutable."""
-        names = tuple(mapping)
-        plan = self._plans.get(names)
-        if plan is None:
-            plan = self.bind_plan(names)
-        pinned, taken = [], []
-        for name in names:
-            tensor = mapping[name]
-            buffers = tensor_binding_buffers(tensor)
-            taken.append(buffers)
-            pinned += tensor_signature(tensor), *buffers.values()
-        key = tuple(map(id, pinned))
-        entry = plan.memo.hit(key)
-        if entry is None:
-            tensors = plan.place(self._tensors, mapping)
-            artifact = self._artifact
-            artifact._check(tensors, plan.checks)
-            roles = [None] * len(tensors)
-            for (_, slot), buffers in zip(plan.slots, taken):
-                roles[slot] = buffers
-            entry = (artifact._point(tensors, roles, plan,
-                                     list(self._args)), None, pinned)
-        return plan, key, entry
 
     def __call__(self, **overrides):
         return self.run(**overrides)

@@ -35,7 +35,15 @@ from repro.compiler.unfurl import (
     unfurl_access,
 )
 from repro.ir import asm, build, ops
-from repro.ir.nodes import Extent, Literal, Load, Slice, Var, substitute
+from repro.ir.nodes import (
+    Extent,
+    Literal,
+    Load,
+    Slice,
+    Var,
+    replace_in_expr,
+    substitute,
+)
 from repro.looplets import (
     Jumper,
     Lookup,
@@ -62,21 +70,6 @@ _IDEMPOTENT_REDUCTIONS = ("min", "max", "and", "or")
 # --------------------------------------------------------------------------
 # Tree rewriting helpers
 # --------------------------------------------------------------------------
-def replace_in_expr(expr, fn):
-    """Preorder expression replacement: ``fn`` returning non-None stops
-    descent at that node."""
-    replacement = fn(expr)
-    if replacement is not None:
-        return replacement
-    children = expr.children()
-    if not children:
-        return expr
-    new_children = [replace_in_expr(child, fn) for child in children]
-    if all(new is old for new, old in zip(new_children, children)):
-        return expr
-    return expr.rebuild(new_children)
-
-
 def map_stmt_exprs(stmt, fn):
     """Rebuild a CIN statement applying ``fn`` to its read expressions.
 

@@ -70,6 +70,7 @@ from repro.compiler.key import KernelKey
 from repro.exec import pool as _pool
 from repro.exec import shm as _shm
 from repro.exec import worker as _worker
+from repro.tensors import share as _share
 from repro.util import config
 from repro.util.errors import BatchExecutionError, BindingError
 
@@ -391,25 +392,45 @@ class KernelPool:
     # -- dataset resolution --------------------------------------------
     def _resolve(self, datasets):
         """Per dataset, the slot-ordered, signature-checked tensors,
-        each one's ``kernel_buffers()`` walk (taken once per map) and
-        the identities of its buffers (its own, with none); rejects
-        bad datasets before any work is dispatched."""
-        template = self._kernel.tensors
+        each one's ``kernel_buffers()`` walk (taken once per map), the
+        identities of its buffers (its own, with none) and, in-process,
+        its plan entry (of its names' plan, or the whole plan for a
+        sequence); rejects bad datasets before any work is
+        dispatched."""
+        kernel, artifact = self._kernel, self._artifact
+        if kernel._epoch != _share._adoptions:      # as Kernel.run
+            kernel.rebind(kernel.tensors)
+        template = kernel.tensors
         resolved = []
         for index, dataset in enumerate(datasets):
             try:
                 if isinstance(dataset, dict):
-                    tensors = self._kernel.bind_plan(
-                        tuple(dataset)).place(template, dataset)
+                    plan = kernel.bind_plan(tuple(dataset))
+                    args = kernel._entry.args
                 else:
-                    tensors = list(dataset)
-                self._artifact.validate(tensors)
+                    dataset = list(dataset)
+                    if len(dataset) != len(template):
+                        artifact.validate(dataset)  # the count's error
+                    plan, args = artifact._whole, artifact.seed_args
+                if self.executor == "processes":    # bound by _point
+                    entry, taken = None, ()
+                    tensors = plan.place(template, dataset)
+                    artifact.validate(tensors)
+                else:
+                    entry, tensors, taken = artifact.plan_entry(
+                        plan, dataset, template, args)
+                    if tensors is None:
+                        tensors = plan.place(template, dataset)
             except BindingError as exc:
                 raise BindingError("dataset %d: %s" % (index, exc))
-            roles = [tensor_binding_buffers(t) for t in tensors]
+            walks = {slot: buffers
+                     for (_, slot), buffers in zip(plan.slots, taken)}
+            roles = [walks[slot] if slot in walks
+                     else tensor_binding_buffers(tensor)
+                     for slot, tensor in enumerate(tensors)]
             resolved.append((tensors, roles, [
                 [id(buf) for buf in buffers.values()] or [id(tensor)]
-                for tensor, buffers in zip(tensors, roles)]))
+                for tensor, buffers in zip(tensors, roles)], entry))
         self._check_output_isolation(resolved)
         return resolved
 
@@ -425,7 +446,7 @@ class KernelPool:
         if len(resolved) < 2:
             return
         writers = {}  # id(buffer) -> dataset index that writes it
-        for index, (tensors, _, ids) in enumerate(resolved):
+        for index, (tensors, _, ids, _) in enumerate(resolved):
             for slot in self._output_slots:
                 for buf_id in ids[slot]:
                     other = writers.setdefault(buf_id, index)
@@ -437,7 +458,7 @@ class KernelPool:
                             % (other, index, slot,
                                getattr(tensors[slot], "name", "?")))
         output_slots = set(self._output_slots)
-        for index, (tensors, _, ids) in enumerate(resolved):
+        for index, (tensors, _, ids, _) in enumerate(resolved):
             for slot, tensor in enumerate(tensors):
                 if slot in output_slots:
                     continue
@@ -470,13 +491,16 @@ class KernelPool:
         return error
 
     def _run_local(self, index, dataset, worker_id):
-        """One dataset, in-process; an exception surfaces at once."""
+        """One dataset, in-process, through its plan entry's prepared
+        call; an exception surfaces at once."""
         start = time.perf_counter()
-        tensors, roles, _ = dataset
+        tensors, _, _, entry = dataset
         try:
-            args = self._artifact._point(tensors, roles)
+            call = entry.call
+            if call is None:
+                call = entry.call = self._artifact.fn.prepare(entry.args)
             bound = time.perf_counter()
-            result = self._artifact.fn(*args)
+            result = call()
             ran = time.perf_counter()
             outputs = [_worker.snapshot_tensor(tensors[slot])
                        for slot in self._output_slots]
@@ -590,9 +614,11 @@ class KernelPool:
         resident_seen = set()
         resident_bytes = 0
         try:
-            for index, (tensors, roles, ids) in enumerate(resolved):
+            for index, (tensors, roles, ids, _) in enumerate(resolved):
                 try:
-                    args = self._artifact._point(tensors, roles)
+                    args = self._artifact._point(
+                        tensors, roles, self._artifact._whole,
+                        self._artifact.seed_args)
                 except Exception as exc:
                     raise self._wrap_failure(index, exc,
                                              tensors) from exc
@@ -628,7 +654,7 @@ class KernelPool:
                                           resolved[index][0])
                 for index, exc in pool_failures}
             items = []
-            for index, (tensors, _, _) in enumerate(resolved):
+            for index, (tensors, _, _, _) in enumerate(resolved):
                 entry = by_index.get(index)
                 if entry is None:
                     # Failed permanently, or never dispatched because

@@ -12,7 +12,6 @@ from repro.ir.nodes import (
     Slice,
     Var,
     as_expr,
-    postorder_map,
     substitute,
 )
 from repro.ir.ops import MISSING, Op, all_ops, get_op, register_op
@@ -35,7 +34,6 @@ __all__ = [
     "Slice",
     "Var",
     "as_expr",
-    "postorder_map",
     "substitute",
     "MISSING",
     "Op",

@@ -259,31 +259,29 @@ def as_expr(value):
     raise ReproError("cannot convert %r to an IR expression" % (value,))
 
 
-def substitute(expr, mapping):
-    """Replace variables by expressions.
-
-    ``mapping`` maps variable *names* to replacement expressions.
-    """
-    if isinstance(expr, Var) and expr.name in mapping:
-        return as_expr(mapping[expr.name])
+def replace_in_expr(expr, fn):
+    """Preorder expression replacement: ``fn`` returning non-None stops
+    descent at that node; an unchanged node is returned as it is."""
+    replacement = fn(expr)
+    if replacement is not None:
+        return replacement
     children = expr.children()
     if not children:
         return expr
-    new_children = [substitute(child, mapping) for child in children]
+    new_children = [replace_in_expr(child, fn) for child in children]
     if all(new is old for new, old in zip(new_children, children)):
         return expr
     return expr.rebuild(new_children)
 
 
-def postorder_map(expr, fn):
-    """Rebuild ``expr`` bottom-up, applying ``fn`` to every node."""
-    children = expr.children()
-    if children:
-        new_children = [postorder_map(child, fn) for child in children]
-        if any(new is not old for new, old in zip(new_children, children)):
-            expr = expr.rebuild(new_children)
-    result = fn(expr)
-    return expr if result is None else result
+def substitute(expr, mapping):
+    """Replace variables by expressions.
+
+    ``mapping`` maps variable *names* to replacement expressions.
+    """
+    return replace_in_expr(expr, lambda node: as_expr(mapping[node.name])
+                           if isinstance(node, Var) and node.name in mapping
+                           else None)
 
 
 class Extent:

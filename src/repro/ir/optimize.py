@@ -67,6 +67,7 @@ from repro.ir.nodes import (
     Reduce,
     Slice,
     Var,
+    replace_in_expr,
 )
 from repro.ir.runtime import reserved_names
 from repro.rewrite import simplify_expr
@@ -136,16 +137,7 @@ def entry_exprs(stmt):
 
 def replace_by_key(expr, mapping):
     """Top-down replacement of subexpressions by structural key."""
-    hit = mapping.get(expr.key())
-    if hit is not None:
-        return hit
-    children = expr.children()
-    if not children:
-        return expr
-    new_children = [replace_by_key(child, mapping) for child in children]
-    if all(new is old for new, old in zip(new_children, children)):
-        return expr
-    return expr.rebuild(new_children)
+    return replace_in_expr(expr, lambda node: mapping.get(node.key()))
 
 
 def _namer_for(stmt):

@@ -18,17 +18,14 @@ rebuild on every compile.
 
 :func:`make_entry` is what a kernel is called through, on either
 backend: ``entry(*args)`` takes the ndarrays a binding resolves to, and
-``entry.prepare(args)`` the zero-argument call a bound ``Kernel`` keeps.
-Both marshal a binding once — a python kernel's element views
+``entry.prepare(args)`` the zero-argument call a bind-plan entry keeps.
+Both marshal the binding — a python kernel's element views
 (:func:`python_entry`), a C kernel's pointer array
-(:func:`repro.codegen.toolchain.make_entry`) — and memoize it by
-argument identity.
+(:func:`repro.codegen.toolchain.make_entry`) — and memoize nothing.
 """
 
 import functools
 import math
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -64,74 +61,25 @@ def reserved_names():
     return set(_base_globals()).union(BUILTINS)
 
 
-#: Marshalled bindings memoized per kernel entry (LRU).
-BINDING_MEMO_CAP = 64
-
-
-class IdentityMemo(OrderedDict):
-    """An LRU of at most :data:`BINDING_MEMO_CAP` values keyed by
-    object identities, least recently used first.  Each value must
-    hold references to the objects its key names: a memoized identity
-    can then never be recycled while it is still served.
-
-    :meth:`hit` takes no lock, so a concurrent eviction only costs a
-    hit its recency; :meth:`put` takes one to insert and evict."""
-
-    __slots__ = ("_lock",)
-
-    def __init__(self):
-        super().__init__()
-        self._lock = threading.Lock()
-
-    def hit(self, key):
-        """The value under ``key``, made most recent; None if absent."""
-        value = self.get(key)
-        if value is not None:
-            try:
-                self.move_to_end(key)
-            except KeyError:
-                pass
-        return value
-
-    def put(self, key, value):
-        """File ``value`` under ``key``, evicting past the cap."""
-        with self._lock:
-            self[key] = value
-            while len(self) > BINDING_MEMO_CAP:
-                self.popitem(last=False)
-
-
 def make_entry(invoke, marshal, name):
     """A kernel entry point: ``entry(*args)`` is ``invoke(*marshal(args))``
     and ``entry.prepare(args)`` that call with ``marshal(args)`` bound.
 
-    ``marshal`` turns one binding's arguments into ``invoke``'s, and
-    is called once per distinct binding: its prepared call is memoized
-    keyed by argument identities (an :class:`IdentityMemo`, so retired
-    bindings release their arrays).  Each result must hold references
-    to the arguments, as does the prepared call.
-    ``entry.prepare_new(args)`` marshals without the memo, for a caller
-    that memoizes the call itself.
+    ``marshal`` turns one binding's arguments into ``invoke``'s; each
+    result must hold references to the arguments, as does the prepared
+    call.  Nothing is memoized here: ``entry(*args)`` marshals on every
+    call and keeps nothing once it returns, and a prepared call is kept
+    by the bind-plan entry it was made for
+    (:class:`repro.compiler.kernel.PlanEntry`).
     """
-    memo = IdentityMemo()
-
-    def prepare_new(args):
+    def prepare(args):
         return functools.partial(invoke, *marshal(args))
 
-    def prepare(args):
-        key = tuple(map(id, args))
-        call = memo.hit(key)
-        if call is None:
-            call = prepare_new(args)
-            memo.put(key, call)
-        return call
-
     def entry(*args):
-        return prepare(args)()
+        return invoke(*marshal(args))
 
     entry.__name__ = name
     entry.prepare = prepare
-    entry.prepare_new = prepare_new
     return entry
 
 

@@ -21,7 +21,7 @@ import pytest
 
 import repro.lang as fl
 from repro import codegen
-from repro.ir.runtime import BINDING_MEMO_CAP
+from repro.compiler.kernel import BINDING_MEMO_CAP
 from repro.util.errors import BindingError
 
 REPO = os.path.normpath(os.path.join(os.path.dirname(__file__),
@@ -107,7 +107,7 @@ def test_a_repeated_override_neither_binds_nor_prepares(dot64):
     stats, ops = profile_repeats(kernel, operands)
     assert stats.total_calls <= CALLS_MEMOIZED * ops + 1  # + disable
     called = {name for _, _, name in stats.stats}
-    assert not called & {"_point", "place", "prepare", "prepare_new"}
+    assert not called & {"_point", "place", "prepare"}
     a, b = operands[-1]
     assert output.value == pytest.approx(
         float(a.to_numpy() @ b.to_numpy()))
@@ -115,20 +115,17 @@ def test_a_repeated_override_neither_binds_nor_prepares(dot64):
 
 @pytest.fixture
 def prepares(dot64, monkeypatch):
-    """The argument lists the kernel's entry prepares from here on,
-    memoized there (``prepare``) or by a plan (``prepare_new``): one
-    per memo miss of an override."""
+    """The argument lists the kernel's entry prepares from here on: one
+    per plan entry, on the first run that takes it."""
     fn = dot64[0].artifact.fn
     prepared = []
+    prepare = fn.prepare
 
-    def counting(prepare):
-        def counted(args):
-            prepared.append(args)
-            return prepare(args)
-        return counted
+    def counted(args):
+        prepared.append(args)
+        return prepare(args)
 
-    for attr in ("prepare", "prepare_new"):
-        monkeypatch.setattr(fn, attr, counting(getattr(fn, attr)))
+    monkeypatch.setattr(fn, "prepare", counted)
     return prepared
 
 
@@ -162,9 +159,9 @@ def test_a_rebind_keeps_its_own_memo_and_drops_the_others(dot64,
         kernel.run(A=a1)
         both, alone = kernel.bind_plan(("A", "B")), kernel.bind_plan(("A",))
         assert (len(both.memo), len(alone.memo)) == (1, 1)
-        kernel.rebind(A=a2, B=b2)           # a miss: prepared by run()
+        kernel.rebind(A=a2, B=b2)           # a miss: filed unprepared
         kernel.rebind(A=a1, B=b1)           # a hit: its prepared call
-        assert (len(both.memo), len(alone.memo)) == (1, 0)
+        assert (len(both.memo), len(alone.memo)) == (2, 0)
         count = len(prepares)
         output.set(0.0)
         kernel.run()
@@ -181,10 +178,13 @@ def test_a_rebind_keeps_its_own_memo_and_drops_the_others(dot64,
         kernel.rebind([C, A, B])
 
 
-def test_a_rebind_files_its_miss_when_run_prepares_it(dot64, prepares):
+def test_a_rebind_files_its_miss_and_run_prepares_it_once(dot64,
+                                                          prepares):
     """``rebind(A=, B=)`` + ``run()`` over repeated operand sets
-    prepares each set once, with no ``run(A=, B=)`` to fill the memo;
-    a miss superseded by another rebind before a run is not filed."""
+    prepares each set once, with no ``run(A=, B=)`` to fill the memo:
+    a rebind files its miss unprepared, and the first run that takes
+    the entry prepares it -- also when another rebind superseded it
+    before any run."""
     kernel, output, operands = dot64
     C, A, B = kernel.tensors
     kernel.rebind([C, A, B])
@@ -202,8 +202,10 @@ def test_a_rebind_files_its_miss_when_run_prepares_it(dot64, prepares):
         kernel.rebind(A=operands[2][0], B=operands[2][1])   # a hit
         kernel.run()
         assert len(prepares) == len(operands) - 1
-        assert len(kernel.bind_plan(("A", "B")).memo) == len(operands) - 1
-        kernel.run(A=fresh_a, B=fresh_b)        # still a miss
+        assert len(kernel.bind_plan(("A", "B")).memo) == len(operands)
+        kernel.run(A=fresh_a, B=fresh_b)        # a hit, not yet prepared
+        assert len(prepares) == len(operands)
+        kernel.run(A=fresh_a, B=fresh_b)
         assert len(prepares) == len(operands)
     finally:
         kernel.rebind([C, A, B])

@@ -1,27 +1,31 @@
 """A bound kernel's ``run()`` makes the call its binding prepared.
 
 Both backends marshal a binding once — on the first ``run()`` after a
-bind, a ``rebind`` or an adoption — through one identity memo
-(:func:`repro.ir.runtime.make_entry`): a C kernel its pointer array,
-then it calls the native entry directly; a python kernel the element
-views of its view set (``CompiledKernel.views``), then it calls the
-exec'd function directly.  Counted in Python-level calls
+bind, a ``rebind`` or an adoption — into the prepared call its bind-plan
+entry keeps (``CompiledKernel.plan_entry``; the kernel entry,
+:func:`repro.ir.runtime.make_entry`, memoizes nothing): a C kernel its
+pointer array, then it calls the native entry directly; a python kernel
+the element views of its view set (``CompiledKernel.views``), then it
+calls the exec'd function directly.  Counted in Python-level calls
 (``cProfile``), which no machine's speed moves: a bound C ``run()``
-that went through the identity memo every time made 5 calls, the
+that went through an identity memo every time made 5 calls, the
 prepared call makes 2; a bound python ``run()`` makes 2 (``run`` and
 the kernel) and takes no view.
 """
 
 import cProfile
+import gc
 import pstats
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 import repro.lang as fl
 from repro import codegen
+from repro.compiler.kernel import BINDING_MEMO_CAP
 from repro.ir import runtime
 from repro.util.errors import BindingError
 
@@ -108,16 +112,32 @@ def test_a_bound_run_never_enters_the_memo(dot):
 
 @pytest.mark.parametrize("how", ["sequence", "named"])
 def test_rebind_prepares_again_on_the_next_run(dot, how):
+    """A rebind marshals nothing; the next run prepares its entry's
+    call, once.  A named rebind files that entry in its plan's memo,
+    so the call it prepares is the one a later rebind to the same
+    operands finds."""
     kernel, C = dot
+    C_, A, B = kernel.tensors
     other = operand(A_DATA * 3.0, "A")
     if how == "sequence":
-        C_, _, B = kernel.tensors
-        kernel.rebind([C_, other, B])
+        def rebind():
+            kernel.rebind([C_, other, B])
     else:
-        kernel.rebind(A=other)
+        def rebind():
+            kernel.rebind(A=other)
+    assert profiled(rebind)[0] == 0
     assert profiled(lambda: rerun(kernel, C))[0] == 1
     assert profiled(lambda: rerun(kernel, C))[0] == 0
     assert C.value == 3.0 * DOT
+    if how == "named":
+        entry = kernel._entry
+        assert entry.call is not None
+        assert list(kernel.bind_plan(("A",)).memo.values()) == [entry]
+        kernel.rebind(A=A)
+        assert profiled(rebind)[0] == 0
+        assert kernel._entry is entry
+        assert profiled(lambda: rerun(kernel, C))[0] == 0
+        assert C.value == 3.0 * DOT
 
 
 def test_an_override_leaves_the_stored_call_alone(dot):
@@ -185,28 +205,34 @@ def test_a_status_raises_through_the_prepared_call(value, error):
 @pytest.mark.parametrize("backend", [
     pytest.param("c", marks=needs_cc), "python"])
 def test_threads_cycling_past_the_memo_cap(backend):
-    """Four threads each cycle their own bindings through one entry,
-    more bindings in all than the memo holds: hits race evictions
-    with no lock, and every call still computes its own binding."""
+    """Four threads each cycle their own full bindings through the
+    artifact's whole plan, more bindings in all than its memo holds:
+    hits race inserts and evictions with no lock, and every call
+    still computes its own binding."""
     kernel, _ = compile_dot(backend)
     artifact = kernel.artifact
     _, _, B = kernel.tensors
-    per_thread = runtime.BINDING_MEMO_CAP // 2
+    per_thread = BINDING_MEMO_CAP // 2
     bindings = [[] for _ in range(4)]
     for thread, own in enumerate(bindings):
         for k in range(per_thread):
             factor = float(thread * per_thread + k + 1)
             C = fl.Scalar(name="C")
-            args = artifact.bind([C, operand(A_DATA * factor, "A"), B])
-            own.append((C, args, factor * DOT))
+            own.append((C, [C, operand(A_DATA * factor, "A"), B],
+                        factor * DOT))
     failures = []
 
     def cycle(own):
         try:
             for _ in range(10):
-                for C, args, want in own:
+                for C, tensors, want in own:
                     C.set(0.0)
-                    artifact.fn(*args)
+                    entry = artifact.plan_entry(artifact._whole, tensors,
+                                                tensors,
+                                                artifact.seed_args)[0]
+                    if entry.call is None:
+                        entry.call = artifact.fn.prepare(entry.args)
+                    entry.call()
                     if C.value != pytest.approx(want):
                         failures.append((C.value, want))
         except Exception as exc:     # a KeyError from the memo, say
@@ -225,6 +251,25 @@ def test_threads_cycling_past_the_memo_cap(backend):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+    assert len(artifact._whole.memo) == BINDING_MEMO_CAP
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("c", marks=needs_cc), "python"])
+def test_an_entry_call_keeps_no_reference_to_its_arguments(backend):
+    """``artifact.fn(*args)`` marshals, calls and keeps nothing: the
+    arrays it was handed are freed with their last other owner."""
+    kernel, C = compile_dot(backend)
+    artifact = kernel.artifact
+    _, _, B = kernel.tensors
+    A = operand(A_DATA * 2.0, "A")
+    args = artifact.bind([C, A, B])
+    arrays = [weakref.ref(array) for array in A.kernel_buffers().values()]
+    artifact.fn(*args)
+    assert C.value == 2.0 * DOT
+    del A, args
+    gc.collect()
+    assert [ref() for ref in arrays] == [None] * len(arrays)
 
 
 @pytest.mark.parametrize("backend", [
@@ -235,7 +280,7 @@ def test_threads_cycling_overrides_past_the_plan_memo_cap(backend):
     inserts and evictions, and every call still computes its own
     operands into its own output."""
     kernel, _ = compile_dot(backend)
-    per_thread = runtime.BINDING_MEMO_CAP // 2
+    per_thread = BINDING_MEMO_CAP // 2
     sets = [[(fl.Scalar(name="C"), operand(A_DATA * float(k + 1), "A"),
               float(k + 1) * DOT)
              for k in range(t * per_thread, (t + 1) * per_thread)]
@@ -266,7 +311,7 @@ def test_threads_cycling_overrides_past_the_plan_memo_cap(backend):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert len(kernel.bind_plan(("C", "A")).memo) <= runtime.BINDING_MEMO_CAP
+    assert len(kernel.bind_plan(("C", "A")).memo) <= BINDING_MEMO_CAP
 
 
 # ------------------------------------------------------------- python entry

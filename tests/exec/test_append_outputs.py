@@ -139,7 +139,7 @@ def test_kernel_rerun_and_spec_roundtrip(cls, case, opt_level):
     program, out = case(cls, seed=0)
     want = interpret(program).result_for(out)
     kernel = fl.compile_kernel(program, opt_level=opt_level, cache=False)
-    assert all(isinstance(arg, np.ndarray) for arg in kernel._args)
+    assert all(isinstance(arg, np.ndarray) for arg in kernel._entry.args)
     kernel.run()
     assert_identical(out.to_numpy(), want)
     assert_identical(out.to_tensor().to_numpy(), want)
@@ -211,13 +211,13 @@ def test_every_kernel_argument_is_an_ndarray(monkeypatch):
 
     bound = []
     for _, _, make_program, opts in warm_start_programs():
-        bound.append(fl.compile_kernel(make_program(), **opts)._args)
+        bound.append(fl.compile_kernel(make_program(), **opts)._entry.args)
 
     # ``convert`` compiles and runs its copy kernels internally.
     run = Kernel.run
 
     def recording_run(self, **overrides):
-        bound.append(self._args)
+        bound.append(self._entry.args)
         return run(self, **overrides)
 
     monkeypatch.setattr(Kernel, "run", recording_run)

@@ -265,6 +265,74 @@ def test_each_dataset_is_checked_and_walked_once_per_map(
             assert sorted(seen) == members, method
 
 
+@pytest.mark.parametrize("executor", ["serial", "threads"])
+def test_an_in_process_map_prepares_each_dataset_once(executor,
+                                                      monkeypatch):
+    """In-process, a dataset binds through a bind-plan entry: a name
+    dataset through the kernel's plan of its names, a sequence through
+    the artifact's whole plan.  Two maps of the same datasets prepare
+    each dataset's call once, and the second map binds none again."""
+    from repro.compiler.kernel import CompiledKernel
+
+    kernel = fl.compile_kernel(dot_program(*make_pair(0)), cache=False)
+    artifact = kernel.artifact
+    _, _, B = kernel.tensors
+    prepared, points = [], []
+    prepare, point = artifact.fn.prepare, CompiledKernel._point
+
+    def counted_prepare(args):
+        prepared.append(args)
+        return prepare(args)
+
+    def counted_point(self, *args, **kwargs):
+        points.append(self)
+        return point(self, *args, **kwargs)
+
+    monkeypatch.setattr(artifact.fn, "prepare", counted_prepare)
+    monkeypatch.setattr(CompiledKernel, "_point", counted_point)
+    sequences = dot_datasets(3)
+    names = [{"C": fl.Scalar(name="C"), "A": A}
+             for _, A, _ in dot_datasets(3, start_seed=4)]
+    expected = [float(A.to_numpy() @ B_.to_numpy())
+                for _, A, B_ in sequences]
+    expected += [float(dataset["A"].to_numpy() @ B.to_numpy())
+                 for dataset in names]
+    with KernelPool(kernel, executor=executor, max_workers=2) as pool:
+        for bound in (6, 6):
+            result = pool.map(sequences + names)
+            assert [float(item.outputs[0]) for item in result] == \
+                pytest.approx(expected)
+            assert (len(prepared), len(points)) == (6, bound)
+    assert len(artifact._whole.memo) == len(sequences)
+    assert len(kernel.bind_plan(("C", "A")).memo) == len(names)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_a_map_reads_the_template_as_an_adoption_left_it(executor):
+    """A name dataset takes its untouched slots from the kernel's
+    binding: after ``share_tensor`` re-points a template tensor, the
+    next map binds the adopted arrays, as the kernel's next run
+    would."""
+    kernel = fl.compile_kernel(dot_program(*make_pair(0)), cache=False)
+    _, _, B = kernel.tensors
+    datasets = [{"C": fl.Scalar(name="C"), "A": A}
+                for _, A, _ in dot_datasets(2)]
+    arena = fl.ShmArena()
+    try:
+        with KernelPool(kernel, executor=executor, max_workers=2) as pool:
+            pool.map(datasets)
+            fl.share_tensor(B, arena)
+            B.element.val[:] *= 2.0     # the adopted array
+            result = pool.map(datasets)
+        assert [float(item.outputs[0]) for item in result] == \
+            pytest.approx([float(dataset["A"].to_numpy() @ B.to_numpy())
+                           for dataset in datasets])
+    finally:
+        kernel.rebind(kernel.tensors)
+        del B
+        arena.close()
+
+
 def test_wrong_slot_count_rejected():
     template = dot_program(*make_pair(0))
     [dataset] = dot_datasets(1)

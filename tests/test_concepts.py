@@ -30,7 +30,9 @@ respells them (the autotuner and the store's tuning records stay
 deleted), and a closed target
 IR (no opaque Raw statement, and so no regex built over emitted text to
 guess what a line reads and writes: a dense reset and a vectorized loop
-are Slice/Reduce nodes, and effects are read off the nodes).
+are Slice/Reduce nodes, and effects are read off the nodes), and one
+way to prepare a call (a bind-plan entry keeps it; the kernel entry
+memoizes nothing).
 
 Run alone with ``python -m pytest tests/test_concepts.py -q``.
 """
@@ -132,6 +134,17 @@ GUARDS = (
           " entry views its binding (runtime.python_entry) and every"
           " entry has prepare()",
           ("src/repro/ir/asm.py", "class View(Stmt):")),
+    # One way to prepare a call: a binding's prepared call is kept by
+    # the bind-plan entry that checked it (compiler/kernel.PlanEntry),
+    # and the kernel entry memoizes nothing -- no marshal that skips a
+    # second memo, no miss filed across from one memo to the other.
+    Guard("second_prepare", r"\b(prepare_new|_filing)\b",
+          ("src/repro", "docs"),
+          "prepare_new/_filing are gone: a bind-plan entry keeps its"
+          " prepared call (CompiledKernel.plan_entry), and make_entry"
+          " memoizes nothing",
+          ("src/repro/ir/runtime.py", "entry.prepare_new = prepare_new"),
+          py_only=False),
     Guard("raw_statement", r"\bRaw\b|raw_identifiers", ("src/repro",),
           "the opaque Raw statement is gone: build Slice/Reduce nodes"
           " (ir/nodes.py) and ask asm.effects",
