@@ -41,6 +41,7 @@ class Context:
         self._scalar_order = []
         self._blocks = [[]]
         self.extents = {}
+        self.let_names = set()      # the variables `let` assigned once
         self.ops_var = Var(self.namer.fresh("_ops"))
         # Per open block: the scalars whose value where it ends is a
         # known literal (the work counter starts at zero).
@@ -138,6 +139,7 @@ class Context:
             return value
         var = Var(self.freshen(hint), value_range(value),
                   integral=integer_valued(value))
+        self.let_names.add(var.name)
         self.emit(asm.AssignStmt(var, value))
         return var
 

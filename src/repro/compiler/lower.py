@@ -14,6 +14,8 @@ passes, which is how entire subregions of work disappear when a sparse
 operand contributes a run of fill.
 """
 
+import contextlib
+
 from repro.cin.nodes import (
     Access,
     Assign,
@@ -36,6 +38,7 @@ from repro.compiler.unfurl import (
 )
 from repro.ir import asm, build, ops
 from repro.ir.nodes import (
+    Call,
     Extent,
     Literal,
     Load,
@@ -45,6 +48,7 @@ from repro.ir.nodes import (
     substitute,
 )
 from repro.looplets import (
+    Case,
     Jumper,
     Lookup,
     Pipeline,
@@ -60,6 +64,7 @@ from repro.looplets import (
     truncate,
 )
 from repro.rewrite import simplify_expr
+from repro.rewrite.rules import value_range
 from repro.tensors.output import RunOutput, SparseOutput
 from repro.tensors.tensor import Tensor
 from repro.util.errors import LoweringError
@@ -134,10 +139,6 @@ def ext_is_empty(ext):
     return cond == Literal(True)
 
 
-def ext_nonempty_cond(ext):
-    return simplify_expr(build.lt(ext.start, ext.stop))
-
-
 def _assigns(stmt, names):
     """Whether ``stmt`` assigns one of the scalar variables ``names``."""
     return isinstance(stmt, asm.AssignStmt) \
@@ -167,6 +168,32 @@ def folded_seek(stmt):
     return stmt
 
 
+def landing(child, stride, var, test, implied):
+    """A leader's ``child`` with each switch condition reading the
+    let-bound ``var`` where it read ``stride``, and the landing test
+    ``test`` read as ``implied``, which says the same within the step."""
+    if not isinstance(child, Switch):
+        return child
+    cases = []
+    for case in child.cases:
+        cond = simplify_expr(replace_in_expr(
+            case.cond, lambda expr: var if expr == stride else None))
+        cases.append(Case(implied if cond == test else cond, case.body))
+    return Switch(cases)
+
+
+def then_advance(stmts, guard, advance):
+    """``stmts``, then ``advance`` where ``guard`` holds: at the end of
+    the last statement's first arm when that arm is taken on ``guard``
+    (nothing the arm runs changes the let-bound operands of a guard)."""
+    last = stmts[-1] if stmts else None
+    if isinstance(last, asm.If) and last.branches[0][0] == guard:
+        (cond, arm), *rest = last.branches
+        return stmts[:-1] + [asm.If([(cond, asm.Block([arm, advance])),
+                                     *rest])]
+    return stmts + [build.if_([(guard, advance)])]
+
+
 def bind_index(stmt, name, value):
     """``stmt`` reading the variable ``name`` as ``value``, with what
     that decides folded: each expression reading it is simplified
@@ -193,6 +220,47 @@ class Lowerer:
     def __init__(self, ctx):
         self.ctx = ctx
         self._streams = {}  # id(append output) -> _append_stream()
+        # What the enclosing branches decide: condition -> its literal.
+        self._facts = {}
+        # Each pipeline phase's stop -> the stops it is the least of
+        # wherever a loop up to it runs.
+        self._stop_terms = {}
+
+    # -- facts from control flow ----------------------------------------
+    def decide(self, cond):
+        """``cond`` simplified, with what the enclosing branches decide
+        about its parts folded in."""
+        cond = simplify_expr(cond)
+        facts = self._facts
+        if facts:
+            known = replace_in_expr(cond, lambda expr: facts.get(expr)
+                                    if isinstance(expr, Call) else None)
+            if known is not cond:
+                cond = simplify_expr(known)
+        return cond
+
+    def nonempty(self, ext):
+        """The condition that ``ext`` holds a slot, decided here."""
+        return self.decide(build.lt(ext.start, ext.stop))
+
+    @contextlib.contextmanager
+    def assuming(self, facts):
+        """Lower with the conditions ``facts`` maps decided."""
+        saved = self._facts
+        self._facts = {**saved, **facts}
+        try:
+            yield
+        finally:
+            self._facts = saved
+
+    def branch_fact(self, cond, truth):
+        """``{cond: truth}`` for a branch's condition when only
+        let-bound variables (assigned once) are in it, so that nothing
+        the branch runs can change its value; else nothing."""
+        if isinstance(cond, Call) \
+                and cond.free_vars() <= self.ctx.let_names:
+            return {cond: Literal(truth)}
+        return {}
 
     # -- statements ------------------------------------------------------
     def lower_stmt(self, stmt):
@@ -347,17 +415,20 @@ class Lowerer:
     def lower_switch(self, index, ext, stmt, nodes):
         node = next(n for n in nodes if isinstance(n.looplet, Switch))
         branches = []
+        missed = {}  # the conditions of the branches before this one
         for case in node.looplet.cases:
-            cond = simplify_expr(case.cond)
+            cond = self.decide(case.cond)
             truth = build.literal_truth(cond)
             if truth is False:
                 continue
             variant = self._replace_nodes(
                 stmt, {id(node): self._substituted(node, case.body)})
-            branches.append((cond, self.ctx.scoped(self.lower_loop, index,
-                                                   ext, variant)))
+            with self.assuming({**missed, **self.branch_fact(cond, True)}):
+                branches.append((cond, self.ctx.scoped(
+                    self.lower_loop, index, ext, variant)))
             if truth:
                 break
+            missed.update(self.branch_fact(cond, False))
         self.ctx.emit(build.if_(branches))
 
     # Run: unwrap constant regions into their scalar payloads.
@@ -393,7 +464,7 @@ class Lowerer:
             self.lower_loop(index, tail_ext,
                             self._replace_nodes(stmt, tail_map))
 
-        self.ctx.emit(build.if_([(ext_nonempty_cond(ext),
+        self.ctx.emit(build.if_([(self.nonempty(ext),
                                   self.ctx.scoped(emit_regions))]))
 
     # Pipeline: split the extent phase by phase.  The phase cursor is
@@ -415,9 +486,16 @@ class Lowerer:
                     continue  # not even the phase body's set-up
                 declared = Extent(phase_ext.start,
                                   ext.stop if final else phase.stride)
+                if not final:
+                    # Where a loop up to p_stop runs, p_stop is past
+                    # cur: it is the phase's stride or the stop.
+                    self._stop_terms.setdefault(
+                        p_stop, (phase.stride, *self.stop_terms(ext.stop)))
                 body = call_body(phase.body, self.ctx, phase_ext)
                 if is_looplet(body):
                     body = truncate(body, phase_ext, declared)
+                    if not final and isinstance(body, Stepper):
+                        body = body.within(phase.stride)
                 mapping = {id(node): self._substituted(node, body)}
                 for other in nodes:
                     if other is not node:
@@ -428,12 +506,15 @@ class Lowerer:
                 block = self.ctx.scoped(self.lower_loop, index, phase_ext,
                                         self._replace_nodes(stmt, mapping))
                 ran = ran or not block.is_nop()
-                self.ctx.emit(build.if_([(ext_nonempty_cond(phase_ext),
+                self.ctx.emit(build.if_([(self.nonempty(phase_ext),
                                           block)]))
         if ran:
             self.ctx.emit(asm.Block(pipeline))
 
-    # Steppers/jumpers: a while loop over child regions.
+    # Steppers/jumpers: a while loop of merge steps, each over the
+    # region up to the nearest stride (a jumper's: the widest).  What a
+    # step knows is decided here (docs/compilation.md, "What a merge
+    # step knows").
     def lower_stepper(self, index, ext, stmt, nodes):
         self._lower_coiteration(index, ext, stmt, nodes, Stepper,
                                 leaders_use_max=False)
@@ -442,62 +523,124 @@ class Lowerer:
         self._lower_coiteration(index, ext, stmt, nodes, Jumper,
                                 leaders_use_max=True)
 
+    def stop_terms(self, stop):
+        """The stops ``stop`` is the least of where a loop up to it
+        runs: its pipeline phases' strides, or itself."""
+        return self._stop_terms.get(stop, (stop,))
+
+    def _stop_bounds(self, stop, leaders):
+        """Whether the loop's ``stop`` is never below the nearest
+        stride of ``leaders``: each stop it is the least of is the end
+        of a leader's phase, or above every value that end or the
+        leader's stride can take."""
+        def under(looplet, term):
+            lo = value_range(term)[0]
+            return any(bound is not None and (
+                bound == term or value_range(bound)[1] <= lo)
+                for bound in (looplet.stop, looplet.stride))
+
+        return all(any(under(node.looplet, term) for node in leaders)
+                   for term in self.stop_terms(stop))
+
+    def _annihilates(self, stmt, leaders):
+        """Whether the rewriter folds ``stmt`` to nothing with any one
+        of ``leaders`` at its fill."""
+        return all(node.looplet.fill is not None and isinstance(
+            simplify_stmt(self._replace_nodes(stmt, {
+                id(node): self._substituted(node, node.looplet.fill)})),
+            Pass) for node in leaders)
+
     def _lower_coiteration(self, index, ext, stmt, nodes, cls,
                            leaders_use_max):
+        ctx = self.ctx
         leaders = [n for n in nodes if isinstance(n.looplet, cls)]
-        cur = Var(self.ctx.freshen(index.name + "_cur"), integral=True)
-        self.ctx.emit(asm.AssignStmt(cur, ext.start))
-        start = ext.start if isinstance(ext.start, (Literal, Var)) else cur
+        # Over a unit extent every stride is past the one slot: one
+        # step covers it, and there is no loop.
+        unit = ext_is_unit(ext)
+        if unit:
+            cur = start = ext.start
+        else:
+            cur = Var(ctx.freshen(index.name + "_cur"), integral=True)
+            ctx.emit(asm.AssignStmt(cur, ext.start))
+            start = ext.start if isinstance(ext.start, (Literal, Var)) \
+                else cur
         for node in leaders:
-            for piece in node.looplet.preamble(self.ctx):
-                self.ctx.emit(piece)
-            for piece in node.looplet.seek(self.ctx, start):
-                self.ctx.emit(folded_seek(piece))
+            for piece in node.looplet.preamble(ctx):
+                ctx.emit(piece)
+            for piece in node.looplet.seek(ctx, start):
+                ctx.emit(folded_seek(piece))
             # A seek is one unit of coiteration work (a search, however
             # many probes it makes), counted where its search folded
             # away too.
-            self.ctx.emit(self.ctx.count_op())
+            ctx.emit(ctx.count_op())
+        # A stepper's step need not stop at the loop's stop when that
+        # is never below its nearest stride.  A jumper's step whose
+        # widest stride passes the stop is its last, when that leader's
+        # fill, which it holds up to the stop, leaves the body nothing
+        # to do.
+        bounded = not leaders_use_max \
+            and self._stop_bounds(ext.stop, leaders)
+        ends = leaders_use_max and not unit \
+            and self._annihilates(stmt, leaders)
+        clipped = not (unit or bounded or ends)
+        by_id = {id(node): position for position, node in enumerate(leaders)}
 
-        def loop_body():
+        def step():
             # Each merge step is one unit of coiteration work.
-            self.ctx.emit(self.ctx.count_op())
-            stride_vars = {}
-            for node in leaders:
-                stride_vars[id(node)] = self.ctx.let(
-                    index.name + "_stride", node.looplet.stride)
-            if leaders_use_max:
-                widest = build.maximum(*stride_vars.values())
-                p_stop_expr = build.minimum(widest, ext.stop)
-            else:
-                p_stop_expr = build.minimum(
-                    *(list(stride_vars.values()) + [ext.stop]))
-            p_stop = self.ctx.let(index.name + "_stop", p_stop_expr)
-            region = Extent(cur, p_stop)
+            ctx.emit(ctx.count_op())
+            strides = [ctx.let(index.name + "_stride", node.looplet.stride)
+                       for node in leaders]
+            reach = (build.maximum if leaders_use_max
+                     else build.minimum)(*strides)
+            p_stop = ext.stop if unit else ctx.let(
+                index.name + "_stop",
+                build.minimum(reach, ext.stop) if clipped else reach)
+            region = ext if unit else Extent(cur, p_stop)
+            lands = [simplify_expr(build.eq(p_stop, stride))
+                     for stride in strides]
+            implied = list(lands)
+            if not (unit or clipped):
+                # p_stop is one of the strides: a leader that is not
+                # the last lands when no other one does.
+                implied[-1] = build.lor(lands[-1], build.land(*[
+                    build.call(ops.NOT, land) for land in lands[:-1]]))
             mapping = {}
             for node in nodes:
-                if id(node) in stride_vars:
-                    child = call_body(node.looplet.body, self.ctx, region)
-                    if is_looplet(child) and not leaders_use_max:
-                        child = truncate(
-                            child, region,
-                            Extent(cur, stride_vars[id(node)]))
-                    mapping[id(node)] = self._substituted(node, child)
-                else:
+                position = by_id.get(id(node))
+                if position is None:
                     mapping[id(node)] = self._substituted(
                         node, truncate(node.looplet, region,
                                        Extent(cur, ext.stop)))
-            self.lower_loop(index, region, self._replace_nodes(stmt, mapping))
-            for node in leaders:
-                advance = asm.Block(node.looplet.next(self.ctx))
-                if advance.is_nop():
                     continue
-                guard = simplify_expr(
-                    build.eq(p_stop, stride_vars[id(node)]))
-                self.ctx.emit(build.if_([(guard, advance)]))
-            self.ctx.emit(asm.AssignStmt(cur, p_stop))
+                child = call_body(node.looplet.body, ctx, region)
+                if is_looplet(child) and not leaders_use_max:
+                    child = truncate(child, region,
+                                     Extent(cur, strides[position]))
+                mapping[id(node)] = self._substituted(node, landing(
+                    child, node.looplet.stride, strides[position],
+                    lands[position], implied[position]))
+            # Every stride is past the cursor, so the region is not empty.
+            facts = {} if unit else {self.nonempty(region): Literal(True)}
+            with self.assuming(facts):
+                block = ctx.scoped(self.lower_loop, index, region,
+                                   self._replace_nodes(stmt, mapping))
+            stmts = list(block.stmts)
+            for node, land in zip(leaders, lands):
+                advance = asm.Block(node.looplet.next(ctx))
+                if not advance.is_nop():
+                    stmts = then_advance(stmts, land, advance)
+            if ends:
+                stmts = [build.if_([(simplify_expr(build.le(
+                    p_stop, ext.stop)), asm.Block(stmts))])]
+            ctx.emit(asm.Block(stmts))
+            if not unit:
+                ctx.emit(asm.AssignStmt(cur, p_stop))
 
-        body = self.ctx.scoped(loop_body, repeats=True)
-        self.ctx.emit(asm.WhileLoop(build.lt(cur, ext.stop), body))
+        if unit:
+            step()
+            return
+        body = ctx.scoped(step, repeats=True)
+        ctx.emit(asm.WhileLoop(build.lt(cur, ext.stop), body))
 
     # Lookup: emit the for loop; element access happens per iteration.
     def lower_lookup(self, index, ext, stmt, nodes):
@@ -570,7 +713,7 @@ class Lowerer:
             # Overwrites and idempotent reductions collapse to one step.
             single = self.ctx.scoped(self._emit_resolved_assign,
                                      stmt, target, rhs)
-            self.ctx.emit(build.if_([(ext_nonempty_cond(ext), single)]))
+            self.ctx.emit(build.if_([(self.nonempty(ext), single)]))
             return True
         return False
 
@@ -648,7 +791,7 @@ class Lowerer:
             tensor, list(stmt.lhs.idxs[:-1]) + [ext.start])
         stop = self._flat_position(
             tensor, list(stmt.lhs.idxs[:-1]) + [ext.stop])
-        self.ctx.emit(build.if_([(ext_nonempty_cond(ext),
+        self.ctx.emit(build.if_([(self.nonempty(ext),
                                   self._append(tensor, start, stop, rhs))]))
         self.ctx.emit(self.ctx.count_op())
         return True

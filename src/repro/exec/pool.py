@@ -26,9 +26,10 @@ shared-memory transport
 
 chunked scheduling
     many datasets ride one IPC round-trip.  The chunk size adapts to
-    the measured per-item cost (an EMA of worker-reported kernel
-    seconds) targeting :data:`CHUNK_TARGET_S` of work per message,
-    capped so every worker gets something to do.
+    the measured per-item cost of the kernel being mapped (an EMA of
+    worker-reported kernel seconds, one per kernel digest) targeting
+    :data:`CHUNK_TARGET_S` of work per message, capped so every worker
+    gets something to do.
 
 self-healing
     each worker publishes the dataset index it is executing *and a
@@ -47,10 +48,11 @@ watchdog deadlines
     in-flight dataset (:class:`~repro.util.errors.WorkerStallError`),
     and respawns the slot exactly like a crash.  The deadline is
     explicit (``deadline_s`` per ``run`` call, which the batch layer
-    passes from its ``KernelPool``) or derived from the chunk-cost EMA
-    (``max(5s, 50x measured per-item seconds)``); before any
-    measurement and with no explicit deadline the watchdog stays off,
-    so a cold first chunk can never be killed by a guess.
+    passes from its ``KernelPool``) or derived from the kernel's own
+    chunk-cost EMA (``max(5s, 50x measured per-item seconds)``); before
+    any measurement of that kernel and with no explicit deadline the
+    watchdog stays off, so a cold first chunk can never be killed by a
+    guess, nor by another kernel's cost.
 
 retry with backoff
     transient failures — crashes, stalls, and worker-raised
@@ -164,7 +166,7 @@ class WorkerPool:
         self._progress = None
         self._progress_view = None
         self._closed = False
-        self._per_item_s = None  # EMA of measured per-item seconds
+        self._per_item_s = {}  # digest -> EMA of measured per-item s
         self._last_chunk_size = None
         self._counters = {
             "batches": 0, "chunks": 0, "respawns": 0,
@@ -292,15 +294,15 @@ class WorkerPool:
             self._progress_view[slot] = -1
 
     # -- scheduling ----------------------------------------------------
-    def _pick_chunk_size(self, n):
+    def _pick_chunk_size(self, n, per_item_s):
         """Datasets per IPC round-trip: about :data:`CHUNK_TARGET_S` of
-        measured work, clamped so every worker gets a share; before
-        any measurement, four chunks per worker."""
+        the kernel's measured work, clamped so every worker gets a
+        share; before any measurement, four chunks per worker."""
         per_worker = max(1, -(-n // self.max_workers))
-        if self._per_item_s is None or self._per_item_s <= 0:
+        if not per_item_s or per_item_s <= 0:
             size = max(1, -(-n // (self.max_workers * 4)))
         else:
-            size = int(CHUNK_TARGET_S / self._per_item_s) or 1
+            size = int(CHUNK_TARGET_S / per_item_s) or 1
         size = max(1, min(per_worker, size))
         self._last_chunk_size = size
         return size
@@ -357,17 +359,19 @@ class WorkerPool:
         if not tasks:
             return [], [], faults
         # The watchdog deadline: the caller's (0 turns it off), else a
-        # generous guess from the chunk-cost EMA (50x the per-item
-        # cost, floored at 5s).  Before any measurement the watchdog
-        # stays off, so a cold first chunk is never killed by a guess.
+        # generous guess from this kernel's chunk-cost EMA (50x the
+        # per-item cost, floored at 5s).  Before any measurement of it
+        # the watchdog stays off, so a cold first chunk is never killed
+        # by a guess.
+        per_item_s = self._per_item_s.get(digest)
         if deadline_s is not None:
             deadline = float(deadline_s) or None
-        elif self._per_item_s:
-            deadline = max(5.0, 50.0 * self._per_item_s)
+        elif per_item_s:
+            deadline = max(5.0, 50.0 * per_item_s)
         else:
             deadline = None
         self._counters["batches"] += 1
-        chunk_size = self._pick_chunk_size(len(tasks))
+        chunk_size = self._pick_chunk_size(len(tasks), per_item_s)
         pending = deque(tasks[i:i + chunk_size]
                         for i in range(0, len(tasks), chunk_size))
         busy = {}  # slot -> (chunk, dispatch monotonic seconds)
@@ -542,10 +546,10 @@ class WorkerPool:
                 self._discard(slot)
             raise
         if executed:
-            per_item = exec_seconds / executed
-            self._per_item_s = (per_item if self._per_item_s is None
-                                else 0.5 * self._per_item_s
-                                + 0.5 * per_item)
+            measured = exec_seconds / executed
+            self._per_item_s[digest] = (
+                measured if per_item_s is None
+                else 0.5 * per_item_s + 0.5 * measured)
         return results, failures, faults
 
     def add_shm_bytes(self, nbytes):
@@ -561,7 +565,7 @@ class WorkerPool:
             out["max_workers"] = self.max_workers
             out["start_method"] = self.start_method
             out["chunk_size"] = self._last_chunk_size
-            out["per_item_s"] = self._per_item_s
+            out["per_item_s"] = dict(self._per_item_s)
             out["alive"] = sum(
                 1 for worker in self._workers
                 if worker is not None and worker.process.is_alive())

@@ -136,7 +136,7 @@ class SparseListLevel(Level):
 
     def _jumper(self, ctx, state):
         def body(ctx, ext):
-            exact = build.eq(self._stride(state), ext.stop)
+            exact = build.eq(ext.stop, self._stride(state))
             return Switch([
                 Case(exact, self._spike(state)),
                 Case(Literal(True), self._stepper(ctx, state)),
@@ -147,6 +147,7 @@ class SparseListLevel(Level):
             body=body,
             seek=self._seek(state),
             next=self._next(state),
+            fill=fill_payload(self),
         )
 
     def densify(self, nfibers, children):

@@ -116,7 +116,7 @@ class SparseVBLLevel(Level):
             # exactly at this block, contribute the block pipeline,
             # otherwise fall back to an inner stepper that seeks.
             def jumper_body(ctx, ext):
-                exact = build.eq(block_end, ext.stop)
+                exact = build.eq(ext.stop, block_end)
                 return Switch([
                     Case(exact, block_pipeline()),
                     Case(Literal(True), make_stepper()),

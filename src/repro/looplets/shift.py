@@ -89,4 +89,7 @@ def _shift_coiter(cls, looplet, delta):
         seek=seek,
         next=looplet.next,
         preamble=looplet.preamble,
+        fill=looplet.fill,
+        stop=None if looplet.stop is None else build.plus(looplet.stop,
+                                                          delta),
     )

@@ -717,6 +717,39 @@ def test_each_figure_runs_c_or_says_why_not(figure):
     assert [r for _, r in codegen.fallback_events()] == reasons, label
 
 
+def _fig8_graphs():
+    """Each ``fig8_suite()`` graph, then the seven matrices of the
+    batch workload: the HB-like suite, its values redrawn as integers."""
+    from repro.bench.figures import fig7_suite, fig8_suite
+
+    rng = np.random.default_rng(2)
+    graphs = dict(fig8_suite())
+    for name, mat in fig7_suite().items():
+        mat = np.asarray(mat, dtype=float).copy()
+        mat[mat != 0] = rng.integers(1, 9, int((mat != 0).sum()))
+        graphs["batch:" + name] = mat
+    return graphs
+
+
+@needs_cc
+@pytest.mark.parametrize("protocol", ["gallop", "walk"])
+def test_each_fig8_spelling_runs_c_like_python(protocol):
+    """Figure 8 as written (``k`` gallops) and walking everywhere, on
+    every graph: the C kernel runs natively and matches the python
+    kernel in value and op count (SNIPPETS §1–2's discipline)."""
+    from repro.bench.kernels import triangle_count_program
+
+    for name, adj in _fig8_graphs().items():
+        seen = {}
+        for backend in ("python", "c"):
+            prog, C = triangle_count_program(adj, protocol)
+            kernel = fl.compile_kernel(prog, instrument=True,
+                                       backend=backend, cache=False)
+            assert kernel.effective_backend == backend, name
+            seen[backend] = (kernel.run(), float(C.value))
+        assert seen["c"] == seen["python"], name
+
+
 @needs_cc
 class TestUnsupportedConstructFallback:
     def test_vectorized_kernel_falls_back(self):

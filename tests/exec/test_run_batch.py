@@ -7,6 +7,8 @@ the serial, threads, and processes executors — concurrency shards the
 work, it never changes it.
 """
 
+import types
+
 import numpy as np
 import pytest
 
@@ -490,6 +492,54 @@ def test_zero_deadline_turns_the_watchdog_off():
             result = pool.map(dot_datasets(2))
     assert len(result) == 2
     assert not any(result.faults.values())
+
+
+def test_a_kernel_new_to_the_pool_runs_with_the_watchdog_off(monkeypatch):
+    """The derived watchdog deadline prices each kernel by its own
+    measured cost: on a pool that has timed another kernel, a kernel it
+    has not timed yet runs unwatched (every wait blocks with no
+    timeout), while the timed kernel's next map is watched."""
+    from repro.exec import WorkerPool
+    from repro.exec import pool as pool_module
+
+    timeouts = []
+    wait = pool_module.mp_connection.wait
+
+    def recording_wait(objects, timeout=None):
+        timeouts.append(timeout)
+        return wait(objects, timeout)
+
+    # The dispatcher's own wait, not every Connection.poll's.
+    monkeypatch.setattr(pool_module, "mp_connection",
+                        types.SimpleNamespace(wait=recording_wait))
+
+    def sparse_dot(seed):
+        a, b = make_pair(seed)
+        A = fl.from_numpy(a, ("sparse",), name="A")
+        B = fl.from_numpy(b, ("sparse",), name="B")
+        C = fl.Scalar(name="C")
+        i = fl.indices("i")
+        return fl.forall(i, fl.increment(C[()], A[i] * B[i]))
+
+    timed = fl.compile_kernel(dot_program(*make_pair(0)))
+    new = fl.compile_kernel(sparse_dot(0))
+    with WorkerPool(max_workers=2) as workers:
+        with KernelPool(timed, executor="processes",
+                        worker_pool=workers) as pool:
+            pool.map(dot_datasets(4))
+            del timeouts[:]
+            pool.map(dot_datasets(4))
+            watched = timeouts[:]
+        del timeouts[:]
+        with KernelPool(new, executor="processes",
+                        worker_pool=workers) as pool:
+            result = pool.map([program_tensors(sparse_dot(seed))
+                               for seed in range(1, 5)])
+        estimates = workers.stats()["per_item_s"]
+    assert watched and None not in watched
+    assert timeouts and set(timeouts) == {None}
+    assert len(result) == 4 and not any(result.faults.values())
+    assert len(estimates) == 2
 
 
 def test_pool_reuse_accumulates_stats():

@@ -17,7 +17,10 @@ from repro.ir.runtime import kernel_globals
 PINNED_OPS = {
     "fig1_dot": 12,
     "fig7_spmspv": 7399,
-    "fig8_triangles": 50702,
+    # 50702 until a galloping step whose widest stride passes the loop's
+    # stop ended the loop: it used to seek both rows and walk the rest
+    # of the shorter one, whose products are all zero.
+    "fig8_triangles": 48990,
     "fig9_convolution": 930,
     "fig10_alpha": 388,
     "fig11_allpairs": 2526,
