@@ -488,9 +488,9 @@ class Lowerer:
                                   ext.stop if final else phase.stride)
                 if not final:
                     # Where a loop up to p_stop runs, p_stop is past
-                    # cur: it is the phase's stride or the stop.
+                    # cur, so it is the least of the stride and stop.
                     self._stop_terms.setdefault(
-                        p_stop, (phase.stride, *self.stop_terms(ext.stop)))
+                        p_stop, (phase.stride, *self._least_of(ext.stop)))
                 body = call_body(phase.body, self.ctx, phase_ext)
                 if is_looplet(body):
                     body = truncate(body, phase_ext, declared)
@@ -523,7 +523,7 @@ class Lowerer:
         self._lower_coiteration(index, ext, stmt, nodes, Jumper,
                                 leaders_use_max=True)
 
-    def stop_terms(self, stop):
+    def _least_of(self, stop):
         """The stops ``stop`` is the least of where a loop up to it
         runs: its pipeline phases' strides, or itself."""
         return self._stop_terms.get(stop, (stop,))
@@ -540,7 +540,7 @@ class Lowerer:
                 for bound in (looplet.stop, looplet.stride))
 
         return all(any(under(node.looplet, term) for node in leaders)
-                   for term in self.stop_terms(stop))
+                   for term in self._least_of(stop))
 
     def _annihilates(self, stmt, leaders):
         """Whether the rewriter folds ``stmt`` to nothing with any one
