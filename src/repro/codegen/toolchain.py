@@ -218,6 +218,14 @@ def load_symbol(so_path, name):
     return fn
 
 
+#: The address of a writable, non-empty array's first byte: a
+#: ``ctypes`` object on its buffer, dropped at once (so no buffer stays
+#: exported), costs 0.4 µs where ``array.ctypes.data`` builds a helper
+#: object for ~2 µs; the marshal reads other arrays that slower way.
+_addressof = ctypes.addressof
+_from_buffer = ctypes.c_char.from_buffer
+
+
 def make_entry(cfn, name, param_dtypes):
     """Wrap a raw C entry as a kernel entry point over numpy buffers
     (:func:`repro.ir.runtime.make_entry`): marshalling a binding
@@ -236,21 +244,29 @@ def make_entry(cfn, name, param_dtypes):
             raise ToolchainError(
                 "kernel %r takes %d buffers, got %d"
                 % (name, count, len(args)))
+        # Filled in place: ``array_type(*addresses)`` costs three times
+        # as much.
+        pointers = array_type()
         for position, (array, dtype) in enumerate(zip(args, dtypes)):
             if not isinstance(array, np.ndarray):
                 raise ToolchainError(
                     "kernel %r argument %d is %r, not an ndarray"
                     % (name, position, type(array).__name__))
-            if array.dtype != dtype:
+            # A builtin dtype is one object: identity settles most.
+            if array.dtype is not dtype and array.dtype != dtype:
                 raise ToolchainError(
                     "kernel %r argument %d has dtype %s, compiled for %s"
                     % (name, position, array.dtype, dtype))
-            if not array.flags["C_CONTIGUOUS"]:
+            flags = array.flags
+            if not flags.c_contiguous:
                 raise ToolchainError(
                     "kernel %r argument %d is not C-contiguous"
                     % (name, position))
-        return (array_type(*[array.ctypes.data for array in args]),
-                tuple(args))
+            pointers[position] = (
+                _addressof(_from_buffer(array))
+                if flags.writeable and array.nbytes
+                else array.ctypes.data)
+        return pointers, tuple(args)
 
     def invoke(pointers, pinned):
         # ``pinned`` (the arrays) is what a prepared call holds them by.

@@ -832,7 +832,7 @@ def _compile_artifact(program, walk, instrument, name,
     if opt_level > 0:
         func = optimize_kernel(func, opt_level, ctx.bound_buffers())
         views = viewable(func, ctx.bound_buffers(), ctx.binding_plan())
-    source = emit(func)
+    source = emit(func, views)
 
     c_source = None
     c_param_dtypes = None

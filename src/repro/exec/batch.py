@@ -578,17 +578,34 @@ class KernelPool:
         return items, failures
 
     def _map_threads(self, resolved):
-        """:meth:`_map_serial` over the thread executor."""
+        """:meth:`_map_serial` over the thread executor, every dataset
+        run whatever the policy: one task per worker, each taking the
+        next dataset until none is left (one future per dataset cost
+        more than a small kernel)."""
         pool = self._ensure_pool()
-        futures = [(index, pool.submit(self._run_threaded, index,
-                                       dataset))
-                   for index, dataset in enumerate(resolved)]
+        lock = threading.Lock()
+        remaining = iter(enumerate(resolved))
+
+        def drain():
+            items, failures = [], {}
+            while True:
+                with lock:
+                    index, dataset = next(remaining, (None, None))
+                if index is None:
+                    return items, failures
+                try:
+                    items.append(self._run_threaded(index, dataset))
+                except BatchExecutionError as exc:
+                    failures[index] = exc
+
+        tasks = [pool.submit(drain)
+                 for _ in range(min(self.max_workers, len(resolved)))]
         items, failures = [], {}
-        for index, future in futures:
-            try:
-                items.append(future.result())
-            except BatchExecutionError as exc:
-                failures[index] = exc
+        for task in tasks:
+            done, failed = task.result()
+            items += done
+            failures.update(failed)
+        items.sort(key=lambda item: item.index)
         return items, failures
 
     def _map_processes(self, resolved):

@@ -146,3 +146,24 @@ def _install_batch_drops_last():
         batch_mod.KernelPool._resolve = original
 
     return undo
+
+
+@_register("view-slice-bare",
+           "the python printer slices a viewed parameter's element view "
+           "instead of its ndarray (drops '.obj'), so a dense reset of "
+           "a viewed output raises")
+def _install_view_slice_bare():
+    from repro.ir import pretty
+
+    original = pretty._render_slice
+
+    def buggy(expr, temps):
+        source = original(expr, temps)
+        return source.replace(".obj[", "[", 1)
+
+    pretty._render_slice = buggy
+
+    def undo():
+        pretty._render_slice = original
+
+    return undo

@@ -26,12 +26,14 @@ walk.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
 from repro.ir import asm
-from repro.ir.nodes import Call, Literal, Load, Reduce, Slice, Var
-from repro.ir.ops import MISSING
+from repro.ir.nodes import Call, Literal, Load, Slice, Var
+from repro.ir.ops import MISSING, MUL
+from repro.rewrite.rules import RANGE_OF_CALL, UNBOUNDED, value_range
 
 _NONE = type(None)
 
@@ -192,17 +194,13 @@ def _stores_alike(element, mask):
                for kind in mask)
 
 
-def sites(func, dtypes):
-    """``(calls, stores, sliced, kinds)`` of ``func``, whose parameters
-    ``dtypes`` maps, in order, to their numpy dtypes: every call and
-    store some load reaches, with its operands' types and reach, the bit
-    mask of the parameters a ``Slice`` names, and ``kinds(expr)``, the
-    types an expression of ``func`` may have (none for a load from a
-    name that is not a parameter)."""
-    bits, elements, loads = {}, {}, {}
-    for pos, (name, dtype) in enumerate(dtypes.items()):
-        bits[name], elements[name] = 1 << pos, np.dtype(dtype).type
-        loads[name] = frozenset([elements[name]])
+def _statements(func):
+    """``(assigns, uses, stored)``: the statements of ``func`` in
+    program order — each assignment to a variable as ``(name, value)``,
+    where ``x op= v`` is ``(op, x, v)`` and a loop index's value is its
+    ``ForLoop``; each expression a statement reads outside those (a
+    condition, a loop's bounds; ``None`` for an ``else``); each store as
+    ``(target, value)``."""
     assigns, uses, stored = [], [], []
     stack = [func.body]
     while stack:
@@ -212,40 +210,57 @@ def sites(func, dtypes):
             stack += reversed(stmt.stmts)
         elif cls is asm.AssignStmt or cls is asm.AccumStmt:
             target = stmt.target
-            # ``x op= v`` is ``op(x, v)``
             value = stmt.value if cls is asm.AssignStmt \
                 else (stmt.op, target, stmt.value)
             if type(target) is Var:
                 assigns.append((target.name, value))
-            else:   # visiting the target visits its address
-                uses.append(target)
-                stored.append((target.buffer.name, value))
+            else:
+                stored.append((target, value))
         elif cls is asm.If:
             for cond, body in reversed(stmt.branches):
                 uses.append(cond)
                 stack.append(body)
         elif cls is asm.ForLoop:
             uses += stmt.start, stmt.stop
-            assigns.append((stmt.var.name, None))   # ``range``: ints
+            assigns.append((stmt.var.name, stmt))
             stack.append(stmt.body)
         elif cls is asm.WhileLoop:
             uses.append(stmt.cond)
             stack.append(stmt.body)
+    return assigns, uses, stored
 
-    env, read, calls, sliced = {}, set(), set(), [0]
+
+def sites(func, dtypes):
+    """``(calls, stores, sliced, kinds)`` of ``func``, whose parameters
+    ``dtypes`` maps, in order, to their numpy dtypes: every call and
+    store some load reaches, with its operands' types and reach, the bit
+    mask of the parameters only a ``Slice`` names (never a load, a
+    store to one element or a helper's buffer operand), and
+    ``kinds(expr)``, the types an expression of ``func`` may have (none
+    for a load from a name that is not a parameter)."""
+    bits, elements, loads = {}, {}, {}
+    for pos, (name, dtype) in enumerate(dtypes.items()):
+        bits[name], elements[name] = 1 << pos, np.dtype(dtype).type
+        loads[name] = frozenset([elements[name]])
+    assigns, uses, stored = _statements(func)
+    uses += [target for target, _ in stored]    # visits its address
+
+    env, read, calls, sliced, indexed = {}, set(), set(), [0], [0]
     unknown, buffer = (frozenset(), 0), (frozenset([np.ndarray]), 0)
 
     def visit(expr):
         cls = type(expr)
         if cls is Var:
             read.add(expr.name)     # a parameter is a whole buffer
+            indexed[0] |= bits.get(expr.name, 0)
             return env.get(expr.name) or (
                 buffer if expr.name in bits else unknown)
         if cls is Load:
             if type(expr.index) is Call:    # a load is its buffer's type
                 visit(expr.index)
-            return (loads.get(expr.buffer.name, unknown[0]),
-                    bits.get(expr.buffer.name, 0))
+            bit = bits.get(expr.buffer.name, 0)
+            indexed[0] |= bit
+            return loads.get(expr.buffer.name, unknown[0]), bit
         if cls is Literal:
             return _LITERAL[_NONE if expr.value is MISSING
                             else type(expr.value)], 0
@@ -283,7 +298,8 @@ def sites(func, dtypes):
         name, value = assigns[pos]
         read.clear()
         calls.clear()
-        kinds, reach = visit(value) if value else (_LITERAL[int], 0)
+        kinds, reach = (_LITERAL[int], 0) if type(value) is asm.ForLoop \
+            else visit(value)
         if found[pos] is None:
             for var in read:
                 readers.setdefault(var, []).append(pos)
@@ -297,10 +313,104 @@ def sites(func, dtypes):
     for expr in uses:
         if expr is not None:    # an ``else``
             visit(expr)
-    stores = {(bits[name], elements[name]) + visit(value)
-              for name, value in stored if name in bits}
+    stores = {(bits[target.buffer.name], elements[target.buffer.name])
+              + visit(value)
+              for target, value in stored if target.buffer.name in bits}
     calls.update(itertools.chain.from_iterable(found))
-    return calls, stores, sliced[0], lambda expr: visit(expr)[0]
+    return (calls, stores, sliced[0] & ~indexed[0],
+            lambda expr: visit(expr)[0])
+
+
+#: An ``int64`` computation's range: a bound past it is unbounded, so a
+#: bounded value never wrapped on its way.
+_INT64 = np.iinfo(np.int64)
+
+
+def _call_range(op, ranges):
+    """The range a call of ``op`` over operands in ``ranges`` lies in:
+    :func:`~repro.rewrite.rules.value_range`'s, a product's corners, a
+    rounded operator's clamp; else unbounded.  (The last two stay out
+    of ``value_range``: the rewriter folds by it, and the tree both
+    backends print must not change for a view.)"""
+    if op in RANGE_OF_CALL:
+        lo, hi = RANGE_OF_CALL[op](ranges)
+    elif op is MUL and all(map(math.isfinite, itertools.chain(*ranges))):
+        lo = hi = 1
+        for first, last in ranges:
+            corners = (lo * first, lo * last, hi * first, hi * last)
+            lo, hi = min(corners), max(corners)
+    elif (op.python or (None,))[0] == "rounded":
+        lo, hi = op.python[1:]
+    else:
+        return UNBOUNDED
+    return (lo if lo >= _INT64.min else -math.inf,
+            hi if hi <= _INT64.max else math.inf)
+
+
+def stored_ranges(func, dtypes):
+    """``{name: (lo, hi)}``: the closed range every value ``func`` stores
+    to one element of parameter ``name`` lies in, where ``dtypes`` maps
+    the parameters to their numpy dtypes.
+
+    An ``int`` literal is itself, a load from an ``int64`` parameter
+    what its level declares (:func:`~repro.rewrite.rules.value_range`),
+    a loop index its ``range``, a call what :func:`_call_range` makes of
+    its operands, and a variable the hull of every value assigned to it
+    — widened to unbounded on a side that still grows once every
+    assignment was seen (a counter).  Anything else, a narrower load
+    included (its arithmetic wraps), is unbounded."""
+    assigns, _, stored = _statements(func)
+    names = {name for name, _ in assigns}
+    env = {}
+
+    def bound(expr):
+        """``expr``'s range; ``None`` while a variable it reads has no
+        value yet."""
+        cls = type(expr)
+        if cls is Literal:
+            return value_range(expr)
+        if cls is Var:
+            return env.get(expr.name) if expr.name in names else UNBOUNDED
+        if cls is Load:
+            return value_range(expr) if dtypes.get(expr.buffer.name) \
+                == np.int64 else UNBOUNDED
+        if cls is asm.ForLoop:
+            start, stop = bound(expr.start), bound(expr.stop)
+            return None if start is None or stop is None \
+                else (start[0], stop[1] - 1)
+        if cls is tuple:        # ``x op= v``
+            op, *args = expr
+        elif cls is Call:
+            op, args = expr.op, expr.args
+        else:
+            return UNBOUNDED
+        ranges = [bound(arg) for arg in args]
+        return None if None in ranges else _call_range(op, ranges)
+
+    widen, grown = False, True
+    while grown:
+        grown = False
+        for name, value in assigns:
+            found = bound(value)
+            old = env.get(name)
+            if found is None or old is not None and (
+                    old[0] <= found[0] and found[1] <= old[1]):
+                continue
+            new = found if old is None else (min(old[0], found[0]),
+                                             max(old[1], found[1]))
+            if widen and old is not None:
+                new = (-math.inf if new[0] < old[0] else new[0],
+                       math.inf if new[1] > old[1] else new[1])
+            env[name], grown = new, True
+        widen = True
+    out = {}
+    for target, value in stored:
+        if type(target) is Load:    # numpy does a slice's store
+            name = target.buffer.name
+            found = bound(value) or UNBOUNDED
+            old = out.get(name, found)
+            out[name] = (min(old[0], found[0]), max(old[1], found[1]))
+    return out
 
 
 def sums_alike(func, buffers):
@@ -327,6 +437,12 @@ def sums_alike(func, buffers):
     return alike
 
 
+def _fits(bounds, dtype):
+    """Whether the closed range ``bounds`` lies in integer ``dtype``'s."""
+    info = np.iinfo(dtype)
+    return info.min <= bounds[0] and bounds[1] <= info.max
+
+
 def viewable(func, buffers, plan):
     """The parameters of ``func`` a python kernel may read and store
     through element views, in parameter order: the view set an artifact
@@ -338,13 +454,20 @@ def viewable(func, buffers, plan):
     pinned by a custom format stays what it is) and native byte order,
     and is ``float64``; or an ``int64`` structure array (any role but
     the element values ``val``), or values of another integer or float
-    dtype of at most 8 bytes, that the kernel never stores to.  It is
-    viewed when no ``Slice`` names it (numpy does those) and every call
+    dtype of at most 8 bytes.  One the kernel stores to must be an
+    integer, and every value stored to one of its elements must lie in
+    its dtype's range (:func:`stored_ranges`): a view raises where
+    numpy would wrap or truncate.  A candidate is viewed unless a
+    ``Slice`` alone names it (numpy does those; a slice of a viewed
+    parameter is printed through the view's ndarray), when every call
     and store its loads reach compute alike on Python scalars; a
     computation moved from ``int64`` to a Python ``int`` only for a
     structure role (positions do not overflow).
     """
+    dtypes = {name: array.dtype for name, array in buffers}
     stored = asm.effects(func).stores
+    ranges = stored_ranges(func, dtypes) if any(
+        dtypes[name].kind in "iu" for name in stored & dtypes.keys()) else {}
     candidates = structure = 0
     for pos, ((name, array), entry) in enumerate(zip(buffers, plan)):
         dtype = array.dtype
@@ -353,14 +476,14 @@ def viewable(func, buffers, plan):
         if entry[1] != "val":
             structure |= 1 << pos
         if dtype.type is np.float64 or (
-                name not in stored and dtype.kind in "iuf"
-                and dtype.itemsize <= 8
-                and (dtype.type is not np.int64 or entry[1] != "val")):
+                dtype.kind in "iuf" and dtype.itemsize <= 8
+                and (dtype.type is not np.int64 or entry[1] != "val")
+                and (name not in stored or dtype.kind in "iu"
+                     and _fits(ranges.get(name, UNBOUNDED), dtype))):
             candidates |= 1 << pos
     if not candidates:
         return ()
-    calls, stores, sliced, _ = sites(
-        func, {name: array.dtype for name, array in buffers})
+    calls, stores, sliced, _ = sites(func, dtypes)
     views = candidates & ~sliced
     while True:     # a refused parameter's calls are checked again
         lost = 0

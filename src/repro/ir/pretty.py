@@ -6,8 +6,10 @@ debugging and for the golden tests that assert the *shape* of the code
 the paper's worked examples should produce.
 
 This is the one place a numpy slice operation becomes text: a ``Slice``
-prints as ``buf[a:b]``, a call over a vector operand as its operator's
-``numpy`` form, a ``Reduce`` as its ``numpy_reduce``.
+prints as ``buf[a:b]`` — ``buf.obj[a:b]`` when the kernel reads ``buf``
+through an element view (``views``; an element view's ``obj`` is its
+ndarray) — a call over a vector operand as its operator's ``numpy``
+form, a ``Reduce`` as its ``numpy_reduce``.
 
 A scalar call prints in its operator's ``python`` form when it declares
 one (:class:`repro.ir.ops.Op`), as infix or prefix syntax when it has a
@@ -30,10 +32,25 @@ from repro.util.errors import ReproError
 _ATOM_PRECEDENCE = 100
 
 
-def expr_source(expr):
-    """Render ``expr`` as a Python expression string."""
-    source, _ = _render(expr, itertools.count(1))
+def expr_source(expr, views=()):
+    """Render ``expr`` as a Python expression string; ``views`` names
+    the parameters the kernel reads through element views."""
+    source, _ = _render(expr, _Temps(views))
     return source
+
+
+class _Temps:
+    """Numbers one printed expression's temps (``next``), and names the
+    parameters its kernel reads through element views."""
+
+    __slots__ = ("_count", "views")
+
+    def __init__(self, views):
+        self._count = itertools.count(1)
+        self.views = views
+
+    def __next__(self):
+        return next(self._count)
 
 
 def prints_as_call(op):
@@ -44,7 +61,8 @@ def prints_as_call(op):
 
 def _render(expr, temps):
     """Return ``(source, precedence)`` for an expression; ``temps``
-    numbers the expression's temps."""
+    numbers the expression's temps and names the viewed parameters
+    (:class:`_Temps`)."""
     if isinstance(expr, Literal):
         return _render_literal(expr.value)
     if isinstance(expr, Var):
@@ -53,16 +71,25 @@ def _render(expr, temps):
         index, _ = _render(expr.index, temps)
         return "%s[%s]" % (expr.buffer.name, index), _ATOM_PRECEDENCE
     if isinstance(expr, Slice):
-        bounds = "%s:%s" % (_render(expr.start, temps)[0],
-                            _render(expr.stop, temps)[0])
-        if expr.step != 1:
-            bounds += ":%d" % expr.step
-        return "%s[%s]" % (expr.buffer.name, bounds), _ATOM_PRECEDENCE
+        return _render_slice(expr, temps), _ATOM_PRECEDENCE
     if isinstance(expr, Reduce):
         return _render_reduce(expr, temps), _ATOM_PRECEDENCE
     if isinstance(expr, Call):
         return _render_call(expr, temps)
     raise ReproError("cannot render %r" % (expr,))
+
+
+def _render_slice(expr, temps):
+    """``buf[a:b]``, through the view's ndarray when ``buf`` is viewed:
+    numpy does the slice either way."""
+    bounds = "%s:%s" % (_render(expr.start, temps)[0],
+                        _render(expr.stop, temps)[0])
+    if expr.step != 1:
+        bounds += ":%d" % expr.step
+    name = expr.buffer.name
+    if name in temps.views:
+        name += ".obj"
+    return "%s[%s]" % (name, bounds)
 
 
 def _render_literal(value):

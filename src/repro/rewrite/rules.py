@@ -196,7 +196,7 @@ UNBOUNDED = (-math.inf, math.inf)
 
 
 #: How the range of a call follows from its operands' ranges.
-_RANGE_OF_CALL = {
+RANGE_OF_CALL = {
     ops.ADD: lambda ranges: (sum(lo for lo, _ in ranges),
                              sum(hi for _, hi in ranges)),
     ops.SUB: lambda ranges: (ranges[0][0] - ranges[1][1],
@@ -226,9 +226,9 @@ def value_range(expr):
         found = (value, value) if type(value) is int else UNBOUNDED
     elif isinstance(expr, Load):
         found = value_range(expr.buffer)
-    elif isinstance(expr, Call) and expr.op in _RANGE_OF_CALL:
-        found = _RANGE_OF_CALL[expr.op]([value_range(arg)
-                                         for arg in expr.args])
+    elif isinstance(expr, Call) and expr.op in RANGE_OF_CALL:
+        found = RANGE_OF_CALL[expr.op]([value_range(arg)
+                                        for arg in expr.args])
     else:
         found = UNBOUNDED
     expr._range = found

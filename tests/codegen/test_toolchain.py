@@ -25,6 +25,7 @@ import repro.lang as fl
 from repro import codegen
 from repro.codegen import toolchain
 from repro.codegen.c_emit import _PRELUDE, STATUS_ERRORS
+from repro.exec.shm import ShmSegment
 from repro.ir import asm, ops
 from repro.ir.nodes import Call, Literal, Load
 
@@ -353,13 +354,7 @@ class TestToolchain:
             toolchain.load_symbol(so_path, "no_such_symbol")
 
     def test_entry_validates_dtype_and_contiguity(self):
-        source = _PRELUDE + (
-            '\n#define FL_EXPORT '
-            '__attribute__((visibility("default")))\n'
-            'FL_EXPORT int64_t ident(void **fl_args) {\n'
-            '    return ((const int64_t *) fl_args[0])[0];\n'
-            '}\n')
-        entry, _ = codegen.kernel_entry(source, "ident", ["int64"])
+        entry = _ident_entry(1)
         good = np.array([41, 2], dtype=np.int64)
         assert entry(good) == 41
         with pytest.raises(codegen.ToolchainError):
@@ -368,6 +363,36 @@ class TestToolchain:
             entry(np.arange(8, dtype=np.int64)[::2])  # not contiguous
         with pytest.raises(codegen.ToolchainError):
             entry([1, 2])                             # not an ndarray
+
+    def test_marshalled_pointers_are_the_arrays_addresses(self):
+        segment = ShmSegment.create(64)
+        try:
+            read_only = np.arange(3, dtype=np.int64)
+            read_only.flags.writeable = False
+            args = (np.array([41, 2], dtype=np.int64), read_only,
+                    segment.view(8, np.int64, (4,)),
+                    np.arange(6, dtype=np.int64)[2:],  # offset view
+                    np.empty(0, dtype=np.int64))
+            prepared = _ident_entry(len(args)).prepare(args)
+            pointers, pinned = prepared.args
+            assert list(pointers) == [array.ctypes.data for array in args]
+            assert all(kept is array for kept, array in zip(pinned, args))
+            assert prepared() == 41
+            del prepared, pinned, args
+        finally:
+            segment.close()
+
+
+def _ident_entry(count):
+    """The entry of a C kernel over ``count`` ``int64`` buffers that
+    returns the first element of the first."""
+    source = _PRELUDE + (
+        '\n#define FL_EXPORT '
+        '__attribute__((visibility("default")))\n'
+        'FL_EXPORT int64_t ident(void **fl_args) {\n'
+        '    return ((const int64_t *) fl_args[0])[0];\n'
+        '}\n')
+    return codegen.kernel_entry(source, "ident", ["int64"] * count)[0]
 
 
 def _racing(count, action):

@@ -1,16 +1,17 @@
 """The python backend's scalar loop runs on Python scalars.
 
 At ``opt_level >= 1`` a python kernel is handed an element view
-(``memoryview``) of every parameter it only indexes one element at a
-time: the artifact carries that view set (``CompiledKernel.views``,
-from :func:`repro.ir.dtypes.viewable`) and its entry takes the views
-once per binding.  Three things are pinned here:
+(``memoryview``) of every parameter it indexes one element at a time:
+the artifact carries that view set (``CompiledKernel.views``, from
+:func:`repro.ir.dtypes.viewable`) and its entry takes the views once
+per binding; a slice of a viewed parameter goes through the view's
+ndarray (``y_val.obj[0:250]``).  Three things are pinned here:
 
-* the values: the six figure programs, and ``y[i] = op(a[i], b[i])``
-  for every ``exact`` operator over float64 data with signed zeros,
-  infinities, NaN, denormals and an overflowing product, are
-  bit-identical at every ``opt_level`` (0 takes no view) and to the
-  reference interpreter;
+* the values: the six figure programs, ``fig8_suite()`` and the batch
+  matrices, and ``y[i] = op(a[i], b[i])`` for every ``exact`` operator
+  over float64 data with signed zeros, infinities, NaN, denormals and
+  an overflowing product, are bit-identical at every ``opt_level`` (0
+  takes no view) and to a reference;
 * the eligibility matrix, read off the artifact's view set;
 * the ``exact`` declaration itself, derived from ``all_ops()`` with no
   operator named: equal results, or equal errors, on Python and numpy
@@ -27,13 +28,19 @@ import numpy as np
 import pytest
 
 import repro.lang as fl
+from repro.baselines import twofinger
 from repro.baselines.reference import interpret
-from repro.bench.figures import warm_start_programs
-from repro.bench.kernels import triangle_count_program
+from repro.bench.figures import (
+    fig7_suite,
+    fig7_vector,
+    fig8_suite,
+    warm_start_programs,
+)
+from repro.bench.kernels import spmspv_program, triangle_count_program
 from repro.cin.analyze import output_tensors
 from repro.formats.custom import LoopletTensor
 from repro.ir import asm, ops
-from repro.ir.dtypes import viewable
+from repro.ir.dtypes import stored_ranges, viewable
 from repro.ir.nodes import Call, Literal, Load, Var
 from repro.looplets import Lookup
 from repro.tensors.output import RunOutput
@@ -43,9 +50,12 @@ OPS = sorted(ops.all_ops().items())
 
 def viewed(kernel):
     """Names of the parameters ``kernel`` reads through a view: its
-    artifact's view set, which the source itself never spells."""
+    artifact's view set, which the source spells only where it slices
+    one (``name.obj[``)."""
     assert "memoryview(" not in kernel.source
-    return set(kernel.artifact.views)
+    views = set(kernel.artifact.views)
+    assert set(re.findall(r"\b(\w+)\.obj\[", kernel.source)) <= views
+    return views
 
 
 def bits(array):
@@ -84,6 +94,33 @@ def _figure_programs():
             yield figure, make
 
 
+#: The parameters each figure's kernel reads through views at level 2:
+#: every one, except fig10's ``A_state``, which stores a counter no range
+#: bounds, and fig11's ``val``, which only ``vectorize``'s slices read
+#: (level 1 views it too).  The dense outputs of fig7, fig9 and fig11
+#: are reset by a slice of the view's ndarray.
+FIGURE_VIEWS = {
+    "fig1_dot": {"pos", "idx", "pos_2", "lo", "val", "val_2", "C_val"},
+    "fig7_spmspv": {"y_val", "pos", "idx", "pos_2", "idx_2", "val",
+                    "val_2"},
+    "fig8_triangles": {"pos", "idx", "val", "pos_2", "idx_2", "val_2",
+                       "C_val"},
+    "fig9_convolution": {"C_val", "pos", "idx", "val", "pos_2", "idx_2",
+                         "val_2", "val_3"},
+    # ``0.4 * val[q]`` computes in float64 on a uint8 image and a
+    # Python int alike; a coordinate is at most 28 * 27 + 28 and a
+    # clamped round at most 255.
+    "fig10_alpha": {"A_coords", "A_vals", "pos", "right", "pos_2",
+                    "right_2", "val", "val_2"},
+    "fig11_allpairs": {"R_val", "O_val", "pos", "end", "ofs", "o_val"},
+}
+
+#: The parameters each figure slices through its view.
+FIGURE_SLICED_VIEWS = {"fig7_spmspv": {"y_val"},
+                       "fig9_convolution": {"C_val"},
+                       "fig11_allpairs": {"R_val", "O_val"}}
+
+
 class TestValues:
     @pytest.mark.parametrize("figure, make", list(_figure_programs()),
                              ids=[figure for figure, _ in _figure_programs()])
@@ -100,15 +137,47 @@ class TestValues:
             got = [bits(out.to_numpy()) for out in output_tensors(program)]
             assert got == expected, level
             sources[level] = kernel
-        assert not viewed(sources[0])
+        assert not viewed(sources[0]) and ".obj" not in sources[0].source
         for level in (1, 2):
-            assert viewed(sources[level]), level
             assert "_round_u8(" not in sources[level].source
-        if figure.startswith("fig10"):
-            # ``0.4 * val[q]`` computes in float64 on a uint8 image and a
-            # Python int alike; the written run arrays stay ndarrays.
-            assert viewed(sources[1]) == viewed(sources[2]) == {
-                "pos", "right", "pos_2", "right_2", "val", "val_2"}
+        extra = {"val"} if figure.startswith("fig11") else set()
+        assert viewed(sources[2]) == FIGURE_VIEWS[figure]
+        assert viewed(sources[1]) == FIGURE_VIEWS[figure] | extra
+        assert set(re.findall(r"(\w+)\.obj\[", sources[2].source)) \
+            == FIGURE_SLICED_VIEWS.get(figure, set())
+
+    @pytest.mark.parametrize("protocol", ["gallop", "walk"])
+    def test_fig8_suite_is_bit_identical_to_level_zero_and_counted(
+            self, protocol):
+        for name, adj in fig8_suite().items():
+            got = []
+            for level in (0, 2):
+                program, C = triangle_count_program(adj, protocol)
+                fl.compile_kernel(program, cache=False, opt_level=level).run()
+                got.append(bits(C.value))
+            pos, idx, _ = twofinger.csr_of(adj)
+            count, _ = twofinger.triangle_count_merge(pos, idx, len(adj))
+            assert got[0] == got[1] == bits(float(count)), name
+
+    @pytest.mark.parametrize("strategy", ["walk_walk", "gallop_both"])
+    def test_batch_matrices_are_bit_identical_to_level_zero_and_merge(
+            self, strategy):
+        # The batch workload's SpMSpV: its viewed output ``y_val`` is
+        # reset through ``y_val.obj``.
+        vec = fig7_vector("dense10pct", seed=7)
+        x_idx, x_val = twofinger.coords_of(vec)
+        for name, mat in fig7_suite().items():
+            got = []
+            for level in (0, 2):
+                program, y = spmspv_program(mat, vec, strategy)
+                kernel = fl.compile_kernel(program, cache=False,
+                                           opt_level=level)
+                kernel.run()
+                got.append(bits(y.to_numpy()))
+            assert "y_val" in viewed(kernel)
+            merged, _ = twofinger.spmspv_merge(
+                *twofinger.csr_of(mat), x_idx, x_val, len(mat))
+            assert got[0] == got[1] == bits(merged), name
 
     #: Operand columns: signed zeros, infinities, NaNs, denormals, an
     #: overflowing product (1e308 * 10) and ordinary non-integers.  A
@@ -201,6 +270,22 @@ class TestEligibility:
         assert viewed(kernel) == {"C_val"}
         assert C.value == float(A64 @ B64)
 
+    def test_a_sliced_and_indexed_output_is_sliced_through_its_view(self):
+        mat = np.array([[0.0, 1.5, 0.0], [2.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
+        vec = np.array([4.0, 0.0, -2.0])
+        results = []
+        for level in (0, 1, 2):
+            program, y = spmspv_program(mat, vec)
+            kernel = fl.compile_kernel(program, cache=False,
+                                       opt_level=level)
+            y.element.val[:] = 7.0      # the reset must clear it
+            kernel.run()
+            results.append(bits(y.to_numpy()))
+            reset = "y_val.obj[0:3] = 0.0" if level else "y_val[0:3] = 0.0"
+            assert reset in kernel.source.splitlines()[1], level
+            assert ("y_val" in viewed(kernel)) == (level > 0)
+        assert results[0] == results[1] == results[2] == bits(mat @ vec)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.bool_,
                                        np.int64])
     def test_other_value_dtypes_next_to_a_float64_operand(self, dtype):
@@ -269,7 +354,8 @@ class TestEligibility:
             assert values[2] == values[0] \
                 == float(interpret(program).result_for(S)) == 5280.0
 
-    def test_written_integer_buffers_keep_their_ndarray(self):
+    def test_written_integer_buffers_are_viewed_where_every_store_fits(
+            self):
         img = np.array([[0, 0, 7, 7, 7, 0], [3, 3, 0, 0, 9, 9]]) / 4
         B = fl.from_numpy(img, ("dense", "rle"), name="B")
         C = fl.from_numpy(img[::-1].copy(), ("dense", "rle"), name="C")
@@ -279,11 +365,58 @@ class TestEligibility:
             fl.forall(i, fl.forall(j, fl.store(A[i, j], B[i, j] + C[i, j]))),
             cache=False, opt_level=1)
         kernel.run()
-        # RunOutput's coords/state (int64) are stored to and stay; its
-        # float64 vals, the inputs and their read structure are viewed.
-        assert viewed(kernel) == {"A_vals", "pos", "right", "pos_2",
-                                  "right_2", "val", "val_2"}
+        # RunOutput's int64 coords are positions the literal extents
+        # bound (``6 * i + j``), so they are viewed; its state stores the
+        # entry count, a counter no range bounds, and stays.
+        assert viewed(kernel) == {"A_coords", "A_vals", "pos", "right",
+                                  "pos_2", "right_2", "val", "val_2"}
         assert np.array_equal(A.to_numpy(), img + img[::-1])
+
+    def test_an_unproven_uint8_store_keeps_its_ndarray(self):
+        # ``y[i] = a[i] * 3`` wraps in uint8, and no range bounds a
+        # uint8 load: ``y`` stays an ndarray and stores numpy's answer.
+        # A clamped round of a float64 product provably fits: viewed.
+        a = np.array([200, 0, 255, 7, 100, 0, 3, 128], np.uint8)
+        cases = {
+            "wraps": (lambda A, B: A * 3, False, a * np.uint8(3)),
+            "clamped": (lambda A, B: fl.call(ops.ROUND_U8, A * B), True,
+                        np.array([ops.ROUND_U8.fn(x) for x in a * B64],
+                                 np.uint8)),
+        }
+        for case, (build, fits, want) in cases.items():
+            results = []
+            for level in (0, 1, 2):
+                A = fl.from_numpy(a, ("sparse",), name="A")
+                B = fl.from_numpy(B64, ("dense",), name="B")
+                y = fl.zeros((8,), dtype=np.uint8, name="y")
+                i = fl.indices("i")
+                kernel = fl.compile_kernel(
+                    fl.forall(i, fl.store(y[i], build(A[i], B[i]))),
+                    cache=False, opt_level=level)
+                with np.errstate(over="ignore"):
+                    kernel.run()
+                results.append(y.to_numpy())
+                assert ("y_val" in viewed(kernel)) == (fits and level > 0)
+            for got in results:
+                assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+    def test_stored_ranges_follow_loops_products_and_counters(self):
+        n, i = Var("n"), Var("i")
+        func = asm.FuncDef("kernel", ("y", "z", "idx"), asm.Block([
+            asm.AssignStmt(n, Literal(0)),
+            asm.ForLoop(i, Literal(0), Literal(4), asm.Block([
+                asm.AccumStmt(n, ops.ADD, Literal(1)),
+                asm.AssignStmt(Load("y", n), Call(ops.ADD, [
+                    Call(ops.MUL, [Literal(3), i]),
+                    Load(Var("idx", bounds=(0, 9)), i)])),
+                asm.AssignStmt(Load("z", Literal(0)), n)]))]))
+        int64 = np.dtype(np.int64)
+        ranges = stored_ranges(func, {"y": int64, "z": int64, "idx": int64})
+        # ``n`` is the hull of all it is assigned, widened above.
+        assert ranges == {"y": (0, 18), "z": (0, math.inf)}
+        # A narrower load wraps in its own dtype: no range is trusted.
+        narrow = stored_ranges(func, {"idx": np.dtype(np.int32)})
+        assert narrow["y"] == (-math.inf, math.inf)
 
     def test_a_big_endian_operand_keeps_its_ndarray(self):
         kernel, C = _dot(A64.astype(">f8"), B64, opt_level=1)
@@ -328,7 +461,9 @@ class TestEligibility:
         # An operator that does not declare ``exact`` — in a Call...
         kernel, got = self._map(
             lambda out, z, x: fl.store(out, fl.call(ops.DIV, z, x)), level)
-        assert viewed(kernel) == ({"pos", "idx"} if level else set())
+        # The output ``y`` takes its quotient as a float64 either way.
+        assert viewed(kernel) == ({"pos", "idx", "y_val"} if level
+                                  else set())
         assert bits(got) == bits([0.5, math.inf, -1.25])
         # ...and as an accumulation's operator (``y[i] /= x[i]``).
         kernel, got = self._map(
@@ -345,7 +480,7 @@ class TestEligibility:
             lambda out, z, x: fl.store(out, fl.call(halve, z) + x), 1)
         # ``halve(val[q])`` reads numpy; the ``+`` it meets computes
         # in float64 with a Python float all the same.
-        assert viewed(kernel) == {"pos", "idx", "val_2"}
+        assert viewed(kernel) == {"pos", "idx", "val_2", "y_val"}
         assert bits(got) == bits([2.5, 1.5, -1.5])
         # The same op declared exact: the kernel reads through views.
         sure = temp_op(ops.Op("halve", lambda a: a / 2, exact=True))

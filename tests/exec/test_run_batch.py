@@ -170,17 +170,18 @@ def dense_dot_program(a, b):
     return fl.forall(i, fl.increment(C[()], A[i] * B[i]))
 
 
-def poisoned_dense_batch():
-    """A dense dot template and five datasets whose dataset 3 makes
-    the kernel raise IndexError (compile at ``opt_level=1``: a
-    vectorized slice read would silently clamp instead of raising)."""
+def poisoned_dense_batch(count=5, poisoned=(3,)):
+    """A dense dot template and ``count`` datasets, each one in
+    ``poisoned`` making the kernel raise IndexError (compile at
+    ``opt_level=1``: a vectorized slice read would silently clamp
+    instead of raising)."""
     rng = np.random.default_rng(7)
     template = dense_dot_program(rng.random(8), rng.random(8))
     datasets = []
-    for position in range(5):
+    for position in range(count):
         tensors = program_tensors(
             dense_dot_program(rng.random(8), rng.random(8)))
-        if position == 3:
+        if position in poisoned:
             # Truncate the value buffer behind the format signature's
             # back: binding succeeds, the kernel's scalar loop then
             # indexes past the end and raises IndexError.
@@ -216,6 +217,40 @@ def test_in_process_kernel_error_is_not_retried(executor):
         faults = pool.stats()["faults"]
     assert info.value.index == 3
     assert not any(faults.values()), faults
+
+
+@pytest.mark.parametrize("policy", ["raise", "skip"])
+def test_a_threads_map_submits_one_task_per_worker(policy):
+    """Each worker thread drains the datasets left; the items, their
+    order and the failures are the serial map's under either policy."""
+    template, datasets = poisoned_dense_batch(count=9, poisoned=(2, 6))
+    kernel = fl.compile_kernel(template, opt_level=1)
+    outcomes, submits = {}, []
+    for executor in ("serial", "threads"):
+        with KernelPool(kernel, executor=executor, max_workers=3,
+                        on_failure=policy) as pool:
+            if executor == "threads":
+                threads = pool._ensure_pool()
+                submit = threads.submit
+                threads.submit = lambda *args: (
+                    submits.append(args), submit(*args))[1]
+            try:
+                result = pool.map(datasets)
+            except BatchExecutionError as exc:
+                outcomes[executor] = exc.index
+            else:
+                outcomes[executor] = (
+                    [(item.index, [np.asarray(out).tobytes()
+                                   for out in item.outputs])
+                     for item in result], sorted(result.failures))
+    assert len(submits) == 3
+    assert outcomes["threads"] == outcomes["serial"]
+    if policy == "raise":
+        assert outcomes["serial"] == 2
+    else:
+        items, failed = outcomes["serial"]
+        assert failed == [2, 6]
+        assert [index for index, _ in items] == [0, 1, 3, 4, 5, 7, 8]
 
 
 def test_signature_mismatch_rejected_up_front():

@@ -19,7 +19,7 @@ def test_list_bugs(capsys):
     out = capsys.readouterr().out
     assert code == 0
     for name in ("literal-if-wrong-arm", "vector-slice-short",
-                 "seek-overshoot", "batch-drops-last"):
+                 "view-slice-bare", "seek-overshoot", "batch-drops-last"):
         assert name in out
 
 

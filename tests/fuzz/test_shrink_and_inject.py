@@ -58,6 +58,12 @@ _CAUGHT_BY = {
     "batch-drops-last": (_BATCHES, set(_ROWS) - _BATCHES),
     "literal-if-wrong-arm": ({"compiled@0"}, set()),
     "seek-overshoot": ({"compiled@0"}, set()),
+    # Only a kernel with views prints ``.obj``; C refuses the slice and
+    # runs the python fallback.
+    "view-slice-bare": (
+        {"compiled@1", "compiled@2", "c_backend", "spec_roundtrip",
+         "store_roundtrip"} | _BATCHES,
+        {"compiled@0"}),
 }
 
 
@@ -83,10 +89,12 @@ def _kinds_by_row(report):
 
 
 def test_registry_lists_a_bug_per_layer():
-    # Lowering constructors, optimizer, runtime helper, executor.
+    # Lowering constructors, optimizer, printer, runtime helper,
+    # executor.
     bugs = injectable_bugs()
     assert set(bugs) == {"literal-if-wrong-arm", "vector-slice-short",
-                         "seek-overshoot", "batch-drops-last"}
+                         "view-slice-bare", "seek-overshoot",
+                         "batch-drops-last"}
     assert all(isinstance(desc, str) and desc for desc in bugs.values())
 
 
