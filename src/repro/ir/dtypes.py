@@ -194,6 +194,18 @@ def _stores_alike(element, mask):
                for kind in mask)
 
 
+@functools.lru_cache(maxsize=1024)
+def _view_stores(element, mask):
+    """Whether an element view of an ``element`` buffer stores a value of
+    every type in ``mask``: none takes ``None``, and an integer view
+    raises on a value that is not an integer (a ``float``, a
+    ``np.bool_``), which numpy would convert."""
+    if issubclass(element, np.integer):
+        return all(kind in (int, bool) or issubclass(kind, np.integer)
+                   for kind in mask)
+    return _NONE not in mask
+
+
 def _statements(func):
     """``(assigns, uses, stored)``: the statements of ``func`` in
     program order — each assignment to a variable as ``(name, value)``,
@@ -233,7 +245,8 @@ def _statements(func):
 def sites(func, dtypes):
     """``(calls, stores, sliced, kinds)`` of ``func``, whose parameters
     ``dtypes`` maps, in order, to their numpy dtypes: every call and
-    store some load reaches, with its operands' types and reach, the bit
+    store some load reaches, with its operands' types and reach (a
+    store's target bit is 0 for a slice, which numpy does), the bit
     mask of the parameters only a ``Slice`` names (never a load, a
     store to one element or a helper's buffer operand), and
     ``kinds(expr)``, the types an expression of ``func`` may have (none
@@ -313,8 +326,8 @@ def sites(func, dtypes):
     for expr in uses:
         if expr is not None:    # an ``else``
             visit(expr)
-    stores = {(bits[target.buffer.name], elements[target.buffer.name])
-              + visit(value)
+    stores = {(bits[target.buffer.name] if type(target) is Load else 0,
+               elements[target.buffer.name]) + visit(value)
               for target, value in stored if target.buffer.name in bits}
     calls.update(itertools.chain.from_iterable(found))
     return (calls, stores, sliced[0] & ~indexed[0],
@@ -355,59 +368,47 @@ def stored_ranges(func, dtypes):
     An ``int`` literal is itself, a load from an ``int64`` parameter
     what its level declares (:func:`~repro.rewrite.rules.value_range`),
     a loop index its ``range``, a call what :func:`_call_range` makes of
-    its operands, and a variable the hull of every value assigned to it
-    — widened to unbounded on a side that still grows once every
-    assignment was seen (a counter).  Anything else, a narrower load
-    included (its arithmetic wraps), is unbounded."""
+    its operands, and a variable the hull of every value assigned to it,
+    where a value that reads the variable back takes it as unbounded (a
+    counter is).  Anything else, a narrower load included (its
+    arithmetic wraps), is unbounded."""
     assigns, _, stored = _statements(func)
-    names = {name for name, _ in assigns}
+    values = {}
+    for name, value in assigns:
+        values.setdefault(name, []).append(value)
     env = {}
 
     def bound(expr):
-        """``expr``'s range; ``None`` while a variable it reads has no
-        value yet."""
         cls = type(expr)
         if cls is Literal:
             return value_range(expr)
         if cls is Var:
-            return env.get(expr.name) if expr.name in names else UNBOUNDED
+            name = expr.name
+            if name not in env:
+                env[name] = UNBOUNDED   # as a value reading it back sees it
+                found = [bound(value) for value in values.get(name, ())]
+                if found:
+                    env[name] = (min(lo for lo, _ in found),
+                                 max(hi for _, hi in found))
+            return env[name]
         if cls is Load:
             return value_range(expr) if dtypes.get(expr.buffer.name) \
                 == np.int64 else UNBOUNDED
         if cls is asm.ForLoop:
-            start, stop = bound(expr.start), bound(expr.stop)
-            return None if start is None or stop is None \
-                else (start[0], stop[1] - 1)
+            return bound(expr.start)[0], bound(expr.stop)[1] - 1
         if cls is tuple:        # ``x op= v``
             op, *args = expr
         elif cls is Call:
             op, args = expr.op, expr.args
         else:
             return UNBOUNDED
-        ranges = [bound(arg) for arg in args]
-        return None if None in ranges else _call_range(op, ranges)
+        return _call_range(op, [bound(arg) for arg in args])
 
-    widen, grown = False, True
-    while grown:
-        grown = False
-        for name, value in assigns:
-            found = bound(value)
-            old = env.get(name)
-            if found is None or old is not None and (
-                    old[0] <= found[0] and found[1] <= old[1]):
-                continue
-            new = found if old is None else (min(old[0], found[0]),
-                                             max(old[1], found[1]))
-            if widen and old is not None:
-                new = (-math.inf if new[0] < old[0] else new[0],
-                       math.inf if new[1] > old[1] else new[1])
-            env[name], grown = new, True
-        widen = True
     out = {}
     for target, value in stored:
         if type(target) is Load:    # numpy does a slice's store
             name = target.buffer.name
-            found = bound(value) or UNBOUNDED
+            found = bound(value)
             old = out.get(name, found)
             out[name] = (min(old[0], found[0]), max(old[1], found[1]))
     return out
@@ -455,14 +456,14 @@ def viewable(func, buffers, plan):
     and is ``float64``; or an ``int64`` structure array (any role but
     the element values ``val``), or values of another integer or float
     dtype of at most 8 bytes.  One the kernel stores to must be an
-    integer, and every value stored to one of its elements must lie in
-    its dtype's range (:func:`stored_ranges`): a view raises where
-    numpy would wrap or truncate.  A candidate is viewed unless a
-    ``Slice`` alone names it (numpy does those; a slice of a viewed
-    parameter is printed through the view's ndarray), when every call
-    and store its loads reach compute alike on Python scalars; a
-    computation moved from ``int64`` to a Python ``int`` only for a
-    structure role (positions do not overflow).
+    integer, and every value stored to one of its elements must be an
+    integer that lies in its dtype's range (:func:`stored_ranges`): a
+    view raises where numpy would wrap or truncate.  A candidate is
+    viewed unless a ``Slice`` alone names it (numpy does those; a slice
+    of a viewed parameter is printed through the view's ndarray), when
+    every call and store its loads reach compute alike on Python
+    scalars; a computation moved from ``int64`` to a Python ``int`` only
+    for a structure role (positions do not overflow).
     """
     dtypes = {name: array.dtype for name, array in buffers}
     stored = asm.effects(func).stores
@@ -498,7 +499,7 @@ def viewable(func, buffers, plan):
                     lost |= mine & ~structure
         for bit, element, kinds, reach in stores:
             if views & bit:
-                if _NONE in kinds:      # a view refuses ``None``
+                if not _view_stores(element, kinds):
                     lost |= bit
             elif reach & views and not _stores_alike(element, kinds):
                 lost |= reach & views

@@ -375,10 +375,15 @@ class TestEligibility:
     def test_an_unproven_uint8_store_keeps_its_ndarray(self):
         # ``y[i] = a[i] * 3`` wraps in uint8, and no range bounds a
         # uint8 load: ``y`` stays an ndarray and stores numpy's answer.
-        # A clamped round of a float64 product provably fits: viewed.
+        # A float clamped into 0..255 fits, but a view raises on a float
+        # where numpy truncates it: ``y`` stays too.  A clamped round of
+        # a float64 product provably fits and is an int: viewed.
         a = np.array([200, 0, 255, 7, 100, 0, 3, 128], np.uint8)
+        clamp = np.minimum(np.maximum(a * B64, 0), 255)
         cases = {
             "wraps": (lambda A, B: A * 3, False, a * np.uint8(3)),
+            "float": (lambda A, B: fl.call(ops.MIN, fl.call(
+                ops.MAX, A * B, 0), 255), False, clamp.astype(np.uint8)),
             "clamped": (lambda A, B: fl.call(ops.ROUND_U8, A * B), True,
                         np.array([ops.ROUND_U8.fn(x) for x in a * B64],
                                  np.uint8)),
@@ -412,8 +417,8 @@ class TestEligibility:
                 asm.AssignStmt(Load("z", Literal(0)), n)]))]))
         int64 = np.dtype(np.int64)
         ranges = stored_ranges(func, {"y": int64, "z": int64, "idx": int64})
-        # ``n`` is the hull of all it is assigned, widened above.
-        assert ranges == {"y": (0, 18), "z": (0, math.inf)}
+        # ``n += 1`` reads ``n`` back: a counter is unbounded.
+        assert ranges == {"y": (0, 18), "z": (-math.inf, math.inf)}
         # A narrower load wraps in its own dtype: no range is trusted.
         narrow = stored_ranges(func, {"idx": np.dtype(np.int32)})
         assert narrow["y"] == (-math.inf, math.inf)
