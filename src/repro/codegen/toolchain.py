@@ -247,12 +247,14 @@ def make_entry(cfn, name, param_dtypes):
         # Filled in place: ``array_type(*addresses)`` costs three times
         # as much.
         pointers = array_type()
-        for position, (array, dtype) in enumerate(zip(args, dtypes)):
+        position = 0    # counted by hand: ``enumerate(zip())`` costs more
+        for array in args:
             if not isinstance(array, np.ndarray):
                 raise ToolchainError(
                     "kernel %r argument %d is %r, not an ndarray"
                     % (name, position, type(array).__name__))
             # A builtin dtype is one object: identity settles most.
+            dtype = dtypes[position]
             if array.dtype is not dtype and array.dtype != dtype:
                 raise ToolchainError(
                     "kernel %r argument %d has dtype %s, compiled for %s"
@@ -266,6 +268,7 @@ def make_entry(cfn, name, param_dtypes):
                 _addressof(_from_buffer(array))
                 if flags.writeable and array.nbytes
                 else array.ctypes.data)
+            position += 1
         return pointers, tuple(args)
 
     def invoke(pointers, pinned):
