@@ -350,32 +350,39 @@ class CompiledKernel:
         """``(entry, tensors, taken)``: the :class:`PlanEntry` in
         ``plan``'s memo for the replacements ``mapping`` (name -> tensor;
         for the whole plan, a slot-ordered list) over ``template``, the
-        tensors ``args`` binds.  ``taken`` holds each replacement's
-        ``kernel_buffers()``, read once, as is its signature; the key is
-        their identities.  A known key needs no check: its entry pins what
-        the key names, which passed every check against the binding as
-        it still is (a change clears the memo).  A new key is checked,
-        bound onto a copy of ``args`` and filed, and ``tensors`` is the
-        placed slot list (else None)."""
-        pinned, taken = [], []
-        for name, _ in plan.slots:
-            tensor = mapping[name]
-            buffers = tensor_binding_buffers(tensor)
-            taken.append(buffers)
-            pinned += tensor_signature(tensor), *buffers.values()
+        tensors ``args`` binds.  The key is the identities of what
+        :meth:`BindPlan.pins` reads of the replacements, their
+        signatures and buffers.  A known key needs no check: its entry
+        pins what the key names, which passed every check against the
+        binding as it still is (a change clears the memo), and
+        ``tensors`` and ``taken`` are None.  A new key takes each
+        replacement's ``kernel_buffers()`` (``taken``) once, is checked
+        against the signatures read, bound onto a copy of ``args`` and
+        filed if it names the buffers bound; ``tensors`` is the placed
+        slot list."""
+        pinned = plan.pins(mapping)
         key = tuple(map(id, pinned))
         entry = plan.memo.hit(key)
         if entry is not None:
-            return entry, None, taken
+            return entry, None, None
         tensors = plan.place(template, mapping)
         read, roles = [None] * len(tensors), [None] * len(tensors)
-        at = 0      # each replacement's signature in pinned
-        for (_, slot), buffers in zip(plan.slots, taken):
+        taken, at, named = [], 0, True
+        for name, slot in plan.slots:
+            buffers = tensor_binding_buffers(mapping[name])
             read[slot], roles[slot] = pinned[at], buffers
-            at += 1 + len(buffers)
+            taken.append(buffers)
+            for buffer in buffers.values():
+                at += 1
+                if pinned[at] is not buffer:
+                    named = False
+            at += 1
         self._check(tensors, plan.checks, read)
         entry = PlanEntry(self._point(tensors, roles, plan, args), pinned)
-        plan.memo.put(key, entry)
+        # A buffer re-pointed between the two reads is bound but not
+        # named by the key: that call is not memoized.
+        if named:
+            plan.memo.put(key, entry)
         return entry, tensors, taken
 
 
@@ -448,6 +455,23 @@ class BindPlan(namedtuple("BindPlan",
     artifact's."""
 
     __slots__ = ()
+
+    def pins(self, mapping):
+        """What the memo key names for the replacements ``mapping``, in
+        ``slots`` order: each one's format signature, then its
+        ``kernel_buffers()`` values, read by one ``kernel_pins()`` call
+        where the replacement has one."""
+        pinned = []
+        for name, _ in self.slots:
+            tensor = mapping[name]
+            try:
+                read = tensor.kernel_pins
+            except AttributeError:
+                pinned += (tensor_signature(tensor),
+                           *tensor_binding_buffers(tensor).values())
+            else:
+                pinned += read()
+        return pinned
 
     def place(self, template, mapping):
         """``template`` (a slot-ordered tensor list), copied, with the
@@ -622,7 +646,7 @@ class Kernel:
         signature as the tensors they replace.  Returns ``self``.
         """
         if tensors is None or isinstance(tensors, dict):
-            mapping = {**(tensors or {}), **named}
+            mapping = named if tensors is None else {**tensors, **named}
             names = tuple(mapping)
             plan = self._plans.get(names)
             if plan is None:
@@ -635,9 +659,10 @@ class Kernel:
                              if placed is None else placed)
             # The other plans leave bound slots this one just re-pointed;
             # this plan's untouched slots are as they were.
-            for other in self._plans.values():
-                if other is not plan:
-                    other.memo.clear()
+            if len(self._plans) > 1:
+                for other in self._plans.values():
+                    if other is not plan:
+                        other.memo.clear()
             for name, tensor in mapping.items():
                 if getattr(tensor, "name", None) != name:
                     self._plans = {}    # a slot's name moved

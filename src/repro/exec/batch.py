@@ -419,8 +419,8 @@ class KernelPool:
                 else:
                     entry, tensors, taken = artifact.plan_entry(
                         plan, dataset, template, args)
-                    if tensors is None:
-                        tensors = plan.place(template, dataset)
+                    if tensors is None:     # a memo hit takes no walk
+                        tensors, taken = plan.place(template, dataset), ()
             except BindingError as exc:
                 raise BindingError("dataset %d: %s" % (index, exc))
             walks = {slot: buffers

@@ -85,6 +85,11 @@ class _AppendOutput:
     def format_signature(self):
         return self._signature
 
+    def kernel_pins(self):
+        """``(format_signature(), *kernel_buffers().values())`` without
+        the dict (see :meth:`repro.tensors.tensor.Tensor.kernel_pins`)."""
+        return self.format_signature(), self.coords, self.vals, self.state
+
     def _stream(self):
         """The entries the last run stored, as ``(coords, vals)``."""
         count, _, flagged = self.state

@@ -7,6 +7,7 @@ participate directly in the eDSL: ``y[i] += A[i, j] * x[j]``.
 """
 
 import functools
+from operator import attrgetter
 
 import numpy as np
 
@@ -50,11 +51,17 @@ class Tensor:
         self.element = element
         self.name = name or "T"
         # Walked by every kernel bind, so resolved once: the (role,
-        # owner, attribute) of each level array.
-        self._roles = tuple(
-            ("lvl%d_%s" % (depth, hint), level, hint)
-            for depth, level in enumerate(levels)
-            for hint in level.buffers())
+        # owner, attribute) of each level array.  kernel_pins reads those
+        # arrays and then the value array with one attrgetter, each by
+        # its path down the child chain from the first level (None when
+        # no level holds an array).
+        arrays = [(depth, level, hint) for depth, level in enumerate(levels)
+                  for hint in level.buffers()]
+        self._roles = tuple(("lvl%d_%s" % (depth, hint), level, hint)
+                            for depth, level, hint in arrays)
+        self._arrays = attrgetter(
+            *["child." * depth + hint for depth, _, hint in arrays],
+            "child." * len(levels) + "val") if arrays else None
         self._signature = None
 
     @property
@@ -119,6 +126,14 @@ class Tensor:
     #: the keys are stable across tensors of one format, so a kernel's
     #: parameters can be re-pointed at another tensor's buffers.
     kernel_buffers = buffers
+
+    def kernel_pins(self):
+        """``(format_signature(), *kernel_buffers().values())``, read
+        without building the role dict: what a bind plan's memo key
+        names (:meth:`repro.compiler.kernel.BindPlan.pins`)."""
+        if self._arrays is None:
+            return self.format_signature(), self.element.val
+        return (self.format_signature(), *self._arrays(self.levels[0]))
 
     def format_signature(self):
         """A hashable description of everything the compiler bakes into

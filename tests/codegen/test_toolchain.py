@@ -80,7 +80,7 @@ def _cc(tmp_path, *flags, source=_PROBE):
     with open(c_path, "w") as handle:
         handle.write(source)
     subprocess.run([toolchain.compiler_path(), *toolchain.CFLAGS, *flags,
-                    "-o", out_path, c_path, "-lm"],
+                    "-o", out_path, c_path, *toolchain.LIBS],
                    check=True, capture_output=True)
     return out_path
 

@@ -37,9 +37,14 @@ CALLS_BEFORE = 134
 CALLS_PLANNED = 24
 
 #: The budget once each plan memoizes its prepared calls by buffer
-#: identity: a repeated override checks its signatures, reads each
-#: replacement's buffers and makes one lookup (23 calls when set).
-CALLS_MEMOIZED = 23
+#: identity (23 calls then), tightened when a memo hit came to read each
+#: replacement once, as its signature and buffers in one tuple
+#: (``kernel_pins``), with no role dict: 12 calls.
+CALLS_MEMOIZED = 12
+
+#: Calls per ``kernel.rebind(A=x, B=y)`` and ``kernel.run()`` on operand
+#: sets the kernel has seen: 29 before the one-tuple read, 18 with it.
+CALLS_REBOUND = 18
 
 
 def perf_programs():
@@ -111,6 +116,34 @@ def test_a_repeated_override_neither_binds_nor_prepares(dot64):
     a, b = operands[-1]
     assert output.value == pytest.approx(
         float(a.to_numpy() @ b.to_numpy()))
+
+
+def test_a_repeated_rebind_and_run_stays_in_budget(dot64):
+    """``rebind(A=, B=)`` + ``run()`` on seen operand sets: one memo
+    hit and its prepared call, no role dict, no signature wrapper."""
+    kernel, output, operands = dot64
+    C, A, B = kernel.tensors
+    rounds = 25
+    try:
+        for a, b in operands:
+            kernel.rebind(A=a, B=b)
+            kernel.run()
+        profile = cProfile.Profile()
+        profile.enable()
+        for _ in range(rounds):
+            for a, b in operands:
+                kernel.rebind(A=a, B=b)
+                kernel.run()
+        profile.disable()
+    finally:
+        kernel.rebind([C, A, B])
+    stats = pstats.Stats(profile)
+    assert stats.total_calls <= CALLS_REBOUND * rounds * len(operands) + 1
+    called = {name for _, _, name in stats.stats}
+    assert not called & {"_point", "prepare", "buffers",
+                         "tensor_binding_buffers", "tensor_signature"}
+    a, b = operands[-1]
+    assert output.value == pytest.approx(dot(a, b))
 
 
 @pytest.fixture
