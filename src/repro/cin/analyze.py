@@ -152,6 +152,18 @@ def tensor_binding_buffers(tensor):
     return fn()
 
 
+def tensor_pins(tensor):
+    """One read of any tensor-protocol object: ``(format_signature(),
+    *kernel_buffers().values())``, by ``kernel_pins()`` where defined.
+    A kernel parameter names its buffer by position in it."""
+    try:
+        read = tensor.kernel_pins
+    except AttributeError:
+        return (tensor_signature(tensor),
+                *tensor_binding_buffers(tensor).values())
+    return read()
+
+
 def structural_key(stmt):
     """A hashable key identifying the program up to the data it binds.
 
@@ -173,17 +185,17 @@ def structural_key(stmt):
 #: What one walk over a program finds (:func:`program_walk`): the
 #: :func:`structural_key`, the kernel's slots (:func:`program_tensors`),
 #: the slot of each of :func:`output_tensors`, each slot's
-#: ``kernel_buffers()`` and the slots' :func:`buffer_alias_groups`.
+#: :func:`tensor_pins` and the slots' :func:`buffer_alias_groups`.
 ProgramWalk = collections.namedtuple(
-    "ProgramWalk", "key tensors output_slots buffers alias_groups")
+    "ProgramWalk", "key tensors output_slots pins alias_groups")
 
 
 def program_walk(stmt):
     """One pass over ``stmt`` that yields everything a compile reads
     from the program tree, as a :class:`ProgramWalk`: the structural
     key, the tensors in slot order, the output slots, and each
-    tensor's ``kernel_buffers()`` — the last called once per tensor,
-    for both the key's alias groups and the kernel's bind.
+    tensor's :func:`tensor_pins` — read once per tensor, for the key's
+    signatures and alias groups and for the kernel's bind.
 
     The key numbers every tensor it meets; the slots count only the
     tensors that assignments and sieves access.  The two orders agree
@@ -253,16 +265,15 @@ def program_walk(stmt):
         raise ReproError("cannot key statement %r" % (stmt,))
 
     body = stmt_key(stmt)
-    buffers = [tensor_binding_buffers(tensor) for tensor in keyed]
-    groups = _alias_groups(buffers)
-    key = ("cin", body, tuple([tensor_signature(tensor)
-                               for tensor in keyed]), groups)
+    pins = [tensor_pins(tensor) for tensor in keyed]
+    groups = _alias_groups(pins)
+    key = ("cin", body, tuple([read[0] for read in pins]), groups)
     if len(keyed) != len(tensors) or any(map(operator.is_not, keyed,
                                              tensors)):
-        by_id = dict(zip(map(id, keyed), buffers))
-        buffers = [by_id[id(tensor)] for tensor in tensors]
-        groups = _alias_groups(buffers)
-    return ProgramWalk(key, tensors, tuple(outputs), buffers, groups)
+        by_id = dict(zip(map(id, keyed), pins))
+        pins = [by_id[id(tensor)] for tensor in tensors]
+        groups = _alias_groups(pins)
+    return ProgramWalk(key, tensors, tuple(outputs), pins, groups)
 
 
 def structural_digest(key, length=12):
@@ -284,20 +295,20 @@ def structural_digest(key, length=12):
 
 
 def buffer_alias_groups(tensors):
-    """Groups of ``(slot, role)`` pairs whose buffers are one object."""
-    return _alias_groups([tensor_binding_buffers(tensor)
-                          for tensor in tensors])
+    """Groups of ``(slot, position in its tensor_pins)`` pairs whose
+    buffers are one object."""
+    return _alias_groups(list(map(tensor_pins, tensors)))
 
 
-def _alias_groups(buffers):
-    """:func:`buffer_alias_groups` over each slot's taken buffers."""
-    ids = [id(buf) for roles in buffers for buf in roles.values()]
+def _alias_groups(pins):
+    """:func:`buffer_alias_groups` over each slot's read pins."""
+    ids = [id(buf) for read in pins for buf in read[1:]]
     if len(set(ids)) == len(ids):
         return ()
     owners = {}
-    for slot, roles in enumerate(buffers):
-        for role, buf in roles.items():
-            owners.setdefault(id(buf), []).append((slot, role))
+    for slot, read in enumerate(pins):
+        for position, buf in enumerate(read[1:], 1):
+            owners.setdefault(id(buf), []).append((slot, position))
     return tuple(tuple(group) for group in owners.values()
                  if len(group) > 1)
 
@@ -341,5 +352,6 @@ __all__ = [
     "program_walk",
     "structural_key",
     "tensor_binding_buffers",
+    "tensor_pins",
     "tensor_signature",
 ]

@@ -35,8 +35,8 @@ class Context:
         self.constant_loop_rewrite = constant_loop_rewrite
         self._buffers = {}          # id(array) -> (name, array)
         self._buffer_order = []     # names in binding order
-        self._plan = []             # (slot, role) or None, in binding order
-        self._slot_roles = {}       # id(buffer) -> (slot, role)
+        self._plan = []             # (slot, position, role) or None
+        self._slot_roles = {}       # id(buffer) -> (slot, position, role)
         self._scalars = {}          # id(tensor) -> (Var, tensor, writeback)
         self._scalar_order = []
         self._blocks = [[]]
@@ -56,15 +56,18 @@ class Context:
         """Declare the program's tensors as binding *slots*.
 
         Every buffer a tensor exposes through ``kernel_buffers`` is
-        mapped back to ``(slot, role)``, so :meth:`binding_plan` can
-        later tell the kernel how to rebind its positional arguments to
-        a fresh set of tensors of the same formats.
+        mapped back to its slot, its position in the tensor's
+        :func:`~repro.cin.analyze.tensor_pins` and its role, so
+        :meth:`binding_plan` can later tell the kernel how to rebind
+        its positional arguments to a fresh set of tensors of the same
+        formats.
         """
         from repro.cin.analyze import tensor_binding_buffers
 
         for slot, tensor in enumerate(tensors):
-            for role, buf in tensor_binding_buffers(tensor).items():
-                self._slot_roles.setdefault(id(buf), (slot, role))
+            roles = tensor_binding_buffers(tensor).items()
+            for position, (role, buf) in enumerate(roles, 1):
+                self._slot_roles.setdefault(id(buf), (slot, position, role))
 
     def buffer(self, array, hint="buf", bounds=None):
         """Bind ``array`` as a kernel parameter; returns its Var, which
@@ -85,13 +88,18 @@ class Context:
         return [self._buffers[key] for key in self._buffer_order]
 
     def binding_plan(self):
-        """Per-parameter ``(slot, role)`` entries, in binding order.
+        """Per-parameter ``(slot, position)`` entries, in binding order.
 
         ``None`` marks a buffer bound outside the tensor protocol
         (e.g. by a custom format's unfurl function); such parameters
         keep their compile-time binding when the kernel is rebound.
         """
-        return tuple(self._plan)
+        return tuple(entry and entry[:2] for entry in self._plan)
+
+    def binding_roles(self):
+        """:meth:`binding_plan` with roles for positions (the dtype
+        pass reads a parameter's role)."""
+        return tuple(entry and (entry[0], entry[2]) for entry in self._plan)
 
     # -- scalar tensors ---------------------------------------------------
     def scalar_ref(self, tensor):

@@ -9,10 +9,11 @@ depends only on the program's structural key (tree shape plus each
 tensor's format signature; see
 :func:`repro.cin.analyze.structural_key`), never on the concrete
 arrays.  The artifact records a *binding plan* mapping every kernel
-parameter to a ``(slot, role)`` pair — slot = the tensor's position in
-first-use order, role = which of its buffers (``lvl0_pos``, ``val``,
-``coords``, ...) — so the same artifact can be re-bound to any
-tensors with matching signatures.
+parameter to a ``(slot, position)`` pair — slot = the tensor's position
+in first-use order, position = where its buffer is in the tensor's one
+read, ``kernel_pins()`` (the signature, then the ``kernel_buffers`` values)
+— so the same artifact can be re-bound to any tensors with matching
+signatures, each read once per bind.
 
 The compile-once/run-many lifecycle::
 
@@ -57,8 +58,7 @@ from repro.cin.analyze import (
     check_program,
     infer_extents,
     program_walk,
-    tensor_binding_buffers,
-    tensor_signature,
+    tensor_pins,
 )
 from repro.compiler.context import Context
 from repro.compiler.key import SPEC_VERSION, KernelKey
@@ -79,8 +79,9 @@ from repro.util.errors import BindingError, SpecError
 #: Every field is required: a spec that lacks one does not rebuild.
 SPEC_FIELDS = ("name", "source", "views", "backend", "c_source",
                "c_param_dtypes", "opt_level", "plan", "signatures",
-               "alias_groups", "instrument", "constant_loop_rewrite",
-               "compile_seconds", "structural_key", "slot_names")
+               "widths", "alias_groups", "instrument",
+               "constant_loop_rewrite", "compile_seconds",
+               "structural_key", "slot_names")
 
 
 def _plain(value):
@@ -113,7 +114,7 @@ class CompiledKernel:
                  "_arity") + SPEC_FIELDS
 
     def __init__(self, fn, name, source, opt_level, plan,
-                 seed_args, seed_tensors, signatures, alias_groups,
+                 seed_args, seed_tensors, signatures, widths, alias_groups,
                  instrument, compile_seconds, structural_key=None,
                  slot_names=None, constant_loop_rewrite=True,
                  backend="python", c_source=None, c_param_dtypes=None,
@@ -142,6 +143,7 @@ class CompiledKernel:
         self.seed_args = seed_args
         self.seed_tensors = seed_tensors
         self.signatures = signatures
+        self.widths = widths        # each slot's read length
         self.alias_groups = alias_groups
         self.instrument = instrument
         self.compile_seconds = compile_seconds
@@ -149,19 +151,19 @@ class CompiledKernel:
         self.slot_names = tuple(slot_names) if slot_names \
             else ("?",) * len(signatures)
         self.constant_loop_rewrite = bool(constant_loop_rewrite)
-        # The flat bind program: the (parameter, role) pairs each
-        # slot feeds, and each alias-group member beside the first.
+        # The flat bind program: the (parameter, position) pairs each
+        # slot feeds, and each alias-group member beside the first with
+        # the parameter the group collapsed into (none if unbound).
         self._slot_params = [[] for _ in signatures]
         for param, entry in enumerate(plan):
             if entry is not None:
                 self._slot_params[entry[0]].append((param, entry[1]))
-        self._alias_pairs = [(group, group[0], other)
-                             for group in alias_groups for other in group[1:]]
-        slots = tuple(range(len(signatures)))
-        self._whole = BindPlan(tuple(zip(slots, slots)), slots,
-                               tuple(enumerate(self._slot_params)),
-                               tuple(self._alias_pairs), IdentityMemo())
+        self._alias_pairs = [(group, group[0], other, plan.index(group[0]))
+                             for group in alias_groups if group[0] in plan
+                             for other in group[1:]]
         self._arity = len(plan)
+        slots = range(len(signatures))
+        self._whole = self._plan_of(tuple(zip(slots, slots)))
 
     @property
     def effective_backend(self):
@@ -260,80 +262,69 @@ class CompiledKernel:
                    seed_args=(None,) * len(fields["plan"]),
                    seed_tensors=(), **fields)
 
-    def validate(self, tensors):
-        """Check that ``tensors`` fill every slot with matching format
-        signatures; raises :class:`BindingError` otherwise.
+    def _plan_of(self, slots):
+        """The :class:`BindPlan` replacing the ``(name, slot)`` pairs
+        ``slots``, whose reads follow each other, :attr:`widths` long;
+        a member left bound holds what its alias group's parameter does."""
+        starts, feeds, at = {}, [], 0
+        for _, slot in slots:
+            starts[slot] = at
+            feeds += [(param, at + position)
+                      for param, position in self._slot_params[slot]]
+            at += self.widths[slot]
 
-        The shared fail-fast half of :meth:`bind`, also used by the
-        batch engine to reject bad datasets before dispatching any
-        work.
-        """
+        def held(slot, position, param):
+            return starts[slot] + position if slot in starts else at + param
+
+        return BindPlan(
+            tuple(slots), tuple((slot, starts[slot]) for _, slot in slots),
+            tuple(feeds),
+            tuple((group, held(*first, param), held(*other, param))
+                  for group, first, other, param in self._alias_pairs
+                  if first[0] in starts or other[0] in starts),
+            IdentityMemo())
+
+    def validate(self, tensors):
+        """Check that ``tensors`` bind (:meth:`bind`): one per slot,
+        each of the slot's format signature, the aliasing pattern kept;
+        raises :class:`BindingError` otherwise."""
+        self.bind(tensors)
+
+    def bind(self, tensors, pinned=None):
+        """Positional kernel arguments for ``tensors`` (one per slot),
+        checked and fed from one read of each (``pinned``, the reads in
+        slot order, when :func:`~repro.cin.analyze.program_walk` took
+        them)."""
+        tensors = list(tensors)
         if len(tensors) != len(self.signatures):
             raise BindingError(
                 "kernel has %d tensor slots, got %d tensors"
                 % (len(self.signatures), len(tensors)))
-        self._check(tensors, self._whole.checks,
-                    list(map(tensor_signature, tensors)))
+        return self.new_entry(self._whole, tensors, tensors,
+                              self.seed_args, pinned)[0].args
 
-    def _check(self, tensors, slots, read):
-        """Raise unless each of ``slots`` holds a tensor with that
-        slot's format signature (``read[slot]``, as read), checked in
-        the order given; a tensor's memoized tuple matches itself or
-        its copy with ``is``."""
-        signatures = self.signatures
-        for slot in slots:
-            actual = read[slot]
-            expected = signatures[slot]
-            if actual is not expected and actual != expected:
-                raise BindingError(
-                    "slot %d (%s): format signature %r does not match "
-                    "the compiled kernel's %r"
-                    % (slot, getattr(tensors[slot], "name", "?"), actual,
-                       expected))
-
-    def bind(self, tensors, buffers=None):
-        """Positional kernel arguments for ``tensors`` (one per slot).
-
-        Validates format signatures and the buffer-aliasing pattern,
-        then resolves every plan entry to the new tensor's buffer.
-        ``buffers`` holds each tensor's ``kernel_buffers()`` when the
-        caller already took them (:func:`~repro.cin.analyze.
-        program_walk`).
-        """
-        tensors = list(tensors)
-        self.validate(tensors)
-        roles = [None] * len(tensors) if buffers is None else buffers
-        return self._point(tensors, roles, self._whole, self.seed_args)
-
-    def _point(self, tensors, roles, plan, args):
+    def _point(self, pinned, plan, args):
         """The one bind pass: a copy of ``args`` with the parameters
-        ``plan`` feeds re-pointed at ``tensors`` (signatures already
-        checked), then checked whole for the aliasing pattern.
-        ``roles`` holds each slot's ``kernel_buffers()`` walk, None
-        where not taken."""
+        ``plan`` feeds taken from ``pinned``, the replacements' read
+        (signatures already checked), then checked whole for the
+        aliasing pattern."""
+        if plan.alias_pairs:
+            held = [*pinned, *args]
+            for group, first, other in plan.alias_pairs:
+                if held[first] is not held[other]:
+                    raise BindingError(
+                        "buffers %s shared one array at compile time but "
+                        "the new tensors bind distinct arrays" % (group,))
         args = list(args)
-        for slot, feeds in plan.feeds:
-            buffers = roles[slot]
-            if buffers is None:
-                buffers = roles[slot] = tensor_binding_buffers(
-                    tensors[slot])
-            for param, role in feeds:
-                args[param] = buffers[role]
-        for group, (slot_a, role_a), (slot_b, role_b) in plan.alias_pairs:
-            for slot in (slot_a, slot_b):
-                if roles[slot] is None:
-                    roles[slot] = tensor_binding_buffers(tensors[slot])
-            if roles[slot_a][role_a] is not roles[slot_b][role_b]:
-                raise BindingError(
-                    "buffers %s shared one array at compile time but "
-                    "the new tensors bind distinct arrays" % (group,))
+        for param, index in plan.feeds:
+            args[param] = pinned[index]
         # Distinct parameters were distinct arrays at compile time
         # (aliased buffers collapse into one parameter), so any
         # aliasing here is new — the emitted code assumes separate
         # storage (e.g. output resets would wipe inputs).  The loop
         # runs only to name the offending pair.
         if len(set(map(id, args))) != self._arity:
-            seen = {}  # id(buffer) -> (slot, role)
+            seen = {}  # id(buffer) -> (slot, position)
             for entry, buf in zip(self.plan, args):
                 if entry is None:
                     continue
@@ -347,43 +338,46 @@ class CompiledKernel:
         return args
 
     def plan_entry(self, plan, mapping, template, args):
-        """``(entry, tensors, taken)``: the :class:`PlanEntry` in
-        ``plan``'s memo for the replacements ``mapping`` (name -> tensor;
-        for the whole plan, a slot-ordered list) over ``template``, the
-        tensors ``args`` binds.  The key is the identities of what
-        :meth:`BindPlan.pins` reads of the replacements, their
-        signatures and buffers.  A known key needs no check: its entry
-        pins what the key names, which passed every check against the
-        binding as it still is (a change clears the memo), and
-        ``tensors`` and ``taken`` are None.  A new key takes each
-        replacement's ``kernel_buffers()`` (``taken``) once, is checked
-        against the signatures read, bound onto a copy of ``args`` and
-        filed if it names the buffers bound; ``tensors`` is the placed
-        slot list."""
+        """``(entry, tensors)``: the :class:`PlanEntry` in ``plan``'s
+        memo for the replacements ``mapping`` (name -> tensor; for the
+        whole plan, a slot-ordered list) over ``template``, the tensors
+        ``args`` binds.  The key is the identities of the replacements'
+        read (:meth:`BindPlan.pins`).  A known key needs no check: its
+        entry pins what the key names, which passed every check against
+        the binding as it still is (a change clears the memo), and
+        ``tensors`` is None.  A new key is bound from that same read
+        (:meth:`new_entry`) and filed."""
         pinned = plan.pins(mapping)
         key = tuple(map(id, pinned))
         entry = plan.memo.hit(key)
         if entry is not None:
-            return entry, None, None
+            return entry, None
+        entry, tensors = self.new_entry(plan, mapping, template, args,
+                                        pinned)
+        plan.memo.put(key, entry)
+        return entry, tensors
+
+    def new_entry(self, plan, mapping, template, args, pinned=None):
+        """``(entry, tensors)``: an unfiled :class:`PlanEntry` of the
+        replacements ``mapping`` over ``template``, bound onto a copy of
+        ``args`` from ``pinned``, their read (taken here when None);
+        ``tensors`` is the placed slot list.  Signatures are checked in
+        the read's order, so a replacement of another format (another
+        read length) is refused before a later slot is looked for past
+        it; a tensor's memoized tuple matches itself or its copy with
+        ``is``."""
+        if pinned is None:
+            pinned = plan.pins(mapping)
         tensors = plan.place(template, mapping)
-        read, roles = [None] * len(tensors), [None] * len(tensors)
-        taken, at, named = [], 0, True
-        for name, slot in plan.slots:
-            buffers = tensor_binding_buffers(mapping[name])
-            read[slot], roles[slot] = pinned[at], buffers
-            taken.append(buffers)
-            for buffer in buffers.values():
-                at += 1
-                if pinned[at] is not buffer:
-                    named = False
-            at += 1
-        self._check(tensors, plan.checks, read)
-        entry = PlanEntry(self._point(tensors, roles, plan, args), pinned)
-        # A buffer re-pointed between the two reads is bound but not
-        # named by the key: that call is not memoized.
-        if named:
-            plan.memo.put(key, entry)
-        return entry, tensors, taken
+        for slot, index in plan.checks:
+            actual, expected = pinned[index], self.signatures[slot]
+            if actual is not expected and actual != expected:
+                raise BindingError(
+                    "slot %d (%s): format signature %r does not match "
+                    "the compiled kernel's %r"
+                    % (slot, getattr(tensors[slot], "name", "?"), actual,
+                       expected))
+        return PlanEntry(self._point(pinned, plan, args), pinned), tensors
 
 
 #: Bind-plan entries memoized per plan (LRU).
@@ -440,15 +434,17 @@ class BindPlan(namedtuple("BindPlan",
                           "slots checks feeds alias_pairs memo")):
     """How one tuple of override names binds, resolved once per
     binding (:meth:`Kernel.bind_plan`): ``slots`` the ``(name, slot)``
-    pairs in the names' order, ``checks`` those slots in the order
-    their signatures are checked, ``feeds`` each such slot's
-    ``(parameter, role)`` pairs, and ``alias_pairs`` the compile-time
-    alias pairs that touch them.  An artifact's whole binding
+    pairs in the names' order, which is the order of the replacements'
+    read (:meth:`pins`); ``checks`` each slot's ``(slot, index)`` of
+    its signature in the read, ``feeds`` the ``(parameter, index)``
+    pairs, and ``alias_pairs`` the compile-time alias pairs touching
+    the slots, as ``(group, index, index)`` into the read followed by
+    the bound arguments.  An artifact's whole binding
     (``CompiledKernel._whole``) is the plan that feeds every slot, each
     named by its own number: its replacements are a slot-ordered list.
 
     ``memo`` (an :class:`IdentityMemo`) maps the identities of the
-    replacements' signatures and buffers to their :class:`PlanEntry`
+    replacements' read to their :class:`PlanEntry`
     (:meth:`CompiledKernel.plan_entry`).  A kernel's plan belongs to
     one binding: a change that reaches the slots the plan leaves as
     bound clears it.  The whole plan leaves none, so its memo is the
@@ -457,18 +453,17 @@ class BindPlan(namedtuple("BindPlan",
     __slots__ = ()
 
     def pins(self, mapping):
-        """What the memo key names for the replacements ``mapping``, in
-        ``slots`` order: each one's format signature, then its
-        ``kernel_buffers()`` values, read by one ``kernel_pins()`` call
-        where the replacement has one."""
+        """The replacements ``mapping`` read, in ``slots`` order: each
+        one's format signature, then its ``kernel_buffers`` values,
+        read by one ``kernel_pins()`` call where the replacement has
+        one (:func:`~repro.cin.analyze.tensor_pins`)."""
         pinned = []
         for name, _ in self.slots:
             tensor = mapping[name]
             try:
                 read = tensor.kernel_pins
             except AttributeError:
-                pinned += (tensor_signature(tensor),
-                           *tensor_binding_buffers(tensor).values())
+                pinned += tensor_pins(tensor)
             else:
                 pinned += read()
         return pinned
@@ -504,14 +499,7 @@ def _bind_plan(artifact, tensors, names):
         slots.append((name, bearing[0]))
     if artifact is None:
         return BindPlan(tuple(slots), (), (), (), None)
-    checks = tuple(sorted(slot for _, slot in slots))
-    feeds = tuple((slot, tuple(artifact._slot_params[slot]))
-                  for slot in checks)
-    alias_pairs = tuple((group, a, b)
-                        for group, a, b in artifact._alias_pairs
-                        if a[0] in checks or b[0] in checks)
-    return BindPlan(tuple(slots), checks, feeds, alias_pairs,
-                    IdentityMemo())
+    return artifact._plan_of(slots)
 
 
 class Kernel:
@@ -523,12 +511,12 @@ class Kernel:
         """Bind ``artifact`` to ``tensors``, ``program``'s tensors in
         slot order.  ``walk`` is the program's :func:`~repro.cin.
         analyze.program_walk` when the caller already made it (and
-        ``tensors`` then its very list, whose buffers it took)."""
+        ``tensors`` then its very list, whose pins it read)."""
         if walk is None:
             walk = program_walk(program)
         self._artifact = artifact
         if tensors is walk.tensors:
-            self._bind(tensors, walk.buffers)
+            self._bind(tensors, [pin for read in walk.pins for pin in read])
         else:
             self._bind(list(tensors))
         self.program = program
@@ -653,7 +641,7 @@ class Kernel:
                 plan = self.bind_plan(names)
             # A memo hit brings its prepared call, if a run made one; a
             # miss is filed unprepared, for the next run() to prepare.
-            self._entry, placed, _ = self._artifact.plan_entry(
+            self._entry, placed = self._artifact.plan_entry(
                 plan, mapping, self._tensors, self._entry.args)
             self._tensors = (plan.place(self._tensors, mapping)
                              if placed is None else placed)
@@ -674,9 +662,9 @@ class Kernel:
             self._bind(list(tensors))
         return self
 
-    def _bind(self, tensors, buffers=None):
+    def _bind(self, tensors, pinned=None):
         """Bind every slot to ``tensors`` (a list this kernel keeps)."""
-        self._entry = PlanEntry(self._artifact.bind(tensors, buffers))
+        self._entry = PlanEntry(self._artifact.bind(tensors, pinned))
         self._tensors = tensors
         self._epoch = _share._adoptions
         self._plans = {}    # names -> BindPlan, built on first use
@@ -856,7 +844,7 @@ def _compile_artifact(program, walk, instrument, name,
     views = ()
     if opt_level > 0:
         func = optimize_kernel(func, opt_level, ctx.bound_buffers())
-        views = viewable(func, ctx.bound_buffers(), ctx.binding_plan())
+        views = viewable(func, ctx.bound_buffers(), ctx.binding_roles())
     source = emit(func, views)
 
     c_source = None
@@ -881,7 +869,7 @@ def _compile_artifact(program, walk, instrument, name,
     seed_args = tuple(
         array if entry is None else None
         for entry, (_, array) in zip(plan, ctx.bound_buffers()))
-    signatures = tuple(tensor_signature(t) for t in tensors)
+    signatures = tuple(read[0] for read in walk.pins)
     return CompiledKernel(
         fn=fn,
         name=name,
@@ -896,6 +884,7 @@ def _compile_artifact(program, walk, instrument, name,
             tensor for tensor, sig in zip(tensors, signatures)
             if _identity_pinned(tensor, sig)),
         signatures=signatures,
+        widths=tuple(map(len, walk.pins)),
         alias_groups=walk.alias_groups,
         instrument=instrument,
         compile_seconds=time.perf_counter() - start,

@@ -54,7 +54,10 @@ STORE_VERSION = 1
 #: the same program compiled at ``opt_level=0``.
 #: Version 5 added ``views``, the parameters the python entry hands the
 #: kernel as element views (the source no longer takes them itself).
-SPEC_VERSION = 5
+#: Version 6 names a buffer in ``plan`` and ``alias_groups`` by its
+#: position in the slot's ``kernel_pins()`` read, not by its role, and
+#: added ``widths``, each slot's read length.
+SPEC_VERSION = 6
 
 
 @functools.lru_cache(maxsize=None)

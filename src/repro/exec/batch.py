@@ -11,8 +11,9 @@ Three executors share one semantics::
 
     serial      in-process loop (the reference; also the baseline the
                 benchmark harness measures scaling against)
-    threads     a ThreadPoolExecutor; right for ``opt_level=2``
-                kernels whose time is spent in GIL-releasing numpy
+    threads     a ThreadPoolExecutor; right for kernels that release
+                the GIL: C kernels (ctypes releases it for every call)
+                and ``opt_level=2`` kernels whose time is spent in numpy
                 slice operations
     processes   the persistent warm :class:`~repro.exec.pool.WorkerPool`;
                 right for scalar coiteration kernels that hold the
@@ -64,7 +65,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.cin.analyze import tensor_binding_buffers
 from repro.compiler.kernel import compile_kernel
 from repro.compiler.key import KernelKey
 from repro.exec import pool as _pool
@@ -391,16 +391,17 @@ class KernelPool:
 
     # -- dataset resolution --------------------------------------------
     def _resolve(self, datasets):
-        """Per dataset, the slot-ordered, signature-checked tensors,
-        each one's ``kernel_buffers()`` walk (taken once per map), the
-        identities of its buffers (its own, with none) and, in-process,
-        its plan entry (of its names' plan, or the whole plan for a
-        sequence); rejects bad datasets before any work is
-        dispatched."""
+        """Per dataset, the slot-ordered tensors, their plan entry (of
+        its names' plan, or the whole plan for a sequence; unfiled on
+        processes, whose shared-memory arrays no memo may pin), bound
+        from one read of each replacement, and the identities each slot
+        binds; rejects bad datasets before any work is dispatched."""
         kernel, artifact = self._kernel, self._artifact
         if kernel._epoch != _share._adoptions:      # as Kernel.run
             kernel.rebind(kernel.tensors)
         template = kernel.tensors
+        bind = (artifact.new_entry if self.executor == "processes"
+                else artifact.plan_entry)
         resolved = []
         for index, dataset in enumerate(datasets):
             try:
@@ -412,25 +413,15 @@ class KernelPool:
                     if len(dataset) != len(template):
                         artifact.validate(dataset)  # the count's error
                     plan, args = artifact._whole, artifact.seed_args
-                if self.executor == "processes":    # bound by _point
-                    entry, taken = None, ()
-                    tensors = plan.place(template, dataset)
-                    artifact.validate(tensors)
-                else:
-                    entry, tensors, taken = artifact.plan_entry(
-                        plan, dataset, template, args)
-                    if tensors is None:     # a memo hit takes no walk
-                        tensors, taken = plan.place(template, dataset), ()
+                entry, tensors = bind(plan, dataset, template, args)
             except BindingError as exc:
                 raise BindingError("dataset %d: %s" % (index, exc))
-            walks = {slot: buffers
-                     for (_, slot), buffers in zip(plan.slots, taken)}
-            roles = [walks[slot] if slot in walks
-                     else tensor_binding_buffers(tensor)
-                     for slot, tensor in enumerate(tensors)]
-            resolved.append((tensors, roles, [
-                [id(buf) for buf in buffers.values()] or [id(tensor)]
-                for tensor, buffers in zip(tensors, roles)], entry))
+            if tensors is None:         # a memo hit places nothing
+                tensors = plan.place(template, dataset)
+            resolved.append((tensors, entry, [
+                [id(entry.args[param]) for param, _ in params]
+                or [id(tensor)]     # a slot that binds nothing: itself
+                for tensor, params in zip(tensors, artifact._slot_params)]))
         self._check_output_isolation(resolved)
         return resolved
 
@@ -446,7 +437,7 @@ class KernelPool:
         if len(resolved) < 2:
             return
         writers = {}  # id(buffer) -> dataset index that writes it
-        for index, (tensors, _, ids, _) in enumerate(resolved):
+        for index, (tensors, _, ids) in enumerate(resolved):
             for slot in self._output_slots:
                 for buf_id in ids[slot]:
                     other = writers.setdefault(buf_id, index)
@@ -458,7 +449,7 @@ class KernelPool:
                             % (other, index, slot,
                                getattr(tensors[slot], "name", "?")))
         output_slots = set(self._output_slots)
-        for index, (tensors, _, ids, _) in enumerate(resolved):
+        for index, (tensors, _, ids) in enumerate(resolved):
             for slot, tensor in enumerate(tensors):
                 if slot in output_slots:
                     continue
@@ -473,15 +464,12 @@ class KernelPool:
                                getattr(tensor, "name", "?"), writer))
 
     # -- execution -----------------------------------------------------
-    def _dataset_names(self, tensors):
-        return tuple(getattr(t, "name", "?") for t in tensors)
-
     def _wrap_failure(self, index, exc, tensors=None):
         """The enriched batch error for one failing dataset: index,
         tensor names, kernel name, and structural-key digest."""
         error = BatchExecutionError(
             index, exc,
-            dataset_names=(self._dataset_names(tensors)
+            dataset_names=(tuple(getattr(t, "name", "?") for t in tensors)
                            if tensors is not None else None),
             kernel_name=self._artifact.name,
             structural_key=self._artifact.structural_key)
@@ -494,7 +482,7 @@ class KernelPool:
         """One dataset, in-process, through its plan entry's prepared
         call; an exception surfaces at once."""
         start = time.perf_counter()
-        tensors, _, _, entry = dataset
+        tensors, entry, _ = dataset
         try:
             call = entry.call
             if call is None:
@@ -611,9 +599,9 @@ class KernelPool:
     def _map_processes(self, resolved):
         """Dispatch one batch over the warm worker pool.
 
-        Serialize: bind every dataset parent-side and describe its
-        arguments as shm descriptors (staging anything not
-        arena-resident).  Transport: seal the staging segment (one
+        Serialize: describe every dataset's arguments (bound
+        parent-side by :meth:`_resolve`) as shm descriptors (staging
+        anything not arena-resident).  Transport: seal the staging segment (one
         copy in), and after the run copy staged output regions back.
         Execute: the pool's chunked dispatch, under this pool's
         deadline/retry settings.  Collect: snapshot and assemble
@@ -631,14 +619,8 @@ class KernelPool:
         resident_seen = set()
         resident_bytes = 0
         try:
-            for index, (tensors, roles, ids, _) in enumerate(resolved):
-                try:
-                    args = self._artifact._point(
-                        tensors, roles, self._artifact._whole,
-                        self._artifact.seed_args)
-                except Exception as exc:
-                    raise self._wrap_failure(index, exc,
-                                             tensors) from exc
+            for index, (_, entry, ids) in enumerate(resolved):
+                args = entry.args
                 # The transport carries the output buffers back.
                 payload = _shm.describe_args(
                     args, staging, index,
@@ -671,7 +653,7 @@ class KernelPool:
                                           resolved[index][0])
                 for index, exc in pool_failures}
             items = []
-            for index, (tensors, _, _, _) in enumerate(resolved):
+            for index, (tensors, _, _) in enumerate(resolved):
                 entry = by_index.get(index)
                 if entry is None:
                     # Failed permanently, or never dispatched because

@@ -43,6 +43,7 @@ class LoopletTensor:
         self.unfurl_fn = unfurl_fn
         self.name = name or "V"
         self.fill = fill
+        self._signature = None
 
     def __getitem__(self, idxs):
         if not isinstance(idxs, tuple):
@@ -60,8 +61,12 @@ class LoopletTensor:
         """Identity-pinned: the structure is an opaque closure, so a
         LoopletTensor is only structurally equal to itself.  Kernel
         caching still works for repeated runs of the same tensor, but
-        two distinct LoopletTensors never share a compiled kernel."""
-        return ("custom", id(self), self.shape)
+        two distinct LoopletTensors never share a compiled kernel.
+        One tuple per tensor, guarded on ``id(self)``: a copy builds
+        its own."""
+        if self._signature is None or self._signature[1] != id(self):
+            self._signature = ("custom", id(self), self.shape)
+        return self._signature
 
     def unfurl_root(self, ctx, proto="walk"):
         """Unfurl the (single) fiber of this tensor."""

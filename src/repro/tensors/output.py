@@ -78,9 +78,9 @@ class _AppendOutput:
 
     def kernel_buffers(self):
         """The coordinate stream, the value stream and the state
-        vector (count, cursor, out-of-order flag)."""
-        return {"coords": self.coords, "vals": self.vals,
-                "state": self.state}
+        vector (count, cursor, out-of-order flag): :meth:`kernel_pins`'s
+        buffers, by role."""
+        return dict(zip(("coords", "vals", "state"), self.kernel_pins()[1:]))
 
     def format_signature(self):
         return self._signature

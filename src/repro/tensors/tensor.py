@@ -50,17 +50,16 @@ class Tensor:
         self.levels = tuple(levels)
         self.element = element
         self.name = name or "T"
-        # Walked by every kernel bind, so resolved once: the (role,
-        # owner, attribute) of each level array.  kernel_pins reads those
-        # arrays and then the value array with one attrgetter, each by
-        # its path down the child chain from the first level (None when
-        # no level holds an array).
-        arrays = [(depth, level, hint) for depth, level in enumerate(levels)
+        # Read by every kernel bind, so resolved once: kernel_pins reads
+        # each level array and then the value array with one attrgetter,
+        # each by its path down the child chain from the first level
+        # (None when no level holds an array); _roles names them.
+        arrays = [(depth, hint) for depth, level in enumerate(levels)
                   for hint in level.buffers()]
-        self._roles = tuple(("lvl%d_%s" % (depth, hint), level, hint)
-                            for depth, level, hint in arrays)
+        self._roles = tuple("lvl%d_%s" % (depth, hint)
+                            for depth, hint in arrays) + ("val",)
         self._arrays = attrgetter(
-            *["child." * depth + hint for depth, _, hint in arrays],
+            *["child." * depth + hint for depth, hint in arrays],
             "child." * len(levels) + "val") if arrays else None
         self._signature = None
 
@@ -115,12 +114,9 @@ class Tensor:
             slab, self.element.val) else slab[0]
 
     def buffers(self):
-        """All numpy arrays backing this tensor, with name hints."""
-        out = {}
-        for role, level, hint in self._roles:
-            out[role] = getattr(level, hint)
-        out["val"] = self.element.val
-        return out
+        """All numpy arrays backing this tensor, by role: the buffers
+        of :meth:`kernel_pins`, in its order."""
+        return dict(zip(self._roles, self.kernel_pins()[1:]))
 
     #: The canonical role -> buffer mapping for kernel (re)binding:
     #: the keys are stable across tensors of one format, so a kernel's
@@ -129,8 +125,8 @@ class Tensor:
 
     def kernel_pins(self):
         """``(format_signature(), *kernel_buffers().values())``, read
-        without building the role dict: what a bind plan's memo key
-        names (:meth:`repro.compiler.kernel.BindPlan.pins`)."""
+        without building the role dict: the one read of this tensor a
+        kernel bind takes (:meth:`repro.compiler.kernel.BindPlan.pins`)."""
         if self._arrays is None:
             return self.format_signature(), self.element.val
         return (self.format_signature(), *self._arrays(self.levels[0]))

@@ -2,7 +2,8 @@
 
 ``program_walk`` is the only pass ``compile_kernel`` makes over a CIN
 tree: the structural key, the slot-ordered tensors, the output slots
-and each tensor's buffers.  Each answer is held here to what the
+and each tensor's one read (``tensor_pins``: its signature, then its
+buffers).  Each answer is held here to what the
 separate walks compute — ``program_tensors``, ``output_tensors``,
 ``buffer_alias_groups`` and, for the key, the two-pass derivation the
 compiler used before the walks were merged (kept below as the oracle)
@@ -104,7 +105,12 @@ def assert_walk_agrees(program):
     assert [walk.tensors[slot] for slot in walk.output_slots] == outputs
     assert all(walk.tensors[slot] is out
                for slot, out in zip(walk.output_slots, outputs))
-    assert walk.buffers == [tensor_binding_buffers(t) for t in tensors]
+    assert len(walk.pins) == len(tensors)
+    for read, tensor in zip(walk.pins, tensors):
+        buffers = tensor_binding_buffers(tensor).values()
+        assert read[0] == tensor_signature(tensor)
+        assert len(read) == 1 + len(buffers)
+        assert all(a is b for a, b in zip(read[1:], buffers))
     assert walk.alias_groups == buffer_alias_groups(tensors)
 
 

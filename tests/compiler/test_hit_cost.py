@@ -81,9 +81,10 @@ def test_memory_hit_on_a_fresh_fig8_program_stays_in_budget(fig8):
         program, store=False, remote=False))
     assert kernel.from_cache and kernel.artifact is artifact
     assert stats.total_calls <= MEMORY_HIT_BUDGET
-    # One kernel_buffers() per tensor: the key's alias groups and the
-    # bind read the same walk.
-    assert calls_to(stats, "buffers") == len(kernel.tensors) == 3
+    # One kernel_pins() per tensor and no role dict: the key's
+    # signatures and alias groups and the bind read the same walk.
+    assert calls_to(stats, "kernel_pins") == len(kernel.tensors) == 3
+    assert calls_to(stats, "buffers") == 0
 
 
 @pytest.fixture

@@ -1,12 +1,13 @@
-"""What a bind-plan memo key names, read in one call per replacement.
+"""One read per bound tensor, and binding by position in it.
 
-A memo hit (``CompiledKernel.plan_entry``) keys on the identities of
-each replacement's format signature and ``kernel_buffers()`` values,
-read through :meth:`BindPlan.pins`: one ``kernel_pins()`` call where
-the object has one (``Tensor``, ``Scalar``, the append outputs), else
-``format_signature()`` plus ``kernel_buffers().values()``.  Both reads
-must name the same objects in the same order, or a hit would pin
-something other than what its entry binds.
+Every bind reads each tensor once through :meth:`BindPlan.pins`: one
+``kernel_pins()`` call where the object has one (``Tensor``, ``Scalar``,
+the append outputs), else ``format_signature()`` plus
+``kernel_buffers().values()``.  A memo key names the identities of that
+read, and a kernel parameter is fed the item at its plan position in
+it.  Both reads must name the same objects in the same order, or a
+parameter would be fed something other than the buffer of the role it
+was compiled for.
 """
 
 import copy
@@ -16,10 +17,13 @@ import pytest
 
 import repro.lang as fl
 from repro.cin.analyze import tensor_binding_buffers, tensor_signature
+from repro.cin.builders import increment, store
+from repro.compiler.context import Context
 from repro.compiler.kernel import BindPlan
 from repro.formats import format_names
 from repro.formats.custom import LoopletTensor
-from repro.looplets.core import Lookup
+from repro.ir.nodes import Literal
+from repro.looplets.core import Lookup, Run
 from repro.tensors.output import RunOutput, SparseOutput
 
 MATRIX = np.array([[0.0, 1.5, 1.5, 0.0, 2.0],
@@ -72,15 +76,52 @@ def test_scalars_and_append_outputs_name_the_same_objects():
 
 def test_objects_without_the_call_fall_back_to_the_protocol():
     """A LoopletTensor and an opaque object have no ``kernel_pins``:
-    their signature is a fresh tuple per read (equal, never the same
-    object, so they never hit), their buffers none."""
+    they are read through the protocol, with no buffers.  A
+    LoopletTensor's signature is one tuple for life, so it can hit; an
+    opaque object's is a fresh tuple per read (equal, never the same
+    object), so it never hits."""
     custom = LoopletTensor(4, lambda ctx, pos: Lookup(lambda j: j))
     opaque = object()
     for tensor in (custom, opaque):
         assert not hasattr(tensor, "kernel_pins")
         got, want = read(tensor), protocol(tensor)
         assert got == want and len(got) == 1
+    assert read(custom)[0] is read(custom)[0]
     assert read(opaque) == [("opaque", id(opaque))]
+    assert read(opaque)[0] is not read(opaque)[0]
+
+
+def custom_dot():
+    """``(kernel, V, B, C)``: ``C[] += V[i] * B[i]`` over a
+    LoopletTensor ``V`` of ones."""
+    V = LoopletTensor(4, lambda ctx, pos: Run(Literal(1.0)), name="V")
+    B = fl.from_numpy(np.arange(4.0), ("dense",), name="B")
+    C = fl.Scalar(name="C")
+    i = fl.indices("i")
+    kernel = fl.compile_kernel(
+        fl.forall(i, fl.increment(C[()], V[i] * B[i])), cache=False)
+    return kernel, V, B, C
+
+
+def test_repeated_custom_runs_file_one_entry():
+    """A LoopletTensor's memoized signature names one key: five
+    identical runs leave one memo entry, not five."""
+    kernel, V, B, C = custom_dot()
+    b = copy.deepcopy(B)
+    for _ in range(5):
+        C.set(0.0)
+        kernel.run(V=V, B=b)
+        assert C.value == pytest.approx(6.0)
+    assert len(kernel.bind_plan(("V", "B")).memo) == 1
+
+
+def test_a_copied_custom_tensor_reads_a_signature_of_its_own():
+    V = LoopletTensor(5, lambda ctx, pos: Run(Literal(1.0)))
+    mine = V.format_signature()
+    twin = copy.deepcopy(V)
+    assert twin.format_signature() == ("custom", id(twin), (5,))
+    assert twin.format_signature() is twin.format_signature()
+    assert V.format_signature() is mine != twin.format_signature()
 
 
 def test_a_re_pointed_array_is_read_anew():
@@ -118,11 +159,11 @@ def test_a_plan_reads_its_replacements_in_name_order():
                                       protocol(B) + protocol(A)))
 
 
-def test_an_array_re_pointed_between_the_reads_is_not_filed():
-    """A miss reads each replacement twice: the key's read, then its
-    ``kernel_buffers()`` for the bind.  An array re-pointed between the
-    two leaves the call unfiled, so no key names an array its entry
-    does not bind; the next call, read whole, is filed."""
+def test_a_miss_binds_the_read_its_key_names():
+    """A miss checks, binds and files from its key's read: every
+    argument fed from the replacement is an object the key names, and
+    no ``kernel_buffers()`` is taken.  (A hand-assigned array is a new
+    key: ``test_a_hand_assigned_array_is_a_miss_not_a_stale_hit``.)"""
     a = fl.from_numpy(MATRIX[0], ("sparse",), name="A")
     b = fl.from_numpy(MATRIX[2], ("sparse",), name="B")
     C = fl.Scalar(name="C")
@@ -130,20 +171,78 @@ def test_an_array_re_pointed_between_the_reads_is_not_filed():
     kernel = fl.compile_kernel(
         fl.forall(i, fl.increment(C[()], a[i] * b[i])), cache=False)
     x = copy.deepcopy(a)
-    first, second = x.element.val, x.element.val * 3.0
 
-    def re_pointing():
-        del x.kernel_buffers            # one re-point, then the class's
-        x.element.val = second
-        return x.buffers()
+    def refused():
+        raise AssertionError("a bind took a role dict")
 
-    x.kernel_buffers = re_pointing
-    kernel.run(A=x)             # the key read ``first``, the bind ``second``
-    plan = kernel.bind_plan(("A",))
-    assert len(plan.memo) == 0
-    assert x.element.val is second and first is not second
-    assert C.value == pytest.approx(float(x.to_numpy() @ MATRIX[2]))
-    C.set(0.0)
+    x.kernel_buffers = x.buffers = refused
     kernel.run(A=x)
-    assert len(plan.memo) == 1
+    plan = kernel.bind_plan(("A",))
+    [entry] = plan.memo.values()
+    named = set(map(id, entry.pinned))
+    fed = [arg for arg, (slot, _) in zip(entry.args, kernel.artifact.plan)
+           if slot == 1]
+    assert fed and all(id(arg) in named for arg in fed)
     assert C.value == pytest.approx(float(x.to_numpy() @ MATRIX[2]))
+
+
+def compiled_over(tensor, monkeypatch):
+    """``(kernel, slot, roles)``: a kernel that reads ``tensor`` (or
+    writes it, a scalar or an append output), the slot it is bound to,
+    and each parameter's compile-time ``(slot, role)`` as the lowering
+    context recorded it (``Context.binding_roles``)."""
+    recorded = []
+    binding_roles = Context.binding_roles
+
+    def recording(ctx):
+        recorded.append(binding_roles(ctx))
+        return recorded[-1]
+
+    monkeypatch.setattr(Context, "binding_roles", recording)
+    i, j = fl.indices("i", "j")
+    if isinstance(tensor, (RunOutput, SparseOutput)):
+        source = fl.from_numpy(np.ones(tensor.shape),
+                               ("dense",) * len(tensor.shape), name="X")
+        idxs = (i, j)[:len(tensor.shape)]
+        program = store(tensor[idxs], source[idxs])
+    elif tensor.ndim == 0:
+        source = fl.from_numpy(np.arange(5).astype(tensor.dtype),
+                               ("dense",), name="x")
+        program = increment(tensor[()], source[i])
+    else:
+        C = fl.Scalar(name="C")
+        idxs = (i, j)[:tensor.ndim]
+        program = increment(C[()], tensor[idxs])
+    for index in reversed(idxs if tensor.ndim else (i,)):
+        program = fl.forall(index, program)
+    kernel = fl.compile_kernel(program, cache=False)
+    [roles] = recorded
+    slot = [id(t) for t in kernel.tensors].index(id(tensor))
+    return kernel, slot, roles
+
+
+def bound_tensors():
+    """Every registered format (:func:`matrices`), the scalars and the
+    append outputs."""
+    return matrices() + [
+        fl.Scalar(name="C"), fl.Scalar(2.0, dtype=np.int64),
+        RunOutput((2, 6), name="R"), SparseOutput(9, name="S")]
+
+
+@pytest.mark.parametrize("tensor", bound_tensors(), ids=lambda tensor: (
+    type(tensor).__name__ if isinstance(tensor, (RunOutput, SparseOutput))
+    else repr(tensor)))
+def test_a_position_bind_feeds_what_the_role_names(tensor, monkeypatch):
+    """A copy bound by position hands each parameter the very object
+    its ``kernel_buffers()`` names under the role the parameter had at
+    compile time."""
+    kernel, slot, roles = compiled_over(tensor, monkeypatch)
+    tensors = kernel.tensors
+    tensors[slot] = twin = copy.deepcopy(tensor)
+    args = kernel.artifact.bind(tensors)
+    buffers = tensor_binding_buffers(twin)
+    fed = [(param, entry[1]) for param, entry in enumerate(roles)
+           if entry is not None and entry[0] == slot]
+    assert fed
+    for param, role in fed:
+        assert args[param] is buffers[role]

@@ -54,13 +54,13 @@ def test_spec_key_set_is_golden():
     service): a key added or dropped needs a ``SPEC_VERSION`` bump, so
     the set is pinned here and not only derived from ``SPEC_FIELDS``."""
     spec = fl.compile_kernel(dot_program(*make_pair())).to_spec()
-    assert SPEC_VERSION == 5
+    assert SPEC_VERSION == 6
     assert list(spec) == ["spec_version"] + list(SPEC_FIELDS)
     assert sorted(spec) == [
         "alias_groups", "backend", "c_param_dtypes", "c_source",
         "compile_seconds", "constant_loop_rewrite", "instrument", "name",
         "opt_level", "plan", "signatures", "slot_names",
-        "source", "spec_version", "structural_key", "views"]
+        "source", "spec_version", "structural_key", "views", "widths"]
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])

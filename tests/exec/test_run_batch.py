@@ -272,36 +272,6 @@ def test_signature_mismatch_rejected_up_front():
         assert pool.stats()["runs"] == 0
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_each_dataset_is_checked_and_walked_once_per_map(
-        executor, monkeypatch):
-    """``map`` consults every dataset tensor's ``format_signature``
-    once and takes its ``kernel_buffers()`` walk once: the up-front
-    check, the isolation check, the bind and the transport share them
-    (two signature reads and up to three walks before)."""
-    from repro.tensors.tensor import Tensor
-
-    reads = {"format_signature": [], "kernel_buffers": []}
-    for method, seen in reads.items():
-        original = getattr(Tensor, method)
-
-        def counting(self, _original=original, _seen=seen):
-            _seen.append(id(self))
-            return _original(self)
-
-        monkeypatch.setattr(Tensor, method, counting)
-    kernel = fl.compile_kernel(dot_program(*make_pair(0)), cache=False)
-    datasets = dot_datasets(4)
-    members = sorted(id(t) for tensors in datasets for t in tensors)
-    with KernelPool(kernel, executor=executor, max_workers=2) as pool:
-        for seen in reads.values():
-            del seen[:]
-        result = pool.map(datasets)
-        assert len(result) == 4
-        for method, seen in reads.items():
-            assert sorted(seen) == members, method
-
-
 @pytest.mark.parametrize("executor", ["serial", "threads"])
 def test_an_in_process_map_prepares_each_dataset_once(executor,
                                                       monkeypatch):

@@ -32,7 +32,8 @@ IR (no opaque Raw statement, and so no regex built over emitted text to
 guess what a line reads and writes: a dense reset and a vectorized loop
 are Slice/Reduce nodes, and effects are read off the nodes), and one
 way to prepare a call (a bind-plan entry keeps it; the kernel entry
-memoizes nothing).
+memoizes nothing), and one read of a binding (a bind reads each
+tensor once, through ``kernel_pins()``, and takes no role dict).
 
 Run alone with ``python -m pytest tests/test_concepts.py -q``.
 """
@@ -216,6 +217,17 @@ GUARDS = (
           "compile_kernel walks the program once: read the key, slots,"
           " outputs and alias groups off program_walk",
           ("src/repro/compiler/kernel.py", "outs = output_tensors(program)")),
+    # One read of a binding: every bind reads each tensor once, through
+    # kernel_pins(), and feeds parameters by position in that read --
+    # no role dict is taken beside it.
+    Guard("one_read_of_a_binding",
+          r"\b(kernel_buffers|tensor_binding_buffers)\(",
+          ("src/repro/compiler/kernel.py", "src/repro/exec/batch.py"),
+          "a bind takes one kernel_pins() read per tensor (BindPlan.pins)"
+          " and feeds parameters by position: no kernel_buffers() role"
+          " dict in compiler/kernel.py or exec/batch.py",
+          ("src/repro/exec/batch.py",
+           "roles = [tensor_binding_buffers(t) for t in tensors]")),
     Guard("marshal", r"import marshal|marshal\.(loads|dumps)",
           ("src/repro",),
           "marshal outside store/disk.py: a code object is decoded by the"
