@@ -221,6 +221,12 @@ class KernelPool:
         self._artifact = kernel.artifact
         self._key = KernelKey.of(kernel.artifact)
         self._output_slots = tuple(kernel.output_slots)
+        # The parameters that pass each slot's arrays: those it feeds,
+        # and the one each alias group it is a later member of became.
+        self._slot_held = [[param for param, _ in params]
+                           for params in kernel.artifact._slot_params]
+        for _, _, other, param in kernel.artifact._alias_pairs:
+            self._slot_held[other[0]].append(param)
         self.executor = executor
         self._requested_workers = config.worker_count(max_workers)
         if executor == "serial":
@@ -419,9 +425,9 @@ class KernelPool:
             if tensors is None:         # a memo hit places nothing
                 tensors = plan.place(template, dataset)
             resolved.append((tensors, entry, [
-                [id(entry.args[param]) for param, _ in params]
+                [id(entry.args[param]) for param in held]
                 or [id(tensor)]     # a slot that binds nothing: itself
-                for tensor, params in zip(tensors, artifact._slot_params)]))
+                for tensor, held in zip(tensors, self._slot_held)]))
         self._check_output_isolation(resolved)
         return resolved
 
@@ -448,11 +454,9 @@ class KernelPool:
                             "dataset its own output tensor"
                             % (other, index, slot,
                                getattr(tensors[slot], "name", "?")))
-        output_slots = set(self._output_slots)
+        # An output's own buffers pass: the loop above filed or refused them.
         for index, (tensors, _, ids) in enumerate(resolved):
             for slot, tensor in enumerate(tensors):
-                if slot in output_slots:
-                    continue
                 for buf_id in ids[slot]:
                     writer = writers.get(buf_id)
                     if writer is not None and writer != index:

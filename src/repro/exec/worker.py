@@ -29,7 +29,6 @@ Everything here must stay importable at module top level so worker
 processes can start under any start method (fork, spawn, forkserver).
 """
 
-import gc
 import os
 import pickle
 import time
@@ -208,9 +207,6 @@ def worker_main(conn, progress_name, slot, nslots):
     """
     from repro.exec import shm as _shm
 
-    # A forked worker's inherited heap sits out its collections: a full
-    # one would walk it all (45-85 ms under a test run's parent).
-    gc.freeze()
     cache = _shm.SegmentCache()
     progress = None
     if progress_name is not None:

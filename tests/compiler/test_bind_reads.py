@@ -44,9 +44,10 @@ def expected(A, B):
 @pytest.fixture
 def reads(monkeypatch):
     """A call returning, since its last call, the ids of the tensors
-    each of ``kernel_pins``, ``kernel_buffers`` and ``buffers`` read
-    (sorted)."""
-    seen = {"kernel_pins": [], "kernel_buffers": [], "buffers": []}
+    each of ``kernel_pins``, ``format_signature``, ``kernel_buffers``
+    and ``buffers`` read (sorted)."""
+    seen = {"kernel_pins": [], "format_signature": [],
+            "kernel_buffers": [], "buffers": []}
     for method, calls in seen.items():
         original = getattr(Tensor, method)
 
@@ -66,10 +67,12 @@ def reads(monkeypatch):
 
 
 def assert_read_once(reads, tensors):
-    """Each of ``tensors`` was read by one ``kernel_pins()`` call, and
-    nothing took a role dict."""
+    """Each of ``tensors`` was read by one ``kernel_pins()`` call,
+    its signature was read once (by that call), and nothing took a
+    role dict."""
     got = reads()
     assert got["kernel_pins"] == sorted(map(id, tensors))
+    assert got["format_signature"] == sorted(map(id, tensors))
     assert got["kernel_buffers"] == got["buffers"] == []
 
 

@@ -444,6 +444,49 @@ def test_input_aliasing_another_datasets_output_rejected():
         run_batch(template, [first, second])
 
 
+def in_place_program(arr):
+    """A program whose output ``Y`` shares its array with the input
+    ``X``, which it reads first (slot order ``s``, ``X``, ``Y``): the
+    two buffers collapse into one kernel parameter owned by ``X``."""
+    X = fl.from_numpy(arr, ("dense",), name="X")
+    Y = fl.zeros(len(arr), name="Y")
+    Y.element.val = X.element.val
+    s = fl.Scalar(name="s")
+    i = fl.indices("i")
+    return fl.forall(i, fl.multi(fl.increment(s[()], X[i]),
+                                 fl.store(Y[i], 2.0 * X[i])))
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_an_output_sharing_an_inputs_array_is_isolated(executor):
+    """An output aliased to an earlier input counts as writing the
+    shared array: two datasets on one array are rejected, and on
+    separate arrays every executor leaves the written array as the
+    serial one does (the processes transport carries it back)."""
+    template = in_place_program(np.arange(8.0))
+    kernel = fl.compile_kernel(template, cache=False)
+    assert kernel.artifact.alias_groups
+    first = program_tensors(in_place_program(np.arange(8.0)))
+    second = program_tensors(in_place_program(np.arange(8.0)))
+    for slot in (named(second, "X"), named(second, "Y")):
+        second[slot].element.val = first[named(first, "X")].element.val
+    with KernelPool(kernel, executor=executor, max_workers=2) as pool:
+        with pytest.raises(BindingError, match=(
+                r"datasets 0 and 1 share an output buffer \(slot %d, "
+                r"tensor 'Y'\)" % named(second, "Y"))):
+            pool.map([first, second])
+
+    def written(executor):
+        datasets = [program_tensors(in_place_program(np.arange(8.0) + d))
+                    for d in range(3)]
+        with KernelPool(kernel, executor=executor, max_workers=2) as pool:
+            pool.map(datasets)
+        return [tensors[named(tensors, "Y")].to_numpy().tolist()
+                for tensors in datasets]
+
+    assert written(executor) == written("serial")
+
+
 def test_batch_execution_error_survives_pickling():
     import pickle
 
