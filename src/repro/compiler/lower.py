@@ -542,13 +542,13 @@ class Lowerer:
         return all(any(under(node.looplet, term) for node in leaders)
                    for term in self._least_of(stop))
 
-    def _annihilates(self, stmt, leaders):
+    def _annihilates(self, stmt, fills):
         """Whether the rewriter folds ``stmt`` to nothing with any one
-        of ``leaders`` at its fill."""
-        return all(node.looplet.fill is not None and isinstance(
+        node at its fill, for each ``(node, fill)`` of ``fills``."""
+        return all(fill is not None and isinstance(
             simplify_stmt(self._replace_nodes(stmt, {
-                id(node): self._substituted(node, node.looplet.fill)})),
-            Pass) for node in leaders)
+                id(node): self._substituted(node, fill)})),
+            Pass) for node, fill in fills)
 
     def _lower_coiteration(self, index, ext, stmt, nodes, cls,
                            leaders_use_max):
@@ -580,9 +580,16 @@ class Lowerer:
         # to do.
         bounded = not leaders_use_max \
             and self._stop_bounds(ext.stop, leaders)
-        ends = leaders_use_max and not unit \
-            and self._annihilates(stmt, leaders)
+        ends = leaders_use_max and not unit and self._annihilates(
+            stmt, [(node, node.looplet.fill) for node in leaders])
         clipped = not (unit or bounded or ends)
+        # Two lists of spikes whose fill the body annihilates intersect
+        # by comparing strides: the lesser list steps alone.
+        three_way = bounded and not unit and len(leaders) == 2 \
+            and all(isinstance(node.looplet.body, Spike)
+                    for node in leaders) \
+            and self._annihilates(stmt, [(node, node.looplet.body.body)
+                                         for node in leaders])
         by_id = {id(node): position for position, node in enumerate(leaders)}
 
         def step():
@@ -590,6 +597,10 @@ class Lowerer:
             ctx.emit(ctx.count_op())
             strides = [ctx.let(index.name + "_stride", node.looplet.stride)
                        for node in leaders]
+            if three_way:
+                ctx.emit(self._three_way_step(index, ext, stmt, nodes,
+                                              leaders, strides, cur))
+                return
             reach = (build.maximum if leaders_use_max
                      else build.minimum)(*strides)
             p_stop = ext.stop if unit else ctx.let(
@@ -641,6 +652,36 @@ class Lowerer:
             return
         body = ctx.scoped(step, repeats=True)
         ctx.emit(asm.WhileLoop(build.lt(cur, ext.stop), body))
+
+    def _three_way_step(self, index, ext, stmt, nodes, leaders, strides,
+                        cur):
+        """A merge step of two lists of spikes as ``if s1 < s2: ...
+        elif s2 < s1: ... else: ...``: the region ends at the lesser
+        stride, where only its list lands; on a tie both land.  A list
+        that has not landed holds its fill over the region."""
+        ctx = self.ctx
+        first, second = strides
+        branches = []
+        for cond, p_stop, landed in (
+                (build.lt(first, second), first, (True, False)),
+                (build.lt(second, first), second, (False, True)),
+                (Literal(True), first, (True, True))):
+            region = Extent(cur, p_stop)
+            mapping = {id(node): self._substituted(node, truncate(
+                node.looplet, region, Extent(cur, ext.stop)))
+                for node in nodes}
+            for node, lands in zip(leaders, landed):
+                spike = node.looplet.body
+                mapping[id(node)] = self._substituted(
+                    node, spike if lands else Run(spike.body))
+            with self.assuming({self.nonempty(region): Literal(True)}):
+                block = ctx.scoped(self.lower_loop, index, region,
+                                   self._replace_nodes(stmt, mapping))
+            advances = [piece for node, lands in zip(leaders, landed)
+                        if lands for piece in node.looplet.next(ctx)]
+            branches.append((cond, asm.Block(
+                [block, *advances, asm.AssignStmt(cur, p_stop)])))
+        return build.if_(branches)
 
     # Lookup: emit the for loop; element access happens per iteration.
     def lower_lookup(self, index, ext, stmt, nodes):

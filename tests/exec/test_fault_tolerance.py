@@ -230,8 +230,11 @@ def test_run_batch_threads_policy_params():
 def test_keyboard_interrupt_leaves_no_orphans(monkeypatch):
     """Ctrl-C mid-batch must not orphan workers or leak segments: the
     in-flight workers are discarded, the pool heals lazily, and the
-    next map on the same pool succeeds."""
+    next map on the same pool succeeds.  Segments alive before the
+    test (an earlier test's process-wide default pool maps its progress
+    array for the pool's life) are not this pool's."""
     kernel = dot_kernel()
+    segments_before = shm_entries()
     children_before = {proc.pid for proc in mp.active_children()}
     with WorkerPool(max_workers=2) as workers:
         with KernelPool(kernel, executor="processes",
@@ -256,7 +259,7 @@ def test_keyboard_interrupt_leaves_no_orphans(monkeypatch):
             result = pool.map(dot_datasets(4, start_seed=9))
             assert outputs_of(result) == pytest.approx(
                 expected_dots(4, start_seed=9))
-    leaked = shm_entries()
+    leaked = shm_entries() - segments_before
     assert not leaked, "closed pool left segments: %s" % sorted(leaked)
     orphans = {proc.pid
                for proc in mp.active_children()} - children_before

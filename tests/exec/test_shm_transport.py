@@ -23,14 +23,17 @@ from repro.util.errors import BatchExecutionError
 N = 120
 
 
-def make_pair(seed):
+def make_pair(seed, n=N):
+    """A sparse vector of ``n // 10`` nonzeros and a band of ``n // 6``:
+    what is stored grows with ``n``."""
     rng = np.random.default_rng(seed)
-    a = np.zeros(N)
-    support = rng.choice(N, 12, replace=False)
-    a[support] = rng.random(12) + 0.1
-    b = np.zeros(N)
-    lo = int(rng.integers(0, N - 30))
-    b[lo:lo + 20] = rng.random(20) + 0.1
+    nnz, width = n // 10, n // 6
+    a = np.zeros(n)
+    support = rng.choice(n, nnz, replace=False)
+    a[support] = rng.random(nnz) + 0.1
+    b = np.zeros(n)
+    lo = int(rng.integers(0, n - width - 10))
+    b[lo:lo + width] = rng.random(width) + 0.1
     a[lo] = 1.0
     return a, b
 
@@ -43,8 +46,8 @@ def dot_program(a, b):
     return fl.forall(i, fl.increment(C[()], A[i] * B[i]))
 
 
-def dot_datasets(count, start_seed=1):
-    return [program_tensors(dot_program(*make_pair(seed)))
+def dot_datasets(count, start_seed=1, n=N):
+    return [program_tensors(dot_program(*make_pair(seed, n)))
             for seed in range(start_seed, start_seed + count)]
 
 
@@ -245,30 +248,54 @@ def test_run_chunk_in_process():
 # -- end-to-end transport layer -------------------------------------------
 
 
-def test_transport_does_not_pickle_tensor_data():
-    """Acceptance instrumentation: after the spec has shipped, the
-    per-batch pipe traffic is control-plane only — tensor payloads
-    move through shared memory (``shm_bytes``), not pickle."""
-    template = dot_program(*make_pair(0))
-    kernel = fl.compile_kernel(template)
-    tensor_bytes = 6 * N * 8  # six datasets, two dense N-vectors each
+def warm_map_traffic(count, n=N):
+    """The transport counters' growth over the second of two maps of
+    ``count`` arena-resident datasets of ``n``-vectors on a two-worker
+    pool: the first ships the spec, the second only descriptors."""
+    kernel = fl.compile_kernel(dot_program(*make_pair(0, n)))
     with WorkerPool(max_workers=2) as workers:
         with ShmArena() as arena:
             datasets = [fl.share_dataset(tensors, arena)
-                        for tensors in dot_datasets(6)]
+                        for tensors in dot_datasets(count, n=n)]
             with KernelPool(kernel, executor="processes",
                             worker_pool=workers) as pool:
                 pool.map(datasets)
                 first = workers.stats()
                 pool.map(datasets)
                 second = workers.stats()
-    # The warmed-up batch ships descriptors only: far
-    # less pipe traffic than the tensors it transported via shm.
-    warm_pickle = second["pickle_bytes"] - first["pickle_bytes"]
-    assert warm_pickle < 32 * 1024
-    assert warm_pickle < tensor_bytes / 4
-    assert second["shm_bytes"] >= 2 * arena.nbytes()
-    assert second["specs_shipped"] <= workers.max_workers
+    return {key: second[key] - first[key]
+            for key in ("pickle_bytes", "chunks", "shm_bytes",
+                        "specs_shipped")}
+
+
+def test_transport_does_not_pickle_tensor_data():
+    """Acceptance instrumentation: after the spec has shipped, the
+    per-batch pipe traffic is control-plane only — tensor payloads
+    move through shared memory (``shm_bytes``), not pickle.
+
+    The pool sizes its chunks from the measured cost of earlier ones,
+    so the bound is per chunk: a chunk holds at most three of the six
+    datasets, and its message is under a quarter of the bytes of their
+    vectors stored dense."""
+    warm = warm_map_traffic(6)
+    assert warm["specs_shipped"] == 0
+    assert 2 <= warm["chunks"] <= 6
+    assert warm["pickle_bytes"] / warm["chunks"] < 3 * (2 * N * 8) / 4
+    assert warm["shm_bytes"] > warm["pickle_bytes"]
+
+
+def test_pickled_bytes_do_not_grow_with_the_tensors():
+    """Each chunk's message names segments, offsets and shapes: storing
+    eight times the data ships the same pickled bytes per chunk, but
+    for the digits of the segment names' serial numbers (a byte per
+    name when the process's count of segments gains a digit).  Two
+    datasets on two workers make one chunk each, whatever the
+    timing."""
+    small, large = warm_map_traffic(2), warm_map_traffic(2, n=8 * N)
+    assert small["chunks"] == large["chunks"] == 2
+    assert large["shm_bytes"] > 4 * small["shm_bytes"]
+    assert abs(large["pickle_bytes"] - small["pickle_bytes"]) \
+        <= 16 * large["chunks"]
 
 
 def test_no_segments_leak_on_success_or_error():
