@@ -130,37 +130,19 @@ def _statically_conflicting(a, b):
 # --------------------------------------------------------------------------
 # Structural keys (the kernel cache's notion of program identity)
 # --------------------------------------------------------------------------
-def tensor_signature(tensor):
-    """The format signature of any tensor-protocol object.
-
-    Objects without a ``format_signature`` method are opaque: they are
-    keyed by identity, so they only ever match themselves.
-    """
-    try:
-        fn = tensor.format_signature
-    except AttributeError:
-        return ("opaque", id(tensor))
-    return fn()
-
-
-def tensor_binding_buffers(tensor):
-    """The canonical role -> buffer mapping for kernel (re)binding."""
-    try:
-        fn = tensor.kernel_buffers
-    except AttributeError:
-        return {}
-    return fn()
-
-
 def tensor_pins(tensor):
-    """One read of any tensor-protocol object: ``(format_signature(),
-    *kernel_buffers().values())``, by ``kernel_pins()`` where defined.
-    A kernel parameter names its buffer by position in it."""
+    """One read of any tensor-protocol object, its ``kernel_pins()``:
+    the format signature, then the arrays a kernel binds.  A kernel
+    parameter names its buffer by position in it.
+
+    Objects without the call (the fibers an access may target) are
+    opaque: read as their identity alone, they only ever match
+    themselves and bind no buffer.
+    """
     try:
         read = tensor.kernel_pins
     except AttributeError:
-        return (tensor_signature(tensor),
-                *tensor_binding_buffers(tensor).values())
+        return (("opaque", id(tensor)),)
     return read()
 
 
@@ -168,7 +150,7 @@ def structural_key(stmt):
     """A hashable key identifying the program up to the data it binds.
 
     The CIN tree is hashed with every tensor replaced by its *slot*
-    (position in first-use order) and its :func:`tensor_signature` —
+    (position in first-use order) and its format signature —
     level nesting, shapes, fill, and dtype, but never the backing
     arrays.  Two programs with equal structural keys lower to the same
     emitted code, so one compiled kernel serves both once rebound
@@ -351,7 +333,5 @@ __all__ = [
     "program_tensors",
     "program_walk",
     "structural_key",
-    "tensor_binding_buffers",
     "tensor_pins",
-    "tensor_signature",
 ]

@@ -20,6 +20,7 @@ from repro.ir.nodes import Literal, Load, Var
 from repro.ir.runtime import reserved_names
 from repro.rewrite import simplify_expr
 from repro.rewrite.rules import integer_valued, value_range
+from repro.tensors.tensor import Tensor
 from repro.util.errors import LoweringError
 from repro.util.namer import Namer
 
@@ -35,8 +36,9 @@ class Context:
         self.constant_loop_rewrite = constant_loop_rewrite
         self._buffers = {}          # id(array) -> (name, array)
         self._buffer_order = []     # names in binding order
-        self._plan = []             # (slot, position, role) or None
-        self._slot_roles = {}       # id(buffer) -> (slot, position, role)
+        self._plan = []             # (slot, position) or None
+        self._slots = {}            # id(buffer) -> (slot, position, values)
+        self.value_params = set()   # names bound to a Tensor's values
         self._scalars = {}          # id(tensor) -> (Var, tensor, writeback)
         self._scalar_order = []
         self._blocks = [[]]
@@ -52,22 +54,23 @@ class Context:
         return self.namer.fresh(hint)
 
     # -- buffers --------------------------------------------------------
-    def register_tensors(self, tensors):
-        """Declare the program's tensors as binding *slots*.
+    def register_tensors(self, tensors, pins):
+        """Declare the program's tensors as binding *slots*, from
+        ``pins``, each one's read (:func:`~repro.cin.analyze.
+        tensor_pins`, taken by the program walk).
 
-        Every buffer a tensor exposes through ``kernel_buffers`` is
-        mapped back to its slot, its position in the tensor's
-        :func:`~repro.cin.analyze.tensor_pins` and its role, so
-        :meth:`binding_plan` can later tell the kernel how to rebind
-        its positional arguments to a fresh set of tensors of the same
-        formats.
+        Every buffer in a read is mapped back to its slot, its position
+        in the read, and whether it is a :class:`~repro.tensors.tensor.
+        Tensor`'s element values, so :meth:`binding_plan` can later tell
+        the kernel how to rebind its positional arguments to a fresh
+        set of tensors of the same formats.
         """
-        from repro.cin.analyze import tensor_binding_buffers
-
-        for slot, tensor in enumerate(tensors):
-            roles = tensor_binding_buffers(tensor).items()
-            for position, (role, buf) in enumerate(roles, 1):
-                self._slot_roles.setdefault(id(buf), (slot, position, role))
+        for slot, (tensor, read) in enumerate(zip(tensors, pins)):
+            values = tensor.element.val if isinstance(tensor, Tensor) \
+                else None
+            for position, buf in enumerate(read[1:], 1):
+                self._slots.setdefault(id(buf),
+                                       (slot, position, buf is values))
 
     def buffer(self, array, hint="buf", bounds=None):
         """Bind ``array`` as a kernel parameter; returns its Var, which
@@ -79,7 +82,10 @@ class Context:
             name = self.namer.fresh(hint)
             self._buffers[key] = (name, array)
             self._buffer_order.append(key)
-            self._plan.append(self._slot_roles.get(key))
+            entry = self._slots.get(key)
+            self._plan.append(entry and entry[:2])
+            if entry and entry[2]:
+                self.value_params.add(name)
         return Var(self._buffers[key][0], bounds,
                    integral=_integral_dtype(array.dtype))
 
@@ -94,12 +100,7 @@ class Context:
         (e.g. by a custom format's unfurl function); such parameters
         keep their compile-time binding when the kernel is rebound.
         """
-        return tuple(entry and entry[:2] for entry in self._plan)
-
-    def binding_roles(self):
-        """:meth:`binding_plan` with roles for positions (the dtype
-        pass reads a parameter's role)."""
-        return tuple(entry and (entry[0], entry[2]) for entry in self._plan)
+        return tuple(self._plan)
 
     # -- scalar tensors ---------------------------------------------------
     def scalar_ref(self, tensor):

@@ -11,9 +11,9 @@ tensor's format signature; see
 arrays.  The artifact records a *binding plan* mapping every kernel
 parameter to a ``(slot, position)`` pair — slot = the tensor's position
 in first-use order, position = where its buffer is in the tensor's one
-read, ``kernel_pins()`` (the signature, then the ``kernel_buffers`` values)
-— so the same artifact can be re-bound to any tensors with matching
-signatures, each read once per bind.
+read, ``kernel_pins()`` (the signature, then the arrays it binds) — so
+the same artifact can be re-bound to any tensors with matching
+signatures, each read once per compile and once per bind.
 
 The compile-once/run-many lifecycle::
 
@@ -36,9 +36,9 @@ counters; the benchmark harness prints them alongside compile and run
 times to show the amortization.
 
 Buffers bound outside the tensor protocol (a custom format's unfurl
-closure calling ``ctx.buffer`` on arrays its ``kernel_buffers`` does
-not report) get a ``None`` plan entry and keep their compile-time
-binding forever; such tensors are identity-pinned by their format
+closure calling ``ctx.buffer`` on arrays its ``kernel_pins`` does not
+read) get a ``None`` plan entry and keep their compile-time binding
+forever; such tensors are identity-pinned by their format
 signature, so a cached artifact is never rebound across distinct
 custom tensors.
 
@@ -54,12 +54,7 @@ import threading
 import time
 from collections import OrderedDict, namedtuple
 
-from repro.cin.analyze import (
-    check_program,
-    infer_extents,
-    program_walk,
-    tensor_pins,
-)
+from repro.cin.analyze import check_program, infer_extents, program_walk
 from repro.compiler.context import Context
 from repro.compiler.key import SPEC_VERSION, KernelKey
 from repro.compiler.lower import Lowerer
@@ -110,7 +105,7 @@ class CompiledKernel:
     """
 
     __slots__ = ("fn", "seed_args", "seed_tensors", "so_path", "code",
-                 "_slot_params", "_alias_pairs", "_whole",
+                 "_slot_params", "_alias_pairs", "_held", "_whole",
                  "_arity") + SPEC_FIELDS
 
     def __init__(self, fn, name, source, opt_level, plan,
@@ -161,6 +156,12 @@ class CompiledKernel:
         self._alias_pairs = [(group, group[0], other, plan.index(group[0]))
                              for group in alias_groups if group[0] in plan
                              for other in group[1:]]
+        # The parameters passing each slot's arrays: those it feeds, and
+        # the one each alias group it is a later member of became.
+        self._held = [[param for param, _ in params]
+                      for params in self._slot_params]
+        for _, _, other, param in self._alias_pairs:
+            self._held[other[0]].append(param)
         self._arity = len(plan)
         slots = range(len(signatures))
         self._whole = self._plan_of(tuple(zip(slots, slots)))
@@ -300,8 +301,10 @@ class CompiledKernel:
             raise BindingError(
                 "kernel has %d tensor slots, got %d tensors"
                 % (len(self.signatures), len(tensors)))
-        return self.new_entry(self._whole, tensors, tensors,
-                              self.seed_args, pinned)[0].args
+        if pinned is None:
+            pinned = self._whole.pins(tensors)
+        return self.new_entry(self._whole, tensors, self.seed_args,
+                              pinned).args
 
     def _point(self, pinned, plan, args):
         """The one bind pass: a copy of ``args`` with the parameters
@@ -337,38 +340,14 @@ class CompiledKernel:
                         "shared tensors" % (other, entry))
         return args
 
-    def plan_entry(self, plan, mapping, template, args):
-        """``(entry, tensors)``: the :class:`PlanEntry` in ``plan``'s
-        memo for the replacements ``mapping`` (name -> tensor; for the
-        whole plan, a slot-ordered list) over ``template``, the tensors
-        ``args`` binds.  The key is the identities of the replacements'
-        read (:meth:`BindPlan.pins`).  A known key needs no check: its
-        entry pins what the key names, which passed every check against
-        the binding as it still is (a change clears the memo), and
-        ``tensors`` is None.  A new key is bound from that same read
-        (:meth:`new_entry`) and filed."""
-        pinned = plan.pins(mapping)
-        key = tuple(map(id, pinned))
-        entry = plan.memo.hit(key)
-        if entry is not None:
-            return entry, None
-        entry, tensors = self.new_entry(plan, mapping, template, args,
-                                        pinned)
-        plan.memo.put(key, entry)
-        return entry, tensors
-
-    def new_entry(self, plan, mapping, template, args, pinned=None):
-        """``(entry, tensors)``: an unfiled :class:`PlanEntry` of the
-        replacements ``mapping`` over ``template``, bound onto a copy of
-        ``args`` from ``pinned``, their read (taken here when None);
-        ``tensors`` is the placed slot list.  Signatures are checked in
-        the read's order, so a replacement of another format (another
+    def new_entry(self, plan, tensors, args, pinned):
+        """An unfiled :class:`PlanEntry` binding ``tensors`` (the slot
+        list, ``plan``'s replacements placed) onto a copy of ``args``
+        from ``pinned``, the replacements' read.  Signatures are checked
+        in the read's order, so a replacement of another format (another
         read length) is refused before a later slot is looked for past
         it; a tensor's memoized tuple matches itself or its copy with
         ``is``."""
-        if pinned is None:
-            pinned = plan.pins(mapping)
-        tensors = plan.place(template, mapping)
         for slot, index in plan.checks:
             actual, expected = pinned[index], self.signatures[slot]
             if actual is not expected and actual != expected:
@@ -377,7 +356,17 @@ class CompiledKernel:
                     "the compiled kernel's %r"
                     % (slot, getattr(tensors[slot], "name", "?"), actual,
                        expected))
-        return PlanEntry(self._point(pinned, plan, args), pinned), tensors
+        return PlanEntry(self._point(pinned, plan, args), pinned)
+
+    def slot_identities(self, entry, tensors):
+        """Per slot of ``tensors``, bound by ``entry``, the identities
+        of the arrays its arguments pass for the slot: those the slot
+        feeds and, for a later member of an alias group, the group's
+        one parameter.  A slot that binds no array (an opaque or custom
+        tensor) is its tensor alone."""
+        args = entry.args
+        return [[id(args[param]) for param in held] or [id(tensor)]
+                for tensor, held in zip(tensors, self._held)]
 
 
 #: Bind-plan entries memoized per plan (LRU).
@@ -390,24 +379,15 @@ class IdentityMemo(OrderedDict):
     hold references to the objects its key names: a memoized identity
     can then never be recycled while it is still served.
 
-    :meth:`hit` takes no lock, so a concurrent eviction only costs a
-    hit its recency; :meth:`put` takes one to insert and evict."""
+    A hit (:meth:`Kernel.bind`) takes no lock, so a concurrent eviction
+    only costs it its recency; :meth:`put` takes one to insert and
+    evict."""
 
     __slots__ = ("_lock",)
 
     def __init__(self):
         super().__init__()
         self._lock = threading.Lock()
-
-    def hit(self, key):
-        """The value under ``key``, made most recent; None if absent."""
-        value = self.get(key)
-        if value is not None:
-            try:
-                self.move_to_end(key)
-            except KeyError:
-                pass
-        return value
 
     def put(self, key, value):
         """File ``value`` under ``key``, evicting past the cap."""
@@ -445,7 +425,7 @@ class BindPlan(namedtuple("BindPlan",
 
     ``memo`` (an :class:`IdentityMemo`) maps the identities of the
     replacements' read to their :class:`PlanEntry`
-    (:meth:`CompiledKernel.plan_entry`).  A kernel's plan belongs to
+    (:meth:`Kernel.bind`).  A kernel's plan belongs to
     one binding: a change that reaches the slots the plan leaves as
     bound clears it.  The whole plan leaves none, so its memo is the
     artifact's."""
@@ -454,27 +434,12 @@ class BindPlan(namedtuple("BindPlan",
 
     def pins(self, mapping):
         """The replacements ``mapping`` read, in ``slots`` order: each
-        one's format signature, then its ``kernel_buffers`` values,
-        read by one ``kernel_pins()`` call where the replacement has
-        one (:func:`~repro.cin.analyze.tensor_pins`)."""
+        one's ``kernel_pins()``, its format signature and then the
+        arrays it binds."""
         pinned = []
         for name, _ in self.slots:
-            tensor = mapping[name]
-            try:
-                read = tensor.kernel_pins
-            except AttributeError:
-                pinned += tensor_pins(tensor)
-            else:
-                pinned += read()
+            pinned += mapping[name].kernel_pins()
         return pinned
-
-    def place(self, template, mapping):
-        """``template`` (a slot-ordered tensor list), copied, with the
-        slots of ``mapping``'s names replaced by its tensors."""
-        tensors = list(template)
-        for name, slot in self.slots:
-            tensors[slot] = mapping[name]
-        return tensors
 
 
 def _bind_plan(artifact, tensors, names):
@@ -606,17 +571,11 @@ class Kernel:
         repeated override of the same buffers makes the call prepared
         for them the first time (:class:`BindPlan`).
         """
-        # Only here are bound arrays executed, so only here is an
-        # adoption (share_tensor re-pointing them) caught up with.
-        if self._epoch != _share._adoptions:
-            self.rebind(self._tensors)
-        if overrides:       # the plan memo's entry for these buffers
-            names = tuple(overrides)
-            plan = self._plans.get(names)
-            if plan is None:
-                plan = self.bind_plan(names)
-            entry = self._artifact.plan_entry(plan, overrides, self._tensors,
-                                              self._entry.args)[0]
+        # Only here are bound arrays executed, so only here (through
+        # bind) is an adoption (share_tensor re-pointing them) caught
+        # up with.
+        if overrides or self._epoch != _share._adoptions:
+            entry = self.bind(overrides)[0]
         else:
             entry = self._entry
         call = entry.call
@@ -624,6 +583,58 @@ class Kernel:
             call = entry.call = self._artifact.fn.prepare(entry.args)
         result = call()
         return result if self._artifact.instrument else None
+
+    def bind(self, dataset, filed=True):
+        """``(entry, tensors)``: the checked :class:`PlanEntry` of
+        ``dataset`` — a name -> tensor mapping over this binding, or a
+        full slot-ordered sequence — and the slot-ordered tensors it
+        binds.  ``run(**overrides)``, ``rebind(mapping)`` and
+        :class:`~repro.exec.batch.KernelPool` all bind here.
+
+        Each replacement is read once (:meth:`BindPlan.pins`), and the
+        identities of that read key the entry in its plan's memo: a
+        known key needs no check (its entry pins what the key names,
+        which passed every check against the binding as it still is;
+        a change clears the memo), a new one is checked and filed.
+        Unless ``filed`` is false (the processes executor, whose
+        shared-memory arrays no memo may pin): then the entry is always
+        bound afresh and kept nowhere.  A binding an adoption has
+        re-pointed since it was made is rebound first.
+        """
+        if self._epoch != _share._adoptions:
+            self._bind(list(self._tensors))
+        artifact = self._artifact
+        if isinstance(dataset, dict):
+            if not dataset:
+                return self._entry, list(self._tensors)
+            names = tuple(dataset)
+            plan = self._plans.get(names)
+            if plan is None:
+                plan = self.bind_plan(names)
+            args = self._entry.args
+        else:
+            dataset = list(dataset)
+            if len(dataset) != len(self._tensors):
+                artifact.validate(dataset)      # the count's error
+            plan, args = artifact._whole, artifact.seed_args
+        tensors = list(self._tensors)
+        for name, slot in plan.slots:
+            tensors[slot] = dataset[name]
+        pinned = plan.pins(dataset)
+        if not filed:
+            return artifact.new_entry(plan, tensors, args, pinned), tensors
+        key = tuple(map(id, pinned))
+        memo = plan.memo
+        entry = memo.get(key)
+        if entry is None:
+            entry = artifact.new_entry(plan, tensors, args, pinned)
+            memo.put(key, entry)
+        else:
+            try:
+                memo.move_to_end(key)
+            except KeyError:    # evicted meanwhile: a hit all the same
+                pass
+        return entry, tensors
 
     def rebind(self, tensors=None, **named):
         """Persistently re-point binding slots at new tensors.
@@ -635,19 +646,13 @@ class Kernel:
         """
         if tensors is None or isinstance(tensors, dict):
             mapping = named if tensors is None else {**tensors, **named}
-            names = tuple(mapping)
-            plan = self._plans.get(names)
-            if plan is None:
-                plan = self.bind_plan(names)
             # A memo hit brings its prepared call, if a run made one; a
             # miss is filed unprepared, for the next run() to prepare.
-            self._entry, placed = self._artifact.plan_entry(
-                plan, mapping, self._tensors, self._entry.args)
-            self._tensors = (plan.place(self._tensors, mapping)
-                             if placed is None else placed)
+            self._entry, self._tensors = self.bind(mapping)
             # The other plans leave bound slots this one just re-pointed;
             # this plan's untouched slots are as they were.
             if len(self._plans) > 1:
+                plan = self._plans.get(tuple(mapping))
                 for other in self._plans.values():
                     if other is not plan:
                         other.memo.clear()
@@ -692,8 +697,10 @@ def resolve_name_overrides(template, mapping):
     hold no kernel: a name must resolve to exactly one slot, otherwise
     a full slot-ordered sequence is required.
     """
-    return _bind_plan(None, template, tuple(mapping)).place(template,
-                                                           mapping)
+    tensors = list(template)
+    for name, slot in _bind_plan(None, template, tuple(mapping)).slots:
+        tensors[slot] = mapping[name]
+    return tensors
 
 
 class KernelCache:
@@ -833,7 +840,7 @@ def _compile_artifact(program, walk, instrument, name,
     tensors = walk.tensors
     ctx = Context(instrument=instrument,
                   constant_loop_rewrite=constant_loop_rewrite)
-    ctx.register_tensors(tensors)
+    ctx.register_tensors(tensors, walk.pins)
     ctx.extents = infer_extents(program)
 
     body = Lowerer(ctx).lower_kernel(
@@ -844,7 +851,8 @@ def _compile_artifact(program, walk, instrument, name,
     views = ()
     if opt_level > 0:
         func = optimize_kernel(func, opt_level, ctx.bound_buffers())
-        views = viewable(func, ctx.bound_buffers(), ctx.binding_roles())
+        views = viewable(func, ctx.bound_buffers(), ctx.binding_plan(),
+                         ctx.value_params)
     source = emit(func, views)
 
     c_source = None

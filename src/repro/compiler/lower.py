@@ -765,11 +765,10 @@ class Lowerer:
         reset to the epilogue's store-back."""
         key = id(tensor)
         if key not in self._streams:
-            buffers = tensor.kernel_buffers()
             self._streams[key] = tuple(
-                [self.ctx.buffer(buffers[role],
-                                 "%s_%s" % (tensor.name, role))
-                 for role in ("coords", "vals", "state")]
+                [self.ctx.buffer(getattr(tensor, hint),
+                                 "%s_%s" % (tensor.name, hint))
+                 for hint in ("coords", "vals", "state")]
                 + [Var(self.ctx.freshen("%s_%s" % (tensor.name, hint)),
                        integral=True)
                    for hint in ("n", "cur")])

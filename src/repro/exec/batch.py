@@ -32,10 +32,12 @@ work, it never changes it), and a per-stage overhead breakdown
 where the batch's wall time went.
 
 Datasets are either full slot-ordered tensor sequences or name ->
-tensor mappings applied over the kernel's bound template.  They are
-validated *before* any dispatch: format signatures must match the
-artifact, and each dataset must carry its own output tensors (shared
-output buffers would race under the parallel executors).  Failures
+tensor mappings applied over the kernel's bound template, bound by the
+kernel itself (:meth:`~repro.compiler.kernel.Kernel.bind`, the one
+bind every caller makes).  They are validated *before* any dispatch:
+format signatures must match the artifact, and each dataset must
+carry its own output tensors (shared output buffers would race under
+the parallel executors).  Failures
 inside a worker propagate as
 :class:`~repro.util.errors.BatchExecutionError` with the index of the
 dataset that raised — including workers that die hard mid-chunk
@@ -70,7 +72,6 @@ from repro.compiler.key import KernelKey
 from repro.exec import pool as _pool
 from repro.exec import shm as _shm
 from repro.exec import worker as _worker
-from repro.tensors import share as _share
 from repro.util import config
 from repro.util.errors import BatchExecutionError, BindingError
 
@@ -221,12 +222,6 @@ class KernelPool:
         self._artifact = kernel.artifact
         self._key = KernelKey.of(kernel.artifact)
         self._output_slots = tuple(kernel.output_slots)
-        # The parameters that pass each slot's arrays: those it feeds,
-        # and the one each alias group it is a later member of became.
-        self._slot_held = [[param for param, _ in params]
-                           for params in kernel.artifact._slot_params]
-        for _, _, other, param in kernel.artifact._alias_pairs:
-            self._slot_held[other[0]].append(param)
         self.executor = executor
         self._requested_workers = config.worker_count(max_workers)
         if executor == "serial":
@@ -397,37 +392,20 @@ class KernelPool:
 
     # -- dataset resolution --------------------------------------------
     def _resolve(self, datasets):
-        """Per dataset, the slot-ordered tensors, their plan entry (of
-        its names' plan, or the whole plan for a sequence; unfiled on
-        processes, whose shared-memory arrays no memo may pin), bound
-        from one read of each replacement, and the identities each slot
-        binds; rejects bad datasets before any work is dispatched."""
-        kernel, artifact = self._kernel, self._artifact
-        if kernel._epoch != _share._adoptions:      # as Kernel.run
-            kernel.rebind(kernel.tensors)
-        template = kernel.tensors
-        bind = (artifact.new_entry if self.executor == "processes"
-                else artifact.plan_entry)
+        """Per dataset, the slot-ordered tensors, their plan entry and
+        the identities each slot binds, all bound by the kernel
+        (:meth:`~repro.compiler.kernel.Kernel.bind`, unfiled on
+        processes, whose shared-memory arrays no memo may pin); rejects
+        bad datasets before any work is dispatched."""
+        bind, filed = self._kernel.bind, self.executor != "processes"
+        identities = self._artifact.slot_identities
         resolved = []
         for index, dataset in enumerate(datasets):
             try:
-                if isinstance(dataset, dict):
-                    plan = kernel.bind_plan(tuple(dataset))
-                    args = kernel._entry.args
-                else:
-                    dataset = list(dataset)
-                    if len(dataset) != len(template):
-                        artifact.validate(dataset)  # the count's error
-                    plan, args = artifact._whole, artifact.seed_args
-                entry, tensors = bind(plan, dataset, template, args)
+                entry, tensors = bind(dataset, filed)
             except BindingError as exc:
                 raise BindingError("dataset %d: %s" % (index, exc))
-            if tensors is None:         # a memo hit places nothing
-                tensors = plan.place(template, dataset)
-            resolved.append((tensors, entry, [
-                [id(entry.args[param]) for param in held]
-                or [id(tensor)]     # a slot that binds nothing: itself
-                for tensor, held in zip(tensors, self._slot_held)]))
+            resolved.append((tensors, entry, identities(entry, tensors)))
         self._check_output_isolation(resolved)
         return resolved
 

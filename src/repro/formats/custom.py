@@ -52,10 +52,11 @@ class LoopletTensor:
             raise FormatError("%s is one-dimensional" % self.name)
         return access(self, *idxs)
 
-    def kernel_buffers(self):
-        """No rebindable buffers: whatever ``unfurl_fn`` binds through
-        ``ctx.buffer`` stays welded to this tensor object."""
-        return {}
+    def kernel_pins(self):
+        """The signature alone: no rebindable buffers, whatever
+        ``unfurl_fn`` binds through ``ctx.buffer`` stays welded to this
+        tensor object."""
+        return (self.format_signature(),)
 
     def format_signature(self):
         """Identity-pinned: the structure is an opaque closure, so a

@@ -197,6 +197,34 @@ def _max_len(profile):
     return {"quick": 10, "deep": 24}.get(profile, 10)
 
 
+#: The share of ``quick`` and ``deep`` seeds drawn as a *meet*: two
+#: plain walked sparse lists multiplied and summed, the shape the
+#: lowerer steps by a three-way stride compare
+#: (``Lowerer._three_way_step``), which the other templates rarely
+#: draw.  The ``narrow`` profile draws none.
+MEET_SHARE = 0.1
+
+
+def _draw_meet(seed, profile):
+    """The meet spec of ``seed``, from a stream of its own, or None
+    for the seeds (all but :data:`MEET_SHARE`) that draw no meet."""
+    rng = random.Random("meet:%d" % seed)
+    if rng.random() >= MEET_SHARE:
+        return None
+    template = rng.choice(("reduce", "map"))
+    n = rng.randint(2, _max_len(profile))
+    spec = {"seed": seed, "template": template, "combine": "mul",
+            "operands": [{"name": "T%d" % k, "data": _draw_values(rng, n),
+                          "formats": ["sparse"], "protocols": ["walk"],
+                          "chains": [{"kind": "plain"}]}
+                         for k in range(2)]}
+    if template == "map":
+        spec["store"] = False
+    else:
+        spec["accum"] = "add"
+    return spec
+
+
 #: The element dtypes the ``narrow`` profile draws per operand: each
 #: one's range for the drawn values (-3..3), and the factor they are
 #: scaled by in the templates that store each output element once.
@@ -209,8 +237,8 @@ DTYPES = {"float64": (-3, 3, 1), "int64": (-3, 3, 1), "uint8": (0, 3, 85),
 
 def _draw_dtypes(seed, spec):
     """Give every operand of ``spec`` a ``dtype``, drawn from a stream of
-    its own so that the rest of the spec is the ``quick`` one, and bring
-    its values into the dtype's range."""
+    its own so that the rest of the spec is the ``quick`` one (unless
+    that is a meet), and bring its values into the dtype's range."""
     rng = random.Random("dtype:%d" % seed)
     stores_once = spec["template"] in ("map", "map2d", "copy_out")
     dtype = rng.choice(sorted(DTYPES))
@@ -233,6 +261,10 @@ def _draw_dtypes(seed, spec):
 
 def generate_spec(seed, profile="quick"):
     """Draw one case spec from ``seed``; deterministic per seed."""
+    if profile != "narrow":
+        meet = _draw_meet(seed, profile)
+        if meet is not None:
+            return meet
     rng = random.Random(seed)
     template = rng.choice(TEMPLATES)
     max_len = _max_len(profile)

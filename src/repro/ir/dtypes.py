@@ -444,17 +444,18 @@ def _fits(bounds, dtype):
     return info.min <= bounds[0] and bounds[1] <= info.max
 
 
-def viewable(func, buffers, plan):
+def viewable(func, buffers, plan, values):
     """The parameters of ``func`` a python kernel may read and store
     through element views, in parameter order: the view set an artifact
     carries (``CompiledKernel.views``), which its entry turns into
     views once per binding.
 
-    ``buffers`` are the compile-time ``(name, array)`` pairs and ``plan``
-    their binding-plan entries.  A candidate has a plan entry (a buffer
-    pinned by a custom format stays what it is) and native byte order,
-    and is ``float64``; or an ``int64`` structure array (any role but
-    the element values ``val``), or values of another integer or float
+    ``buffers`` are the compile-time ``(name, array)`` pairs, ``plan``
+    their binding-plan entries, and ``values`` the names of those that
+    are a tensor's element values.  A candidate has a plan entry (a
+    buffer pinned by a custom format stays what it is) and native byte
+    order, and is ``float64``; or an ``int64`` structure array (any
+    buffer but element values), or values of another integer or float
     dtype of at most 8 bytes.  One the kernel stores to must be an
     integer, and every value stored to one of its elements must be an
     integer that lies in its dtype's range (:func:`stored_ranges`): a
@@ -463,7 +464,7 @@ def viewable(func, buffers, plan):
     of a viewed parameter is printed through the view's ndarray), when
     every call and store its loads reach compute alike on Python
     scalars; a computation moved from ``int64`` to a Python ``int`` only
-    for a structure role (positions do not overflow).
+    for a structure array (positions do not overflow).
     """
     dtypes = {name: array.dtype for name, array in buffers}
     stored = asm.effects(func).stores
@@ -474,11 +475,12 @@ def viewable(func, buffers, plan):
         dtype = array.dtype
         if entry is None or not dtype.isnative:
             continue
-        if entry[1] != "val":
+        value = name in values
+        if not value:
             structure |= 1 << pos
         if dtype.type is np.float64 or (
                 dtype.kind in "iuf" and dtype.itemsize <= 8
-                and (dtype.type is not np.int64 or entry[1] != "val")
+                and (dtype.type is not np.int64 or not value)
                 and (name not in stored or dtype.kind in "iu"
                      and _fits(ranges.get(name, UNBOUNDED), dtype))):
             candidates |= 1 << pos

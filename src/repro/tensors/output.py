@@ -76,18 +76,14 @@ class _AppendOutput:
             raise FormatError("%s has %d modes" % (self.name, self.ndim))
         return access(self, *idxs)
 
-    def kernel_buffers(self):
-        """The coordinate stream, the value stream and the state
-        vector (count, cursor, out-of-order flag): :meth:`kernel_pins`'s
-        buffers, by role."""
-        return dict(zip(("coords", "vals", "state"), self.kernel_pins()[1:]))
-
     def format_signature(self):
         return self._signature
 
     def kernel_pins(self):
-        """``(format_signature(), *kernel_buffers().values())`` without
-        the dict (see :meth:`repro.tensors.tensor.Tensor.kernel_pins`)."""
+        """The signature, then the coordinate stream, the value stream
+        and the state vector (count, cursor, out-of-order flag): the
+        one read of this output (see
+        :meth:`repro.tensors.tensor.Tensor.kernel_pins`)."""
         return self.format_signature(), self.coords, self.vals, self.state
 
     def _stream(self):

@@ -115,18 +115,16 @@ class Tensor:
 
     def buffers(self):
         """All numpy arrays backing this tensor, by role: the buffers
-        of :meth:`kernel_pins`, in its order."""
+        of :meth:`kernel_pins`, in its order, named for reading (the
+        compiler reads them by position, never by role)."""
         return dict(zip(self._roles, self.kernel_pins()[1:]))
 
-    #: The canonical role -> buffer mapping for kernel (re)binding:
-    #: the keys are stable across tensors of one format, so a kernel's
-    #: parameters can be re-pointed at another tensor's buffers.
-    kernel_buffers = buffers
-
     def kernel_pins(self):
-        """``(format_signature(), *kernel_buffers().values())``, read
-        without building the role dict: the one read of this tensor a
-        kernel bind takes (:meth:`repro.compiler.kernel.BindPlan.pins`)."""
+        """The one read of this tensor a compile or a bind takes
+        (:func:`repro.cin.analyze.tensor_pins`): the
+        :meth:`format_signature`, then each level array and the value
+        array, in :meth:`buffers` order.  A kernel parameter names its
+        buffer by position in it."""
         if self._arrays is None:
             return self.format_signature(), self.element.val
         return (self.format_signature(), *self._arrays(self.levels[0]))

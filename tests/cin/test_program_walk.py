@@ -23,8 +23,7 @@ from repro.cin.analyze import (
     program_tensors,
     program_walk,
     structural_key,
-    tensor_binding_buffers,
-    tensor_signature,
+    tensor_pins,
 )
 from repro.cin.nodes import Access, Assign, Forall, Multi, Pass, Sieve, Where
 from repro.fuzz.corpus import corpus_entries, load_entry
@@ -77,7 +76,7 @@ def reference_key(stmt):
         return ("pass",) + tuple(slot(t) for t in stmt.tensors)
 
     body = stmt_key(stmt)
-    return ("cin", body, tuple(tensor_signature(t) for t in slots),
+    return ("cin", body, tuple(tensor_pins(t)[0] for t in slots),
             buffer_alias_groups(slots))
 
 
@@ -107,10 +106,10 @@ def assert_walk_agrees(program):
                for slot, out in zip(walk.output_slots, outputs))
     assert len(walk.pins) == len(tensors)
     for read, tensor in zip(walk.pins, tensors):
-        buffers = tensor_binding_buffers(tensor).values()
-        assert read[0] == tensor_signature(tensor)
-        assert len(read) == 1 + len(buffers)
-        assert all(a is b for a, b in zip(read[1:], buffers))
+        again = tensor_pins(tensor)
+        assert read[0] == again[0]
+        assert len(read) == len(again)
+        assert all(a is b for a, b in zip(read[1:], again[1:]))
     assert walk.alias_groups == buffer_alias_groups(tensors)
 
 

@@ -6,7 +6,7 @@ import repro.lang as fl
 from repro.cin.analyze import (
     buffer_alias_groups,
     structural_key,
-    tensor_signature,
+    tensor_pins,
 )
 from repro.formats.custom import LoopletTensor
 from repro.looplets import Run
@@ -101,8 +101,8 @@ class TestCustomTensors:
                 != structural_key(self._prog(self._virtual())))
 
     def test_opaque_signature_for_unknown_objects(self):
-        sig = tensor_signature(object())
-        assert sig[0] == "opaque"
+        opaque = object()
+        assert tensor_pins(opaque) == (("opaque", id(opaque)),)
 
 
 class TestAliasGroups:

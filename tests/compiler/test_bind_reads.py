@@ -1,13 +1,16 @@
-"""One read per bound tensor: every bind takes ``kernel_pins()`` once.
+"""One read per tensor: every compile and bind takes ``kernel_pins()`` once.
 
-A bind reads each tensor it binds through one ``kernel_pins()`` call
-(``BindPlan.pins``): the signatures it checks, the buffers it feeds by
-position and the identities its memo key names are that one read.  No
-bind builds a role dict (``kernel_buffers()``).  Counted here on a
-sparse x sparse dot whose three slots are ``Tensor`` objects (the
-scalar output is one), along every bind path: a memory-hit compile,
-an override on a memo miss and on a hit, a named and a sequence
-rebind, and a ``KernelPool.map`` on every executor.
+A compile reads each tensor once, in the program walk: the key's
+signatures and alias groups, the lowering's binding plan and the
+kernel's first bind are that read.  A bind reads each tensor it binds
+through one ``kernel_pins()`` call (``BindPlan.pins``): the signatures
+it checks, the buffers it feeds by position and the identities its
+memo key names are that one read.  Nothing builds a role dict
+(``buffers()``).  Counted here on a sparse x sparse dot whose three
+slots are ``Tensor`` objects (the scalar output is one), along every
+path: a cold and a memory-hit compile, an override on a memo miss and
+on a hit, a named and a sequence rebind, and a ``KernelPool.map`` on
+every executor.
 """
 
 import numpy as np
@@ -44,10 +47,9 @@ def expected(A, B):
 @pytest.fixture
 def reads(monkeypatch):
     """A call returning, since its last call, the ids of the tensors
-    each of ``kernel_pins``, ``format_signature``, ``kernel_buffers``
-    and ``buffers`` read (sorted)."""
-    seen = {"kernel_pins": [], "format_signature": [],
-            "kernel_buffers": [], "buffers": []}
+    each of ``kernel_pins``, ``format_signature`` and ``buffers`` read
+    (sorted)."""
+    seen = {"kernel_pins": [], "format_signature": [], "buffers": []}
     for method, calls in seen.items():
         original = getattr(Tensor, method)
 
@@ -73,13 +75,28 @@ def assert_read_once(reads, tensors):
     got = reads()
     assert got["kernel_pins"] == sorted(map(id, tensors))
     assert got["format_signature"] == sorted(map(id, tensors))
-    assert got["kernel_buffers"] == got["buffers"] == []
+    assert got["buffers"] == []
 
 
 @pytest.fixture
 def kernel():
     A, B = operands(0)
     return fl.compile_kernel(dot(A, B, fl.Scalar(name="C")), cache=False)
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_a_cold_compile(reads, backend):
+    """``cache=False``: key, lowering and first bind share the walk's
+    one read of each tensor."""
+    A, B = operands(0)
+    C = fl.Scalar(name="C")
+    program = dot(A, B, C)
+    reads()
+    kernel = fl.compile_kernel(program, cache=False, backend=backend)
+    assert not kernel.from_cache
+    assert_read_once(reads, [C, A, B])
+    kernel.run()
+    assert C.value == pytest.approx(expected(A, B))
 
 
 def test_a_memory_hit_compile(reads):

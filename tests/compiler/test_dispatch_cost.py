@@ -140,8 +140,7 @@ def test_a_repeated_rebind_and_run_stays_in_budget(dot64):
     stats = pstats.Stats(profile)
     assert stats.total_calls <= CALLS_REBOUND * rounds * len(operands) + 1
     called = {name for _, _, name in stats.stats}
-    assert not called & {"_point", "prepare", "buffers",
-                         "tensor_binding_buffers", "tensor_signature"}
+    assert not called & {"_point", "prepare", "buffers", "tensor_pins"}
     a, b = operands[-1]
     assert output.value == pytest.approx(dot(a, b))
 

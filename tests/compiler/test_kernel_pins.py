@@ -1,13 +1,13 @@
 """One read per bound tensor, and binding by position in it.
 
-Every bind reads each tensor once through :meth:`BindPlan.pins`: one
-``kernel_pins()`` call where the object has one (``Tensor``, ``Scalar``,
-the append outputs), else ``format_signature()`` plus
-``kernel_buffers().values()``.  A memo key names the identities of that
-read, and a kernel parameter is fed the item at its plan position in
-it.  Both reads must name the same objects in the same order, or a
-parameter would be fed something other than the buffer of the role it
-was compiled for.
+Every bind reads each tensor once through :meth:`BindPlan.pins`, one
+``kernel_pins()`` call (``Tensor``, ``Scalar``, the append outputs and
+``LoopletTensor``, whose read is its signature alone).  A memo key
+names the identities of that read, and a kernel parameter is fed the
+item at its plan position in it.  The read must name the objects the
+tensor holds, in one order for one format, gathered here without the
+call (:func:`protocol`), or a parameter would be fed something other
+than the buffer it was compiled for.
 """
 
 import copy
@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 
 import repro.lang as fl
-from repro.cin.analyze import tensor_binding_buffers, tensor_signature
+from repro.cin.analyze import tensor_pins
 from repro.cin.builders import increment, store
-from repro.compiler.context import Context
 from repro.compiler.kernel import BindPlan
 from repro.formats import format_names
 from repro.formats.custom import LoopletTensor
@@ -37,9 +36,16 @@ def read(tensor):
 
 
 def protocol(tensor):
-    """The same objects through the two protocol wrappers."""
-    return [tensor_signature(tensor),
-            *tensor_binding_buffers(tensor).values()]
+    """The same objects, gathered without the call: the signature, then
+    each level's arrays by their hints (``Level.buffers()``) and the
+    values; an append output's three streams."""
+    if isinstance(tensor, (RunOutput, SparseOutput)):
+        return [tensor.format_signature(), tensor.coords, tensor.vals,
+                tensor.state]
+    return [tensor.format_signature(),
+            *[array for level in tensor.levels
+              for array in level.buffers().values()],
+            tensor.element.val]
 
 
 def assert_names_the_same_objects(tensor):
@@ -74,21 +80,21 @@ def test_scalars_and_append_outputs_name_the_same_objects():
         assert_names_the_same_objects(tensor)
 
 
-def test_objects_without_the_call_fall_back_to_the_protocol():
-    """A LoopletTensor and an opaque object have no ``kernel_pins``:
-    they are read through the protocol, with no buffers.  A
-    LoopletTensor's signature is one tuple for life, so it can hit; an
-    opaque object's is a fresh tuple per read (equal, never the same
-    object), so it never hits."""
+def test_a_custom_tensor_reads_its_signature_an_opaque_its_identity():
+    """A LoopletTensor's read is its signature alone, one tuple for
+    life, so it can hit.  An object with no ``kernel_pins`` (a fiber an
+    access targets) is opaque: ``tensor_pins`` reads its identity, a
+    fresh tuple per read (equal, never the same object), so it never
+    hits; a bind plan does not read it at all."""
     custom = LoopletTensor(4, lambda ctx, pos: Lookup(lambda j: j))
-    opaque = object()
-    for tensor in (custom, opaque):
-        assert not hasattr(tensor, "kernel_pins")
-        got, want = read(tensor), protocol(tensor)
-        assert got == want and len(got) == 1
+    assert read(custom) == [custom.format_signature()]
     assert read(custom)[0] is read(custom)[0]
-    assert read(opaque) == [("opaque", id(opaque))]
-    assert read(opaque)[0] is not read(opaque)[0]
+    assert tensor_pins(custom) == (custom.format_signature(),)
+    opaque = object()
+    assert tensor_pins(opaque) == (("opaque", id(opaque)),)
+    assert tensor_pins(opaque)[0] is not tensor_pins(opaque)[0]
+    with pytest.raises(AttributeError):
+        read(opaque)
 
 
 def custom_dot():
@@ -162,7 +168,7 @@ def test_a_plan_reads_its_replacements_in_name_order():
 def test_a_miss_binds_the_read_its_key_names():
     """A miss checks, binds and files from its key's read: every
     argument fed from the replacement is an object the key names, and
-    no ``kernel_buffers()`` is taken.  (A hand-assigned array is a new
+    no ``buffers()`` role dict is taken.  (A hand-assigned array is a new
     key: ``test_a_hand_assigned_array_is_a_miss_not_a_stale_hit``.)"""
     a = fl.from_numpy(MATRIX[0], ("sparse",), name="A")
     b = fl.from_numpy(MATRIX[2], ("sparse",), name="B")
@@ -175,7 +181,7 @@ def test_a_miss_binds_the_read_its_key_names():
     def refused():
         raise AssertionError("a bind took a role dict")
 
-    x.kernel_buffers = x.buffers = refused
+    x.buffers = refused
     kernel.run(A=x)
     plan = kernel.bind_plan(("A",))
     [entry] = plan.memo.values()
@@ -186,19 +192,9 @@ def test_a_miss_binds_the_read_its_key_names():
     assert C.value == pytest.approx(float(x.to_numpy() @ MATRIX[2]))
 
 
-def compiled_over(tensor, monkeypatch):
-    """``(kernel, slot, roles)``: a kernel that reads ``tensor`` (or
-    writes it, a scalar or an append output), the slot it is bound to,
-    and each parameter's compile-time ``(slot, role)`` as the lowering
-    context recorded it (``Context.binding_roles``)."""
-    recorded = []
-    binding_roles = Context.binding_roles
-
-    def recording(ctx):
-        recorded.append(binding_roles(ctx))
-        return recorded[-1]
-
-    monkeypatch.setattr(Context, "binding_roles", recording)
+def compiled_over(tensor):
+    """``(kernel, slot)``: a kernel that reads ``tensor`` (or writes
+    it, a scalar or an append output) and the slot it is bound to."""
     i, j = fl.indices("i", "j")
     if isinstance(tensor, (RunOutput, SparseOutput)):
         source = fl.from_numpy(np.ones(tensor.shape),
@@ -216,9 +212,8 @@ def compiled_over(tensor, monkeypatch):
     for index in reversed(idxs if tensor.ndim else (i,)):
         program = fl.forall(index, program)
     kernel = fl.compile_kernel(program, cache=False)
-    [roles] = recorded
     slot = [id(t) for t in kernel.tensors].index(id(tensor))
-    return kernel, slot, roles
+    return kernel, slot
 
 
 def bound_tensors():
@@ -232,17 +227,20 @@ def bound_tensors():
 @pytest.mark.parametrize("tensor", bound_tensors(), ids=lambda tensor: (
     type(tensor).__name__ if isinstance(tensor, (RunOutput, SparseOutput))
     else repr(tensor)))
-def test_a_position_bind_feeds_what_the_role_names(tensor, monkeypatch):
-    """A copy bound by position hands each parameter the very object
-    its ``kernel_buffers()`` names under the role the parameter had at
-    compile time."""
-    kernel, slot, roles = compiled_over(tensor, monkeypatch)
+def test_a_position_bind_feeds_what_the_position_names(tensor):
+    """Each parameter the compile registered at a position of the
+    tensor's read was compiled over the object :func:`protocol`
+    gathers there, and a copy bound by position hands it the copy's
+    object at that position."""
+    kernel, slot = compiled_over(tensor)
     tensors = kernel.tensors
+    compiled = kernel.artifact.bind(tensors)
     tensors[slot] = twin = copy.deepcopy(tensor)
     args = kernel.artifact.bind(tensors)
-    buffers = tensor_binding_buffers(twin)
-    fed = [(param, entry[1]) for param, entry in enumerate(roles)
+    fed = [(param, entry[1])
+           for param, entry in enumerate(kernel.artifact.plan)
            if entry is not None and entry[0] == slot]
     assert fed
-    for param, role in fed:
-        assert args[param] is buffers[role]
+    for param, position in fed:
+        assert compiled[param] is protocol(tensor)[position]
+        assert args[param] is protocol(twin)[position]

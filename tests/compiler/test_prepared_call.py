@@ -2,7 +2,7 @@
 
 Both backends marshal a binding once — on the first ``run()`` after a
 bind, a ``rebind`` or an adoption — into the prepared call its bind-plan
-entry keeps (``CompiledKernel.plan_entry``; the kernel entry,
+entry keeps (``Kernel.bind``; the kernel entry,
 :func:`repro.ir.runtime.make_entry`, memoizes nothing): a C kernel its
 pointer array, then it calls the native entry directly; a python kernel
 the element views of its view set (``CompiledKernel.views``), then it
@@ -206,7 +206,8 @@ def test_a_status_raises_through_the_prepared_call(value, error):
     pytest.param("c", marks=needs_cc), "python"])
 def test_threads_cycling_past_the_memo_cap(backend):
     """Four threads each cycle their own full bindings through the
-    artifact's whole plan, more bindings in all than its memo holds:
+    kernel's bind (the artifact's whole plan), more bindings in all
+    than its memo holds:
     hits race inserts and evictions with no lock, and every call
     still computes its own binding."""
     kernel, _ = compile_dot(backend)
@@ -227,9 +228,7 @@ def test_threads_cycling_past_the_memo_cap(backend):
             for _ in range(10):
                 for C, tensors, want in own:
                     C.set(0.0)
-                    entry = artifact.plan_entry(artifact._whole, tensors,
-                                                tensors,
-                                                artifact.seed_args)[0]
+                    entry = kernel.bind(tensors)[0]
                     if entry.call is None:
                         entry.call = artifact.fn.prepare(entry.args)
                     entry.call()
@@ -264,7 +263,7 @@ def test_an_entry_call_keeps_no_reference_to_its_arguments(backend):
     _, _, B = kernel.tensors
     A = operand(A_DATA * 2.0, "A")
     args = artifact.bind([C, A, B])
-    arrays = [weakref.ref(array) for array in A.kernel_buffers().values()]
+    arrays = [weakref.ref(array) for array in A.kernel_pins()[1:]]
     artifact.fn(*args)
     assert C.value == 2.0 * DOT
     del A, args

@@ -517,7 +517,8 @@ class TestEligibility:
         def views(*stmts):
             func = asm.FuncDef("kernel", ("y", "a"), asm.Block(stmts))
             buffers = [("y", np.zeros(4)), ("a", np.zeros(4))]
-            return list(viewable(func, buffers, [(0, "val"), (1, "val")]))
+            return list(viewable(func, buffers, [(0, 1), (1, 1)],
+                                 {"y", "a"}))
         i = Literal(0)
         t = asm.AssignStmt("t", Call(ops.GT, [Load("a", i), 0.0]))
         u = asm.AssignStmt("u", Var("w"))       # ...assigned further down

@@ -166,7 +166,7 @@ def test_describe_and_build_args_roundtrip():
     with ShmArena(min_segment_bytes=1024) as arena:
         resident = arena.add(np.arange(16.0))
         staged = np.arange(5.0)
-        stream = fl.RunOutput((3,)).kernel_buffers()["coords"]
+        stream = fl.RunOutput((3,)).kernel_pins()[1]     # coords
         staging = shm_mod.ShmStaging()
         payload = shm_mod.describe_args(
             [resident, staged, stream], staging, dataset=0,

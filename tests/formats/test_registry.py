@@ -82,7 +82,7 @@ def test_a_format_is_one_class_and_one_registry_line(monkeypatch):
     assert list(A.levels[0].lo) == [2]
     np.testing.assert_array_equal(A.to_numpy(), vec)
     assert A.format_signature()[1] == (("SuffixLevel", 6),)
-    assert set(A.kernel_buffers()) == {"lvl0_pos", "lvl0_lo", "val"}
+    assert list(A.buffers()) == ["lvl0_pos", "lvl0_lo", "val"]
 
     for target in ("sparse", "suffix"):
         into = convert(fl.from_numpy(vec, ("vbl",)), (target,))

@@ -3,13 +3,17 @@
 import json
 
 import numpy as np
+import pytest
 
+from repro.compiler.kernel import compile_kernel
+from repro.compiler.lower import Lowerer
 from repro.formats import FORMATS
 from repro.fuzz import build_case, describe_spec, generate_spec
 from repro.fuzz.gen import (
     APPEND_OUTPUTS,
     FORMATS_ANY,
     FORMATS_LEAF_ONLY,
+    _draw_meet,
     _loop_count,
     _operand_dims,
     chain_extent,
@@ -73,16 +77,21 @@ def test_seeded_specs_are_pinned():
     it, so the stream must not move unnoticed (digests re-taken when
     the ``copy_out`` template joined ``TEMPLATES``, which shifted every
     seed's first draw, when ``outer`` did, which re-drew only the
-    eighth of the seeds that now pick it, and when the protocols became
-    the level's own ``PROTOCOLS``, with no ``follow`` or ``locate``)."""
+    eighth of the seeds that now pick it, when the protocols became
+    the level's own ``PROTOCOLS``, with no ``follow`` or ``locate``, and
+    when ``quick`` and ``deep`` began to draw meets, which re-drew only
+    the tenth of the seeds that draw one: ``narrow``'s digest is the
+    one it had before meets)."""
     import hashlib
     import json
 
     expected = {
-        "quick": "bacfd69b416da877b92574bd252d30ccbc0ed6d9f364baa0"
-                 "759b07cc27ec3875",
-        "deep": "f35dfb0b763e511dba29b6217d9393b59ad85d15a3b0a09e1"
-                "96932e89e9f3497",
+        "quick": "b65cdd737bda402c1a3cf92a21ca03e332b99724328c9875"
+                 "37385ed45b7486bf",
+        "deep": "6fbe98516786755ed85dbdf5aa82fc4a97a3478b2be3700c6"
+                "754ea38bfcd5533",
+        "narrow": "580808de1724a977fd189718fc041c321ade5fb3b38763d5"
+                  "8549ccb3ef387ce4",
     }
     for profile, digest in expected.items():
         stream = hashlib.sha256()
@@ -90,6 +99,30 @@ def test_seeded_specs_are_pinned():
             stream.update(json.dumps(generate_spec(seed, profile),
                                      sort_keys=True).encode())
         assert stream.hexdigest() == digest, profile
+
+
+@pytest.mark.parametrize("profile", ["quick", "deep"])
+def test_a_meet_lowers_through_the_three_way_step(profile, monkeypatch):
+    """A tenth of the ``quick`` and ``deep`` seeds draw a meet (two
+    plain walked sparse lists, multiplied and summed), and every one
+    compiles to the three-way step.  (``narrow`` draws none: its
+    digest in :func:`test_seeded_specs_are_pinned` is unchanged.)"""
+    stepped = []
+    step = Lowerer._three_way_step
+
+    def counting(self, *args, **kwargs):
+        stepped.append(self)
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(Lowerer, "_three_way_step", counting)
+    meets = [seed for seed in range(100) if _draw_meet(seed, profile)]
+    assert len(meets) >= 5
+    for seed in meets:
+        spec = generate_spec(seed, profile)
+        assert spec == _draw_meet(seed, profile)
+        del stepped[:]
+        compile_kernel(build_case(spec).program, cache=False)
+        assert stepped, spec
 
 
 def test_built_cases_have_valid_extents():

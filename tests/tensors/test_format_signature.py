@@ -136,22 +136,25 @@ class TestSignatureComputedOnce:
         assert clone.format_signature() != t.format_signature()
 
 
-class TestKernelBuffers:
+class TestKernelPins:
     def test_tensor_roles_match_buffers(self):
         t = vec("sparse")
-        assert t.kernel_buffers() == t.buffers()
-        assert set(t.kernel_buffers()) == {"lvl0_pos", "lvl0_idx", "val"}
+        pins = t.kernel_pins()
+        assert pins[0] is t.format_signature()
+        assert list(t.buffers()) == ["lvl0_pos", "lvl0_idx", "val"]
+        assert all(a is b for a, b in zip(pins[1:], t.buffers().values()))
 
     def test_roles_stable_across_same_format(self):
-        assert (set(vec("vbl", seed=1).kernel_buffers())
-                == set(vec("vbl", seed=2).kernel_buffers()))
+        assert (list(vec("vbl", seed=1).buffers())
+                == list(vec("vbl", seed=2).buffers()))
 
     def test_run_output(self):
         out = RunOutput((4, 6), fill=0, dtype=np.uint8)
-        assert out.kernel_buffers() == {
-            "coords": out.coords, "vals": out.vals, "state": out.state}
-        assert all(isinstance(buf, np.ndarray)
-                   for buf in out.kernel_buffers().values())
+        pins = out.kernel_pins()
+        assert pins[0] is out.format_signature()
+        assert all(a is b for a, b in zip(
+            pins[1:], (out.coords, out.vals, out.state)))
+        assert all(isinstance(buf, np.ndarray) for buf in pins[1:])
         other = RunOutput((4, 6), fill=0, dtype=np.uint8, name="x")
         assert out.format_signature() == other.format_signature()
         smaller = RunOutput((4, 5), fill=0, dtype=np.uint8)
@@ -159,7 +162,8 @@ class TestKernelBuffers:
 
     def test_sparse_output(self):
         out = SparseOutput((3, 3), fill=0.0)
-        assert list(out.kernel_buffers()) == ["coords", "vals", "state"]
-        assert out.kernel_buffers()["vals"].dtype == np.float64
+        assert len(out.kernel_pins()) == 4
+        assert out.kernel_pins()[2] is out.vals
+        assert out.vals.dtype == np.float64
         assert (out.format_signature()
                 != RunOutput((3, 3), fill=0.0).format_signature())

@@ -111,15 +111,16 @@ class TestRunOutput:
         with pytest.raises(FormatError):
             out[fl.indices("i")]
 
-    def test_kernel_buffers_are_arrays_sized_by_the_shape(self):
+    def test_kernel_pins_are_arrays_sized_by_the_shape(self):
         out = RunOutput((4, 6), fill=0, dtype=np.uint8)
-        buffers = out.kernel_buffers()
-        assert list(buffers) == ["coords", "vals", "state"]
-        assert buffers["coords"].shape == (24,)
-        assert buffers["coords"].dtype == np.int64
-        assert buffers["vals"].shape == (24,)
-        assert buffers["vals"].dtype == np.uint8
-        assert buffers["state"].tolist() == [0, 0, 0]
+        _, coords, vals, state = out.kernel_pins()
+        assert coords is out.coords and vals is out.vals
+        assert state is out.state
+        assert coords.shape == (24,)
+        assert coords.dtype == np.int64
+        assert vals.shape == (24,)
+        assert vals.dtype == np.uint8
+        assert state.tolist() == [0, 0, 0]
         np.testing.assert_array_equal(out.to_numpy(),
                                       np.zeros((4, 6), dtype=np.uint8))
 

@@ -102,10 +102,10 @@ def test_share_keeps_signature_and_structure(arena):
 
 def test_append_outputs_pass_through(arena):
     out = fl.RunOutput((4,), fill=0.0)
-    buffers = out.kernel_buffers()
+    pins = out.kernel_pins()
     assert fl.share_tensor(out, arena) is out
-    for role, buf in out.kernel_buffers().items():
-        assert buf is buffers[role]
+    for buf, before in zip(out.kernel_pins()[1:], pins[1:]):
+        assert buf is before
         assert shm_mod.resident_descriptor(buf) is None
 
 

@@ -32,8 +32,10 @@ IR (no opaque Raw statement, and so no regex built over emitted text to
 guess what a line reads and writes: a dense reset and a vectorized loop
 are Slice/Reduce nodes, and effects are read off the nodes), and one
 way to prepare a call (a bind-plan entry keeps it; the kernel entry
-memoizes nothing), and one read of a binding (a bind reads each
-tensor once, through ``kernel_pins()``, and takes no role dict).
+memoizes nothing), one read of a tensor (a compile and a bind read
+each tensor once, through ``kernel_pins()``, and take no role dict),
+and one owner of a binding (``Kernel.bind`` binds every dataset; exec/
+reads none of the kernel's private binding fields).
 
 Run alone with ``python -m pytest tests/test_concepts.py -q``.
 """
@@ -142,7 +144,7 @@ GUARDS = (
     Guard("second_prepare", r"\b(prepare_new|_filing)\b",
           ("src/repro", "docs"),
           "prepare_new/_filing are gone: a bind-plan entry keeps its"
-          " prepared call (CompiledKernel.plan_entry), and make_entry"
+          " prepared call (Kernel.bind), and make_entry"
           " memoizes nothing",
           ("src/repro/ir/runtime.py", "entry.prepare_new = prepare_new"),
           py_only=False),
@@ -217,17 +219,28 @@ GUARDS = (
           "compile_kernel walks the program once: read the key, slots,"
           " outputs and alias groups off program_walk",
           ("src/repro/compiler/kernel.py", "outs = output_tensors(program)")),
-    # One read of a binding: every bind reads each tensor once, through
-    # kernel_pins(), and feeds parameters by position in that read --
-    # no role dict is taken beside it.
+    # One read of a tensor: every compile and bind reads each tensor
+    # once, through kernel_pins(), and feeds parameters by position in
+    # that read -- no role dict and no signature wrapper beside it.
     Guard("one_read_of_a_binding",
-          r"\b(kernel_buffers|tensor_binding_buffers)\(",
-          ("src/repro/compiler/kernel.py", "src/repro/exec/batch.py"),
-          "a bind takes one kernel_pins() read per tensor (BindPlan.pins)"
-          " and feeds parameters by position: no kernel_buffers() role"
-          " dict in compiler/kernel.py or exec/batch.py",
-          ("src/repro/exec/batch.py",
-           "roles = [tensor_binding_buffers(t) for t in tensors]")),
+          r"\b(kernel_buffers|tensor_binding_buffers|tensor_signature)\(",
+          ("src",),
+          "a compile and a bind take one kernel_pins() read per tensor"
+          " (cin/analyze.tensor_pins, BindPlan.pins) and feed parameters"
+          " by position: kernel_buffers(), tensor_binding_buffers() and"
+          " tensor_signature() are gone",
+          ("src/repro/compiler/context.py",
+           "roles = tensor_binding_buffers(tensor).items()")),
+    # One owner of a binding: the kernel binds every dataset
+    # (Kernel.bind) and the artifact names each slot's buffers
+    # (CompiledKernel.slot_identities); exec/ reads neither's fields.
+    Guard("one_owner_of_a_binding",
+          r"\.(_entry|_whole|_slot_params|_alias_pairs|_epoch|_plans)\b",
+          ("src/repro/exec",),
+          "exec/ re-derives no binding: bind through Kernel.bind and read"
+          " slot identities off CompiledKernel.slot_identities, not the"
+          " kernel's private fields",
+          ("src/repro/exec/batch.py", "args = kernel._entry.args")),
     Guard("marshal", r"import marshal|marshal\.(loads|dumps)",
           ("src/repro",),
           "marshal outside store/disk.py: a code object is decoded by the"
