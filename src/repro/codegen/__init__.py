@@ -2,16 +2,17 @@
 
 The compiler's default backend ``exec``s emitted Python source
 (:mod:`repro.ir.emit`).  This package adds the ``"c"`` backend: the
-same optimized target AST lowered to C99 (:mod:`repro.codegen.c_emit`),
-compiled into a per-kernel shared object by the system C compiler
+hoisted target AST, before ``vectorize``, lowered to C99
+(:mod:`repro.codegen.c_emit`), compiled into a per-kernel shared
+object by the system C compiler
 (:mod:`repro.codegen.toolchain`), and called through :mod:`ctypes` —
 which releases the GIL for the duration of the call, so the batch
 engine's ``threads`` executor scales on C kernels.
 
 The backend is *best effort by design*: constructs the C emitter does
-not cover (vectorized numpy slice operations, ``missing``-valued
-expressions, dense output fills, buffers outside int64/float64/bool) raise
-:class:`CUnsupportedError` during compilation and the kernel falls
+not cover (``missing``-valued expressions, dense output fills,
+buffers outside int64/float64/bool) raise :class:`CUnsupportedError`
+during compilation and the kernel falls
 back to the python backend — loudly (one log line per distinct
 reason, and a queryable ledger: :func:`fallback_events`) but
 gracefully (the compile always succeeds).  The same degradation runs

@@ -1,8 +1,8 @@
-"""Lower the optimized target AST to C99.
+"""Lower the scalar target AST to C99.
 
-The emitter consumes exactly the :mod:`repro.ir.asm` statement tree the
-python backend would render (:mod:`repro.ir.emit`) — *after* the
-optimizer pipeline ran — and produces one self-contained C99
+The emitter consumes the :mod:`repro.ir.asm` statement tree as
+:func:`~repro.ir.optimize.hoist_invariants` leaves it, before the
+python source's ``vectorize``, and produces one self-contained C99
 translation unit exporting ``int64_t <name>(void **args)``.  Every
 kernel parameter arrives as one slot of the ``args`` pointer array and
 is cast to its typed pointer in the prologue; buffer element types are
@@ -10,10 +10,10 @@ fixed at compile time from the seed arrays' dtypes, which is sound
 because format signatures pin dtypes across rebinds (see
 :meth:`repro.compiler.kernel.CompiledKernel.bind`).
 
-Semantics contract: emitted C must be **bit-identical** to the python
-backend on every supported kernel (the ``c_backend`` fuzz oracle and
-``tests/codegen`` enforce this).  The translation therefore reproduces
-Python arithmetic exactly where C differs:
+Semantics contract: emitted C must be **bit-identical** to the scalar
+python kernel on every supported kernel (the ``c_backend`` fuzz oracle
+and ``tests/codegen`` enforce this).  The translation therefore
+reproduces Python arithmetic exactly where C differs:
 
 * ``/`` always divides in ``double`` (``fl_div``),
 * ``//`` and ``%`` use floor-division / sign-of-divisor semantics
@@ -44,10 +44,9 @@ types it may have, so a local, a typed helper's ``_i64``/``_f64``
 variant and ``abs`` all read the one analysis.
 
 Anything the emitter cannot translate with that guarantee raises
-:class:`CUnsupportedError` while it renders — slice operations (the
-``Slice``/``Reduce`` nodes of a dense output's reset and of vectorized
-loops: no C lowering *yet*), ``missing``, operators that declare no C
-lowering, buffers outside :data:`SUPPORTED_DTYPES`, a buffer parameter
+:class:`CUnsupportedError` while it renders — a dense output's reset
+``Slice`` (no C lowering *yet*), ``missing``, operators that declare no
+C lowering, buffers outside :data:`SUPPORTED_DTYPES`, a buffer parameter
 read as a scalar or reassigned, loop variables read after their loop
 (Python leaves ``stop - 1``, C leaves ``stop``), and the types C
 computes differently: a float loop bound or index, a truth-valued
@@ -63,7 +62,7 @@ from collections import Counter
 import numpy as np
 
 from repro.ir import asm, dtypes
-from repro.ir.nodes import Call, Literal, Load, Reduce, Slice, Var
+from repro.ir.nodes import Call, Literal, Load, Slice, Var
 from repro.ir.ops import MISSING
 from repro.util.errors import ReproError
 
@@ -412,11 +411,10 @@ class _Emitter:
             return self._element(expr, "load from"), _ATOM
         if isinstance(expr, Call):
             return self._render_call(expr)
-        if isinstance(expr, (Slice, Reduce)):
+        if isinstance(expr, Slice):
             raise CUnsupportedError(
-                "%s node (the slice operation of a dense reset or a "
-                "vectorized loop) has no C lowering yet"
-                % type(expr).__name__)
+                "Slice node (a dense output's reset) has no C lowering "
+                "yet")
         raise CUnsupportedError("cannot render %r" % (expr,))
 
     def _element(self, target, what):

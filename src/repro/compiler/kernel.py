@@ -59,9 +59,8 @@ from repro.compiler.context import Context
 from repro.compiler.key import SPEC_VERSION, KernelKey
 from repro.compiler.lower import Lowerer
 from repro.compiler.tiers import compile_source, read_through
-from repro.ir import asm, emit
+from repro.ir import asm, emit, optimize
 from repro.ir.dtypes import viewable
-from repro.ir.optimize import DEFAULT_OPT_LEVEL, optimize_kernel
 from repro.ir.runtime import kernel_globals, python_entry
 from repro.tensors import share as _share
 from repro.util import config as _config
@@ -831,10 +830,11 @@ def _compile_artifact(program, walk, instrument, name,
     artifact.  ``walk`` is the program's :func:`~repro.cin.analyze.
     program_walk`: its slots, outputs, alias groups and key.
 
-    With ``backend="c"`` the optimized target AST is additionally
-    lowered to C99 and compiled into a shared object
-    (:mod:`repro.codegen`); the python source is always emitted — it
-    is ``kernel.source`` and the fallback entry — but ``exec``'d only
+    With ``backend="c"`` the scalar tree (hoisted at ``opt_level=2``)
+    is lowered to C99 and compiled into a shared object
+    (:mod:`repro.codegen`); ``vectorize`` and the element views serve
+    the python source alone, which is always emitted — it is
+    ``kernel.source`` and the fallback entry — but ``exec``'d only
     when no C entry came up (:func:`_entry_point`)."""
     start = time.perf_counter()
     tensors = walk.tensors
@@ -848,12 +848,8 @@ def _compile_artifact(program, walk, instrument, name,
     params = [name_ for name_, _ in ctx.bound_buffers()]
     returns = (ctx.ops_var.name,) if instrument else ()
     func = asm.FuncDef(name, params, body, returns=returns)
-    views = ()
-    if opt_level > 0:
-        func = optimize_kernel(func, opt_level, ctx.bound_buffers())
-        views = viewable(func, ctx.bound_buffers(), ctx.binding_plan(),
-                         ctx.value_params)
-    source = emit(func, views)
+    if opt_level:
+        func = optimize.hoist_invariants(func)
 
     c_source = None
     c_param_dtypes = None
@@ -867,6 +863,13 @@ def _compile_artifact(program, walk, instrument, name,
             c_param_dtypes = [dtype_map[p] for p in func.params]
         except codegen.CUnsupportedError as exc:
             codegen.note_fallback(name, str(exc))
+
+    views = ()
+    if opt_level:
+        func = optimize.vectorize(func, ctx.bound_buffers())
+        views = viewable(func, ctx.bound_buffers(), ctx.binding_plan(),
+                         ctx.value_params)
+    source = emit(func, views)
     fn, so_path, code = _entry_point(name, source, views, c_source,
                                      c_param_dtypes)
 
@@ -950,25 +953,24 @@ def compile_kernel(program, instrument=False, name="kernel",
     alone.  ``cache=False`` always compiles fresh and leaves every
     cache (and its statistics) untouched.
 
-    ``opt_level`` selects the target-IR optimizer pipeline
-    (:mod:`repro.ir.optimize`): 0 emits the lowered code untouched, 1
-    hoists loop invariants, and 2 — the default — adds dense-loop
-    vectorization to numpy slice operations as the last step.  Every
-    level starts from code the lowerer folded as it built it: literal
-    branches decided, literal extents resolved, literal copies
-    forwarded and the set-up of regions that cannot run left out, so
-    no level runs a constant-folding or dead-code pass.  The level is
-    part of the cache key, so kernels compiled at different levels
-    never share an artifact; any other value (``7``, ``2.7``,
-    ``True``) raises ``ValueError``.
+    ``opt_level`` is 0 or 2 (:mod:`repro.ir.optimize`): 0 emits the
+    lowered code untouched; 2, the default, hoists loop invariants and
+    then, for the python source alone, rewrites dense loops into numpy
+    slice operations.  Every level starts from code the lowerer folded
+    as it built it: literal branches decided, literal extents resolved,
+    literal copies forwarded and the set-up of regions that cannot run
+    left out, so no level runs a constant-folding or dead-code pass.
+    The level is part of the cache key, so kernels compiled at
+    different levels never share an artifact; any other value (``1``,
+    ``7``, ``2.7``, ``True``) raises ``ValueError``.
 
-    ``backend`` selects how the optimized kernel is executed:
-    ``"python"`` (the default) ``exec``s the emitted Python source,
-    ``"c"`` additionally lowers the same optimized target AST to C99,
-    compiles it into a per-kernel shared object, and calls it through
+    ``backend`` selects how the kernel is executed: ``"python"`` (the
+    default) ``exec``s the emitted Python source, ``"c"`` additionally
+    lowers the scalar tree, before vectorization, to C99, compiles it
+    into a per-kernel shared object, and calls it through
     :mod:`ctypes` (releasing the GIL during each call).  Kernels the
-    C emitter cannot express — slice operations (dense resets,
-    vectorized loops), buffers outside int64/float64/bool — and
+    C emitter cannot express — a dense output's reset slice, buffers
+    outside int64/float64/bool — and
     environments with no C compiler fall back to the python backend
     loudly but gracefully (one warning per distinct reason; see
     :func:`repro.codegen.fallback_events`); the resulting
@@ -986,8 +988,6 @@ def compile_kernel(program, instrument=False, name="kernel",
             "cache must be True or False; got %r (store=False or "
             "remote=False leaves out the disk or remote tier)" % (cache,))
     opt_level = _config.resolve("opt_level", override=opt_level)
-    if opt_level is None:
-        opt_level = DEFAULT_OPT_LEVEL
     backend = _config.resolve("backend", override=backend)
     walk = program_walk(program)
 

@@ -39,14 +39,13 @@ CHAOS_ORACLE = "batch_chaos"
 #: fleet, which the retry machinery must absorb.
 CHAOS_PLAN = {"worker_crash": {"nth": 1}}
 
-#: The compile options of the compiling oracles: ``compiled@0/1/2``
-#: (indexed by opt level; the round-trip oracles reuse ``@2``) and
-#: ``c_backend`` last.  ``python -m repro.store warm`` compiles every
-#: case under exactly these, which is what lets a warmed store serve
+#: The compile options of the compiling oracles: ``compiled@0``,
+#: ``compiled@2`` (the round-trip oracles reuse it) and ``c_backend``.
+#: ``python -m repro.store warm`` compiles every case under exactly
+#: these, which is what lets a warmed store serve
 #: every compile of a campaign.
 ORACLE_COMPILE_OPTS = (
     {"instrument": True, "opt_level": 0},
-    {"instrument": True, "opt_level": 1},
     {"instrument": True, "opt_level": 2},
     {"instrument": True, "opt_level": 2, "backend": "c"},
 )
@@ -282,23 +281,20 @@ Oracle = collections.namedtuple("Oracle", "name run ops_ref batch")
 
 #: Every oracle, in execution order.
 BATTERY = (
-    # The full compiler with the target-IR optimizer off, scalar-only,
-    # and vectorizing.
+    # The full compiler with the target-IR optimizer off, and on.
     Oracle("compiled@0", _compiled(ORACLE_COMPILE_OPTS[0]), None, False),
-    Oracle("compiled@1", _compiled(ORACLE_COMPILE_OPTS[1]),
+    Oracle("compiled@2", _compiled(ORACLE_COMPILE_OPTS[1]),
            "compiled@0", False),
-    Oracle("compiled@2", _compiled(ORACLE_COMPILE_OPTS[2]),
-           "compiled@0", False),
-    # backend="c" (repro.codegen): the optimized target AST lowered to
-    # C99, built into a shared object and called through ctypes.
-    Oracle("c_backend", _compiled(ORACLE_COMPILE_OPTS[3]),
+    # backend="c" (repro.codegen): the hoisted scalar target AST lowered
+    # to C99, built into a shared object and called through ctypes.
+    Oracle("c_backend", _compiled(ORACLE_COMPILE_OPTS[2]),
            "compiled@2", False),
     # The compiled@2 artifact rebuilt from its spec, and from the disk
     # tier's write/read path.
-    Oracle("spec_roundtrip", _compiled(ORACLE_COMPILE_OPTS[2], _via_spec),
+    Oracle("spec_roundtrip", _compiled(ORACLE_COMPILE_OPTS[1], _via_spec),
            "compiled@2", False),
     Oracle("store_roundtrip",
-           _compiled(ORACLE_COMPILE_OPTS[2], _via_store),
+           _compiled(ORACLE_COMPILE_OPTS[1], _via_store),
            "compiled@2", False),
     # run_batch over fresh copies of the dataset under each executor;
     # the executors' op totals must also agree with each other.

@@ -15,12 +15,9 @@ from repro.ir.nodes import (
     substitute,
 )
 from repro.ir.ops import MISSING, Op, all_ops, get_op, register_op
-from repro.ir.optimize import DEFAULT_OPT_LEVEL, optimize_kernel
 from repro.ir.pretty import expr_source
 
 __all__ = [
-    "DEFAULT_OPT_LEVEL",
-    "optimize_kernel",
     "asm",
     "build",
     "ops",

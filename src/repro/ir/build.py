@@ -179,17 +179,30 @@ def literal_truth(expr):
     return bool(expr.value)
 
 
+def unguarded(cond, body):
+    """``body`` of an arm on ``cond``, less a one-arm ``If`` on that
+    same condition that is all of it: the arm already tested it."""
+    inner = body.stmts[0] if len(body.stmts) == 1 else None
+    if isinstance(inner, asm.If) and len(inner.branches) == 1 \
+            and inner.branches[0][0] == cond:
+        return inner.branches[0][1]
+    return body
+
+
 def if_(branches):
     """An ``if``/``elif``/``else`` chain of ``(cond, body)`` pairs with
     literal conditions decided: a false branch goes, a true one is the
     ``else`` (alone: its body), and so do trailing empty branches (an
-    empty one before a live one would hand its cases on)."""
+    empty one before a live one would hand its cases on).  An arm that
+    is a one-arm ``If`` on its own condition is that ``If``'s body
+    (:func:`unguarded`)."""
     kept = []
     for cond, body in branches:
         truth = True if cond is None else literal_truth(cond)
         if truth is False:
             continue
-        kept.append((None if truth else cond, asm.Block([body])))
+        body = asm.Block([body])
+        kept.append((None, body) if truth else (cond, unguarded(cond, body)))
         if truth:
             break
     while kept and kept[-1][1].is_nop():

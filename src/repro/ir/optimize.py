@@ -1,4 +1,4 @@
-"""Optimizer pipeline over the target AST.
+"""The two optimizer passes over the target AST.
 
 Lowering (:mod:`repro.compiler.lower`) is organized around *looplet*
 structure and folds as it builds (:func:`repro.ir.build.if_`,
@@ -17,7 +17,7 @@ statements improve that:
     transformed kernel never evaluates anything the original would not
     have.
 
-``vectorize``
+``vectorize`` (python only)
     Rewrites innermost dense ``ForLoop``s whose body is a single
     affine-indexed assignment/accumulation (plus optional work
     counters) into numpy slice operations: elementwise maps become
@@ -29,16 +29,16 @@ statements improve that:
     vectorization.  Loops whose shape does not match are left alone
     (the scalar fallback).
 
-:func:`optimize_kernel` runs the steps :data:`PIPELINE` lists for an
-``opt_level``, in order: 0 = untouched, 1 = LICM, 2 (the default used
-by :mod:`repro.compiler.kernel`) = LICM then vectorization.  Each step
-is there because removing it changes what a paper figure runs
-(docs/compilation.md gives the measurements).  Vectorization runs last,
-so the only slice statement LICM meets is the lowerer's dense reset:
-its *bounds* and scalar operands are hoisted like any scalar
-expression, while a *vector* (a slice, a call over one) is never itself
-rewritten or hoisted.  Passes rebuild what they change and never mutate
-a statement (:func:`repro.ir.asm.effects` memoises on it), and a pass
+At ``opt_level=2`` the compiler runs ``hoist_invariants``, prints C
+from that scalar tree, then runs ``vectorize`` for the python source;
+at 0 it runs neither.  Each pass is there because removing it changes
+what a paper figure runs (docs/compilation.md gives the measurements).
+LICM goes first (the other way round, fig11 ran 4-8 % slower), so the
+only slice statement it meets is the lowerer's dense reset: its
+*bounds* and scalar operands are hoisted like any scalar expression,
+while a *vector* (a slice, a call over one) is never itself rewritten
+or hoisted.  Passes rebuild what they change and never mutate a
+statement (:func:`repro.ir.asm.effects` memoises on it), and a pass
 returns the very node it was given when nothing under it changed.
 """
 
@@ -59,6 +59,7 @@ from repro.ir.asm import (
     map_statements,
     statement_exprs,
     target_address,
+    unchanged,
 )
 from repro.ir.nodes import (
     Call,
@@ -72,12 +73,7 @@ from repro.ir.nodes import (
 from repro.ir.runtime import reserved_names
 from repro.rewrite import simplify_expr
 from repro.rewrite.rules import integer_valued
-from repro.util.config import OPTIONS
 from repro.util.namer import Namer
-
-#: Default optimization level used by the compiler when none is given.
-DEFAULT_OPT_LEVEL = 2
-
 
 # --------------------------------------------------------------------------
 # Expression helpers
@@ -149,11 +145,22 @@ def _namer_for(stmt):
     return Namer(reserved=reserved | reserved_names())
 
 
+def _unguard_arms(node):
+    """The ``If`` ``node`` with each arm that is all one guard on its
+    own condition (a loop's, put there by a pass) unwrapped
+    (:func:`repro.ir.build.unguarded`); None when no arm is."""
+    branches = [(cond, build.unguarded(cond, body))
+                for cond, body in node.branches]
+    return None if unchanged(branches, node.branches) else If(branches)
+
+
 # --------------------------------------------------------------------------
 # Loop-invariant code motion
 # --------------------------------------------------------------------------
 def hoist_invariants(stmt):
-    """Hoist invariant loads and arithmetic out of loop bodies."""
+    """Hoist invariant loads and arithmetic out of loop bodies.  A
+    loop that is the whole arm of a branch on its entry guard is left
+    unguarded."""
     namer = _namer_for(stmt)
 
     def visit(node):
@@ -161,6 +168,8 @@ def hoist_invariants(stmt):
             return _hoist_loop(node, namer, loop_var=node.var.name)
         if isinstance(node, WhileLoop):
             return _hoist_loop(node, namer, loop_var=None)
+        if isinstance(node, If):
+            return _unguard_arms(node)
         return None
 
     return map_statements(stmt, visit)
@@ -241,13 +250,16 @@ def vectorize(stmt, buffers=None):
     expressions: a loop becomes one numpy reduction only where that
     computes in the type the scalar loop accumulates in
     (:func:`repro.ir.dtypes.sums_alike`); a tree built by hand has none,
-    and every reduction is taken."""
+    and every reduction is taken.  A loop that is the whole arm of a
+    branch on its entry test is left unguarded."""
     sums_alike = (lambda *_: True) if buffers is None \
         else dtypes.sums_alike(stmt, buffers)
 
     def visit(node):
         if isinstance(node, ForLoop):
             return _vectorize_loop(node, sums_alike)
+        if isinstance(node, If):
+            return _unguard_arms(node)
         return None
 
     return map_statements(stmt, visit)
@@ -410,33 +422,3 @@ def _vectorize_core(core, var, start, stop, sums_alike):
     if not sums_alike(op, core.target, core.value):
         return None
     return AccumStmt(target, op, Reduce(op, value))
-
-
-# --------------------------------------------------------------------------
-# The pipeline
-# --------------------------------------------------------------------------
-#: The steps of each ``opt_level``, in the order :func:`optimize_kernel`
-#: runs them.  ``vectorize`` goes last: LICM first moves the invariant
-#: loads out of the loops it turns into slices (run the other way round,
-#: fig11 measured 4-8 % slower).
-PIPELINE = {
-    0: (),
-    1: (hoist_invariants,),
-    2: (hoist_invariants, vectorize),
-}
-
-
-def optimize_kernel(func, level=DEFAULT_OPT_LEVEL, buffers=None):
-    """Run the steps of ``PIPELINE[level]`` over a lowered kernel.
-
-    ``level`` is an ``opt_level`` as :func:`~repro.compiler.kernel.
-    compile_kernel` accepts it (``None`` = :data:`DEFAULT_OPT_LEVEL`);
-    any other value raises the same ``ValueError``; ``buffers`` go to
-    :func:`vectorize`.  The returned tree shares every node no step
-    changed with the input (it *is* the input when none did) and has
-    identical parameters and returns.
-    """
-    level = OPTIONS["opt_level"].validate(level)
-    for step in PIPELINE[DEFAULT_OPT_LEVEL if level is None else level]:
-        func = step(func, buffers) if step is vectorize else step(func)
-    return func

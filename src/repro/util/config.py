@@ -24,7 +24,7 @@ option                environment variable        owns
                                                   or None = disabled)
 ``store_max_bytes``   ``FL_KERNEL_STORE_MAX_BYTES``  store size budget
 ``backend``           ``FL_KERNEL_BACKEND``       ``python`` / ``c``
-``opt_level``         ``FL_KERNEL_OPT_LEVEL``     optimizer level 0/1/2
+``opt_level``         ``FL_KERNEL_OPT_LEVEL``     optimizer level 0/2
 ``service_url``       ``FL_SERVICE_URL``          remote kernel service
 ``service_timeout_s``  ``FL_SERVICE_TIMEOUT_S``   per-request timeout
 ``service_retries``   ``FL_SERVICE_RETRIES``      request retry budget
@@ -51,15 +51,16 @@ __all__ = [
 ]
 
 #: Backend names ``compile_kernel`` accepts: ``"python"`` ``exec``s
-#: emitted Python source, ``"c"`` compiles the same optimized target IR
+#: emitted Python source, ``"c"`` compiles the scalar target IR
 #: to a per-kernel shared object (falling back to python per kernel
 #: for constructs the C emitter does not cover, or when no C compiler
 #: is installed — see :mod:`repro.codegen`).
 BACKENDS = ("python", "c")
 
 #: The optimizer levels (:mod:`repro.ir.optimize`): 0 emits the
-#: lowered code, 1 adds the scalar passes, 2 dense-loop vectorization.
-OPT_LEVELS = (0, 1, 2)
+#: lowered code, 2 hoists loop invariants and vectorizes the python
+#: source's dense loops.
+OPT_LEVELS = (0, 2)
 
 
 def _int_or_text(text):
@@ -121,7 +122,7 @@ class Option:
         """``value`` checked (and string-coerced) for this option.
 
         A value of an option with ``choices`` must equal one of them
-        *and* have their type: ``True`` is not the level 1, nor ``2.0``
+        *and* have their type: ``False`` is not the level 0, nor ``2.0``
         the level 2."""
         if isinstance(value, str) and self.parse is not str:
             value = self.parse(value)
@@ -145,9 +146,8 @@ OPTIONS = {
         Option("backend", "FL_KERNEL_BACKEND", str, "python",
                choices=BACKENDS,
                doc="kernel execution backend"),
-        Option("opt_level", "FL_KERNEL_OPT_LEVEL", _int_or_text, None,
-               choices=OPT_LEVELS,
-               doc="optimizer level (None = the compiler default)"),
+        Option("opt_level", "FL_KERNEL_OPT_LEVEL", _int_or_text, 2,
+               choices=OPT_LEVELS, doc="optimizer level"),
         Option("service_url", "FL_SERVICE_URL", str, None,
                doc="base URL of the remote kernel service "
                    "(None = no remote tier)"),

@@ -170,7 +170,7 @@ class TestInterpreter:
         prog, y = program()
         np.testing.assert_array_equal(interpret(prog).result_for(y),
                                       [expected] * 2)
-        for opt_level in (0, 1, 2):
+        for opt_level in (0, 2):
             prog, y = program()
             fl.compile_kernel(prog, opt_level=opt_level, cache=False).run()
             np.testing.assert_array_equal(y.to_numpy(), [expected] * 2)

@@ -13,6 +13,7 @@ Data is integer-valued throughout, so every comparison is exact
 
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -25,7 +26,7 @@ from repro import codegen
 from repro.codegen import toolchain
 from repro.formats import FORMATS
 from repro.fuzz.gen import FORMATS_INNER
-from repro.ir import Load, Var, asm, build, ops
+from repro.ir import Load, Var, asm, build, ops, optimize
 
 needs_cc = pytest.mark.skipif(
     not codegen.have_toolchain(), reason="no C compiler on PATH")
@@ -41,6 +42,10 @@ MATRIX = [(fmt, proto)
           for fmt in FORMATS_INNER
           for proto in (None,) + FORMATS[fmt].PROTOCOLS]
 
+#: The fallback reason of a kernel with a dense output, whose reset is
+#: the one slice operation the C emitter meets.
+_SLICE = "Slice node (a dense output's reset) has no C lowering yet"
+
 
 def _vector_data(rng):
     """An integer-valued vector with runs, gaps, and a dense band."""
@@ -53,20 +58,16 @@ def _vector_data(rng):
 
 
 def _dot(fmt, proto, backend, a, b):
-    """Compile the fmt/proto dot product on ``backend``; run it.
-
-    ``opt_level=1`` (the full scalar pipeline, no vectorizer): the
-    matrix exercises the C emitter itself, and vectorized kernels take
-    the *designed* fallback path instead — covered separately by
-    :class:`TestUnsupportedConstructFallback`.
-    """
+    """Compile the fmt/proto dot product on ``backend`` at the default
+    level; run it.  The C emitter prints the hoisted scalar tree, so a
+    dense region the python source vectorizes is a C loop."""
     A = fl.from_numpy(a, (fmt,), name="A")
     B = fl.from_numpy(b, ("sparse",), name="B")
     C = fl.Scalar(name="C")
     i = fl.indices("i")
     prog = fl.forall(i, fl.increment(
         C[()], fl.access(A, _PROTO[proto](i)) * fl.access(B, fl.walk(i))))
-    kernel = fl.compile_kernel(prog, backend=backend, opt_level=1)
+    kernel = fl.compile_kernel(prog, backend=backend)
     kernel.run()
     return float(C.value), kernel
 
@@ -108,8 +109,7 @@ class TestDifferentialMatrix:
             prog = fl.forall(i, fl.forall(j, fl.increment(
                 C[()], fl.access(A, i, fl.gallop(j)) *
                 fl.access(x, fl.gallop(j)))))
-            kernel = fl.compile_kernel(prog, backend=backend,
-                                       opt_level=1)
+            kernel = fl.compile_kernel(prog, backend=backend)
             kernel.run()
             return float(C.value), kernel
 
@@ -137,9 +137,9 @@ class TestDifferentialMatrix:
 
     def test_spmv_dense_output_falls_back_bit_identical(self):
         # Tensor-output kernels reset their value buffer with a slice
-        # assignment, a node kind the C emitter does not lower yet, so
-        # the whole kernel takes the designed fallback — and must
-        # still be bit-identical.
+        # assignment, which the C emitter does not lower yet, so the
+        # whole kernel takes the designed fallback — and must still be
+        # bit-identical.
         codegen.clear_fallback_events()
         rng = np.random.default_rng(12)
         m = np.zeros((8, 10))
@@ -155,7 +155,7 @@ class TestDifferentialMatrix:
                 y[i], fl.access(A, i, fl.gallop(j)) *
                 fl.access(x, j))))
             kernel = fl.compile_kernel(prog, backend=backend,
-                                       opt_level=1, cache=False)
+                                       cache=False)
             kernel.run()
             return y.to_numpy().copy(), kernel
 
@@ -163,9 +163,7 @@ class TestDifferentialMatrix:
         c_out, c_kernel = run("c")
         assert c_kernel.backend == "c"
         assert c_kernel.effective_backend == "python"
-        assert [r for _, r in codegen.fallback_events()] == [
-            "Slice node (the slice operation of a dense reset or a "
-            "vectorized loop) has no C lowering yet"]
+        assert [r for _, r in codegen.fallback_events()] == [_SLICE]
         np.testing.assert_array_equal(c_out, py_out)
         np.testing.assert_array_equal(py_out, m @ v)
 
@@ -257,7 +255,7 @@ class TestBackendPlumbing:
         i = fl.indices("i")
         kernel = fl.compile_kernel(
             fl.forall(i, fl.increment(C[()], fl.access(A, i))),
-            opt_level=1, cache=False)
+            cache=False)
         assert kernel.backend == "c"
         assert kernel.effective_backend == "c"
         kernel.run()
@@ -274,13 +272,13 @@ class TestBackendPlumbing:
             C = fl.Scalar(name="C")
             i = fl.indices("i")
             prog = fl.forall(i, fl.increment(C[()], fl.access(A, i)))
-            kernel = fl.compile_kernel(prog, backend="c", opt_level=1)
+            kernel = fl.compile_kernel(prog, backend="c")
             assert kernel.effective_backend == "c"
             sidecars = list(tmp_path.rglob("*.so"))
             assert len(sidecars) == 1
             # A warm start loads the sidecar: no recompile, same dir.
             fl.kernel_cache().clear()
-            warm = fl.compile_kernel(prog, backend="c", opt_level=1)
+            warm = fl.compile_kernel(prog, backend="c")
             assert warm.effective_backend == "c"
             assert warm.so_path == str(sidecars[0])
         finally:
@@ -531,7 +529,7 @@ class TestNonFiniteLiterals:
     def test_bit_identical_to_reference(self, name, make, backend):
         from repro.baselines.reference import interpret
 
-        for opt_level in (0, 1, 2):
+        for opt_level in (0, 2):
             prog, out = make(_NON_FINITE[name])
             want = np.asarray(interpret(prog).result_for(out))
             kernel = fl.compile_kernel(prog, backend=backend,
@@ -682,8 +680,6 @@ class TestTrappingOperands:
             == "= %r" % math.sqrt(value)
 
 
-_SLICE = ("Slice node (the slice operation of a dense reset or a "
-          "vectorized loop) has no C lowering yet")
 
 #: What each figure's headline kernel runs as under ``backend="c"``,
 #: and the ledger's reasons when it falls back.  A C lowering that
@@ -751,33 +747,43 @@ def test_each_fig8_spelling_runs_c_like_python(protocol):
 
 
 @needs_cc
-class TestUnsupportedConstructFallback:
-    def test_vectorized_kernel_falls_back(self):
+class TestScalarTreeGoesNative:
+    """C prints the tree ``vectorize`` has not touched: a dense loop the
+    python source turns into numpy is a native C loop."""
+
+    @staticmethod
+    def _dense_dot(backend, **opts):
+        rng = np.random.default_rng(9)
+        a = rng.integers(-9, 10, 64).astype(float)
+        b = rng.integers(-9, 10, 64).astype(float)
+        A = fl.from_numpy(a, ("dense",), name="A")
+        B = fl.from_numpy(b, ("dense",), name="B")
+        C = fl.Scalar(name="C")
+        i = fl.indices("i")
+        prog = fl.forall(i, fl.increment(
+            C[()], fl.access(A, i) * fl.access(B, i)))
+        kernel = fl.compile_kernel(prog, backend=backend, cache=False,
+                                   **opts)
+        kernel.run()
+        return float(C.value), kernel, float(a @ b)
+
+    def test_a_vectorized_kernel_runs_native(self):
         codegen.clear_fallback_events()
-        a = np.arange(1.0, 65.0)
-        b = np.ones(64)
+        c_val, c_kernel, want = self._dense_dot("c")
+        scalar, _, _ = self._dense_dot("python", opt_level=0)
+        vector, py_kernel, _ = self._dense_dot("python")
+        assert "_np.dot" in py_kernel.source
+        assert c_kernel.effective_backend == "c"
+        assert codegen.fallback_events() == []
+        # Bit-identical to the scalar python loop; the vectorized one
+        # sums in numpy's order, equal on integer-valued data.
+        assert struct.pack("<d", c_val) == struct.pack("<d", scalar)
+        assert c_val == vector == want
 
-        def compile_dense(backend):
-            A = fl.from_numpy(a, ("dense",), name="A")
-            B = fl.from_numpy(b, ("dense",), name="B")
-            C = fl.Scalar(name="C")
-            i = fl.indices("i")
-            prog = fl.forall(i, fl.increment(
-                C[()], fl.access(A, i) * fl.access(B, i)))
-            kernel = fl.compile_kernel(
-                prog, backend=backend, opt_level=2, cache=False)
-            kernel.run()
-            return float(C.value), kernel
-
-        py_val, _ = compile_dense("python")
-        c_val, c_kernel = compile_dense("c")
-        assert c_kernel.backend == "c"
-        # The vectorizer builds slice operations the C emitter does
-        # not lower yet; the kernel must degrade, not break — and the
-        # ledger names the node kind, once.
-        assert c_kernel.effective_backend == "python"
-        assert c_val == py_val == float(a @ b)
-        reasons = [r for _, r in codegen.fallback_events()]
-        assert reasons == ["Reduce node (the slice operation of a dense "
-                           "reset or a vectorized loop) has no C lowering "
-                           "yet"]
+    def test_c_source_does_not_depend_on_vectorize(self, monkeypatch):
+        _, kernel, _ = self._dense_dot("c")
+        monkeypatch.setattr(optimize, "vectorize",
+                            lambda func, buffers=None: func)
+        _, unvectorized, _ = self._dense_dot("c")
+        assert "_np.dot" not in unvectorized.source
+        assert unvectorized.artifact.c_source == kernel.artifact.c_source

@@ -6,8 +6,8 @@ names an operator — so a newly registered op is covered the moment it
 declares a form (docs/ARCHITECTURE.md, "Adding an operator"):
 
 * an op that declares a C lowering (``Op.c``) compiles natively and is
-  bit-identical to the python backend on int64 and float64 operands
-  (the stencil_code idiom: one ``backend="c"`` vs ``backend="python"``
+  bit-identical to the python backend's scalar kernel
+  (``opt_level=0``) on int64 and float64 operands (the stencil_code idiom: one ``backend="c"`` vs ``backend="python"``
   check per kernel, exact ``==``);
 * an op that declares a numpy form (``Op.numpy`` / ``Op.numpy_reduce``)
   vectorises at ``opt_level=2`` and agrees with the scalar loop;
@@ -129,19 +129,17 @@ class TestDeclaredCLowering:
             # operands are translated (the fallback is the next test).
             dtype = np.bool_
         columns = _in_domain(op, dtype)
-        _, expected = _reduce_kernel(op, columns, opt_level=1)
-        kernel, got = _reduce_kernel(op, columns, opt_level=1,
-                                     backend="c")
+        _, expected = _reduce_kernel(op, columns, opt_level=0)
+        kernel, got = _reduce_kernel(op, columns, backend="c")
         assert kernel.effective_backend == "c"
         assert got == expected
 
     @_select(lambda op: op.c is not None and op.c[0] == "logical")
     def test_logical_ops_refuse_non_bool_operands(self, op):
         columns = _in_domain(op, np.int64)
-        _, expected = _reduce_kernel(op, columns, opt_level=1)
+        _, expected = _reduce_kernel(op, columns)
         codegen.clear_fallback_events()
-        kernel, got = _reduce_kernel(op, columns, opt_level=1,
-                                     backend="c")
+        kernel, got = _reduce_kernel(op, columns, backend="c")
         assert kernel.effective_backend == "python"
         (_, reason), = codegen.fallback_events()
         assert reason.startswith("non-boolean operand to %r" % op.name)
@@ -166,7 +164,7 @@ class TestDeclaredCLowering:
                 kernel = fl.compile_kernel(
                     fl.forall(i, fl.increment(C[()],
                                               A[proto(i)] * B[i])),
-                    cache=False, opt_level=1, backend=backend)
+                    cache=False, backend=backend)
                 kernel.run()
                 results.append(C.value)
             assert kernel.effective_backend == "c"
@@ -192,7 +190,7 @@ class TestDeclaredNumpyForm:
     @_select(lambda op: op.numpy is not None)
     def test_elementwise_map_vectorises(self, op):
         columns = _in_domain(op, np.float64)
-        scalar, expected = _map_kernel(op, columns, level=1)
+        scalar, expected = _map_kernel(op, columns, level=0)
         vector, got = _map_kernel(op, columns, level=2)
         assert "for i in range" in scalar.source
         assert "for i in range" not in vector.source
@@ -204,7 +202,7 @@ class TestDeclaredNumpyForm:
     def test_accumulation_vectorises_to_the_reduction(self, op):
         column = np.array([2.0, 1.0, 3.0, 1.0, 2.0, 1.0, 2.0, 3.0])
         values = []
-        for level in (1, 2):
+        for level in (0, 2):
             A = fl.from_numpy(column, ("dense",), name="A")
             C = fl.Scalar(2.0, name="C")
             i = fl.indices("i")
@@ -389,11 +387,11 @@ class TestToyOperator:
         columns = [col.astype(dtype) for col in COLUMNS[:2]]
         expected = np.array([math.copysign(a, b)
                              for a, b in zip(*columns)])
-        scalar, at_one = _map_kernel(toy_op, columns, level=1)
+        scalar, at_zero = _map_kernel(toy_op, columns, level=0)
         vector, at_two = _map_kernel(toy_op, columns, level=2)
         assert "toy_copysign(val[i], val_2[i])" in scalar.source
         assert "_np.copysign(val[0:12], val_2[0:12])" in vector.source
-        assert np.array_equal(at_one, expected)
+        assert np.array_equal(at_zero, expected)
         assert np.array_equal(at_two, expected)
 
     @needs_cc
@@ -401,9 +399,8 @@ class TestToyOperator:
                              ids=["int64", "float64"])
     def test_goes_native(self, toy_op, dtype):
         columns = [col.astype(dtype) for col in COLUMNS[:2]]
-        _, expected = _reduce_kernel(toy_op, columns, opt_level=1)
-        kernel, got = _reduce_kernel(toy_op, columns, opt_level=1,
-                                     backend="c")
+        _, expected = _reduce_kernel(toy_op, columns, opt_level=0)
+        kernel, got = _reduce_kernel(toy_op, columns, backend="c")
         assert kernel.effective_backend == "c"
         assert "copysign(val[i], val_2[i])" in _c_body(kernel)
         assert got == expected \

@@ -1,12 +1,11 @@
 """A cold compile's optimizer work is counted, not timed.
 
-``optimize_kernel`` detects its fold/dead-code fixpoint by node
-identity (a round that returns its input changed nothing),
-``simplify_expr`` never rewrites a normal form twice, and it offers a
-node only the rules declaring its operator.  All of it is counted here
-in units no machine's speed moves.  When the fixpoint compared emitted
-source, a fig8 compile printed the whole kernel five times inside the
-optimizer.  When every visit tried all eleven default rules, leaves
+The optimizer passes print no kernel, ``simplify_expr`` never
+rewrites a normal form twice, and it offers a node only the rules
+declaring its operator.  All of it is counted here in units no
+machine's speed moves.  When the optimizer's old fold fixpoint
+compared emitted source, a fig8 compile printed the whole kernel five
+times inside the optimizer.  When every visit tried all eleven default rules, leaves
 included, and ``rule_renormalize`` rebuilt calls a constructor had just
 built, a fig8 compile made 4 483 rule calls (lowering included) where
 it now makes 580.
@@ -14,9 +13,9 @@ it now makes 580.
 
 import sys
 
-import repro.compiler.kernel as compiler
 import repro.lang as fl
 import repro.rewrite.simplify as simplify
+from repro.ir import optimize
 from repro.bench.figures import fig8_suite
 from repro.bench.kernels import triangle_count_program
 
@@ -36,12 +35,14 @@ def test_fig8_cold_compile_stays_inside_its_work_budget(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    def optimize(func, level, buffers=None, real=compiler.optimize_kernel):
-        optimizing.append(True)
-        try:
-            return real(func, level, buffers)
-        finally:
-            optimizing.pop()
+    def inside_optimizer(real):
+        def run(*args):
+            optimizing.append(True)
+            try:
+                return real(*args)
+            finally:
+                optimizing.pop()
+        return run
 
     monkeypatch.setattr(printer, "_emit", counting(
         printer._emit, "printed_in_optimizer", lambda: bool(optimizing)))
@@ -49,7 +50,9 @@ def test_fig8_cold_compile_stays_inside_its_work_budget(monkeypatch):
         return real(expr, [counting(rule, "rules") for rule in rules])
 
     monkeypatch.setattr(simplify, "_apply_first", apply_first)
-    monkeypatch.setattr(compiler, "optimize_kernel", optimize)
+    for name in ("hoist_invariants", "vectorize"):
+        monkeypatch.setattr(optimize, name,
+                            inside_optimizer(getattr(optimize, name)))
 
     program, _ = triangle_count_program(fig8_suite()["ca_like_powerlaw"],
                                         "gallop")

@@ -158,11 +158,11 @@ class TestOptLevel:
 
     def test_levels_agree_on_results(self):
         values = []
-        for level in (0, 1, 2):
+        for level in (0, 2):
             prog, _, C, vec = simple_sum()
             fl.execute(prog, opt_level=level)
             values.append(C.value)
-        assert values[0] == values[1] == values[2] == 15.0
+        assert values[0] == values[1] == 15.0
 
     def test_opt_level_is_part_of_the_cache_key(self):
         fl.kernel_cache().clear()
@@ -182,7 +182,7 @@ class TestOptLevel:
 
     def test_instrumented_counts_identical_across_levels(self):
         counts = set()
-        for level in (0, 1, 2):
+        for level in (0, 2):
             prog, _, _, _ = simple_sum()
             counts.add(fl.execute(prog, instrument=True,
                                   opt_level=level))

@@ -219,7 +219,7 @@ class TestPipelineClipping:
 
 
 class TestNegativeLiterals:
-    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("level", [0, 2])
     def test_negative_base_of_a_power(self, level):
         # ``-2.0 ** x`` parses as ``-(2.0 ** x)``: the literal must print
         # parenthesized for the kernel to agree with the interpreter.

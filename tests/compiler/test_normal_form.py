@@ -27,7 +27,6 @@ import collections
 import numpy as np
 import pytest
 
-import repro.compiler.kernel as compiler
 import repro.lang as fl
 from repro.bench.figures import warm_start_programs
 from repro.compiler.context import Context
@@ -37,7 +36,7 @@ from repro.fuzz.gen import build_case, generate_spec
 from repro.ir import Call, Literal, Load, Slice, Var, asm, build, ops
 from repro.ir.emit import emit
 from repro.ir.nodes import Reduce
-from repro.ir.optimize import optimize_kernel
+from repro.ir import optimize
 from repro.rewrite import simplify_expr
 from repro.rewrite.rules import rule_unreachable_operand, value_range
 from repro.util.errors import FormatError
@@ -48,13 +47,13 @@ def lowered_tree(program):
     (what ``opt_level=0`` emits)."""
     trees = []
 
-    def keep(func, level, buffers=None):
+    def keep(func, real=optimize.hoist_invariants):
         trees.append(func)
-        return optimize_kernel(func, level, buffers)
+        return real(func)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(compiler, "optimize_kernel", keep)
-        fl.compile_kernel(program, cache=False, opt_level=1)
+        patch.setattr(optimize, "hoist_invariants", keep)
+        fl.compile_kernel(program, cache=False)
     return trees[0]
 
 
@@ -161,13 +160,36 @@ def bounded_clamps(func):
             if rule_unreachable_operand(call) is not None]
 
 
+def retested_conditions(func):
+    """``If`` arms whose whole body is a one-arm ``If`` on the arm's own
+    condition."""
+    return [cond for stmt in asm.walk_statements(func)
+            if isinstance(stmt, asm.If)
+            for cond, body in stmt.branches
+            if build.unguarded(cond, body) is not body]
+
+
 @pytest.mark.parametrize("check", [literal_ifs, literal_short_loops,
                                    single_copies, dead_output_loads,
-                                   seeks_to_the_start, bounded_clamps],
+                                   seeks_to_the_start, bounded_clamps,
+                                   retested_conditions],
                          ids=lambda check: check.__name__)
 def test_lowered_kernels_are_in_normal_form(check, lowered):
     found = {name: check(func) for name, func in lowered.items()}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_a_fill_region_is_guarded_once():
+    # A ``max`` of two galloped sparse vectors, one offset by 22: each
+    # region past a list's end was once guarded by its test twice
+    # (``if i_stop < 23:`` inside ``if i_stop < 23:``).
+    case = build_case(generate_spec(165, "deep"))
+    assert retested_conditions(lowered_tree(case.program)) == []
+    kernel = fl.compile_kernel(build_case(generate_spec(165, "deep")).program,
+                               cache=False, opt_level=0, instrument=True)
+    assert kernel.source.count("if i_stop < 23:") == 1
+    assert kernel.source.count("if i_stop_2 < i_stop:") == 1
+    assert kernel.run() == 1
 
 
 def test_the_walk_sees_figures_and_fuzz_specs(lowered):

@@ -4,8 +4,8 @@ interpreter's dense result.
 
 The outputs hand kernels three plain arrays (coordinate stream, value
 stream, state vector), so they take the same roads as any tensor:
-every optimizer level, a spec round-trip, and the three batch
-executors — where the processes executor stages the arrays through
+every optimizer level and both backends, a spec round-trip, and the
+three batch executors — where the processes executor stages the arrays through
 shared memory and writes them back.
 """
 
@@ -109,7 +109,10 @@ CASES = [vector, matrix, uint8_blend, float32_values, zero_length,
 cases = pytest.mark.parametrize("case", CASES, ids=lambda fn: fn.__name__)
 classes = pytest.mark.parametrize("cls", CLASSES,
                                   ids=lambda cls: cls.__name__)
-opt_levels = pytest.mark.parametrize("opt_level", [0, 1, 2])
+#: The lowered tree on python, and the default level on each backend
+#: (C prints the hoisted tree, python the vectorized one).
+compiles = pytest.mark.parametrize(
+    "opt_level,backend", [(0, "python"), (2, "python"), (2, "c")])
 
 
 @pytest.fixture(scope="module")
@@ -134,11 +137,12 @@ def assert_identical(got, want):
 
 @classes
 @cases
-@opt_levels
-def test_kernel_rerun_and_spec_roundtrip(cls, case, opt_level):
+@compiles
+def test_kernel_rerun_and_spec_roundtrip(cls, case, opt_level, backend):
     program, out = case(cls, seed=0)
     want = interpret(program).result_for(out)
-    kernel = fl.compile_kernel(program, opt_level=opt_level, cache=False)
+    kernel = fl.compile_kernel(program, opt_level=opt_level,
+                               backend=backend, cache=False)
     assert all(isinstance(arg, np.ndarray) for arg in kernel._entry.args)
     kernel.run()
     assert_identical(out.to_numpy(), want)
@@ -155,14 +159,15 @@ def test_kernel_rerun_and_spec_roundtrip(cls, case, opt_level):
 
 @classes
 @cases
-@opt_levels
+@compiles
 @pytest.mark.parametrize("executor", EXECUTORS)
-def test_batch_snapshots_and_callers_tensors(cls, case, opt_level,
+def test_batch_snapshots_and_callers_tensors(cls, case, opt_level, backend,
                                              executor, workers):
     template, _ = case(cls, seed=0)
     programs = [case(cls, seed)[0] for seed in (1, 2, 3)]
     datasets = [program_tensors(program) for program in programs]
-    kernel = fl.compile_kernel(template, opt_level=opt_level)
+    kernel = fl.compile_kernel(template, opt_level=opt_level,
+                               backend=backend)
     with KernelPool(kernel, executor=executor, worker_pool=(
             workers if executor == "processes" else None)) as pool:
         result = pool.map(datasets)
@@ -178,8 +183,8 @@ def test_batch_snapshots_and_callers_tensors(cls, case, opt_level,
 
 
 @classes
-@opt_levels
-def test_discordant_program_raises_on_first_read(cls, opt_level):
+@compiles
+def test_discordant_program_raises_on_first_read(cls, opt_level, backend):
     """``forall i, j: R[j, i] = A[i, j]`` appends column-major into a
     row-major stream: the kernel flags it and stores nothing behind
     the cursor, and every read of the output raises."""
@@ -189,7 +194,7 @@ def test_discordant_program_raises_on_first_read(cls, opt_level):
     i, j = fl.indices("i", "j")
     kernel = fl.compile_kernel(
         fl.forall(i, fl.forall(j, fl.store(out[j, i], A[i, j]))),
-        opt_level=opt_level, cache=False)
+        opt_level=opt_level, backend=backend, cache=False)
     kernel.run()
     count, cursor, flagged = out.state
     assert flagged and count <= cursor <= out.total

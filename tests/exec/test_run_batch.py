@@ -173,7 +173,7 @@ def dense_dot_program(a, b):
 def poisoned_dense_batch(count=5, poisoned=(3,)):
     """A dense dot template and ``count`` datasets, each one in
     ``poisoned`` making the kernel raise IndexError (compile at
-    ``opt_level=1``: a vectorized slice read would silently clamp
+    ``opt_level=0``: a vectorized slice read would silently clamp
     instead of raising)."""
     rng = np.random.default_rng(7)
     template = dense_dot_program(rng.random(8), rng.random(8))
@@ -198,7 +198,7 @@ def test_worker_error_carries_dataset_index(executor):
     template, datasets = poisoned_dense_batch()
     with pytest.raises(BatchExecutionError) as info:
         run_batch(template, datasets, executor=executor,
-                  max_workers=2, opt_level=1)
+                  max_workers=2, opt_level=0)
     assert info.value.index == 3
     assert "IndexError" in str(info.value)
 
@@ -209,7 +209,7 @@ def test_in_process_kernel_error_is_not_retried(executor):
     raises surfaces at once, whatever the retry budget, and the
     batch's fault ledger stays at zero."""
     template, datasets = poisoned_dense_batch()
-    kernel = fl.compile_kernel(template, opt_level=1)
+    kernel = fl.compile_kernel(template, opt_level=0)
     with KernelPool(kernel, executor=executor, max_workers=2,
                     max_retries=3) as pool:
         with pytest.raises(BatchExecutionError) as info:
@@ -224,7 +224,7 @@ def test_a_threads_map_submits_one_task_per_worker(policy):
     """Each worker thread drains the datasets left; the items, their
     order and the failures are the serial map's under either policy."""
     template, datasets = poisoned_dense_batch(count=9, poisoned=(2, 6))
-    kernel = fl.compile_kernel(template, opt_level=1)
+    kernel = fl.compile_kernel(template, opt_level=0)
     outcomes, submits = {}, []
     for executor in ("serial", "threads"):
         with KernelPool(kernel, executor=executor, max_workers=3,

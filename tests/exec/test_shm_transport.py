@@ -313,7 +313,7 @@ def test_no_segments_leak_on_success_or_error():
         return fl.forall(i, fl.increment(C[()], A[i] * B[i]))
 
     template = dense_dot_program(rng.random(8), rng.random(8))
-    kernel = fl.compile_kernel(template, opt_level=1)
+    kernel = fl.compile_kernel(template, opt_level=0)
     datasets = []
     for position in range(5):
         tensors = program_tensors(

@@ -85,7 +85,7 @@ def test_warm_store_serves_worker_and_driver_alike(tmp_path):
 def test_warm_service_serves_worker_and_driver_alike(tmp_path):
     # The worker consults the service only for what its shipped spec
     # cannot give it — a prebuilt .so — so the kernel must be native.
-    opts = dict(backend="c", opt_level=1)
+    opts = dict(backend="c")
     with KernelService(tmp_path / "served") as service:
         spec = fl.compile_kernel(dot_program(), remote=service.url,
                                  store=False, **opts).to_spec()

@@ -83,7 +83,7 @@ def test_campaign_counts_the_cases_that_ran_native_c():
     assert result.ok, result.summary()
     ran = [compile_kernel(build_case(generate_spec(
         case_seed(seed, step), "quick")).program, cache=False,
-        **ORACLE_COMPILE_OPTS[3]).effective_backend
+        **ORACLE_COMPILE_OPTS[-1]).effective_backend
         for step in range(budget)]
     assert result.native_c == ran.count("c")
     assert "c_backend: %d/%d cases native C" % (ran.count("c"), budget) \

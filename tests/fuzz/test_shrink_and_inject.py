@@ -35,7 +35,6 @@ _CATCH_BUDGET = 30
 #: reference; a batch row's outputs are numbered per dataset.
 _ROWS = {
     "compiled@0": (None, False),
-    "compiled@1": ("compiled@0", False),
     "compiled@2": ("compiled@0", False),
     "c_backend": ("compiled@2", False),
     "spec_roundtrip": ("compiled@2", False),
@@ -54,14 +53,14 @@ _CAUGHT_BY = {
     "vector-slice-short": (
         {"compiled@2", "c_backend", "spec_roundtrip",
          "store_roundtrip"} | _BATCHES,
-        {"compiled@0", "compiled@1"}),
+        {"compiled@0"}),
     "batch-drops-last": (_BATCHES, set(_ROWS) - _BATCHES),
     "literal-if-wrong-arm": ({"compiled@0"}, set()),
     "seek-overshoot": ({"compiled@0"}, set()),
     # Only a kernel with views prints ``.obj``; C refuses the slice and
     # runs the python fallback.
     "view-slice-bare": (
-        {"compiled@1", "compiled@2", "c_backend", "spec_roundtrip",
+        {"compiled@2", "c_backend", "spec_roundtrip",
          "store_roundtrip"} | _BATCHES,
         {"compiled@0"}),
 }

@@ -158,6 +158,24 @@ class TestIf:
         assert "sink[0] = 1" in source
 
 
+    def test_an_arm_does_not_retest_its_own_condition(self):
+        cond = build.lt(Var("a"), Var("b"))
+        inner = build.if_([(cond, sink(1))])
+        stmt = build.if_([(build.lt(Var("b"), Var("c")), sink(0)),
+                          (build.lt(Var("a"), Var("b")), inner)])
+        assert emit(stmt) == ("if b < c:\n    sink[0] = 0\n"
+                              "elif a < b:\n    sink[0] = 1\n")
+
+    def test_an_arm_keeps_a_different_or_longer_test(self):
+        cond = build.lt(Var("a"), Var("b"))
+        other = build.if_([(build.lt(Var("a"), Var("c")), sink(1))])
+        chain = build.if_([(cond, sink(1)), (None, sink(2))])
+        more = asm.Block([build.if_([(cond, sink(1))]), sink(3)])
+        for body in (other, chain, more):
+            stmt = build.if_([(cond, body)])
+            assert stmt.branches[0][1].stmts == asm.Block([body]).stmts
+
+
 class TestFor:
     def test_literal_empty_extent_is_no_statement(self):
         assert build.for_(Var("i"), Literal(5), Literal(5), sink(1)).is_nop()

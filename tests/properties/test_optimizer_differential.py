@@ -2,7 +2,7 @@
 
 Hypothesis drives randomized CIN programs through the compiler at
 ``opt_level=0`` (lowered code emitted untouched) and at the default
-level (folding and dead code, LICM, vectorization) and cross-checks
+level (LICM, vectorization) and cross-checks
 outputs.
 
 Two regimes:
@@ -27,7 +27,7 @@ import repro.lang as fl
 from repro.fuzz.strategies import integer_vector
 
 FORMATS = ["dense", "sparse", "band", "vbl", "rle", "bitmap"]
-LEVELS = (0, 1, 2)
+LEVELS = (0, 2)
 
 
 def run_at_levels(make_program, outputs_of):

@@ -40,9 +40,8 @@ from repro.util import config
 needs_cc = pytest.mark.skipif(
     not codegen.have_toolchain(), reason="no C compiler on PATH")
 
-#: The C entry's options (opt_level=1: the vectorized dense dot has no
-#: C form).
-C_OPTS = dict(backend="c", opt_level=1)
+#: The C entry's options.
+C_OPTS = dict(backend="c")
 
 
 @pytest.fixture(autouse=True)

@@ -175,9 +175,7 @@ def test_remote_hit_leaves_a_live_so_path(service, tmp_path):
     scratch directory, so the artifact's ``so_path`` names a real file
     for the life of the process — and persisting that artifact later
     writes its sidecar instead of deleting the one already there."""
-    # opt_level=1: the vectorized dense dot has no C form.
-    opts = dict(backend="c", opt_level=1, remote=service.url,
-                store=False)
+    opts = dict(backend="c", remote=service.url, store=False)
     fl.compile_kernel(dot_program()[0], **opts)
     kernel_cache().clear()
 
@@ -218,7 +216,7 @@ def test_a_pushed_entry_is_filed_byte_for_byte(service, tmp_path,
     byte, and a fetch serves exactly those bytes."""
     local = KernelStore(tmp_path / "local_store")
     kernel = fl.compile_kernel(dot_program()[0], remote=service.url,
-                               store=local, backend=backend, opt_level=1)
+                               store=local, backend=backend)
     assert not kernel.from_cache
     digest = entry_digest(meta_for_artifact(kernel.artifact))
     pushed = _entry_files(local, digest)
@@ -238,8 +236,7 @@ def test_a_pushed_so_serves_a_client_with_no_compiler(service,
     """The service builds nothing: the ``.so`` a client fetches is the
     one the pusher compiled, and it runs natively on a client with no
     C compiler."""
-    opts = dict(backend="c", opt_level=1, remote=service.url,
-                store=False)
+    opts = dict(backend="c", remote=service.url, store=False)
     fl.compile_kernel(dot_program()[0], **opts)
     assert service_stats()["remote_pushes"] == 1
 

@@ -427,7 +427,7 @@ def test_key_of_json_roundtripped_spec_matches_key_of_artifact():
     from repro.compiler.key import KernelKey
 
     kernel = fl.compile_kernel(dot_program()[0], cache=False,
-                               instrument=True, opt_level=1)
+                               instrument=True, opt_level=0)
     artifact = kernel.artifact
     spec = json.loads(json.dumps(artifact.to_spec()))
     assert KernelKey.of_spec(spec).meta == meta_for_artifact(artifact)

@@ -47,7 +47,7 @@ def clean_state(monkeypatch):
 
 def test_default_layer():
     assert config.resolve("backend") == "python"
-    assert config.resolve("opt_level") is None
+    assert config.resolve("opt_level") == 2
     assert config.resolve("store_path") is None
     assert config.resolve("service_url") is None
     assert config.source("backend") == "default"
@@ -55,9 +55,9 @@ def test_default_layer():
 
 def test_env_beats_default(monkeypatch):
     monkeypatch.setenv("FL_KERNEL_BACKEND", "c")
-    monkeypatch.setenv("FL_KERNEL_OPT_LEVEL", "1")
+    monkeypatch.setenv("FL_KERNEL_OPT_LEVEL", "0")
     assert config.resolve("backend") == "c"
-    assert config.resolve("opt_level") == 1
+    assert config.resolve("opt_level") == 0
     assert config.source("backend") == "env"
 
 
@@ -128,10 +128,10 @@ def test_choices_validated():
 
 
 def test_env_values_parsed(monkeypatch):
-    monkeypatch.setenv("FL_KERNEL_OPT_LEVEL", "1")
+    monkeypatch.setenv("FL_KERNEL_OPT_LEVEL", "0")
     monkeypatch.setenv("FL_SERVICE_TIMEOUT_S", "0.25")
     monkeypatch.setenv("FL_SERVICE_RETRIES", "3")
-    assert config.resolve("opt_level") == 1
+    assert config.resolve("opt_level") == 0
     assert config.resolve("service_timeout_s") == 0.25
     assert config.resolve("service_retries") == 3
 
@@ -140,10 +140,13 @@ def test_runtime_config_reports_every_option():
     snapshot = fl.runtime_config()
     assert set(snapshot) == set(config.OPTIONS)
     assert snapshot["backend"] == "python"
+    # The compiler's default level is the option table's default.
+    assert fl.runtime_config(detailed=True)["opt_level"] == {
+        "value": 2, "source": "default", "env": "FL_KERNEL_OPT_LEVEL"}
 
 
 def test_runtime_config_detailed_names_the_layer(monkeypatch):
-    monkeypatch.setenv("FL_KERNEL_OPT_LEVEL", "1")
+    monkeypatch.setenv("FL_KERNEL_OPT_LEVEL", "0")
     fl.configure(backend="c")
     detailed = fl.runtime_config(detailed=True)
     assert detailed["backend"] == {
@@ -154,12 +157,12 @@ def test_runtime_config_detailed_names_the_layer(monkeypatch):
 
 
 def test_snapshot_restore_roundtrip():
-    fl.configure(backend="c", opt_level=1)
+    fl.configure(backend="c", opt_level=0)
     before = config.snapshot()
     fl.configure(backend="python", opt_level=config.UNSET)
     config.restore(before)
     assert config.resolve("backend") == "c"
-    assert config.resolve("opt_level") == 1
+    assert config.resolve("opt_level") == 0
 
 
 # -- end-to-end: the three named axes --------------------------------------
