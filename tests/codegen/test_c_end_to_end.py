@@ -787,3 +787,55 @@ class TestScalarTreeGoesNative:
         _, unvectorized, _ = self._dense_dot("c")
         assert "_np.dot" not in unvectorized.source
         assert unvectorized.artifact.c_source == kernel.artifact.c_source
+
+    #: Dense reductions into a scalar that ``vectorize`` turns into numpy
+    #: calls in the python source: a whole-vector sum, an outer product
+    #: (``A[i]`` hoisted out of the ``j`` loop) and a matrix-vector sum.
+    REDUCTIONS = ("sum", "outer", "matvec")
+
+    @staticmethod
+    def _dense_reduction(shape, backend, **opts):
+        rng = np.random.default_rng(11)
+        a = rng.integers(-9, 10, 24).astype(float)
+        m = rng.integers(-9, 10, (6, 24)).astype(float)
+        A = fl.from_numpy(a, ("dense",), name="A")
+        M = fl.from_numpy(m, ("dense", "dense"), name="M")
+        C = fl.Scalar(name="C")
+        i, j = fl.indices("i", "j")
+        if shape == "sum":
+            prog, want = fl.forall(i, fl.increment(C[()], A[i])), a.sum()
+        elif shape == "outer":
+            prog = fl.forall(i, fl.forall(j, fl.increment(
+                C[()], A[i] * A[j])))
+            want = a.sum() ** 2
+        else:
+            prog = fl.forall(i, fl.forall(j, fl.increment(
+                C[()], M[i, j] * A[j])))
+            want = (m @ a).sum()
+        kernel = fl.compile_kernel(prog, backend=backend, cache=False,
+                                   **opts)
+        kernel.run()
+        return float(C.value), kernel, float(want)
+
+    @pytest.mark.parametrize("shape", REDUCTIONS)
+    def test_a_vectorized_reduction_runs_native(self, shape):
+        codegen.clear_fallback_events()
+        c_val, c_kernel, want = self._dense_reduction(shape, "c")
+        scalar, _, _ = self._dense_reduction(shape, "python", opt_level=0)
+        vector, py_kernel, _ = self._dense_reduction(shape, "python")
+        assert "_np." in py_kernel.source
+        assert c_kernel.effective_backend == "c"
+        assert "_np." not in c_kernel.artifact.c_source
+        assert codegen.fallback_events() == []
+        assert struct.pack("<d", c_val) == struct.pack("<d", scalar)
+        assert c_val == vector == want
+
+    @pytest.mark.parametrize("shape", REDUCTIONS)
+    def test_c_source_of_a_reduction_does_not_depend_on_vectorize(
+            self, shape, monkeypatch):
+        _, kernel, _ = self._dense_reduction(shape, "c")
+        monkeypatch.setattr(optimize, "vectorize",
+                            lambda func, buffers=None: func)
+        _, unvectorized, _ = self._dense_reduction(shape, "c")
+        assert "_np." not in unvectorized.source
+        assert unvectorized.artifact.c_source == kernel.artifact.c_source

@@ -45,8 +45,10 @@ def test_backend_validated_as_kwarg():
 #: Each was once compiled and reported as a level of its own (``2.7``
 #: as 2, ``True`` as 1), taking a cache slot and a store entry for a
 #: kernel identical to another level's; 1 (hoisting without
-#: vectorizing) is no level since C prints the unvectorized tree.
-BAD_LEVELS = [7, -1, 2.7, True, 9, 1]
+#: vectorizing) is no level since C prints the unvectorized tree, and
+#: neither are its other spellings (``1.0``, and ``False``, which equals
+#: 0 but is no level either).
+BAD_LEVELS = [7, -1, 2.7, True, 9, 1, 1.0, False, "one"]
 LEVELS_ERROR = "opt_level must be one of 0/2"
 
 
@@ -55,7 +57,7 @@ def test_opt_level_takes_the_env_spelling():
                              opt_level="2").opt_level == 2
 
 
-@pytest.mark.parametrize("level", BAD_LEVELS + [1.0, False, "one"])
+@pytest.mark.parametrize("level", BAD_LEVELS)
 def test_bad_opt_level_refused_as_kwarg(level):
     with pytest.raises(ValueError, match=LEVELS_ERROR):
         fl.compile_kernel(dot_program(), cache=False, opt_level=level)

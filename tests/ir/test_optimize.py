@@ -567,6 +567,27 @@ class TestGoldenKernels:
         kernel.run()
         assert C.value == pytest.approx(a.sum() * b.sum())
 
+    def test_level_zero_runs_neither_pass(self, monkeypatch):
+        def refuse(func, buffers=None):
+            raise AssertionError("an optimizer pass ran at opt_level=0")
+
+        monkeypatch.setattr(optimize, "hoist_invariants", refuse)
+        monkeypatch.setattr(optimize, "vectorize", refuse)
+        backends = ("python", "c") if codegen.have_toolchain() \
+            else ("python",)
+        for backend in backends:
+            a = np.arange(1.0, 5.0)
+            A = fl.from_numpy(a, ("dense",), name="A")
+            C = fl.Scalar(name="C")
+            i, j = fl.indices("i", "j")
+            kernel = fl.compile_kernel(
+                fl.forall(i, fl.forall(j, fl.increment(C[()],
+                                                       A[i] * A[j]))),
+                cache=False, backend=backend, opt_level=0)
+            kernel.run()
+            assert kernel.effective_backend == backend
+            assert C.value == a.sum() ** 2, backend
+
     def test_instrumented_counts_survive_vectorization(self):
         vec = np.ones(23)
         for level in (0, 2):
